@@ -38,7 +38,7 @@ pub mod sink;
 pub mod state;
 
 pub use pipeline::{Route, RoutingTree};
-pub use query::{HttpQuerySource, LocalQuerySource, QuerySource, UrlResolver};
+pub use query::{http_source, LocalQuerySource, QuerySource};
 pub use rules::{AlertRule, RuleSet, ALERTS_METRIC};
 pub use service::{AlertConfig, AlertService, TickStats};
 pub use sink::{LogSink, Notification, NotificationSink, SinkError, WebhookSink};

@@ -1,20 +1,15 @@
 //! Where alert-rule expressions get their data.
 //!
 //! Mirrors the qfe `Downstream` split: an in-process source over the hot
-//! TSDB for the embedded stack, and an HTTP source for running the
-//! alerting service against the qfe/LB read path — pooled keep-alive
-//! client, retries, and a circuit breaker so a dead read path degrades to
-//! "evaluation errors" instead of a stalled tick.
+//! TSDB for the embedded stack, and the shared [`TsdbClient`] for running
+//! the alerting service against the qfe/LB read path over HTTP.
 
 use std::sync::Arc;
 
-use ceems_http::client::Client;
 use ceems_http::resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
-use ceems_http::url::encode_component;
 use ceems_metrics::labels::LabelSet;
-use ceems_obs::{trace, TRACE_HEADER};
 use ceems_tsdb::promql::{instant_query_with_lookback, Expr, Value};
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{Tsdb, TsdbClient};
 
 /// A source of instant-query results for rule evaluation.
 pub trait QuerySource: Send + Sync {
@@ -69,68 +64,19 @@ impl QuerySource for LocalQuerySource {
     }
 }
 
-/// Resolves the query endpoint per request — e.g. following a failover
-/// routing table so evaluation re-targets the new leader without rebuilding
-/// the source. `None` means "no endpoint known right now".
-pub type UrlResolver = Arc<dyn Fn() -> Option<String> + Send + Sync>;
-
-/// Evaluates over HTTP against a Prometheus-compatible `/api/v1/query`
-/// endpoint (the TSDB API, the LB, or the query frontend).
-pub struct HttpQuerySource {
-    base_url: String,
-    resolver: Option<UrlResolver>,
-    client: Client,
-    retry: RetryPolicy,
-    breaker: CircuitBreaker,
+/// The alerting service's HTTP read path: a [`TsdbClient`] against a
+/// Prometheus-compatible `/api/v1/query` endpoint (the TSDB API, the LB, or
+/// the query frontend) with this hop's resilience — 2 attempts and a
+/// default breaker, so a dead read path degrades to evaluation errors
+/// instead of a stalled tick. Follow a failover routing table with
+/// [`TsdbClient::with_resolver`].
+pub fn http_source(base_url: impl Into<String>) -> TsdbClient {
+    TsdbClient::new(base_url)
+        .with_retry(RetryPolicy::new(2))
+        .with_breaker(CircuitBreaker::new(BreakerConfig::default()))
 }
 
-impl HttpQuerySource {
-    /// A source against `base_url` (e.g. `http://127.0.0.1:9090`) with
-    /// default retry (2 attempts) and breaker settings.
-    pub fn new(base_url: impl Into<String>) -> HttpQuerySource {
-        HttpQuerySource {
-            base_url: base_url.into(),
-            resolver: None,
-            client: Client::new(),
-            retry: RetryPolicy::new(2),
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
-        }
-    }
-
-    /// Resolves the endpoint per query instead of pinning `base_url` — the
-    /// S24 failover hook: hand it the replication group's routing table and
-    /// rule evaluation follows the elected leader. A `None` resolution
-    /// falls back to the pinned `base_url`.
-    pub fn with_resolver(mut self, resolver: UrlResolver) -> HttpQuerySource {
-        self.resolver = Some(resolver);
-        self
-    }
-
-    /// Replaces the HTTP client (pool size, timeout, fault plan).
-    pub fn with_client(mut self, client: Client) -> HttpQuerySource {
-        self.client = client;
-        self
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> HttpQuerySource {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the circuit breaker.
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> HttpQuerySource {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Breaker state, for tests and introspection.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-}
-
-impl QuerySource for HttpQuerySource {
+impl QuerySource for TsdbClient {
     fn name(&self) -> &'static str {
         "http"
     }
@@ -141,92 +87,7 @@ impl QuerySource for HttpQuerySource {
         _expr: &Expr,
         now_ms: i64,
     ) -> Result<Vec<(LabelSet, f64)>, String> {
-        if !self.breaker.try_acquire() {
-            return Err("read path circuit breaker is open".into());
-        }
-        let base = self
-            .resolver
-            .as_ref()
-            .and_then(|r| r())
-            .unwrap_or_else(|| self.base_url.clone());
-        let url = format!(
-            "{}/api/v1/query?query={}&time={}",
-            base,
-            encode_component(expr_src),
-            now_ms as f64 / 1000.0,
-        );
-        // Propagate the tick's trace id so the TSDB's per-stage breakdown
-        // joins up with the alert_eval stage.
-        let client = match trace::current() {
-            Some(t) => self.client.clone().with_header(TRACE_HEADER, t.id()),
-            None => self.client.clone(),
-        };
-        let result = self.retry.run(|_attempt| {
-            let resp = client.get(&url).map_err(|e| e.to_string())?;
-            if !resp.status.is_success() {
-                return Err(format!(
-                    "query endpoint returned {}: {}",
-                    resp.status.0,
-                    resp.body_string().chars().take(200).collect::<String>()
-                ));
-            }
-            Ok(resp)
-        });
-        let resp = match result {
-            Ok(r) => {
-                self.breaker.on_success();
-                r
-            }
-            Err(e) => {
-                self.breaker.on_failure();
-                return Err(e);
-            }
-        };
-        parse_query_envelope(&resp.body)
-    }
-}
-
-/// Parses the Prometheus instant-query JSON envelope into a result vector.
-fn parse_query_envelope(body: &[u8]) -> Result<Vec<(LabelSet, f64)>, String> {
-    let v: serde_json::Value =
-        serde_json::from_slice(body).map_err(|e| format!("bad query response JSON: {e}"))?;
-    if v["status"] != "success" {
-        return Err(format!(
-            "query failed: {}",
-            v["error"].as_str().unwrap_or("unknown error")
-        ));
-    }
-    let data = &v["data"];
-    match data["resultType"].as_str() {
-        Some("vector") => {
-            let mut out = Vec::new();
-            for item in data["result"].as_array().into_iter().flatten() {
-                let mut pairs: Vec<(String, String)> = Vec::new();
-                if let Some(metric) = item["metric"].as_object() {
-                    for (k, val) in metric {
-                        if let Some(s) = val.as_str() {
-                            pairs.push((k.clone(), s.to_string()));
-                        }
-                    }
-                }
-                let value = item["value"][1]
-                    .as_str()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or("missing sample value in query response")?;
-                out.push((LabelSet::from_pairs(pairs), value));
-            }
-            Ok(out)
-        }
-        Some("scalar") => {
-            let value = data["result"][1]
-                .as_str()
-                .and_then(|s| s.parse::<f64>().ok())
-                .ok_or("missing scalar value in query response")?;
-            Ok(vec![(LabelSet::empty(), value)])
-        }
-        other => Err(format!(
-            "unsupported resultType {other:?} for alert evaluation"
-        )),
+        self.instant(expr_src, now_ms)
     }
 }
 
@@ -250,53 +111,27 @@ mod tests {
     }
 
     #[test]
-    fn http_source_follows_a_url_resolver() {
+    fn http_source_evaluates_over_the_real_api() {
         use ceems_http::{HttpServer, ServerConfig};
         use ceems_tsdb::httpapi::api_router;
-        use parking_lot::Mutex;
 
-        let serve = |value: f64| {
-            let db = Arc::new(Tsdb::default());
-            db.append(&labels! {"__name__" => "watts", "instance" => "n1"}, 1_000, value);
-            HttpServer::serve(ServerConfig::ephemeral(), api_router(db, Arc::new(|| 2_000)))
-                .unwrap()
-        };
-        let old_leader = serve(100.0);
-        let new_leader = serve(200.0);
-
-        let target = Arc::new(Mutex::new(old_leader.base_url()));
-        let t = target.clone();
-        let src = HttpQuerySource::new("http://127.0.0.1:1")
-            .with_resolver(Arc::new(move || Some(t.lock().clone())));
-        let expr = parse_expr("watts").unwrap();
-        let v = src.query("watts", &expr, 2_000).unwrap();
-        assert_eq!(v[0].1, 100.0);
-
-        // Failover: the routing table now points at the new leader; the
-        // same source follows it without being rebuilt.
-        *target.lock() = new_leader.base_url();
-        let v = src.query("watts", &expr, 2_000).unwrap();
-        assert_eq!(v[0].1, 200.0);
-        old_leader.shutdown();
-        new_leader.shutdown();
-    }
-
-    #[test]
-    fn envelope_parses_vector_and_scalar() {
-        let body = br#"{"status":"success","data":{"resultType":"vector","result":[
-            {"metric":{"instance":"n1"},"value":[12.5,"300"]}]}}"#;
-        let v = parse_query_envelope(body).unwrap();
+        let db = Arc::new(Tsdb::default());
+        db.append(
+            &labels! {"__name__" => "watts", "instance" => "n2"},
+            1_000,
+            900.0,
+        );
+        let server = HttpServer::serve(
+            ServerConfig::ephemeral(),
+            api_router(db, Arc::new(|| 2_000)),
+        )
+        .unwrap();
+        let src: Arc<dyn QuerySource> = Arc::new(http_source(server.base_url()));
+        let expr = parse_expr("watts > 500").unwrap();
+        let v = src.query("watts > 500", &expr, 2_000).unwrap();
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0.get("instance"), Some("n1"));
-        assert_eq!(v[0].1, 300.0);
-
-        let body = br#"{"status":"success","data":{"resultType":"scalar","result":[12.5,"7"]}}"#;
-        let v = parse_query_envelope(body).unwrap();
-        assert_eq!(v[0].1, 7.0);
-
-        assert!(parse_query_envelope(br#"{"status":"error","error":"boom"}"#).is_err());
-        assert!(parse_query_envelope(b"not json").is_err());
-        let matrix = br#"{"status":"success","data":{"resultType":"matrix","result":[]}}"#;
-        assert!(parse_query_envelope(matrix).is_err());
+        assert_eq!(v[0].0.get("instance"), Some("n2"));
+        assert!(src.query("watts >", &expr, 2_000).is_err());
+        server.shutdown();
     }
 }

@@ -27,6 +27,6 @@ pub mod schema;
 pub mod updater;
 
 pub use api::ApiServer;
-pub use metrics_source::{MetricSource, PromHttpSource, TsdbLocalSource};
+pub use metrics_source::{http_source, MetricSource, TsdbLocalSource};
 pub use rm::{ResourceManagerClient, SlurmRmClient, UnitInfo};
 pub use updater::{Updater, UpdaterConfig};

@@ -1,16 +1,16 @@
 //! How the API server fetches aggregate metrics from the TSDB.
 //!
-//! The real API server speaks the Prometheus HTTP API; the simulation can
-//! also query the TSDB in-process. Both implement [`MetricSource`], and the
-//! HTTP implementation is exercised in tests against the real
-//! [`ceems_tsdb::httpapi`] server so the JSON path stays honest.
+//! The real API server speaks the Prometheus HTTP API through the shared
+//! [`TsdbClient`]; the simulation can also query the TSDB in-process. Both
+//! implement [`MetricSource`].
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use ceems_http::Client;
-use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
+use ceems_http::resilience::RetryPolicy;
+use ceems_metrics::labels::LabelSet;
 use ceems_tsdb::promql::{instant_query, parse_expr, Value};
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{Tsdb, TsdbClient};
 
 /// An instant-query interface.
 pub trait MetricSource: Send + Sync {
@@ -55,94 +55,28 @@ impl MetricSource for TsdbLocalSource {
     }
 }
 
-/// HTTP source speaking the Prometheus API. Transport failures are retried
-/// under a short jittered backoff (a TSDB restarting between two updater
-/// polls should cost nothing); only when the retries run out does the
-/// source report "no data" and let the updater's next poll try again.
-pub struct PromHttpSource {
-    client: Client,
-    base_url: String,
-    retry: ceems_http::resilience::RetryPolicy,
+/// The updater's HTTP path to the TSDB: a [`TsdbClient`] (it is both the
+/// [`MetricSource`] and the [`crate::updater::TsdbAdmin`]) with this hop's
+/// retry — 2 attempts under a short 20 → 100 ms jittered backoff, so a TSDB
+/// restarting between two updater polls costs nothing. Only when the
+/// retries run out does the source report "no data" and let the updater's
+/// next poll try again.
+pub fn http_source(base_url: impl Into<String>) -> TsdbClient {
+    TsdbClient::new(base_url).with_retry(
+        RetryPolicy::new(2).with_backoff(Duration::from_millis(20), Duration::from_millis(100)),
+    )
 }
 
-impl PromHttpSource {
-    /// Creates the source against e.g. `http://127.0.0.1:9090`.
-    pub fn new(base_url: impl Into<String>) -> PromHttpSource {
-        PromHttpSource {
-            client: Client::new(),
-            base_url: base_url.into(),
-            retry: ceems_http::resilience::RetryPolicy::new(2).with_backoff(
-                std::time::Duration::from_millis(20),
-                std::time::Duration::from_millis(100),
-            ),
-        }
-    }
-
-    /// Replaces the HTTP client (tests inject fault-plan-wrapped clients).
-    pub fn with_client(mut self, client: Client) -> PromHttpSource {
-        self.client = client;
-        self
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: ceems_http::resilience::RetryPolicy) -> PromHttpSource {
-        self.retry = retry;
-        self
-    }
-}
-
-impl MetricSource for PromHttpSource {
+impl MetricSource for TsdbClient {
     fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)> {
-        let url = format!(
-            "{}/api/v1/query?query={}&time={}",
-            self.base_url,
-            ceems_http::url::encode_component(query),
-            t_ms as f64 / 1000.0
-        );
-        let Ok(resp) = self.retry.run(|_| self.client.get(&url)) else {
-            return Vec::new();
-        };
-        let Ok(json) = serde_json::from_slice::<serde_json::Value>(&resp.body) else {
-            return Vec::new();
-        };
-        if json["status"] != "success" {
-            return Vec::new();
-        }
-        let data = &json["data"];
-        match data["resultType"].as_str() {
-            Some("vector") => data["result"]
-                .as_array()
-                .map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|item| {
-                            let mut b = LabelSetBuilder::new();
-                            for (k, v) in item["metric"].as_object()? {
-                                b = b.label(k.clone(), v.as_str()?.to_string());
-                            }
-                            let val: f64 = item["value"].get(1)?.as_str()?.parse().ok()?;
-                            Some((b.build(), val))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            Some("scalar") => data["result"]
-                .get(1)
-                .and_then(|v| v.as_str())
-                .and_then(|s| s.parse().ok())
-                .map(|v| vec![(LabelSet::empty(), v)])
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        }
+        TsdbClient::instant(self, query, t_ms).unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceems_http::{HttpServer, ServerConfig};
     use ceems_metrics::labels;
-    use ceems_tsdb::httpapi::api_router;
 
     fn db() -> Arc<Tsdb> {
         let db = Arc::new(Tsdb::default());
@@ -168,30 +102,21 @@ mod tests {
     }
 
     #[test]
-    fn http_source_round_trips_through_real_api() {
-        let db = db();
-        let router = api_router(db.clone(), Arc::new(|| 150_000));
-        let server = HttpServer::serve(ServerConfig::ephemeral(), router).unwrap();
-        let src = PromHttpSource::new(server.base_url());
+    fn http_source_reports_failures_as_no_data() {
+        use ceems_http::{HttpServer, ServerConfig};
+        use ceems_tsdb::httpapi::api_router;
 
-        let v = src.instant("watts{uuid=\"slurm-1\"}", 150_000);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0.get("uuid"), Some("slurm-1"));
-        assert_eq!(v[0].1, 100.0);
-
-        // Scalar result type.
-        let v = src.instant("scalar(sum(watts))", 150_000);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].1, 100.0);
-
-        // Errors come back empty.
+        let server = HttpServer::serve(
+            ServerConfig::ephemeral(),
+            api_router(db(), Arc::new(|| 150_000)),
+        )
+        .unwrap();
+        let src: Arc<dyn MetricSource> = Arc::new(http_source(server.base_url()));
+        assert_eq!(src.scalar("sum(watts)", 150_000), Some(100.0));
+        // A rejected query and a dead backend both come back empty.
         assert!(src.instant("rate(watts)", 150_000).is_empty());
         server.shutdown();
-    }
-
-    #[test]
-    fn http_source_with_dead_backend_is_empty() {
-        let src = PromHttpSource::new("http://127.0.0.1:1");
+        let src: Arc<dyn MetricSource> = Arc::new(http_source("http://127.0.0.1:1"));
         assert!(src.instant("up", 0).is_empty());
     }
 }

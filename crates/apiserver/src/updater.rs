@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ceems_relstore::{Db, DbError, Filter, Value};
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{Tsdb, TsdbClient};
 
 use crate::metrics_source::MetricSource;
 use crate::rm::{ResourceManagerClient, UnitInfo};
@@ -29,37 +29,9 @@ impl TsdbAdmin for Arc<Tsdb> {
     }
 }
 
-/// HTTP implementation against the Prometheus admin API.
-pub struct HttpTsdbAdmin {
-    client: ceems_http::Client,
-    base_url: String,
-}
-
-impl HttpTsdbAdmin {
-    /// Creates the admin client.
-    pub fn new(base_url: impl Into<String>) -> HttpTsdbAdmin {
-        HttpTsdbAdmin {
-            client: ceems_http::Client::new(),
-            base_url: base_url.into(),
-        }
-    }
-}
-
-impl TsdbAdmin for HttpTsdbAdmin {
+impl TsdbAdmin for TsdbClient {
     fn delete_unit_series(&self, uuid: &str) -> usize {
-        let selector = format!("{{uuid=\"{uuid}\"}}");
-        let url = format!(
-            "{}/api/v1/admin/tsdb/delete_series?match[]={}",
-            self.base_url,
-            ceems_http::url::encode_component(&selector)
-        );
-        let Ok(resp) = self.client.post(&url, Vec::new(), "application/json") else {
-            return 0;
-        };
-        serde_json::from_slice::<serde_json::Value>(&resp.body)
-            .ok()
-            .and_then(|v| v["data"]["deletedSeries"].as_u64())
-            .unwrap_or(0) as usize
+        self.delete_series(&format!("{{uuid=\"{uuid}\"}}"))
     }
 }
 

@@ -32,12 +32,27 @@ pub struct LatencySummary {
     pub count: usize,
     /// 50th percentile (µs).
     pub p50_us: f64,
-    /// 99th percentile (µs).
-    pub p99_us: f64,
+    /// The highest tail percentile the sample count supports, as
+    /// `(percentile, µs)`: a tail is reported only when at least ten samples
+    /// lie beyond it, so the max of 8 samples is never called a "p99".
+    pub tail: Option<(f64, f64)>,
     /// Arithmetic mean (µs).
     pub mean_us: f64,
     /// Maximum (µs).
     pub max_us: f64,
+}
+
+/// Tail percentiles a summary may report, ascending, in per mille so "ten
+/// samples beyond" is integer arithmetic.
+const TAILS_PER_MILLE: [usize; 5] = [750, 900, 950, 990, 999];
+
+/// The highest percentile of `n` samples that still has at least ten samples
+/// beyond it; `None` below 40 samples, where even p75 has fewer.
+fn highest_supported_tail(n: usize) -> Option<f64> {
+    TAILS_PER_MILLE
+        .iter()
+        .rfind(|t| n * (1000 - **t) / 1000 >= 10)
+        .map(|t| *t as f64 / 10.0)
 }
 
 impl LatencySummary {
@@ -54,7 +69,7 @@ impl LatencySummary {
         LatencySummary {
             count: samples.len(),
             p50_us: pct(0.50),
-            p99_us: pct(0.99),
+            tail: highest_supported_tail(samples.len()).map(|p| (p, pct(p / 100.0))),
             mean_us: mean,
             max_us: samples.last().unwrap().as_secs_f64() * 1e6,
         }
@@ -62,13 +77,16 @@ impl LatencySummary {
 
     /// This summary as a JSON object.
     pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
+        let mut v = serde_json::json!({
             "count": self.count,
             "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
             "mean_us": self.mean_us,
             "max_us": self.max_us,
-        })
+        });
+        if let (Some((p, us)), serde_json::Value::Object(map)) = (self.tail, &mut v) {
+            map.insert(format!("p{p}_us"), us.into());
+        }
+        v
     }
 }
 
@@ -106,8 +124,30 @@ mod tests {
         let s = LatencySummary::from_samples(&mut samples);
         assert_eq!(s.count, 100);
         assert!((s.p50_us - 50.0).abs() <= 1.0, "p50 {}", s.p50_us);
-        assert!((s.p99_us - 99.0).abs() <= 1.0, "p99 {}", s.p99_us);
         assert_eq!(s.max_us, 100.0);
+    }
+
+    #[test]
+    fn tail_needs_ten_samples_beyond() {
+        let summary = |n: u64| {
+            let mut samples: Vec<Duration> = (1..=n).map(Duration::from_micros).collect();
+            LatencySummary::from_samples(&mut samples)
+        };
+        // The old summary called the max of 8 samples "p99".
+        let s = summary(8);
+        assert_eq!(s.tail, None);
+        assert_eq!(s.max_us, 8.0);
+        assert!(s.to_json().get("p99_us").is_none());
+
+        let (p, us) = summary(200).tail.unwrap();
+        assert_eq!(p, 95.0);
+        assert!((us - 190.0).abs() <= 1.0, "p95 {us}");
+        assert!(summary(200).to_json().get("p95_us").is_some());
+
+        let (p, us) = summary(1000).tail.unwrap();
+        assert_eq!(p, 99.0);
+        assert!((us - 990.0).abs() <= 1.0, "p99 {us}");
+        assert_eq!(summary(1000).to_json()["p99_us"], us);
     }
 
     #[test]

@@ -134,129 +134,6 @@ impl HttpSettings {
     }
 }
 
-/// One fault rule from the `fault:` YAML section. Plain data: it parses in
-/// every build, but only binaries compiled with the `fault` feature turn it
-/// into live injection ([`FaultSettings::build_plan`]).
-#[derive(Clone, Debug)]
-pub struct FaultRuleSettings {
-    /// Fault kind: `latency`, `reset`, `5xx`, `truncate` or `corrupt`.
-    pub kind: String,
-    /// Substring of the request path that the rule applies to (empty =
-    /// every request).
-    pub endpoint: String,
-    /// Injection probability per request, clamped to `[0, 1]`.
-    pub probability: f64,
-    /// Kind parameter: delay in ms for `latency`, status code for `5xx`.
-    pub param: f64,
-    /// The rule only fires from this per-endpoint request index on.
-    pub after: u64,
-    /// The rule stops firing at this request index (0 = never stops).
-    pub until: u64,
-}
-
-/// The `fault:` YAML section: a seeded, deterministic fault schedule.
-#[derive(Clone, Debug, Default)]
-pub struct FaultSettings {
-    /// Seed for the schedule; the same seed over the same request sequence
-    /// replays the exact same faults.
-    pub seed: u64,
-    /// Rules, evaluated in order per request.
-    pub rules: Vec<FaultRuleSettings>,
-}
-
-impl FaultSettings {
-    /// True when at least one rule is configured.
-    pub fn enabled(&self) -> bool {
-        !self.rules.is_empty()
-    }
-
-    /// Builds the live [`ceems_http::fault::FaultPlan`] for this schedule.
-    /// Only exists in `fault`-feature builds; production binaries compile
-    /// the section down to inert data.
-    #[cfg(feature = "fault")]
-    pub fn build_plan(&self) -> Result<ceems_http::fault::FaultPlan, String> {
-        use ceems_http::fault::{FaultKind, FaultRule};
-        let mut plan = ceems_http::fault::FaultPlan::new(self.seed);
-        for r in &self.rules {
-            let kind = match r.kind.as_str() {
-                "latency" => FaultKind::Latency {
-                    ms: r.param.max(0.0) as u64,
-                },
-                "reset" => FaultKind::ConnReset,
-                "5xx" => FaultKind::ServerError {
-                    status: if (100.0..=599.0).contains(&r.param) {
-                        r.param as u16
-                    } else {
-                        503
-                    },
-                },
-                "truncate" => FaultKind::TruncateBody,
-                "corrupt" => FaultKind::CorruptBody,
-                other => return Err(format!("unknown fault kind {other:?}")),
-            };
-            let until = if r.until == 0 { u64::MAX } else { r.until };
-            plan = plan
-                .with_rule(FaultRule::new(&r.endpoint, kind, r.probability).between(r.after, until));
-        }
-        Ok(plan)
-    }
-}
-
-/// The `resilience:` YAML section: retry, deadline and breaker tuning
-/// shared by every client-side hop in the stack.
-#[derive(Clone, Debug)]
-pub struct ResilienceSettings {
-    /// Attempts per logical request (1 = no retries).
-    pub retry_attempts: u32,
-    /// First backoff ceiling (ms).
-    pub retry_base_ms: u64,
-    /// Backoff ceiling cap (ms).
-    pub retry_max_ms: u64,
-    /// Total deadline across attempts and sleeps (ms); 0 disables.
-    pub deadline_ms: u64,
-    /// Consecutive failures that open a circuit breaker.
-    pub breaker_failures: u32,
-    /// Time an open breaker waits before half-open probes (ms).
-    pub breaker_cooldown_ms: u64,
-}
-
-impl Default for ResilienceSettings {
-    fn default() -> Self {
-        ResilienceSettings {
-            retry_attempts: 3,
-            retry_base_ms: 10,
-            retry_max_ms: 500,
-            deadline_ms: 2_000,
-            breaker_failures: 3,
-            breaker_cooldown_ms: 1_000,
-        }
-    }
-}
-
-impl ResilienceSettings {
-    /// These settings as a [`ceems_http::resilience::RetryPolicy`].
-    pub fn retry_policy(&self) -> ceems_http::resilience::RetryPolicy {
-        let p = ceems_http::resilience::RetryPolicy::new(self.retry_attempts).with_backoff(
-            std::time::Duration::from_millis(self.retry_base_ms),
-            std::time::Duration::from_millis(self.retry_max_ms.max(self.retry_base_ms)),
-        );
-        if self.deadline_ms > 0 {
-            p.with_deadline(std::time::Duration::from_millis(self.deadline_ms))
-        } else {
-            p
-        }
-    }
-
-    /// These settings as a [`ceems_http::resilience::BreakerConfig`].
-    pub fn breaker_config(&self) -> ceems_http::resilience::BreakerConfig {
-        ceems_http::resilience::BreakerConfig {
-            failure_threshold: self.breaker_failures.max(1),
-            cooldown_ms: self.breaker_cooldown_ms.max(1),
-            half_open_max_probes: 1,
-        }
-    }
-}
-
 /// The `alerting:` YAML section (`ceems-alertsrv`): evaluation cadence,
 /// Alertmanager-style group timers, delivery target, and thresholds for
 /// the built-in rule packs (a non-positive threshold disables its pack).
@@ -468,10 +345,6 @@ pub struct CeemsConfig {
     pub qfe: QfeSettings,
     /// HTTP substrate tuning shared by every server and client.
     pub http: HttpSettings,
-    /// Fault-injection schedule (inert without the `fault` feature).
-    pub fault: FaultSettings,
-    /// Retry/deadline/breaker tuning for every client-side hop.
-    pub resilience: ResilienceSettings,
     /// Alerting service settings (disabled by default).
     pub alerting: AlertingSettings,
     /// Trace sampling + durable trace-store settings.
@@ -511,8 +384,6 @@ impl Default for CeemsConfig {
             wal_fetch_burst: 50.0,
             qfe: QfeSettings::default(),
             http: HttpSettings::default(),
-            fault: FaultSettings::default(),
-            resilience: ResilienceSettings::default(),
             alerting: AlertingSettings::default(),
             obs: ObsSettings::default(),
             meta: MetaSettings::default(),
@@ -676,62 +547,6 @@ impl CeemsConfig {
             }
             if let Some(v) = h.get("backlog").and_then(Yaml::as_i64) {
                 cfg.http.backlog = (v as i32).max(1);
-            }
-        }
-        if let Some(f) = doc.get("fault") {
-            if let Some(v) = f.get("seed").and_then(Yaml::as_i64) {
-                cfg.fault.seed = v as u64;
-            }
-            if let Some(rules) = f.get("rules").and_then(Yaml::as_seq) {
-                for r in rules {
-                    let kind = r
-                        .get("kind")
-                        .and_then(Yaml::as_str)
-                        .ok_or("fault rule missing kind")?
-                        .to_string();
-                    if !matches!(kind.as_str(), "latency" | "reset" | "5xx" | "truncate" | "corrupt")
-                    {
-                        return Err(format!(
-                            "unknown fault kind {kind:?} (expected latency|reset|5xx|truncate|corrupt)"
-                        ));
-                    }
-                    cfg.fault.rules.push(FaultRuleSettings {
-                        kind,
-                        endpoint: r
-                            .get("endpoint")
-                            .and_then(Yaml::as_str)
-                            .unwrap_or("")
-                            .to_string(),
-                        probability: r
-                            .get("probability")
-                            .and_then(Yaml::as_f64)
-                            .unwrap_or(1.0)
-                            .clamp(0.0, 1.0),
-                        param: r.get("param").and_then(Yaml::as_f64).unwrap_or(0.0),
-                        after: r.get("after").and_then(Yaml::as_i64).unwrap_or(0).max(0) as u64,
-                        until: r.get("until").and_then(Yaml::as_i64).unwrap_or(0).max(0) as u64,
-                    });
-                }
-            }
-        }
-        if let Some(r) = doc.get("resilience") {
-            if let Some(v) = r.get("retry_attempts").and_then(Yaml::as_i64) {
-                cfg.resilience.retry_attempts = v.clamp(1, 100) as u32;
-            }
-            if let Some(v) = r.get("retry_base_ms").and_then(Yaml::as_i64) {
-                cfg.resilience.retry_base_ms = v.max(0) as u64;
-            }
-            if let Some(v) = r.get("retry_max_ms").and_then(Yaml::as_i64) {
-                cfg.resilience.retry_max_ms = v.max(0) as u64;
-            }
-            if let Some(v) = r.get("deadline_ms").and_then(Yaml::as_i64) {
-                cfg.resilience.deadline_ms = v.max(0) as u64;
-            }
-            if let Some(v) = r.get("breaker_failures").and_then(Yaml::as_i64) {
-                cfg.resilience.breaker_failures = v.clamp(1, 1_000) as u32;
-            }
-            if let Some(v) = r.get("breaker_cooldown_ms").and_then(Yaml::as_i64) {
-                cfg.resilience.breaker_cooldown_ms = v.max(1) as u64;
             }
         }
         if let Some(a) = doc.get("alerting") {
@@ -1230,96 +1045,5 @@ http:
     fn empty_config_is_default() {
         let c = CeemsConfig::from_yaml("").unwrap();
         assert_eq!(c.scrape_interval_s, CeemsConfig::default().scrape_interval_s);
-    }
-
-    #[test]
-    fn parse_fault_and_resilience_sections() {
-        let text = "\
-fault:
-  seed: 42
-  rules:
-    - kind: latency
-      endpoint: /api/v1/query_range
-      probability: 0.25
-      param: 50
-    - kind: 5xx
-      endpoint: /api/v1/query
-      probability: 1.5
-      param: 503
-      after: 10
-      until: 20
-resilience:
-  retry_attempts: 5
-  retry_base_ms: 25
-  retry_max_ms: 800
-  deadline_ms: 3000
-  breaker_failures: 4
-  breaker_cooldown_ms: 2500
-";
-        let c = CeemsConfig::from_yaml(text).unwrap();
-        assert!(c.fault.enabled());
-        assert_eq!(c.fault.seed, 42);
-        assert_eq!(c.fault.rules.len(), 2);
-        assert_eq!(c.fault.rules[0].kind, "latency");
-        assert_eq!(c.fault.rules[0].endpoint, "/api/v1/query_range");
-        assert_eq!(c.fault.rules[0].probability, 0.25);
-        assert_eq!(c.fault.rules[0].param, 50.0);
-        // Probability clamps into [0, 1]; window bounds carry through.
-        assert_eq!(c.fault.rules[1].probability, 1.0);
-        assert_eq!(c.fault.rules[1].after, 10);
-        assert_eq!(c.fault.rules[1].until, 20);
-        assert_eq!(c.resilience.retry_attempts, 5);
-        assert_eq!(c.resilience.retry_base_ms, 25);
-        assert_eq!(c.resilience.retry_max_ms, 800);
-        assert_eq!(c.resilience.deadline_ms, 3_000);
-        assert_eq!(c.resilience.breaker_failures, 4);
-        assert_eq!(c.resilience.breaker_cooldown_ms, 2_500);
-        let bc = c.resilience.breaker_config();
-        assert_eq!(bc.failure_threshold, 4);
-        assert_eq!(bc.cooldown_ms, 2_500);
-    }
-
-    #[test]
-    fn fault_defaults_off_and_bad_kind_rejected() {
-        let c = CeemsConfig::from_yaml("").unwrap();
-        assert!(!c.fault.enabled());
-        assert_eq!(c.resilience.retry_attempts, 3);
-        assert_eq!(c.resilience.breaker_failures, 3);
-        assert!(
-            CeemsConfig::from_yaml("fault:\n  rules:\n    - kind: explode\n").is_err(),
-            "unknown fault kind must be rejected at parse time"
-        );
-        assert!(
-            CeemsConfig::from_yaml("fault:\n  rules:\n    - endpoint: /x\n").is_err(),
-            "rule without a kind must be rejected"
-        );
-    }
-
-    #[cfg(feature = "fault")]
-    #[test]
-    fn fault_settings_build_a_plan() {
-        let c = CeemsConfig::from_yaml(
-            "fault:\n  seed: 9\n  rules:\n    - kind: reset\n      endpoint: /api/v1/query\n      probability: 1.0\n",
-        )
-        .unwrap();
-        let plan = c.fault.build_plan().unwrap();
-        let d = plan.decide("/api/v1/query");
-        assert!(matches!(d, Some(ceems_http::fault::FaultKind::ConnReset)));
-    }
-
-    #[test]
-    fn resilience_floors() {
-        let c = CeemsConfig::from_yaml(
-            "resilience:\n  retry_attempts: 0\n  breaker_failures: 0\n  breaker_cooldown_ms: 0\n",
-        )
-        .unwrap();
-        assert_eq!(c.resilience.retry_attempts, 1);
-        assert_eq!(c.resilience.breaker_failures, 1);
-        assert_eq!(c.resilience.breaker_cooldown_ms, 1);
-        // deadline_ms == 0 means "no deadline": the policy must still run.
-        let c = CeemsConfig::from_yaml("resilience:\n  deadline_ms: 0\n").unwrap();
-        let policy = c.resilience.retry_policy();
-        let out: Result<(), ()> = policy.run(|_| Ok(()));
-        assert_eq!(out, Ok(()));
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ceems_http::Client;
 use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
-use ceems_metrics::parse::parse_text;
+use ceems_tsdb::scrape::{exposition_to_batch, fetch_exposition, TargetSource};
 use ceems_tsdb::Tsdb;
 
 /// The reserved tenant meta-monitoring series live under.
@@ -31,49 +31,47 @@ pub const META_TENANT: &str = "__ceems_meta__";
 /// The `job` label stamped on every meta series.
 pub const META_JOB: &str = "ceems-meta";
 
-/// Where a meta target's exposition text comes from.
-#[derive(Clone)]
-pub enum MetaSource {
-    /// Call a closure returning exposition text (in-process component).
-    InProcess(Arc<dyn Fn() -> String + Send + Sync>),
-    /// Scrape a `/metrics` URL over HTTP.
-    Http(String),
-}
-
 /// One component under self-scrape.
 pub struct MetaTarget {
-    /// `component` label value (`tsdb`, `lb`, `qfe`, ...).
-    pub component: String,
     /// `instance` label value.
     pub instance: String,
     /// Exposition source.
-    pub source: MetaSource,
+    pub source: TargetSource,
+    /// The `tenant` and `component` labels stamped on every series.
+    labels: Vec<(String, String)>,
     last_ok_ms: Option<i64>,
 }
 
 impl MetaTarget {
-    /// An in-process target rendering its exposition via `f`.
+    fn new(component: &str, instance: &str, source: TargetSource) -> MetaTarget {
+        MetaTarget {
+            instance: instance.to_string(),
+            source,
+            labels: vec![
+                ("tenant".to_string(), META_TENANT.to_string()),
+                ("component".to_string(), component.to_string()),
+            ],
+            last_ok_ms: None,
+        }
+    }
+
+    /// An in-process target rendering its exposition via `f`; `component`
+    /// is its `component` label value (`tsdb`, `lb`, `qfe`, ...).
     pub fn in_process(
         component: &str,
         instance: &str,
         f: Arc<dyn Fn() -> String + Send + Sync>,
     ) -> MetaTarget {
-        MetaTarget {
-            component: component.to_string(),
-            instance: instance.to_string(),
-            source: MetaSource::InProcess(f),
-            last_ok_ms: None,
-        }
+        MetaTarget::new(component, instance, TargetSource::InProcess(f))
     }
 
     /// An HTTP target scraping `url` (a full `/metrics` URL).
     pub fn http(component: &str, instance: &str, url: &str) -> MetaTarget {
-        MetaTarget {
-            component: component.to_string(),
-            instance: instance.to_string(),
-            source: MetaSource::Http(url.to_string()),
-            last_ok_ms: None,
-        }
+        let source = TargetSource::Http {
+            url: url.to_string(),
+            auth: None,
+        };
+        MetaTarget::new(component, instance, source)
     }
 }
 
@@ -122,12 +120,16 @@ impl MetaMonitor {
         let mut stats = MetaScrapeStats::default();
         for t in &mut self.targets {
             let started = std::time::Instant::now();
-            let fetched = fetch(&self.client, &t.source);
+            let fetched = fetch_exposition(&self.client, &t.source);
             let duration_s = started.elapsed().as_secs_f64();
-            match fetched.and_then(|body| ingest(db, t, now_ms, &body)) {
-                Ok(n) => {
+            let batch = fetched.and_then(|body| {
+                exposition_to_batch(&body, &t.instance, META_JOB, &t.labels, now_ms)
+            });
+            match batch {
+                Ok(batch) => {
+                    db.append_batch(&batch);
                     stats.ok += 1;
-                    stats.samples += n;
+                    stats.samples += batch.len() as u64;
                     t.last_ok_ms = Some(now_ms);
                     write_health(db, t, now_ms, 1.0, duration_s, 0.0);
                 }
@@ -145,57 +147,25 @@ impl MetaMonitor {
     }
 }
 
-fn fetch(client: &Client, source: &MetaSource) -> Result<String, String> {
-    match source {
-        MetaSource::InProcess(f) => Ok(f()),
-        MetaSource::Http(url) => {
-            let resp = client.get(url).map_err(|e| e.to_string())?;
-            if !resp.status.is_success() {
-                return Err(format!("meta scrape returned {}", resp.status.0));
-            }
-            Ok(resp.body_string())
-        }
-    }
-}
-
 fn meta_labels(t: &MetaTarget, name: &str) -> LabelSetBuilder {
-    LabelSetBuilder::new()
+    let mut b = LabelSetBuilder::new()
         .label(METRIC_NAME_LABEL, name)
-        .label("tenant", META_TENANT)
-        .label("component", &t.component)
         .label("instance", &t.instance)
-        .label("job", META_JOB)
-}
-
-fn ingest(db: &Tsdb, t: &MetaTarget, now_ms: i64, body: &str) -> Result<u64, String> {
-    let parsed = parse_text(body).map_err(|e| e.to_string())?;
-    let mut batch = Vec::with_capacity(parsed.samples.len());
-    for s in parsed.samples {
-        let b = LabelSetBuilder::from(s.labels)
-            .label(METRIC_NAME_LABEL, &s.name)
-            .label("tenant", META_TENANT)
-            .label("component", &t.component)
-            .label("instance", &t.instance)
-            .label("job", META_JOB);
-        batch.push((b.build(), s.timestamp_ms.unwrap_or(now_ms), s.value));
+        .label("job", META_JOB);
+    for (k, v) in &t.labels {
+        b = b.label(k, v);
     }
-    let n = batch.len() as u64;
-    db.append_batch(&batch);
-    Ok(n)
+    b
 }
 
 fn write_health(db: &Tsdb, t: &MetaTarget, now_ms: i64, up: f64, duration_s: f64, staleness_s: f64) {
-    db.append(&meta_labels(t, "ceems_meta_up").build(), now_ms, up);
-    db.append(
-        &meta_labels(t, "ceems_meta_scrape_duration_seconds").build(),
-        now_ms,
-        duration_s,
-    );
-    db.append(
-        &meta_labels(t, "ceems_meta_scrape_staleness_seconds").build(),
-        now_ms,
-        staleness_s,
-    );
+    for (name, v) in [
+        ("ceems_meta_up", up),
+        ("ceems_meta_scrape_duration_seconds", duration_s),
+        ("ceems_meta_scrape_staleness_seconds", staleness_s),
+    ] {
+        db.append(&meta_labels(t, name).build(), now_ms, v);
+    }
 }
 
 #[cfg(test)]

@@ -107,13 +107,46 @@ pub struct CeemsStack {
     stream_bus: Option<Arc<StreamBus>>,
     push_sources: Vec<PushSource>,
     config: CeemsConfig,
-    last_scrape_ms: i64,
-    last_rule_ms: i64,
-    last_update_ms: i64,
-    last_checkpoint_ms: i64,
-    last_alert_ms: i64,
-    last_meta_ms: i64,
+    schedule: Schedule,
     stats: StackStats,
+}
+
+/// One interval-driven task of [`CeemsStack::advance`].
+struct Periodic {
+    interval_ms: i64,
+    last_ms: i64,
+}
+
+impl Periodic {
+    /// Due on the first `advance`.
+    const AT_ONCE: i64 = i64::MIN / 2;
+
+    /// A task that counts its first interval from `last_ms`.
+    fn new(interval_s: f64, last_ms: i64) -> Periodic {
+        Periodic {
+            interval_ms: (interval_s * 1000.0) as i64,
+            last_ms,
+        }
+    }
+
+    /// True once per elapsed interval: arms itself for the next one.
+    fn due(&mut self, now: i64) -> bool {
+        let due = now - self.last_ms >= self.interval_ms;
+        if due {
+            self.last_ms = now;
+        }
+        due
+    }
+}
+
+/// `advance`'s task table, in the order the tasks run.
+struct Schedule {
+    scrape: Periodic,
+    rules: Periodic,
+    update: Periodic,
+    checkpoint: Periodic,
+    meta: Periodic,
+    alerts: Periodic,
 }
 
 /// Push-mode identity of one exporter: who it publishes as and the target
@@ -555,13 +588,16 @@ impl CeemsStack {
             meta_mon,
             stream_bus,
             push_sources,
+            schedule: Schedule {
+                scrape: Periodic::new(config.scrape_interval_s, Periodic::AT_ONCE),
+                rules: Periodic::new(config.rule_interval_s, Periodic::AT_ONCE),
+                update: Periodic::new(config.updater_interval_s, Periodic::AT_ONCE),
+                // The first checkpoint waits one interval from time zero.
+                checkpoint: Periodic::new(config.wal_checkpoint_interval_s, 0),
+                meta: Periodic::new(config.meta.scrape_interval_s, Periodic::AT_ONCE),
+                alerts: Periodic::new(config.alerting.eval_interval_s, Periodic::AT_ONCE),
+            },
             config,
-            last_scrape_ms: i64::MIN / 2,
-            last_rule_ms: i64::MIN / 2,
-            last_update_ms: i64::MIN / 2,
-            last_checkpoint_ms: 0,
-            last_alert_ms: i64::MIN / 2,
-            last_meta_ms: i64::MIN / 2,
             stats: StackStats::default(),
         })
     }
@@ -821,8 +857,7 @@ impl CeemsStack {
         }
         self.scheduler.lock().tick(now);
 
-        if now - self.last_scrape_ms >= (self.config.scrape_interval_s * 1000.0) as i64 {
-            self.last_scrape_ms = now;
+        if self.schedule.scrape.due(now) {
             if self.stream_bus.is_some() {
                 self.push_pass(now);
             } else {
@@ -836,30 +871,20 @@ impl CeemsStack {
         // In stream mode rule evaluation is event-driven: `push_pass` ticks
         // the affected sub-DAG as samples arrive, so the timer-driven full
         // tick only runs in pull mode.
-        if self.stream_bus.is_none()
-            && now - self.last_rule_ms >= (self.config.rule_interval_s * 1000.0) as i64
-        {
-            self.last_rule_ms = now;
+        if self.stream_bus.is_none() && self.schedule.rules.due(now) {
             self.stats.rule_series_written += self.rule_engine.tick(&self.tsdb, now);
         }
-        if now - self.last_update_ms >= (self.config.updater_interval_s * 1000.0) as i64 {
-            self.last_update_ms = now;
-            if self.updater.lock().poll(now).is_ok() {
-                self.stats.updater_polls += 1;
-            }
+        if self.schedule.update.due(now) && self.updater.lock().poll(now).is_ok() {
+            self.stats.updater_polls += 1;
         }
         if self.tsdb.wal_enabled()
-            && now - self.last_checkpoint_ms
-                >= (self.config.wal_checkpoint_interval_s * 1000.0) as i64
+            && self.schedule.checkpoint.due(now)
+            && self.tsdb.checkpoint().is_ok()
         {
-            self.last_checkpoint_ms = now;
-            if self.tsdb.checkpoint().is_ok() {
-                self.stats.wal_checkpoints += 1;
-            }
+            self.stats.wal_checkpoints += 1;
         }
         if let Some(meta) = &mut self.meta_mon {
-            if now - self.last_meta_ms >= (self.config.meta.scrape_interval_s * 1000.0) as i64 {
-                self.last_meta_ms = now;
+            if self.schedule.meta.due(now) {
                 let s: MetaScrapeStats = meta.scrape_once(&self.tsdb, now);
                 self.stats.meta_passes += 1;
                 self.stats.meta_samples += s.samples;
@@ -867,9 +892,7 @@ impl CeemsStack {
             }
         }
         if let Some(alertsrv) = &self.alertsrv {
-            if now - self.last_alert_ms >= (self.config.alerting.eval_interval_s * 1000.0) as i64
-            {
-                self.last_alert_ms = now;
+            if self.schedule.alerts.due(now) {
                 let s = alertsrv.tick(now);
                 self.stats.alert_ticks += 1;
                 self.stats.alert_notifications += s.notifications_sent as u64;

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use ceems_http::resilience::{BreakerConfig, CircuitBreaker};
 use ceems_http::Client;
+use ceems_tsdb::{NodeRole, TsdbClient};
 
 /// One TSDB replica behind the LB.
 pub struct Backend {
@@ -96,6 +97,11 @@ impl Backend {
         self.served.load(Ordering::Relaxed)
     }
 
+    /// The backend's API over `client`, for probes.
+    fn api(&self, client: &Client) -> TsdbClient {
+        TsdbClient::new(self.base_url.as_str()).with_client(client.clone())
+    }
+
     /// Marks a request in flight; the guard releases on drop.
     pub fn begin(self: &Arc<Self>) -> InFlight {
         self.active.fetch_add(1, Ordering::Relaxed);
@@ -104,6 +110,12 @@ impl Backend {
             backend: self.clone(),
         }
     }
+}
+
+/// Whether a backend answers the labels probe.
+fn responds(api: &TsdbClient) -> bool {
+    api.get("/api/v1/labels")
+        .is_ok_and(|r| r.status.is_success())
 }
 
 /// RAII guard for an in-flight proxied request.
@@ -225,47 +237,30 @@ impl BackendPool {
         let mut responsive: Vec<bool> = Vec::with_capacity(self.backends.len());
         let mut wal_records: Vec<Option<u64>> = Vec::with_capacity(self.backends.len());
         for b in &self.backends {
-            let ok = client
-                .get(&format!("{}/api/v1/labels", b.base_url))
-                .map(|r| r.status.is_success())
-                .unwrap_or(false);
+            let api = b.api(client);
+            let ok = responds(&api);
             responsive.push(ok);
-            let records = if ok && (self.max_wal_lag.is_some() || self.route_writes) {
-                let position = client
-                    .get(&format!("{}/api/v1/wal/position", b.base_url))
-                    .ok()
-                    .filter(|r| r.status.is_success())
-                    .and_then(|r| serde_json::from_slice::<serde_json::Value>(&r.body).ok());
-                if self.route_writes {
-                    // Role and epoch are meaningful even without a WAL (an
-                    // in-memory replica can still hold leadership).
-                    let is_leader = position
-                        .as_ref()
-                        .is_some_and(|v| v["data"]["role"] == "leader");
-                    let epoch = position
-                        .as_ref()
-                        .and_then(|v| v["data"]["epoch"].as_u64())
-                        .unwrap_or(0);
-                    b.leader.store(is_leader, Ordering::Relaxed);
-                    b.epoch.store(epoch, Ordering::Relaxed);
-                }
-                // Lag comparison only makes sense for durable replicas.
-                position
-                    .filter(|v| v["data"]["walEnabled"] == serde_json::Value::Bool(true))
-                    .and_then(|v| v["data"]["records"].as_u64())
+            let position = if ok && (self.max_wal_lag.is_some() || self.route_writes) {
+                api.wal_position().ok()
             } else {
                 None
             };
-            wal_records.push(records);
-        }
-        // An unresponsive backend cannot claim leadership; forget whatever
-        // it reported before it died.
-        if self.route_writes {
-            for (i, b) in self.backends.iter().enumerate() {
-                if !responsive[i] {
-                    b.leader.store(false, Ordering::Relaxed);
+            if self.route_writes {
+                // Role and epoch are meaningful even without a WAL (an
+                // in-memory replica can still hold leadership). An
+                // unresponsive backend cannot claim leadership: forget
+                // whatever it reported before it died.
+                let is_leader = position.is_some_and(|p| p.role == NodeRole::Leader);
+                b.leader.store(is_leader, Ordering::Relaxed);
+                if ok {
+                    b.epoch
+                        .store(position.map_or(0, |p| p.epoch), Ordering::Relaxed);
                 }
             }
+            // Lag comparison only makes sense for durable replicas.
+            wal_records.push(position.filter(|p| p.wal_enabled).map(|p| p.pos.records));
+        }
+        if self.route_writes {
             self.update_write_route();
         }
 
@@ -355,11 +350,7 @@ impl BackendPool {
             if b.is_healthy() && b.breaker.available() {
                 continue;
             }
-            let ok = client
-                .get(&format!("{}/api/v1/labels", b.base_url))
-                .map(|r| r.status.is_success())
-                .unwrap_or(false);
-            if ok {
+            if responds(&b.api(client)) {
                 b.set_healthy(true);
                 b.breaker.force_close();
                 revived += 1;

@@ -184,6 +184,42 @@ fn rewrite_trace(
     serde_json::to_vec(&v).ok()
 }
 
+/// What the forward paths share about the request in flight.
+struct Flight<'a> {
+    req: &'a Request,
+    /// The LB's span; queries only.
+    qtrace: Option<QueryTrace>,
+    /// The client asked for `data.trace` in the reply.
+    trace_requested: bool,
+    auth_ms: f64,
+    total_start: Instant,
+}
+
+/// What one forward amounted to, in the vocabulary of the `outcome` label
+/// of `ceems_lb_proxy_requests_total`: `error` (no response at all),
+/// `corrupt` (a 2xx whose body should be JSON and is not), `5xx`, `fenced`
+/// (409: the backend lost its write epoch) or `ok`.
+fn outcome_of<E>(result: &Result<Response, E>, expect_json: bool) -> &'static str {
+    match result {
+        Err(_) => "error",
+        Ok(r)
+            if expect_json
+                && r.status.is_success()
+                && serde_json::from_slice::<Json>(&r.body).is_err() =>
+        {
+            "corrupt"
+        }
+        Ok(r) if r.status.0 >= 500 => "5xx",
+        Ok(r) if r.status.0 == 409 => "fenced",
+        Ok(_) => "ok",
+    }
+}
+
+/// Whether an outcome counts against the backend's breaker.
+fn is_failure(outcome: &str) -> bool {
+    matches!(outcome, "error" | "corrupt" | "5xx")
+}
+
 /// The load balancer.
 pub struct CeemsLb {
     pool: Arc<BackendPool>,
@@ -354,91 +390,41 @@ impl CeemsLb {
     pub fn handle(&self, req: &Request) -> Response {
         let total_start = Instant::now();
         let is_query = req.path.ends_with("/query") || req.path.ends_with("/query_range");
-        let qtrace = if is_query {
-            Some(QueryTrace::begin(req.header(TRACE_HEADER)))
-        } else {
-            None
-        };
-        let trace_requested =
-            is_query && matches!(req.query_param("trace"), Some("1") | Some("true"));
-
+        let qtrace = is_query.then(|| QueryTrace::begin(req.header(TRACE_HEADER)));
         let auth_start = Instant::now();
         if let Err(denied) = self.authorize(req) {
             self.instruments.denied.inc();
             return denied;
         }
-        let auth_ms = auth_start.elapsed().as_secs_f64() * 1000.0;
+        let flight = Flight {
+            req,
+            qtrace,
+            trace_requested: is_query
+                && matches!(req.query_param("trace"), Some("1") | Some("true")),
+            auth_ms: auth_start.elapsed().as_secs_f64() * 1000.0,
+            total_start,
+        };
 
         // Ingest writes must land on the leader, not on an arbitrary replica
         // pick: follow the epoch-keyed write route learned by health checks
         // (S24). A fenced 409 from a deposed leader is relayed untouched so
         // the writer re-resolves instead of silently losing the append.
         if req.method == ceems_http::Method::Post && req.path.ends_with("/api/v1/write") {
-            return self.forward_write(req);
+            return self.forward_write(&flight);
         }
 
         // Query traffic prefers the query frontend when one is configured;
-        // an unreachable frontend demotes to the replica pool below.
-        if is_query {
-            if let Some(front) = &self.config.query_frontend {
-                let url = format!("{front}{}", req.path_and_query());
-                let mut client = self.client.clone();
-                if let Some(u) = req.header("x-grafana-user") {
-                    client = client.with_header("X-Grafana-User", u);
+        // an unreachable frontend, or one whose 2xx body does not parse (as
+        // useless as a refused connection), demotes to the replica pool.
+        if let (true, Some(front)) = (is_query, &self.config.query_frontend) {
+            let (result, forward_secs) = self.forward_once(front, &flight);
+            let outcome = outcome_of(&result, true);
+            self.count("qfe", outcome);
+            match result {
+                Ok(resp) if outcome != "corrupt" => {
+                    return self.finish(&flight, resp, "qfe", forward_secs, 0);
                 }
-                if let Some(t) = &qtrace {
-                    client = client.with_header(TRACE_HEADER, t.id());
-                }
-                let forward_start = Instant::now();
-                let result =
-                    client.request(req.method, &url, req.body.clone(), req.header("content-type"));
-                let forward_secs = forward_start.elapsed().as_secs_f64();
-                match result {
-                    // A frontend 2xx whose body does not parse is as useless
-                    // as a refused connection: count it and fall back to the
-                    // pool rather than relaying garbage.
-                    Ok(resp)
-                        if resp.status.is_success()
-                            && serde_json::from_slice::<Json>(&resp.body).is_err() =>
-                    {
-                        self.instruments.corrupt.inc();
-                        self.instruments
-                            .requests
-                            .with_label_values(&["qfe", "corrupt"])
-                            .inc();
-                        self.instruments.frontend_fallbacks.inc();
-                    }
-                    Ok(mut resp) => {
-                        self.instruments
-                            .requests
-                            .with_label_values(&["qfe", "ok"])
-                            .inc();
-                        resp.headers
-                            .insert("x-ceems-lb-backend".to_string(), "qfe".to_string());
-                        let mut resp =
-                            self.finish_query(&qtrace, req, resp, auth_ms, forward_secs, 0);
-                        if trace_requested {
-                            let total_ms = total_start.elapsed().as_secs_f64() * 1000.0;
-                            if let Some(body) = rewrite_trace(
-                                &resp.body,
-                                auth_ms,
-                                forward_secs * 1000.0,
-                                total_ms,
-                                0,
-                            ) {
-                                resp.body = body;
-                            }
-                        }
-                        return resp;
-                    }
-                    Err(_) => {
-                        self.instruments
-                            .requests
-                            .with_label_values(&["qfe", "error"])
-                            .inc();
-                        self.instruments.frontend_fallbacks.inc();
-                    }
-                }
+                _ => self.instruments.frontend_fallbacks.inc(),
             }
         }
 
@@ -486,110 +472,35 @@ impl CeemsLb {
                 continue;
             }
             let _inflight = backend.begin();
-            let url = format!("{}{}", backend.base_url, req.path_and_query());
-            let mut client = self.client.clone();
-            if let Some(u) = req.header("x-grafana-user") {
-                client = client.with_header("X-Grafana-User", u);
-            }
-            if let Some(t) = &qtrace {
-                client = client.with_header(TRACE_HEADER, t.id());
-            }
-            let forward_start = Instant::now();
-            let result =
-                client.request(req.method, &url, req.body.clone(), req.header("content-type"));
-            let forward_secs = forward_start.elapsed().as_secs_f64();
-            match result {
-                // The LB is the last hop before the client, so it is the
-                // last chance to catch a corrupted success: a 2xx query
-                // response whose body is not JSON is dropped and the request
-                // retried on another backend instead of being relayed.
-                Ok(resp)
-                    if is_query
-                        && resp.status.is_success()
-                        && serde_json::from_slice::<Json>(&resp.body).is_err() =>
-                {
-                    self.instruments.forward_seconds.observe(forward_secs);
-                    self.instruments.corrupt.inc();
-                    self.instruments
-                        .requests
-                        .with_label_values(&[&backend.id, "corrupt"])
-                        .inc();
-                    self.note_failure(&backend);
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Response::error(
-                            Status::BAD_GATEWAY,
-                            "backend returned a corrupt response",
-                        );
-                    }
-                    self.instruments.retries.inc();
-                }
-                // Server errors are retried on the next backend; only when
-                // every backend says 5xx is the last answer relayed.
-                Ok(resp) if resp.status.0 >= 500 => {
-                    self.instruments.forward_seconds.observe(forward_secs);
-                    self.instruments
-                        .requests
-                        .with_label_values(&[&backend.id, "5xx"])
-                        .inc();
-                    self.note_failure(&backend);
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return resp;
-                    }
-                    self.instruments.retries.inc();
-                }
-                Ok(mut resp) => {
+            let (result, forward_secs) = self.forward_once(&backend.base_url, &flight);
+            // The LB is the last hop before the client, so it is the last
+            // chance to catch a corrupted success: a 2xx query response
+            // whose body is not JSON is dropped, not relayed.
+            let outcome = outcome_of(&result, is_query);
+            self.count(&backend.id, outcome);
+            let failed = match result {
+                Ok(resp) if !is_failure(outcome) => {
                     backend.breaker().on_success();
-                    self.instruments
-                        .requests
-                        .with_label_values(&[&backend.id, "ok"])
-                        .inc();
-                    resp.headers
-                        .insert("x-ceems-lb-backend".to_string(), backend.id.clone());
-                    let mut resp = self.finish_query(
-                        &qtrace,
-                        req,
-                        resp,
-                        auth_ms,
-                        forward_secs,
-                        attempts as u64,
-                    );
-                    if trace_requested {
-                        let total_ms = total_start.elapsed().as_secs_f64() * 1000.0;
-                        if let Some(body) = rewrite_trace(
-                            &resp.body,
-                            auth_ms,
-                            forward_secs * 1000.0,
-                            total_ms,
-                            attempts as u64,
-                        ) {
-                            resp.body = body;
-                        }
-                    }
-                    return resp;
+                    return self.finish(&flight, resp, &backend.id, forward_secs, attempts as u64);
                 }
-                Err(e) => {
-                    // The pick looked healthy but the forward failed: feed
-                    // the breaker (three strikes open it, taking the backend
-                    // out of rotation until the cooldown or a health probe)
-                    // and try the next backend before giving up.
-                    self.instruments.forward_seconds.observe(forward_secs);
-                    self.instruments
-                        .requests
-                        .with_label_values(&[&backend.id, "error"])
-                        .inc();
-                    self.note_failure(&backend);
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        return Response::error(
-                            Status::BAD_GATEWAY,
-                            format!("backend error: {e}"),
-                        );
-                    }
-                    self.instruments.retries.inc();
+                // Only when every backend says 5xx is the last answer relayed.
+                Ok(resp) if outcome == "5xx" => resp,
+                Ok(_) => {
+                    Response::error(Status::BAD_GATEWAY, "backend returned a corrupt response")
                 }
+                Err(e) => Response::error(Status::BAD_GATEWAY, format!("backend error: {e}")),
+            };
+            // The pick looked healthy but the forward failed: feed the
+            // breaker (three strikes open it, taking the backend out of
+            // rotation until the cooldown or a health probe) and try the
+            // next backend before giving up.
+            self.instruments.forward_seconds.observe(forward_secs);
+            self.note_failure(&backend);
+            attempts += 1;
+            if attempts >= max_attempts {
+                return failed;
             }
+            self.instruments.retries.inc();
         }
     }
 
@@ -597,83 +508,92 @@ impl CeemsLb {
     /// table. No leader known (no health check ran yet, or no backend claims
     /// leadership) → 503 so the writer backs off and retries; fenced writes
     /// (409 from a backend that lost its epoch) are relayed as-is.
-    fn forward_write(&self, req: &Request) -> Response {
+    fn forward_write(&self, flight: &Flight) -> Response {
         let Some(backend) = self.pool.write_backend() else {
             self.instruments.unavailable.inc();
             return Response::error(Status::UNAVAILABLE, "no write leader known");
         };
         let _inflight = backend.begin();
-        let url = format!("{}{}", backend.base_url, req.path_and_query());
+        let (result, forward_secs) = self.forward_once(&backend.base_url, flight);
+        self.instruments.forward_seconds.observe(forward_secs);
+        let outcome = outcome_of(&result, false);
+        self.count(&backend.id, outcome);
+        if is_failure(outcome) {
+            self.note_failure(&backend);
+        } else {
+            backend.breaker().on_success();
+        }
+        match result {
+            Ok(resp) => resp.with_header("x-ceems-lb-backend", backend.id.clone()),
+            Err(e) => Response::error(Status::BAD_GATEWAY, format!("write forward error: {e}")),
+        }
+    }
+
+    /// One forward of the request to `base_url`, carrying the caller's
+    /// identity, its content-type and the LB's trace id. Returns the result
+    /// with the forward's wall time in seconds.
+    fn forward_once(
+        &self,
+        base_url: &str,
+        flight: &Flight,
+    ) -> (Result<Response, ceems_http::client::ClientError>, f64) {
+        let req = flight.req;
+        let url = format!("{base_url}{}", req.path_and_query());
         let mut client = self.client.clone();
         if let Some(u) = req.header("x-grafana-user") {
             client = client.with_header("X-Grafana-User", u);
         }
-        let forward_start = Instant::now();
-        let result =
-            client.request(req.method, &url, req.body.clone(), req.header("content-type"));
-        self.instruments
-            .forward_seconds
-            .observe(forward_start.elapsed().as_secs_f64());
-        match result {
-            Ok(mut resp) => {
-                let outcome = match resp.status.0 {
-                    409 => "fenced",
-                    s if s >= 500 => "5xx",
-                    _ => "ok",
-                };
-                if resp.status.0 >= 500 {
-                    self.note_failure(&backend);
-                } else {
-                    backend.breaker().on_success();
-                }
-                self.instruments
-                    .requests
-                    .with_label_values(&[&backend.id, outcome])
-                    .inc();
-                resp.headers
-                    .insert("x-ceems-lb-backend".to_string(), backend.id.clone());
-                resp
-            }
-            Err(e) => {
-                self.instruments
-                    .requests
-                    .with_label_values(&[&backend.id, "error"])
-                    .inc();
-                self.note_failure(&backend);
-                Response::error(Status::BAD_GATEWAY, format!("write forward error: {e}"))
-            }
+        if let Some(t) = &flight.qtrace {
+            client = client.with_header(TRACE_HEADER, t.id());
         }
+        let content_type = req.header("content-type");
+        let forward_start = Instant::now();
+        let result = client.request(req.method, &url, req.body.clone(), content_type);
+        (result, forward_start.elapsed().as_secs_f64())
     }
 
-    /// Finishes the LB's own trace span for a successful query forward:
-    /// records the `lb_auth`/`lb_forward` stages, offers the report to the
-    /// trace sink (head sampling or tail capture decides storage), and —
-    /// when stored — tags the response with [`TRACE_STORED_HEADER`] and
-    /// attaches the trace ID as an exemplar on the forward-latency
-    /// histogram. Non-query requests carry no trace and just observe.
-    fn finish_query(
+    /// Counts one forward under `ceems_lb_proxy_requests_total`.
+    fn count(&self, backend: &str, outcome: &str) {
+        if outcome == "corrupt" {
+            self.instruments.corrupt.inc();
+        }
+        self.instruments
+            .requests
+            .with_label_values(&[backend, outcome])
+            .inc();
+    }
+
+    /// Finishes a successful forward: names the backend in
+    /// `x-ceems-lb-backend`, and for queries closes the LB's own trace span
+    /// — records the `lb_auth`/`lb_forward` stages, offers the report to
+    /// the trace sink (head sampling or tail capture decides storage), when
+    /// stored tags the response with [`TRACE_STORED_HEADER`] and attaches
+    /// the trace ID as an exemplar on the forward-latency histogram, and
+    /// merges the LB's stages into a requested `data.trace`. Non-query
+    /// requests carry no trace and just observe.
+    fn finish(
         &self,
-        qtrace: &Option<QueryTrace>,
-        req: &Request,
+        flight: &Flight,
         resp: Response,
-        auth_ms: f64,
+        backend: &str,
         forward_secs: f64,
         retries: u64,
     ) -> Response {
-        let Some(t) = qtrace else {
+        let resp = resp.with_header("x-ceems-lb-backend", backend);
+        let Some(t) = &flight.qtrace else {
             self.instruments.forward_seconds.observe(forward_secs);
             return resp;
         };
-        t.record_stage_ms("lb_auth", auth_ms);
+        t.record_stage_ms("lb_auth", flight.auth_ms);
         t.record_stage_ms("lb_forward", forward_secs * 1000.0);
         if retries > 0 {
             t.add_count("lb_retries", retries);
         }
         let stored = self.config.trace_sink.as_ref().and_then(|sink| {
-            let tenant = req.header("x-grafana-user").unwrap_or("anonymous");
-            sink.offer("lb", &req.path, tenant, &t.report())
+            let tenant = flight.req.header("x-grafana-user").unwrap_or("anonymous");
+            sink.offer("lb", &flight.req.path, tenant, &t.report())
         });
-        match stored {
+        let mut resp = match stored {
             Some(key) => {
                 self.instruments
                     .forward_seconds
@@ -684,7 +604,20 @@ impl CeemsLb {
                 self.instruments.forward_seconds.observe(forward_secs);
                 resp
             }
+        };
+        if flight.trace_requested {
+            let total_ms = flight.total_start.elapsed().as_secs_f64() * 1000.0;
+            if let Some(body) = rewrite_trace(
+                &resp.body,
+                flight.auth_ms,
+                forward_secs * 1000.0,
+                total_ms,
+                retries,
+            ) {
+                resp.body = body;
+            }
         }
+        resp
     }
 
     /// Feeds a forward failure into the backend's breaker and counts the

@@ -1,11 +1,11 @@
 //! Where the frontend sends the queries it cannot answer from cache.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ceems_http::resilience::RetryPolicy;
 use ceems_http::{Client, Request, Response, Router};
+use ceems_tsdb::TsdbClient;
 
 /// A sink for sub-queries and passthrough requests. Implementations must be
 /// callable from several fan-out threads at once.
@@ -15,69 +15,43 @@ pub trait Downstream: Send + Sync {
     fn forward(&self, req: &Request) -> Result<Response, String>;
 }
 
-/// HTTP downstream: round-robins requests over TSDB replica base URLs,
+/// HTTP downstream: a rotating [`TsdbClient`] over TSDB replica base URLs,
 /// trying the next replica on transport failure. One full rotation through
-/// the replicas counts as one attempt of the [`RetryPolicy`]: when every
+/// the replicas counts as one attempt of the retry policy: when every
 /// replica refuses, the rotation is retried under jittered backoff (a
 /// restarting replica often comes back within tens of milliseconds) until
 /// the policy's attempts or deadline run out.
-pub struct HttpDownstream {
-    client: Client,
-    replicas: Vec<String>,
-    next: AtomicUsize,
-    retry: RetryPolicy,
-}
+pub struct HttpDownstream(TsdbClient);
 
 impl HttpDownstream {
     /// Creates a downstream over replica base URLs (no trailing slashes),
-    /// with the default retry policy: 3 rotations, 10 → 200 ms backoff,
+    /// with this hop's retry policy: 3 rotations, 10 → 200 ms backoff,
     /// 2 s total deadline.
     pub fn new(replicas: Vec<String>) -> HttpDownstream {
-        assert!(!replicas.is_empty(), "need at least one replica URL");
-        HttpDownstream {
-            client: Client::new(),
-            replicas,
-            next: AtomicUsize::new(0),
-            retry: RetryPolicy::new(3)
-                .with_backoff(Duration::from_millis(10), Duration::from_millis(200))
-                .with_deadline(Duration::from_secs(2)),
-        }
+        HttpDownstream(
+            TsdbClient::rotating(replicas).with_retry(
+                RetryPolicy::new(3)
+                    .with_backoff(Duration::from_millis(10), Duration::from_millis(200))
+                    .with_deadline(Duration::from_secs(2)),
+            ),
+        )
     }
 
     /// Replaces the HTTP client (tests inject fault-plan-wrapped clients).
-    pub fn with_client(mut self, client: Client) -> HttpDownstream {
-        self.client = client;
-        self
+    pub fn with_client(self, client: Client) -> HttpDownstream {
+        HttpDownstream(self.0.with_client(client))
     }
 
     /// Replaces the retry policy ([`RetryPolicy::disabled`] for strict
     /// one-shot forwarding).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> HttpDownstream {
-        self.retry = retry;
-        self
+    pub fn with_retry(self, retry: RetryPolicy) -> HttpDownstream {
+        HttpDownstream(self.0.with_retry(retry))
     }
 }
 
 impl Downstream for HttpDownstream {
     fn forward(&self, req: &Request) -> Result<Response, String> {
-        self.retry.run(|_attempt| {
-            let start = self.next.fetch_add(1, Ordering::Relaxed);
-            let mut last_err = String::new();
-            for i in 0..self.replicas.len() {
-                let base = &self.replicas[(start + i) % self.replicas.len()];
-                let url = format!("{base}{}", req.path_and_query());
-                let mut client = self.client.clone();
-                for (name, value) in &req.headers {
-                    client = client.with_header(name, value.clone());
-                }
-                match client.request(req.method, &url, req.body.clone(), req.header("content-type"))
-                {
-                    Ok(resp) => return Ok(resp),
-                    Err(e) => last_err = e.to_string(),
-                }
-            }
-            Err(last_err)
-        })
+        self.0.relay(req)
     }
 }
 

@@ -45,6 +45,7 @@ use ceems_metrics::labels::LabelSet;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::TraceSink;
 
+use crate::client::TsdbClient;
 use crate::httpapi::{api_router, NowFn};
 use crate::replica::WalFollower;
 use crate::storage::{StaleEpoch, Tsdb, TsdbConfig};
@@ -415,13 +416,8 @@ impl ReplicationGroup {
     fn probe(&self, idx: usize) -> Option<u64> {
         let node = &self.nodes[idx];
         node.server.as_ref()?;
-        let url = format!("{}/api/v1/wal/position", node.url);
-        let resp = self.probe_client.get(&url).ok()?;
-        if !resp.status.is_success() {
-            return None;
-        }
-        let v: serde_json::Value = serde_json::from_slice(&resp.body).ok()?;
-        v["data"]["records"].as_u64()
+        let api = TsdbClient::new(node.url.as_str()).with_client(self.probe_client.clone());
+        Some(api.wal_position().ok()?.pos.records)
     }
 
     /// Runs one election round. Deterministic: candidates are the live

@@ -23,6 +23,8 @@
 //! * [`longterm`] — Thanos-like: replication into a cold store, 5-minute
 //!   downsampling, fan-in queries across hot+cold.
 //! * [`httpapi`] — the Prometheus HTTP API subset Grafana / the LB speak.
+//! * [`client`] — that API from the caller's side: the one [`TsdbClient`]
+//!   every TSDB-over-HTTP hop in the stack goes through.
 //! * [`wal`] — segmented write-ahead log + checkpoints: crash recovery via
 //!   [`storage::Tsdb::open`] (S16).
 //! * [`replica`] — follower catch-up: stream a leader's WAL over HTTP into
@@ -34,6 +36,7 @@
 pub mod block;
 pub mod cache;
 pub mod chunk;
+pub mod client;
 pub mod election;
 pub mod head;
 pub mod httpapi;
@@ -48,6 +51,7 @@ pub mod storage;
 pub mod types;
 pub mod wal;
 
+pub use client::TsdbClient;
 pub use election::{FailoverConfig, NodeRole, ReplicationGroup, WriteRouter};
 pub use storage::{StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};
 pub use types::{Sample, SeriesData};

@@ -18,6 +18,7 @@ use ceems_http::resilience::Backoff;
 use ceems_http::{Client, Status};
 use ceems_metrics::Counter;
 
+use crate::client::{CallError, TsdbClient};
 use crate::storage::Tsdb;
 use crate::wal::{decode_frames, EpochSpan, WalPosition};
 
@@ -48,6 +49,15 @@ impl fmt::Display for FollowError {
 
 impl std::error::Error for FollowError {}
 
+impl From<CallError> for FollowError {
+    fn from(e: CallError) -> FollowError {
+        match e {
+            CallError::Transport(e) => FollowError::Http(e),
+            CallError::Api(e) => FollowError::Leader(e),
+        }
+    }
+}
+
 /// Longest single backoff a leader-supplied `Retry-After` can impose.
 const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
@@ -55,8 +65,7 @@ static FOLLOWER_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Streams a leader's WAL into a local TSDB.
 pub struct WalFollower {
-    client: Client,
-    leader_base: String,
+    leader: TsdbClient,
     db: Arc<Tsdb>,
     pos: WalPosition,
     resyncs: Counter,
@@ -77,8 +86,8 @@ impl WalFollower {
         let n = FOLLOWER_SEQ.fetch_add(1, Ordering::Relaxed);
         let follower_id = format!("follower-{}-{n}", std::process::id());
         WalFollower {
-            client: Client::new().with_header("x-wal-follower", follower_id.clone()),
-            leader_base: leader_base_url.into(),
+            leader: TsdbClient::new(leader_base_url)
+                .with_client(Client::new().with_header("x-wal-follower", follower_id.clone())),
             db,
             pos: WalPosition::default(),
             resyncs: Counter::new(),
@@ -116,7 +125,9 @@ impl WalFollower {
     /// leader's rate limiter buckets per identity).
     pub fn with_follower_id(mut self, id: impl Into<String>) -> WalFollower {
         self.follower_id = id.into();
-        self.client = Client::new().with_header("x-wal-follower", self.follower_id.clone());
+        self.leader = self
+            .leader
+            .with_client(Client::new().with_header("x-wal-follower", self.follower_id.clone()));
         self
     }
 
@@ -156,39 +167,18 @@ impl WalFollower {
 
     /// Asks the leader for its current position.
     pub fn leader_position(&self) -> Result<WalPosition, FollowError> {
-        let url = format!("{}/api/v1/wal/position", self.leader_base);
-        let resp = self
-            .client
-            .get(&url)
-            .map_err(|e| FollowError::Http(e.to_string()))?;
-        if !resp.status.is_success() {
-            return Err(FollowError::Leader(format!(
-                "position probe returned {}",
-                resp.status.0
-            )));
-        }
-        let v: serde_json::Value = serde_json::from_slice(&resp.body)
-            .map_err(|e| FollowError::Leader(e.to_string()))?;
-        let data = &v["data"];
-        if data["walEnabled"] != serde_json::Value::Bool(true) {
+        let report = self.leader.wal_position()?;
+        if !report.wal_enabled {
             return Err(FollowError::Leader("leader has no WAL attached".into()));
         }
-        Ok(WalPosition {
-            seq: data["seq"].as_u64().unwrap_or(0),
-            offset: data["offset"].as_u64().unwrap_or(0),
-            records: data["records"].as_u64().unwrap_or(0),
-        })
+        Ok(report.pos)
     }
 
     /// Asks the leader for its epoch and epoch history
     /// (`/api/v1/wal/epochs`). A rejoining ex-leader compares this against
     /// its own WAL tail to find where the logs diverged.
     pub fn leader_epochs(&self) -> Result<(u64, Vec<EpochSpan>), FollowError> {
-        let url = format!("{}/api/v1/wal/epochs", self.leader_base);
-        let resp = self
-            .client
-            .get(&url)
-            .map_err(|e| FollowError::Http(e.to_string()))?;
+        let resp = self.leader.get("/api/v1/wal/epochs")?;
         if !resp.status.is_success() {
             return Err(FollowError::Leader(format!(
                 "epochs probe returned {}",
@@ -218,11 +208,9 @@ impl WalFollower {
     /// (`/api/v1/wal/locate`). `Ok(None)` means the leader has checkpointed
     /// past that count — the rejoiner must re-bootstrap instead.
     pub fn locate_on_leader(&self, records: u64) -> Result<Option<WalPosition>, FollowError> {
-        let url = format!("{}/api/v1/wal/locate?records={records}", self.leader_base);
         let resp = self
-            .client
-            .get(&url)
-            .map_err(|e| FollowError::Http(e.to_string()))?;
+            .leader
+            .get(&format!("/api/v1/wal/locate?records={records}"))?;
         if resp.status == STATUS_GONE {
             return Ok(None);
         }
@@ -267,11 +255,7 @@ impl WalFollower {
     /// if it has one (recovering history whose segments were GC'd), else
     /// starts tailing from the leader's oldest segment.
     pub fn bootstrap(&mut self) -> Result<(), FollowError> {
-        let url = format!("{}/api/v1/wal/checkpoint", self.leader_base);
-        let resp = self
-            .client
-            .get(&url)
-            .map_err(|e| FollowError::Http(e.to_string()))?;
+        let resp = self.leader.get("/api/v1/wal/checkpoint")?;
         if resp.status.is_success() {
             self.pos = self
                 .db
@@ -299,14 +283,10 @@ impl WalFollower {
             return Ok(0);
         }
         self.backoff_until = None;
-        let url = format!(
-            "{}/api/v1/wal/fetch?seq={}&offset={}",
-            self.leader_base, self.pos.seq, self.pos.offset
-        );
-        let resp = self
-            .client
-            .get(&url)
-            .map_err(|e| FollowError::Http(e.to_string()))?;
+        let resp = self.leader.get(&format!(
+            "/api/v1/wal/fetch?seq={}&offset={}",
+            self.pos.seq, self.pos.offset
+        ))?;
         if resp.status == Status::TOO_MANY_REQUESTS {
             // The leader is shedding us; honor its Retry-After (parsed as
             // delta-seconds by ceems-http) and report no progress.

@@ -6,6 +6,8 @@
 //! [`RuleEngine`] evaluates rule groups on their intervals and writes the
 //! derived series back into the TSDB under the rule's `record` name.
 
+use std::sync::Arc;
+
 use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::MatchOp;
 use ceems_metrics::{Histogram, HistogramVec};
@@ -74,7 +76,7 @@ pub struct RuleStats {
 
 /// Evaluates rule groups against a TSDB on simulated time.
 pub struct RuleEngine {
-    groups: Vec<RuleGroup>,
+    groups: Arc<Vec<RuleGroup>>,
     last_eval_ms: Vec<i64>,
     stats: RuleStats,
     eval_threads: usize,
@@ -90,7 +92,7 @@ impl RuleEngine {
     pub fn new(groups: Vec<RuleGroup>) -> RuleEngine {
         let n = groups.len();
         RuleEngine {
-            groups,
+            groups: Arc::new(groups),
             last_eval_ms: vec![i64::MIN; n],
             stats: RuleStats::default(),
             eval_threads: 1,
@@ -140,31 +142,11 @@ impl RuleEngine {
     /// Runs every group whose interval elapsed. Returns series written in
     /// this tick.
     pub fn tick(&mut self, db: &Tsdb, now_ms: i64) -> u64 {
+        let groups = self.groups.clone();
         let mut written = 0;
-        for (gi, group) in self.groups.iter().enumerate() {
-            if now_ms.saturating_sub(self.last_eval_ms[gi]) < group.interval_ms {
-                continue;
-            }
-            self.last_eval_ms[gi] = now_ms;
-            // Tight lookback: a series that missed two evaluation rounds is
-            // stale (its workload ended) and must not be re-recorded with a
-            // fresh timestamp — that would keep dead jobs drawing power.
-            let lookback_ms = group.interval_ms.saturating_mul(2).saturating_add(15_000);
-            let _timer = self
-                .group_eval_seconds
-                .with_label_values(&[&group.name])
-                .start_timer();
-            let results = Self::eval_group(db, group, now_ms, lookback_ms, self.eval_threads);
-            for (rule, r) in group.rules.iter().zip(results) {
-                self.stats.evaluations += 1;
-                *self.eval_counts.entry(rule.record.clone()).or_insert(0) += 1;
-                match r {
-                    Ok(n) => {
-                        written += n;
-                        self.stats.series_written += n;
-                    }
-                    Err(_) => self.stats.failures += 1,
-                }
+        for (gi, group) in groups.iter().enumerate() {
+            if self.due(gi, now_ms) {
+                written += self.run_group(db, gi, &group.rules, now_ms);
             }
         }
         written
@@ -186,10 +168,11 @@ impl RuleEngine {
         now_ms: i64,
         arrived: &std::collections::HashSet<String>,
     ) -> u64 {
+        let groups = self.groups.clone();
         let mut written = 0;
         let mut live: std::collections::HashSet<String> = arrived.clone();
-        for (gi, group) in self.groups.iter().enumerate() {
-            if now_ms.saturating_sub(self.last_eval_ms[gi]) < group.interval_ms {
+        for (gi, group) in groups.iter().enumerate() {
+            if !self.due(gi, now_ms) {
                 continue;
             }
             // Rules are stored in dependency order (producers before
@@ -203,31 +186,43 @@ impl RuleEngine {
                     affected.push(rule.clone());
                 }
             }
-            if affected.is_empty() {
-                continue; // nothing this group reads arrived; stay quiet
+            // A group none of whose inputs arrived stays quiet (and due).
+            if !affected.is_empty() {
+                written += self.run_group(db, gi, &affected, now_ms);
             }
-            self.last_eval_ms[gi] = now_ms;
-            let lookback_ms = group.interval_ms.saturating_mul(2).saturating_add(15_000);
-            let _timer = self
-                .group_eval_seconds
-                .with_label_values(&[&group.name])
-                .start_timer();
-            let sub = RuleGroup {
-                name: group.name.clone(),
-                interval_ms: group.interval_ms,
-                rules: affected,
-            };
-            let results = Self::eval_group(db, &sub, now_ms, lookback_ms, self.eval_threads);
-            for (rule, r) in sub.rules.iter().zip(results) {
-                self.stats.evaluations += 1;
-                *self.eval_counts.entry(rule.record.clone()).or_insert(0) += 1;
-                match r {
-                    Ok(n) => {
-                        written += n;
-                        self.stats.series_written += n;
-                    }
-                    Err(_) => self.stats.failures += 1,
+        }
+        written
+    }
+
+    fn due(&self, gi: usize, now_ms: i64) -> bool {
+        now_ms.saturating_sub(self.last_eval_ms[gi]) >= self.groups[gi].interval_ms
+    }
+
+    /// One evaluation round of group `gi` over `rules` (the whole group, or
+    /// its affected sub-DAG): stamps the round, times it, and books every
+    /// rule's outcome. Returns series written.
+    fn run_group(&mut self, db: &Tsdb, gi: usize, rules: &[RecordingRule], now_ms: i64) -> u64 {
+        let group = &self.groups[gi];
+        // Tight lookback: a series that missed two evaluation rounds is
+        // stale (its workload ended) and must not be re-recorded with a
+        // fresh timestamp — that would keep dead jobs drawing power.
+        let lookback_ms = group.interval_ms.saturating_mul(2).saturating_add(15_000);
+        let _timer = self
+            .group_eval_seconds
+            .with_label_values(&[&group.name])
+            .start_timer();
+        self.last_eval_ms[gi] = now_ms;
+        let results = Self::eval_group(db, rules, now_ms, lookback_ms, self.eval_threads);
+        let mut written = 0;
+        for (rule, r) in rules.iter().zip(results) {
+            self.stats.evaluations += 1;
+            *self.eval_counts.entry(rule.record.clone()).or_insert(0) += 1;
+            match r {
+                Ok(n) => {
+                    written += n;
+                    self.stats.series_written += n;
                 }
+                Err(_) => self.stats.failures += 1,
             }
         }
         written
@@ -248,25 +243,24 @@ impl RuleEngine {
     /// parallelism is enabled. Results come back in rule order either way.
     fn eval_group(
         db: &Tsdb,
-        group: &RuleGroup,
+        rules: &[RecordingRule],
         now_ms: i64,
         lookback_ms: i64,
         threads: usize,
     ) -> Vec<Result<u64, EvalError>> {
-        if threads <= 1 || group.rules.len() <= 1 {
-            return group
-                .rules
+        if threads <= 1 || rules.len() <= 1 {
+            return rules
                 .iter()
                 .map(|rule| Self::eval_rule(db, rule, now_ms, lookback_ms))
                 .collect();
         }
         let mut results: Vec<Option<Result<u64, EvalError>>> =
-            (0..group.rules.len()).map(|_| None).collect();
-        for level in dependency_levels(&group.rules) {
+            (0..rules.len()).map(|_| None).collect();
+        for level in dependency_levels(rules) {
             let workers = threads.min(level.len());
             if workers <= 1 {
                 for i in level {
-                    results[i] = Some(Self::eval_rule(db, &group.rules[i], now_ms, lookback_ms));
+                    results[i] = Some(Self::eval_rule(db, &rules[i], now_ms, lookback_ms));
                 }
                 continue;
             }
@@ -274,7 +268,6 @@ impl RuleEngine {
                 crossbeam::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers)
                         .map(|w| {
-                            let rules = &group.rules;
                             let level = &level;
                             scope.spawn(move |_| {
                                 // Selects issued from inside a rule worker

@@ -155,14 +155,11 @@ pub fn exposition_to_batch(
     Ok(batch)
 }
 
-fn scrape_target(
-    client: &Client,
-    target: &ScrapeTarget,
-    db: &Tsdb,
-    now_ms: i64,
-) -> Result<u64, String> {
-    let body = match &target.source {
-        TargetSource::InProcess(f) => f(),
+/// Fetches one target's exposition text: calls the in-process closure, or
+/// GETs the URL (with the target's basic auth) and requires a 2xx.
+pub fn fetch_exposition(client: &Client, source: &TargetSource) -> Result<String, String> {
+    match source {
+        TargetSource::InProcess(f) => Ok(f()),
         TargetSource::Http { url, auth } => {
             let c = match auth {
                 Some(a) => client.clone().with_basic_auth(a.clone()),
@@ -172,9 +169,18 @@ fn scrape_target(
             if !resp.status.is_success() {
                 return Err(format!("scrape returned {}", resp.status.0));
             }
-            resp.body_string()
+            Ok(resp.body_string())
         }
-    };
+    }
+}
+
+fn scrape_target(
+    client: &Client,
+    target: &ScrapeTarget,
+    db: &Tsdb,
+    now_ms: i64,
+) -> Result<u64, String> {
+    let body = fetch_exposition(client, &target.source)?;
     // One target pass becomes one batch: with a WAL attached this is one
     // group commit (one writer lock + one flush) instead of one per sample.
     let batch = exposition_to_batch(
