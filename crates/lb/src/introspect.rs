@@ -7,7 +7,7 @@
 //! closed).
 
 use ceems_metrics::matcher::MatchOp;
-use ceems_tsdb::promql::{parse_expr, Expr};
+use ceems_tsdb::promql::parse_expr;
 
 /// The result of introspecting one query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,9 +29,9 @@ pub fn introspect(query: &str) -> Introspection {
     let mut uuids = Vec::new();
     let mut unscoped = false;
     let mut unverifiable = false;
-    walk(&expr, &mut |sel_matchers| {
+    for sel in expr.selectors() {
         let mut found = false;
-        for m in sel_matchers {
+        for m in &sel.matchers {
             if m.name != "uuid" {
                 continue;
             }
@@ -53,7 +53,7 @@ pub fn introspect(query: &str) -> Introspection {
         if !found {
             unscoped = true;
         }
-    });
+    }
     if unverifiable {
         Introspection::Unverifiable
     } else if unscoped {
@@ -80,33 +80,6 @@ fn split_plain_alternation(pattern: &str) -> Option<Vec<String>> {
         out.push(part.to_string());
     }
     Some(out)
-}
-
-fn walk(expr: &Expr, f: &mut impl FnMut(&[ceems_metrics::matcher::LabelMatcher])) {
-    match expr {
-        Expr::Number(_) => {}
-        Expr::Selector(sel) => f(&sel.matchers),
-        Expr::Neg(e) => walk(e, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-        Expr::Agg { param, expr, .. } => {
-            if let Some(p) = param {
-                walk(p, f);
-            }
-            walk(expr, f);
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        Expr::Compare { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-    }
 }
 
 #[cfg(test)]

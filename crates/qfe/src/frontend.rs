@@ -25,7 +25,7 @@ use ceems_metrics::{Counter, CounterVec, Gauge, GaugeVec, Histogram};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::{HttpInstruments, Obs, TraceSink, TRACE_HEADER};
-use ceems_tsdb::promql::{normalize, parse_expr, split_safety, SplitSafety};
+use ceems_tsdb::promql::{normalize, parse_expr, range_points, split_safety, SplitSafety};
 
 use crate::cache::{ExtentKey, ResultsCache};
 use crate::downstream::Downstream;
@@ -482,10 +482,12 @@ impl QueryFrontend {
         if let SplitSafety::Unsafe { .. } = split_safety(&expr) {
             return self.passthrough(req, Some("bypass"));
         }
-        let grid = StepGrid { start_ms, end_ms, step_ms };
-        if grid.is_empty() {
+        // An empty grid, or one the TSDB refuses (zero step, more than
+        // `MAX_RANGE_POINTS` steps), is never walked here.
+        if !matches!(range_points(start_ms, end_ms, step_ms), Ok(1..)) {
             return self.passthrough(req, Some("bypass"));
         }
+        let grid = StepGrid { start_ms, end_ms, step_ms };
 
         let qtrace = QueryTrace::begin(req.header(TRACE_HEADER));
         let extents = split_grid(grid, self.cfg.split_interval_ms);
@@ -977,6 +979,40 @@ mod tests {
         assert_eq!(calls.len(), 1, "forwarded whole, not split");
         assert!(calls[0].contains("query=topk"));
         assert!(fe.cache().is_empty());
+    }
+
+    /// Grids over the TSDB's resolution cap (10^13 steps, a saturated
+    /// `end`, a step that rounds to 0 ms) used to be walked step by step in
+    /// `split_grid`; they are relayed whole and the TSDB's error comes back.
+    #[test]
+    fn grids_the_tsdb_refuses_bypass_unsplit() {
+        let db = Arc::new(ceems_tsdb::Tsdb::default());
+        let router = ceems_tsdb::httpapi::api_router(db, Arc::new(|| 0));
+        let fe = QueryFrontend::new(
+            Arc::new(crate::RouterDownstream::new(router)),
+            QfeConfig::default(),
+        );
+        for (params, error) in [
+            (
+                "start=0&end=9999999999&step=0.001",
+                "exceeded maximum resolution of 11,000 points",
+            ),
+            (
+                "start=-5&end=1e300&step=15",
+                "exceeded maximum resolution of 11,000 points",
+            ),
+            ("start=0&end=60&step=0.0001", "step must be positive"),
+        ] {
+            let req = Request::new(
+                Method::Get,
+                &format!("/api/v1/query_range?query=1&{params}"),
+            );
+            let resp = fe.handle(&req);
+            assert_eq!(resp.header("x-ceems-qfe-cache"), Some("bypass"), "{params}");
+            assert_eq!(resp.status, Status::UNPROCESSABLE, "{params}");
+            let body = String::from_utf8_lossy(&resp.body).into_owned();
+            assert!(body.contains(error), "{params}: {body}");
+        }
     }
 
     #[test]

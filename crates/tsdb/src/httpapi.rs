@@ -852,6 +852,46 @@ mod tests {
     }
 
     #[test]
+    fn range_query_resolution_is_capped() {
+        let (server, _db) = serve();
+        // 10^13 steps, and an `end` that saturates to `i64::MAX`.
+        for params in [
+            "start=0&end=9999999999&step=0.001",
+            "start=-5&end=1e300&step=15",
+        ] {
+            let resp = Client::new()
+                .get(&format!(
+                    "{}/api/v1/query_range?query=1&{params}",
+                    server.base_url()
+                ))
+                .unwrap();
+            assert_eq!(resp.status, Status::UNPROCESSABLE, "{params}");
+            let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+            let error = v["error"].as_str().unwrap();
+            assert!(
+                error.contains("exceeded maximum resolution of 11,000 points"),
+                "{error}"
+            );
+        }
+        // Exactly the cap is served; `end < start` is an empty matrix.
+        let v = get_json(&format!(
+            "{}/api/v1/query_range?query=1&start=0&end=10.999&step=0.001",
+            server.base_url()
+        ));
+        assert_eq!(
+            v["data"]["result"][0]["values"].as_array().unwrap().len(),
+            11_000
+        );
+        let v = get_json(&format!(
+            "{}/api/v1/query_range?query=power_watts&start=135&end=0&step=15",
+            server.base_url()
+        ));
+        assert_eq!(v["status"], "success");
+        assert!(v["data"]["result"].as_array().unwrap().is_empty());
+        server.shutdown();
+    }
+
+    #[test]
     fn error_responses() {
         let (server, _db) = serve();
         let resp = Client::new()

@@ -210,6 +210,10 @@ impl Queryable for FanInQuerier {
             s.samples.dedup_by_key(|x| x.t_ms);
         }
         out.retain(|s| !s.samples.is_empty());
+        // Cold-then-hot first-seen order depends on which side of the
+        // horizon the window touches; `Queryable::select` promises an
+        // order that does not depend on the window.
+        out.sort_by(|a, b| a.labels.cmp(&b.labels));
         out
     }
 }

@@ -178,22 +178,11 @@ fn sorted_csv(labels: &[String]) -> String {
 /// `expr` reads. Instant selectors contribute the staleness lookback
 /// window; range selectors contribute their range.
 pub fn max_selector_lookback_ms(expr: &Expr) -> i64 {
-    match expr {
-        Expr::Number(_) => 0,
-        Expr::Selector(sel) => sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS),
-        Expr::Neg(inner) => max_selector_lookback_ms(inner),
-        Expr::Binary { lhs, rhs, .. } => {
-            max_selector_lookback_ms(lhs).max(max_selector_lookback_ms(rhs))
-        }
-        Expr::Agg { param, expr, .. } => {
-            let p = param.as_deref().map_or(0, max_selector_lookback_ms);
-            p.max(max_selector_lookback_ms(expr))
-        }
-        Expr::Func { args, .. } => args.iter().map(max_selector_lookback_ms).max().unwrap_or(0),
-        Expr::Compare { lhs, rhs, .. } => {
-            max_selector_lookback_ms(lhs).max(max_selector_lookback_ms(rhs))
-        }
-    }
+    expr.selectors()
+        .iter()
+        .map(|sel| sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Decides whether `expr` may be range-split and result-cached.

@@ -12,23 +12,15 @@ use super::{AggOp, BinOp, CmpOp, Expr, Grouping};
 /// Anything the engine can read series from (the hot TSDB, or the fan-in
 /// view over hot + long-term storage).
 pub trait Queryable: Send + Sync {
-    /// Series matching `matchers` with samples in `[tmin, tmax]`.
+    /// Series matching `matchers` with samples in `[tmin, tmax]`, series
+    /// without one omitted. Narrowing the window must only drop samples and
+    /// emptied series, never reorder: [`range_query`] slices one wide read.
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData>;
-
-    /// Worker threads [`range_query`] may fan step evaluation out over.
-    /// `1` (the default) keeps evaluation on the calling thread.
-    fn query_threads(&self) -> usize {
-        1
-    }
 }
 
 impl Queryable for crate::storage::Tsdb {
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
         crate::storage::Tsdb::select(self, matchers, tmin, tmax)
-    }
-
-    fn query_threads(&self) -> usize {
-        crate::storage::Tsdb::query_threads(self)
     }
 }
 
@@ -93,21 +85,95 @@ pub fn instant_query_with_lookback(
     eval(&EvalCtx { db, lookback_ms }, expr, t_ms)
 }
 
-/// Below this many steps the thread fan-out costs more than it saves;
-/// evaluation stays on the calling thread.
-const PARALLEL_RANGE_MIN_STEPS: usize = 8;
+/// Most steps one range query may evaluate (Prometheus's limit).
+pub const MAX_RANGE_POINTS: usize = 11_000;
+
+/// Number of steps on the grid `start, start + step, … ≤ end`: `0` when
+/// `end < start`, an error when `step` is not positive or the grid holds
+/// more than [`MAX_RANGE_POINTS`]. Never walks the grid.
+pub fn range_points(start_ms: i64, end_ms: i64, step_ms: i64) -> Result<usize, EvalError> {
+    if step_ms <= 0 {
+        return Err(EvalError("step must be positive".into()));
+    }
+    if end_ms < start_ms {
+        return Ok(0);
+    }
+    // A span that overflows i64 is over the cap at any step.
+    match end_ms.checked_sub(start_ms).map(|span| span / step_ms) {
+        Some(n) if n < MAX_RANGE_POINTS as i64 => Ok(n as usize + 1),
+        _ => Err(EvalError(
+            "exceeded maximum resolution of 11,000 points per timeseries; use a larger step".into(),
+        )),
+    }
+}
+
+/// One selector's series over the whole query window, in `db`'s order.
+struct Window<'a> {
+    matchers: &'a [LabelMatcher],
+    tmin: i64,
+    tmax: i64,
+    series: Vec<SeriesData>,
+}
+
+impl Window<'_> {
+    fn covers(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> bool {
+        self.matchers == matchers && self.tmin <= tmin && tmax <= self.tmax
+    }
+}
+
+/// The source one range query evaluates against: each distinct selector
+/// window of the expression is read from `db` once, and every per-step
+/// `select` inside one is answered by slicing that read.
+struct Prefetched<'a> {
+    db: &'a dyn Queryable,
+    windows: Vec<Window<'a>>,
+}
+
+impl<'a> Prefetched<'a> {
+    fn new(db: &'a dyn Queryable, expr: &'a Expr, start_ms: i64, end_ms: i64) -> Self {
+        let mut windows: Vec<Window<'a>> = Vec::new();
+        for sel in expr.selectors() {
+            let back = sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS);
+            let tmin = start_ms.saturating_sub(sel.offset_ms).saturating_sub(back);
+            let tmax = end_ms.saturating_sub(sel.offset_ms);
+            if !windows.iter().any(|w| w.covers(&sel.matchers, tmin, tmax)) {
+                let series = db.select(&sel.matchers, tmin, tmax);
+                windows.push(Window {
+                    matchers: &sel.matchers,
+                    tmin,
+                    tmax,
+                    series,
+                });
+            }
+        }
+        Prefetched { db, windows }
+    }
+}
+
+impl Queryable for Prefetched<'_> {
+    fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
+        let Some(window) = self.windows.iter().find(|w| w.covers(matchers, tmin, tmax)) else {
+            return self.db.select(matchers, tmin, tmax);
+        };
+        window
+            .series
+            .iter()
+            .filter_map(|s| {
+                let lo = s.samples.partition_point(|x| x.t_ms < tmin);
+                let hi = s.samples.partition_point(|x| x.t_ms <= tmax);
+                (lo < hi).then(|| SeriesData::new(s.labels.clone(), s.samples[lo..hi].to_vec()))
+            })
+            .collect()
+    }
+}
 
 /// Evaluates an expression over `[start, end]` at `step` intervals,
-/// returning one series per result label set.
+/// returning one series per result label set in first-seen order.
 ///
-/// Each step is an independent instant evaluation, so steps fan out over
-/// [`Queryable::query_threads`] scoped workers when there are enough of
-/// them. Step results land in order-preserving slots and are merged on the
-/// calling thread in step order — the per-series accumulator maps stay
-/// thread-confined and the output (including first-seen series ordering and
-/// which error surfaces) is bit-for-bit identical to the serial walk.
-/// Workers mark themselves nested so their inner selects don't fan out
-/// again into `query_threads²` threads.
+/// Every step is a full instant evaluation on the calling thread, but the
+/// storage is read once per selector, not once per step: the steps run
+/// against a private `Prefetched` view of `db`. The step count is bounded by
+/// [`MAX_RANGE_POINTS`] before anything is read or allocated.
 pub fn range_query(
     db: &dyn Queryable,
     expr: &Expr,
@@ -115,111 +181,37 @@ pub fn range_query(
     end_ms: i64,
     step_ms: i64,
 ) -> Result<Vec<SeriesData>, EvalError> {
-    if step_ms <= 0 {
-        return Err(EvalError("step must be positive".into()));
-    }
-    let ctx = EvalCtx {
-        db,
-        lookback_ms: DEFAULT_LOOKBACK_MS,
-    };
-    let mut steps: Vec<i64> = Vec::new();
-    let mut t = start_ms;
-    while t <= end_ms {
-        steps.push(t);
-        t += step_ms;
-    }
-
+    let points = range_points(start_ms, end_ms, step_ms)?;
     if let Some(t) = ceems_obs::trace::current() {
-        t.add_count("steps", steps.len() as u64);
+        t.add_count("steps", points as u64);
     }
-
-    let threads = db.query_threads().min(steps.len());
-    let results: Vec<Result<Value, EvalError>> = if threads <= 1
-        || steps.len() < PARALLEL_RANGE_MIN_STEPS
-        || crate::storage::is_nested_query_worker()
-    {
-        // Serial path: stop at the first error, exactly as the old walk did.
-        let mut out = Vec::with_capacity(steps.len());
-        for &t in &steps {
-            let r = eval(&ctx, expr, t);
-            let failed = r.is_err();
-            out.push(r);
-            if failed {
-                break;
-            }
-        }
-        out
-    } else {
-        let mut slots: Vec<Option<Result<Value, EvalError>>> =
-            steps.iter().map(|_| None).collect();
-        // Workers are fresh threads: re-enter the caller's query trace so
-        // their selects keep attributing series/sample counts to it.
-        let parent_trace = ceems_obs::trace::current();
-        let filled: Vec<(usize, Result<Value, EvalError>)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let steps = &steps;
-                    let expr = &*expr;
-                    let parent_trace = parent_trace.clone();
-                    scope.spawn(move |_| {
-                        crate::storage::mark_nested_query_worker();
-                        let _trace = ceems_obs::trace::enter(parent_trace);
-                        steps
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(threads)
-                            .map(|(i, &t)| (i, eval(&ctx, expr, t)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("range step worker panicked"))
-                .collect()
-        })
-        .expect("range step scope");
-        for (i, r) in filled {
-            slots[i] = Some(r);
-        }
-        slots.into_iter().map(|r| r.expect("slot filled")).collect()
-    };
-
-    // Merge on the calling thread, in step order.
-    let mut acc: HashMap<LabelSet, Vec<Sample>> = HashMap::new();
-    let mut order: Vec<LabelSet> = Vec::new();
-    for (&t, result) in steps.iter().zip(results) {
-        match result? {
-            Value::Scalar(v) => {
-                let key = LabelSet::empty();
-                if !acc.contains_key(&key) {
-                    order.push(key.clone());
-                }
-                acc.entry(key).or_default().push(Sample::new(t, v));
-            }
-            Value::Vector(vec) => {
-                for (labels, v) in vec {
-                    if !acc.contains_key(&labels) {
-                        order.push(labels.clone());
-                    }
-                    acc.entry(labels).or_default().push(Sample::new(t, v));
-                }
-            }
+    if points == 0 {
+        return Ok(Vec::new());
+    }
+    let source = Prefetched::new(db, expr, start_ms, end_ms);
+    // Series in first-seen order; `slot` finds a label set's place in it.
+    let mut out: Vec<SeriesData> = Vec::new();
+    let mut slot: HashMap<LabelSet, usize> = HashMap::new();
+    for i in 0..points as i64 {
+        let t = start_ms + i * step_ms;
+        let vec = match instant_query(&source, expr, t)? {
+            Value::Scalar(v) => vec![(LabelSet::empty(), v)],
+            Value::Vector(vec) => vec,
             Value::Matrix(_) => {
                 return Err(EvalError(
                     "range query over a range selector is not allowed".into(),
                 ))
             }
+        };
+        for (labels, v) in vec {
+            let at = *slot.entry(labels).or_insert_with_key(|labels| {
+                out.push(SeriesData::new(labels.clone(), Vec::new()));
+                out.len() - 1
+            });
+            out[at].samples.push(Sample::new(t, v));
         }
     }
-    Ok(order
-        .into_iter()
-        .map(|labels| {
-            let samples = acc.remove(&labels).unwrap();
-            SeriesData::new(labels, samples)
-        })
-        .collect())
+    Ok(out)
 }
 
 fn eval(ctx: &EvalCtx<'_>, expr: &Expr, t_ms: i64) -> Result<Value, EvalError> {
@@ -1121,44 +1113,109 @@ mod quantile_tests {
         let out = histogram_quantile(0.9, vec![(labels! {"x" => "1"}, 5.0)]);
         assert!(out.is_empty());
     }
+}
 
-    /// Parallel step evaluation must be bit-for-bit identical to the serial
-    /// walk: same step order, same series ordering (first-seen), same float
-    /// results, same error behaviour.
-    #[test]
-    fn parallel_range_query_matches_serial_exactly() {
-        use crate::storage::{Tsdb, TsdbConfig};
+#[cfg(test)]
+mod range_tests {
+    use super::*;
+    use crate::longterm::{FanInQuerier, LongTermStore};
+    use crate::promql::parse_expr;
+    use crate::storage::Tsdb;
+    use ceems_metrics::labels;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-        let fill = |db: &Tsdb| {
-            for i in 0..80i64 {
-                let t = i * 15_000;
-                for n in 0..7 {
-                    db.append(
-                        &labels! {"__name__" => "energy_joules_total", "instance" => format!("n{n}")},
-                        t,
-                        (i * (100 + n)) as f64,
-                    );
+    /// The algorithm `range_query` replaced, kept as the reference: one
+    /// instant evaluation per step against the source itself, merged in
+    /// first-seen order.
+    fn stepwise(
+        db: &dyn Queryable,
+        expr: &Expr,
+        start_ms: i64,
+        end_ms: i64,
+        step_ms: i64,
+    ) -> Result<Vec<SeriesData>, EvalError> {
+        let mut out: Vec<SeriesData> = Vec::new();
+        let mut t = start_ms;
+        while t <= end_ms {
+            let vec = match instant_query(db, expr, t)? {
+                Value::Scalar(v) => vec![(LabelSet::empty(), v)],
+                Value::Vector(vec) => vec,
+                Value::Matrix(_) => {
+                    return Err(EvalError(
+                        "range query over a range selector is not allowed".into(),
+                    ))
                 }
-                db.append(&labels! {"__name__" => "mem_bytes", "instance" => "n1"}, t, 0.1 * i as f64);
+            };
+            for (labels, v) in vec {
+                match out.iter_mut().find(|s| *s.labels == labels) {
+                    Some(s) => s.samples.push(Sample::new(t, v)),
+                    None => out.push(SeriesData::new(labels, vec![Sample::new(t, v)])),
+                }
             }
-            // A series that appears only late in the range: step results
-            // differ in series membership, exercising the merge ordering.
-            for i in 50..80i64 {
-                db.append(&labels! {"__name__" => "mem_bytes", "instance" => "late"}, i * 15_000, 7.0);
+            t += step_ms;
+        }
+        Ok(out)
+    }
+
+    /// Bit-level equality: NaN (0/0 at a first step) must match NaN, and
+    /// nothing laxer than exact bits, order and error text counts.
+    fn assert_same(db: &dyn Queryable, q: &str, start_ms: i64, end_ms: i64, step_ms: i64) {
+        let expr = parse_expr(q).unwrap();
+        let got = range_query(db, &expr, start_ms, end_ms, step_ms);
+        let want = stepwise(db, &expr, start_ms, end_ms, step_ms);
+        let at = format!("{q} over {start_ms}..{end_ms}/{step_ms}");
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                let labels =
+                    |m: &[SeriesData]| m.iter().map(|s| s.labels.clone()).collect::<Vec<_>>();
+                assert_eq!(
+                    labels(&got),
+                    labels(&want),
+                    "{at}: series or their order diverged"
+                );
+                for (g, w) in got.iter().zip(&want) {
+                    let bits = |s: &SeriesData| {
+                        s.samples
+                            .iter()
+                            .map(|x| (x.t_ms, x.v.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(g), bits(w), "{at}: {:?} diverged", g.labels);
+                }
             }
-        };
-        let serial = Tsdb::new(TsdbConfig {
-            query_threads: 1,
-            ..TsdbConfig::default()
-        });
-        let parallel = Tsdb::new(TsdbConfig {
-            query_threads: 8,
-            ..TsdbConfig::default()
-        });
-        fill(&serial);
-        fill(&parallel);
-        assert_eq!(serial.query_threads(), 1);
-        assert_eq!(parallel.query_threads(), 8);
+            (Err(got), Err(want)) => assert_eq!(got, want, "{at}"),
+            (got, want) => panic!("{at}: ok/err diverged: {got:?} vs {want:?}"),
+        }
+    }
+
+    #[test]
+    fn range_query_matches_stepwise_instant_evaluation() {
+        let db = Tsdb::default();
+        for i in 0..80i64 {
+            let t = i * 15_000;
+            for n in 0..7 {
+                db.append(
+                    &labels! {"__name__" => "energy_joules_total", "instance" => format!("n{n}")},
+                    t,
+                    (i * (100 + n)) as f64,
+                );
+            }
+            db.append(
+                &labels! {"__name__" => "mem_bytes", "instance" => "n1"},
+                t,
+                0.1 * i as f64,
+            );
+        }
+        // A series that appears only late in the range: step results differ
+        // in series membership, exercising the merge ordering.
+        for i in 50..80i64 {
+            db.append(
+                &labels! {"__name__" => "mem_bytes", "instance" => "late"},
+                i * 15_000,
+                7.0,
+            );
+        }
 
         for q in [
             "rate(energy_joules_total[2m])",
@@ -1167,45 +1224,146 @@ mod quantile_tests {
             "avg by (instance) (mem_bytes)",
             "sum(energy_joules_total) / sum(mem_bytes)",
             "42",
+            "sum(energy_joules_total offset 5m)",
+            "topk(2, rate(energy_joules_total[1m]))",
+            "mem_bytes / mem_bytes",
+            "rate(energy_joules_total[2m]) / on (instance) energy_joules_total",
+            // Errors surface identically: at the first step, and as the
+            // evaluator's own error rather than the merge's.
+            "histogram_quantile(0.9, mem_bytes) + bogus{x=\"1\"}",
+            "energy_joules_total + mem_bytes[5m]",
+            "mem_bytes[1m]",
         ] {
-            let expr = crate::promql::parse_expr(q).unwrap();
-            // Cover the serial fallbacks too: few steps (< the parallel
-            // threshold) and many steps (parallel on `parallel`).
-            for (start, end, step) in [(0, 60_000, 15_000), (0, 1_200_000, 15_000)] {
-                let a = range_query(&serial, &expr, start, end, step);
-                let b = range_query(&parallel, &expr, start, end, step);
-                // Bit-level float equality: NaN (e.g. 0/0 at the first
-                // step) must match NaN, and nothing laxer than exact bits
-                // counts as parity.
-                match (&a, &b) {
-                    (Ok(ma), Ok(mb)) => {
-                        assert_eq!(ma.len(), mb.len(), "{q}: series count diverged");
-                        for (sa, sb) in ma.iter().zip(mb) {
-                            assert_eq!(sa.labels, sb.labels, "{q}: ordering diverged");
-                            assert_eq!(sa.samples.len(), sb.samples.len());
-                            for (pa, pb) in sa.samples.iter().zip(&sb.samples) {
-                                assert_eq!(pa.t_ms, pb.t_ms);
-                                assert_eq!(
-                                    pa.v.to_bits(),
-                                    pb.v.to_bits(),
-                                    "{q} @ {}: float bits differ",
-                                    pa.t_ms
-                                );
-                            }
-                        }
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                    _ => panic!("{q} over {start}..{end}/{step}: ok/err diverged"),
-                }
+            // One step, a few, the full range, and a step wider than the
+            // lookback (steps whose windows leave gaps between them).
+            for (start, end, step) in [
+                (600_000, 600_000, 15_000),
+                (0, 60_000, 15_000),
+                (0, 1_200_000, 15_000),
+                (7_000, 1_500_000, 400_000),
+            ] {
+                assert_same(&db, q, start, end, step);
             }
         }
+    }
 
-        // Errors propagate identically.
-        let bad = crate::promql::parse_expr("histogram_quantile(0.9, mem_bytes) + bogus{x=\"1\"}")
-            .unwrap();
+    /// Counts the selects that reach the wrapped source.
+    struct Counting<'a>(&'a Tsdb, AtomicUsize);
+
+    impl Queryable for Counting<'_> {
+        fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.select(matchers, tmin, tmax)
+        }
+    }
+
+    #[test]
+    fn source_selects_follow_selectors_not_steps() {
+        let db = Tsdb::default();
+        for i in 0..100i64 {
+            db.append(
+                &labels! {"__name__" => "a", "instance" => "n1"},
+                i * 15_000,
+                (i + 1) as f64,
+            );
+            db.append(
+                &labels! {"__name__" => "b", "instance" => "n1"},
+                i * 15_000,
+                2.0,
+            );
+        }
+        let selects = |q: &str, end_ms: i64| {
+            let counting = Counting(&db, AtomicUsize::new(0));
+            let expr = parse_expr(q).unwrap();
+            let got = range_query(&counting, &expr, 0, end_ms, 15_000).unwrap();
+            assert_eq!(got, stepwise(&db, &expr, 0, end_ms, 15_000).unwrap(), "{q}");
+            counting.1.into_inner()
+        };
+        for end_ms in [0, 15_000, 1_200_000] {
+            assert_eq!(selects("sum(a) / sum(b)", end_ms), 2);
+            assert_eq!(selects("a / a", end_ms), 1);
+            // The 5m instant window of `a` is covered by the 10m range read.
+            assert_eq!(selects("rate(a[10m]) + a", end_ms), 1);
+            assert_eq!(selects("a - a offset 1m", end_ms), 2);
+            assert_eq!(selects("1 + 1", end_ms), 0);
+        }
+    }
+
+    #[test]
+    fn resolution_is_bounded_before_any_step_runs() {
+        let db = Tsdb::default();
+        let one = parse_expr("1").unwrap();
         assert_eq!(
-            range_query(&serial, &bad, 0, 1_200_000, 15_000),
-            range_query(&parallel, &bad, 0, 1_200_000, 15_000),
+            range_points(0, 10_999 * 15_000, 15_000),
+            Ok(MAX_RANGE_POINTS)
         );
+        assert_eq!(
+            range_query(&db, &one, 0, 10_999, 1).unwrap()[0]
+                .samples
+                .len(),
+            MAX_RANGE_POINTS
+        );
+        for (start, end, step) in [
+            (0, 11_000, 1),
+            (0, 9_999_999_999_000, 1),
+            (0, i64::MAX, 15_000),
+            (i64::MIN, i64::MAX, i64::MAX),
+        ] {
+            let err = range_query(&db, &one, start, end, step).unwrap_err();
+            assert!(
+                err.0
+                    .starts_with("exceeded maximum resolution of 11,000 points"),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            range_points(0, 10, 0),
+            Err(EvalError("step must be positive".into()))
+        );
+        // `end < start` stays an empty matrix, however far apart.
+        assert_eq!(
+            range_query(&db, &one, i64::MAX, i64::MIN, 1),
+            Ok(Vec::new())
+        );
+        // The last step may sit on `i64::MAX` without overflowing past it.
+        let top = range_query(&db, &one, i64::MAX - 2, i64::MAX, 1).unwrap();
+        assert_eq!(top[0].samples.len(), 3);
+    }
+
+    /// Hot + cold fan-in. Cold-then-hot merging would hand a straddling
+    /// window `old` first and a hot-only window the hot index order
+    /// (`young`, `mid`, `old`); a three-term float sum shows the difference.
+    #[test]
+    fn fan_in_range_query_matches_stepwise() {
+        let hot = Arc::new(Tsdb::default());
+        let series = |instance: &str| labels! {"__name__" => "power_watts", "instance" => instance};
+        // `young` and `mid` come first in the hot index but only start
+        // after the horizon; `old` spans it.
+        hot.append(&series("young"), 20 * 60_000, 0.1);
+        hot.append(&series("mid"), 18 * 60_000, 1e-3);
+        for i in 0..160i64 {
+            hot.append(&series("old"), i * 15_000, 100.0 + (i % 7) as f64 / 3.0);
+            if i > 80 {
+                hot.append(&series("young"), i * 15_000, 0.1 * i as f64);
+                hot.append(&series("mid"), i * 15_000, 1e-3 * (i as f64).sqrt());
+            }
+        }
+        let horizon = 15 * 60_000;
+        let cold = Arc::new(LongTermStore::new());
+        cold.replicate(&hot, 0, horizon - 1);
+        let fan = FanInQuerier::new(hot, cold, horizon);
+
+        for q in [
+            "power_watts",
+            "sum(power_watts)",
+            "rate(power_watts[3m])",
+            "avg_over_time(power_watts[10m]) / on (instance) power_watts",
+            "topk(1, power_watts)",
+        ] {
+            for (start, end, step) in [(0, 40 * 60_000, 15_000), (14 * 60_000, 22 * 60_000, 60_000)]
+            {
+                assert_same(&fan, q, start, end, step);
+            }
+        }
     }
 }

@@ -27,6 +27,7 @@ use ceems_metrics::matcher::LabelMatcher;
 
 pub use analyze::{max_selector_lookback_ms, normalize, split_safety, SplitSafety};
 pub use eval::{instant_query, instant_query_with_lookback, range_query, EvalError, Queryable, Value};
+pub use eval::{range_points, MAX_RANGE_POINTS};
 pub use parser::parse_expr;
 
 /// Binary arithmetic operator.
@@ -198,4 +199,38 @@ pub enum Expr {
         /// Right operand.
         rhs: Box<Expr>,
     },
+}
+
+impl Expr {
+    /// Every selector in the expression, depth-first and left to right
+    /// (an aggregation's parameter before its body).
+    pub fn selectors(&self) -> Vec<&VectorSelector> {
+        let children: Vec<&Expr> = match self {
+            Expr::Number(_) => Vec::new(),
+            Expr::Selector(sel) => return vec![sel],
+            Expr::Neg(inner) => vec![inner],
+            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Agg { param, expr, .. } => param.iter().chain([expr]).map(|e| &**e).collect(),
+            Expr::Func { args, .. } => args.iter().collect(),
+        };
+        children.into_iter().flat_map(Expr::selectors).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn selectors_walk_depth_first_left_to_right_param_before_body() {
+        let e = parse_expr("topk(scalar(k), a) + rate(b[1m]) > clamp_max(-c, d offset 1m) + 2")
+            .unwrap();
+        let names: Vec<&str> = e
+            .selectors()
+            .iter()
+            .map(|s| s.matchers[0].value.as_str())
+            .collect();
+        assert_eq!(names, ["k", "a", "b", "c", "d"]);
+        assert!(parse_expr("1 + 2").unwrap().selectors().is_empty());
+    }
 }

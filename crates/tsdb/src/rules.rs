@@ -347,48 +347,19 @@ impl RuleEngine {
 /// Public because the alerting service levels its alert-rule DAGs with the
 /// same static analysis (S3 → S21 reuse).
 pub fn referenced_names(expr: &Expr, out: &mut Vec<String>) -> bool {
-    match expr {
-        Expr::Number(_) => true,
-        Expr::Selector(sel) => {
-            let name = sel
-                .matchers
-                .iter()
-                .find(|m| m.name == METRIC_NAME_LABEL && m.op == MatchOp::Eq);
-            match name {
-                Some(m) => {
-                    out.push(m.value.clone());
-                    true
-                }
-                None => false,
-            }
-        }
-        Expr::Neg(e) => referenced_names(e, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            // Evaluate both sides so `out` is complete even when one side
-            // is opaque (the caller still learns what the known side reads).
-            let l = referenced_names(lhs, out);
-            let r = referenced_names(rhs, out);
-            l && r
-        }
-        Expr::Agg { param, expr, .. } => {
-            let p = param
-                .as_ref()
-                .is_none_or(|p| referenced_names(p, out));
-            referenced_names(expr, out) && p
-        }
-        Expr::Func { args, .. } => {
-            let mut known = true;
-            for a in args {
-                known &= referenced_names(a, out);
-            }
-            known
-        }
-        Expr::Compare { lhs, rhs, .. } => {
-            let l = referenced_names(lhs, out);
-            let r = referenced_names(rhs, out);
-            l && r
+    // No early return: `out` stays complete when one selector is opaque.
+    let mut known = true;
+    for sel in expr.selectors() {
+        let name = sel
+            .matchers
+            .iter()
+            .find(|m| m.name == METRIC_NAME_LABEL && m.op == MatchOp::Eq);
+        match name {
+            Some(m) => out.push(m.value.clone()),
+            None => known = false,
         }
     }
+    known
 }
 
 /// Topologically levels a group's rules by record-name dependencies.
@@ -626,6 +597,20 @@ mod tests {
             let expect = if s.labels.get("instance") == Some("n1") { 30.0 } else { 60.0 };
             assert!((s.samples[0].v - expect).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn referenced_names_stay_complete_beside_an_opaque_selector() {
+        let mut names = Vec::new();
+        let e = parse_expr("a / {job=~\"x.*\"} + topk(scalar(k), rate(b[1m])) > c").unwrap();
+        assert!(!referenced_names(&e, &mut names));
+        assert_eq!(names, ["a", "k", "b", "c"]);
+        names.clear();
+        assert!(referenced_names(
+            &parse_expr("sum(a) / 2").unwrap(),
+            &mut names
+        ));
+        assert_eq!(names, ["a"]);
     }
 
     #[test]

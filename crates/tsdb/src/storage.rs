@@ -47,10 +47,6 @@ pub(crate) fn mark_nested_query_worker() {
     NESTED_QUERY_WORKER.with(|f| f.set(true));
 }
 
-pub(crate) fn is_nested_query_worker() -> bool {
-    NESTED_QUERY_WORKER.with(|f| f.get())
-}
-
 /// TSDB configuration.
 #[derive(Clone, Debug)]
 pub struct TsdbConfig {
@@ -535,7 +531,7 @@ impl Tsdb {
     ) -> Vec<SeriesData> {
         if self.config.query_threads <= 1
             || resolved.len() < PARALLEL_SELECT_MIN
-            || is_nested_query_worker()
+            || NESTED_QUERY_WORKER.with(Cell::get)
         {
             return resolved
                 .into_iter()
@@ -748,12 +744,6 @@ impl Tsdb {
     /// Approximate compressed bytes held in the head.
     pub fn storage_bytes(&self) -> usize {
         self.head.byte_len()
-    }
-
-    /// Configured select/eval worker count (the PromQL engine fans range
-    /// steps out over the same budget).
-    pub fn query_threads(&self) -> usize {
-        self.config.query_threads
     }
 
     // -- Leadership epochs / failover (S24) ---------------------------------

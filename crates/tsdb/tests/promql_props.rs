@@ -1,8 +1,8 @@
 //! Property tests of the PromQL engine against closed-form expectations.
 
-use ceems_metrics::labels::LabelSetBuilder;
-use ceems_tsdb::promql::{instant_query, parse_expr, range_query, Value};
-use ceems_tsdb::Tsdb;
+use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
+use ceems_tsdb::promql::{instant_query, parse_expr, range_query, Expr, Value};
+use ceems_tsdb::{Sample, SeriesData, Tsdb};
 use proptest::prelude::*;
 
 fn db_with_series(series: &[(String, Vec<f64>)], step_ms: i64) -> Tsdb {
@@ -17,6 +17,40 @@ fn db_with_series(series: &[(String, Vec<f64>)], step_ms: i64) -> Tsdb {
         }
     }
     db
+}
+
+/// One instant evaluation per step against the TSDB itself, merged in
+/// first-seen order: the definition `range_query` must reproduce.
+fn stepwise(db: &Tsdb, expr: &Expr, start_ms: i64, end_ms: i64, step_ms: i64) -> Vec<SeriesData> {
+    let mut out: Vec<SeriesData> = Vec::new();
+    let mut t = start_ms;
+    while t <= end_ms {
+        let vec = match instant_query(db, expr, t).unwrap() {
+            Value::Scalar(v) => vec![(LabelSet::empty(), v)],
+            other => vector(other),
+        };
+        for (labels, v) in vec {
+            match out.iter_mut().find(|s| *s.labels == labels) {
+                Some(s) => s.samples.push(Sample::new(t, v)),
+                None => out.push(SeriesData::new(labels, vec![Sample::new(t, v)])),
+            }
+        }
+        t += step_ms;
+    }
+    out
+}
+
+/// Labels in order, then `(t, value bits)` per series: NaN equals NaN and
+/// nothing laxer than identical bits passes.
+fn bits(m: &[SeriesData]) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
+    m.iter()
+        .map(|s| {
+            (
+                (*s.labels).clone(),
+                s.samples.iter().map(|x| (x.t_ms, x.v.to_bits())).collect(),
+            )
+        })
+        .collect()
 }
 
 fn vector(v: Value) -> Vec<(ceems_metrics::labels::LabelSet, f64)> {
@@ -89,6 +123,60 @@ proptest! {
         for s in &series[0].samples {
             let inst = vector(instant_query(&db, &expr, s.t_ms).unwrap())[0].1;
             prop_assert_eq!(s.v, inst, "at t={}", s.t_ms);
+        }
+    }
+
+    /// A range query equals one instant query per step, bit for bit and
+    /// in first-seen series order, over series with counter resets, NaN
+    /// samples and gaps, on any grid and offset.
+    #[test]
+    fn range_query_is_stepwise_instant(
+        series in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::option::of(prop_oneof![4 => 0.0f64..1000.0, 1 => Just(f64::NAN)]),
+                1..60,
+            ),
+            1..4,
+        ),
+        // Everything on a 5 s lattice, samples every 15 s: a third of
+        // the window edges land exactly on a sample.
+        start in -20i64..120,
+        span in 0i64..240,
+        step in 1i64..140,
+        offset in prop_oneof![2 => Just(0i64), 1 => 1i64..120],
+        window in 3i64..180,
+    ) {
+        let (start_ms, span_ms, step_ms) = (start * 5_000, span * 5_000, step * 5_000);
+        let (offset_s, window_s) = (offset * 5, window * 5);
+        let db = Tsdb::default();
+        for (n, slots) in series.iter().enumerate() {
+            let labels = LabelSetBuilder::new()
+                .label("__name__", "m")
+                .label("instance", format!("n{n}"))
+                .build();
+            for (i, v) in slots.iter().enumerate() {
+                if let Some(v) = v {
+                    db.append(&labels, i as i64 * 15_000, *v);
+                }
+            }
+        }
+        let m = if offset_s == 0 { "m".to_string() } else { format!("m offset {offset_s}s") };
+        for q in [
+            format!("rate(m[{window_s}s] offset {offset_s}s)"),
+            format!("sum({m})"),
+            format!("avg({m})"),
+            format!("min({m})"),
+            format!("max({m})"),
+            format!("count({m})"),
+            format!("{m} / m"),
+            format!("m - {m}"),
+            format!("2 * {m}"),
+            format!("{m} + {m}"),
+        ] {
+            let expr = parse_expr(&q).unwrap();
+            let got = range_query(&db, &expr, start_ms, start_ms + span_ms, step_ms).unwrap();
+            let want = stepwise(&db, &expr, start_ms, start_ms + span_ms, step_ms);
+            prop_assert_eq!(bits(&got), bits(&want), "{}", q);
         }
     }
 
