@@ -82,6 +82,33 @@ impl ApiServer {
         );
         registry.register("api_requests", Arc::new(requests.clone()));
         registry.register("api_request_duration", Arc::new(duration.clone()));
+        {
+            let updater = updater.clone();
+            registry.register(
+                "api_updater",
+                Arc::new(move || {
+                    let upd = updater.lock();
+                    let stats = upd.stats();
+                    vec![
+                        ceems_obs::counter_value_family(
+                            "ceems_api_updater_tsdb_queries_total",
+                            "Instant queries the updater sent to the TSDB.",
+                            stats.tsdb_queries as f64,
+                        ),
+                        ceems_obs::counter_value_family(
+                            "ceems_api_updater_units_folded_total",
+                            "Unit intervals folded into stored aggregates.",
+                            stats.units_folded as f64,
+                        ),
+                        ceems_obs::histogram_family(
+                            "ceems_api_updater_poll_duration_seconds",
+                            "Wall time of one updater poll.",
+                            upd.poll_duration(),
+                        ),
+                    ]
+                }),
+            );
+        }
         ceems_obs::register_build_info(&registry, "apiserver");
         ApiServer {
             updater,
@@ -499,6 +526,25 @@ mod tests {
         );
         let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
         assert_eq!(v["usage"].as_array().unwrap().len(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn metrics_export_the_updater_cost() {
+        let (server, _api) = serve();
+        let resp = get(&format!("{}/metrics", server.base_url()), None);
+        let text = String::from_utf8(resp.body).unwrap();
+        // One poll so far; its units are too young to query the TSDB for.
+        for line in [
+            "ceems_api_updater_poll_duration_seconds_count 1",
+            "ceems_api_updater_tsdb_queries_total 0",
+            "ceems_api_updater_units_folded_total 0",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in\n{text}"
+            );
+        }
         server.shutdown();
     }
 

@@ -13,8 +13,9 @@
 //!   proving the unified schema is genuinely resource-manager agnostic.
 //! * [`metrics_source`] — how aggregate metrics are fetched from the TSDB:
 //!   in-process or through the Prometheus HTTP API.
-//! * [`updater`] — the single-writer poll loop: fetch changed units, query
-//!   the TSDB for their aggregates, upsert rows, roll up usage, and run the
+//! * [`updater`] — the single-writer poll loop: fetch changed units, ask
+//!   the TSDB once per aggregate what every unit did since the previous
+//!   poll and fold that into the stored rows, roll up usage, and run the
 //!   §II.C cardinality cleanup of short units.
 //! * [`api`] — the HTTP API (`/api/v1/units`, `/usage`, `/verify` for the
 //!   load balancer's ownership checks).

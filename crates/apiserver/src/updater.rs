@@ -1,20 +1,40 @@
 //! The updater: the API server's single writer.
 //!
 //! On each poll it (1) fetches units that changed since the last poll from
-//! the resource manager, (2) queries the TSDB for each unit's aggregate
-//! metrics, (3) upserts rows, (4) recomputes per-user/project usage
-//! rollups, and (5) applies the §II.C cardinality cleanup: units that
-//! lived shorter than the cutoff get their TSDB series deleted.
+//! the resource manager, (2) asks the TSDB — once per aggregate, for every
+//! unit together — what happened since the previous poll and folds that
+//! interval into the aggregates each unit's row already holds, (3) upserts
+//! rows, (4) recomputes per-user/project usage rollups, and (5) applies the
+//! §II.C cardinality cleanup: units that lived shorter than the cutoff get
+//! their TSDB series deleted.
+//!
+//! The fold's invariant: a row whose `elapsed_s` reached
+//! [`MIN_ELAPSED_S`] holds aggregates over `[started_at, min(ended_at,
+//! updated_at)]`, and nothing younger than that frontier has been folded.
+//! The frontier is read back from the row on every poll, so a restarted
+//! updater over the same `Db` continues where the last one stopped, and a
+//! unit reported twice over the same interval folds nothing twice.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
+use ceems_metrics::labels::LabelSet;
+use ceems_metrics::Histogram;
 use ceems_relstore::{Db, DbError, Filter, Value};
 use ceems_tsdb::{Tsdb, TsdbClient};
 
 use crate::metrics_source::MetricSource;
 use crate::rm::{ResourceManagerClient, UnitInfo};
 use crate::schema::{create_tables, unit_cols, usage_cols, UNITS_TABLE, USAGE_TABLE};
+
+/// Units younger than this get no aggregates yet: such a window holds fewer
+/// than two scrapes, so no rate can be taken over it.
+const MIN_ELAPSED_S: f64 = 30.0;
+
+/// Shortest range the interval queries look back over. A poll interval
+/// below two scrape intervals would otherwise leave `rate` a single sample;
+/// the means of the wider window stand in for the interval's.
+const MIN_WINDOW_MS: i64 = 60_000;
 
 /// Admin access to the TSDB (series deletion).
 pub trait TsdbAdmin: Send + Sync {
@@ -53,8 +73,7 @@ impl Default for UpdaterConfig {
     fn default() -> Self {
         UpdaterConfig {
             power_metric: "uuid:ceems_power:watts".to_string(),
-            emission_factor_query:
-                "avg(ceems_emissions_gCo2_kWh{provider=\"rte\"})".to_string(),
+            emission_factor_query: "avg(ceems_emissions_gCo2_kWh{provider=\"rte\"})".to_string(),
             cleanup_cutoff_s: 0.0,
         }
     }
@@ -65,10 +84,135 @@ impl Default for UpdaterConfig {
 pub struct UpdaterStats {
     /// Units upserted across all polls.
     pub units_upserted: u64,
+    /// Instant queries sent to the TSDB across all polls.
+    pub tsdb_queries: u64,
+    /// Unit intervals folded into stored aggregates across all polls.
+    pub units_folded: u64,
     /// TSDB series deleted by the cardinality cleanup.
     pub series_deleted: u64,
     /// Units purged (their short life fell under the cutoff).
     pub units_purged: u64,
+}
+
+/// What every unit did over one query window, keyed by `uuid`.
+#[derive(Default)]
+struct IntervalAggregates {
+    /// Mean busy cores (user + system).
+    cpu_cores: HashMap<String, f64>,
+    /// Mean memory in bytes, summed over the unit's nodes.
+    mem_bytes: HashMap<String, f64>,
+    /// Mean GPU utilisation in percent, averaged over the unit's GPUs.
+    gpu_pct: HashMap<String, f64>,
+    /// Mean attributed power in watts, summed over the unit's nodes.
+    power_w: HashMap<String, f64>,
+    /// Emission factor (gCO₂e/kWh) at the end of the window.
+    emission_factor: Option<f64>,
+}
+
+fn by_uuid(vector: Vec<(LabelSet, f64)>) -> HashMap<String, f64> {
+    vector
+        .into_iter()
+        .filter_map(|(labels, v)| Some((labels.get("uuid")?.to_string(), v)))
+        .collect()
+}
+
+/// Folds one interval's mean into a running time-weighted mean: `before_s`
+/// seconds are already in the cell, `covered_s` are being added.
+fn fold_mean(cell: &mut Value, v: f64, before_s: f64, covered_s: f64) {
+    *cell = Value::Real(match cell.as_real() {
+        Some(old) if before_s > 0.0 => (old * before_s + v * covered_s) / (before_s + covered_s),
+        _ => v,
+    });
+}
+
+/// The part of a unit's life its row does not cover yet.
+struct Unfolded {
+    /// Where the row's aggregates stop (the unit's start when it has none).
+    from_ms: i64,
+    /// Seconds already in the row.
+    before_s: f64,
+    /// Seconds to add: up to the unit's end, or now while it runs.
+    covered_s: f64,
+}
+
+fn unfolded(u: &UnitInfo, stored: Option<&[Value]>, now_ms: i64) -> Option<Unfolded> {
+    let start_ms = u.started_at_ms?;
+    let until_ms = u.ended_at_ms.unwrap_or(now_ms);
+    if ((until_ms - start_ms) as f64 / 1000.0) < MIN_ELAPSED_S {
+        return None;
+    }
+    // The stored row folded up to its own write only if the unit was old
+    // enough by then; its `elapsed_s` says so.
+    let from_ms = stored
+        .filter(|row| row[unit_cols::ELAPSED_S].as_real() >= Some(MIN_ELAPSED_S))
+        .and_then(|row| row[unit_cols::UPDATED_AT].as_int())
+        .map_or(start_ms, |folded_until| folded_until.max(start_ms));
+    (from_ms < until_ms).then(|| Unfolded {
+        from_ms,
+        before_s: (from_ms - start_ms) as f64 / 1000.0,
+        covered_s: (until_ms - from_ms) as f64 / 1000.0,
+    })
+}
+
+/// The unit's row as of `now_ms`: what the resource manager reports, with
+/// the aggregates carried over from the stored row.
+fn unit_row(u: &UnitInfo, stored: Option<&[Value]>, now_ms: i64) -> Vec<Value> {
+    let end_ms = u.ended_at_ms.unwrap_or(now_ms);
+    let elapsed_s = u
+        .started_at_ms
+        .map(|s| ((end_ms - s).max(0)) as f64 / 1000.0)
+        .unwrap_or(0.0);
+
+    let mut row = vec![Value::Null; unit_cols::COUNT];
+    row[unit_cols::UUID] = u.uuid.as_str().into();
+    row[unit_cols::RESOURCE_MANAGER] = u.resource_manager.as_str().into();
+    row[unit_cols::USER] = u.user.as_str().into();
+    row[unit_cols::PROJECT] = u.project.as_str().into();
+    row[unit_cols::PARTITION] = u.partition.as_str().into();
+    row[unit_cols::STATE] = u.state.as_str().into();
+    row[unit_cols::SUBMITTED_AT] = Value::Int(u.submitted_at_ms);
+    row[unit_cols::STARTED_AT] = u.started_at_ms.map(Value::Int).unwrap_or(Value::Null);
+    row[unit_cols::ENDED_AT] = u.ended_at_ms.map(Value::Int).unwrap_or(Value::Null);
+    row[unit_cols::ELAPSED_S] = Value::Real(elapsed_s);
+    row[unit_cols::NNODES] = Value::Int(u.nnodes as i64);
+    row[unit_cols::NCPUS] = Value::Int(u.ncpus as i64);
+    row[unit_cols::NGPUS] = Value::Int(u.ngpus as i64);
+    row[unit_cols::UPDATED_AT] = Value::Int(now_ms);
+    if let Some(stored) = stored {
+        let aggregates = unit_cols::AVG_CPU_USAGE..=unit_cols::EMISSIONS_G;
+        row[aggregates.clone()].clone_from_slice(&stored[aggregates]);
+    }
+    row
+}
+
+/// Adds one interval to the aggregates in `row`: energy and emissions
+/// accumulate, the averages stay time-weighted means over the unit's life.
+fn fold_interval(row: &mut [Value], u: &UnitInfo, span: &Unfolded, interval: &IntervalAggregates) {
+    let uuid = u.uuid.as_str();
+    let mut mean = |col: usize, v: f64| fold_mean(&mut row[col], v, span.before_s, span.covered_s);
+    if let Some(cores) = interval.cpu_cores.get(uuid) {
+        let pct = cores / u.ncpus.max(1) as f64 * 100.0;
+        mean(unit_cols::AVG_CPU_USAGE, pct.clamp(0.0, 100.0));
+    }
+    if let Some(&mem) = interval.mem_bytes.get(uuid) {
+        mean(unit_cols::AVG_MEM, mem);
+    }
+    if let Some(gpu) = interval.gpu_pct.get(uuid) {
+        mean(unit_cols::AVG_GPU_USAGE, gpu.clamp(0.0, 100.0));
+    }
+    if let Some(watts) = interval.power_w.get(uuid) {
+        // Sensor noise can push short windows fractionally negative;
+        // energy is physical, clamp at zero.
+        let kwh = (watts * span.covered_s / 3.6e6).max(0.0);
+        let mut add = |col: usize, v: f64| {
+            row[col] = Value::Real(row[col].as_real().unwrap_or(0.0) + v);
+        };
+        add(unit_cols::ENERGY_KWH, kwh);
+        // Each interval is priced at the factor of its own time.
+        if let Some(factor) = interval.emission_factor {
+            add(unit_cols::EMISSIONS_G, kwh * factor);
+        }
+    }
 }
 
 /// The updater.
@@ -81,6 +225,7 @@ pub struct Updater {
     last_poll_ms: i64,
     purged: BTreeSet<String>,
     stats: UpdaterStats,
+    poll_duration: Histogram,
 }
 
 impl Updater {
@@ -102,6 +247,7 @@ impl Updater {
             last_poll_ms: 0,
             purged: BTreeSet::new(),
             stats: UpdaterStats::default(),
+            poll_duration: Histogram::new(Histogram::duration_buckets()),
         })
     }
 
@@ -120,100 +266,87 @@ impl Updater {
         self.stats
     }
 
+    /// Wall time of each [`Updater::poll`], in seconds.
+    pub fn poll_duration(&self) -> &Histogram {
+        &self.poll_duration
+    }
+
     /// One poll at simulated time `now_ms`.
     pub fn poll(&mut self, now_ms: i64) -> Result<(), DbError> {
+        let _timer = self.poll_duration.start_timer();
         // Small overlap so boundary updates are never missed; upserts are
-        // idempotent.
+        // idempotent and a finished unit's frontier already sits at its end.
         let since = (self.last_poll_ms - 1000).max(0);
         let units = self.rm.units_since(since);
-        for unit in units {
-            let row = self.unit_row(&unit, now_ms);
+
+        // Each unit's row so far, and the part of its life not yet folded.
+        let mut rows = Vec::with_capacity(units.len());
+        for u in &units {
+            let stored = self.db.get(UNITS_TABLE, &u.uuid.as_str().into())?;
+            rows.push((
+                unit_row(u, stored.as_deref(), now_ms),
+                unfolded(u, stored.as_deref(), now_ms),
+            ));
+        }
+
+        // One window reaching back to the oldest frontier serves every unit:
+        // a series holds nothing before its unit started, and a unit whose
+        // frontier is younger takes the window's mean over its own seconds.
+        let oldest = rows
+            .iter()
+            .filter_map(|(_, span)| Some(span.as_ref()?.from_ms))
+            .min();
+        let interval = match oldest {
+            Some(from_ms) => self.query_interval((now_ms - from_ms).max(MIN_WINDOW_MS), now_ms),
+            None => IntervalAggregates::default(),
+        };
+
+        for (u, (mut row, span)) in units.iter().zip(rows) {
+            if let Some(span) = span {
+                fold_interval(&mut row, u, &span, &interval);
+                self.stats.units_folded += 1;
+            }
             self.db.upsert(UNITS_TABLE, row)?;
             self.stats.units_upserted += 1;
-            self.maybe_cleanup(&unit);
+            self.maybe_cleanup(u);
         }
         self.recompute_usage(now_ms)?;
         self.last_poll_ms = now_ms;
         Ok(())
     }
 
-    fn unit_row(&self, u: &UnitInfo, now_ms: i64) -> Vec<Value> {
-        let end_ms = u.ended_at_ms.unwrap_or(now_ms);
-        let elapsed_s = u
-            .started_at_ms
-            .map(|s| ((end_ms - s).max(0)) as f64 / 1000.0)
-            .unwrap_or(0.0);
-
-        let mut row = vec![Value::Null; unit_cols::COUNT];
-        row[unit_cols::UUID] = u.uuid.as_str().into();
-        row[unit_cols::RESOURCE_MANAGER] = u.resource_manager.as_str().into();
-        row[unit_cols::USER] = u.user.as_str().into();
-        row[unit_cols::PROJECT] = u.project.as_str().into();
-        row[unit_cols::PARTITION] = u.partition.as_str().into();
-        row[unit_cols::STATE] = u.state.as_str().into();
-        row[unit_cols::SUBMITTED_AT] = Value::Int(u.submitted_at_ms);
-        row[unit_cols::STARTED_AT] = u.started_at_ms.map(Value::Int).unwrap_or(Value::Null);
-        row[unit_cols::ENDED_AT] = u.ended_at_ms.map(Value::Int).unwrap_or(Value::Null);
-        row[unit_cols::ELAPSED_S] = Value::Real(elapsed_s);
-        row[unit_cols::NNODES] = Value::Int(u.nnodes as i64);
-        row[unit_cols::NCPUS] = Value::Int(u.ncpus as i64);
-        row[unit_cols::NGPUS] = Value::Int(u.ngpus as i64);
-        row[unit_cols::UPDATED_AT] = Value::Int(now_ms);
-
-        // Aggregate metrics need a started unit and a usable window.
-        if u.started_at_ms.is_none() || elapsed_s < 30.0 {
-            return row;
-        }
-        let window_s = (elapsed_s as i64).max(60);
-        let uuid = &u.uuid;
-
-        // CPU usage %: counter increase over the window vs core-seconds.
-        let cpu_q = format!(
-            "sum(increase(ceems_compute_unit_cpu_user_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s])) + sum(increase(ceems_compute_unit_cpu_system_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s]))"
-        );
-        if let Some(cpu_s) = self.metrics.scalar(&cpu_q, end_ms) {
-            let pct = cpu_s / (elapsed_s * u.ncpus.max(1) as f64) * 100.0;
-            row[unit_cols::AVG_CPU_USAGE] = Value::Real(pct.clamp(0.0, 100.0));
-        }
-
-        // Average memory.
-        let mem_q = format!(
-            "sum(avg_over_time(ceems_compute_unit_memory_used_bytes{{uuid=\"{uuid}\"}}[{window_s}s]))"
-        );
-        if let Some(mem) = self.metrics.scalar(&mem_q, end_ms) {
-            row[unit_cols::AVG_MEM] = Value::Real(mem);
-        }
-
-        // Average GPU utilisation (via the recording rule joining the GPU
-        // map with DCGM utilisation).
-        let gpu_q = format!(
-            "avg(avg_over_time(uuid:ceems_gpu_util:pct{{uuid=\"{uuid}\"}}[{window_s}s]))"
-        );
-        if u.ngpus > 0 {
-            if let Some(gpu) = self.metrics.scalar(&gpu_q, end_ms) {
-                row[unit_cols::AVG_GPU_USAGE] = Value::Real(gpu.clamp(0.0, 100.0));
-            }
-        }
-
-        // Energy: mean attributed power × elapsed.
-        let power_q = format!(
-            "sum(avg_over_time({}{{uuid=\"{uuid}\"}}[{window_s}s]))",
-            self.config.power_metric
-        );
-        if let Some(avg_w) = self.metrics.scalar(&power_q, end_ms) {
-            // Sensor noise can push short windows fractionally negative;
-            // energy is physical, clamp at zero.
-            let kwh = (avg_w * elapsed_s / 3.6e6).max(0.0);
-            row[unit_cols::ENERGY_KWH] = Value::Real(kwh);
-            // Emissions: energy × current factor.
-            if let Some(factor) = self
-                .metrics
-                .scalar(&self.config.emission_factor_query, end_ms)
-            {
-                row[unit_cols::EMISSIONS_G] = Value::Real(kwh * factor);
-            }
-        }
-        row
+    /// Asks the TSDB what every unit did over `[now − window, now]`: one
+    /// instant query per aggregate, whatever the number of units.
+    fn query_interval(&mut self, window_ms: i64, now_ms: i64) -> IntervalAggregates {
+        let metrics = &self.metrics;
+        let vector = |query: String| by_uuid(metrics.instant(&query, now_ms));
+        // Range selectors are closed at both ends. A slope wants both
+        // boundary samples; a mean must leave the sample stamped at the
+        // previous poll to the fold that already counted it.
+        let closed = format!("[{window_ms}ms]");
+        let w = format!("[{}ms]", window_ms - 1);
+        let interval = IntervalAggregates {
+            cpu_cores: vector(format!(
+                "sum by (uuid) (rate(ceems_compute_unit_cpu_user_seconds_total{closed})) \
+                 + sum by (uuid) (rate(ceems_compute_unit_cpu_system_seconds_total{closed}))"
+            )),
+            mem_bytes: vector(format!(
+                "sum by (uuid) (avg_over_time(ceems_compute_unit_memory_used_bytes{w}))"
+            )),
+            // Via the recording rule joining the GPU map with DCGM
+            // utilisation; units without GPUs have no such series.
+            gpu_pct: vector(format!(
+                "avg by (uuid) (avg_over_time(uuid:ceems_gpu_util:pct{w}))"
+            )),
+            power_w: vector(format!(
+                "sum by (uuid) (avg_over_time({}{w}))",
+                self.config.power_metric
+            )),
+            emission_factor: metrics.scalar(&self.config.emission_factor_query, now_ms),
+        };
+        // One per field above.
+        self.stats.tsdb_queries += 5;
+        interval
     }
 
     fn maybe_cleanup(&mut self, u: &UnitInfo) {
@@ -331,6 +464,7 @@ mod tests {
     use crate::metrics_source::TsdbLocalSource;
     use ceems_metrics::labels;
     use ceems_relstore::Query;
+    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
     struct FakeRm {
         units: Vec<UnitInfo>,
@@ -356,7 +490,12 @@ mod tests {
             user: user.into(),
             project: "proj".into(),
             partition: "cpu".into(),
-            state: if ended.is_some() { "COMPLETED" } else { "RUNNING" }.into(),
+            state: if ended.is_some() {
+                "COMPLETED"
+            } else {
+                "RUNNING"
+            }
+            .into(),
             submitted_at_ms: started - 1000,
             started_at_ms: Some(started),
             ended_at_ms: ended,
@@ -377,37 +516,12 @@ mod tests {
         ))
     }
 
+    /// 6 busy cores of 8 (75 % usage), 16 GiB and 360 W for ten minutes,
+    /// at 50 g/kWh.
     fn tsdb_with_unit_metrics(uuid: &str) -> Arc<Tsdb> {
         let db = Arc::new(Tsdb::default());
-        for i in 0..41i64 {
-            let t = i * 15_000;
-            // 6 busy cores of 8 → 75% usage; split user/system.
-            db.append(
-                &labels! {"__name__" => "ceems_compute_unit_cpu_user_seconds_total", "uuid" => uuid, "instance" => "n1"},
-                t,
-                (i as f64) * 15.0 * 5.5,
-            );
-            db.append(
-                &labels! {"__name__" => "ceems_compute_unit_cpu_system_seconds_total", "uuid" => uuid, "instance" => "n1"},
-                t,
-                (i as f64) * 15.0 * 0.5,
-            );
-            db.append(
-                &labels! {"__name__" => "ceems_compute_unit_memory_used_bytes", "uuid" => uuid, "instance" => "n1"},
-                t,
-                (16u64 << 30) as f64,
-            );
-            db.append(
-                &labels! {"__name__" => "uuid:ceems_power:watts", "uuid" => uuid, "instance" => "n1"},
-                t,
-                360.0,
-            );
-            db.append(
-                &labels! {"__name__" => "ceems_emissions_gCo2_kWh", "provider" => "rte", "instance" => "n1"},
-                t,
-                50.0,
-            );
-        }
+        append_unit(&db, uuid, 0, 600_000, |_| STEADY);
+        append_factor(&db, 600_000, |_| 50.0);
         db
     }
 
@@ -524,6 +638,458 @@ mod tests {
         let rows = upd.db().query(UNITS_TABLE, &Query::all()).unwrap();
         assert!(rows[0][unit_cols::AVG_CPU_USAGE].is_null());
         assert!(rows[0][unit_cols::ENERGY_KWH].is_null());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A resource manager replaying fixed unit lifecycles against a clock
+    /// the test sets: each unit is reported as it looks at that time, and
+    /// finished units are re-reported on every poll.
+    struct ClockRm {
+        units: Vec<UnitInfo>,
+        now_ms: AtomicI64,
+    }
+
+    impl ClockRm {
+        fn new(units: Vec<UnitInfo>) -> Arc<ClockRm> {
+            Arc::new(ClockRm {
+                units,
+                now_ms: AtomicI64::new(0),
+            })
+        }
+    }
+
+    impl ResourceManagerClient for ClockRm {
+        fn name(&self) -> &'static str {
+            "clock"
+        }
+        fn units_since(&self, _since_ms: i64) -> Vec<UnitInfo> {
+            let now = self.now_ms.load(Ordering::SeqCst);
+            self.units
+                .iter()
+                .filter(|u| u.submitted_at_ms <= now)
+                .map(|u| {
+                    let mut u = u.clone();
+                    if u.started_at_ms.is_some_and(|s| s > now) {
+                        u.started_at_ms = None;
+                        u.ended_at_ms = None;
+                        u.state = "PENDING".into();
+                    } else if u.ended_at_ms.is_some_and(|e| e > now) {
+                        u.ended_at_ms = None;
+                        u.state = "RUNNING".into();
+                    }
+                    u
+                })
+                .collect()
+        }
+    }
+
+    /// Counts the instant queries that reach the wrapped source.
+    struct Counting {
+        inner: TsdbLocalSource,
+        queries: AtomicU64,
+    }
+
+    impl MetricSource for Counting {
+        fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)> {
+            self.queries.fetch_add(1, Ordering::SeqCst);
+            self.inner.instant(query, t_ms)
+        }
+    }
+
+    /// What a unit does at one instant.
+    struct Load {
+        cores: f64,
+        mem: f64,
+        gpu_pct: f64,
+        watts: f64,
+    }
+
+    const STEADY: Load = Load {
+        cores: 6.0,
+        mem: (16u64 << 30) as f64,
+        gpu_pct: 40.0,
+        watts: 360.0,
+    };
+
+    /// Appends `uuid`'s series every 15 s over `[start_ms, end_ms]`; the CPU
+    /// counters integrate `load(t).cores`, split 90/10 into user/system.
+    fn append_unit(db: &Tsdb, uuid: &str, start_ms: i64, end_ms: i64, load: impl Fn(i64) -> Load) {
+        let (mut user, mut system) = (0.0, 0.0);
+        for t in (start_ms..=end_ms).step_by(15_000) {
+            let l = load(t);
+            for (name, v) in [
+                ("ceems_compute_unit_cpu_user_seconds_total", user),
+                ("ceems_compute_unit_cpu_system_seconds_total", system),
+                ("ceems_compute_unit_memory_used_bytes", l.mem),
+                ("uuid:ceems_power:watts", l.watts),
+            ] {
+                db.append(
+                    &labels! {"__name__" => name, "uuid" => uuid, "instance" => "n1"},
+                    t,
+                    v,
+                );
+            }
+            db.append(
+                &labels! {"__name__" => "uuid:ceems_gpu_util:pct", "uuid" => uuid, "gpu" => "0"},
+                t,
+                l.gpu_pct,
+            );
+            user += l.cores * 15.0 * 0.9;
+            system += l.cores * 15.0 * 0.1;
+        }
+    }
+
+    fn append_factor(db: &Tsdb, end_ms: i64, factor: impl Fn(i64) -> f64) {
+        for t in (0..=end_ms).step_by(15_000) {
+            db.append(
+                &labels! {"__name__" => "ceems_emissions_gCo2_kWh", "provider" => "rte"},
+                t,
+                factor(t),
+            );
+        }
+    }
+
+    fn open_updater(
+        dir: &std::path::Path,
+        rm: Arc<ClockRm>,
+        source: Arc<dyn MetricSource>,
+    ) -> Updater {
+        Updater::new(
+            Db::open(dir).unwrap(),
+            rm,
+            source,
+            None,
+            UpdaterConfig::default(),
+        )
+        .unwrap()
+    }
+
+    fn poll_at(upd: &mut Updater, rm: &ClockRm, now_ms: i64) {
+        rm.now_ms.store(now_ms, Ordering::SeqCst);
+        upd.poll(now_ms).unwrap();
+    }
+
+    fn stored(upd: &Updater, uuid: &str) -> Vec<Value> {
+        upd.db().get(UNITS_TABLE, &uuid.into()).unwrap().unwrap()
+    }
+
+    /// `[cpu %, memory, gpu %, kWh, g]` of a stored row.
+    fn aggregates(row: &[Value]) -> [Option<f64>; 5] {
+        [
+            unit_cols::AVG_CPU_USAGE,
+            unit_cols::AVG_MEM,
+            unit_cols::AVG_GPU_USAGE,
+            unit_cols::ENERGY_KWH,
+            unit_cols::EMISSIONS_G,
+        ]
+        .map(|col| row[col].as_real())
+    }
+
+    /// The same five aggregates from one evaluation of the unit's whole
+    /// life at its end — the per-unit expressions `poll` used to send for
+    /// every running unit on every poll, kept as the reference the fold is
+    /// checked against.
+    fn one_shot(src: &dyn MetricSource, u: &UnitInfo, now_ms: i64) -> [Option<f64>; 5] {
+        let cfg = UpdaterConfig::default();
+        let end_ms = u.ended_at_ms.unwrap_or(now_ms);
+        let elapsed_s = (end_ms - u.started_at_ms.unwrap()) as f64 / 1000.0;
+        let window_s = (elapsed_s as i64).max(60);
+        let uuid = &u.uuid;
+        let cpu = src
+            .scalar(
+                &format!(
+                    "sum(increase(ceems_compute_unit_cpu_user_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s])) + sum(increase(ceems_compute_unit_cpu_system_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s]))"
+                ),
+                end_ms,
+            )
+            .map(|cpu_s| (cpu_s / (elapsed_s * u.ncpus.max(1) as f64) * 100.0).clamp(0.0, 100.0));
+        let mem = src.scalar(
+            &format!(
+                "sum(avg_over_time(ceems_compute_unit_memory_used_bytes{{uuid=\"{uuid}\"}}[{window_s}s]))"
+            ),
+            end_ms,
+        );
+        let gpu = src
+            .scalar(
+                &format!(
+                    "avg(avg_over_time(uuid:ceems_gpu_util:pct{{uuid=\"{uuid}\"}}[{window_s}s]))"
+                ),
+                end_ms,
+            )
+            .map(|g| g.clamp(0.0, 100.0));
+        let kwh = src
+            .scalar(
+                &format!(
+                    "sum(avg_over_time({}{{uuid=\"{uuid}\"}}[{window_s}s]))",
+                    cfg.power_metric
+                ),
+                end_ms,
+            )
+            .map(|avg_w| (avg_w * elapsed_s / 3.6e6).max(0.0));
+        let g = kwh.and_then(|kwh| Some(kwh * src.scalar(&cfg.emission_factor_query, end_ms)?));
+        [cpu, mem, gpu, kwh, g]
+    }
+
+    #[test]
+    fn queries_per_poll_do_not_grow_with_units() {
+        let mut sent_by_n = Vec::new();
+        for n in [1usize, 50, 500] {
+            let tsdb = Arc::new(Tsdb::default());
+            let mut units = Vec::new();
+            for i in 0..n {
+                let uuid = format!("slurm-{i}");
+                append_unit(&tsdb, &uuid, 0, 180_000, |_| STEADY);
+                units.push(UnitInfo {
+                    ngpus: 1,
+                    ..unit(&uuid, "alice", 0, None)
+                });
+            }
+            append_factor(&tsdb, 180_000, |_| 50.0);
+            let source = Arc::new(Counting {
+                inner: TsdbLocalSource::new(tsdb),
+                queries: AtomicU64::new(0),
+            });
+            let rm = ClockRm::new(units);
+            let dir = tmpdir("count");
+            let mut upd = open_updater(&dir, rm.clone(), source.clone());
+            for (polls, now_ms) in [(1, 60_000), (2, 120_000), (3, 180_000)] {
+                let before = source.queries.load(Ordering::SeqCst);
+                poll_at(&mut upd, &rm, now_ms);
+                let sent = source.queries.load(Ordering::SeqCst) - before;
+                assert!((1..=6).contains(&sent), "{sent} queries for {n} units");
+                sent_by_n.push((n, sent));
+                assert_eq!(
+                    upd.stats().tsdb_queries,
+                    source.queries.load(Ordering::SeqCst)
+                );
+                assert_eq!(upd.stats().units_folded, (polls * n) as u64);
+            }
+            // Every unit was folded, not just counted.
+            let kwh = stored(&upd, &format!("slurm-{}", n - 1))[unit_cols::ENERGY_KWH]
+                .as_real()
+                .unwrap();
+            assert!((kwh - 360.0 * 180.0 / 3.6e6).abs() < 1e-9, "kwh={kwh}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+        assert!(
+            sent_by_n.iter().all(|(_, sent)| *sent == sent_by_n[0].1),
+            "{sent_by_n:?}"
+        );
+    }
+
+    #[test]
+    fn incremental_fold_matches_one_shot_evaluation() {
+        // Irregular poll times, none aligned with the 15 s scrape grid but
+        // the last, which lands after the unit's end.
+        let polls = [
+            47_000, 131_000, 200_000, 463_000, 519_000, 790_000, 1_201_000, 1_260_000,
+        ];
+        let end_ms = 1_200_000;
+        let varying = |t: i64| {
+            let phase = (t as f64 / 200_000.0).sin();
+            Load {
+                cores: 4.0 + 2.0 * phase,
+                mem: (8u64 << 30) as f64 * (1.0 + 0.5 * phase),
+                gpu_pct: 50.0 + 30.0 * phase,
+                watts: 300.0 + 100.0 * phase,
+            }
+        };
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, end_ms, varying);
+        append_unit(&tsdb, "slurm-2", 0, end_ms, |_| STEADY);
+        append_factor(&tsdb, 1_260_000, |_| 50.0);
+        let units: Vec<UnitInfo> = ["slurm-1", "slurm-2"]
+            .iter()
+            .map(|uuid| UnitInfo {
+                ngpus: 1,
+                ..unit(uuid, "alice", 0, Some(end_ms))
+            })
+            .collect();
+        let source = Arc::new(TsdbLocalSource::new(tsdb));
+        let rm = ClockRm::new(units.clone());
+        let dir = tmpdir("oneshot");
+        let mut upd = open_updater(&dir, rm.clone(), source.clone());
+        for now_ms in polls {
+            poll_at(&mut upd, &rm, now_ms);
+        }
+
+        let folded = aggregates(&stored(&upd, "slurm-1"));
+        let reference = one_shot(source.as_ref(), &units[0], 1_260_000);
+        for (name, (got, want)) in ["cpu", "mem", "gpu", "kwh", "g"]
+            .iter()
+            .zip(folded.iter().zip(reference))
+        {
+            let (got, want) = (got.unwrap(), want.unwrap());
+            assert!(
+                (got - want).abs() <= 0.02 * want,
+                "{name}: folded {got}, one-shot {want}"
+            );
+        }
+
+        // Constant inputs: the fold loses nothing to the poll boundaries.
+        let folded = aggregates(&stored(&upd, "slurm-2"));
+        let reference = one_shot(source.as_ref(), &units[1], 1_260_000);
+        for (got, want) in folded.iter().zip(reference) {
+            let (got, want) = (got.unwrap(), want.unwrap());
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "folded {got}, one-shot {want}"
+            );
+        }
+        assert!((folded[3].unwrap() - 360.0 * 1200.0 / 3.6e6).abs() < 1e-12);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn each_interval_is_priced_at_its_own_emission_factor() {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, 600_000, |_| STEADY);
+        append_factor(&tsdb, 600_000, |t| if t <= 300_000 { 50.0 } else { 100.0 });
+        let rm = ClockRm::new(vec![unit("slurm-1", "alice", 0, Some(600_000))]);
+        let dir = tmpdir("factor");
+        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        poll_at(&mut upd, &rm, 300_000);
+        poll_at(&mut upd, &rm, 600_000);
+        let row = stored(&upd, "slurm-1");
+        // 360 W: 0.03 kWh at 50 g/kWh, then 0.03 kWh at 100 g/kWh.
+        let kwh = row[unit_cols::ENERGY_KWH].as_real().unwrap();
+        assert!((kwh - 0.06).abs() < 1e-9, "kwh={kwh}");
+        let g = row[unit_cols::EMISSIONS_G].as_real().unwrap();
+        assert!((g - 4.5).abs() < 1e-9, "g={g}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn repeated_polls_and_reports_fold_nothing_twice() {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, 300_000, |_| STEADY);
+        append_unit(&tsdb, "slurm-2", 0, 120_000, |_| STEADY);
+        append_factor(&tsdb, 300_000, |_| 50.0);
+        let rm = ClockRm::new(vec![
+            unit("slurm-1", "alice", 0, None),
+            unit("slurm-2", "alice", 0, Some(120_000)),
+        ]);
+        let dir = tmpdir("idem");
+        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        poll_at(&mut upd, &rm, 60_000);
+        poll_at(&mut upd, &rm, 180_000);
+        let running = stored(&upd, "slurm-1");
+        let finished = stored(&upd, "slurm-2");
+        let folds = upd.stats().units_folded;
+
+        // The same instant again: nothing new to cover.
+        poll_at(&mut upd, &rm, 180_000);
+        assert_eq!(stored(&upd, "slurm-1"), running);
+        assert_eq!(stored(&upd, "slurm-2"), finished);
+        assert_eq!(upd.stats().units_folded, folds);
+
+        // Later polls report the finished unit again; only `updated_at_ms`
+        // of its row moves.
+        poll_at(&mut upd, &rm, 240_000);
+        let again = stored(&upd, "slurm-2");
+        assert_eq!(
+            again[..unit_cols::UPDATED_AT],
+            finished[..unit_cols::UPDATED_AT]
+        );
+        assert_eq!(upd.stats().units_folded, folds + 1);
+        let kwh = again[unit_cols::ENERGY_KWH].as_real().unwrap();
+        assert!((kwh - 360.0 * 120.0 / 3.6e6).abs() < 1e-12, "kwh={kwh}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn restarted_updater_continues_from_the_rows() {
+        let tsdb = Arc::new(Tsdb::default());
+        let ramp = |t: i64| Load {
+            watts: 200.0 + t as f64 / 3_000.0,
+            ..STEADY
+        };
+        append_unit(&tsdb, "slurm-1", 0, 600_000, ramp);
+        append_unit(&tsdb, "slurm-2", 100_000, 400_000, ramp);
+        append_factor(&tsdb, 660_000, |t| 40.0 + t as f64 / 20_000.0);
+        let units = vec![
+            unit("slurm-1", "alice", 0, Some(600_000)),
+            unit("slurm-2", "bob", 100_000, Some(400_000)),
+        ];
+        let source: Arc<dyn MetricSource> = Arc::new(TsdbLocalSource::new(tsdb));
+        let polls = [60_000, 130_000, 250_000, 310_000, 455_000, 660_000];
+
+        let run = |tag: &str, restart_before: Option<usize>| {
+            let rm = ClockRm::new(units.clone());
+            let dir = tmpdir(tag);
+            let mut upd = open_updater(&dir, rm.clone(), source.clone());
+            for (i, &now_ms) in polls.iter().enumerate() {
+                if restart_before == Some(i) {
+                    drop(upd);
+                    upd = open_updater(&dir, rm.clone(), source.clone());
+                }
+                poll_at(&mut upd, &rm, now_ms);
+            }
+            let rows = upd.db().query(UNITS_TABLE, &Query::all()).unwrap();
+            let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
+            std::fs::remove_dir_all(dir).unwrap();
+            (rows, usage)
+        };
+        let uninterrupted = run("steady", None);
+        assert!(uninterrupted.0[0][unit_cols::ENERGY_KWH].as_real().unwrap() > 0.0);
+        // Restarts while both run, and after one of them ended unseen.
+        assert_eq!(run("restart-a", Some(3)), uninterrupted);
+        assert_eq!(run("restart-b", Some(5)), uninterrupted);
+    }
+
+    #[test]
+    fn unit_living_between_two_polls_gets_its_aggregates() {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, 180_000, |_| STEADY);
+        // Starts 5 s after one poll, ends 10 s before the next.
+        append_unit(&tsdb, "slurm-2", 65_000, 110_000, |_| STEADY);
+        append_factor(&tsdb, 180_000, |_| 50.0);
+        let short = unit("slurm-2", "bob", 65_000, Some(110_000));
+        let rm = ClockRm::new(vec![unit("slurm-1", "alice", 0, None), short.clone()]);
+        let source = Arc::new(TsdbLocalSource::new(tsdb));
+        let dir = tmpdir("between");
+        let mut upd = open_updater(&dir, rm.clone(), source.clone());
+        poll_at(&mut upd, &rm, 60_000);
+        poll_at(&mut upd, &rm, 120_000);
+        let row = stored(&upd, "slurm-2");
+        assert_eq!(row[unit_cols::ELAPSED_S].as_real(), Some(45.0));
+        let folded = aggregates(&row);
+        let reference = one_shot(source.as_ref(), &short, 120_000);
+        for (got, want) in folded.iter().zip(reference).take(2) {
+            let (got, want) = (got.unwrap(), want.unwrap());
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "folded {got}, one-shot {want}"
+            );
+        }
+        let kwh = folded[3].unwrap();
+        assert!((kwh - 360.0 * 45.0 / 3.6e6).abs() < 1e-12, "kwh={kwh}");
+        assert!((folded[4].unwrap() - kwh * 50.0).abs() < 1e-12);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn units_younger_than_thirty_seconds_wait_then_fold_from_their_start() {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 40_000, 180_000, |_| STEADY);
+        append_factor(&tsdb, 180_000, |_| 50.0);
+        let rm = ClockRm::new(vec![unit("slurm-1", "alice", 40_000, None)]);
+        let dir = tmpdir("young");
+        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        // 20 s old: a row, no aggregates, nothing folded.
+        poll_at(&mut upd, &rm, 60_000);
+        let row = stored(&upd, "slurm-1");
+        assert_eq!(row[unit_cols::ELAPSED_S].as_real(), Some(20.0));
+        assert_eq!(aggregates(&row), [None; 5]);
+        assert_eq!(upd.stats().units_folded, 0);
+        assert_eq!(upd.stats().tsdb_queries, 0);
+        // 80 s old: the first fold reaches back to the start, not to the
+        // poll that skipped it.
+        poll_at(&mut upd, &rm, 120_000);
+        let kwh = stored(&upd, "slurm-1")[unit_cols::ENERGY_KWH]
+            .as_real()
+            .unwrap();
+        assert!((kwh - 360.0 * 80.0 / 3.6e6).abs() < 1e-12, "kwh={kwh}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -684,31 +684,46 @@ impl QueryFrontend {
         if missing.is_empty() {
             return Vec::new();
         }
+        let threads = missing.len().min(self.cfg.max_fanout.max(1));
+        if threads == 1 {
+            // Nothing to overlap, and a spawn and join cost a fifth of such
+            // a request. A worker thread has no current trace; neither
+            // does this fetch, so the downstream sees the same headers.
+            let _untraced = ceems_obs::trace::enter(None);
+            return missing
+                .iter()
+                .map(|&slot| self.fetch_extent(req, &extents[slot]))
+                .collect();
+        }
         let out: Vec<Mutex<Option<Arc<ExtentData>>>> =
             missing.iter().map(|_| Mutex::new(None)).collect();
-        let threads = missing.len().min(self.cfg.max_fanout.max(1));
         let chunk = missing.len().div_ceil(threads);
         std::thread::scope(|s| {
             for (c, chunk_slots) in missing.chunks(chunk).enumerate() {
                 let out = &out;
                 s.spawn(move || {
                     for (j, slot) in chunk_slots.iter().enumerate() {
-                        let mut sub = sub_request(req, &extents[*slot]);
-                        if let Some(rate) = self.effective_sample_rate(tenant_of(req)) {
-                            sub = sub.with_header(SAMPLE_RATE_HEADER, format!("{rate}"));
-                        }
-                        let data = match self.downstream.forward(&sub) {
-                            Ok(resp) if resp.status.is_success() => {
-                                ExtentData::from_response(&resp.body).map(Arc::new)
-                            }
-                            _ => None,
-                        };
-                        *out[c * chunk + j].lock().unwrap() = data;
+                        *out[c * chunk + j].lock().unwrap() =
+                            self.fetch_extent(req, &extents[*slot]);
                     }
                 });
             }
         });
         out.into_iter().map(|m| m.into_inner().unwrap()).collect()
+    }
+
+    /// One extent's sub-query; `None` when it fails.
+    fn fetch_extent(&self, req: &Request, extent: &Extent) -> Option<Arc<ExtentData>> {
+        let mut sub = sub_request(req, extent);
+        if let Some(rate) = self.effective_sample_rate(tenant_of(req)) {
+            sub = sub.with_header(SAMPLE_RATE_HEADER, format!("{rate}"));
+        }
+        match self.downstream.forward(&sub) {
+            Ok(resp) if resp.status.is_success() => {
+                ExtentData::from_response(&resp.body).map(Arc::new)
+            }
+            _ => None,
+        }
     }
 
     /// Forwards the request verbatim. When this replaces a traced query,
@@ -1280,6 +1295,79 @@ mod tests {
         );
         let resp = fe.handle(&range_req("m", 0, 59, 15).with_header("x-grafana-user", "alice"));
         assert_eq!(resp.status, Status::OK);
+    }
+
+    /// One missing extent is fetched on the calling thread. The downstream
+    /// must not notice: same sub-request, same headers, and no current
+    /// trace (a fan-out worker never had one), so a `TsdbClient` adds the
+    /// trace header exactly when the request carried it.
+    #[test]
+    fn single_extent_fetch_looks_like_a_fanned_out_one() {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Seen {
+            url: String,
+            trace_header: Option<String>,
+            sample_rate: Option<String>,
+            in_trace: bool,
+        }
+        struct Recording {
+            inner: FakeDownstream,
+            seen: Mutex<Vec<Seen>>,
+        }
+        impl Downstream for Recording {
+            fn forward(&self, req: &Request) -> Result<Response, String> {
+                self.seen.lock().unwrap().push(Seen {
+                    url: req.path_and_query(),
+                    trace_header: req.header(TRACE_HEADER).map(str::to_string),
+                    sample_rate: req.header(SAMPLE_RATE_HEADER).map(str::to_string),
+                    in_trace: ceems_obs::trace::current().is_some(),
+                });
+                self.inner.forward(req)
+            }
+        }
+        let run = |req: &Request| {
+            let ds = Arc::new(Recording {
+                inner: FakeDownstream {
+                    calls: Mutex::new(Vec::new()),
+                    fail: AtomicBool::new(false),
+                },
+                seen: Mutex::new(Vec::new()),
+            });
+            let cfg = QfeConfig {
+                split_interval_ms: 60_000,
+                recent_window_ms: 0,
+                now: Arc::new(|| 10_000_000),
+                tenant_sample_rates: [("alice".to_string(), 0.25)].into(),
+                ..QfeConfig::default()
+            };
+            let fe = QueryFrontend::new(ds.clone() as Arc<dyn Downstream>, cfg);
+            let _outer = ceems_obs::trace::enter(Some(QueryTrace::begin(None)));
+            let resp = fe.handle(req);
+            assert_eq!(resp.status, Status::OK);
+            let seen = ds.seen.lock().unwrap().clone();
+            (resp, seen)
+        };
+
+        // 0..59 is one extent, 0..179 three.
+        let one = range_req("m", 0, 59, 15).with_header("x-grafana-user", "alice");
+        let three = range_req("m", 0, 179, 15).with_header("x-grafana-user", "alice");
+        let (resp, seen) = run(&one);
+        assert_eq!(resp.header("x-ceems-qfe-cache"), Some("miss"));
+        let (_, fanned) = run(&three);
+        assert_eq!((seen.len(), fanned.len()), (1, 3));
+        assert!(
+            fanned.contains(&seen[0]),
+            "0..45 is the first extent of both"
+        );
+        assert_eq!(seen[0].trace_header, None);
+        assert_eq!(seen[0].sample_rate.as_deref(), Some("0.25"));
+        assert!(
+            !seen[0].in_trace,
+            "the caller's trace must not leak into the fetch"
+        );
+
+        let (_, seen) = run(&one.clone().with_header(TRACE_HEADER, "feedface"));
+        assert_eq!(seen[0].trace_header.as_deref(), Some("feedface"));
     }
 
     #[test]

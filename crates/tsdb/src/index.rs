@@ -5,6 +5,7 @@
 //! scan the value space of the label, which is how Prometheus' index works
 //! and why high label cardinality (§II.C of the paper) hurts.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -198,52 +199,55 @@ impl LabelIndex {
             return all;
         }
 
-        // Candidate narrowing: start from the cheapest positive matcher.
-        let mut candidate: Option<Vec<SeriesId>> = None;
+        // Positive matchers narrow the candidates. An exact one lends its
+        // posting list as it stands; only a regex builds a list of its own,
+        // the union over the values it matches. Negative matchers, and
+        // those a series without the label satisfies (`job=""`,
+        // `job=~".*"`), cannot narrow.
+        let mut lists: Vec<Cow<'_, [SeriesId]>> = Vec::new();
         for m in matchers {
-            let list = match m.op {
-                MatchOp::Eq if m.is_exact() => Some(
+            match m.op {
+                MatchOp::Eq if m.is_exact() => lists.push(Cow::Borrowed(
                     self.postings
                         .get(&m.name)
                         .and_then(|values| values.get(&m.value))
-                        .cloned()
-                        .unwrap_or_default(),
-                ),
-                MatchOp::Re => {
-                    // Union of posting lists of matching values.
-                    self.postings.get(&m.name).map(|values| {
-                        let mut out: Vec<SeriesId> = values
+                        .map_or(&[][..], Vec::as_slice),
+                )),
+                MatchOp::Re if !m.matches_value("") => {
+                    if let Some(values) = self.postings.get(&m.name) {
+                        let mut union: Vec<SeriesId> = values
                             .iter()
                             .filter(|(v, _)| m.matches_value(v))
                             .flat_map(|(_, ids)| ids.iter().copied())
                             .collect();
-                        out.sort_unstable();
-                        out.dedup();
-                        out
-                    })
+                        union.sort_unstable();
+                        union.dedup();
+                        lists.push(Cow::Owned(union));
+                    }
                 }
-                _ => None, // negative / empty matchers can't narrow
-            };
-            if let Some(list) = list {
-                candidate = Some(match candidate {
-                    None => list,
-                    Some(prev) => intersect_sorted(&prev, &list),
-                });
+                _ => {}
             }
         }
 
-        let base: Vec<SeriesId> = match candidate {
-            Some(c) => c,
+        // Shortest first: no intermediate result outgrows the most
+        // selective matcher, whatever order the selector was written in.
+        lists.sort_by_key(|list| list.len());
+        let mut lists = lists.into_iter();
+        let base: Cow<'_, [SeriesId]> = match lists.next() {
+            Some(shortest) => lists.fold(shortest, |acc, list| {
+                Cow::Owned(intersect_sorted(&acc, &list))
+            }),
             None => {
                 let mut all: Vec<SeriesId> = self.series.keys().copied().collect();
                 all.sort_unstable();
-                all
+                Cow::Owned(all)
             }
         };
 
         // Final filter applies every matcher (covers negatives and the
         // absent-label-means-empty rule).
-        base.into_iter()
+        base.iter()
+            .copied()
             .filter(|id| {
                 let labels = &self.series[id];
                 matchers.iter().all(|m| m.matches(labels))
@@ -342,6 +346,57 @@ mod tests {
         let nre = LabelMatcher::new("instance", MatchOp::Nre, "gpu-.*").unwrap();
         let ids = idx.select(&[nre]);
         assert_eq!(ids.len(), 3);
+    }
+
+    /// Whatever mix of exact, regex, negative and absent-label matchers,
+    /// in whatever order, `select` answers what filtering every series by
+    /// every matcher answers, in ascending id order.
+    #[test]
+    fn select_equals_a_full_scan_in_any_matcher_order() {
+        let mut idx = sample_index();
+        for i in 0..40 {
+            idx.get_or_create(&labels! {
+                "__name__" => if i % 3 == 0 { "power" } else { "cpu" },
+                "instance" => format!("n{}", i % 7),
+                "uuid" => format!("slurm-{i}"),
+            });
+        }
+        let m = |name: &str, op, value: &str| LabelMatcher::new(name, op, value).unwrap();
+        let pool = [
+            m("__name__", MatchOp::Eq, "power"),
+            m("instance", MatchOp::Eq, "n1"),
+            m("uuid", MatchOp::Eq, "slurm-15"),
+            m("uuid", MatchOp::Eq, "slurm-404"),
+            m("nolabel", MatchOp::Eq, "x"),
+            m("instance", MatchOp::Re, "n[1-3]"),
+            m("uuid", MatchOp::Re, "slurm-1.*"),
+            m("job", MatchOp::Re, ".*"),
+            m("job", MatchOp::Ne, "dcgm"),
+            m("job", MatchOp::Eq, ""),
+            m("instance", MatchOp::Nre, "gpu-.*|n0"),
+        ];
+        let scan = |matchers: &[LabelMatcher]| {
+            let mut ids: Vec<SeriesId> = idx
+                .series
+                .iter()
+                .filter(|(_, labels)| matchers.iter().all(|m| m.matches(labels)))
+                .map(|(id, _)| *id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut non_empty = 0;
+        for a in 0..pool.len() {
+            for b in 0..pool.len() {
+                for c in 0..pool.len() {
+                    let matchers = [pool[a].clone(), pool[b].clone(), pool[c].clone()];
+                    let got = idx.select(&matchers);
+                    assert_eq!(got, scan(&matchers), "{matchers:?}");
+                    non_empty += usize::from(!got.is_empty());
+                }
+            }
+        }
+        assert!(non_empty > 100, "the pool must not be all-empty answers");
     }
 
     #[test]
