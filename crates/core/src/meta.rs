@@ -21,8 +21,7 @@
 use std::sync::Arc;
 
 use ceems_http::Client;
-use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
-use ceems_tsdb::scrape::{exposition_to_batch, fetch_exposition, TargetSource};
+use ceems_tsdb::scrape::{fetch_exposition, SeriesCache, Stamp, TargetSource};
 use ceems_tsdb::Tsdb;
 
 /// The reserved tenant meta-monitoring series live under.
@@ -40,6 +39,7 @@ pub struct MetaTarget {
     /// The `tenant` and `component` labels stamped on every series.
     labels: Vec<(String, String)>,
     last_ok_ms: Option<i64>,
+    cache: SeriesCache,
 }
 
 impl MetaTarget {
@@ -52,6 +52,7 @@ impl MetaTarget {
                 ("component".to_string(), component.to_string()),
             ],
             last_ok_ms: None,
+            cache: SeriesCache::default(),
         }
     }
 
@@ -122,16 +123,30 @@ impl MetaMonitor {
             let started = std::time::Instant::now();
             let fetched = fetch_exposition(&self.client, &t.source);
             let duration_s = started.elapsed().as_secs_f64();
-            let batch = fetched.and_then(|body| {
-                exposition_to_batch(&body, &t.instance, META_JOB, &t.labels, now_ms)
+            let stamp = Stamp {
+                instance: &t.instance,
+                job: META_JOB,
+                extra_labels: &t.labels,
+            };
+            // One pass over a target — its samples and its three health
+            // series — is one group commit; a target that is down or does
+            // not parse reports the health series alone.
+            let health = |up: f64, staleness_s: f64| {
+                [
+                    ("ceems_meta_up", up),
+                    ("ceems_meta_scrape_duration_seconds", duration_s),
+                    ("ceems_meta_scrape_staleness_seconds", staleness_s),
+                ]
+            };
+            let ingested = fetched.and_then(|body| {
+                let got = t.cache.ingest(db, None, &body, stamp, now_ms, &health(1.0, 0.0))?;
+                Ok(got.samples)
             });
-            match batch {
-                Ok(batch) => {
-                    db.append_batch(&batch);
+            match ingested {
+                Ok(samples) => {
                     stats.ok += 1;
-                    stats.samples += batch.len() as u64;
+                    stats.samples += samples;
                     t.last_ok_ms = Some(now_ms);
-                    write_health(db, t, now_ms, 1.0, duration_s, 0.0);
                 }
                 Err(_) => {
                     stats.failed += 1;
@@ -139,32 +154,13 @@ impl MetaMonitor {
                         .last_ok_ms
                         .map(|ok| (now_ms - ok).max(0) as f64 / 1000.0)
                         .unwrap_or(0.0);
-                    write_health(db, t, now_ms, 0.0, duration_s, staleness);
+                    t.cache
+                        .ingest(db, None, "", stamp, now_ms, &health(0.0, staleness))
+                        .expect("an empty body has no bad line and the write is unfenced");
                 }
             }
         }
         stats
-    }
-}
-
-fn meta_labels(t: &MetaTarget, name: &str) -> LabelSetBuilder {
-    let mut b = LabelSetBuilder::new()
-        .label(METRIC_NAME_LABEL, name)
-        .label("instance", &t.instance)
-        .label("job", META_JOB);
-    for (k, v) in &t.labels {
-        b = b.label(k, v);
-    }
-    b
-}
-
-fn write_health(db: &Tsdb, t: &MetaTarget, now_ms: i64, up: f64, duration_s: f64, staleness_s: f64) {
-    for (name, v) in [
-        ("ceems_meta_up", up),
-        ("ceems_meta_scrape_duration_seconds", duration_s),
-        ("ceems_meta_scrape_staleness_seconds", staleness_s),
-    ] {
-        db.append(&meta_labels(t, name).build(), now_ms, v);
     }
 }
 

@@ -6,6 +6,7 @@
 //! [`CeemsStack::advance`] moves the whole system one simulation step; the
 //! 1,400-node Jean-Zay experiment is just this with the big cluster spec.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -28,7 +29,9 @@ use ceems_simnode::{SimClock, SimCluster};
 use ceems_slurm::{ChurnGenerator, JobRequest, Partition, Scheduler};
 use ceems_stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems_tsdb::rules::RuleEngine;
-use ceems_tsdb::scrape::{ScrapeManager, ScrapeStats, ScrapeTarget, TargetSource};
+use ceems_tsdb::scrape::{
+    ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
+};
 use ceems_tsdb::{ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
 
 use crate::attribution::{all_rule_groups, NodeGroup};
@@ -365,38 +368,39 @@ impl CeemsStack {
         .with_eval_threads(config.query_threads);
 
         // Streaming ingest bus (S23): exporters publish renders instead of
-        // being scraped. The sink parses the exposition text through the
-        // same label-stamping path as a scrape and appends synchronously —
-        // one acked frame is one TSDB batch (and one WAL group commit when
-        // durability is on) — returning the metric names that arrived so
-        // the rule engine can re-evaluate just the affected sub-DAG.
+        // being scraped. The sink ingests the exposition text through the
+        // same entry point as a scrape, one series cache per publisher, and
+        // appends synchronously — one acked frame is one TSDB batch (and one
+        // WAL group commit when durability is on) — returning the metric
+        // names that arrived so the rule engine can re-evaluate just the
+        // affected sub-DAG.
         let stream_bus = if config.stream.enabled {
             let sink_db = tsdb.clone();
             let sink_router = replication.as_ref().map(|f| f.router.clone());
+            let caches: Mutex<HashMap<String, SeriesCache>> = Mutex::default();
             let sink: ceems_stream::IngestSink = Arc::new(move |f: &SampleFrame| {
-                let batch = ceems_tsdb::scrape::exposition_to_batch(
-                    &f.body,
-                    &f.instance,
-                    &f.job,
-                    &f.extra_labels,
-                    f.produced_ms,
-                )?;
-                let names: std::collections::BTreeSet<String> = batch
-                    .iter()
-                    .filter_map(|(ls, _, _)| ls.metric_name().map(str::to_string))
-                    .collect();
-                let samples = batch.len() as u64;
-                match &sink_router {
+                let (db, epoch) = match &sink_router {
                     // Failover mode: append through the write route, fenced
                     // with the route's epoch. A leaderless window or a stale
                     // epoch rejects the frame; the publisher keeps it
                     // buffered and resumes after the election.
-                    Some(router) => router.append_batch(&batch)?,
-                    None => sink_db.append_batch(&batch),
-                }
+                    Some(router) => {
+                        let route = router.route();
+                        (route.db.ok_or("no leader elected")?, Some(route.epoch))
+                    }
+                    None => (sink_db.clone(), None),
+                };
+                let mut caches = caches.lock();
+                let cache = caches.entry(f.publisher.clone()).or_default();
+                let stamp = Stamp {
+                    instance: &f.instance,
+                    job: &f.job,
+                    extra_labels: &f.extra_labels,
+                };
+                let got = cache.ingest(&db, epoch, &f.body, stamp, f.produced_ms, &[])?;
                 Ok(SinkReceipt {
-                    samples,
-                    names: names.into_iter().collect(),
+                    samples: got.samples,
+                    names: got.names.into_iter().map(str::to_string).collect(),
                 })
             });
             Some(Arc::new(StreamBus::new(
@@ -1019,6 +1023,30 @@ mod tests {
         let energy = rows[0][ceems_apiserver::schema::unit_cols::ENERGY_KWH].as_real();
         assert!(energy.is_some(), "energy not filled: {rows:?}");
         assert!(energy.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn scrape_passes_after_the_first_ingest_by_series_id() {
+        let mut stack = CeemsStack::build_default();
+        stack.submit(cpu_job("alice", 16)).unwrap();
+        stack.run_for(150.0, 15.0);
+
+        let st = stack.stats();
+        let ins = stack.tsdb.instruments();
+        let (hits, misses) = (ins.series_ref_hits.get(), ins.series_ref_misses.get());
+        // Every scraped sample and every `up` went through `append_refs`...
+        assert_eq!(hits + misses, (st.samples_scraped + st.scrape_passes * 8) as f64);
+        // ...and only the first of the eleven passes (and the lines the job
+        // added when it started) went by label set.
+        assert!(hits > 5.0 * misses, "hits {hits} misses {misses}");
+        assert_eq!(ins.stale_ref_batches.get(), 0.0);
+
+        let up = stack.tsdb.select(&[LabelMatcher::eq("__name__", "up")], 0, i64::MAX);
+        assert_eq!(up.len(), 8);
+        for s in &up {
+            assert_eq!(s.samples.len() as u64, st.scrape_passes);
+            assert!(s.samples.iter().all(|p| p.v == 1.0));
+        }
     }
 
     #[test]

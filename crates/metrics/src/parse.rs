@@ -64,15 +64,25 @@ pub struct ParsedScrape {
     pub help: HashMap<String, String>,
 }
 
+/// The non-blank lines of a document with their 1-based numbers, a trailing
+/// `\r` removed. Comment lines (`#…`) are included.
+fn numbered_lines(body: &str) -> impl Iterator<Item = (usize, &str)> {
+    body.lines()
+        .enumerate()
+        .map(|(idx, raw)| (idx + 1, raw.trim_end_matches('\r')))
+        .filter(|(_, line)| !line.is_empty())
+}
+
+/// The sample lines of a document (neither blank nor a comment) with their
+/// 1-based numbers — what [`parse_text`] hands to [`parse_sample_line`].
+pub fn sample_lines(body: &str) -> impl Iterator<Item = (usize, &str)> {
+    numbered_lines(body).filter(|(_, line)| !line.starts_with('#'))
+}
+
 /// Parses a full text-format document.
 pub fn parse_text(body: &str) -> Result<ParsedScrape, ParseError> {
     let mut out = ParsedScrape::default();
-    for (idx, raw) in body.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim_end_matches('\r');
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in numbered_lines(body) {
         if let Some(rest) = line.strip_prefix('#') {
             let rest = rest.trim_start();
             if let Some(rest) = rest.strip_prefix("TYPE ") {
@@ -114,49 +124,81 @@ fn unescape_help(s: &str) -> String {
     out
 }
 
-fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseError> {
+/// Byte length of the series text a sample line starts with — `name` or
+/// `name{…}` — found without building anything: the scan only steps over
+/// quoted values (honouring `\` escapes) to the closing brace. `None` when
+/// the line does not start with a name or its block never closes. The scan
+/// validates nothing; a caller that keys a cache by this text must have put
+/// the key there from a line [`parse_series`] accepted.
+pub fn series_text_len(line: &str) -> Option<usize> {
+    let bytes = line.as_bytes();
+    let name_len = metric_name_len(bytes);
+    if name_len == 0 {
+        return None;
+    }
+    if bytes.get(name_len) != Some(&b'{') {
+        return Some(name_len);
+    }
+    let mut i = name_len + 1;
+    let mut quoted = false;
+    while let Some(&c) = bytes.get(i) {
+        match c {
+            b'\\' if quoted => i += 1,
+            b'"' => quoted = !quoted,
+            b'}' if !quoted => return Some(i + 1),
+            _ => {}
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Length of the metric name (`[a-zA-Z0-9_:]*`) a line starts with.
+fn metric_name_len(line: &[u8]) -> usize {
+    line.iter()
+        .position(|&c| !(c.is_ascii_alphanumeric() || c == b'_' || c == b':'))
+        .unwrap_or(line.len())
+}
+
+/// Parses the series text of a sample line: the metric name, its labels
+/// (excluding the name) and the byte offset at which the value tail —
+/// [`parse_sample_rest`]'s input — begins.
+pub fn parse_series(line: &str, lineno: usize) -> Result<(String, LabelSet, usize), ParseError> {
+    let bytes = line.as_bytes();
+    let mut i = metric_name_len(bytes);
+    if i == 0 {
+        return Err(ParseError {
+            line: lineno,
+            message: "expected metric name".to_string(),
+        });
+    }
+    let name = line[..i].to_string();
+    let labels = if bytes.get(i) == Some(&b'{') {
+        parse_label_block(line, lineno, &mut i)?
+    } else {
+        LabelSet::empty()
+    };
+    Ok((name, labels, i))
+}
+
+/// Parses what follows the series text of a sample line: the value, an
+/// optional timestamp and an optional OpenMetrics exemplar suffix
+/// (`# {labels} value`). Any '#' starts the exemplar: sample values and
+/// timestamps cannot contain one.
+pub fn parse_sample_rest(
+    rest: &str,
+    lineno: usize,
+) -> Result<(f64, Option<i64>, Option<ParsedExemplar>), ParseError> {
     let err = |m: &str| ParseError {
         line: lineno,
         message: m.to_string(),
     };
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    // Metric name.
-    let start = i;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            i += 1;
-        } else {
-            break;
-        }
-    }
-    if i == start {
-        return Err(err("expected metric name"));
-    }
-    let name = line[start..i].to_string();
-
-    // Optional labels.
-    let labels = if i < bytes.len() && bytes[i] == b'{' {
-        parse_label_block(line, lineno, &mut i)?
-    } else {
-        LabelSetBuilder::new().build()
-    };
-
-    // Value and timestamp, with an optional OpenMetrics exemplar suffix
-    // (`# {labels} value`). Any '#' after the label block starts the
-    // exemplar: sample values and timestamps cannot contain one.
-    let rest = &line[i..];
     let (sample_part, exemplar_part) = match rest.find('#') {
         Some(pos) => (&rest[..pos], Some(&rest[pos + 1..])),
         None => (rest, None),
     };
-    let sample_part = sample_part.trim();
-    if sample_part.is_empty() {
-        return Err(err("missing sample value"));
-    }
     let mut parts = sample_part.split_whitespace();
-    let vstr = parts.next().unwrap();
+    let vstr = parts.next().ok_or_else(|| err("missing sample value"))?;
     let value = parse_value(vstr).ok_or_else(|| err(&format!("bad value {vstr:?}")))?;
     let timestamp_ms = match parts.next() {
         None => None,
@@ -168,12 +210,17 @@ fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseErr
     if parts.next().is_some() {
         return Err(err("trailing garbage after timestamp"));
     }
-
     let exemplar = match exemplar_part {
         None => None,
         Some(ex) => Some(parse_exemplar(ex, lineno)?),
     };
+    Ok((value, timestamp_ms, exemplar))
+}
 
+/// Parses one sample line: [`parse_series`], then [`parse_sample_rest`].
+pub fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseError> {
+    let (name, labels, end) = parse_series(line, lineno)?;
+    let (value, timestamp_ms, exemplar) = parse_sample_rest(&line[end..], lineno)?;
     Ok(ParsedSample {
         name,
         labels,
@@ -271,9 +318,12 @@ fn parse_label_block(line: &str, lineno: usize, i: &mut usize) -> Result<LabelSe
                         b'n' => value.push('\n'),
                         b'\\' => value.push('\\'),
                         b'"' => value.push('"'),
-                        other => {
+                        // Not an escape: the backslash stands for itself
+                        // and the next turn reads the character after it
+                        // whole (it may be several bytes long).
+                        _ => {
                             value.push('\\');
-                            value.push(other as char);
+                            continue;
                         }
                     }
                     *i += 1;
@@ -347,6 +397,32 @@ mod tests {
         let doc = "m{p=\"a\\\"b\\nc\\\\d\"} 2\n";
         let parsed = parse_text(doc).unwrap();
         assert_eq!(parsed.samples[0].labels.get("p"), Some("a\"b\nc\\d"));
+    }
+
+    #[test]
+    fn unknown_escape_before_multibyte_char() {
+        let parsed = parse_text("m{p=\"a\\éb\\x\"} 2\n").unwrap();
+        assert_eq!(parsed.samples[0].labels.get("p"), Some("a\\éb\\x"));
+    }
+
+    #[test]
+    fn series_text_len_agrees_with_parse_series() {
+        for line in [
+            "up 1",
+            "up{} 1",
+            "m{a=\"x\"} 1 1700",
+            "m{ a=\"}\" , b=\"\\\"}\" } 2 # {t=\"x\"} 1",
+            "m{a=\"\\\\\"} 3",
+            "m{a=\"é\\é,#\"}4",
+            "a:b_c9{le=\"+Inf\"}\t5",
+        ] {
+            let (_, _, end) = parse_series(line, 1).unwrap();
+            assert_eq!(series_text_len(line), Some(end), "{line}");
+        }
+        assert_eq!(series_text_len("{x} 1"), None);
+        assert_eq!(series_text_len(""), None);
+        assert_eq!(series_text_len("m{a=\"x} 1"), None);
+        assert_eq!(series_text_len("m{a=\"x\\"), None);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! One [`StreamBus`] owns every `(tenant, topic)` stream. A publish is a
 //! *synchronous* ingest: the frame goes through the ingest sink (in the
-//! stack, [`exposition_to_batch` → `append_batch`] — one WAL group commit
-//! per frame) before the publisher's sequence number is acknowledged, so an
+//! stack, the publisher's `SeriesCache::ingest` — one WAL group commit per
+//! frame) before the publisher's sequence number is acknowledged, so an
 //! ack means the samples are durable. After ingest the frame is appended to
 //! a bounded replay ring (for subscriber resume) and fanned out to live
 //! subscriber [`StreamWriter`]s.
@@ -192,10 +192,12 @@ impl StreamBus {
 
         // Fan out to live subscribers; a writer whose consumer vanished
         // (send fails) is shed here.
-        let mut wire = Vec::new();
-        frame.encode_into(&mut wire, Some(offset));
         let before = topic.subscribers.len();
-        topic.subscribers.retain(|w| w.send(wire.clone()));
+        if before > 0 {
+            let mut wire = Vec::new();
+            frame.encode_into(&mut wire, Some(offset));
+            topic.subscribers.retain(|w| w.send(wire.clone()));
+        }
         let shed = before - topic.subscribers.len();
 
         topic.ring.push_back((offset, frame));

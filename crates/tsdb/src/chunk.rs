@@ -14,6 +14,9 @@ pub struct BitWriter {
     bytes: Vec<u8>,
     /// Bits used in the last byte (0..=8; 0 means byte boundary).
     used: u8,
+    /// Every `(v, n)` written, for replay into the per-bit reference.
+    #[cfg(test)]
+    written: Vec<(u64, u8)>,
 }
 
 impl BitWriter {
@@ -24,6 +27,8 @@ impl BitWriter {
 
     /// Writes one bit.
     pub fn write_bit(&mut self, bit: bool) {
+        #[cfg(test)]
+        self.written.push((bit as u64, 1));
         if self.used == 0 || self.used == 8 {
             self.bytes.push(0);
             self.used = 0;
@@ -35,11 +40,26 @@ impl BitWriter {
         self.used += 1;
     }
 
-    /// Writes the low `n` bits of `v`, most-significant first.
+    /// Writes the low `n` bits of `v`, most-significant first, a byte's
+    /// worth at a step.
     pub fn write_bits(&mut self, v: u64, n: u8) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.write_bit((v >> i) & 1 == 1);
+        #[cfg(test)]
+        self.written.push((v, n));
+        let mut left = n;
+        while left > 0 {
+            if self.used == 0 || self.used == 8 {
+                self.bytes.push(0);
+                self.used = 0;
+            }
+            let free = 8 - self.used;
+            let take = free.min(left);
+            // The next `take` bits of `v`, right-aligned.
+            let bits = ((v >> (left - take)) & ((1u64 << take) - 1)) as u8;
+            let last = self.bytes.len() - 1;
+            self.bytes[last] |= bits << (free - take);
+            self.used += take;
+            left -= take;
         }
     }
 
@@ -78,11 +98,23 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Reads `n` bits MSB-first.
+    /// Reads `n` bits MSB-first, a byte's worth at a step; `None` (and the
+    /// reader left at end of stream) when fewer than `n` remain.
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+        debug_assert!(n <= 64);
+        let end = self.pos + n as usize;
+        if end > self.bytes.len() * 8 {
+            self.pos = self.bytes.len() * 8;
+            return None;
+        }
         let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        while self.pos < end {
+            let avail = 8 - self.pos % 8;
+            let take = avail.min(end - self.pos);
+            // `take` bits of the current byte, starting `8 - avail` in.
+            let bits = (self.bytes[self.pos / 8] >> (avail - take)) as u64 & ((1 << take) - 1);
+            v = (v << take) | bits;
+            self.pos += take;
         }
         Some(v)
     }
@@ -510,12 +542,94 @@ mod tests {
     }
 }
 
+/// The codec as it was before it moved a byte at a step: one bit per turn,
+/// a bounds check each. Kept as the layout's definition for the tests.
+#[cfg(test)]
+mod per_bit {
+    #[derive(Default)]
+    pub struct BitWriter {
+        pub bytes: Vec<u8>,
+        used: u8,
+    }
+
+    impl BitWriter {
+        pub fn write_bit(&mut self, bit: bool) {
+            if self.used == 0 || self.used == 8 {
+                self.bytes.push(0);
+                self.used = 0;
+            }
+            if bit {
+                let last = self.bytes.len() - 1;
+                self.bytes[last] |= 1 << (7 - self.used);
+            }
+            self.used += 1;
+        }
+
+        pub fn write_bits(&mut self, v: u64, n: u8) {
+            for i in (0..n).rev() {
+                self.write_bit((v >> i) & 1 == 1);
+            }
+        }
+    }
+
+    pub struct BitReader<'a> {
+        pub bytes: &'a [u8],
+        pub pos: usize,
+    }
+
+    impl BitReader<'_> {
+        pub fn read_bit(&mut self) -> Option<bool> {
+            let byte = self.bytes.get(self.pos / 8)?;
+            let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
+            self.pos += 1;
+            Some(bit)
+        }
+
+        pub fn read_bits(&mut self, n: u8) -> Option<u64> {
+            let mut v = 0u64;
+            for _ in 0..n {
+                v = (v << 1) | self.read_bit()? as u64;
+            }
+            Some(v)
+        }
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
+        #[test]
+        fn bit_writes_match_the_per_bit_writer(
+            writes in proptest::collection::vec((any::<u64>(), 0u8..=64), 0..60),
+        ) {
+            let mut w = BitWriter::new();
+            let mut reference = per_bit::BitWriter::default();
+            for &(v, n) in &writes {
+                w.write_bits(v, n);
+                reference.write_bits(v, n);
+                prop_assert_eq!(w.as_bytes(), &reference.bytes[..]);
+            }
+            let bits: usize = writes.iter().map(|&(_, n)| n as usize).sum();
+            prop_assert_eq!(w.bit_len(), bits);
+        }
+
+        #[test]
+        fn bit_reads_match_the_per_bit_reader_past_the_end(
+            bytes in proptest::collection::vec(any::<u8>(), 0..40),
+            widths in proptest::collection::vec(0u8..=64, 0..40),
+        ) {
+            let mut r = BitReader::new(&bytes);
+            let mut reference = per_bit::BitReader { bytes: &bytes, pos: 0 };
+            for n in widths {
+                prop_assert_eq!(r.read_bits(n), reference.read_bits(n));
+                prop_assert_eq!(r.pos, reference.pos);
+                prop_assert_eq!(r.read_bit(), reference.read_bit());
+            }
+        }
+
         #[test]
         fn chunk_roundtrips_any_monotonic_series(
             start in -1_000_000_000i64..1_000_000_000,
@@ -539,6 +653,12 @@ mod proptests {
                 prop_assert_eq!(a.t_ms, b.t_ms);
                 prop_assert!(a.v.to_bits() == b.v.to_bits());
             }
+            // Same bytes as the per-bit writer makes of the same writes.
+            let mut reference = per_bit::BitWriter::default();
+            for &(v, n) in &c.w.written {
+                reference.write_bits(v, n);
+            }
+            prop_assert_eq!(c.w.as_bytes(), &reference.bytes[..]);
         }
     }
 }

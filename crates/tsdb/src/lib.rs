@@ -53,6 +53,6 @@ pub mod wal;
 
 pub use client::TsdbClient;
 pub use election::{FailoverConfig, NodeRole, ReplicationGroup, WriteRouter};
-pub use storage::{StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};
+pub use storage::{RefError, RefToken, SeriesRef, StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};
 pub use types::{Sample, SeriesData};
 pub use wal::{DiskFaults, FsyncMode, ScriptedDiskFaults, WalOptions, WalPosition};

@@ -323,19 +323,21 @@ impl RuleEngine {
                 return Err(EvalError("recording rule produced a range vector".into()))
             }
         };
-        let mut written = 0;
-        for (labels, v) in vec {
-            if !v.is_finite() {
-                continue; // division by a zero denominator etc.
-            }
-            let mut b = LabelSetBuilder::from(labels).label(METRIC_NAME_LABEL, &rule.record);
-            for (k, val) in &rule.static_labels {
-                b = b.label(k, val);
-            }
-            db.append(&b.build(), now_ms, v);
-            written += 1;
-        }
-        Ok(written)
+        // One rule's outputs are one group commit. Non-finite values
+        // (division by a zero denominator etc.) are not recorded.
+        let batch: Vec<_> = vec
+            .into_iter()
+            .filter(|(_, v)| v.is_finite())
+            .map(|(labels, v)| {
+                let mut b = LabelSetBuilder::from(labels).label(METRIC_NAME_LABEL, &rule.record);
+                for (k, val) in &rule.static_labels {
+                    b = b.label(k, val);
+                }
+                (b.build(), now_ms, v)
+            })
+            .collect();
+        db.append_batch(&batch);
+        Ok(batch.len() as u64)
     }
 }
 

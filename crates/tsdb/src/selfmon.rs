@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use ceems_metrics::{Collector, MetricFamily, Registry};
-use ceems_obs::{counter_value_family, gauge_value_family, histogram_family};
+use ceems_obs::{counter_family, counter_value_family, gauge_value_family, histogram_family};
 
 use crate::storage::Tsdb;
 
@@ -90,9 +90,24 @@ impl Collector for TsdbCollector {
                 "Cumulative seconds spent in WAL fsync calls.",
                 wal_sync_secs,
             ),
+            counter_family(
+                "ceems_tsdb_ingest_series_ref_hits_total",
+                "Ingested samples a source's series cache named by id.",
+                &ins.series_ref_hits,
+            ),
+            counter_family(
+                "ceems_tsdb_ingest_series_ref_misses_total",
+                "Ingested samples resolved by label set (new series, job churn, a cold cache).",
+                &ins.series_ref_misses,
+            ),
+            counter_family(
+                "ceems_tsdb_ingest_stale_ref_batches_total",
+                "Ingest batches refused and sent again: a series removal outdated their ids.",
+                &ins.stale_ref_batches,
+            ),
             histogram_family(
                 "ceems_tsdb_ingest_duration_seconds",
-                "append_batch wall time (one group commit per scrape batch).",
+                "One ingest group commit (a target's scrape pass, a pushed frame, a rule's outputs).",
                 &ins.ingest_seconds,
             ),
             histogram_family(

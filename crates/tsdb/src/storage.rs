@@ -16,11 +16,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock};
 
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::LabelMatcher;
-use ceems_metrics::Histogram;
+use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
 use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
@@ -112,6 +112,15 @@ pub struct TsdbInstruments {
     pub wal_append_seconds: Histogram,
     /// Stop-the-world checkpoint wall time.
     pub checkpoint_seconds: Histogram,
+    /// Samples [`Tsdb::append_refs`] was handed by series id (a source's
+    /// cache knew the line).
+    pub series_ref_hits: Counter,
+    /// Samples [`Tsdb::append_refs`] resolved by label set (new series,
+    /// job churn, a cold cache).
+    pub series_ref_misses: Counter,
+    /// [`Tsdb::append_refs`] batches refused because a series removal had
+    /// outdated the caller's ids.
+    pub stale_ref_batches: Counter,
 }
 
 impl Default for TsdbInstruments {
@@ -122,21 +131,19 @@ impl Default for TsdbInstruments {
             select_resolve_seconds: Histogram::new(Histogram::duration_buckets()),
             wal_append_seconds: Histogram::new(Histogram::duration_buckets()),
             checkpoint_seconds: Histogram::new(Histogram::duration_buckets()),
+            series_ref_hits: Counter::new(),
+            series_ref_misses: Counter::new(),
+            stale_ref_batches: Counter::new(),
         }
     }
 }
 
-/// WAL attachment of a durable TSDB: the writer, its directory, and the
-/// checkpoint gate.
+/// WAL attachment of a durable TSDB: the writer and its directory.
 struct WalState {
     dir: PathBuf,
     /// The segmented writer. One [`Wal::log`] call under this lock is one
     /// group commit.
     wal: Mutex<Wal>,
-    /// Appenders hold `read` across (log record → apply to head) so the
-    /// checkpointer, holding `write`, can never snapshot a state where a
-    /// record is logged but not yet applied (or vice versa).
-    gate: RwLock<()>,
     /// WAL write failures (the database keeps serving; durability is
     /// degraded and the counter surfaces it).
     errors: AtomicU64,
@@ -180,8 +187,51 @@ impl std::fmt::Display for StaleEpoch {
     }
 }
 
+/// How [`Tsdb::append_refs`] names the series of a sample.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SeriesRef {
+    /// An id an earlier `append_refs` on the same database returned; valid
+    /// while [`Tsdb::ref_token`] reads what it read then.
+    Id(SeriesId),
+    /// The label set (it must include `__name__`); looked up, created on
+    /// first sight.
+    Labels(LabelSet),
+}
+
+/// What the series ids a database handed out are valid under: which
+/// database it is, and how many times it has removed series. Ids from one
+/// token must not be used under another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RefToken {
+    instance: u64,
+    removals: u64,
+}
+
+/// Why [`Tsdb::append_refs`] wrote nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefError {
+    /// The token is not the database's current one: the ids in the batch
+    /// may name removed series, or another database's.
+    Stale,
+    /// The write carried a stale leadership epoch.
+    Fenced(StaleEpoch),
+}
+
+/// Distinguishes the databases of one process in a [`RefToken`].
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
 /// The time series database.
 pub struct Tsdb {
+    /// Appenders hold `read` across (log record → apply to head); the
+    /// checkpointer and every series removal hold `write`. So a checkpoint
+    /// never snapshots a record logged but not yet applied, WAL log order
+    /// equals head apply order, and `removals` cannot move while an
+    /// appender that compared it is still writing.
+    gate: RwLock<()>,
+    instance: u64,
+    /// Times series were removed (delete, retention, resync, replayed
+    /// tombstones). Written under `gate.write()` only.
+    removals: AtomicU64,
     index: RwLock<LabelIndex>,
     head: Head,
     config: TsdbConfig,
@@ -215,6 +265,9 @@ impl Tsdb {
     /// Creates an empty in-memory TSDB (no WAL).
     pub fn new(config: TsdbConfig) -> Tsdb {
         Tsdb {
+            gate: RwLock::new(()),
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            removals: AtomicU64::new(0),
             index: RwLock::new(LabelIndex::new()),
             head: Head::new(config.shards),
             posting_cache: ShardedPostingCache::new(config.posting_cache_size),
@@ -312,23 +365,9 @@ impl Tsdb {
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),
-            gate: RwLock::new(()),
             errors: AtomicU64::new(0),
         });
         Ok(db)
-    }
-
-    /// Holds appenders and the checkpointer apart; `None` when no WAL is
-    /// attached (nothing to coordinate with).
-    fn wal_gate_read(&self) -> Option<RwLockReadGuard<'_, ()>> {
-        self.wal.as_ref().map(|w| w.gate.read())
-    }
-
-    /// Exclusive gate hold: used by structural mutations (delete, retention)
-    /// and the checkpointer so no append is mid-flight while they run —
-    /// WAL log order then equals head apply order exactly.
-    fn wal_gate_write(&self) -> Option<parking_lot::RwLockWriteGuard<'_, ()>> {
-        self.wal.as_ref().map(|w| w.gate.write())
     }
 
     /// Logs records to the WAL if one is attached. Write errors are counted
@@ -371,22 +410,19 @@ impl Tsdb {
 
     /// Applies resolved samples to the head, maintaining the counters.
     fn apply_samples(&self, samples: &[(SeriesId, i64, f64)]) {
+        let mut appended = 0;
         for &(id, t_ms, v) in samples {
-            match self.head.append(id, Sample::new(t_ms, v)) {
-                Ok(()) => {
-                    self.appended.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.out_of_order.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            appended += u64::from(self.head.append(id, Sample::new(t_ms, v)).is_ok());
         }
+        self.appended.fetch_add(appended, Ordering::Relaxed);
+        self.out_of_order
+            .fetch_add(samples.len() as u64 - appended, Ordering::Relaxed);
     }
 
     /// Appends one sample for a label set (the set must include
     /// `__name__`). Out-of-order samples are counted and dropped.
     pub fn append(&self, labels: &LabelSet, t_ms: i64, v: f64) {
-        let _gate = self.wal_gate_read();
+        let _gate = self.gate.read();
         let id = self.resolve_or_create_id(labels);
         if self.wal.is_some() {
             self.log_wal(&[WalRecord::Samples(vec![(id, t_ms, v)])]);
@@ -394,20 +430,10 @@ impl Tsdb {
         self.apply_samples(&[(id, t_ms, v)]);
     }
 
-    /// Appends a batch of samples as one group commit: every series id is
-    /// resolved, then the whole batch becomes a single WAL record — one
-    /// writer lock, one `write`, at most one fsync — before being applied
-    /// to the head. The scrape path logs one batch per target pass.
-    pub fn append_batch(&self, batch: &[(LabelSet, i64, f64)]) {
-        if batch.is_empty() {
-            return;
-        }
-        let start = Instant::now();
-        let _gate = self.wal_gate_read();
-        let samples: Vec<(SeriesId, i64, f64)> = batch
-            .iter()
-            .map(|(labels, t_ms, v)| (self.resolve_or_create_id(labels), *t_ms, *v))
-            .collect();
+    /// Logs resolved samples as one WAL `Samples` record — one writer
+    /// lock, one `write`, at most one fsync — and applies them to the head.
+    /// The caller holds `gate.read()` and times the batch from `start`.
+    fn commit_samples(&self, samples: Vec<(SeriesId, i64, f64)>, start: Instant) {
         let rec = WalRecord::Samples(samples);
         self.log_wal(std::slice::from_ref(&rec));
         let WalRecord::Samples(samples) = rec else {
@@ -419,15 +445,27 @@ impl Tsdb {
             .observe(start.elapsed().as_secs_f64());
     }
 
-    /// Appends a batch stamped with the writer's believed leadership epoch
-    /// (S24). Rejected — and counted — when the stamp does not match the
-    /// database's current epoch, so a deposed leader (or traffic still
-    /// routed through one) can never land writes past the fence.
-    pub fn append_batch_fenced(
-        &self,
-        epoch: u64,
-        batch: &[(LabelSet, i64, f64)],
-    ) -> Result<(), StaleEpoch> {
+    /// Appends a batch of samples as one group commit: every series id is
+    /// resolved, then the whole batch becomes a single WAL record before
+    /// being applied to the head.
+    pub fn append_batch(&self, batch: &[(LabelSet, i64, f64)]) {
+        if batch.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        let _gate = self.gate.read();
+        let samples = batch
+            .iter()
+            .map(|(labels, t_ms, v)| (self.resolve_or_create_id(labels), *t_ms, *v))
+            .collect();
+        self.commit_samples(samples, start);
+    }
+
+    /// Rejects — and counts — a write whose leadership-epoch stamp does not
+    /// match the database's current epoch (S24), so a deposed leader (or
+    /// traffic still routed through one) can never land writes past the
+    /// fence.
+    fn check_fence(&self, epoch: u64) -> Result<(), StaleEpoch> {
         let current = self.current_epoch();
         if epoch != current || !self.is_leader() {
             self.fenced_writes.fetch_add(1, Ordering::Relaxed);
@@ -436,8 +474,84 @@ impl Tsdb {
                 current_epoch: current,
             });
         }
+        Ok(())
+    }
+
+    /// Appends a batch stamped with the writer's believed leadership epoch;
+    /// see [`Self::check_fence`].
+    pub fn append_batch_fenced(
+        &self,
+        epoch: u64,
+        batch: &[(LabelSet, i64, f64)],
+    ) -> Result<(), StaleEpoch> {
+        self.check_fence(epoch)?;
         self.append_batch(batch);
         Ok(())
+    }
+
+    /// The token series ids returned by [`Self::append_refs`] are valid
+    /// under right now.
+    pub fn ref_token(&self) -> RefToken {
+        RefToken {
+            instance: self.instance,
+            removals: self.removals.load(Ordering::SeqCst),
+        }
+    }
+
+    /// Counts one removal of series; the caller holds `gate.write()`, so no
+    /// appender that compared the old count is still writing.
+    fn note_removal(&self) {
+        self.removals.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// [`Self::append_batch`] for a writer that remembers series ids: the
+    /// same single group commit in the order given, with [`SeriesRef::Id`]
+    /// samples skipping the label-set lookup. Returns the ids the
+    /// [`SeriesRef::Labels`] samples resolved to, in order, for the caller
+    /// to remember under `token`.
+    ///
+    /// `token` must be the [`Self::ref_token`] the batch's ids were returned
+    /// under. It is compared under the gate series removals hold
+    /// exclusively; when it is not current nothing is written and the
+    /// caller must forget its ids. `epoch`, when given, fences the write as
+    /// [`Self::append_batch_fenced`] does.
+    pub fn append_refs(
+        &self,
+        token: RefToken,
+        epoch: Option<u64>,
+        refs: &[(SeriesRef, i64, f64)],
+    ) -> Result<Vec<SeriesId>, RefError> {
+        if let Some(epoch) = epoch {
+            self.check_fence(epoch).map_err(RefError::Fenced)?;
+        }
+        let start = Instant::now();
+        let _gate = self.gate.read();
+        if token != self.ref_token() {
+            self.instruments.stale_ref_batches.inc();
+            return Err(RefError::Stale);
+        }
+        let mut resolved = Vec::new();
+        let samples: Vec<(SeriesId, i64, f64)> = refs
+            .iter()
+            .map(|(series, t_ms, v)| {
+                let id = match series {
+                    SeriesRef::Id(id) => *id,
+                    SeriesRef::Labels(labels) => {
+                        let id = self.resolve_or_create_id(labels);
+                        resolved.push(id);
+                        id
+                    }
+                };
+                (id, *t_ms, *v)
+            })
+            .collect();
+        let ins = &self.instruments;
+        ins.series_ref_hits.add((refs.len() - resolved.len()) as f64);
+        ins.series_ref_misses.add(resolved.len() as f64);
+        if !samples.is_empty() {
+            self.commit_samples(samples, start);
+        }
+        Ok(resolved)
     }
 
     /// Applies one replayed/streamed record without logging it (recovery).
@@ -448,6 +562,7 @@ impl Tsdb {
             }
             WalRecord::Samples(samples) => self.apply_samples(samples),
             WalRecord::Tombstone(ids) => {
+                self.note_removal();
                 let mut idx = self.index.write();
                 for &id in ids {
                     self.head.remove(id);
@@ -456,6 +571,9 @@ impl Tsdb {
             }
             WalRecord::Retention { cutoff_ms } => {
                 let emptied = self.head.drop_before(*cutoff_ms);
+                if !emptied.is_empty() {
+                    self.note_removal();
+                }
                 let mut idx = self.index.write();
                 for &id in &emptied {
                     idx.remove(id);
@@ -477,7 +595,15 @@ impl Tsdb {
         if recs.is_empty() {
             return;
         }
-        let _gate = self.wal_gate_read();
+        // A record that removes series needs the gate to itself, like the
+        // local removals: an appender must not be writing to ids it drops.
+        let removes = recs
+            .iter()
+            .any(|r| matches!(r, WalRecord::Tombstone(_) | WalRecord::Retention { .. }));
+        let (_shared, _exclusive) = match removes {
+            true => (None, Some(self.gate.write())),
+            false => (Some(self.gate.read()), None),
+        };
         // Streamed epoch bumps are pinned to their exact position in leader
         // record units (record `i` of this batch is leader record `base+i`)
         // so a promoted follower's epoch history is byte-accurate for
@@ -638,13 +764,16 @@ impl Tsdb {
     /// CEEMS removes metrics of workloads shorter than a cutoff).
     /// Returns how many series were deleted.
     pub fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
-        let _gate = self.wal_gate_write();
+        let _gate = self.gate.write();
         let mut idx = self.index.write();
         let ids = idx.select(matchers);
         if !ids.is_empty() && self.wal.is_some() {
             // Logged under the index write lock: no appender can interleave
             // a create/sample record for these ids before the tombstone.
             self.log_wal(&[WalRecord::Tombstone(ids.clone())]);
+        }
+        if !ids.is_empty() {
+            self.note_removal();
         }
         for &id in &ids {
             self.head.remove(id);
@@ -657,11 +786,14 @@ impl Tsdb {
     /// empty. Returns the number of series removed.
     pub fn enforce_retention(&self, now_ms: i64) -> usize {
         let cutoff = now_ms - self.config.retention_ms;
-        let _gate = self.wal_gate_write();
+        let _gate = self.gate.write();
         if self.wal.is_some() {
             self.log_wal(&[WalRecord::Retention { cutoff_ms: cutoff }]);
         }
         let emptied = self.head.drop_before(cutoff);
+        if !emptied.is_empty() {
+            self.note_removal();
+        }
         let mut idx = self.index.write();
         for &id in &emptied {
             idx.remove(id);
@@ -736,6 +868,15 @@ impl Tsdb {
         self.labels_cache.read().values.len()
     }
 
+    /// Head series the index does not know (test hook: an append to a
+    /// removed id would leave one).
+    #[cfg(test)]
+    pub(crate) fn orphan_head_series(&self) -> usize {
+        let idx = self.index.read();
+        let head = self.head.snapshot();
+        head.iter().filter(|(id, _)| idx.labels(*id).is_none()).count()
+    }
+
     /// Posting-cache hit/miss counters (aggregated over shards).
     pub fn posting_cache_stats(&self) -> CacheStats {
         self.posting_cache.stats()
@@ -796,7 +937,7 @@ impl Tsdb {
     /// record count the new epoch begins at (the promoted follower's
     /// caught-up position). Errors if `new_epoch` does not advance.
     pub fn bump_epoch(&self, new_epoch: u64, start_records: u64) -> io::Result<u64> {
-        let _gate = self.wal_gate_write();
+        let _gate = self.gate.write();
         {
             let es = self.epoch_state.lock();
             if new_epoch <= es.epoch {
@@ -830,7 +971,7 @@ impl Tsdb {
             .wal
             .as_ref()
             .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
-        let _gate = ws.gate.write();
+        let _gate = self.gate.write();
         let base = wal::load_latest_checkpoint(&ws.dir)?;
         let (mut count, start_seq) = base.map_or((0, 0), |c| (c.records, c.covers_seq));
         if count > target {
@@ -909,7 +1050,7 @@ impl Tsdb {
     /// re-bootstrapping after its catch-up segment was garbage-collected on
     /// the leader: checkpoint bootstrap requires an empty database.
     pub fn clear_for_resync(&self) -> usize {
-        let _gate = self.wal_gate_write();
+        let _gate = self.gate.write();
         let mut idx = self.index.write();
         let ids: Vec<SeriesId> = idx.all_series().into_iter().map(|(id, _)| id).collect();
         if ids.is_empty() {
@@ -918,6 +1059,7 @@ impl Tsdb {
         if self.wal.is_some() {
             self.log_wal(&[WalRecord::Tombstone(ids.clone())]);
         }
+        self.note_removal();
         for &id in &ids {
             self.head.remove(id);
             idx.remove(id);
@@ -962,7 +1104,7 @@ impl Tsdb {
             io::Error::new(io::ErrorKind::Unsupported, "checkpoint requires a WAL")
         })?;
         let _timer = self.instruments.checkpoint_seconds.start_timer();
-        let _gate = ws.gate.write();
+        let _gate = self.gate.write();
         let (covers_seq, records) = {
             let mut w = ws.wal.lock();
             (w.rotate()?, w.position().records)
@@ -1321,6 +1463,55 @@ mod tests {
         db.select(&[LabelMatcher::eq("__name__", "wide")], 0, i64::MAX);
         let stats = db.posting_cache_stats();
         assert_eq!(stats.hits + stats.misses, 0, "exact-only sets never touch the cache");
+    }
+
+    #[test]
+    fn append_refs_is_append_batch_with_remembered_ids() {
+        let db = Tsdb::default();
+        let (a, b) = (labels! {"__name__" => "a"}, labels! {"__name__" => "b"});
+        let token = db.ref_token();
+        let by_labels = |ls: &LabelSet| SeriesRef::Labels(ls.clone());
+        let first = [(by_labels(&a), 1, 1.0), (by_labels(&b), 1, 2.0), (by_labels(&a), 2, 3.0)];
+        let ids = db.append_refs(token, None, &first).unwrap();
+        assert_eq!(ids.len(), 3);
+        assert_eq!(ids[0], ids[2]);
+        assert_ne!(ids[0], ids[1]);
+        let second = [(SeriesRef::Id(ids[1]), 5, 5.0), (SeriesRef::Id(ids[0]), 5, 6.0)];
+        assert!(db.append_refs(token, None, &second).unwrap().is_empty());
+        assert_eq!(db.samples_appended(), 5);
+        assert_eq!(db.series_count(), 2);
+        let sel = db.select(&[LabelMatcher::eq("__name__", "a")], 0, i64::MAX);
+        assert_eq!(sel[0].samples.iter().map(|s| s.v).collect::<Vec<_>>(), vec![1.0, 3.0, 6.0]);
+        let ins = db.instruments();
+        assert_eq!((ins.series_ref_hits.get(), ins.series_ref_misses.get()), (2.0, 3.0));
+    }
+
+    #[test]
+    fn append_refs_refuses_a_token_from_before_a_removal_or_another_database() {
+        let db = Tsdb::default();
+        let ls = labels! {"__name__" => "m"};
+        let token = db.ref_token();
+        let id = db
+            .append_refs(token, None, &[(SeriesRef::Labels(ls.clone()), 1, 1.0)])
+            .unwrap()[0];
+        // Removing nothing outdates nothing.
+        assert_eq!(db.delete_series(&[LabelMatcher::eq("__name__", "absent")]), 0);
+        assert_eq!(db.ref_token(), token);
+        assert_eq!(db.delete_series(&[LabelMatcher::eq("__name__", "m")]), 1);
+        assert_ne!(db.ref_token(), token);
+
+        let by_id = [(SeriesRef::Id(id), 2, 2.0)];
+        assert_eq!(db.append_refs(token, None, &by_id), Err(RefError::Stale));
+        assert_eq!(Tsdb::default().append_refs(token, None, &by_id), Err(RefError::Stale));
+        assert_eq!(db.samples_appended(), 1);
+        assert_eq!(db.orphan_head_series(), 0);
+        assert_eq!(db.instruments().stale_ref_batches.get(), 1.0);
+
+        // Fenced like `append_batch_fenced`: refused, counted, not written.
+        let err = db.append_refs(db.ref_token(), Some(7), &by_id).unwrap_err();
+        assert!(matches!(err, RefError::Fenced(StaleEpoch { write_epoch: 7, current_epoch: 0 })));
+        assert_eq!(db.fenced_writes(), 1);
+        assert_eq!(db.samples_appended(), 1);
     }
 
     #[test]
