@@ -3,14 +3,17 @@
 //! Paper: "the exporter consumes 15-20 MB of memory and each scrape request
 //! takes less than 1 microsecond of CPU time" and is "very lightweight".
 //! This bench measures the `/metrics` render hot path at varying numbers of
-//! running jobs (cgroups) and with/without the GPU collectors, plus the
-//! encode-only cost, and prints the payload size per configuration.
+//! running jobs (cgroups) and with/without the GPU collectors, the text
+//! writer alone (typed reference encoder against the text sink, same
+//! families), each collector alone, and prints the payload size per
+//! configuration.
 
 use std::sync::Arc;
 
 use ceems_bench::busy_node;
 use ceems_exporter::{CeemsExporter, ExporterConfig};
 use ceems_metrics::encode::encode_families;
+use ceems_metrics::{Sink, TextSink};
 use ceems_simnode::SimClock;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -50,12 +53,57 @@ fn bench_render(c: &mut Criterion) {
 }
 
 fn bench_encode_only(c: &mut Criterion) {
-    // The pure text-format encode, separated from collection.
+    // The pure text-format write, separated from collection: the typed
+    // reference encoder against the text sink, over the same families.
     let exporter = exporter_for(8, 0);
     let families = exporter.registry().gather();
-    c.bench_function("exporter_encode_only", |b| {
+    let mut group = c.benchmark_group("exporter_encode_only");
+    group.bench_function("encode_families", |b| {
         b.iter(|| encode_families(&families))
     });
+    let mut sink = TextSink::default();
+    let mut out = String::new();
+    group.bench_function("text_sink", |b| {
+        b.iter(|| {
+            sink.clear();
+            sink.families(&families);
+            out.clear();
+            sink.write_sorted(&mut out);
+            out.len()
+        })
+    });
+    group.finish();
+    assert_eq!(out, encode_families(&families));
+}
+
+fn bench_collect_only(c: &mut Criterion) {
+    // Each collector alone, written through the registry's text sink.
+    let mut group = c.benchmark_group("exporter_collect_only");
+    for jobs in [1usize, 8, 32] {
+        let exporter = exporter_for(jobs, 0);
+        exporter.render();
+        let registry = exporter.registry();
+        let names: Vec<String> = registry.collector_names().into_iter().map(|(n, _)| n).collect();
+        let mut out = String::new();
+        for name in &names {
+            for other in &names {
+                registry.set_enabled(other, other == name);
+            }
+            out.clear();
+            let samples = registry.render_into(&mut out);
+            eprintln!(
+                "[E4] {jobs} jobs, {name} alone: {samples} samples, {} bytes",
+                out.len()
+            );
+            group.bench_with_input(BenchmarkId::new(name.as_str(), jobs), &jobs, |b, _| {
+                b.iter(|| {
+                    out.clear();
+                    registry.render_into(&mut out)
+                })
+            });
+        }
+    }
+    group.finish();
 }
 
 fn bench_collector_toggle(c: &mut Criterion) {
@@ -94,6 +142,7 @@ criterion_group!(
     benches,
     bench_render,
     bench_encode_only,
+    bench_collect_only,
     bench_collector_toggle
 );
 criterion_main!(benches);

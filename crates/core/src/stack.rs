@@ -538,14 +538,14 @@ impl CeemsStack {
             targets.push(MetaTarget::in_process(
                 "tsdb",
                 "tsdb:0",
-                Arc::new(move || ceems_metrics::encode_families(&reg.gather())),
+                Arc::new(move || reg.render()),
             ));
             if let Some(svc) = &alertsrv {
                 let reg = svc.registry();
                 targets.push(MetaTarget::in_process(
                     "alertsrv",
                     "alertsrv:0",
-                    Arc::new(move || ceems_metrics::encode_families(&reg.gather())),
+                    Arc::new(move || reg.render()),
                 ));
             }
             // One representative node exporter; the full fleet is already
@@ -567,7 +567,7 @@ impl CeemsStack {
                 targets.push(MetaTarget::in_process(
                     "stream",
                     "stream:0",
-                    Arc::new(move || ceems_metrics::encode_families(&reg.gather())),
+                    Arc::new(move || reg.render()),
                 ));
             }
             Some(MetaMonitor::new(targets))
@@ -1215,7 +1215,7 @@ mod tests {
             .tsdb_api_options(Arc::new(|| 0))
             .registry
             .expect("registry wired");
-        let text = ceems_metrics::encode_families(&reg.gather());
+        let text = reg.render();
         assert!(text.contains("ceems_tsdb_epoch 2"), "{text}");
         assert!(text.contains("ceems_tsdb_failovers_total 1"), "{text}");
         std::fs::remove_dir_all(dir).ok();

@@ -6,12 +6,48 @@
 //! files are parsed as text — the simulation renders byte-identical
 //! layouts, so this code would work against a real cgroup v2 tree.
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::cgroup::{parse_job_dir, SLURM_CGROUP_ROOT};
 use ceems_simnode::cluster::NodeHandle;
+use ceems_slurm::types::job_uuid;
 use ceems_simnode::pseudofs::PseudoFs;
+
+use super::{file_path, write_unit_families, FamilyDesc};
+
+const FAMILIES: [FamilyDesc; 6] = [
+    (
+        "ceems_compute_unit_cpu_user_seconds_total",
+        "User-mode CPU time of the compute unit on this node",
+        MetricType::Counter,
+    ),
+    (
+        "ceems_compute_unit_cpu_system_seconds_total",
+        "Kernel-mode CPU time of the compute unit on this node",
+        MetricType::Counter,
+    ),
+    (
+        "ceems_compute_unit_memory_used_bytes",
+        "Current memory usage of the compute unit",
+        MetricType::Gauge,
+    ),
+    (
+        "ceems_compute_unit_memory_peak_bytes",
+        "Peak memory usage of the compute unit",
+        MetricType::Gauge,
+    ),
+    (
+        "ceems_compute_unit_read_bytes_total",
+        "Bytes read by the compute unit",
+        MetricType::Counter,
+    ),
+    (
+        "ceems_compute_unit_write_bytes_total",
+        "Bytes written by the compute unit",
+        MetricType::Counter,
+    ),
+];
 
 /// The cgroup collector.
 pub struct CgroupCollector {
@@ -53,75 +89,36 @@ fn parse_io_stat(text: &str) -> (f64, f64) {
 }
 
 impl Collector for CgroupCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut cpu_user = MetricFamily::new(
-            "ceems_compute_unit_cpu_user_seconds_total",
-            "User-mode CPU time of the compute unit on this node",
-            MetricType::Counter,
-        );
-        let mut cpu_sys = MetricFamily::new(
-            "ceems_compute_unit_cpu_system_seconds_total",
-            "Kernel-mode CPU time of the compute unit on this node",
-            MetricType::Counter,
-        );
-        let mut mem = MetricFamily::new(
-            "ceems_compute_unit_memory_used_bytes",
-            "Current memory usage of the compute unit",
-            MetricType::Gauge,
-        );
-        let mut mem_peak = MetricFamily::new(
-            "ceems_compute_unit_memory_peak_bytes",
-            "Peak memory usage of the compute unit",
-            MetricType::Gauge,
-        );
-        let mut rbytes = MetricFamily::new(
-            "ceems_compute_unit_read_bytes_total",
-            "Bytes read by the compute unit",
-            MetricType::Counter,
-        );
-        let mut wbytes = MetricFamily::new(
-            "ceems_compute_unit_write_bytes_total",
-            "Bytes written by the compute unit",
-            MetricType::Counter,
-        );
-
-        let dirs = node.list_dir(SLURM_CGROUP_ROOT).unwrap_or_default();
-        for dir in dirs {
+        let mut units = Vec::new();
+        let mut path = String::new();
+        for dir in node.list_dir(SLURM_CGROUP_ROOT).unwrap_or_default() {
             let Some(job_id) = parse_job_dir(&dir) else {
                 continue;
             };
-            let uuid = format!("slurm-{job_id}");
-            let labels = LabelSet::from_pairs([("uuid", uuid.as_str())]);
-            let base = format!("{SLURM_CGROUP_ROOT}/{dir}");
-
-            if let Some(text) = node.read_file(&format!("{base}/cpu.stat")) {
-                let (user, system) = parse_cpu_stat(&text);
-                cpu_user
-                    .metrics
-                    .push(Metric::new(labels.clone(), Sample::now(user)));
-                cpu_sys
-                    .metrics
-                    .push(Metric::new(labels.clone(), Sample::now(system)));
-            }
-            if let Some(v) = node.read_u64(&format!("{base}/memory.current")) {
-                mem.metrics
-                    .push(Metric::new(labels.clone(), Sample::now(v as f64)));
-            }
-            if let Some(v) = node.read_u64(&format!("{base}/memory.peak")) {
-                mem_peak
-                    .metrics
-                    .push(Metric::new(labels.clone(), Sample::now(v as f64)));
-            }
-            if let Some(text) = node.read_file(&format!("{base}/io.stat")) {
-                let (r, w) = parse_io_stat(&text);
-                rbytes
-                    .metrics
-                    .push(Metric::new(labels.clone(), Sample::now(r)));
-                wbytes.metrics.push(Metric::new(labels, Sample::now(w)));
-            }
+            let cpu = node
+                .read_file(file_path(&mut path, SLURM_CGROUP_ROOT, &dir, "cpu.stat"))
+                .map(|t| parse_cpu_stat(&t));
+            let mem = node.read_u64(file_path(&mut path, SLURM_CGROUP_ROOT, &dir, "memory.current"));
+            let peak = node.read_u64(file_path(&mut path, SLURM_CGROUP_ROOT, &dir, "memory.peak"));
+            let io = node
+                .read_file(file_path(&mut path, SLURM_CGROUP_ROOT, &dir, "io.stat"))
+                .map(|t| parse_io_stat(&t));
+            units.push((
+                job_uuid(job_id),
+                [
+                    cpu.map(|c| c.0),
+                    cpu.map(|c| c.1),
+                    mem.map(|v| v as f64),
+                    peak.map(|v| v as f64),
+                    io.map(|i| i.0),
+                    io.map(|i| i.1),
+                ],
+            ));
         }
-        vec![cpu_user, cpu_sys, mem, mem_peak, rbytes, wbytes]
+        drop(node);
+        write_unit_families(out, &FAMILIES, &units);
     }
 }
 
@@ -163,7 +160,7 @@ mod tests {
     #[test]
     fn collects_one_unit_per_job() {
         let c = CgroupCollector::new(node_with_jobs());
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams.len(), 6);
         let cpu = &fams[0];
         assert_eq!(cpu.name, "ceems_compute_unit_cpu_user_seconds_total");
@@ -190,7 +187,7 @@ mod tests {
             2,
         );
         let c = CgroupCollector::new(Arc::new(Mutex::new(n)));
-        let fams = c.collect();
+        let fams = c.families();
         assert!(fams.iter().all(|f| f.metrics.is_empty()));
     }
 

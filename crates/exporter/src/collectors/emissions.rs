@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use ceems_emissions::EmissionProvider;
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::clock::SimClock;
 
 /// The emissions collector.
@@ -33,45 +33,41 @@ impl EmissionsCollector {
 }
 
 impl Collector for EmissionsCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let now = self.clock.now_ms();
-        let mut fam = MetricFamily::new(
+        let mut factors = Vec::new();
+        let mut ages = Vec::new();
+        for p in &self.providers {
+            if let Some(f) = p.factor(&self.zone, now) {
+                factors.push((p.name(), f));
+            }
+            for (zone, age_ms) in p.factor_ages_ms(now) {
+                ages.push((p.name(), zone, age_ms as f64 / 1000.0));
+            }
+        }
+
+        out.family(
             "ceems_emissions_gCo2_kWh",
             "Current emission factor by provider",
             MetricType::Gauge,
         );
+        for (provider, f) in factors {
+            out.sample("", &[("provider", provider), ("country_code", &self.zone)], f);
+        }
         // Staleness of each retention wrapper's zones: how long since the
         // underlying source chain last answered. Scraped into the TSDB so
         // the "emission-factor source down" alert rule has a real signal.
-        let mut age = MetricFamily::new(
+        if ages.is_empty() {
+            return;
+        }
+        out.family(
             "ceems_emissions_factor_age_seconds",
             "Seconds since the emission-factor source chain last resolved each zone",
             MetricType::Gauge,
         );
-        for p in &self.providers {
-            if let Some(f) = p.factor(&self.zone, now) {
-                fam.metrics.push(Metric::new(
-                    LabelSet::from_pairs([
-                        ("provider", p.name()),
-                        ("country_code", self.zone.as_str()),
-                    ]),
-                    Sample::now(f),
-                ));
-            }
-            for (zone, age_ms) in p.factor_ages_ms(now) {
-                age.metrics.push(Metric::new(
-                    LabelSet::from_pairs([
-                        ("provider", p.name()),
-                        ("country_code", zone.as_str()),
-                    ]),
-                    Sample::now(age_ms as f64 / 1000.0),
-                ));
-            }
+        for (provider, zone, age_s) in &ages {
+            out.sample("", &[("provider", provider), ("country_code", zone)], *age_s);
         }
-        if age.metrics.is_empty() {
-            return vec![fam];
-        }
-        vec![fam, age]
     }
 }
 
@@ -89,7 +85,7 @@ mod tests {
             "FR",
             clock,
         );
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams[0].metrics.len(), 2);
         let providers: Vec<_> = fams[0]
             .metrics
@@ -108,7 +104,7 @@ mod tests {
             "DE", // RTE is France-only
             clock,
         );
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams[0].metrics.len(), 1);
         assert_eq!(fams[0].metrics[0].labels.get("provider"), Some("owid"));
     }

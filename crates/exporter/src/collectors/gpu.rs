@@ -5,10 +5,36 @@
 //! CEEMS-side piece: the job→GPU-ordinal map that must be recorded while
 //! the job is alive because ordinals are unavailable post-mortem (§II.A.d).
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::cluster::NodeHandle;
+use ceems_slurm::types::job_uuid;
+
+use super::FamilyDesc;
+
+const DCGM_FAMILIES: [FamilyDesc; 4] = [
+    (
+        "DCGM_FI_DEV_GPU_UTIL",
+        "GPU SM utilisation (percent)",
+        MetricType::Gauge,
+    ),
+    (
+        "DCGM_FI_DEV_POWER_USAGE",
+        "GPU board power draw (watts)",
+        MetricType::Gauge,
+    ),
+    (
+        "DCGM_FI_DEV_FB_USED",
+        "GPU framebuffer memory used (MiB)",
+        MetricType::Gauge,
+    ),
+    (
+        "DCGM_FI_DEV_TOTAL_ENERGY_CONSUMPTION",
+        "GPU cumulative energy (millijoules)",
+        MetricType::Counter,
+    ),
+];
 
 /// DCGM-style per-GPU metrics.
 pub struct DcgmCollector {
@@ -23,49 +49,32 @@ impl DcgmCollector {
 }
 
 impl Collector for DcgmCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut util = MetricFamily::new(
-            "DCGM_FI_DEV_GPU_UTIL",
-            "GPU SM utilisation (percent)",
-            MetricType::Gauge,
-        );
-        let mut power = MetricFamily::new(
-            "DCGM_FI_DEV_POWER_USAGE",
-            "GPU board power draw (watts)",
-            MetricType::Gauge,
-        );
-        let mut fb_used = MetricFamily::new(
-            "DCGM_FI_DEV_FB_USED",
-            "GPU framebuffer memory used (MiB)",
-            MetricType::Gauge,
-        );
-        let mut energy = MetricFamily::new(
-            "DCGM_FI_DEV_TOTAL_ENERGY_CONSUMPTION",
-            "GPU cumulative energy (millijoules)",
-            MetricType::Counter,
-        );
-        for g in node.gpus() {
-            let ordinal = g.ordinal.to_string();
-            let labels = LabelSet::from_pairs([
-                ("gpu", ordinal.as_str()),
-                ("UUID", g.uuid().as_str()),
-                ("modelName", g.model.name()),
-            ]);
-            util.metrics
-                .push(Metric::new(labels.clone(), Sample::now(g.util * 100.0)));
-            power
-                .metrics
-                .push(Metric::new(labels.clone(), Sample::now(g.power_w)));
-            fb_used.metrics.push(Metric::new(
-                labels.clone(),
-                Sample::now(g.memory_used as f64 / (1 << 20) as f64),
-            ));
-            energy
-                .metrics
-                .push(Metric::new(labels, Sample::now(g.energy_j * 1000.0)));
+        let gpus: Vec<_> = node
+            .gpus()
+            .iter()
+            .map(|g| {
+                let values = [
+                    g.util * 100.0,
+                    g.power_w,
+                    g.memory_used as f64 / (1 << 20) as f64,
+                    g.energy_j * 1000.0,
+                ];
+                (g.ordinal.to_string(), g.uuid(), g.model.name(), values)
+            })
+            .collect();
+        drop(node);
+        for (i, &(name, help, metric_type)) in DCGM_FAMILIES.iter().enumerate() {
+            out.family(name, help, metric_type);
+            for (ordinal, uuid, model, values) in &gpus {
+                out.sample(
+                    "",
+                    &[("gpu", ordinal), ("UUID", uuid), ("modelName", model)],
+                    values[i],
+                );
+            }
         }
-        vec![util, power, fb_used, energy]
     }
 }
 
@@ -82,34 +91,27 @@ impl GpuMapCollector {
 }
 
 impl Collector for GpuMapCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut fam = MetricFamily::new(
+        let mut bound = Vec::new();
+        for task_id in node.task_ids() {
+            if let Some(ordinals) = node.task_gpu_ordinals(task_id) {
+                let uuid = job_uuid(task_id);
+                bound.extend(ordinals.iter().map(|o| (uuid.clone(), o.to_string())));
+            }
+        }
+        drop(node);
+        out.family(
             "ceems_compute_unit_gpu_index_flag",
             "Maps compute units to the GPU ordinals bound to them",
             MetricType::Gauge,
         );
-        for task_id in node.task_ids() {
-            let Some(ordinals) = node.task_gpu_ordinals(task_id) else {
-                continue;
-            };
-            let uuid = format!("slurm-{task_id}");
-            for o in ordinals {
-                // `index` matches the real CEEMS metric; `gpu` duplicates it
-                // under DCGM's label name so recording rules can join the
-                // map against DCGM power/util series on (gpu, instance).
-                let ord = o.to_string();
-                fam.metrics.push(Metric::new(
-                    LabelSet::from_pairs([
-                        ("uuid", uuid.as_str()),
-                        ("index", ord.as_str()),
-                        ("gpu", ord.as_str()),
-                    ]),
-                    Sample::now(1.0),
-                ));
-            }
+        for (uuid, ord) in &bound {
+            // `index` matches the real CEEMS metric; `gpu` duplicates it
+            // under DCGM's label name so recording rules can join the
+            // map against DCGM power/util series on (gpu, instance).
+            out.sample("", &[("uuid", uuid), ("index", ord), ("gpu", ord)], 1.0);
         }
-        vec![fam]
     }
 }
 
@@ -156,7 +158,7 @@ mod tests {
 
     #[test]
     fn dcgm_metrics_per_gpu() {
-        let fams = DcgmCollector::new(gpu_node()).collect();
+        let fams = DcgmCollector::new(gpu_node()).families();
         assert_eq!(fams.len(), 4);
         assert_eq!(fams[0].metrics.len(), 4); // 4 GPUs
         // Bound GPUs run hot; unbound idle.
@@ -173,7 +175,7 @@ mod tests {
 
     #[test]
     fn gpu_map_flags() {
-        let fams = GpuMapCollector::new(gpu_node()).collect();
+        let fams = GpuMapCollector::new(gpu_node()).families();
         assert_eq!(fams[0].metrics.len(), 2); // job bound to GPUs 0 and 1
         for m in &fams[0].metrics {
             assert_eq!(m.labels.get("uuid"), Some("slurm-777"));

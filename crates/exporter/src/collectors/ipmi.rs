@@ -4,9 +4,9 @@
 //! internally (§II.A.b: DCMI is not suitable at high frequency), so calling
 //! this on every scrape is safe — most scrapes see the cached value.
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::clock::SimClock;
 use ceems_simnode::cluster::NodeHandle;
 
@@ -48,30 +48,26 @@ impl IpmiCollector {
 }
 
 impl Collector for IpmiCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         use std::sync::atomic::Ordering;
         let n = self.attempts.fetch_add(1, Ordering::Relaxed);
-        if self.failure_rate > 0.0 {
-            // Deterministic pseudo-random failure pattern.
-            let h = (n.wrapping_mul(0x9e3779b97f4a7c15) >> 40) as f64 / (1u64 << 24) as f64;
-            if h < self.failure_rate {
-                self.failures.fetch_add(1, Ordering::Relaxed);
-                return vec![MetricFamily::new(
-                    "ceems_ipmi_dcmi_power_current_watts",
-                    "Whole-node power reported by IPMI-DCMI",
-                    MetricType::Gauge,
-                )];
-            }
-        }
-        let watts = self.node.lock().ipmi_power_reading(self.clock.now_ms());
-        let mut fam = MetricFamily::new(
+        // Deterministic pseudo-random failure pattern.
+        let h = (n.wrapping_mul(0x9e3779b97f4a7c15) >> 40) as f64 / (1u64 << 24) as f64;
+        let failed = self.failure_rate > 0.0 && h < self.failure_rate;
+        let watts = if failed {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            None
+        } else {
+            Some(self.node.lock().ipmi_power_reading(self.clock.now_ms()))
+        };
+        out.family(
             "ceems_ipmi_dcmi_power_current_watts",
             "Whole-node power reported by IPMI-DCMI",
             MetricType::Gauge,
         );
-        fam.metrics
-            .push(Metric::new(LabelSet::empty(), Sample::now(watts as f64)));
-        vec![fam]
+        if let Some(watts) = watts {
+            out.sample("", &[], watts as f64);
+        }
     }
 }
 
@@ -95,18 +91,18 @@ mod tests {
         n.step(1000, 1.0);
         let node = Arc::new(Mutex::new(n));
         let always = IpmiCollector::with_failure_rate(node.clone(), clock.clone(), 1.0);
-        let fams = always.collect();
+        let fams = always.families();
         assert!(fams[0].metrics.is_empty());
         assert_eq!(always.failures(), 1);
 
         let never = IpmiCollector::with_failure_rate(node.clone(), clock.clone(), 0.0);
-        assert_eq!(never.collect()[0].metrics.len(), 1);
+        assert_eq!(never.families()[0].metrics.len(), 1);
 
         // A partial rate fails some but not all of 100 scrapes.
         let flaky = IpmiCollector::with_failure_rate(node, clock, 0.3);
         let mut ok = 0;
         for _ in 0..100 {
-            if !flaky.collect()[0].metrics.is_empty() {
+            if !flaky.families()[0].metrics.is_empty() {
                 ok += 1;
             }
         }
@@ -126,7 +122,7 @@ mod tests {
         n.step(1000, 1.0);
         let c = IpmiCollector::new(Arc::new(Mutex::new(n)), clock.clone());
         clock.advance_ms(1000);
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams.len(), 1);
         let watts = fams[0].metrics[0].sample.value;
         // Idle dual-socket Intel node: 100-300 W.

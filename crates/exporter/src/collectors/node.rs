@@ -1,8 +1,8 @@
 //! Node-level collector: `/proc/stat` CPU jiffies and `/proc/meminfo`.
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::cluster::NodeHandle;
 use ceems_simnode::pseudofs::PseudoFs;
 
@@ -47,49 +47,32 @@ fn meminfo_kb(text: &str, key: &str) -> Option<f64> {
 }
 
 impl Collector for NodeCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut cpu = MetricFamily::new(
-            "ceems_cpu_seconds_total",
-            "Node CPU time by mode",
-            MetricType::Counter,
-        );
-        if let Some((user, system, idle)) =
-            node.read_file("/proc/stat").as_deref().and_then(parse_proc_stat)
-        {
+        let cpu = node.read_file("/proc/stat").as_deref().and_then(parse_proc_stat);
+        let mem = node.read_file("/proc/meminfo").and_then(|text| {
+            Some((meminfo_kb(&text, "MemTotal")?, meminfo_kb(&text, "MemAvailable")?))
+        });
+        drop(node);
+
+        out.family("ceems_cpu_seconds_total", "Node CPU time by mode", MetricType::Counter);
+        if let Some((user, system, idle)) = cpu {
             for (mode, v) in [("user", user), ("system", system), ("idle", idle)] {
-                cpu.metrics.push(Metric::new(
-                    LabelSet::from_pairs([("mode", mode)]),
-                    Sample::now(v),
-                ));
+                out.sample("", &[("mode", mode)], v);
             }
         }
-
-        let mut mem_total = MetricFamily::new(
-            "ceems_memory_total_bytes",
-            "Installed memory",
-            MetricType::Gauge,
-        );
-        let mut mem_used = MetricFamily::new(
+        out.family("ceems_memory_total_bytes", "Installed memory", MetricType::Gauge);
+        if let Some((total, _)) = mem {
+            out.sample("", &[], total);
+        }
+        out.family(
             "ceems_memory_used_bytes",
             "Memory in use (total minus available)",
             MetricType::Gauge,
         );
-        if let Some(text) = node.read_file("/proc/meminfo") {
-            if let (Some(total), Some(avail)) = (
-                meminfo_kb(&text, "MemTotal"),
-                meminfo_kb(&text, "MemAvailable"),
-            ) {
-                mem_total
-                    .metrics
-                    .push(Metric::new(LabelSet::empty(), Sample::now(total)));
-                mem_used.metrics.push(Metric::new(
-                    LabelSet::empty(),
-                    Sample::now(total - avail),
-                ));
-            }
+        if let Some((total, avail)) = mem {
+            out.sample("", &[], total - avail);
         }
-        vec![cpu, mem_total, mem_used]
     }
 }
 
@@ -125,7 +108,7 @@ mod tests {
             n.step(i * 1000, 1.0);
         }
         let c = NodeCollector::new(Arc::new(Mutex::new(n)));
-        let fams = c.collect();
+        let fams = c.families();
         let cpu = &fams[0];
         assert_eq!(cpu.metrics.len(), 3);
         let user = cpu

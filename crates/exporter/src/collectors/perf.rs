@@ -8,10 +8,55 @@
 //! [`PerfCollector`] exposes per-unit instruction/cycle/FLOP/cache/DRAM
 //! counters; [`NetCollector`] exposes per-unit TX/RX byte counters.
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType::Counter;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::cluster::NodeHandle;
+use ceems_slurm::types::job_uuid;
+
+use super::{write_unit_families, FamilyDesc};
+
+const PERF_FAMILIES: [FamilyDesc; 6] = [
+    (
+        "ceems_compute_unit_perf_instructions_total",
+        "Retired instructions",
+        Counter,
+    ),
+    ("ceems_compute_unit_perf_cycles_total", "CPU cycles", Counter),
+    (
+        "ceems_compute_unit_perf_flops_total",
+        "Double-precision FLOPs",
+        Counter,
+    ),
+    (
+        "ceems_compute_unit_perf_cache_references_total",
+        "Last-level cache references",
+        Counter,
+    ),
+    (
+        "ceems_compute_unit_perf_cache_misses_total",
+        "Last-level cache misses",
+        Counter,
+    ),
+    (
+        "ceems_compute_unit_perf_dram_bytes_total",
+        "Bytes moved to/from DRAM",
+        Counter,
+    ),
+];
+
+const NET_FAMILIES: [FamilyDesc; 2] = [
+    (
+        "ceems_compute_unit_net_tx_bytes_total",
+        "Bytes transmitted by the compute unit",
+        Counter,
+    ),
+    (
+        "ceems_compute_unit_net_rx_bytes_total",
+        "Bytes received by the compute unit",
+        Counter,
+    ),
+];
 
 /// The perf-framework collector.
 pub struct PerfCollector {
@@ -26,47 +71,26 @@ impl PerfCollector {
 }
 
 impl Collector for PerfCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut fams: Vec<MetricFamily> = [
-            ("ceems_compute_unit_perf_instructions_total", "Retired instructions"),
-            ("ceems_compute_unit_perf_cycles_total", "CPU cycles"),
-            ("ceems_compute_unit_perf_flops_total", "Double-precision FLOPs"),
-            (
-                "ceems_compute_unit_perf_cache_references_total",
-                "Last-level cache references",
-            ),
-            (
-                "ceems_compute_unit_perf_cache_misses_total",
-                "Last-level cache misses",
-            ),
-            (
-                "ceems_compute_unit_perf_dram_bytes_total",
-                "Bytes moved to/from DRAM",
-            ),
-        ]
-        .into_iter()
-        .map(|(name, help)| MetricFamily::new(name, help, MetricType::Counter))
-        .collect();
-
-        for id in node.task_ids() {
-            let Some(perf) = node.task_perf(id) else { continue };
-            let uuid = format!("slurm-{id}");
-            let labels = LabelSet::from_pairs([("uuid", uuid.as_str())]);
-            let values = [
-                perf.instructions,
-                perf.cycles,
-                perf.flops,
-                perf.cache_references,
-                perf.cache_misses,
-                perf.dram_bytes,
-            ];
-            for (fam, v) in fams.iter_mut().zip(values) {
-                fam.metrics
-                    .push(Metric::new(labels.clone(), Sample::now(v as f64)));
-            }
-        }
-        fams
+        let units: Vec<_> = node
+            .task_ids()
+            .into_iter()
+            .filter_map(|id| {
+                let perf = node.task_perf(id)?;
+                let values = [
+                    perf.instructions,
+                    perf.cycles,
+                    perf.flops,
+                    perf.cache_references,
+                    perf.cache_misses,
+                    perf.dram_bytes,
+                ];
+                Some((job_uuid(id), values.map(|v| Some(v as f64))))
+            })
+            .collect();
+        drop(node);
+        write_unit_families(out, &PERF_FAMILIES, &units);
     }
 }
 
@@ -83,27 +107,18 @@ impl NetCollector {
 }
 
 impl Collector for NetCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut tx = MetricFamily::new(
-            "ceems_compute_unit_net_tx_bytes_total",
-            "Bytes transmitted by the compute unit",
-            MetricType::Counter,
-        );
-        let mut rx = MetricFamily::new(
-            "ceems_compute_unit_net_rx_bytes_total",
-            "Bytes received by the compute unit",
-            MetricType::Counter,
-        );
-        for id in node.task_ids() {
-            let Some((tx_b, rx_b)) = node.task_network(id) else { continue };
-            let uuid = format!("slurm-{id}");
-            let labels = LabelSet::from_pairs([("uuid", uuid.as_str())]);
-            tx.metrics
-                .push(Metric::new(labels.clone(), Sample::now(tx_b as f64)));
-            rx.metrics.push(Metric::new(labels, Sample::now(rx_b as f64)));
-        }
-        vec![tx, rx]
+        let units: Vec<_> = node
+            .task_ids()
+            .into_iter()
+            .filter_map(|id| {
+                let (tx, rx) = node.task_network(id)?;
+                Some((job_uuid(id), [Some(tx as f64), Some(rx as f64)]))
+            })
+            .collect();
+        drop(node);
+        write_unit_families(out, &NET_FAMILIES, &units);
     }
 }
 
@@ -143,7 +158,7 @@ mod tests {
     #[test]
     fn perf_families_per_unit() {
         let c = PerfCollector::new(node_running(WorkloadProfile::CpuBound { intensity: 0.9 }));
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams.len(), 6);
         for f in &fams {
             assert_eq!(f.metrics.len(), 1);
@@ -160,15 +175,15 @@ mod tests {
     fn memory_bound_shows_high_dram_traffic() {
         let cpu = PerfCollector::new(node_running(WorkloadProfile::CpuBound { intensity: 0.9 }));
         let mem = PerfCollector::new(node_running(WorkloadProfile::MemoryBound { resident: 0.9 }));
-        let dram_cpu = cpu.collect()[5].metrics[0].sample.value;
-        let dram_mem = mem.collect()[5].metrics[0].sample.value;
+        let dram_cpu = cpu.families()[5].metrics[0].sample.value;
+        let dram_mem = mem.families()[5].metrics[0].sample.value;
         assert!(dram_mem > 2.0 * dram_cpu, "mem={dram_mem} cpu={dram_cpu}");
     }
 
     #[test]
     fn network_counters_accumulate() {
         let c = NetCollector::new(node_running(WorkloadProfile::CpuBound { intensity: 0.9 }));
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams.len(), 2);
         // 2e7 B/s × 10 s ≈ 2e8 B on each direction for MPI-ish code.
         assert!(fams[0].metrics[0].sample.value > 1e8);

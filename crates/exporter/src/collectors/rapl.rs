@@ -1,10 +1,14 @@
 //! RAPL collector: reads the powercap tree.
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_simnode::cluster::NodeHandle;
 use ceems_simnode::pseudofs::PseudoFs;
+
+use super::file_path;
+
+const POWERCAP: &str = "/sys/class/powercap";
 
 /// The RAPL collector.
 pub struct RaplCollector {
@@ -19,37 +23,43 @@ impl RaplCollector {
 }
 
 impl Collector for RaplCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let node = self.node.lock();
-        let mut package = MetricFamily::new(
-            "ceems_rapl_package_joules_total",
-            "RAPL package domain cumulative energy",
-            MetricType::Counter,
-        );
-        let mut dram = MetricFamily::new(
-            "ceems_rapl_dram_joules_total",
-            "RAPL DRAM domain cumulative energy",
-            MetricType::Counter,
-        );
+        let mut zones = Vec::new();
+        let mut path = String::new();
+        for zone in node.list_dir(POWERCAP).unwrap_or_default() {
+            let Some(name) = node.read_file(file_path(&mut path, POWERCAP, &zone, "name")) else {
+                continue;
+            };
+            let Some(uj) = node.read_u64(file_path(&mut path, POWERCAP, &zone, "energy_uj")) else {
+                continue;
+            };
+            let is_package = match name.trim() {
+                n if n.starts_with("package") => true,
+                "dram" => false,
+                _ => continue,
+            };
+            zones.push((zone, is_package, uj as f64 / 1e6));
+        }
+        drop(node);
 
-        let zones = node.list_dir("/sys/class/powercap").unwrap_or_default();
-        for zone in zones {
-            let base = format!("/sys/class/powercap/{zone}");
-            let Some(name) = node.read_file(&format!("{base}/name")) else {
-                continue;
-            };
-            let Some(uj) = node.read_u64(&format!("{base}/energy_uj")) else {
-                continue;
-            };
-            let joules = uj as f64 / 1e6;
-            let labels = LabelSet::from_pairs([("path", zone.as_str())]);
-            if name.trim().starts_with("package") {
-                package.metrics.push(Metric::new(labels, Sample::now(joules)));
-            } else if name.trim() == "dram" {
-                dram.metrics.push(Metric::new(labels, Sample::now(joules)));
+        for (packages, name, help) in [
+            (
+                true,
+                "ceems_rapl_package_joules_total",
+                "RAPL package domain cumulative energy",
+            ),
+            (
+                false,
+                "ceems_rapl_dram_joules_total",
+                "RAPL DRAM domain cumulative energy",
+            ),
+        ] {
+            out.family(name, help, MetricType::Counter);
+            for (zone, _, joules) in zones.iter().filter(|z| z.1 == packages) {
+                out.sample("", &[("path", zone)], *joules);
             }
         }
-        vec![package, dram]
     }
 }
 
@@ -77,7 +87,7 @@ mod tests {
     #[test]
     fn intel_has_package_and_dram() {
         let c = RaplCollector::new(stepped(HardwareProfile::IntelCpu));
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams[0].metrics.len(), 2); // 2 sockets
         assert_eq!(fams[1].metrics.len(), 2); // 2 dram domains
         assert!(fams[0].metrics[0].sample.value > 100.0); // ≥45W*5s
@@ -87,7 +97,7 @@ mod tests {
     #[test]
     fn amd_has_no_dram_domain() {
         let c = RaplCollector::new(stepped(HardwareProfile::AmdCpu));
-        let fams = c.collect();
+        let fams = c.families();
         assert_eq!(fams[0].metrics.len(), 2);
         assert!(fams[1].metrics.is_empty());
     }

@@ -6,9 +6,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ceems_metrics::labels::LabelSet;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::model::MetricType;
 use ceems_metrics::registry::Collector;
+use ceems_metrics::sink::Sink;
 use ceems_metrics::Histogram;
 
 /// Shared scrape statistics, updated by the exporter on each render.
@@ -102,55 +102,40 @@ impl SelfCollector {
 }
 
 impl Collector for SelfCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
-        let mut scrapes = MetricFamily::new(
+    fn collect(&self, out: &mut dyn Sink) {
+        let stats = &self.stats;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
+        out.family(
             "ceems_exporter_scrapes_total",
             "Scrapes served by this exporter",
             MetricType::Counter,
         );
-        scrapes.metrics.push(Metric::new(
-            LabelSet::empty(),
-            Sample::now(self.stats.scrapes.load(Ordering::Relaxed) as f64),
-        ));
-        let mut render = MetricFamily::new(
+        out.sample("", &[], load(&stats.scrapes));
+        out.family(
             "ceems_exporter_render_seconds_total",
             "Cumulative time spent rendering /metrics",
             MetricType::Counter,
         );
-        render.metrics.push(Metric::new(
-            LabelSet::empty(),
-            Sample::now(self.stats.render_ns.load(Ordering::Relaxed) as f64 / 1e9),
-        ));
-        let mut payload = MetricFamily::new(
+        out.sample("", &[], load(&stats.render_ns) / 1e9);
+        out.family(
             "ceems_exporter_payload_bytes",
             "Size of the last /metrics payload",
             MetricType::Gauge,
         );
-        payload.metrics.push(Metric::new(
-            LabelSet::empty(),
-            Sample::now(self.stats.last_payload_bytes.load(Ordering::Relaxed) as f64),
-        ));
-        let mut samples = MetricFamily::new(
+        out.sample("", &[], load(&stats.last_payload_bytes));
+        out.family(
             "ceems_exporter_samples_total",
             "Samples leaving this exporter, by transport mode",
             MetricType::Counter,
         );
-        for (mode, v) in [
-            ("scrape", self.stats.samples_scraped.load(Ordering::Relaxed)),
-            ("push", self.stats.samples_pushed.load(Ordering::Relaxed)),
-        ] {
-            samples.metrics.push(Metric::new(
-                LabelSet::from_pairs([("mode", mode)]),
-                Sample::now(v as f64),
-            ));
-        }
-        let mut render_hist = MetricFamily::new(
+        out.sample("", &[("mode", "scrape")], load(&stats.samples_scraped));
+        out.sample("", &[("mode", "push")], load(&stats.samples_pushed));
+        out.family(
             "ceems_exporter_render_duration_seconds",
             "Distribution of /metrics render wall time",
             MetricType::Histogram,
         );
-        render_hist.metrics = self.stats.render_seconds.render(&LabelSet::empty());
-        vec![scrapes, render, payload, samples, render_hist]
+        stats.render_seconds.write(out, &[]);
     }
 }
 
@@ -164,7 +149,7 @@ mod tests {
         stats.record(1_000, 512);
         stats.record(3_000, 600);
         assert_eq!(stats.mean_render_ns(), 2_000.0);
-        let fams = SelfCollector::new(stats.clone()).collect();
+        let fams = SelfCollector::new(stats.clone()).families();
         assert_eq!(fams[0].metrics[0].sample.value, 2.0);
         assert_eq!(fams[2].metrics[0].sample.value, 600.0);
         // The histogram family carries the same observations as quantiles.
@@ -189,7 +174,7 @@ mod tests {
         stats.record_samples(RenderMode::Scrape, 10);
         stats.record_samples(RenderMode::Push, 3);
         stats.record_samples(RenderMode::Push, 4);
-        let fams = SelfCollector::new(stats).collect();
+        let fams = SelfCollector::new(stats).families();
         let samples = fams
             .iter()
             .find(|f| f.name == "ceems_exporter_samples_total")

@@ -1,12 +1,12 @@
 //! The exporter: registry wiring, text rendering and the `/metrics`
 //! HTTP endpoint.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ceems_emissions::EmissionProvider;
 use ceems_http::auth::BasicAuth;
 use ceems_http::{HttpServer, Response, Router, ServerConfig};
-use ceems_metrics::encode::encode_families_into;
 use ceems_metrics::registry::Registry;
 use ceems_simnode::clock::SimClock;
 use ceems_simnode::cluster::NodeHandle;
@@ -122,10 +122,10 @@ impl CeemsExporter {
 
     fn render_as(&self, mode: RenderMode) -> String {
         let started = std::time::Instant::now();
-        let families = self.registry.gather();
-        let samples: usize = families.iter().map(|f| f.metrics.len()).sum();
-        let mut out = String::with_capacity(4096);
-        encode_families_into(&families, &mut out);
+        // Sized from the last payload plus room for counters gaining digits.
+        let last = self.stats.last_payload_bytes.load(Ordering::Relaxed) as usize;
+        let mut out = String::with_capacity((last + 256).max(4096));
+        let samples = self.registry.render_into(&mut out);
         self.stats
             .record(started.elapsed().as_nanos() as u64, out.len());
         self.stats.record_samples(mode, samples as u64);

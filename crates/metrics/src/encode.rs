@@ -4,67 +4,76 @@ use std::fmt::Write as _;
 
 use crate::model::{MetricFamily, MetricType};
 
+/// Appends `v` with `\\` and `\n` escaped, and `"` too when `quote` is set
+/// (label values; HELP text leaves quotes alone, per the format spec).
+pub(crate) fn write_escaped(out: &mut String, v: &str, quote: bool) {
+    let mut from = 0;
+    for (i, b) in v.bytes().enumerate() {
+        let esc = match b {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'"' if quote => "\\\"",
+            _ => continue,
+        };
+        out.push_str(&v[from..i]);
+        out.push_str(esc);
+        from = i + 1;
+    }
+    out.push_str(&v[from..]);
+}
+
 /// Escapes a label value for the exposition format (`\\`, `\"`, `\n`).
 pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, v, true);
     out
 }
 
 /// Escapes a HELP string (`\\` and `\n` only, per the format spec).
 pub fn escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, v, false);
     out
 }
 
-/// Formats a sample value the way Prometheus does.
-pub fn format_value(v: f64) -> String {
+/// Appends a sample value the way Prometheus writes it: `NaN`, `+Inf`,
+/// `-Inf`, otherwise what `Display for f64` prints: the shortest decimal
+/// that reads back to the same bits, with no exponent and no trailing `.0`.
+pub fn write_value(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if v == f64::INFINITY {
-        "+Inf".to_string()
+        out.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+        out.push_str("-Inf");
+    } else if v.fract() == 0.0 && v.abs() < 9e15 && v.to_bits() != (-0.0f64).to_bits() {
+        // A whole number below 2^53 prints the same digits as an integer
+        // (only `-0` differs), without the shortest-digits search.
+        let _ = write!(out, "{}", v as i64);
     } else {
-        // Shortest representation that round-trips.
-        let mut s = format!("{}", v);
-        if !s.contains('.') && !s.contains('e') && !s.contains("Inf") && !s.contains("NaN") {
-            // Keep integers unadorned, matching Prometheus output.
-            return s;
-        }
-        if s.ends_with(".0") {
-            s.truncate(s.len() - 2);
-        }
-        s
+        let _ = write!(out, "{v}");
     }
+}
+
+/// [`write_value`] into a fresh `String`.
+pub fn format_value(v: f64) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
 }
 
 /// Encodes families into the text exposition format.
 ///
 /// Families are assumed pre-sorted (the registry sorts them); metrics are
-/// emitted in their stored order.
+/// emitted in their stored order. This is the reference the registry's
+/// direct text path ([`crate::Registry::render_into`]) is tested against.
 pub fn encode_families(families: &[MetricFamily]) -> String {
     let mut out = String::with_capacity(families.len() * 128);
     encode_families_into(families, &mut out);
     out
 }
 
-/// Encodes into a caller-provided buffer (lets the exporter reuse its scrape
-/// buffer across requests).
+/// Encodes into a caller-provided buffer.
 pub fn encode_families_into(families: &[MetricFamily], out: &mut String) {
     for fam in families {
         if !fam.help.is_empty() {
@@ -175,6 +184,17 @@ mod tests {
         assert_eq!(format_value(f64::INFINITY), "+Inf");
         assert_eq!(format_value(f64::NEG_INFINITY), "-Inf");
         assert_eq!(format_value(0.0), "0");
+        assert_eq!(format_value(-0.0), "-0");
         assert_eq!(format_value(-2.25), "-2.25");
+        assert_eq!(format_value(1e21), "1000000000000000000000");
+        assert_eq!(format_value(u64::MAX as f64), "18446744073709552000");
+        assert_eq!(format_value(-9007199254740991.0), "-9007199254740991");
+    }
+
+    #[test]
+    fn escapes_keep_multi_byte_text_whole() {
+        assert_eq!(escape_label_value("é\"λ\\\n✓"), "é\\\"λ\\\\\\n✓");
+        assert_eq!(escape_help("é\"λ\\\n✓"), "é\"λ\\\\\\n✓");
+        assert_eq!(escape_label_value(""), "");
     }
 }

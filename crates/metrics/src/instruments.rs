@@ -12,8 +12,9 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 
 use crate::labels::LabelSet;
-use crate::model::{Exemplar, Metric, MetricFamily, MetricType, Sample};
+use crate::model::{Exemplar, Metric, MetricType, Sample};
 use crate::registry::Collector;
+use crate::sink::{FamilySink, Sink};
 
 /// Lock-free f64 cell.
 #[derive(Debug, Default)]
@@ -131,6 +132,8 @@ pub struct Histogram {
 #[derive(Debug)]
 struct HistogramCore {
     bounds: Vec<f64>,
+    // The `le` label value of each bound, formatted once.
+    les: Vec<String>,
     counts: Vec<AtomicU64>,
     sum: AtomicF64,
     total: AtomicU64,
@@ -158,6 +161,7 @@ impl Histogram {
             .collect();
         Histogram {
             inner: Arc::new(HistogramCore {
+                les: bounds.iter().map(|&b| format_bound(b)).collect(),
                 bounds,
                 counts,
                 sum: AtomicF64::new(0.0),
@@ -262,43 +266,44 @@ impl Histogram {
         self.inner.sum.get()
     }
 
-    /// Renders the histogram into `_bucket`/`_sum`/`_count` metrics with the
-    /// given base labels.
-    pub fn render(&self, base: &LabelSet) -> Vec<Metric> {
-        let mut out = Vec::with_capacity(self.inner.bounds.len() + 3);
-        for (i, &bound) in self.inner.bounds.iter().enumerate() {
-            let le = format_bound(bound);
-            out.push(
-                Metric::suffixed(
-                    base.with("le", le),
-                    Sample::now(self.inner.counts[i].load(Ordering::Relaxed) as f64),
-                    "_bucket",
-                )
-                .with_exemplar(
-                    self.inner.exemplars[i].lock().as_ref().map(|(e, _)| e.clone()),
+    /// Writes the `_bucket`/`_sum`/`_count` samples into the sink's open
+    /// family, each carrying the `base` labels.
+    pub fn write(&self, out: &mut dyn Sink, base: &[(&str, &str)]) {
+        let core = &*self.inner;
+        let total = self.count() as f64;
+        let mut labels = Vec::with_capacity(base.len() + 1);
+        labels.extend_from_slice(base);
+        labels.push(("le", ""));
+        let cumulative = core
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed) as f64)
+            .chain([total]);
+        let les = core.les.iter().map(String::as_str).chain(["+Inf"]);
+        for ((count, le), slot) in cumulative.zip(les).zip(&core.exemplars) {
+            labels[base.len()].1 = le;
+            match slot.lock().as_ref() {
+                None => out.sample("_bucket", &labels, count),
+                Some((exemplar, _)) => out.metric(
+                    &Metric::suffixed(
+                        LabelSet::from_pairs(labels.iter().copied()),
+                        Sample::now(count),
+                        "_bucket",
+                    )
+                    .with_exemplar(Some(exemplar.clone())),
                 ),
-            );
+            }
         }
-        out.push(
-            Metric::suffixed(
-                base.with("le", "+Inf"),
-                Sample::now(self.count() as f64),
-                "_bucket",
-            )
-            .with_exemplar(
-                self.inner.exemplars[self.inner.bounds.len()]
-                    .lock()
-                    .as_ref()
-                    .map(|(e, _)| e.clone()),
-            ),
-        );
-        out.push(Metric::suffixed(base.clone(), Sample::now(self.sum()), "_sum"));
-        out.push(Metric::suffixed(
-            base.clone(),
-            Sample::now(self.count() as f64),
-            "_count",
-        ));
-        out
+        out.sample("_sum", base, self.sum());
+        out.sample("_count", base, total);
+    }
+
+    /// [`Histogram::write`] as typed metrics.
+    pub fn render(&self, base: &LabelSet) -> Vec<Metric> {
+        let mut sink = FamilySink::default();
+        sink.family("", "", MetricType::Histogram);
+        self.write(&mut sink, &base.iter().collect::<Vec<_>>());
+        sink.into_families().remove(0).metrics
     }
 }
 
@@ -408,13 +413,28 @@ impl<T: Clone> MetricVec<T> {
         self.children.read().len()
     }
 
-    fn label_set_for(&self, values: &[String]) -> LabelSet {
-        LabelSet::from_pairs(
-            self.label_names
-                .iter()
-                .zip(values.iter())
-                .map(|(k, v)| (k.clone(), v.clone())),
-        )
+    /// Writes the family with one sample per child, ordered as their label
+    /// sets order (by label name, then value).
+    fn write(&self, out: &mut dyn Sink, get: impl Fn(&T) -> f64) {
+        let names = &self.label_names;
+        let mut by_name: Vec<usize> = (0..names.len())
+            .filter(|&i| !names[i + 1..].contains(&names[i]))
+            .collect();
+        by_name.sort_by_key(|&i| &names[i]);
+        let children = self.children.read();
+        let mut rows: Vec<(&Vec<String>, f64)> =
+            children.iter().map(|(k, c)| (k, get(c))).collect();
+        rows.sort_by(|(a, _), (b, _)| {
+            let (a, b) = (by_name.iter().map(|&i| &a[i]), by_name.iter().map(|&i| &b[i]));
+            a.cmp(b)
+        });
+        out.family(&self.name, &self.help, self.metric_type);
+        let mut labels: Vec<(&str, &str)> = Vec::with_capacity(names.len());
+        for (values, v) in rows {
+            labels.clear();
+            labels.extend(names.iter().map(String::as_str).zip(values.iter().map(String::as_str)));
+            out.sample("", &labels, v);
+        }
     }
 }
 
@@ -433,28 +453,14 @@ impl GaugeVec {
 }
 
 impl Collector for CounterVec {
-    fn collect(&self) -> Vec<MetricFamily> {
-        let children = self.children.read();
-        let mut fam = MetricFamily::new(self.name.clone(), self.help.clone(), self.metric_type);
-        for (values, c) in children.iter() {
-            fam.metrics
-                .push(Metric::new(self.label_set_for(values), Sample::now(c.get())));
-        }
-        fam.metrics.sort_by(|a, b| a.labels.cmp(&b.labels));
-        vec![fam]
+    fn collect(&self, out: &mut dyn Sink) {
+        self.write(out, Counter::get);
     }
 }
 
 impl Collector for GaugeVec {
-    fn collect(&self) -> Vec<MetricFamily> {
-        let children = self.children.read();
-        let mut fam = MetricFamily::new(self.name.clone(), self.help.clone(), self.metric_type);
-        for (values, g) in children.iter() {
-            fam.metrics
-                .push(Metric::new(self.label_set_for(values), Sample::now(g.get())));
-        }
-        fam.metrics.sort_by(|a, b| a.labels.cmp(&b.labels));
-        vec![fam]
+    fn collect(&self, out: &mut dyn Sink) {
+        self.write(out, Gauge::get);
     }
 }
 
@@ -500,22 +506,18 @@ impl HistogramVec {
 }
 
 impl Collector for HistogramVec {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let children = self.children.read();
-        let mut fam = MetricFamily::new(self.name.clone(), self.help.clone(), MetricType::Histogram);
-        let mut keys: Vec<_> = children.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let h = &children[&key];
-            let base = LabelSet::from_pairs(
-                self.label_names
-                    .iter()
-                    .zip(key.iter())
-                    .map(|(k, v)| (k.clone(), v.clone())),
-            );
-            fam.metrics.extend(h.render(&base));
+        let mut rows: Vec<_> = children.iter().collect();
+        rows.sort_by_key(|&(key, _)| key);
+        out.family(&self.name, &self.help, MetricType::Histogram);
+        let mut base: Vec<(&str, &str)> = Vec::with_capacity(self.label_names.len());
+        for (key, h) in rows {
+            base.clear();
+            let names = self.label_names.iter().map(String::as_str);
+            base.extend(names.zip(key.iter().map(String::as_str)));
+            h.write(out, &base);
         }
-        vec![fam]
     }
 }
 
@@ -659,10 +661,39 @@ mod tests {
         assert!(!cv.remove_label_values(&["alice", "running"]));
         assert_eq!(cv.child_count(), 1);
 
-        let fams = cv.collect();
+        let fams = cv.families();
         assert_eq!(fams.len(), 1);
         assert_eq!(fams[0].metrics.len(), 1);
         assert_eq!(fams[0].metrics[0].labels.get("user"), Some("bob"));
+    }
+
+    #[test]
+    fn vec_children_come_out_in_label_set_order() {
+        // Declared order is (user, state); label sets order by state first.
+        let cv = CounterVec::new("jobs_total", "jobs", &["user", "state"]);
+        cv.with_label_values(&["alice", "running"]).inc();
+        cv.with_label_values(&["bob", "done"]).add(2.0);
+        cv.with_label_values(&["carol", "done"]).add(3.0);
+        let fam = cv.families().remove(0);
+        let users: Vec<_> = fam.metrics.iter().map(|m| m.labels.get("user").unwrap()).collect();
+        assert_eq!(users, ["bob", "carol", "alice"]);
+        assert!(fam.metrics.windows(2).all(|w| w[0].labels < w[1].labels));
+
+        let hv = HistogramVec::new("lat", "latency", &["path", "code"], vec![1.0]);
+        hv.with_label_values(&["/b", "200"]).observe(0.5);
+        hv.with_label_values(&["/a", "500"]).observe_with_exemplar_at(2.0, "t1", 0);
+        let registry = crate::Registry::new();
+        registry.register("jobs", Arc::new(cv));
+        registry.register("lat", Arc::new(hv));
+        let text = registry.render();
+        assert_eq!(text, crate::encode_families(&registry.gather()));
+        // Histogram children order by their declared values: /a before /b.
+        assert!(text.contains(
+            "lat_bucket{code=\"500\",le=\"+Inf\",path=\"/a\"} 1 # {trace_id=\"t1\"} 2\n\
+             lat_sum{code=\"500\",path=\"/a\"} 2\n\
+             lat_count{code=\"500\",path=\"/a\"} 1\n\
+             lat_bucket{code=\"200\",le=\"1.0\",path=\"/b\"} 1\n"
+        ), "{text}");
     }
 
     #[test]

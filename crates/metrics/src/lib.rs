@@ -10,8 +10,10 @@
 //! * [`instruments`] — thread-safe counters, gauges and histograms plus
 //!   their labelled ("vec") variants.
 //! * [`registry`] — a [`registry::Collector`] trait and [`registry::Registry`]
-//!   that gathers families from many collectors, mirroring how the CEEMS
-//!   exporter enables/disables collectors at runtime.
+//!   that runs many collectors per scrape, mirroring how the CEEMS exporter
+//!   enables/disables collectors at runtime.
+//! * [`sink`] — what collectors write into: exposition text directly
+//!   ([`sink::TextSink`]) or typed families ([`sink::FamilySink`]).
 //! * [`encode`] / [`parse`] — the text exposition format, both directions.
 //!   The TSDB scraper parses exactly what the exporter encodes.
 //! * [`regexlite`] — a small, anchored regular-expression subset used for
@@ -26,6 +28,7 @@ pub mod model;
 pub mod parse;
 pub mod regexlite;
 pub mod registry;
+pub mod sink;
 
 pub use encode::encode_families;
 pub use instruments::{
@@ -37,3 +40,4 @@ pub use matcher::{LabelMatcher, MatchOp};
 pub use model::{Exemplar, Metric, MetricFamily, MetricType, Sample};
 pub use parse::{parse_text, ParseError, ParsedExemplar, ParsedSample, ParsedScrape};
 pub use registry::{Collector, Registry};
+pub use sink::{FamilySink, Sink, TextSink};

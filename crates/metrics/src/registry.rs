@@ -7,22 +7,34 @@
 
 use std::sync::Arc;
 
+use std::cell::Cell;
+
 use parking_lot::RwLock;
 
 use crate::model::MetricFamily;
+use crate::sink::{FamilySink, Sink, TextSink};
 
-/// Anything that can produce metric families on demand.
+/// Anything that can produce metrics on demand.
 pub trait Collector: Send + Sync {
-    /// Produces the current families. Called once per scrape.
-    fn collect(&self) -> Vec<MetricFamily>;
+    /// Emits the current families and samples into `out`. Called once per
+    /// scrape.
+    fn collect(&self, out: &mut dyn Sink);
+
+    /// The typed view of one pass: what [`Collector::collect`] emits, as
+    /// families.
+    fn families(&self) -> Vec<MetricFamily> {
+        let mut sink = FamilySink::default();
+        self.collect(&mut sink);
+        sink.into_families()
+    }
 }
 
 impl<F> Collector for F
 where
     F: Fn() -> Vec<MetricFamily> + Send + Sync,
 {
-    fn collect(&self) -> Vec<MetricFamily> {
-        self()
+    fn collect(&self, out: &mut dyn Sink) {
+        out.families(&self());
     }
 }
 
@@ -36,6 +48,13 @@ struct Entry {
 #[derive(Clone, Default)]
 pub struct Registry {
     entries: Arc<RwLock<Vec<Entry>>>,
+}
+
+thread_local! {
+    /// This thread's warm text sink. A render takes it out and puts it back,
+    /// so its buffers serve every registry the thread renders; a collector
+    /// that renders another registry meanwhile finds an empty one.
+    static SCRATCH: Cell<TextSink> = Cell::default();
 }
 
 impl Registry {
@@ -83,14 +102,47 @@ impl Registry {
             .collect()
     }
 
+    /// Runs the enabled collectors, in registration order, into `out`. They
+    /// run after the lock is dropped: one may be slow (IPMI) or touch this
+    /// registry, and a writer queued behind a held read lock parks every
+    /// later reader.
+    fn collect(&self, out: &mut dyn Sink) {
+        let enabled: Vec<Arc<dyn Collector>> = {
+            let entries = self.entries.read();
+            let enabled = entries.iter().filter(|e| e.enabled);
+            enabled.map(|e| e.collector.clone()).collect()
+        };
+        for c in enabled {
+            c.collect(out);
+        }
+    }
+
     /// Gathers families from all enabled collectors, sorted by family name.
     pub fn gather(&self) -> Vec<MetricFamily> {
-        let entries = self.entries.read();
-        let mut out: Vec<MetricFamily> = Vec::new();
-        for e in entries.iter().filter(|e| e.enabled) {
-            out.extend(e.collector.collect());
-        }
+        let mut sink = FamilySink::default();
+        self.collect(&mut sink);
+        let mut out = sink.into_families();
         out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    /// Appends the exposition text of all enabled collectors to `out` —
+    /// byte for byte `encode_families(&self.gather())`, written straight
+    /// from the collectors — and returns the number of sample lines.
+    pub fn render_into(&self, out: &mut String) -> usize {
+        let mut sink = SCRATCH.take();
+        sink.clear();
+        self.collect(&mut sink);
+        sink.write_sorted(out);
+        let samples = sink.samples();
+        SCRATCH.set(sink);
+        samples
+    }
+
+    /// [`Registry::render_into`] a fresh `String`: the `/metrics` payload.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
         out
     }
 }
@@ -123,6 +175,51 @@ mod tests {
             r.collector_names(),
             vec![("b".to_string(), false), ("a".to_string(), true)]
         );
+    }
+
+    #[test]
+    fn render_is_the_encoding_of_gather() {
+        let r = Registry::new();
+        r.register("b", Arc::new(move || fam("metric_b", 2.0)));
+        r.register("a", Arc::new(move || fam("metric_a", 1.0)));
+        r.register("off", Arc::new(move || fam("metric_off", 0.0)));
+        r.set_enabled("off", false);
+        let mut out = String::from("kept ");
+        assert_eq!(r.render_into(&mut out), 2);
+        assert_eq!(
+            out,
+            format!("kept {}", crate::encode_families(&r.gather()))
+        );
+        // The warm sink starts over on every render.
+        assert_eq!(r.render(), crate::encode_families(&r.gather()));
+    }
+
+    /// A collector that disables itself while it is being collected.
+    struct Quits(Registry);
+
+    impl Collector for Quits {
+        fn collect(&self, out: &mut dyn Sink) {
+            assert!(self.0.set_enabled("quits", false));
+            out.families(&fam("last_words", 1.0));
+        }
+    }
+
+    #[test]
+    fn a_collector_may_toggle_the_registry_it_is_in() {
+        // With the entries lock held across `collect` this deadlocks, so it
+        // runs on a thread the test can give up on.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = Registry::new();
+            r.register("quits", Arc::new(Quits(r.clone())));
+            let first = r.render();
+            tx.send((first, r.render(), r.gather().len())).ok();
+        });
+        let (first, second, third) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a collector that toggles its own registry deadlocked the render");
+        assert!(first.ends_with("last_words 1\n"), "{first}");
+        assert_eq!((second.as_str(), third), ("", 0));
     }
 
     #[test]

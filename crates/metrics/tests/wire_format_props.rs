@@ -2,10 +2,13 @@
 //! emits, the parser must read back exactly (this is the exporter→scraper
 //! contract the whole stack rests on).
 
-use ceems_metrics::encode::encode_families;
-use ceems_metrics::labels::LabelSetBuilder;
-use ceems_metrics::model::{Metric, MetricFamily, MetricType, Sample};
-use ceems_metrics::parse::parse_text;
+use std::sync::Arc;
+
+use ceems_metrics::encode::{encode_families, format_value};
+use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
+use ceems_metrics::model::{Exemplar, Metric, MetricFamily, MetricType, Sample};
+use ceems_metrics::parse::{parse_sample_line, parse_text};
+use ceems_metrics::{Collector, Registry, Sink};
 use proptest::prelude::*;
 
 fn arb_label_name() -> impl Strategy<Value = String> {
@@ -60,8 +63,156 @@ fn arb_family() -> impl Strategy<Value = MetricFamily> {
         })
 }
 
+/// One sample as a collector would emit it: labels in any order, names
+/// possibly repeated.
+#[derive(Clone, Debug)]
+struct SampleSpec {
+    suffix: &'static str,
+    labels: Vec<(String, String)>,
+    value: f64,
+    timestamp_ms: Option<i64>,
+    exemplar: Option<(String, f64)>,
+}
+
+#[derive(Clone, Debug)]
+struct FamilySpec {
+    name: String,
+    help: String,
+    metric_type: MetricType,
+    samples: Vec<SampleSpec>,
+}
+
+/// Emits its families through `family` + `sample`, falling back to `metric`
+/// for what only that carries (a timestamp, an exemplar).
+struct Scripted(Vec<FamilySpec>);
+
+impl Collector for Scripted {
+    fn collect(&self, out: &mut dyn Sink) {
+        for fam in &self.0 {
+            out.family(&fam.name, &fam.help, fam.metric_type);
+            for s in &fam.samples {
+                let labels: Vec<(&str, &str)> =
+                    s.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                if s.timestamp_ms.is_none() && s.exemplar.is_none() {
+                    out.sample(s.suffix, &labels, s.value);
+                    continue;
+                }
+                let sample = Sample {
+                    value: s.value,
+                    timestamp_ms: s.timestamp_ms,
+                };
+                let exemplar = s.exemplar.clone().map(|(id, v)| Exemplar::new(id, v));
+                out.metric(
+                    &Metric::suffixed(LabelSet::from_pairs(labels), sample, s.suffix)
+                        .with_exemplar(exemplar),
+                );
+            }
+        }
+    }
+}
+
+fn arb_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => proptest::num::f64::ANY,
+        2 => (-1_000_000i64..1_000_000).prop_map(|v| v as f64),
+        1 => Just(-0.0),
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ]
+}
+
+fn arb_sample() -> impl Strategy<Value = SampleSpec> {
+    (
+        prop_oneof![Just(""), Just("_bucket"), Just("_sum"), Just("_count")],
+        // Few names, so that repeats and every ordering turn up.
+        proptest::collection::vec(("[ab_][ab0]{0,1}", arb_label_value()), 0..5),
+        arb_value(),
+        proptest::option::of(-1_000_000_000i64..1_000_000_000_000),
+        proptest::option::of((arb_label_value(), arb_value())),
+    )
+        .prop_map(|(suffix, labels, value, timestamp_ms, exemplar)| SampleSpec {
+            suffix,
+            labels,
+            value,
+            timestamp_ms,
+            exemplar,
+        })
+}
+
+fn arb_collector() -> impl Strategy<Value = Vec<FamilySpec>> {
+    let family = (
+        // Few names: the same family turns up in several collectors.
+        "[a-c:_]{1,2}",
+        prop_oneof![Just(String::new()), arb_label_value()],
+        prop_oneof![
+            Just(MetricType::Counter),
+            Just(MetricType::Gauge),
+            Just(MetricType::Histogram),
+            Just(MetricType::Summary),
+            Just(MetricType::Untyped),
+        ],
+        proptest::collection::vec(arb_sample(), 0..4),
+    )
+        .prop_map(|(name, help, metric_type, samples)| FamilySpec {
+            name,
+            help,
+            metric_type,
+            samples,
+        });
+    proptest::collection::vec(family, 0..4)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn render_is_the_encoding_of_gather(
+        collectors in proptest::collection::vec((arb_collector(), any::<bool>(), any::<bool>()), 0..5),
+    ) {
+        let registry = Registry::new();
+        let mut want_samples = 0;
+        for (i, (families, enabled, as_closure)) in collectors.into_iter().enumerate() {
+            let scripted = Scripted(families);
+            if enabled {
+                want_samples += scripted.0.iter().map(|f| f.samples.len()).sum::<usize>();
+            }
+            let name = format!("c{i}");
+            if as_closure {
+                // The pre-built-families route: `Sink::families`.
+                let families = scripted.families();
+                registry.register(name.as_str(), Arc::new(move || families.clone()));
+            } else {
+                registry.register(name.as_str(), Arc::new(scripted));
+            }
+            registry.set_enabled(&name, enabled);
+        }
+        let mut text = String::new();
+        let samples = registry.render_into(&mut text);
+        prop_assert_eq!(&text, &encode_families(&registry.gather()));
+        prop_assert_eq!(samples, want_samples);
+        let parsed = parse_text(&text);
+        prop_assert!(parsed.is_ok(), "{:?} rejects:\n{}", parsed.err(), text);
+        prop_assert_eq!(parsed.unwrap().samples.len(), want_samples);
+    }
+
+    #[test]
+    fn a_written_value_reads_back_to_the_same_bits(any in proptest::num::f64::ANY, pick in 0usize..8) {
+        let edge = [-0.0, 0.0, 5e-324, 1e21, u64::MAX as f64, f64::MAX, f64::MIN_POSITIVE, -9007199254740993.0];
+        for v in [any, edge[pick], f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = format_value(v);
+            let back = parse_sample_line(&format!("m {text}"), 1).expect("a written value parses").value;
+            if v.is_nan() {
+                prop_assert!(back.is_nan(), "{text} read back as {back}");
+            } else {
+                prop_assert_eq!(back.to_bits(), v.to_bits(), "{} read back as {}", text, back);
+            }
+            if v.is_finite() {
+                // The whole-number shortcut prints what `Display` prints.
+                prop_assert_eq!(text, format!("{v}"));
+            }
+        }
+    }
 
     #[test]
     fn encode_parse_roundtrip(families in proptest::collection::vec(arb_family(), 1..4)) {

@@ -193,7 +193,7 @@ mod tests {
         let handler = http.wrap(router);
         handler(Request::new(Method::Get, "/traced"));
 
-        let text = ceems_metrics::encode_families(&registry.gather());
+        let text = registry.render();
         assert!(
             text.contains("# {trace_id=\"feedc0de\"}"),
             "exemplar missing from:\n{text}"

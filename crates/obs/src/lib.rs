@@ -28,7 +28,7 @@ use std::sync::Arc;
 use ceems_http::{Request, Response, Router};
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::{
-    encode_families, Collector, Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec,
+    Collector, Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec,
     Metric, MetricFamily, MetricType, Registry, Sample,
 };
 
@@ -148,7 +148,7 @@ impl Obs {
 
     /// Renders the whole registry in the text exposition format.
     pub fn render(&self) -> String {
-        encode_families(&self.registry.gather())
+        self.registry.render()
     }
 }
 
@@ -157,7 +157,7 @@ pub fn metrics_handler(
     registry: Registry,
 ) -> impl Fn(&Request) -> Response + Send + Sync + 'static {
     move |_req| {
-        Response::text(encode_families(&registry.gather()))
+        Response::text(registry.render())
             .with_header("content-type", "text/plain; version=0.0.4")
     }
 }

@@ -63,40 +63,44 @@ impl CgroupStats {
         self.cpu_user_usec + self.cpu_system_usec
     }
 
-    /// Renders the cgroup's files as `(file_name, content)` pairs, matching
-    /// the cgroup v2 layout the exporter parses.
+    /// The files of a cgroup directory, in listing order.
+    pub const FILES: [&'static str; 6] = [
+        "cpu.stat",
+        "memory.current",
+        "memory.peak",
+        "memory.max",
+        "io.stat",
+        "cgroup.procs",
+    ];
+
+    /// Renders one of the cgroup's [`Self::FILES`] in the cgroup v2 layout
+    /// the exporter parses; `None` for any other name.
+    pub fn read(&self, file: &str) -> Option<String> {
+        Some(match file {
+            "cpu.stat" => format!(
+                "usage_usec {}\nuser_usec {}\nsystem_usec {}\n",
+                self.cpu_total_usec(),
+                self.cpu_user_usec,
+                self.cpu_system_usec
+            ),
+            "memory.current" => format!("{}\n", self.memory_current),
+            "memory.peak" => format!("{}\n", self.memory_peak),
+            "memory.max" => format!("{}\n", self.memory_max),
+            "io.stat" => format!(
+                "8:0 rbytes={} wbytes={} rios=0 wios=0 dbytes=0 dios=0\n",
+                self.io_rbytes, self.io_wbytes
+            ),
+            "cgroup.procs" => self.pids.iter().map(|p| format!("{p}\n")).collect(),
+            _ => return None,
+        })
+    }
+
+    /// Renders the cgroup's files as `(file_name, content)` pairs.
     pub fn render(&self) -> Vec<(String, String)> {
-        vec![
-            (
-                "cpu.stat".to_string(),
-                format!(
-                    "usage_usec {}\nuser_usec {}\nsystem_usec {}\n",
-                    self.cpu_total_usec(),
-                    self.cpu_user_usec,
-                    self.cpu_system_usec
-                ),
-            ),
-            (
-                "memory.current".to_string(),
-                format!("{}\n", self.memory_current),
-            ),
-            ("memory.peak".to_string(), format!("{}\n", self.memory_peak)),
-            ("memory.max".to_string(), format!("{}\n", self.memory_max)),
-            (
-                "io.stat".to_string(),
-                format!(
-                    "8:0 rbytes={} wbytes={} rios=0 wios=0 dbytes=0 dios=0\n",
-                    self.io_rbytes, self.io_wbytes
-                ),
-            ),
-            (
-                "cgroup.procs".to_string(),
-                self.pids
-                    .iter()
-                    .map(|p| format!("{p}\n"))
-                    .collect::<String>(),
-            ),
-        ]
+        Self::FILES
+            .iter()
+            .map(|f| (f.to_string(), self.read(f).expect("a listed file")))
+            .collect()
     }
 }
 

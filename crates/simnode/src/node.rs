@@ -400,26 +400,12 @@ impl PseudoFs for SimNode {
         }
         // Powercap tree.
         if let Some(rest) = path.strip_prefix("/sys/class/powercap/") {
-            return self
-                .rapl
-                .render()
-                .into_iter()
-                .find(|(p, _)| p == rest)
-                .map(|(_, c)| c);
+            return self.rapl.read(rest);
         }
         // Cgroup tree.
-        if let Some(rest) = path.strip_prefix(&format!("{SLURM_CGROUP_ROOT}/")) {
-            let (dir, file) = rest.split_once('/')?;
-            let job_id = crate::cgroup::parse_job_dir(dir)?;
-            let task = self.tasks.get(&job_id)?;
-            return task
-                .cgroup
-                .render()
-                .into_iter()
-                .find(|(name, _)| name == file)
-                .map(|(_, c)| c);
-        }
-        None
+        let (dir, file) = cgroup_relative(path)?.split_once('/')?;
+        let task = self.tasks.get(&crate::cgroup::parse_job_dir(dir)?)?;
+        task.cgroup.read(file)
     }
 
     fn list_dir(&self, path: &str) -> Option<Vec<String>> {
@@ -432,23 +418,19 @@ impl PseudoFs for SimNode {
             );
         }
         if path == "/sys/class/powercap" {
-            let mut dirs: Vec<String> = self
-                .rapl
-                .render()
-                .into_iter()
-                .map(|(p, _)| p.split('/').next().unwrap().to_string())
-                .collect();
+            let mut dirs: Vec<String> = self.rapl.zones().collect();
             dirs.sort();
-            dirs.dedup();
             return Some(dirs);
         }
-        if let Some(rest) = path.strip_prefix(&format!("{SLURM_CGROUP_ROOT}/")) {
-            let job_id = crate::cgroup::parse_job_dir(rest)?;
-            let task = self.tasks.get(&job_id)?;
-            return Some(task.cgroup.render().into_iter().map(|(n, _)| n).collect());
-        }
-        None
+        let job_id = crate::cgroup::parse_job_dir(cgroup_relative(path)?)?;
+        self.tasks.get(&job_id)?;
+        Some(CgroupStats::FILES.iter().map(|f| f.to_string()).collect())
     }
+}
+
+/// The part of `path` below the SLURM cgroup root.
+fn cgroup_relative(path: &str) -> Option<&str> {
+    path.strip_prefix(SLURM_CGROUP_ROOT)?.strip_prefix('/')
 }
 
 /// Returns the cgroup directory path for a job on any node.
@@ -612,6 +594,56 @@ mod tests {
         // Missing paths.
         assert!(n.read_file("/sys/fs/cgroup/system.slice/slurmstepd.scope/job_99/cpu.stat").is_none());
         assert!(n.read_file("/bogus").is_none());
+    }
+
+    #[test]
+    fn a_single_file_read_is_the_entry_render_lists() {
+        let mut n = gpu_node();
+        n.add_task(cpu_task(7, 4), 0).unwrap();
+        n.add_task(cpu_task(12, 2), 0).unwrap();
+        n.step(1000, 1.0);
+
+        let powercap = n.rapl.render();
+        assert_eq!(powercap.len(), 4 * 3); // two packages, two DRAM zones
+        for (path, content) in &powercap {
+            let full = format!("/sys/class/powercap/{path}");
+            assert_eq!(n.read_file(&full).as_ref(), Some(content), "{full}");
+            let zone = path.split('/').next().unwrap().to_string();
+            assert!(n.list_dir("/sys/class/powercap").unwrap().contains(&zone));
+        }
+        for (id, task) in &n.tasks {
+            let dir = job_cgroup_dir(*id);
+            let files = task.cgroup.render();
+            let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
+            assert_eq!(n.list_dir(&dir).unwrap(), names);
+            for (name, content) in &files {
+                let full = format!("{dir}/{name}");
+                assert_eq!(n.read_file(&full).as_ref(), Some(content), "{full}");
+            }
+        }
+
+        // Anything the trees do not list is absent, however close.
+        for path in [
+            "/sys/class/powercap/intel-rapl:0/power_uw",
+            "/sys/class/powercap/intel-rapl:0/name/",
+            "/sys/class/powercap/intel-rapl:2/name",
+            "/sys/class/powercap/intel-rapl:0:1/name",
+            "/sys/class/powercap/intel-rapl:00/name",
+            "/sys/class/powercap/intel-rapl:+1/name",
+            "/sys/class/powercap/intel-rapl:/name",
+            "/sys/class/powercap/intel-rapl:0",
+            "/sys/class/powercap/name",
+            "/sys/fs/cgroup/system.slice/slurmstepd.scope/job_7/cpu.pressure",
+            "/sys/fs/cgroup/system.slice/slurmstepd.scope/job_7/",
+            "/sys/fs/cgroup/system.slice/slurmstepd.scope/job_7",
+            "/sys/fs/cgroup/system.slice/slurmstepd.scope/job_8/cpu.stat",
+            "/sys/fs/cgroup/system.slice/slurmstepd.scopejob_7/cpu.stat",
+            "/sys/fs/cgroup/system.slice/job_7/cpu.stat",
+        ] {
+            assert_eq!(n.read_file(path), None, "{path}");
+        }
+        assert_eq!(n.list_dir(&job_cgroup_dir(8)), None);
+        assert_eq!(n.list_dir("/sys/class/powercap/intel-rapl:0"), None);
     }
 
     #[test]

@@ -104,33 +104,53 @@ impl RaplZone {
         self.packages.iter().map(|d| d.energy_uj()).sum()
     }
 
+    /// The files of a zone directory, in listing order.
+    pub const FILES: [&'static str; 3] = ["name", "energy_uj", "max_energy_range_uj"];
+
+    /// Zone directory names under `/sys/class/powercap`: packages, then
+    /// DRAM sub-zones.
+    pub fn zones(&self) -> impl Iterator<Item = String> + '_ {
+        let packages = (0..self.packages.len()).map(|i| format!("intel-rapl:{i}"));
+        packages.chain((0..self.dram.len()).map(|i| format!("intel-rapl:{i}:0")))
+    }
+
+    /// The domain behind a zone directory name, which must be spelled the
+    /// way [`Self::zones`] spells it.
+    fn domain(&self, zone: &str) -> Option<&RaplDomain> {
+        let index = zone.strip_prefix("intel-rapl:")?;
+        let (index, domains) = match index.strip_suffix(":0") {
+            Some(socket) => (socket, &self.dram),
+            None => (index, &self.packages),
+        };
+        if index.starts_with('+') || (index.len() > 1 && index.starts_with('0')) {
+            return None;
+        }
+        domains.get(index.parse::<usize>().ok()?)
+    }
+
+    /// Renders one file of the powercap tree, addressed relative to
+    /// `/sys/class/powercap` (`intel-rapl:0/energy_uj`).
+    pub fn read(&self, path: &str) -> Option<String> {
+        let (zone, file) = path.split_once('/')?;
+        let dom = self.domain(zone)?;
+        Some(match file {
+            "name" => format!("{}\n", dom.name),
+            "energy_uj" => format!("{}\n", dom.energy_uj()),
+            "max_energy_range_uj" => format!("{}\n", dom.max_energy_range_uj()),
+            _ => return None,
+        })
+    }
+
     /// Renders the powercap file tree under `/sys/class/powercap`.
     /// Returns `(relative_path, content)` pairs.
     pub fn render(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        for (i, dom) in self.packages.iter().enumerate() {
-            let base = format!("intel-rapl:{i}");
-            out.push((format!("{base}/name"), format!("{}\n", dom.name)));
-            out.push((
-                format!("{base}/energy_uj"),
-                format!("{}\n", dom.energy_uj()),
-            ));
-            out.push((
-                format!("{base}/max_energy_range_uj"),
-                format!("{}\n", dom.max_energy_range_uj()),
-            ));
-        }
-        for (i, dom) in self.dram.iter().enumerate() {
-            let base = format!("intel-rapl:{i}:0");
-            out.push((format!("{base}/name"), format!("{}\n", dom.name)));
-            out.push((
-                format!("{base}/energy_uj"),
-                format!("{}\n", dom.energy_uj()),
-            ));
-            out.push((
-                format!("{base}/max_energy_range_uj"),
-                format!("{}\n", dom.max_energy_range_uj()),
-            ));
+        for zone in self.zones() {
+            for file in Self::FILES {
+                let path = format!("{zone}/{file}");
+                let content = self.read(&path).expect("a listed file");
+                out.push((path, content));
+            }
         }
         out
     }

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use ceems_metrics::{Collector, MetricFamily, Registry};
-use ceems_obs::{counter_family, counter_value_family, gauge_value_family, histogram_family};
+use ceems_metrics::MetricType::{Counter, Gauge, Histogram};
+use ceems_metrics::{Collector, Registry, Sink};
 
 use crate::storage::Tsdb;
 
@@ -23,114 +23,138 @@ impl TsdbCollector {
 }
 
 impl Collector for TsdbCollector {
-    fn collect(&self) -> Vec<MetricFamily> {
+    fn collect(&self, out: &mut dyn Sink) {
         let db = &self.db;
         let cache = db.posting_cache_stats();
         let ins = db.instruments();
         let (wal_syncs, wal_sync_secs) = db.wal_sync_stats();
         let wal_records = db.wal_position().map_or(0, |p| p.records);
-        vec![
-            gauge_value_family(
+        let values = [
+            (
                 "ceems_tsdb_head_series",
                 "Live series in the head.",
+                Gauge,
                 db.series_count() as f64,
             ),
-            gauge_value_family(
+            (
                 "ceems_tsdb_head_storage_bytes",
                 "Approximate compressed bytes held in the head.",
+                Gauge,
                 db.storage_bytes() as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_samples_appended_total",
                 "Samples successfully appended.",
+                Counter,
                 db.samples_appended() as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_out_of_order_total",
                 "Out-of-order samples dropped at ingest.",
+                Counter,
                 db.out_of_order_dropped() as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_posting_cache_hits_total",
                 "Posting-cache lookups served from cache.",
+                Counter,
                 cache.hits as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_posting_cache_misses_total",
                 "Posting-cache lookups that fell through to the index.",
+                Counter,
                 cache.misses as f64,
             ),
-            gauge_value_family(
+            (
                 "ceems_tsdb_posting_cache_entries",
                 "Posting-cache entries currently resident.",
+                Gauge,
                 cache.len as f64,
             ),
-            gauge_value_family(
+            (
                 "ceems_tsdb_wal_enabled",
                 "1 when a WAL is attached, else 0.",
+                Gauge,
                 if db.wal_enabled() { 1.0 } else { 0.0 },
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_wal_errors_total",
                 "WAL write failures (ingest kept serving; durability degraded).",
+                Counter,
                 db.wal_errors() as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_wal_records_total",
                 "Records written to the local WAL.",
+                Counter,
                 wal_records as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_wal_fsync_total",
                 "fsync calls issued by the WAL writer.",
+                Counter,
                 wal_syncs as f64,
             ),
-            counter_value_family(
+            (
                 "ceems_tsdb_wal_fsync_seconds_total",
                 "Cumulative seconds spent in WAL fsync calls.",
+                Counter,
                 wal_sync_secs,
             ),
-            counter_family(
+            (
                 "ceems_tsdb_ingest_series_ref_hits_total",
                 "Ingested samples a source's series cache named by id.",
-                &ins.series_ref_hits,
+                Counter,
+                ins.series_ref_hits.get(),
             ),
-            counter_family(
+            (
                 "ceems_tsdb_ingest_series_ref_misses_total",
                 "Ingested samples resolved by label set (new series, job churn, a cold cache).",
-                &ins.series_ref_misses,
+                Counter,
+                ins.series_ref_misses.get(),
             ),
-            counter_family(
+            (
                 "ceems_tsdb_ingest_stale_ref_batches_total",
                 "Ingest batches refused and sent again: a series removal outdated their ids.",
-                &ins.stale_ref_batches,
+                Counter,
+                ins.stale_ref_batches.get(),
             ),
-            histogram_family(
+        ];
+        for (name, help, metric_type, v) in values {
+            out.family(name, help, metric_type);
+            out.sample("", &[], v);
+        }
+        for (name, help, h) in [
+            (
                 "ceems_tsdb_ingest_duration_seconds",
                 "One ingest group commit (a target's scrape pass, a pushed frame, a rule's outputs).",
                 &ins.ingest_seconds,
             ),
-            histogram_family(
+            (
                 "ceems_tsdb_select_duration_seconds",
                 "Two-phase select wall time (resolve + materialize).",
                 &ins.select_seconds,
             ),
-            histogram_family(
+            (
                 "ceems_tsdb_select_resolve_duration_seconds",
                 "Select phase-1 resolve wall time (index lock + posting cache).",
                 &ins.select_resolve_seconds,
             ),
-            histogram_family(
+            (
                 "ceems_tsdb_wal_append_duration_seconds",
                 "One WAL group commit (encode + write + fsync policy).",
                 &ins.wal_append_seconds,
             ),
-            histogram_family(
+            (
                 "ceems_tsdb_checkpoint_duration_seconds",
                 "Stop-the-world checkpoint wall time.",
                 &ins.checkpoint_seconds,
             ),
-        ]
+        ] {
+            out.family(name, help, Histogram);
+            h.write(out, &[]);
+        }
     }
 }
 
@@ -149,7 +173,7 @@ mod tests {
     use super::*;
     use ceems_metrics::labels;
     use ceems_metrics::matcher::LabelMatcher;
-    use ceems_metrics::{encode_families, parse_text};
+    use ceems_metrics::parse_text;
 
     #[test]
     fn collector_families_parse_and_track_activity() {
@@ -161,7 +185,7 @@ mod tests {
         db.select(&[LabelMatcher::eq("__name__", "m")], 0, i64::MAX);
 
         let registry = default_registry(db.clone());
-        let text = encode_families(&registry.gather());
+        let text = registry.render();
         let parsed = parse_text(&text).expect("self-exposition must parse");
         let get = |n: &str| parsed.samples.iter().find(|s| s.name == n).map(|s| s.value);
         assert_eq!(get("ceems_tsdb_head_series"), Some(40.0));
