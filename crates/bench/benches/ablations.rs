@@ -149,12 +149,11 @@ fn bench_scrape_transport(c: &mut Criterion) {
     server.shutdown();
 }
 
-/// A TSDB holding `series` series of 20 samples each, under a given read
-/// configuration.
-fn wide_tsdb(series: usize, query_threads: usize, posting_cache_size: usize) -> Tsdb {
+/// A TSDB holding `series` series of 20 samples each, with a posting cache
+/// of the given size.
+fn wide_tsdb(series: usize, posting_cache_size: usize) -> Tsdb {
     let db = Tsdb::new(TsdbConfig {
         shards: 64,
-        query_threads,
         posting_cache_size,
         ..Default::default()
     });
@@ -170,24 +169,17 @@ fn wide_tsdb(series: usize, query_threads: usize, posting_cache_size: usize) -> 
     db
 }
 
-/// Select materialization: serial (`query_threads: 1`) vs sharded scoped
-/// fan-out, at 10k and 100k series.
-fn bench_select_serial_vs_parallel(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("select_serial_vs_parallel: available parallelism = {cores}");
-    let mut group = c.benchmark_group("select_serial_vs_parallel");
+/// A select of every series' whole history, at 10k and 100k series (the
+/// operation S17's instrumentation budget is held against).
+fn bench_select_wide(c: &mut Criterion) {
+    let mut group = c.benchmark_group("select_wide");
     group.sample_size(10);
     for series in [10_000usize, 100_000] {
-        for threads in [1usize, 4, 8] {
-            let db = wide_tsdb(series, threads, 0);
-            let m = [LabelMatcher::eq("__name__", "wide")];
-            group.bench_function(
-                BenchmarkId::new(format!("series_{series}_threads"), threads),
-                |b| b.iter(|| db.select(&m, 0, i64::MAX)),
-            );
-        }
+        let db = wide_tsdb(series, 0);
+        let m = [LabelMatcher::eq("__name__", "wide")];
+        group.bench_function(BenchmarkId::new("series", series), |b| {
+            b.iter(|| db.select(&m, 0, i64::MAX))
+        });
     }
     group.finish();
 }
@@ -201,7 +193,7 @@ fn bench_postings_cache_on_off(c: &mut Criterion) {
     group.sample_size(10);
     for series in [10_000usize, 100_000] {
         for (label, cache) in [("off", 0usize), ("on", 128)] {
-            let db = wide_tsdb(series, 4, cache);
+            let db = wide_tsdb(series, cache);
             let re = LabelMatcher::new("instance", MatchOp::Re, "n00001[0-9]").unwrap();
             let m = [LabelMatcher::eq("__name__", "wide"), re];
             group.bench_function(
@@ -218,7 +210,7 @@ criterion_group!(
     bench_head_sharding,
     bench_scrape_threads,
     bench_scrape_transport,
-    bench_select_serial_vs_parallel,
+    bench_select_wide,
     bench_postings_cache_on_off
 );
 criterion_main!(benches);

@@ -2,12 +2,26 @@
 //! other experiment — chunk compression, ingest, index selection and
 //! PromQL evaluation. Prints the achieved compression ratio (the reason a
 //! single host can hold a 1,400-node fleet's metrics).
+//!
+//! E14 rows (EXPERIMENTS.md): what a read near the head costs at three
+//! chunk fills (`head_tail_read`), what deriving one label set from another
+//! costs (`labelset`), and one tick of the fixture's recording rules with
+//! and without the rule-level fan-out (`rule_tick`).
 
-use ceems_bench::loaded_tsdb;
-use ceems_metrics::labels::LabelSetBuilder;
+use std::cell::OnceCell;
+use std::time::Instant;
+
+use ceems_bench::{loaded_tsdb, tmpdir};
+use ceems_core::attribution::all_rule_groups;
+use ceems_core::{CeemsConfig, CeemsStack};
+use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
+use ceems_simnode::{ClusterSpec, WorkloadProfile};
+use ceems_slurm::JobRequest;
 use ceems_tsdb::chunk::XorChunk;
+use ceems_tsdb::head::SeriesStore;
 use ceems_tsdb::promql::{instant_query, parse_expr};
+use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::types::Sample;
 use ceems_tsdb::Tsdb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -101,5 +115,200 @@ fn bench_select_and_query(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_chunk, bench_ingest, bench_select_and_query);
+/// A read near the head of one series, at three fills of its open chunk:
+/// the newest sample, the last two minutes (what `rate(..[2m])` reads) and
+/// everything. One store per series so a read starts cold in cache, as a
+/// select over many series does.
+fn bench_head_tail_read(c: &mut Criterion) {
+    let mut group = c.benchmark_group("head_tail_read");
+    for fill in [40i64, 120, 240] {
+        let stores: Vec<SeriesStore> = (0..512)
+            .map(|series| {
+                let mut store = SeriesStore::default();
+                for i in 0..fill {
+                    // Counter-like: a RAPL energy counter at ~150 W.
+                    let v = (i * 2_250 + series * 17 + i % 13) as f64;
+                    store.append(Sample::new(i * 15_000, v)).unwrap();
+                }
+                store
+            })
+            .collect();
+        let now = (fill - 1) * 15_000;
+        let mut at = 0;
+        let mut next = move || {
+            at = (at + 1) % 512;
+            at
+        };
+        group.bench_with_input(BenchmarkId::new("last", fill), &fill, |b, _| {
+            b.iter(|| stores[next()].last_sample())
+        });
+        group.bench_with_input(BenchmarkId::new("2m", fill), &fill, |b, _| {
+            b.iter(|| stores[next()].samples_in(now - 120_000, now))
+        });
+        group.bench_with_input(BenchmarkId::new("all", fill), &fill, |b, _| {
+            b.iter(|| stores[next()].samples_in(i64::MIN, i64::MAX))
+        });
+    }
+    group.finish();
+}
+
+/// The label-set operations the evaluator runs per series per operator, on
+/// five-label sets shaped like compute-unit series. A vector of 256 results
+/// is built and then dropped, as an operator does with its output, so the
+/// allocator is not handed back the block it just freed.
+fn bench_labelset(c: &mut Criterion) {
+    // Built from borrowed text, as the parser and the WAL reader build them.
+    let text: Vec<(String, String)> = (0..256)
+        .map(|uuid| {
+            (
+                format!("jz-intel-{:04}", uuid % 32),
+                format!("slurm-{uuid}"),
+            )
+        })
+        .collect();
+    let build = |(instance, uuid): &(String, String)| {
+        LabelSetBuilder::new()
+            .label("__name__", "ceems_compute_unit_cpu_user_seconds_total")
+            .label("instance", instance.as_str())
+            .label("job", "ceems")
+            .label("nodegroup", "intel-dram")
+            .label("uuid", uuid.as_str())
+            .build()
+    };
+    let sets: Vec<LabelSet> = text.iter().map(build).collect();
+    let by = ["instance".to_string(), "uuid".to_string()];
+    let mut group = c.benchmark_group("labelset");
+    group.bench_function("clone_x256", |b| {
+        b.iter(|| sets.to_vec())
+    });
+    group.bench_function("without_x256", |b| {
+        b.iter(|| {
+            sets.iter()
+                .map(|l| l.without("__name__"))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("restrict_to_x256", |b| {
+        b.iter(|| sets.iter().map(|l| l.restrict_to(&by)).collect::<Vec<_>>())
+    });
+    group.bench_function("build_x256", |b| {
+        b.iter(|| text.iter().map(build).collect::<Vec<_>>())
+    });
+    group.finish();
+}
+
+/// A stack shaped like the end-to-end benchmark's fixture (Jean-Zay ÷ 16,
+/// three submissions before every cycle, ten simulated minutes), for timing
+/// one tick of its recording rules. Selects stay on the calling thread.
+fn fleet_stack(dir: &std::path::Path) -> CeemsStack {
+    let jz = ClusterSpec::jean_zay();
+    let cfg = CeemsConfig {
+        cluster: ClusterSpec {
+            intel_nodes: jz.intel_nodes / 16,
+            amd_nodes: jz.amd_nodes / 16,
+            v100_nodes: jz.v100_nodes / 16,
+            a100_nodes: jz.a100_nodes / 16,
+            h100_nodes: jz.h100_nodes / 16,
+        },
+        threads: 2,
+        query_threads: 1,
+        wal_dir: Some(dir.join("wal").to_string_lossy().into_owned()),
+        ..CeemsConfig::default()
+    };
+    let mut stack = CeemsStack::build(cfg, dir).unwrap();
+    let partitions = [
+        "cpu-intel",
+        "cpu-amd",
+        "gpu-v100",
+        "gpu-a100",
+        "gpu-h100",
+        "cpu-intel",
+    ];
+    for cycle in 0..40usize {
+        for k in 0..3 {
+            let n = cycle * 3 + k;
+            let partition = partitions[n % partitions.len()];
+            // Submissions the scheduler cannot place yet stay queued.
+            let _ = stack.submit(JobRequest {
+                user: format!("user{:03}", n % 100),
+                account: format!("proj{:02}", n % 20),
+                partition: partition.into(),
+                nodes: 1,
+                cores_per_node: 1 + n % 8,
+                memory_per_node: (2 + n as u64 % 14) << 30,
+                gpus_per_node: if partition.starts_with("gpu") {
+                    n % 3
+                } else {
+                    0
+                },
+                walltime_s: 7_200,
+                workload: WorkloadProfile::CpuBound { intensity: 0.8 },
+            });
+        }
+        stack.advance(15.0);
+    }
+    stack
+}
+
+/// One tick of the fixture's recording rules, serial against the rule-level
+/// fan-out; beside criterion's row, where a mean tick goes, read from the
+/// TSDB's own select / ingest histograms.
+fn bench_rule_tick(c: &mut Criterion) {
+    let dir = tmpdir("tick");
+    // Built by the first row that runs, so a filtered-out group costs nothing.
+    let stack = OnceCell::new();
+    // Ticks of both rows share one clock: rule output is append-only.
+    let mut now = None;
+    let mut group = c.benchmark_group("rule_tick");
+    for eval_threads in [1usize, 2] {
+        group.bench_function(BenchmarkId::new("eval_threads", eval_threads), |b| {
+            let stack: &CeemsStack = stack.get_or_init(|| fleet_stack(&dir));
+            let db = &stack.tsdb;
+            let ins = db.instruments();
+            let spent = || {
+                let (select, resolve) =
+                    (ins.select_seconds.sum(), ins.select_resolve_seconds.sum());
+                [resolve, select - resolve, ins.ingest_seconds.sum()]
+            };
+            let groups = all_rule_groups(&stack.config().rule_window, 30_000);
+            let mut engine = RuleEngine::new(groups).with_eval_threads(eval_threads);
+            let now = now.get_or_insert_with(|| stack.clock.now_ms());
+            let (mut ticks, mut written) = (0u64, 0);
+            let (selects, evals) = (ins.select_seconds.count(), engine.stats().evaluations);
+            let (before, t) = (spent(), Instant::now());
+            b.iter(|| {
+                (*now, ticks) = (*now + 1, ticks + 1);
+                written = engine.force_eval(db, *now);
+            });
+            let (wall, after) = (t.elapsed().as_secs_f64(), spent());
+            let [resolve, read, append] = [0, 1, 2].map(|k| (after[k] - before[k]) * 1e3);
+            let per_tick = |total: f64| total / ticks as f64;
+            eprintln!(
+                "[E14] rule tick eval_threads={eval_threads}: mean {:.2} ms = \
+                 resolve {:.2} + read {:.2} + evaluate {:.2} + append {:.2} \
+                 ({} rules, {} selects, {written} series written)",
+                per_tick(wall * 1e3),
+                per_tick(resolve),
+                per_tick(read),
+                per_tick(wall * 1e3 - resolve - read - append),
+                per_tick(append),
+                (engine.stats().evaluations - evals) / ticks,
+                (ins.select_seconds.count() - selects) / ticks,
+            );
+        });
+    }
+    group.finish();
+    drop(stack);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_chunk,
+    bench_ingest,
+    bench_select_and_query,
+    bench_head_tail_read,
+    bench_labelset,
+    bench_rule_tick
+);
 criterion_main!(benches);

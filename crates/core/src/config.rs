@@ -319,8 +319,7 @@ pub struct CeemsConfig {
     pub churn: Option<ChurnSettings>,
     /// Worker threads for stepping/scraping.
     pub threads: usize,
-    /// Worker threads for TSDB select materialization and intra-group rule
-    /// evaluation (1 = serial read path).
+    /// Worker threads for intra-group rule evaluation (1 = serial ticks).
     pub query_threads: usize,
     /// Capacity of the TSDB matcher-result posting cache; 0 disables it.
     pub posting_cache_size: usize,

@@ -4,8 +4,13 @@
 //! name so that equality, hashing and the text exposition format are all
 //! deterministic. The special label `__name__` carries the metric name in
 //! TSDB contexts, as in Prometheus.
+//!
+//! Names and values are shared strings: cloning a set, or deriving one from
+//! it (`with`, `without`, `restrict_to`, `drop_names`), copies pointers,
+//! never bytes. Only construction from text allocates, one copy per string.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +24,7 @@ pub const METRIC_NAME_LABEL: &str = "__name__";
 /// convention); [`LabelSet::get`] returns `None` for empty values.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct LabelSet {
-    pairs: Vec<(String, String)>,
+    pairs: Vec<(Arc<str>, Arc<str>)>,
 }
 
 impl LabelSet {
@@ -32,8 +37,8 @@ impl LabelSet {
     pub fn from_pairs<I, S1, S2>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (S1, S2)>,
-        S1: Into<String>,
-        S2: Into<String>,
+        S1: AsRef<str>,
+        S2: AsRef<str>,
     {
         let mut b = LabelSetBuilder::new();
         for (k, v) in pairs {
@@ -45,9 +50,9 @@ impl LabelSet {
     /// Returns the value for `name`, treating empty values as absent.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.pairs
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by(|(k, _)| (**k).cmp(name))
             .ok()
-            .map(|i| self.pairs[i].1.as_str())
+            .map(|i| &*self.pairs[i].1)
             .filter(|v| !v.is_empty())
     }
 
@@ -68,14 +73,14 @@ impl LabelSet {
 
     /// Iterates over `(name, value)` pairs in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.pairs.iter().map(|(k, v)| (&**k, &**v))
     }
 
     /// Returns a new set with `name=value` added or replaced.
-    pub fn with(&self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        let mut b = LabelSetBuilder::from(self.clone());
-        b = b.label(name, value);
-        b.build()
+    pub fn with(&self, name: impl AsRef<str>, value: impl AsRef<str>) -> Self {
+        LabelSetBuilder::from(self.clone())
+            .label(name, value)
+            .build()
     }
 
     /// Returns a new set without the given label.
@@ -84,7 +89,7 @@ impl LabelSet {
             pairs: self
                 .pairs
                 .iter()
-                .filter(|(k, _)| k != name)
+                .filter(|(k, _)| **k != *name)
                 .cloned()
                 .collect(),
         }
@@ -97,7 +102,7 @@ impl LabelSet {
             pairs: self
                 .pairs
                 .iter()
-                .filter(|(k, _)| names.iter().any(|n| n == k))
+                .filter(|(k, _)| names.iter().any(|n| **n == **k))
                 .cloned()
                 .collect(),
         }
@@ -110,7 +115,7 @@ impl LabelSet {
             pairs: self
                 .pairs
                 .iter()
-                .filter(|(k, _)| k != METRIC_NAME_LABEL && !names.iter().any(|n| n == k))
+                .filter(|(k, _)| **k != *METRIC_NAME_LABEL && !names.iter().any(|n| **n == **k))
                 .cloned()
                 .collect(),
         }
@@ -165,7 +170,7 @@ impl fmt::Display for LabelSet {
 /// ones.
 #[derive(Clone, Default)]
 pub struct LabelSetBuilder {
-    pairs: Vec<(String, String)>,
+    pairs: Vec<(Arc<str>, Arc<str>)>,
 }
 
 impl LabelSetBuilder {
@@ -174,14 +179,14 @@ impl LabelSetBuilder {
         Self::default()
     }
 
-    /// Adds or replaces a label.
-    pub fn label(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = self.pairs.iter_mut().find(|(k, _)| *k == name) {
+    /// Adds or replaces a label. Each string is copied once, into the
+    /// shared allocation the built set keeps.
+    pub fn label(mut self, name: impl AsRef<str>, value: impl AsRef<str>) -> Self {
+        let (name, value) = (name.as_ref(), Arc::from(value.as_ref()));
+        if let Some(slot) = self.pairs.iter_mut().find(|(k, _)| **k == *name) {
             slot.1 = value;
         } else {
-            self.pairs.push((name, value));
+            self.pairs.push((Arc::from(name), value));
         }
         self
     }
@@ -300,6 +305,97 @@ mod tests {
         assert!(!valid_metric_name(""));
         assert!(valid_label_name("instance"));
         assert!(!valid_label_name("with:colon"));
+    }
+
+    /// The identity of a set as the commit before shared strings produced
+    /// it (`Vec<(String, String)>` pairs, derived traits): the values below
+    /// were printed by that commit.
+    #[test]
+    fn identity_is_what_owned_strings_produced() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash_of(v: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let pairs = [
+            ("uuid", "slurm-42"),
+            ("__name__", "ceems_power_watts"),
+            ("instance", "n\"1\\\n"),
+            ("job", "ceems"),
+            ("empty", ""),
+        ];
+        let ls = LabelSet::from_pairs(pairs);
+        assert_eq!(ls.fingerprint(), 0x86eb_c1e6_633c_006c);
+        assert_eq!(LabelSet::empty().fingerprint(), 0xcbf2_9ce4_8422_2325);
+        let text = r#"{__name__="ceems_power_watts",empty="",instance="n\"1\\\n",job="ceems",uuid="slurm-42"}"#;
+        assert_eq!(ls.to_string(), text);
+        assert_eq!(format!("{ls:?}"), text);
+        let json = r#"{"pairs":[["__name__","ceems_power_watts"],["empty",""],["instance","n\"1\\\n"],["job","ceems"],["uuid","slurm-42"]]}"#;
+        assert_eq!(serde_json::to_string(&ls).unwrap(), json);
+        assert_eq!(serde_json::from_str::<LabelSet>(json).unwrap(), ls);
+        assert_eq!(
+            serde_json::to_string(&LabelSet::empty()).unwrap(),
+            r#"{"pairs":[]}"#
+        );
+
+        // Hashes as the sorted owned pairs did, whatever order it was built in.
+        let mut owned: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        owned.sort();
+        for rotate in 0..pairs.len() {
+            let mut p = pairs;
+            p.rotate_left(rotate);
+            let other = LabelSet::from_pairs(p);
+            assert_eq!(other, ls);
+            assert_eq!(hash_of(&other), hash_of(&owned));
+            assert_eq!(other.fingerprint(), ls.fingerprint());
+        }
+
+        let mut sets = vec![
+            labels! {"a" => "2"},
+            labels! {"a" => "1", "b" => "0"},
+            labels! {"a" => "1"},
+            LabelSet::empty(),
+            labels! {"B" => "9"},
+            labels! {"a" => "1", "a0" => ""},
+        ];
+        sets.sort();
+        let sorted: Vec<String> = sets.iter().map(LabelSet::to_string).collect();
+        let want = [
+            r#"{}"#,
+            r#"{B="9"}"#,
+            r#"{a="1"}"#,
+            r#"{a="1",a0=""}"#,
+            r#"{a="1",b="0"}"#,
+            r#"{a="2"}"#,
+        ];
+        assert_eq!(sorted, want);
+    }
+
+    #[test]
+    fn derived_sets_leave_the_original_intact() {
+        let ls = labels! {"__name__" => "m", "a" => "1", "b" => "2"};
+        let before = (ls.to_string(), ls.fingerprint());
+        let copy = ls.clone();
+        assert_eq!(copy.with("a", "9").get("a"), Some("9"));
+        assert_eq!(copy.with("c", "3").len(), 4);
+        assert_eq!(copy.without("a").to_string(), r#"{__name__="m",b="2"}"#);
+        assert_eq!(
+            copy.restrict_to(&["b".to_string()]).to_string(),
+            r#"{b="2"}"#
+        );
+        assert_eq!(
+            copy.drop_names(&["b".to_string()]).to_string(),
+            r#"{a="1"}"#
+        );
+        let rebuilt = LabelSetBuilder::from(copy.clone()).label("b", "x").build();
+        assert_eq!(rebuilt.get("b"), Some("x"));
+        assert_eq!((ls.to_string(), ls.fingerprint()), before);
+        assert_eq!(copy, ls);
     }
 
     #[test]

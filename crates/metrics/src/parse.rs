@@ -290,7 +290,7 @@ fn parse_label_block(line: &str, lineno: usize, i: &mut usize) -> Result<LabelSe
         if *i == ls {
             return Err(err("expected label name"));
         }
-        let lname = line[ls..*i].to_string();
+        let lname = &line[ls..*i];
         if *i >= bytes.len() || bytes[*i] != b'=' {
             return Err(err("expected '=' after label name"));
         }
@@ -299,17 +299,18 @@ fn parse_label_block(line: &str, lineno: usize, i: &mut usize) -> Result<LabelSe
             return Err(err("expected '\"' starting label value"));
         }
         *i += 1;
-        let mut value = String::new();
+        // The value is the line's own text up to the closing quote unless
+        // an escape has to be undone; only then is it built apart.
+        let vs = *i;
+        let mut unescaped: Option<String> = None;
         loop {
             if *i >= bytes.len() {
                 return Err(err("unterminated label value"));
             }
             match bytes[*i] {
-                b'"' => {
-                    *i += 1;
-                    break;
-                }
+                b'"' => break,
                 b'\\' => {
+                    let value = unescaped.get_or_insert_with(|| line[vs..*i].to_string());
                     *i += 1;
                     if *i >= bytes.len() {
                         return Err(err("dangling escape in label value"));
@@ -332,12 +333,15 @@ fn parse_label_block(line: &str, lineno: usize, i: &mut usize) -> Result<LabelSe
                     // Consume one UTF-8 char.
                     let rest = &line[*i..];
                     let c = rest.chars().next().unwrap();
-                    value.push(c);
+                    if let Some(value) = &mut unescaped {
+                        value.push(c);
+                    }
                     *i += c.len_utf8();
                 }
             }
         }
-        builder = builder.label(lname, value);
+        builder = builder.label(lname, unescaped.as_deref().unwrap_or(&line[vs..*i]));
+        *i += 1;
         // After a pair: ',' or '}'.
         while *i < bytes.len() && bytes[*i] == b' ' {
             *i += 1;

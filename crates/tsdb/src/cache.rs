@@ -130,7 +130,7 @@ impl PostingCache {
 
 /// Number of independently locked [`PostingCache`] shards. Concurrent
 /// selects resolving different keys take different locks, so the cache no
-/// longer serializes the resolve phase the parallel read path depends on.
+/// longer serializes the resolve phase of selects on different threads.
 const CACHE_SHARDS: usize = 8;
 
 /// A [`PostingCache`] split over [`CACHE_SHARDS`] independently locked

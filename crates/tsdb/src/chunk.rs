@@ -128,17 +128,39 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The codec's state between two samples of a chunk: what the appender
+/// needs to write the next one is what a decoder needs to read it, so a copy
+/// of the appender's state is a point a decoder can start from
+/// ([`XorChunk::iter_from`]). The default is the start of a chunk.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CodecState {
+    /// Bit offset of the next sample.
+    bits: usize,
+    /// Samples before it.
+    n: u32,
+    // The last of them (meaningless while `n == 0`).
+    t: i64,
+    delta: i64,
+    v: u64,
+    /// The XOR window in force; `0xff` until a value has set one.
+    leading: u8,
+    trailing: u8,
+}
+
+impl CodecState {
+    /// True when every sample before this point is older than `t_ms` (a
+    /// decoder looking for `t_ms` onwards may start here).
+    pub fn precedes(&self, t_ms: i64) -> bool {
+        self.n == 0 || self.t < t_ms
+    }
+}
+
 /// A compressed chunk of one series.
 #[derive(Clone, Debug, Default)]
 pub struct XorChunk {
     w: BitWriter,
-    count: u32,
-    // Appender state.
-    last_t: i64,
-    last_delta: i64,
-    last_v: u64,
-    leading: u8,
-    trailing: u8,
+    /// The appender's state, after every stored sample.
+    st: CodecState,
     min_t: i64,
     max_t: i64,
 }
@@ -155,12 +177,12 @@ impl XorChunk {
 
     /// Samples stored.
     pub fn len(&self) -> u32 {
-        self.count
+        self.st.n
     }
 
     /// True when no samples are stored.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.st.n == 0
     }
 
     /// Earliest timestamp (meaningless when empty).
@@ -181,39 +203,38 @@ impl XorChunk {
     /// Appends a sample. Timestamps must be non-decreasing; out-of-order
     /// samples are rejected (the head drops them, as Prometheus does).
     pub fn append(&mut self, s: Sample) -> Result<(), OutOfOrder> {
-        if self.count > 0 && s.t_ms < self.last_t {
+        if self.st.n > 0 && s.t_ms < self.st.t {
             return Err(OutOfOrder {
                 at: s.t_ms,
-                head: self.last_t,
+                head: self.st.t,
             });
         }
-        match self.count {
+        match self.st.n {
             0 => {
                 self.w.write_bits(zigzag(s.t_ms), 64);
                 self.w.write_bits(s.v.to_bits(), 64);
-                self.last_t = s.t_ms;
-                self.last_v = s.v.to_bits();
+                self.st.v = s.v.to_bits();
                 // Sentinels meaning "no previous XOR window".
-                self.leading = 0xff;
-                self.trailing = 0;
+                self.st.leading = 0xff;
+                self.st.trailing = 0;
             }
             1 => {
-                let delta = s.t_ms - self.last_t;
+                let delta = s.t_ms - self.st.t;
                 write_varbits(&mut self.w, zigzag(delta), 64);
                 self.write_value(s.v);
-                self.last_delta = delta;
-                self.last_t = s.t_ms;
+                self.st.delta = delta;
             }
             _ => {
-                let delta = s.t_ms - self.last_t;
-                let dod = delta - self.last_delta;
+                let delta = s.t_ms - self.st.t;
+                let dod = delta - self.st.delta;
                 self.write_dod(dod);
                 self.write_value(s.v);
-                self.last_delta = delta;
-                self.last_t = s.t_ms;
+                self.st.delta = delta;
             }
         }
-        self.count += 1;
+        self.st.t = s.t_ms;
+        self.st.n += 1;
+        self.st.bits = self.w.bit_len();
         self.min_t = self.min_t.min(s.t_ms);
         self.max_t = self.max_t.max(s.t_ms);
         Ok(())
@@ -241,8 +262,8 @@ impl XorChunk {
 
     fn write_value(&mut self, v: f64) {
         let bits = v.to_bits();
-        let xor = bits ^ self.last_v;
-        self.last_v = bits;
+        let xor = bits ^ self.st.v;
+        self.st.v = bits;
         if xor == 0 {
             self.w.write_bit(false);
             return;
@@ -250,14 +271,15 @@ impl XorChunk {
         self.w.write_bit(true);
         let leading = xor.leading_zeros().min(31) as u8;
         let trailing = xor.trailing_zeros() as u8;
-        if self.leading != 0xff && leading >= self.leading && trailing >= self.trailing {
+        let st = &mut self.st;
+        if st.leading != 0xff && leading >= st.leading && trailing >= st.trailing {
             // Reuse the previous window.
             self.w.write_bit(false);
-            let sig = 64 - self.leading - self.trailing;
-            self.w.write_bits(xor >> self.trailing, sig);
+            let sig = 64 - st.leading - st.trailing;
+            self.w.write_bits(xor >> st.trailing, sig);
         } else {
-            self.leading = leading;
-            self.trailing = trailing;
+            st.leading = leading;
+            st.trailing = trailing;
             let sig = 64 - leading - trailing;
             self.w.write_bit(true);
             self.w.write_bits(leading as u64, 5);
@@ -269,11 +291,34 @@ impl XorChunk {
 
     /// Iterates the samples back out.
     pub fn iter(&self) -> ChunkIter<'_> {
+        self.iter_from(CodecState::default())
+    }
+
+    /// The appender's state: a point [`Self::iter_from`] can resume at once
+    /// more samples follow.
+    pub fn state(&self) -> CodecState {
+        self.st
+    }
+
+    /// Iterates the samples after `from`, a state this chunk was in earlier.
+    pub fn iter_from(&self, from: CodecState) -> ChunkIter<'_> {
+        debug_assert!(from.n <= self.st.n && from.bits <= self.st.bits);
         ChunkIter {
-            r: BitReader::new(self.w.as_bytes()),
-            remaining: self.count,
-            state: IterState::default(),
+            r: BitReader {
+                bytes: self.w.as_bytes(),
+                pos: from.bits,
+            },
+            remaining: self.st.n.saturating_sub(from.n),
+            st: from,
         }
+    }
+
+    /// Newest sample, read from the appender's state: nothing is decoded.
+    pub fn last(&self) -> Option<Sample> {
+        (self.st.n > 0).then(|| Sample {
+            t_ms: self.st.t,
+            v: f64::from_bits(self.st.v),
+        })
     }
 }
 
@@ -318,21 +363,11 @@ impl std::fmt::Display for OutOfOrder {
 
 impl std::error::Error for OutOfOrder {}
 
-#[derive(Default)]
-struct IterState {
-    t: i64,
-    delta: i64,
-    v: u64,
-    leading: u8,
-    trailing: u8,
-    read: u32,
-}
-
 /// Iterator over a chunk's samples.
 pub struct ChunkIter<'a> {
     r: BitReader<'a>,
     remaining: u32,
-    state: IterState,
+    st: CodecState,
 }
 
 impl Iterator for ChunkIter<'_> {
@@ -343,8 +378,8 @@ impl Iterator for ChunkIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let st = &mut self.state;
-        match st.read {
+        let st = &mut self.st;
+        match st.n {
             0 => {
                 st.t = unzigzag(self.r.read_bits(64)?);
                 st.v = self.r.read_bits(64)?;
@@ -371,7 +406,7 @@ impl Iterator for ChunkIter<'_> {
                 read_value(&mut self.r, st)?;
             }
         }
-        st.read += 1;
+        st.n += 1;
         Some(Sample {
             t_ms: st.t,
             v: f64::from_bits(st.v),
@@ -379,7 +414,7 @@ impl Iterator for ChunkIter<'_> {
     }
 }
 
-fn read_value(r: &mut BitReader<'_>, st: &mut IterState) -> Option<()> {
+fn read_value(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
     if !r.read_bit()? {
         return Some(()); // unchanged
     }

@@ -4,22 +4,35 @@
 //! appender, cut when it reaches [`CHUNK_SAMPLES`]. Series are spread over
 //! lock shards by id so concurrent scrape threads rarely contend — this is
 //! the ingest hot path of the 1,400-node experiment.
+//!
+//! A read costs what it returns, not what is stored: the newest sample is
+//! the open chunk's appender state, and a window near the head resumes
+//! decoding at a copy of that state taken every [`RESUME_STRIDE`] appends.
 
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
-use crate::chunk::{OutOfOrder, XorChunk};
+use crate::chunk::{CodecState, OutOfOrder, XorChunk};
 use crate::types::{Sample, SeriesId};
 
 /// Samples per chunk before cutting a new one (Prometheus uses 120; a
 /// larger chunk compresses slightly better and is fine in memory).
 pub const CHUNK_SAMPLES: u32 = 240;
 
+/// Appends to the open chunk between two resume points. A window that starts
+/// at most this many samples back decodes fewer than twice as many before
+/// its first sample.
+pub const RESUME_STRIDE: u32 = 16;
+
 /// Storage of one series.
 #[derive(Debug, Default)]
 pub struct SeriesStore {
     chunks: VecDeque<XorChunk>,
+    /// The open chunk's state at its last two multiples of
+    /// [`RESUME_STRIDE`] samples, older first (its start until it has that
+    /// many). Kept here, not on the chunk, so closed chunks carry none.
+    resume: [CodecState; 2],
 }
 
 impl SeriesStore {
@@ -40,25 +53,53 @@ impl SeriesStore {
         };
         if need_new {
             self.chunks.push_back(XorChunk::new());
+            self.resume = Default::default();
         }
-        self.chunks.back_mut().unwrap().append(s)
+        let open = self
+            .chunks
+            .back_mut()
+            .expect("an open chunk was just ensured");
+        open.append(s)?;
+        if open.len().is_multiple_of(RESUME_STRIDE) {
+            self.resume = [self.resume[1], open.state()];
+        }
+        Ok(())
     }
 
-    /// Samples with `tmin <= t <= tmax`, in time order.
+    /// Samples with `tmin <= t <= tmax`, in time order. The open chunk is
+    /// decoded from its newest resume point before `tmin`, a closed one from
+    /// its start, and neither past the first sample after `tmax`.
     pub fn samples_in(&self, tmin: i64, tmax: i64) -> Vec<Sample> {
         let mut out = Vec::new();
-        for c in &self.chunks {
+        let resume = self.resume.iter().rev().find(|p| p.precedes(tmin));
+        for (i, c) in self.chunks.iter().enumerate() {
             if c.is_empty() || c.max_time() < tmin || c.min_time() > tmax {
                 continue;
             }
-            out.extend(c.iter().filter(|s| s.t_ms >= tmin && s.t_ms <= tmax));
+            let open = i + 1 == self.chunks.len();
+            let from = resume.filter(|_| open).copied().unwrap_or_default();
+            out.extend(
+                c.iter_from(from)
+                    .skip_while(|s| s.t_ms < tmin)
+                    .take_while(|s| s.t_ms <= tmax),
+            );
         }
         out
     }
 
-    /// Latest sample, if any.
+    /// Latest sample, if any. Decodes nothing.
     pub fn last_sample(&self) -> Option<Sample> {
-        self.chunks.back().and_then(|c| c.iter().last())
+        self.chunks.back().and_then(XorChunk::last)
+    }
+
+    /// Last sample with `tmin <= t <= tmax`: the newest one when the window
+    /// reaches it (a read at `now`), else the end of [`Self::samples_in`].
+    pub fn last_in(&self, tmin: i64, tmax: i64) -> Option<Sample> {
+        let last = self.last_sample()?;
+        match last.t_ms <= tmax {
+            true => (last.t_ms >= tmin).then_some(last),
+            false => self.samples_in(tmin, tmax).pop(),
+        }
     }
 
     /// Drops whole chunks that end before `cutoff`; returns true when the
@@ -104,40 +145,7 @@ impl Head {
     }
 
     fn shard(&self, id: SeriesId) -> &Mutex<HashMap<SeriesId, SeriesStore>> {
-        &self.shards[self.shard_of(id)]
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Stripe a series id lives in. Parallel readers group their id lists by
-    /// this so each worker touches disjoint locks.
-    pub fn shard_of(&self, id: SeriesId) -> usize {
-        (id as usize) % self.shards.len()
-    }
-
-    /// Reads several series of one stripe under a single lock acquisition.
-    /// Returns one sample vector per id, in the order given (empty when the
-    /// series is absent or has nothing in range). Every id must belong to
-    /// `shard` (as reported by [`Head::shard_of`]).
-    pub fn read_shard(
-        &self,
-        shard: usize,
-        ids: &[SeriesId],
-        tmin: i64,
-        tmax: i64,
-    ) -> Vec<Vec<Sample>> {
-        let map = self.shards[shard].lock();
-        ids.iter()
-            .map(|id| {
-                debug_assert_eq!(self.shard_of(*id), shard);
-                map.get(id)
-                    .map(|s| s.samples_in(tmin, tmax))
-                    .unwrap_or_default()
-            })
-            .collect()
+        &self.shards[(id as usize) % self.shards.len()]
     }
 
     /// Appends to a series (creating it on first touch).
@@ -157,6 +165,14 @@ impl Head {
     /// Latest sample of a series.
     pub fn last_sample(&self, id: SeriesId) -> Option<Sample> {
         self.shard(id).lock().get(&id).and_then(|s| s.last_sample())
+    }
+
+    /// Last sample of a series in `[tmin, tmax]`; see [`SeriesStore::last_in`].
+    pub fn last_in(&self, id: SeriesId, tmin: i64, tmax: i64) -> Option<Sample> {
+        self.shard(id)
+            .lock()
+            .get(&id)
+            .and_then(|s| s.last_in(tmin, tmax))
     }
 
     /// Removes a series entirely.
@@ -242,6 +258,39 @@ mod tests {
         assert_eq!(s.last_sample().unwrap().v, 599.0);
     }
 
+    /// Every fill of the open chunk, so every position of both resume
+    /// points and the cut is crossed: tail windows and the newest sample
+    /// must be what a decode from the first bit gives.
+    #[test]
+    fn tail_reads_at_every_fill_match_a_full_decode() {
+        let mut s = SeriesStore::default();
+        let mut all: Vec<Sample> = Vec::new();
+        for i in 0..(CHUNK_SAMPLES as i64 * 2 + 40) {
+            // Counter-like values; every seventh timestamp repeats.
+            let sample = Sample::new((i - i / 7) * 15_000, (i * 150) as f64);
+            s.append(sample).unwrap();
+            all.push(sample);
+            assert_eq!(s.last_sample(), Some(sample));
+            for back in [0, 1, 2, 8, 15, 16, 17, 31, 32, 33, 48] {
+                let tmin = sample.t_ms - back * 15_000;
+                for tmax in [sample.t_ms, sample.t_ms - 15_000, i64::MAX] {
+                    let want: Vec<Sample> = all
+                        .iter()
+                        .copied()
+                        .filter(|x| x.t_ms >= tmin && x.t_ms <= tmax)
+                        .collect();
+                    assert_eq!(
+                        s.samples_in(tmin, tmax),
+                        want,
+                        "fill {i}, window {tmin}..{tmax}"
+                    );
+                    assert_eq!(s.last_in(tmin, tmax), want.last().copied());
+                }
+            }
+        }
+        assert_eq!(s.chunk_count(), 3);
+    }
+
     #[test]
     fn out_of_order_rejected_across_chunks() {
         let mut s = SeriesStore::default();
@@ -295,5 +344,70 @@ mod tests {
         let emptied = head.drop_before(i64::MAX);
         assert_eq!(emptied, vec![2]);
         assert_eq!(head.sample_count(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn bits(samples: &[Sample]) -> Vec<(i64, u64)> {
+        samples.iter().map(|s| (s.t_ms, s.v.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `samples_in` is the filter over a decode from the first bit, and
+        /// `last_in` / `last_sample` its last element: over series with
+        /// duplicate timestamps, irregular deltas and any float, long
+        /// enough to cut chunks, and windows that are empty, before the
+        /// first sample, past the last, inside one stride or across a cut.
+        #[test]
+        fn windowed_reads_match_a_full_decode(
+            start in -1_000_000i64..1_000_000,
+            steps in proptest::collection::vec((0u8..4, 1i64..200_000), 0..600),
+            values in proptest::collection::vec(proptest::num::f64::ANY, 600),
+            windows in proptest::collection::vec((0usize..640, -1i64..2, 0usize..640, -1i64..2), 24),
+        ) {
+            let mut store = SeriesStore::default();
+            let mut t = start;
+            for (&(kind, delta), &v) in steps.iter().zip(&values) {
+                t += match kind {
+                    0 => 0,
+                    1 => 15_000,
+                    _ => delta,
+                };
+                store.append(Sample::new(t, v)).unwrap();
+            }
+            let all: Vec<Sample> = store.chunks.iter().flat_map(XorChunk::iter).collect();
+            prop_assert_eq!(all.len(), steps.len());
+            prop_assert_eq!(bits(&store.samples_in(i64::MIN, i64::MAX)), bits(&all));
+            prop_assert_eq!(
+                store.last_sample().map(|s| (s.t_ms, s.v.to_bits())),
+                bits(&all).last().copied()
+            );
+
+            // An index past the end names a time past the last sample.
+            let time_at = |i: usize, nudge: i64| match all.get(i) {
+                Some(s) => s.t_ms + nudge,
+                None => t + 1 + i as i64 + nudge,
+            };
+            let fixed = [(i64::MIN, start - 1), (t + 1, i64::MAX), (i64::MIN, i64::MAX), (t, t)];
+            let drawn = windows.iter().map(|&(a, da, b, db)| (time_at(a, da), time_at(b, db)));
+            for (tmin, tmax) in drawn.chain(fixed) {
+                let want: Vec<Sample> = all
+                    .iter()
+                    .copied()
+                    .filter(|s| s.t_ms >= tmin && s.t_ms <= tmax)
+                    .collect();
+                prop_assert_eq!(bits(&store.samples_in(tmin, tmax)), bits(&want));
+                prop_assert_eq!(
+                    store.last_in(tmin, tmax).map(|s| (s.t_ms, s.v.to_bits())),
+                    bits(&want).last().copied()
+                );
+            }
+        }
     }
 }

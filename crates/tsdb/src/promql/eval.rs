@@ -1,6 +1,7 @@
 //! Expression evaluation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::LabelMatcher;
@@ -16,11 +17,35 @@ pub trait Queryable: Send + Sync {
     /// without one omitted. Narrowing the window must only drop samples and
     /// emptied series, never reorder: [`range_query`] slices one wide read.
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData>;
+
+    /// What an instant selector reads: the last sample in `[tmin, tmax]` of
+    /// each matching series, in [`Self::select`]'s order. A source that can
+    /// find it without materialising the window overrides this.
+    fn select_instant(
+        &self,
+        matchers: &[LabelMatcher],
+        tmin: i64,
+        tmax: i64,
+    ) -> Vec<(Arc<LabelSet>, Sample)> {
+        self.select(matchers, tmin, tmax)
+            .into_iter()
+            .filter_map(|s| Some((s.labels, *s.samples.last()?)))
+            .collect()
+    }
 }
 
 impl Queryable for crate::storage::Tsdb {
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
         crate::storage::Tsdb::select(self, matchers, tmin, tmax)
+    }
+
+    fn select_instant(
+        &self,
+        matchers: &[LabelMatcher],
+        tmin: i64,
+        tmax: i64,
+    ) -> Vec<(Arc<LabelSet>, Sample)> {
+        crate::storage::Tsdb::select_instant(self, matchers, tmin, tmax)
     }
 }
 
@@ -148,20 +173,51 @@ impl<'a> Prefetched<'a> {
         }
         Prefetched { db, windows }
     }
+
+    /// The held read that answers `[tmin, tmax]` of `matchers`, if any.
+    fn window(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Option<&Window<'a>> {
+        self.windows.iter().find(|w| w.covers(matchers, tmin, tmax))
+    }
+}
+
+/// `samples[lo..hi]` is the part of a sorted series inside `[tmin, tmax]`.
+fn bounds(samples: &[Sample], tmin: i64, tmax: i64) -> (usize, usize) {
+    (
+        samples.partition_point(|x| x.t_ms < tmin),
+        samples.partition_point(|x| x.t_ms <= tmax),
+    )
 }
 
 impl Queryable for Prefetched<'_> {
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
-        let Some(window) = self.windows.iter().find(|w| w.covers(matchers, tmin, tmax)) else {
+        let Some(window) = self.window(matchers, tmin, tmax) else {
             return self.db.select(matchers, tmin, tmax);
         };
         window
             .series
             .iter()
             .filter_map(|s| {
-                let lo = s.samples.partition_point(|x| x.t_ms < tmin);
-                let hi = s.samples.partition_point(|x| x.t_ms <= tmax);
+                let (lo, hi) = bounds(&s.samples, tmin, tmax);
                 (lo < hi).then(|| SeriesData::new(s.labels.clone(), s.samples[lo..hi].to_vec()))
+            })
+            .collect()
+    }
+
+    fn select_instant(
+        &self,
+        matchers: &[LabelMatcher],
+        tmin: i64,
+        tmax: i64,
+    ) -> Vec<(Arc<LabelSet>, Sample)> {
+        let Some(window) = self.window(matchers, tmin, tmax) else {
+            return self.db.select_instant(matchers, tmin, tmax);
+        };
+        window
+            .series
+            .iter()
+            .filter_map(|s| {
+                let (lo, hi) = bounds(&s.samples, tmin, tmax);
+                (lo < hi).then(|| (s.labels.clone(), s.samples[hi - 1]))
             })
             .collect()
     }
@@ -228,18 +284,13 @@ fn eval(ctx: &EvalCtx<'_>, expr: &Expr, t_ms: i64) -> Result<Value, EvalError> {
         Expr::Selector(sel) => {
             let at = t_ms - sel.offset_ms;
             match sel.range_ms {
-                None => {
-                    // Instant: last sample within the lookback window.
-                    let series = db.select(&sel.matchers, at - ctx.lookback_ms, at);
-                    Ok(Value::Vector(
-                        series
-                            .into_iter()
-                            .filter_map(|s| {
-                                s.samples.last().map(|last| ((*s.labels).clone(), last.v))
-                            })
-                            .collect(),
-                    ))
-                }
+                // Instant: last sample within the lookback window.
+                None => Ok(Value::Vector(
+                    db.select_instant(&sel.matchers, at - ctx.lookback_ms, at)
+                        .into_iter()
+                        .map(|(labels, last)| ((*labels).clone(), last.v))
+                        .collect(),
+                )),
                 Some(range) => {
                     let series = db.select(&sel.matchers, at - range, at);
                     Ok(Value::Matrix(series))
@@ -320,22 +371,23 @@ fn aggregate(
     // Grouping collapses to one entry when Grouping::None: signature is the
     // full label set minus __name__ — not what we want. sum(expr) with no
     // grouping collapses everything.
-    let mut groups: HashMap<LabelSet, Vec<f64>> = HashMap::new();
-    let mut order = Vec::new();
+    // Groups in first-seen order; `slot` finds a key's place in it.
+    let mut groups: Vec<(LabelSet, Vec<f64>)> = Vec::new();
+    let mut slot: HashMap<LabelSet, usize> = HashMap::new();
     for (labels, v) in vec {
         let key = match grouping {
             Grouping::None => LabelSet::empty(),
             _ => signature(&labels, grouping),
         };
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(v);
+        let at = *slot.entry(key).or_insert_with_key(|key| {
+            groups.push((key.clone(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[at].1.push(v);
     }
-    Ok(order
+    Ok(groups
         .into_iter()
-        .map(|key| {
-            let vals = groups.remove(&key).unwrap();
+        .map(|(key, vals)| {
             let out = match op {
                 AggOp::Sum => vals.iter().sum(),
                 AggOp::Avg => vals.iter().sum::<f64>() / vals.len() as f64,
@@ -1328,6 +1380,145 @@ mod range_tests {
         // The last step may sit on `i64::MAX` without overflowing past it.
         let top = range_query(&db, &one, i64::MAX - 2, i64::MAX, 1).unwrap();
         assert_eq!(top[0].samples.len(), 3);
+    }
+
+    /// `select_instant` is `select` and the last sample of each series,
+    /// from any source.
+    fn assert_instant_is_last_of_select(
+        db: &dyn Queryable,
+        matchers: &[LabelMatcher],
+        tmin: i64,
+        tmax: i64,
+    ) {
+        let want: Vec<(Arc<LabelSet>, Sample)> = db
+            .select(matchers, tmin, tmax)
+            .into_iter()
+            .filter_map(|s| Some((s.labels, *s.samples.last()?)))
+            .collect();
+        let got = db.select_instant(matchers, tmin, tmax);
+        assert_eq!(got, want, "{matchers:?} over {tmin}..{tmax}");
+    }
+
+    /// Windows ending on and between samples, from empty to everything.
+    fn instant_windows(end_ms: i64) -> impl Iterator<Item = (i64, i64)> {
+        let ends = (0..=end_ms)
+            .step_by(7_000)
+            .chain([-1, end_ms + 400_000, i64::MAX]);
+        ends.flat_map(|tmax| {
+            [
+                0,
+                1,
+                15_000,
+                75_000,
+                DEFAULT_LOOKBACK_MS,
+                3_600_000,
+                i64::MAX,
+            ]
+            .map(move |back| (tmax.saturating_sub(back), tmax))
+        })
+        .chain([(i64::MIN, i64::MAX), (10, 5)])
+    }
+
+    #[test]
+    fn tsdb_select_instant_is_the_last_sample_of_select() {
+        let db = Tsdb::new(crate::storage::TsdbConfig {
+            retention_ms: 1_200_000,
+            ..Default::default()
+        });
+        // One sample; inside a stride; a full chunk; just past a cut; three
+        // chunks; and one that stopped early (older than most windows).
+        for (name, n, step) in [
+            ("one", 1i64, 15_000i64),
+            ("few", 17, 15_000),
+            ("full", 240, 15_000),
+            ("cut", 241, 15_000),
+            ("long", 560, 5_000),
+            ("gone", 30, 1_000),
+        ] {
+            for i in 0..n {
+                // Every ninth timestamp repeats: the later value must win.
+                let t = (i - i / 9) * step;
+                db.append(
+                    &labels! {"__name__" => "m", "s" => name},
+                    t,
+                    (i * 3) as f64 + 0.5,
+                );
+            }
+        }
+        let all = [LabelMatcher::eq("__name__", "m")];
+        let one = [LabelMatcher::eq("s", "long")];
+        let none = [LabelMatcher::eq("s", "absent")];
+        let check = |db: &Tsdb| {
+            for (tmin, tmax) in instant_windows(3_600_000) {
+                for m in [&all[..], &one, &none] {
+                    assert_instant_is_last_of_select(db, m, tmin, tmax);
+                }
+            }
+        };
+        check(&db);
+        assert_eq!(db.select_latest(&all).len(), 6);
+        assert_eq!(db.delete_series(&[LabelMatcher::eq("s", "full")]), 1);
+        check(&db);
+        // Drops `one`, `few` and `gone` whole and the first chunk of `long`.
+        assert_eq!(db.enforce_retention(3_000_000), 3);
+        check(&db);
+        assert_eq!(db.select_latest(&all).len(), 2);
+    }
+
+    #[test]
+    fn prefetched_select_instant_is_the_last_sample_of_select_at_every_step() {
+        let db = Tsdb::default();
+        for i in 0..300i64 {
+            for n in 0..3 {
+                // `n2` stops early, so late steps find it out of lookback.
+                if n < 2 || i < 100 {
+                    db.append(
+                        &labels! {"__name__" => "a", "instance" => format!("n{n}")},
+                        i * 15_000 + n,
+                        (i * (n + 1)) as f64,
+                    );
+                }
+            }
+        }
+        let expr = parse_expr("a + rate(a[4m]) - a offset 10m").unwrap();
+        let (start, end, step) = (60_000, 4_500_000, 37_000);
+        let source = Prefetched::new(&db, &expr, start, end);
+        for t in (start..=end).step_by(step as usize) {
+            for sel in expr.selectors() {
+                let at = t - sel.offset_ms;
+                let tmin = at - sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS);
+                assert_instant_is_last_of_select(&source, &sel.matchers, tmin, at);
+                assert_eq!(
+                    source.select_instant(&sel.matchers, tmin, at),
+                    db.select_instant(&sel.matchers, tmin, at)
+                );
+            }
+        }
+        // A window the prefetch does not hold goes to the source.
+        assert_instant_is_last_of_select(&source, &[LabelMatcher::eq("__name__", "a")], 0, end * 2);
+    }
+
+    #[test]
+    fn fan_in_select_instant_is_the_last_sample_of_select_across_the_horizon() {
+        let hot = Arc::new(Tsdb::default());
+        for i in 0..160i64 {
+            for (instance, from) in [("old", 0), ("young", 90)] {
+                if i >= from {
+                    hot.append(
+                        &labels! {"__name__" => "power_watts", "instance" => instance},
+                        i * 15_000,
+                        100.0 + i as f64,
+                    );
+                }
+            }
+        }
+        let horizon = 15 * 60_000;
+        let cold = Arc::new(LongTermStore::new());
+        cold.replicate(&hot, 0, horizon - 1);
+        let fan = FanInQuerier::new(hot, cold, horizon);
+        for (tmin, tmax) in instant_windows(40 * 60_000) {
+            assert_instant_is_last_of_select(&fan, &[], tmin, tmax);
+        }
     }
 
     /// Hot + cold fan-in. Cold-then-hot merging would hand a straddling

@@ -74,26 +74,50 @@ pub struct RuleStats {
     pub failures: u64,
 }
 
+/// The static analysis of one group, done once: what each rule reads and
+/// which rules may run together.
+struct GroupPlan {
+    /// Metric names rule `i` reads; `None` when unknowable statically.
+    reads: Vec<Option<Vec<String>>>,
+    /// Rule indices by dependency level ([`dependency_levels_by`]).
+    levels: Vec<Vec<usize>>,
+}
+
+impl GroupPlan {
+    fn new(rules: &[RecordingRule]) -> GroupPlan {
+        let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
+        let reads: Vec<Option<Vec<String>>> = rules
+            .iter()
+            .map(|r| {
+                let mut names = Vec::new();
+                referenced_names(&r.expr, &mut names).then_some(names)
+            })
+            .collect();
+        let levels = dependency_levels_by(&produces, &reads);
+        GroupPlan { reads, levels }
+    }
+}
+
 /// Evaluates rule groups against a TSDB on simulated time.
 pub struct RuleEngine {
     groups: Arc<Vec<RuleGroup>>,
+    plans: Arc<Vec<GroupPlan>>,
     last_eval_ms: Vec<i64>,
     stats: RuleStats,
     eval_threads: usize,
     group_eval_seconds: HistogramVec,
-    /// Evaluations per record name, for asserting that incremental ticks
-    /// touch only the affected sub-DAG (S23).
-    eval_counts: std::collections::HashMap<String, u64>,
+    /// Evaluations by group and rule index, for asserting that incremental
+    /// ticks touch only the affected sub-DAG (S23).
+    eval_counts: Vec<Vec<u64>>,
 }
 
 impl RuleEngine {
     /// Creates an engine (serial evaluation; see
     /// [`RuleEngine::with_eval_threads`]).
     pub fn new(groups: Vec<RuleGroup>) -> RuleEngine {
-        let n = groups.len();
         RuleEngine {
-            groups: Arc::new(groups),
-            last_eval_ms: vec![i64::MIN; n],
+            plans: Arc::new(groups.iter().map(|g| GroupPlan::new(&g.rules)).collect()),
+            last_eval_ms: vec![i64::MIN; groups.len()],
             stats: RuleStats::default(),
             eval_threads: 1,
             group_eval_seconds: HistogramVec::new(
@@ -102,7 +126,8 @@ impl RuleEngine {
                 &["group"],
                 Histogram::duration_buckets(),
             ),
-            eval_counts: std::collections::HashMap::new(),
+            eval_counts: groups.iter().map(|g| vec![0; g.rules.len()]).collect(),
+            groups: Arc::new(groups),
         }
     }
 
@@ -142,11 +167,11 @@ impl RuleEngine {
     /// Runs every group whose interval elapsed. Returns series written in
     /// this tick.
     pub fn tick(&mut self, db: &Tsdb, now_ms: i64) -> u64 {
-        let groups = self.groups.clone();
         let mut written = 0;
-        for (gi, group) in groups.iter().enumerate() {
+        for gi in 0..self.groups.len() {
             if self.due(gi, now_ms) {
-                written += self.run_group(db, gi, &group.rules, now_ms);
+                let all: Vec<usize> = (0..self.groups[gi].rules.len()).collect();
+                written += self.run_group(db, gi, &all, now_ms);
             }
         }
         written
@@ -168,22 +193,22 @@ impl RuleEngine {
         now_ms: i64,
         arrived: &std::collections::HashSet<String>,
     ) -> u64 {
-        let groups = self.groups.clone();
+        let (groups, plans) = (self.groups.clone(), self.plans.clone());
         let mut written = 0;
-        let mut live: std::collections::HashSet<String> = arrived.clone();
-        for (gi, group) in groups.iter().enumerate() {
+        // Outputs of the rules affected so far: live beside `arrived`.
+        let mut produced: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        for (gi, (group, plan)) in groups.iter().zip(plans.iter()).enumerate() {
             if !self.due(gi, now_ms) {
                 continue;
             }
             // Rules are stored in dependency order (producers before
             // consumers), so one forward pass closes the affected set.
-            let mut affected: Vec<RecordingRule> = Vec::new();
-            for rule in &group.rules {
-                let mut reads = Vec::new();
-                let known = referenced_names(&rule.expr, &mut reads);
-                if !known || reads.iter().any(|r| live.contains(r)) {
-                    live.insert(rule.record.clone());
-                    affected.push(rule.clone());
+            let mut affected: Vec<usize> = Vec::new();
+            for (i, (rule, reads)) in group.rules.iter().zip(&plan.reads).enumerate() {
+                let live = |r: &String| arrived.contains(r) || produced.contains(r.as_str());
+                if reads.as_ref().is_none_or(|reads| reads.iter().any(live)) {
+                    produced.insert(&rule.record);
+                    affected.push(i);
                 }
             }
             // A group none of whose inputs arrived stays quiet (and due).
@@ -198,10 +223,11 @@ impl RuleEngine {
         now_ms.saturating_sub(self.last_eval_ms[gi]) >= self.groups[gi].interval_ms
     }
 
-    /// One evaluation round of group `gi` over `rules` (the whole group, or
-    /// its affected sub-DAG): stamps the round, times it, and books every
-    /// rule's outcome. Returns series written.
-    fn run_group(&mut self, db: &Tsdb, gi: usize, rules: &[RecordingRule], now_ms: i64) -> u64 {
+    /// One evaluation round of group `gi` over the rules at `rules`
+    /// (ascending indices: the whole group, or its affected sub-DAG): stamps
+    /// the round, times it, and books every rule's outcome. Returns series
+    /// written.
+    fn run_group(&mut self, db: &Tsdb, gi: usize, rules: &[usize], now_ms: i64) -> u64 {
         let group = &self.groups[gi];
         // Tight lookback: a series that missed two evaluation rounds is
         // stale (its workload ended) and must not be re-recorded with a
@@ -212,11 +238,12 @@ impl RuleEngine {
             .with_label_values(&[&group.name])
             .start_timer();
         self.last_eval_ms[gi] = now_ms;
-        let results = Self::eval_group(db, rules, now_ms, lookback_ms, self.eval_threads);
+        let eval = |i: usize| Self::eval_rule(db, &group.rules[i], now_ms, lookback_ms);
+        let results = Self::eval_group(rules, &self.plans[gi].levels, self.eval_threads, &eval);
         let mut written = 0;
-        for (rule, r) in rules.iter().zip(results) {
+        for (&i, r) in rules.iter().zip(results) {
             self.stats.evaluations += 1;
-            *self.eval_counts.entry(rule.record.clone()).or_insert(0) += 1;
+            self.eval_counts[gi][i] += 1;
             match r {
                 Ok(n) => {
                     written += n;
@@ -228,39 +255,52 @@ impl RuleEngine {
         written
     }
 
-    /// How many times the rule recording `record` has been evaluated.
+    /// How many times the rules recording `record` have been evaluated.
     pub fn eval_count(&self, record: &str) -> u64 {
-        self.eval_counts.get(record).copied().unwrap_or(0)
+        let counts = self.groups.iter().zip(&self.eval_counts);
+        counts
+            .flat_map(|(group, counts)| group.rules.iter().zip(counts))
+            .filter(|(rule, _)| rule.record == record)
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Total rule evaluations across all records (full and incremental).
     pub fn total_evals(&self) -> u64 {
-        self.eval_counts.values().sum()
+        self.eval_counts.iter().flatten().sum()
     }
 
-    /// Evaluates one group's rules level by level: each dependency level is
-    /// a barrier, and rules inside a level fan out over scoped workers when
-    /// parallelism is enabled. Results come back in rule order either way.
+    /// Evaluates the rules at `rules` (ascending indices into one group)
+    /// with `eval`. Serially that is in rule order; with `threads > 1` it is
+    /// level by level through the group's `levels`: each dependency level is
+    /// a barrier, and the chosen rules inside one fan out over scoped
+    /// workers. Results come back in `rules`' order either way.
     fn eval_group(
-        db: &Tsdb,
-        rules: &[RecordingRule],
-        now_ms: i64,
-        lookback_ms: i64,
+        rules: &[usize],
+        levels: &[Vec<usize>],
         threads: usize,
+        eval: &(dyn Fn(usize) -> Result<u64, EvalError> + Sync),
     ) -> Vec<Result<u64, EvalError>> {
         if threads <= 1 || rules.len() <= 1 {
-            return rules
-                .iter()
-                .map(|rule| Self::eval_rule(db, rule, now_ms, lookback_ms))
-                .collect();
+            return rules.iter().map(|&i| eval(i)).collect();
+        }
+        // `slot[i]` is rule `i`'s place in `rules`.
+        let mut slot = vec![usize::MAX; levels.iter().map(Vec::len).sum()];
+        for (at, &i) in rules.iter().enumerate() {
+            slot[i] = at;
         }
         let mut results: Vec<Option<Result<u64, EvalError>>> =
             (0..rules.len()).map(|_| None).collect();
-        for level in dependency_levels(rules) {
+        for level in levels {
+            let level: Vec<usize> = level
+                .iter()
+                .copied()
+                .filter(|&i| slot[i] != usize::MAX)
+                .collect();
             let workers = threads.min(level.len());
             if workers <= 1 {
                 for i in level {
-                    results[i] = Some(Self::eval_rule(db, &rules[i], now_ms, lookback_ms));
+                    results[slot[i]] = Some(eval(i));
                 }
                 continue;
             }
@@ -270,17 +310,11 @@ impl RuleEngine {
                         .map(|w| {
                             let level = &level;
                             scope.spawn(move |_| {
-                                // Selects issued from inside a rule worker
-                                // stay serial — the fan-out budget is spent
-                                // here, not multiplied per worker.
-                                crate::storage::mark_nested_query_worker();
                                 level
                                     .iter()
                                     .skip(w)
                                     .step_by(workers)
-                                    .map(|&i| {
-                                        (i, Self::eval_rule(db, &rules[i], now_ms, lookback_ms))
-                                    })
+                                    .map(|&i| (i, eval(i)))
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -292,7 +326,7 @@ impl RuleEngine {
                 })
                 .expect("rule scope");
             for (i, r) in filled {
-                results[i] = Some(r);
+                results[slot[i]] = Some(r);
             }
         }
         results
@@ -364,33 +398,17 @@ pub fn referenced_names(expr: &Expr, out: &mut Vec<String>) -> bool {
     known
 }
 
-/// Topologically levels a group's rules by record-name dependencies.
-///
-/// Rule `i` depends on an earlier rule `j` when `i`'s expression reads
-/// `j`'s `record` name (or when `i`'s read set is statically unknown, in
-/// which case it depends on all earlier rules). `level(i)` is one past the
-/// deepest producer it depends on, so evaluating levels in order with a
-/// barrier between them reproduces serial evaluation exactly: every rule
-/// sees the same-round outputs of everything it reads. Returns the rule
-/// indices grouped by level, levels in ascending order.
-fn dependency_levels(rules: &[RecordingRule]) -> Vec<Vec<usize>> {
-    let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
-    let reads: Vec<Option<Vec<String>>> = rules
-        .iter()
-        .map(|r| {
-            let mut names = Vec::new();
-            referenced_names(&r.expr, &mut names).then_some(names)
-        })
-        .collect();
-    dependency_levels_by(&produces, &reads)
-}
-
-/// Generic form of the leveling: item `i` produces `produces[i]` (None for
-/// items that record nothing, e.g. alert rules) and statically reads
-/// `reads[i]` (None when unknowable). Item `i` depends on an earlier item
-/// `j` when its read set is unknown or contains `j`'s produced name.
-/// `produces` and `reads` must have equal length. This is the piece the
-/// alerting service reuses to level alert DAGs.
+/// Topologically levels items by name dependencies: item `i` produces
+/// `produces[i]` (None for items that record nothing, e.g. alert rules) and
+/// statically reads `reads[i]` (None when unknowable). Item `i` depends on
+/// an earlier item `j` when its read set is unknown or contains `j`'s
+/// produced name. `level(i)` is one past the deepest producer it depends
+/// on, so evaluating levels in order with a barrier between them reproduces
+/// serial evaluation exactly: every item sees the same-round outputs of
+/// everything it reads. Returns the indices grouped by level, levels in
+/// ascending order. `produces` and `reads` must have equal length. A rule
+/// group is levelled with it once, when the engine is built; the alerting
+/// service levels its alert DAGs with it too.
 pub fn dependency_levels_by(
     produces: &[Option<&str>],
     reads: &[Option<Vec<String>>],
@@ -624,7 +642,7 @@ mod tests {
             RecordingRule::new("d", "c + a", &[]).unwrap(),
             RecordingRule::new("e", "rate(other[2m])", &[]).unwrap(),
         ];
-        let levels = dependency_levels(&rules);
+        let levels = GroupPlan::new(&rules).levels;
         // a, b, e are independent of earlier rules; c reads a+b; d reads c.
         assert_eq!(levels, vec![vec![0, 1, 4], vec![2], vec![3]]);
     }
@@ -666,7 +684,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let levels = dependency_levels(&rules);
+        let levels = GroupPlan::new(&rules).levels;
         assert_eq!(levels, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
     }
 
@@ -677,7 +695,7 @@ mod tests {
             // Nameless selector: read set is unknowable, must follow a.
             RecordingRule::new("b", "sum by (x) ({job=\"j\"})", &[]).unwrap(),
         ];
-        let levels = dependency_levels(&rules);
+        let levels = GroupPlan::new(&rules).levels;
         assert_eq!(levels, vec![vec![0], vec![1]]);
     }
 

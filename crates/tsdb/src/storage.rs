@@ -4,10 +4,8 @@
 //! just long enough to turn matchers into `(SeriesId, Arc<LabelSet>)` pairs
 //! (consulting the generation-checked posting cache for scan-heavy matcher
 //! shapes). **Materialize** then reads chunk data without any index lock,
-//! fanning out over [`TsdbConfig::query_threads`] scoped workers grouped by
-//! head stripe so parallel readers never contend on the same shard mutex.
+//! on the calling thread.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -29,24 +27,6 @@ use crate::index::LabelIndex;
 use crate::types::{Sample, SeriesData, SeriesId};
 use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalRecord};
 
-/// Below this many resolved series the thread fan-out costs more than it
-/// saves; materialization stays on the calling thread.
-const PARALLEL_SELECT_MIN: usize = 32;
-
-thread_local! {
-    /// Set on threads that are themselves one arm of a query fan-out (rule
-    /// evaluation workers). Selects issued from such a thread materialize
-    /// serially, so one rule-group tick never multiplies into
-    /// `query_threads²` transient threads.
-    static NESTED_QUERY_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks the current thread as a nested query worker for its lifetime
-/// (called at the top of scoped fan-out workers, which exit with the scope).
-pub(crate) fn mark_nested_query_worker() {
-    NESTED_QUERY_WORKER.with(|f| f.set(true));
-}
-
 /// TSDB configuration.
 #[derive(Clone, Debug)]
 pub struct TsdbConfig {
@@ -55,8 +35,9 @@ pub struct TsdbConfig {
     /// Retention window in ms (samples older than `now - retention` are
     /// dropped by [`Tsdb::enforce_retention`]).
     pub retention_ms: i64,
-    /// Worker threads for select materialization. `1` keeps the whole read
-    /// path on the calling thread and reproduces serial output exactly.
+    /// Not read by the TSDB: a select runs on the calling thread. Callers
+    /// size [`crate::rules::RuleEngine::with_eval_threads`] from the same
+    /// configured value.
     pub query_threads: usize,
     /// Capacity of the matcher-result posting cache (entries). `0` disables
     /// caching entirely.
@@ -646,118 +627,62 @@ impl Tsdb {
             .collect()
     }
 
-    /// Phase 2 of the read path: chunk reads, lock-free with respect to the
-    /// index. Output order and contents are identical for the serial and
-    /// parallel paths — results land in per-position slots.
-    fn materialize(
-        &self,
-        resolved: Vec<(SeriesId, Arc<LabelSet>)>,
-        tmin: i64,
-        tmax: i64,
-    ) -> Vec<SeriesData> {
-        if self.config.query_threads <= 1
-            || resolved.len() < PARALLEL_SELECT_MIN
-            || NESTED_QUERY_WORKER.with(Cell::get)
-        {
-            return resolved
-                .into_iter()
-                .filter_map(|(id, labels)| {
-                    let samples = self.head.read(id, tmin, tmax);
-                    (!samples.is_empty()).then_some(SeriesData { labels, samples })
-                })
-                .collect();
-        }
-
-        // Group result positions by head stripe: each worker drains whole
-        // stripes under one lock acquisition apiece, and no two workers
-        // ever touch the same shard mutex.
-        let mut by_shard: Vec<(Vec<SeriesId>, Vec<usize>)> = (0..self.head.shard_count())
-            .map(|_| (Vec::new(), Vec::new()))
-            .collect();
-        for (pos, (id, _)) in resolved.iter().enumerate() {
-            let s = self.head.shard_of(*id);
-            by_shard[s].0.push(*id);
-            by_shard[s].1.push(pos);
-        }
-        let stripes: Vec<(Vec<SeriesId>, Vec<usize>)> = by_shard
-            .into_iter()
-            .filter(|(ids, _)| !ids.is_empty())
-            .collect();
-        let workers = self.config.query_threads.min(stripes.len()).max(1);
-
-        let mut slots: Vec<Option<Vec<Sample>>> = (0..resolved.len()).map(|_| None).collect();
-        let filled: Vec<(usize, Vec<Sample>)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    // Round-robin stripes over workers.
-                    let mine: Vec<&(Vec<SeriesId>, Vec<usize>)> =
-                        stripes.iter().skip(w).step_by(workers).collect();
-                    let head = &self.head;
-                    scope.spawn(move |_| {
-                        let mut out = Vec::new();
-                        for (ids, positions) in mine {
-                            let shard = head.shard_of(ids[0]);
-                            let read = head.read_shard(shard, ids, tmin, tmax);
-                            out.extend(positions.iter().copied().zip(read));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("select worker panicked"))
-                .collect()
-        })
-        .expect("select scope");
-        for (pos, samples) in filled {
-            slots[pos] = Some(samples);
-        }
-
-        resolved
-            .into_iter()
-            .zip(slots)
-            .filter_map(|((_, labels), samples)| {
-                let samples = samples.unwrap_or_default();
-                (!samples.is_empty()).then_some(SeriesData { labels, samples })
-            })
-            .collect()
-    }
-
     /// Selects series matching `matchers` with samples in `[tmin, tmax]`.
     /// Series with no samples in range are omitted.
     pub fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
         let t0 = Instant::now();
         let resolved = self.resolve(matchers);
         let t1 = Instant::now();
-        let out = self.materialize(resolved, tmin, tmax);
-        let t2 = Instant::now();
-        self.instruments
-            .select_resolve_seconds
-            .observe((t1 - t0).as_secs_f64());
-        self.instruments.select_seconds.observe((t2 - t0).as_secs_f64());
+        let out: Vec<SeriesData> = resolved
+            .into_iter()
+            .filter_map(|(id, labels)| {
+                let samples = self.head.read(id, tmin, tmax);
+                (!samples.is_empty()).then_some(SeriesData { labels, samples })
+            })
+            .collect();
+        let samples = out.iter().map(|s| s.samples.len() as u64).sum();
+        self.note_select(t0, t1, out.len() as u64, samples);
+        out
+    }
+
+    /// Books one select: the two latency histograms and the trace counts.
+    fn note_select(&self, t0: Instant, resolved_at: Instant, series: u64, samples: u64) {
+        let ins = &self.instruments;
+        ins.select_resolve_seconds
+            .observe((resolved_at - t0).as_secs_f64());
+        ins.select_seconds.observe(t0.elapsed().as_secs_f64());
         if let Some(t) = trace::current() {
             t.add_count("selects", 1);
-            t.add_count("series", out.len() as u64);
-            t.add_count("samples", out.iter().map(|s| s.samples.len() as u64).sum());
+            t.add_count("series", series);
+            t.add_count("samples", samples);
         }
+    }
+
+    /// The last sample in `[tmin, tmax]` of each matching series, in
+    /// [`Self::select`]'s order, series without one omitted — what an
+    /// instant selector reads. A window that reaches a series' newest
+    /// sample decodes nothing ([`crate::head::SeriesStore::last_in`]).
+    pub fn select_instant(
+        &self,
+        matchers: &[LabelMatcher],
+        tmin: i64,
+        tmax: i64,
+    ) -> Vec<(Arc<LabelSet>, Sample)> {
+        let t0 = Instant::now();
+        let resolved = self.resolve(matchers);
+        let t1 = Instant::now();
+        let out: Vec<(Arc<LabelSet>, Sample)> = resolved
+            .into_iter()
+            .filter_map(|(id, labels)| Some((labels, self.head.last_in(id, tmin, tmax)?)))
+            .collect();
+        self.note_select(t0, t1, out.len() as u64, out.len() as u64);
         out
     }
 
     /// Latest sample per matching series (used by instant queries without a
     /// lookback window and by dashboards).
     pub fn select_latest(&self, matchers: &[LabelMatcher]) -> Vec<(Arc<LabelSet>, Sample)> {
-        let out: Vec<(Arc<LabelSet>, Sample)> = self
-            .resolve(matchers)
-            .into_iter()
-            .filter_map(|(id, labels)| self.head.last_sample(id).map(|s| (labels, s)))
-            .collect();
-        if let Some(t) = trace::current() {
-            t.add_count("selects", 1);
-            t.add_count("series", out.len() as u64);
-            t.add_count("samples", out.len() as u64);
-        }
-        out
+        self.select_instant(matchers, i64::MIN, i64::MAX)
     }
 
     /// Deletes matching series outright (the §II.C cardinality cleanup:
@@ -1372,60 +1297,6 @@ mod tests {
             }
         }
         db
-    }
-
-    #[test]
-    fn parallel_select_matches_serial_exactly() {
-        let series = 200;
-        let serial_db = Tsdb::new(TsdbConfig {
-            query_threads: 1,
-            ..TsdbConfig::default()
-        });
-        let parallel_db = Tsdb::new(TsdbConfig {
-            query_threads: 8,
-            ..TsdbConfig::default()
-        });
-        for db in [&serial_db, &parallel_db] {
-            for i in 0..series {
-                let ls = labels! {"__name__" => "wide", "instance" => format!("n{i:04}")};
-                for t in 0..20i64 {
-                    db.append(&ls, t * 1000, (i as f64) + t as f64);
-                }
-            }
-        }
-        let m = [LabelMatcher::eq("__name__", "wide")];
-        let serial = serial_db.select(&m, 2_000, 15_000);
-        let parallel = parallel_db.select(&m, 2_000, 15_000);
-        assert_eq!(serial.len(), series);
-        assert_eq!(serial, parallel, "parallel select must be bit-for-bit serial");
-    }
-
-    #[test]
-    fn nested_query_worker_selects_serially_with_identical_results() {
-        let db = wide_db(100);
-        let m = [LabelMatcher::eq("__name__", "wide")];
-        let parallel = db.select(&m, 0, i64::MAX);
-        let nested = crossbeam::thread::scope(|scope| {
-            scope
-                .spawn(|_| {
-                    super::mark_nested_query_worker();
-                    db.select(&m, 0, i64::MAX)
-                })
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(parallel, nested);
-    }
-
-    #[test]
-    fn parallel_select_skips_series_out_of_range() {
-        let db = wide_db(100);
-        // Append one series whose samples all fall outside the queried range.
-        db.append(&labels! {"__name__" => "wide", "instance" => "late"}, 900_000, 1.0);
-        let got = db.select(&[LabelMatcher::eq("__name__", "wide")], 0, 19_000);
-        assert_eq!(got.len(), 100);
-        assert!(got.iter().all(|s| s.labels.get("instance") != Some("late")));
     }
 
     #[test]

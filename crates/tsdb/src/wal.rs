@@ -265,8 +265,9 @@ impl<'a> Reader<'a> {
         Some(b)
     }
 
-    fn string(&mut self) -> Option<String> {
-        std::str::from_utf8(self.bytes()?).ok().map(str::to_string)
+    /// Borrowed: a label string is copied once, into its label set.
+    fn string(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.bytes()?).ok()
     }
 
     fn done(&self) -> bool {

@@ -175,7 +175,7 @@ tsdb:
   scrape_interval_s: 15
   rule_window: 2m
   rule_interval_s: 30
-  query_threads: 4            # select/rule-eval fan-out; 1 = serial reads
+  query_threads: 4            # rule-eval fan-out; 1 = serial rule ticks
   posting_cache_size: 128     # cached regex/negative matcher resolutions; 0 = off
   # wal_dir: /var/lib/ceems/wal   # uncomment for a durable head (crash recovery)
   # wal_segment_bytes: 4194304
