@@ -1,7 +1,8 @@
 //! WAL ingest overhead (S16): scrape-shaped `append_batch` throughput with
 //! the WAL off vs on under each fsync policy, plus crash-recovery replay
-//! speed. The acceptance bar is WAL-on (group commit, `batch` fsync)
-//! staying within ~2× of the in-memory append path.
+//! speed and what one checkpoint costs in time and bytes. The acceptance
+//! bar is WAL-on (group commit, `batch` fsync) staying within ~2× of the
+//! in-memory append path.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,35 +91,67 @@ fn bench_wal_ingest(c: &mut Criterion) {
     }
 }
 
+const RECOVERY_OPTS: WalOptions = WalOptions {
+    segment_bytes: 4 << 20,
+    fsync: FsyncMode::Never,
+};
+
+/// The `wal_recovery` database in a new directory: every batch appended,
+/// with a checkpoint after batch `checkpoint_after` if one is named.
+fn recovery_db(
+    batches: &[Vec<(LabelSet, i64, f64)>],
+    checkpoint_after: Option<usize>,
+    dirs: &mut Vec<PathBuf>,
+) -> (PathBuf, Tsdb) {
+    let dir = temp_dir();
+    dirs.push(dir.clone());
+    let db = Tsdb::open(&dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+    for (i, batch) in batches.iter().enumerate() {
+        db.append_batch(batch);
+        if checkpoint_after == Some(i) {
+            db.checkpoint().unwrap();
+        }
+    }
+    (dir, db)
+}
+
 /// Reopening a crashed database: checkpoint + tail-segment replay.
 fn bench_wal_recovery(c: &mut Criterion) {
     let batches = scrape_batches(256, 40);
     let mut group = c.benchmark_group("wal_recovery");
     group.sample_size(10);
-    let opts = WalOptions {
-        segment_bytes: 4 << 20,
-        fsync: FsyncMode::Never,
-    };
     let mut dirs: Vec<PathBuf> = Vec::new();
-    for (label, checkpointed) in [("segments_only", false), ("with_checkpoint", true)] {
+    for (label, checkpoint_after) in [("segments_only", None), ("with_checkpoint", Some(20))] {
         group.bench_function(BenchmarkId::new("replay", label), |b| {
             b.iter_with_setup(
-                || {
-                    let dir = temp_dir();
-                    dirs.push(dir.clone());
-                    let db = Tsdb::open(&dir, opts, TsdbConfig::default()).unwrap();
-                    for (i, batch) in batches.iter().enumerate() {
-                        db.append_batch(batch);
-                        if checkpointed && i == batches.len() / 2 {
-                            db.checkpoint().unwrap();
-                        }
-                    }
-                    dir
-                },
-                |dir| Tsdb::open(&dir, opts, TsdbConfig::default()).unwrap(),
+                || recovery_db(&batches, checkpoint_after, &mut dirs).0,
+                |dir| Tsdb::open(&dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap(),
             );
         });
     }
+    group.finish();
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One `Tsdb::checkpoint` over the `wal_recovery` database: the time its
+/// writers are shut out for. The bytes it leaves on disk are in the
+/// `checkpoint_write` row of `BENCH_wal.json`.
+fn bench_wal_checkpoint(c: &mut Criterion) {
+    let batches = scrape_batches(256, 40);
+    let mut group = c.benchmark_group("wal_checkpoint");
+    group.sample_size(10);
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    group.bench_function("write", |b| {
+        b.iter_with_setup(
+            || recovery_db(&batches, None, &mut dirs).1,
+            |db| {
+                db.checkpoint().unwrap();
+                db
+            },
+        );
+    });
     group.finish();
     for dir in dirs {
         let _ = std::fs::remove_dir_all(&dir);
@@ -170,26 +203,45 @@ fn emit_wal_json(_c: &mut Criterion) {
         }
     }
 
-    // Recovery: replay a full (uncheckpointed) WAL.
-    let opts = WalOptions {
-        segment_bytes: 4 << 20,
-        fsync: FsyncMode::Never,
-    };
-    let dir = temp_dir();
-    {
-        let db = Tsdb::open(&dir, opts, TsdbConfig::default()).unwrap();
-        for batch in &batches {
-            db.append_batch(batch);
-        }
+    // Recovery: replay a full (uncheckpointed) WAL, then the same database
+    // from a checkpoint taken halfway plus the tail after it.
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    for (label, checkpoint_after) in [
+        ("recovery_replay", None),
+        ("recovery_with_checkpoint", Some(batches.len() / 2)),
+    ] {
+        let (dir, db) = recovery_db(&batches, checkpoint_after, &mut dirs);
+        drop(db);
+        let mut lat = time_iters(iters, || {
+            Tsdb::open(&dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+        });
+        scenarios.insert(label.into(), LatencySummary::from_samples(&mut lat).to_json());
     }
-    let mut lat = time_iters(iters, || {
-        Tsdb::open(&dir, opts, TsdbConfig::default()).unwrap();
-    });
-    scenarios.insert(
-        "recovery_replay".into(),
-        LatencySummary::from_samples(&mut lat).to_json(),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+
+    // One checkpoint of the whole database: wall time and file size.
+    let mut checkpoint_bytes = 0;
+    let mut lat: Vec<std::time::Duration> = (0..iters)
+        .map(|_| {
+            let (_, db) = recovery_db(&batches, None, &mut dirs);
+            let t = std::time::Instant::now();
+            db.checkpoint().unwrap();
+            let elapsed = t.elapsed();
+            checkpoint_bytes = db.wal_checkpoint_bytes().unwrap().map_or(0, |(_, b)| b.len());
+            elapsed
+        })
+        .collect();
+    let mut row = LatencySummary::from_samples(&mut lat).to_json();
+    if let serde_json::Value::Object(ref mut map) = row {
+        map.insert("bytes".into(), serde_json::json!(checkpoint_bytes));
+        map.insert(
+            "bytes_per_sample".into(),
+            serde_json::json!(checkpoint_bytes as f64 / samples as f64),
+        );
+    }
+    scenarios.insert("checkpoint_write".into(), row);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     write_bench_json(
         "wal",
@@ -201,5 +253,11 @@ fn emit_wal_json(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_wal_ingest, bench_wal_recovery, emit_wal_json);
+criterion_group!(
+    benches,
+    bench_wal_ingest,
+    bench_wal_recovery,
+    bench_wal_checkpoint,
+    emit_wal_json
+);
 criterion_main!(benches);

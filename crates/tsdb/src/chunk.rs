@@ -19,10 +19,36 @@ pub struct BitWriter {
     written: Vec<(u64, u8)>,
 }
 
+/// Equal streams; what a test build records beside them is not compared.
+impl PartialEq for BitWriter {
+    fn eq(&self, other: &BitWriter) -> bool {
+        self.bytes == other.bytes && self.used == other.used
+    }
+}
+
 impl BitWriter {
     /// New empty writer.
     pub fn new() -> BitWriter {
         BitWriter::default()
+    }
+
+    /// A writer that goes on after the first `bit_len` bits of `bytes`.
+    /// `None` unless those bits end in the last byte and the rest of it is
+    /// zero, as a writer leaves it: later writes are OR-ed in.
+    fn resume(bytes: Vec<u8>, bit_len: usize) -> Option<BitWriter> {
+        if bit_len.div_ceil(8) != bytes.len() {
+            return None;
+        }
+        let used = (bit_len - bytes.len().saturating_sub(1) * 8) as u8;
+        if bytes.last().is_some_and(|last| used < 8 && last & (0xff >> used) != 0) {
+            return None;
+        }
+        Some(BitWriter {
+            bytes,
+            used,
+            #[cfg(test)]
+            written: Vec::new(),
+        })
     }
 
     /// Writes one bit.
@@ -132,7 +158,7 @@ fn unzigzag(v: u64) -> i64 {
 /// needs to write the next one is what a decoder needs to read it, so a copy
 /// of the appender's state is a point a decoder can start from
 /// ([`XorChunk::iter_from`]). The default is the start of a chunk.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecState {
     /// Bit offset of the next sample.
     bits: usize,
@@ -142,10 +168,13 @@ pub struct CodecState {
     t: i64,
     delta: i64,
     v: u64,
-    /// The XOR window in force; `0xff` until a value has set one.
+    /// The XOR window in force; [`NO_WINDOW`] until a value has set one.
     leading: u8,
     trailing: u8,
 }
+
+/// `CodecState::leading` while no value has set an XOR window yet.
+const NO_WINDOW: u8 = 0xff;
 
 impl CodecState {
     /// True when every sample before this point is older than `t_ms` (a
@@ -156,7 +185,7 @@ impl CodecState {
 }
 
 /// A compressed chunk of one series.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct XorChunk {
     w: BitWriter,
     /// The appender's state, after every stored sample.
@@ -200,6 +229,45 @@ impl XorChunk {
         self.w.as_bytes().len()
     }
 
+    /// The encoded samples: with [`Self::len`], all a checkpoint stores.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.w.as_bytes()
+    }
+
+    /// Rebuilds the chunk that holds `n` samples in `bytes`, by one decode
+    /// that checks every step ([`decode_next`]) and recovers what the
+    /// appender knew: the rebuilt chunk equals the original and goes on
+    /// appending the bytes the original would have. `None` when `bytes` is
+    /// not what [`Self::append`] makes of `n` samples, whatever it is.
+    ///
+    /// Also returns the states after the last two multiples of `stride`
+    /// samples, older first (the chunk start where there are fewer): points
+    /// [`Self::iter_from`] can resume at.
+    pub fn from_encoded(
+        bytes: Vec<u8>,
+        n: u32,
+        stride: u32,
+    ) -> Option<(XorChunk, [CodecState; 2])> {
+        let mut r = BitReader::new(&bytes);
+        let mut st = CodecState::default();
+        let mut resume = [st; 2];
+        let mut min_t = i64::MAX;
+        // Every sample takes at least two bits, so a wrong `n` runs out of
+        // input before it runs long.
+        while st.n < n {
+            decode_next(&mut r, &mut st)?;
+            if st.n == 1 {
+                min_t = st.t;
+            }
+            if st.n.is_multiple_of(stride) {
+                resume = [resume[1], st];
+            }
+        }
+        let max_t = if n == 0 { i64::MIN } else { st.t };
+        let w = BitWriter::resume(bytes, st.bits)?;
+        Some((XorChunk { w, st, min_t, max_t }, resume))
+    }
+
     /// Appends a sample. Timestamps must be non-decreasing; out-of-order
     /// samples are rejected (the head drops them, as Prometheus does).
     pub fn append(&mut self, s: Sample) -> Result<(), OutOfOrder> {
@@ -214,19 +282,20 @@ impl XorChunk {
                 self.w.write_bits(zigzag(s.t_ms), 64);
                 self.w.write_bits(s.v.to_bits(), 64);
                 self.st.v = s.v.to_bits();
-                // Sentinels meaning "no previous XOR window".
-                self.st.leading = 0xff;
+                self.st.leading = NO_WINDOW;
                 self.st.trailing = 0;
             }
+            // Deltas are taken modulo 2^64, and added back so by the decoder:
+            // two timestamps further apart than `i64::MAX` still round-trip.
             1 => {
-                let delta = s.t_ms - self.st.t;
+                let delta = s.t_ms.wrapping_sub(self.st.t);
                 write_varbits(&mut self.w, zigzag(delta), 64);
                 self.write_value(s.v);
                 self.st.delta = delta;
             }
             _ => {
-                let delta = s.t_ms - self.st.t;
-                let dod = delta - self.st.delta;
+                let delta = s.t_ms.wrapping_sub(self.st.t);
+                let dod = delta.wrapping_sub(self.st.delta);
                 self.write_dod(dod);
                 self.write_value(s.v);
                 self.st.delta = delta;
@@ -272,7 +341,7 @@ impl XorChunk {
         let leading = xor.leading_zeros().min(31) as u8;
         let trailing = xor.trailing_zeros() as u8;
         let st = &mut self.st;
-        if st.leading != 0xff && leading >= st.leading && trailing >= st.trailing {
+        if st.leading != NO_WINDOW && leading >= st.leading && trailing >= st.trailing {
             // Reuse the previous window.
             self.w.write_bit(false);
             let sig = 64 - st.leading - st.trailing;
@@ -378,40 +447,61 @@ impl Iterator for ChunkIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let st = &mut self.st;
-        match st.n {
-            0 => {
-                st.t = unzigzag(self.r.read_bits(64)?);
-                st.v = self.r.read_bits(64)?;
-            }
-            1 => {
-                st.delta = unzigzag(read_varbits(&mut self.r)?);
-                st.t += st.delta;
-                read_value(&mut self.r, st)?;
-            }
-            _ => {
-                let dod = if !self.r.read_bit()? {
-                    0
-                } else if !self.r.read_bit()? {
-                    unzigzag(self.r.read_bits(14)?)
-                } else if !self.r.read_bit()? {
-                    unzigzag(self.r.read_bits(17)?)
-                } else if !self.r.read_bit()? {
-                    unzigzag(self.r.read_bits(20)?)
-                } else {
-                    unzigzag(self.r.read_bits(64)?)
-                };
-                st.delta += dod;
-                st.t += st.delta;
-                read_value(&mut self.r, st)?;
-            }
-        }
-        st.n += 1;
+        decode_next(&mut self.r, &mut self.st)?;
         Some(Sample {
-            t_ms: st.t,
-            v: f64::from_bits(st.v),
+            t_ms: self.st.t,
+            v: f64::from_bits(self.st.v),
         })
     }
+}
+
+/// Reads the sample after `st` and moves `st` over it, to what the
+/// appender's state was once it had written that sample. `None` when the
+/// bits are nothing [`XorChunk::append`] writes: they end early, a timestamp
+/// goes backwards, an XOR window is reused before one was set or does not
+/// fit in 64 bits.
+fn decode_next(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
+    match st.n {
+        0 => {
+            st.t = unzigzag(r.read_bits(64)?);
+            st.v = r.read_bits(64)?;
+            st.leading = NO_WINDOW;
+            st.trailing = 0;
+        }
+        1 => {
+            let delta = unzigzag(read_varbits(r)?);
+            step_time(st, delta)?;
+            read_value(r, st)?;
+        }
+        _ => {
+            let dod = if !r.read_bit()? {
+                0
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(14)?)
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(17)?)
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(20)?)
+            } else {
+                unzigzag(r.read_bits(64)?)
+            };
+            step_time(st, st.delta.wrapping_add(dod))?;
+            read_value(r, st)?;
+        }
+    }
+    st.n += 1;
+    st.bits = r.pos;
+    Some(())
+}
+
+fn step_time(st: &mut CodecState, delta: i64) -> Option<()> {
+    let t = st.t.wrapping_add(delta);
+    if t < st.t {
+        return None;
+    }
+    st.t = t;
+    st.delta = delta;
+    Some(())
 }
 
 fn read_value(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
@@ -419,10 +509,15 @@ fn read_value(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
         return Some(()); // unchanged
     }
     if r.read_bit()? {
-        st.leading = r.read_bits(5)? as u8;
-        let sig = r.read_bits(6)? as u8;
-        let sig = if sig == 0 { 64 } else { sig };
-        st.trailing = 64 - st.leading - sig;
+        let leading = r.read_bits(5)? as u8;
+        let sig = match r.read_bits(6)? as u8 {
+            0 => 64,
+            sig => sig,
+        };
+        st.trailing = 64u8.checked_sub(leading + sig)?;
+        st.leading = leading;
+    } else if st.leading == NO_WINDOW {
+        return None;
     }
     let sig = 64 - st.leading - st.trailing;
     let bits = r.read_bits(sig)?;
@@ -577,6 +672,172 @@ mod tests {
     }
 }
 
+/// A chunk rebuilt from `(bytes, n)` against the one that was appended to.
+#[cfg(test)]
+mod rebuild_tests {
+    use super::*;
+    use crate::head::{CHUNK_SAMPLES, RESUME_STRIDE};
+
+    /// Deltas that repeat, stall, and cross every delta-of-delta width;
+    /// values that repeat, count, and run through NaN payloads, both
+    /// infinities and both zeros.
+    fn awkward_series(n: usize) -> Vec<Sample> {
+        let steps = [15_000, 15_000, 0, 15_001, 14_999, 1 << 13, 3, 1 << 16, 1 << 19, 7, 1 << 40, 0];
+        let values = [
+            1.0,
+            1.0,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let mut t = -40_000i64;
+        (0..n)
+            .map(|i| {
+                t += steps[i % steps.len()];
+                let v = match i % 3 {
+                    0 => values[(i / 3) % values.len()],
+                    _ => (i * 150) as f64,
+                };
+                Sample::new(t, v)
+            })
+            .collect()
+    }
+
+    fn bits(c: &XorChunk) -> Vec<(i64, u64)> {
+        c.iter().map(|s| (s.t_ms, s.v.to_bits())).collect()
+    }
+
+    /// Appends `samples[..fill]`, rebuilds the chunk from its bytes, and
+    /// holds the two equal in everything a reader or the appender can
+    /// see; then appends `samples[fill..]` to both.
+    pub fn assert_rebuild_is_the_original(samples: &[Sample], fill: usize) {
+        let mut original = XorChunk::new();
+        let mut resume = [CodecState::default(); 2];
+        for &s in &samples[..fill] {
+            original.append(s).unwrap();
+            if original.len().is_multiple_of(RESUME_STRIDE) {
+                resume = [resume[1], original.state()];
+            }
+        }
+        let (mut rebuilt, rebuilt_resume) =
+            XorChunk::from_encoded(original.as_bytes().to_vec(), original.len(), RESUME_STRIDE)
+                .unwrap_or_else(|| panic!("fill {fill} rejected"));
+        assert_eq!(rebuilt.state(), original.state(), "fill {fill}");
+        assert_eq!(rebuilt_resume, resume, "fill {fill}");
+        assert_eq!(
+            rebuilt.last().map(|s| (s.t_ms, s.v.to_bits())),
+            original.last().map(|s| (s.t_ms, s.v.to_bits()))
+        );
+        assert_eq!(rebuilt.min_time(), original.min_time(), "fill {fill}");
+        assert_eq!(rebuilt.max_time(), original.max_time(), "fill {fill}");
+        assert_eq!(bits(&rebuilt), bits(&original), "fill {fill}");
+        assert_eq!(rebuilt, original, "fill {fill}");
+        for point in resume {
+            let tail = |c: &XorChunk| c.iter_from(point).map(|s| s.t_ms).collect::<Vec<_>>();
+            assert_eq!(tail(&rebuilt), tail(&original));
+        }
+        for &s in &samples[fill..] {
+            original.append(s).unwrap();
+            rebuilt.append(s).unwrap();
+            assert_eq!(rebuilt.as_bytes(), original.as_bytes(), "fill {fill}, at {}", s.t_ms);
+        }
+        assert_eq!(rebuilt, original, "fill {fill}, after the further appends");
+
+        // A sample is at least two bits, so up to three can hide in (or be
+        // read out of) the zero padding of the last byte: the bytes need
+        // their count. Four more or fewer can not.
+        let bytes = original.as_bytes().to_vec();
+        let n = original.len();
+        assert!(XorChunk::from_encoded(bytes.clone(), n + 4, RESUME_STRIDE).is_none());
+        if n >= 4 {
+            assert!(XorChunk::from_encoded(bytes, n - 4, RESUME_STRIDE).is_none());
+        }
+    }
+
+    #[test]
+    fn every_fill_rebuilds_to_the_original_and_goes_on_with_the_same_bytes() {
+        let samples = awkward_series(CHUNK_SAMPLES as usize + 24);
+        for fill in 0..=CHUNK_SAMPLES as usize {
+            assert_rebuild_is_the_original(&samples[..fill + 24], fill);
+        }
+    }
+
+    #[test]
+    fn timestamps_further_apart_than_i64_max_round_trip() {
+        let samples = [
+            Sample::new(i64::MIN, 1.0),
+            Sample::new(i64::MAX, 2.0),
+            Sample::new(i64::MAX, 3.0),
+        ];
+        for fill in 0..=3 {
+            assert_rebuild_is_the_original(&samples, fill);
+        }
+    }
+
+    #[test]
+    fn what_the_appender_never_writes_is_rejected() {
+        let rebuild = |w: &BitWriter, n| XorChunk::from_encoded(w.as_bytes().to_vec(), n, 16);
+        let first = |w: &mut BitWriter| {
+            w.write_bits(zigzag(1_000), 64);
+            w.write_bits(1.0f64.to_bits(), 64);
+        };
+
+        // A timestamp that goes backwards.
+        let mut w = BitWriter::new();
+        first(&mut w);
+        w.write_bit(false);
+        w.write_bits(zigzag(-5), 14);
+        w.write_bit(false);
+        assert!(rebuild(&w, 2).is_none());
+
+        // An XOR window reused before any value set one.
+        let mut w = BitWriter::new();
+        first(&mut w);
+        w.write_bit(false);
+        w.write_bits(zigzag(5), 14);
+        w.write_bits(0b10, 2);
+        w.write_bits(u64::MAX, 64);
+        assert!(rebuild(&w, 2).is_none());
+
+        // A window of 31 leading zeros and 40 significant bits.
+        let mut w = BitWriter::new();
+        first(&mut w);
+        w.write_bit(false);
+        w.write_bits(zigzag(5), 14);
+        w.write_bits(0b11, 2);
+        w.write_bits(31, 5);
+        w.write_bits(40, 6);
+        w.write_bits(u64::MAX, 40);
+        assert!(rebuild(&w, 2).is_none());
+
+        // Samples that stop short of the last byte, run past it, or leave
+        // set bits after them.
+        let mut w = BitWriter::new();
+        first(&mut w);
+        assert!(rebuild(&w, 1).is_some());
+        w.write_bits(0, 8);
+        assert!(rebuild(&w, 1).is_none());
+        assert!(XorChunk::from_encoded(w.as_bytes()[..15].to_vec(), 1, 16).is_none());
+        let mut w = BitWriter::new();
+        first(&mut w);
+        w.write_bit(false);
+        w.write_bits(zigzag(5), 14);
+        w.write_bit(false);
+        assert!(rebuild(&w, 2).is_some());
+        w.write_bit(true);
+        assert!(rebuild(&w, 2).is_none());
+
+        assert!(XorChunk::from_encoded(Vec::new(), 0, 16).is_some());
+        assert!(XorChunk::from_encoded(vec![0], 0, 16).is_none());
+    }
+}
+
 /// The codec as it was before it moved a byte at a step: one bit per turn,
 /// a bounds check each. Kept as the layout's definition for the tests.
 #[cfg(test)]
@@ -694,6 +955,82 @@ mod proptests {
                 reference.write_bits(v, n);
             }
             prop_assert_eq!(c.w.as_bytes(), &reference.bytes[..]);
+        }
+        /// A rebuilt chunk is the original at any cut of any series, over
+        /// every delta-of-delta width, duplicate timestamps and any float.
+        #[test]
+        fn a_rebuilt_chunk_is_the_original_at_any_cut(
+            start in -1_000_000_000_000i64..1_000_000_000_000,
+            steps in proptest::collection::vec(
+                (0u8..7, 0i64..1 << 45, any::<u64>(), any::<bool>()),
+                0..300,
+            ),
+            cut in 0usize..300,
+        ) {
+            let mut t = start;
+            let mut v = 0u64;
+            let samples: Vec<Sample> = steps
+                .iter()
+                .map(|&(kind, delta, value, repeat)| {
+                    t += match kind {
+                        0 => 0,
+                        1 | 2 => 15_000,
+                        3 => delta % (1 << 13),
+                        4 => delta % (1 << 16),
+                        5 => delta % (1 << 19),
+                        _ => delta,
+                    };
+                    if !repeat {
+                        v = value;
+                    }
+                    Sample::new(t, f64::from_bits(v))
+                })
+                .collect();
+            rebuild_tests::assert_rebuild_is_the_original(&samples, cut.min(samples.len()));
+        }
+
+        /// Whatever the bytes and the count, the rebuild returns: it never
+        /// panics, and what it accepts is a chunk of that many samples in
+        /// time order that owns the bytes it was given.
+        #[test]
+        fn arbitrary_bytes_rebuild_or_are_rejected(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            n in prop_oneof![0u32..48, any::<u32>()],
+        ) {
+            if let Some((chunk, _)) = XorChunk::from_encoded(bytes.clone(), n, 16) {
+                prop_assert_eq!(chunk.len(), n);
+                prop_assert_eq!(chunk.as_bytes(), &bytes[..]);
+                let times: Vec<i64> = chunk.iter().map(|s| s.t_ms).collect();
+                prop_assert_eq!(times.len(), n as usize);
+                prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
+            }
+        }
+
+        /// The same from one flipped bit of a real chunk, where the decode
+        /// gets far enough to meet every field.
+        #[test]
+        fn a_flipped_bit_is_rejected_or_leaves_a_valid_chunk(
+            deltas in proptest::collection::vec(0i64..100_000, 1..120),
+            values in proptest::collection::vec(proptest::num::f64::ANY, 120),
+            flip in any::<usize>(),
+            n_off in -1i64..2,
+        ) {
+            let mut c = XorChunk::new();
+            let mut t = 0;
+            for (d, v) in deltas.iter().zip(&values) {
+                t += d;
+                c.append(Sample::new(t, *v)).unwrap();
+            }
+            let mut bytes = c.as_bytes().to_vec();
+            let bit = flip % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let n = (c.len() as i64 + n_off) as u32;
+            if let Some((chunk, _)) = XorChunk::from_encoded(bytes, n, 16) {
+                let times: Vec<i64> = chunk.iter().map(|s| s.t_ms).collect();
+                prop_assert_eq!(times.len(), n as usize);
+                prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
+                prop_assert_eq!(chunk.last().map(|s| s.t_ms), times.last().copied());
+            }
         }
     }
 }

@@ -26,7 +26,7 @@ pub const CHUNK_SAMPLES: u32 = 240;
 pub const RESUME_STRIDE: u32 = 16;
 
 /// Storage of one series.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SeriesStore {
     chunks: VecDeque<XorChunk>,
     /// The open chunk's state at its last two multiples of
@@ -64,6 +64,33 @@ impl SeriesStore {
             self.resume = [self.resume[1], open.state()];
         }
         Ok(())
+    }
+
+    /// Adds, after the chunks already here, the chunk that holds `n` samples
+    /// in `bytes`: how a series comes back from a checkpoint, and the only
+    /// way a chunk gets in that [`Self::append`] did not write. `None`
+    /// (and nothing added) when the bytes fail the checked decode of
+    /// [`XorChunk::from_encoded`], hold no sample, or start before the
+    /// series' newest sample.
+    pub fn push_encoded(&mut self, bytes: Vec<u8>, n: u32) -> Option<()> {
+        let (chunk, resume) = XorChunk::from_encoded(bytes, n, RESUME_STRIDE)?;
+        let after = self.chunks.back().map_or(i64::MIN, XorChunk::max_time);
+        if chunk.is_empty() || chunk.min_time() < after {
+            return None;
+        }
+        self.chunks.push_back(chunk);
+        self.resume = resume;
+        Some(())
+    }
+
+    /// The chunks, oldest first; the last one is open.
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = &XorChunk> {
+        self.chunks.iter()
+    }
+
+    /// Every sample, in time order.
+    pub fn iter(&self) -> impl Iterator<Item = Sample> + '_ {
+        self.chunks.iter().flat_map(XorChunk::iter)
     }
 
     /// Samples with `tmin <= t <= tmax`, in time order. The open chunk is
@@ -198,19 +225,23 @@ impl Head {
         emptied
     }
 
-    /// Snapshot of every series' full sample list, sorted by id (the
-    /// checkpoint writer runs this with appenders gated out, so the result
-    /// is a consistent cut).
-    pub fn snapshot(&self) -> Vec<(SeriesId, Vec<Sample>)> {
+    /// A copy of every series as it is stored, chunk bytes and all, sorted
+    /// by id. Nothing is decoded. The checkpoint writer runs this with
+    /// appenders gated out, so the result is a consistent cut.
+    pub fn snapshot(&self) -> Vec<(SeriesId, SeriesStore)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let map = shard.lock();
-            for (&id, s) in map.iter() {
-                out.push((id, s.samples_in(i64::MIN, i64::MAX)));
-            }
+            out.extend(map.iter().map(|(&id, s)| (id, s.clone())));
         }
         out.sort_unstable_by_key(|(id, _)| *id);
         out
+    }
+
+    /// Puts a whole series in place (a checkpoint's), replacing what the id
+    /// held.
+    pub fn install(&self, id: SeriesId, store: SeriesStore) {
+        self.shard(id).lock().insert(id, store);
     }
 
     /// Total samples held.
@@ -233,6 +264,16 @@ impl Head {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The series a checkpoint of `s` restores: every chunk from its bytes
+    /// and its count.
+    pub fn rebuilt(s: &SeriesStore) -> SeriesStore {
+        let mut out = SeriesStore::default();
+        for c in s.chunks() {
+            out.push_encoded(c.as_bytes().to_vec(), c.len()).expect("a chunk the head wrote");
+        }
+        out
+    }
 
     #[test]
     fn chunk_cutting() {
@@ -271,6 +312,8 @@ mod tests {
             s.append(sample).unwrap();
             all.push(sample);
             assert_eq!(s.last_sample(), Some(sample));
+            // Resume points included: a restored series reads as cheaply.
+            assert_eq!(rebuilt(&s), s, "fill {i}");
             for back in [0, 1, 2, 8, 15, 16, 17, 31, 32, 33, 48] {
                 let tmin = sample.t_ms - back * 15_000;
                 for tmax in [sample.t_ms, sample.t_ms - 15_000, i64::MAX] {
@@ -289,6 +332,50 @@ mod tests {
             }
         }
         assert_eq!(s.chunk_count(), 3);
+    }
+
+    #[test]
+    fn a_rebuilt_series_goes_on_as_the_original() {
+        let mut original = SeriesStore::default();
+        for i in 0..(CHUNK_SAMPLES as i64 * 2 + 50) {
+            original.append(Sample::new(i * 15_000, (i * 150) as f64)).unwrap();
+        }
+        let mut restored = rebuilt(&original);
+        // Through the cut of the open chunk and well into the next one.
+        for i in (CHUNK_SAMPLES as i64 * 2 + 50)..(CHUNK_SAMPLES as i64 * 3 + 40) {
+            let s = Sample::new(i * 15_000, (i * 150) as f64);
+            original.append(s).unwrap();
+            restored.append(s).unwrap();
+            assert_eq!(restored, original, "at {i}");
+        }
+        assert_eq!(restored.chunk_count(), 4);
+        assert!(restored.append(Sample::new(0, 0.0)).is_err());
+        assert_eq!(restored.iter().count() as u64, restored.sample_count());
+    }
+
+    #[test]
+    fn chunks_that_are_no_series_are_not_pushed() {
+        let chunk_of = |range: std::ops::Range<i64>| {
+            let mut c = XorChunk::new();
+            for i in range {
+                c.append(Sample::new(i * 1000, 1.0)).unwrap();
+            }
+            (c.as_bytes().to_vec(), c.len())
+        };
+        let mut s = SeriesStore::default();
+        let (bytes, n) = chunk_of(10..20);
+        s.push_encoded(bytes, n).unwrap();
+        // Empty; starting before the newest sample; not a chunk at all.
+        assert!(s.push_encoded(Vec::new(), 0).is_none());
+        let (bytes, n) = chunk_of(18..30);
+        assert!(s.push_encoded(bytes, n).is_none());
+        assert!(s.push_encoded(vec![0xff; 40], 3).is_none());
+        assert_eq!((s.chunk_count(), s.sample_count()), (1, 10));
+        // Starting at the newest sample's time is in order (duplicates are).
+        let (bytes, n) = chunk_of(19..30);
+        s.push_encoded(bytes, n).unwrap();
+        assert_eq!(s.samples_in(19_000, 19_000).len(), 2);
+        assert_eq!(s.last_sample(), Some(Sample::new(29_000, 1.0)));
     }
 
     #[test]
@@ -408,6 +495,7 @@ mod proptests {
                     bits(&want).last().copied()
                 );
             }
+            prop_assert_eq!(super::tests::rebuilt(&store), store);
         }
     }
 }

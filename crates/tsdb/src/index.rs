@@ -70,20 +70,7 @@ impl LabelIndex {
             return id;
         }
         let id = self.next_id;
-        self.next_id += 1;
-        self.generation += 1;
-        self.series.insert(id, Arc::new(labels.clone()));
-        self.by_fingerprint.entry(fp).or_default().push(id);
-        for (k, v) in labels.iter() {
-            let list = self
-                .postings
-                .entry(k.to_string())
-                .or_default()
-                .entry(v.to_string())
-                .or_default();
-            // Ids are handed out in increasing order, so push keeps lists sorted.
-            list.push(id);
-        }
+        self.register(id, Arc::new(labels.clone()), fp);
         id
     }
 
@@ -91,30 +78,42 @@ impl LabelIndex {
     /// so recovered ids match what logged `Samples` records reference.
     /// No-op when the id already exists. Unlike [`Self::get_or_create`],
     /// ids may arrive in any order (a follower bootstraps from a checkpoint
-    /// sorted by id, then replays creates in log order), so posting lists
-    /// insert at the sorted position instead of pushing.
-    pub fn insert_replayed(&mut self, id: SeriesId, labels: &LabelSet) {
-        if self.series.contains_key(&id) {
-            return;
+    /// sorted by id, then replays creates in log order).
+    pub fn insert_replayed(&mut self, id: SeriesId, labels: Arc<LabelSet>) {
+        if !self.series.contains_key(&id) {
+            let fp = labels.fingerprint();
+            self.register(id, labels, fp);
         }
+    }
+
+    /// Enters a series the registry does not hold yet.
+    fn register(&mut self, id: SeriesId, labels: Arc<LabelSet>, fp: u64) {
         self.generation += 1;
         self.next_id = self.next_id.max(id + 1);
-        self.series.insert(id, Arc::new(labels.clone()));
-        self.by_fingerprint
-            .entry(labels.fingerprint())
-            .or_default()
-            .push(id);
+        self.by_fingerprint.entry(fp).or_default().push(id);
         for (k, v) in labels.iter() {
-            let list = self
-                .postings
-                .entry(k.to_string())
-                .or_default()
-                .entry(v.to_string())
-                .or_default();
-            if let Err(pos) = list.binary_search(&id) {
-                list.insert(pos, id);
+            // Looked up by `&str`: only a name or a value the index has not
+            // seen is copied into a key.
+            let values = match self.postings.get_mut(k) {
+                Some(values) => values,
+                None => self.postings.entry(k.to_string()).or_default(),
+            };
+            let list = match values.get_mut(v) {
+                Some(list) => list,
+                None => values.entry(v.to_string()).or_default(),
+            };
+            // Ids mostly arrive in increasing order (always, outside
+            // replay), which keeps a list sorted by pushing.
+            match list.last() {
+                Some(&last) if last >= id => {
+                    if let Err(pos) = list.binary_search(&id) {
+                        list.insert(pos, id);
+                    }
+                }
+                _ => list.push(id),
             }
         }
+        self.series.insert(id, labels);
     }
 
     /// Forces the generation counter (checkpoint restore: recovered caches
@@ -201,31 +200,33 @@ impl LabelIndex {
 
         // Positive matchers narrow the candidates. An exact one lends its
         // posting list as it stands; only a regex builds a list of its own,
-        // the union over the values it matches. Negative matchers, and
-        // those a series without the label satisfies (`job=""`,
-        // `job=~".*"`), cannot narrow.
+        // the union over the values it matches (none, for a label name the
+        // index has never seen). Every series on such a list satisfies its
+        // matcher, so only the others are left to check: negative matchers,
+        // and those a series without the label satisfies (`job=""`,
+        // `job=~".*"`), which cannot narrow.
         let mut lists: Vec<Cow<'_, [SeriesId]>> = Vec::new();
+        let mut unchecked: Vec<&LabelMatcher> = Vec::new();
         for m in matchers {
+            let values = self.postings.get(&m.name);
             match m.op {
                 MatchOp::Eq if m.is_exact() => lists.push(Cow::Borrowed(
-                    self.postings
-                        .get(&m.name)
+                    values
                         .and_then(|values| values.get(&m.value))
                         .map_or(&[][..], Vec::as_slice),
                 )),
                 MatchOp::Re if !m.matches_value("") => {
-                    if let Some(values) = self.postings.get(&m.name) {
-                        let mut union: Vec<SeriesId> = values
-                            .iter()
-                            .filter(|(v, _)| m.matches_value(v))
-                            .flat_map(|(_, ids)| ids.iter().copied())
-                            .collect();
-                        union.sort_unstable();
-                        union.dedup();
-                        lists.push(Cow::Owned(union));
-                    }
+                    let mut union: Vec<SeriesId> = values
+                        .into_iter()
+                        .flatten()
+                        .filter(|(v, _)| m.matches_value(v))
+                        .flat_map(|(_, ids)| ids.iter().copied())
+                        .collect();
+                    union.sort_unstable();
+                    union.dedup();
+                    lists.push(Cow::Owned(union));
                 }
-                _ => {}
+                _ => unchecked.push(m),
             }
         }
 
@@ -243,14 +244,14 @@ impl LabelIndex {
                 Cow::Owned(all)
             }
         };
-
-        // Final filter applies every matcher (covers negatives and the
-        // absent-label-means-empty rule).
+        if unchecked.is_empty() {
+            return base.into_owned();
+        }
         base.iter()
             .copied()
             .filter(|id| {
                 let labels = &self.series[id];
-                matchers.iter().all(|m| m.matches(labels))
+                unchecked.iter().all(|m| m.matches(labels))
             })
             .collect()
     }
@@ -350,7 +351,8 @@ mod tests {
 
     /// Whatever mix of exact, regex, negative and absent-label matchers,
     /// in whatever order, `select` answers what filtering every series by
-    /// every matcher answers, in ascending id order.
+    /// every matcher answers, in ascending id order — also once a series
+    /// the first pass returned is gone.
     #[test]
     fn select_equals_a_full_scan_in_any_matcher_order() {
         let mut idx = sample_index();
@@ -370,33 +372,69 @@ mod tests {
             m("nolabel", MatchOp::Eq, "x"),
             m("instance", MatchOp::Re, "n[1-3]"),
             m("uuid", MatchOp::Re, "slurm-1.*"),
+            m("nolabel", MatchOp::Re, "a|b.+"),
             m("job", MatchOp::Re, ".*"),
             m("job", MatchOp::Ne, "dcgm"),
+            m("uuid", MatchOp::Ne, "slurm-15"),
             m("job", MatchOp::Eq, ""),
+            m("uuid", MatchOp::Eq, ""),
             m("instance", MatchOp::Nre, "gpu-.*|n0"),
+            m("uuid", MatchOp::Nre, "slurm-1.*"),
         ];
-        let scan = |matchers: &[LabelMatcher]| {
-            let mut ids: Vec<SeriesId> = idx
-                .series
-                .iter()
-                .filter(|(_, labels)| matchers.iter().all(|m| m.matches(labels)))
-                .map(|(id, _)| *id)
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
-        let mut non_empty = 0;
-        for a in 0..pool.len() {
-            for b in 0..pool.len() {
-                for c in 0..pool.len() {
-                    let matchers = [pool[a].clone(), pool[b].clone(), pool[c].clone()];
-                    let got = idx.select(&matchers);
-                    assert_eq!(got, scan(&matchers), "{matchers:?}");
-                    non_empty += usize::from(!got.is_empty());
+        let check_every_triple = |idx: &LabelIndex| {
+            let scan = |matchers: &[LabelMatcher]| {
+                let mut ids: Vec<SeriesId> = idx
+                    .series
+                    .iter()
+                    .filter(|(_, labels)| matchers.iter().all(|m| m.matches(labels)))
+                    .map(|(id, _)| *id)
+                    .collect();
+                ids.sort_unstable();
+                ids
+            };
+            let mut non_empty = 0;
+            for a in &pool {
+                for b in &pool {
+                    for c in &pool {
+                        let matchers = [a.clone(), b.clone(), c.clone()];
+                        let got = idx.select(&matchers);
+                        assert_eq!(got, scan(&matchers), "{matchers:?}");
+                        non_empty += usize::from(!got.is_empty());
+                    }
                 }
             }
+            assert!(non_empty > 100, "the pool must not be all-empty answers");
+        };
+        check_every_triple(&idx);
+        let gone = idx.select(&[m("uuid", MatchOp::Eq, "slurm-15")]);
+        assert_eq!(gone.len(), 1);
+        idx.remove(gone[0]);
+        assert!(idx.select(&[pool[0].clone(), pool[5].clone()]).iter().all(|id| *id != gone[0]));
+        check_every_triple(&idx);
+    }
+
+    /// Replayed ids arrive in any order and may repeat; posting lists stay
+    /// sorted and the index answers as one built in id order does.
+    #[test]
+    fn replayed_series_in_any_order_index_as_created_ones() {
+        let sets: Vec<LabelSet> = (0..30)
+            .map(|i| labels! {"__name__" => "m", "instance" => format!("n{}", i % 4), "i" => format!("{i}")})
+            .collect();
+        let mut created = LabelIndex::new();
+        for ls in &sets {
+            created.get_or_create(ls);
         }
-        assert!(non_empty > 100, "the pool must not be all-empty answers");
+        let mut replayed = LabelIndex::new();
+        for i in (0..30).rev().chain([7, 3]).chain(0..30) {
+            replayed.insert_replayed(i as SeriesId, Arc::new(sets[i].clone()));
+        }
+        assert_eq!(replayed.postings, created.postings);
+        assert_eq!(replayed.next_id(), created.next_id());
+        assert_eq!(replayed.generation(), created.generation());
+        assert_eq!(replayed.series_count(), 30);
+        for ls in &sets {
+            assert_eq!(replayed.lookup(ls), created.lookup(ls));
+        }
     }
 
     #[test]

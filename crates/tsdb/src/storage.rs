@@ -22,7 +22,7 @@ use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
 use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
-use crate::head::Head;
+use crate::head::{Head, SeriesStore};
 use crate::index::LabelIndex;
 use crate::types::{Sample, SeriesData, SeriesId};
 use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalRecord};
@@ -288,10 +288,12 @@ impl Tsdb {
             start_seq = ckpt.covers_seq;
             records = ckpt.records;
             let mut idx = db.index.write();
-            for (id, labels, samples) in &ckpt.series {
-                idx.insert_replayed(*id, labels);
-                for s in samples {
-                    let _ = db.head.append(*id, *s);
+            // The chunks go into the head as they are: decoding the
+            // checkpoint checked every one of them.
+            for (id, labels, store) in ckpt.series {
+                idx.insert_replayed(id, labels);
+                if store.sample_count() > 0 {
+                    db.head.install(id, store);
                 }
             }
             idx.set_next_id(ckpt.next_id);
@@ -302,7 +304,7 @@ impl Tsdb {
             let mut es = db.epoch_state.lock();
             es.epoch = ckpt.epoch;
             if !ckpt.epoch_history.is_empty() {
-                es.history = ckpt.epoch_history.clone();
+                es.history = ckpt.epoch_history;
             }
         }
 
@@ -539,7 +541,9 @@ impl Tsdb {
     fn apply_record(&self, rec: &WalRecord) {
         match rec {
             WalRecord::SeriesCreate { id, labels } => {
-                self.index.write().insert_replayed(*id, labels);
+                self.index
+                    .write()
+                    .insert_replayed(*id, Arc::new(labels.clone()));
             }
             WalRecord::Samples(samples) => self.apply_samples(samples),
             WalRecord::Tombstone(ids) => {
@@ -1036,15 +1040,20 @@ impl Tsdb {
         };
 
         let idx = self.index.read();
-        let mut by_id: HashMap<SeriesId, Vec<Sample>> = self.head.snapshot().into_iter().collect();
+        let mut stores = self.head.snapshot().into_iter().peekable();
         // Drive off the index: a registered series with no head store yet
         // still checkpoints (with no samples), and orphan head entries for
         // unregistered ids are skipped — queries can't see either state
-        // differently, and the restored index matches exactly.
-        let series: Vec<(SeriesId, LabelSet, Vec<Sample>)> = idx
+        // differently, and the restored index matches exactly. Both sides
+        // are sorted by id.
+        let series: Vec<(SeriesId, Arc<LabelSet>, SeriesStore)> = idx
             .all_series()
             .into_iter()
-            .map(|(id, labels)| (id, (*labels).clone(), by_id.remove(&id).unwrap_or_default()))
+            .map(|(id, labels)| {
+                while stores.next_if(|(head_id, _)| *head_id < id).is_some() {}
+                let store = stores.next_if(|(head_id, _)| *head_id == id);
+                (id, labels, store.map(|(_, s)| s).unwrap_or_default())
+            })
             .collect();
         let (epoch, epoch_history) = {
             let es = self.epoch_state.lock();
@@ -1131,15 +1140,15 @@ impl Tsdb {
                 "checkpoint bootstrap requires an empty database",
             ));
         }
-        for (id, labels, samples) in &ckpt.series {
+        for (id, labels, store) in &ckpt.series {
             let mut recs = vec![WalRecord::SeriesCreate {
                 id: *id,
-                labels: labels.clone(),
+                labels: (**labels).clone(),
             }];
-            for chunk in samples.chunks(wal::BOOTSTRAP_BATCH) {
-                recs.push(WalRecord::Samples(
-                    chunk.iter().map(|s| (*id, s.t_ms, s.v)).collect(),
-                ));
+            let mut samples = store.iter().map(|s| (*id, s.t_ms, s.v)).peekable();
+            while samples.peek().is_some() {
+                let batch = samples.by_ref().take(wal::BOOTSTRAP_BATCH).collect();
+                recs.push(WalRecord::Samples(batch));
             }
             self.apply_wal_records(&recs);
         }
@@ -1396,5 +1405,242 @@ mod tests {
         db.select(std::slice::from_ref(&re), 0, i64::MAX);
         db.select(&[re], 0, i64::MAX);
         assert_eq!(db.posting_cache_stats().hits, 0);
+    }
+
+    // -- Checkpoints carry the head's chunks --------------------------------
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ceems-storage-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn ckpt_config() -> TsdbConfig {
+        TsdbConfig {
+            shards: 4,
+            retention_ms: 2_500_000,
+            ..TsdbConfig::default()
+        }
+    }
+
+    fn big_segments() -> WalOptions {
+        WalOptions {
+            segment_bytes: 64 << 20,
+            fsync: wal::FsyncMode::Never,
+        }
+    }
+
+    /// A history in three parts. The first fills more than one chunk of
+    /// five series, leaves a short-lived one behind and deletes one; the
+    /// second creates a series, drops an out-of-order sample and cuts
+    /// retention through the first chunks (and the short-lived series);
+    /// the third goes on appending to the open chunks.
+    fn history(db: &Tsdb, part: usize) {
+        let power = |i: usize| labels! {"__name__" => "power", "instance" => format!("n{i}")};
+        let steps = [0..300i64, 300..420, 420..460][part].clone();
+        for step in steps {
+            let t = step * 15_000;
+            let mut batch: Vec<(LabelSet, i64, f64)> = (0..5)
+                .filter(|i| !(part > 0 && *i == 3))
+                .map(|i| (power(i), t, (step * 150 + i as i64) as f64))
+                .collect();
+            if step < 10 {
+                batch.push((labels! {"__name__" => "short"}, t, f64::NAN));
+            }
+            if step >= 330 {
+                batch.push((labels! {"__name__" => "late", "gpu" => "0"}, t, -0.0));
+            }
+            if step == 350 {
+                batch.push((power(0), t - 60_000, 0.0));
+            }
+            db.append_batch(&batch);
+        }
+        match part {
+            0 => assert_eq!(db.delete_series(&[LabelMatcher::eq("instance", "n3")]), 1),
+            1 => assert_eq!(db.enforce_retention(420 * 15_000), 1),
+            _ => {}
+        }
+    }
+
+    /// Selected series as `(labels, time, value bits)` rows: the history
+    /// holds a NaN.
+    fn bits(series: Vec<SeriesData>) -> Vec<(Arc<LabelSet>, i64, u64)> {
+        let rows = |s: SeriesData| {
+            let samples = s.samples.into_iter();
+            samples.map(move |x| (Arc::clone(&s.labels), x.t_ms, x.v.to_bits()))
+        };
+        series.into_iter().flat_map(rows).collect()
+    }
+
+    /// Everything a restored database is held to.
+    fn assert_same_database(got: &Tsdb, want: &Tsdb, context: &str) {
+        assert_eq!(
+            bits(got.select(&[], i64::MIN, i64::MAX)),
+            bits(want.select(&[], i64::MIN, i64::MAX)),
+            "{context}: select over all time"
+        );
+        let power = [LabelMatcher::eq("__name__", "power")];
+        for (tmin, tmax) in [(i64::MIN, i64::MAX), (0, 4_000_000), (6_000_000, 6_100_000)] {
+            assert_eq!(
+                bits(got.select(&power, tmin, tmax)),
+                bits(want.select(&power, tmin, tmax)),
+                "{context}: select {tmin}..{tmax}"
+            );
+            let instant = |db: &Tsdb| -> Vec<(Arc<LabelSet>, i64, u64)> {
+                db.select_instant(&[], tmin, tmax)
+                    .into_iter()
+                    .map(|(l, s)| (l, s.t_ms, s.v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(instant(got), instant(want), "{context}: select_instant {tmin}..{tmax}");
+        }
+        assert_eq!(got.storage_bytes(), want.storage_bytes(), "{context}: storage_bytes");
+        assert_eq!(got.series_count(), want.series_count(), "{context}: series_count");
+        assert_eq!(got.samples_appended(), want.samples_appended(), "{context}: samples_appended");
+        assert_eq!(got.out_of_order_dropped(), want.out_of_order_dropped(), "{context}");
+        let clocks = |db: &Tsdb| {
+            let idx = db.index.read();
+            (idx.generation(), idx.next_id())
+        };
+        assert_eq!(clocks(got), clocks(want), "{context}: index generation and next_id");
+        assert_eq!(got.head.snapshot(), want.head.snapshot(), "{context}: chunks and resume points");
+        assert_eq!(got.orphan_head_series(), 0);
+    }
+
+    #[test]
+    fn checkpoint_and_reopen_twice_is_a_database_never_closed() {
+        let dir = temp_dir("reopen");
+        let never_closed = Tsdb::new(ckpt_config());
+        for part in 0..2 {
+            let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+            history(&db, part);
+            history(&never_closed, part);
+            db.checkpoint().unwrap();
+            assert_same_database(&db, &never_closed, &format!("before close {part}"));
+        }
+        // Nothing but the second checkpoint (and an empty segment) is left
+        // to open from.
+        assert_eq!(wal::list_checkpoints(&dir).unwrap().len(), 1);
+        let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        assert_same_database(&db, &never_closed, "reopened from the second checkpoint");
+        // The restored open chunks take the appends the originals take.
+        history(&db, 2);
+        history(&never_closed, 2);
+        assert_same_database(&db, &never_closed, "after more ingest");
+        drop(db);
+        let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        assert_same_database(&db, &never_closed, "checkpoint plus a replayed tail");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flips, in the newest checkpoint of `dir`, the sign of the second
+    /// timestamp delta of one open chunk; `fix_crc` then makes the CRC agree
+    /// with the damage.
+    fn damage_newest_checkpoint(dir: &Path, fix_crc: bool) {
+        let (_, path) = wal::list_checkpoints(dir).unwrap().pop().unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let ckpt = wal::decode_checkpoint(&bytes).unwrap();
+        let (_, _, store) = ckpt.series.iter().find(|(_, _, s)| s.sample_count() > 2).unwrap();
+        let chunk = store.chunks().last().unwrap().as_bytes();
+        let at = bytes.windows(chunk.len()).position(|w| w == chunk).unwrap();
+        bytes[at + 24] ^= 0x80;
+        if fix_crc {
+            wal::fix_crc(&mut bytes);
+        }
+        assert!(wal::decode_checkpoint(&bytes).is_none());
+        fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_bad_chunk_is_skipped_as_a_crc_mismatch_is() {
+        for fix_crc in [false, true] {
+            let dir = temp_dir("badchunk");
+            let kept = temp_dir("badchunk-kept");
+            fs::create_dir_all(&kept).unwrap();
+            let reference = Tsdb::new(ckpt_config());
+            {
+                let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+                history(&db, 0);
+                db.checkpoint().unwrap();
+                history(&db, 1);
+                // The second checkpoint collects the first and the segment
+                // after it: keep both, as an operator's copy would.
+                for entry in fs::read_dir(&dir).unwrap() {
+                    let path = entry.unwrap().path();
+                    fs::copy(&path, kept.join(path.file_name().unwrap())).unwrap();
+                }
+                db.checkpoint().unwrap();
+                history(&db, 2);
+            }
+            (0..3).for_each(|part| history(&reference, part));
+            damage_newest_checkpoint(&dir, fix_crc);
+
+            // No older checkpoint: the open neither panics nor fails, and
+            // has only the last segment to go by.
+            let alone = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+            assert!(alone.samples_appended() < reference.samples_appended());
+            drop(alone);
+
+            for entry in fs::read_dir(&kept).unwrap() {
+                let path = entry.unwrap().path();
+                fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            assert_eq!(wal::list_checkpoints(&dir).unwrap().len(), 2);
+            let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+            assert_same_database(&db, &reference, &format!("older checkpoint, fix_crc {fix_crc}"));
+            let _ = fs::remove_dir_all(&dir);
+            let _ = fs::remove_dir_all(&kept);
+        }
+    }
+
+    #[test]
+    fn a_ckpt1_directory_opens_to_the_same_state() {
+        let dir = temp_dir("ckpt1");
+        let reference = Tsdb::new(ckpt_config());
+        {
+            let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+            history(&db, 0);
+            history(&db, 1);
+            db.checkpoint().unwrap();
+            history(&db, 2);
+        }
+        (0..3).for_each(|part| history(&reference, part));
+        // The file the parent of this format would have written.
+        let (_, path) = wal::list_checkpoints(&dir).unwrap().pop().unwrap();
+        let ckpt = wal::decode_checkpoint(&fs::read(&path).unwrap()).unwrap();
+        let v1 = wal::encode_checkpoint_v1(&ckpt);
+        assert!(v1.starts_with(b"CKPT1"));
+        fs::write(&path, v1).unwrap();
+
+        let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        assert_same_database(&db, &reference, "opened from CKPT1");
+        // The next checkpoint is written in the current format.
+        db.checkpoint().unwrap();
+        let (_, path) = wal::list_checkpoints(&dir).unwrap().pop().unwrap();
+        assert!(fs::read(&path).unwrap().starts_with(b"CKPT2"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_follower_bootstraps_from_chunks_into_records() {
+        let dir = temp_dir("bootstrap");
+        let leader = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        history(&leader, 0);
+        leader.checkpoint().unwrap();
+        let (seq, bytes) = leader.wal_checkpoint_bytes().unwrap().unwrap();
+        let follower = Tsdb::new(ckpt_config());
+        let pos = follower.load_checkpoint_bytes(&bytes).unwrap();
+        assert_eq!((pos.seq, pos.offset), (seq, 0));
+        assert_eq!(
+            bits(follower.select(&[], i64::MIN, i64::MAX)),
+            bits(leader.select(&[], i64::MIN, i64::MAX))
+        );
+        assert_eq!(follower.storage_bytes(), leader.storage_bytes());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

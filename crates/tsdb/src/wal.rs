@@ -10,10 +10,12 @@
 //! * **Segments** — append-only `wal-<seq>.seg` files rotated by size. A
 //!   scrape batch is logged as *one* record through a group-commit buffer:
 //!   one lock, one `write`, at most one fsync per batch.
-//! * **Checkpoints** — `checkpoint-<seq>.ckpt` files summarizing all live
-//!   series at a rotation boundary, written tmp+rename. Recovery loads the
-//!   newest valid checkpoint and replays only the segments after it;
-//!   covered segments and older checkpoints are garbage-collected.
+//! * **Checkpoints** — `checkpoint-<seq>.ckpt` files holding all live
+//!   series at a rotation boundary, each series' chunks byte for byte as
+//!   the head holds them, written tmp+rename. Recovery loads the newest
+//!   checkpoint whose CRC and chunks all check out and replays only the
+//!   segments after it; covered segments and older checkpoints are
+//!   garbage-collected.
 //! * **Positions** ([`WalPosition`]) — `(segment, byte offset, record
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
@@ -25,6 +27,7 @@ use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
 
+use crate::head::SeriesStore;
 use crate::types::{Sample, SeriesId};
 
 // ---------------------------------------------------------------------------
@@ -159,11 +162,14 @@ const MAX_FRAME_LEN: u32 = 1 << 30;
 pub const BOOTSTRAP_BATCH: usize = 8_192;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven
+// CRC32 (IEEE), slice-by-8
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, which lets eight input bytes
+/// be folded in by eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -172,19 +178,53 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE 802.3) of a byte slice.
+/// CRC32 (IEEE 802.3) of a byte slice, eight bytes at a step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// The definition [`crc32`] is tested against: one byte at a step.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -272,6 +312,11 @@ impl<'a> Reader<'a> {
 
     fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// Bytes not yet read: the most any count still to come can stand for.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 }
 
@@ -736,7 +781,13 @@ impl Wal {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-const CKPT_MAGIC: &[u8; 5] = b"CKPT1";
+/// What [`encode_checkpoint`] writes: each series' chunks as the head holds
+/// them.
+const CKPT_MAGIC: &[u8; 5] = b"CKPT2";
+
+/// The format before it: each sample as a varint time delta and a raw
+/// `f64`. Read, so a directory an older build wrote still opens; not written.
+const CKPT1_MAGIC: &[u8; 5] = b"CKPT1";
 
 /// One entry of the leadership-epoch history (S24): `epoch` began once
 /// `start_records` records had been logged. The history is what a
@@ -777,15 +828,65 @@ pub struct Checkpoint {
     /// Epoch history up to the snapshot; survives segment GC so rejoin
     /// divergence checks work long after the bump records are collected.
     pub epoch_history: Vec<EpochSpan>,
-    /// Every live series: id, labels, all samples in time order.
-    pub series: Vec<(SeriesId, LabelSet, Vec<Sample>)>,
+    /// Every live series: id, labels, and its chunks as the head holds
+    /// them. On disk a chunk is its sample count and its encoded bytes; a
+    /// decoded checkpoint's chunks have all passed
+    /// [`SeriesStore::push_encoded`].
+    pub series: Vec<(SeriesId, Arc<LabelSet>, SeriesStore)>,
 }
 
 /// Serializes a checkpoint: magic, varint-packed header + series, and a
 /// trailing CRC32 over everything before it.
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    out.extend_from_slice(CKPT_MAGIC);
+    encode_checkpoint_as(ckpt, CKPT_MAGIC, |out, store| {
+        let chunks = store.chunks();
+        put_uvarint(out, chunks.len() as u64);
+        for chunk in chunks {
+            put_uvarint(out, chunk.len() as u64);
+            put_bytes(out, chunk.as_bytes());
+        }
+    })
+}
+
+/// The `CKPT1` writer as it was, for tests that `CKPT1` files still open.
+#[cfg(test)]
+pub(crate) fn encode_checkpoint_v1(ckpt: &Checkpoint) -> Vec<u8> {
+    encode_checkpoint_as(ckpt, CKPT1_MAGIC, |out, store| {
+        put_uvarint(out, store.sample_count());
+        let mut prev_t = 0i64;
+        for s in store.iter() {
+            put_ivarint(out, s.t_ms - prev_t);
+            out.extend_from_slice(&s.v.to_le_bytes());
+            prev_t = s.t_ms;
+        }
+    })
+}
+
+/// Replaces the trailing CRC by the one the bytes before it have, so a test's
+/// damage gets past it.
+#[cfg(test)]
+pub(crate) fn fix_crc(bytes: &mut [u8]) {
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The checkpoint layout both formats share; `put_samples` writes what
+/// follows a series' labels.
+fn encode_checkpoint_as(
+    ckpt: &Checkpoint,
+    magic: &[u8; 5],
+    put_samples: impl Fn(&mut Vec<u8>, &SeriesStore),
+) -> Vec<u8> {
+    // Sized up front: growing a multi-megabyte buffer by doubling copies it
+    // several times over and holds twice its size at the peak.
+    let series_bytes = |(_, labels, store): &(SeriesId, Arc<LabelSet>, SeriesStore)| {
+        let labels: usize = labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+        32 + labels + store.byte_len() + 8 * store.chunks().len()
+    };
+    let size = 128 + ckpt.series.iter().map(series_bytes).sum::<usize>();
+    let mut out = Vec::with_capacity(size);
+    out.extend_from_slice(magic);
     put_uvarint(&mut out, ckpt.covers_seq);
     put_uvarint(&mut out, ckpt.generation);
     put_uvarint(&mut out, ckpt.next_id);
@@ -799,33 +900,53 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
         put_uvarint(&mut out, span.start_records);
     }
     put_uvarint(&mut out, ckpt.series.len() as u64);
-    for (id, labels, samples) in &ckpt.series {
+    for (id, labels, store) in &ckpt.series {
         put_uvarint(&mut out, *id);
         put_uvarint(&mut out, labels.len() as u64);
         for (k, v) in labels.iter() {
             put_bytes(&mut out, k.as_bytes());
             put_bytes(&mut out, v.as_bytes());
         }
-        put_uvarint(&mut out, samples.len() as u64);
-        let mut prev_t = 0i64;
-        for s in samples {
-            put_ivarint(&mut out, s.t_ms - prev_t);
-            out.extend_from_slice(&s.v.to_le_bytes());
-            prev_t = s.t_ms;
-        }
+        put_samples(&mut out, store);
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Parses checkpoint bytes, validating magic and CRC. `None` means the file
-/// is corrupt or truncated (the loader falls back to an older checkpoint).
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
-    if bytes.len() < CKPT_MAGIC.len() + 4 || !bytes.starts_with(CKPT_MAGIC) {
-        return None;
+/// A series' chunks as `CKPT2` holds them, each through the checked decode.
+fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
+    let mut store = SeriesStore::default();
+    for _ in 0..r.uvarint()? {
+        let n = u32::try_from(r.uvarint()?).ok()?;
+        store.push_encoded(r.bytes()?.to_vec(), n)?;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
+    Some(store)
+}
+
+/// A series' samples as `CKPT1` holds them, appended into chunks.
+fn read_samples_v1(r: &mut Reader<'_>) -> Option<SeriesStore> {
+    let mut store = SeriesStore::default();
+    let mut prev_t = 0i64;
+    for _ in 0..r.uvarint()? {
+        let t = prev_t.checked_add(r.ivarint()?)?;
+        store.append(Sample::new(t, r.f64()?)).ok()?;
+        prev_t = t;
+    }
+    Some(store)
+}
+
+/// Parses checkpoint bytes of either format, validating magic, CRC and
+/// every chunk. `None` means the file is corrupt or truncated (the loader
+/// falls back to an older checkpoint). A count read from the bytes reserves
+/// no more than the bytes left could hold.
+pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+    let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
+    let read_samples = match body.get(..CKPT_MAGIC.len())? {
+        magic if magic == CKPT_MAGIC => read_chunks,
+        magic if magic == CKPT1_MAGIC => read_samples_v1,
+        _ => return None,
+    };
     let stored = u32::from_le_bytes(tail.try_into().ok()?);
     if crc32(body) != stored {
         return None;
@@ -838,8 +959,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
     let out_of_order = r.uvarint()?;
     let records = r.uvarint()?;
     let epoch = r.uvarint()?;
+    // A span is at least two bytes, a series three, a label pair two.
     let n_spans = r.uvarint()? as usize;
-    let mut epoch_history = Vec::with_capacity(n_spans.min(1 << 16));
+    let mut epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
     for _ in 0..n_spans {
         epoch_history.push(EpochSpan {
             epoch: r.uvarint()?,
@@ -847,26 +969,18 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
         });
     }
     let n_series = r.uvarint()? as usize;
-    let mut series = Vec::with_capacity(n_series.min(1 << 20));
+    let mut series = Vec::with_capacity(n_series.min(r.remaining() / 3));
     for _ in 0..n_series {
         let id = r.uvarint()?;
         let n_labels = r.uvarint()? as usize;
-        let mut pairs = Vec::with_capacity(n_labels.min(64));
+        let mut pairs = Vec::with_capacity(n_labels.min(r.remaining() / 2));
         for _ in 0..n_labels {
             let k = r.string()?;
             let v = r.string()?;
             pairs.push((k, v));
         }
-        let n_samples = r.uvarint()? as usize;
-        let mut samples = Vec::with_capacity(n_samples.min(1 << 20));
-        let mut prev_t = 0i64;
-        for _ in 0..n_samples {
-            let t = prev_t.checked_add(r.ivarint()?)?;
-            let v = r.f64()?;
-            samples.push(Sample::new(t, v));
-            prev_t = t;
-        }
-        series.push((id, LabelSet::from_pairs(pairs), samples));
+        let labels = Arc::new(LabelSet::from_pairs(pairs));
+        series.push((id, labels, read_samples(&mut r)?));
     }
     r.done().then_some(Checkpoint {
         covers_seq,
@@ -1181,12 +1295,21 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn checkpoint_roundtrip_and_corruption() {
-        let ckpt = Checkpoint {
+    fn store_of(samples: &[Sample]) -> SeriesStore {
+        let mut store = SeriesStore::default();
+        for &s in samples {
+            store.append(s).unwrap();
+        }
+        store
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
+        // Long enough to hold a closed chunk and an open one.
+        let long: Vec<Sample> = (0..300).map(|i| Sample::new(i * 15_000, i as f64)).collect();
+        Checkpoint {
             covers_seq: 7,
             generation: 42,
-            next_id: 3,
+            next_id: 4,
             appended: 100,
             out_of_order: 2,
             records: 55,
@@ -1198,13 +1321,20 @@ mod tests {
             series: vec![
                 (
                     0,
-                    labels! {"__name__" => "power"},
-                    vec![Sample::new(0, 1.0), Sample::new(15_000, 2.5)],
+                    Arc::new(labels! {"__name__" => "power"}),
+                    store_of(&[Sample::new(0, 1.0), Sample::new(15_000, 2.5)]),
                 ),
-                (2, labels! {"__name__" => "up"}, vec![]),
+                (2, Arc::new(labels! {"__name__" => "up"}), SeriesStore::default()),
+                (3, Arc::new(labels! {"__name__" => "energy", "instance" => "n1"}), store_of(&long)),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_roundtrip_and_corruption() {
+        let ckpt = sample_checkpoint();
         let bytes = encode_checkpoint(&ckpt);
+        assert!(bytes.starts_with(b"CKPT2"));
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
         // Any flipped byte must fail the CRC.
         for i in [0, bytes.len() / 2, bytes.len() - 1] {
@@ -1213,6 +1343,88 @@ mod tests {
             assert!(decode_checkpoint(&bad).is_none(), "flip at {i} accepted");
         }
         assert!(decode_checkpoint(&bytes[..bytes.len() - 3]).is_none());
+        assert!(decode_checkpoint(b"CKPT").is_none());
+    }
+
+    #[test]
+    fn a_checkpoint_holds_chunk_bytes_not_samples() {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint(&ckpt);
+        for (_, _, store) in &ckpt.series {
+            for chunk in store.chunks() {
+                let at = bytes.windows(chunk.as_bytes().len()).position(|w| w == chunk.as_bytes());
+                assert!(at.is_some(), "a chunk's bytes are not in the file as they are");
+            }
+        }
+        // 302 samples took 11 bytes each in `CKPT1`.
+        assert!(bytes.len() < 302 * 11 / 2, "{} bytes", bytes.len());
+    }
+
+    #[test]
+    fn a_chunk_that_fails_the_checked_decode_invalidates_the_checkpoint() {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint(&ckpt);
+        let open = ckpt.series[2].2.chunks().last().unwrap().as_bytes();
+        let at = bytes.windows(open.len()).position(|w| w == open).unwrap();
+        // The second sample's delta (a set bit, then 64 bits of zigzag after
+        // two 64-bit fields), made negative: the CRC is made to agree, the
+        // chunk does not decode.
+        let mut bad = bytes.clone();
+        bad[at + 24] ^= 0x80;
+        fix_crc(&mut bad);
+        assert!(decode_checkpoint(&bad).is_none());
+        // Its sample count, too many for the zero padding to stand for.
+        let mut bad = bytes.clone();
+        assert_eq!(bad[at - 2], 60, "300 samples: a chunk of 240 and one of 60");
+        bad[at - 2] = 64;
+        fix_crc(&mut bad);
+        assert!(decode_checkpoint(&bad).is_none());
+        // The whole file decodes again once the byte is back.
+        bad[at - 2] = 60;
+        fix_crc(&mut bad);
+        assert_eq!(decode_checkpoint(&bad).unwrap(), ckpt);
+    }
+
+    #[test]
+    fn ckpt1_files_still_decode() {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint_v1(&ckpt);
+        assert!(bytes.starts_with(b"CKPT1"));
+        assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
+        assert!(bytes.len() > 2 * encode_checkpoint(&ckpt).len());
+        // Samples out of time order are no series: the first series' second
+        // delta, ivarint(15 000) = b0 ea 01, with zigzag's sign bit set.
+        let mut bad = bytes.clone();
+        let delta = bad.windows(3).position(|w| w == [0xb0, 0xea, 0x01]).unwrap();
+        bad[delta] ^= 0x01;
+        fix_crc(&mut bad);
+        assert!(decode_checkpoint(&bad).is_none());
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition() {
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+        // Every length around the eight-byte step, at every alignment of
+        // the tail, over bytes that are not a pattern of the step.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for len in 0..=64 {
+            for start in 0..8 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "len {len} at {start}");
+            }
+        }
+        for len in [65, 255, 256, 1000, 4095, 4096] {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len {len}");
+        }
     }
 
     #[test]
