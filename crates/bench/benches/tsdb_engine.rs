@@ -7,6 +7,11 @@
 //! chunk fills (`head_tail_read`), what deriving one label set from another
 //! costs (`labelset`), and one tick of the fixture's recording rules with
 //! and without the rule-level fan-out (`rule_tick`).
+//!
+//! E16 rows: the benchmark's three fleet queries as range queries over the
+//! fixture on the dashboards' grid (`fleet_range/*`), each beside the one
+//! select it reads (`*/select_only`). Before timing, each row checks that its
+//! output is bit for bit one instant evaluation per step.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -20,9 +25,9 @@ use ceems_simnode::{ClusterSpec, WorkloadProfile};
 use ceems_slurm::JobRequest;
 use ceems_tsdb::chunk::XorChunk;
 use ceems_tsdb::head::SeriesStore;
-use ceems_tsdb::promql::{instant_query, parse_expr};
+use ceems_tsdb::promql::{instant_query, parse_expr, range_query, reference};
 use ceems_tsdb::rules::RuleEngine;
-use ceems_tsdb::types::Sample;
+use ceems_tsdb::types::{Sample, SeriesData};
 use ceems_tsdb::Tsdb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -302,6 +307,57 @@ fn bench_rule_tick(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The end-to-end benchmark's fleet queries (`e2ebench` `FLEET_QUERIES`) on
+/// its dashboard grid: the last 20 minutes at 15 s.
+const FLEET_QUERIES: [(&str, &str); 3] = [
+    ("topk_by_uuid", "topk(10, sum by (uuid) (uuid:ceems_power:watts))"),
+    (
+        "rate_by_nodegroup",
+        "sum by (nodegroup) (rate(ceems_rapl_package_joules_total[2m]))",
+    ),
+    ("sum_all", "sum(uuid:ceems_power:watts)"),
+];
+
+/// Series in order with `(t, value bits)`: NaN equals NaN, nothing laxer.
+fn bits(m: &[SeriesData]) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
+    m.iter()
+        .map(|s| {
+            let points = s.samples.iter().map(|x| (x.t_ms, x.v.to_bits())).collect();
+            ((*s.labels).clone(), points)
+        })
+        .collect()
+}
+
+/// Each fleet query as one range query, and beside it the select that query
+/// makes (its one selector's window over the grid).
+fn bench_fleet_range(c: &mut Criterion) {
+    let dir = tmpdir("fleet");
+    let stack = OnceCell::new();
+    let mut group = c.benchmark_group("fleet_range");
+    for (name, q) in FLEET_QUERIES {
+        let expr = parse_expr(q).unwrap();
+        let stack: &CeemsStack = stack.get_or_init(|| fleet_stack(&dir));
+        let db = stack.tsdb.as_ref();
+        let end = stack.clock.now_ms();
+        let (start, step) = (end - 20 * 60_000, 15_000);
+        let got = range_query(db, &expr, start, end, step).unwrap();
+        let want = reference::range_query(db, &expr, start, end, step).unwrap();
+        assert!(!got.is_empty(), "{q}: no series");
+        assert_eq!(bits(&got), bits(&want), "{q}: range ≠ one instant query per step");
+        group.bench_function(name, |b| {
+            b.iter(|| range_query(db, &expr, start, end, step).unwrap())
+        });
+        let sel = expr.selectors()[0];
+        let back = sel.range_ms.unwrap_or(ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS);
+        group.bench_function(BenchmarkId::new(name, "select_only"), |b| {
+            b.iter(|| db.select(&sel.matchers, start - back, end))
+        });
+    }
+    group.finish();
+    drop(stack);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_chunk,
@@ -309,6 +365,7 @@ criterion_group!(
     bench_select_and_query,
     bench_head_tail_read,
     bench_labelset,
+    bench_fleet_range,
     bench_rule_tick
 );
 criterion_main!(benches);

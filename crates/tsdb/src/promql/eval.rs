@@ -1,6 +1,18 @@
 //! Expression evaluation.
+//!
+//! One evaluator serves instant and range queries: it runs each operator
+//! over the whole step grid (an instant query is the one-point grid), series
+//! by series with the steps in the inner loop. Every label set an operator
+//! derives — `__name__` dropped, a matching signature, a group key — is
+//! computed once per input series per query, and each element carries its
+//! place among its step's elements, so operators whose result depends on
+//! that order (aggregations, `topk`, `histogram_quantile`, the output merge)
+//! see exactly what one instant evaluation per step would have shown them.
+//! [`super::reference`] keeps that step-at-a-time evaluator for the tests.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
@@ -8,14 +20,14 @@ use ceems_metrics::matcher::LabelMatcher;
 
 use crate::types::{Sample, SeriesData};
 
-use super::{AggOp, BinOp, CmpOp, Expr, Grouping};
+use super::{AggOp, BinOp, CmpOp, Expr, Grouping, VectorSelector};
 
 /// Anything the engine can read series from (the hot TSDB, or the fan-in
 /// view over hot + long-term storage).
 pub trait Queryable: Send + Sync {
     /// Series matching `matchers` with samples in `[tmin, tmax]`, series
     /// without one omitted. Narrowing the window must only drop samples and
-    /// emptied series, never reorder: [`range_query`] slices one wide read.
+    /// emptied series, never reorder: [`range_query`] walks one wide read.
     fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData>;
 
     /// What an instant selector reads: the last sample in `[tmin, tmax]` of
@@ -76,38 +88,58 @@ impl std::error::Error for EvalError {}
 /// Default instant-selector lookback (Prometheus: 5 minutes).
 pub const DEFAULT_LOOKBACK_MS: i64 = 5 * 60 * 1000;
 
-/// Evaluation context: the data source plus the instant-selector lookback.
-#[derive(Clone, Copy)]
-pub struct EvalCtx<'a> {
-    /// Data source.
-    pub db: &'a dyn Queryable,
-    /// Instant-selector lookback window (Prometheus defaults to 5 m; the
-    /// recording-rule engine uses a much tighter window so series that
-    /// stopped being written — finished jobs — go stale promptly instead
-    /// of being re-recorded with fresh timestamps).
-    pub lookback_ms: i64,
-}
-
 /// Evaluates an expression at one instant with the default lookback.
 pub fn instant_query(db: &dyn Queryable, expr: &Expr, t_ms: i64) -> Result<Value, EvalError> {
-    eval(
-        &EvalCtx {
-            db,
-            lookback_ms: DEFAULT_LOOKBACK_MS,
-        },
-        expr,
-        t_ms,
-    )
+    instant_query_with_lookback(db, expr, t_ms, DEFAULT_LOOKBACK_MS)
 }
 
-/// Evaluates an expression at one instant with a custom lookback.
+/// Evaluates an expression at one instant with a custom lookback (the
+/// recording-rule engine uses a much tighter window than Prometheus's 5 m so
+/// series that stopped being written — finished jobs — go stale promptly
+/// instead of being re-recorded with fresh timestamps).
+///
+/// The one-point grid of [`range_query`]'s evaluator; its instant selectors
+/// read with [`Queryable::select_instant`].
 pub fn instant_query_with_lookback(
     db: &dyn Queryable,
     expr: &Expr,
     t_ms: i64,
     lookback_ms: i64,
 ) -> Result<Value, EvalError> {
-    eval(&EvalCtx { db, lookback_ms }, expr, t_ms)
+    let grid = Grid {
+        start: t_ms,
+        step: 1,
+        points: 1,
+        lookback_ms,
+        instant: true,
+    };
+    let windows = grid.read(db, expr);
+    let eval = Eval {
+        windows: &windows,
+        grid,
+    };
+    match eval.eval(expr).map_err(|f| f.err)? {
+        Operand::Scalar(v) => Ok(Value::Scalar(v[0])),
+        Operand::Vector(v) => {
+            // One point per series on a one-point grid.
+            let mut rows: Vec<(u32, Arc<LabelSet>, f64)> = v
+                .series
+                .into_iter()
+                .map(|s| (v.points[s.lo].key, s.labels, v.points[s.lo].v))
+                .collect();
+            rows.sort_unstable_by_key(|r| r.0);
+            Ok(Value::Vector(
+                rows.into_iter()
+                    .map(|(_, labels, x)| (Arc::unwrap_or_clone(labels), x))
+                    .collect(),
+            ))
+        }
+        // The expression is this one selector, so the one read is its window.
+        Operand::Range(_) => match windows.into_iter().next().map(|w| w.read) {
+            Some(Read::Series(series)) => Ok(Value::Matrix(series)),
+            _ => unreachable!("a range selector is read with select"),
+        },
+    }
 }
 
 /// Most steps one range query may evaluate (Prometheus's limit).
@@ -132,104 +164,14 @@ pub fn range_points(start_ms: i64, end_ms: i64, step_ms: i64) -> Result<usize, E
     }
 }
 
-/// One selector's series over the whole query window, in `db`'s order.
-struct Window<'a> {
-    matchers: &'a [LabelMatcher],
-    tmin: i64,
-    tmax: i64,
-    series: Vec<SeriesData>,
-}
-
-impl Window<'_> {
-    fn covers(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> bool {
-        self.matchers == matchers && self.tmin <= tmin && tmax <= self.tmax
-    }
-}
-
-/// The source one range query evaluates against: each distinct selector
-/// window of the expression is read from `db` once, and every per-step
-/// `select` inside one is answered by slicing that read.
-struct Prefetched<'a> {
-    db: &'a dyn Queryable,
-    windows: Vec<Window<'a>>,
-}
-
-impl<'a> Prefetched<'a> {
-    fn new(db: &'a dyn Queryable, expr: &'a Expr, start_ms: i64, end_ms: i64) -> Self {
-        let mut windows: Vec<Window<'a>> = Vec::new();
-        for sel in expr.selectors() {
-            let back = sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS);
-            let tmin = start_ms.saturating_sub(sel.offset_ms).saturating_sub(back);
-            let tmax = end_ms.saturating_sub(sel.offset_ms);
-            if !windows.iter().any(|w| w.covers(&sel.matchers, tmin, tmax)) {
-                let series = db.select(&sel.matchers, tmin, tmax);
-                windows.push(Window {
-                    matchers: &sel.matchers,
-                    tmin,
-                    tmax,
-                    series,
-                });
-            }
-        }
-        Prefetched { db, windows }
-    }
-
-    /// The held read that answers `[tmin, tmax]` of `matchers`, if any.
-    fn window(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Option<&Window<'a>> {
-        self.windows.iter().find(|w| w.covers(matchers, tmin, tmax))
-    }
-}
-
-/// `samples[lo..hi]` is the part of a sorted series inside `[tmin, tmax]`.
-fn bounds(samples: &[Sample], tmin: i64, tmax: i64) -> (usize, usize) {
-    (
-        samples.partition_point(|x| x.t_ms < tmin),
-        samples.partition_point(|x| x.t_ms <= tmax),
-    )
-}
-
-impl Queryable for Prefetched<'_> {
-    fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
-        let Some(window) = self.window(matchers, tmin, tmax) else {
-            return self.db.select(matchers, tmin, tmax);
-        };
-        window
-            .series
-            .iter()
-            .filter_map(|s| {
-                let (lo, hi) = bounds(&s.samples, tmin, tmax);
-                (lo < hi).then(|| SeriesData::new(s.labels.clone(), s.samples[lo..hi].to_vec()))
-            })
-            .collect()
-    }
-
-    fn select_instant(
-        &self,
-        matchers: &[LabelMatcher],
-        tmin: i64,
-        tmax: i64,
-    ) -> Vec<(Arc<LabelSet>, Sample)> {
-        let Some(window) = self.window(matchers, tmin, tmax) else {
-            return self.db.select_instant(matchers, tmin, tmax);
-        };
-        window
-            .series
-            .iter()
-            .filter_map(|s| {
-                let (lo, hi) = bounds(&s.samples, tmin, tmax);
-                (lo < hi).then(|| (s.labels.clone(), s.samples[hi - 1]))
-            })
-            .collect()
-    }
-}
-
 /// Evaluates an expression over `[start, end]` at `step` intervals,
-/// returning one series per result label set in first-seen order.
+/// returning one series per result label set in first-seen order —
+/// bit for bit what one instant evaluation per step would give.
 ///
-/// Every step is a full instant evaluation on the calling thread, but the
-/// storage is read once per selector, not once per step: the steps run
-/// against a private `Prefetched` view of `db`. The step count is bounded by
-/// [`MAX_RANGE_POINTS`] before anything is read or allocated.
+/// The step count is bounded by [`MAX_RANGE_POINTS`] before anything is read
+/// or allocated; then each distinct selector window of the expression is
+/// read from `db` once, and every operator runs over the whole grid on the
+/// calling thread.
 pub fn range_query(
     db: &dyn Queryable,
     expr: &Expr,
@@ -244,105 +186,985 @@ pub fn range_query(
     if points == 0 {
         return Ok(Vec::new());
     }
-    let source = Prefetched::new(db, expr, start_ms, end_ms);
-    // Series in first-seen order; `slot` finds a label set's place in it.
-    let mut out: Vec<SeriesData> = Vec::new();
-    let mut slot: HashMap<LabelSet, usize> = HashMap::new();
-    for i in 0..points as i64 {
-        let t = start_ms + i * step_ms;
-        let vec = match instant_query(&source, expr, t)? {
-            Value::Scalar(v) => vec![(LabelSet::empty(), v)],
-            Value::Vector(vec) => vec,
-            Value::Matrix(_) => {
-                return Err(EvalError(
-                    "range query over a range selector is not allowed".into(),
-                ))
-            }
-        };
-        for (labels, v) in vec {
-            let at = *slot.entry(labels).or_insert_with_key(|labels| {
-                out.push(SeriesData::new(labels.clone(), Vec::new()));
-                out.len() - 1
-            });
-            out[at].samples.push(Sample::new(t, v));
-        }
+    let grid = Grid {
+        start: start_ms,
+        step: step_ms,
+        points,
+        lookback_ms: DEFAULT_LOOKBACK_MS,
+        instant: false,
+    };
+    let windows = grid.read(db, expr);
+    let eval = Eval {
+        windows: &windows,
+        grid,
+    };
+    match eval.eval(expr).map_err(|f| f.err)? {
+        Operand::Scalar(v) => Ok(vec![SeriesData::new(
+            LabelSet::empty(),
+            v.iter()
+                .enumerate()
+                .map(|(k, &x)| Sample::new(grid.t(k), x))
+                .collect(),
+        )]),
+        Operand::Vector(v) => Ok(grid.merge(v)),
+        Operand::Range(_) => Err(EvalError(
+            "range query over a range selector is not allowed".into(),
+        )),
     }
-    Ok(out)
 }
 
-fn eval(ctx: &EvalCtx<'_>, expr: &Expr, t_ms: i64) -> Result<Value, EvalError> {
-    let db = ctx.db;
-    match expr {
-        Expr::Number(v) => Ok(Value::Scalar(*v)),
-        Expr::Neg(inner) => match eval(ctx, inner, t_ms)? {
-            Value::Scalar(v) => Ok(Value::Scalar(-v)),
-            Value::Vector(v) => Ok(Value::Vector(
-                v.into_iter().map(|(l, x)| (l, -x)).collect(),
-            )),
-            Value::Matrix(_) => Err(EvalError("cannot negate a range vector".into())),
-        },
-        Expr::Selector(sel) => {
-            let at = t_ms - sel.offset_ms;
-            match sel.range_ms {
-                // Instant: last sample within the lookback window.
-                None => Ok(Value::Vector(
-                    db.select_instant(&sel.matchers, at - ctx.lookback_ms, at)
-                        .into_iter()
-                        .map(|(labels, last)| ((*labels).clone(), last.v))
-                        .collect(),
-                )),
-                Some(range) => {
-                    let series = db.select(&sel.matchers, at - range, at);
-                    Ok(Value::Matrix(series))
+// ---------------------------------------------------------------------------
+// Reads
+// ---------------------------------------------------------------------------
+
+/// What one selector window was read as.
+enum Read {
+    /// `select`: every sample in the window.
+    Series(Vec<SeriesData>),
+    /// `select_instant` (one-point grids): the last sample of each series.
+    Latest(Vec<(Arc<LabelSet>, Sample)>),
+}
+
+/// One read of the query, and the window it holds.
+struct Window<'e> {
+    matchers: &'e [LabelMatcher],
+    tmin: i64,
+    tmax: i64,
+    read: Read,
+}
+
+impl Window<'_> {
+    /// Whether this read answers `[tmin, tmax]` of `matchers`: a `select`
+    /// answers any window inside its own, a last sample only its own.
+    fn answers(&self, matchers: &[LabelMatcher], latest: bool, tmin: i64, tmax: i64) -> bool {
+        self.matchers == matchers
+            && match self.read {
+                Read::Latest(_) => latest && (self.tmin, self.tmax) == (tmin, tmax),
+                Read::Series(_) => !latest && self.tmin <= tmin && tmax <= self.tmax,
+            }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The grid and the values on it
+// ---------------------------------------------------------------------------
+
+/// The steps `start + k × step`, `k < points`, evaluated at once.
+#[derive(Clone, Copy)]
+struct Grid {
+    start: i64,
+    step: i64,
+    points: usize,
+    lookback_ms: i64,
+    /// An instant query: instant selectors read with `select_instant`.
+    instant: bool,
+}
+
+impl Grid {
+    fn t(&self, k: usize) -> i64 {
+        self.start + k as i64 * self.step
+    }
+
+    /// Whether `sel` is read as last samples, and the window it needs over
+    /// the whole grid.
+    fn window(&self, sel: &VectorSelector) -> (bool, (i64, i64)) {
+        let back = sel.range_ms.unwrap_or(self.lookback_ms);
+        let latest = self.instant && sel.range_ms.is_none();
+        if self.instant {
+            // Exactly the window an instant evaluation reads.
+            let at = self.start - sel.offset_ms;
+            return (latest, (at - back, at));
+        }
+        let end = self.t(self.points - 1);
+        (
+            latest,
+            (
+                self.start
+                    .saturating_sub(sel.offset_ms)
+                    .saturating_sub(back),
+                end.saturating_sub(sel.offset_ms),
+            ),
+        )
+    }
+
+    /// Reads each distinct selector window of `expr` once, in selector order.
+    fn read<'e>(&self, db: &dyn Queryable, expr: &'e Expr) -> Vec<Window<'e>> {
+        let mut windows: Vec<Window<'e>> = Vec::new();
+        for sel in expr.selectors() {
+            let (latest, (tmin, tmax)) = self.window(sel);
+            if windows
+                .iter()
+                .any(|w| w.answers(&sel.matchers, latest, tmin, tmax))
+            {
+                continue;
+            }
+            let read = if latest {
+                Read::Latest(db.select_instant(&sel.matchers, tmin, tmax))
+            } else {
+                Read::Series(db.select(&sel.matchers, tmin, tmax))
+            };
+            windows.push(Window {
+                matchers: &sel.matchers,
+                tmin,
+                tmax,
+                read,
+            });
+        }
+        windows
+    }
+
+    /// The steps whose window `[t − offset − back, t − offset]` can hold a
+    /// sample of a series spanning `[first, last]`.
+    fn steps_touching(
+        &self,
+        first: i64,
+        last: i64,
+        offset: i64,
+        back: i64,
+    ) -> Option<RangeInclusive<usize>> {
+        let (start, step) = (self.start as i128, self.step as i128);
+        let lo = (first as i128 + offset as i128 - start + step - 1).div_euclid(step);
+        let hi = (last as i128 + offset as i128 + back as i128 - start).div_euclid(step);
+        let hi = hi.min(self.points as i128 - 1);
+        let lo = lo.max(0);
+        (lo <= hi).then_some(lo as usize..=hi as usize)
+    }
+
+    /// A vector as series in first-seen order: elements with equal label
+    /// sets become one series, their samples in step and then element order.
+    fn merge(&self, v: Vector) -> Vec<SeriesData> {
+        let mut slot_of: HashMap<&LabelSet, usize> = HashMap::with_capacity(v.series.len());
+        // Per output series: the (step, key) it is first seen at.
+        let mut first: Vec<(u32, u32)> = Vec::new();
+        let slots: Vec<usize> = v
+            .series
+            .iter()
+            .map(|s| {
+                let p = v.points[s.lo];
+                let slot = *slot_of.entry(&*s.labels).or_insert_with(|| {
+                    first.push((p.step, p.key));
+                    first.len() - 1
+                });
+                first[slot] = first[slot].min((p.step, p.key));
+                slot
+            })
+            .collect();
+        // Series of each slot, in series order.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); first.len()];
+        for (i, &slot) in slots.iter().enumerate() {
+            members[slot].push(i);
+        }
+        let mut order: Vec<usize> = (0..first.len()).collect();
+        order.sort_unstable_by_key(|&slot| first[slot]);
+        order
+            .into_iter()
+            .map(|slot| {
+                let sample = |p: &Point| Sample::new(self.t(p.step as usize), p.v);
+                let ms = &members[slot];
+                let samples = if let [one] = ms[..] {
+                    v.points_of(&v.series[one]).iter().map(sample).collect()
+                } else {
+                    let mut all: Vec<Point> = ms
+                        .iter()
+                        .flat_map(|&i| v.points_of(&v.series[i]).iter().copied())
+                        .collect();
+                    all.sort_unstable_by_key(|p| (p.step, p.key));
+                    all.iter().map(sample).collect()
+                };
+                SeriesData::new(v.series[ms[0]].labels.clone(), samples)
+            })
+            .collect()
+    }
+}
+
+/// One element of an instant vector at one step: the step, the element's
+/// place among that step's elements (ascending `key` is the order one instant
+/// evaluation lists them in; keys are unique within a step) and its value.
+#[derive(Clone, Copy)]
+struct Point {
+    step: u32,
+    key: u32,
+    v: f64,
+}
+
+/// One series of a [`Vector`]: its labels and its points
+/// `points[lo..hi]`, in step order, at most one per step.
+struct Series {
+    labels: Arc<LabelSet>,
+    lo: usize,
+    hi: usize,
+}
+
+/// An instant vector over the grid: series with at least one point, whose
+/// point runs follow each other in `points`. Memory follows the points
+/// produced, not series × steps.
+#[derive(Default)]
+struct Vector {
+    series: Vec<Series>,
+    points: Vec<Point>,
+}
+
+/// A vector's elements step by step: `items[at[k]..at[k + 1]]` are step
+/// `k`'s `(series, key, value)` in key order.
+struct Steps {
+    at: Vec<usize>,
+    items: Vec<(u32, u32, f64)>,
+}
+
+impl Steps {
+    fn at(&self, k: usize) -> &[(u32, u32, f64)] {
+        &self.items[self.at[k]..self.at[k + 1]]
+    }
+}
+
+impl Vector {
+    fn points_of(&self, s: &Series) -> &[Point] {
+        &self.points[s.lo..s.hi]
+    }
+
+    /// Ends the series whose points were pushed since `lo`, if there are any.
+    fn close(&mut self, lo: usize, labels: impl FnOnce() -> Arc<LabelSet>) {
+        if self.points.len() > lo {
+            let hi = self.points.len();
+            self.series.push(Series {
+                labels: labels(),
+                lo,
+                hi,
+            });
+        }
+    }
+
+    /// A scalar as a vector argument: one element with no labels per step.
+    fn from_scalar(s: &[f64]) -> Vector {
+        let points: Vec<Point> = s
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| Point {
+                step: k as u32,
+                key: 0,
+                v,
+            })
+            .collect();
+        Vector {
+            series: vec![Series {
+                labels: Arc::new(LabelSet::empty()),
+                lo: 0,
+                hi: points.len(),
+            }],
+            points,
+        }
+    }
+
+    /// A vector from points produced step by step, each tagged with its
+    /// series' index in `labels`.
+    fn from_tagged(labels: Vec<Arc<LabelSet>>, tagged: Vec<(u32, Point)>) -> Vector {
+        let mut at = vec![0usize; labels.len() + 1];
+        for &(tag, _) in &tagged {
+            at[tag as usize + 1] += 1;
+        }
+        for i in 1..at.len() {
+            at[i] += at[i - 1];
+        }
+        let mut fill = at.clone();
+        let mut points = vec![
+            Point {
+                step: 0,
+                key: 0,
+                v: 0.0
+            };
+            tagged.len()
+        ];
+        for (tag, p) in tagged {
+            points[fill[tag as usize]] = p;
+            fill[tag as usize] += 1;
+        }
+        let series = labels
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| at[i] < at[i + 1])
+            .map(|(i, labels)| Series {
+                labels,
+                lo: at[i],
+                hi: at[i + 1],
+            })
+            .collect();
+        Vector { series, points }
+    }
+
+    /// Every element mapped (`None` drops it) in place; a series that keeps
+    /// any gets its labels through `labels`, once.
+    fn map(
+        self,
+        mut labels: impl FnMut(Arc<LabelSet>) -> Arc<LabelSet>,
+        mut f: impl FnMut(&Point) -> Option<f64>,
+    ) -> Vector {
+        let Vector { series, mut points } = self;
+        let mut out = Vec::with_capacity(series.len());
+        let mut w = 0;
+        for s in series {
+            let lo = w;
+            for r in s.lo..s.hi {
+                let p = points[r];
+                if let Some(v) = f(&p) {
+                    points[w] = Point { v, ..p };
+                    w += 1;
+                }
+            }
+            if w > lo {
+                out.push(Series {
+                    labels: labels(s.labels),
+                    lo,
+                    hi: w,
+                });
+            }
+        }
+        points.truncate(w);
+        Vector {
+            series: out,
+            points,
+        }
+    }
+
+    /// The elements step by step, each step's in key order.
+    fn by_step(&self, points: usize) -> Steps {
+        let mut at = vec![0usize; points + 1];
+        for p in &self.points {
+            at[p.step as usize + 1] += 1;
+        }
+        for k in 1..at.len() {
+            at[k] += at[k - 1];
+        }
+        let mut fill = at.clone();
+        let mut items = vec![(0u32, 0u32, 0.0f64); self.points.len()];
+        for (i, s) in self.series.iter().enumerate() {
+            for p in self.points_of(s) {
+                let k = p.step as usize;
+                items[fill[k]] = (i as u32, p.key, p.v);
+                fill[k] += 1;
+            }
+        }
+        for k in 0..points {
+            let step = &mut items[at[k]..at[k + 1]];
+            if !step.is_sorted_by_key(|x| x.1) {
+                step.sort_unstable_by_key(|x| x.1);
+            }
+        }
+        Steps { at, items }
+    }
+}
+
+/// An operand on the grid.
+enum Operand<'e> {
+    /// One value per step.
+    Scalar(Vec<f64>),
+    /// An instant vector.
+    Vector(Vector),
+    /// A range selector, read by the function that reduces it.
+    Range(&'e VectorSelector),
+}
+
+/// The first error of an evaluation in step order: the step, then the error
+/// evaluation order meets first there.
+struct Fail {
+    step: usize,
+    err: EvalError,
+}
+
+/// An error every step raises (a type or arity error), so step 0 first.
+fn fail(msg: impl Into<String>) -> Fail {
+    Fail {
+        step: 0,
+        err: EvalError(msg.into()),
+    }
+}
+
+pub(super) const DUP_MATCHING: &str = "right operand has duplicate series per matching \
+     signature; narrow it with on(...)/ignoring(...) or aggregate first";
+pub(super) const DUP_COMPARE: &str =
+    "right operand has duplicate series per matching signature; aggregate it first";
+
+// ---------------------------------------------------------------------------
+// The evaluator
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy)]
+struct Eval<'e, 'w> {
+    windows: &'w [Window<'e>],
+    grid: Grid,
+}
+
+impl<'e> Eval<'e, '_> {
+    /// The read that holds `sel`'s window.
+    fn window(&self, sel: &VectorSelector) -> &Window<'e> {
+        let (latest, (tmin, tmax)) = self.grid.window(sel);
+        self.windows
+            .iter()
+            .find(|w| w.answers(&sel.matchers, latest, tmin, tmax))
+            .expect("every selector's window was read")
+    }
+
+    /// Evaluates `expr` over the grid, or finds its first error in step
+    /// order. Operands are evaluated — and checked — in the order one
+    /// instant evaluation takes, and stop at their first failure; a failure
+    /// at step `s > 0` may still hide an earlier one behind it (a later
+    /// operand, a check after it), so the prefix `[0, s)` is evaluated again.
+    fn eval(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
+        match self.node(expr) {
+            Err(f) if f.step > 0 => {
+                let prefix = Eval {
+                    grid: Grid {
+                        points: f.step,
+                        ..self.grid
+                    },
+                    ..*self
+                };
+                prefix.eval(expr)?;
+                Err(f)
+            }
+            r => r,
+        }
+    }
+
+    fn node(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
+        match expr {
+            Expr::Number(v) => Ok(Operand::Scalar(vec![*v; self.grid.points])),
+            Expr::Neg(inner) => match self.eval(inner)? {
+                Operand::Scalar(v) => Ok(Operand::Scalar(v.into_iter().map(|x| -x).collect())),
+                Operand::Vector(v) => Ok(Operand::Vector(v.map(|l| l, |p| Some(-p.v)))),
+                Operand::Range(_) => Err(fail("cannot negate a range vector")),
+            },
+            Expr::Selector(sel) => Ok(match sel.range_ms {
+                None => Operand::Vector(self.instant(sel)),
+                Some(_) => Operand::Range(sel),
+            }),
+            Expr::Func { name, args } => self.func(name, args),
+            Expr::Binary {
+                op,
+                lhs,
+                rhs,
+                matching,
+            } => {
+                let l = self.eval(lhs)?;
+                let r = self.eval(rhs)?;
+                self.binary(*op, l, r, matching)
+            }
+            Expr::Compare {
+                op,
+                bool_mode,
+                lhs,
+                rhs,
+            } => {
+                let l = self.eval(lhs)?;
+                let r = self.eval(rhs)?;
+                self.compare(*op, *bool_mode, l, r)
+            }
+            Expr::Agg {
+                op,
+                grouping,
+                param,
+                expr,
+            } => {
+                let Operand::Vector(v) = self.eval(expr)? else {
+                    return Err(fail("aggregation expects an instant vector"));
+                };
+                let k = match param {
+                    Some(p) => match self.eval(p)? {
+                        Operand::Scalar(k) => Some(k),
+                        _ => return Err(fail("topk/bottomk k must be a scalar")),
+                    },
+                    None => None,
+                };
+                if matches!(op, AggOp::Topk | AggOp::Bottomk) {
+                    let k = k.ok_or_else(|| fail("topk/bottomk need k"))?;
+                    return Ok(Operand::Vector(self.rank(v, &k, *op == AggOp::Bottomk)));
+                }
+                Ok(Operand::Vector(self.aggregate(*op, grouping, v)))
+            }
+        }
+    }
+
+    /// An instant selector: per series, the last sample within the lookback
+    /// of each step, found with one forward cursor.
+    fn instant(&self, sel: &VectorSelector) -> Vector {
+        let mut out = Vector::default();
+        match &self.window(sel).read {
+            Read::Latest(rows) => {
+                for (i, (labels, last)) in rows.iter().enumerate() {
+                    let lo = out.points.len();
+                    out.points.push(Point {
+                        step: 0,
+                        key: i as u32,
+                        v: last.v,
+                    });
+                    out.close(lo, || labels.clone());
+                }
+            }
+            Read::Series(series) => {
+                let (offset, back) = (sel.offset_ms, self.grid.lookback_ms);
+                for (i, s) in series.iter().enumerate() {
+                    let samples = &s.samples;
+                    let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+                        continue;
+                    };
+                    let Some(steps) = self
+                        .grid
+                        .steps_touching(first.t_ms, last.t_ms, offset, back)
+                    else {
+                        continue;
+                    };
+                    let lo = out.points.len();
+                    let mut hi = 0;
+                    for k in steps {
+                        let at = self.grid.t(k).saturating_sub(offset);
+                        while hi < samples.len() && samples[hi].t_ms <= at {
+                            hi += 1;
+                        }
+                        if hi > 0 && samples[hi - 1].t_ms >= at.saturating_sub(back) {
+                            out.points.push(Point {
+                                step: k as u32,
+                                key: i as u32,
+                                v: samples[hi - 1].v,
+                            });
+                        }
+                    }
+                    out.close(lo, || s.labels.clone());
                 }
             }
         }
-        Expr::Func { name, args } => eval_func(ctx, name, args, t_ms),
-        Expr::Binary {
-            op,
-            lhs,
-            rhs,
-            matching,
-        } => {
-            let l = eval(ctx, lhs, t_ms)?;
-            let r = eval(ctx, rhs, t_ms)?;
-            eval_binary(*op, l, r, matching)
-        }
-        Expr::Compare {
-            op,
-            bool_mode,
-            lhs,
-            rhs,
-        } => {
-            let l = eval(ctx, lhs, t_ms)?;
-            let r = eval(ctx, rhs, t_ms)?;
-            eval_compare(*op, *bool_mode, l, r)
-        }
-        Expr::Agg {
-            op,
-            grouping,
-            param,
-            expr,
-        } => {
-            let v = eval(ctx, expr, t_ms)?;
-            let Value::Vector(vec) = v else {
-                return Err(EvalError("aggregation expects an instant vector".into()));
+        out
+    }
+
+    /// A range function: per series, `f(step, window)` of each step whose
+    /// window `[t − offset − range, t − offset]` holds a sample, the window
+    /// a slice between two forward cursors; the name is dropped.
+    fn over_range(
+        &self,
+        sel: &VectorSelector,
+        mut f: impl FnMut(usize, &[Sample]) -> Option<f64>,
+    ) -> Vector {
+        let Read::Series(series) = &self.window(sel).read else {
+            unreachable!("range selectors are read with select")
+        };
+        let (offset, range) = (sel.offset_ms, sel.range_ms.unwrap_or(0));
+        let mut out = Vector::default();
+        for (i, s) in series.iter().enumerate() {
+            let samples = &s.samples;
+            let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+                continue;
             };
-            let k = match param {
-                Some(p) => match eval(ctx, p, t_ms)? {
-                    Value::Scalar(k) => Some(k as usize),
-                    _ => return Err(EvalError("topk/bottomk k must be a scalar".into())),
-                },
-                None => None,
+            let Some(steps) = self
+                .grid
+                .steps_touching(first.t_ms, last.t_ms, offset, range)
+            else {
+                continue;
             };
-            Ok(Value::Vector(aggregate(*op, grouping, k, vec)?))
+            let lo_point = out.points.len();
+            let (mut lo, mut hi) = (0, 0);
+            for k in steps {
+                let at = self.grid.t(k).saturating_sub(offset);
+                let tmin = at.saturating_sub(range);
+                while lo < samples.len() && samples[lo].t_ms < tmin {
+                    lo += 1;
+                }
+                while hi < samples.len() && samples[hi].t_ms <= at {
+                    hi += 1;
+                }
+                if lo < hi {
+                    if let Some(v) = f(k, &samples[lo..hi]) {
+                        out.points.push(Point {
+                            step: k as u32,
+                            key: i as u32,
+                            v,
+                        });
+                    }
+                }
+            }
+            out.close(lo_point, || Arc::new(s.labels.without(METRIC_NAME_LABEL)));
         }
+        out
+    }
+
+    fn arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Operand<'e>, Fail> {
+        self.eval(args.get(i).ok_or_else(|| Fail {
+            step: 0,
+            err: arity(name),
+        })?)
+    }
+
+    fn vector_arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Vector, Fail> {
+        match self.arg(name, args, i)? {
+            Operand::Vector(v) => Ok(v),
+            Operand::Scalar(s) => Ok(Vector::from_scalar(&s)),
+            Operand::Range(_) => Err(fail(format!("{name} expects an instant vector"))),
+        }
+    }
+
+    fn scalar_arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Vec<f64>, Fail> {
+        match self.arg(name, args, i)? {
+            Operand::Scalar(s) => Ok(s),
+            _ => Err(fail(format!("{name} expects a scalar argument"))),
+        }
+    }
+
+    fn func(&self, name: &str, args: &'e [Expr]) -> Result<Operand<'e>, Fail> {
+        let drop_name = |l: Arc<LabelSet>| Arc::new(l.without(METRIC_NAME_LABEL));
+        if let Some(f) = range_fn(name) {
+            return match self.arg(name, args, 0)? {
+                Operand::Range(sel) => Ok(Operand::Vector(self.over_range(sel, |_, s| f(s)))),
+                _ => Err(fail(format!("{name} expects a range vector"))),
+            };
+        }
+        Ok(match name {
+            "abs" | "ceil" | "floor" => {
+                let f = match name {
+                    "abs" => f64::abs,
+                    "ceil" => f64::ceil,
+                    _ => f64::floor,
+                };
+                Operand::Vector(
+                    self.vector_arg(name, args, 0)?
+                        .map(drop_name, |p| Some(f(p.v))),
+                )
+            }
+            "clamp_min" | "clamp_max" => {
+                let bound = self.scalar_arg(name, args, 1)?;
+                let is_min = name == "clamp_min";
+                Operand::Vector(self.vector_arg(name, args, 0)?.map(drop_name, |p| {
+                    let b = bound[p.step as usize];
+                    Some(if is_min { p.v.max(b) } else { p.v.min(b) })
+                }))
+            }
+            "scalar" => {
+                let v = self.vector_arg(name, args, 0)?;
+                let mut seen = vec![(0u32, f64::NAN); self.grid.points];
+                for p in &v.points {
+                    let at = &mut seen[p.step as usize];
+                    *at = (at.0 + 1, p.v);
+                }
+                Operand::Scalar(
+                    seen.into_iter()
+                        .map(|(n, v)| if n == 1 { v } else { f64::NAN })
+                        .collect(),
+                )
+            }
+            "quantile_over_time" => {
+                let q = self.scalar_arg(name, args, 0)?;
+                match self.arg(name, args, 1)? {
+                    Operand::Range(sel) => {
+                        Operand::Vector(self.over_range(sel, |k, s| quantile_over(s, q[k])))
+                    }
+                    _ => return Err(fail("quantile_over_time expects a range vector")),
+                }
+            }
+            "histogram_quantile" => {
+                let q = self.scalar_arg(name, args, 0)?;
+                Operand::Vector(self.histogram_quantile(&q, self.vector_arg(name, args, 1)?))
+            }
+            other => return Err(fail(format!("unknown function {other:?}"))),
+        })
+    }
+
+    fn binary(
+        &self,
+        op: BinOp,
+        l: Operand<'e>,
+        r: Operand<'e>,
+        matching: &Grouping,
+    ) -> Result<Operand<'e>, Fail> {
+        let drop_name = |l: Arc<LabelSet>| Arc::new(l.without(METRIC_NAME_LABEL));
+        Ok(Operand::Vector(match (l, r) {
+            (Operand::Scalar(a), Operand::Scalar(b)) => {
+                return Ok(Operand::Scalar(
+                    a.iter().zip(&b).map(|(&a, &b)| op.apply(a, b)).collect(),
+                ))
+            }
+            (Operand::Vector(v), Operand::Scalar(s)) => {
+                v.map(drop_name, |p| Some(op.apply(p.v, s[p.step as usize])))
+            }
+            (Operand::Scalar(s), Operand::Vector(v)) => {
+                v.map(drop_name, |p| Some(op.apply(s[p.step as usize], p.v)))
+            }
+            (Operand::Vector(lv), Operand::Vector(rv)) => {
+                self.matched(lv, &rv, matching, DUP_MATCHING, drop_name, |l, r| {
+                    Some(op.apply(l, r))
+                })?
+            }
+            _ => return Err(fail("binary operators are not defined on range vectors")),
+        }))
+    }
+
+    /// Comparison with Prometheus semantics: filtering by default (surviving
+    /// elements keep their labels — including `__name__` — and values), 0/1
+    /// per element with the `bool` modifier. Vector-vector comparison
+    /// matches on the full label signature like unmodified arithmetic.
+    fn compare(
+        &self,
+        op: CmpOp,
+        bool_mode: bool,
+        l: Operand<'e>,
+        r: Operand<'e>,
+    ) -> Result<Operand<'e>, Fail> {
+        let as_bool = |keep: bool| if keep { 1.0 } else { 0.0 };
+        let pick = |x: f64, keep: bool| {
+            if bool_mode {
+                Some(as_bool(keep))
+            } else {
+                keep.then_some(x)
+            }
+        };
+        let labels = |l: Arc<LabelSet>| {
+            if bool_mode {
+                Arc::new(l.without(METRIC_NAME_LABEL))
+            } else {
+                l
+            }
+        };
+        Ok(Operand::Vector(match (l, r) {
+            (Operand::Scalar(a), Operand::Scalar(b)) => {
+                if !bool_mode {
+                    return Err(fail(
+                        "comparison between two scalars needs the bool modifier",
+                    ));
+                }
+                return Ok(Operand::Scalar(
+                    a.iter()
+                        .zip(&b)
+                        .map(|(&a, &b)| as_bool(op.apply(a, b)))
+                        .collect(),
+                ));
+            }
+            (Operand::Vector(v), Operand::Scalar(s)) => {
+                v.map(labels, |p| pick(p.v, op.apply(p.v, s[p.step as usize])))
+            }
+            (Operand::Scalar(s), Operand::Vector(v)) => {
+                v.map(labels, |p| pick(p.v, op.apply(s[p.step as usize], p.v)))
+            }
+            (Operand::Vector(lv), Operand::Vector(rv)) => {
+                self.matched(lv, &rv, &Grouping::None, DUP_COMPARE, labels, |l, r| {
+                    pick(l, op.apply(l, r))
+                })?
+            }
+            _ => return Err(fail("comparisons are not defined on range vectors")),
+        }))
+    }
+
+    /// Vector matching: each left element meets the right element of its
+    /// signature at its step, `f(left, right)` is its value (`None` drops
+    /// it) and its labels come through `labels`. The right side must be
+    /// unique per signature at every step (many-to-one is granted
+    /// implicitly and the LEFT labels stay, which the Eq. (1) rules need to
+    /// retain `uuid` when dividing by node-level series); the first step
+    /// where it is not fails with `dup`.
+    fn matched(
+        &self,
+        lv: Vector,
+        rv: &Vector,
+        grouping: &Grouping,
+        dup: &str,
+        mut labels: impl FnMut(Arc<LabelSet>) -> Arc<LabelSet>,
+        mut f: impl FnMut(f64, f64) -> Option<f64>,
+    ) -> Result<Vector, Fail> {
+        let mut sigs: HashMap<LabelSet, u32> = HashMap::with_capacity(rv.series.len());
+        let rsig: Vec<u32> = rv
+            .series
+            .iter()
+            .map(|s| {
+                let next = sigs.len() as u32;
+                *sigs.entry(signature(&s.labels, grouping)).or_insert(next)
+            })
+            .collect();
+        // Right series by signature: `by_sig[sig_at[g]..sig_at[g + 1]]`.
+        let mut sig_at = vec![0usize; sigs.len() + 1];
+        for &g in &rsig {
+            sig_at[g as usize + 1] += 1;
+        }
+        for g in 1..sig_at.len() {
+            sig_at[g] += sig_at[g - 1];
+        }
+        let mut fill = sig_at.clone();
+        let mut by_sig = vec![0usize; rsig.len()];
+        for (i, &g) in rsig.iter().enumerate() {
+            by_sig[fill[g as usize]] = i;
+            fill[g as usize] += 1;
+        }
+        // Two right series of one signature at one step: the first such step.
+        let mut first_dup: Option<u32> = None;
+        for g in 0..sigs.len() {
+            let members = &by_sig[sig_at[g]..sig_at[g + 1]];
+            if members.len() < 2 {
+                continue;
+            }
+            let mut steps: Vec<u32> = members
+                .iter()
+                .flat_map(|&i| rv.points_of(&rv.series[i]).iter().map(|p| p.step))
+                .collect();
+            steps.sort_unstable();
+            if let Some(w) = steps.windows(2).find(|w| w[0] == w[1]) {
+                first_dup = Some(first_dup.map_or(w[0], |d| d.min(w[0])));
+            }
+        }
+        if let Some(step) = first_dup {
+            return Err(Fail {
+                step: step as usize,
+                err: EvalError(dup.into()),
+            });
+        }
+
+        let mut out = Vector::default();
+        let mut cursors: Vec<usize> = Vec::new();
+        let Vector { series, points } = lv;
+        for s in series {
+            let Some(&g) = sigs.get(&signature(&s.labels, grouping)) else {
+                continue;
+            };
+            let members = &by_sig[sig_at[g as usize]..sig_at[g as usize + 1]];
+            cursors.clear();
+            cursors.extend(members.iter().map(|&i| rv.series[i].lo));
+            let lo = out.points.len();
+            for p in &points[s.lo..s.hi] {
+                // At most one member has a point at this step.
+                let mut partner = None;
+                for (c, &i) in cursors.iter_mut().zip(members) {
+                    let hi = rv.series[i].hi;
+                    while *c < hi && rv.points[*c].step < p.step {
+                        *c += 1;
+                    }
+                    if *c < hi && rv.points[*c].step == p.step {
+                        partner = Some(rv.points[*c].v);
+                    }
+                }
+                if let Some(v) = partner.and_then(|r| f(p.v, r)) {
+                    out.points.push(Point { v, ..*p });
+                }
+            }
+            out.close(lo, || labels(s.labels));
+        }
+        Ok(out)
+    }
+
+    /// `sum`, `avg`, … : groups are assigned once per series; each step
+    /// combines its members' values in the step's element order, and the
+    /// groups of a step come in the order their first member does.
+    fn aggregate(&self, op: AggOp, grouping: &Grouping, v: Vector) -> Vector {
+        let mut keys: HashMap<LabelSet, u32> = HashMap::new();
+        let mut labels: Vec<Arc<LabelSet>> = Vec::new();
+        let group: Vec<u32> = v
+            .series
+            .iter()
+            .map(|s| {
+                let key = match grouping {
+                    Grouping::None => LabelSet::empty(),
+                    _ => signature(&s.labels, grouping),
+                };
+                *keys.entry(key).or_insert_with_key(|key| {
+                    labels.push(Arc::new(key.clone()));
+                    labels.len() as u32 - 1
+                })
+            })
+            .collect();
+        let steps = v.by_step(self.grid.points);
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
+        let mut touched: Vec<(u32, u32)> = Vec::new();
+        let mut tagged: Vec<(u32, Point)> = Vec::new();
+        for k in 0..self.grid.points {
+            for &(series, key, x) in steps.at(k) {
+                let g = group[series as usize];
+                if values[g as usize].is_empty() {
+                    touched.push((g, key));
+                }
+                values[g as usize].push(x);
+            }
+            for (g, key) in touched.drain(..) {
+                let vals = &mut values[g as usize];
+                let v = combine(op, vals);
+                vals.clear();
+                tagged.push((
+                    g,
+                    Point {
+                        step: k as u32,
+                        key,
+                        v,
+                    },
+                ));
+            }
+        }
+        Vector::from_tagged(labels, tagged)
+    }
+
+    /// `topk` / `bottomk`: each step's elements ranked as one instant
+    /// evaluation ranks them; the survivors keep their labels.
+    fn rank(&self, v: Vector, k: &[f64], bottom: bool) -> Vector {
+        let steps = v.by_step(self.grid.points);
+        let mut tagged: Vec<(u32, Point)> = Vec::new();
+        let mut items: Vec<(u32, f64)> = Vec::new();
+        for (step, &k) in k.iter().enumerate() {
+            items.clear();
+            items.extend(steps.at(step).iter().map(|&(series, _, x)| (series, x)));
+            rank(&mut items, |x| x.1, bottom, k as usize);
+            for (key, &(series, v)) in items.iter().enumerate() {
+                let (step, key) = (step as u32, key as u32);
+                tagged.push((series, Point { step, key, v }));
+            }
+        }
+        Vector::from_tagged(v.series.into_iter().map(|s| s.labels).collect(), tagged)
+    }
+
+    /// Prometheus `histogram_quantile`: `_bucket` elements grouped by their
+    /// non-`le` labels (once per series), each group interpolated per step.
+    fn histogram_quantile(&self, q: &[f64], v: Vector) -> Vector {
+        let mut keys: HashMap<LabelSet, u32> = HashMap::new();
+        let mut labels: Vec<Arc<LabelSet>> = Vec::new();
+        let buckets: Vec<Option<(u32, f64)>> = v
+            .series
+            .iter()
+            .map(|s| {
+                let le = le_bound(&s.labels)?;
+                let key = s.labels.drop_names(&["le".to_string()]);
+                let g = *keys.entry(key).or_insert_with_key(|key| {
+                    labels.push(Arc::new(key.clone()));
+                    labels.len() as u32 - 1
+                });
+                Some((g, le))
+            })
+            .collect();
+        let steps = v.by_step(self.grid.points);
+        let mut bs: Vec<Vec<(f64, f64)>> = vec![Vec::new(); labels.len()];
+        let mut touched: Vec<(u32, u32)> = Vec::new();
+        let mut tagged: Vec<(u32, Point)> = Vec::new();
+        for (k, &q) in q.iter().enumerate() {
+            for &(series, key, count) in steps.at(k) {
+                let Some((g, le)) = buckets[series as usize] else {
+                    continue;
+                };
+                if bs[g as usize].is_empty() {
+                    touched.push((g, key));
+                }
+                bs[g as usize].push((le, count));
+            }
+            for (g, key) in touched.drain(..) {
+                let v = bucket_quantile(q, &mut bs[g as usize]);
+                bs[g as usize].clear();
+                tagged.push((
+                    g,
+                    Point {
+                        step: k as u32,
+                        key,
+                        v,
+                    },
+                ));
+            }
+        }
+        Vector::from_tagged(labels, tagged)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Shared with the reference evaluator
+// ---------------------------------------------------------------------------
+
 /// Signature used for grouping / vector matching: restrict or drop labels,
 /// always dropping `__name__`.
-fn signature(labels: &LabelSet, grouping: &Grouping) -> LabelSet {
+pub(super) fn signature(labels: &LabelSet, grouping: &Grouping) -> LabelSet {
     match grouping {
         Grouping::None => labels.drop_names(&[]),
         Grouping::By(keep) => labels.restrict_to(keep),
@@ -350,186 +1172,44 @@ fn signature(labels: &LabelSet, grouping: &Grouping) -> LabelSet {
     }
 }
 
-fn aggregate(
-    op: AggOp,
-    grouping: &Grouping,
-    k: Option<usize>,
-    vec: Vec<(LabelSet, f64)>,
-) -> Result<Vec<(LabelSet, f64)>, EvalError> {
-    // topk/bottomk keep original labels and simply filter.
-    if matches!(op, AggOp::Topk | AggOp::Bottomk) {
-        let k = k.ok_or_else(|| EvalError("topk/bottomk need k".into()))?;
-        let mut v = vec;
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        if op == AggOp::Bottomk {
-            v.reverse();
-        }
-        v.truncate(k);
-        return Ok(v);
-    }
-
-    // Grouping collapses to one entry when Grouping::None: signature is the
-    // full label set minus __name__ — not what we want. sum(expr) with no
-    // grouping collapses everything.
-    // Groups in first-seen order; `slot` finds a key's place in it.
-    let mut groups: Vec<(LabelSet, Vec<f64>)> = Vec::new();
-    let mut slot: HashMap<LabelSet, usize> = HashMap::new();
-    for (labels, v) in vec {
-        let key = match grouping {
-            Grouping::None => LabelSet::empty(),
-            _ => signature(&labels, grouping),
-        };
-        let at = *slot.entry(key).or_insert_with_key(|key| {
-            groups.push((key.clone(), Vec::new()));
-            groups.len() - 1
-        });
-        groups[at].1.push(v);
-    }
-    Ok(groups
-        .into_iter()
-        .map(|(key, vals)| {
-            let out = match op {
-                AggOp::Sum => vals.iter().sum(),
-                AggOp::Avg => vals.iter().sum::<f64>() / vals.len() as f64,
-                AggOp::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-                AggOp::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                AggOp::Count => vals.len() as f64,
-                AggOp::Stddev | AggOp::Stdvar => {
-                    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-                    let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-                        / vals.len() as f64;
-                    if op == AggOp::Stdvar { var } else { var.sqrt() }
-                }
-                AggOp::Topk | AggOp::Bottomk => unreachable!(),
-            };
-            (key, out)
-        })
-        .collect())
-}
-
-fn eval_binary(
-    op: BinOp,
-    l: Value,
-    r: Value,
-    matching: &Grouping,
-) -> Result<Value, EvalError> {
-    match (l, r) {
-        (Value::Scalar(a), Value::Scalar(b)) => Ok(Value::Scalar(op.apply(a, b))),
-        (Value::Vector(v), Value::Scalar(s)) => Ok(Value::Vector(
-            v.into_iter()
-                .map(|(l, x)| (l.without(METRIC_NAME_LABEL), op.apply(x, s)))
-                .collect(),
-        )),
-        (Value::Scalar(s), Value::Vector(v)) => Ok(Value::Vector(
-            v.into_iter()
-                .map(|(l, x)| (l.without(METRIC_NAME_LABEL), op.apply(s, x)))
-                .collect(),
-        )),
-        (Value::Vector(lv), Value::Vector(rv)) => {
-            // Vector matching: the right side must be unique per signature;
-            // the left side may be many-to-one (Prometheus would demand an
-            // explicit `group_left`; this engine grants it implicitly and
-            // keeps the LEFT labels on the output, which is what the Eq. (1)
-            // rules need to retain `uuid` when dividing by node-level
-            // series).
-            let mut rmap: HashMap<LabelSet, f64> = HashMap::new();
-            for (labels, v) in &rv {
-                let sig = signature(labels, matching);
-                if rmap.insert(sig, *v).is_some() {
-                    return Err(EvalError(
-                        "right operand has duplicate series per matching signature; \
-                         narrow it with on(...)/ignoring(...) or aggregate first"
-                            .into(),
-                    ));
-                }
+/// One group's value of aggregation `op` (not `topk`/`bottomk`) over its
+/// members' values, in element order.
+pub(super) fn combine(op: AggOp, vals: &[f64]) -> f64 {
+    match op {
+        AggOp::Sum => vals.iter().sum(),
+        AggOp::Avg => vals.iter().sum::<f64>() / vals.len() as f64,
+        AggOp::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
+        AggOp::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        AggOp::Count => vals.len() as f64,
+        AggOp::Stddev | AggOp::Stdvar => {
+            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+            let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
+            if op == AggOp::Stdvar {
+                var
+            } else {
+                var.sqrt()
             }
-            let mut out = Vec::new();
-            for (labels, lval) in lv {
-                let sig = signature(&labels, matching);
-                if let Some(&rval) = rmap.get(&sig) {
-                    out.push((labels.without(METRIC_NAME_LABEL), op.apply(lval, rval)));
-                }
-            }
-            Ok(Value::Vector(out))
         }
-        _ => Err(EvalError(
-            "binary operators are not defined on range vectors".into(),
-        )),
+        AggOp::Topk | AggOp::Bottomk => unreachable!("ranked, not combined"),
     }
 }
 
-/// Comparison with Prometheus semantics: filtering by default (surviving
-/// elements keep their labels — including `__name__` — and values), 0/1
-/// per element with the `bool` modifier. Vector-vector comparison matches
-/// on the full label signature like unmodified arithmetic matching.
-fn eval_compare(op: CmpOp, bool_mode: bool, l: Value, r: Value) -> Result<Value, EvalError> {
-    let as_bool = |keep: bool| if keep { 1.0 } else { 0.0 };
-    match (l, r) {
-        (Value::Scalar(a), Value::Scalar(b)) => {
-            if !bool_mode {
-                return Err(EvalError(
-                    "comparison between two scalars needs the bool modifier".into(),
-                ));
-            }
-            Ok(Value::Scalar(as_bool(op.apply(a, b))))
+/// `topk` (`bottom`: `bottomk`) of `v` by `value`: a stable sort, largest
+/// first and NaN below every number, reversed for `bottomk`. The order is
+/// total, so ties keep element order (reversed for `bottomk`) and the result
+/// does not depend on the element type the sort moves.
+pub(super) fn rank<T>(v: &mut Vec<T>, value: impl Fn(&T) -> f64, bottom: bool, k: usize) {
+    v.sort_by(|a, b| {
+        let (a, b) = (value(a), value(b));
+        match (a.is_nan(), b.is_nan()) {
+            (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
         }
-        (Value::Vector(v), Value::Scalar(s)) => Ok(Value::Vector(
-            v.into_iter()
-                .filter_map(|(labels, x)| {
-                    let keep = op.apply(x, s);
-                    if bool_mode {
-                        Some((labels.without(METRIC_NAME_LABEL), as_bool(keep)))
-                    } else if keep {
-                        Some((labels, x))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        )),
-        (Value::Scalar(s), Value::Vector(v)) => Ok(Value::Vector(
-            v.into_iter()
-                .filter_map(|(labels, x)| {
-                    let keep = op.apply(s, x);
-                    if bool_mode {
-                        Some((labels.without(METRIC_NAME_LABEL), as_bool(keep)))
-                    } else if keep {
-                        Some((labels, x))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        )),
-        (Value::Vector(lv), Value::Vector(rv)) => {
-            let mut rmap: HashMap<LabelSet, f64> = HashMap::new();
-            for (labels, v) in &rv {
-                let sig = signature(labels, &Grouping::None);
-                if rmap.insert(sig, *v).is_some() {
-                    return Err(EvalError(
-                        "right operand has duplicate series per matching signature; \
-                         aggregate it first"
-                            .into(),
-                    ));
-                }
-            }
-            let mut out = Vec::new();
-            for (labels, lval) in lv {
-                let sig = signature(&labels, &Grouping::None);
-                let Some(&rval) = rmap.get(&sig) else { continue };
-                let keep = op.apply(lval, rval);
-                if bool_mode {
-                    out.push((labels.without(METRIC_NAME_LABEL), as_bool(keep)));
-                } else if keep {
-                    out.push((labels, lval));
-                }
-            }
-            Ok(Value::Vector(out))
-        }
-        _ => Err(EvalError(
-            "comparisons are not defined on range vectors".into(),
-        )),
+    });
+    if bottom {
+        v.reverse();
     }
+    v.truncate(k);
 }
 
 /// Counter-reset-adjusted increase over a window of samples.
@@ -552,51 +1232,16 @@ fn counter_increase(samples: &[Sample]) -> Option<(f64, f64)> {
     Some((increase, span_s))
 }
 
-fn eval_func(
-    ctx: &EvalCtx<'_>,
-    name: &str,
-    args: &[Expr],
-    t_ms: i64,
-) -> Result<Value, EvalError> {
-    let matrix_arg = |i: usize| -> Result<Vec<SeriesData>, EvalError> {
-        match eval(ctx, args.get(i).ok_or_else(|| arity(name))?, t_ms)? {
-            Value::Matrix(m) => Ok(m),
-            _ => Err(EvalError(format!("{name} expects a range vector"))),
-        }
-    };
-    let vector_arg = |i: usize| -> Result<Vec<(LabelSet, f64)>, EvalError> {
-        match eval(ctx, args.get(i).ok_or_else(|| arity(name))?, t_ms)? {
-            Value::Vector(v) => Ok(v),
-            Value::Scalar(s) => Ok(vec![(LabelSet::empty(), s)]),
-            _ => Err(EvalError(format!("{name} expects an instant vector"))),
-        }
-    };
-    let scalar_arg = |i: usize| -> Result<f64, EvalError> {
-        match eval(ctx, args.get(i).ok_or_else(|| arity(name))?, t_ms)? {
-            Value::Scalar(s) => Ok(s),
-            _ => Err(EvalError(format!("{name} expects a scalar argument"))),
-        }
-    };
+/// What a range function makes of one window; `None` leaves the series out
+/// at that step.
+pub(super) type Reduce = fn(&[Sample]) -> Option<f64>;
 
-    // Range-vector functions: map each series to one point, dropping name.
-    let over_time = |m: Vec<SeriesData>, f: &dyn Fn(&[Sample]) -> Option<f64>| -> Value {
-        Value::Vector(
-            m.into_iter()
-                .filter_map(|s| {
-                    f(&s.samples).map(|v| (s.labels.without(METRIC_NAME_LABEL), v))
-                })
-                .collect(),
-        )
-    };
-
-    match name {
-        "rate" => Ok(over_time(matrix_arg(0)?, &|s| {
-            counter_increase(s).and_then(|(inc, span)| (span > 0.0).then(|| inc / span))
-        })),
-        "increase" => Ok(over_time(matrix_arg(0)?, &|s| {
-            counter_increase(s).map(|(inc, _)| inc)
-        })),
-        "irate" => Ok(over_time(matrix_arg(0)?, &|s| {
+/// The reduction of a range function other than `quantile_over_time`.
+pub(super) fn range_fn(name: &str) -> Option<Reduce> {
+    let f: Reduce = match name {
+        "rate" => |s| counter_increase(s).and_then(|(inc, span)| (span > 0.0).then(|| inc / span)),
+        "increase" => |s| counter_increase(s).map(|(inc, _)| inc),
+        "irate" => |s| {
             if s.len() < 2 {
                 return None;
             }
@@ -605,79 +1250,29 @@ fn eval_func(
             let dv = if b.v >= a.v { b.v - a.v } else { b.v };
             let dt = (b.t_ms - a.t_ms) as f64 / 1000.0;
             (dt > 0.0).then(|| dv / dt)
-        })),
-        "delta" => Ok(over_time(matrix_arg(0)?, &|s| {
-            (s.len() >= 2).then(|| s.last().unwrap().v - s[0].v)
-        })),
-        "avg_over_time" => Ok(over_time(matrix_arg(0)?, &|s| {
-            (!s.is_empty()).then(|| s.iter().map(|x| x.v).sum::<f64>() / s.len() as f64)
-        })),
-        "sum_over_time" => Ok(over_time(matrix_arg(0)?, &|s| {
-            (!s.is_empty()).then(|| s.iter().map(|x| x.v).sum())
-        })),
-        "min_over_time" => Ok(over_time(matrix_arg(0)?, &|s| {
-            s.iter().map(|x| x.v).min_by(|a, b| a.total_cmp(b))
-        })),
-        "max_over_time" => Ok(over_time(matrix_arg(0)?, &|s| {
-            s.iter().map(|x| x.v).max_by(|a, b| a.total_cmp(b))
-        })),
-        "count_over_time" => Ok(over_time(matrix_arg(0)?, &|s| {
-            (!s.is_empty()).then_some(s.len() as f64)
-        })),
-        "last_over_time" => Ok(over_time(matrix_arg(0)?, &|s| s.last().map(|x| x.v))),
-        "abs" | "ceil" | "floor" => {
-            let f = match name {
-                "abs" => f64::abs,
-                "ceil" => f64::ceil,
-                _ => f64::floor,
-            };
-            Ok(Value::Vector(
-                vector_arg(0)?
-                    .into_iter()
-                    .map(|(l, v)| (l.without(METRIC_NAME_LABEL), f(v)))
-                    .collect(),
-            ))
+        },
+        "delta" => |s| (s.len() >= 2).then(|| s.last().unwrap().v - s[0].v),
+        "avg_over_time" => {
+            |s| (!s.is_empty()).then(|| s.iter().map(|x| x.v).sum::<f64>() / s.len() as f64)
         }
-        "clamp_min" | "clamp_max" => {
-            let bound = scalar_arg(1)?;
-            let is_min = name == "clamp_min";
-            Ok(Value::Vector(
-                vector_arg(0)?
-                    .into_iter()
-                    .map(|(l, v)| {
-                        let v = if is_min { v.max(bound) } else { v.min(bound) };
-                        (l.without(METRIC_NAME_LABEL), v)
-                    })
-                    .collect(),
-            ))
-        }
-        "scalar" => {
-            let v = vector_arg(0)?;
-            Ok(Value::Scalar(if v.len() == 1 { v[0].1 } else { f64::NAN }))
-        }
-        "quantile_over_time" => {
-            let q = scalar_arg(0)?;
-            match eval(ctx, args.get(1).ok_or_else(|| arity(name))?, t_ms)? {
-                Value::Matrix(m) => Ok(over_time(m, &|s| {
-                    if s.is_empty() {
-                        return None;
-                    }
-                    let mut vals: Vec<f64> = s.iter().map(|x| x.v).collect();
-                    vals.sort_by(|a, b| a.total_cmp(b));
-                    Some(quantile_sorted(&vals, q))
-                })),
-                _ => Err(EvalError(
-                    "quantile_over_time expects a range vector".into(),
-                )),
-            }
-        }
-        "histogram_quantile" => {
-            let q = scalar_arg(0)?;
-            let buckets = vector_arg(1)?;
-            Ok(Value::Vector(histogram_quantile(q, buckets)))
-        }
-        other => Err(EvalError(format!("unknown function {other:?}"))),
+        "sum_over_time" => |s| (!s.is_empty()).then(|| s.iter().map(|x| x.v).sum()),
+        "min_over_time" => |s| s.iter().map(|x| x.v).min_by(|a, b| a.total_cmp(b)),
+        "max_over_time" => |s| s.iter().map(|x| x.v).max_by(|a, b| a.total_cmp(b)),
+        "count_over_time" => |s| (!s.is_empty()).then_some(s.len() as f64),
+        "last_over_time" => |s| s.last().map(|x| x.v),
+        _ => return None,
+    };
+    Some(f)
+}
+
+/// `quantile_over_time(q, …)` of one window.
+pub(super) fn quantile_over(s: &[Sample], q: f64) -> Option<f64> {
+    if s.is_empty() {
+        return None;
     }
+    let mut vals: Vec<f64> = s.iter().map(|x| x.v).collect();
+    vals.sort_by(|a, b| a.total_cmp(b));
+    Some(quantile_sorted(&vals, q))
 }
 
 /// Linear-interpolated quantile of pre-sorted values.
@@ -692,61 +1287,50 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
-/// Prometheus `histogram_quantile`: group `_bucket` samples by their
-/// non-`le` labels and interpolate within the bucket holding the quantile.
-fn histogram_quantile(q: f64, buckets: Vec<(LabelSet, f64)>) -> Vec<(LabelSet, f64)> {
-    let mut groups: HashMap<LabelSet, Vec<(f64, f64)>> = HashMap::new();
-    let mut order = Vec::new();
-    for (labels, count) in buckets {
-        let le = match labels.get("le") {
-            Some("+Inf") => f64::INFINITY,
-            Some(v) => match v.parse::<f64>() {
-                Ok(b) => b,
-                Err(_) => continue,
-            },
-            None => continue,
-        };
-        let key = labels.drop_names(&["le".to_string()]);
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push((le, count));
+/// A `_bucket` series' upper bound; `None` when `le` is absent or not a
+/// number (the series is skipped).
+pub(super) fn le_bound(labels: &LabelSet) -> Option<f64> {
+    match labels.get("le")? {
+        "+Inf" => Some(f64::INFINITY),
+        v => v.parse::<f64>().ok(),
     }
-    order
-        .into_iter()
-        .filter_map(|key| {
-            let mut bs = groups.remove(&key)?;
-            bs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let total = bs.last()?.1;
-            if total <= 0.0 || !bs.last()?.0.is_infinite() {
-                return Some((key, f64::NAN));
-            }
-            let rank = q.clamp(0.0, 1.0) * total;
-            let mut prev_bound = 0.0;
-            let mut prev_count = 0.0;
-            for &(bound, count) in &bs {
-                if count >= rank {
-                    if bound.is_infinite() {
-                        return Some((key, prev_bound));
-                    }
-                    let width = bound - prev_bound;
-                    let in_bucket = count - prev_count;
-                    let frac = if in_bucket > 0.0 {
-                        (rank - prev_count) / in_bucket
-                    } else {
-                        0.0
-                    };
-                    return Some((key, prev_bound + width * frac));
-                }
-                prev_bound = bound;
-                prev_count = count;
-            }
-            Some((key, prev_bound))
-        })
-        .collect()
 }
 
-fn arity(name: &str) -> EvalError {
+/// The `q` quantile of one histogram's `(upper bound, cumulative count)`
+/// buckets, interpolated within the bucket that holds it; NaN without a
+/// `+Inf` bucket or observations.
+pub(super) fn bucket_quantile(q: f64, bs: &mut [(f64, f64)]) -> f64 {
+    bs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let Some(&(top, total)) = bs.last() else {
+        return f64::NAN;
+    };
+    if total <= 0.0 || !top.is_infinite() {
+        return f64::NAN;
+    }
+    let rank = q.clamp(0.0, 1.0) * total;
+    let mut prev_bound = 0.0;
+    let mut prev_count = 0.0;
+    for &(bound, count) in bs.iter() {
+        if count >= rank {
+            if bound.is_infinite() {
+                return prev_bound;
+            }
+            let width = bound - prev_bound;
+            let in_bucket = count - prev_count;
+            let frac = if in_bucket > 0.0 {
+                (rank - prev_count) / in_bucket
+            } else {
+                0.0
+            };
+            return prev_bound + width * frac;
+        }
+        prev_bound = bound;
+        prev_count = count;
+    }
+    prev_bound
+}
+
+pub(super) fn arity(name: &str) -> EvalError {
     EvalError(format!("wrong number of arguments for {name}"))
 }
 
@@ -1148,22 +1732,23 @@ mod quantile_tests {
     #[test]
     fn histogram_quantile_degenerate_inputs() {
         // Missing +Inf bucket → NaN; zero total → NaN.
-        let out = histogram_quantile(
-            0.9,
-            vec![(labels! {"le" => "1.0"}, 5.0)],
-        );
-        assert!(out[0].1.is_nan());
-        let out = histogram_quantile(
-            0.9,
-            vec![(labels! {"le" => "+Inf"}, 0.0)],
-        );
-        assert!(out[0].1.is_nan());
-        // Non-numeric le skipped entirely.
-        let out = histogram_quantile(0.9, vec![(labels! {"le" => "bogus"}, 5.0)]);
-        assert!(out.is_empty());
-        // No le label at all.
-        let out = histogram_quantile(0.9, vec![(labels! {"x" => "1"}, 5.0)]);
-        assert!(out.is_empty());
+        assert!(bucket_quantile(0.9, &mut [(1.0, 5.0)]).is_nan());
+        assert!(bucket_quantile(0.9, &mut [(f64::INFINITY, 0.0)]).is_nan());
+        // A non-numeric or absent le skips the series entirely.
+        assert_eq!(le_bound(&labels! {"le" => "bogus"}), None);
+        assert_eq!(le_bound(&labels! {"x" => "1"}), None);
+        assert_eq!(le_bound(&labels! {"le" => "+Inf"}), Some(f64::INFINITY));
+        let db = crate::storage::Tsdb::default();
+        db.append(&labels! {"__name__" => "b", "le" => "bogus"}, 1000, 5.0);
+        db.append(&labels! {"__name__" => "b", "x" => "1"}, 1000, 5.0);
+        db.append(&labels! {"__name__" => "b", "le" => "1.0", "g" => "a"}, 1000, 5.0);
+        let expr = crate::promql::parse_expr("histogram_quantile(0.9, b)").unwrap();
+        let Value::Vector(v) = instant_query(&db, &expr, 2000).unwrap() else {
+            panic!()
+        };
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].0, labels! {"g" => "a"});
+        assert!(v[0].1.is_nan());
     }
 }
 
@@ -1180,35 +1765,7 @@ mod range_tests {
     /// The algorithm `range_query` replaced, kept as the reference: one
     /// instant evaluation per step against the source itself, merged in
     /// first-seen order.
-    fn stepwise(
-        db: &dyn Queryable,
-        expr: &Expr,
-        start_ms: i64,
-        end_ms: i64,
-        step_ms: i64,
-    ) -> Result<Vec<SeriesData>, EvalError> {
-        let mut out: Vec<SeriesData> = Vec::new();
-        let mut t = start_ms;
-        while t <= end_ms {
-            let vec = match instant_query(db, expr, t)? {
-                Value::Scalar(v) => vec![(LabelSet::empty(), v)],
-                Value::Vector(vec) => vec,
-                Value::Matrix(_) => {
-                    return Err(EvalError(
-                        "range query over a range selector is not allowed".into(),
-                    ))
-                }
-            };
-            for (labels, v) in vec {
-                match out.iter_mut().find(|s| *s.labels == labels) {
-                    Some(s) => s.samples.push(Sample::new(t, v)),
-                    None => out.push(SeriesData::new(labels, vec![Sample::new(t, v)])),
-                }
-            }
-            t += step_ms;
-        }
-        Ok(out)
-    }
+    use crate::promql::reference::range_query as stepwise;
 
     /// Bit-level equality: NaN (0/0 at a first step) must match NaN, and
     /// nothing laxer than exact bits, order and error text counts.
@@ -1285,6 +1842,35 @@ mod range_tests {
             "histogram_quantile(0.9, mem_bytes) + bogus{x=\"1\"}",
             "energy_joules_total + mem_bytes[5m]",
             "mem_bytes[1m]",
+            // A duplicate right-hand signature from the step `late` appears
+            // at; an error every step raises beats it, left before right.
+            "energy_joules_total / on () mem_bytes",
+            "mem_bytes > on_missing",
+            "(energy_joules_total / on () mem_bytes) + mem_bytes[1m]",
+            "rate(energy_joules_total[1m]) - (mem_bytes / ignoring (instance) mem_bytes)",
+            "(mem_bytes / ignoring (instance) mem_bytes) - rate(energy_joules_total)",
+            "sum(mem_bytes) > mem_bytes",
+            // Grouping, nesting, ranking with ties, duplicate output sets.
+            "sum by (instance) (mem_bytes)",
+            "avg without (instance) (rate(energy_joules_total[2m]))",
+            "sum(sum by (instance) (energy_joules_total) / 7)",
+            "count(topk(3, mem_bytes))",
+            "stddev(energy_joules_total) + stdvar(mem_bytes)",
+            "topk(2, energy_joules_total * 0)",
+            "bottomk(3, mem_bytes)",
+            "topk(scalar(count(mem_bytes)), energy_joules_total)",
+            "{__name__=~\"mem_bytes|energy_joules_total\"} * 0",
+            "rate({__name__=~\".+\"}[2m])",
+            // Comparisons, functions, scalars per step.
+            "energy_joules_total > 3000",
+            "mem_bytes >= bool 1",
+            "mem_bytes == mem_bytes",
+            "2 < bool scalar(mem_bytes)",
+            "clamp_min(energy_joules_total, scalar(mem_bytes) * 1000)",
+            "clamp_max(-mem_bytes, 1)",
+            "quantile_over_time(0.9, energy_joules_total[3m])",
+            "histogram_quantile(0.5, energy_joules_total)",
+            "abs(scalar(sum(mem_bytes)))",
         ] {
             // One step, a few, the full range, and a step wider than the
             // lookback (steps whose windows leave gaps between them).
@@ -1296,6 +1882,40 @@ mod range_tests {
             ] {
                 assert_same(&db, q, start, end, step);
             }
+        }
+    }
+
+    /// `topk` over more candidates than a sort handles by insertion, with
+    /// ties and NaNs (which once made the sort panic: its comparator was
+    /// not a total order).
+    #[test]
+    fn wide_rankings_with_ties_and_nan_match_stepwise() {
+        let db = Tsdb::default();
+        for i in 0..40i64 {
+            for n in 0..33i64 {
+                let v = match (n * 7 + i) % 11 {
+                    0 if n % 3 == 0 => f64::NAN,
+                    r => (r % 4) as f64,
+                };
+                // A third of the series start late, a third stop early.
+                if (n % 3 != 1 || i >= 12) && (n % 3 != 2 || i < 30) {
+                    db.append(
+                        &labels! {"__name__" => "w", "n" => format!("{n:02}")},
+                        i * 15_000,
+                        v,
+                    );
+                }
+            }
+        }
+        for q in [
+            "topk(10, w)",
+            "bottomk(25, w)",
+            "topk(5, sum by (n) (w))",
+            "sum(topk(30, w))",
+            "bottomk(4, w > bool 1)",
+        ] {
+            assert_same(&db, q, 0, 600_000, 15_000);
+            assert_same(&db, q, 300_000, 300_000, 15_000);
         }
     }
 
@@ -1465,8 +2085,27 @@ mod range_tests {
         assert_eq!(db.select_latest(&all).len(), 2);
     }
 
-    #[test]
-    fn prefetched_select_instant_is_the_last_sample_of_select_at_every_step() {
+    /// Counts `select` and `select_instant` reads apart.
+    struct Reads<'a>(&'a Tsdb, AtomicUsize, AtomicUsize);
+
+    impl Queryable for Reads<'_> {
+        fn select(&self, matchers: &[LabelMatcher], tmin: i64, tmax: i64) -> Vec<SeriesData> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.select(matchers, tmin, tmax)
+        }
+
+        fn select_instant(
+            &self,
+            matchers: &[LabelMatcher],
+            tmin: i64,
+            tmax: i64,
+        ) -> Vec<(Arc<LabelSet>, Sample)> {
+            self.2.fetch_add(1, Ordering::Relaxed);
+            self.0.select_instant(matchers, tmin, tmax)
+        }
+    }
+
+    fn stopping_series() -> Tsdb {
         let db = Tsdb::default();
         for i in 0..300i64 {
             for n in 0..3 {
@@ -1480,22 +2119,58 @@ mod range_tests {
                 }
             }
         }
-        let expr = parse_expr("a + rate(a[4m]) - a offset 10m").unwrap();
-        let (start, end, step) = (60_000, 4_500_000, 37_000);
-        let source = Prefetched::new(&db, &expr, start, end);
-        for t in (start..=end).step_by(step as usize) {
-            for sel in expr.selectors() {
-                let at = t - sel.offset_ms;
-                let tmin = at - sel.range_ms.unwrap_or(DEFAULT_LOOKBACK_MS);
-                assert_instant_is_last_of_select(&source, &sel.matchers, tmin, at);
-                assert_eq!(
-                    source.select_instant(&sel.matchers, tmin, at),
-                    db.select_instant(&sel.matchers, tmin, at)
-                );
+        db
+    }
+
+    /// The forward cursors find, at every step, the sample the source's
+    /// `select_instant` (and the window `select`) returns for that step.
+    #[test]
+    fn grid_cursors_read_what_each_step_would_select() {
+        let db = stopping_series();
+        for q in [
+            "a",
+            "a offset 10m",
+            "rate(a[4m])",
+            "last_over_time(a[1m] offset 3m)",
+            "a + rate(a[4m]) - a offset 10m",
+        ] {
+            for (start, end, step) in [(60_000, 4_500_000, 37_000), (0, 4_500_000, 15_000)] {
+                assert_same(&db, q, start, end, step);
             }
         }
-        // A window the prefetch does not hold goes to the source.
-        assert_instant_is_last_of_select(&source, &[LabelMatcher::eq("__name__", "a")], 0, end * 2);
+    }
+
+    /// An instant query is the one-point grid, and reads as one instant
+    /// evaluation did: `select_instant` for instant selectors, `select` for
+    /// range selectors, each distinct window once.
+    #[test]
+    fn instant_queries_read_instant_selectors_with_select_instant() {
+        let db = stopping_series();
+        let t = 2_000_000;
+        for (q, selects, instants) in [
+            ("a", 0, 1),
+            ("a / a", 0, 1),
+            ("a - a offset 10m", 0, 2),
+            ("rate(a[4m]) + a", 1, 1),
+            ("sum(rate(a[1m])) / sum(rate(a[5m]))", 2, 0),
+            ("a[1m]", 1, 0),
+        ] {
+            let reads = Reads(&db, AtomicUsize::new(0), AtomicUsize::new(0));
+            let expr = parse_expr(q).unwrap();
+            let got = instant_query(&reads, &expr, t);
+            let want = crate::promql::reference::instant_query_with_lookback(
+                &db,
+                &expr,
+                t,
+                DEFAULT_LOOKBACK_MS,
+            );
+            assert_eq!(got, want, "{q}");
+            assert_eq!(
+                (reads.1.into_inner(), reads.2.into_inner()),
+                (selects, instants),
+                "{q}"
+            );
+        }
     }
 
     #[test]

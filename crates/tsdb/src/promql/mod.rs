@@ -22,6 +22,8 @@ pub mod analyze;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
+#[doc(hidden)]
+pub mod reference;
 
 use ceems_metrics::matcher::LabelMatcher;
 

@@ -6,14 +6,18 @@
 //! [`RuleEngine`] evaluates rule groups on their intervals and writes the
 //! derived series back into the TSDB under the rule's `record` name.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
+use ceems_metrics::labels::{LabelSet, LabelSetBuilder, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::MatchOp;
 use ceems_metrics::{Histogram, HistogramVec};
+use parking_lot::Mutex;
 
 use crate::promql::{instant_query_with_lookback, parse_expr, EvalError, Expr, Value};
-use crate::storage::Tsdb;
+use crate::scrape::SeriesCache;
+use crate::storage::{RefError, RefToken, SeriesRef, Tsdb};
+use crate::types::SeriesId;
 
 /// One recording rule.
 #[derive(Clone, Debug)]
@@ -98,6 +102,16 @@ impl GroupPlan {
     }
 }
 
+/// One rule's memory of the series its outputs went to: an output's label
+/// set as evaluated (before the record name and static labels are stamped
+/// on) → its series id and the tick that last wrote it, valid under `token`.
+#[derive(Default)]
+struct OutputIds {
+    ids: HashMap<LabelSet, (SeriesId, u64)>,
+    token: Option<RefToken>,
+    tick: u64,
+}
+
 /// Evaluates rule groups against a TSDB on simulated time.
 pub struct RuleEngine {
     groups: Arc<Vec<RuleGroup>>,
@@ -109,6 +123,9 @@ pub struct RuleEngine {
     /// Evaluations by group and rule index, for asserting that incremental
     /// ticks touch only the affected sub-DAG (S23).
     eval_counts: Vec<Vec<u64>>,
+    /// Output series ids by group and rule index (one worker per rule, so
+    /// the locks are never contended).
+    outputs: Vec<Vec<Mutex<OutputIds>>>,
 }
 
 impl RuleEngine {
@@ -127,6 +144,10 @@ impl RuleEngine {
                 Histogram::duration_buckets(),
             ),
             eval_counts: groups.iter().map(|g| vec![0; g.rules.len()]).collect(),
+            outputs: groups
+                .iter()
+                .map(|g| g.rules.iter().map(|_| Mutex::default()).collect())
+                .collect(),
             groups: Arc::new(groups),
         }
     }
@@ -238,7 +259,11 @@ impl RuleEngine {
             .with_label_values(&[&group.name])
             .start_timer();
         self.last_eval_ms[gi] = now_ms;
-        let eval = |i: usize| Self::eval_rule(db, &group.rules[i], now_ms, lookback_ms);
+        let outputs = &self.outputs[gi];
+        let eval = |i: usize| {
+            let value = instant_query_with_lookback(db, &group.rules[i].expr, now_ms, lookback_ms)?;
+            Self::record(db, &group.rules[i], &mut outputs[i].lock(), value, now_ms)
+        };
         let results = Self::eval_group(rules, &self.plans[gi].levels, self.eval_threads, &eval);
         let mut written = 0;
         for (&i, r) in rules.iter().zip(results) {
@@ -343,35 +368,76 @@ impl RuleEngine {
         self.tick(db, now_ms)
     }
 
-    fn eval_rule(
+    /// Writes one evaluation's finite outputs at `now_ms` as one group
+    /// commit. An output this rule wrote recently goes by the series id it
+    /// got then; only a new one has its label set built (record name and
+    /// static labels stamped on). When the database removed series since,
+    /// the ids are forgotten and the batch goes again by label sets. Returns
+    /// series written.
+    fn record(
         db: &Tsdb,
         rule: &RecordingRule,
+        memo: &mut OutputIds,
+        value: Value,
         now_ms: i64,
-        lookback_ms: i64,
     ) -> Result<u64, EvalError> {
-        let value = instant_query_with_lookback(db, &rule.expr, now_ms, lookback_ms)?;
         let vec = match value {
             Value::Vector(v) => v,
-            Value::Scalar(s) => vec![(ceems_metrics::labels::LabelSet::empty(), s)],
+            Value::Scalar(s) => vec![(LabelSet::empty(), s)],
             Value::Matrix(_) => {
                 return Err(EvalError("recording rule produced a range vector".into()))
             }
         };
-        // One rule's outputs are one group commit. Non-finite values
-        // (division by a zero denominator etc.) are not recorded.
-        let batch: Vec<_> = vec
-            .into_iter()
-            .filter(|(_, v)| v.is_finite())
-            .map(|(labels, v)| {
-                let mut b = LabelSetBuilder::from(labels).label(METRIC_NAME_LABEL, &rule.record);
-                for (k, val) in &rule.static_labels {
-                    b = b.label(k, val);
+        // Non-finite values (division by a zero denominator etc.) are not
+        // recorded.
+        let outputs: Vec<&(LabelSet, f64)> = vec.iter().filter(|(_, v)| v.is_finite()).collect();
+        loop {
+            let token = match memo.token {
+                Some(token) if !memo.ids.is_empty() => token,
+                _ => *memo.token.insert(db.ref_token()),
+            };
+            memo.tick += 1;
+            let tick = memo.tick;
+            let mut unknown: Vec<&LabelSet> = Vec::new();
+            let refs: Vec<(SeriesRef, i64, f64)> = outputs
+                .iter()
+                .map(|&(labels, v)| {
+                    let series = match memo.ids.get_mut(labels) {
+                        Some((id, seen)) => {
+                            *seen = tick;
+                            SeriesRef::Id(*id)
+                        }
+                        None => {
+                            unknown.push(labels);
+                            SeriesRef::Labels(Self::stamp(rule, labels))
+                        }
+                    };
+                    (series, now_ms, *v)
+                })
+                .collect();
+            match db.commit_refs(token, &refs) {
+                Ok(ids) => {
+                    for (labels, id) in unknown.into_iter().zip(ids) {
+                        memo.ids.insert(labels.clone(), (id, tick));
+                    }
+                    if memo.ids.len() > SeriesCache::KEEP_FACTOR * refs.len() {
+                        memo.ids.retain(|_, (_, seen)| *seen == tick);
+                    }
+                    return Ok(refs.len() as u64);
                 }
-                (b.build(), now_ms, v)
-            })
-            .collect();
-        db.append_batch(&batch);
-        Ok(batch.len() as u64)
+                Err(RefError::Stale) => memo.ids.clear(),
+                Err(RefError::Fenced(_)) => unreachable!("rule outputs carry no epoch"),
+            }
+        }
+    }
+
+    /// The series an output of `rule` is recorded as.
+    fn stamp(rule: &RecordingRule, labels: &LabelSet) -> LabelSet {
+        let mut b = LabelSetBuilder::from(labels.clone()).label(METRIC_NAME_LABEL, &rule.record);
+        for (k, val) in &rule.static_labels {
+            b = b.label(k, val);
+        }
+        b.build()
     }
 }
 
@@ -776,6 +842,74 @@ mod tests {
             let b = incr_db.select(&[LabelMatcher::eq("__name__", name)], 0, i64::MAX);
             assert_eq!(a, b, "{name} identical under incremental eval");
         }
+    }
+
+    /// Rules writing through their output memo store what evaluating and
+    /// `append_batch`-ing every output by label set stores, tick after tick,
+    /// also when series (outputs among them) are deleted between ticks.
+    #[test]
+    fn outputs_by_remembered_id_match_append_batch() {
+        let rules = || {
+            vec![
+                RecordingRule::new("r_rate", "rate(energy_joules_total[2m])", &[("src", "rapl")])
+                    .unwrap(),
+                RecordingRule::new("r_sum", "sum(r_rate)", &[]).unwrap(),
+                // Infinite for n1 from the second tick on: never recorded.
+                RecordingRule::new("r_inf", "r_rate / on (instance) (r_rate - 10)", &[]).unwrap(),
+            ]
+        };
+        let (memo_db, batch_db) = (db(), db());
+        let mut engine = RuleEngine::new(vec![RuleGroup {
+            name: "g".into(),
+            interval_ms: 30_000,
+            rules: rules(),
+        }]);
+        let everything = [LabelMatcher::new("__name__", MatchOp::Re, ".+").unwrap()];
+        for tick in 0..8i64 {
+            let now = 300_000 + tick * 30_000;
+            match tick {
+                3 => {
+                    for db in [&memo_db, &batch_db] {
+                        assert_eq!(db.delete_series(&[LabelMatcher::eq("instance", "n2")]), 3);
+                    }
+                }
+                5 => {
+                    for db in [&memo_db, &batch_db] {
+                        assert_eq!(db.delete_series(&[LabelMatcher::eq("__name__", "r_sum")]), 1);
+                    }
+                }
+                _ => {}
+            }
+            let written = engine.tick(&memo_db, now);
+            let mut by_batch = 0;
+            for rule in rules() {
+                let value = instant_query_with_lookback(&batch_db, &rule.expr, now, 75_000).unwrap();
+                let vec = match value {
+                    Value::Vector(v) => v,
+                    Value::Scalar(s) => vec![(LabelSet::empty(), s)],
+                    Value::Matrix(_) => unreachable!(),
+                };
+                let batch: Vec<_> = vec
+                    .into_iter()
+                    .filter(|(_, v)| v.is_finite())
+                    .map(|(labels, v)| (RuleEngine::stamp(&rule, &labels), now, v))
+                    .collect();
+                batch_db.append_batch(&batch);
+                by_batch += batch.len() as u64;
+            }
+            assert_eq!(written, by_batch, "tick {tick}");
+            assert_eq!(
+                memo_db.select(&everything, 0, i64::MAX),
+                batch_db.select(&everything, 0, i64::MAX),
+                "tick {tick}"
+            );
+        }
+        assert_eq!(engine.stats().failures, 0);
+        // The memo went by id after the first tick, and by label set again
+        // after each delete.
+        let memo = engine.outputs[0][0].lock();
+        assert_eq!(memo.ids.len(), 1);
+        assert_eq!(memo.token, Some(memo_db.ref_token()));
     }
 
     #[test]

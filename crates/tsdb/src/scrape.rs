@@ -240,8 +240,8 @@ pub struct SeriesCache {
 
 impl SeriesCache {
     /// Entries kept per entry the last payload used; beyond it, those the
-    /// payload did not use go.
-    const KEEP_FACTOR: usize = 2;
+    /// payload did not use go. The rule engine's output memo keeps as many.
+    pub(crate) const KEEP_FACTOR: usize = 2;
 
     /// Cached series texts.
     #[cfg(test)]

@@ -507,10 +507,25 @@ impl Tsdb {
         if let Some(epoch) = epoch {
             self.check_fence(epoch).map_err(RefError::Fenced)?;
         }
+        let ins = &self.instruments;
+        let resolved = self
+            .commit_refs(token, refs)
+            .inspect_err(|_| ins.stale_ref_batches.inc())?;
+        ins.series_ref_hits.add((refs.len() - resolved.len()) as f64);
+        ins.series_ref_misses.add(resolved.len() as f64);
+        Ok(resolved)
+    }
+
+    /// [`Self::append_refs`] without an epoch and outside the ingest
+    /// counters: how the rule engine writes its outputs.
+    pub(crate) fn commit_refs(
+        &self,
+        token: RefToken,
+        refs: &[(SeriesRef, i64, f64)],
+    ) -> Result<Vec<SeriesId>, RefError> {
         let start = Instant::now();
         let _gate = self.gate.read();
         if token != self.ref_token() {
-            self.instruments.stale_ref_batches.inc();
             return Err(RefError::Stale);
         }
         let mut resolved = Vec::new();
@@ -528,9 +543,6 @@ impl Tsdb {
                 (id, *t_ms, *v)
             })
             .collect();
-        let ins = &self.instruments;
-        ins.series_ref_hits.add((refs.len() - resolved.len()) as f64);
-        ins.series_ref_misses.add(resolved.len() as f64);
         if !samples.is_empty() {
             self.commit_samples(samples, start);
         }

@@ -416,13 +416,18 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
     out.extend_from_slice(&payload);
 }
 
+/// Decodes one record's payload. A count read from it reserves no more
+/// entries than the bytes left could hold at the smallest encoding of one
+/// (a label pair: two length bytes; a sample: two varint bytes and an
+/// `f64`; a tombstone: one varint byte), so a frame that passes its CRC
+/// cannot make the decoder reserve more than a fixed multiple of its size.
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
         TAG_SERIES_CREATE => {
             let id = r.uvarint()?;
             let n = r.uvarint()? as usize;
-            let mut pairs = Vec::with_capacity(n);
+            let mut pairs = Vec::with_capacity(n.min(r.remaining() / 2));
             for _ in 0..n {
                 let k = r.string()?;
                 let v = r.string()?;
@@ -435,7 +440,7 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         }
         TAG_SAMPLES => {
             let n = r.uvarint()? as usize;
-            let mut samples = Vec::with_capacity(n.min(1 << 20));
+            let mut samples = Vec::with_capacity(n.min(r.remaining() / 10));
             let (mut prev_id, mut prev_t) = (0i64, 0i64);
             for _ in 0..n {
                 let id = prev_id.checked_add(r.ivarint()?)?;
@@ -452,7 +457,7 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         }
         TAG_TOMBSTONE => {
             let n = r.uvarint()? as usize;
-            let mut ids = Vec::with_capacity(n.min(1 << 20));
+            let mut ids = Vec::with_capacity(n.min(r.remaining()));
             let mut prev = 0i64;
             for _ in 0..n {
                 let id = prev.checked_add(r.ivarint()?)?;

@@ -5,8 +5,6 @@
 //! process-wide (the tallies are per thread, so the tests may run side by
 //! side).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use ceems_metrics::labels;
@@ -15,47 +13,9 @@ use ceems_tsdb::wal::{crc32, decode_checkpoint, encode_checkpoint, Checkpoint, E
 use ceems_tsdb::Sample;
 use proptest::prelude::*;
 
-struct Measuring;
-
-thread_local! {
-    /// Bytes requested, and the largest single request, on this thread.
-    static REQUESTED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(size: usize) {
-    REQUESTED.with(|r| {
-        let (total, largest) = r.get();
-        r.set((total + size, largest.max(size)));
-    });
-}
-
-// SAFETY: defers to `System` for every operation; the tally is a
-// const-initialised thread-local `Cell` with no destructor, so touching it
-// from inside the allocator neither allocates nor re-enters.
-unsafe impl GlobalAlloc for Measuring {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Measuring = Measuring;
-
-/// `(bytes requested, largest request)` while `f` ran.
-fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    REQUESTED.with(|r| r.set((0, 0)));
-    let out = f();
-    let (total, largest) = REQUESTED.with(Cell::get);
-    (out, total, largest)
-}
+#[path = "common/measuring.rs"]
+mod measuring;
+use measuring::requested_by;
 
 fn with_crc(mut body: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&body);

@@ -1,8 +1,11 @@
 //! Property tests of the PromQL engine against closed-form expectations.
 
+use std::sync::Arc;
+
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
-use ceems_tsdb::promql::{instant_query, parse_expr, range_query, Expr, Value};
-use ceems_tsdb::{Sample, SeriesData, Tsdb};
+use ceems_tsdb::longterm::{FanInQuerier, LongTermStore};
+use ceems_tsdb::promql::{instant_query, parse_expr, range_query, reference, EvalError, Queryable, Value};
+use ceems_tsdb::{SeriesData, Tsdb};
 use proptest::prelude::*;
 
 fn db_with_series(series: &[(String, Vec<f64>)], step_ms: i64) -> Tsdb {
@@ -19,25 +22,21 @@ fn db_with_series(series: &[(String, Vec<f64>)], step_ms: i64) -> Tsdb {
     db
 }
 
-/// One instant evaluation per step against the TSDB itself, merged in
-/// first-seen order: the definition `range_query` must reproduce.
-fn stepwise(db: &Tsdb, expr: &Expr, start_ms: i64, end_ms: i64, step_ms: i64) -> Vec<SeriesData> {
-    let mut out: Vec<SeriesData> = Vec::new();
-    let mut t = start_ms;
-    while t <= end_ms {
-        let vec = match instant_query(db, expr, t).unwrap() {
-            Value::Scalar(v) => vec![(LabelSet::empty(), v)],
-            other => vector(other),
-        };
-        for (labels, v) in vec {
-            match out.iter_mut().find(|s| *s.labels == labels) {
-                Some(s) => s.samples.push(Sample::new(t, v)),
-                None => out.push(SeriesData::new(labels, vec![Sample::new(t, v)])),
-            }
-        }
-        t += step_ms;
-    }
-    out
+/// `range_query` against the stepwise reference — one instant evaluation
+/// per step reading the source itself, merged in first-seen order — on
+/// series, order, `(t, value bits)` and error text.
+fn same_as_stepwise(
+    db: &dyn Queryable,
+    q: &str,
+    start_ms: i64,
+    end_ms: i64,
+    step_ms: i64,
+) {
+    type Out = Result<Vec<(LabelSet, Vec<(i64, u64)>)>, EvalError>;
+    let expr = parse_expr(q).unwrap();
+    let got: Out = range_query(db, &expr, start_ms, end_ms, step_ms).map(|m| bits(&m));
+    let want: Out = reference::range_query(db, &expr, start_ms, end_ms, step_ms).map(|m| bits(&m));
+    prop_assert_eq!(got, want, "{} over {}..{}/{}", q, start_ms, end_ms, step_ms);
 }
 
 /// Labels in order, then `(t, value bits)` per series: NaN equals NaN and
@@ -126,17 +125,28 @@ proptest! {
         }
     }
 
-    /// A range query equals one instant query per step, bit for bit and
-    /// in first-seen series order, over series with counter resets, NaN
-    /// samples and gaps, on any grid and offset.
+    /// A range query equals one instant query per step of the stepwise
+    /// reference, bit for bit and in first-seen series order, over series
+    /// that start and stop mid-grid, with counter resets, NaN samples and
+    /// gaps, on any grid and offset: selectors and range functions,
+    /// grouping and nested aggregations, rankings with ties, matching with
+    /// `on`/`ignoring` (and its duplicate-signature error), comparisons,
+    /// per-step scalars, and a right-hand side that turns duplicate late.
     #[test]
     fn range_query_is_stepwise_instant(
         series in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::option::of(prop_oneof![4 => 0.0f64..1000.0, 1 => Just(f64::NAN)]),
-                1..60,
+            (
+                0usize..30,
+                proptest::collection::vec(
+                    proptest::option::of(prop_oneof![
+                        4 => 0.0f64..1000.0,
+                        1 => (0u8..4).prop_map(f64::from),
+                        1 => Just(f64::NAN),
+                    ]),
+                    1..60,
+                ),
             ),
-            1..4,
+            1..8,
         ),
         // Everything on a 5 s lattice, samples every 15 s: a third of
         // the window edges land exactly on a sample.
@@ -144,20 +154,30 @@ proptest! {
         span in 0i64..240,
         step in 1i64..140,
         offset in prop_oneof![2 => Just(0i64), 1 => 1i64..120],
-        window in 3i64..180,
+        window_late in (3i64..180, 0i64..80),
     ) {
+        let (window, late) = window_late;
         let (start_ms, span_ms, step_ms) = (start * 5_000, span * 5_000, step * 5_000);
         let (offset_s, window_s) = (offset * 5, window * 5);
         let db = Tsdb::default();
-        for (n, slots) in series.iter().enumerate() {
+        for (n, (lead, slots)) in series.iter().enumerate() {
             let labels = LabelSetBuilder::new()
                 .label("__name__", "m")
                 .label("instance", format!("n{n}"))
+                .label("g", ["a", "b", "c"][n % 3])
+                .label("le", ["0.5", "1", "+Inf", "2"][n % 4])
                 .build();
             for (i, v) in slots.iter().enumerate() {
                 if let Some(v) = v {
-                    db.append(&labels, i as i64 * 15_000, *v);
+                    db.append(&labels, (lead + i) as i64 * 15_000, *v);
                 }
+            }
+        }
+        // `d{k="b"}` shares `d{k="a"}`'s empty signature from slot `late` on.
+        for i in 0..90i64 {
+            db.append(&LabelSet::from_pairs([("__name__", "d"), ("k", "a")]), i * 15_000, 2.0);
+            if i >= late {
+                db.append(&LabelSet::from_pairs([("__name__", "d"), ("k", "b")]), i * 15_000, 3.0);
             }
         }
         let m = if offset_s == 0 { "m".to_string() } else { format!("m offset {offset_s}s") };
@@ -172,11 +192,61 @@ proptest! {
             format!("m - {m}"),
             format!("2 * {m}"),
             format!("{m} + {m}"),
+            format!("sum by (g) ({m})"),
+            format!("avg without (instance, le) ({m})"),
+            format!("sum(sum by (g) ({m}) / 3)"),
+            format!("topk(2, sum by (g) ({m}) * 0)"),
+            format!("max by (le) (sum without (instance) ({m}))"),
+            format!("topk(2, {m})"),
+            format!("bottomk(2, {m})"),
+            format!("topk(1, {m} * 0)"),
+            format!("sum(topk(3, {m}) / 7)"),
+            format!("{m} / on (g) m"),
+            format!("m / ignoring (instance, le) {m}"),
+            format!("{m} > 500"),
+            format!("{m} > bool 500"),
+            format!("m < {m}"),
+            format!("m >= bool {m}"),
+            format!("clamp_min({m}, scalar(m))"),
+            format!("histogram_quantile(0.5, sum by (le, g) ({m}))"),
+            format!("quantile_over_time(0.75, m[{window_s}s] offset {offset_s}s)"),
+            format!("{m} * on () d"),
+            format!("(d / on () d) + rate(m[{window_s}s])"),
         ] {
-            let expr = parse_expr(&q).unwrap();
-            let got = range_query(&db, &expr, start_ms, start_ms + span_ms, step_ms).unwrap();
-            let want = stepwise(&db, &expr, start_ms, start_ms + span_ms, step_ms);
-            prop_assert_eq!(bits(&got), bits(&want), "{}", q);
+            same_as_stepwise(&db, &q, start_ms, start_ms + span_ms, step_ms);
+        }
+    }
+
+    /// The same identity through the fan-in view of hot + cold storage,
+    /// whose series order is its own (by label set).
+    #[test]
+    fn fan_in_range_query_is_stepwise_instant(
+        series in proptest::collection::vec(
+            (0usize..30, proptest::collection::vec(0.0f64..1000.0, 1..60)),
+            1..4,
+        ),
+        horizon in 1i64..90,
+        start in -20i64..120,
+        span in 0i64..240,
+        step in 1i64..140,
+    ) {
+        let hot = Arc::new(Tsdb::default());
+        for (n, (lead, values)) in series.iter().enumerate() {
+            let labels = LabelSetBuilder::new()
+                .label("__name__", "m")
+                .label("instance", format!("n{n}"))
+                .build();
+            for (i, v) in values.iter().enumerate() {
+                hot.append(&labels, (lead + i) as i64 * 15_000, *v);
+            }
+        }
+        let horizon_ms = horizon * 15_000;
+        let cold = Arc::new(LongTermStore::new());
+        cold.replicate(&hot, 0, horizon_ms - 1);
+        let fan = FanInQuerier::new(hot, cold, horizon_ms);
+        let (start_ms, end_ms, step_ms) = (start * 5_000, (start + span) * 5_000, step * 5_000);
+        for q in ["m", "sum(m)", "rate(m[1m])", "topk(1, m)", "m / on (instance) m"] {
+            same_as_stepwise(&fan, q, start_ms, end_ms, step_ms);
         }
     }
 
