@@ -6,14 +6,16 @@
 //! E14 rows (EXPERIMENTS.md): what a read near the head costs at three
 //! chunk fills (`head_tail_read`), what deriving one label set from another
 //! costs (`labelset`), and one tick of the fixture's recording rules with
-//! and without the rule-level fan-out (`rule_tick`).
+//! and without the rule-level fan-out (`rule_tick`). E17 rows: the same tick
+//! with six new jobs between ticks (`rule_tick/churn`) and with every plan
+//! built again (`rule_tick/cold`).
 //!
 //! E16 rows: the benchmark's three fleet queries as range queries over the
 //! fixture on the dashboards' grid (`fleet_range/*`), each beside the one
 //! select it reads (`*/select_only`). Before timing, each row checks that its
 //! output is bit for bit one instant evaluation per step.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::time::Instant;
 
 use ceems_bench::{loaded_tsdb, tmpdir};
@@ -255,53 +257,183 @@ fn fleet_stack(dir: &std::path::Path) -> CeemsStack {
     stack
 }
 
-/// One tick of the fixture's recording rules, serial against the rule-level
-/// fan-out; beside criterion's row, where a mean tick goes, read from the
-/// TSDB's own select / ingest histograms.
+/// Where rule ticks went: wall time, split by the TSDB's own select and
+/// ingest histograms, and how the engine brought its plans up to date.
+#[derive(Default)]
+struct TickSplit {
+    ticks: u64,
+    wall: f64,
+    /// Resolve, read and append seconds.
+    spent: [f64; 3],
+    selects: u64,
+    evaluations: u64,
+    written: u64,
+    plans: [u64; 3],
+}
+
+impl TickSplit {
+    fn spent(db: &Tsdb) -> [f64; 3] {
+        let ins = db.instruments();
+        let (select, resolve) = (ins.select_seconds.sum(), ins.select_resolve_seconds.sum());
+        [resolve, select - resolve, ins.ingest_seconds.sum()]
+    }
+
+    fn plans(engine: &RuleEngine) -> [u64; 3] {
+        let p = engine.plan_counts();
+        [p.reused, p.extended, p.rebuilt]
+    }
+
+    /// Runs one tick, booking it.
+    fn tick(
+        &mut self,
+        db: &Tsdb,
+        engine: &mut RuleEngine,
+        tick: impl FnOnce(&mut RuleEngine) -> u64,
+    ) {
+        let (spent, plans, selects) = (
+            Self::spent(db),
+            Self::plans(engine),
+            db.instruments().select_seconds.count(),
+        );
+        let evaluations = engine.stats().evaluations;
+        let t = Instant::now();
+        self.written = tick(engine);
+        self.wall += t.elapsed().as_secs_f64();
+        let (spent_after, plans_after) = (Self::spent(db), Self::plans(engine));
+        for k in 0..3 {
+            self.spent[k] += spent_after[k] - spent[k];
+            self.plans[k] += plans_after[k] - plans[k];
+        }
+        self.selects += db.instruments().select_seconds.count() - selects;
+        self.evaluations += engine.stats().evaluations - evaluations;
+        self.ticks += 1;
+    }
+
+    fn report(&self, row: &str) {
+        let n = self.ticks.max(1) as f64;
+        let ms = |s: f64| s * 1e3 / n;
+        let [resolve, read, append] = self.spent.map(ms);
+        let [reused, extended, rebuilt] = self.plans.map(|p| p as f64 / n);
+        eprintln!(
+            "[E14] rule tick {row}: mean {:.2} ms = resolve {resolve:.2} + read {read:.2} + \
+             evaluate {:.2} + append {append:.2} ({} rules, {} selects, {} series written; \
+             plans reused {reused:.1} / extended {extended:.1} / rebuilt {rebuilt:.1} a tick)",
+            ms(self.wall),
+            ms(self.wall) - resolve - read - append,
+            self.evaluations / self.ticks.max(1),
+            self.selects / self.ticks.max(1),
+            self.written,
+        );
+    }
+}
+
+/// Six jobs of the fixture's shape with short walltimes: what arrives
+/// between two rule ticks at the end-to-end benchmark's rate.
+fn submit_six(stack: &CeemsStack, first: usize) {
+    let partitions = [
+        "cpu-intel",
+        "cpu-amd",
+        "gpu-v100",
+        "gpu-a100",
+        "gpu-h100",
+        "cpu-intel",
+    ];
+    for n in first..first + 6 {
+        let partition = partitions[n % partitions.len()];
+        // Submissions the scheduler cannot place yet stay queued.
+        let _ = stack.submit(JobRequest {
+            user: format!("user{:03}", n % 100),
+            account: format!("proj{:02}", n % 20),
+            partition: partition.into(),
+            nodes: 1,
+            cores_per_node: 1 + n % 8,
+            memory_per_node: (2 + n as u64 % 14) << 30,
+            gpus_per_node: if partition.starts_with("gpu") {
+                n % 3
+            } else {
+                0
+            },
+            walltime_s: 600 + (n as u64 % 7) * 300,
+            workload: WorkloadProfile::CpuBound { intensity: 0.8 },
+        });
+    }
+}
+
+/// One tick of the fixture's recording rules: serial against the
+/// rule-level fan-out with every plan carried over (`eval_threads/*`), with
+/// six new jobs and two scrape cycles between ticks (`churn`), and with a
+/// series removal before every tick, so every plan is built again (`cold`).
+/// Beside criterion's row, where a mean tick goes (`[E14]` lines).
 fn bench_rule_tick(c: &mut Criterion) {
     let dir = tmpdir("tick");
     // Built by the first row that runs, so a filtered-out group costs nothing.
     let stack = OnceCell::new();
-    // Ticks of both rows share one clock: rule output is append-only.
+    // Ticks of the rows on one stack share one clock: rule output is
+    // append-only.
     let mut now = None;
+    let groups = || all_rule_groups(&CeemsConfig::default().rule_window, 30_000);
     let mut group = c.benchmark_group("rule_tick");
     for eval_threads in [1usize, 2] {
         group.bench_function(BenchmarkId::new("eval_threads", eval_threads), |b| {
             let stack: &CeemsStack = stack.get_or_init(|| fleet_stack(&dir));
             let db = &stack.tsdb;
-            let ins = db.instruments();
-            let spent = || {
-                let (select, resolve) =
-                    (ins.select_seconds.sum(), ins.select_resolve_seconds.sum());
-                [resolve, select - resolve, ins.ingest_seconds.sum()]
-            };
-            let groups = all_rule_groups(&stack.config().rule_window, 30_000);
-            let mut engine = RuleEngine::new(groups).with_eval_threads(eval_threads);
+            let mut engine = RuleEngine::new(groups()).with_eval_threads(eval_threads);
             let now = now.get_or_insert_with(|| stack.clock.now_ms());
-            let (mut ticks, mut written) = (0u64, 0);
-            let (selects, evals) = (ins.select_seconds.count(), engine.stats().evaluations);
-            let (before, t) = (spent(), Instant::now());
+            let mut split = TickSplit::default();
             b.iter(|| {
-                (*now, ticks) = (*now + 1, ticks + 1);
-                written = engine.force_eval(db, *now);
+                *now += 1;
+                split.tick(db, &mut engine, |e| e.force_eval(db, *now))
             });
-            let (wall, after) = (t.elapsed().as_secs_f64(), spent());
-            let [resolve, read, append] = [0, 1, 2].map(|k| (after[k] - before[k]) * 1e3);
-            let per_tick = |total: f64| total / ticks as f64;
-            eprintln!(
-                "[E14] rule tick eval_threads={eval_threads}: mean {:.2} ms = \
-                 resolve {:.2} + read {:.2} + evaluate {:.2} + append {:.2} \
-                 ({} rules, {} selects, {written} series written)",
-                per_tick(wall * 1e3),
-                per_tick(resolve),
-                per_tick(read),
-                per_tick(wall * 1e3 - resolve - read - append),
-                per_tick(append),
-                (engine.stats().evaluations - evals) / ticks,
-                (ins.select_seconds.count() - selects) / ticks,
-            );
+            split.report(&format!("eval_threads={eval_threads}"));
         });
     }
+    group.bench_function("cold", |b| {
+        let stack: &CeemsStack = stack.get_or_init(|| fleet_stack(&dir));
+        let db = &stack.tsdb;
+        let mut engine = RuleEngine::new(groups());
+        let now = now.get_or_insert_with(|| stack.clock.now_ms());
+        let removed = LabelSetBuilder::new()
+            .label("__name__", "rule_tick_cold")
+            .build();
+        let mut split = TickSplit::default();
+        b.iter_with_setup(
+            || {
+                db.append(&removed, 0, 0.0);
+                db.delete_series(&[LabelMatcher::eq("__name__", "rule_tick_cold")]);
+            },
+            |()| {
+                *now += 1;
+                split.tick(db, &mut engine, |e| e.force_eval(db, *now))
+            },
+        );
+        split.report("cold");
+    });
+    group.sample_size(40);
+    group.bench_function("churn", |b| {
+        let churn_dir = dir.join("churn");
+        std::fs::create_dir_all(&churn_dir).unwrap();
+        // Advanced between ticks, read by them.
+        let stack = RefCell::new(fleet_stack(&churn_dir));
+        let mut engine = RuleEngine::new(groups());
+        // Plans are built once, before the row: churn extends them.
+        engine.tick(&stack.borrow().tsdb, stack.borrow().clock.now_ms() + 1);
+        let (mut jobs, mut split) = (10_000, TickSplit::default());
+        b.iter_with_setup(
+            || {
+                let mut stack = stack.borrow_mut();
+                submit_six(&stack, jobs);
+                jobs += 6;
+                stack.advance(15.0);
+                stack.advance(15.0);
+            },
+            |()| {
+                let stack = stack.borrow();
+                let now = stack.clock.now_ms() + 1;
+                split.tick(&stack.tsdb, &mut engine, |e| e.tick(&stack.tsdb, now))
+            },
+        );
+        split.report("churn");
+    });
     group.finish();
     drop(stack);
     let _ = std::fs::remove_dir_all(&dir);

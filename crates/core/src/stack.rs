@@ -661,8 +661,9 @@ impl CeemsStack {
 
     /// TSDB API-router options wired to this stack's observability
     /// configuration: the default TSDB metrics registry extended with the
-    /// per-group rule-evaluation histogram, and a slow-query log honoring
-    /// `tsdb.slow_query_ms`. Serve the result with
+    /// per-group rule-evaluation histogram and the rule-plan counters
+    /// (`ceems_tsdb_rule_plan_{reused,extended,rebuilt}_total`), and a
+    /// slow-query log honoring `tsdb.slow_query_ms`. Serve the result with
     /// [`ceems_tsdb::httpapi::api_router_with`].
     pub fn tsdb_api_options(
         &self,
@@ -670,6 +671,7 @@ impl CeemsStack {
     ) -> ceems_tsdb::httpapi::ApiOptions {
         let registry = ceems_tsdb::selfmon::default_registry(self.tsdb.clone());
         registry.register("tsdb_rule_eval", Arc::new(self.rule_engine.eval_histogram()));
+        registry.register("tsdb_rule_plans", self.rule_engine.plan_collector());
         if let Some(f) = &self.replication {
             Self::register_failover_metrics(&registry, &f.group);
         }
@@ -1047,6 +1049,50 @@ mod tests {
             assert_eq!(s.samples.len() as u64, st.scrape_passes);
             assert!(s.samples.iter().all(|p| p.v == 1.0));
         }
+    }
+
+    /// The rule-plan counters as an operator reads them off the TSDB's
+    /// registry: once a stack's series have settled every tick reuses every
+    /// plan, and a job that starts extends the plans its series fall under
+    /// without any plan being resolved again.
+    #[test]
+    fn steady_ticks_reuse_rule_plans_and_a_new_job_extends_them() {
+        let mut stack = CeemsStack::build_default();
+        stack.submit(cpu_job("alice", 16)).unwrap();
+        stack.run_for(300.0, 15.0);
+        let registry = stack
+            .tsdb_api_options(Arc::new(|| 0))
+            .registry
+            .expect("registry wired");
+        let counts = || {
+            let parsed = ceems_metrics::parse_text(&registry.render()).unwrap();
+            ["reused", "extended", "rebuilt"].map(|kind| {
+                let name = format!("ceems_tsdb_rule_plan_{kind}_total");
+                parsed
+                    .samples
+                    .iter()
+                    .find(|s| s.name == name)
+                    .unwrap()
+                    .value
+            })
+        };
+        let [reused, extended, rebuilt] = counts();
+        assert!(rebuilt > 0.0, "the first tick builds every plan");
+
+        stack.run_for(120.0, 15.0);
+        let steady = counts();
+        assert!(steady[0] > reused, "{steady:?}");
+        assert_eq!(
+            steady[1..],
+            [extended, rebuilt],
+            "nothing new, nothing resolved"
+        );
+
+        stack.submit(cpu_job("bob", 8)).unwrap();
+        stack.run_for(120.0, 15.0);
+        let [_, extended, rebuilt] = counts();
+        assert!(extended > steady[1], "the new job's series extend plans");
+        assert_eq!(rebuilt, steady[2], "and nothing is resolved again");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub fn introspect(query: &str) -> Introspection {
     let mut unverifiable = false;
     for sel in expr.selectors() {
         let mut found = false;
-        for m in &sel.matchers {
+        for m in sel.matchers.iter() {
             if m.name != "uuid" {
                 continue;
             }

@@ -439,6 +439,14 @@ pub struct ChunkIter<'a> {
     st: CodecState,
 }
 
+impl ChunkIter<'_> {
+    /// The state after the last sample returned: where a later
+    /// [`XorChunk::iter_from`] takes over.
+    pub fn state(&self) -> CodecState {
+        self.st
+    }
+}
+
 impl Iterator for ChunkIter<'_> {
     type Item = Sample;
 

@@ -26,13 +26,36 @@ pub const CHUNK_SAMPLES: u32 = 240;
 pub const RESUME_STRIDE: u32 = 16;
 
 /// Storage of one series.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct SeriesStore {
     chunks: VecDeque<XorChunk>,
     /// The open chunk's state at its last two multiples of
     /// [`RESUME_STRIDE`] samples, older first (its start until it has that
     /// many). Kept here, not on the chunk, so closed chunks carry none.
     resume: [CodecState; 2],
+    /// Chunks retention dropped from the front: `chunks[i]` is the series'
+    /// chunk number `dropped + i`, which is how a [`TailCursor`] names it.
+    dropped: u64,
+}
+
+/// Two stores are equal when they hold the same chunks and resume points;
+/// what was dropped before them is a reader's bookkeeping.
+impl PartialEq for SeriesStore {
+    fn eq(&self, other: &SeriesStore) -> bool {
+        self.chunks == other.chunks && self.resume == other.resume
+    }
+}
+
+/// Where a reader following a series stopped: after every sample it has
+/// seen, at the codec state of the chunk it was in. Valid while no chunk is
+/// dropped from the series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TailCursor {
+    /// The series' `dropped` when the cursor was made.
+    dropped: u64,
+    /// The chunk number it is in.
+    chunk: u64,
+    state: CodecState,
 }
 
 impl SeriesStore {
@@ -98,20 +121,55 @@ impl SeriesStore {
     /// its start, and neither past the first sample after `tmax`.
     pub fn samples_in(&self, tmin: i64, tmax: i64) -> Vec<Sample> {
         let mut out = Vec::new();
+        self.read_window(tmin, tmax, &mut out);
+        out
+    }
+
+    /// [`Self::samples_in`] into `out`, and a cursor after every sample at
+    /// or before `tmax`, for [`Self::read_on`] to go on from.
+    pub fn read_window(&self, tmin: i64, tmax: i64, out: &mut Vec<Sample>) -> TailCursor {
+        let mut cursor = TailCursor {
+            dropped: self.dropped,
+            chunk: self.dropped,
+            state: CodecState::default(),
+        };
         let resume = self.resume.iter().rev().find(|p| p.precedes(tmin));
         for (i, c) in self.chunks.iter().enumerate() {
-            if c.is_empty() || c.max_time() < tmin || c.min_time() > tmax {
+            if c.min_time() > tmax {
+                break;
+            }
+            cursor.chunk = self.dropped + i as u64;
+            if c.max_time() < tmin {
+                cursor.state = c.state();
                 continue;
             }
             let open = i + 1 == self.chunks.len();
-            let from = resume.filter(|_| open).copied().unwrap_or_default();
-            out.extend(
-                c.iter_from(from)
-                    .skip_while(|s| s.t_ms < tmin)
-                    .take_while(|s| s.t_ms <= tmax),
-            );
+            cursor.state = resume.filter(|_| open).copied().unwrap_or_default();
+            if !take(c, &mut cursor.state, tmin, tmax, out) {
+                break;
+            }
         }
-        out
+        cursor
+    }
+
+    /// Goes on from `cursor`: the samples after it at or before `tmax` into
+    /// `out`, decoding nothing it has passed. `false`, and nothing read,
+    /// when chunks were dropped since the cursor was made.
+    pub fn read_on(&self, cursor: &mut TailCursor, tmax: i64, out: &mut Vec<Sample>) -> bool {
+        if cursor.dropped != self.dropped {
+            return false;
+        }
+        let at = (cursor.chunk - self.dropped) as usize;
+        for (i, c) in self.chunks.iter().enumerate().skip(at) {
+            if i > at {
+                cursor.chunk = self.dropped + i as u64;
+                cursor.state = CodecState::default();
+            }
+            if !take(c, &mut cursor.state, i64::MIN, tmax, out) {
+                break;
+            }
+        }
+        true
     }
 
     /// Latest sample, if any. Decodes nothing.
@@ -135,6 +193,7 @@ impl SeriesStore {
         while let Some(front) = self.chunks.front() {
             if !front.is_empty() && front.max_time() < cutoff {
                 self.chunks.pop_front();
+                self.dropped += 1;
             } else {
                 break;
             }
@@ -156,6 +215,29 @@ impl SeriesStore {
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
+}
+
+/// Reads `c` on from `state`: samples at or after `tmin` into `out`, `state`
+/// moved past each sample taken. Stops before the first sample after `tmax`
+/// and returns `false` there, `true` at the end of the chunk.
+fn take(c: &XorChunk, state: &mut CodecState, tmin: i64, tmax: i64, out: &mut Vec<Sample>) -> bool {
+    let mut it = c.iter_from(*state);
+    if c.max_time() <= tmax {
+        // All of it: the state to go on from is the appender's.
+        out.extend(it.skip_while(|s| s.t_ms < tmin));
+        *state = c.state();
+        return true;
+    }
+    while let Some(s) = it.next() {
+        if s.t_ms > tmax {
+            return false;
+        }
+        *state = it.state();
+        if s.t_ms >= tmin {
+            out.push(s);
+        }
+    }
+    true
 }
 
 /// Striped series storage.
@@ -187,6 +269,31 @@ impl Head {
             .get(&id)
             .map(|s| s.samples_in(tmin, tmax))
             .unwrap_or_default()
+    }
+
+    /// [`SeriesStore::read_window`] of a series; `None` (nothing read) when
+    /// it has no samples yet.
+    pub fn read_window(
+        &self,
+        id: SeriesId,
+        tmin: i64,
+        tmax: i64,
+        out: &mut Vec<Sample>,
+    ) -> Option<TailCursor> {
+        let shard = self.shard(id).lock();
+        Some(shard.get(&id)?.read_window(tmin, tmax, out))
+    }
+
+    /// [`SeriesStore::read_on`] of a series; `false` also when it is gone.
+    pub fn read_on(
+        &self,
+        id: SeriesId,
+        cursor: &mut TailCursor,
+        tmax: i64,
+        out: &mut Vec<Sample>,
+    ) -> bool {
+        let shard = self.shard(id).lock();
+        shard.get(&id).is_some_and(|s| s.read_on(cursor, tmax, out))
     }
 
     /// Latest sample of a series.
@@ -332,6 +439,36 @@ mod tests {
             }
         }
         assert_eq!(s.chunk_count(), 3);
+    }
+
+    /// A window read once and then read on from its cursor, tick after
+    /// tick, holds what a read of the whole window holds: across resume
+    /// points and cuts, with samples past the window's end waiting for a
+    /// later tick, and until retention drops a chunk under the cursor.
+    #[test]
+    fn reading_on_from_a_cursor_is_reading_the_window_again() {
+        let mut s = SeriesStore::default();
+        let (mut window, mut cursor, mut tmin) = (Vec::new(), None, 0);
+        for i in 0..(CHUNK_SAMPLES as i64 * 2 + 60) {
+            // A duplicate timestamp every eleventh sample.
+            s.append(Sample::new((i - i / 11) * 1_000, i as f64))
+                .unwrap();
+            if i % 7 != 0 {
+                continue;
+            }
+            // The window trails the newest sample by three seconds.
+            let tmax = (i - i / 11) * 1_000 - 3_000;
+            tmin = tmin.max(tmax - 30_000);
+            match &mut cursor {
+                None => cursor = Some(s.read_window(tmin, tmax, &mut window)),
+                Some(c) => assert!(s.read_on(c, tmax, &mut window)),
+            }
+            window.retain(|x| x.t_ms >= tmin);
+            assert_eq!(window, s.samples_in(tmin, tmax), "fill {i}");
+        }
+        let mut c = cursor.unwrap();
+        assert!(!s.drop_before(230_000));
+        assert!(!s.read_on(&mut c, i64::MAX, &mut window), "a chunk went");
     }
 
     #[test]

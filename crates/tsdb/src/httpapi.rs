@@ -192,7 +192,7 @@ fn parse_matchers(req: &Request) -> Result<Vec<Vec<LabelMatcher>>, String> {
     let mut out = Vec::new();
     for m in req.query_params("match[]") {
         match parse_expr(m) {
-            Ok(Expr::Selector(sel)) if sel.range_ms.is_none() => out.push(sel.matchers),
+            Ok(Expr::Selector(sel)) if sel.range_ms.is_none() => out.push(sel.matchers.to_vec()),
             Ok(_) => return Err(format!("match[] must be an instant selector: {m:?}")),
             Err(e) => return Err(e.to_string()),
         }

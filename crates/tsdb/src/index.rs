@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use ceems_metrics::labels::LabelSet;
+use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 
 use crate::types::SeriesId;
@@ -26,6 +26,10 @@ pub struct LabelIndex {
     /// when it moves, so a cache can never serve ids across a membership
     /// change.
     generation: u64,
+    /// Series registered below `next_id` (replay in another order, a
+    /// follower's bootstrap): while this holds still, every series
+    /// registered since `next_id` read `n` has an id `>= n`.
+    backfills: u64,
 }
 
 impl LabelIndex {
@@ -89,6 +93,7 @@ impl LabelIndex {
     /// Enters a series the registry does not hold yet.
     fn register(&mut self, id: SeriesId, labels: Arc<LabelSet>, fp: u64) {
         self.generation += 1;
+        self.backfills += u64::from(id < self.next_id);
         self.next_id = self.next_id.max(id + 1);
         self.by_fingerprint.entry(fp).or_default().push(id);
         for (k, v) in labels.iter() {
@@ -125,6 +130,39 @@ impl LabelIndex {
     /// The id the next created series would get.
     pub fn next_id(&self) -> SeriesId {
         self.next_id
+    }
+
+    /// Series registered with an id below the `next_id` of the moment.
+    pub fn backfills(&self) -> u64 {
+        self.backfills
+    }
+
+    /// The series with id `>= from` that `matchers` select, ascending, read
+    /// off the tail of the `__name__="name"` posting list. With `name` the
+    /// value of an exact `__name__` matcher in `matchers` and no removal or
+    /// backfill since `next_id` read `from`, these are the series
+    /// [`Self::select`] gained since.
+    pub fn select_since(
+        &self,
+        name: &str,
+        matchers: &[LabelMatcher],
+        from: SeriesId,
+    ) -> Vec<SeriesId> {
+        let Some(list) = self
+            .postings
+            .get(METRIC_NAME_LABEL)
+            .and_then(|v| v.get(name))
+        else {
+            return Vec::new();
+        };
+        list[list.partition_point(|&id| id < from)..]
+            .iter()
+            .copied()
+            .filter(|id| {
+                let labels = &self.series[id];
+                matchers.iter().all(|m| m.matches(labels))
+            })
+            .collect()
     }
 
     /// Forces the next-id counter (checkpoint restore: tombstoned series may

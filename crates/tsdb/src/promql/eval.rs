@@ -9,17 +9,22 @@
 //! that order (aggregations, `topk`, `histogram_quantile`, the output merge)
 //! see exactly what one instant evaluation per step would have shown them.
 //! [`super::reference`] keeps that step-at-a-time evaluator for the tests.
+//!
+//! Reads and label sets live in a plan (`plan::Plan`): a one-shot query
+//! makes an empty one, a recording rule keeps one from tick to tick.
+//! Operators carry label ids of the plan's table, not label sets.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
+use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::LabelMatcher;
 
 use crate::types::{Sample, SeriesData};
 
+use super::plan::{LabelId, Labels, Plan, PreparedRead, Refresh};
 use super::{AggOp, BinOp, CmpOp, Expr, Grouping, VectorSelector};
 
 /// Anything the engine can read series from (the hot TSDB, or the fan-in
@@ -44,6 +49,15 @@ pub trait Queryable: Send + Sync {
             .filter_map(|s| Some((s.labels, *s.samples.last()?)))
             .collect()
     }
+
+    /// Brings `read` up to the window `[tmin, tmax]` of its matchers: after
+    /// it the read holds what [`Self::select`] (a read of last samples:
+    /// [`Self::select_instant`]) returns for that window, in that order.
+    /// This default reads the window again; a source that can carry a read
+    /// over from its last window overrides it.
+    fn select_prepared(&self, read: &mut PreparedRead, tmin: i64, tmax: i64) -> Refresh {
+        read.fill(self, tmin, tmax)
+    }
 }
 
 impl Queryable for crate::storage::Tsdb {
@@ -58,6 +72,10 @@ impl Queryable for crate::storage::Tsdb {
         tmax: i64,
     ) -> Vec<(Arc<LabelSet>, Sample)> {
         crate::storage::Tsdb::select_instant(self, matchers, tmin, tmax)
+    }
+
+    fn select_prepared(&self, read: &mut PreparedRead, tmin: i64, tmax: i64) -> Refresh {
+        crate::storage::Tsdb::select_prepared(self, read, tmin, tmax)
     }
 }
 
@@ -98,47 +116,96 @@ pub fn instant_query(db: &dyn Queryable, expr: &Expr, t_ms: i64) -> Result<Value
 /// series that stopped being written — finished jobs — go stale promptly
 /// instead of being re-recorded with fresh timestamps).
 ///
-/// The one-point grid of [`range_query`]'s evaluator; its instant selectors
-/// read with [`Queryable::select_instant`].
+/// The one-point grid of [`range_query`]'s evaluator, run with an empty
+/// plan; its instant selectors read with [`Queryable::select_instant`].
 pub fn instant_query_with_lookback(
     db: &dyn Queryable,
     expr: &Expr,
     t_ms: i64,
     lookback_ms: i64,
 ) -> Result<Value, EvalError> {
-    let grid = Grid {
-        start: t_ms,
-        step: 1,
-        points: 1,
-        lookback_ms,
-        instant: true,
-    };
-    let windows = grid.read(db, expr);
-    let eval = Eval {
-        windows: &windows,
-        grid,
-    };
-    match eval.eval(expr).map_err(|f| f.err)? {
-        Operand::Scalar(v) => Ok(Value::Scalar(v[0])),
-        Operand::Vector(v) => {
-            // One point per series on a one-point grid.
-            let mut rows: Vec<(u32, Arc<LabelSet>, f64)> = v
-                .series
+    let mut plan = Plan::default();
+    Ok(match plan.evaluate(db, expr, t_ms, lookback_ms)? {
+        Evaluated::Scalar(v) => Value::Scalar(v),
+        Evaluated::Vector(v) => {
+            let shared: Vec<(Arc<LabelSet>, f64)> = v
                 .into_iter()
-                .map(|s| (v.points[s.lo].key, s.labels, v.points[s.lo].v))
+                .map(|(id, x)| (plan.labels.get(id), x))
                 .collect();
-            rows.sort_unstable_by_key(|r| r.0);
-            Ok(Value::Vector(
-                rows.into_iter()
-                    .map(|(_, labels, x)| (Arc::unwrap_or_clone(labels), x))
+            // Outputs the plan alone shared are moved out, not copied.
+            drop(plan);
+            Value::Vector(
+                shared
+                    .into_iter()
+                    .map(|(labels, x)| (Arc::unwrap_or_clone(labels), x))
                     .collect(),
-            ))
+            )
         }
-        // The expression is this one selector, so the one read is its window.
-        Operand::Range(_) => match windows.into_iter().next().map(|w| w.read) {
-            Some(Read::Series(series)) => Ok(Value::Matrix(series)),
-            _ => unreachable!("a range selector is read with select"),
-        },
+        Evaluated::Matrix(m) => Value::Matrix(m),
+    })
+}
+
+/// An instant evaluation's result, labels as ids of the plan's label table
+/// (valid until the plan's next evaluation).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Evaluated {
+    /// A scalar.
+    Scalar(f64),
+    /// An instant vector, in evaluation order.
+    Vector(Vec<(LabelId, f64)>),
+    /// A range vector.
+    Matrix(Vec<SeriesData>),
+}
+
+impl Plan {
+    /// [`instant_query_with_lookback`] through this plan: each selector
+    /// window is brought up to date from where the plan's last evaluation
+    /// left it ([`Queryable::select_prepared`]), and label sets numbered
+    /// then keep their ids. The result is bit for bit the one-shot query's.
+    pub(crate) fn evaluate(
+        &mut self,
+        db: &dyn Queryable,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+    ) -> Result<Evaluated, EvalError> {
+        self.next_round();
+        let grid = Grid {
+            start: t_ms,
+            step: 1,
+            points: 1,
+            lookback_ms,
+            instant: true,
+        };
+        self.refresh = self.read(db, expr, grid);
+        let eval = Eval {
+            reads: &self.reads,
+            labels: &self.labels,
+            grid,
+        };
+        eval.eval(expr).map_err(|f| f.err).map(|v| match v {
+            Operand::Scalar(v) => Evaluated::Scalar(v[0]),
+            Operand::Vector(v) => {
+                // One point per series on a one-point grid.
+                let mut rows: Vec<(u32, LabelId, f64)> = v
+                    .series
+                    .into_iter()
+                    .map(|s| (v.points[s.lo].key, s.labels, v.points[s.lo].v))
+                    .collect();
+                rows.sort_unstable_by_key(|r| r.0);
+                Evaluated::Vector(rows.into_iter().map(|(_, labels, x)| (labels, x)).collect())
+            }
+            Operand::Range(sel) => Evaluated::Matrix(eval.read(sel).matrix()),
+        })
+    }
+
+    /// Brings the reads up to `grid` ([`Grid::read`]) and makes room in the
+    /// label table for what they hold.
+    fn read(&mut self, db: &dyn Queryable, expr: &Expr, grid: Grid) -> Refresh {
+        let refresh = grid.read(db, expr, &mut self.reads);
+        self.labels
+            .reserve(self.reads.iter().map(|r| r.series.len()).sum());
+        refresh
     }
 }
 
@@ -193,9 +260,11 @@ pub fn range_query(
         lookback_ms: DEFAULT_LOOKBACK_MS,
         instant: false,
     };
-    let windows = grid.read(db, expr);
+    let mut plan = Plan::default();
+    plan.read(db, expr, grid);
     let eval = Eval {
-        windows: &windows,
+        reads: &plan.reads,
+        labels: &plan.labels,
         grid,
     };
     match eval.eval(expr).map_err(|f| f.err)? {
@@ -206,42 +275,10 @@ pub fn range_query(
                 .map(|(k, &x)| Sample::new(grid.t(k), x))
                 .collect(),
         )]),
-        Operand::Vector(v) => Ok(grid.merge(v)),
+        Operand::Vector(v) => Ok(grid.merge(v, &plan.labels)),
         Operand::Range(_) => Err(EvalError(
             "range query over a range selector is not allowed".into(),
         )),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reads
-// ---------------------------------------------------------------------------
-
-/// What one selector window was read as.
-enum Read {
-    /// `select`: every sample in the window.
-    Series(Vec<SeriesData>),
-    /// `select_instant` (one-point grids): the last sample of each series.
-    Latest(Vec<(Arc<LabelSet>, Sample)>),
-}
-
-/// One read of the query, and the window it holds.
-struct Window<'e> {
-    matchers: &'e [LabelMatcher],
-    tmin: i64,
-    tmax: i64,
-    read: Read,
-}
-
-impl Window<'_> {
-    /// Whether this read answers `[tmin, tmax]` of `matchers`: a `select`
-    /// answers any window inside its own, a last sample only its own.
-    fn answers(&self, matchers: &[LabelMatcher], latest: bool, tmin: i64, tmax: i64) -> bool {
-        self.matchers == matchers
-            && match self.read {
-                Read::Latest(_) => latest && (self.tmin, self.tmax) == (tmin, tmax),
-                Read::Series(_) => !latest && self.tmin <= tmin && tmax <= self.tmax,
-            }
     }
 }
 
@@ -287,30 +324,36 @@ impl Grid {
         )
     }
 
-    /// Reads each distinct selector window of `expr` once, in selector order.
-    fn read<'e>(&self, db: &dyn Queryable, expr: &'e Expr) -> Vec<Window<'e>> {
-        let mut windows: Vec<Window<'e>> = Vec::new();
+    /// Brings `reads` up to the distinct selector windows of `expr`, each
+    /// read once, in selector order. A read left by an earlier evaluation
+    /// that reads the same matchers the same way is handed to its source to
+    /// carry over; any other is replaced. Returns the costliest refresh.
+    fn read(&self, db: &dyn Queryable, expr: &Expr, reads: &mut Vec<PreparedRead>) -> Refresh {
+        let mut refresh = Refresh::Reused;
+        let mut n = 0;
         for sel in expr.selectors() {
             let (latest, (tmin, tmax)) = self.window(sel);
-            if windows
+            if reads[..n]
                 .iter()
-                .any(|w| w.answers(&sel.matchers, latest, tmin, tmax))
+                .any(|r| r.answers(&sel.matchers, latest, tmin, tmax))
             {
                 continue;
             }
-            let read = if latest {
-                Read::Latest(db.select_instant(&sel.matchers, tmin, tmax))
-            } else {
-                Read::Series(db.select(&sel.matchers, tmin, tmax))
-            };
-            windows.push(Window {
-                matchers: &sel.matchers,
-                tmin,
-                tmax,
-                read,
-            });
+            if !reads
+                .get(n)
+                .is_some_and(|r| r.is_for(&sel.matchers, latest))
+            {
+                let fresh = PreparedRead::new(&sel.matchers, latest);
+                match reads.get_mut(n) {
+                    Some(r) => *r = fresh,
+                    None => reads.push(fresh),
+                }
+            }
+            refresh = refresh.max(db.select_prepared(&mut reads[n], tmin, tmax));
+            n += 1;
         }
-        windows
+        reads.truncate(n);
+        refresh
     }
 
     /// The steps whose window `[t − offset − back, t − offset]` can hold a
@@ -332,16 +375,18 @@ impl Grid {
 
     /// A vector as series in first-seen order: elements with equal label
     /// sets become one series, their samples in step and then element order.
-    fn merge(&self, v: Vector) -> Vec<SeriesData> {
+    fn merge(&self, v: Vector, labels: &Labels) -> Vec<SeriesData> {
+        let sets: Vec<Arc<LabelSet>> = v.series.iter().map(|s| labels.get(s.labels)).collect();
         let mut slot_of: HashMap<&LabelSet, usize> = HashMap::with_capacity(v.series.len());
         // Per output series: the (step, key) it is first seen at.
         let mut first: Vec<(u32, u32)> = Vec::new();
         let slots: Vec<usize> = v
             .series
             .iter()
-            .map(|s| {
+            .zip(&sets)
+            .map(|(s, set)| {
                 let p = v.points[s.lo];
-                let slot = *slot_of.entry(&*s.labels).or_insert_with(|| {
+                let slot = *slot_of.entry(&**set).or_insert_with(|| {
                     first.push((p.step, p.key));
                     first.len() - 1
                 });
@@ -371,7 +416,7 @@ impl Grid {
                     all.sort_unstable_by_key(|p| (p.step, p.key));
                     all.iter().map(sample).collect()
                 };
-                SeriesData::new(v.series[ms[0]].labels.clone(), samples)
+                SeriesData::new(sets[ms[0]].clone(), samples)
             })
             .collect()
     }
@@ -390,7 +435,7 @@ struct Point {
 /// One series of a [`Vector`]: its labels and its points
 /// `points[lo..hi]`, in step order, at most one per step.
 struct Series {
-    labels: Arc<LabelSet>,
+    labels: LabelId,
     lo: usize,
     hi: usize,
 }
@@ -423,7 +468,7 @@ impl Vector {
     }
 
     /// Ends the series whose points were pushed since `lo`, if there are any.
-    fn close(&mut self, lo: usize, labels: impl FnOnce() -> Arc<LabelSet>) {
+    fn close(&mut self, lo: usize, labels: impl FnOnce() -> LabelId) {
         if self.points.len() > lo {
             let hi = self.points.len();
             self.series.push(Series {
@@ -434,8 +479,9 @@ impl Vector {
         }
     }
 
-    /// A scalar as a vector argument: one element with no labels per step.
-    fn from_scalar(s: &[f64]) -> Vector {
+    /// A scalar as a vector argument: one element with no labels (`empty`)
+    /// per step.
+    fn from_scalar(s: &[f64], empty: LabelId) -> Vector {
         let points: Vec<Point> = s
             .iter()
             .enumerate()
@@ -447,7 +493,7 @@ impl Vector {
             .collect();
         Vector {
             series: vec![Series {
-                labels: Arc::new(LabelSet::empty()),
+                labels: empty,
                 lo: 0,
                 hi: points.len(),
             }],
@@ -457,7 +503,7 @@ impl Vector {
 
     /// A vector from points produced step by step, each tagged with its
     /// series' index in `labels`.
-    fn from_tagged(labels: Vec<Arc<LabelSet>>, tagged: Vec<(u32, Point)>) -> Vector {
+    fn from_tagged(labels: Vec<LabelId>, tagged: Vec<(u32, Point)>) -> Vector {
         let mut at = vec![0usize; labels.len() + 1];
         for &(tag, _) in &tagged {
             at[tag as usize + 1] += 1;
@@ -495,7 +541,7 @@ impl Vector {
     /// any gets its labels through `labels`, once.
     fn map(
         self,
-        mut labels: impl FnMut(Arc<LabelSet>) -> Arc<LabelSet>,
+        mut labels: impl FnMut(LabelId) -> LabelId,
         mut f: impl FnMut(&Point) -> Option<f64>,
     ) -> Vector {
         let Vector { series, mut points } = self;
@@ -588,19 +634,34 @@ pub(super) const DUP_COMPARE: &str =
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy)]
-struct Eval<'e, 'w> {
-    windows: &'w [Window<'e>],
+struct Eval<'w> {
+    reads: &'w [PreparedRead],
+    labels: &'w Labels,
     grid: Grid,
 }
 
-impl<'e> Eval<'e, '_> {
+impl<'w> Eval<'w> {
     /// The read that holds `sel`'s window.
-    fn window(&self, sel: &VectorSelector) -> &Window<'e> {
+    fn read(&self, sel: &VectorSelector) -> &'w PreparedRead {
         let (latest, (tmin, tmax)) = self.grid.window(sel);
-        self.windows
+        self.reads
             .iter()
-            .find(|w| w.answers(&sel.matchers, latest, tmin, tmax))
+            .find(|r| r.answers(&sel.matchers, latest, tmin, tmax))
             .expect("every selector's window was read")
+    }
+
+    /// `signature(_, grouping)` through the plan's labels, as a key: equal
+    /// signatures are one id.
+    fn derive(&self, grouping: &Grouping) -> impl Fn(LabelId) -> LabelId + 'w {
+        let (labels, slot) = (self.labels, self.labels.slot(grouping, true));
+        move |id| labels.derive(slot, id)
+    }
+
+    /// A label set without `__name__`, through the plan's labels: an output
+    /// series' labels, not a key.
+    fn drop_name(&self) -> impl Fn(LabelId) -> LabelId + 'w {
+        let (labels, slot) = (self.labels, self.labels.slot(&Grouping::None, false));
+        move |id| labels.derive(slot, id)
     }
 
     /// Evaluates `expr` over the grid, or finds its first error in step
@@ -608,7 +669,7 @@ impl<'e> Eval<'e, '_> {
     /// instant evaluation takes, and stop at their first failure; a failure
     /// at step `s > 0` may still hide an earlier one behind it (a later
     /// operand, a check after it), so the prefix `[0, s)` is evaluated again.
-    fn eval(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
+    fn eval<'e>(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
         match self.node(expr) {
             Err(f) if f.step > 0 => {
                 let prefix = Eval {
@@ -625,7 +686,7 @@ impl<'e> Eval<'e, '_> {
         }
     }
 
-    fn node(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
+    fn node<'e>(&self, expr: &'e Expr) -> Result<Operand<'e>, Fail> {
         match expr {
             Expr::Number(v) => Ok(Operand::Scalar(vec![*v; self.grid.points])),
             Expr::Neg(inner) => match self.eval(inner)? {
@@ -687,49 +748,44 @@ impl<'e> Eval<'e, '_> {
     /// of each step, found with one forward cursor.
     fn instant(&self, sel: &VectorSelector) -> Vector {
         let mut out = Vector::default();
-        match &self.window(sel).read {
-            Read::Latest(rows) => {
-                for (i, (labels, last)) in rows.iter().enumerate() {
-                    let lo = out.points.len();
+        let read = self.read(sel);
+        if read.latest {
+            for (i, (f, last)) in read.lasts().enumerate() {
+                let lo = out.points.len();
+                out.points.push(Point {
+                    step: 0,
+                    key: i as u32,
+                    v: last.v,
+                });
+                out.close(lo, || self.labels.id_of(f));
+            }
+            return out;
+        }
+        let (offset, back) = (sel.offset_ms, self.grid.lookback_ms);
+        for (i, (f, samples)) in read.windows().enumerate() {
+            let (first, last) = (samples[0], samples[samples.len() - 1]);
+            let Some(steps) = self
+                .grid
+                .steps_touching(first.t_ms, last.t_ms, offset, back)
+            else {
+                continue;
+            };
+            let lo = out.points.len();
+            let mut hi = 0;
+            for k in steps {
+                let at = self.grid.t(k).saturating_sub(offset);
+                while hi < samples.len() && samples[hi].t_ms <= at {
+                    hi += 1;
+                }
+                if hi > 0 && samples[hi - 1].t_ms >= at.saturating_sub(back) {
                     out.points.push(Point {
-                        step: 0,
+                        step: k as u32,
                         key: i as u32,
-                        v: last.v,
+                        v: samples[hi - 1].v,
                     });
-                    out.close(lo, || labels.clone());
                 }
             }
-            Read::Series(series) => {
-                let (offset, back) = (sel.offset_ms, self.grid.lookback_ms);
-                for (i, s) in series.iter().enumerate() {
-                    let samples = &s.samples;
-                    let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
-                        continue;
-                    };
-                    let Some(steps) = self
-                        .grid
-                        .steps_touching(first.t_ms, last.t_ms, offset, back)
-                    else {
-                        continue;
-                    };
-                    let lo = out.points.len();
-                    let mut hi = 0;
-                    for k in steps {
-                        let at = self.grid.t(k).saturating_sub(offset);
-                        while hi < samples.len() && samples[hi].t_ms <= at {
-                            hi += 1;
-                        }
-                        if hi > 0 && samples[hi - 1].t_ms >= at.saturating_sub(back) {
-                            out.points.push(Point {
-                                step: k as u32,
-                                key: i as u32,
-                                v: samples[hi - 1].v,
-                            });
-                        }
-                    }
-                    out.close(lo, || s.labels.clone());
-                }
-            }
+            out.close(lo, || self.labels.id_of(f));
         }
         out
     }
@@ -742,16 +798,13 @@ impl<'e> Eval<'e, '_> {
         sel: &VectorSelector,
         mut f: impl FnMut(usize, &[Sample]) -> Option<f64>,
     ) -> Vector {
-        let Read::Series(series) = &self.window(sel).read else {
-            unreachable!("range selectors are read with select")
-        };
+        let read = self.read(sel);
+        debug_assert!(!read.latest, "range selectors are read with select");
+        let unnamed = self.drop_name();
         let (offset, range) = (sel.offset_ms, sel.range_ms.unwrap_or(0));
         let mut out = Vector::default();
-        for (i, s) in series.iter().enumerate() {
-            let samples = &s.samples;
-            let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
-                continue;
-            };
+        for (i, (series, samples)) in read.windows().enumerate() {
+            let (first, last) = (samples[0], samples[samples.len() - 1]);
             let Some(steps) = self
                 .grid
                 .steps_touching(first.t_ms, last.t_ms, offset, range)
@@ -779,35 +832,35 @@ impl<'e> Eval<'e, '_> {
                     }
                 }
             }
-            out.close(lo_point, || Arc::new(s.labels.without(METRIC_NAME_LABEL)));
+            out.close(lo_point, || unnamed(self.labels.id_of(series)));
         }
         out
     }
 
-    fn arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Operand<'e>, Fail> {
+    fn arg<'e>(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Operand<'e>, Fail> {
         self.eval(args.get(i).ok_or_else(|| Fail {
             step: 0,
             err: arity(name),
         })?)
     }
 
-    fn vector_arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Vector, Fail> {
+    fn vector_arg(&self, name: &str, args: &[Expr], i: usize) -> Result<Vector, Fail> {
         match self.arg(name, args, i)? {
             Operand::Vector(v) => Ok(v),
-            Operand::Scalar(s) => Ok(Vector::from_scalar(&s)),
+            Operand::Scalar(s) => Ok(Vector::from_scalar(&s, self.labels.empty())),
             Operand::Range(_) => Err(fail(format!("{name} expects an instant vector"))),
         }
     }
 
-    fn scalar_arg(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Vec<f64>, Fail> {
+    fn scalar_arg(&self, name: &str, args: &[Expr], i: usize) -> Result<Vec<f64>, Fail> {
         match self.arg(name, args, i)? {
             Operand::Scalar(s) => Ok(s),
             _ => Err(fail(format!("{name} expects a scalar argument"))),
         }
     }
 
-    fn func(&self, name: &str, args: &'e [Expr]) -> Result<Operand<'e>, Fail> {
-        let drop_name = |l: Arc<LabelSet>| Arc::new(l.without(METRIC_NAME_LABEL));
+    fn func<'e>(&self, name: &str, args: &'e [Expr]) -> Result<Operand<'e>, Fail> {
+        let drop_name = self.drop_name();
         if let Some(f) = range_fn(name) {
             return match self.arg(name, args, 0)? {
                 Operand::Range(sel) => Ok(Operand::Vector(self.over_range(sel, |_, s| f(s)))),
@@ -864,14 +917,14 @@ impl<'e> Eval<'e, '_> {
         })
     }
 
-    fn binary(
+    fn binary<'e>(
         &self,
         op: BinOp,
         l: Operand<'e>,
         r: Operand<'e>,
         matching: &Grouping,
     ) -> Result<Operand<'e>, Fail> {
-        let drop_name = |l: Arc<LabelSet>| Arc::new(l.without(METRIC_NAME_LABEL));
+        let drop_name = self.drop_name();
         Ok(Operand::Vector(match (l, r) {
             (Operand::Scalar(a), Operand::Scalar(b)) => {
                 return Ok(Operand::Scalar(
@@ -897,7 +950,7 @@ impl<'e> Eval<'e, '_> {
     /// elements keep their labels — including `__name__` — and values), 0/1
     /// per element with the `bool` modifier. Vector-vector comparison
     /// matches on the full label signature like unmodified arithmetic.
-    fn compare(
+    fn compare<'e>(
         &self,
         op: CmpOp,
         bool_mode: bool,
@@ -912,13 +965,8 @@ impl<'e> Eval<'e, '_> {
                 keep.then_some(x)
             }
         };
-        let labels = |l: Arc<LabelSet>| {
-            if bool_mode {
-                Arc::new(l.without(METRIC_NAME_LABEL))
-            } else {
-                l
-            }
-        };
+        let drop_name = self.drop_name();
+        let labels = |l: LabelId| if bool_mode { drop_name(l) } else { l };
         Ok(Operand::Vector(match (l, r) {
             (Operand::Scalar(a), Operand::Scalar(b)) => {
                 if !bool_mode {
@@ -961,20 +1009,20 @@ impl<'e> Eval<'e, '_> {
         rv: &Vector,
         grouping: &Grouping,
         dup: &str,
-        mut labels: impl FnMut(Arc<LabelSet>) -> Arc<LabelSet>,
+        mut labels: impl FnMut(LabelId) -> LabelId,
         mut f: impl FnMut(f64, f64) -> Option<f64>,
     ) -> Result<Vector, Fail> {
-        let mut sigs: HashMap<LabelSet, u32> = HashMap::with_capacity(rv.series.len());
+        // Signatures numbered in order of first appearance on the right.
+        let signature = self.derive(grouping);
+        let (call, mut sigs) = (self.labels.call(), 0);
         let rsig: Vec<u32> = rv
             .series
             .iter()
-            .map(|s| {
-                let next = sigs.len() as u32;
-                *sigs.entry(signature(&s.labels, grouping)).or_insert(next)
-            })
+            .map(|s| self.labels.number(call, signature(s.labels), &mut sigs))
             .collect();
+        let sigs = sigs as usize;
         // Right series by signature: `by_sig[sig_at[g]..sig_at[g + 1]]`.
-        let mut sig_at = vec![0usize; sigs.len() + 1];
+        let mut sig_at = vec![0usize; sigs + 1];
         for &g in &rsig {
             sig_at[g as usize + 1] += 1;
         }
@@ -989,7 +1037,7 @@ impl<'e> Eval<'e, '_> {
         }
         // Two right series of one signature at one step: the first such step.
         let mut first_dup: Option<u32> = None;
-        for g in 0..sigs.len() {
+        for g in 0..sigs {
             let members = &by_sig[sig_at[g]..sig_at[g + 1]];
             if members.len() < 2 {
                 continue;
@@ -1014,7 +1062,7 @@ impl<'e> Eval<'e, '_> {
         let mut cursors: Vec<usize> = Vec::new();
         let Vector { series, points } = lv;
         for s in series {
-            let Some(&g) = sigs.get(&signature(&s.labels, grouping)) else {
+            let Some(g) = self.labels.numbered(call, signature(s.labels)) else {
                 continue;
             };
             let members = &by_sig[sig_at[g as usize]..sig_at[g as usize + 1]];
@@ -1042,42 +1090,72 @@ impl<'e> Eval<'e, '_> {
         Ok(out)
     }
 
+    /// Each series' group under `grouping`'s signature, groups numbered in
+    /// order of first appearance, and each group's labels; a series given as
+    /// `None` joins no group (its number is meaningless).
+    fn groups(
+        &self,
+        series: impl Iterator<Item = Option<LabelId>>,
+        grouping: &Grouping,
+    ) -> (Vec<u32>, Vec<LabelId>) {
+        let signature = self.derive(grouping);
+        let call = self.labels.call();
+        let mut labels: Vec<LabelId> = Vec::new();
+        let group = series
+            .map(|s| {
+                let Some(s) = s else { return u32::MAX };
+                let key = signature(s);
+                let mut next = labels.len() as u32;
+                let g = self.labels.number(call, key, &mut next);
+                if next as usize > labels.len() {
+                    labels.push(key);
+                }
+                g
+            })
+            .collect();
+        (group, labels)
+    }
+
     /// `sum`, `avg`, … : groups are assigned once per series; each step
     /// combines its members' values in the step's element order, and the
     /// groups of a step come in the order their first member does.
     fn aggregate(&self, op: AggOp, grouping: &Grouping, v: Vector) -> Vector {
-        let mut keys: HashMap<LabelSet, u32> = HashMap::new();
-        let mut labels: Vec<Arc<LabelSet>> = Vec::new();
-        let group: Vec<u32> = v
-            .series
-            .iter()
-            .map(|s| {
-                let key = match grouping {
-                    Grouping::None => LabelSet::empty(),
-                    _ => signature(&s.labels, grouping),
-                };
-                *keys.entry(key).or_insert_with_key(|key| {
-                    labels.push(Arc::new(key.clone()));
-                    labels.len() as u32 - 1
-                })
-            })
-            .collect();
+        let (group, labels) = match grouping {
+            // One group, with no labels: nothing to derive.
+            Grouping::None => (vec![0; v.series.len()], vec![self.labels.empty()]),
+            by => self.groups(v.series.iter().map(|s| Some(s.labels)), by),
+        };
         let steps = v.by_step(self.grid.points);
-        let mut values: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
+        // A step's values by group, each group's in element order:
+        // `values[at[g]..at[g] + n[g]]`.
+        let (mut at, mut n) = (vec![0usize; labels.len()], vec![0usize; labels.len()]);
+        let mut values: Vec<f64> = Vec::new();
         let mut touched: Vec<(u32, u32)> = Vec::new();
         let mut tagged: Vec<(u32, Point)> = Vec::new();
         for k in 0..self.grid.points {
-            for &(series, key, x) in steps.at(k) {
+            let items = steps.at(k);
+            for &(series, key, _) in items {
                 let g = group[series as usize];
-                if values[g as usize].is_empty() {
+                if n[g as usize] == 0 {
                     touched.push((g, key));
                 }
-                values[g as usize].push(x);
+                n[g as usize] += 1;
+            }
+            let mut end = 0;
+            for &(g, _) in &touched {
+                let g = g as usize;
+                (at[g], end, n[g]) = (end, end + n[g], 0);
+            }
+            values.resize(end, 0.0);
+            for &(series, _, x) in items {
+                let g = group[series as usize] as usize;
+                values[at[g] + n[g]] = x;
+                n[g] += 1;
             }
             for (g, key) in touched.drain(..) {
-                let vals = &mut values[g as usize];
-                let v = combine(op, vals);
-                vals.clear();
+                let g_at = g as usize;
+                let v = combine(op, &values[at[g_at]..at[g_at] + n[g_at]]);
+                n[g_at] = 0;
                 tagged.push((
                     g,
                     Point {
@@ -1112,20 +1190,22 @@ impl<'e> Eval<'e, '_> {
     /// Prometheus `histogram_quantile`: `_bucket` elements grouped by their
     /// non-`le` labels (once per series), each group interpolated per step.
     fn histogram_quantile(&self, q: &[f64], v: Vector) -> Vector {
-        let mut keys: HashMap<LabelSet, u32> = HashMap::new();
-        let mut labels: Vec<Arc<LabelSet>> = Vec::new();
-        let buckets: Vec<Option<(u32, f64)>> = v
+        let les: Vec<Option<f64>> = v
             .series
             .iter()
-            .map(|s| {
-                let le = le_bound(&s.labels)?;
-                let key = s.labels.drop_names(&["le".to_string()]);
-                let g = *keys.entry(key).or_insert_with_key(|key| {
-                    labels.push(Arc::new(key.clone()));
-                    labels.len() as u32 - 1
-                });
-                Some((g, le))
-            })
+            .map(|s| le_bound(&self.labels.get(s.labels)))
+            .collect();
+        let (group, labels) = self.groups(
+            v.series
+                .iter()
+                .zip(&les)
+                .map(|(s, le)| le.and(Some(s.labels))),
+            &Grouping::Without(vec!["le".to_string()]),
+        );
+        let buckets: Vec<Option<(u32, f64)>> = group
+            .iter()
+            .zip(les)
+            .map(|(&g, le)| Some((g, le?)))
             .collect();
         let steps = v.by_step(self.grid.points);
         let mut bs: Vec<Vec<(f64, f64)>> = vec![Vec::new(); labels.len()];
@@ -1340,6 +1420,7 @@ mod tests {
     use crate::promql::parse_expr;
     use crate::storage::Tsdb;
     use ceems_metrics::labels;
+    use ceems_metrics::labels::METRIC_NAME_LABEL;
 
     fn db() -> Tsdb {
         let db = Tsdb::default();

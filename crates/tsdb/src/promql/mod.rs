@@ -22,15 +22,21 @@ pub mod analyze;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
+pub mod plan;
 #[doc(hidden)]
 pub mod reference;
+
+use std::sync::Arc;
 
 use ceems_metrics::matcher::LabelMatcher;
 
 pub use analyze::{max_selector_lookback_ms, normalize, split_safety, SplitSafety};
-pub use eval::{instant_query, instant_query_with_lookback, range_query, EvalError, Queryable, Value};
+pub use eval::{
+    instant_query, instant_query_with_lookback, range_query, EvalError, Queryable, Value,
+};
 pub use eval::{range_points, MAX_RANGE_POINTS};
 pub use parser::parse_expr;
+pub use plan::{PreparedRead, Refresh};
 
 /// Binary arithmetic operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,8 +146,8 @@ pub enum Grouping {
 #[derive(Clone, Debug)]
 pub struct VectorSelector {
     /// Label matchers, including the `__name__` matcher when a metric name
-    /// was written.
-    pub matchers: Vec<LabelMatcher>,
+    /// was written. Shared: a query plan's read keeps them.
+    pub matchers: Arc<[LabelMatcher]>,
     /// `[5m]` range in ms, when this is a range selector.
     pub range_ms: Option<i64>,
     /// `offset 1h` in ms.

@@ -263,7 +263,7 @@ impl Parser {
             }
         }
         Ok(Expr::Selector(VectorSelector {
-            matchers,
+            matchers: matchers.into(),
             range_ms,
             offset_ms,
         }))

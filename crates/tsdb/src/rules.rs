@@ -4,20 +4,23 @@
 //! recording rules, with different rules per scrape-target group (Intel
 //! with DRAM counters, AMD without, GPU servers of both IPMI wirings).
 //! [`RuleEngine`] evaluates rule groups on their intervals and writes the
-//! derived series back into the TSDB under the rule's `record` name.
+//! derived series back into the TSDB under the rule's `record` name. Each
+//! rule runs from a prepared plan kept from tick to tick
+//! (`crate::promql::plan::Plan`): a tick reads the samples that arrived and
+//! does the rule's arithmetic, and resolves, decodes or labels again only
+//! what is new.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::MatchOp;
-use ceems_metrics::{Histogram, HistogramVec};
+use ceems_metrics::{Collector, Counter, Histogram, HistogramVec, MetricType, Sink};
 use parking_lot::Mutex;
 
-use crate::promql::{instant_query_with_lookback, parse_expr, EvalError, Expr, Value};
-use crate::scrape::SeriesCache;
+use crate::promql::eval::Evaluated;
+use crate::promql::plan::{LabelId, Plan};
+use crate::promql::{parse_expr, EvalError, Expr, Refresh};
 use crate::storage::{RefError, RefToken, SeriesRef, Tsdb};
-use crate::types::SeriesId;
 
 /// One recording rule.
 #[derive(Clone, Debug)]
@@ -80,15 +83,15 @@ pub struct RuleStats {
 
 /// The static analysis of one group, done once: what each rule reads and
 /// which rules may run together.
-struct GroupPlan {
+struct GroupAnalysis {
     /// Metric names rule `i` reads; `None` when unknowable statically.
     reads: Vec<Option<Vec<String>>>,
     /// Rule indices by dependency level ([`dependency_levels_by`]).
     levels: Vec<Vec<usize>>,
 }
 
-impl GroupPlan {
-    fn new(rules: &[RecordingRule]) -> GroupPlan {
+impl GroupAnalysis {
+    fn new(rules: &[RecordingRule]) -> GroupAnalysis {
         let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
         let reads: Vec<Option<Vec<String>>> = rules
             .iter()
@@ -98,24 +101,72 @@ impl GroupPlan {
             })
             .collect();
         let levels = dependency_levels_by(&produces, &reads);
-        GroupPlan { reads, levels }
+        GroupAnalysis { reads, levels }
     }
 }
 
-/// One rule's memory of the series its outputs went to: an output's label
-/// set as evaluated (before the record name and static labels are stamped
-/// on) → its series id and the tick that last wrote it, valid under `token`.
+/// One rule's prepared plan, kept from tick to tick: its expression's
+/// [`Plan`] (resolved series, decode cursors, label sets by id, each output
+/// label set's series), and the token the recorded series ids are valid
+/// under.
 #[derive(Default)]
-struct OutputIds {
-    ids: HashMap<LabelSet, (SeriesId, u64)>,
+struct RulePlan {
+    plan: Plan,
     token: Option<RefToken>,
-    tick: u64,
+}
+
+/// Rule evaluations by how their plan's reads were brought up to date
+/// ([`Refresh`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCounts {
+    /// Every read kept its series: the evaluation was value arithmetic.
+    pub reused: u64,
+    /// Some read took in series created since the last tick.
+    pub extended: u64,
+    /// Some read was resolved again (first tick, a series removal, another
+    /// database).
+    pub rebuilt: u64,
+}
+
+/// The counters behind [`PlanCounts`], shared with the collector that
+/// exposes them.
+#[derive(Clone, Default)]
+struct PlanCounters([Counter; 3]);
+
+impl PlanCounters {
+    const FAMILIES: [(&'static str, &'static str); 3] = [
+        (
+            "ceems_tsdb_rule_plan_reused_total",
+            "Rule evaluations whose plan kept every series it read.",
+        ),
+        (
+            "ceems_tsdb_rule_plan_extended_total",
+            "Rule evaluations whose plan took in series created since its last tick.",
+        ),
+        (
+            "ceems_tsdb_rule_plan_rebuilt_total",
+            "Rule evaluations whose plan was resolved again from the index.",
+        ),
+    ];
+
+    fn count(&self, refresh: Refresh) {
+        self.0[refresh as usize].inc();
+    }
+}
+
+impl Collector for PlanCounters {
+    fn collect(&self, out: &mut dyn Sink) {
+        for ((name, help), counter) in Self::FAMILIES.iter().zip(&self.0) {
+            out.family(name, help, MetricType::Counter);
+            out.sample("", &[], counter.get());
+        }
+    }
 }
 
 /// Evaluates rule groups against a TSDB on simulated time.
 pub struct RuleEngine {
     groups: Arc<Vec<RuleGroup>>,
-    plans: Arc<Vec<GroupPlan>>,
+    analysis: Arc<Vec<GroupAnalysis>>,
     last_eval_ms: Vec<i64>,
     stats: RuleStats,
     eval_threads: usize,
@@ -123,9 +174,10 @@ pub struct RuleEngine {
     /// Evaluations by group and rule index, for asserting that incremental
     /// ticks touch only the affected sub-DAG (S23).
     eval_counts: Vec<Vec<u64>>,
-    /// Output series ids by group and rule index (one worker per rule, so
-    /// the locks are never contended).
-    outputs: Vec<Vec<Mutex<OutputIds>>>,
+    /// Prepared plans by group and rule index (one worker per rule, so the
+    /// locks are never contended).
+    plans: Vec<Vec<Mutex<RulePlan>>>,
+    plan_counters: PlanCounters,
 }
 
 impl RuleEngine {
@@ -133,7 +185,12 @@ impl RuleEngine {
     /// [`RuleEngine::with_eval_threads`]).
     pub fn new(groups: Vec<RuleGroup>) -> RuleEngine {
         RuleEngine {
-            plans: Arc::new(groups.iter().map(|g| GroupPlan::new(&g.rules)).collect()),
+            analysis: Arc::new(
+                groups
+                    .iter()
+                    .map(|g| GroupAnalysis::new(&g.rules))
+                    .collect(),
+            ),
             last_eval_ms: vec![i64::MIN; groups.len()],
             stats: RuleStats::default(),
             eval_threads: 1,
@@ -144,10 +201,11 @@ impl RuleEngine {
                 Histogram::duration_buckets(),
             ),
             eval_counts: groups.iter().map(|g| vec![0; g.rules.len()]).collect(),
-            outputs: groups
+            plans: groups
                 .iter()
                 .map(|g| g.rules.iter().map(|_| Mutex::default()).collect())
                 .collect(),
+            plan_counters: PlanCounters::default(),
             groups: Arc::new(groups),
         }
     }
@@ -156,6 +214,22 @@ impl RuleEngine {
     /// register it in a metrics registry to expose it).
     pub fn eval_histogram(&self) -> HistogramVec {
         self.group_eval_seconds.clone()
+    }
+
+    /// The `ceems_tsdb_rule_plan_{reused,extended,rebuilt}_total` counters
+    /// (shared handles; register them in a metrics registry to expose them).
+    pub fn plan_collector(&self) -> Arc<dyn Collector> {
+        Arc::new(self.plan_counters.clone())
+    }
+
+    /// Rule evaluations so far, by how their plan was brought up to date.
+    pub fn plan_counts(&self) -> PlanCounts {
+        let [reused, extended, rebuilt] = self.plan_counters.0.each_ref().map(|c| c.get() as u64);
+        PlanCounts {
+            reused,
+            extended,
+            rebuilt,
+        }
     }
 
     /// Evaluates independent rules *within* a due group on up to `threads`
@@ -170,6 +244,10 @@ impl RuleEngine {
     /// serial semantics exactly; a selector whose metric name cannot be
     /// determined statically is conservatively ordered after every earlier
     /// rule.
+    ///
+    /// A level fans out only when one of its rules must build its plan
+    /// (its first tick, a series removal, another database): a rule that
+    /// carries its plan over is too little work to pay for a worker.
     pub fn with_eval_threads(mut self, threads: usize) -> RuleEngine {
         self.eval_threads = threads.max(1);
         self
@@ -214,18 +292,18 @@ impl RuleEngine {
         now_ms: i64,
         arrived: &std::collections::HashSet<String>,
     ) -> u64 {
-        let (groups, plans) = (self.groups.clone(), self.plans.clone());
+        let (groups, analysis) = (self.groups.clone(), self.analysis.clone());
         let mut written = 0;
         // Outputs of the rules affected so far: live beside `arrived`.
         let mut produced: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        for (gi, (group, plan)) in groups.iter().zip(plans.iter()).enumerate() {
+        for (gi, (group, group_analysis)) in groups.iter().zip(analysis.iter()).enumerate() {
             if !self.due(gi, now_ms) {
                 continue;
             }
             // Rules are stored in dependency order (producers before
             // consumers), so one forward pass closes the affected set.
             let mut affected: Vec<usize> = Vec::new();
-            for (i, (rule, reads)) in group.rules.iter().zip(&plan.reads).enumerate() {
+            for (i, (rule, reads)) in group.rules.iter().zip(&group_analysis.reads).enumerate() {
                 let live = |r: &String| arrived.contains(r) || produced.contains(r.as_str());
                 if reads.as_ref().is_none_or(|reads| reads.iter().any(live)) {
                     produced.insert(&rule.record);
@@ -259,12 +337,21 @@ impl RuleEngine {
             .with_label_values(&[&group.name])
             .start_timer();
         self.last_eval_ms[gi] = now_ms;
-        let outputs = &self.outputs[gi];
+        let (plans, counters) = (&self.plans[gi], &self.plan_counters);
+        let token = db.ref_token();
+        let cold: Vec<bool> = plans
+            .iter()
+            .map(|p| p.lock().token != Some(token))
+            .collect();
         let eval = |i: usize| {
-            let value = instant_query_with_lookback(db, &group.rules[i].expr, now_ms, lookback_ms)?;
-            Self::record(db, &group.rules[i], &mut outputs[i].lock(), value, now_ms)
+            let rule = &group.rules[i];
+            let plan = &mut *plans[i].lock();
+            let value = plan.plan.evaluate(db, &rule.expr, now_ms, lookback_ms);
+            counters.count(plan.plan.refresh());
+            Self::record(db, rule, plan, value?, now_ms)
         };
-        let results = Self::eval_group(rules, &self.plans[gi].levels, self.eval_threads, &eval);
+        let levels = &self.analysis[gi].levels;
+        let results = Self::eval_group(rules, levels, self.eval_threads, &cold, &eval);
         let mut written = 0;
         for (&i, r) in rules.iter().zip(results) {
             self.stats.evaluations += 1;
@@ -299,11 +386,13 @@ impl RuleEngine {
     /// with `eval`. Serially that is in rule order; with `threads > 1` it is
     /// level by level through the group's `levels`: each dependency level is
     /// a barrier, and the chosen rules inside one fan out over scoped
-    /// workers. Results come back in `rules`' order either way.
+    /// workers when one of them is `cold`. Results come back in `rules`'
+    /// order either way.
     fn eval_group(
         rules: &[usize],
         levels: &[Vec<usize>],
         threads: usize,
+        cold: &[bool],
         eval: &(dyn Fn(usize) -> Result<u64, EvalError> + Sync),
     ) -> Vec<Result<u64, EvalError>> {
         if threads <= 1 || rules.len() <= 1 {
@@ -322,7 +411,10 @@ impl RuleEngine {
                 .copied()
                 .filter(|&i| slot[i] != usize::MAX)
                 .collect();
-            let workers = threads.min(level.len());
+            let workers = match level.iter().any(|&i| cold[i]) {
+                true => threads.min(level.len()),
+                false => 1,
+            };
             if workers <= 1 {
                 for i in level {
                     results[slot[i]] = Some(eval(i));
@@ -377,55 +469,49 @@ impl RuleEngine {
     fn record(
         db: &Tsdb,
         rule: &RecordingRule,
-        memo: &mut OutputIds,
-        value: Value,
+        plan: &mut RulePlan,
+        value: Evaluated,
         now_ms: i64,
     ) -> Result<u64, EvalError> {
+        let labels = &mut plan.plan.labels;
         let vec = match value {
-            Value::Vector(v) => v,
-            Value::Scalar(s) => vec![(LabelSet::empty(), s)],
-            Value::Matrix(_) => {
+            Evaluated::Vector(v) => v,
+            Evaluated::Scalar(s) => vec![(labels.empty(), s)],
+            Evaluated::Matrix(_) => {
                 return Err(EvalError("recording rule produced a range vector".into()))
             }
         };
         // Non-finite values (division by a zero denominator etc.) are not
         // recorded.
-        let outputs: Vec<&(LabelSet, f64)> = vec.iter().filter(|(_, v)| v.is_finite()).collect();
+        let outputs: Vec<(LabelId, f64)> = vec.into_iter().filter(|(_, v)| v.is_finite()).collect();
         loop {
-            let token = match memo.token {
-                Some(token) if !memo.ids.is_empty() => token,
-                _ => *memo.token.insert(db.ref_token()),
-            };
-            memo.tick += 1;
-            let tick = memo.tick;
-            let mut unknown: Vec<&LabelSet> = Vec::new();
+            let token = db.ref_token();
+            if plan.token != Some(token) {
+                labels.forget_series();
+                plan.token = Some(token);
+            }
+            let mut unknown: Vec<LabelId> = Vec::new();
             let refs: Vec<(SeriesRef, i64, f64)> = outputs
                 .iter()
-                .map(|&(labels, v)| {
-                    let series = match memo.ids.get_mut(labels) {
-                        Some((id, seen)) => {
-                            *seen = tick;
-                            SeriesRef::Id(*id)
-                        }
+                .map(|&(id, v)| {
+                    let series = match labels.series(id) {
+                        Some(series) => SeriesRef::Id(series),
                         None => {
-                            unknown.push(labels);
-                            SeriesRef::Labels(Self::stamp(rule, labels))
+                            unknown.push(id);
+                            SeriesRef::Labels(Self::stamp(rule, &labels.get(id)))
                         }
                     };
-                    (series, now_ms, *v)
+                    (series, now_ms, v)
                 })
                 .collect();
             match db.commit_refs(token, &refs) {
                 Ok(ids) => {
-                    for (labels, id) in unknown.into_iter().zip(ids) {
-                        memo.ids.insert(labels.clone(), (id, tick));
-                    }
-                    if memo.ids.len() > SeriesCache::KEEP_FACTOR * refs.len() {
-                        memo.ids.retain(|_, (_, seen)| *seen == tick);
+                    for (id, series) in unknown.into_iter().zip(ids) {
+                        labels.set_series(id, series);
                     }
                     return Ok(refs.len() as u64);
                 }
-                Err(RefError::Stale) => memo.ids.clear(),
+                Err(RefError::Stale) => plan.token = None,
                 Err(RefError::Fenced(_)) => unreachable!("rule outputs carry no epoch"),
             }
         }
@@ -505,8 +591,10 @@ pub fn dependency_levels_by(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::promql::{instant_query_with_lookback, Value};
     use ceems_metrics::labels;
     use ceems_metrics::matcher::LabelMatcher;
+    use proptest::prelude::*;
 
     fn db() -> Tsdb {
         let db = Tsdb::default();
@@ -708,7 +796,7 @@ mod tests {
             RecordingRule::new("d", "c + a", &[]).unwrap(),
             RecordingRule::new("e", "rate(other[2m])", &[]).unwrap(),
         ];
-        let levels = GroupPlan::new(&rules).levels;
+        let levels = GroupAnalysis::new(&rules).levels;
         // a, b, e are independent of earlier rules; c reads a+b; d reads c.
         assert_eq!(levels, vec![vec![0, 1, 4], vec![2], vec![3]]);
     }
@@ -750,7 +838,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let levels = GroupPlan::new(&rules).levels;
+        let levels = GroupAnalysis::new(&rules).levels;
         assert_eq!(levels, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
     }
 
@@ -761,7 +849,7 @@ mod tests {
             // Nameless selector: read set is unknowable, must follow a.
             RecordingRule::new("b", "sum by (x) ({job=\"j\"})", &[]).unwrap(),
         ];
-        let levels = GroupPlan::new(&rules).levels;
+        let levels = GroupAnalysis::new(&rules).levels;
         assert_eq!(levels, vec![vec![0], vec![1]]);
     }
 
@@ -844,45 +932,158 @@ mod tests {
         }
     }
 
-    /// Rules writing through their output memo store what evaluating and
-    /// `append_batch`-ing every output by label set stores, tick after tick,
-    /// also when series (outputs among them) are deleted between ticks.
-    #[test]
-    fn outputs_by_remembered_id_match_append_batch() {
-        let rules = || {
-            vec![
-                RecordingRule::new("r_rate", "rate(energy_joules_total[2m])", &[("src", "rapl")])
-                    .unwrap(),
-                RecordingRule::new("r_sum", "sum(r_rate)", &[]).unwrap(),
-                // Infinite for n1 from the second tick on: never recorded.
-                RecordingRule::new("r_inf", "r_rate / on (instance) (r_rate - 10)", &[]).unwrap(),
-            ]
+    /// What falls between two ticks of the property below, besides samples.
+    #[derive(Clone, Copy, Debug)]
+    enum Between {
+        Samples,
+        /// The series of this many new instances (a job starting).
+        NewSeries(usize),
+        /// `delete_series` of one instance's series, rule outputs included.
+        Delete(usize),
+        /// `delete_series` of one rule's outputs.
+        DeleteOutputs,
+        /// `enforce_retention`: whole chunks of every series drop, and the
+        /// series left empty.
+        Retention,
+        /// The plan side's database is dropped and opened again from its
+        /// WAL: the same series under a new instance token.
+        Reopen,
+    }
+
+    fn between() -> impl Strategy<Value = Between> {
+        prop_oneof![
+            4 => Just(Between::Samples),
+            2 => (1usize..4).prop_map(Between::NewSeries),
+            1 => (0usize..8).prop_map(Between::Delete),
+            1 => Just(Between::DeleteOutputs),
+            1 => Just(Between::Retention),
+            1 => Just(Between::Reopen),
+        ]
+    }
+
+    /// Rules over every shape a plan carries: range windows (one longer
+    /// than retention keeps), instant selectors, `by` and `on` groupings,
+    /// a chain through outputs, outputs that are sometimes infinite, a
+    /// ranking that keeps the input's labels, and a nameless selector.
+    fn equivalence_rules() -> Vec<RecordingRule> {
+        let rule = |record: &str, expr: &str, statics: &[(&str, &str)]| {
+            RecordingRule::new(record, expr, statics).unwrap()
         };
-        let (memo_db, batch_db) = (db(), db());
+        vec![
+            rule(
+                "r_rate",
+                "rate(energy_joules_total[2m])",
+                &[("src", "rapl")],
+            ),
+            rule("r_sum", "sum by (instance) (mem_bytes)", &[]),
+            rule("r_count", "count_over_time(mem_bytes[10m])", &[]),
+            // Infinite for n2 (its rate is 102 J/s): never recorded.
+            rule("r_inf", "r_rate / on (instance) (r_rate - 102)", &[]),
+            rule(
+                "r_share",
+                "r_rate * on (instance) r_sum / on () sum(r_rate)",
+                &[],
+            ),
+            rule("r_top", "topk(2, mem_bytes)", &[]),
+            rule(
+                "r_all",
+                "scalar(count({__name__=~\"mem_bytes|energy_joules_total\"}))",
+                &[],
+            ),
+        ]
+    }
+
+    /// Samples of instance `i` at second `s`: a counter at `100 + i` J/s
+    /// and a gauge.
+    fn scrape_batch(instances: &[bool], s: i64, pause: u8) -> Vec<(LabelSet, i64, f64)> {
+        let live = instances
+            .iter()
+            .enumerate()
+            .filter(|&(i, &on)| on && pause >> (i % 8) & 1 == 0);
+        live.flat_map(|(i, _)| {
+            let inst = format!("n{i}");
+            [
+                (
+                    labels! {"__name__" => "energy_joules_total", "instance" => inst.clone()},
+                    (s * (100 + i as i64)) as f64,
+                ),
+                (
+                    labels! {"__name__" => "mem_bytes", "instance" => inst},
+                    1000.0 * (i + 1) as f64 + (s % 7) as f64,
+                ),
+            ]
+        })
+        .map(|(labels, v)| (labels, s * 1000, v))
+        .collect()
+    }
+
+    /// Runs `ticks` twice over: from the engine's kept plans, and as
+    /// one-shot evaluation + `append_batch` by label set, and asserts both
+    /// store the same bits after every tick. `instances` start scraped.
+    fn ticks_match_append_batch(instances: usize, ticks: &[(Between, u8)]) -> RuleEngine {
+        let config = crate::storage::TsdbConfig {
+            retention_ms: 300_000,
+            ..Default::default()
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "ceems-rule-plans-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = crate::wal::WalOptions {
+            fsync: crate::wal::FsyncMode::Never,
+            ..Default::default()
+        };
+        let open = || Tsdb::open(&dir, wal, config.clone()).unwrap();
+        let (mut plan_db, batch_db) = (open(), Tsdb::new(config.clone()));
+        let mut instances = vec![true; instances];
+        for s in 0..600 {
+            let batch = scrape_batch(&instances, s, 0);
+            plan_db.append_batch(&batch);
+            batch_db.append_batch(&batch);
+        }
         let mut engine = RuleEngine::new(vec![RuleGroup {
             name: "g".into(),
             interval_ms: 30_000,
-            rules: rules(),
+            rules: equivalence_rules(),
         }]);
         let everything = [LabelMatcher::new("__name__", MatchOp::Re, ".+").unwrap()];
-        for tick in 0..8i64 {
-            let now = 300_000 + tick * 30_000;
-            match tick {
-                3 => {
-                    for db in [&memo_db, &batch_db] {
-                        assert_eq!(db.delete_series(&[LabelMatcher::eq("instance", "n2")]), 3);
-                    }
-                }
-                5 => {
-                    for db in [&memo_db, &batch_db] {
-                        assert_eq!(db.delete_series(&[LabelMatcher::eq("__name__", "r_sum")]), 1);
-                    }
-                }
-                _ => {}
+        for (tick, &(between, pause)) in ticks.iter().enumerate() {
+            let now = 600_000 + tick as i64 * 30_000;
+            for s in (now / 1000 - 29)..=(now / 1000) {
+                let batch = scrape_batch(&instances, s, pause);
+                plan_db.append_batch(&batch);
+                batch_db.append_batch(&batch);
             }
-            let written = engine.tick(&memo_db, now);
+            match between {
+                Between::Samples => {}
+                Between::NewSeries(n) => instances.resize(instances.len() + n, true),
+                Between::Delete(i) => {
+                    let m = [LabelMatcher::eq(
+                        "instance",
+                        format!("n{}", i % instances.len()),
+                    )];
+                    assert_eq!(plan_db.delete_series(&m), batch_db.delete_series(&m));
+                }
+                Between::DeleteOutputs => {
+                    let m = [LabelMatcher::eq("__name__", "r_sum")];
+                    assert_eq!(plan_db.delete_series(&m), batch_db.delete_series(&m));
+                }
+                Between::Retention => {
+                    assert_eq!(
+                        plan_db.enforce_retention(now),
+                        batch_db.enforce_retention(now)
+                    );
+                }
+                Between::Reopen => {
+                    drop(plan_db);
+                    plan_db = open();
+                }
+            }
+            let written = engine.tick(&plan_db, now);
             let mut by_batch = 0;
-            for rule in rules() {
+            for rule in equivalence_rules() {
                 let value = instant_query_with_lookback(&batch_db, &rule.expr, now, 75_000).unwrap();
                 let vec = match value {
                     Value::Vector(v) => v,
@@ -897,19 +1098,56 @@ mod tests {
                 batch_db.append_batch(&batch);
                 by_batch += batch.len() as u64;
             }
-            assert_eq!(written, by_batch, "tick {tick}");
+            assert_eq!(written, by_batch, "tick {tick} after {between:?}");
             assert_eq!(
-                memo_db.select(&everything, 0, i64::MAX),
+                plan_db.select(&everything, 0, i64::MAX),
                 batch_db.select(&everything, 0, i64::MAX),
-                "tick {tick}"
+                "tick {tick} after {between:?}"
             );
         }
         assert_eq!(engine.stats().failures, 0);
-        // The memo went by id after the first tick, and by label set again
-        // after each delete.
-        let memo = engine.outputs[0][0].lock();
-        assert_eq!(memo.ids.len(), 1);
-        assert_eq!(memo.token, Some(memo_db.ref_token()));
+        drop(plan_db);
+        let _ = std::fs::remove_dir_all(&dir);
+        engine
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Ticks that run from kept plans (outputs by remembered series
+        /// id) store, bit for bit, what evaluating each rule one-shot and
+        /// `append_batch`-ing its outputs by label set stores, whatever
+        /// falls between ticks: new series, deletes of inputs or outputs,
+        /// retention dropping chunks under the plans' windows, series that
+        /// go stale and come back (`pause` masks), a reopened database.
+        #[test]
+        fn outputs_by_remembered_id_match_append_batch(
+            ticks in proptest::collection::vec((between(), any::<u8>(), any::<u8>()), 1..10),
+        ) {
+            let ticks: Vec<(Between, u8)> = ticks.into_iter().map(|(b, x, y)| (b, x & y)).collect();
+            ticks_match_append_batch(3, &ticks);
+        }
+    }
+
+    /// Enough series that the plans' label tables collect: most series
+    /// stop, some come back, and a wave of new ones makes a table outgrow
+    /// twice what it kept, so the ids of the stopped ones are freed. The
+    /// answers stay those of one-shot evaluation.
+    #[test]
+    fn plans_free_the_labels_of_stopped_series_and_still_match() {
+        let mut ticks = vec![(Between::Samples, 0u8); 3];
+        ticks.extend([(Between::Samples, 0xfe); 4]);
+        ticks.push((Between::NewSeries(360), 0x0f));
+        ticks.extend([(Between::Samples, 0x0f); 3]);
+        let engine = ticks_match_append_batch(120, &ticks);
+        let live: Vec<(usize, usize)> = engine.plans[0]
+            .iter()
+            .map(|p| p.lock().plan.labels.live())
+            .collect();
+        assert!(
+            live.iter().any(|&(live, free)| free > 0 && live > 0),
+            "{live:?}"
+        );
     }
 
     #[test]

@@ -240,7 +240,7 @@ pub struct SeriesCache {
 
 impl SeriesCache {
     /// Entries kept per entry the last payload used; beyond it, those the
-    /// payload did not use go. The rule engine's output memo keeps as many.
+    /// payload did not use go. A query plan's label table keeps as many.
     pub(crate) const KEEP_FACTOR: usize = 2;
 
     /// Cached series texts.

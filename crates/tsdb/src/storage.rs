@@ -4,7 +4,9 @@
 //! just long enough to turn matchers into `(SeriesId, Arc<LabelSet>)` pairs
 //! (consulting the generation-checked posting cache for scan-heavy matcher
 //! shapes). **Materialize** then reads chunk data without any index lock,
-//! on the calling thread.
+//! on the calling thread. A query plan's read (`Tsdb::select_prepared`)
+//! carries both over: resolution while no series is removed, each series'
+//! window from a decode cursor.
 
 use std::collections::HashMap;
 use std::fs;
@@ -24,6 +26,7 @@ use ceems_obs::trace;
 use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
 use crate::head::{Head, SeriesStore};
 use crate::index::LabelIndex;
+use crate::promql::plan::{Basis, Followed, PreparedRead, Refresh, Window};
 use crate::types::{Sample, SeriesData, SeriesId};
 use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalRecord};
 
@@ -620,7 +623,15 @@ impl Tsdb {
     /// the index read lock only for id resolution. Label sets are `Arc`
     /// clones of the registry's, never deep copies.
     fn resolve(&self, matchers: &[LabelMatcher]) -> Vec<(SeriesId, Arc<LabelSet>)> {
-        let idx = self.index.read();
+        self.resolve_in(&self.index.read(), matchers)
+    }
+
+    /// [`Self::resolve`] under an index lock the caller holds.
+    fn resolve_in(
+        &self,
+        idx: &LabelIndex,
+        matchers: &[LabelMatcher],
+    ) -> Vec<(SeriesId, Arc<LabelSet>)> {
         let ids: Arc<Vec<SeriesId>> = match cache_key(matchers) {
             Some(key) if self.config.posting_cache_size > 0 => {
                 // The generation is read under the same index read lock the
@@ -693,6 +704,86 @@ impl Tsdb {
             .collect();
         self.note_select(t0, t1, out.len() as u64, out.len() as u64);
         out
+    }
+
+    /// Brings one selector window of a [`crate::promql::Plan`] up to
+    /// `[tmin, tmax]`: afterwards the read holds what [`Self::select`] (a
+    /// read of last samples: [`Self::select_instant`]) returns for that
+    /// window. A read of this database is carried over while its
+    /// [`Self::ref_token`] holds and, for a range read, its window only
+    /// moved forward: the series created since are taken in from the tail
+    /// of the selector's `__name__` posting list, and each series reads on
+    /// from its cursor, decoding only what was appended. Anything else is
+    /// resolved and read from scratch.
+    pub(crate) fn select_prepared(&self, read: &mut PreparedRead, tmin: i64, tmax: i64) -> Refresh {
+        let t0 = Instant::now();
+        let refresh = {
+            // Under the gate no removal is half done: the token and the
+            // index agree.
+            let _gate = self.gate.read();
+            let idx = self.index.read();
+            let now = Basis {
+                token: self.ref_token(),
+                next_id: idx.next_id(),
+                backfills: idx.backfills(),
+            };
+            let carried = read.basis.filter(|then| {
+                (then.token, then.backfills) == (now.token, now.backfills)
+                    && (read.latest || (read.tmin <= tmin && read.tmax <= tmax))
+            });
+            let added = match (carried, read.metric_name()) {
+                (Some(then), _) if then.next_id == now.next_id => Some(Vec::new()),
+                (Some(then), Some(name)) => {
+                    Some(idx.select_since(name, &read.matchers, then.next_id))
+                }
+                _ => None,
+            };
+            // What was read of a series still followed holds while the
+            // window only moved forward, in this database.
+            let forward =
+                read.basis.is_some() && !read.latest && read.tmin <= tmin && read.tmax <= tmax;
+            read.basis = Some(now);
+            match added {
+                Some(ids) if ids.is_empty() => Refresh::Reused,
+                Some(ids) => {
+                    let labelled = |id| Some(Followed::new(id, Arc::clone(idx.labels(id)?)));
+                    read.series.extend(ids.into_iter().filter_map(labelled));
+                    Refresh::Extended
+                }
+                None => {
+                    read.follow(self.resolve_in(&idx, &read.matchers), forward);
+                    Refresh::Rebuilt
+                }
+            }
+        };
+        let resolved_at = Instant::now();
+        let (mut series, mut samples) = (0, 0);
+        if read.latest {
+            for f in &mut read.series {
+                f.last = self.head.last_in(f.id, tmin, tmax);
+                series += u64::from(f.last.is_some());
+            }
+            samples = series;
+        } else {
+            read.held.resize_with(read.series.len(), Window::default);
+            for (f, w) in read.series.iter().zip(&mut read.held) {
+                let went_on = match &mut w.cursor {
+                    Some(cursor) => self.head.read_on(f.id, cursor, tmax, &mut w.samples),
+                    None => false,
+                };
+                if !went_on {
+                    w.samples.clear();
+                    w.start = 0;
+                    w.cursor = self.head.read_window(f.id, tmin, tmax, &mut w.samples);
+                }
+                w.trim(tmin);
+                let n = (w.samples.len() - w.start) as u64;
+                (series, samples) = (series + u64::from(n > 0), samples + n);
+            }
+        }
+        (read.tmin, read.tmax) = (tmin, tmax);
+        self.note_select(t0, resolved_at, series, samples);
+        refresh
     }
 
     /// Latest sample per matching series (used by instant queries without a
