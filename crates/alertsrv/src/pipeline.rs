@@ -51,12 +51,6 @@ impl RoutingTree {
         self
     }
 
-    /// Replaces the tree-level `group_by` labels.
-    pub fn with_group_by(mut self, labels: Vec<String>) -> RoutingTree {
-        self.group_by = labels;
-        self
-    }
-
     /// Resolves an alert's route: `(route_name, sink, group_by)`.
     pub fn route_for(&self, labels: &LabelSet) -> (&str, &str, &[String]) {
         for r in &self.routes {

@@ -15,12 +15,12 @@
 //! updater over the same `Db` continues where the last one stopped, and a
 //! unit reported twice over the same interval folds nothing twice.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::Histogram;
-use ceems_relstore::{Db, DbError, Filter, Value};
+use ceems_relstore::{Db, DbError, Value};
 use ceems_tsdb::{Tsdb, TsdbClient};
 
 use crate::metrics_source::MetricSource;
@@ -375,57 +375,45 @@ impl Updater {
         }
     }
 
-    /// Recomputes the usage rollups from the units table.
+    /// Recomputes the usage rollups in one pass over the units table, in
+    /// primary-key order. Energy and emissions sum as `Iterator::sum` does
+    /// over the non-NULL cells: from −0.0, and adding −0.0 changes no sum,
+    /// so an all-NULL group stores −0.0.
     fn recompute_usage(&mut self, now_ms: i64) -> Result<(), DbError> {
-        use ceems_relstore::Aggregate;
-        let rollups = self.db.aggregate(
-            UNITS_TABLE,
-            &Filter::True,
-            &["user", "project"],
-            &[
-                Aggregate::Count,
-                Aggregate::Sum("total_energy_kwh".into()),
-                Aggregate::Sum("total_emissions_g".into()),
-            ],
-        )?;
-        // CPU/GPU hours need elapsed×cores which the aggregate layer cannot
-        // express; compute per group with a filtered scan.
-        for r in rollups {
-            let user = r[0].as_text().unwrap_or("").to_string();
-            let project = r[1].as_text().unwrap_or("").to_string();
-            let count = r[2].as_int().unwrap_or(0);
-            let energy = r[3].as_real().unwrap_or(0.0);
-            let emissions = r[4].as_real().unwrap_or(0.0);
-
-            let units = self.db.query(
-                UNITS_TABLE,
-                &ceems_relstore::Query::all().filter(Filter::And(vec![
-                    Filter::Eq("user".into(), user.as_str().into()),
-                    Filter::Eq("project".into(), project.as_str().into()),
-                ])),
-            )?;
-            let mut cpu_hours = 0.0;
-            let mut gpu_hours = 0.0;
-            for u in &units {
-                let elapsed_h = u[unit_cols::ELAPSED_S].as_real().unwrap_or(0.0) / 3600.0;
-                cpu_hours += elapsed_h * u[unit_cols::NCPUS].as_real().unwrap_or(0.0);
-                gpu_hours += elapsed_h * u[unit_cols::NGPUS].as_real().unwrap_or(0.0);
-            }
-
-            self.db.upsert(
-                USAGE_TABLE,
+        use unit_cols::*;
+        // (units, core-hours, GPU-hours, kWh, g) per (user, project).
+        let mut groups = BTreeMap::new();
+        for u in self.db.table(UNITS_TABLE)?.scan() {
+            let text = |col: usize| u[col].as_text().unwrap_or("");
+            let real = |col: usize, null: f64| u[col].as_real().unwrap_or(null);
+            let g = groups
+                .entry((text(USER), text(PROJECT)))
+                .or_insert((0, 0.0, 0.0, -0.0, -0.0));
+            let elapsed_h = real(ELAPSED_S, 0.0) / 3600.0;
+            g.0 += 1;
+            g.1 += elapsed_h * real(NCPUS, 0.0);
+            g.2 += elapsed_h * real(NGPUS, 0.0);
+            g.3 += real(ENERGY_KWH, -0.0);
+            g.4 += real(EMISSIONS_G, -0.0);
+        }
+        let rows: Vec<Vec<Value>> = groups
+            .into_iter()
+            .map(|((user, project), (n, cpu_h, gpu_h, kwh, g))| {
                 vec![
                     format!("{user}|{project}").into(),
                     user.into(),
                     project.into(),
-                    Value::Int(count),
-                    Value::Real(cpu_hours),
-                    Value::Real(gpu_hours),
-                    Value::Real(energy),
-                    Value::Real(emissions),
+                    Value::Int(n),
+                    Value::Real(cpu_h),
+                    Value::Real(gpu_h),
+                    Value::Real(kwh),
+                    Value::Real(g),
                     Value::Int(now_ms),
-                ],
-            )?;
+                ]
+            })
+            .collect();
+        for row in rows {
+            self.db.upsert(USAGE_TABLE, row)?;
         }
         Ok(())
     }
@@ -1091,5 +1079,226 @@ mod tests {
             .unwrap();
         assert!((kwh - 360.0 * 80.0 / 3.6e6).abs() < 1e-12, "kwh={kwh}");
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    mod rollups {
+        use super::*;
+        use proptest::prelude::*;
+
+        const USERS: [&str; 3] = ["alice", "bob", "carol"];
+        const PROJECTS: [&str; 3] = ["p1", "p2", "p3"];
+        /// Every row of this group has NULL energy and emissions.
+        const NULL_GROUP: (&str, &str) = ("nul", "none");
+
+        /// A row written straight into the units table between polls.
+        #[derive(Clone, Debug)]
+        struct Written {
+            slot: usize,
+            group: (usize, usize),
+            elapsed_s: f64,
+            ncpus: i64,
+            ngpus: i64,
+            energy_kwh: Option<f64>,
+            emissions_g: Option<f64>,
+        }
+
+        fn group(g: (usize, usize)) -> (&'static str, &'static str) {
+            USERS
+                .get(g.0)
+                .map(|u| (*u, PROJECTS[g.1]))
+                .unwrap_or(NULL_GROUP)
+        }
+
+        fn written() -> impl Strategy<Value = Written> {
+            let real = || prop_oneof![Just(0.0), 1e-6..1e-2f64, 0.1..1e4f64];
+            (
+                0usize..12,
+                (0usize..4, 0usize..3),
+                (0.0..1e5f64, 0i64..128, 0i64..8),
+                proptest::option::of(real()),
+                proptest::option::of(real()),
+            )
+                .prop_map(|(slot, group, (elapsed_s, ncpus, ngpus), e, g)| Written {
+                    slot,
+                    group,
+                    elapsed_s,
+                    ncpus,
+                    ngpus,
+                    energy_kwh: e,
+                    emissions_g: g,
+                })
+        }
+
+        fn write(db: &mut Db, w: &Written, now_ms: i64) {
+            let (user, project) = group(w.group);
+            let nullify = (user, project) == NULL_GROUP;
+            let mut row = vec![Value::Null; unit_cols::COUNT];
+            row[unit_cols::UUID] = format!("row-{}", w.slot).into();
+            row[unit_cols::RESOURCE_MANAGER] = "test".into();
+            row[unit_cols::USER] = user.into();
+            row[unit_cols::PROJECT] = project.into();
+            row[unit_cols::PARTITION] = "cpu".into();
+            row[unit_cols::STATE] = "COMPLETED".into();
+            row[unit_cols::SUBMITTED_AT] = Value::Int(0);
+            row[unit_cols::ELAPSED_S] = Value::Real(w.elapsed_s);
+            row[unit_cols::NNODES] = Value::Int(1);
+            row[unit_cols::NCPUS] = Value::Int(w.ncpus);
+            row[unit_cols::NGPUS] = Value::Int(w.ngpus);
+            if !nullify {
+                row[unit_cols::ENERGY_KWH] = w.energy_kwh.map_or(Value::Null, Value::Real);
+                row[unit_cols::EMISSIONS_G] = w.emissions_g.map_or(Value::Null, Value::Real);
+            }
+            row[unit_cols::UPDATED_AT] = Value::Int(now_ms);
+            db.upsert(UNITS_TABLE, row).unwrap();
+        }
+
+        /// The usage rows as the generic group-by plus one indexed re-query
+        /// per group computed them: a per-group filter over primary-key
+        /// ordered rows, energy and emissions summed with `Iterator::sum`.
+        fn reference(db: &Db, now_ms: i64) -> Vec<Vec<Value>> {
+            let units: Vec<&Vec<Value>> = db.table(UNITS_TABLE).unwrap().scan().collect();
+            let groups: BTreeSet<(&str, &str)> = units
+                .iter()
+                .map(|u| {
+                    (
+                        u[unit_cols::USER].as_text().unwrap(),
+                        u[unit_cols::PROJECT].as_text().unwrap(),
+                    )
+                })
+                .collect();
+            let mut out = Vec::new();
+            for (user, project) in groups {
+                let rows: Vec<&&Vec<Value>> = units
+                    .iter()
+                    .filter(|u| {
+                        u[unit_cols::USER].as_text() == Some(user)
+                            && u[unit_cols::PROJECT].as_text() == Some(project)
+                    })
+                    .collect();
+                let sum =
+                    |col: usize| -> f64 { rows.iter().filter_map(|u| u[col].as_real()).sum() };
+                let (mut cpu_hours, mut gpu_hours) = (0.0, 0.0);
+                for u in &rows {
+                    let elapsed_h = u[unit_cols::ELAPSED_S].as_real().unwrap_or(0.0) / 3600.0;
+                    cpu_hours += elapsed_h * u[unit_cols::NCPUS].as_real().unwrap_or(0.0);
+                    gpu_hours += elapsed_h * u[unit_cols::NGPUS].as_real().unwrap_or(0.0);
+                }
+                out.push(vec![
+                    format!("{user}|{project}").into(),
+                    user.into(),
+                    project.into(),
+                    Value::Int(rows.len() as i64),
+                    Value::Real(cpu_hours),
+                    Value::Real(gpu_hours),
+                    Value::Real(sum(unit_cols::ENERGY_KWH)),
+                    Value::Real(sum(unit_cols::EMISSIONS_G)),
+                    Value::Int(now_ms),
+                ]);
+            }
+            out
+        }
+
+        /// `Value` equality is numeric; reals are compared by their bits.
+        fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+            rows.iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|v| match v {
+                            Value::Real(x) => format!("real:{:016x}", x.to_bits()),
+                            v => format!("{v:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn usage_rows_match_the_group_by_reference(
+                jobs in proptest::collection::vec(
+                    (0usize..3, 0usize..3, 0i64..600_000, 0i64..600_000, 1usize..64, 0usize..4),
+                    0..10,
+                ),
+                polls in proptest::collection::vec(
+                    (1i64..120_000, proptest::collection::vec(written(), 0..6)),
+                    1..6,
+                ),
+            ) {
+                let units: Vec<UnitInfo> = jobs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(u, p, start, run, ncpus, ngpus))| UnitInfo {
+                        project: PROJECTS[p].into(),
+                        ncpus,
+                        ngpus,
+                        ..unit(&format!("slurm-{i}"), USERS[u], start + 1000, Some(start + 1000 + run))
+                    })
+                    .collect();
+                let rm = ClockRm::new(units);
+                let dir = tmpdir("rollup-props");
+                let mut upd = open_updater(
+                    &dir,
+                    rm.clone(),
+                    Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+                );
+                // Usage rows are upserted, never deleted: a group whose units
+                // all moved away keeps its last rollup.
+                let mut expected = BTreeMap::new();
+                let mut now_ms = 0;
+                for (step, writes) in &polls {
+                    now_ms += step;
+                    for w in writes {
+                        write(upd.db_mut(), w, now_ms);
+                    }
+                    poll_at(&mut upd, &rm, now_ms);
+                    for row in reference(upd.db(), now_ms) {
+                        expected.insert(row[usage_cols::KEY].clone(), row);
+                    }
+                    let expected: Vec<Vec<Value>> = expected.values().cloned().collect();
+                    let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
+                    prop_assert_eq!(bits(&usage), bits(&expected));
+                }
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+
+        #[test]
+        fn an_all_null_group_stores_negative_zero() {
+            let rm = ClockRm::new(Vec::new());
+            let dir = tmpdir("rollup-null");
+            let mut upd = open_updater(
+                &dir,
+                rm.clone(),
+                Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+            );
+            let w = Written {
+                slot: 0,
+                group: (USERS.len(), 0),
+                elapsed_s: 3600.0,
+                ncpus: 4,
+                ngpus: 0,
+                energy_kwh: None,
+                emissions_g: None,
+            };
+            write(upd.db_mut(), &w, 0);
+            poll_at(&mut upd, &rm, 1000);
+            let row = upd
+                .db()
+                .get(USAGE_TABLE, &"nul|none".into())
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                row[usage_cols::ENERGY_KWH].as_real().map(f64::to_bits),
+                Some((-0.0f64).to_bits())
+            );
+            assert_eq!(
+                row[usage_cols::EMISSIONS_G].as_real().map(f64::to_bits),
+                Some((-0.0f64).to_bits())
+            );
+            assert_eq!(row[usage_cols::CPU_HOURS].as_real(), Some(4.0));
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 }

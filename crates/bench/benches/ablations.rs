@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices called out in `DESIGN.md` §6:
-//! head lock striping, scrape fan-out parallelism, and in-process vs HTTP
-//! scrape targets.
+//! scrape fan-out parallelism, in-process vs HTTP scrape targets, and the
+//! posting cache.
 
 use std::sync::Arc;
 
@@ -9,51 +9,6 @@ use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 use ceems_tsdb::scrape::{ScrapeManager, ScrapeTarget, TargetSource};
 use ceems_tsdb::{Tsdb, TsdbConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-/// Concurrent append throughput vs lock stripe count.
-fn bench_head_sharding(c: &mut Criterion) {
-    let labels: Vec<_> = (0..512)
-        .map(|i| {
-            LabelSetBuilder::new()
-                .label("__name__", "m")
-                .label("instance", format!("n{i}"))
-                .build()
-        })
-        .collect();
-    let mut group = c.benchmark_group("ablation_head_shards");
-    group.sample_size(20);
-    for shards in [1usize, 4, 16, 64] {
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            b.iter_with_setup(
-                || {
-                    Arc::new(Tsdb::new(TsdbConfig {
-                        shards,
-                        ..Default::default()
-                    }))
-                },
-                |db| {
-                    // 8 writer threads × 512 series × 4 samples.
-                    std::thread::scope(|s| {
-                        for t in 0..8i64 {
-                            let db = db.clone();
-                            let labels = &labels;
-                            s.spawn(move || {
-                                for round in 0..4i64 {
-                                    let ts = (t * 4 + round) * 15_000;
-                                    for l in labels.iter() {
-                                        db.append(l, ts, 1.0);
-                                    }
-                                }
-                            });
-                        }
-                    });
-                    db
-                },
-            )
-        });
-    }
-    group.finish();
-}
 
 fn text_body() -> String {
     // A realistic exporter payload: ~60 samples.
@@ -153,7 +108,6 @@ fn bench_scrape_transport(c: &mut Criterion) {
 /// of the given size.
 fn wide_tsdb(series: usize, posting_cache_size: usize) -> Tsdb {
     let db = Tsdb::new(TsdbConfig {
-        shards: 64,
         posting_cache_size,
         ..Default::default()
     });
@@ -207,7 +161,6 @@ fn bench_postings_cache_on_off(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_head_sharding,
     bench_scrape_threads,
     bench_scrape_transport,
     bench_select_wide,

@@ -34,8 +34,8 @@ fn fleet_db() -> Tsdb {
     for n in 0..NODES {
         let labels = LabelSetBuilder::new()
             .label(METRIC_NAME_LABEL, "ceems_ipmi_dcmi_current_watts")
-            .label("instance", &format!("node-{n:04}"))
-            .label("hostname", &format!("node-{n:04}"))
+            .label("instance", format!("node-{n:04}"))
+            .label("hostname", format!("node-{n:04}"))
             .build();
         for s in 0..SAMPLES_PER_SERIES {
             db.append(&labels, s * STEP_MS, 180.0 + (n % 17) as f64);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 pub mod report;
 
-use ceems_core::config::{CeemsConfig, ChurnSettings};
+use ceems_core::config::CeemsConfig;
 use ceems_core::CeemsStack;
 use ceems_metrics::labels::LabelSetBuilder;
 use ceems_simnode::node::{HardwareProfile, NodeSpec, SimNode, TaskSpec};
@@ -87,24 +87,6 @@ pub fn small_stack_with_job() -> CeemsStack {
         })
         .unwrap();
     stack.run_for(600.0, 15.0);
-    stack
-}
-
-/// A churn-driven stack over a mid-size cluster.
-pub fn churn_stack(intel_nodes: usize, minutes: f64) -> CeemsStack {
-    let mut cfg = CeemsConfig::default();
-    cfg.cluster.intel_nodes = intel_nodes;
-    cfg.cluster.amd_nodes = 0;
-    cfg.cluster.v100_nodes = 0;
-    cfg.cluster.a100_nodes = 0;
-    cfg.cluster.h100_nodes = 0;
-    cfg.churn = Some(ChurnSettings {
-        users: 20,
-        projects: 5,
-        arrivals_per_hour: 300.0,
-    });
-    let mut stack = CeemsStack::build(cfg, &tmpdir("churn")).unwrap();
-    stack.run_for(minutes * 60.0, 15.0);
     stack
 }
 

@@ -140,11 +140,6 @@ impl Client {
         self.pool.stats()
     }
 
-    /// Idle pooled connections held right now (all hosts).
-    pub fn pooled_connections(&self) -> usize {
-        self.pool.idle_count()
-    }
-
     /// Injects faults on the client side of every request (chaos testing).
     #[cfg(feature = "fault")]
     pub fn with_fault_plan(mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) -> Client {

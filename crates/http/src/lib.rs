@@ -46,7 +46,7 @@ pub mod types;
 pub mod url;
 
 pub use client::{Client, ClientError, StreamingResponse};
-pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, RetryBudget, RetryPolicy};
+pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use router::Router;
 pub use server::{HttpServer, ServerConfig};
 pub use stream::{stream_pair, BodyStream, StreamWriter};

@@ -9,8 +9,6 @@
 //!   chaos harness replays identical schedules.
 //! * [`RetryPolicy`] — bounded attempts around a fallible operation, with an
 //!   optional total deadline spanning all attempts.
-//! * [`RetryBudget`] — a token bucket that caps the *ratio* of retries to
-//!   fresh requests, so a hard outage cannot amplify traffic.
 //! * [`CircuitBreaker`] — a closed → open → half-open → closed breaker with
 //!   an injectable millisecond clock for table-driven tests.
 
@@ -166,26 +164,7 @@ impl RetryPolicy {
     /// Runs `op` until it succeeds, attempts run out, or the deadline would
     /// be blown by the next sleep. The closure receives the 0-based attempt
     /// index.
-    pub fn run<T, E>(&self, op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
-        self.run_inner(None, op)
-    }
-
-    /// Like [`RetryPolicy::run`] but every retry (not the first attempt)
-    /// must withdraw a token from `budget`; an empty budget stops retrying.
-    pub fn run_budgeted<T, E>(
-        &self,
-        budget: &RetryBudget,
-        op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
-        budget.on_request();
-        self.run_inner(Some(budget), op)
-    }
-
-    fn run_inner<T, E>(
-        &self,
-        budget: Option<&RetryBudget>,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
+    pub fn run<T, E>(&self, mut op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
         let start = Instant::now();
         let backoff = Backoff::seeded(self.base_delay, self.max_delay, self.seed);
         let attempts = self.max_attempts.max(1);
@@ -197,11 +176,6 @@ impl RetryPolicy {
             }
             if attempt + 1 >= attempts {
                 break;
-            }
-            if let Some(b) = budget {
-                if !b.try_withdraw() {
-                    break;
-                }
             }
             let delay = backoff.next_delay();
             if let Some(d) = self.deadline {
@@ -218,50 +192,6 @@ impl RetryPolicy {
     /// no deadline is set, `Some(ZERO)` when it has expired.
     pub fn remaining(&self, start: Instant) -> Option<Duration> {
         self.deadline.map(|d| d.saturating_sub(start.elapsed()))
-    }
-}
-
-/// Token-bucket retry budget: each fresh request deposits `deposit_ratio`
-/// tokens (capped at `max_tokens`), each retry withdraws one. A sustained
-/// outage therefore amplifies traffic by at most `1 + deposit_ratio`.
-#[derive(Debug)]
-pub struct RetryBudget {
-    tokens: Mutex<f64>,
-    max_tokens: f64,
-    deposit_ratio: f64,
-}
-
-impl RetryBudget {
-    /// Budget allowing `deposit_ratio` retries per request, bursting up to
-    /// `max_tokens`.
-    pub fn new(max_tokens: f64, deposit_ratio: f64) -> RetryBudget {
-        RetryBudget {
-            tokens: Mutex::new(max_tokens.max(0.0)),
-            max_tokens: max_tokens.max(0.0),
-            deposit_ratio: deposit_ratio.max(0.0),
-        }
-    }
-
-    /// Records a fresh (non-retry) request.
-    pub fn on_request(&self) {
-        let mut t = self.tokens.lock();
-        *t = (*t + self.deposit_ratio).min(self.max_tokens);
-    }
-
-    /// Tries to pay for one retry.
-    pub fn try_withdraw(&self) -> bool {
-        let mut t = self.tokens.lock();
-        if *t >= 1.0 {
-            *t -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Current token count (tests / metrics).
-    pub fn available(&self) -> f64 {
-        *self.tokens.lock()
     }
 }
 
@@ -541,30 +471,6 @@ mod tests {
         // most a couple of attempts run and the loop exits quickly.
         assert!(calls.load(Ordering::Relaxed) <= 2);
         assert!(start.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn retry_budget_limits_amplification() {
-        let budget = RetryBudget::new(2.0, 0.1);
-        let policy = RetryPolicy::new(10)
-            .with_backoff(Duration::from_micros(1), Duration::from_micros(2))
-            .with_seed(7);
-        let calls = StdAtomicU64::new(0);
-        let r: Result<(), &str> = policy.run_budgeted(&budget, |_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err("down")
-        });
-        assert!(r.is_err());
-        // 2 tokens (plus the 0.1 deposit) pay for 2 retries: 3 calls total.
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        // Budget is drained; the next run gets its deposit but no full token.
-        let calls2 = StdAtomicU64::new(0);
-        let r: Result<(), &str> = policy.run_budgeted(&budget, |_| {
-            calls2.fetch_add(1, Ordering::Relaxed);
-            Err("down")
-        });
-        assert!(r.is_err());
-        assert_eq!(calls2.load(Ordering::Relaxed), 1);
     }
 
     fn test_breaker(cfg: BreakerConfig) -> (CircuitBreaker, Arc<StdAtomicU64>) {

@@ -355,7 +355,7 @@ mod tests {
             assert_eq!(other.fingerprint(), ls.fingerprint());
         }
 
-        let mut sets = vec![
+        let mut sets = [
             labels! {"a" => "2"},
             labels! {"a" => "1", "b" => "0"},
             labels! {"a" => "1"},

@@ -28,8 +28,8 @@ use std::sync::Arc;
 use ceems_http::{Request, Response, Router};
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::{
-    Collector, Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec,
-    Metric, MetricFamily, MetricType, Registry, Sample,
+    Collector, Counter, CounterVec, Gauge, GaugeVec, Histogram, Metric, MetricFamily,
+    MetricType, Registry, Sample,
 };
 
 /// The standard HTTP header carrying a query trace ID across components.
@@ -48,11 +48,6 @@ pub fn counter_family(name: &str, help: &str, c: &Counter) -> MetricFamily {
 /// Renders a bare [`Gauge`] as a single-sample family.
 pub fn gauge_family(name: &str, help: &str, g: &Gauge) -> MetricFamily {
     MetricFamily::new(name, help, MetricType::Gauge).with_metric(LabelSet::empty(), g.get())
-}
-
-/// Renders a value computed at scrape time as a gauge family.
-pub fn gauge_value_family(name: &str, help: &str, v: f64) -> MetricFamily {
-    MetricFamily::new(name, help, MetricType::Gauge).with_metric(LabelSet::empty(), v)
 }
 
 /// Renders a value computed at scrape time as a counter family.
@@ -126,19 +121,6 @@ impl Obs {
         let gv = GaugeVec::new(name, help, label_names);
         self.registry.register(name, Arc::new(gv.clone()));
         gv
-    }
-
-    /// Creates and registers a labelled histogram family.
-    pub fn histogram_vec(
-        &self,
-        name: &str,
-        help: &str,
-        label_names: &[&str],
-        bounds: Vec<f64>,
-    ) -> HistogramVec {
-        let hv = HistogramVec::new(name, help, label_names, bounds);
-        self.registry.register(name, Arc::new(hv.clone()));
-        hv
     }
 
     /// Registers an arbitrary collector under a unique name.

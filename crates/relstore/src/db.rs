@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::query::{aggregate, Aggregate, Filter, Query};
+use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Row, Value};
@@ -205,17 +205,6 @@ impl Db {
         Ok(q.run(self.table(table)?))
     }
 
-    /// Runs a group-by aggregation.
-    pub fn aggregate(
-        &self,
-        table: &str,
-        filter: &Filter,
-        group_by: &[&str],
-        aggs: &[Aggregate],
-    ) -> Result<Vec<Row>, DbError> {
-        Ok(aggregate(self.table(table)?, filter, group_by, aggs))
-    }
-
     /// Writes a snapshot, checkpoints the WAL and drops old segments.
     pub fn snapshot(&mut self) -> Result<(), DbError> {
         let snap = Snapshot {
@@ -355,28 +344,6 @@ mod tests {
         }
         let db = Db::open(&dir).unwrap();
         assert_eq!(db.table("jobs").unwrap().len(), 2);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn aggregation_through_db() {
-        let dir = tmpdir("agg");
-        let mut db = Db::open(&dir).unwrap();
-        db.create_table("jobs", jobs_schema()).unwrap();
-        for (u, user, e) in [("j1", "a", 1.0), ("j2", "a", 3.0), ("j3", "b", 10.0)] {
-            db.upsert("jobs", vec![u.into(), user.into(), e.into()])
-                .unwrap();
-        }
-        let out = db
-            .aggregate(
-                "jobs",
-                &Filter::True,
-                &["user"],
-                &[Aggregate::Sum("energy".into())],
-            )
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], vec![Value::Text("a".into()), Value::Real(4.0)]);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -7,8 +7,7 @@
 //! * [`value`] / [`schema`] — typed values, rows and table schemas.
 //! * [`table`] — in-memory tables with a primary-key BTree and optional
 //!   secondary indices.
-//! * [`query`] — filter/projection/sort/limit queries and group-by
-//!   aggregation (the rollups behind Fig. 2a/2b).
+//! * [`query`] — filter/sort/limit queries (the listings behind Fig. 2b).
 //! * [`wal`] — a JSON-lines write-ahead log with CRC-protected records and
 //!   segment rotation.
 //! * [`db`] — the database: single-writer discipline (the paper's stated
@@ -25,7 +24,7 @@ pub mod value;
 pub mod wal;
 
 pub use db::{Db, DbError};
-pub use query::{Aggregate, Filter, Order, Query};
+pub use query::{Filter, Order, Query};
 pub use schema::{Column, ColumnType, Schema};
 pub use table::Table;
 pub use value::{Row, Value};

@@ -1,10 +1,8 @@
-//! Filters, queries and group-by aggregation.
+//! Filters and queries.
 //!
 //! This is the slice of SQL the CEEMS API server actually issues: filtered
-//! selects over one table, ordered/limited listings (Fig. 2b), and group-by
-//! aggregates (Fig. 2a and the operator-side rollups).
-
-use std::collections::BTreeMap;
+//! selects over one table and ordered/limited listings (Fig. 2b). The usage
+//! rollups behind Fig. 2a are one pass over `Table::scan` in the updater.
 
 use crate::table::Table;
 use crate::value::{Row, Value};
@@ -16,22 +14,14 @@ pub enum Filter {
     True,
     /// `col = v`
     Eq(String, Value),
-    /// `col != v`
-    Ne(String, Value),
     /// `col < v`
     Lt(String, Value),
-    /// `col <= v`
-    Le(String, Value),
     /// `col > v`
     Gt(String, Value),
     /// `col >= v`
     Ge(String, Value),
     /// Conjunction.
     And(Vec<Filter>),
-    /// Disjunction.
-    Or(Vec<Filter>),
-    /// Negation.
-    Not(Box<Filter>),
 }
 
 impl Filter {
@@ -41,14 +31,10 @@ impl Filter {
         match self {
             Filter::True => true,
             Filter::Eq(c, v) => cmp(table, row, c, |o| o == std::cmp::Ordering::Equal, v),
-            Filter::Ne(c, v) => cmp(table, row, c, |o| o != std::cmp::Ordering::Equal, v),
             Filter::Lt(c, v) => cmp(table, row, c, |o| o == std::cmp::Ordering::Less, v),
-            Filter::Le(c, v) => cmp(table, row, c, |o| o != std::cmp::Ordering::Greater, v),
             Filter::Gt(c, v) => cmp(table, row, c, |o| o == std::cmp::Ordering::Greater, v),
             Filter::Ge(c, v) => cmp(table, row, c, |o| o != std::cmp::Ordering::Less, v),
             Filter::And(fs) => fs.iter().all(|f| f.eval(table, row)),
-            Filter::Or(fs) => fs.iter().any(|f| f.eval(table, row)),
-            Filter::Not(f) => !f.eval(table, row),
         }
     }
 
@@ -92,8 +78,6 @@ pub enum Order {
 pub struct Query {
     /// Row predicate.
     pub filter: Filter,
-    /// Projected column names; empty means all columns.
-    pub projection: Vec<String>,
     /// Optional `(column, direction)` sort.
     pub order_by: Option<(String, Order)>,
     /// Optional row limit (applied after sorting).
@@ -104,7 +88,6 @@ impl Default for Query {
     fn default() -> Self {
         Query {
             filter: Filter::True,
-            projection: Vec::new(),
             order_by: None,
             limit: None,
         }
@@ -120,12 +103,6 @@ impl Query {
     /// Sets the filter.
     pub fn filter(mut self, f: Filter) -> Query {
         self.filter = f;
-        self
-    }
-
-    /// Sets the projection.
-    pub fn select(mut self, cols: &[&str]) -> Query {
-        self.projection = cols.iter().map(|c| c.to_string()).collect();
         self
     }
 
@@ -170,100 +147,7 @@ impl Query {
         if let Some(n) = self.limit {
             rows.truncate(n);
         }
-        if self.projection.is_empty() {
-            return rows;
-        }
-        let idxs: Vec<Option<usize>> = self
-            .projection
-            .iter()
-            .map(|c| table.schema().col(c))
-            .collect();
-        rows.into_iter()
-            .map(|r| {
-                idxs.iter()
-                    .map(|i| i.map(|i| r[i].clone()).unwrap_or(Value::Null))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// An aggregate function over a column.
-#[derive(Clone, Debug)]
-pub enum Aggregate {
-    /// Row count (column ignored).
-    Count,
-    /// Sum of a numeric column (NULLs skipped).
-    Sum(String),
-    /// Mean of a numeric column (NULLs skipped).
-    Avg(String),
-    /// Minimum (NULLs skipped).
-    Min(String),
-    /// Maximum (NULLs skipped).
-    Max(String),
-}
-
-/// Runs a group-by aggregation: rows matching `filter` are grouped by the
-/// values of `group_by` columns; each output row is the group key values
-/// followed by one value per aggregate.
-pub fn aggregate(
-    table: &Table,
-    filter: &Filter,
-    group_by: &[&str],
-    aggs: &[Aggregate],
-) -> Vec<Row> {
-    let key_idx: Vec<Option<usize>> = group_by.iter().map(|c| table.schema().col(c)).collect();
-    let mut groups: BTreeMap<Vec<Value>, Vec<&Row>> = BTreeMap::new();
-    for row in table.scan() {
-        if !filter.eval(table, row) {
-            continue;
-        }
-        let key: Vec<Value> = key_idx
-            .iter()
-            .map(|i| i.map(|i| row[i].clone()).unwrap_or(Value::Null))
-            .collect();
-        groups.entry(key).or_default().push(row);
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, rows) in groups {
-        let mut result: Row = key;
-        for agg in aggs {
-            result.push(eval_agg(table, agg, &rows));
-        }
-        out.push(result);
-    }
-    out
-}
-
-fn eval_agg(table: &Table, agg: &Aggregate, rows: &[&Row]) -> Value {
-    let numeric = |col: &str| -> Vec<f64> {
-        match table.schema().col(col) {
-            Some(i) => rows.iter().filter_map(|r| r[i].as_real()).collect(),
-            None => Vec::new(),
-        }
-    };
-    match agg {
-        Aggregate::Count => Value::Int(rows.len() as i64),
-        Aggregate::Sum(c) => Value::Real(numeric(c).iter().sum()),
-        Aggregate::Avg(c) => {
-            let v = numeric(c);
-            if v.is_empty() {
-                Value::Null
-            } else {
-                Value::Real(v.iter().sum::<f64>() / v.len() as f64)
-            }
-        }
-        Aggregate::Min(c) => numeric(c)
-            .into_iter()
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
-            .map(Value::Real)
-            .unwrap_or(Value::Null),
-        Aggregate::Max(c) => numeric(c)
-            .into_iter()
-            .max_by(|a, b| a.partial_cmp(b).unwrap())
-            .map(Value::Real)
-            .unwrap_or(Value::Null),
+        rows
     }
 }
 
@@ -319,18 +203,18 @@ mod tests {
         let rows = Query::all()
             .filter(Filter::And(vec![
                 Filter::Ge("energy".into(), Value::Real(10.0)),
-                Filter::Not(Box::new(Filter::Eq("user".into(), "carol".into()))),
+                Filter::Lt("ncpus".into(), Value::Int(32)),
             ]))
             .run(&t);
         assert_eq!(rows.len(), 3); // j1, j2, j4
 
         let rows = Query::all()
-            .filter(Filter::Or(vec![
-                Filter::Lt("ncpus".into(), Value::Int(4)),
-                Filter::Gt("ncpus".into(), Value::Int(16)),
+            .filter(Filter::And(vec![
+                Filter::Gt("ncpus".into(), Value::Int(2)),
+                Filter::Lt("ncpus".into(), Value::Int(16)),
             ]))
             .run(&t);
-        assert_eq!(rows.len(), 2); // j3, j5
+        assert_eq!(rows.len(), 2); // j1, j2
     }
 
     #[test]
@@ -339,11 +223,15 @@ mod tests {
         let rows = Query::all()
             .order_by("energy", Order::Desc)
             .limit(2)
-            .select(&["uuid", "energy"])
             .run(&t);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], vec![Value::Text("j5".into()), Value::Real(50.0)]);
-        assert_eq!(rows[1], vec![Value::Text("j2".into()), Value::Real(20.0)]);
+        let top: Vec<(&Value, &Value)> = rows.iter().map(|r| (&r[0], &r[2])).collect();
+        assert_eq!(
+            top,
+            [
+                (&Value::Text("j5".into()), &Value::Real(50.0)),
+                (&Value::Text("j2".into()), &Value::Real(20.0)),
+            ]
+        );
     }
 
     #[test]
@@ -353,58 +241,7 @@ mod tests {
             .filter(Filter::Eq("nope".into(), Value::Int(1)))
             .run(&t);
         assert!(rows.is_empty());
-        let rows = Query::all().select(&["uuid", "nope"]).run(&t);
-        assert_eq!(rows[0][1], Value::Null);
-    }
-
-    #[test]
-    fn group_by_aggregation() {
-        let t = jobs_table();
-        let out = aggregate(
-            &t,
-            &Filter::True,
-            &["user"],
-            &[
-                Aggregate::Count,
-                Aggregate::Sum("energy".into()),
-                Aggregate::Avg("ncpus".into()),
-            ],
-        );
-        assert_eq!(out.len(), 3);
-        // BTreeMap ordering: alice, bob, carol.
-        assert_eq!(out[0][0], Value::Text("alice".into()));
-        assert_eq!(out[0][1], Value::Int(2));
-        assert_eq!(out[0][2], Value::Real(30.0));
-        assert_eq!(out[0][3], Value::Real(6.0));
-        assert_eq!(out[2][1], Value::Int(1));
-    }
-
-    #[test]
-    fn global_aggregate_no_groups() {
-        let t = jobs_table();
-        let out = aggregate(
-            &t,
-            &Filter::True,
-            &[],
-            &[
-                Aggregate::Sum("energy".into()),
-                Aggregate::Min("energy".into()),
-                Aggregate::Max("energy".into()),
-            ],
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], vec![Value::Real(100.0), Value::Real(5.0), Value::Real(50.0)]);
-    }
-
-    #[test]
-    fn aggregate_on_empty_selection() {
-        let t = jobs_table();
-        let out = aggregate(
-            &t,
-            &Filter::Eq("user".into(), "nobody".into()),
-            &[],
-            &[Aggregate::Avg("energy".into()), Aggregate::Count],
-        );
-        assert_eq!(out.len(), 0);
+        let rows = Query::all().order_by("nope", Order::Asc).run(&t);
+        assert_eq!(rows.len(), 5);
     }
 }

@@ -81,11 +81,6 @@ impl Scheduler {
         &self.dbd
     }
 
-    /// Partition names.
-    pub fn partition_names(&self) -> Vec<String> {
-        self.partitions.keys().cloned().collect()
-    }
-
     /// Queue depth.
     pub fn pending_count(&self) -> usize {
         self.pending.len()

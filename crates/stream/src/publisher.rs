@@ -191,12 +191,6 @@ impl StreamPublisher {
         self
     }
 
-    /// Caps the unacked buffer.
-    pub fn with_max_buffered(mut self, n: usize) -> StreamPublisher {
-        self.max_buffered = n.max(1);
-        self
-    }
-
     /// Frames awaiting acknowledgement.
     pub fn pending(&self) -> usize {
         self.unacked.len()

@@ -320,23 +320,6 @@ impl ReplicationGroup {
         self.node_idx(id).map(|i| self.nodes[i].db.clone())
     }
 
-    /// The node's current base URL, while its server is up.
-    pub fn node_url(&self, id: &str) -> Option<String> {
-        self.node_idx(id)
-            .filter(|&i| self.nodes[i].server.is_some())
-            .map(|i| self.nodes[i].url.clone())
-    }
-
-    /// Every live node's `(id, url)` — what an LB builds its backend pool
-    /// from.
-    pub fn live_urls(&self) -> Vec<(String, String)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.server.is_some())
-            .map(|n| (n.id.clone(), n.url.clone()))
-            .collect()
-    }
-
     fn node_idx(&self, id: &str) -> Option<usize> {
         self.nodes.iter().position(|n| n.id == id)
     }

@@ -8,7 +8,6 @@
 
 use parking_lot::RwLock;
 
-use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::LabelMatcher;
 
 use crate::block::Block;
@@ -216,11 +215,6 @@ impl Queryable for FanInQuerier {
         out.sort_by(|a, b| a.labels.cmp(&b.labels));
         out
     }
-}
-
-/// Convenience: labels of a downsampled series for a rollup kind.
-pub fn rollup_labels(base: &LabelSet, rollup: &str) -> LabelSet {
-    base.with(ROLLUP_LABEL, rollup)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use ceems_metrics::Counter;
 
 use crate::client::{CallError, TsdbClient};
 use crate::storage::Tsdb;
-use crate::wal::{decode_frames, EpochSpan, WalPosition};
+use crate::wal::{decode_frames, WalPosition};
 
 /// HTTP status the leader answers with when a requested segment was
 /// garbage-collected behind a checkpoint.
@@ -159,12 +159,6 @@ impl WalFollower {
         self.resyncs.get() as u64
     }
 
-    /// A clone of the resync counter, for registering as
-    /// `ceems_tsdb_follower_resyncs_total`.
-    pub fn resync_counter(&self) -> Counter {
-        self.resyncs.clone()
-    }
-
     /// Asks the leader for its current position.
     pub fn leader_position(&self) -> Result<WalPosition, FollowError> {
         let report = self.leader.wal_position()?;
@@ -172,36 +166,6 @@ impl WalFollower {
             return Err(FollowError::Leader("leader has no WAL attached".into()));
         }
         Ok(report.pos)
-    }
-
-    /// Asks the leader for its epoch and epoch history
-    /// (`/api/v1/wal/epochs`). A rejoining ex-leader compares this against
-    /// its own WAL tail to find where the logs diverged.
-    pub fn leader_epochs(&self) -> Result<(u64, Vec<EpochSpan>), FollowError> {
-        let resp = self.leader.get("/api/v1/wal/epochs")?;
-        if !resp.status.is_success() {
-            return Err(FollowError::Leader(format!(
-                "epochs probe returned {}",
-                resp.status.0
-            )));
-        }
-        let v: serde_json::Value = serde_json::from_slice(&resp.body)
-            .map_err(|e| FollowError::Leader(e.to_string()))?;
-        let data = &v["data"];
-        let epoch = data["epoch"].as_u64().unwrap_or(0);
-        let history = data["history"]
-            .as_array()
-            .map(|spans| {
-                spans
-                    .iter()
-                    .map(|s| EpochSpan {
-                        epoch: s["epoch"].as_u64().unwrap_or(0),
-                        start_records: s["startRecords"].as_u64().unwrap_or(0),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok((epoch, history))
     }
 
     /// Maps a replicated record count onto the leader's own segment layout

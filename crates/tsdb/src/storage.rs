@@ -33,8 +33,6 @@ use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalR
 /// TSDB configuration.
 #[derive(Clone, Debug)]
 pub struct TsdbConfig {
-    /// Lock stripes for the head.
-    pub shards: usize,
     /// Retention window in ms (samples older than `now - retention` are
     /// dropped by [`Tsdb::enforce_retention`]).
     pub retention_ms: i64,
@@ -50,7 +48,6 @@ pub struct TsdbConfig {
 impl Default for TsdbConfig {
     fn default() -> Self {
         TsdbConfig {
-            shards: 16,
             retention_ms: 30 * 24 * 3_600_000,
             query_threads: 4,
             posting_cache_size: 128,
@@ -253,7 +250,7 @@ impl Tsdb {
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             removals: AtomicU64::new(0),
             index: RwLock::new(LabelIndex::new()),
-            head: Head::new(config.shards),
+            head: Head::default(),
             posting_cache: ShardedPostingCache::new(config.posting_cache_size),
             labels_cache: RwLock::new(LabelsCache::default()),
             config,
@@ -285,11 +282,13 @@ impl Tsdb {
         fs::create_dir_all(dir)?;
         let mut db = Tsdb::new(config);
 
-        let mut start_seq = 0u64;
-        let mut records = 0u64;
+        let mut start = WalPosition::default();
         if let Some(ckpt) = wal::load_latest_checkpoint(dir)? {
-            start_seq = ckpt.covers_seq;
-            records = ckpt.records;
+            start = WalPosition {
+                seq: ckpt.covers_seq,
+                offset: 0,
+                records: ckpt.records,
+            };
             let mut idx = db.index.write();
             // The chunks go into the head as they are: decoding the
             // checkpoint checked every one of them.
@@ -311,43 +310,23 @@ impl Tsdb {
             }
         }
 
-        // Replay tail segments. A torn frame stops replay: the segment is
-        // truncated to its valid prefix and anything after it discarded, so
+        // Replay the segments after it. A torn or corrupt frame ends the
+        // log: its segment is cut there and later segments are deleted, so
         // the writer resumes on a clean frame boundary.
-        let segments = wal::list_segments(dir)?;
-        let mut end = (start_seq, 0u64);
-        let mut torn: Option<u64> = None;
-        for (seq, path) in &segments {
-            if *seq < start_seq {
-                continue;
+        let end = wal::walk_log(dir, start, |at, rec| {
+            // Epoch bumps replay with their exact log position so the
+            // restored history matches what the leader wrote.
+            if let WalRecord::EpochBump { epoch } = rec {
+                db.observe_epoch(epoch, at.records);
+            } else {
+                db.apply_record(&rec);
             }
-            let data = fs::read(path)?;
-            let (recs, consumed) = wal::decode_frames(&data);
-            for (i, rec) in recs.iter().enumerate() {
-                // Epoch bumps replay with their exact log position so the
-                // restored history matches what the leader wrote.
-                if let WalRecord::EpochBump { epoch } = rec {
-                    db.observe_epoch(*epoch, records + i as u64);
-                } else {
-                    db.apply_record(rec);
-                }
-            }
-            records += recs.len() as u64;
-            end = (*seq, consumed as u64);
-            if consumed < data.len() {
-                torn = Some(*seq);
-                break;
-            }
-        }
-        if let Some(torn_seq) = torn {
-            for (seq, path) in &segments {
-                if *seq > torn_seq {
-                    fs::remove_file(path)?;
-                }
-            }
+        })?;
+        if end.torn {
+            wal::cut_log(dir, end.at)?;
         }
 
-        let writer = Wal::open_at(dir, opts, end.0, end.1, records)?;
+        let writer = Wal::open_at(dir, opts, end.at.seq, end.at.offset, end.at.records)?;
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),
@@ -1004,43 +983,17 @@ impl Tsdb {
             .as_ref()
             .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
         let _gate = self.gate.write();
-        let base = wal::load_latest_checkpoint(&ws.dir)?;
-        let (mut count, start_seq) = base.map_or((0, 0), |c| (c.records, c.covers_seq));
-        if count > target {
+        let start = wal::log_start(&ws.dir)?;
+        if start.records > target {
             return Ok(None);
         }
-        let mut at: Option<(u64, u64)> = None;
-        for (seq, path) in wal::list_segments(&ws.dir)? {
-            if seq < start_seq {
-                continue;
+        let mut found = None;
+        let end = wal::walk_log(&ws.dir, start, |at, _| {
+            if at.records == target {
+                found = Some(at);
             }
-            let data = fs::read(&path)?;
-            let mut pos = 0usize;
-            loop {
-                if count == target {
-                    at = Some((seq, pos as u64));
-                    break;
-                }
-                if data.len() - pos < 8 {
-                    break;
-                }
-                let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-                let end = pos + 8 + len as usize;
-                if len > (1 << 30) || end > data.len() {
-                    break;
-                }
-                pos = end;
-                count += 1;
-            }
-            if at.is_some() {
-                break;
-            }
-        }
-        Ok(at.map(|(seq, offset)| WalPosition {
-            seq,
-            offset,
-            records: target,
-        }))
+        })?;
+        Ok(found.or((end.at.records == target).then_some(end.at)))
     }
 
     // -- WAL / durability ---------------------------------------------------
@@ -1356,7 +1309,6 @@ mod tests {
     #[test]
     fn retention_enforcement() {
         let db = Tsdb::new(TsdbConfig {
-            shards: 4,
             retention_ms: 10_000,
             ..TsdbConfig::default()
         });
@@ -1525,7 +1477,6 @@ mod tests {
 
     fn ckpt_config() -> TsdbConfig {
         TsdbConfig {
-            shards: 4,
             retention_ms: 2_500_000,
             ..TsdbConfig::default()
         }
@@ -1745,5 +1696,114 @@ mod tests {
         );
         assert_eq!(follower.storage_bytes(), leader.storage_bytes());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    // -- One checked walk over the log --------------------------------------
+
+    /// `(seq, offset)` of every frame in `dir`'s segments, read from the
+    /// length headers alone.
+    fn frame_starts(dir: &Path) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for (seq, path) in wal::list_segments(dir).unwrap() {
+            let data = fs::read(path).unwrap();
+            let mut pos = 0;
+            while pos + 8 <= data.len() {
+                out.push((seq, pos as u64));
+                pos += 8 + u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+            }
+        }
+        out
+    }
+
+    fn copy_dir(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_corrupt_middle_frame_ends_the_log_for_replay_locate_and_truncate() {
+        let dir = temp_dir("corrupt-frame");
+        let small = WalOptions {
+            segment_bytes: 256,
+            fsync: wal::FsyncMode::Never,
+        };
+        let db = Tsdb::open(&dir, small, ckpt_config()).unwrap();
+        let ls = labels! {"__name__" => "m", "instance" => "n1"};
+        for i in 0..60i64 {
+            db.append(&ls, i * 1000, i as f64);
+        }
+        let frames = frame_starts(&dir);
+        assert_eq!(
+            frames.len(),
+            61,
+            "one series create, then one frame per sample"
+        );
+        let k = frames.len() / 2;
+        let (seq_k, off_k) = frames[k];
+        assert!(
+            frames.last().unwrap().0 > seq_k,
+            "valid segments follow the damage"
+        );
+
+        // One payload byte of frame k; its header stays intact.
+        let path = dir.join(wal::segment_file_name(seq_k));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[off_k as usize + 8] ^= 0xff;
+        fs::write(&path, bytes).unwrap();
+        let at_k = WalPosition {
+            seq: seq_k,
+            offset: off_k,
+            records: k as u64,
+        };
+
+        assert_eq!(db.locate_records(k as u64).unwrap(), Some(at_k));
+        assert_eq!(db.locate_records(k as u64 + 1).unwrap(), None);
+        assert_eq!(db.locate_records(frames.len() as u64).unwrap(), None);
+        drop(db);
+
+        // Truncation sees k records: nothing past k + 1 to drop, and a cut
+        // at k drops no record but takes the damaged frame and every
+        // later segment with it.
+        let copy = temp_dir("corrupt-frame-copy");
+        copy_dir(&dir, &copy);
+        let sizes = |d: &Path| -> Vec<u64> {
+            wal::list_segments(d)
+                .unwrap()
+                .into_iter()
+                .map(|(_, p)| fs::metadata(p).unwrap().len())
+                .collect()
+        };
+        let before = sizes(&copy);
+        assert_eq!(
+            wal::truncate_to_records(&copy, k as u64 + 1).unwrap(),
+            wal::TruncateOutcome::AlreadyShort
+        );
+        assert_eq!(
+            sizes(&copy),
+            before,
+            "a log shorter than the target is left alone"
+        );
+        assert_eq!(
+            wal::truncate_to_records(&copy, k as u64).unwrap(),
+            wal::TruncateOutcome::AlreadyShort
+        );
+        assert_eq!(frame_starts(&copy), frames[..k]);
+        assert_eq!(
+            wal::truncate_to_records(&copy, k as u64 - 3).unwrap(),
+            wal::TruncateOutcome::Truncated { dropped_records: 3 }
+        );
+
+        // Replay stops at frame k: k - 1 samples, the writer resumes there.
+        let db = Tsdb::open(&dir, small, ckpt_config()).unwrap();
+        assert_eq!(db.wal_position(), Some(at_k));
+        let got = db.select(&[LabelMatcher::eq("__name__", "m")], 0, i64::MAX);
+        assert_eq!(got[0].samples.len(), k - 1);
+        assert_eq!(frame_starts(&dir), frames[..k]);
+        assert_eq!(db.locate_records(k as u64).unwrap(), Some(at_k));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&copy);
     }
 }

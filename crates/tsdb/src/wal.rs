@@ -478,6 +478,22 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     r.done().then_some(rec)
 }
 
+/// Decodes the frame at the start of `buf`: its record and its length,
+/// header included. `None` when the frame is incomplete, longer than
+/// [`MAX_FRAME_LEN`], fails its CRC or does not decode.
+fn next_frame(buf: &[u8]) -> Option<(WalRecord, usize)> {
+    let len = u32::from_le_bytes(buf.get(..4)?.try_into().unwrap());
+    let crc = u32::from_le_bytes(buf.get(4..8)?.try_into().unwrap());
+    if len > MAX_FRAME_LEN {
+        return None;
+    }
+    let payload = buf.get(8..8 + len as usize)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    Some((decode_payload(payload)?, 8 + len as usize))
+}
+
 /// Decodes consecutive frames from `buf`, stopping at the first incomplete
 /// or corrupt frame (the torn tail a crash leaves). Returns the decoded
 /// records and how many bytes of `buf` they cleanly consumed — the caller
@@ -486,25 +502,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut out = Vec::new();
     let mut pos = 0usize;
-    while buf.len() - pos >= 8 {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            break;
-        }
-        let (start, end) = (pos + 8, pos + 8 + len as usize);
-        if end > buf.len() {
-            break;
-        }
-        let payload = &buf[start..end];
-        if crc32(payload) != crc {
-            break;
-        }
-        match decode_payload(payload) {
-            Some(rec) => out.push(rec),
-            None => break,
-        }
-        pos = end;
+    while let Some((rec, len)) = next_frame(&buf[pos..]) {
+        out.push(rec);
+        pos += len;
     }
     (out, pos)
 }
@@ -1028,6 +1028,79 @@ pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<Checkpoint>> {
     Ok(None)
 }
 
+/// Where the log in `dir` starts: the segment the newest valid checkpoint
+/// covers up to, with the records it holds; the very beginning without one.
+pub(crate) fn log_start(dir: &Path) -> io::Result<WalPosition> {
+    Ok(
+        load_latest_checkpoint(dir)?.map_or_else(WalPosition::default, |c| WalPosition {
+            seq: c.covers_seq,
+            offset: 0,
+            records: c.records,
+        }),
+    )
+}
+
+/// Where a [`walk_log`] ended.
+pub(crate) struct LogEnd {
+    /// Just past the last valid frame.
+    pub at: WalPosition,
+    /// Bytes that are no valid frame follow `at` in its segment (a torn
+    /// write or corruption). Nothing from there on is part of the log,
+    /// later segments included.
+    pub torn: bool,
+}
+
+/// Walks the log in `dir` as recovery reads it: every segment from
+/// `start.seq` on (see [`log_start`]), frame by frame, each frame's CRC and
+/// payload checked, counting records on from `start.records`. The log ends
+/// at the first frame that fails. `visit` sees each record with the
+/// position its frame starts at.
+pub(crate) fn walk_log(
+    dir: &Path,
+    start: WalPosition,
+    mut visit: impl FnMut(WalPosition, WalRecord),
+) -> io::Result<LogEnd> {
+    let mut at = start;
+    for (seq, path) in list_segments(dir)? {
+        if seq < start.seq {
+            continue;
+        }
+        let data = fs::read(&path)?;
+        at = WalPosition {
+            seq,
+            offset: 0,
+            records: at.records,
+        };
+        while let Some((rec, len)) = next_frame(&data[at.offset as usize..]) {
+            visit(at, rec);
+            at.offset += len as u64;
+            at.records += 1;
+        }
+        if (at.offset as usize) < data.len() {
+            return Ok(LogEnd { at, torn: true });
+        }
+    }
+    Ok(LogEnd { at, torn: false })
+}
+
+/// Cuts the log in `dir` at `at`: segment `at.seq` keeps its first
+/// `at.offset` bytes and every later segment is deleted.
+pub(crate) fn cut_log(dir: &Path, at: WalPosition) -> io::Result<()> {
+    for (seq, path) in list_segments(dir)? {
+        if seq > at.seq {
+            fs::remove_file(&path)?;
+        } else if seq == at.seq {
+            let f = OpenOptions::new().write(true).open(&path)?;
+            if f.metadata()?.len() > at.offset {
+                f.set_len(at.offset)?;
+                f.sync_data()?;
+            }
+        }
+    }
+    sync_dir(dir);
+    Ok(())
+}
+
 /// Outcome of [`truncate_to_records`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruncateOutcome {
@@ -1046,61 +1119,27 @@ pub enum TruncateOutcome {
 
 /// Truncates the WAL in `dir` so it holds exactly `target` records (S24
 /// rejoin): an old leader cutting the unacknowledged suffix it wrote past
-/// the successor epoch's start. Walks frames without decoding payloads,
-/// truncates the segment holding record `target`, and deletes every later
-/// segment. Must only be called with no live writer on the directory.
+/// the successor epoch's start. Walks the log as recovery does, cuts the
+/// segment holding record `target` there and deletes every later segment.
+/// Must only be called with no live writer on the directory.
 pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcome> {
-    let base = load_latest_checkpoint(dir)?;
-    let (mut count, start_seq) = base.map_or((0, 0), |c| (c.records, c.covers_seq));
-    if count > target {
+    let start = log_start(dir)?;
+    if start.records > target {
         return Ok(TruncateOutcome::NeedsResync);
     }
-    let mut cut = false;
-    let mut dropped = 0u64;
-    for (seq, path) in list_segments(dir)? {
-        if seq < start_seq {
-            continue;
+    let mut cut = None;
+    let end = walk_log(dir, start, |at, _| {
+        if at.records == target {
+            cut = Some(at);
         }
-        if cut {
-            // Count the records in the doomed segment before removing it.
-            let data = fs::read(&path)?;
-            let (recs, _) = decode_frames(&data);
-            dropped += recs.len() as u64;
-            fs::remove_file(&path)?;
-            continue;
-        }
-        let data = fs::read(&path)?;
-        let mut pos = 0usize;
-        while data.len() - pos >= 8 {
-            if count == target {
-                break;
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-            if len > MAX_FRAME_LEN {
-                break; // torn/corrupt tail: nothing real past here
-            }
-            let end = pos + 8 + len as usize;
-            if end > data.len() {
-                break;
-            }
-            pos = end;
-            count += 1;
-        }
-        if count == target && (pos as u64) < data.len() as u64 {
-            let (tail, _) = decode_frames(&data[pos..]);
-            dropped += tail.len() as u64;
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(pos as u64)?;
-            f.sync_data()?;
-            cut = true;
-        }
-    }
-    sync_dir(dir);
-    if dropped == 0 {
+    })?;
+    if end.at.records < target {
         return Ok(TruncateOutcome::AlreadyShort);
     }
-    Ok(TruncateOutcome::Truncated {
-        dropped_records: dropped,
+    cut_log(dir, cut.unwrap_or(end.at))?;
+    Ok(match end.at.records - target {
+        0 => TruncateOutcome::AlreadyShort,
+        dropped_records => TruncateOutcome::Truncated { dropped_records },
     })
 }
 

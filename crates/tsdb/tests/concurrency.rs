@@ -8,14 +8,11 @@ use std::sync::Arc;
 use ceems_metrics::labels::LabelSetBuilder;
 use ceems_metrics::matcher::LabelMatcher;
 use ceems_tsdb::promql::{instant_query, parse_expr};
-use ceems_tsdb::{Tsdb, TsdbConfig};
+use ceems_tsdb::Tsdb;
 
 #[test]
 fn concurrent_writers_readers_and_deleters() {
-    let db = Arc::new(Tsdb::new(TsdbConfig {
-        shards: 8,
-        ..Default::default()
-    }));
+    let db = Arc::new(Tsdb::default());
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|s| {

@@ -35,7 +35,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn test_config() -> TsdbConfig {
     TsdbConfig {
-        shards: 4,
         retention_ms: 120_000,
         query_threads: 2,
         posting_cache_size: 16,

@@ -31,7 +31,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn config() -> TsdbConfig {
     TsdbConfig {
-        shards: 4,
         retention_ms: i64::MAX,
         query_threads: 2,
         posting_cache_size: 16,

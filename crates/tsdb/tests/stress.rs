@@ -33,7 +33,6 @@ fn instances(series: &[ceems_tsdb::SeriesData]) -> BTreeSet<String> {
 #[test]
 fn stress_concurrent_append_select_delete_retention() {
     let db = Arc::new(Tsdb::new(TsdbConfig {
-        shards: 8,
         // Retention cutoff used below is 150_000 - 100_000 = 50_000:
         // victim samples (t <= 10_000) get reaped, stable samples
         // (t >= 10_000_000) never do.

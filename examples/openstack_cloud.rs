@@ -6,13 +6,14 @@
 //! cargo run --release --example openstack_cloud
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ceems::apiserver::metrics_source::TsdbLocalSource;
 use ceems::apiserver::openstack::OpenStackSim;
 use ceems::apiserver::schema::{unit_cols, UNITS_TABLE};
 use ceems::apiserver::updater::{Updater, UpdaterConfig};
-use ceems::relstore::{Aggregate, Db, Filter};
+use ceems::relstore::Db;
 use ceems::tsdb::Tsdb;
 
 fn main() {
@@ -46,24 +47,20 @@ fn main() {
         db.table(UNITS_TABLE).unwrap().len()
     );
 
-    // Per-project inventory from the same aggregation path SLURM uses.
-    let rows = db
-        .aggregate(
-            UNITS_TABLE,
-            &Filter::True,
-            &["project", "state"],
-            &[Aggregate::Count, Aggregate::Sum("ncpus".into())],
-        )
-        .unwrap();
-    println!("{:<12} {:<12} {:>8} {:>8}", "PROJECT", "STATE", "VMS", "VCPUS");
-    for r in rows {
-        println!(
-            "{:<12} {:<12} {:>8} {:>8}",
-            r[0].to_string(),
-            r[1].to_string(),
-            r[2].to_string(),
-            r[3].as_real().unwrap_or(0.0)
+    // Per-project inventory from the same units table SLURM jobs land in.
+    let mut inventory: BTreeMap<(&str, &str), (usize, f64)> = BTreeMap::new();
+    for r in db.table(UNITS_TABLE).unwrap().scan() {
+        let key = (
+            r[unit_cols::PROJECT].as_text().unwrap_or(""),
+            r[unit_cols::STATE].as_text().unwrap_or(""),
         );
+        let e = inventory.entry(key).or_default();
+        e.0 += 1;
+        e.1 += r[unit_cols::NCPUS].as_real().unwrap_or(0.0);
+    }
+    println!("{:<12} {:<12} {:>8} {:>8}", "PROJECT", "STATE", "VMS", "VCPUS");
+    for ((project, state), (vms, vcpus)) in inventory {
+        println!("{project:<12} {state:<12} {vms:>8} {vcpus:>8}");
     }
 
     // Ownership semantics identical to SLURM units.

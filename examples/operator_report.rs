@@ -13,9 +13,11 @@
 //! cargo run --release --example operator_report -- --minutes 45
 //! ```
 
+use std::collections::BTreeMap;
+
 use ceems::apiserver::schema::{unit_cols, UNITS_TABLE};
 use ceems::prelude::*;
-use ceems::relstore::{Aggregate, Filter, Query};
+use ceems::relstore::{Filter, Query};
 
 fn main() {
     let minutes: f64 = std::env::args()
@@ -61,35 +63,31 @@ fn main() {
 
     // Energy by project.
     println!("\n--- energy by project ---");
-    let rows = upd
-        .db()
-        .aggregate(
-            UNITS_TABLE,
-            &Filter::True,
-            &["project"],
-            &[
-                Aggregate::Count,
-                Aggregate::Sum("total_energy_kwh".into()),
-                Aggregate::Sum("total_emissions_g".into()),
-                Aggregate::Avg("avg_cpu_usage_pct".into()),
-            ],
-        )
-        .unwrap();
+    // (units, energy, emissions, sum and count of the non-NULL CPU means)
+    let mut projects: BTreeMap<&str, (i64, f64, f64, f64, usize)> = BTreeMap::new();
+    for r in upd.db().table(UNITS_TABLE).unwrap().scan() {
+        let p = projects
+            .entry(r[unit_cols::PROJECT].as_text().unwrap_or(""))
+            .or_default();
+        p.0 += 1;
+        p.1 += r[unit_cols::ENERGY_KWH].as_real().unwrap_or(0.0);
+        p.2 += r[unit_cols::EMISSIONS_G].as_real().unwrap_or(0.0);
+        if let Some(cpu) = r[unit_cols::AVG_CPU_USAGE].as_real() {
+            p.3 += cpu;
+            p.4 += 1;
+        }
+    }
     println!(
         "{:<10} {:>6} {:>12} {:>12} {:>10}",
         "PROJECT", "UNITS", "ENERGY-KWH", "EMISSIONS-G", "AVG-CPU%"
     );
-    for r in &rows {
-        println!(
-            "{:<10} {:>6} {:>12.4} {:>12.1} {:>10}",
-            r[0].to_string(),
-            r[1].to_string(),
-            r[2].as_real().unwrap_or(0.0),
-            r[3].as_real().unwrap_or(0.0),
-            r[4].as_real()
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or("-".into()),
-        );
+    for (project, (units, kwh, grams, cpu_sum, cpu_n)) in &projects {
+        let avg_cpu = if *cpu_n == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}", cpu_sum / *cpu_n as f64)
+        };
+        println!("{project:<10} {units:>6} {kwh:>12.4} {grams:>12.1} {avg_cpu:>10}");
     }
 
     // The inefficiency hunt: finished/running units with ≥8 cores below
