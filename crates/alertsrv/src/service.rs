@@ -11,10 +11,11 @@ use ceems_http::types::{Response, Status};
 use ceems_metrics::instruments::{Counter, CounterVec, GaugeVec, Histogram};
 use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
+use ceems_metrics::registry::Registry;
 use ceems_obs::trace::QueryTrace;
-use ceems_obs::{add_metrics_route, trace, Obs, TraceSink};
+use ceems_obs::{add_metrics_route, trace, TraceSink};
 use ceems_tsdb::promql::instant_query_with_lookback;
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{Tsdb, TsdbConfig};
 use parking_lot::Mutex;
 
 use crate::pipeline::RoutingTree;
@@ -75,7 +76,8 @@ struct Inner {
     alerts: BTreeMap<String, AlertInstance>,
     groups: BTreeMap<String, GroupState>,
     silences: BTreeMap<String, Silence>,
-    /// In-memory `ALERTS` series store for meta-rules.
+    /// In-memory `ALERTS` series store for meta-rules, holding only what
+    /// a meta-rule can still read (see [`AlertService::new`]).
     alerts_db: Tsdb,
     /// Ordered record of every delivery attempt, for determinism checks.
     notification_trace: Vec<serde_json::Value>,
@@ -89,7 +91,7 @@ pub struct AlertService {
     sinks: Vec<Arc<dyn NotificationSink>>,
     routing: RoutingTree,
     cfg: AlertConfig,
-    obs: Obs,
+    registry: Registry,
     inner: Mutex<Inner>,
     eval_hist: Histogram,
     alerts_gauge: GaugeVec,
@@ -104,6 +106,11 @@ impl AlertService {
     /// Restart-safe: alerts, group notification times and silences load
     /// from the store, so an alert firing before a restart does not
     /// re-notify after it.
+    ///
+    /// The `ALERTS` samples meta-rules read are kept as far back as the
+    /// farthest meta-rule selector reaches (`offset` plus its range, or the
+    /// lookback for an instant selector) and dropped after that, so alerts
+    /// that come and go under job churn do not pile up series.
     pub fn new(
         rules: RuleSet,
         source: Arc<dyn QuerySource>,
@@ -116,40 +123,49 @@ impl AlertService {
         let alerts = store.load_alerts();
         let groups = store.load_groups();
         let silences = store.load_silences();
-        let obs = Obs::new();
-        let eval_hist = obs.histogram(
+        let reach = (0..rules.rules.len())
+            .filter(|&i| rules.is_meta(i))
+            .flat_map(|i| rules.rules[i].expr.selectors())
+            .map(|sel| sel.offset_ms + sel.range_ms.unwrap_or(cfg.lookback_ms))
+            .max();
+        let alerts_db = Tsdb::new(TsdbConfig {
+            retention_ms: reach.unwrap_or(0),
+            ..TsdbConfig::default()
+        });
+        let registry = Registry::new();
+        let eval_hist = registry.histogram(
             "ceems_alertsrv_rule_eval_duration_seconds",
             "Wall time evaluating one alert rule.",
             Histogram::duration_buckets(),
         );
-        let alerts_gauge = obs.gauge_vec(
+        let alerts_gauge = registry.gauge_vec(
             "ceems_alertsrv_alerts",
             "Current alerts by lifecycle state.",
             &["state"],
         );
-        let notifications = obs.counter_vec(
+        let notifications = registry.counter_vec(
             "ceems_alertsrv_notifications_total",
             "Notification pipeline outcomes.",
             &["outcome"],
         );
-        let eval_errors = obs.counter(
+        let eval_errors = registry.counter(
             "ceems_alertsrv_rule_eval_failures_total",
             "Alert-rule evaluations that failed.",
         );
-        ceems_obs::register_build_info(obs.registry(), "alertsrv");
+        ceems_obs::register_build_info(&registry, "alertsrv");
         Ok(AlertService {
             rules,
             source,
             sinks,
             routing,
             cfg,
-            obs,
+            registry,
             inner: Mutex::new(Inner {
                 store,
                 alerts,
                 groups,
                 silences,
-                alerts_db: Tsdb::default(),
+                alerts_db,
                 notification_trace: Vec::new(),
             }),
             eval_hist,
@@ -170,8 +186,8 @@ impl AlertService {
 
     /// The service's metrics registry (serve with
     /// [`ceems_obs::metrics_handler`] or [`Self::router`]).
-    pub fn registry(&self) -> ceems_metrics::registry::Registry {
-        self.obs.registry().clone()
+    pub fn registry(&self) -> Registry {
+        self.registry.clone()
     }
 
     /// Evaluates every rule level by level, advances alert lifecycles,
@@ -194,6 +210,7 @@ impl AlertService {
             inner.silences.remove(&id);
             inner.store.delete_silence(&id);
         }
+        inner.alerts_db.enforce_retention(now_ms);
 
         for level in &self.rules.levels {
             for &ri in level {
@@ -848,6 +865,49 @@ mod tests {
         assert_eq!(s.firing, 2, "meta-rule fired off the base rule's ALERTS");
         let names: Vec<String> = svc.alerts().iter().map(|a| a.rule.clone()).collect();
         assert!(names.contains(&"AnyNodeHot".to_string()));
+    }
+
+    #[test]
+    fn alerts_store_stays_bounded_under_churn_and_meta_rules_read_the_same() {
+        let db = Arc::new(Tsdb::default());
+        let rules = || {
+            vec![
+                AlertRule::new("JobHot", "power > 50", 0).unwrap(),
+                AlertRule::new("ManyHot", "count(ALERTS) > 2", 0).unwrap(),
+                AlertRule::new(
+                    "HotLately",
+                    "count(count_over_time(ALERTS{alertname=\"JobHot\"}[1m] offset 30s)) > 3",
+                    0,
+                )
+                .unwrap(),
+            ]
+        };
+        let (bounded, _) = service_over(&db, rules(), &tempdir("churn-bounded"));
+        let (unbounded, _) = service_over(&db, rules(), &tempdir("churn-unbounded"));
+        // The default 30-day retention: nothing ever ages out.
+        unbounded.inner.lock().alerts_db = Tsdb::default();
+        let view = |svc: &AlertService| format!("{:?}", svc.alerts());
+        let mut most = 0;
+        for tick in 0..200i64 {
+            let now = 15_000 * (tick + 1);
+            // A new job every tick, each running hot for three ticks.
+            for job in (tick - 2).max(0)..=tick {
+                let series = labels! {"__name__" => "power", "uuid" => format!("job-{job}")};
+                db.append(&series, now, 100.0 + job as f64);
+            }
+            let (b, u) = (bounded.tick(now), unbounded.tick(now));
+            assert_eq!(
+                (b.pending, b.firing, b.eval_errors),
+                (u.pending, u.firing, u.eval_errors)
+            );
+            assert_eq!(view(&bounded), view(&unbounded), "tick {tick}");
+            most = most.max(bounded.inner.lock().alerts_db.series_count());
+        }
+        assert!(view(&bounded).contains("HotLately") && view(&bounded).contains("ManyHot"));
+        assert_eq!(bounded.notification_trace(), unbounded.notification_trace());
+        assert!(unbounded.inner.lock().alerts_db.series_count() >= 200);
+        // 90 s of reach at one job per 15 s tick, plus the meta alerts.
+        assert!(most <= 16, "the ALERTS store grew to {most} series");
     }
 
     #[test]

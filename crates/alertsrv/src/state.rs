@@ -157,28 +157,6 @@ fn matchers_from_json(s: &str) -> Vec<LabelMatcher> {
         .collect()
 }
 
-fn opt_int(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(*i),
-        _ => None,
-    }
-}
-
-fn text(v: &Value) -> String {
-    match v {
-        Value::Text(s) => s.clone(),
-        _ => String::new(),
-    }
-}
-
-fn real(v: &Value) -> f64 {
-    match v {
-        Value::Real(x) => *x,
-        Value::Int(i) => *i as f64,
-        _ => 0.0,
-    }
-}
-
 /// The durable store. All mutation goes through the relstore WAL, so a
 /// crash between ticks replays to the same state.
 pub struct AlertStore {
@@ -254,21 +232,21 @@ impl AlertStore {
             return out;
         };
         for row in rows {
-            let fingerprint = text(&row[0]);
-            let Some(state) = AlertState::parse(&text(&row[3])) else {
+            let fingerprint = row[0].as_text().unwrap_or("").to_string();
+            let Some(state) = AlertState::parse(row[3].as_text().unwrap_or("")) else {
                 continue;
             };
             out.insert(
                 fingerprint.clone(),
                 AlertInstance {
                     fingerprint,
-                    rule: text(&row[1]),
-                    labels: labels_from_json(&text(&row[2])),
+                    rule: row[1].as_text().unwrap_or("").to_string(),
+                    labels: labels_from_json(row[2].as_text().unwrap_or("")),
                     state,
-                    active_since_ms: opt_int(&row[4]).unwrap_or(0),
-                    firing_since_ms: opt_int(&row[5]),
-                    resolved_at_ms: opt_int(&row[6]),
-                    value: real(&row[7]),
+                    active_since_ms: row[4].as_int().unwrap_or(0),
+                    firing_since_ms: row[5].as_int(),
+                    resolved_at_ms: row[6].as_int(),
+                    value: row[7].as_real().unwrap_or(0.0),
                 },
             );
         }
@@ -306,16 +284,16 @@ impl AlertStore {
             return out;
         };
         for row in rows {
-            let key = text(&row[0]);
+            let key = row[0].as_text().unwrap_or("").to_string();
             out.insert(
                 key.clone(),
                 GroupState {
                     key,
-                    sink: text(&row[1]),
-                    first_active_ms: opt_int(&row[2]).unwrap_or(0),
-                    last_notified_ms: opt_int(&row[3]),
-                    next_attempt_ms: opt_int(&row[4]),
-                    last_hash: text(&row[5]),
+                    sink: row[1].as_text().unwrap_or("").to_string(),
+                    first_active_ms: row[2].as_int().unwrap_or(0),
+                    last_notified_ms: row[3].as_int(),
+                    next_attempt_ms: row[4].as_int(),
+                    last_hash: row[5].as_text().unwrap_or("").to_string(),
                 },
             );
         }
@@ -351,14 +329,14 @@ impl AlertStore {
             return out;
         };
         for row in rows {
-            let id = text(&row[0]);
+            let id = row[0].as_text().unwrap_or("").to_string();
             out.insert(
                 id.clone(),
                 Silence {
                     id,
-                    matchers: matchers_from_json(&text(&row[1])),
-                    ends_ms: opt_int(&row[2]).unwrap_or(0),
-                    comment: text(&row[3]),
+                    matchers: matchers_from_json(row[1].as_text().unwrap_or("")),
+                    ends_ms: row[2].as_int().unwrap_or(0),
+                    comment: row[3].as_text().unwrap_or("").to_string(),
                 },
             );
         }

@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use serde_json::{json, Value as Json};
 
 use ceems_http::{HttpServer, Request, Response, Router, ServerConfig, Status};
-use ceems_metrics::{CounterVec, Histogram, HistogramVec, Registry};
+use ceems_metrics::{CounterVec, Histogram, HistogramVec, MetricType, Registry, Sink};
 use ceems_relstore::{Filter, Order, Query, Value};
 
 use crate::schema::{unit_cols, UNITS_TABLE, USAGE_TABLE};
@@ -69,7 +69,7 @@ impl ApiServer {
     /// Creates the server over a shared updater.
     pub fn new(updater: Arc<Mutex<Updater>>, admin_users: Vec<String>) -> ApiServer {
         let registry = Registry::new();
-        let requests = CounterVec::new(
+        let requests = registry.counter_vec(
             "ceems_api_requests_total",
             "API server requests by endpoint and status code.",
             &["endpoint", "code"],
@@ -80,32 +80,32 @@ impl ApiServer {
             &["endpoint"],
             Histogram::duration_buckets(),
         );
-        registry.register("api_requests", Arc::new(requests.clone()));
         registry.register("api_request_duration", Arc::new(duration.clone()));
         {
             let updater = updater.clone();
             registry.register(
                 "api_updater",
-                Arc::new(move || {
+                Arc::new(move |out: &mut dyn Sink| {
                     let upd = updater.lock();
                     let stats = upd.stats();
-                    vec![
-                        ceems_obs::counter_value_family(
-                            "ceems_api_updater_tsdb_queries_total",
-                            "Instant queries the updater sent to the TSDB.",
-                            stats.tsdb_queries as f64,
-                        ),
-                        ceems_obs::counter_value_family(
-                            "ceems_api_updater_units_folded_total",
-                            "Unit intervals folded into stored aggregates.",
-                            stats.units_folded as f64,
-                        ),
-                        ceems_obs::histogram_family(
-                            "ceems_api_updater_poll_duration_seconds",
-                            "Wall time of one updater poll.",
-                            upd.poll_duration(),
-                        ),
-                    ]
+                    out.family(
+                        "ceems_api_updater_tsdb_queries_total",
+                        "Instant queries the updater sent to the TSDB.",
+                        MetricType::Counter,
+                    );
+                    out.sample("", &[], stats.tsdb_queries as f64);
+                    out.family(
+                        "ceems_api_updater_units_folded_total",
+                        "Unit intervals folded into stored aggregates.",
+                        MetricType::Counter,
+                    );
+                    out.sample("", &[], stats.units_folded as f64);
+                    out.family(
+                        "ceems_api_updater_poll_duration_seconds",
+                        "Wall time of one updater poll.",
+                        MetricType::Histogram,
+                    );
+                    upd.poll_duration().write(out, &[]);
                 }),
             );
         }

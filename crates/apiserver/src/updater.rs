@@ -9,7 +9,7 @@
 //! their TSDB series deleted.
 //!
 //! The fold's invariant: a row whose `elapsed_s` reached
-//! [`MIN_ELAPSED_S`] holds aggregates over `[started_at, min(ended_at,
+//! `MIN_ELAPSED_S` (30 s) holds aggregates over `[started_at, min(ended_at,
 //! updated_at)]`, and nothing younger than that frontier has been folded.
 //! The frontier is read back from the row on every poll, so a restarted
 //! updater over the same `Db` continues where the last one stopped, and a

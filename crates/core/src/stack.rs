@@ -23,6 +23,7 @@ use ceems_emissions::owid::OwidStatic;
 use ceems_emissions::rte::RteSimulated;
 use ceems_emissions::{EmissionProvider, LastKnownGood, ProviderChain};
 use ceems_exporter::{CeemsExporter, ExporterConfig};
+use ceems_metrics::{MetricType, Sink};
 use ceems_obs::{TraceSampler, TraceSink, TraceStore, TraceStoreConfig};
 use ceems_relstore::Db;
 use ceems_simnode::{SimClock, SimCluster};
@@ -742,29 +743,31 @@ impl CeemsStack {
         let g = group.clone();
         registry.register(
             "tsdb_failover",
-            Arc::new(move || {
+            Arc::new(move |out: &mut dyn Sink| {
                 let g = g.lock();
-                let point = |v: f64| vec![ceems_obs::metric(ceems_metrics::labels::LabelSet::empty(), v)];
-                vec![
-                    ceems_obs::family_with_metrics(
+                for (name, help, metric_type, v) in [
+                    (
                         "ceems_tsdb_epoch",
                         "Current write epoch of the TSDB replication group.",
-                        ceems_metrics::MetricType::Gauge,
-                        point(g.epoch() as f64),
+                        MetricType::Gauge,
+                        g.epoch(),
                     ),
-                    ceems_obs::family_with_metrics(
+                    (
                         "ceems_tsdb_fenced_writes_total",
                         "Writes rejected by stale-epoch fencing across the group.",
-                        ceems_metrics::MetricType::Counter,
-                        point(g.fenced_writes() as f64),
+                        MetricType::Counter,
+                        g.fenced_writes(),
                     ),
-                    ceems_obs::family_with_metrics(
+                    (
                         "ceems_tsdb_failovers_total",
                         "Completed leader failovers.",
-                        ceems_metrics::MetricType::Counter,
-                        point(g.failovers() as f64),
+                        MetricType::Counter,
+                        g.failovers(),
                     ),
-                ]
+                ] {
+                    out.family(name, help, metric_type);
+                    out.sample("", &[], v as f64);
+                }
             }),
         );
     }

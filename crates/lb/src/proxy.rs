@@ -22,10 +22,10 @@ use std::time::Instant;
 use serde_json::{json, Value as Json};
 
 use ceems_http::{Client, HttpServer, Request, Response, Router, ServerConfig, Status};
-use ceems_metrics::{Counter, CounterVec, Histogram, Registry};
+use ceems_metrics::{Counter, CounterVec, Histogram, MetricType, Registry, Sink};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::trace::QueryTrace;
-use ceems_obs::{counter_family, histogram_family, HttpInstruments, TraceSink, TRACE_HEADER};
+use ceems_obs::{HttpInstruments, TraceSink, TRACE_HEADER};
 
 use crate::acl::Authorizer;
 use crate::backend::BackendPool;
@@ -65,84 +65,47 @@ struct LbInstruments {
 
 impl LbInstruments {
     fn new(registry: &Registry) -> LbInstruments {
-        let ins = LbInstruments {
-            forward_seconds: Histogram::new(Histogram::duration_buckets()),
-            requests: CounterVec::new(
+        LbInstruments {
+            forward_seconds: registry.histogram(
+                "ceems_lb_forward_duration_seconds",
+                "One backend forward: connect, request, response.",
+                Histogram::duration_buckets(),
+            ),
+            requests: registry.counter_vec(
                 "ceems_lb_proxy_requests_total",
                 "Forwarded requests by backend and outcome.",
                 &["backend", "outcome"],
             ),
-            retries: Counter::new(),
-            denied: Counter::new(),
-            unavailable: Counter::new(),
-            frontend_fallbacks: Counter::new(),
-            breaker_events: CounterVec::new(
+            retries: registry.counter(
+                "ceems_lb_retries_total",
+                "Forwards retried on another backend after a failure.",
+            ),
+            denied: registry.counter(
+                "ceems_lb_denied_total",
+                "Requests rejected by access control.",
+            ),
+            unavailable: registry.counter(
+                "ceems_lb_unavailable_total",
+                "Requests refused because no healthy backend existed.",
+            ),
+            frontend_fallbacks: registry.counter(
+                "ceems_lb_frontend_fallback_total",
+                "Queries sent straight to the pool after the query frontend failed.",
+            ),
+            breaker_events: registry.counter_vec(
                 "ceems_lb_breaker_events_total",
                 "Circuit-breaker opens and rejections by backend.",
                 &["backend", "event"],
             ),
-            corrupt: Counter::new(),
-            repromotions: Counter::new(),
-        };
-        {
-            let h = ins.forward_seconds.clone();
-            registry.register(
-                "lb_forward_seconds",
-                Arc::new(move || {
-                    vec![histogram_family(
-                        "ceems_lb_forward_duration_seconds",
-                        "One backend forward: connect, request, response.",
-                        &h,
-                    )]
-                }),
-            );
-        }
-        registry.register("lb_proxy_requests", Arc::new(ins.requests.clone()));
-        for (key, name, help, c) in [
-            (
-                "lb_retries",
-                "ceems_lb_retries_total",
-                "Forwards retried on another backend after a failure.",
-                ins.retries.clone(),
-            ),
-            (
-                "lb_denied",
-                "ceems_lb_denied_total",
-                "Requests rejected by access control.",
-                ins.denied.clone(),
-            ),
-            (
-                "lb_unavailable",
-                "ceems_lb_unavailable_total",
-                "Requests refused because no healthy backend existed.",
-                ins.unavailable.clone(),
-            ),
-            (
-                "lb_frontend_fallbacks",
-                "ceems_lb_frontend_fallback_total",
-                "Queries sent straight to the pool after the query frontend failed.",
-                ins.frontend_fallbacks.clone(),
-            ),
-            (
-                "lb_corrupt",
+            corrupt: registry.counter(
                 "ceems_lb_corrupt_responses_total",
                 "Successful query responses dropped because the body failed to parse.",
-                ins.corrupt.clone(),
             ),
-            (
-                "lb_repromotions",
+            repromotions: registry.counter(
                 "ceems_lb_repromotions_total",
                 "Backends re-promoted into rotation by on-demand revival probes.",
-                ins.repromotions.clone(),
             ),
-        ] {
-            registry.register(
-                key,
-                Arc::new(move || vec![counter_family(name, help, &c)]),
-            );
         }
-        registry.register("lb_breaker_events", Arc::new(ins.breaker_events.clone()));
-        ins
     }
 }
 
@@ -241,61 +204,35 @@ impl CeemsLb {
         ceems_obs::register_build_info(&registry, "lb");
         {
             // Failover visibility (S24): how many times the epoch-keyed write
-            // route moved to a different leader, and the epoch it currently
-            // trusts. Both are read from the pool at scrape time.
+            // route moved to a different leader, the epoch it currently
+            // trusts, and each replica's WAL lag — read at scrape time from
+            // what the health checks already computed for staleness
+            // demotion (the replica-lag alert rule queries this instead of
+            // re-deriving it).
             let p = pool.clone();
             registry.register(
                 "lb_failovers",
-                Arc::new(move || {
-                    vec![
-                        ceems_obs::family_with_metrics(
-                            "ceems_lb_failovers_total",
-                            "Write-route leader changes observed by health checks.",
-                            ceems_metrics::MetricType::Counter,
-                            vec![ceems_obs::metric(
-                                ceems_metrics::labels::LabelSet::empty(),
-                                p.failovers() as f64,
-                            )],
-                        ),
-                        ceems_obs::family_with_metrics(
-                            "ceems_lb_write_epoch",
-                            "Epoch of the leader the write route currently targets.",
-                            ceems_metrics::MetricType::Gauge,
-                            vec![ceems_obs::metric(
-                                ceems_metrics::labels::LabelSet::empty(),
-                                p.write_epoch() as f64,
-                            )],
-                        ),
-                    ]
-                }),
-            );
-        }
-        {
-            // Per-replica WAL lag, read at scrape time from the values the
-            // health check already computes for staleness demotion — the
-            // replica-lag alert rule queries this instead of re-deriving it.
-            let backends = pool.backends().to_vec();
-            registry.register(
-                "lb_backend_wal_lag",
-                Arc::new(move || {
-                    let metrics = backends
-                        .iter()
-                        .map(|b| {
-                            ceems_obs::metric(
-                                ceems_metrics::labels::LabelSet::from_pairs([(
-                                    "backend",
-                                    b.id.as_str(),
-                                )]),
-                                b.wal_lag() as f64,
-                            )
-                        })
-                        .collect();
-                    vec![ceems_obs::family_with_metrics(
+                Arc::new(move |out: &mut dyn Sink| {
+                    out.family(
+                        "ceems_lb_failovers_total",
+                        "Write-route leader changes observed by health checks.",
+                        MetricType::Counter,
+                    );
+                    out.sample("", &[], p.failovers() as f64);
+                    out.family(
+                        "ceems_lb_write_epoch",
+                        "Epoch of the leader the write route currently targets.",
+                        MetricType::Gauge,
+                    );
+                    out.sample("", &[], p.write_epoch() as f64);
+                    out.family(
                         "ceems_lb_backend_wal_lag_records",
                         "WAL records each replica lags behind the freshest one, per the last health check.",
-                        ceems_metrics::MetricType::Gauge,
-                        metrics,
-                    )]
+                        MetricType::Gauge,
+                    );
+                    for b in p.backends() {
+                        out.sample("", &[("backend", &b.id)], b.wal_lag() as f64);
+                    }
                 }),
             );
         }

@@ -11,7 +11,8 @@
 //!   their labelled ("vec") variants.
 //! * [`registry`] — a [`registry::Collector`] trait and [`registry::Registry`]
 //!   that runs many collectors per scrape, mirroring how the CEEMS exporter
-//!   enables/disables collectors at runtime.
+//!   enables/disables collectors at runtime, and hands out registered
+//!   instruments to every other component.
 //! * [`sink`] — what collectors write into: exposition text directly
 //!   ([`sink::TextSink`]) or typed families ([`sink::FamilySink`]).
 //! * [`encode`] / [`parse`] — the text exposition format, both directions.

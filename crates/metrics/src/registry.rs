@@ -3,7 +3,9 @@
 //! The CEEMS exporter is structured as a set of named collectors that can be
 //! enabled or disabled from the command line; the registry mirrors that: it
 //! holds `(name, collector)` pairs and gathers all enabled families on each
-//! scrape.
+//! scrape. A component's own instruments come from the registry's
+//! constructors ([`Registry::counter`] and friends), which register them as
+//! they hand them out.
 
 use std::sync::Arc;
 
@@ -11,7 +13,8 @@ use std::cell::Cell;
 
 use parking_lot::RwLock;
 
-use crate::model::MetricFamily;
+use crate::instruments::{Counter, CounterVec, Gauge, GaugeVec, Histogram};
+use crate::model::{MetricFamily, MetricType};
 use crate::sink::{FamilySink, Sink, TextSink};
 
 /// Anything that can produce metrics on demand.
@@ -29,12 +32,14 @@ pub trait Collector: Send + Sync {
     }
 }
 
+/// A closure is a collector: it writes what it reads at scrape time
+/// straight into the sink.
 impl<F> Collector for F
 where
-    F: Fn() -> Vec<MetricFamily> + Send + Sync,
+    F: Fn(&mut dyn Sink) + Send + Sync,
 {
     fn collect(&self, out: &mut dyn Sink) {
-        out.families(&self());
+        self(out);
     }
 }
 
@@ -79,6 +84,68 @@ impl Registry {
             enabled: true,
             collector,
         });
+    }
+
+    /// Creates a counter, registered under `name` as a one-sample family.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
+        let c = Counter::new();
+        let read = c.clone();
+        self.register_value(name, help, MetricType::Counter, move || read.get());
+        c
+    }
+
+    /// Creates a gauge, registered under `name` as a one-sample family.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        let g = Gauge::new();
+        let read = g.clone();
+        self.register_value(name, help, MetricType::Gauge, move || read.get());
+        g
+    }
+
+    /// Creates an unlabelled histogram with the given bucket bounds,
+    /// registered under `name`.
+    pub fn histogram(&self, name: &str, help: &str, bounds: Vec<f64>) -> Histogram {
+        let hist = Histogram::new(bounds);
+        let (n, h, read) = (name.to_string(), help.to_string(), hist.clone());
+        self.register(
+            name,
+            Arc::new(move |out: &mut dyn Sink| {
+                out.family(&n, &h, MetricType::Histogram);
+                read.write(out, &[]);
+            }),
+        );
+        hist
+    }
+
+    /// Creates a labelled counter family, registered under `name`.
+    pub fn counter_vec(&self, name: &str, help: &str, label_names: &[&str]) -> CounterVec {
+        let cv = CounterVec::new(name, help, label_names);
+        self.register(name, Arc::new(cv.clone()));
+        cv
+    }
+
+    /// Creates a labelled gauge family, registered under `name`.
+    pub fn gauge_vec(&self, name: &str, help: &str, label_names: &[&str]) -> GaugeVec {
+        let gv = GaugeVec::new(name, help, label_names);
+        self.register(name, Arc::new(gv.clone()));
+        gv
+    }
+
+    fn register_value(
+        &self,
+        name: &str,
+        help: &str,
+        metric_type: MetricType,
+        value: impl Fn() -> f64 + Send + Sync + 'static,
+    ) {
+        let (n, h) = (name.to_string(), help.to_string());
+        self.register(
+            name,
+            Arc::new(move |out: &mut dyn Sink| {
+                out.family(&n, &h, metric_type);
+                out.sample("", &[], value());
+            }),
+        );
     }
 
     /// Enables or disables a collector by name; returns false if unknown.
@@ -150,18 +217,20 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels;
-    use crate::model::{MetricFamily, MetricType};
 
-    fn fam(name: &str, v: f64) -> Vec<MetricFamily> {
-        vec![MetricFamily::new(name, "t", MetricType::Gauge).with_metric(labels! {}, v)]
+    /// A one-sample gauge family, as a sink closure.
+    fn fam(name: &'static str, v: f64) -> Arc<dyn Collector> {
+        Arc::new(move |out: &mut dyn Sink| {
+            out.family(name, "t", MetricType::Gauge);
+            out.sample("", &[], v);
+        })
     }
 
     #[test]
     fn gather_sorted_and_toggleable() {
         let r = Registry::new();
-        r.register("b", Arc::new(move || fam("metric_b", 2.0)));
-        r.register("a", Arc::new(move || fam("metric_a", 1.0)));
+        r.register("b", fam("metric_b", 2.0));
+        r.register("a", fam("metric_a", 1.0));
         let fams = r.gather();
         assert_eq!(fams.len(), 2);
         assert_eq!(fams[0].name, "metric_a");
@@ -180,9 +249,9 @@ mod tests {
     #[test]
     fn render_is_the_encoding_of_gather() {
         let r = Registry::new();
-        r.register("b", Arc::new(move || fam("metric_b", 2.0)));
-        r.register("a", Arc::new(move || fam("metric_a", 1.0)));
-        r.register("off", Arc::new(move || fam("metric_off", 0.0)));
+        r.register("b", fam("metric_b", 2.0));
+        r.register("a", fam("metric_a", 1.0));
+        r.register("off", fam("metric_off", 0.0));
         r.set_enabled("off", false);
         let mut out = String::from("kept ");
         assert_eq!(r.render_into(&mut out), 2);
@@ -200,7 +269,7 @@ mod tests {
     impl Collector for Quits {
         fn collect(&self, out: &mut dyn Sink) {
             assert!(self.0.set_enabled("quits", false));
-            out.families(&fam("last_words", 1.0));
+            fam("last_words", 1.0).collect(out);
         }
     }
 
@@ -226,7 +295,7 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_name_panics() {
         let r = Registry::new();
-        r.register("x", Arc::new(move || fam("m", 0.0)));
-        r.register("x", Arc::new(move || fam("m", 0.0)));
+        r.register("x", fam("m", 0.0));
+        r.register("x", fam("m", 0.0));
     }
 }

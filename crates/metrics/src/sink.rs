@@ -33,7 +33,8 @@ pub trait Sink {
     /// and exemplar included.
     fn metric(&mut self, metric: &Metric);
 
-    /// Whole pre-built families (closure collectors).
+    /// Whole pre-built families, for a caller that already holds them (the
+    /// typed view written back out).
     fn families(&mut self, families: &[MetricFamily]) {
         for fam in families {
             self.family(&fam.name, &fam.help, fam.metric_type);

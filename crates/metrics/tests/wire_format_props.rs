@@ -2,6 +2,7 @@
 //! emits, the parser must read back exactly (this is the exporter→scraper
 //! contract the whole stack rests on).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ceems_metrics::encode::{encode_families, format_value};
@@ -111,6 +112,111 @@ impl Collector for Scripted {
     }
 }
 
+/// How a generated collector gets into the registry.
+#[derive(Clone, Copy, Debug)]
+enum Route {
+    /// A `Collector` impl.
+    Collector,
+    /// A sink closure writing typed families it already holds.
+    Families,
+    /// A sink closure writing `family` + `sample` itself.
+    Closure,
+    /// The `Registry` constructors, one instrument per family.
+    Instruments,
+}
+
+/// Registers `spec` under `name` by `route`; returns the registry names it
+/// took and the sample lines it writes.
+fn register(
+    registry: &Registry,
+    name: &str,
+    route: Route,
+    spec: Vec<FamilySpec>,
+) -> (Vec<String>, usize) {
+    let scripted = Scripted(spec);
+    let lines = scripted.0.iter().map(|f| f.samples.len()).sum();
+    let collector: Arc<dyn Collector> = match route {
+        Route::Collector => Arc::new(scripted),
+        Route::Families => {
+            let families = scripted.families();
+            Arc::new(move |out: &mut dyn Sink| out.families(&families))
+        }
+        Route::Closure => Arc::new(move |out: &mut dyn Sink| scripted.collect(out)),
+        Route::Instruments => return instruments(registry, name, &scripted.0),
+    };
+    registry.register(name, collector);
+    (vec![name.to_string()], lines)
+}
+
+/// The last value `s` gives each of `names` ("" if none).
+fn label_values<'a>(names: &[&str], s: &'a SampleSpec) -> Vec<&'a str> {
+    let value = |k: &&str| s.labels.iter().rev().find(|(l, _)| l == k);
+    names
+        .iter()
+        .map(|k| value(k).map_or("", |(_, v)| v.as_str()))
+        .collect()
+}
+
+/// Each family as the instrument of its type (a summary as a counter
+/// family, an untyped one as a gauge family), fed the family's samples.
+/// Names get `_{name}_{j}` appended so every registration is unique.
+fn instruments(registry: &Registry, name: &str, spec: &[FamilySpec]) -> (Vec<String>, usize) {
+    let mut names = Vec::new();
+    let mut lines = 0;
+    for (j, fam) in spec.iter().enumerate() {
+        let n = format!("{}_{name}_{j}", fam.name);
+        let help = fam.help.as_str();
+        let mut label_names: Vec<&str> = Vec::new();
+        for (k, _) in fam.samples.first().map_or(&[][..], |s| &s.labels) {
+            if !label_names.contains(&k.as_str()) {
+                label_names.push(k);
+            }
+        }
+        let values = |s| label_values(&label_names, s);
+        let children: HashSet<Vec<&str>> = fam.samples.iter().map(values).collect();
+        match fam.metric_type {
+            MetricType::Counter => {
+                let c = registry.counter(&n, help);
+                fam.samples.iter().for_each(|s| c.add(s.value));
+                lines += 1;
+            }
+            MetricType::Gauge => {
+                let g = registry.gauge(&n, help);
+                fam.samples.iter().for_each(|s| g.set(s.value));
+                lines += 1;
+            }
+            MetricType::Histogram => {
+                let h = registry.histogram(&n, help, vec![0.5, -1.0, 1e3]);
+                for s in &fam.samples {
+                    match &s.exemplar {
+                        Some((id, _)) => {
+                            h.observe_with_exemplar_at(s.value, id, s.timestamp_ms.unwrap_or(0))
+                        }
+                        None => h.observe(s.value),
+                    }
+                }
+                lines += 3 + 1 + 2;
+            }
+            MetricType::Summary => {
+                let cv = registry.counter_vec(&n, help, &label_names);
+                for s in &fam.samples {
+                    cv.with_label_values(&values(s)).add(s.value);
+                }
+                lines += children.len();
+            }
+            MetricType::Untyped => {
+                let gv = registry.gauge_vec(&n, help, &label_names);
+                for s in &fam.samples {
+                    gv.with_label_values(&values(s)).set(s.value);
+                }
+                lines += children.len();
+            }
+        }
+        names.push(n);
+    }
+    (names, lines)
+}
+
 fn arb_value() -> impl Strategy<Value = f64> {
     prop_oneof![
         4 => proptest::num::f64::ANY,
@@ -163,29 +269,32 @@ fn arb_collector() -> impl Strategy<Value = Vec<FamilySpec>> {
     proptest::collection::vec(family, 0..4)
 }
 
+fn arb_route() -> impl Strategy<Value = Route> {
+    prop_oneof![
+        Just(Route::Collector),
+        Just(Route::Families),
+        Just(Route::Closure),
+        Just(Route::Instruments),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn render_is_the_encoding_of_gather(
-        collectors in proptest::collection::vec((arb_collector(), any::<bool>(), any::<bool>()), 0..5),
+        collectors in proptest::collection::vec((arb_collector(), any::<bool>(), arb_route()), 0..5),
     ) {
         let registry = Registry::new();
         let mut want_samples = 0;
-        for (i, (families, enabled, as_closure)) in collectors.into_iter().enumerate() {
-            let scripted = Scripted(families);
+        for (i, (families, enabled, route)) in collectors.into_iter().enumerate() {
+            let (names, lines) = register(&registry, &format!("c{i}"), route, families);
             if enabled {
-                want_samples += scripted.0.iter().map(|f| f.samples.len()).sum::<usize>();
+                want_samples += lines;
             }
-            let name = format!("c{i}");
-            if as_closure {
-                // The pre-built-families route: `Sink::families`.
-                let families = scripted.families();
-                registry.register(name.as_str(), Arc::new(move || families.clone()));
-            } else {
-                registry.register(name.as_str(), Arc::new(scripted));
+            for name in names {
+                registry.set_enabled(&name, enabled);
             }
-            registry.set_enabled(&name, enabled);
         }
         let mut text = String::new();
         let samples = registry.render_into(&mut text);

@@ -22,8 +22,6 @@ use std::time::Instant;
 use ceems_http::{Request, Response, Router};
 use ceems_metrics::{CounterVec, Histogram, Registry};
 
-use crate::duration_buckets;
-
 /// Response header a handler sets (to the trace ID) when the request's trace
 /// was persisted to the trace store — picked up by [`HttpInstruments::wrap`]
 /// to attach the ID as a histogram exemplar.
@@ -41,34 +39,23 @@ impl HttpInstruments {
     /// Creates the instruments with `ceems_<component>_http_*` names and
     /// registers them in the registry.
     pub fn new(component: &str, registry: &Registry) -> HttpInstruments {
-        let requests = CounterVec::new(
-            format!("ceems_{component}_http_requests_total"),
-            "HTTP requests handled, by method and status class.",
-            &["method", "code"],
-        );
-        let duration = Histogram::new(duration_buckets());
-        let queue_delay = Histogram::new(duration_buckets());
-        registry.register(
-            format!("ceems_{component}_http_requests_total"),
-            Arc::new(requests.clone()),
-        );
-        let name = format!("ceems_{component}_http_request_duration_seconds");
-        let d2 = duration.clone();
-        registry.register(name.clone(), {
-            let help = "HTTP request handling latency in seconds (from handler dispatch).";
-            Arc::new(move || vec![crate::histogram_family(&name, help, &d2)])
-        });
-        let qname = format!("ceems_{component}_http_queue_delay_seconds");
-        let q2 = queue_delay.clone();
-        registry.register(qname.clone(), {
-            let help = "Seconds between request parse completion and handler dispatch \
-                        (pipelined keep-alive queueing).";
-            Arc::new(move || vec![crate::histogram_family(&qname, help, &q2)])
-        });
         HttpInstruments {
-            requests,
-            duration,
-            queue_delay,
+            requests: registry.counter_vec(
+                &format!("ceems_{component}_http_requests_total"),
+                "HTTP requests handled, by method and status class.",
+                &["method", "code"],
+            ),
+            duration: registry.histogram(
+                &format!("ceems_{component}_http_request_duration_seconds"),
+                "HTTP request handling latency in seconds (from handler dispatch).",
+                Histogram::duration_buckets(),
+            ),
+            queue_delay: registry.histogram(
+                &format!("ceems_{component}_http_queue_delay_seconds"),
+                "Seconds between request parse completion and handler dispatch \
+                 (pipelined keep-alive queueing).",
+                Histogram::duration_buckets(),
+            ),
         }
     }
 

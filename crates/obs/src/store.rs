@@ -26,7 +26,7 @@ use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 
-use ceems_metrics::{Counter, Gauge, Registry};
+use ceems_metrics::{Counter, Gauge, MetricType, Registry, Sink};
 use ceems_relstore::{Column, ColumnType, Db, Filter, Order, Query, Schema, Value};
 use parking_lot::Mutex;
 
@@ -179,9 +179,9 @@ impl TraceStore {
             .map_err(|e| format!("trace store replay: {e}"))?;
         for row in rows {
             ring.push(SpanMeta {
-                seq: int_col(&row, 0),
-                ts_ms: int_col(&row, 5),
-                bytes: int_col(&row, 7) as u64,
+                seq: row[0].as_int().unwrap_or(0),
+                ts_ms: row[5].as_int().unwrap_or(0),
+                bytes: row[7].as_int().unwrap_or(0) as u64,
             });
         }
         ring.sort_by_key(|m| m.seq);
@@ -300,7 +300,7 @@ impl TraceStore {
             return None;
         }
         let mut rows = rows;
-        rows.sort_by_key(|r| int_col(r, 0));
+        rows.sort_by_key(|r| r[0].as_int().unwrap_or(0));
         let spans: Vec<serde_json::Value> = rows.iter().map(|r| span_json(r)).collect();
         Some(serde_json::json!({ "traceId": id, "spans": spans }))
     }
@@ -368,76 +368,61 @@ impl TraceStore {
         );
         registry.register(
             "ceems_trace_store",
-            Arc::new(move || {
-                vec![
-                    crate::gauge_family(
+            Arc::new(move |out: &mut dyn Sink| {
+                for (name, help, metric_type, v) in [
+                    (
                         "ceems_trace_store_bytes",
                         "Bytes of trace report JSON currently stored",
-                        &b,
+                        MetricType::Gauge,
+                        b.get(),
                     ),
-                    crate::gauge_family(
+                    (
                         "ceems_trace_store_spans",
                         "Trace spans currently stored",
-                        &s,
+                        MetricType::Gauge,
+                        s.get(),
                     ),
-                    crate::counter_family(
+                    (
                         "ceems_trace_store_stored_total",
                         "Trace spans persisted since process start",
-                        &st,
+                        MetricType::Counter,
+                        st.get(),
                     ),
-                    crate::counter_family(
+                    (
                         "ceems_trace_store_evictions_total",
                         "Trace spans evicted by the byte/age bounds",
-                        &ev,
+                        MetricType::Counter,
+                        ev.get(),
                     ),
-                ]
+                ] {
+                    out.family(name, help, metric_type);
+                    out.sample("", &[], v);
+                }
             }),
         );
     }
 }
 
-fn int_col(row: &[Value], idx: usize) -> i64 {
-    match row.get(idx) {
-        Some(Value::Int(i)) => *i,
-        _ => 0,
-    }
-}
-
-fn text_col(row: &[Value], idx: usize) -> &str {
-    match row.get(idx) {
-        Some(Value::Text(s)) => s.as_str(),
-        _ => "",
-    }
-}
-
-fn real_col(row: &[Value], idx: usize) -> f64 {
-    match row.get(idx) {
-        Some(Value::Real(r)) => *r,
-        Some(Value::Int(i)) => *i as f64,
-        _ => 0.0,
-    }
-}
-
 fn span_json(row: &[Value]) -> serde_json::Value {
     let report: serde_json::Value =
-        serde_json::from_str(text_col(row, 8)).unwrap_or(serde_json::Value::Null);
+        serde_json::from_str(row[8].as_text().unwrap_or("")).unwrap_or(serde_json::Value::Null);
     serde_json::json!({
-        "component": text_col(row, 2),
-        "endpoint": text_col(row, 3),
-        "tenant": text_col(row, 4),
-        "tsMs": int_col(row, 5),
+        "component": row[2].as_text().unwrap_or(""),
+        "endpoint": row[3].as_text().unwrap_or(""),
+        "tenant": row[4].as_text().unwrap_or(""),
+        "tsMs": row[5].as_int().unwrap_or(0),
         "report": report,
     })
 }
 
 fn summary_json(row: &[Value]) -> serde_json::Value {
     serde_json::json!({
-        "traceId": text_col(row, 1),
-        "component": text_col(row, 2),
-        "endpoint": text_col(row, 3),
-        "tenant": text_col(row, 4),
-        "tsMs": int_col(row, 5),
-        "totalMs": real_col(row, 6),
+        "traceId": row[1].as_text().unwrap_or(""),
+        "component": row[2].as_text().unwrap_or(""),
+        "endpoint": row[3].as_text().unwrap_or(""),
+        "tenant": row[4].as_text().unwrap_or(""),
+        "tsMs": row[5].as_int().unwrap_or(0),
+        "totalMs": row[6].as_real().unwrap_or(0.0),
     })
 }
 

@@ -21,10 +21,10 @@ use std::time::Instant;
 use serde_json::{json, Value as Json};
 
 use ceems_http::{HttpServer, Request, Response, Router, ServerConfig, Status, StreamWriter};
-use ceems_metrics::{Counter, CounterVec, Gauge, GaugeVec, Histogram};
+use ceems_metrics::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::trace::QueryTrace;
-use ceems_obs::{HttpInstruments, Obs, TraceSink, TRACE_HEADER};
+use ceems_obs::{HttpInstruments, TraceSink, TRACE_HEADER};
 use ceems_tsdb::promql::{normalize, parse_expr, range_points, split_safety, SplitSafety};
 
 use crate::cache::{ExtentKey, ResultsCache};
@@ -116,60 +116,60 @@ struct QfeInstruments {
 }
 
 impl QfeInstruments {
-    fn new(obs: &Obs) -> QfeInstruments {
+    fn new(registry: &Registry) -> QfeInstruments {
         QfeInstruments {
-            cache_requests: obs.counter_vec(
+            cache_requests: registry.counter_vec(
                 "ceems_qfe_cache_requests_total",
                 "Range queries by cache outcome (hit, partial, miss, bypass, fallback, degraded).",
                 &["outcome"],
             ),
-            cached_steps: obs.counter(
+            cached_steps: registry.counter(
                 "ceems_qfe_cached_steps_total",
                 "Grid steps served from the results cache.",
             ),
-            fetched_steps: obs.counter(
+            fetched_steps: registry.counter(
                 "ceems_qfe_fetched_steps_total",
                 "Grid steps fetched from the TSDB.",
             ),
-            split_subqueries: obs.histogram(
+            split_subqueries: registry.histogram(
                 "ceems_qfe_split_subqueries",
                 "Extents per split range query (fan-out width).",
                 vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
             ),
-            shed: obs.counter(
+            shed: registry.counter(
                 "ceems_qfe_shed_total",
                 "Queries refused with 429 because a tenant queue overflowed.",
             ),
-            fallbacks: obs.counter(
+            fallbacks: registry.counter(
                 "ceems_qfe_downstream_fallback_total",
                 "Split queries re-proxied whole after a sub-query failed.",
             ),
-            stale_serves: obs.counter(
+            stale_serves: registry.counter(
                 "ceems_qfe_stale_serves_total",
                 "Degraded answers built from cached extents because every replica was down.",
             ),
-            queue_depth: obs.gauge_vec(
+            queue_depth: registry.gauge_vec(
                 "ceems_qfe_tenant_queue_depth",
                 "Queries currently queued, per tenant.",
                 &["tenant"],
             ),
-            cache_bytes: obs.gauge(
+            cache_bytes: registry.gauge(
                 "ceems_qfe_cache_bytes",
                 "Resident bytes in the results cache.",
             ),
-            cache_extents: obs.gauge(
+            cache_extents: registry.gauge(
                 "ceems_qfe_cache_extents",
                 "Extents resident in the results cache.",
             ),
-            live_subscribers: obs.gauge(
+            live_subscribers: registry.gauge(
                 "ceems_qfe_live_subscribers",
                 "Open query_live subscriptions.",
             ),
-            live_deltas: obs.counter(
+            live_deltas: registry.counter(
                 "ceems_qfe_live_deltas_total",
                 "Step deltas pushed to live subscribers.",
             ),
-            live_shed: obs.counter(
+            live_shed: registry.counter(
                 "ceems_qfe_live_shed_total",
                 "query_live subscriptions refused at the per-tenant cap.",
             ),
@@ -185,7 +185,7 @@ pub struct QueryFrontend {
     cfg: QfeConfig,
     cache: ResultsCache,
     sched: Arc<FairScheduler>,
-    obs: Obs,
+    registry: Registry,
     ins: QfeInstruments,
     http: HttpInstruments,
     live: Mutex<Vec<LiveSubscription>>,
@@ -205,16 +205,16 @@ struct LiveSubscription {
 impl QueryFrontend {
     /// Creates a frontend over a downstream.
     pub fn new(downstream: Arc<dyn Downstream>, cfg: QfeConfig) -> Arc<QueryFrontend> {
-        let obs = Obs::new();
-        let ins = QfeInstruments::new(&obs);
-        let http = HttpInstruments::new("qfe", obs.registry());
-        ceems_obs::register_build_info(obs.registry(), "qfe");
+        let registry = Registry::new();
+        let ins = QfeInstruments::new(&registry);
+        let http = HttpInstruments::new("qfe", &registry);
+        ceems_obs::register_build_info(&registry, "qfe");
         Arc::new(QueryFrontend {
             downstream,
             cache: ResultsCache::new(cfg.cache_bytes),
             sched: FairScheduler::new(cfg.scheduler),
             cfg,
-            obs,
+            registry,
             ins,
             http,
             live: Mutex::new(Vec::new()),
@@ -222,8 +222,8 @@ impl QueryFrontend {
     }
 
     /// The frontend's metrics registry (served at `/metrics`).
-    pub fn registry(&self) -> &ceems_metrics::Registry {
-        self.obs.registry()
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The results cache (tests peek at residency).
@@ -779,7 +779,7 @@ impl QueryFrontend {
     /// into [`Self::handle`].
     pub fn router(self: &Arc<Self>) -> Router {
         let mut router = Router::new();
-        ceems_obs::add_metrics_route(&mut router, self.obs.registry().clone());
+        ceems_obs::add_metrics_route(&mut router, self.registry.clone());
         for method in [
             ceems_http::Method::Get,
             ceems_http::Method::Post,

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use ceems_http::StreamWriter;
 use ceems_metrics::instruments::{Counter, Gauge};
 use ceems_metrics::registry::Registry;
+use ceems_metrics::{MetricType, Sink};
 use parking_lot::Mutex;
 
 use crate::frame::{gap_record, SampleFrame};
@@ -295,44 +296,54 @@ impl StreamBus {
         let bus = Arc::clone(self);
         registry.register(
             "ceems_stream_bus",
-            Arc::new(move || {
-                vec![
-                    ceems_obs::counter_family(
+            Arc::new(move |out: &mut dyn Sink| {
+                for (name, help, metric_type, v) in [
+                    (
                         "ceems_stream_published_frames_total",
                         "Frames ingested through the stream bus",
-                        &bus.published_total,
+                        MetricType::Counter,
+                        bus.published_total.get(),
                     ),
-                    ceems_obs::counter_family(
+                    (
                         "ceems_stream_duplicate_frames_total",
                         "Re-sent frames acknowledged without re-ingest",
-                        &bus.duplicate_total,
+                        MetricType::Counter,
+                        bus.duplicate_total.get(),
                     ),
-                    ceems_obs::counter_family(
+                    (
                         "ceems_stream_dropped_frames_total",
                         "Frames evicted from replay rings before any resume",
-                        &bus.dropped_total,
+                        MetricType::Counter,
+                        bus.dropped_total.get(),
                     ),
-                    ceems_obs::counter_family(
+                    (
                         "ceems_stream_resumed_sessions_total",
                         "Subscriptions that resumed from a prior offset",
-                        &bus.resumed_total,
+                        MetricType::Counter,
+                        bus.resumed_total.get(),
                     ),
-                    ceems_obs::gauge_family(
+                    (
                         "ceems_stream_live_subscribers",
                         "Currently attached stream subscribers",
-                        &bus.live_subscribers,
+                        MetricType::Gauge,
+                        bus.live_subscribers.get(),
                     ),
-                    ceems_obs::gauge_family(
+                    (
                         "ceems_stream_ring_occupancy",
                         "Frames held across all replay rings",
-                        &bus.ring_occupancy,
+                        MetricType::Gauge,
+                        bus.ring_occupancy.get(),
                     ),
-                    ceems_obs::gauge_family(
+                    (
                         "ceems_stream_publisher_lag_ms",
                         "Ingest time minus produce time of the last frame",
-                        &bus.publisher_lag_ms,
+                        MetricType::Gauge,
+                        bus.publisher_lag_ms.get(),
                     ),
-                ]
+                ] {
+                    out.family(name, help, metric_type);
+                    out.sample("", &[], v);
+                }
             }),
         );
     }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ceems_http::Client;
-use ceems_metrics::Registry;
+use ceems_metrics::{MetricType, Registry, Sink};
 
 use crate::frame::SampleFrame;
 
@@ -66,43 +66,36 @@ pub fn register_publisher_metrics(
     let id = publisher.to_string();
     registry.register(
         format!("stream_publisher_{publisher}"),
-        Arc::new(move || {
-            let labels =
-                ceems_metrics::labels::LabelSet::from_pairs([("publisher", id.as_str())]);
-            let fam = |name, help, kind, v: u64| {
-                ceems_obs::family_with_metrics(
-                    name,
-                    help,
-                    kind,
-                    vec![ceems_obs::metric(labels.clone(), v as f64)],
-                )
-            };
-            vec![
-                fam(
+        Arc::new(move |out: &mut dyn Sink| {
+            for (name, help, metric_type, v) in [
+                (
                     "ceems_stream_publisher_unacked_frames",
                     "Frames buffered awaiting bus acknowledgement.",
-                    ceems_metrics::MetricType::Gauge,
+                    MetricType::Gauge,
                     stats.unacked(),
                 ),
-                fam(
+                (
                     "ceems_stream_publisher_unacked_high_watermark",
                     "Largest unacked-buffer depth ever observed.",
-                    ceems_metrics::MetricType::Gauge,
+                    MetricType::Gauge,
                     stats.unacked_high_watermark(),
                 ),
-                fam(
+                (
                     "ceems_stream_publisher_dropped_frames_total",
                     "Frames dropped oldest-first at the unacked-buffer cap.",
-                    ceems_metrics::MetricType::Counter,
+                    MetricType::Counter,
                     stats.dropped_frames(),
                 ),
-                fam(
+                (
                     "ceems_stream_publisher_resumed_flushes_total",
                     "Flushes that re-sent previously attempted frames.",
-                    ceems_metrics::MetricType::Counter,
+                    MetricType::Counter,
                     stats.resumed_flushes(),
                 ),
-            ]
+            ] {
+                out.family(name, help, metric_type);
+                out.sample("", &[("publisher", &id)], v as f64);
+            }
         }),
     );
 }

@@ -133,7 +133,7 @@ impl PostingCache {
 /// longer serializes the resolve phase of selects on different threads.
 const CACHE_SHARDS: usize = 8;
 
-/// A [`PostingCache`] split over [`CACHE_SHARDS`] independently locked
+/// A [`PostingCache`] split over `CACHE_SHARDS` (8) independently locked
 /// shards, keyed by key hash. Capacity is divided evenly (rounding up) so
 /// the configured total is an upper bound across shards; LRU eviction is
 /// per shard, an acceptable approximation for dashboard-shaped workloads.

@@ -235,7 +235,7 @@ impl XorChunk {
     }
 
     /// Rebuilds the chunk that holds `n` samples in `bytes`, by one decode
-    /// that checks every step ([`decode_next`]) and recovers what the
+    /// that checks every step (`decode_next`) and recovers what the
     /// appender knew: the rebuilt chunk equals the original and goes on
     /// appending the bytes the original would have. `None` when `bytes` is
     /// not what [`Self::append`] makes of `n` samples, whatever it is.

@@ -22,11 +22,11 @@ use serde_json::{json, Value as Json};
 use ceems_http::{Request, Response, Router, Status};
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::LabelMatcher;
-use ceems_metrics::Registry;
+use ceems_metrics::{MetricType, Registry, Sink};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::slowlog::{SlowQueryLog, SlowQueryRecord};
 use ceems_obs::trace::{self, QueryTrace, TraceReport};
-use ceems_obs::{counter_family, TraceSink, TRACE_HEADER};
+use ceems_obs::{TraceSink, TRACE_HEADER};
 
 use crate::promql::{instant_query, parse_expr, range_query, Expr, Value};
 use crate::selfmon;
@@ -218,32 +218,27 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
     let slow = opts.slow_query.unwrap_or_else(|| SlowQueryLog::new(0.0));
     let wal_limit = opts.wal_fetch_limit;
     let trace_sink = opts.trace_sink;
-    if let Some(limiter) = &wal_limit {
-        let throttled = limiter.throttled_counter();
-        registry.register(
-            "tsdb_wal_fetch_throttled",
-            Arc::new(move || {
-                vec![counter_family(
+    let emitted = slow.emitted_counter();
+    let throttled = wal_limit.as_ref().map(|l| l.throttled_counter());
+    registry.register(
+        "tsdb_api",
+        Arc::new(move |out: &mut dyn Sink| {
+            if let Some(throttled) = &throttled {
+                out.family(
                     "ceems_tsdb_wal_fetch_throttled_total",
                     "WAL fetches denied by the leader-side rate limit.",
-                    &throttled,
-                )]
-            }),
-        );
-    }
-    {
-        let emitted = slow.emitted_counter();
-        registry.register(
-            "tsdb_slow_queries",
-            Arc::new(move || {
-                vec![counter_family(
-                    "ceems_tsdb_slow_queries_total",
-                    "Queries that crossed the slow-query threshold.",
-                    &emitted,
-                )]
-            }),
-        );
-    }
+                    MetricType::Counter,
+                );
+                out.sample("", &[], throttled.get());
+            }
+            out.family(
+                "ceems_tsdb_slow_queries_total",
+                "Queries that crossed the slow-query threshold.",
+                MetricType::Counter,
+            );
+            out.sample("", &[], emitted.get());
+        }),
+    );
     ceems_obs::register_build_info(&registry, "tsdb");
     if let Some(sink) = &trace_sink {
         sink.store().register_metrics(&registry);

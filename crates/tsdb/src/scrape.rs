@@ -226,7 +226,7 @@ struct CachedSeries {
 /// text is parsed into a label set. The map empties itself when the stamp
 /// changes or the database refuses the token ([`RefError::Stale`]), and
 /// drops text the source stopped exposing once it holds more than
-/// [`Self::KEEP_FACTOR`] times the entries the last payload used.
+/// `KEEP_FACTOR` times the entries the last payload used.
 #[derive(Default)]
 pub struct SeriesCache {
     ids: HashMap<Box<str>, CachedSeries>,

@@ -442,8 +442,9 @@ impl Tsdb {
         Ok(())
     }
 
-    /// Appends a batch stamped with the writer's believed leadership epoch;
-    /// see [`Self::check_fence`].
+    /// Appends a batch stamped with the writer's believed leadership epoch.
+    /// A stamp that is not the database's current epoch is refused and
+    /// counted (a deposed leader cannot write past the fence).
     pub fn append_batch_fenced(
         &self,
         epoch: u64,
