@@ -2,12 +2,17 @@
 //!
 //! Two claims ride on the stream subsystem: (1) pushing exporter renders
 //! over the bus ingests at least as fast as the scrape path it replaces
-//! (both traverse one HTTP hop and the identical exposition-parse +
-//! append-batch sink), and (2) a live `query_live` subscriber sees a pushed
-//! sample as a rendered delta quickly — the end-to-end freshness win over
-//! poll-mode dashboards. Emits `BENCH_stream.json` with per-path ingest
-//! throughput and the sample→live-delta latency distribution.
+//! (both traverse one HTTP hop and ingest through `SeriesCache::ingest`,
+//! one cache per source, as the stack does), and (2) a live `query_live`
+//! subscriber sees a pushed sample as a rendered delta quickly — the
+//! end-to-end freshness win over poll-mode dashboards. A third row,
+//! `fleet_push/{1,2}`, is one push pass of a 16-exporter fleet through one
+//! bus from one and from two workers: the bus ingests different publishers'
+//! frames concurrently, so the second should take less wall time. Emits
+//! `BENCH_stream.json` with per-path ingest throughput, the fleet pass
+//! rows and the sample→live-delta latency distribution.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,16 +23,22 @@ use ceems_exporter::{CeemsExporter, ExporterConfig};
 use ceems_http::{Client, HttpServer, Router, ServerConfig};
 use ceems_qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems_simnode::SimClock;
-use ceems_stream::{SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher};
+use ceems_stream::{
+    PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
+};
 use ceems_tsdb::httpapi::api_router;
-use ceems_tsdb::scrape::exposition_to_batch;
+use ceems_tsdb::scrape::{exposition_to_batch, fan_out, SeriesCache, Stamp};
 use ceems_tsdb::Tsdb;
 use criterion::{criterion_group, criterion_main, Criterion};
+use parking_lot::Mutex;
 
 const JOBS: usize = 8;
 const STEP_MS: i64 = 15_000;
 const INGEST_ITERS: usize = 200;
 const LATENCY_ITERS: usize = 150;
+/// Exporters in one `fleet_push` pass.
+const FLEET: usize = 16;
+const FLEET_ITERS: usize = 60;
 
 fn exporter() -> Arc<CeemsExporter> {
     Arc::new(CeemsExporter::new(
@@ -37,22 +48,30 @@ fn exporter() -> Arc<CeemsExporter> {
     ))
 }
 
-/// A bus over the production sink shape: parse the exposition body with
-/// scrape-identical label stamping, append as one batch.
+fn bench_labels() -> Vec<(String, String)> {
+    vec![("nodegroup".to_string(), "bench".to_string())]
+}
+
+/// A bus over the stack's sink: one `SeriesCache::ingest` per publisher,
+/// the map lock held only to find the publisher's cache.
 fn ingesting_bus(db: Arc<Tsdb>, ring: usize) -> Arc<StreamBus> {
+    let caches: Mutex<HashMap<String, Arc<Mutex<SeriesCache>>>> = Mutex::default();
     Arc::new(StreamBus::new(
         StreamBusConfig {
             ring_capacity: ring,
             ..Default::default()
         },
         Arc::new(move |f: &SampleFrame| {
-            let batch =
-                exposition_to_batch(&f.body, &f.instance, &f.job, &f.extra_labels, f.produced_ms)?;
-            let samples = batch.len() as u64;
-            db.append_batch(&batch);
+            let cache = Arc::clone(caches.lock().entry(f.publisher.clone()).or_default());
+            let stamp = Stamp {
+                instance: &f.instance,
+                job: &f.job,
+                extra_labels: &f.extra_labels,
+            };
+            let got = cache.lock().ingest(&db, None, &f.body, stamp, f.produced_ms, &[])?;
             Ok(SinkReceipt {
-                samples,
-                names: vec![],
+                samples: got.samples,
+                names: got.names.into_iter().map(str::to_string).collect(),
             })
         }),
     ))
@@ -69,25 +88,110 @@ fn serve_bus(bus: Arc<StreamBus>, now: Arc<AtomicI64>) -> HttpServer {
     HttpServer::serve(ServerConfig::ephemeral(), router).unwrap()
 }
 
-/// One pull-mode ingest pass: GET `/metrics`, parse, append.
-fn scrape_once(client: &Client, url: &str, db: &Tsdb, t: i64) -> u64 {
+/// One pull-mode ingest pass: GET `/metrics`, then the target's
+/// `SeriesCache::ingest` with its `up`, as `ScrapeManager` does.
+fn scrape_once(client: &Client, url: &str, db: &Tsdb, cache: &mut SeriesCache, t: i64) -> u64 {
     let resp = client.get(url).expect("scrape GET");
     let body = std::str::from_utf8(&resp.body).expect("utf8 exposition");
-    let batch = exposition_to_batch(
-        body,
-        "n0:9100",
-        "ceems",
-        &[("nodegroup".to_string(), "bench".to_string())],
-        t,
-    )
-    .expect("exposition parses");
-    let n = batch.len() as u64;
-    db.append_batch(&batch);
-    n
+    let stamp = Stamp {
+        instance: "n0:9100",
+        job: "ceems",
+        extra_labels: &bench_labels(),
+    };
+    cache
+        .ingest(db, None, body, stamp, t, &[("up", 1.0)])
+        .expect("exposition parses")
+        .samples
 }
 
 fn samples_per_sec(samples_per_iter: u64, s: &LatencySummary) -> f64 {
     samples_per_iter as f64 / (s.p50_us / 1e6)
+}
+
+/// A fleet pushing through one bus over one database from `threads`
+/// workers, as `CeemsStack::push_pass` does.
+struct Fleet<'a> {
+    exporters: &'a [(String, Arc<CeemsExporter>)],
+    threads: usize,
+    bus: Arc<StreamBus>,
+    seq: u64,
+}
+
+impl Fleet<'_> {
+    /// One pass, one scrape interval after the last: each worker renders
+    /// and publishes its share. Returns the samples ingested.
+    fn pass(&mut self) -> u64 {
+        self.seq += 1;
+        let (bus, seq, t) = (&self.bus, self.seq, self.seq as i64 * STEP_MS);
+        let per_worker = fan_out(self.exporters, self.threads, |share| {
+            let mut samples = 0;
+            for (name, exp) in share {
+                let frame = SampleFrame {
+                    topic: "node-metrics".into(),
+                    publisher: name.clone(),
+                    seq,
+                    instance: format!("{name}:9100"),
+                    job: "ceems".into(),
+                    extra_labels: bench_labels(),
+                    body: exp.render_for_push(),
+                    produced_ms: t,
+                };
+                match bus.publish("anonymous", frame, t).expect("push succeeds") {
+                    PublishOutcome::Ingested { receipt, .. } => samples += receipt.samples,
+                    dup => panic!("{name} seq {seq}: {dup:?}"),
+                }
+            }
+            samples
+        });
+        per_worker.into_iter().sum()
+    }
+}
+
+/// `stream_ingest/fleet_push/{1,2}`: a pass of [`FLEET`] exporters, each
+/// publishing as its own node.
+fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
+    let exporters: Vec<(String, Arc<CeemsExporter>)> =
+        (0..FLEET).map(|i| (format!("n{i}"), exporter())).collect();
+    let mut fleets = [1, 2].map(|threads| Fleet {
+        exporters: &exporters,
+        threads,
+        bus: ingesting_bus(Arc::new(Tsdb::default()), 4),
+        seq: 0,
+    });
+    for fleet in &mut fleets {
+        c.bench_function(format!("stream_ingest/fleet_push/{}", fleet.threads), |b| {
+            b.iter(|| fleet.pass())
+        });
+    }
+
+    // Interleaved for the JSON artifact, as the ingest paths are.
+    let mut lat: [Vec<Duration>; 2] = Default::default();
+    let mut samples = [0; 2];
+    for _ in 0..FLEET_ITERS {
+        for (i, fleet) in fleets.iter_mut().enumerate() {
+            let started = Instant::now();
+            samples[i] = fleet.pass();
+            lat[i].push(started.elapsed());
+        }
+    }
+    let mut rows = serde_json::Map::new();
+    for (i, fleet) in fleets.iter().enumerate() {
+        let sum = LatencySummary::from_samples(&mut lat[i]);
+        rows.insert(
+            fleet.threads.to_string(),
+            serde_json::json!({
+                "latency": sum.to_json(),
+                "samples_per_pass": samples[i],
+                "samples_per_sec": samples_per_sec(samples[i], &sum),
+            }),
+        );
+    }
+    serde_json::json!({
+        "exporters": FLEET,
+        "iters": FLEET_ITERS,
+        "available_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "workers": serde_json::Value::Object(rows),
+    })
 }
 
 fn bench_ingest_paths(c: &mut Criterion) {
@@ -95,6 +199,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
 
     // Pull mode: the exporter serves /metrics, we scrape-parse-append.
     let scrape_db = Tsdb::default();
+    let mut scrape_cache = SeriesCache::default();
     let exp_srv = Arc::clone(&exp).serve().unwrap();
     let metrics_url = format!("{}/metrics", exp_srv.base_url());
     let scrape_client = Client::new();
@@ -110,7 +215,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
         "n0",
         "n0:9100",
         "ceems",
-        vec![("nodegroup".to_string(), "bench".to_string())],
+        bench_labels(),
     );
 
     let probe = exposition_to_batch(&exp.render_for_push(), "n0:9100", "ceems", &[], 0)
@@ -125,7 +230,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
     c.bench_function("stream_ingest/scrape_pull", |b| {
         b.iter(|| {
             t += STEP_MS;
-            scrape_once(&scrape_client, &metrics_url, &scrape_db, t)
+            scrape_once(&scrape_client, &metrics_url, &scrape_db, &mut scrape_cache, t)
         })
     });
     c.bench_function("stream_ingest/stream_push", |b| {
@@ -144,7 +249,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
     for _ in 0..INGEST_ITERS {
         t += STEP_MS;
         let started = Instant::now();
-        scrape_once(&scrape_client, &metrics_url, &scrape_db, t);
+        scrape_once(&scrape_client, &metrics_url, &scrape_db, &mut scrape_cache, t);
         scrape_lat.push(started.elapsed());
 
         t += STEP_MS;
@@ -228,6 +333,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
         delta_lat.push(started.elapsed());
     }
     let delta_sum = LatencySummary::from_samples(&mut delta_lat);
+    let fleet_push = bench_fleet_push(c);
 
     write_bench_json(
         "stream",
@@ -245,6 +351,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
                 "samples_per_sec": samples_per_sec(samples_per_iter, &push_sum),
             },
             "push_over_scrape_throughput": scrape_sum.p50_us / push_sum.p50_us,
+            "fleet_push": fleet_push,
             "live_delta_iters": LATENCY_ITERS,
             "sample_to_live_delta": delta_sum.to_json(),
             "bus_frames_published": live_bus.stats().published + bus.stats().published,

@@ -317,7 +317,8 @@ pub struct CeemsConfig {
     pub lb_strategy: String,
     /// Churn generation; `None` means jobs are submitted manually.
     pub churn: Option<ChurnSettings>,
-    /// Worker threads for stepping/scraping.
+    /// Worker threads for stepping the simulated nodes and for an ingest
+    /// pass: a scrape pass in pull mode, a push pass in stream mode.
     pub threads: usize,
     /// Worker threads for intra-group rule evaluation (1 = serial ticks).
     pub query_threads: usize,

@@ -6,7 +6,8 @@
 //! [`CeemsStack::advance`] moves the whole system one simulation step; the
 //! 1,400-node Jean-Zay experiment is just this with the big cluster spec.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,7 +32,7 @@ use ceems_slurm::{ChurnGenerator, JobRequest, Partition, Scheduler};
 use ceems_stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::scrape::{
-    ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
+    fan_out, ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
 };
 use ceems_tsdb::{ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
 
@@ -157,10 +158,21 @@ struct Schedule {
 /// labels its samples get stamped with (same as its scrape target, so a
 /// push-mode run lands byte-identical series).
 struct PushSource {
+    exporter: Arc<CeemsExporter>,
     publisher: String,
     instance: String,
     extra_labels: Vec<(String, String)>,
-    next_seq: u64,
+    /// Advanced only by the push worker that owns the source during a pass;
+    /// the pass's join orders it before the next pass reads it.
+    next_seq: AtomicU64,
+}
+
+/// What one push worker's sources delivered.
+#[derive(Default)]
+struct PushTally {
+    samples: u64,
+    failures: u64,
+    arrived: HashSet<String>,
 }
 
 /// The S24 failover machinery when `failover:` is enabled: the
@@ -284,10 +296,11 @@ impl CeemsStack {
                 source: TargetSource::InProcess(exporter.render_fn()),
             });
             push_sources.push(PushSource {
+                exporter: exporter.clone(),
                 publisher: hostname,
                 instance,
                 extra_labels,
-                next_seq: 1,
+                next_seq: AtomicU64::new(1),
             });
             exporters.push(exporter);
         }
@@ -378,7 +391,9 @@ impl CeemsStack {
         let stream_bus = if config.stream.enabled {
             let sink_db = tsdb.clone();
             let sink_router = replication.as_ref().map(|f| f.router.clone());
-            let caches: Mutex<HashMap<String, SeriesCache>> = Mutex::default();
+            // The map lock is held only to find a publisher's cache: the bus
+            // runs the sink for different publishers at once.
+            let caches: Mutex<HashMap<String, Arc<Mutex<SeriesCache>>>> = Mutex::default();
             let sink: ceems_stream::IngestSink = Arc::new(move |f: &SampleFrame| {
                 let (db, epoch) = match &sink_router {
                     // Failover mode: append through the write route, fenced
@@ -391,14 +406,13 @@ impl CeemsStack {
                     }
                     None => (sink_db.clone(), None),
                 };
-                let mut caches = caches.lock();
-                let cache = caches.entry(f.publisher.clone()).or_default();
+                let cache = Arc::clone(caches.lock().entry(f.publisher.clone()).or_default());
                 let stamp = Stamp {
                     instance: &f.instance,
                     job: &f.job,
                     extra_labels: &f.extra_labels,
                 };
-                let got = cache.ingest(&db, epoch, &f.body, stamp, f.produced_ms, &[])?;
+                let got = cache.lock().ingest(&db, epoch, &f.body, stamp, f.produced_ms, &[])?;
                 Ok(SinkReceipt {
                     samples: got.samples,
                     names: got.names.into_iter().map(str::to_string).collect(),
@@ -784,39 +798,47 @@ impl CeemsStack {
         self.stats
     }
 
-    /// One push pass (stream mode): every exporter publishes its render
-    /// onto the bus, then the rule engine re-evaluates only the sub-DAG
-    /// whose input series actually arrived.
+    /// One push pass (stream mode): every exporter renders and publishes
+    /// onto the bus, spread over `config.threads` workers as a scrape pass
+    /// is, then the rule engine re-evaluates only the sub-DAG whose input
+    /// series actually arrived.
     fn push_pass(&mut self, now: i64) {
         let Some(bus) = self.stream_bus.clone() else {
             return;
         };
-        let mut arrived: std::collections::HashSet<String> = Default::default();
-        for (i, exporter) in self.exporters.iter().enumerate() {
-            let src = &mut self.push_sources[i];
-            let frame = SampleFrame {
-                topic: self.config.stream.topic.clone(),
-                publisher: src.publisher.clone(),
-                seq: src.next_seq,
-                instance: src.instance.clone(),
-                job: "ceems".to_string(),
-                extra_labels: src.extra_labels.clone(),
-                body: exporter.render_for_push(),
-                produced_ms: now,
-            };
-            match bus.publish("anonymous", frame, now) {
-                Ok(PublishOutcome::Ingested { receipt, .. }) => {
-                    src.next_seq += 1;
-                    self.stats.samples_pushed += receipt.samples;
-                    arrived.extend(receipt.names);
-                }
-                Ok(PublishOutcome::Duplicate { .. }) => {
-                    src.next_seq += 1;
-                }
-                Err(_) => {
-                    self.stats.stream_failures += 1;
+        let topic = &self.config.stream.topic;
+        let tallies = fan_out(&self.push_sources, self.config.threads, |sources| {
+            let mut tally = PushTally::default();
+            for src in sources {
+                let frame = SampleFrame {
+                    topic: topic.clone(),
+                    publisher: src.publisher.clone(),
+                    seq: src.next_seq.load(Ordering::Relaxed),
+                    instance: src.instance.clone(),
+                    job: "ceems".to_string(),
+                    extra_labels: src.extra_labels.clone(),
+                    body: src.exporter.render_for_push(),
+                    produced_ms: now,
+                };
+                match bus.publish("anonymous", frame, now) {
+                    Ok(PublishOutcome::Ingested { receipt, .. }) => {
+                        src.next_seq.fetch_add(1, Ordering::Relaxed);
+                        tally.samples += receipt.samples;
+                        tally.arrived.extend(receipt.names);
+                    }
+                    Ok(PublishOutcome::Duplicate { .. }) => {
+                        src.next_seq.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(_) => tally.failures += 1,
                 }
             }
+            tally
+        });
+        let mut arrived: HashSet<String> = HashSet::new();
+        for tally in tallies {
+            self.stats.samples_pushed += tally.samples;
+            self.stats.stream_failures += tally.failures;
+            arrived.extend(tally.arrived);
         }
         self.stats.stream_pushes += 1;
         if !arrived.is_empty() {
@@ -1173,8 +1195,13 @@ mod tests {
         let bus = push.stream_bus().expect("bus present in stream mode");
         assert_eq!(bus.stats().published, st.stream_pushes * 8);
 
-        // Push-mode ingest lands the same series a pull-mode run does:
-        // same sample count and same values at the same timestamps.
+        // Push-mode ingest lands the database a pull-mode run does, rule
+        // outputs included: same labels, timestamps and value bits. Left out
+        // are the scrape's `up` and the exporter's account of itself
+        // (`ceems_exporter_*`: render wall time, payload bytes, samples per
+        // render mode), which differs between any two runs. The push workers
+        // create series in another order than the scrape, so the whole head
+        // is compared.
         for stack in [&push, &pull] {
             let power = stack.tsdb.select_latest(&[
                 LabelMatcher::eq("__name__", "uuid:ceems_power:watts"),
@@ -1182,24 +1209,29 @@ mod tests {
             ]);
             assert_eq!(power.len(), 1);
         }
-        let series = |stack: &CeemsStack| {
-            stack.tsdb.select(
-                &[
-                    LabelMatcher::eq("__name__", "ceems_compute_unit_cpu_user_seconds_total"),
-                    LabelMatcher::eq("uuid", "slurm-1"),
-                ],
-                0,
-                i64::MAX,
-            )
+        let head = |stack: &CeemsStack| {
+            let mut series: Vec<(String, Vec<(i64, u64)>)> = stack
+                .tsdb
+                .select(&[], 0, i64::MAX)
+                .into_iter()
+                .filter(|s| {
+                    let name = s.labels.metric_name().unwrap_or_default();
+                    name != "up" && !name.starts_with("ceems_exporter_")
+                })
+                .map(|s| {
+                    let samples = s.samples.iter().map(|p| (p.t_ms, p.v.to_bits())).collect();
+                    (s.labels.to_string(), samples)
+                })
+                .collect();
+            series.sort();
+            series
         };
-        let (a, b) = (series(&push), series(&pull));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert_eq!(a[0].samples.len(), b[0].samples.len());
-        for (sa, sb) in a[0].samples.iter().zip(&b[0].samples) {
-            assert_eq!(sa.t_ms, sb.t_ms);
-            assert_eq!(sa.v, sb.v);
+        let (a, b) = (head(&push), head(&pull));
+        assert!(a.len() > 100, "{} series", a.len());
+        for (sa, sb) in a.iter().zip(&b) {
+            assert_eq!(sa, sb);
         }
+        assert_eq!(a.len(), b.len());
         std::fs::remove_dir_all(push_dir).ok();
         std::fs::remove_dir_all(pull_dir).ok();
     }

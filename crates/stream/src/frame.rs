@@ -26,9 +26,10 @@ pub struct SampleFrame {
     /// Publisher identity; sequence numbers are monotonic per publisher.
     pub publisher: String,
     /// Monotonic sequence number, starting at 1. The bus acks the highest
-    /// contiguous seq it has ingested; `seq <= last_acked` is a duplicate
-    /// (acknowledged again, not re-ingested) so resend-after-reconnect is
-    /// idempotent.
+    /// seq it has ingested for the publisher and treats any seq at or below
+    /// it as a duplicate (acknowledged again, not re-ingested), so
+    /// resend-after-reconnect is idempotent; a skipped seq is not waited
+    /// for.
     pub seq: u64,
     /// `instance` label stamped on every sample (as a scrape would).
     pub instance: String,

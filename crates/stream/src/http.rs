@@ -232,6 +232,48 @@ mod tests {
         server.shutdown();
     }
 
+    /// `from_offset` is whatever the query string says; the largest u64
+    /// resumes past everything retained: no gap record, no replay, and the
+    /// next frame still arrives live.
+    #[test]
+    fn subscribe_from_the_largest_offset_gets_the_next_frame_only() {
+        let bus = counting_bus(StreamBusConfig::default());
+        let server = serve(Arc::clone(&bus));
+        let mut publisher = StreamPublisher::new(
+            &server.base_url(),
+            "node-metrics",
+            "n1",
+            "n1:9100",
+            "ceems",
+            vec![],
+        );
+        publisher.publish("a 1\n".into(), 1_000).unwrap();
+
+        let client = ceems_http::Client::new();
+        let mut sub = client
+            .get_stream(&format!(
+                "{}/api/v1/stream/subscribe?topic=node-metrics&from_offset={}",
+                server.base_url(),
+                u64::MAX
+            ))
+            .unwrap();
+        assert_eq!(sub.status.0, 200);
+        publisher.publish("a 2\n".into(), 2_000).unwrap();
+
+        let mut dec = RecordDecoder::new();
+        let mut records = Vec::new();
+        while records.is_empty() {
+            match sub.next_chunk().unwrap() {
+                Some(chunk) => records.extend(dec.feed(&chunk).unwrap()),
+                None => panic!("stream ended before frame arrived"),
+            }
+        }
+        assert_eq!(records[0].get("control"), None, "{:?}", records[0]);
+        assert_eq!(records[0].get("offset").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(SampleFrame::from_json(&records[0]).unwrap().body, "a 2\n");
+        server.shutdown();
+    }
+
     #[test]
     fn subscriber_cap_returns_429_with_retry_after() {
         let bus = counting_bus(StreamBusConfig {

@@ -6,7 +6,8 @@
 //! * [`frame`] — the wire format: length-prefixed JSON frames carrying one
 //!   exporter render plus target labels and a per-publisher sequence number.
 //! * [`bus`] — the [`bus::StreamBus`]: per-tenant topics, synchronous
-//!   ingest through a sink (one frame = one WAL group commit), per-publisher
+//!   ingest through a sink (one frame = one WAL group commit) ordered per
+//!   publisher, so different publishers ingest concurrently, per-publisher
 //!   ack/dedup for idempotent resume, bounded replay rings, and live
 //!   fan-out to subscriber stream writers.
 //! * [`publisher`] — the exporter-side client: buffers unacked frames,
@@ -17,7 +18,7 @@
 //!   `stream_push` trace stage.
 //!
 //! Downstream, the TSDB consumes pushed batches exactly like scraped ones
-//! (same label stamping via `exposition_to_batch`), the rule engine
+//! (the same `SeriesCache::ingest`, one cache per publisher), the rule engine
 //! re-evaluates only the sub-DAG whose inputs arrived
 //! (`RuleEngine::tick_incremental`), and the query frontend pushes per-step
 //! deltas to live `query_live` subscribers.

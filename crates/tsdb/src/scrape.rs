@@ -93,38 +93,45 @@ impl ScrapeManager {
     /// Scrapes every target once at simulated time `now_ms`, fanning out
     /// over `threads` OS threads. Ingests an `up` gauge per target.
     pub fn scrape_once(&self, db: &Tsdb, now_ms: i64, threads: usize) -> ScrapeStats {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let ok = AtomicU64::new(0);
-        let failed = AtomicU64::new(0);
-        let samples = AtomicU64::new(0);
-
-        let threads = threads.max(1);
-        let chunk = self.targets.len().div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for targets in self.targets.chunks(chunk) {
-                let (ok, failed, samples) = (&ok, &failed, &samples);
-                let client = &self.client;
-                s.spawn(move || {
-                    for (t, cache) in targets {
-                        match scrape_target(client, t, &mut cache.lock(), db, now_ms) {
-                            Ok(n) => {
-                                ok.fetch_add(1, Ordering::Relaxed);
-                                samples.fetch_add(n, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+        let chunks = fan_out(&self.targets, threads, |targets| {
+            let mut stats = ScrapeStats::default();
+            for (t, cache) in targets {
+                match scrape_target(&self.client, t, &mut cache.lock(), db, now_ms) {
+                    Ok(n) => {
+                        stats.ok += 1;
+                        stats.samples += n;
                     }
-                });
+                    Err(_) => stats.failed += 1,
+                }
             }
+            stats
         });
-        ScrapeStats {
-            ok: ok.load(Ordering::Relaxed),
-            failed: failed.load(Ordering::Relaxed),
-            samples: samples.load(Ordering::Relaxed),
-        }
+        chunks.into_iter().fold(ScrapeStats::default(), |a, b| ScrapeStats {
+            ok: a.ok + b.ok,
+            failed: a.failed + b.failed,
+            samples: a.samples + b.samples,
+        })
     }
+}
+
+/// Runs `work` over `items` cut into at most `threads` contiguous chunks,
+/// each chunk on a scoped thread of its own, and returns the chunks' results
+/// in order. An ingest pass — a scrape pass or a push pass — spreads its
+/// sources this way.
+pub fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    work: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunk = items.len().div_ceil(threads.max(1)).max(1);
+    let work = &work;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = items.chunks(chunk).map(|c| s.spawn(move || work(c))).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// The target labels stamped on every sample of one source.
