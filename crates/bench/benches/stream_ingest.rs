@@ -8,9 +8,16 @@
 //! end-to-end freshness win over poll-mode dashboards. A third row,
 //! `fleet_push/{1,2}`, is one push pass of a 16-exporter fleet through one
 //! bus from one and from two workers: the bus ingests different publishers'
-//! frames concurrently, so the second should take less wall time. Emits
-//! `BENCH_stream.json` with per-path ingest throughput, the fleet pass
-//! rows and the sample→live-delta latency distribution.
+//! frames concurrently, so the second should take less wall time. A fourth,
+//! `fleet_scrape/{1,2}`, is one scrape pass over a mixed fleet in the order
+//! `CeemsStack::build` lists it, eight CPU nodes and then eight line-heavier
+//! GPU nodes: the workers take the targets one at a time, so the two of
+//! them should finish together rather than one waiting on the GPU half.
+//! Beside it, `fleet_scrape/2_halves` cuts the same pass into the CPU half
+//! and the GPU half on a thread each, the contiguous shares a two-worker
+//! pass used to take.
+//! Emits `BENCH_stream.json` with per-path ingest throughput, the fleet
+//! pass rows and the sample→live-delta latency distribution.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -27,8 +34,10 @@ use ceems_stream::{
     PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
 };
 use ceems_tsdb::httpapi::api_router;
-use ceems_tsdb::scrape::{exposition_to_batch, fan_out, SeriesCache, Stamp};
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::scrape::{
+    exposition_to_batch, ScrapeManager, ScrapeTarget, SeriesCache, Stamp, TargetSource,
+};
+use ceems_tsdb::{fan_out, Tsdb};
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 
@@ -36,16 +45,22 @@ const JOBS: usize = 8;
 const STEP_MS: i64 = 15_000;
 const INGEST_ITERS: usize = 200;
 const LATENCY_ITERS: usize = 150;
-/// Exporters in one `fleet_push` pass.
+/// Exporters in one `fleet_push` or `fleet_scrape` pass.
 const FLEET: usize = 16;
 const FLEET_ITERS: usize = 60;
 
-fn exporter() -> Arc<CeemsExporter> {
+/// A node's exporter: a CPU node with [`JOBS`] jobs, or with `gpus_per_job`
+/// a GPU node whose jobs hold that many GPUs each.
+fn exporter_of(gpus_per_job: usize) -> Arc<CeemsExporter> {
     Arc::new(CeemsExporter::new(
-        busy_node(JOBS, 0),
+        busy_node(JOBS, gpus_per_job),
         SimClock::starting_at(60_000),
         ExporterConfig::default(),
     ))
+}
+
+fn exporter() -> Arc<CeemsExporter> {
+    exporter_of(0)
 }
 
 fn bench_labels() -> Vec<(String, String)> {
@@ -108,6 +123,15 @@ fn samples_per_sec(samples_per_iter: u64, s: &LatencySummary) -> f64 {
     samples_per_iter as f64 / (s.p50_us / 1e6)
 }
 
+/// One ingest pass over a fleet from a number of workers.
+trait FleetPass {
+    /// The row's name: the worker count.
+    fn label(&self) -> String;
+    /// One pass, one scrape interval after the last. Returns the samples
+    /// ingested.
+    fn pass(&mut self) -> u64;
+}
+
 /// A fleet pushing through one bus over one database from `threads`
 /// workers, as `CeemsStack::push_pass` does.
 struct Fleet<'a> {
@@ -117,56 +141,87 @@ struct Fleet<'a> {
     seq: u64,
 }
 
-impl Fleet<'_> {
-    /// One pass, one scrape interval after the last: each worker renders
-    /// and publishes its share. Returns the samples ingested.
+impl FleetPass for Fleet<'_> {
+    fn label(&self) -> String {
+        self.threads.to_string()
+    }
+
+    /// Each worker renders and publishes the exporters it takes.
     fn pass(&mut self) -> u64 {
         self.seq += 1;
         let (bus, seq, t) = (&self.bus, self.seq, self.seq as i64 * STEP_MS);
-        let per_worker = fan_out(self.exporters, self.threads, |share| {
-            let mut samples = 0;
-            for (name, exp) in share {
-                let frame = SampleFrame {
-                    topic: "node-metrics".into(),
-                    publisher: name.clone(),
-                    seq,
-                    instance: format!("{name}:9100"),
-                    job: "ceems".into(),
-                    extra_labels: bench_labels(),
-                    body: exp.render_for_push(),
-                    produced_ms: t,
-                };
-                match bus.publish("anonymous", frame, t).expect("push succeeds") {
-                    PublishOutcome::Ingested { receipt, .. } => samples += receipt.samples,
-                    dup => panic!("{name} seq {seq}: {dup:?}"),
-                }
+        let publish = |samples: &mut u64, (name, exp): &(String, Arc<CeemsExporter>)| {
+            let frame = SampleFrame {
+                topic: "node-metrics".into(),
+                publisher: name.clone(),
+                seq,
+                instance: format!("{name}:9100"),
+                job: "ceems".into(),
+                extra_labels: bench_labels(),
+                body: exp.render_for_push(),
+                produced_ms: t,
+            };
+            match bus.publish("anonymous", frame, t).expect("push succeeds") {
+                PublishOutcome::Ingested { receipt, .. } => *samples += receipt.samples,
+                dup => panic!("{name} seq {seq}: {dup:?}"),
             }
-            samples
-        });
+        };
+        let per_worker = fan_out(self.exporters, self.threads, || 0, publish);
         per_worker.into_iter().sum()
     }
 }
 
-/// `stream_ingest/fleet_push/{1,2}`: a pass of [`FLEET`] exporters, each
-/// publishing as its own node.
-fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
-    let exporters: Vec<(String, Arc<CeemsExporter>)> =
-        (0..FLEET).map(|i| (format!("n{i}"), exporter())).collect();
-    let mut fleets = [1, 2].map(|threads| Fleet {
-        exporters: &exporters,
-        threads,
-        bus: ingesting_bus(Arc::new(Tsdb::default()), 4),
-        seq: 0,
-    });
+/// A fleet scraped into one database: by one manager from `threads`
+/// workers, as `CeemsStack::advance` does in pull mode, or by two managers,
+/// the CPU half's and the GPU half's, on a thread each — the contiguous
+/// shares a two-worker pass used to cut (`2_halves`).
+struct ScrapeFleet {
+    managers: Vec<ScrapeManager>,
+    db: Tsdb,
+    threads: usize,
+    t: i64,
+}
+
+impl FleetPass for ScrapeFleet {
+    fn label(&self) -> String {
+        match self.managers.len() {
+            1 => self.threads.to_string(),
+            n => format!("{n}_halves"),
+        }
+    }
+
+    fn pass(&mut self) -> u64 {
+        self.t += STEP_MS;
+        let (db, t, threads) = (&self.db, self.t, self.threads);
+        let scrape = |manager: &ScrapeManager| {
+            let stats = manager.scrape_once(db, t, threads);
+            assert_eq!(stats.failed, 0);
+            stats.samples
+        };
+        match &self.managers[..] {
+            [cpu, gpu] => std::thread::scope(|s| {
+                let gpu = s.spawn(|| scrape(gpu));
+                scrape(cpu) + gpu.join().unwrap()
+            }),
+            managers => managers.iter().map(scrape).sum(),
+        }
+    }
+}
+
+/// Criterion's `stream_ingest/{row}/{label}` rows over `fleets`, then their
+/// passes interleaved for the JSON artifact, as the ingest paths are.
+fn fleet_rows<const N: usize>(
+    c: &mut Criterion,
+    row: &str,
+    mut fleets: [impl FleetPass; N],
+) -> serde_json::Value {
     for fleet in &mut fleets {
-        c.bench_function(format!("stream_ingest/fleet_push/{}", fleet.threads), |b| {
+        c.bench_function(format!("stream_ingest/{row}/{}", fleet.label()), |b| {
             b.iter(|| fleet.pass())
         });
     }
-
-    // Interleaved for the JSON artifact, as the ingest paths are.
-    let mut lat: [Vec<Duration>; 2] = Default::default();
-    let mut samples = [0; 2];
+    let mut lat: [Vec<Duration>; N] = [(); N].map(|()| Vec::new());
+    let mut samples = [0; N];
     for _ in 0..FLEET_ITERS {
         for (i, fleet) in fleets.iter_mut().enumerate() {
             let started = Instant::now();
@@ -178,7 +233,7 @@ fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
     for (i, fleet) in fleets.iter().enumerate() {
         let sum = LatencySummary::from_samples(&mut lat[i]);
         rows.insert(
-            fleet.threads.to_string(),
+            fleet.label(),
             serde_json::json!({
                 "latency": sum.to_json(),
                 "samples_per_pass": samples[i],
@@ -192,6 +247,59 @@ fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
         "available_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "workers": serde_json::Value::Object(rows),
     })
+}
+
+/// `stream_ingest/fleet_push/{1,2}`: a pass of [`FLEET`] exporters, each
+/// publishing as its own node.
+fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
+    let exporters: Vec<(String, Arc<CeemsExporter>)> =
+        (0..FLEET).map(|i| (format!("n{i}"), exporter())).collect();
+    let fleets = [1, 2].map(|threads| Fleet {
+        exporters: &exporters,
+        threads,
+        bus: ingesting_bus(Arc::new(Tsdb::default()), 4),
+        seq: 0,
+    });
+    fleet_rows(c, "fleet_push", fleets)
+}
+
+/// `stream_ingest/fleet_scrape/{1,2,2_halves}`: a pass over [`FLEET`]
+/// targets, the CPU half first and the GPU half after it, each with its
+/// node group's label.
+fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
+    let targets: Vec<ScrapeTarget> = (0..FLEET)
+        .map(|i| {
+            let (group, gpus_per_job) = if i < FLEET / 2 {
+                ("intel-dram", 0)
+            } else {
+                ("gpu-typeb", 1)
+            };
+            ScrapeTarget {
+                instance: format!("n{i}:9100"),
+                job: "ceems".into(),
+                extra_labels: vec![("nodegroup".into(), group.into())],
+                source: TargetSource::InProcess(exporter_of(gpus_per_job).render_fn()),
+            }
+        })
+        .collect();
+    let (cpu, gpu) = targets.split_at(FLEET / 2);
+    let fleet = |threads: usize, shares: &[&[ScrapeTarget]]| ScrapeFleet {
+        managers: shares
+            .iter()
+            .map(|s| ScrapeManager::new(s.to_vec()))
+            .collect(),
+        db: Tsdb::default(),
+        threads,
+        t: 0,
+    };
+    let all = &targets[..];
+    let fleets = [fleet(1, &[all]), fleet(2, &[all]), fleet(1, &[cpu, gpu])];
+    let mut rows = fleet_rows(c, "fleet_scrape", fleets);
+    if let serde_json::Value::Object(m) = &mut rows {
+        m.insert("cpu_nodes".into(), serde_json::json!(cpu.len()));
+        m.insert("gpu_nodes".into(), serde_json::json!(gpu.len()));
+    }
+    rows
 }
 
 fn bench_ingest_paths(c: &mut Criterion) {
@@ -334,6 +442,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
     }
     let delta_sum = LatencySummary::from_samples(&mut delta_lat);
     let fleet_push = bench_fleet_push(c);
+    let fleet_scrape = bench_fleet_scrape(c);
 
     write_bench_json(
         "stream",
@@ -352,6 +461,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
             },
             "push_over_scrape_throughput": scrape_sum.p50_us / push_sum.p50_us,
             "fleet_push": fleet_push,
+            "fleet_scrape": fleet_scrape,
             "live_delta_iters": LATENCY_ITERS,
             "sample_to_live_delta": delta_sum.to_json(),
             "bus_frames_published": live_bus.stats().published + bus.stats().published,

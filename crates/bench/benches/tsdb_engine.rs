@@ -5,8 +5,9 @@
 //!
 //! E14 rows (EXPERIMENTS.md): what a read near the head costs at three
 //! chunk fills (`head_tail_read`), what deriving one label set from another
-//! costs (`labelset`), and one tick of the fixture's recording rules with
-//! and without the rule-level fan-out (`rule_tick`). E17 rows: the same tick
+//! costs (`labelset`), and one tick of the fixture's recording rules on one
+//! worker and with its four groups side by side on two (`rule_tick`; E19).
+//! E17 rows: the same tick
 //! with six new jobs between ticks (`rule_tick/churn`) and with every plan
 //! built again (`rule_tick/cold`).
 //!
@@ -257,12 +258,15 @@ fn fleet_stack(dir: &std::path::Path) -> CeemsStack {
     stack
 }
 
-/// Where rule ticks went: wall time, split by the TSDB's own select and
-/// ingest histograms, and how the engine brought its plans up to date.
+/// Where rule ticks went: wall time, the groups' busy time (summed over the
+/// workers) split by the TSDB's own select and ingest histograms, and how
+/// the engine brought its plans up to date.
 #[derive(Default)]
 struct TickSplit {
     ticks: u64,
     wall: f64,
+    /// Seconds inside group evaluations, every worker's.
+    busy: f64,
     /// Resolve, read and append seconds.
     spent: [f64; 3],
     selects: u64,
@@ -283,6 +287,12 @@ impl TickSplit {
         [p.reused, p.extended, p.rebuilt]
     }
 
+    fn busy(engine: &RuleEngine) -> f64 {
+        let groups = engine.eval_histogram();
+        let names = engine.group_names().into_iter();
+        names.map(|g| groups.with_label_values(&[g]).sum()).sum()
+    }
+
     /// Runs one tick, booking it.
     fn tick(
         &mut self,
@@ -295,10 +305,11 @@ impl TickSplit {
             Self::plans(engine),
             db.instruments().select_seconds.count(),
         );
-        let evaluations = engine.stats().evaluations;
+        let (evaluations, busy) = (engine.stats().evaluations, Self::busy(engine));
         let t = Instant::now();
         self.written = tick(engine);
         self.wall += t.elapsed().as_secs_f64();
+        self.busy += Self::busy(engine) - busy;
         let (spent_after, plans_after) = (Self::spent(db), Self::plans(engine));
         for k in 0..3 {
             self.spent[k] += spent_after[k] - spent[k];
@@ -315,11 +326,13 @@ impl TickSplit {
         let [resolve, read, append] = self.spent.map(ms);
         let [reused, extended, rebuilt] = self.plans.map(|p| p as f64 / n);
         eprintln!(
-            "[E14] rule tick {row}: mean {:.2} ms = resolve {resolve:.2} + read {read:.2} + \
-             evaluate {:.2} + append {append:.2} ({} rules, {} selects, {} series written; \
-             plans reused {reused:.1} / extended {extended:.1} / rebuilt {rebuilt:.1} a tick)",
+            "[E14] rule tick {row}: mean {:.2} ms wall, {:.2} ms busy = resolve {resolve:.2} + \
+             read {read:.2} + evaluate {:.2} + append {append:.2} ({} rules, {} selects, {} \
+             series written; plans reused {reused:.1} / extended {extended:.1} / rebuilt \
+             {rebuilt:.1} a tick)",
             ms(self.wall),
-            ms(self.wall) - resolve - read - append,
+            ms(self.busy),
+            ms(self.busy) - resolve - read - append,
             self.evaluations / self.ticks.max(1),
             self.selects / self.ticks.max(1),
             self.written,
@@ -359,8 +372,9 @@ fn submit_six(stack: &CeemsStack, first: usize) {
     }
 }
 
-/// One tick of the fixture's recording rules: serial against the
-/// rule-level fan-out with every plan carried over (`eval_threads/*`), with
+/// One tick of the fixture's recording rules with every plan carried over:
+/// the groups in order on one worker, and side by side on two
+/// (`eval_threads/*`; the four attribution groups are one level). Then, with
 /// six new jobs and two scrape cycles between ticks (`churn`), and with a
 /// series removal before every tick, so every plan is built again (`cold`).
 /// Beside criterion's row, where a mean tick goes (`[E14]` lines).
@@ -384,7 +398,9 @@ fn bench_rule_tick(c: &mut Criterion) {
                 *now += 1;
                 split.tick(db, &mut engine, |e| e.force_eval(db, *now))
             });
-            split.report(&format!("eval_threads={eval_threads}"));
+            let (groups, levels) = (engine.group_names().len(), engine.group_levels().len());
+            let row = format!("eval_threads={eval_threads}, {groups} groups in {levels} levels");
+            split.report(&row);
         });
     }
     group.bench_function("cold", |b| {

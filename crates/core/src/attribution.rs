@@ -84,14 +84,19 @@ pub const NETWORK_FRACTION: f64 = 0.1;
 /// `window` is the `rate()` window (e.g. `"2m"`). The rules are ordered so
 /// intermediates are recorded before the rules that read them; the engine
 /// evaluates a group's rules sequentially at the same timestamp, so chains
-/// resolve within one evaluation.
+/// resolve within one evaluation. Every rule carries the static label
+/// `nodegroup=<group>`, which its output already has through
+/// `by (…, nodegroup)`: it changes no series, and it tells the engine that
+/// no other group reads this group's records, so the groups run side by
+/// side.
 pub fn rules_for_group(group: NodeGroup, window: &str) -> Vec<RecordingRule> {
     let g = group.label();
     let w = window;
     let mut rules: Vec<RecordingRule> = Vec::new();
     let mut rule = |record: &str, expr: String, statics: &[(&str, &str)]| {
+        let statics = [statics, &[("nodegroup", g)]].concat();
         rules.push(
-            RecordingRule::new(record, &expr, statics)
+            RecordingRule::new(record, &expr, &statics)
                 .unwrap_or_else(|e| panic!("rule {record} for {g} failed to parse: {e}\n{expr}")),
         );
     };
@@ -391,6 +396,15 @@ mod tests {
         }
         let groups = all_rule_groups("2m", 30_000);
         assert_eq!(groups.len(), 4);
+        for (group, g) in groups.iter().zip(NodeGroup::all()) {
+            for rule in &group.rules {
+                let nodegroup = ("nodegroup".to_string(), g.label().to_string());
+                assert!(rule.static_labels.contains(&nodegroup), "{}", rule.record);
+            }
+        }
+        // No group reads another's records: one level, side by side.
+        let engine = RuleEngine::new(groups);
+        assert_eq!(engine.group_levels(), [vec![0, 1, 2, 3]]);
     }
 
     #[test]

@@ -318,9 +318,12 @@ pub struct CeemsConfig {
     /// Churn generation; `None` means jobs are submitted manually.
     pub churn: Option<ChurnSettings>,
     /// Worker threads for stepping the simulated nodes and for an ingest
-    /// pass: a scrape pass in pull mode, a push pass in stream mode.
+    /// pass: a scrape pass in pull mode, a push pass in stream mode. The
+    /// pass's workers take the sources one at a time (`ceems_tsdb::fan_out`).
     pub threads: usize,
-    /// Worker threads for intra-group rule evaluation (1 = serial ticks).
+    /// Worker threads for rule groups evaluated side by side; each group's
+    /// rules still run in order (1 = the groups in order on the calling
+    /// thread).
     pub query_threads: usize,
     /// Capacity of the TSDB matcher-result posting cache; 0 disables it.
     pub posting_cache_size: usize,

@@ -32,9 +32,9 @@ use ceems_slurm::{ChurnGenerator, JobRequest, Partition, Scheduler};
 use ceems_stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::scrape::{
-    fan_out, ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
+    ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
 };
-use ceems_tsdb::{ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
+use ceems_tsdb::{fan_out, ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
 
 use crate::attribution::{all_rule_groups, NodeGroup};
 use crate::config::CeemsConfig;
@@ -799,41 +799,40 @@ impl CeemsStack {
     }
 
     /// One push pass (stream mode): every exporter renders and publishes
-    /// onto the bus, spread over `config.threads` workers as a scrape pass
-    /// is, then the rule engine re-evaluates only the sub-DAG whose input
-    /// series actually arrived.
+    /// onto the bus, the sources handed out one at a time to
+    /// `config.threads` workers as a scrape pass's targets are, then the
+    /// rule engine re-evaluates only the sub-DAG whose input series
+    /// actually arrived.
     fn push_pass(&mut self, now: i64) {
         let Some(bus) = self.stream_bus.clone() else {
             return;
         };
         let topic = &self.config.stream.topic;
-        let tallies = fan_out(&self.push_sources, self.config.threads, |sources| {
-            let mut tally = PushTally::default();
-            for src in sources {
-                let frame = SampleFrame {
-                    topic: topic.clone(),
-                    publisher: src.publisher.clone(),
-                    seq: src.next_seq.load(Ordering::Relaxed),
-                    instance: src.instance.clone(),
-                    job: "ceems".to_string(),
-                    extra_labels: src.extra_labels.clone(),
-                    body: src.exporter.render_for_push(),
-                    produced_ms: now,
-                };
-                match bus.publish("anonymous", frame, now) {
-                    Ok(PublishOutcome::Ingested { receipt, .. }) => {
-                        src.next_seq.fetch_add(1, Ordering::Relaxed);
-                        tally.samples += receipt.samples;
-                        tally.arrived.extend(receipt.names);
-                    }
-                    Ok(PublishOutcome::Duplicate { .. }) => {
-                        src.next_seq.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => tally.failures += 1,
+        let fold = |tally: &mut PushTally, src: &PushSource| {
+            let frame = SampleFrame {
+                topic: topic.clone(),
+                publisher: src.publisher.clone(),
+                seq: src.next_seq.load(Ordering::Relaxed),
+                instance: src.instance.clone(),
+                job: "ceems".to_string(),
+                extra_labels: src.extra_labels.clone(),
+                body: src.exporter.render_for_push(),
+                produced_ms: now,
+            };
+            match bus.publish("anonymous", frame, now) {
+                Ok(PublishOutcome::Ingested { receipt, .. }) => {
+                    src.next_seq.fetch_add(1, Ordering::Relaxed);
+                    tally.samples += receipt.samples;
+                    tally.arrived.extend(receipt.names);
                 }
+                Ok(PublishOutcome::Duplicate { .. }) => {
+                    src.next_seq.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => tally.failures += 1,
             }
-            tally
-        });
+        };
+        let threads = self.config.threads;
+        let tallies = fan_out(&self.push_sources, threads, PushTally::default, fold);
         let mut arrived: HashSet<String> = HashSet::new();
         for tally in tallies {
             self.stats.samples_pushed += tally.samples;
@@ -981,7 +980,7 @@ impl CeemsStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceems_metrics::matcher::LabelMatcher;
+    use ceems_metrics::matcher::{LabelMatcher, MatchOp};
     use ceems_simnode::WorkloadProfile;
 
     fn cpu_job(user: &str, cores: usize) -> JobRequest {
@@ -1234,6 +1233,60 @@ mod tests {
         assert_eq!(a.len(), b.len());
         std::fs::remove_dir_all(push_dir).ok();
         std::fs::remove_dir_all(pull_dir).ok();
+    }
+
+    /// Sources handed out one at a time and rule groups side by side change
+    /// no answer: under churn, a stack at one worker and one at two record
+    /// the same rule series, value bits and all, in pull and in push mode.
+    #[test]
+    fn one_worker_and_two_record_the_same_rule_series() {
+        let rule_series = |stack: &CeemsStack| {
+            let recorded = LabelMatcher::new("__name__", MatchOp::Re, ".+:.+").unwrap();
+            let series = stack.tsdb.select(&[recorded], 0, i64::MAX).into_iter();
+            let bits = series.map(|s| {
+                let samples: Vec<(i64, u64)> =
+                    s.samples.iter().map(|p| (p.t_ms, p.v.to_bits())).collect();
+                (s.labels.to_string(), samples)
+            });
+            bits.collect::<std::collections::BTreeMap<_, _>>()
+        };
+        for stream in [false, true] {
+            let run = |threads: usize| {
+                let dir = std::env::temp_dir().join(format!(
+                    "ceems-workers-{stream}-{threads}-{}",
+                    std::process::id()
+                ));
+                let cfg = CeemsConfig {
+                    churn: Some(crate::config::ChurnSettings {
+                        users: 10,
+                        projects: 3,
+                        arrivals_per_hour: 400.0,
+                    }),
+                    stream: crate::config::StreamSettings {
+                        enabled: stream,
+                        ..Default::default()
+                    },
+                    threads,
+                    query_threads: threads,
+                    ..Default::default()
+                };
+                let mut stack = CeemsStack::build(cfg, &dir).unwrap();
+                stack.run_for(600.0, 15.0);
+                let out = (stack.stats(), rule_series(&stack));
+                drop(stack);
+                std::fs::remove_dir_all(dir).ok();
+                out
+            };
+            let ((one, serial), (two, parallel)) = (run(1), run(2));
+            assert!(one.scrape_passes + one.stream_pushes >= 20, "{one:?}");
+            assert!(one.jobs_submitted > 0 && serial.len() > 50, "{one:?}");
+            let written = [one, two].map(|st| (st.rule_series_written, st.incremental_rule_evals));
+            assert_eq!(written[0], written[1], "stream {stream}");
+            assert_eq!(serial.len(), parallel.len(), "stream {stream}");
+            for ((a, sa), (b, sb)) in serial.iter().zip(&parallel) {
+                assert_eq!((a, sa), (b, sb), "stream {stream}");
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! * [`election`] — leader failover (S24): epoch-fenced deterministic
 //!   election, write re-routing via [`election::WriteRouter`], and
 //!   divergence-safe rejoin of a deposed leader.
+//! * [`fan_out`] — the scoped workers an ingest pass and a rule tick spread
+//!   their sources and groups over, one shared cursor between them.
 
 pub mod block;
 pub mod cache;
@@ -42,6 +44,7 @@ pub mod head;
 pub mod httpapi;
 pub mod index;
 pub mod longterm;
+mod par;
 pub mod promql;
 pub mod replica;
 pub mod rules;
@@ -53,6 +56,7 @@ pub mod wal;
 
 pub use client::TsdbClient;
 pub use election::{FailoverConfig, NodeRole, ReplicationGroup, WriteRouter};
+pub use par::fan_out;
 pub use storage::{RefError, RefToken, SeriesRef, StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};
 pub use types::{Sample, SeriesData};
 pub use wal::{DiskFaults, FsyncMode, ScriptedDiskFaults, WalOptions, WalPosition};

@@ -175,15 +175,14 @@ impl Queryable for FanInQuerier {
         // Merge order stays cold-then-hot, so results match the sequential
         // path exactly.
         let (cold, hot) = if wants_cold && wants_hot {
-            crossbeam::thread::scope(|scope| {
-                let cold_handle = scope.spawn(|_| {
+            std::thread::scope(|scope| {
+                let cold_handle = scope.spawn(|| {
                     self.cold
                         .select_raw(matchers, tmin, tmax.min(self.hot_horizon_ms - 1))
                 });
                 let hot = self.hot.select(matchers, tmin.max(self.hot_horizon_ms), tmax);
                 (cold_handle.join().expect("cold fan-in panicked"), hot)
             })
-            .expect("fan-in scope")
         } else if wants_cold {
             (
                 self.cold

@@ -13,10 +13,11 @@
 use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder, METRIC_NAME_LABEL};
-use ceems_metrics::matcher::MatchOp;
+use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 use ceems_metrics::{Collector, Counter, Histogram, HistogramVec, MetricType, Sink};
 use parking_lot::Mutex;
 
+use crate::fan_out;
 use crate::promql::eval::Evaluated;
 use crate::promql::plan::{LabelId, Plan};
 use crate::promql::{parse_expr, EvalError, Expr, Refresh};
@@ -61,12 +62,11 @@ pub struct RuleGroup {
     pub name: String,
     /// Evaluation interval (ms).
     pub interval_ms: i64,
-    /// Rules evaluated in dependency order: a rule whose expression reads
-    /// an earlier rule's `record` name observes the value written *this*
-    /// round (the engine appends each level's outputs before the next level
-    /// runs), which is what lets the attribution chains resolve in one
-    /// evaluation. Rules with no dependency between them may run
-    /// concurrently when parallelism is enabled.
+    /// Rules evaluated in order, one after another: a rule whose expression
+    /// reads an earlier rule's `record` name observes the value written
+    /// *this* round, which is what lets the attribution chains resolve in
+    /// one evaluation. The group as a whole may run beside other groups
+    /// ([`RuleEngine::with_eval_threads`]).
     pub rules: Vec<RecordingRule>,
 }
 
@@ -79,30 +79,6 @@ pub struct RuleStats {
     pub series_written: u64,
     /// Evaluations that errored.
     pub failures: u64,
-}
-
-/// The static analysis of one group, done once: what each rule reads and
-/// which rules may run together.
-struct GroupAnalysis {
-    /// Metric names rule `i` reads; `None` when unknowable statically.
-    reads: Vec<Option<Vec<String>>>,
-    /// Rule indices by dependency level ([`dependency_levels_by`]).
-    levels: Vec<Vec<usize>>,
-}
-
-impl GroupAnalysis {
-    fn new(rules: &[RecordingRule]) -> GroupAnalysis {
-        let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
-        let reads: Vec<Option<Vec<String>>> = rules
-            .iter()
-            .map(|r| {
-                let mut names = Vec::new();
-                referenced_names(&r.expr, &mut names).then_some(names)
-            })
-            .collect();
-        let levels = dependency_levels_by(&produces, &reads);
-        GroupAnalysis { reads, levels }
-    }
 }
 
 /// One rule's prepared plan, kept from tick to tick: its expression's
@@ -165,8 +141,13 @@ impl Collector for PlanCounters {
 
 /// Evaluates rule groups against a TSDB on simulated time.
 pub struct RuleEngine {
-    groups: Arc<Vec<RuleGroup>>,
-    analysis: Arc<Vec<GroupAnalysis>>,
+    groups: Vec<RuleGroup>,
+    /// Metric names rule `i` of group `g` reads (`reads[g][i]`); `None`
+    /// when unknowable statically.
+    reads: Vec<Vec<Option<Vec<String>>>>,
+    /// Group indices by level: a group sits past every earlier group it
+    /// could read from or write beside ([`groups_interfere`]).
+    levels: Vec<Vec<usize>>,
     last_eval_ms: Vec<i64>,
     stats: RuleStats,
     eval_threads: usize,
@@ -174,7 +155,7 @@ pub struct RuleEngine {
     /// Evaluations by group and rule index, for asserting that incremental
     /// ticks touch only the affected sub-DAG (S23).
     eval_counts: Vec<Vec<u64>>,
-    /// Prepared plans by group and rule index (one worker per rule, so the
+    /// Prepared plans by group and rule index (one worker per group, so the
     /// locks are never contended).
     plans: Vec<Vec<Mutex<RulePlan>>>,
     plan_counters: PlanCounters,
@@ -184,13 +165,18 @@ impl RuleEngine {
     /// Creates an engine (serial evaluation; see
     /// [`RuleEngine::with_eval_threads`]).
     pub fn new(groups: Vec<RuleGroup>) -> RuleEngine {
+        let reads = groups.iter().map(|g| {
+            let rule_reads = g.rules.iter().map(|r| {
+                let mut names = Vec::new();
+                referenced_names(&r.expr, &mut names).then_some(names)
+            });
+            rule_reads.collect()
+        });
         RuleEngine {
-            analysis: Arc::new(
-                groups
-                    .iter()
-                    .map(|g| GroupAnalysis::new(&g.rules))
-                    .collect(),
-            ),
+            reads: reads.collect(),
+            levels: levels_by(groups.len(), |i, j| {
+                groups_interfere(&groups[i], &groups[j])
+            }),
             last_eval_ms: vec![i64::MIN; groups.len()],
             stats: RuleStats::default(),
             eval_threads: 1,
@@ -206,7 +192,7 @@ impl RuleEngine {
                 .map(|g| g.rules.iter().map(|_| Mutex::default()).collect())
                 .collect(),
             plan_counters: PlanCounters::default(),
-            groups: Arc::new(groups),
+            groups,
         }
     }
 
@@ -232,22 +218,17 @@ impl RuleEngine {
         }
     }
 
-    /// Evaluates independent rules *within* a due group on up to `threads`
-    /// scoped workers. Rules in this engine — unlike Prometheus, which
-    /// evaluates a group strictly sequentially — may chain within a single
-    /// round (the attribution groups feed RAPL intermediates into per-job
-    /// components into totals), so blind fan-out would race a rule against
-    /// its producer. Instead the engine levels each group by record-name
-    /// dependencies: a rule that reads an earlier rule's `record` is placed
-    /// in a later level, levels run in order with a barrier between them,
-    /// and only rules in the same level run concurrently. This preserves
-    /// serial semantics exactly; a selector whose metric name cannot be
-    /// determined statically is conservatively ordered after every earlier
-    /// rule.
-    ///
-    /// A level fans out only when one of its rules must build its plan
-    /// (its first tick, a series removal, another database): a rule that
-    /// carries its plan over is too little work to pay for a worker.
+    /// Evaluates due groups side by side on up to `threads` scoped workers
+    /// ([`crate::fan_out`]), as Prometheus does: each group runs its rules
+    /// in order, and groups that could see each other's records stay in
+    /// order. The check is static, done once: group B runs after an earlier
+    /// group A when a selector of either names a record the other writes
+    /// (or names none), or both write one record, and no equality matcher
+    /// contradicts a static label of the writing rule. Groups with no such
+    /// tie form one level; levels run one after another. The attribution
+    /// groups stamp `nodegroup` on every output, so the four of them are
+    /// one level. With one worker the groups run in order on the calling
+    /// thread.
     pub fn with_eval_threads(mut self, threads: usize) -> RuleEngine {
         self.eval_threads = threads.max(1);
         self
@@ -263,17 +244,21 @@ impl RuleEngine {
         self.groups.iter().map(|g| g.name.as_str()).collect()
     }
 
+    /// Group indices by level: the groups of one level run side by side.
+    pub fn group_levels(&self) -> &[Vec<usize>] {
+        &self.levels
+    }
+
     /// Runs every group whose interval elapsed. Returns series written in
     /// this tick.
     pub fn tick(&mut self, db: &Tsdb, now_ms: i64) -> u64 {
-        let mut written = 0;
-        for gi in 0..self.groups.len() {
-            if self.due(gi, now_ms) {
-                let all: Vec<usize> = (0..self.groups[gi].rules.len()).collect();
-                written += self.run_group(db, gi, &all, now_ms);
-            }
-        }
-        written
+        let work = (0..self.groups.len())
+            .map(|gi| {
+                self.due(gi, now_ms)
+                    .then(|| (0..self.groups[gi].rules.len()).collect())
+            })
+            .collect();
+        self.run_groups(db, work, now_ms)
     }
 
     /// Incremental evaluation (S23): runs every due group, but inside each
@@ -292,18 +277,18 @@ impl RuleEngine {
         now_ms: i64,
         arrived: &std::collections::HashSet<String>,
     ) -> u64 {
-        let (groups, analysis) = (self.groups.clone(), self.analysis.clone());
-        let mut written = 0;
         // Outputs of the rules affected so far: live beside `arrived`.
         let mut produced: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        for (gi, (group, group_analysis)) in groups.iter().zip(analysis.iter()).enumerate() {
+        let mut work = Vec::with_capacity(self.groups.len());
+        for (gi, (group, reads)) in self.groups.iter().zip(&self.reads).enumerate() {
             if !self.due(gi, now_ms) {
+                work.push(None);
                 continue;
             }
             // Rules are stored in dependency order (producers before
             // consumers), so one forward pass closes the affected set.
             let mut affected: Vec<usize> = Vec::new();
-            for (i, (rule, reads)) in group.rules.iter().zip(&group_analysis.reads).enumerate() {
+            for (i, (rule, reads)) in group.rules.iter().zip(reads).enumerate() {
                 let live = |r: &String| arrived.contains(r) || produced.contains(r.as_str());
                 if reads.as_ref().is_none_or(|reads| reads.iter().any(live)) {
                     produced.insert(&rule.record);
@@ -311,22 +296,65 @@ impl RuleEngine {
                 }
             }
             // A group none of whose inputs arrived stays quiet (and due).
-            if !affected.is_empty() {
-                written += self.run_group(db, gi, &affected, now_ms);
-            }
+            work.push((!affected.is_empty()).then_some(affected));
         }
-        written
+        self.run_groups(db, work, now_ms)
     }
 
     fn due(&self, gi: usize, now_ms: i64) -> bool {
         now_ms.saturating_sub(self.last_eval_ms[gi]) >= self.groups[gi].interval_ms
     }
 
-    /// One evaluation round of group `gi` over the rules at `rules`
-    /// (ascending indices: the whole group, or its affected sub-DAG): stamps
-    /// the round, times it, and books every rule's outcome. Returns series
-    /// written.
-    fn run_group(&mut self, db: &Tsdb, gi: usize, rules: &[usize], now_ms: i64) -> u64 {
+    /// One evaluation round of each group `gi` that has `work[gi]`, over the
+    /// rules at those indices (ascending: the whole group, or its affected
+    /// sub-DAG): level by level, the groups of a level side by side, or all
+    /// in order with one worker. Stamps each round and books every rule's
+    /// outcome. Returns series written.
+    fn run_groups(&mut self, db: &Tsdb, work: Vec<Option<Vec<usize>>>, now_ms: i64) -> u64 {
+        let in_order = [(0..work.len()).collect::<Vec<_>>()];
+        let levels = if self.eval_threads > 1 {
+            &self.levels[..]
+        } else {
+            &in_order[..]
+        };
+        let mut done = Vec::new();
+        for level in levels {
+            let due: Vec<(usize, &[usize])> = level
+                .iter()
+                .filter_map(|&gi| Some((gi, work[gi].as_deref()?)))
+                .collect();
+            let per_worker = fan_out(&due, self.eval_threads, Vec::new, |done, &(gi, rules)| {
+                done.push((gi, self.eval_rules(db, gi, rules, now_ms)));
+            });
+            done.extend(per_worker.into_iter().flatten());
+        }
+        let mut written = 0;
+        for (gi, outcomes) in done {
+            self.last_eval_ms[gi] = now_ms;
+            for (i, outcome) in outcomes {
+                self.stats.evaluations += 1;
+                self.eval_counts[gi][i] += 1;
+                match outcome {
+                    Ok(n) => {
+                        written += n;
+                        self.stats.series_written += n;
+                    }
+                    Err(_) => self.stats.failures += 1,
+                }
+            }
+        }
+        written
+    }
+
+    /// Evaluates the rules at `rules` of group `gi` in order, timed as one
+    /// round, each from its plan. Returns each rule's series written.
+    fn eval_rules(
+        &self,
+        db: &Tsdb,
+        gi: usize,
+        rules: &[usize],
+        now_ms: i64,
+    ) -> Vec<(usize, Result<u64, EvalError>)> {
         let group = &self.groups[gi];
         // Tight lookback: a series that missed two evaluation rounds is
         // stale (its workload ended) and must not be re-recorded with a
@@ -336,35 +364,14 @@ impl RuleEngine {
             .group_eval_seconds
             .with_label_values(&[&group.name])
             .start_timer();
-        self.last_eval_ms[gi] = now_ms;
-        let (plans, counters) = (&self.plans[gi], &self.plan_counters);
-        let token = db.ref_token();
-        let cold: Vec<bool> = plans
-            .iter()
-            .map(|p| p.lock().token != Some(token))
-            .collect();
-        let eval = |i: usize| {
-            let rule = &group.rules[i];
-            let plan = &mut *plans[i].lock();
+        let eval = |&i: &usize| {
+            let (rule, plan) = (&group.rules[i], &mut *self.plans[gi][i].lock());
             let value = plan.plan.evaluate(db, &rule.expr, now_ms, lookback_ms);
-            counters.count(plan.plan.refresh());
-            Self::record(db, rule, plan, value?, now_ms)
+            self.plan_counters.count(plan.plan.refresh());
+            let written = value.and_then(|value| Self::record(db, rule, plan, value, now_ms));
+            (i, written)
         };
-        let levels = &self.analysis[gi].levels;
-        let results = Self::eval_group(rules, levels, self.eval_threads, &cold, &eval);
-        let mut written = 0;
-        for (&i, r) in rules.iter().zip(results) {
-            self.stats.evaluations += 1;
-            self.eval_counts[gi][i] += 1;
-            match r {
-                Ok(n) => {
-                    written += n;
-                    self.stats.series_written += n;
-                }
-                Err(_) => self.stats.failures += 1,
-            }
-        }
-        written
+        rules.iter().map(eval).collect()
     }
 
     /// How many times the rules recording `record` have been evaluated.
@@ -380,76 +387,6 @@ impl RuleEngine {
     /// Total rule evaluations across all records (full and incremental).
     pub fn total_evals(&self) -> u64 {
         self.eval_counts.iter().flatten().sum()
-    }
-
-    /// Evaluates the rules at `rules` (ascending indices into one group)
-    /// with `eval`. Serially that is in rule order; with `threads > 1` it is
-    /// level by level through the group's `levels`: each dependency level is
-    /// a barrier, and the chosen rules inside one fan out over scoped
-    /// workers when one of them is `cold`. Results come back in `rules`'
-    /// order either way.
-    fn eval_group(
-        rules: &[usize],
-        levels: &[Vec<usize>],
-        threads: usize,
-        cold: &[bool],
-        eval: &(dyn Fn(usize) -> Result<u64, EvalError> + Sync),
-    ) -> Vec<Result<u64, EvalError>> {
-        if threads <= 1 || rules.len() <= 1 {
-            return rules.iter().map(|&i| eval(i)).collect();
-        }
-        // `slot[i]` is rule `i`'s place in `rules`.
-        let mut slot = vec![usize::MAX; levels.iter().map(Vec::len).sum()];
-        for (at, &i) in rules.iter().enumerate() {
-            slot[i] = at;
-        }
-        let mut results: Vec<Option<Result<u64, EvalError>>> =
-            (0..rules.len()).map(|_| None).collect();
-        for level in levels {
-            let level: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&i| slot[i] != usize::MAX)
-                .collect();
-            let workers = match level.iter().any(|&i| cold[i]) {
-                true => threads.min(level.len()),
-                false => 1,
-            };
-            if workers <= 1 {
-                for i in level {
-                    results[slot[i]] = Some(eval(i));
-                }
-                continue;
-            }
-            let filled: Vec<(usize, Result<u64, EvalError>)> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let level = &level;
-                            scope.spawn(move |_| {
-                                level
-                                    .iter()
-                                    .skip(w)
-                                    .step_by(workers)
-                                    .map(|&i| (i, eval(i)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("rule worker panicked"))
-                        .collect()
-                })
-                .expect("rule scope");
-            for (i, r) in filled {
-                results[slot[i]] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every rule evaluated"))
-            .collect()
     }
 
     /// Forces evaluation of every rule right now (used by tests/benches).
@@ -558,34 +495,66 @@ pub fn referenced_names(expr: &Expr, out: &mut Vec<String>) -> bool {
 /// on, so evaluating levels in order with a barrier between them reproduces
 /// serial evaluation exactly: every item sees the same-round outputs of
 /// everything it reads. Returns the indices grouped by level, levels in
-/// ascending order. `produces` and `reads` must have equal length. A rule
-/// group is levelled with it once, when the engine is built; the alerting
-/// service levels its alert DAGs with it too.
+/// ascending order. `produces` and `reads` must have equal length. The
+/// alerting service levels its alert DAGs with it.
 pub fn dependency_levels_by(
     produces: &[Option<&str>],
     reads: &[Option<Vec<String>>],
 ) -> Vec<Vec<usize>> {
     assert_eq!(produces.len(), reads.len());
-    let n = produces.len();
+    levels_by(produces.len(), |i, j| match &reads[i] {
+        None => true,
+        Some(names) => produces[j].is_some_and(|p| names.iter().any(|n| n == p)),
+    })
+}
+
+/// Levels items `0..n`: item `i` sits one level past every earlier item `j`
+/// with `depends(i, j)`. Returns the indices by level, levels ascending.
+fn levels_by(n: usize, depends: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
     let mut level = vec![0usize; n];
-    let mut max_level = 0;
     for i in 0..n {
-        for j in 0..i {
-            let depends = match &reads[i] {
-                None => true,
-                Some(names) => produces[j].is_some_and(|p| names.iter().any(|n| n == p)),
-            };
-            if depends {
-                level[i] = level[i].max(level[j] + 1);
-            }
+        for j in (0..i).filter(|&j| depends(i, j)) {
+            level[i] = level[i].max(level[j] + 1);
         }
-        max_level = max_level.max(level[i]);
     }
-    let mut levels: Vec<Vec<usize>> = (0..=max_level).map(|_| Vec::new()).collect();
+    let mut levels = vec![Vec::new(); level.iter().max().map_or(1, |&deepest| deepest + 1)];
     for (i, &lv) in level.iter().enumerate() {
         levels[lv].push(i);
     }
     levels
+}
+
+/// Whether two groups could see each other's records, so that running them
+/// side by side could change what either reads or writes: a selector of
+/// one, or the series a rule of one records, may touch what a rule of the
+/// other records ([`may_touch`]).
+fn groups_interfere(a: &RuleGroup, b: &RuleGroup) -> bool {
+    let touches = |x: &RuleGroup, y: &RuleGroup| {
+        x.rules.iter().any(|r| {
+            let statics = r.static_labels.iter().map(|(k, v)| LabelMatcher::eq(k, v));
+            let output: Vec<LabelMatcher> = statics
+                .chain([LabelMatcher::eq(METRIC_NAME_LABEL, &r.record)])
+                .collect();
+            let selectors = r.expr.selectors().into_iter().map(|s| &s.matchers[..]);
+            let touched = selectors
+                .chain([&output[..]])
+                .any(|ms| y.rules.iter().any(|w| may_touch(ms, w)));
+            touched
+        })
+    };
+    touches(a, b) || touches(b, a)
+}
+
+/// Whether a selector of `matchers` may read what `rule` records: it names
+/// the rule's record or no name, and none of its equality matchers
+/// contradicts a static label of the rule.
+fn may_touch(matchers: &[LabelMatcher], rule: &RecordingRule) -> bool {
+    let statics = &rule.static_labels;
+    let mut eq = matchers.iter().filter(|m| m.op == MatchOp::Eq);
+    eq.all(|m| match m.name.as_str() {
+        METRIC_NAME_LABEL => m.value == rule.record,
+        name => !statics.iter().any(|(k, v)| k == name && *v != m.value),
+    })
 }
 
 #[cfg(test)]
@@ -593,8 +562,8 @@ mod tests {
     use super::*;
     use crate::promql::{instant_query_with_lookback, Value};
     use ceems_metrics::labels;
-    use ceems_metrics::matcher::LabelMatcher;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn db() -> Tsdb {
         let db = Tsdb::default();
@@ -683,28 +652,25 @@ mod tests {
 
     #[test]
     fn parallel_group_eval_matches_serial() {
+        // Six groups that read nothing of each other: one level, side by side.
         let mk_engine = |threads| {
-            let rules: Vec<RecordingRule> = (1..=6)
-                .map(|m| {
-                    RecordingRule::new(
-                        format!("r{m}"),
-                        &format!("rate(energy_joules_total[2m]) * {m}"),
-                        &[],
-                    )
-                    .unwrap()
-                })
-                .collect();
-            RuleEngine::new(vec![RuleGroup {
-                name: "g".into(),
+            let groups = (1..=6).map(|m| RuleGroup {
+                name: format!("g{m}"),
                 interval_ms: 30_000,
-                rules,
-            }])
-            .with_eval_threads(threads)
+                rules: vec![RecordingRule::new(
+                    format!("r{m}"),
+                    &format!("rate(energy_joules_total[2m]) * {m}"),
+                    &[],
+                )
+                .unwrap()],
+            });
+            RuleEngine::new(groups.collect()).with_eval_threads(threads)
         };
         let serial_db = db();
         let parallel_db = db();
         let mut serial = mk_engine(1);
         let mut parallel = mk_engine(4);
+        assert_eq!(parallel.levels, [(0..6).collect::<Vec<_>>()]);
         assert_eq!(
             serial.tick(&serial_db, 600_000),
             parallel.tick(&parallel_db, 600_000)
@@ -787,6 +753,130 @@ mod tests {
         assert_eq!(names, ["a"]);
     }
 
+    /// A group's rules levelled by their record-name dependencies.
+    fn rule_levels(rules: &[RecordingRule]) -> Vec<Vec<usize>> {
+        let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
+        let reads: Vec<Option<Vec<String>>> = rules
+            .iter()
+            .map(|r| {
+                let mut names = Vec::new();
+                referenced_names(&r.expr, &mut names).then_some(names)
+            })
+            .collect();
+        dependency_levels_by(&produces, &reads)
+    }
+
+    /// A rule's static labels.
+    type Statics<'a> = &'a [(&'a str, &'a str)];
+
+    /// A rule as `(record, expression, static labels)`.
+    type Rule<'a> = (&'a str, &'a str, Statics<'a>);
+
+    /// One group per rule.
+    fn one_rule_groups(rules: &[Rule<'_>]) -> Vec<RuleGroup> {
+        let group = |(i, &(record, expr, statics)): (usize, &Rule<'_>)| RuleGroup {
+            name: format!("g{i}"),
+            interval_ms: 30_000,
+            rules: vec![RecordingRule::new(record, expr, statics).unwrap()],
+        };
+        rules.iter().enumerate().map(group).collect()
+    }
+
+    /// The levels the engine puts one-rule groups in.
+    fn group_levels(rules: &[Rule<'_>]) -> Vec<Vec<usize>> {
+        RuleEngine::new(one_rule_groups(rules)).levels
+    }
+
+    #[test]
+    fn a_selector_agreeing_with_the_writers_static_labels_is_ordered_after_it() {
+        let a: Statics = &[("nodegroup", "a")];
+        let levels = group_levels(&[
+            ("r", "rate(raw[2m])", a),
+            ("s", "r{nodegroup=\"a\", instance=\"n1\"} * 2", &[]),
+            ("t", "rate(other[2m])", &[]),
+        ]);
+        assert_eq!(levels, [vec![0, 2], vec![1]]);
+        // A reader before its writer stays before it: it reads the
+        // writer's output of the round before.
+        let levels = group_levels(&[
+            ("s", "r{nodegroup=\"a\"} * 2", &[]),
+            ("r", "rate(raw[2m])", a),
+        ]);
+        assert_eq!(levels, [vec![0], vec![1]]);
+        // Two groups writing one record they do not tell apart stay in order.
+        let levels = group_levels(&[("r", "rate(raw[2m])", &[]), ("r", "rate(other[2m])", a)]);
+        assert_eq!(levels, [vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn a_contradicting_nodegroup_shares_the_level() {
+        // The attribution groups' shape: every rule stamps its group's
+        // `nodegroup`, and every selector of a record names it.
+        let (a, b): (Statics, Statics) = (&[("nodegroup", "a")], &[("nodegroup", "b")]);
+        let levels = group_levels(&[
+            ("r", "rate(raw{nodegroup=\"a\"}[2m])", a),
+            ("s", "r{nodegroup=\"a\"} * 2", a),
+            ("r", "rate(raw{nodegroup=\"b\"}[2m])", b),
+            ("s", "r{nodegroup=\"b\"} * 2", b),
+        ]);
+        assert_eq!(levels, [vec![0, 2], vec![1, 3]]);
+    }
+
+    #[test]
+    fn a_nameless_or_regex_named_selector_orders_its_group_after_every_earlier_group() {
+        for reader in [
+            "sum by (x) ({job=\"j\"})",
+            "sum({__name__=~\"q|x\"})",
+            "count({__name__=~\".+\", nodegroup!=\"a\"})",
+        ] {
+            let levels = group_levels(&[
+                ("p", "rate(raw[2m])", &[("nodegroup", "a")]),
+                ("q", "rate(other[2m])", &[]),
+                ("r", reader, &[]),
+                ("s", "rate(raw[2m])", &[]),
+            ]);
+            // `s` is a later group's record the reader may read.
+            assert_eq!(levels, [vec![0, 1], vec![2], vec![3]], "{reader}");
+        }
+    }
+
+    #[test]
+    fn incremental_ticks_carry_outputs_across_group_levels() {
+        let groups = || {
+            one_rule_groups(&[
+                ("r_base", "rate(energy_joules_total[2m])", &[]),
+                ("r_side", "rate(energy_joules_total[2m]) * 7", &[]),
+                ("r_mid", "r_base * 2", &[]),
+                ("r_top", "r_mid + r_base", &[]),
+            ])
+        };
+        let arrived: HashSet<String> = ["energy_joules_total".to_string()].into();
+        let (serial_db, parallel_db) = (db(), db());
+        let mut serial = RuleEngine::new(groups());
+        let mut parallel = RuleEngine::new(groups()).with_eval_threads(2);
+        assert_eq!(parallel.levels, [vec![0, 1], vec![2], vec![3]]);
+        assert_eq!(
+            serial.tick_incremental(&serial_db, 600_000, &arrived),
+            parallel.tick_incremental(&parallel_db, 600_000, &arrived)
+        );
+        assert_eq!(parallel.total_evals(), 4, "a level's outputs wake the next");
+        assert_eq!(serial.stats(), parallel.stats());
+        let everything = [LabelMatcher::new("__name__", MatchOp::Re, ".+").unwrap()];
+        assert_eq!(
+            serial_db.select(&everything, 0, i64::MAX),
+            parallel_db.select(&everything, 0, i64::MAX)
+        );
+        let top = parallel_db.select(&[LabelMatcher::eq("__name__", "r_top")], 0, i64::MAX);
+        assert_eq!(top.len(), 2);
+        for s in &top {
+            let expect = match s.labels.get("instance") {
+                Some("n1") => 30.0,
+                _ => 60.0,
+            };
+            assert_eq!(s.samples.last().unwrap().v, expect);
+        }
+    }
+
     #[test]
     fn dependency_levels_order_chains() {
         let rules = vec![
@@ -796,7 +886,7 @@ mod tests {
             RecordingRule::new("d", "c + a", &[]).unwrap(),
             RecordingRule::new("e", "rate(other[2m])", &[]).unwrap(),
         ];
-        let levels = GroupAnalysis::new(&rules).levels;
+        let levels = rule_levels(&rules);
         // a, b, e are independent of earlier rules; c reads a+b; d reads c.
         assert_eq!(levels, vec![vec![0, 1, 4], vec![2], vec![3]]);
     }
@@ -838,7 +928,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let levels = GroupAnalysis::new(&rules).levels;
+        let levels = rule_levels(&rules);
         assert_eq!(levels, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
     }
 
@@ -849,7 +939,7 @@ mod tests {
             // Nameless selector: read set is unknowable, must follow a.
             RecordingRule::new("b", "sum by (x) ({job=\"j\"})", &[]).unwrap(),
         ];
-        let levels = GroupAnalysis::new(&rules).levels;
+        let levels = rule_levels(&rules);
         assert_eq!(levels, vec![vec![0], vec![1]]);
     }
 

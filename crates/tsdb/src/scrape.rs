@@ -22,6 +22,7 @@ use ceems_http::Client;
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder, METRIC_NAME_LABEL};
 use ceems_metrics::parse::{parse_sample_rest, parse_series, sample_lines, series_text_len};
 
+use crate::fan_out;
 use crate::storage::{RefError, RefToken, SeriesRef, Tsdb};
 use crate::types::SeriesId;
 
@@ -90,48 +91,26 @@ impl ScrapeManager {
         self.targets.push((t, Mutex::default()));
     }
 
-    /// Scrapes every target once at simulated time `now_ms`, fanning out
-    /// over `threads` OS threads. Ingests an `up` gauge per target.
+    /// Scrapes every target once at simulated time `now_ms`, the targets
+    /// handed out one at a time to `threads` workers ([`crate::fan_out`]).
+    /// Ingests an `up` gauge per target.
     pub fn scrape_once(&self, db: &Tsdb, now_ms: i64, threads: usize) -> ScrapeStats {
-        let chunks = fan_out(&self.targets, threads, |targets| {
-            let mut stats = ScrapeStats::default();
-            for (t, cache) in targets {
-                match scrape_target(&self.client, t, &mut cache.lock(), db, now_ms) {
-                    Ok(n) => {
-                        stats.ok += 1;
-                        stats.samples += n;
-                    }
-                    Err(_) => stats.failed += 1,
+        let scrape = |stats: &mut ScrapeStats, (t, cache): &(ScrapeTarget, Mutex<SeriesCache>)| {
+            match scrape_target(&self.client, t, &mut cache.lock(), db, now_ms) {
+                Ok(n) => {
+                    stats.ok += 1;
+                    stats.samples += n;
                 }
+                Err(_) => stats.failed += 1,
             }
-            stats
-        });
-        chunks.into_iter().fold(ScrapeStats::default(), |a, b| ScrapeStats {
+        };
+        let stats = fan_out(&self.targets, threads, ScrapeStats::default, scrape);
+        stats.into_iter().fold(ScrapeStats::default(), |a, b| ScrapeStats {
             ok: a.ok + b.ok,
             failed: a.failed + b.failed,
             samples: a.samples + b.samples,
         })
     }
-}
-
-/// Runs `work` over `items` cut into at most `threads` contiguous chunks,
-/// each chunk on a scoped thread of its own, and returns the chunks' results
-/// in order. An ingest pass — a scrape pass or a push pass — spreads its
-/// sources this way.
-pub fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    work: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    let chunk = items.len().div_ceil(threads.max(1)).max(1);
-    let work = &work;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = items.chunks(chunk).map(|c| s.spawn(move || work(c))).collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    })
 }
 
 /// The target labels stamped on every sample of one source.
