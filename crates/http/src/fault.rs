@@ -21,9 +21,6 @@ use parking_lot::Mutex;
 
 use crate::resilience::{fnv1a, splitmix64};
 
-/// Environment variable holding a fault spec (see [`FaultPlan::parse_spec`]).
-pub const FAULT_ENV: &str = "CEEMS_FAULT";
-
 /// What to inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -138,15 +135,6 @@ impl FaultPlan {
     pub fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
         self.rules.push(rule);
         self
-    }
-
-    /// Builds a plan from [`FAULT_ENV`] if set and non-empty.
-    pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var(FAULT_ENV).ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        FaultPlan::parse_spec(&spec).ok()
     }
 
     /// Parses a compact spec string:

@@ -19,13 +19,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde_json::{json, Value as Json};
+use serde_json::Value as Json;
 
 use ceems_http::{Client, HttpServer, Request, Response, Router, ServerConfig, Status};
 use ceems_metrics::{Counter, CounterVec, Histogram, MetricType, Registry, Sink};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::{HttpInstruments, TraceSink, TRACE_HEADER};
+use ceems_tsdb::promapi;
 
 use crate::acl::Authorizer;
 use crate::backend::BackendPool;
@@ -107,44 +108,6 @@ impl LbInstruments {
             ),
         }
     }
-}
-
-/// Merges the LB's own overhead into a proxied `data.trace` object: appends
-/// the `lb_auth` stage and an `lb_forward` stage holding the forward wall
-/// time *minus* the TSDB-reported total (network + serialization overhead,
-/// clamped at zero so stages stay disjoint), then replaces `totalMs` with
-/// the LB-measured end-to-end time — `sum(stages) <= totalMs` keeps holding
-/// at the outermost layer. Degradation is visible too: when the forward
-/// needed retries (failed/corrupt backends skipped), the trace carries an
-/// `lbRetries` count. Returns `None` (leave the body alone) when the
-/// payload carries no trace.
-fn rewrite_trace(
-    body: &[u8],
-    auth_ms: f64,
-    forward_ms: f64,
-    total_ms: f64,
-    retries: u64,
-) -> Option<Vec<u8>> {
-    let mut v: Json = serde_json::from_slice(body).ok()?;
-    let Json::Object(root) = &mut v else {
-        return None;
-    };
-    let Some(Json::Object(data)) = root.get_mut("data") else {
-        return None;
-    };
-    let Some(Json::Object(trace)) = data.get_mut("trace") else {
-        return None;
-    };
-    let inner_ms = trace.get("totalMs").and_then(|t| t.as_f64()).unwrap_or(0.0);
-    if let Some(Json::Array(stages)) = trace.get_mut("stages") {
-        stages.push(json!({"name": "lb_auth", "ms": auth_ms}));
-        stages.push(json!({"name": "lb_forward", "ms": (forward_ms - inner_ms).max(0.0)}));
-    }
-    trace.insert("totalMs".to_string(), json!(total_ms));
-    if retries > 0 {
-        trace.insert("lbRetries".to_string(), json!(retries));
-    }
-    serde_json::to_vec(&v).ok()
 }
 
 /// What the forward paths share about the request in flight.
@@ -336,8 +299,7 @@ impl CeemsLb {
         let flight = Flight {
             req,
             qtrace,
-            trace_requested: is_query
-                && matches!(req.query_param("trace"), Some("1") | Some("true")),
+            trace_requested: is_query && promapi::trace_requested(req),
             auth_ms: auth_start.elapsed().as_secs_f64() * 1000.0,
             total_start,
         };
@@ -542,14 +504,18 @@ impl CeemsLb {
                 resp
             }
         };
+        // The LB's overhead joins a requested `data.trace`: `lb_auth`, and
+        // `lb_forward` as the forward's wall time less the inner total;
+        // `totalMs` becomes the LB's end-to-end time, and a forward that
+        // needed retries says so in `lbRetries`.
         if flight.trace_requested {
             let total_ms = flight.total_start.elapsed().as_secs_f64() * 1000.0;
-            if let Some(body) = rewrite_trace(
+            if let Some(body) = promapi::add_hop(
                 &resp.body,
-                flight.auth_ms,
-                forward_secs * 1000.0,
+                &[("lb_auth", flight.auth_ms)],
+                ("lb_forward", forward_secs * 1000.0),
                 total_ms,
-                retries,
+                &[("lbRetries", retries)],
             ) {
                 resp.body = body;
             }

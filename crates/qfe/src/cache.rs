@@ -11,14 +11,39 @@
 //! Values are immutable [`ExtentData`] snapshots of past results. The
 //! frontend never inserts extents newer than `now − recent_window`, so
 //! entries describe settled history and need no invalidation. A byte
-//! budget bounds the cache; eviction is least-recently-used.
+//! budget bounds the cache, charged with each extent's heap footprint;
+//! eviction is least-recently-used.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use ceems_metrics::labels::LabelSet;
+use ceems_tsdb::{Sample, SeriesData};
+
 use crate::split::ExtentData;
+
+/// What an extent holds on the heap: its series, each one's shared label
+/// set (every label a pair of shared strings) and its samples.
+fn footprint(data: &ExtentData) -> usize {
+    // An `Arc`'s allocation carries two counts before its value.
+    const ARC: usize = 2 * size_of::<usize>();
+    let series = |s: &SeriesData| {
+        let labels: usize = s
+            .labels
+            .iter()
+            .map(|(k, v)| 2 * (size_of::<Arc<str>>() + ARC) + k.len() + v.len())
+            .sum();
+        size_of::<SeriesData>()
+            + ARC
+            + size_of::<LabelSet>()
+            + labels
+            + s.samples.capacity() * size_of::<Sample>()
+    };
+    size_of::<ExtentData>() + data.iter().map(series).sum::<usize>()
+}
 
 /// Cache key: one extent of one logical query shape for one tenant.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -93,7 +118,7 @@ impl ResultsCache {
     /// Inserts an extent, evicting least-recently-used entries if the byte
     /// budget overflows. Entries larger than the whole budget are dropped.
     pub fn put(&self, key: ExtentKey, data: Arc<ExtentData>) {
-        let bytes = data.approx_bytes();
+        let bytes = footprint(&data);
         if bytes > self.capacity_bytes {
             return;
         }
@@ -127,7 +152,7 @@ impl ResultsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::ExtentSeries;
+    use ceems_metrics::labels;
 
     fn key(first: i64) -> ExtentKey {
         ExtentKey {
@@ -141,19 +166,15 @@ mod tests {
     }
 
     fn data(samples: usize) -> Arc<ExtentData> {
-        let series = ExtentSeries {
-            metric: serde_json::json!({"__name__": "x"}),
-            metric_key: "k".into(),
-            samples: (0..samples as i64)
-                .map(|i| (i * 15_000, serde_json::json!([i as f64 * 15.0, "1"])))
-                .collect(),
-        };
-        Arc::new(ExtentData { series: vec![series] })
+        let samples = (0..samples as i64)
+            .map(|i| Sample::new(i * 15_000, 1.0))
+            .collect();
+        Arc::new(vec![SeriesData::new(labels! {"__name__" => "x"}, samples)])
     }
 
     #[test]
     fn get_put_and_lru_eviction() {
-        let one = data(10).approx_bytes();
+        let one = footprint(&data(10));
         let cache = ResultsCache::new(one * 2 + one / 2); // room for 2
         cache.put(key(0), data(10));
         cache.put(key(1), data(10));

@@ -18,19 +18,18 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde_json::{json, Value as Json};
-
 use ceems_http::{HttpServer, Request, Response, Router, ServerConfig, Status, StreamWriter};
 use ceems_metrics::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::{HttpInstruments, TraceSink, TRACE_HEADER};
+use ceems_tsdb::promapi::{self, EvalAt, QueryData};
 use ceems_tsdb::promql::{normalize, parse_expr, range_points, split_safety, SplitSafety};
 
 use crate::cache::{ExtentKey, ResultsCache};
 use crate::downstream::Downstream;
 use crate::sched::{FairScheduler, SchedulerConfig};
-use crate::split::{merge_extents, ms_to_secs_param, split_grid, Extent, ExtentData, StepGrid};
+use crate::split::{merge_extents, split_grid, Extent, ExtentData, StepGrid};
 
 /// Clock supplying "now" in Unix milliseconds (the `recent_window`
 /// reference point). Simulated deployments pass the simulation clock.
@@ -48,7 +47,8 @@ pub struct QfeConfig {
     pub recent_window_ms: i64,
     /// Admission limits.
     pub scheduler: SchedulerConfig,
-    /// Maximum threads fanning out sub-queries for one request.
+    /// Maximum workers fetching one request's sub-queries, the calling
+    /// thread one of them (`ceems_tsdb::fan_out`).
     pub max_fanout: usize,
     /// Clock for the `recent_window` horizon.
     pub now: NowFn,
@@ -261,7 +261,7 @@ impl QueryFrontend {
     /// samples arrive. `query` and `step` are required; `since` (seconds of
     /// history in the initial render) defaults to 300.
     fn handle_live(self: &Arc<Self>, req: &Request) -> Response {
-        let (Some(query), Some(step_ms)) = (req.query_param("query"), parse_step_param(req))
+        let (Some(query), Ok(step_ms)) = (req.query_param("query"), promapi::step_param(req))
         else {
             return Response::error(
                 Status::BAD_REQUEST,
@@ -318,7 +318,7 @@ impl QueryFrontend {
             .live_subscribers
             .set(self.live.lock().unwrap().len() as f64);
         resp.with_header("content-type", "text/event-stream")
-            .with_header("x-ceems-qfe-live-from", ms_to_secs_param(end_ms))
+            .with_header("x-ceems-qfe-live-from", promapi::secs_param(end_ms))
     }
 
     /// Pushes newly completed steps to every live subscriber. Called by the
@@ -418,9 +418,9 @@ impl QueryFrontend {
         let mut sub = Request::new(ceems_http::Method::Get, "/api/v1/query_range");
         sub.query = vec![
             ("query".to_string(), query.to_string()),
-            ("start".to_string(), ms_to_secs_param(start_ms)),
-            ("end".to_string(), ms_to_secs_param(end_ms)),
-            ("step".to_string(), ms_to_secs_param(step_ms)),
+            ("start".to_string(), promapi::secs_param(start_ms)),
+            ("end".to_string(), promapi::secs_param(end_ms)),
+            ("step".to_string(), promapi::secs_param(step_ms)),
         ];
         for name in ["x-grafana-user", TRACE_HEADER] {
             if let Some(v) = req.header(name) {
@@ -458,17 +458,18 @@ impl QueryFrontend {
     /// The split/cache/merge path. Anything it cannot prove it can
     /// reproduce byte-for-byte falls back to [`Self::passthrough`].
     fn handle_range(self: &Arc<Self>, req: &Request) -> Response {
-        let started = Instant::now();
-
-        // Mirror the TSDB's own parameter parsing exactly; on any
-        // divergence let the TSDB produce its own (identical) error.
-        let params = (
-            parse_time_param(req, "start"),
-            parse_time_param(req, "end"),
-            parse_step_param(req),
-            req.query_param("query"),
-        );
-        let (Some(start_ms), Some(end_ms), Some(step_ms), Some(query)) = params else {
+        // The TSDB's own parameter parser; whatever it refuses, the TSDB
+        // answers with its own error.
+        let params = (EvalAt::parse(req, true, 0), req.query_param("query"));
+        let (
+            Ok(EvalAt::Range {
+                start_ms,
+                end_ms,
+                step_ms,
+            }),
+            Some(query),
+        ) = params
+        else {
             return self.passthrough(req, Some("bypass"));
         };
         let expr = match parse_expr(query) {
@@ -509,17 +510,24 @@ impl QueryFrontend {
         }
         let lookup_ms = lookup_started.elapsed().as_secs_f64() * 1e3;
 
-        // Fetch the misses, fanning out across threads.
+        // Fetch the misses on at most `max_fanout` workers, the calling
+        // thread one of them. No worker runs under the caller's trace, so
+        // every fetch leaves with the same headers.
         let missing: Vec<usize> =
             (0..extents.len()).filter(|i| slots[*i].is_none()).collect();
         let fetched_steps: usize = missing.iter().map(|i| extents[*i].step_count()).sum();
         let fetch_started = Instant::now();
-        let fetched: Vec<Option<Arc<ExtentData>>> = self.fetch_extents(req, &extents, &missing);
+        let fetched = {
+            let _untraced = ceems_obs::trace::enter(None);
+            ceems_tsdb::fan_out(&missing, self.cfg.max_fanout, Vec::new, |got, &i| {
+                got.push((i, self.fetch_extent(req, &extents[i])))
+            })
+        };
         let fetch_ms = fetch_started.elapsed().as_secs_f64() * 1e3;
         let mut failed = false;
-        for (slot, data) in missing.iter().zip(fetched) {
+        for (slot, data) in fetched.into_iter().flatten() {
             match data {
-                Some(d) => slots[*slot] = Some(d),
+                Some(d) => slots[slot] = Some(d),
                 None => failed = true,
             }
         }
@@ -549,15 +557,9 @@ impl QueryFrontend {
             }
         }
 
-        // Merge back into the unsplit response.
+        // Merge back into the unsplit answer.
         let merge_started = Instant::now();
-        let pairs: Vec<(Extent, Arc<ExtentData>)> = extents
-            .iter()
-            .copied()
-            .zip(slots.into_iter().map(|s| s.unwrap()))
-            .collect();
-        let result = merge_extents(&pairs);
-        let mut data = json!({"resultType": "matrix", "result": result});
+        let data = QueryData::Matrix(merge_extents(slots.iter().flatten().map(|d| &**d)));
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1e3;
 
         let outcome = if missing.is_empty() {
@@ -577,21 +579,16 @@ impl QueryFrontend {
         // Stages are recorded for explicit `?trace=1` requests AND whenever
         // a trace sink is wired (always-on sampling) — the sink then decides
         // whether this trace is stored (head sample or slow-query tail).
-        if trace_requested(req) || self.cfg.trace_sink.is_some() {
+        let traced = promapi::trace_requested(req);
+        if traced || self.cfg.trace_sink.is_some() {
             qtrace.record_stage_ms("qfe_cache", lookup_ms + merge_ms);
             qtrace.record_stage_ms("qfe_split", fetch_ms);
             qtrace.add_count("subqueries", missing.len() as u64);
             qtrace.add_count("cachedSteps", cached_steps as u64);
             qtrace.add_count("fetchedSteps", fetched_steps as u64);
-            if trace_requested(req) {
-                if let Json::Object(map) = &mut data {
-                    map.insert("trace".to_string(), qtrace.report().to_json());
-                }
-            }
         }
-        let body = serde_json::to_vec(&json!({"status": "success", "data": data})).unwrap();
-        let _ = started;
-        let resp = Response::json(body)
+        let report = traced.then(|| qtrace.report());
+        let resp = promapi::answer(&data, report.as_ref(), &[])
             .with_header("x-ceems-qfe-cache", outcome)
             .with_header("x-ceems-qfe-cached-steps", cached_steps.to_string())
             .with_header("x-ceems-qfe-fetched-steps", fetched_steps.to_string());
@@ -625,15 +622,14 @@ impl QueryFrontend {
         slots: &[Option<Arc<ExtentData>>],
         cached_steps: usize,
     ) -> Response {
-        let pairs: Vec<(Extent, Arc<ExtentData>)> = extents
-            .iter()
-            .copied()
-            .zip(slots.iter().cloned())
-            .filter_map(|(e, s)| s.map(|d| (e, d)))
-            .collect();
         // Age of the answer = distance from "now" to the freshest step we
         // can actually serve.
-        let freshest_ms = pairs.iter().map(|(e, _)| e.last_step_ms).max().unwrap_or(0);
+        let freshest_ms = extents
+            .iter()
+            .zip(slots)
+            .filter_map(|(e, s)| s.as_ref().map(|_| e.last_step_ms))
+            .max()
+            .unwrap_or(0);
         let age_ms = ((self.cfg.now)() - freshest_ms).max(0);
         let age_s = age_ms / 1000;
         if self.cfg.max_stale_ms > 0 && age_ms > self.cfg.max_stale_ms {
@@ -650,66 +646,21 @@ impl QueryFrontend {
                 ),
             );
         }
-        let missing = extents.len() - pairs.len();
-        let result = merge_extents(&pairs);
+        let missing = slots.iter().filter(|s| s.is_none()).count();
+        let data = QueryData::Matrix(merge_extents(slots.iter().flatten().map(|d| &**d)));
         self.ins
             .cache_requests
             .with_label_values(&["degraded"])
             .inc();
-        let body = serde_json::to_vec(&json!({
-            "status": "success",
-            "warnings": [format!(
-                "qfe: {missing} of {} extents unavailable (all replicas down); \
-                 serving {cached_steps} cached steps ({age_s}s stale)",
-                extents.len(),
-            )],
-            "data": {"resultType": "matrix", "result": result},
-        }))
-        .unwrap();
-        Response::json(body)
+        let warning = format!(
+            "qfe: {missing} of {} extents unavailable (all replicas down); \
+             serving {cached_steps} cached steps ({age_s}s stale)",
+            extents.len(),
+        );
+        promapi::answer(&data, None, &[warning])
             .with_header("x-ceems-qfe-cache", "degraded")
             .with_header("x-ceems-qfe-degraded", format!("stale; age={age_s}s"))
             .with_header("x-ceems-qfe-cached-steps", cached_steps.to_string())
-    }
-
-    /// Fetches `missing` extents from the downstream, at most
-    /// `max_fanout` at a time. Returns results in `missing` order; `None`
-    /// marks a failed sub-query.
-    fn fetch_extents(
-        &self,
-        req: &Request,
-        extents: &[Extent],
-        missing: &[usize],
-    ) -> Vec<Option<Arc<ExtentData>>> {
-        if missing.is_empty() {
-            return Vec::new();
-        }
-        let threads = missing.len().min(self.cfg.max_fanout.max(1));
-        if threads == 1 {
-            // Nothing to overlap, and a spawn and join cost a fifth of such
-            // a request. A worker thread has no current trace; neither
-            // does this fetch, so the downstream sees the same headers.
-            let _untraced = ceems_obs::trace::enter(None);
-            return missing
-                .iter()
-                .map(|&slot| self.fetch_extent(req, &extents[slot]))
-                .collect();
-        }
-        let out: Vec<Mutex<Option<Arc<ExtentData>>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        let chunk = missing.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (c, chunk_slots) in missing.chunks(chunk).enumerate() {
-                let out = &out;
-                s.spawn(move || {
-                    for (j, slot) in chunk_slots.iter().enumerate() {
-                        *out[c * chunk + j].lock().unwrap() =
-                            self.fetch_extent(req, &extents[*slot]);
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|m| m.into_inner().unwrap()).collect()
     }
 
     /// One extent's sub-query; `None` when it fails.
@@ -720,7 +671,7 @@ impl QueryFrontend {
         }
         match self.downstream.forward(&sub) {
             Ok(resp) if resp.status.is_success() => {
-                ExtentData::from_response(&resp.body).map(Arc::new)
+                promapi::decode_matrix(&resp.body).ok().map(Arc::new)
             }
             _ => None,
         }
@@ -751,9 +702,11 @@ impl QueryFrontend {
                 )
             }
         };
-        if trace_requested(req) && resp.status.is_success() {
+        if promapi::trace_requested(req) && resp.status.is_success() {
             let total_ms = started.elapsed().as_secs_f64() * 1e3;
-            if let Some(body) = rewrite_passthrough_trace(&resp.body, total_ms) {
+            if let Some(body) =
+                promapi::add_hop(&resp.body, &[], ("qfe_proxy", total_ms), total_ms, &[])
+            {
                 resp.body = body;
             }
         }
@@ -841,33 +794,6 @@ fn extent_key(tenant: &str, norm: &str, step_ms: i64, phase_ms: i64, e: &Extent)
     }
 }
 
-/// `?trace=1` (or `trace=true`), as the TSDB defines it.
-fn trace_requested(req: &Request) -> bool {
-    matches!(req.query_param("trace"), Some("1") | Some("true"))
-}
-
-/// `start`/`end` exactly as `ceems_tsdb::httpapi::parse_time` reads them
-/// (sans defaulting — a missing parameter bypasses splitting).
-fn parse_time_param(req: &Request, name: &str) -> Option<i64> {
-    let raw = req.query_param(name)?;
-    let secs: f64 = raw.parse().ok()?;
-    if secs.is_finite() {
-        Some((secs * 1000.0) as i64)
-    } else {
-        None
-    }
-}
-
-/// `step` exactly as the TSDB reads it.
-fn parse_step_param(req: &Request) -> Option<i64> {
-    let sec: f64 = req.query_param("step")?.parse().ok()?;
-    if sec > 0.0 {
-        Some((sec * 1000.0) as i64)
-    } else {
-        None
-    }
-}
-
 /// Builds the sub-request for one extent: same query string and step
 /// parameter verbatim, `start`/`end` trimmed to the extent, identity and
 /// trace headers forwarded, `trace` param stripped (the frontend reports
@@ -876,8 +802,8 @@ fn sub_request(req: &Request, e: &Extent) -> Request {
     let mut sub = Request::new(req.method, &req.path);
     sub.query = vec![
         ("query".to_string(), req.query_param("query").unwrap_or("").to_string()),
-        ("start".to_string(), ms_to_secs_param(e.first_step_ms)),
-        ("end".to_string(), ms_to_secs_param(e.last_step_ms)),
+        ("start".to_string(), promapi::secs_param(e.first_step_ms)),
+        ("end".to_string(), promapi::secs_param(e.last_step_ms)),
         ("step".to_string(), req.query_param("step").unwrap_or("").to_string()),
     ];
     for name in ["x-grafana-user", TRACE_HEADER] {
@@ -888,32 +814,11 @@ fn sub_request(req: &Request, e: &Extent) -> Request {
     sub
 }
 
-/// Appends a `qfe_proxy` stage to a proxied trace and re-roots `totalMs`
-/// at the frontend, keeping `sum(stages) ≤ totalMs`.
-fn rewrite_passthrough_trace(body: &[u8], total_ms: f64) -> Option<Vec<u8>> {
-    let mut v: Json = serde_json::from_slice(body).ok()?;
-    let Json::Object(root) = &mut v else {
-        return None;
-    };
-    let Some(Json::Object(data)) = root.get_mut("data") else {
-        return None;
-    };
-    let Some(Json::Object(trace)) = data.get_mut("trace") else {
-        return None;
-    };
-    let inner_total = trace.get("totalMs").and_then(|t| t.as_f64()).unwrap_or(0.0);
-    let total_ms = total_ms.max(inner_total);
-    if let Some(Json::Array(stages)) = trace.get_mut("stages") {
-        stages.push(json!({"name": "qfe_proxy", "ms": total_ms - inner_total}));
-    }
-    trace.insert("totalMs".to_string(), json!(total_ms));
-    serde_json::to_vec(&v).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ceems_http::Method;
+    use serde_json::{json, Value as Json};
 
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1027,6 +932,29 @@ mod tests {
             assert_eq!(resp.status, Status::UNPROCESSABLE, "{params}");
             let body = String::from_utf8_lossy(&resp.body).into_owned();
             assert!(body.contains(error), "{params}: {body}");
+        }
+    }
+
+    /// The frontend reads `start`/`end` with the TSDB's parser, so a time
+    /// the TSDB refuses gets the TSDB's own 400, byte for byte.
+    #[test]
+    fn non_finite_times_get_the_tsdbs_answer() {
+        let tsdb = || {
+            let db = Arc::new(ceems_tsdb::Tsdb::default());
+            ceems_tsdb::httpapi::api_router(db, Arc::new(|| 0))
+        };
+        let downstream = Arc::new(crate::RouterDownstream::new(tsdb()));
+        let fe = QueryFrontend::new(downstream, QfeConfig::default());
+        let direct = tsdb();
+        for path in [
+            "/api/v1/query?query=up&time=NaN",
+            "/api/v1/query_range?query=up&start=NaN&end=60&step=15",
+            "/api/v1/query_range?query=up&start=0&end=inf&step=15",
+        ] {
+            let req = Request::new(Method::Get, path);
+            let resp = fe.handle(&req);
+            assert_eq!(resp.status, Status::BAD_REQUEST, "{path}");
+            assert_eq!(resp.body, direct.dispatch(req).body, "{path}");
         }
     }
 

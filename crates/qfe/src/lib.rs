@@ -31,6 +31,4 @@ pub use cache::{ExtentKey, ResultsCache};
 pub use downstream::{Downstream, HttpDownstream, RouterDownstream};
 pub use frontend::{system_now, NowFn, QfeConfig, QueryFrontend};
 pub use sched::{FairScheduler, Permit, SchedulerConfig, Shed};
-pub use split::{
-    merge_extents, ms_to_secs_param, split_grid, Extent, ExtentData, ExtentSeries, StepGrid,
-};
+pub use split::{merge_extents, split_grid, Extent, ExtentData, StepGrid};

@@ -11,17 +11,16 @@
 //! makes interior extents shareable between requests with different
 //! endpoints.
 //!
-//! Merging reconstructs the unsplit response *byte for byte*: sample pairs
-//! are kept verbatim as parsed JSON (the vendored serde_json prints floats
-//! in shortest round-trip form and objects with sorted keys, so
-//! parse→reprint is the identity on the TSDB's own output), and series
-//! ordering is rebuilt by walking the step grid in ascending order,
-//! appending series the first time they carry a sample — the same
-//! first-seen rule the unsplit evaluator uses.
+//! Merging reconstructs the unsplit response *byte for byte*: extents are
+//! typed series decoded by `ceems_tsdb::promapi`, whose encoder is the
+//! TSDB's own and for which decode∘encode is the identity, and series order
+//! is rebuilt by the first-seen rule the unsplit evaluator uses (see
+//! [`merge_extents`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
-use serde_json::Value as Json;
+use ceems_metrics::labels::LabelSet;
+use ceems_tsdb::SeriesData;
 
 /// The evaluation grid of a `query_range` request (all times in ms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,16 +70,6 @@ pub struct Extent {
 }
 
 impl Extent {
-    /// Steps of this extent, ascending.
-    pub fn steps(self) -> impl Iterator<Item = i64> {
-        StepGrid {
-            start_ms: self.first_step_ms,
-            end_ms: self.last_step_ms,
-            step_ms: self.step_ms,
-        }
-        .steps()
-    }
-
     /// Number of steps in the extent (always ≥ 1 by construction).
     pub fn step_count(&self) -> usize {
         ((self.last_step_ms - self.first_step_ms) / self.step_ms + 1) as usize
@@ -106,127 +95,49 @@ pub fn split_grid(grid: StepGrid, split_interval_ms: i64) -> Vec<Extent> {
     out
 }
 
-/// Renders a millisecond timestamp as the `start=`/`end=` seconds parameter
-/// of a sub-request, such that the TSDB's `(secs * 1000.0) as i64` parse
-/// recovers exactly `t_ms`. Division by 1000 is not always exactly
-/// invertible in f64, so the value is nudged by ULPs until the round trip
-/// lands (a couple of steps at most).
-pub fn ms_to_secs_param(t_ms: i64) -> String {
-    let mut s = t_ms as f64 / 1000.0;
-    for _ in 0..4 {
-        let back = (s * 1000.0) as i64;
-        if back == t_ms {
-            break;
-        }
-        // Truncation erred low or high; walk one ULP toward the target.
-        let bits = s.to_bits();
-        s = if (back < t_ms) == (s >= 0.0) {
-            f64::from_bits(bits + 1)
-        } else {
-            f64::from_bits(bits.wrapping_sub(1))
-        };
-    }
-    debug_assert_eq!((s * 1000.0) as i64, t_ms);
-    format!("{s:?}")
-}
+/// A fetched or cached extent: the sub-query's series in the order the
+/// TSDB answered them, decoded by `ceems_tsdb::promapi`.
+pub type ExtentData = Vec<SeriesData>;
 
-/// One series of a fetched (or cached) extent, holding the downstream JSON
-/// verbatim.
-#[derive(Clone, Debug)]
-pub struct ExtentSeries {
-    /// The `metric` label object, exactly as the TSDB returned it.
-    pub metric: Json,
-    /// Canonical serialization of `metric` (sorted keys), the identity key.
-    pub metric_key: String,
-    /// Step (ms) → the verbatim `[unix_seconds, "value"]` pair.
-    pub samples: HashMap<i64, Json>,
-}
-
-/// A fetched or cached extent result: series in downstream response order
-/// (first-seen over the extent's steps).
-#[derive(Clone, Debug, Default)]
-pub struct ExtentData {
-    /// Series in response order.
-    pub series: Vec<ExtentSeries>,
-}
-
-impl ExtentData {
-    /// Approximate heap footprint, for the cache's byte budget.
-    pub fn approx_bytes(&self) -> usize {
-        let mut n = std::mem::size_of::<ExtentData>();
-        for s in &self.series {
-            n += std::mem::size_of::<ExtentSeries>() + s.metric_key.len() * 2;
-            // Each sample: map slot + a small JSON array of two scalars.
-            n += s.samples.len() * 96;
-        }
-        n
-    }
-
-    /// Parses a TSDB `query_range` success envelope into extent form.
-    /// Returns `None` when the payload is not a success/matrix response —
-    /// the caller falls back to proxying the original request.
-    pub fn from_response(body: &[u8]) -> Option<ExtentData> {
-        let v: Json = serde_json::from_slice(body).ok()?;
-        if v.get("status")?.as_str()? != "success" {
-            return None;
-        }
-        let data = v.get("data")?;
-        if data.get("resultType")?.as_str()? != "matrix" {
-            return None;
-        }
-        let mut out = ExtentData::default();
-        for entry in data.get("result")?.as_array()? {
-            let metric = entry.get("metric")?.clone();
-            let metric_key = serde_json::to_string(&metric).ok()?;
-            let mut samples = HashMap::new();
-            for pair in entry.get("values")?.as_array()? {
-                let t_secs = pair.get(0)?.as_f64()?;
-                samples.insert((t_secs * 1000.0).round() as i64, pair.clone());
-            }
-            out.series.push(ExtentSeries { metric, metric_key, samples });
-        }
-        Some(out)
-    }
-}
-
-/// Merges extent results (ascending, non-overlapping) back into the
-/// unsplit `data.result` array.
+/// Merges extent results (ascending, non-overlapping, each holding only its
+/// own steps) back into the unsplit answer's series.
 ///
-/// Ordering proof sketch: the unsplit evaluator appends a series to its
-/// output the first step it carries a sample, and series first seen at the
-/// same step appear in that step's evaluation order. Each extent's series
-/// order is exactly first-seen order over *its own* steps (it came from the
-/// same evaluator), so walking steps ascending and, per step, scanning the
-/// extent's series in stored order for not-yet-emitted series reproduces
-/// both rules.
-pub fn merge_extents(extents: &[(Extent, std::sync::Arc<ExtentData>)]) -> Vec<Json> {
-    let mut order: Vec<(Json, Vec<Json>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for (extent, data) in extents {
-        for t in extent.steps() {
-            for s in &data.series {
-                if let Some(pair) = s.samples.get(&t) {
-                    let idx = *index.entry(s.metric_key.clone()).or_insert_with(|| {
-                        order.push((s.metric.clone(), Vec::new()));
-                        order.len() - 1
-                    });
-                    order[idx].1.push(pair.clone());
-                }
+/// Ordering proof: the unsplit evaluator lists series by the step they
+/// are first seen at, series first seen at one step in that step's element
+/// order (`ceems_tsdb::promql::range_query`); an instant evaluation's
+/// elements at a step do not depend on the grid around it. Each extent
+/// came from the same evaluator over its own steps, so it lists its series
+/// in that order too. A series new at extent `k` was first seen inside `k`,
+/// after every series first seen in earlier extents; appending each
+/// extent's new series in the extent's order therefore lists all series in
+/// first-seen order, and appending each series' samples extent by extent
+/// keeps them in step order. The merged series encode, through the TSDB's
+/// own encoder, to the bytes of the unsplit answer.
+pub fn merge_extents<'a>(extents: impl IntoIterator<Item = &'a ExtentData>) -> Vec<SeriesData> {
+    let mut merged: Vec<SeriesData> = Vec::new();
+    let mut index: HashMap<&LabelSet, usize> = HashMap::new();
+    for series in extents.into_iter().flatten() {
+        match index.entry(&*series.labels) {
+            Entry::Occupied(at) => merged[*at.get()].samples.extend_from_slice(&series.samples),
+            Entry::Vacant(at) => {
+                at.insert(merged.len());
+                merged.push(series.clone());
             }
         }
     }
-    order
-        .into_iter()
-        .map(|(metric, values)| {
-            serde_json::json!({"metric": metric, "values": values})
-        })
-        .collect()
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use ceems_metrics::labels;
+    use ceems_tsdb::Sample;
+
+    fn steps(e: &Extent) -> impl Iterator<Item = i64> {
+        let (start_ms, end_ms, step_ms) = (e.first_step_ms, e.last_step_ms, e.step_ms);
+        StepGrid { start_ms, end_ms, step_ms }.steps()
+    }
 
     #[test]
     fn grid_steps_match_range_query_rule() {
@@ -247,7 +158,7 @@ mod tests {
         assert_eq!(extents[0], Extent { chunk: 0, first_step_ms: 50, last_step_ms: 90, step_ms: 40 });
         assert_eq!(extents[2].first_step_ms, 210);
         assert_eq!(extents[2].last_step_ms, 290);
-        let all: Vec<i64> = extents.iter().flat_map(|e| e.steps()).collect();
+        let all: Vec<i64> = extents.iter().flat_map(steps).collect();
         assert_eq!(all, g.steps().collect::<Vec<_>>());
     }
 
@@ -255,42 +166,24 @@ mod tests {
     fn negative_times_split_with_floor_semantics() {
         let g = StepGrid { start_ms: -250, end_ms: 50, step_ms: 100 };
         let extents = split_grid(g, 200);
-        let all: Vec<i64> = extents.iter().flat_map(|e| e.steps()).collect();
+        let all: Vec<i64> = extents.iter().flat_map(steps).collect();
         assert_eq!(all, vec![-250, -150, -50, 50]);
         assert_eq!(extents[0].chunk, -2);
-    }
-
-    #[test]
-    fn ms_param_roundtrips_awkward_values() {
-        for t in [0i64, 1, 999, 15_001, 135_000, 86_399_999, 1_700_000_000_123, -15_001] {
-            let s = ms_to_secs_param(t);
-            let parsed: f64 = s.parse().unwrap();
-            assert_eq!((parsed * 1000.0) as i64, t, "param {s} for {t}");
-        }
     }
 
     #[test]
     fn merge_rebuilds_first_seen_order() {
         // Extent 1 (steps 0,10): series a appears at 10. Extent 2 (steps
         // 20,30): b at 20, a at 30 — output order must be [a, b].
-        let mk = |key: &str, samples: Vec<(i64, f64)>| ExtentSeries {
-            metric: serde_json::json!({"n": key}),
-            metric_key: key.to_string(),
-            samples: samples
-                .into_iter()
-                .map(|(t, v)| (t, serde_json::json!([t as f64 / 1000.0, format!("{v}")])))
-                .collect(),
+        let mk = |name: &str, samples: &[(i64, f64)]| {
+            let samples = samples.iter().map(|&(t, v)| Sample::new(t, v)).collect();
+            SeriesData::new(labels! {"n" => name}, samples)
         };
-        let e1 = Extent { chunk: 0, first_step_ms: 0, last_step_ms: 10, step_ms: 10 };
-        let e2 = Extent { chunk: 1, first_step_ms: 20, last_step_ms: 30, step_ms: 10 };
-        let d1 = Arc::new(ExtentData { series: vec![mk("a", vec![(10, 1.0)])] });
-        let d2 = Arc::new(ExtentData {
-            series: vec![mk("b", vec![(20, 2.0)]), mk("a", vec![(30, 3.0)])],
-        });
-        let merged = merge_extents(&[(e1, d1), (e2, d2)]);
+        let d1 = vec![mk("a", &[(10, 1.0)])];
+        let d2 = vec![mk("b", &[(20, 2.0)]), mk("a", &[(30, 3.0)])];
+        let merged = merge_extents([&d1, &d2]);
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0]["metric"]["n"], "a");
-        assert_eq!(merged[1]["metric"]["n"], "b");
-        assert_eq!(merged[0]["values"].as_array().unwrap().len(), 2);
+        assert_eq!(merged[0], mk("a", &[(10, 1.0), (30, 3.0)]));
+        assert_eq!(merged[1], mk("b", &[(20, 2.0)]));
     }
 }

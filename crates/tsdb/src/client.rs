@@ -6,9 +6,9 @@
 //! query frontend's downstream, WAL followers, and the health probes of the
 //! LB and the election coordinator. It owns what those hops share — URL
 //! shapes, header propagation, endpoint resolution, retry and breaker — and
-//! the only parsers of the instant-query envelope and the WAL position
-//! report. What differs per hop (how often to retry, whether a breaker
-//! guards it) is passed in where the client is built.
+//! the parser of the WAL position report; instant answers are decoded by
+//! [`crate::promapi`]. What differs per hop (how often to retry, whether a
+//! breaker guards it) is passed in where the client is built.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,6 +22,7 @@ use ceems_metrics::labels::LabelSet;
 use ceems_obs::{trace, TRACE_HEADER};
 
 use crate::election::NodeRole;
+use crate::promapi;
 use crate::wal::WalPosition;
 
 /// Resolves the endpoint per call — e.g. following a failover routing table
@@ -152,10 +153,10 @@ impl TsdbClient {
         let path = format!(
             "/api/v1/query?query={}&time={}",
             encode_component(expr),
-            t_ms as f64 / 1000.0
+            promapi::secs_param(t_ms)
         );
         let resp = self.call(Method::Get, &path).map_err(|e| e.to_string())?;
-        parse_instant(&resp.body)
+        promapi::decode_instant(&resp.body)
     }
 
     /// Deletes every series matching `selector` (e.g. `{uuid="slurm-1"}`)
@@ -260,43 +261,6 @@ impl TsdbClient {
     }
 }
 
-/// Parses the Prometheus instant-query JSON envelope into a result vector.
-fn parse_instant(body: &[u8]) -> Result<Vec<(LabelSet, f64)>, String> {
-    let v: serde_json::Value =
-        serde_json::from_slice(body).map_err(|e| format!("bad query response JSON: {e}"))?;
-    if v["status"] != "success" {
-        return Err(format!(
-            "query failed: {}",
-            v["error"].as_str().unwrap_or("unknown error")
-        ));
-    }
-    let value_of = |pair: &serde_json::Value| {
-        pair[1]
-            .as_str()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or("missing sample value in query response")
-    };
-    let data = &v["data"];
-    match data["resultType"].as_str() {
-        Some("vector") => {
-            let mut out = Vec::new();
-            for item in data["result"].as_array().into_iter().flatten() {
-                let labels = item["metric"]
-                    .as_object()
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|(k, val)| Some((k.as_str(), val.as_str()?)));
-                out.push((LabelSet::from_pairs(labels), value_of(&item["value"])?));
-            }
-            Ok(out)
-        }
-        Some("scalar") => Ok(vec![(LabelSet::empty(), value_of(&data["result"])?)]),
-        other => Err(format!(
-            "unsupported resultType {other:?} for an instant query"
-        )),
-    }
-}
-
 /// Parses the `/api/v1/wal/position` payload.
 fn parse_position(body: &[u8]) -> Result<PositionReport, String> {
     let v: serde_json::Value =
@@ -350,28 +314,6 @@ mod tests {
             );
         }
         db
-    }
-
-    #[test]
-    fn envelope_parses_vector_and_scalar() {
-        let body = br#"{"status":"success","data":{"resultType":"vector","result":[
-            {"metric":{"instance":"n1"},"value":[12.5,"300"]}]}}"#;
-        let v = parse_instant(body).unwrap();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0.get("instance"), Some("n1"));
-        assert_eq!(v[0].1, 300.0);
-
-        let body = br#"{"status":"success","data":{"resultType":"scalar","result":[12.5,"7"]}}"#;
-        let v = parse_instant(body).unwrap();
-        assert_eq!(v[0].1, 7.0);
-
-        assert!(parse_instant(br#"{"status":"error","error":"boom"}"#).is_err());
-        assert!(parse_instant(b"not json").is_err());
-        let matrix = br#"{"status":"success","data":{"resultType":"matrix","result":[]}}"#;
-        assert!(parse_instant(matrix).is_err());
-        let no_value = br#"{"status":"success","data":{"resultType":"vector","result":[
-            {"metric":{"instance":"n1"}}]}}"#;
-        assert!(parse_instant(no_value).is_err());
     }
 
     #[test]

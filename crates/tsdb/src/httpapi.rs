@@ -3,9 +3,9 @@
 //! The endpoints Grafana and the CEEMS load balancer actually use:
 //! `/api/v1/query`, `/api/v1/query_range`, `/api/v1/labels`,
 //! `/api/v1/label/<name>/values`, `/api/v1/series`, plus the admin
-//! `delete_series` the API server's cardinality cleanup calls. Responses
-//! follow the Prometheus JSON envelope (`status`/`data`, values as
-//! `[unix_seconds, "string"]` pairs).
+//! `delete_series` the API server's cardinality cleanup calls. Parameters
+//! and the JSON envelopes are [`crate::promapi`]'s; both query endpoints
+//! run one handler.
 //!
 //! Observability (S17): the router also serves `/metrics` from a
 //! [`Registry`] (default: [`selfmon::default_registry`]); the query
@@ -25,10 +25,11 @@ use ceems_metrics::matcher::LabelMatcher;
 use ceems_metrics::{MetricType, Registry, Sink};
 use ceems_obs::http::TRACE_STORED_HEADER;
 use ceems_obs::slowlog::{SlowQueryLog, SlowQueryRecord};
-use ceems_obs::trace::{self, QueryTrace, TraceReport};
+use ceems_obs::trace::{self, QueryTrace};
 use ceems_obs::{TraceSink, TRACE_HEADER};
 
-use crate::promql::{instant_query, parse_expr, range_query, Expr, Value};
+use crate::promapi::{answer, error, labels_json, ok, trace_requested, EvalAt, QueryData};
+use crate::promql::{instant_query, parse_expr, range_query, Expr};
 use crate::selfmon;
 use crate::storage::Tsdb;
 
@@ -126,67 +127,6 @@ impl WalFetchLimiter {
     }
 }
 
-/// `?trace=1` (or `trace=true`) requests the stage breakdown in the reply.
-fn trace_requested(req: &Request) -> bool {
-    matches!(req.query_param("trace"), Some("1") | Some("true"))
-}
-
-/// Inserts `trace` into the (object) data payload.
-fn attach_trace(data: Json, report: &TraceReport) -> Json {
-    match data {
-        Json::Object(mut map) => {
-            map.insert("trace".to_string(), report.to_json());
-            Json::Object(map)
-        }
-        other => other,
-    }
-}
-
-fn ok_json(data: Json) -> Response {
-    Response::json(
-        serde_json::to_vec(&json!({"status": "success", "data": data})).unwrap(),
-    )
-}
-
-fn err_json(status: Status, error: impl Into<String>) -> Response {
-    let body = json!({"status": "error", "error": error.into()});
-    Response::json(serde_json::to_vec(&body).unwrap()).with_status(status)
-}
-
-trait WithStatus {
-    fn with_status(self, s: Status) -> Response;
-}
-
-impl WithStatus for Response {
-    fn with_status(mut self, s: Status) -> Response {
-        self.status = s;
-        self
-    }
-}
-
-fn labels_to_json(labels: &LabelSet) -> Json {
-    let map: serde_json::Map<String, Json> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), Json::String(v.to_string())))
-        .collect();
-    Json::Object(map)
-}
-
-fn sample_pair(t_ms: i64, v: f64) -> Json {
-    json!([t_ms as f64 / 1000.0, format!("{v}")])
-}
-
-/// Parses a `time=`-style parameter (unix seconds, fractional allowed).
-fn parse_time(req: &Request, name: &str, default_ms: i64) -> Result<i64, String> {
-    match req.query_param(name) {
-        None => Ok(default_ms),
-        Some(s) => s
-            .parse::<f64>()
-            .map(|secs| (secs * 1000.0) as i64)
-            .map_err(|_| format!("bad {name} parameter: {s:?}")),
-    }
-}
-
 /// Parses the `match[]` selectors of series/delete endpoints.
 fn parse_matchers(req: &Request) -> Result<Vec<Vec<LabelMatcher>>, String> {
     let mut out = Vec::new();
@@ -246,134 +186,58 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
     let mut router = Router::new();
     ceems_obs::add_metrics_route(&mut router, registry);
 
-    {
+    for (endpoint, range) in [("/api/v1/query", false), ("/api/v1/query_range", true)] {
         let db = db.clone();
         let now = now.clone();
         let slow = slow.clone();
         let sink = trace_sink.clone();
-        router.get("/api/v1/query", move |req| {
+        router.get(endpoint, move |req| {
             let qtrace = QueryTrace::begin(req.header(TRACE_HEADER));
             let _cur = trace::enter(Some(qtrace.clone()));
-            let t = match parse_time(req, "time", now()) {
-                Ok(t) => t,
-                Err(e) => return err_json(Status::BAD_REQUEST, e),
+            let at = match EvalAt::parse(req, range, now()) {
+                Ok(at) => at,
+                Err(e) => return error(Status::BAD_REQUEST, e),
             };
             let Some(q) = req.query_param("query") else {
-                return err_json(Status::BAD_REQUEST, "missing query parameter");
+                return error(Status::BAD_REQUEST, "missing query parameter");
             };
             let parsing = qtrace.stage("parse");
             let expr = match parse_expr(q) {
                 Ok(e) => e,
-                Err(e) => return err_json(Status::BAD_REQUEST, e.to_string()),
+                Err(e) => return error(Status::BAD_REQUEST, e.to_string()),
             };
             parsing.finish();
             let evaling = qtrace.stage("eval");
-            let result = instant_query(db.as_ref(), &expr, t);
+            let result = match at {
+                EvalAt::Instant(t) => {
+                    instant_query(db.as_ref(), &expr, t).map(|v| QueryData::instant(v, t))
+                }
+                EvalAt::Range {
+                    start_ms,
+                    end_ms,
+                    step_ms,
+                } => range_query(db.as_ref(), &expr, start_ms, end_ms, step_ms)
+                    .map(QueryData::Matrix),
+            };
             evaling.finish();
             let data = match result {
-                Ok(Value::Scalar(v)) => json!({
-                    "resultType": "scalar",
-                    "result": sample_pair(t, v),
-                }),
-                Ok(Value::Vector(vec)) => json!({
-                    "resultType": "vector",
-                    "result": vec.iter().map(|(l, v)| json!({
-                        "metric": labels_to_json(l),
-                        "value": sample_pair(t, *v),
-                    })).collect::<Vec<_>>(),
-                }),
-                Ok(Value::Matrix(m)) => json!({
-                    "resultType": "matrix",
-                    "result": m.iter().map(|s| json!({
-                        "metric": labels_to_json(&s.labels),
-                        "values": s.samples.iter().map(|x| sample_pair(x.t_ms, x.v)).collect::<Vec<_>>(),
-                    })).collect::<Vec<_>>(),
-                }),
-                Err(e) => return err_json(Status::UNPROCESSABLE, e.to_string()),
+                Ok(data) => data,
+                Err(e) => return error(Status::UNPROCESSABLE, e.to_string()),
             };
             let report = qtrace.report();
             let tenant = req.header("x-grafana-user").unwrap_or("anonymous");
             let store_key = sink
                 .as_ref()
-                .and_then(|s| s.offer("tsdb", "/api/v1/query", tenant, &report));
+                .and_then(|s| s.offer("tsdb", endpoint, tenant, &report));
             slow.observe(&SlowQueryRecord {
                 component: "tsdb",
-                endpoint: "/api/v1/query",
+                endpoint,
                 query: q,
                 total_ms: report.total_ms,
                 trace: Some(&report),
                 store_key: store_key.as_deref(),
             });
-            let resp = if trace_requested(req) {
-                ok_json(attach_trace(data, &report))
-            } else {
-                ok_json(data)
-            };
-            match store_key {
-                Some(key) => resp.with_header(TRACE_STORED_HEADER, key),
-                None => resp,
-            }
-        });
-    }
-
-    {
-        let db = db.clone();
-        let slow = slow.clone();
-        let sink = trace_sink.clone();
-        router.get("/api/v1/query_range", move |req| {
-            let qtrace = QueryTrace::begin(req.header(TRACE_HEADER));
-            let _cur = trace::enter(Some(qtrace.clone()));
-            let (start, end) = match (parse_time(req, "start", 0), parse_time(req, "end", 0)) {
-                (Ok(s), Ok(e)) => (s, e),
-                (Err(e), _) | (_, Err(e)) => return err_json(Status::BAD_REQUEST, e),
-            };
-            let step_ms = match req.query_param("step") {
-                Some(s) => match s.parse::<f64>() {
-                    Ok(sec) if sec > 0.0 => (sec * 1000.0) as i64,
-                    _ => return err_json(Status::BAD_REQUEST, "bad step parameter"),
-                },
-                None => return err_json(Status::BAD_REQUEST, "missing step parameter"),
-            };
-            let Some(q) = req.query_param("query") else {
-                return err_json(Status::BAD_REQUEST, "missing query parameter");
-            };
-            let parsing = qtrace.stage("parse");
-            let expr = match parse_expr(q) {
-                Ok(e) => e,
-                Err(e) => return err_json(Status::BAD_REQUEST, e.to_string()),
-            };
-            parsing.finish();
-            let evaling = qtrace.stage("eval");
-            let result = range_query(db.as_ref(), &expr, start, end, step_ms);
-            evaling.finish();
-            let data = match result {
-                Ok(series) => json!({
-                    "resultType": "matrix",
-                    "result": series.iter().map(|s| json!({
-                        "metric": labels_to_json(&s.labels),
-                        "values": s.samples.iter().map(|x| sample_pair(x.t_ms, x.v)).collect::<Vec<_>>(),
-                    })).collect::<Vec<_>>(),
-                }),
-                Err(e) => return err_json(Status::UNPROCESSABLE, e.to_string()),
-            };
-            let report = qtrace.report();
-            let tenant = req.header("x-grafana-user").unwrap_or("anonymous");
-            let store_key = sink
-                .as_ref()
-                .and_then(|s| s.offer("tsdb", "/api/v1/query_range", tenant, &report));
-            slow.observe(&SlowQueryRecord {
-                component: "tsdb",
-                endpoint: "/api/v1/query_range",
-                query: q,
-                total_ms: report.total_ms,
-                trace: Some(&report),
-                store_key: store_key.as_deref(),
-            });
-            let resp = if trace_requested(req) {
-                ok_json(attach_trace(data, &report))
-            } else {
-                ok_json(data)
-            };
+            let resp = answer(&data, trace_requested(req).then_some(&report), &[]);
             match store_key {
                 Some(key) => resp.with_header(TRACE_STORED_HEADER, key),
                 None => resp,
@@ -384,7 +248,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
     {
         let db = db.clone();
         router.get("/api/v1/labels", move |_req| {
-            ok_json(json!(db.label_names()))
+            ok(json!(db.label_names()))
         });
     }
 
@@ -392,7 +256,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         let db = db.clone();
         router.get("/api/v1/label/:name/values", move |req| {
             let name = req.path_param("name").unwrap_or_default();
-            ok_json(json!(db.label_values(name)))
+            ok(json!(db.label_values(name)))
         });
     }
 
@@ -401,25 +265,25 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         router.get("/api/v1/series", move |req| {
             let matcher_sets = match parse_matchers(req) {
                 Ok(m) => m,
-                Err(e) => return err_json(Status::BAD_REQUEST, e),
+                Err(e) => return error(Status::BAD_REQUEST, e),
             };
             let mut out: Vec<Json> = Vec::new();
             let mut seen = std::collections::HashSet::new();
             for matchers in matcher_sets {
                 for (labels, _) in db.select_latest(&matchers) {
                     if seen.insert(labels.fingerprint()) {
-                        out.push(labels_to_json(&labels));
+                        out.push(labels_json(&labels));
                     }
                 }
             }
-            ok_json(Json::Array(out))
+            ok(Json::Array(out))
         });
     }
 
     {
         let db = db.clone();
         router.get("/api/v1/status/tsdb", move |_req| {
-            ok_json(json!({
+            ok(json!({
                 "headStats": {
                     "numSeries": db.series_count(),
                     "numSamples": db.samples_appended(),
@@ -435,7 +299,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         let db = db.clone();
         router.get("/api/v1/wal/position", move |_req| {
             let pos = db.reported_wal_position();
-            ok_json(json!({
+            ok(json!({
                 "seq": pos.seq,
                 "offset": pos.offset,
                 "records": pos.records,
@@ -454,7 +318,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
                 .iter()
                 .map(|s| json!({"epoch": s.epoch, "startRecords": s.start_records}))
                 .collect();
-            ok_json(json!({
+            ok(json!({
                 "epoch": db.current_epoch(),
                 "history": history,
             }))
@@ -470,16 +334,16 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         router.get("/api/v1/wal/locate", move |req| {
             let records: u64 = match req.query_param("records").map(str::parse) {
                 Some(Ok(n)) => n,
-                _ => return err_json(Status::BAD_REQUEST, "bad records parameter"),
+                _ => return error(Status::BAD_REQUEST, "bad records parameter"),
             };
             match db.locate_records(records) {
-                Ok(Some(pos)) => ok_json(json!({
+                Ok(Some(pos)) => ok(json!({
                     "seq": pos.seq,
                     "offset": pos.offset,
                     "records": pos.records,
                 })),
-                Ok(None) => err_json(Status(410), format!("records {records} not locatable")),
-                Err(e) => err_json(Status::NOT_FOUND, e.to_string()),
+                Ok(None) => error(Status(410), format!("records {records} not locatable")),
+                Err(e) => error(Status::NOT_FOUND, e.to_string()),
             }
         });
     }
@@ -493,32 +357,32 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         router.post("/api/v1/write", move |req| {
             let body: Json = match serde_json::from_slice(&req.body) {
                 Ok(v) => v,
-                Err(e) => return err_json(Status::BAD_REQUEST, format!("bad body: {e}")),
+                Err(e) => return error(Status::BAD_REQUEST, format!("bad body: {e}")),
             };
             let Some(epoch) = body["epoch"].as_u64() else {
-                return err_json(Status::BAD_REQUEST, "missing epoch");
+                return error(Status::BAD_REQUEST, "missing epoch");
             };
             let Some(samples) = body["samples"].as_array() else {
-                return err_json(Status::BAD_REQUEST, "missing samples");
+                return error(Status::BAD_REQUEST, "missing samples");
             };
             let mut batch = Vec::with_capacity(samples.len());
             for s in samples {
                 let Some(obj) = s["labels"].as_object() else {
-                    return err_json(Status::BAD_REQUEST, "sample missing labels");
+                    return error(Status::BAD_REQUEST, "sample missing labels");
                 };
                 let labels = LabelSet::from_pairs(
                     obj.iter()
                         .map(|(k, v)| (k.as_str(), v.as_str().unwrap_or_default())),
                 );
                 let (Some(t_ms), Some(v)) = (s["t_ms"].as_i64(), s["v"].as_f64()) else {
-                    return err_json(Status::BAD_REQUEST, "sample missing t_ms/v");
+                    return error(Status::BAD_REQUEST, "sample missing t_ms/v");
                 };
                 batch.push((labels, t_ms, v));
             }
             match db.append_batch_fenced(epoch, &batch) {
-                Ok(()) => ok_json(json!({"appended": batch.len()})),
+                Ok(()) => ok(json!({"appended": batch.len()})),
                 // 409: the write carried a fenced-off epoch.
-                Err(e) => err_json(Status(409), e.to_string()),
+                Err(e) => error(Status(409), e.to_string()),
             }
         });
     }
@@ -527,11 +391,11 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         let db = db.clone();
         router.get("/api/v1/wal/segments", move |_req| {
             match db.wal_segments() {
-                Ok(segs) => ok_json(json!(segs
+                Ok(segs) => ok(json!(segs
                     .iter()
                     .map(|(seq, bytes)| json!({"seq": seq, "bytes": bytes}))
                     .collect::<Vec<_>>())),
-                Err(e) => err_json(Status::NOT_FOUND, e.to_string()),
+                Err(e) => error(Status::NOT_FOUND, e.to_string()),
             }
         });
     }
@@ -544,8 +408,8 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
                     .with_header("content-type", "application/octet-stream")
                     .with_header("x-wal-checkpoint-seq", seq.to_string())
                     .with_body(bytes),
-                Ok(None) => err_json(Status::NOT_FOUND, "no checkpoint taken yet"),
-                Err(e) => err_json(Status::NOT_FOUND, e.to_string()),
+                Ok(None) => error(Status::NOT_FOUND, "no checkpoint taken yet"),
+                Err(e) => error(Status::NOT_FOUND, e.to_string()),
             }
         });
     }
@@ -556,7 +420,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
             if let Some(limiter) = &wal_limit {
                 let follower = req.header("x-wal-follower").unwrap_or("anonymous");
                 if let Err(wait_s) = limiter.try_acquire(follower) {
-                    return err_json(
+                    return error(
                         Status::TOO_MANY_REQUESTS,
                         format!("wal fetch rate limit for follower {follower:?}"),
                     )
@@ -571,7 +435,7 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
             };
             let (seq, offset) = match (parse_u64("seq"), parse_u64("offset")) {
                 (Ok(s), Ok(o)) => (s, o),
-                (Err(e), _) | (_, Err(e)) => return err_json(Status::BAD_REQUEST, e),
+                (Err(e), _) | (_, Err(e)) => return error(Status::BAD_REQUEST, e),
             };
             let last_seq = db.wal_position().map(|p| p.seq).unwrap_or(0);
             match db.read_wal_segment(seq, offset) {
@@ -581,8 +445,8 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
                     .with_header("x-wal-last-seq", last_seq.to_string())
                     .with_body(bytes),
                 // Gone: GC'd behind a checkpoint — the follower re-bootstraps.
-                Ok(None) => err_json(Status(410), format!("segment {seq} gone")),
-                Err(e) => err_json(Status::NOT_FOUND, e.to_string()),
+                Ok(None) => error(Status(410), format!("segment {seq} gone")),
+                Err(e) => error(Status::NOT_FOUND, e.to_string()),
             }
         });
     }
@@ -592,13 +456,13 @@ pub fn api_router_with(db: Arc<Tsdb>, opts: ApiOptions) -> Router {
         router.post("/api/v1/admin/tsdb/delete_series", move |req| {
             let matcher_sets = match parse_matchers(req) {
                 Ok(m) => m,
-                Err(e) => return err_json(Status::BAD_REQUEST, e),
+                Err(e) => return error(Status::BAD_REQUEST, e),
             };
             let mut deleted = 0;
             for matchers in matcher_sets {
                 deleted += db.delete_series(&matchers);
             }
-            ok_json(json!({"deletedSeries": deleted}))
+            ok(json!({"deletedSeries": deleted}))
         });
     }
 
@@ -883,6 +747,37 @@ mod tests {
         ));
         assert_eq!(v["status"], "success");
         assert!(v["data"]["result"].as_array().unwrap().is_empty());
+        server.shutdown();
+    }
+
+    /// `NaN` cast to ms is 0 and `inf` the end of time; both used to be
+    /// answered as if asked for those.
+    #[test]
+    fn non_finite_times_are_a_bad_request() {
+        let (server, _db) = serve();
+        for (params, error) in [
+            ("query?query=up&time=NaN", "bad time parameter: \"NaN\""),
+            ("query?query=up&time=-inf", "bad time parameter: \"-inf\""),
+            (
+                "query_range?query=up&start=NaN&end=10&step=15",
+                "bad start parameter: \"NaN\"",
+            ),
+            (
+                "query_range?query=up&start=0&end=inf&step=15",
+                "bad end parameter: \"inf\"",
+            ),
+            (
+                "query_range?query=up&start=0&end=10&step=inf",
+                "bad step parameter",
+            ),
+        ] {
+            let resp = Client::new()
+                .get(&format!("{}/api/v1/{params}", server.base_url()))
+                .unwrap();
+            assert_eq!(resp.status, Status::BAD_REQUEST, "{params}");
+            let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+            assert_eq!(v, json!({"status": "error", "error": error}), "{params}");
+        }
         server.shutdown();
     }
 

@@ -23,6 +23,8 @@
 //! * [`longterm`] — Thanos-like: replication into a cold store, 5-minute
 //!   downsampling, fan-in queries across hot+cold.
 //! * [`httpapi`] — the Prometheus HTTP API subset Grafana / the LB speak.
+//! * [`promapi`] — that API's query parameters, envelopes, typed answers
+//!   and trace hops: the one codec every hop that speaks it shares.
 //! * [`client`] — that API from the caller's side: the one [`TsdbClient`]
 //!   every TSDB-over-HTTP hop in the stack goes through.
 //! * [`wal`] — segmented write-ahead log + checkpoints: crash recovery via
@@ -45,6 +47,7 @@ pub mod httpapi;
 pub mod index;
 pub mod longterm;
 mod par;
+pub mod promapi;
 pub mod promql;
 pub mod replica;
 pub mod rules;
