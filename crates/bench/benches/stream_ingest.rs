@@ -16,10 +16,21 @@
 //! Beside it, `fleet_scrape/2_halves` cuts the same pass into the CPU half
 //! and the GPU half on a thread each, the contiguous shares a two-worker
 //! pass used to take.
+//! Two unit rows look under a pass. `warm_ingest/fleet` is one ingest of
+//! sixteen pre-rendered bodies, each through its own warm `SeriesCache`:
+//! no render and no HTTP, in ns a line. `head_append/*` appends one sample
+//! to each of 10 000 series, in ns a sample: through `Tsdb::append_refs`
+//! by id, then the head's stripe locks taken per sample or per batch, and
+//! a map of chunks keyed by id hashed by SipHash or by `IdHasher`;
+//! `bit_writer/*` writes a chunk's bits a byte or a word at a step.
 //! Emits `BENCH_stream.json` with per-path ingest throughput, the fleet
-//! pass rows and the sample→live-delta latency distribution.
+//! pass rows, the unit rows and the sample→live-delta latency
+//! distribution.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,16 +39,22 @@ use ceems_bench::busy_node;
 use ceems_bench::report::{write_bench_json, LatencySummary};
 use ceems_exporter::{CeemsExporter, ExporterConfig};
 use ceems_http::{Client, HttpServer, Router, ServerConfig};
+use ceems_metrics::labels::LabelSetBuilder;
+use ceems_metrics::parse::sample_lines;
 use ceems_qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems_simnode::SimClock;
 use ceems_stream::{
     PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
 };
+use ceems_tsdb::chunk::{BitWriter, XorChunk};
+use ceems_tsdb::head::{Head, IdHasher, CHUNK_SAMPLES};
 use ceems_tsdb::httpapi::api_router;
 use ceems_tsdb::scrape::{
     exposition_to_batch, ScrapeManager, ScrapeTarget, SeriesCache, Stamp, TargetSource,
 };
+use ceems_tsdb::types::SeriesId;
 use ceems_tsdb::{fan_out, Tsdb};
+use ceems_tsdb::{Sample, SeriesRef};
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 
@@ -48,6 +65,12 @@ const LATENCY_ITERS: usize = 150;
 /// Exporters in one `fleet_push` or `fleet_scrape` pass.
 const FLEET: usize = 16;
 const FLEET_ITERS: usize = 60;
+/// Series in a `head_append` pass.
+const HEAD_SERIES: usize = 10_000;
+/// Passes of each unit row timed for the JSON artifact, the rows in turn.
+const UNIT_ITERS: usize = 60;
+/// Ids in one of the head's stripes lie this far apart (its stripe count).
+const STRIPE_STRIDE: SeriesId = 16;
 
 /// A node's exporter: a CPU node with [`JOBS`] jobs, or with `gpus_per_job`
 /// a GPU node whose jobs hold that many GPUs each.
@@ -302,6 +325,224 @@ fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
     rows
 }
 
+/// Criterion's `stream_ingest/{row}/{name}` rows, then [`UNIT_ITERS`]
+/// passes of each, the rows in turn, for the JSON artifact: each row's p50
+/// in ns per item of the `items` one pass handles.
+fn unit_rows(
+    c: &mut Criterion,
+    row: &str,
+    items: usize,
+    passes: &mut [(&str, &mut dyn FnMut())],
+) -> serde_json::Value {
+    for (name, pass) in passes.iter_mut() {
+        c.bench_function(format!("stream_ingest/{row}/{name}"), |b| {
+            b.iter(&mut **pass)
+        });
+    }
+    let mut lat: Vec<Vec<Duration>> = passes.iter().map(|_| Vec::new()).collect();
+    for _ in 0..UNIT_ITERS {
+        for ((_, pass), lat) in passes.iter_mut().zip(&mut lat) {
+            let started = Instant::now();
+            pass();
+            lat.push(started.elapsed());
+        }
+    }
+    let ns = passes.iter().zip(&mut lat).map(|((name, _), lat)| {
+        let p50_us = LatencySummary::from_samples(lat).p50_us;
+        (
+            name.to_string(),
+            serde_json::json!(p50_us * 1e3 / items as f64),
+        )
+    });
+    serde_json::Value::Object(ns.collect())
+}
+
+/// `stream_ingest/warm_ingest/fleet`: [`FLEET`] pre-rendered bodies, CPU and
+/// GPU nodes in turn, each through its own warm cache.
+fn bench_warm_ingest(c: &mut Criterion) -> serde_json::Value {
+    let bodies: Vec<String> = (0..FLEET).map(|i| exporter_of(i % 2).render()).collect();
+    let instances: Vec<String> = (0..FLEET).map(|i| format!("n{i}:9100")).collect();
+    let lines: usize = bodies.iter().map(|b| sample_lines(b).count()).sum();
+    let (db, extra) = (Tsdb::default(), bench_labels());
+    let mut caches: Vec<SeriesCache> = bodies.iter().map(|_| SeriesCache::default()).collect();
+    let mut t = 0;
+    let mut pass = || {
+        t += STEP_MS;
+        for ((body, instance), cache) in bodies.iter().zip(&instances).zip(&mut caches) {
+            let stamp = Stamp {
+                instance,
+                job: "ceems",
+                extra_labels: &extra,
+            };
+            cache
+                .ingest(&db, None, body, stamp, t, &[("up", 1.0)])
+                .expect("a render parses");
+        }
+    };
+    pass();
+    let ns_per_line = unit_rows(c, "warm_ingest", lines, &mut [("fleet", &mut pass)]);
+    serde_json::json!({ "bodies": FLEET, "lines": lines, "ns_per_line": ns_per_line })
+}
+
+/// The chunk bit writer before it wrote whole words: a byte's worth of
+/// bits at a step.
+#[derive(Default)]
+struct ByteStepWriter {
+    bytes: Vec<u8>,
+    used: u8,
+}
+
+impl ByteStepWriter {
+    fn write_bits(&mut self, v: u64, n: u8) {
+        let mut left = n;
+        while left > 0 {
+            if self.used == 0 || self.used == 8 {
+                self.bytes.push(0);
+                self.used = 0;
+            }
+            let free = 8 - self.used;
+            let take = free.min(left);
+            let bits = ((v >> (left - take)) & ((1u64 << take) - 1)) as u8;
+            let last = self.bytes.len() - 1;
+            self.bytes[last] |= bits << (free - take);
+            self.used += take;
+            left -= take;
+        }
+    }
+}
+
+/// The writes of sample `i` of a counter-like chunk: a delta of delta of
+/// zero (a 14-bit one every sixteenth sample), then an XOR value in the
+/// window in force (a new window every fourth).
+fn sample_writes(i: u64) -> [(u64, u8); 5] {
+    let dod = match i % 16 {
+        0 => [(0b10, 2), (i & 0x3fff, 14)],
+        _ => [(0, 1), (0, 0)],
+    };
+    match i % 4 {
+        0 => [dod[0], dod[1], (0b11, 2), (12 << 6 | 20, 11), (i, 20)],
+        _ => [dod[0], dod[1], (0b10, 2), (i, 20), (0, 0)],
+    }
+}
+
+/// A pass of `chunks` chunks' worth of [`sample_writes`] through `write`.
+fn writer_pass<W: Default>(chunks: usize, write: fn(&mut W, u64, u8)) -> impl FnMut() {
+    move || {
+        for _ in 0..chunks {
+            let mut w = W::default();
+            for i in 0..u64::from(CHUNK_SAMPLES) {
+                for (v, n) in sample_writes(i) {
+                    write(&mut w, v, n);
+                }
+            }
+            black_box(&w);
+        }
+    }
+}
+
+/// A pass of one sample into each of [`HEAD_SERIES`] chunks kept in one
+/// map by id, the ids spread as in one of the head's stripes, hashed by
+/// `S`.
+fn map_pass<S: BuildHasher + Default>() -> impl FnMut() {
+    let mut map: HashMap<SeriesId, XorChunk, S> = HashMap::default();
+    let mut t = 0;
+    move || {
+        t += STEP_MS;
+        for i in 0..HEAD_SERIES as SeriesId {
+            let chunk = map.entry(i * STRIPE_STRIDE).or_default();
+            if chunk.len() >= CHUNK_SAMPLES {
+                *chunk = XorChunk::new();
+            }
+            let sample = Sample::new(t, (t / STEP_MS * 150) as f64 + i as f64);
+            chunk.append(sample).expect("time moves on");
+        }
+    }
+}
+
+/// One sample for each of [`HEAD_SERIES`] series, a step after the last.
+fn next_batch(batch: &mut Vec<(SeriesId, i64, f64)>, t: &mut i64) {
+    *t += STEP_MS;
+    let v = (*t / STEP_MS * 150) as f64;
+    batch.clear();
+    batch.extend((0..HEAD_SERIES as SeriesId).map(|id| (id, *t, v + id as f64)));
+}
+
+/// `stream_ingest/head_append/*` and `stream_ingest/bit_writer/*`.
+fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
+    let db = Tsdb::default();
+    let token = db.ref_token();
+    let labelled: Vec<(SeriesRef, i64, f64)> = (0..HEAD_SERIES)
+        .map(|i| {
+            let labels = LabelSetBuilder::new()
+                .label("__name__", "bench_metric")
+                .label("instance", format!("node-{}", i / 100))
+                .label("uuid", format!("slurm-{i}"))
+                .build();
+            (SeriesRef::Labels(labels), 0, 0.0)
+        })
+        .collect();
+    let ids = db
+        .append_refs(token, None, &labelled)
+        .expect("a current token");
+    let (mut refs, mut t) = (Vec::with_capacity(HEAD_SERIES), 0);
+    let mut by_id = || {
+        t += STEP_MS;
+        let v = (t / STEP_MS * 150) as f64;
+        refs.clear();
+        refs.extend(ids.iter().map(|&id| (SeriesRef::Id(id), t, v + id as f64)));
+        db.append_refs(token, None, &refs)
+            .expect("ids under their token");
+    };
+    let (per_sample, batched) = (Head::default(), Head::default());
+    let (mut batch_a, mut ta) = (Vec::new(), 0);
+    let mut locks_per_sample = || {
+        next_batch(&mut batch_a, &mut ta);
+        for &(id, t, v) in &batch_a {
+            per_sample
+                .append(id, Sample::new(t, v))
+                .expect("time moves on");
+        }
+    };
+    let (mut batch_b, mut tb) = (Vec::new(), 0);
+    let mut locks_per_batch = || {
+        next_batch(&mut batch_b, &mut tb);
+        batched.append_batch(&batch_b);
+    };
+    let ns_per_sample = unit_rows(
+        c,
+        "head_append",
+        HEAD_SERIES,
+        &mut [
+            ("tsdb_append_refs", &mut by_id),
+            ("locks_per_sample", &mut locks_per_sample),
+            ("locks_per_batch", &mut locks_per_batch),
+            ("map_siphash", &mut map_pass::<RandomState>()),
+            (
+                "map_id_hasher",
+                &mut map_pass::<BuildHasherDefault<IdHasher>>(),
+            ),
+        ],
+    );
+    let chunks = HEAD_SERIES / CHUNK_SAMPLES as usize;
+    let writer_ns_per_sample = unit_rows(
+        c,
+        "bit_writer",
+        chunks * CHUNK_SAMPLES as usize,
+        &mut [
+            (
+                "byte_step",
+                &mut writer_pass(chunks, ByteStepWriter::write_bits),
+            ),
+            ("word", &mut writer_pass(chunks, BitWriter::write_bits)),
+        ],
+    );
+    serde_json::json!({
+        "series": HEAD_SERIES,
+        "ns_per_sample": ns_per_sample,
+        "bit_writer_ns_per_sample": writer_ns_per_sample,
+    })
+}
+
 fn bench_ingest_paths(c: &mut Criterion) {
     let exp = exporter();
 
@@ -443,6 +684,8 @@ fn bench_ingest_paths(c: &mut Criterion) {
     let delta_sum = LatencySummary::from_samples(&mut delta_lat);
     let fleet_push = bench_fleet_push(c);
     let fleet_scrape = bench_fleet_scrape(c);
+    let warm_ingest = bench_warm_ingest(c);
+    let head_append = bench_head_append(c);
 
     write_bench_json(
         "stream",
@@ -462,6 +705,8 @@ fn bench_ingest_paths(c: &mut Criterion) {
             "push_over_scrape_throughput": scrape_sum.p50_us / push_sum.p50_us,
             "fleet_push": fleet_push,
             "fleet_scrape": fleet_scrape,
+            "warm_ingest": warm_ingest,
+            "head_append": head_append,
             "live_delta_iters": LATENCY_ITERS,
             "sample_to_live_delta": delta_sum.to_json(),
             "bus_frames_published": live_bus.stats().published + bus.stats().published,

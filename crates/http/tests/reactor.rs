@@ -27,19 +27,18 @@ fn test_config() -> ServerConfig {
 }
 
 /// Reads exactly one HTTP/1.1 response (head + content-length body) off a
-/// raw socket, tolerating arbitrary segmentation.
+/// raw socket, tolerating arbitrary segmentation. It reads no byte past
+/// the response: pipelined responses can share a segment, and the next one
+/// must stay on the socket for the next call.
 fn read_one_response(stream: &mut TcpStream) -> (String, Vec<u8>) {
-    let mut buf = Vec::new();
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).expect("read head");
-        assert!(n > 0, "eof before response head completed: {buf:?}");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        let mut byte = [0u8; 1];
+        let n = stream.read(&mut byte).expect("read head");
+        assert!(n > 0, "eof before response head completed: {head:?}");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).unwrap();
     let content_length: usize = head
         .lines()
         .find_map(|l| l.strip_prefix("content-length: "))
@@ -47,14 +46,8 @@ fn read_one_response(stream: &mut TcpStream) -> (String, Vec<u8>) {
         .trim()
         .parse()
         .unwrap();
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "eof mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    assert_eq!(body.len(), content_length, "no trailing bytes expected");
+    let mut body = vec![0; content_length];
+    stream.read_exact(&mut body).expect("read body");
     (head, body)
 }
 

@@ -66,26 +66,35 @@ impl BitWriter {
         self.used += 1;
     }
 
-    /// Writes the low `n` bits of `v`, most-significant first, a byte's
-    /// worth at a step.
+    /// Writes the low `n` bits of `v`, most-significant first: what fits is
+    /// OR-ed into the last byte, the rest appended as the whole bytes of
+    /// one big-endian word.
     pub fn write_bits(&mut self, v: u64, n: u8) {
         debug_assert!(n <= 64);
         #[cfg(test)]
         self.written.push((v, n));
         let mut left = n;
-        while left > 0 {
-            if self.used == 0 || self.used == 8 {
-                self.bytes.push(0);
-                self.used = 0;
-            }
-            let free = 8 - self.used;
+        let free = if self.bytes.is_empty() {
+            0
+        } else {
+            8 - self.used
+        };
+        if free > 0 && left > 0 {
             let take = free.min(left);
-            // The next `take` bits of `v`, right-aligned.
+            // The first `take` of the `n` bits, right-aligned.
             let bits = ((v >> (left - take)) & ((1u64 << take) - 1)) as u8;
             let last = self.bytes.len() - 1;
             self.bytes[last] |= bits << (free - take);
             self.used += take;
             left -= take;
+        }
+        if left > 0 {
+            // The low `left` bits of `v`, left-aligned: the bits above them
+            // are shifted out.
+            let word = (v << (64 - left)).to_be_bytes();
+            let whole = left.div_ceil(8);
+            self.bytes.extend_from_slice(&word[..whole as usize]);
+            self.used = left - (whole - 1) * 8;
         }
     }
 
@@ -904,10 +913,36 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Zero- and full-width writes, and every width from every offset in a
+    /// byte, give the per-bit writer's bytes.
+    #[test]
+    fn zero_full_and_mixed_widths_match_the_per_bit_writer() {
+        for lead in 0..8u8 {
+            let mut w = BitWriter::new();
+            let mut reference = per_bit::BitWriter::default();
+            let widths = [lead, 0, 64, 0, 64]
+                .into_iter()
+                .chain(0..=64)
+                .chain([1, 63, 0, 7, 9, 64]);
+            let mut bits = 0;
+            for n in widths {
+                let v = 0xdead_beef_cafe_f00d_u64.rotate_left(u32::from(n));
+                w.write_bits(v, n);
+                reference.write_bits(v, n);
+                bits += usize::from(n);
+                assert_eq!(w.as_bytes(), &reference.bytes[..], "lead {lead}, width {n}");
+                assert_eq!(w.bit_len(), bits, "lead {lead}, width {n}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn bit_writes_match_the_per_bit_writer(
-            writes in proptest::collection::vec((any::<u64>(), 0u8..=64), 0..60),
+            writes in proptest::collection::vec(
+                (any::<u64>(), prop_oneof![Just(0u8), Just(64u8), 0u8..=64]),
+                0..60,
+            ),
         ) {
             let mut w = BitWriter::new();
             let mut reference = per_bit::BitWriter::default();

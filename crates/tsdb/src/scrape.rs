@@ -198,30 +198,56 @@ pub struct Ingested<'a> {
     pub names: Vec<&'a str>,
 }
 
-struct CachedSeries {
+/// A series text a [`SeriesCache`] knows.
+#[derive(Clone)]
+struct Known {
+    text: Arc<str>,
     id: SeriesId,
-    /// The pass that last saw the series text.
-    seen: u64,
+    /// Its index in the cache's `order`, current while `order[at]` names
+    /// this entry back.
+    at: u32,
 }
+
+/// No entry (a ref whose text is new, an entry dropped), or no place in
+/// the order.
+const NONE: u32 = u32::MAX;
 
 /// One source's memory of which series its lines are.
 ///
-/// Maps the raw series text of a line (`name` or `name{…}`) to the id the
-/// TSDB resolved it to, for one stamp and one [`RefToken`]. A line whose
-/// text is known costs a hash lookup and the parse of its value; only new
-/// text is parsed into a label set. The map empties itself when the stamp
-/// changes or the database refuses the token ([`RefError::Stale`]), and
-/// drops text the source stopped exposing once it holds more than
-/// `KEEP_FACTOR` times the entries the last payload used.
+/// Keeps the series texts (`name` or `name{…}`) of the last payload the
+/// database accepted, in line order, each with the id the TSDB resolved it
+/// to, for one stamp and one [`RefToken`]. A cursor walks that order beside
+/// the next payload: a line that starts with the text at the cursor and
+/// goes on with `' '` takes that id with one comparison, and only its value
+/// is parsed. Any other line is scanned for its series text and looked up
+/// in a map over the same texts; a hit moves the cursor to after that
+/// text's place, so a job that started or ended costs one lookup, not the
+/// rest of the payload. Only a new text is parsed into a label set.
+///
+/// Everything is forgotten when the stamp changes or the database refuses
+/// the token ([`RefError::Stale`]). Texts the source stopped exposing go
+/// once the map holds more than `KEEP_FACTOR` times the entries the last
+/// payload used. A payload without sample lines (a failed scrape's `up`
+/// alone) changes neither the order nor what is kept.
 #[derive(Default)]
 pub struct SeriesCache {
-    ids: HashMap<Box<str>, CachedSeries>,
+    /// Series text → index into `known`.
+    ids: HashMap<Arc<str>, u32>,
+    known: Vec<Known>,
+    /// The last accepted payload's refs in order — its sample lines, then
+    /// its health series — as indices into `known`.
+    order: Vec<u32>,
+    /// The payload being read, in the same form; [`NONE`] for a new text.
+    /// It becomes `order` once the database accepts it.
+    next: Vec<u32>,
     token: Option<RefToken>,
     stamp: Option<OwnedStamp>,
-    pass: u64,
     /// Lines parsed into label sets since creation.
     #[cfg(test)]
     pub(crate) label_sets_built: u64,
+    /// Sample lines that missed the cursor since creation.
+    #[cfg(test)]
+    pub(crate) fallbacks: u64,
 }
 
 impl SeriesCache {
@@ -235,11 +261,75 @@ impl SeriesCache {
         self.ids.len()
     }
 
-    /// The id cached for a series text, marked as seen by this pass.
-    fn known(&mut self, text: &str) -> Option<SeriesId> {
-        let series = self.ids.get_mut(text)?;
-        series.seen = self.pass;
-        Some(series.id)
+    fn forget(&mut self) {
+        self.ids.clear();
+        self.known.clear();
+        self.order.clear();
+    }
+
+    /// The entry at `cursor` in the order and its text's length, when
+    /// `line` starts with that text and a space.
+    fn at_cursor(&self, cursor: usize, line: &str) -> Option<(u32, usize)> {
+        let k = *self.order.get(cursor)?;
+        let text = self.known[k as usize].text.as_bytes();
+        let line = line.as_bytes();
+        let hit = line.get(text.len()) == Some(&b' ') && line[..text.len()] == *text;
+        hit.then_some((k, text.len()))
+    }
+
+    /// The entry of a series text, by the map; `cursor` moves to after the
+    /// text's place in the order.
+    fn lookup(&self, text: &str, cursor: &mut usize) -> Option<u32> {
+        let k = *self.ids.get(text)?;
+        let at = self.known[k as usize].at as usize;
+        if self.order.get(at) == Some(&k) {
+            *cursor = at + 1;
+        }
+        Some(k)
+    }
+
+    /// The entry of a text the database resolved to `id`: added, unless an
+    /// earlier line of the payload added it.
+    fn remember(&mut self, text: &str, id: SeriesId) -> u32 {
+        if let Some(&k) = self.ids.get(text) {
+            return k;
+        }
+        let k = self.known.len() as u32;
+        let text: Arc<str> = text.into();
+        self.ids.insert(Arc::clone(&text), k);
+        self.known.push(Known { text, id, at: NONE });
+        k
+    }
+
+    /// Makes the accepted payload in `next`, whose new texts are the entries
+    /// `fresh` in order, the order. Then, once the entries outnumber its
+    /// refs `KEEP_FACTOR` times, drops those it does not use.
+    fn accept(&mut self, fresh: Vec<u32>) {
+        let mut fresh = fresh.into_iter();
+        for k in self.next.iter_mut().filter(|k| **k == NONE) {
+            *k = fresh.next().expect("an entry for every new text");
+        }
+        std::mem::swap(&mut self.order, &mut self.next);
+        if self.known.len() > Self::KEEP_FACTOR * self.order.len() {
+            let mut renumbered = vec![NONE; self.known.len()];
+            let mut kept = Vec::with_capacity(self.order.len());
+            for k in &mut self.order {
+                let new = &mut renumbered[*k as usize];
+                if *new == NONE {
+                    *new = kept.len() as u32;
+                    kept.push(self.known[*k as usize].clone());
+                }
+                *k = *new;
+            }
+            self.known = kept;
+            self.ids.retain(|_, k| {
+                *k = renumbered[*k as usize];
+                *k != NONE
+            });
+        }
+        for (at, &k) in self.order.iter().enumerate() {
+            self.known[k as usize].at = at as u32;
+        }
     }
 
     /// Appends the samples of exposition text `body`, stamped, and then one
@@ -261,7 +351,7 @@ impl SeriesCache {
         up: &[(&'a str, f64)],
     ) -> Result<Ingested<'a>, String> {
         if !self.stamp.as_ref().is_some_and(|s| stamp.is(s)) {
-            self.ids.clear();
+            self.forget();
             self.stamp = Some((
                 stamp.instance.to_string(),
                 stamp.job.to_string(),
@@ -275,25 +365,41 @@ impl SeriesCache {
                 Some(token) if !self.ids.is_empty() => token,
                 _ => *self.token.insert(db.ref_token()),
             };
-            self.pass += 1;
 
-            let mut refs: Vec<(SeriesRef, i64, f64)> = Vec::with_capacity(self.ids.len() + up.len());
+            let mut refs: Vec<(SeriesRef, i64, f64)> =
+                Vec::with_capacity(self.order.len() + up.len());
             // The series text of each `SeriesRef::Labels` in `refs`, in order.
             let mut unknown: Vec<&str> = Vec::new();
             let mut out = Ingested::default();
+            self.next.clear();
+            let mut cursor = 0;
             for (lineno, line) in sample_lines(body) {
-                let known =
-                    series_text_len(line).and_then(|end| Some((self.known(&line[..end])?, end)));
+                let known = match self.at_cursor(cursor, line) {
+                    Some(hit) => {
+                        cursor += 1;
+                        Some(hit)
+                    }
+                    None => {
+                        #[cfg(test)]
+                        {
+                            self.fallbacks += 1;
+                        }
+                        series_text_len(line)
+                            .and_then(|end| Some((self.lookup(&line[..end], &mut cursor)?, end)))
+                    }
+                };
                 let end = match known {
-                    Some((id, end)) => {
+                    Some((k, end)) => {
                         let (v, t_ms) = parse_tail(&line[end..], lineno, now_ms)?;
-                        refs.push((SeriesRef::Id(id), t_ms, v));
+                        refs.push((SeriesRef::Id(self.known[k as usize].id), t_ms, v));
+                        self.next.push(k);
                         end
                     }
                     None => {
                         let (labels, t_ms, v, end) = parse_stamped(line, lineno, stamp, now_ms)?;
                         refs.push((SeriesRef::Labels(labels), t_ms, v));
                         unknown.push(&line[..end]);
+                        self.next.push(NONE);
                         end
                     }
                 };
@@ -306,12 +412,16 @@ impl SeriesCache {
                 out.samples += 1;
             }
             for &(name, v) in up {
-                match self.known(name) {
-                    Some(id) => refs.push((SeriesRef::Id(id), now_ms, v)),
+                match self.ids.get(name) {
+                    Some(&k) => {
+                        refs.push((SeriesRef::Id(self.known[k as usize].id), now_ms, v));
+                        self.next.push(k);
+                    }
                     None => {
                         let labels = stamp.series(name, LabelSet::empty());
                         refs.push((SeriesRef::Labels(labels), now_ms, v));
                         unknown.push(name);
+                        self.next.push(NONE);
                     }
                 }
             }
@@ -322,12 +432,15 @@ impl SeriesCache {
 
             match db.append_refs(token, epoch, &refs) {
                 Ok(ids) => {
-                    let seen = self.pass;
-                    for (text, id) in unknown.into_iter().zip(ids) {
-                        self.ids.insert(text.into(), CachedSeries { id, seen });
-                    }
-                    if self.ids.len() > Self::KEEP_FACTOR * refs.len() {
-                        self.ids.retain(|_, series| series.seen == seen);
+                    let fresh: Vec<u32> = unknown
+                        .into_iter()
+                        .zip(ids)
+                        .map(|(text, id)| self.remember(text, id))
+                        .collect();
+                    // A payload without sample lines says nothing about
+                    // which texts the source still exposes.
+                    if out.samples > 0 {
+                        self.accept(fresh);
                     }
                     out.names.sort_unstable();
                     out.names.dedup();
@@ -336,7 +449,7 @@ impl SeriesCache {
                 // The database removed series since the ids were cached,
                 // or is not the one they came from: forget them and send
                 // the payload again by label sets.
-                Err(RefError::Stale) => self.ids.clear(),
+                Err(RefError::Stale) => self.forget(),
                 Err(RefError::Fenced(e)) => return Err(e.to_string()),
             }
         }
@@ -388,6 +501,8 @@ fn scrape_target(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use super::*;
     use ceems_http::{HttpServer, Response, Router, ServerConfig};
     use ceems_metrics::matcher::LabelMatcher;
@@ -512,6 +627,45 @@ mod tests {
         let stats = mgr.scrape_once(&db, 0, 1);
         assert_eq!(stats.failed, 1);
     }
+
+    // A failed scrape (`up 0` alone) leaves the target's cache as the last
+    // good scrape left it: the next good one builds no label set.
+    #[test]
+    fn a_failed_scrape_keeps_the_cache() {
+        let failing = Arc::new(AtomicBool::new(false));
+        let body: String = (0..50)
+            .map(|i| format!("job_cpu{{uuid=\"j-{i}\"}} {i}\n"))
+            .collect();
+        let source = {
+            let failing = Arc::clone(&failing);
+            move || match failing.load(Ordering::SeqCst) {
+                true => "{{{ not metrics".to_string(),
+                false => body.clone(),
+            }
+        };
+        let mgr = ScrapeManager::new(vec![ScrapeTarget {
+            instance: "n1".into(),
+            job: "ceems".into(),
+            extra_labels: vec![],
+            source: TargetSource::InProcess(Arc::new(source)),
+        }]);
+        let db = Tsdb::default();
+        let built = || mgr.targets[0].1.lock().label_sets_built;
+        assert_eq!(mgr.scrape_once(&db, 15_000, 1).ok, 1);
+        let warm = built();
+        failing.store(true, Ordering::SeqCst);
+        assert_eq!(mgr.scrape_once(&db, 30_000, 1).failed, 1);
+        failing.store(false, Ordering::SeqCst);
+        assert_eq!(mgr.scrape_once(&db, 45_000, 1).ok, 1);
+        assert_eq!(
+            built(),
+            warm,
+            "the good scrape after a failed one built label sets"
+        );
+        let up = db.select(&[LabelMatcher::eq("__name__", "up")], 0, i64::MAX);
+        let values: Vec<f64> = up[0].samples.iter().map(|s| s.v).collect();
+        assert_eq!(values, [1.0, 0.0, 1.0]);
+    }
 }
 
 /// [`SeriesCache::ingest`] against its definition: `exposition_to_batch`,
@@ -609,6 +763,9 @@ mod cache_tests {
         &[r#"m{a="\é\n"}"#],
         &[r#"cpu:rate5m{uuid="j-1",instance="exposed",le="+Inf"}"#],
         &["up"],
+        // Texts that begin with another text of the alphabet.
+        &["plain_total"],
+        &[r#"plain{a="x"}"#, r#"plain{ a="x" }"#],
     ];
 
     #[derive(Clone, Debug)]
@@ -619,6 +776,8 @@ mod cache_tests {
         timestamp: Option<i64>,
         exemplar: bool,
         crlf: bool,
+        /// A tab, not a space, after the series text.
+        tab: bool,
         comment_before: bool,
     }
 
@@ -628,7 +787,7 @@ mod cache_tests {
             0..4usize,
             0..6usize,
             proptest::option::of(-20_000i64..20_000),
-            0..32u8,
+            0..64u8,
         )
             .prop_map(|(series, variant, value, timestamp, flags)| Line {
                 series,
@@ -637,8 +796,51 @@ mod cache_tests {
                 timestamp,
                 exemplar: flags & 1 != 0,
                 crlf: flags & 2 != 0,
-                comment_before: flags >> 2 == 0,
+                tab: flags & 4 != 0,
+                comment_before: flags >> 3 == 0,
             })
+    }
+
+    /// How a payload is made from the one before it.
+    #[derive(Clone, Debug)]
+    enum Edit {
+        Fresh(Vec<Line>),
+        Insert(usize, Line),
+        Drop(usize),
+        Duplicate(usize),
+        Move(usize, usize),
+    }
+
+    fn edit_strategy() -> impl Strategy<Value = Edit> {
+        let at = any::<usize>;
+        prop_oneof![
+            1 => proptest::collection::vec(line_strategy(), 0..12).prop_map(Edit::Fresh),
+            3 => (at(), line_strategy()).prop_map(|(i, line)| Edit::Insert(i, line)),
+            3 => at().prop_map(Edit::Drop),
+            2 => at().prop_map(Edit::Duplicate),
+            3 => (at(), at()).prop_map(|(from, to)| Edit::Move(from, to)),
+        ]
+    }
+
+    /// Applies `edit` to a payload's lines; positions wrap around.
+    fn apply(lines: &mut Vec<Line>, edit: &Edit) {
+        let n = lines.len();
+        match edit {
+            Edit::Fresh(fresh) => *lines = fresh.clone(),
+            Edit::Insert(at, line) => lines.insert(at % (n + 1), line.clone()),
+            Edit::Drop(at) if n > 0 => {
+                lines.remove(at % n);
+            }
+            Edit::Duplicate(at) if n > 0 => {
+                let line = lines[at % n].clone();
+                lines.insert(at % n, line);
+            }
+            Edit::Move(from, to) if n > 0 => {
+                let line = lines.remove(from % n);
+                lines.insert(to % n, line);
+            }
+            _ => {}
+        }
     }
 
     fn render(lines: &[Line], now_ms: i64) -> String {
@@ -650,7 +852,7 @@ mod cache_tests {
             }
             let texts = ALPHABET[l.series];
             body.push_str(texts[l.variant % texts.len()]);
-            body.push(' ');
+            body.push(if l.tab { '\t' } else { ' ' });
             body.push_str(VALUES[l.value]);
             if let Some(dt) = l.timestamp {
                 body.push_str(&format!(" {}", now_ms + dt));
@@ -666,16 +868,27 @@ mod cache_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // (a) Random payload sequences land the same state as the uncached
-        // definition, in memory and replayed from the WAL.
+        // (a) Payload sequences land the same state as the uncached
+        // definition, in memory and replayed from the WAL: after a random
+        // first payload, each is the one before with lines inserted,
+        // dropped, duplicated or moved, or a random one again.
         #[test]
         fn cached_ingest_equals_uncached(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(line_strategy(), 0..12),
-                1..8,
+            first in proptest::collection::vec(line_strategy(), 0..12),
+            edits in proptest::collection::vec(
+                proptest::collection::vec(edit_strategy(), 0..4),
+                0..8,
             ),
             durable in any::<bool>(),
         ) {
+            let mut payloads = vec![first];
+            for step in &edits {
+                let mut lines = payloads[payloads.len() - 1].clone();
+                for edit in step {
+                    apply(&mut lines, edit);
+                }
+                payloads.push(lines);
+            }
             let dirs = durable.then(|| (temp_dir("cached"), temp_dir("reference")));
             let open = |dir: Option<&PathBuf>| match dir {
                 Some(dir) => Tsdb::open(dir, wal_options(), TsdbConfig::default()).unwrap(),
@@ -959,6 +1172,44 @@ mod cache_tests {
         assert_eq!(db.samples_appended(), 2 * (n + 1));
         drop(db);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // (h) A warm payload is read by position: a line inserted, dropped or
+    // moved costs one map lookup, and the lines after it follow the cursor.
+    #[test]
+    fn the_cursor_follows_the_payload() {
+        let db = Tsdb::default();
+        let extra = extra();
+        let stamp = stamp("n1", &extra);
+        let mut cache = SeriesCache::default();
+        let mut lines: Vec<String> = (0..40)
+            .map(|i| format!("job_cpu{{uuid=\"j-{i}\"}} {i}"))
+            .collect();
+        let mut now_ms = 0;
+        let mut fallbacks = |cache: &mut SeriesCache, lines: &[String]| {
+            now_ms += 15_000;
+            let before = cache.fallbacks;
+            let body = lines.join("\n");
+            cache
+                .ingest(&db, None, &body, stamp, now_ms, &[("up", 1.0)])
+                .unwrap();
+            cache.fallbacks - before
+        };
+        assert_eq!(fallbacks(&mut cache, &lines), 40, "a cold cache");
+        assert_eq!(fallbacks(&mut cache, &lines), 0, "a warm payload");
+        lines.insert(10, "job_cpu{uuid=\"new\"} 1".to_string());
+        assert_eq!(fallbacks(&mut cache, &lines), 1, "a started job");
+        lines.remove(20);
+        assert_eq!(fallbacks(&mut cache, &lines), 1, "an ended job");
+        let last = lines.pop().unwrap();
+        lines.insert(0, last);
+        assert_eq!(
+            fallbacks(&mut cache, &lines),
+            2,
+            "a line moved to the front"
+        );
+        assert_eq!(fallbacks(&mut cache, &lines), 0, "the moved payload again");
+        assert_eq!(cache.label_sets_built, 40 + 1 + 1);
     }
 }
 

@@ -14,8 +14,8 @@ use ceems_metrics::parse::parse_text;
 use ceems_simnode::node::{HardwareProfile, NodeSpec, SimNode, TaskSpec};
 use ceems_simnode::power::{GpuModel, IpmiCoverage};
 use ceems_simnode::{SimClock, WorkloadProfile};
-use ceems_tsdb::scrape::{SeriesCache, Stamp};
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::scrape::{exposition_to_batch, SeriesCache, Stamp};
+use ceems_tsdb::{SeriesData, Tsdb};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -220,5 +220,67 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         parse_within_bounds(&text);
         ingest_within_bounds(&text);
+    }
+}
+
+/// Every series with every sample, in label order; values as bits so NaN
+/// compares.
+fn dump(db: &Tsdb) -> Vec<(String, Vec<(i64, u64)>)> {
+    let mut all: Vec<SeriesData> = db.select(&[], i64::MIN, i64::MAX);
+    all.sort_by(|a, b| a.labels.cmp(&b.labels));
+    let bits = |s: &SeriesData| s.samples.iter().map(|p| (p.t_ms, p.v.to_bits())).collect();
+    all.iter()
+        .map(|s| (s.labels.to_string(), bits(s)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A cache warmed by a real render, then fed copies of it with bytes
+    /// overwritten, the lines that still sit where they sat taken by
+    /// position: no panic, the bounds above, and what the uncached path
+    /// (`exposition_to_batch` + `append_batch`) makes of each copy — the
+    /// same error, or the same samples.
+    #[test]
+    fn a_warm_cache_fed_damaged_renders_ingests_as_uncached(
+        which in 0usize..3,
+        copies in proptest::collection::vec(
+            proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+            1..4,
+        ),
+    ) {
+        let render = renders().swap_remove(which);
+        let extra = [("nodegroup".to_string(), "intel-dram".to_string())];
+        let stamp = Stamp {
+            instance: "n1:9100",
+            job: "ceems",
+            extra_labels: &extra,
+        };
+        let uncached = |db: &Tsdb, text: &str, now_ms| {
+            let batch = exposition_to_batch(text, stamp.instance, stamp.job, &extra, now_ms)?;
+            db.append_batch(&batch);
+            Ok::<u64, String>(batch.len() as u64)
+        };
+        let (cached, reference) = (Tsdb::default(), Tsdb::default());
+        let mut cache = SeriesCache::default();
+        cache.ingest(&cached, None, &render, stamp, 15_000, &[]).unwrap();
+        uncached(&reference, &render, 15_000).unwrap();
+        for (pass, damage) in copies.iter().enumerate() {
+            let mut bytes = render.clone().into_bytes();
+            for &(at, byte) in damage {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let now_ms = 15_000 * (pass as i64 + 2);
+            let (got, total, largest) = requested_by(|| {
+                cache.ingest(&cached, None, &text, stamp, now_ms, &[]).map(|i| i.samples)
+            });
+            prop_assert!(largest <= 64 * text.len() + 4096, "one request of {} bytes", largest);
+            prop_assert!(total <= 1024 * text.len() + 16_384, "{} bytes requested", total);
+            prop_assert_eq!(got, uncached(&reference, &text, now_ms));
+        }
+        prop_assert_eq!(dump(&cached), dump(&reference));
     }
 }
