@@ -16,21 +16,18 @@
 //! Beside it, `fleet_scrape/2_halves` cuts the same pass into the CPU half
 //! and the GPU half on a thread each, the contiguous shares a two-worker
 //! pass used to take.
-//! Two unit rows look under a pass. `warm_ingest/fleet` is one ingest of
-//! sixteen pre-rendered bodies, each through its own warm `SeriesCache`:
-//! no render and no HTTP, in ns a line. `head_append/*` appends one sample
-//! to each of 10 000 series, in ns a sample: through `Tsdb::append_refs`
-//! by id, then the head's stripe locks taken per sample or per batch, and
-//! a map of chunks keyed by id hashed by SipHash or by `IdHasher`;
-//! `bit_writer/*` writes a chunk's bits a byte or a word at a step.
+//! Unit rows look under a pass. `warm_ingest/*` is one ingest of sixteen
+//! pre-rendered bodies, each through its own warm `SeriesCache`: no render
+//! and no HTTP, in ns a line. `fleet` sends the same bodies every pass, as
+//! the exporters here do; `shuffled` and `all_new` are the payloads a
+//! cache that follows the line order gains nothing on. `head_append/
+//! tsdb_append_refs` appends one sample to each of 10 000 series through
+//! `Tsdb::append_refs` by id, in ns a sample.
 //! Emits `BENCH_stream.json` with per-path ingest throughput, the fleet
 //! pass rows, the unit rows and the sample→live-delta latency
 //! distribution.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault};
-use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,17 +43,16 @@ use ceems_simnode::SimClock;
 use ceems_stream::{
     PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
 };
-use ceems_tsdb::chunk::{BitWriter, XorChunk};
-use ceems_tsdb::head::{Head, IdHasher, CHUNK_SAMPLES};
 use ceems_tsdb::httpapi::api_router;
 use ceems_tsdb::scrape::{
     exposition_to_batch, ScrapeManager, ScrapeTarget, SeriesCache, Stamp, TargetSource,
 };
-use ceems_tsdb::types::SeriesId;
+use ceems_tsdb::SeriesRef;
 use ceems_tsdb::{fan_out, Tsdb};
-use ceems_tsdb::{Sample, SeriesRef};
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const JOBS: usize = 8;
 const STEP_MS: i64 = 15_000;
@@ -69,8 +65,6 @@ const FLEET_ITERS: usize = 60;
 const HEAD_SERIES: usize = 10_000;
 /// Passes of each unit row timed for the JSON artifact, the rows in turn.
 const UNIT_ITERS: usize = 60;
-/// Ids in one of the head's stripes lie this far apart (its stripe count).
-const STRIPE_STRIDE: SeriesId = 16;
 
 /// A node's exporter: a CPU node with [`JOBS`] jobs, or with `gpus_per_job`
 /// a GPU node whose jobs hold that many GPUs each.
@@ -357,117 +351,100 @@ fn unit_rows(
     serde_json::Value::Object(ns.collect())
 }
 
-/// `stream_ingest/warm_ingest/fleet`: [`FLEET`] pre-rendered bodies, CPU and
-/// GPU nodes in turn, each through its own warm cache.
+/// `stream_ingest/warm_ingest/*`: [`FLEET`] pre-rendered bodies, CPU and GPU
+/// nodes in turn, each through its own warm cache. `fleet` sends each body
+/// as rendered every pass. `shuffled` sends its lines in one of two random
+/// orders, the other one each pass: the cache knows every line, never where.
+/// `all_new` sends one of three copies under disjoint label sets, the next
+/// one each pass: the cache has evicted the copy by then, so every line is
+/// parsed and resolved by label set, as on a cold cache.
 fn bench_warm_ingest(c: &mut Criterion) -> serde_json::Value {
     let bodies: Vec<String> = (0..FLEET).map(|i| exporter_of(i % 2).render()).collect();
-    let instances: Vec<String> = (0..FLEET).map(|i| format!("n{i}:9100")).collect();
     let lines: usize = bodies.iter().map(|b| sample_lines(b).count()).sum();
+    let mut rng = StdRng::seed_from_u64(7);
+    let fleet: Vec<Vec<String>> = bodies.iter().map(|b| vec![b.clone()]).collect();
+    let shuffled: Vec<Vec<String>> = bodies
+        .iter()
+        .map(|b| (0..2).map(|_| shuffle_lines(b, &mut rng)).collect())
+        .collect();
+    let all_new: Vec<Vec<String>> = bodies
+        .iter()
+        .map(|b| (0..3).map(|copy| relabel(b, copy)).collect())
+        .collect();
+    let (mut fleet, mut shuffled, mut all_new) =
+        (warm_pass(fleet), warm_pass(shuffled), warm_pass(all_new));
+    let ns_per_line = unit_rows(
+        c,
+        "warm_ingest",
+        lines,
+        &mut [
+            ("fleet", &mut fleet),
+            ("shuffled", &mut shuffled),
+            ("all_new", &mut all_new),
+        ],
+    );
+    serde_json::json!({ "bodies": FLEET, "lines": lines, "ns_per_line": ns_per_line })
+}
+
+/// One ingest pass over sources, source `i` sending the next of its
+/// `bodies[i]` each pass through its own cache into one database; returned
+/// after one pass over every body.
+fn warm_pass(bodies: Vec<Vec<String>>) -> impl FnMut() {
     let (db, extra) = (Tsdb::default(), bench_labels());
+    let instances: Vec<String> = (0..bodies.len()).map(|i| format!("n{i}:9100")).collect();
     let mut caches: Vec<SeriesCache> = bodies.iter().map(|_| SeriesCache::default()).collect();
-    let mut t = 0;
-    let mut pass = || {
+    let (mut t, mut passes) = (0, 0);
+    let mut pass = move || {
         t += STEP_MS;
-        for ((body, instance), cache) in bodies.iter().zip(&instances).zip(&mut caches) {
+        passes += 1;
+        for ((variants, instance), cache) in bodies.iter().zip(&instances).zip(&mut caches) {
             let stamp = Stamp {
                 instance,
                 job: "ceems",
                 extra_labels: &extra,
             };
+            let body = &variants[passes % variants.len()];
             cache
                 .ingest(&db, None, body, stamp, t, &[("up", 1.0)])
                 .expect("a render parses");
         }
     };
-    pass();
-    let ns_per_line = unit_rows(c, "warm_ingest", lines, &mut [("fleet", &mut pass)]);
-    serde_json::json!({ "bodies": FLEET, "lines": lines, "ns_per_line": ns_per_line })
-}
-
-/// The chunk bit writer before it wrote whole words: a byte's worth of
-/// bits at a step.
-#[derive(Default)]
-struct ByteStepWriter {
-    bytes: Vec<u8>,
-    used: u8,
-}
-
-impl ByteStepWriter {
-    fn write_bits(&mut self, v: u64, n: u8) {
-        let mut left = n;
-        while left > 0 {
-            if self.used == 0 || self.used == 8 {
-                self.bytes.push(0);
-                self.used = 0;
-            }
-            let free = 8 - self.used;
-            let take = free.min(left);
-            let bits = ((v >> (left - take)) & ((1u64 << take) - 1)) as u8;
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= bits << (free - take);
-            self.used += take;
-            left -= take;
-        }
+    for _ in 0..3 {
+        pass();
     }
+    pass
 }
 
-/// The writes of sample `i` of a counter-like chunk: a delta of delta of
-/// zero (a 14-bit one every sixteenth sample), then an XOR value in the
-/// window in force (a new window every fourth).
-fn sample_writes(i: u64) -> [(u64, u8); 5] {
-    let dod = match i % 16 {
-        0 => [(0b10, 2), (i & 0x3fff, 14)],
-        _ => [(0, 1), (0, 0)],
-    };
-    match i % 4 {
-        0 => [dod[0], dod[1], (0b11, 2), (12 << 6 | 20, 11), (i, 20)],
-        _ => [dod[0], dod[1], (0b10, 2), (i, 20), (0, 0)],
+/// `body`'s lines in a random order.
+fn shuffle_lines(body: &str, rng: &mut StdRng) -> String {
+    let mut lines: Vec<&str> = body.lines().collect();
+    for i in (1..lines.len()).rev() {
+        lines.swap(i, rng.gen_range(0..=i));
     }
+    lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
-/// A pass of `chunks` chunks' worth of [`sample_writes`] through `write`.
-fn writer_pass<W: Default>(chunks: usize, write: fn(&mut W, u64, u8)) -> impl FnMut() {
-    move || {
-        for _ in 0..chunks {
-            let mut w = W::default();
-            for i in 0..u64::from(CHUNK_SAMPLES) {
-                for (v, n) in sample_writes(i) {
-                    write(&mut w, v, n);
+/// `body` with `copy="{copy}"` added to every sample line's labels.
+fn relabel(body: &str, copy: usize) -> String {
+    let mut out = String::with_capacity(body.len() * 2);
+    for line in body.lines() {
+        match line.find(['{', ' ']) {
+            Some(at) if !line.starts_with('#') => {
+                let (name, rest) = line.split_at(at);
+                match rest.strip_prefix('{') {
+                    Some(labels) => out.push_str(&format!("{name}{{copy=\"{copy}\",{labels}")),
+                    None => out.push_str(&format!("{name}{{copy=\"{copy}\"}}{rest}")),
                 }
             }
-            black_box(&w);
+            _ => out.push_str(line),
         }
+        out.push('\n');
     }
+    out
 }
 
-/// A pass of one sample into each of [`HEAD_SERIES`] chunks kept in one
-/// map by id, the ids spread as in one of the head's stripes, hashed by
-/// `S`.
-fn map_pass<S: BuildHasher + Default>() -> impl FnMut() {
-    let mut map: HashMap<SeriesId, XorChunk, S> = HashMap::default();
-    let mut t = 0;
-    move || {
-        t += STEP_MS;
-        for i in 0..HEAD_SERIES as SeriesId {
-            let chunk = map.entry(i * STRIPE_STRIDE).or_default();
-            if chunk.len() >= CHUNK_SAMPLES {
-                *chunk = XorChunk::new();
-            }
-            let sample = Sample::new(t, (t / STEP_MS * 150) as f64 + i as f64);
-            chunk.append(sample).expect("time moves on");
-        }
-    }
-}
-
-/// One sample for each of [`HEAD_SERIES`] series, a step after the last.
-fn next_batch(batch: &mut Vec<(SeriesId, i64, f64)>, t: &mut i64) {
-    *t += STEP_MS;
-    let v = (*t / STEP_MS * 150) as f64;
-    batch.clear();
-    batch.extend((0..HEAD_SERIES as SeriesId).map(|id| (id, *t, v + id as f64)));
-}
-
-/// `stream_ingest/head_append/*` and `stream_ingest/bit_writer/*`.
+/// `stream_ingest/head_append/tsdb_append_refs`: one sample for each of
+/// [`HEAD_SERIES`] series through `Tsdb::append_refs` by id.
 fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
     let db = Tsdb::default();
     let token = db.ref_token();
@@ -493,54 +470,13 @@ fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
         db.append_refs(token, None, &refs)
             .expect("ids under their token");
     };
-    let (per_sample, batched) = (Head::default(), Head::default());
-    let (mut batch_a, mut ta) = (Vec::new(), 0);
-    let mut locks_per_sample = || {
-        next_batch(&mut batch_a, &mut ta);
-        for &(id, t, v) in &batch_a {
-            per_sample
-                .append(id, Sample::new(t, v))
-                .expect("time moves on");
-        }
-    };
-    let (mut batch_b, mut tb) = (Vec::new(), 0);
-    let mut locks_per_batch = || {
-        next_batch(&mut batch_b, &mut tb);
-        batched.append_batch(&batch_b);
-    };
     let ns_per_sample = unit_rows(
         c,
         "head_append",
         HEAD_SERIES,
-        &mut [
-            ("tsdb_append_refs", &mut by_id),
-            ("locks_per_sample", &mut locks_per_sample),
-            ("locks_per_batch", &mut locks_per_batch),
-            ("map_siphash", &mut map_pass::<RandomState>()),
-            (
-                "map_id_hasher",
-                &mut map_pass::<BuildHasherDefault<IdHasher>>(),
-            ),
-        ],
+        &mut [("tsdb_append_refs", &mut by_id)],
     );
-    let chunks = HEAD_SERIES / CHUNK_SAMPLES as usize;
-    let writer_ns_per_sample = unit_rows(
-        c,
-        "bit_writer",
-        chunks * CHUNK_SAMPLES as usize,
-        &mut [
-            (
-                "byte_step",
-                &mut writer_pass(chunks, ByteStepWriter::write_bits),
-            ),
-            ("word", &mut writer_pass(chunks, BitWriter::write_bits)),
-        ],
-    );
-    serde_json::json!({
-        "series": HEAD_SERIES,
-        "ns_per_sample": ns_per_sample,
-        "bit_writer_ns_per_sample": writer_ns_per_sample,
-    })
+    serde_json::json!({ "series": HEAD_SERIES, "ns_per_sample": ns_per_sample })
 }
 
 fn bench_ingest_paths(c: &mut Criterion) {

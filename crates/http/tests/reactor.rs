@@ -51,6 +51,22 @@ fn read_one_response(stream: &mut TcpStream) -> (String, Vec<u8>) {
     (head, body)
 }
 
+/// Asserts that the server wrote nothing after the last response read:
+/// within a short wait the socket has no byte for us (a timeout).
+fn assert_nothing_follows(stream: &mut TcpStream) {
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut probe = [0u8; 16];
+    match stream.read(&mut probe) {
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {}
+        Ok(n) => panic!("{n} bytes after the response: {:?}", &probe[..n]),
+        Err(e) => panic!("unexpected error after the response: {e}"),
+    }
+    stream.set_read_timeout(None).unwrap();
+}
+
 #[test]
 fn partial_reads_split_mid_header_and_mid_body() {
     let server = echo_server(test_config());
@@ -74,6 +90,7 @@ fn partial_reads_split_mid_header_and_mid_body() {
     let (head, body) = read_one_response(&mut s);
     assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "head: {head}");
     assert_eq!(body, b"hello world");
+    assert_nothing_follows(&mut s);
     server.shutdown();
 }
 
@@ -97,6 +114,7 @@ GET /ping HTTP/1.1\r\nhost: x\r\n\r\n";
     assert_eq!(b2, b"abc", "pipelined responses must stay in order");
     assert!(h3.starts_with("HTTP/1.1 200"), "h3: {h3}");
     assert_eq!(b3, b"pong");
+    assert_nothing_follows(&mut s);
     server.shutdown();
 }
 
@@ -190,6 +208,7 @@ fn max_connections_guard_sheds_excess_sockets() {
         s.write_all(b"GET /ping HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
         let (_, body) = read_one_response(&mut s);
         assert_eq!(body, b"pong");
+        assert_nothing_follows(&mut s);
         held.push(s);
     }
     assert_eq!(server.active_connections(), 2);

@@ -245,16 +245,12 @@ fn take(c: &XorChunk, state: &mut CodecState, tmin: i64, tmax: i64, out: &mut Ve
 /// concurrent writers.
 const STRIPES: usize = 16;
 
-fn stripe_of(id: SeriesId) -> usize {
-    (id % STRIPES as SeriesId) as usize
-}
-
 /// Hashes a [`SeriesId`] with one multiplication. Ids are minted by the
 /// database or read from its leader's log, never chosen by whoever sends
 /// samples, so a map keyed by them needs no defence against keys made to
 /// collide.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -293,50 +289,12 @@ impl Default for Head {
 
 impl Head {
     fn shard(&self, id: SeriesId) -> &Mutex<Stripe> {
-        &self.shards[stripe_of(id)]
+        &self.shards[(id as usize) % self.shards.len()]
     }
 
     /// Appends to a series (creating it on first touch).
     pub fn append(&self, id: SeriesId, s: Sample) -> Result<(), OutOfOrder> {
         self.shard(id).lock().entry(id).or_default().append(s)
-    }
-
-    /// Appends a batch, each series' samples in the order given, taking
-    /// each stripe's lock once. Returns how many were appended; the rest
-    /// were out of order.
-    pub fn append_batch(&self, samples: &[(SeriesId, i64, f64)]) -> u64 {
-        // The batch's positions sorted by stripe, in batch order within
-        // each (a counting sort): a series lives in one stripe, so its
-        // samples keep their order.
-        let mut ends = [0; STRIPES];
-        for &(id, ..) in samples {
-            ends[stripe_of(id)] += 1;
-        }
-        let mut end = 0;
-        for n in &mut ends {
-            end += *n;
-            *n = end;
-        }
-        let mut next = ends;
-        let mut by_stripe = vec![0; samples.len()];
-        for (i, &(id, ..)) in samples.iter().enumerate().rev() {
-            let at = &mut next[stripe_of(id)];
-            *at -= 1;
-            by_stripe[*at] = i;
-        }
-        let (mut appended, mut start) = (0, 0);
-        for (shard, &end) in self.shards.iter().zip(&ends) {
-            if start < end {
-                let mut series = shard.lock();
-                for &i in &by_stripe[start..end] {
-                    let (id, t_ms, v) = samples[i];
-                    let store = series.entry(id).or_default();
-                    appended += u64::from(store.append(Sample::new(t_ms, v)).is_ok());
-                }
-            }
-            start = end;
-        }
-        appended
     }
 
     /// Reads a series' samples in a range.
@@ -710,30 +668,6 @@ mod proptests {
                 );
             }
             prop_assert_eq!(super::tests::rebuilt(&store), store);
-        }
-
-        /// A batch lands as its samples appended one at a time: the same
-        /// chunks, and as many out-of-order samples refused.
-        #[test]
-        fn a_batch_is_its_samples_one_at_a_time(
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0u64..40, -5i64..30, any::<u64>()), 0..120),
-                1..4,
-            ),
-        ) {
-            let (batched, one_by_one) = (Head::default(), Head::default());
-            for batch in &batches {
-                let batch: Vec<(SeriesId, i64, f64)> = batch
-                    .iter()
-                    .map(|&(id, t, v)| (id, t * 1_000, f64::from_bits(v)))
-                    .collect();
-                let mut want = 0;
-                for &(id, t, v) in &batch {
-                    want += u64::from(one_by_one.append(id, Sample::new(t, v)).is_ok());
-                }
-                prop_assert_eq!(batched.append_batch(&batch), want);
-            }
-            prop_assert_eq!(batched.snapshot(), one_by_one.snapshot());
         }
     }
 }

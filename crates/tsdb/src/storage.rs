@@ -375,7 +375,10 @@ impl Tsdb {
 
     /// Applies resolved samples to the head, maintaining the counters.
     fn apply_samples(&self, samples: &[(SeriesId, i64, f64)]) {
-        let appended = self.head.append_batch(samples);
+        let mut appended = 0;
+        for &(id, t_ms, v) in samples {
+            appended += u64::from(self.head.append(id, Sample::new(t_ms, v)).is_ok());
+        }
         self.appended.fetch_add(appended, Ordering::Relaxed);
         self.out_of_order
             .fetch_add(samples.len() as u64 - appended, Ordering::Relaxed);
