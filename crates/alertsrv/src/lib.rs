@@ -10,10 +10,9 @@
 //! * [`rules`] — alert rules are PromQL expressions over the TSDB
 //!   (comparisons like `sum by(uuid)(uuid:ceems_power:watts) > 900` yield
 //!   the violating series) with `for:` hold durations, static labels and
-//!   annotation templates. Rules compile into a dependency-leveled DAG
-//!   with the same static analysis the S3 recording-rule engine uses, so
-//!   meta-alerts over the synthetic `ALERTS` series evaluate after the
-//!   alerts they read.
+//!   annotation templates. Rules run in the order they are written, as
+//!   one Prometheus rule group: a meta-alert over the synthetic `ALERTS`
+//!   series sees what earlier rules wrote in this evaluation.
 //! * [`query`] — rule expressions evaluate either in-process against the
 //!   hot TSDB or over HTTP against the qfe/replica read path, behind the
 //!   S19 retry/circuit-breaker discipline.

@@ -144,12 +144,9 @@ mod tests {
             meta_scrape_stale(90.0, 0),
             breaker_open_storm(3.0, 0),
         ]);
-        // None of the packs read ALERTS: a single level, seven rules.
-        assert_eq!(set.depth(), 1);
-        assert_eq!(set.levels[0].len(), 7);
-        for i in 0..7 {
-            assert!(!set.is_meta(i));
-        }
+        // None of the packs read ALERTS.
+        assert_eq!(set.rules.len(), 7);
+        assert!((0..7).all(|i| !set.is_meta(i)));
     }
 
     #[test]

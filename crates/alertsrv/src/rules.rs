@@ -1,4 +1,4 @@
-//! Alert rules and their dependency-leveled evaluation DAG.
+//! Alert rules, evaluated in the order they are written.
 //!
 //! An alert rule is a PromQL expression whose result vector is the set of
 //! currently violating series — comparisons (`expr > threshold`) filter a
@@ -6,16 +6,15 @@
 //! alert, labeled with the series labels plus `alertname` and the rule's
 //! static labels.
 //!
-//! Rules form a DAG: a rule may read the synthetic [`ALERTS_METRIC`]
-//! series that earlier rules produce (meta-alerts like "three or more
-//! nodes firing power anomalies"). The DAG is leveled with
-//! [`ceems_tsdb::rules::dependency_levels_by`] — the same static analysis
-//! the S3 recording-rule engine uses — so every rule evaluates after the
-//! rules it reads.
+//! A rule may read the synthetic [`ALERTS_METRIC`] series that alert rules
+//! produce (meta-alerts like "three or more nodes firing power
+//! anomalies"). The rules run as one Prometheus rule group: in order, so a
+//! meta-rule sees the `ALERTS` that earlier rules wrote in this evaluation,
+//! and what later rules wrote in the previous one, within the lookback.
 
 use ceems_metrics::labels::LabelSet;
 use ceems_tsdb::promql::{parse_expr, Expr};
-use ceems_tsdb::rules::{dependency_levels_by, referenced_names};
+use ceems_tsdb::rules::referenced_names;
 
 /// Name of the synthetic series alert rules produce and meta-rules read.
 /// Mirrors Prometheus: one `ALERTS{alertname=..., alertstate=...}` sample
@@ -82,54 +81,29 @@ impl AlertRule {
     }
 }
 
-/// A compiled set of alert rules: the rules plus their evaluation levels.
+/// A compiled set of alert rules: the rules, run in the order given, and
+/// which of them read `ALERTS`.
 #[derive(Clone, Debug)]
 pub struct RuleSet {
-    /// The rules, in declaration order.
+    /// The rules, in evaluation order.
     pub rules: Vec<AlertRule>,
-    /// Indices into `rules`, leveled so level `k` only reads what levels
-    /// `< k` produced. Rules within a level are independent.
-    pub levels: Vec<Vec<usize>>,
     /// Whether each rule reads the `ALERTS` series (evaluated against the
     /// service's local alert-state store rather than the query source).
     meta: Vec<bool>,
 }
 
 impl RuleSet {
-    /// Levels the rules into an evaluation DAG.
-    ///
-    /// Every alert rule conceptually produces `ALERTS`, so a rule whose
-    /// expression reads `ALERTS` is ordered after every earlier rule;
-    /// rules with statically unknowable read sets (nameless or regex
-    /// selectors) are conservatively ordered after everything too, exactly
-    /// like the recording-rule engine.
+    /// Marks the rules that read `ALERTS`.
     pub fn compile(rules: Vec<AlertRule>) -> RuleSet {
-        let produces: Vec<Option<&str>> = rules.iter().map(|_| Some(ALERTS_METRIC)).collect();
-        let mut meta = Vec::with_capacity(rules.len());
-        let reads: Vec<Option<Vec<String>>> = rules
+        let meta = rules
             .iter()
             .map(|r| {
                 let mut names = Vec::new();
-                let known = referenced_names(&r.expr, &mut names);
-                meta.push(names.iter().any(|n| n == ALERTS_METRIC));
-                if known {
-                    Some(names)
-                } else {
-                    None
-                }
+                referenced_names(&r.expr, &mut names);
+                names.iter().any(|n| n == ALERTS_METRIC)
             })
             .collect();
-        let levels = dependency_levels_by(&produces, &reads);
-        RuleSet {
-            rules,
-            levels,
-            meta,
-        }
-    }
-
-    /// Number of DAG levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
+        RuleSet { rules, meta }
     }
 
     /// Whether rule `i` reads the `ALERTS` series. Meta-rules may only
@@ -189,45 +163,18 @@ mod tests {
     }
 
     #[test]
-    fn meta_rules_level_after_plain_rules() {
+    fn rules_reading_alerts_are_meta() {
         let rules = vec![
             AlertRule::new("A", "watts > 1", 0).unwrap(),
+            AlertRule::new("M1", "sum(ALERTS{alertstate=\"firing\"}) >= 3", 0).unwrap(),
             AlertRule::new("B", "joules > 2", 0).unwrap(),
-            AlertRule::new(
-                "ManyFiring",
-                "sum(ALERTS{alertstate=\"firing\"}) >= 3",
-                0,
-            )
-            .unwrap(),
-        ];
-        let set = RuleSet::compile(rules);
-        assert_eq!(set.depth(), 2);
-        assert_eq!(set.levels[0], vec![0, 1]);
-        assert_eq!(set.levels[1], vec![2]);
-        assert!(!set.is_meta(0));
-        assert!(set.is_meta(2));
-    }
-
-    #[test]
-    fn independent_rules_share_one_level() {
-        let rules = vec![
-            AlertRule::new("A", "watts > 1", 0).unwrap(),
-            AlertRule::new("B", "joules > 2", 0).unwrap(),
-        ];
-        let set = RuleSet::compile(rules);
-        assert_eq!(set.depth(), 1);
-    }
-
-    #[test]
-    fn meta_chain_deepens_the_dag() {
-        // A meta-rule after a meta-rule: three levels.
-        let rules = vec![
-            AlertRule::new("A", "watts > 1", 0).unwrap(),
-            AlertRule::new("M1", "sum(ALERTS) > 1", 0).unwrap(),
             AlertRule::new("M2", "sum(ALERTS) > 2", 0).unwrap(),
         ];
         let set = RuleSet::compile(rules);
-        assert_eq!(set.depth(), 3);
+        let meta: Vec<bool> = (0..4).map(|i| set.is_meta(i)).collect();
+        assert_eq!(meta, [false, true, false, true]);
+        let names: Vec<&str> = set.rules.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["A", "M1", "B", "M2"], "compile keeps the order");
     }
 
     #[test]

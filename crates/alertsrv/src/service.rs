@@ -1,4 +1,4 @@
-//! The alerting service: DAG evaluation, lifecycle, grouped delivery.
+//! The alerting service: in-order rule evaluation, lifecycle, grouped delivery.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -190,8 +190,10 @@ impl AlertService {
         self.registry.clone()
     }
 
-    /// Evaluates every rule level by level, advances alert lifecycles,
-    /// and drives grouped notification delivery.
+    /// Evaluates the rules in order, advances alert lifecycles, and drives
+    /// grouped notification delivery. A meta-rule reads the `ALERTS` that
+    /// earlier rules wrote this tick, and those of later rules from the
+    /// tick before, within the lookback — Prometheus rule-group semantics.
     pub fn tick(&self, now_ms: i64) -> TickStats {
         let mut stats = TickStats::default();
         let mut inner = self.inner.lock();
@@ -212,123 +214,120 @@ impl AlertService {
         }
         inner.alerts_db.enforce_retention(now_ms);
 
-        for level in &self.rules.levels {
-            for &ri in level {
-                let rule = &self.rules.rules[ri];
-                stats.rules_evaluated += 1;
-                let stage = qtrace.stage("alert_eval");
-                let t0 = Instant::now();
-                let result = if self.rules.is_meta(ri) {
-                    instant_query_with_lookback(
-                        &inner.alerts_db,
-                        &rule.expr,
-                        now_ms,
-                        self.cfg.lookback_ms,
-                    )
-                    .map_err(|e| e.to_string())
-                    .and_then(value_to_vector)
-                } else {
-                    self.source.query(&rule.expr_src, &rule.expr, now_ms)
-                };
-                self.eval_hist.observe(t0.elapsed().as_secs_f64());
-                stage.finish();
+        for (ri, rule) in self.rules.rules.iter().enumerate() {
+            stats.rules_evaluated += 1;
+            let stage = qtrace.stage("alert_eval");
+            let t0 = Instant::now();
+            let result = if self.rules.is_meta(ri) {
+                instant_query_with_lookback(
+                    &inner.alerts_db,
+                    &rule.expr,
+                    now_ms,
+                    self.cfg.lookback_ms,
+                )
+                .map_err(|e| e.to_string())
+                .and_then(value_to_vector)
+            } else {
+                self.source.query(&rule.expr_src, &rule.expr, now_ms)
+            };
+            self.eval_hist.observe(t0.elapsed().as_secs_f64());
+            stage.finish();
 
-                let mut vector = match result {
-                    Ok(v) => v,
-                    Err(_) => {
-                        // A failed evaluation neither fires nor resolves:
-                        // existing alerts for the rule hold their state
-                        // until data comes back.
-                        stats.eval_errors += 1;
-                        self.eval_errors.inc();
-                        continue;
-                    }
-                };
-                vector.sort_by_key(|(labels, _)| labels.fingerprint());
-
-                let mut seen: BTreeSet<String> = BTreeSet::new();
-                for (series_labels, value) in vector {
-                    let mut b = LabelSetBuilder::from(series_labels.without(METRIC_NAME_LABEL))
-                        .label("alertname", &rule.name);
-                    for (k, v) in &rule.labels {
-                        b = b.label(k, v);
-                    }
-                    let labels = b.build();
-                    let fp = AlertInstance::fingerprint_of(&labels);
-                    // Label-fingerprint dedup: two rules (or one rule's
-                    // duplicate series) producing identical labels
-                    // collapse into one alert.
-                    if !seen.insert(fp.clone()) {
-                        continue;
-                    }
-                    let firing_now = rule.for_ms == 0;
-                    let alert = inner.alerts.entry(fp.clone()).or_insert(AlertInstance {
-                        fingerprint: fp.clone(),
-                        rule: rule.name.clone(),
-                        labels: labels.clone(),
-                        state: if firing_now {
-                            AlertState::Firing
-                        } else {
-                            AlertState::Pending
-                        },
-                        active_since_ms: now_ms,
-                        firing_since_ms: firing_now.then_some(now_ms),
-                        resolved_at_ms: None,
-                        value,
-                    });
-                    if alert.state == AlertState::Resolved {
-                        // Re-violation after resolution restarts the hold.
-                        alert.state = if firing_now {
-                            AlertState::Firing
-                        } else {
-                            AlertState::Pending
-                        };
-                        alert.active_since_ms = now_ms;
-                        alert.firing_since_ms = firing_now.then_some(now_ms);
-                        alert.resolved_at_ms = None;
-                    }
-                    alert.value = value;
-                    if alert.state == AlertState::Pending
-                        && now_ms - alert.active_since_ms >= rule.for_ms
-                    {
-                        alert.state = AlertState::Firing;
-                        alert.firing_since_ms = Some(now_ms);
-                    }
-                    let snapshot = alert.clone();
-                    let _ = inner.store.save_alert(&snapshot);
+            let mut vector = match result {
+                Ok(v) => v,
+                Err(_) => {
+                    // A failed evaluation neither fires nor resolves:
+                    // existing alerts for the rule hold their state
+                    // until data comes back.
+                    stats.eval_errors += 1;
+                    self.eval_errors.inc();
+                    continue;
                 }
+            };
+            vector.sort_by_key(|(labels, _)| labels.fingerprint());
 
-                // Series that stopped violating resolve.
-                let to_resolve: Vec<String> = inner
-                    .alerts
-                    .values()
-                    .filter(|a| {
-                        a.rule == rule.name
-                            && a.state != AlertState::Resolved
-                            && !seen.contains(&a.fingerprint)
-                    })
-                    .map(|a| a.fingerprint.clone())
-                    .collect();
-                for fp in to_resolve {
-                    let a = inner.alerts.get_mut(&fp).unwrap();
-                    a.state = AlertState::Resolved;
-                    a.resolved_at_ms = Some(now_ms);
-                    let snapshot = a.clone();
-                    let _ = inner.store.save_alert(&snapshot);
+            let mut seen: BTreeSet<String> = BTreeSet::new();
+            for (series_labels, value) in vector {
+                let mut b = LabelSetBuilder::from(series_labels.without(METRIC_NAME_LABEL))
+                    .label("alertname", &rule.name);
+                for (k, v) in &rule.labels {
+                    b = b.label(k, v);
                 }
+                let labels = b.build();
+                let fp = AlertInstance::fingerprint_of(&labels);
+                // Label-fingerprint dedup: two rules (or one rule's
+                // duplicate series) producing identical labels
+                // collapse into one alert.
+                if !seen.insert(fp.clone()) {
+                    continue;
+                }
+                let firing_now = rule.for_ms == 0;
+                let alert = inner.alerts.entry(fp.clone()).or_insert(AlertInstance {
+                    fingerprint: fp.clone(),
+                    rule: rule.name.clone(),
+                    labels: labels.clone(),
+                    state: if firing_now {
+                        AlertState::Firing
+                    } else {
+                        AlertState::Pending
+                    },
+                    active_since_ms: now_ms,
+                    firing_since_ms: firing_now.then_some(now_ms),
+                    resolved_at_ms: None,
+                    value,
+                });
+                if alert.state == AlertState::Resolved {
+                    // Re-violation after resolution restarts the hold.
+                    alert.state = if firing_now {
+                        AlertState::Firing
+                    } else {
+                        AlertState::Pending
+                    };
+                    alert.active_since_ms = now_ms;
+                    alert.firing_since_ms = firing_now.then_some(now_ms);
+                    alert.resolved_at_ms = None;
+                }
+                alert.value = value;
+                if alert.state == AlertState::Pending
+                    && now_ms - alert.active_since_ms >= rule.for_ms
+                {
+                    alert.state = AlertState::Firing;
+                    alert.firing_since_ms = Some(now_ms);
+                }
+                let snapshot = alert.clone();
+                let _ = inner.store.save_alert(&snapshot);
+            }
 
-                // Materialize this rule's active alerts as ALERTS samples
-                // so later levels (meta-rules) see them at this tick.
-                for a in inner.alerts.values() {
-                    if a.rule != rule.name || a.state == AlertState::Resolved {
-                        continue;
-                    }
-                    let ls = LabelSetBuilder::from(a.labels.clone())
-                        .label(METRIC_NAME_LABEL, ALERTS_METRIC)
-                        .label("alertstate", a.state.as_str())
-                        .build();
-                    inner.alerts_db.append(&ls, now_ms, 1.0);
+            // Series that stopped violating resolve.
+            let to_resolve: Vec<String> = inner
+                .alerts
+                .values()
+                .filter(|a| {
+                    a.rule == rule.name
+                        && a.state != AlertState::Resolved
+                        && !seen.contains(&a.fingerprint)
+                })
+                .map(|a| a.fingerprint.clone())
+                .collect();
+            for fp in to_resolve {
+                let a = inner.alerts.get_mut(&fp).unwrap();
+                a.state = AlertState::Resolved;
+                a.resolved_at_ms = Some(now_ms);
+                let snapshot = a.clone();
+                let _ = inner.store.save_alert(&snapshot);
+            }
+
+            // Materialize this rule's active alerts as ALERTS samples so
+            // later meta-rules see them at this tick.
+            for a in inner.alerts.values() {
+                if a.rule != rule.name || a.state == AlertState::Resolved {
+                    continue;
                 }
+                let ls = LabelSetBuilder::from(a.labels.clone())
+                    .label(METRIC_NAME_LABEL, ALERTS_METRIC)
+                    .label("alertstate", a.state.as_str())
+                    .build();
+                inner.alerts_db.append(&ls, now_ms, 1.0);
             }
         }
 
@@ -865,6 +864,36 @@ mod tests {
         assert_eq!(s.firing, 2, "meta-rule fired off the base rule's ALERTS");
         let names: Vec<String> = svc.alerts().iter().map(|a| a.rule.clone()).collect();
         assert!(names.contains(&"AnyNodeHot".to_string()));
+    }
+
+    #[test]
+    fn a_meta_rule_reads_later_rules_from_the_tick_before() {
+        let db = Arc::new(Tsdb::default());
+        let dir = tempdir("order");
+        let rules = vec![
+            AlertRule::new("HotA", "power > 50", 0).unwrap(),
+            AlertRule::new("Many", "count(ALERTS) > 1", 0).unwrap(),
+            AlertRule::new("HotB", "power > 50", 0).unwrap(),
+        ];
+        let (svc, _sink) = service_over(&db, rules, &dir);
+        let series = labels! {"__name__" => "power", "instance" => "n1"};
+        let fired = |svc: &AlertService| {
+            let mut names: Vec<String> = svc.alerts().iter().map(|a| a.rule.clone()).collect();
+            names.sort();
+            names
+        };
+
+        db.append(&series, 10_000, 100.0);
+        svc.tick(10_000);
+        assert_eq!(fired(&svc), ["HotA", "HotB"], "Many saw only HotA's ALERTS");
+
+        db.append(&series, 20_000, 100.0);
+        svc.tick(20_000);
+        assert_eq!(
+            fired(&svc),
+            ["HotA", "HotB", "Many"],
+            "and HotB's from the tick before"
+        );
     }
 
     #[test]

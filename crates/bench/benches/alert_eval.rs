@@ -1,11 +1,11 @@
-//! E16 — alerting: rule-evaluation throughput across DAG depths.
+//! Alerting: rule-evaluation throughput by meta-rule count (EXPERIMENTS E21).
 //!
-//! One `AlertService::tick` evaluates every rule level by level: plain
-//! rules query the TSDB concurrently-safe read path, meta-rules (reading
-//! `ALERTS`) serialize behind everything before them. This bench measures
-//! tick latency — and the derived rules/sec — for the same rule count
-//! arranged as a flat DAG (depth 1) and with meta-rule tails (depth 2 and
-//! depth 4), over a fleet of violating and non-violating series.
+//! One `AlertService::tick` evaluates the rules in the order they are
+//! written: plain rules query the TSDB, meta-rules (reading `ALERTS`) query
+//! the service's own alert store. This bench measures tick latency — and
+//! the derived rules/sec — for the same rule count with 0, 1 and 3
+//! meta-rules at the tail, over a fleet of violating and non-violating
+//! series.
 
 use std::sync::Arc;
 
@@ -19,6 +19,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 const INSTANCES: usize = 50;
 const TOTAL_RULES: usize = 48;
+/// Meta-rules at the tail of the rule list, one row each.
+const META_RULES: [usize; 3] = [0, 1, 3];
 
 fn fleet_db(now_ms: i64) -> Arc<Tsdb> {
     let db = Arc::new(Tsdb::default());
@@ -33,11 +35,9 @@ fn fleet_db(now_ms: i64) -> Arc<Tsdb> {
     db
 }
 
-/// `TOTAL_RULES` rules at the requested DAG depth: `depth - 1` meta-rules
-/// chained at the tail (each levels after everything before it), the rest
-/// flat threshold rules over the fleet.
-fn rules_at_depth(depth: usize) -> RuleSet {
-    let metas = depth - 1;
+/// `TOTAL_RULES` rules: `metas` meta-rules at the tail, the rest threshold
+/// rules over the fleet.
+fn rules_with_metas(metas: usize) -> RuleSet {
     let mut rules: Vec<AlertRule> = (0..TOTAL_RULES - metas)
         .map(|i| {
             AlertRule::new(
@@ -58,12 +58,10 @@ fn rules_at_depth(depth: usize) -> RuleSet {
             .unwrap(),
         );
     }
-    let set = RuleSet::compile(rules);
-    assert_eq!(set.depth(), depth, "expected depth {depth}");
-    set
+    RuleSet::compile(rules)
 }
 
-fn service_at_depth(depth: usize, db: &Arc<Tsdb>, tag: &str) -> AlertService {
+fn service_with_metas(metas: usize, db: &Arc<Tsdb>, tag: &str) -> AlertService {
     let dir = std::env::temp_dir().join(format!(
         "ceems-bench-alerts-{tag}-{}",
         std::process::id()
@@ -71,7 +69,7 @@ fn service_at_depth(depth: usize, db: &Arc<Tsdb>, tag: &str) -> AlertService {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).ok();
     AlertService::new(
-        rules_at_depth(depth),
+        rules_with_metas(metas),
         Arc::new(LocalQuerySource::new(db.clone(), i64::MAX / 4)),
         vec![LogSink::new()],
         RoutingTree::new("log"),
@@ -92,10 +90,10 @@ fn bench_alert_eval(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("alert_eval");
     group.sample_size(20);
-    for depth in [1usize, 2, 4] {
-        let svc = service_at_depth(depth, &db, &format!("crit-d{depth}"));
+    for metas in META_RULES {
+        let svc = service_with_metas(metas, &db, &format!("crit-m{metas}"));
         let mut t = 1_000i64;
-        group.bench_function(format!("tick_depth{depth}"), |b| {
+        group.bench_function(format!("tick_meta{metas}"), |b| {
             b.iter(|| {
                 t += 1_000;
                 svc.tick(t)
@@ -104,10 +102,10 @@ fn bench_alert_eval(c: &mut Criterion) {
     }
     group.finish();
 
-    // Machine-readable artifact: rules/sec per DAG depth.
+    // Machine-readable artifact: rules/sec per meta-rule count.
     let mut configs = Vec::new();
-    for depth in [1usize, 2, 4] {
-        let svc = service_at_depth(depth, &db, &format!("json-d{depth}"));
+    for metas in META_RULES {
+        let svc = service_with_metas(metas, &db, &format!("json-m{metas}"));
         let mut t = 1_000i64;
         svc.tick(t); // warm: first tick pays alert creation + persistence
         let mut samples = time_iters(15, || {
@@ -117,7 +115,7 @@ fn bench_alert_eval(c: &mut Criterion) {
         let summary = LatencySummary::from_samples(&mut samples);
         let rules_per_sec = TOTAL_RULES as f64 / (summary.p50_us / 1e6).max(1e-12);
         configs.push(serde_json::json!({
-            "depth": depth,
+            "meta_rules": metas,
             "rules": TOTAL_RULES,
             "instances": INSTANCES,
             "tick": summary.to_json(),

@@ -13,9 +13,6 @@
 //! `CeemsStack::build` lists it, eight CPU nodes and then eight line-heavier
 //! GPU nodes: the workers take the targets one at a time, so the two of
 //! them should finish together rather than one waiting on the GPU half.
-//! Beside it, `fleet_scrape/2_halves` cuts the same pass into the CPU half
-//! and the GPU half on a thread each, the contiguous shares a two-worker
-//! pass used to take.
 //! Unit rows look under a pass. `warm_ingest/*` is one ingest of sixteen
 //! pre-rendered bodies, each through its own warm `SeriesCache`: no render
 //! and no HTTP, in ns a line. `fleet` sends the same bodies every pass, as
@@ -188,12 +185,10 @@ impl FleetPass for Fleet<'_> {
     }
 }
 
-/// A fleet scraped into one database: by one manager from `threads`
-/// workers, as `CeemsStack::advance` does in pull mode, or by two managers,
-/// the CPU half's and the GPU half's, on a thread each — the contiguous
-/// shares a two-worker pass used to cut (`2_halves`).
+/// A fleet scraped into one database by one manager from `threads`
+/// workers, as `CeemsStack::advance` does in pull mode.
 struct ScrapeFleet {
-    managers: Vec<ScrapeManager>,
+    manager: ScrapeManager,
     db: Tsdb,
     threads: usize,
     t: i64,
@@ -201,27 +196,14 @@ struct ScrapeFleet {
 
 impl FleetPass for ScrapeFleet {
     fn label(&self) -> String {
-        match self.managers.len() {
-            1 => self.threads.to_string(),
-            n => format!("{n}_halves"),
-        }
+        self.threads.to_string()
     }
 
     fn pass(&mut self) -> u64 {
         self.t += STEP_MS;
-        let (db, t, threads) = (&self.db, self.t, self.threads);
-        let scrape = |manager: &ScrapeManager| {
-            let stats = manager.scrape_once(db, t, threads);
-            assert_eq!(stats.failed, 0);
-            stats.samples
-        };
-        match &self.managers[..] {
-            [cpu, gpu] => std::thread::scope(|s| {
-                let gpu = s.spawn(|| scrape(gpu));
-                scrape(cpu) + gpu.join().unwrap()
-            }),
-            managers => managers.iter().map(scrape).sum(),
-        }
+        let stats = self.manager.scrape_once(&self.db, self.t, self.threads);
+        assert_eq!(stats.failed, 0);
+        stats.samples
     }
 }
 
@@ -280,7 +262,7 @@ fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
     fleet_rows(c, "fleet_push", fleets)
 }
 
-/// `stream_ingest/fleet_scrape/{1,2,2_halves}`: a pass over [`FLEET`]
+/// `stream_ingest/fleet_scrape/{1,2}`: a pass over [`FLEET`]
 /// targets, the CPU half first and the GPU half after it, each with its
 /// node group's label.
 fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
@@ -299,22 +281,16 @@ fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
             }
         })
         .collect();
-    let (cpu, gpu) = targets.split_at(FLEET / 2);
-    let fleet = |threads: usize, shares: &[&[ScrapeTarget]]| ScrapeFleet {
-        managers: shares
-            .iter()
-            .map(|s| ScrapeManager::new(s.to_vec()))
-            .collect(),
+    let fleets = [1, 2].map(|threads| ScrapeFleet {
+        manager: ScrapeManager::new(targets.clone()),
         db: Tsdb::default(),
         threads,
         t: 0,
-    };
-    let all = &targets[..];
-    let fleets = [fleet(1, &[all]), fleet(2, &[all]), fleet(1, &[cpu, gpu])];
+    });
     let mut rows = fleet_rows(c, "fleet_scrape", fleets);
     if let serde_json::Value::Object(m) = &mut rows {
-        m.insert("cpu_nodes".into(), serde_json::json!(cpu.len()));
-        m.insert("gpu_nodes".into(), serde_json::json!(gpu.len()));
+        m.insert("cpu_nodes".into(), serde_json::json!(FLEET / 2));
+        m.insert("gpu_nodes".into(), serde_json::json!(FLEET - FLEET / 2));
     }
     rows
 }

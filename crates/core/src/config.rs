@@ -3,6 +3,7 @@
 //! file where each component will read its relevant configuration").
 
 use ceems_simnode::ClusterSpec;
+use ceems_tsdb::promql::lexer::{lex, Token};
 
 use crate::yaml::{parse, Yaml};
 
@@ -424,8 +425,16 @@ impl CeemsConfig {
             if let Some(v) = t.get("scrape_interval_s").and_then(Yaml::as_f64) {
                 cfg.scrape_interval_s = v;
             }
-            if let Some(v) = t.get("rule_window").and_then(Yaml::as_str) {
-                cfg.rule_window = v.to_string();
+            if let Some(v) = t.get("rule_window") {
+                // The window lands inside every `rate(…[window])`.
+                let positive =
+                    |w: &&str| matches!(lex(w).as_deref(), Ok([Token::Duration(ms)]) if *ms > 0);
+                let Some(w) = v.as_str().filter(positive) else {
+                    return Err(format!(
+                        "bad tsdb.rule_window value {v:?} (expected a positive PromQL duration, e.g. 2m)"
+                    ));
+                };
+                cfg.rule_window = w.to_string();
             }
             if let Some(v) = t.get("rule_interval_s").and_then(Yaml::as_f64) {
                 cfg.rule_interval_s = v;
@@ -1042,6 +1051,16 @@ http:
     #[test]
     fn bad_strategy_rejected() {
         assert!(CeemsConfig::from_yaml("lb:\n  strategy: random\n").is_err());
+    }
+
+    #[test]
+    fn bad_rule_window_rejected() {
+        for bad in ["abc", "0s", "2m]", "-1m", "5"] {
+            let err = CeemsConfig::from_yaml(&format!("tsdb:\n  rule_window: {bad}\n"));
+            assert!(err.unwrap_err().contains("tsdb.rule_window"), "{bad}");
+        }
+        let c = CeemsConfig::from_yaml("tsdb:\n  rule_window: 90s\n").unwrap();
+        assert_eq!(c.rule_window, "90s");
     }
 
     #[test]

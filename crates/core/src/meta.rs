@@ -4,7 +4,7 @@
 //! component's own `/metrics` exposition is scraped on an interval and
 //! ingested — through the normal ingest path — into a reserved
 //! `__ceems_meta__` tenant of the stack's own TSDB. PromQL, the qfe cache
-//! and the S21 alerting DAG then work over the stack's own health series
+//! and the S21 alert rules then work over the stack's own health series
 //! exactly as they do over job telemetry.
 //!
 //! Per target, every pass also writes three synthetic series:

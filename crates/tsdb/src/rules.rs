@@ -225,10 +225,10 @@ impl RuleEngine {
     /// group A when a selector of either names a record the other writes
     /// (or names none), or both write one record, and no equality matcher
     /// contradicts a static label of the writing rule. Groups with no such
-    /// tie form one level; levels run one after another. The attribution
-    /// groups stamp `nodegroup` on every output, so the four of them are
-    /// one level. With one worker the groups run in order on the calling
-    /// thread.
+    /// tie form one level; levels run one after another at any worker
+    /// count, and one worker runs a level in order on the calling thread.
+    /// The attribution groups stamp `nodegroup` on every output, so the four
+    /// of them are one level.
     pub fn with_eval_threads(mut self, threads: usize) -> RuleEngine {
         self.eval_threads = threads.max(1);
         self
@@ -307,18 +307,11 @@ impl RuleEngine {
 
     /// One evaluation round of each group `gi` that has `work[gi]`, over the
     /// rules at those indices (ascending: the whole group, or its affected
-    /// sub-DAG): level by level, the groups of a level side by side, or all
-    /// in order with one worker. Stamps each round and books every rule's
-    /// outcome. Returns series written.
+    /// sub-DAG): level by level, the groups of a level side by side. Stamps
+    /// each round and books every rule's outcome. Returns series written.
     fn run_groups(&mut self, db: &Tsdb, work: Vec<Option<Vec<usize>>>, now_ms: i64) -> u64 {
-        let in_order = [(0..work.len()).collect::<Vec<_>>()];
-        let levels = if self.eval_threads > 1 {
-            &self.levels[..]
-        } else {
-            &in_order[..]
-        };
         let mut done = Vec::new();
-        for level in levels {
+        for level in &self.levels {
             let due: Vec<(usize, &[usize])> = level
                 .iter()
                 .filter_map(|&gi| Some((gi, work[gi].as_deref()?)))
@@ -467,10 +460,10 @@ impl RuleEngine {
 /// Collects the metric names an expression's selectors read into `out`.
 /// Returns `false` when any selector lacks an exact `__name__` matcher
 /// (regex or nameless selectors), meaning the read set is unknowable
-/// statically and the rule must be ordered after every earlier rule.
+/// statically and an incremental tick treats the rule as always affected.
 ///
-/// Public because the alerting service levels its alert-rule DAGs with the
-/// same static analysis (S3 → S21 reuse).
+/// Public because the alerting service finds its meta-rules, the ones that
+/// read `ALERTS`, with it.
 pub fn referenced_names(expr: &Expr, out: &mut Vec<String>) -> bool {
     // No early return: `out` stays complete when one selector is opaque.
     let mut known = true;
@@ -485,27 +478,6 @@ pub fn referenced_names(expr: &Expr, out: &mut Vec<String>) -> bool {
         }
     }
     known
-}
-
-/// Topologically levels items by name dependencies: item `i` produces
-/// `produces[i]` (None for items that record nothing, e.g. alert rules) and
-/// statically reads `reads[i]` (None when unknowable). Item `i` depends on
-/// an earlier item `j` when its read set is unknown or contains `j`'s
-/// produced name. `level(i)` is one past the deepest producer it depends
-/// on, so evaluating levels in order with a barrier between them reproduces
-/// serial evaluation exactly: every item sees the same-round outputs of
-/// everything it reads. Returns the indices grouped by level, levels in
-/// ascending order. `produces` and `reads` must have equal length. The
-/// alerting service levels its alert DAGs with it.
-pub fn dependency_levels_by(
-    produces: &[Option<&str>],
-    reads: &[Option<Vec<String>>],
-) -> Vec<Vec<usize>> {
-    assert_eq!(produces.len(), reads.len());
-    levels_by(produces.len(), |i, j| match &reads[i] {
-        None => true,
-        Some(names) => produces[j].is_some_and(|p| names.iter().any(|n| n == p)),
-    })
 }
 
 /// Levels items `0..n`: item `i` sits one level past every earlier item `j`
@@ -753,19 +725,6 @@ mod tests {
         assert_eq!(names, ["a"]);
     }
 
-    /// A group's rules levelled by their record-name dependencies.
-    fn rule_levels(rules: &[RecordingRule]) -> Vec<Vec<usize>> {
-        let produces: Vec<Option<&str>> = rules.iter().map(|r| Some(r.record.as_str())).collect();
-        let reads: Vec<Option<Vec<String>>> = rules
-            .iter()
-            .map(|r| {
-                let mut names = Vec::new();
-                referenced_names(&r.expr, &mut names).then_some(names)
-            })
-            .collect();
-        dependency_levels_by(&produces, &reads)
-    }
-
     /// A rule's static labels.
     type Statics<'a> = &'a [(&'a str, &'a str)];
 
@@ -875,72 +834,6 @@ mod tests {
             };
             assert_eq!(s.samples.last().unwrap().v, expect);
         }
-    }
-
-    #[test]
-    fn dependency_levels_order_chains() {
-        let rules = vec![
-            RecordingRule::new("a", "rate(raw[2m])", &[]).unwrap(),
-            RecordingRule::new("b", "rate(raw[2m]) * 2", &[]).unwrap(),
-            RecordingRule::new("c", "a / b", &[]).unwrap(),
-            RecordingRule::new("d", "c + a", &[]).unwrap(),
-            RecordingRule::new("e", "rate(other[2m])", &[]).unwrap(),
-        ];
-        let levels = rule_levels(&rules);
-        // a, b, e are independent of earlier rules; c reads a+b; d reads c.
-        assert_eq!(levels, vec![vec![0, 1, 4], vec![2], vec![3]]);
-    }
-
-    #[test]
-    fn dependency_levels_match_attribution_chain_depth() {
-        // The shipped IntelDram group chains rapl → cpufrac → component →
-        // total; every level boundary the closed-form pipeline relies on
-        // must survive the static analysis.
-        let rules = vec![
-            RecordingRule::new(
-                "instance:rapl_cpu:watts",
-                "sum by (instance) (rate(rapl_pkg_joules_total[2m]))",
-                &[],
-            )
-            .unwrap(),
-            RecordingRule::new(
-                "instance:rapl_dram:watts",
-                "sum by (instance) (rate(rapl_dram_joules_total[2m]))",
-                &[],
-            )
-            .unwrap(),
-            RecordingRule::new(
-                "instance:cpufrac:ratio",
-                "instance:rapl_cpu:watts / (instance:rapl_cpu:watts + instance:rapl_dram:watts)",
-                &[],
-            )
-            .unwrap(),
-            RecordingRule::new(
-                "uuid:component:watts",
-                "instance:cpufrac:ratio * 450",
-                &[("component", "cpu")],
-            )
-            .unwrap(),
-            RecordingRule::new(
-                "uuid:power:watts",
-                "sum by (uuid) (uuid:component:watts)",
-                &[],
-            )
-            .unwrap(),
-        ];
-        let levels = rule_levels(&rules);
-        assert_eq!(levels, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
-    }
-
-    #[test]
-    fn unknown_reads_are_conservatively_ordered_last() {
-        let rules = vec![
-            RecordingRule::new("a", "rate(raw[2m])", &[]).unwrap(),
-            // Nameless selector: read set is unknowable, must follow a.
-            RecordingRule::new("b", "sum by (x) ({job=\"j\"})", &[]).unwrap(),
-        ];
-        let levels = rule_levels(&rules);
-        assert_eq!(levels, vec![vec![0], vec![1]]);
     }
 
     #[test]
