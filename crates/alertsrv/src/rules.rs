@@ -162,18 +162,56 @@ mod tests {
         assert!(AlertRule::new("x", "up", -1).is_err());
     }
 
+    fn meta_flags_and_names(set: &RuleSet) -> (Vec<bool>, Vec<&str>) {
+        let meta = (0..set.rules.len()).map(|i| set.is_meta(i)).collect();
+        let names = set.rules.iter().map(|r| r.name.as_str()).collect();
+        (meta, names)
+    }
+
     #[test]
-    fn rules_reading_alerts_are_meta() {
+    fn meta_rules_level_after_plain_rules() {
+        // Written after the plain rules, the meta-rule runs after them.
         let rules = vec![
             AlertRule::new("A", "watts > 1", 0).unwrap(),
-            AlertRule::new("M1", "sum(ALERTS{alertstate=\"firing\"}) >= 3", 0).unwrap(),
+            AlertRule::new("B", "joules > 2", 0).unwrap(),
+            AlertRule::new(
+                "ManyFiring",
+                "sum(ALERTS{alertstate=\"firing\"}) >= 3",
+                0,
+            )
+            .unwrap(),
+        ];
+        let set = RuleSet::compile(rules);
+        let (meta, names) = meta_flags_and_names(&set);
+        assert_eq!(meta, [false, false, true]);
+        assert_eq!(names, ["A", "B", "ManyFiring"], "compile keeps the order");
+    }
+
+    #[test]
+    fn independent_rules_share_one_level() {
+        let rules = vec![
+            AlertRule::new("A", "watts > 1", 0).unwrap(),
+            AlertRule::new("B", "joules > 2", 0).unwrap(),
+        ];
+        let set = RuleSet::compile(rules);
+        let (meta, names) = meta_flags_and_names(&set);
+        assert_eq!(meta, [false, false]);
+        assert_eq!(names, ["A", "B"]);
+    }
+
+    #[test]
+    fn meta_chain_deepens_the_dag() {
+        // Meta-rules after meta-rules, a plain rule between: each is
+        // flagged on its own and none is moved.
+        let rules = vec![
+            AlertRule::new("A", "watts > 1", 0).unwrap(),
+            AlertRule::new("M1", "sum(ALERTS) > 1", 0).unwrap(),
             AlertRule::new("B", "joules > 2", 0).unwrap(),
             AlertRule::new("M2", "sum(ALERTS) > 2", 0).unwrap(),
         ];
         let set = RuleSet::compile(rules);
-        let meta: Vec<bool> = (0..4).map(|i| set.is_meta(i)).collect();
+        let (meta, names) = meta_flags_and_names(&set);
         assert_eq!(meta, [false, true, false, true]);
-        let names: Vec<&str> = set.rules.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["A", "M1", "B", "M2"], "compile keeps the order");
     }
 
