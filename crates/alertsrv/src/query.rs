@@ -2,13 +2,17 @@
 //!
 //! Mirrors the qfe `Downstream` split: an in-process source over the hot
 //! TSDB for the embedded stack, and the shared [`TsdbClient`] for running
-//! the alerting service against the qfe/LB read path over HTTP.
+//! the alerting service against the qfe/LB read path over HTTP. The
+//! service keeps a [`PreparedQuery`] per rule and hands it to every
+//! evaluation: the in-process source evaluates through it, reading only
+//! what arrived since the last tick; over HTTP every evaluation is
+//! one-shot.
 
 use std::sync::Arc;
 
 use ceems_http::resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use ceems_metrics::labels::LabelSet;
-use ceems_tsdb::promql::{instant_query_with_lookback, Expr, Value};
+use ceems_tsdb::promql::{Expr, PreparedQuery, Value};
 use ceems_tsdb::{Tsdb, TsdbClient};
 
 /// A source of instant-query results for rule evaluation.
@@ -16,9 +20,17 @@ pub trait QuerySource: Send + Sync {
     /// Source name, for logs and metrics.
     fn name(&self) -> &'static str;
 
-    /// Evaluates an expression at `now_ms`, returning the result vector.
-    /// Scalar results become a single sample with empty labels.
-    fn query(&self, expr_src: &str, expr: &Expr, now_ms: i64) -> Result<Vec<(LabelSet, f64)>, String>;
+    /// Evaluates an expression at `now_ms`, through `plan` where the source
+    /// can carry one over (the caller keeps one per rule), returning the
+    /// result vector. Scalar results become a single sample with empty
+    /// labels.
+    fn query(
+        &self,
+        expr_src: &str,
+        expr: &Expr,
+        now_ms: i64,
+        plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String>;
 }
 
 /// Converts an evaluation [`Value`] into the alert result vector.
@@ -57,8 +69,10 @@ impl QuerySource for LocalQuerySource {
         _expr_src: &str,
         expr: &Expr,
         now_ms: i64,
+        plan: &mut PreparedQuery,
     ) -> Result<Vec<(LabelSet, f64)>, String> {
-        let v = instant_query_with_lookback(self.db.as_ref(), expr, now_ms, self.lookback_ms)
+        let v = plan
+            .instant(self.db.as_ref(), expr, now_ms, self.lookback_ms)
             .map_err(|e| e.to_string())?;
         value_to_vector(v)
     }
@@ -86,6 +100,7 @@ impl QuerySource for TsdbClient {
         expr_src: &str,
         _expr: &Expr,
         now_ms: i64,
+        _plan: &mut PreparedQuery,
     ) -> Result<Vec<(LabelSet, f64)>, String> {
         self.instant(expr_src, now_ms)
     }
@@ -104,7 +119,9 @@ mod tests {
         db.append(&labels! {"__name__" => "watts", "instance" => "n2"}, 1_000, 900.0);
         let src = LocalQuerySource::new(db, 60_000);
         let expr = parse_expr("watts > 500").unwrap();
-        let v = src.query("watts > 500", &expr, 2_000).unwrap();
+        let v = src
+            .query("watts > 500", &expr, 2_000, &mut PreparedQuery::default())
+            .unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].0.get("instance"), Some("n2"));
         assert_eq!(v[0].1, 900.0);
@@ -128,10 +145,14 @@ mod tests {
         .unwrap();
         let src: Arc<dyn QuerySource> = Arc::new(http_source(server.base_url()));
         let expr = parse_expr("watts > 500").unwrap();
-        let v = src.query("watts > 500", &expr, 2_000).unwrap();
+        let v = src
+            .query("watts > 500", &expr, 2_000, &mut PreparedQuery::default())
+            .unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].0.get("instance"), Some("n2"));
-        assert!(src.query("watts >", &expr, 2_000).is_err());
+        assert!(src
+            .query("watts >", &expr, 2_000, &mut PreparedQuery::default())
+            .is_err());
         server.shutdown();
     }
 }

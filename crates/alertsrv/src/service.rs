@@ -14,7 +14,7 @@ use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 use ceems_metrics::registry::Registry;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::{add_metrics_route, trace, TraceSink};
-use ceems_tsdb::promql::instant_query_with_lookback;
+use ceems_tsdb::promql::PreparedQuery;
 use ceems_tsdb::{Tsdb, TsdbConfig};
 use parking_lot::Mutex;
 
@@ -79,6 +79,9 @@ struct Inner {
     /// In-memory `ALERTS` series store for meta-rules, holding only what
     /// a meta-rule can still read (see [`AlertService::new`]).
     alerts_db: Tsdb,
+    /// One plan per rule, in rule order, kept from tick to tick: a rule's
+    /// evaluation reads only what arrived since the last one.
+    plans: Vec<PreparedQuery>,
     /// Ordered record of every delivery attempt, for determinism checks.
     notification_trace: Vec<serde_json::Value>,
 }
@@ -153,6 +156,7 @@ impl AlertService {
             "Alert-rule evaluations that failed.",
         );
         ceems_obs::register_build_info(&registry, "alertsrv");
+        let plans = rules.rules.iter().map(|_| PreparedQuery::default()).collect();
         Ok(AlertService {
             rules,
             source,
@@ -166,6 +170,7 @@ impl AlertService {
                 groups,
                 silences,
                 alerts_db,
+                plans,
                 notification_trace: Vec::new(),
             }),
             eval_hist,
@@ -218,17 +223,13 @@ impl AlertService {
             stats.rules_evaluated += 1;
             let stage = qtrace.stage("alert_eval");
             let t0 = Instant::now();
+            let plan = &mut inner.plans[ri];
             let result = if self.rules.is_meta(ri) {
-                instant_query_with_lookback(
-                    &inner.alerts_db,
-                    &rule.expr,
-                    now_ms,
-                    self.cfg.lookback_ms,
-                )
-                .map_err(|e| e.to_string())
-                .and_then(value_to_vector)
+                plan.instant(&inner.alerts_db, &rule.expr, now_ms, self.cfg.lookback_ms)
+                    .map_err(|e| e.to_string())
+                    .and_then(value_to_vector)
             } else {
-                self.source.query(&rule.expr_src, &rule.expr, now_ms)
+                self.source.query(&rule.expr_src, &rule.expr, now_ms, plan)
             };
             self.eval_hist.observe(t0.elapsed().as_secs_f64());
             stage.finish();

@@ -2,26 +2,32 @@
 //!
 //! The real API server speaks the Prometheus HTTP API through the shared
 //! [`TsdbClient`]; the simulation can also query the TSDB in-process. Both
-//! implement [`MetricSource`].
+//! implement [`MetricSource`]. The updater asks the same queries every poll
+//! and keeps a [`PreparedQuery`] for each: the in-process source evaluates
+//! through it, reading only what arrived since the last poll; over HTTP
+//! every query is one-shot.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ceems_http::resilience::RetryPolicy;
 use ceems_metrics::labels::LabelSet;
-use ceems_tsdb::promql::{instant_query, parse_expr, Value};
+use ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS;
+use ceems_tsdb::promql::{parse_expr, PreparedQuery, Value};
 use ceems_tsdb::{Tsdb, TsdbClient};
 
 /// An instant-query interface.
 pub trait MetricSource: Send + Sync {
-    /// Evaluates `query` at `t_ms`; returns the instant vector (empty on
-    /// error — the updater treats missing metrics as "not yet available").
-    fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)>;
+    /// Evaluates `query` at `t_ms`, through `plan` where the source can
+    /// carry one over (the caller keeps one per standing query); returns the
+    /// instant vector (empty on error — the updater treats missing metrics
+    /// as "not yet available").
+    fn instant(&self, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)>;
 
     /// Convenience: the single scalar value of a query, if it returned
     /// exactly one sample.
-    fn scalar(&self, query: &str, t_ms: i64) -> Option<f64> {
-        let v = self.instant(query, t_ms);
+    fn scalar(&self, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Option<f64> {
+        let v = self.instant(query, t_ms, plan);
         if v.len() == 1 {
             Some(v[0].1)
         } else {
@@ -43,11 +49,11 @@ impl TsdbLocalSource {
 }
 
 impl MetricSource for TsdbLocalSource {
-    fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)> {
+    fn instant(&self, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)> {
         let Ok(expr) = parse_expr(query) else {
             return Vec::new();
         };
-        match instant_query(self.db.as_ref(), &expr, t_ms) {
+        match plan.instant(self.db.as_ref(), &expr, t_ms, DEFAULT_LOOKBACK_MS) {
             Ok(Value::Vector(v)) => v,
             Ok(Value::Scalar(s)) => vec![(LabelSet::empty(), s)],
             _ => Vec::new(),
@@ -68,7 +74,7 @@ pub fn http_source(base_url: impl Into<String>) -> TsdbClient {
 }
 
 impl MetricSource for TsdbClient {
-    fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)> {
+    fn instant(&self, query: &str, t_ms: i64, _plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)> {
         TsdbClient::instant(self, query, t_ms).unwrap_or_default()
     }
 }
@@ -90,15 +96,22 @@ mod tests {
         db
     }
 
+    fn fresh() -> PreparedQuery {
+        PreparedQuery::default()
+    }
+
     #[test]
     fn local_source() {
         let src = TsdbLocalSource::new(db());
-        let v = src.instant("watts", 150_000);
+        let v = src.instant("watts", 150_000, &mut fresh());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].1, 100.0);
-        assert_eq!(src.scalar("sum(watts)", 150_000), Some(100.0));
-        assert!(src.instant("bad{{{", 0).is_empty());
-        assert_eq!(src.scalar("nonexistent_metric", 150_000), None);
+        assert_eq!(src.scalar("sum(watts)", 150_000, &mut fresh()), Some(100.0));
+        assert!(src.instant("bad{{{", 0, &mut fresh()).is_empty());
+        assert_eq!(
+            src.scalar("nonexistent_metric", 150_000, &mut fresh()),
+            None
+        );
     }
 
     #[test]
@@ -112,11 +125,11 @@ mod tests {
         )
         .unwrap();
         let src: Arc<dyn MetricSource> = Arc::new(http_source(server.base_url()));
-        assert_eq!(src.scalar("sum(watts)", 150_000), Some(100.0));
+        assert_eq!(src.scalar("sum(watts)", 150_000, &mut fresh()), Some(100.0));
         // A rejected query and a dead backend both come back empty.
-        assert!(src.instant("rate(watts)", 150_000).is_empty());
+        assert!(src.instant("rate(watts)", 150_000, &mut fresh()).is_empty());
         server.shutdown();
         let src: Arc<dyn MetricSource> = Arc::new(http_source("http://127.0.0.1:1"));
-        assert!(src.instant("up", 0).is_empty());
+        assert!(src.instant("up", 0, &mut fresh()).is_empty());
     }
 }

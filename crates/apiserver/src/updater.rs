@@ -3,10 +3,15 @@
 //! On each poll it (1) fetches units that changed since the last poll from
 //! the resource manager, (2) asks the TSDB — once per aggregate, for every
 //! unit together — what happened since the previous poll and folds that
-//! interval into the aggregates each unit's row already holds, (3) upserts
-//! rows, (4) recomputes per-user/project usage rollups, and (5) applies the
+//! interval into the aggregates each unit's row already holds, (3)
+//! recomputes per-user/project usage rollups over the units as they will
+//! be, (4) commits the unit and usage rows as one write, and (5) applies the
 //! §II.C cardinality cleanup: units that lived shorter than the cutoff get
 //! their TSDB series deleted.
+//!
+//! The five aggregate queries are standing queries: the updater keeps a
+//! [`PreparedQuery`] for each, so an in-process source reads only the
+//! samples that arrived since the last poll, and a poll costs what changed.
 //!
 //! The fold's invariant: a row whose `elapsed_s` reached
 //! `MIN_ELAPSED_S` (30 s) holds aggregates over `[started_at, min(ended_at,
@@ -15,12 +20,14 @@
 //! updater over the same `Db` continues where the last one stopped, and a
 //! unit reported twice over the same interval folds nothing twice.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::Histogram;
-use ceems_relstore::{Db, DbError, Value};
+use ceems_relstore::{Db, DbError, Row, Value};
+use ceems_tsdb::promql::PreparedQuery;
 use ceems_tsdb::{Tsdb, TsdbClient};
 
 use crate::metrics_source::MetricSource;
@@ -222,6 +229,8 @@ pub struct Updater {
     metrics: Arc<dyn MetricSource>,
     tsdb_admin: Option<Arc<dyn TsdbAdmin>>,
     config: UpdaterConfig,
+    /// One plan per aggregate query, in [`Updater::query_interval`]'s order.
+    plans: [PreparedQuery; 5],
     last_poll_ms: i64,
     purged: BTreeSet<String>,
     stats: UpdaterStats,
@@ -244,6 +253,7 @@ impl Updater {
             metrics,
             tsdb_admin,
             config,
+            plans: Default::default(),
             last_poll_ms: 0,
             purged: BTreeSet::new(),
             stats: UpdaterStats::default(),
@@ -281,12 +291,10 @@ impl Updater {
 
         // Each unit's row so far, and the part of its life not yet folded.
         let mut rows = Vec::with_capacity(units.len());
+        let table = self.db.table(UNITS_TABLE)?;
         for u in &units {
-            let stored = self.db.get(UNITS_TABLE, &u.uuid.as_str().into())?;
-            rows.push((
-                unit_row(u, stored.as_deref(), now_ms),
-                unfolded(u, stored.as_deref(), now_ms),
-            ));
+            let stored = table.get(&u.uuid.as_str().into()).map(Vec::as_slice);
+            rows.push((unit_row(u, stored, now_ms), unfolded(u, stored, now_ms)));
         }
 
         // One window reaching back to the oldest frontier serves every unit:
@@ -301,16 +309,30 @@ impl Updater {
             None => IntervalAggregates::default(),
         };
 
+        let mut unit_rows = Vec::with_capacity(units.len());
         for (u, (mut row, span)) in units.iter().zip(rows) {
             if let Some(span) = span {
                 fold_interval(&mut row, u, &span, &interval);
                 self.stats.units_folded += 1;
             }
-            self.db.upsert(UNITS_TABLE, row)?;
-            self.stats.units_upserted += 1;
+            unit_rows.push(row);
+        }
+        let usage = {
+            // A unit reported twice in one poll: its last row is the one
+            // that stays.
+            let fresh: BTreeMap<&Value, &Row> =
+                unit_rows.iter().map(|r| (&r[unit_cols::UUID], r)).collect();
+            let stored = self.db.table(UNITS_TABLE)?.scan();
+            usage_rows(overlay(stored, &fresh), now_ms)
+        };
+        let upserted = unit_rows.len() as u64;
+        let writes = unit_rows.into_iter().map(|row| (UNITS_TABLE, row));
+        self.db
+            .upsert_all(writes.chain(usage.into_iter().map(|row| (USAGE_TABLE, row))))?;
+        self.stats.units_upserted += upserted;
+        for u in &units {
             self.maybe_cleanup(u);
         }
-        self.recompute_usage(now_ms)?;
         self.last_poll_ms = now_ms;
         Ok(())
     }
@@ -319,30 +341,41 @@ impl Updater {
     /// instant query per aggregate, whatever the number of units.
     fn query_interval(&mut self, window_ms: i64, now_ms: i64) -> IntervalAggregates {
         let metrics = &self.metrics;
-        let vector = |query: String| by_uuid(metrics.instant(&query, now_ms));
+        let vector = |query: String, plan: &mut PreparedQuery| {
+            by_uuid(metrics.instant(&query, now_ms, plan))
+        };
+        let [cpu, mem, gpu, power, factor] = &mut self.plans;
         // Range selectors are closed at both ends. A slope wants both
         // boundary samples; a mean must leave the sample stamped at the
         // previous poll to the fold that already counted it.
         let closed = format!("[{window_ms}ms]");
         let w = format!("[{}ms]", window_ms - 1);
         let interval = IntervalAggregates {
-            cpu_cores: vector(format!(
-                "sum by (uuid) (rate(ceems_compute_unit_cpu_user_seconds_total{closed})) \
-                 + sum by (uuid) (rate(ceems_compute_unit_cpu_system_seconds_total{closed}))"
-            )),
-            mem_bytes: vector(format!(
-                "sum by (uuid) (avg_over_time(ceems_compute_unit_memory_used_bytes{w}))"
-            )),
+            cpu_cores: vector(
+                format!(
+                    "sum by (uuid) (rate(ceems_compute_unit_cpu_user_seconds_total{closed})) \
+                     + sum by (uuid) (rate(ceems_compute_unit_cpu_system_seconds_total{closed}))"
+                ),
+                cpu,
+            ),
+            mem_bytes: vector(
+                format!("sum by (uuid) (avg_over_time(ceems_compute_unit_memory_used_bytes{w}))"),
+                mem,
+            ),
             // Via the recording rule joining the GPU map with DCGM
             // utilisation; units without GPUs have no such series.
-            gpu_pct: vector(format!(
-                "avg by (uuid) (avg_over_time(uuid:ceems_gpu_util:pct{w}))"
-            )),
-            power_w: vector(format!(
-                "sum by (uuid) (avg_over_time({}{w}))",
-                self.config.power_metric
-            )),
-            emission_factor: metrics.scalar(&self.config.emission_factor_query, now_ms),
+            gpu_pct: vector(
+                format!("avg by (uuid) (avg_over_time(uuid:ceems_gpu_util:pct{w}))"),
+                gpu,
+            ),
+            power_w: vector(
+                format!(
+                    "sum by (uuid) (avg_over_time({}{w}))",
+                    self.config.power_metric
+                ),
+                power,
+            ),
+            emission_factor: metrics.scalar(&self.config.emission_factor_query, now_ms, factor),
         };
         // One per field above.
         self.stats.tsdb_queries += 5;
@@ -375,53 +408,73 @@ impl Updater {
         }
     }
 
-    /// Recomputes the usage rollups in one pass over the units table, in
-    /// primary-key order. Energy and emissions sum as `Iterator::sum` does
-    /// over the non-NULL cells: from −0.0, and adding −0.0 changes no sum,
-    /// so an all-NULL group stores −0.0.
-    fn recompute_usage(&mut self, now_ms: i64) -> Result<(), DbError> {
-        use unit_cols::*;
-        // (units, core-hours, GPU-hours, kWh, g) per (user, project).
-        let mut groups = BTreeMap::new();
-        for u in self.db.table(UNITS_TABLE)?.scan() {
-            let text = |col: usize| u[col].as_text().unwrap_or("");
-            let real = |col: usize, null: f64| u[col].as_real().unwrap_or(null);
-            let g = groups
-                .entry((text(USER), text(PROJECT)))
-                .or_insert((0, 0.0, 0.0, -0.0, -0.0));
-            let elapsed_h = real(ELAPSED_S, 0.0) / 3600.0;
-            g.0 += 1;
-            g.1 += elapsed_h * real(NCPUS, 0.0);
-            g.2 += elapsed_h * real(NGPUS, 0.0);
-            g.3 += real(ENERGY_KWH, -0.0);
-            g.4 += real(EMISSIONS_G, -0.0);
-        }
-        let rows: Vec<Vec<Value>> = groups
-            .into_iter()
-            .map(|((user, project), (n, cpu_h, gpu_h, kwh, g))| {
-                vec![
-                    format!("{user}|{project}").into(),
-                    user.into(),
-                    project.into(),
-                    Value::Int(n),
-                    Value::Real(cpu_h),
-                    Value::Real(gpu_h),
-                    Value::Real(kwh),
-                    Value::Real(g),
-                    Value::Int(now_ms),
-                ]
-            })
-            .collect();
-        for row in rows {
-            self.db.upsert(USAGE_TABLE, row)?;
-        }
-        Ok(())
-    }
-
     /// Checks unit ownership — the primitive behind the LB's access control.
     pub fn verify_ownership(&self, user: &str, uuid: &str) -> bool {
         verify_ownership_in_db(&self.db, user, uuid)
     }
+}
+
+/// The units table in primary-key order with `fresh` (rows by primary key)
+/// written over it: what a scan will return once `fresh` is upserted.
+fn overlay<'a>(
+    stored: impl Iterator<Item = &'a Row>,
+    fresh: &'a BTreeMap<&'a Value, &'a Row>,
+) -> impl Iterator<Item = &'a Row> {
+    let mut stored = stored.peekable();
+    let mut fresh = fresh.iter().peekable();
+    std::iter::from_fn(move || {
+        let order = match (stored.peek(), fresh.peek()) {
+            (Some(s), Some((pk, _))) => s[unit_cols::UUID].cmp(pk),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
+        };
+        match order {
+            Ordering::Less => stored.next(),
+            Ordering::Equal => {
+                stored.next();
+                fresh.next().map(|(_, row)| *row)
+            }
+            Ordering::Greater => fresh.next().map(|(_, row)| *row),
+        }
+    })
+}
+
+/// The usage rollups in one pass over `units`, in primary-key order. Energy
+/// and emissions sum as `Iterator::sum` does over the non-NULL cells: from
+/// −0.0, and adding −0.0 changes no sum, so an all-NULL group stores −0.0.
+fn usage_rows<'a>(units: impl Iterator<Item = &'a Row>, now_ms: i64) -> Vec<Row> {
+    use unit_cols::*;
+    // (units, core-hours, GPU-hours, kWh, g) per (user, project).
+    let mut groups = BTreeMap::new();
+    for u in units {
+        let text = |col: usize| u[col].as_text().unwrap_or("");
+        let real = |col: usize, null: f64| u[col].as_real().unwrap_or(null);
+        let g = groups
+            .entry((text(USER), text(PROJECT)))
+            .or_insert((0, 0.0, 0.0, -0.0, -0.0));
+        let elapsed_h = real(ELAPSED_S, 0.0) / 3600.0;
+        g.0 += 1;
+        g.1 += elapsed_h * real(NCPUS, 0.0);
+        g.2 += elapsed_h * real(NGPUS, 0.0);
+        g.3 += real(ENERGY_KWH, -0.0);
+        g.4 += real(EMISSIONS_G, -0.0);
+    }
+    groups
+        .into_iter()
+        .map(|((user, project), (n, cpu_h, gpu_h, kwh, g))| {
+            vec![
+                format!("{user}|{project}").into(),
+                user.into(),
+                project.into(),
+                Value::Int(n),
+                Value::Real(cpu_h),
+                Value::Real(gpu_h),
+                Value::Real(kwh),
+                Value::Real(g),
+                Value::Int(now_ms),
+            ]
+        })
+        .collect()
 }
 
 /// Direct-DB ownership check (the LB uses this when it can reach the DB
@@ -678,9 +731,14 @@ mod tests {
     }
 
     impl MetricSource for Counting {
-        fn instant(&self, query: &str, t_ms: i64) -> Vec<(LabelSet, f64)> {
+        fn instant(
+            &self,
+            query: &str,
+            t_ms: i64,
+            plan: &mut PreparedQuery,
+        ) -> Vec<(LabelSet, f64)> {
             self.queries.fetch_add(1, Ordering::SeqCst);
-            self.inner.instant(query, t_ms)
+            self.inner.instant(query, t_ms, plan)
         }
     }
 
@@ -783,38 +841,24 @@ mod tests {
         let elapsed_s = (end_ms - u.started_at_ms.unwrap()) as f64 / 1000.0;
         let window_s = (elapsed_s as i64).max(60);
         let uuid = &u.uuid;
-        let cpu = src
-            .scalar(
-                &format!(
+        let scalar = |query: &str| src.scalar(query, end_ms, &mut PreparedQuery::default());
+        let cpu = scalar(&format!(
                     "sum(increase(ceems_compute_unit_cpu_user_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s])) + sum(increase(ceems_compute_unit_cpu_system_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s]))"
-                ),
-                end_ms,
-            )
+                ))
             .map(|cpu_s| (cpu_s / (elapsed_s * u.ncpus.max(1) as f64) * 100.0).clamp(0.0, 100.0));
-        let mem = src.scalar(
-            &format!(
+        let mem = scalar(&format!(
                 "sum(avg_over_time(ceems_compute_unit_memory_used_bytes{{uuid=\"{uuid}\"}}[{window_s}s]))"
-            ),
-            end_ms,
-        );
-        let gpu = src
-            .scalar(
-                &format!(
-                    "avg(avg_over_time(uuid:ceems_gpu_util:pct{{uuid=\"{uuid}\"}}[{window_s}s]))"
-                ),
-                end_ms,
-            )
-            .map(|g| g.clamp(0.0, 100.0));
-        let kwh = src
-            .scalar(
-                &format!(
-                    "sum(avg_over_time({}{{uuid=\"{uuid}\"}}[{window_s}s]))",
-                    cfg.power_metric
-                ),
-                end_ms,
-            )
-            .map(|avg_w| (avg_w * elapsed_s / 3.6e6).max(0.0));
-        let g = kwh.and_then(|kwh| Some(kwh * src.scalar(&cfg.emission_factor_query, end_ms)?));
+            ));
+        let gpu = scalar(&format!(
+            "avg(avg_over_time(uuid:ceems_gpu_util:pct{{uuid=\"{uuid}\"}}[{window_s}s]))"
+        ))
+        .map(|g| g.clamp(0.0, 100.0));
+        let kwh = scalar(&format!(
+            "sum(avg_over_time({}{{uuid=\"{uuid}\"}}[{window_s}s]))",
+            cfg.power_metric
+        ))
+        .map(|avg_w| (avg_w * elapsed_s / 3.6e6).max(0.0));
+        let g = kwh.and_then(|kwh| Some(kwh * scalar(&cfg.emission_factor_query)?));
         [cpu, mem, gpu, kwh, g]
     }
 
@@ -1081,6 +1125,172 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A source that evaluates every query with a fresh plan, whatever plan
+    /// the updater hands it: the one-shot reference for kept plans.
+    struct FreshPlans(TsdbLocalSource);
+
+    impl MetricSource for FreshPlans {
+        fn instant(
+            &self,
+            query: &str,
+            t_ms: i64,
+            _plan: &mut PreparedQuery,
+        ) -> Vec<(LabelSet, f64)> {
+            self.0.instant(query, t_ms, &mut PreparedQuery::default())
+        }
+    }
+
+    /// Under churn — units pending, starting, ending, and short ones purged
+    /// from the TSDB, which invalidates every plan's reads — an updater
+    /// that keeps its plans from poll to poll writes what one evaluating
+    /// every query afresh writes: the same rows and the same WAL bytes.
+    #[test]
+    fn kept_plans_write_what_fresh_plans_write() {
+        // Unit i: submitted every 20 s, pending up to 90 s, running 45 s
+        // (purged: under the 60 s cutoff) to 15 min.
+        let units: Vec<UnitInfo> = (0..40i64)
+            .map(|i| {
+                let submitted = 20_000 * i;
+                let start = submitted + 30_000 * (i % 4);
+                let run = if i % 5 == 0 {
+                    45_000
+                } else {
+                    120_000 + 37_000 * (i % 23)
+                };
+                UnitInfo {
+                    submitted_at_ms: submitted,
+                    ngpus: usize::from(i % 3 == 0),
+                    ..unit(
+                        &format!("slurm-{i}"),
+                        ["alice", "bob"][i as usize % 2],
+                        start,
+                        Some(start + run),
+                    )
+                }
+            })
+            .collect();
+        // Scrapes every 15 s up to `to_ms`, from where the last call left off.
+        let scrape = |db: &Tsdb, from_ms: i64, to_ms: i64| {
+            let first = (from_ms / 15_000 + 1) * 15_000;
+            for t in (first..=to_ms).step_by(15_000) {
+                for (i, u) in units.iter().enumerate() {
+                    let (start, end) = (u.started_at_ms.unwrap(), u.ended_at_ms.unwrap());
+                    if t < start || t > end {
+                        continue;
+                    }
+                    let ran_s = (t - start) as f64 / 1000.0;
+                    let cores = 2.0 + (i % 7) as f64;
+                    let watts = 150.0 + 10.0 * i as f64 + (t as f64 / 50_000.0).sin() * 40.0;
+                    for (name, v) in [
+                        (
+                            "ceems_compute_unit_cpu_user_seconds_total",
+                            cores * ran_s * 0.9,
+                        ),
+                        (
+                            "ceems_compute_unit_cpu_system_seconds_total",
+                            cores * ran_s * 0.1,
+                        ),
+                        (
+                            "ceems_compute_unit_memory_used_bytes",
+                            1e9 * (1 + i % 5) as f64,
+                        ),
+                        ("uuid:ceems_power:watts", watts),
+                    ] {
+                        db.append(
+                            &labels! {"__name__" => name, "uuid" => u.uuid.as_str(), "instance" => "n1"},
+                            t,
+                            v,
+                        );
+                    }
+                    if u.ngpus > 0 {
+                        db.append(
+                            &labels! {"__name__" => "uuid:ceems_gpu_util:pct", "uuid" => u.uuid.as_str(), "gpu" => "0"},
+                            t,
+                            30.0 + (i % 50) as f64,
+                        );
+                    }
+                }
+                db.append(
+                    &labels! {"__name__" => "ceems_emissions_gCo2_kWh", "provider" => "rte"},
+                    t,
+                    40.0 + (t / 60_000 % 7) as f64,
+                );
+            }
+        };
+        let run = |tag: &str, kept: bool| {
+            let tsdb = Arc::new(Tsdb::default());
+            let local = TsdbLocalSource::new(tsdb.clone());
+            let source: Arc<dyn MetricSource> = match kept {
+                true => Arc::new(local),
+                false => Arc::new(FreshPlans(local)),
+            };
+            let rm = ClockRm::new(units.clone());
+            let dir = tmpdir(tag);
+            let mut upd = Updater::new(
+                Db::open(&dir).unwrap(),
+                rm.clone(),
+                source,
+                Some(Arc::new(tsdb.clone())),
+                UpdaterConfig {
+                    cleanup_cutoff_s: 60.0,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let mut last = 0;
+            // Irregular polls, off the scrape grid, across the whole churn.
+            for k in 1..=32i64 {
+                let now_ms = 60_000 * k + 7_000 * (k % 3);
+                scrape(&tsdb, last, now_ms);
+                last = now_ms;
+                poll_at(&mut upd, &rm, now_ms);
+            }
+            let rows = upd.db().query(UNITS_TABLE, &Query::all()).unwrap();
+            let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
+            let wal: Vec<Vec<u8>> = ceems_relstore::wal::list_segments(&dir.join("wal"))
+                .unwrap()
+                .into_iter()
+                .map(|(_, path)| std::fs::read(path).unwrap())
+                .collect();
+            let stats = upd.stats();
+            std::fs::remove_dir_all(dir).unwrap();
+            (bits(&rows), bits(&usage), wal, stats)
+        };
+        let kept = run("kept-plans", true);
+        let fresh = run("fresh-plans", false);
+        let stats = kept.3;
+        assert!(
+            stats.units_purged >= 5 && stats.series_deleted > 0,
+            "{stats:?}"
+        );
+        assert!(stats.units_folded > 200, "{stats:?}");
+        assert_eq!(kept.3, fresh.3);
+        assert_eq!(kept.0, fresh.0);
+        assert_eq!(kept.1, fresh.1);
+        assert!(kept.2.iter().map(Vec::len).sum::<usize>() > 0);
+        assert!(kept.2 == fresh.2, "the WAL bytes differ");
+        // Every unit got its aggregates, purged ones included.
+        let energy = kept
+            .0
+            .iter()
+            .filter(|r| !r[unit_cols::ENERGY_KWH].contains("Null"));
+        assert_eq!(energy.count(), units.len());
+    }
+
+    /// `Value` equality is numeric; reals are compared by their bits.
+    fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|r| {
+                r.iter()
+                    .map(|v| match v {
+                        Value::Real(x) => format!("real:{:016x}", x.to_bits()),
+                        v => format!("{v:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     mod rollups {
         use super::*;
         use proptest::prelude::*;
@@ -1196,20 +1406,6 @@ mod tests {
                 ]);
             }
             out
-        }
-
-        /// `Value` equality is numeric; reals are compared by their bits.
-        fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
-            rows.iter()
-                .map(|r| {
-                    r.iter()
-                        .map(|v| match v {
-                            Value::Real(x) => format!("real:{:016x}", x.to_bits()),
-                            v => format!("{v:?}"),
-                        })
-                        .collect()
-                })
-                .collect()
         }
 
         proptest! {

@@ -202,12 +202,13 @@ impl QuerySource for RoutedQuerySource {
         expr_src: &str,
         expr: &ceems_tsdb::promql::Expr,
         now_ms: i64,
+        plan: &mut ceems_tsdb::promql::PreparedQuery,
     ) -> Result<Vec<(ceems_metrics::labels::LabelSet, f64)>, String> {
         let db = self
             .router
             .leader_db()
             .unwrap_or_else(|| self.fallback.clone());
-        LocalQuerySource::new(db, self.lookback_ms).query(expr_src, expr, now_ms)
+        LocalQuerySource::new(db, self.lookback_ms).query(expr_src, expr, now_ms, plan)
     }
 }
 

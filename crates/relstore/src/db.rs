@@ -16,7 +16,7 @@ use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::{replay, Wal, WalError, WalRecord};
+use crate::wal::{Wal, WalError, WalRecord};
 
 /// Database error.
 #[derive(Debug)]
@@ -98,25 +98,10 @@ impl Db {
 
         // 3. WAL replay (upserts/deletes are idempotent, so replaying
         //    records already covered by the snapshot is harmless).
-        let wal_dir = dir.join(WAL_DIR);
-        let (records, _torn) = replay(&wal_dir)?;
+        let (wal, records) = Wal::recover(&dir.join(WAL_DIR), 4 << 20)?;
         for rec in records {
-            match rec {
-                WalRecord::Upsert { table, row } => {
-                    if let Some(t) = tables.get_mut(&table) {
-                        t.upsert(row).map_err(|e| DbError::Schema(e.to_string()))?;
-                    }
-                }
-                WalRecord::Delete { table, pk } => {
-                    if let Some(t) = tables.get_mut(&table) {
-                        t.delete(&pk);
-                    }
-                }
-                WalRecord::Checkpoint => {}
-            }
+            apply(&mut tables, rec)?;
         }
-
-        let wal = Wal::open(&wal_dir, 4 << 20)?;
         Ok(Db {
             dir: dir.to_path_buf(),
             tables,
@@ -160,26 +145,34 @@ impl Db {
 
     /// Inserts or replaces a row (WAL first, then apply).
     pub fn upsert(&mut self, table: &str, row: Row) -> Result<(), DbError> {
-        if !self.tables.contains_key(table) {
-            return Err(DbError::NoSuchTable(table.to_string()));
+        self.upsert_all([(table, row)])
+    }
+
+    /// Inserts or replaces rows, in any tables, as one commit: every row is
+    /// validated, then all are logged with one write, then applied in
+    /// order. A bad row or an unknown table fails the commit before
+    /// anything is logged, so the WAL never contains bad rows.
+    pub fn upsert_all<'t>(
+        &mut self,
+        rows: impl IntoIterator<Item = (&'t str, Row)>,
+    ) -> Result<(), DbError> {
+        let records = rows
+            .into_iter()
+            .map(|(table, row)| {
+                let schema = self.table(table)?.schema();
+                let row = schema
+                    .validate(row)
+                    .map_err(|e| DbError::Schema(e.to_string()))?;
+                Ok(WalRecord::Upsert {
+                    table: table.to_string(),
+                    row,
+                })
+            })
+            .collect::<Result<Vec<_>, DbError>>()?;
+        self.wal.append_all(&records)?;
+        for rec in records {
+            apply(&mut self.tables, rec)?;
         }
-        // Validate before logging so the WAL never contains bad rows.
-        let validated = self
-            .tables
-            .get(table)
-            .unwrap()
-            .schema()
-            .validate(row)
-            .map_err(|e| DbError::Schema(e.to_string()))?;
-        self.wal.append(&WalRecord::Upsert {
-            table: table.to_string(),
-            row: validated.clone(),
-        })?;
-        self.tables
-            .get_mut(table)
-            .unwrap()
-            .upsert(validated)
-            .map_err(|e| DbError::Schema(e.to_string()))?;
         Ok(())
     }
 
@@ -224,6 +217,25 @@ impl Db {
         copy_dir(&self.dir, dest)?;
         Ok(())
     }
+}
+
+/// Applies one logged record; a record for a table that does not exist
+/// (any more) is skipped.
+fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbError> {
+    match rec {
+        WalRecord::Upsert { table, row } => {
+            if let Some(t) = tables.get_mut(&table) {
+                t.upsert(row).map_err(|e| DbError::Schema(e.to_string()))?;
+            }
+        }
+        WalRecord::Delete { table, pk } => {
+            if let Some(t) = tables.get_mut(&table) {
+                t.delete(&pk);
+            }
+        }
+        WalRecord::Checkpoint => {}
+    }
+    Ok(())
 }
 
 /// Recursively copies a directory.

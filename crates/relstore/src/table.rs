@@ -1,5 +1,6 @@
 //! In-memory tables with a primary-key BTree and secondary indices.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -82,11 +83,28 @@ impl Table {
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>, SchemaError> {
         let row = self.schema.validate(row)?;
         let pk = self.schema.pk_of(&row);
-        let old = self.rows.insert(pk.clone(), row.clone());
-        if let Some(old_row) = &old {
-            self.unindex(&pk, old_row);
+        let (row, old) = match self.rows.entry(pk.clone()) {
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                let old = std::mem::replace(slot, row);
+                (&*slot, Some(old))
+            }
+            Entry::Vacant(e) => (&*e.insert(row), None),
+        };
+        // A row keeps its index entries where the indexed value is unchanged.
+        for (col_name, idx) in self.indices.iter_mut() {
+            let ci = self
+                .schema
+                .col(col_name)
+                .expect("index column validated at schema build");
+            if let Some(old) = &old {
+                if old[ci] == row[ci] {
+                    continue;
+                }
+                drop_pk(idx, &old[ci], &pk);
+            }
+            idx.entry(row[ci].clone()).or_default().insert(pk.clone());
         }
-        self.index(&pk, &row);
         Ok(old)
     }
 
@@ -118,28 +136,23 @@ impl Table {
         )
     }
 
-    fn index(&mut self, pk: &Value, row: &Row) {
-        for (col_name, idx) in self.indices.iter_mut() {
-            let ci = self
-                .schema
-                .col(col_name)
-                .expect("index column validated at schema build");
-            idx.entry(row[ci].clone()).or_default().insert(pk.clone());
-        }
-    }
-
     fn unindex(&mut self, pk: &Value, row: &Row) {
         for (col_name, idx) in self.indices.iter_mut() {
             let ci = self
                 .schema
                 .col(col_name)
                 .expect("index column validated at schema build");
-            if let Some(set) = idx.get_mut(&row[ci]) {
-                set.remove(pk);
-                if set.is_empty() {
-                    idx.remove(&row[ci]);
-                }
-            }
+            drop_pk(idx, &row[ci], pk);
+        }
+    }
+}
+
+/// Removes `pk` from the index entry of `value`, and the entry once empty.
+fn drop_pk(idx: &mut BTreeMap<Value, BTreeSet<Value>>, value: &Value, pk: &Value) {
+    if let Some(set) = idx.get_mut(value) {
+        set.remove(pk);
+        if set.is_empty() {
+            idx.remove(value);
         }
     }
 }
@@ -198,6 +211,10 @@ mod tests {
         t.upsert(row("j2", "bob", 2.0)).unwrap();
         assert_eq!(t.index_lookup("user", &"alice".into()).unwrap().len(), 1);
         assert_eq!(t.index_lookup("user", &"bob".into()).unwrap().len(), 2);
+        // Rewriting j1 under the same user keeps it in its bucket.
+        t.upsert(row("j1", "alice", 9.0)).unwrap();
+        let alice = t.index_lookup("user", &"alice".into()).unwrap();
+        assert_eq!((alice.len(), &alice[0][2]), (1, &Value::Real(9.0)));
 
         t.delete(&"j3".into());
         assert_eq!(t.index_lookup("user", &"bob".into()).unwrap().len(), 1);

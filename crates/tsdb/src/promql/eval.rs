@@ -10,8 +10,9 @@
 //! see exactly what one instant evaluation per step would have shown them.
 //! [`super::reference`] keeps that step-at-a-time evaluator for the tests.
 //!
-//! Reads and label sets live in a plan (`plan::Plan`): a one-shot query
-//! makes an empty one, a recording rule keeps one from tick to tick.
+//! Reads and label sets live in a plan ([`PreparedQuery`]): a one-shot
+//! query makes a fresh one, a standing query keeps one from one evaluation
+//! to the next.
 //! Operators carry label ids of the plan's table, not label sets.
 
 use std::cmp::Ordering;
@@ -24,7 +25,7 @@ use ceems_metrics::matcher::LabelMatcher;
 
 use crate::types::{Sample, SeriesData};
 
-use super::plan::{LabelId, Labels, Plan, PreparedRead, Refresh};
+use super::plan::{LabelId, Labels, PreparedQuery, PreparedRead, Refresh};
 use super::{AggOp, BinOp, CmpOp, Expr, Grouping, VectorSelector};
 
 /// Anything the engine can read series from (the hot TSDB, or the fan-in
@@ -116,33 +117,18 @@ pub fn instant_query(db: &dyn Queryable, expr: &Expr, t_ms: i64) -> Result<Value
 /// series that stopped being written — finished jobs — go stale promptly
 /// instead of being re-recorded with fresh timestamps).
 ///
-/// The one-point grid of [`range_query`]'s evaluator, run with an empty
-/// plan; its instant selectors read with [`Queryable::select_instant`].
+/// [`PreparedQuery::instant`] on a fresh plan.
 pub fn instant_query_with_lookback(
     db: &dyn Queryable,
     expr: &Expr,
     t_ms: i64,
     lookback_ms: i64,
 ) -> Result<Value, EvalError> {
-    let mut plan = Plan::default();
-    Ok(match plan.evaluate(db, expr, t_ms, lookback_ms)? {
-        Evaluated::Scalar(v) => Value::Scalar(v),
-        Evaluated::Vector(v) => {
-            let shared: Vec<(Arc<LabelSet>, f64)> = v
-                .into_iter()
-                .map(|(id, x)| (plan.labels.get(id), x))
-                .collect();
-            // Outputs the plan alone shared are moved out, not copied.
-            drop(plan);
-            Value::Vector(
-                shared
-                    .into_iter()
-                    .map(|(labels, x)| (Arc::unwrap_or_clone(labels), x))
-                    .collect(),
-            )
-        }
-        Evaluated::Matrix(m) => Value::Matrix(m),
-    })
+    let mut plan = PreparedQuery::default();
+    let shared = plan.instant_shared(db, expr, t_ms, lookback_ms)?;
+    // Outputs the plan alone shared are moved out, not copied.
+    drop(plan);
+    Ok(shared.into_value())
 }
 
 /// An instant evaluation's result, labels as ids of the plan's label table
@@ -157,11 +143,65 @@ pub(crate) enum Evaluated {
     Matrix(Vec<SeriesData>),
 }
 
-impl Plan {
-    /// [`instant_query_with_lookback`] through this plan: each selector
-    /// window is brought up to date from where the plan's last evaluation
-    /// left it ([`Queryable::select_prepared`]), and label sets numbered
-    /// then keep their ids. The result is bit for bit the one-shot query's.
+/// A [`Value`] whose vector labels are still shared with a plan's table.
+enum Shared {
+    Scalar(f64),
+    Vector(Vec<(Arc<LabelSet>, f64)>),
+    Matrix(Vec<SeriesData>),
+}
+
+impl Shared {
+    /// Label sets no one else holds are moved out, the rest copied.
+    fn into_value(self) -> Value {
+        match self {
+            Shared::Scalar(v) => Value::Scalar(v),
+            Shared::Vector(v) => Value::Vector(
+                v.into_iter()
+                    .map(|(labels, x)| (Arc::unwrap_or_clone(labels), x))
+                    .collect(),
+            ),
+            Shared::Matrix(m) => Value::Matrix(m),
+        }
+    }
+}
+
+impl PreparedQuery {
+    /// Evaluates `expr` at `t_ms` with `lookback_ms` for instant selectors,
+    /// through this plan: each selector window is brought up to date from
+    /// where the plan's last evaluation left it
+    /// ([`Queryable::select_prepared`]), and label sets numbered then keep
+    /// their ids. The result is bit for bit, and in the order of,
+    /// [`instant_query_with_lookback`]'s.
+    pub fn instant(
+        &mut self,
+        db: &dyn Queryable,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+    ) -> Result<Value, EvalError> {
+        Ok(self.instant_shared(db, expr, t_ms, lookback_ms)?.into_value())
+    }
+
+    fn instant_shared(
+        &mut self,
+        db: &dyn Queryable,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+    ) -> Result<Shared, EvalError> {
+        Ok(match self.evaluate(db, expr, t_ms, lookback_ms)? {
+            Evaluated::Scalar(v) => Shared::Scalar(v),
+            Evaluated::Vector(v) => Shared::Vector(
+                v.into_iter()
+                    .map(|(id, x)| (self.labels.get(id), x))
+                    .collect(),
+            ),
+            Evaluated::Matrix(m) => Shared::Matrix(m),
+        })
+    }
+
+    /// [`Self::instant`] with the vector's labels as ids of the plan's
+    /// label table.
     pub(crate) fn evaluate(
         &mut self,
         db: &dyn Queryable,
@@ -260,7 +300,7 @@ pub fn range_query(
         lookback_ms: DEFAULT_LOOKBACK_MS,
         instant: false,
     };
-    let mut plan = Plan::default();
+    let mut plan = PreparedQuery::default();
     plan.read(db, expr, grid);
     let eval = Eval {
         reads: &plan.reads,

@@ -36,7 +36,7 @@ pub use eval::{
 };
 pub use eval::{range_points, MAX_RANGE_POINTS};
 pub use parser::parse_expr;
-pub use plan::{PreparedRead, Refresh};
+pub use plan::{PreparedQuery, PreparedRead, Refresh};
 
 /// Binary arithmetic operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

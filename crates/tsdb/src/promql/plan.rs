@@ -1,17 +1,18 @@
 //! Prepared plans: what one evaluation of an expression keeps for the next.
 //!
-//! A recording rule evaluates the same expression every tick, over series
-//! nearly all of which it read the tick before. A `Plan` carries that work
-//! over. Per selector window it holds the resolved series and, for a range
-//! window, the samples inside it with a decode cursor after the newest
-//! ([`PreparedRead`]); the source brings it up to date, reading only what
-//! arrived since. Every label set the evaluation met has a number in the
-//! plan's table (`Labels`): operators carry numbers, and a signature, a
-//! group or a match once derived is an array read, so a tick whose inputs
-//! gained no series derives and hashes no label set at all. The table also
-//! remembers the series each output was recorded as.
+//! A standing query — a recording or alerting rule, an aggregate the API
+//! server polls — evaluates the same expression again and again, over
+//! series nearly all of which it read the time before. A [`PreparedQuery`]
+//! carries that work over. Per selector window it holds the resolved series
+//! and, for a range window, the samples inside it with a decode cursor after
+//! the newest ([`PreparedRead`]); the source brings it up to date, reading
+//! only what arrived since. Every label set the evaluation met has a number
+//! in the plan's table (`Labels`): operators carry numbers, and a signature,
+//! a group or a match once derived is an array read, so an evaluation whose
+//! inputs gained no series derives and hashes no label set at all. The table
+//! also remembers the series each recording-rule output was recorded as.
 //!
-//! A one-shot query runs the same evaluator with an empty plan, so values
+//! A one-shot query runs the same evaluator with a fresh plan, so values
 //! and their order are the same whichever way a query is run.
 
 use std::cell::{Cell, RefCell};
@@ -535,16 +536,20 @@ impl Labels {
 }
 
 /// What evaluating one expression keeps for its next evaluation: its reads
-/// and its label table. Keep one per expression: another expression's
-/// selectors would replace the reads.
+/// and its label table. A standing query — a recording or alerting rule,
+/// one of the API server's per-poll aggregates — keeps one and evaluates
+/// through it ([`PreparedQuery::instant`]); a one-shot query runs the same
+/// evaluator with a fresh one. Keep one per expression: another
+/// expression's selectors would replace the reads (the answer stays right,
+/// only the carried work is lost).
 #[derive(Default)]
-pub(crate) struct Plan {
+pub struct PreparedQuery {
     pub(super) reads: Vec<PreparedRead>,
     pub(crate) labels: Labels,
     pub(super) refresh: Refresh,
 }
 
-impl Plan {
+impl PreparedQuery {
     /// How the last evaluation brought the reads up to date.
     pub(crate) fn refresh(&self) -> Refresh {
         self.refresh
@@ -585,7 +590,7 @@ mod tests {
     /// stayed live are remembered.
     #[test]
     fn collected_ids_are_never_handed_out_stale() {
-        let mut plan = Plan::default();
+        let mut plan = PreparedQuery::default();
         let by_instance = Grouping::By(vec!["instance".to_string()]);
         let mut read = PreparedRead::new(&Arc::from([]), true);
         read.series = (0..300u64)
@@ -596,7 +601,7 @@ mod tests {
             })
             .collect();
         plan.reads.push(read);
-        let check = |plan: &Plan, round: u32| {
+        let check = |plan: &PreparedQuery, round: u32| {
             let slot = plan.labels.slot(&by_instance, true);
             for f in &plan.reads[0].series {
                 if f.last.is_none() {
@@ -618,7 +623,7 @@ mod tests {
                 }
             }
         };
-        let data = |plan: &mut Plan, live: &dyn Fn(u64) -> bool| {
+        let data = |plan: &mut PreparedQuery, live: &dyn Fn(u64) -> bool| {
             for f in &mut plan.reads[0].series {
                 f.last = live(f.id).then_some(Sample::new(0, 1.0));
             }

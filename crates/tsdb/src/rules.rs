@@ -5,10 +5,9 @@
 //! with DRAM counters, AMD without, GPU servers of both IPMI wirings).
 //! [`RuleEngine`] evaluates rule groups on their intervals and writes the
 //! derived series back into the TSDB under the rule's `record` name. Each
-//! rule runs from a prepared plan kept from tick to tick
-//! (`crate::promql::plan::Plan`): a tick reads the samples that arrived and
-//! does the rule's arithmetic, and resolves, decodes or labels again only
-//! what is new.
+//! rule runs from a prepared plan kept from tick to tick ([`PreparedQuery`]):
+//! a tick reads the samples that arrived and does the rule's arithmetic, and
+//! resolves, decodes or labels again only what is new.
 
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::fan_out;
 use crate::promql::eval::Evaluated;
-use crate::promql::plan::{LabelId, Plan};
+use crate::promql::plan::{LabelId, PreparedQuery};
 use crate::promql::{parse_expr, EvalError, Expr, Refresh};
 use crate::storage::{RefError, RefToken, SeriesRef, Tsdb};
 
@@ -82,12 +81,12 @@ pub struct RuleStats {
 }
 
 /// One rule's prepared plan, kept from tick to tick: its expression's
-/// [`Plan`] (resolved series, decode cursors, label sets by id, each output
-/// label set's series), and the token the recorded series ids are valid
-/// under.
+/// [`PreparedQuery`] (resolved series, decode cursors, label sets by id,
+/// each output label set's series), and the token the recorded series ids
+/// are valid under.
 #[derive(Default)]
 struct RulePlan {
-    plan: Plan,
+    plan: PreparedQuery,
     token: Option<RefToken>,
 }
 

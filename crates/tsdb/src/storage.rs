@@ -686,7 +686,7 @@ impl Tsdb {
         out
     }
 
-    /// Brings one selector window of a [`crate::promql::Plan`] up to
+    /// Brings one selector window of a [`crate::promql::PreparedQuery`] up to
     /// `[tmin, tmax]`: afterwards the read holds what [`Self::select`] (a
     /// read of last samples: [`Self::select_instant`]) returns for that
     /// window. A read of this database is carried over while its

@@ -30,6 +30,9 @@ use ceems_metrics::labels::LabelSet;
 use crate::head::SeriesStore;
 use crate::types::{Sample, SeriesId};
 
+/// The CRC32 both write-ahead logs frame with: the relational store's.
+pub use ceems_relstore::wal::crc32;
+
 // ---------------------------------------------------------------------------
 // Disk fault injection
 // ---------------------------------------------------------------------------
@@ -160,74 +163,6 @@ const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Samples per synthetic `Samples` record when a checkpoint is converted
 /// into a record stream for follower bootstrap.
 pub const BOOTSTRAP_BATCH: usize = 8_192;
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), slice-by-8
-// ---------------------------------------------------------------------------
-
-/// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[k][b]` is the
-/// CRC of byte `b` followed by `k` zero bytes, which lets eight input bytes
-/// be folded in by eight independent lookups.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC32 (IEEE 802.3) of a byte slice, eight bytes at a step.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// The definition [`crc32`] is tested against: one byte at a step.
-#[cfg(test)]
-fn crc32_bytewise(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Varint / zigzag primitives
@@ -1443,6 +1378,19 @@ mod tests {
         bad[delta] ^= 0x01;
         fix_crc(&mut bad);
         assert!(decode_checkpoint(&bad).is_none());
+    }
+
+    /// The definition [`crc32`] is tested against: one byte at a step, each
+    /// byte's eight bits shifted out one by one.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
     }
 
     #[test]
