@@ -10,7 +10,7 @@ use ceems_http::router::Router;
 use ceems_http::types::{Response, Status};
 use ceems_metrics::instruments::{Counter, CounterVec, GaugeVec, Histogram};
 use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
-use ceems_metrics::matcher::{LabelMatcher, MatchOp};
+use ceems_metrics::matcher::LabelMatcher;
 use ceems_metrics::registry::Registry;
 use ceems_obs::trace::QueryTrace;
 use ceems_obs::{add_metrics_route, trace, TraceSink};
@@ -22,7 +22,9 @@ use crate::pipeline::RoutingTree;
 use crate::query::{value_to_vector, QuerySource};
 use crate::rules::{render_template, RuleSet, ALERTS_METRIC};
 use crate::sink::{Notification, NotificationAlert, NotificationSink};
-use crate::state::{AlertInstance, AlertState, AlertStore, GroupState, Silence};
+use crate::state::{
+    matcher_from_json, matcher_json, AlertInstance, AlertState, AlertStore, GroupState, Silence,
+};
 
 /// Service timing knobs (all ms, sim clock).
 #[derive(Clone, Debug)]
@@ -207,16 +209,7 @@ impl AlertService {
         let _cur = trace::enter(Some(qtrace.clone()));
 
         // Expired silences drop out before evaluation.
-        let expired: Vec<String> = inner
-            .silences
-            .iter()
-            .filter(|(_, s)| s.ends_ms <= now_ms)
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in expired {
-            inner.silences.remove(&id);
-            inner.store.delete_silence(&id);
-        }
+        inner.silences.retain(|_, s| s.ends_ms > now_ms);
         inner.alerts_db.enforce_retention(now_ms);
 
         for (ri, rule) in self.rules.rules.iter().enumerate() {
@@ -263,22 +256,22 @@ impl AlertService {
                     continue;
                 }
                 let firing_now = rule.for_ms == 0;
-                let alert = inner.alerts.entry(fp.clone()).or_insert(AlertInstance {
-                    fingerprint: fp.clone(),
-                    rule: rule.name.clone(),
-                    labels: labels.clone(),
-                    state: if firing_now {
-                        AlertState::Firing
-                    } else {
-                        AlertState::Pending
-                    },
-                    active_since_ms: now_ms,
-                    firing_since_ms: firing_now.then_some(now_ms),
-                    resolved_at_ms: None,
-                    value,
-                });
+                let alert = inner
+                    .alerts
+                    .entry(fp.clone())
+                    .or_insert_with(|| AlertInstance {
+                        fingerprint: fp,
+                        rule: rule.name.clone(),
+                        labels,
+                        state: AlertState::Resolved,
+                        active_since_ms: now_ms,
+                        firing_since_ms: None,
+                        resolved_at_ms: None,
+                        value,
+                    });
                 if alert.state == AlertState::Resolved {
-                    // Re-violation after resolution restarts the hold.
+                    // A new alert, or a re-violation after resolution: the
+                    // hold starts now.
                     alert.state = if firing_now {
                         AlertState::Firing
                     } else {
@@ -295,33 +288,18 @@ impl AlertService {
                     alert.state = AlertState::Firing;
                     alert.firing_since_ms = Some(now_ms);
                 }
-                let snapshot = alert.clone();
-                let _ = inner.store.save_alert(&snapshot);
             }
 
-            // Series that stopped violating resolve.
-            let to_resolve: Vec<String> = inner
-                .alerts
-                .values()
-                .filter(|a| {
-                    a.rule == rule.name
-                        && a.state != AlertState::Resolved
-                        && !seen.contains(&a.fingerprint)
-                })
-                .map(|a| a.fingerprint.clone())
-                .collect();
-            for fp in to_resolve {
-                let a = inner.alerts.get_mut(&fp).unwrap();
-                a.state = AlertState::Resolved;
-                a.resolved_at_ms = Some(now_ms);
-                let snapshot = a.clone();
-                let _ = inner.store.save_alert(&snapshot);
-            }
-
-            // Materialize this rule's active alerts as ALERTS samples so
-            // later meta-rules see them at this tick.
-            for a in inner.alerts.values() {
+            // Series that stopped violating resolve; the rule's other
+            // active alerts become ALERTS samples, so later meta-rules see
+            // them at this tick.
+            for a in inner.alerts.values_mut() {
                 if a.rule != rule.name || a.state == AlertState::Resolved {
+                    continue;
+                }
+                if !seen.contains(&a.fingerprint) {
+                    a.state = AlertState::Resolved;
+                    a.resolved_at_ms = Some(now_ms);
                     continue;
                 }
                 let ls = LabelSetBuilder::from(a.labels.clone())
@@ -333,45 +311,29 @@ impl AlertService {
         }
 
         // GC resolved alerts past retention.
-        let gc: Vec<String> = inner
+        let retention = self.cfg.resolved_retention_ms;
+        inner
             .alerts
-            .values()
-            .filter(|a| {
-                a.resolved_at_ms
-                    .is_some_and(|t| now_ms - t >= self.cfg.resolved_retention_ms)
-            })
-            .map(|a| a.fingerprint.clone())
-            .collect();
-        for fp in gc {
-            inner.alerts.remove(&fp);
-            inner.store.delete_alert(&fp);
-        }
+            .retain(|_, a| a.resolved_at_ms.is_none_or(|t| now_ms - t < retention));
 
         self.notify(inner, now_ms, &mut stats);
+        // One commit of what changed; a failed one is retried by the next
+        // tick's, which diffs against what the store holds.
+        let _ = inner
+            .store
+            .save(&inner.alerts, &inner.groups, &inner.silences);
 
-        stats.pending = inner
-            .alerts
-            .values()
-            .filter(|a| a.state == AlertState::Pending)
-            .count();
-        stats.firing = inner
-            .alerts
-            .values()
-            .filter(|a| a.state == AlertState::Firing)
-            .count();
-        self.alerts_gauge
-            .with_label_values(&["pending"])
-            .set(stats.pending as f64);
-        self.alerts_gauge
-            .with_label_values(&["firing"])
-            .set(stats.firing as f64);
-        self.alerts_gauge.with_label_values(&["resolved"]).set(
-            inner
-                .alerts
-                .values()
-                .filter(|a| a.state == AlertState::Resolved)
-                .count() as f64,
-        );
+        let count = |state| inner.alerts.values().filter(|a| a.state == state).count();
+        stats.pending = count(AlertState::Pending);
+        stats.firing = count(AlertState::Firing);
+        for state in [
+            AlertState::Pending,
+            AlertState::Firing,
+            AlertState::Resolved,
+        ] {
+            let gauge = self.alerts_gauge.with_label_values(&[state.as_str()]);
+            gauge.set(count(state) as f64);
+        }
         if let Some(sink) = &self.trace_sink {
             sink.offer("alertsrv", "tick", "system", &qtrace.report());
         }
@@ -382,8 +344,14 @@ impl AlertService {
     fn notify(&self, inner: &mut Inner, now_ms: i64, stats: &mut TickStats) {
         // Firing and resolved alerts are notifiable; pending never is.
         // Silenced alerts drop out here but keep their lifecycle state.
+        // Every alert's group key is live: a group dies once its alerts
+        // are all GC'd.
+        let mut live: BTreeSet<String> = BTreeSet::new();
         let mut groups: BTreeMap<String, (String, Vec<AlertInstance>)> = BTreeMap::new();
         for a in inner.alerts.values() {
+            let (route, sink, group_by) = self.routing.route_for(&a.labels);
+            let key = RoutingTree::group_key(route, &a.labels, group_by);
+            live.insert(key.clone());
             if a.state == AlertState::Pending {
                 continue;
             }
@@ -396,8 +364,6 @@ impl AlertService {
                 self.notifications.with_label_values(&["silenced"]).inc();
                 continue;
             }
-            let (route, sink, group_by) = self.routing.route_for(&a.labels);
-            let key = RoutingTree::group_key(route, &a.labels, group_by);
             groups
                 .entry(key)
                 .or_insert_with(|| (sink.to_string(), Vec::new()))
@@ -522,26 +488,12 @@ impl AlertService {
                     }));
                 }
             }
-            let snapshot = g.clone();
-            let _ = inner.store.save_group(&snapshot);
+            // Saved at once, not at the tick's end: a crash between two
+            // deliveries must not send the first one again.
+            let _ = inner.store.save_group(g);
         }
 
-        // Groups whose alerts are all gone have nothing left to say.
-        let dead: Vec<String> = inner
-            .groups
-            .keys()
-            .filter(|k| {
-                !inner.alerts.values().any(|a| {
-                    let (route, _, group_by) = self.routing.route_for(&a.labels);
-                    RoutingTree::group_key(route, &a.labels, group_by) == **k
-                })
-            })
-            .cloned()
-            .collect();
-        for k in dead {
-            inner.groups.remove(&k);
-            inner.store.delete_group(&k);
-        }
+        inner.groups.retain(|k, _| live.contains(k));
     }
 
     /// Current alerts, sorted by fingerprint.
@@ -577,17 +529,30 @@ impl AlertService {
             ends_ms,
             comment,
         };
-        let mut inner = self.inner.lock();
-        inner.store.save_silence(&s)?;
-        inner.silences.insert(id.clone(), s);
+        self.change_silences(|silences| silences.insert(id.clone(), s))?;
         Ok(id)
     }
 
-    /// Removes a silence. Returns whether it existed.
+    /// Removes a silence. Returns whether it existed (and the store
+    /// forgot it).
     pub fn remove_silence(&self, id: &str) -> bool {
+        self.change_silences(|silences| silences.remove(id).is_some())
+            .unwrap_or(false)
+    }
+
+    /// Changes a copy of the silences and keeps it once the store holds it:
+    /// a failed save leaves the silences as they were.
+    fn change_silences<T>(
+        &self,
+        change: impl FnOnce(&mut BTreeMap<String, Silence>) -> T,
+    ) -> Result<T, String> {
         let mut inner = self.inner.lock();
-        inner.silences.remove(id);
-        inner.store.delete_silence(id)
+        let inner = &mut *inner;
+        let mut silences = inner.silences.clone();
+        let out = change(&mut silences);
+        inner.store.save(&inner.alerts, &inner.groups, &silences)?;
+        inner.silences = silences;
+        Ok(out)
     }
 
     /// Ordered record of every delivery attempt (sim time, group, alerts,
@@ -637,9 +602,7 @@ impl AlertService {
                 .map(|s| {
                     serde_json::json!({
                         "id": s.id,
-                        "matchers": s.matchers.iter().map(|m| serde_json::json!({
-                            "name": m.name, "op": m.op.as_str(), "value": m.value,
-                        })).collect::<Vec<_>>(),
+                        "matchers": s.matchers.iter().map(matcher_json).collect::<Vec<_>>(),
                         "endsAt": s.ends_ms,
                         "comment": s.comment,
                     })
@@ -658,31 +621,11 @@ impl AlertService {
             let Some(ends_ms) = body["endsAt"].as_i64() else {
                 return Response::error(Status::BAD_REQUEST, "missing endsAt (ms)");
             };
-            let mut matchers = Vec::new();
-            for m in body["matchers"].as_array().into_iter().flatten() {
-                let (Some(name), Some(value)) = (m["name"].as_str(), m["value"].as_str())
-                else {
-                    return Response::error(Status::BAD_REQUEST, "matcher needs name and value");
-                };
-                let op = match m["op"].as_str().unwrap_or("=") {
-                    "=" => MatchOp::Eq,
-                    "!=" => MatchOp::Ne,
-                    "=~" => MatchOp::Re,
-                    "!~" => MatchOp::Nre,
-                    other => {
-                        return Response::error(
-                            Status::BAD_REQUEST,
-                            format!("unknown matcher op {other:?}"),
-                        )
-                    }
-                };
-                match LabelMatcher::new(name, op, value) {
-                    Ok(m) => matchers.push(m),
-                    Err(e) => {
-                        return Response::error(Status::BAD_REQUEST, format!("bad matcher: {e}"))
-                    }
-                }
-            }
+            let matchers = body["matchers"].as_array().into_iter().flatten();
+            let matchers = match matchers.map(matcher_from_json).collect() {
+                Ok(matchers) => matchers,
+                Err(e) => return Response::error(Status::BAD_REQUEST, e),
+            };
             let comment = body["comment"].as_str().unwrap_or("").to_string();
             match svc.add_silence(matchers, ends_ms, comment) {
                 Ok(id) => Response::json(
@@ -851,6 +794,186 @@ mod tests {
         assert_eq!(s.firing, 1);
         assert_eq!(s.notifications_sent, 0, "no duplicate after restart");
         assert!(sink.delivered().is_empty());
+    }
+
+    #[test]
+    fn group_wait_counts_from_first_activity_across_a_restart() {
+        let db = Arc::new(Tsdb::default());
+        let dir = tempdir("group-wait");
+        let series = labels! {"__name__" => "power", "instance" => "n1"};
+        let start = || {
+            let sink = LogSink::new();
+            let svc = AlertService::new(
+                RuleSet::compile(vec![power_rule(0)]),
+                Arc::new(LocalQuerySource::new(db.clone(), 15_000)),
+                vec![sink.clone()],
+                RoutingTree::new("log"),
+                AlertConfig {
+                    group_wait_ms: 30_000,
+                    ..test_cfg()
+                },
+                &dir,
+            )
+            .unwrap();
+            (svc, sink)
+        };
+        let run = |svc: &AlertService, from: i64, to: i64| {
+            for t in (from..=to).step_by(5_000) {
+                db.append(&series, t, 100.0);
+                svc.tick(t);
+            }
+        };
+        let (svc, sink) = start();
+        run(&svc, 10_000, 20_000);
+        assert!(sink.delivered().is_empty(), "inside group_wait");
+        drop(svc);
+        // Restart at 25 s: the group's wait still counts from 10 s.
+        let (svc, sink) = start();
+        run(&svc, 25_000, 60_000);
+        let sent: Vec<i64> = sink.delivered().iter().map(|n| n.at_ms).collect();
+        assert_eq!(sent, [40_000]);
+    }
+
+    /// Bytes of the store's relstore WAL under `dir`.
+    fn wal_bytes(dir: &Path) -> u64 {
+        let segments = std::fs::read_dir(dir.join("wal")).unwrap();
+        segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
+    }
+
+    #[test]
+    fn a_tick_that_changes_nothing_writes_nothing() {
+        let db = Arc::new(Tsdb::default());
+        let dir = tempdir("quiet");
+        let (svc, sink) = service_over(&db, vec![power_rule(0)], &dir);
+        let series = labels! {"__name__" => "power", "instance" => "n1"};
+        for t in [10_000, 20_000] {
+            db.append(&series, t, 100.0);
+            svc.tick(t);
+        }
+        assert_eq!(sink.delivered().len(), 1);
+        let before = wal_bytes(&dir);
+        db.append(&series, 30_000, 100.0);
+        let s = svc.tick(30_000);
+        assert_eq!((s.firing, s.notifications_sent), (1, 0));
+        assert_eq!(wal_bytes(&dir), before);
+    }
+
+    /// Delivers to a log, or fails with the scripted `Retry-After`.
+    struct FlakySink {
+        log: Arc<LogSink>,
+        down: Mutex<Option<Option<i64>>>,
+    }
+
+    impl NotificationSink for FlakySink {
+        fn name(&self) -> &str {
+            "log"
+        }
+
+        fn deliver(&self, n: &Notification) -> Result<(), crate::sink::SinkError> {
+            match *self.down.lock() {
+                Some(retry_after_ms) => Err(crate::sink::SinkError {
+                    message: "down".into(),
+                    retry_after_ms,
+                }),
+                None => self.log.deliver(n),
+            }
+        }
+    }
+
+    /// One tick of a schedule: how far the clock moves, each instance's
+    /// power (none: no sample), a silence to add (instance, seconds), one
+    /// to remove (index into the current ones) and whether the sink is
+    /// down (with an optional `Retry-After`).
+    #[derive(Debug)]
+    struct Step {
+        dt_s: i64,
+        watts: (Option<u8>, Option<u8>, Option<u8>),
+        silence: Option<(u8, i64)>,
+        unsilence: Option<usize>,
+        down: Option<Option<i64>>,
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let watts = || proptest::option::of(0u8..100);
+        let down =
+            prop_oneof![3 => Just(None), 1 => proptest::option::of(0i64..40_000).prop_map(Some)];
+        (
+            5i64..40,
+            (watts(), watts(), watts()),
+            proptest::option::of((0u8..3, 1i64..90)),
+            proptest::option::of(0usize..3),
+            down,
+        )
+            .prop_map(|(dt_s, watts, silence, unsilence, down)| Step {
+                dt_s,
+                watts,
+                silence,
+                unsilence,
+                down,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// After every tick, a store opened fresh on the service's
+        /// directory loads exactly the service's alerts, groups and
+        /// silences.
+        #[test]
+        fn the_store_mirrors_the_service_after_every_tick(
+            steps in proptest::collection::vec(step(), 1..40),
+            hold_s in 0i64..3,
+        ) {
+            let db = Arc::new(Tsdb::default());
+            let dir = tempdir("mirror");
+            let sink = Arc::new(FlakySink { log: LogSink::new(), down: Mutex::new(None) });
+            let mut routing = RoutingTree::new("log");
+            routing.group_by = vec!["alertname".into(), "instance".into()];
+            let svc = AlertService::new(
+                RuleSet::compile(vec![
+                    power_rule(hold_s * 10_000),
+                    AlertRule::new("WarmNode", "power > 20", 0).unwrap(),
+                ]),
+                Arc::new(LocalQuerySource::new(db.clone(), 15_000)),
+                vec![sink.clone()],
+                routing,
+                test_cfg(),
+                &dir,
+            )
+            .unwrap();
+            let mut now = 0;
+            for step in &steps {
+                now += step.dt_s * 1_000;
+                let (a, b, c) = step.watts;
+                for (i, w) in [a, b, c].into_iter().enumerate() {
+                    if let Some(w) = w {
+                        let series = labels! {"__name__" => "power", "instance" => format!("n{i}")};
+                        db.append(&series, now, f64::from(w));
+                    }
+                }
+                if let Some((i, secs)) = step.silence {
+                    let m = LabelMatcher::eq("instance", format!("n{i}"));
+                    svc.add_silence(vec![m], now + secs * 1_000, "test").unwrap();
+                }
+                if let Some(k) = step.unsilence {
+                    if let Some(s) = svc.silences().get(k) {
+                        assert!(svc.remove_silence(&s.id));
+                    }
+                }
+                *sink.down.lock() = step.down;
+                svc.tick(now);
+
+                let store = AlertStore::open(&dir).unwrap();
+                let inner = svc.inner.lock();
+                assert_eq!(format!("{:?}", store.load_alerts()), format!("{:?}", inner.alerts));
+                assert_eq!(format!("{:?}", store.load_groups()), format!("{:?}", inner.groups));
+                assert_eq!(
+                    format!("{:?}", store.load_silences()),
+                    format!("{:?}", inner.silences)
+                );
+            }
+        }
     }
 
     #[test]

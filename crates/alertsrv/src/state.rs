@@ -1,18 +1,20 @@
 //! Durable alert state.
 //!
 //! Alert lifecycle (pending → firing → resolved), per-group notification
-//! bookkeeping, and silences all persist in a `ceems-relstore` database.
-//! Restarting the alerting service mid-incident reloads this state, so a
-//! firing alert is neither re-notified (its group's `last_notified_ms`
-//! survives) nor forgotten (its `active_since_ms` survives, keeping `for:`
-//! holds honest across restarts).
+//! bookkeeping, and silences all persist in a `ceems-relstore` database
+//! that mirrors the service's maps: [`AlertStore::save`] commits what
+//! differs. Restarting the alerting service mid-incident reloads this
+//! state, so a firing alert is neither re-notified (its group's
+//! `last_notified_ms` survives) nor forgotten (its `active_since_ms`
+//! survives, keeping `for:` holds honest across restarts), and a group's
+//! `group_wait` counts from its `first_active_ms`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
-use ceems_relstore::{Column, ColumnType, Db, Query, Schema, Value};
+use ceems_relstore::{Column, ColumnType, Db, Row, Schema, Table, Value};
 
 /// Lifecycle state of one alert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,247 +124,258 @@ fn labels_from_json(s: &str) -> LabelSet {
     LabelSet::from_pairs(map)
 }
 
-fn matchers_to_json(matchers: &[LabelMatcher]) -> String {
-    let items: Vec<serde_json::Value> = matchers
-        .iter()
-        .map(|m| {
-            serde_json::json!({
-                "name": m.name,
-                "op": m.op.as_str(),
-                "value": m.value,
-            })
-        })
-        .collect();
-    serde_json::to_string(&items).unwrap_or_else(|_| "[]".into())
+/// A matcher as the store and the silences API write it.
+pub(crate) fn matcher_json(m: &LabelMatcher) -> serde_json::Value {
+    serde_json::json!({"name": m.name, "op": m.op.as_str(), "value": m.value})
 }
 
-fn matchers_from_json(s: &str) -> Vec<LabelMatcher> {
-    let Ok(items) = serde_json::from_str::<Vec<serde_json::Value>>(s) else {
-        return Vec::new();
+/// A matcher from its JSON object (`op` defaults to `=`).
+pub(crate) fn matcher_from_json(item: &serde_json::Value) -> Result<LabelMatcher, String> {
+    let (Some(name), Some(value)) = (item["name"].as_str(), item["value"].as_str()) else {
+        return Err("matcher needs name and value".into());
     };
-    items
-        .iter()
-        .filter_map(|item| {
-            let name = item["name"].as_str()?;
-            let value = item["value"].as_str()?;
-            let op = match item["op"].as_str()? {
-                "=" => MatchOp::Eq,
-                "!=" => MatchOp::Ne,
-                "=~" => MatchOp::Re,
-                "!~" => MatchOp::Nre,
-                _ => return None,
-            };
-            LabelMatcher::new(name, op, value).ok()
-        })
-        .collect()
+    let op = match item["op"].as_str().unwrap_or("=") {
+        "=" => MatchOp::Eq,
+        "!=" => MatchOp::Ne,
+        "=~" => MatchOp::Re,
+        "!~" => MatchOp::Nre,
+        other => return Err(format!("unknown matcher op {other:?}")),
+    };
+    LabelMatcher::new(name, op, value).map_err(|e| format!("bad matcher: {e}"))
 }
 
-/// The durable store. All mutation goes through the relstore WAL, so a
-/// crash between ticks replays to the same state.
+/// A value the store keeps as one row of `TABLE`, keyed by the row's first
+/// column (the key the service's map holds it under).
+trait Stored: Sized {
+    const TABLE: &'static str;
+    fn to_row(&self) -> Row;
+    fn from_row(row: &Row) -> Option<Self>;
+}
+
+fn text(v: &Value) -> String {
+    v.as_text().unwrap_or("").to_string()
+}
+
+impl Stored for AlertInstance {
+    const TABLE: &'static str = "alert_state";
+
+    fn to_row(&self) -> Row {
+        vec![
+            Value::Text(self.fingerprint.clone()),
+            Value::Text(self.rule.clone()),
+            Value::Text(labels_to_json(&self.labels)),
+            Value::Text(self.state.as_str().to_string()),
+            Value::Int(self.active_since_ms),
+            self.firing_since_ms.map_or(Value::Null, Value::Int),
+            self.resolved_at_ms.map_or(Value::Null, Value::Int),
+            Value::Real(self.value),
+        ]
+    }
+
+    fn from_row(row: &Row) -> Option<AlertInstance> {
+        Some(AlertInstance {
+            fingerprint: text(&row[0]),
+            rule: text(&row[1]),
+            labels: labels_from_json(&text(&row[2])),
+            state: AlertState::parse(&text(&row[3]))?,
+            active_since_ms: row[4].as_int().unwrap_or(0),
+            firing_since_ms: row[5].as_int(),
+            resolved_at_ms: row[6].as_int(),
+            value: row[7].as_real().unwrap_or(0.0),
+        })
+    }
+}
+
+impl Stored for GroupState {
+    const TABLE: &'static str = "alert_groups";
+
+    fn to_row(&self) -> Row {
+        vec![
+            Value::Text(self.key.clone()),
+            Value::Text(self.sink.clone()),
+            Value::Int(self.first_active_ms),
+            self.last_notified_ms.map_or(Value::Null, Value::Int),
+            self.next_attempt_ms.map_or(Value::Null, Value::Int),
+            Value::Text(self.last_hash.clone()),
+        ]
+    }
+
+    fn from_row(row: &Row) -> Option<GroupState> {
+        Some(GroupState {
+            key: text(&row[0]),
+            sink: text(&row[1]),
+            first_active_ms: row[2].as_int().unwrap_or(0),
+            last_notified_ms: row[3].as_int(),
+            next_attempt_ms: row[4].as_int(),
+            last_hash: text(&row[5]),
+        })
+    }
+}
+
+impl Stored for Silence {
+    const TABLE: &'static str = "alert_silences";
+
+    fn to_row(&self) -> Row {
+        let matchers = self.matchers.iter().map(matcher_json).collect();
+        vec![
+            Value::Text(self.id.clone()),
+            Value::Text(serde_json::Value::Array(matchers).to_string()),
+            Value::Int(self.ends_ms),
+            Value::Text(self.comment.clone()),
+        ]
+    }
+
+    fn from_row(row: &Row) -> Option<Silence> {
+        Some(Silence {
+            id: text(&row[0]),
+            matchers: serde_json::from_str::<Vec<serde_json::Value>>(&text(&row[1]))
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|m| matcher_from_json(m).ok())
+                .collect(),
+            ends_ms: row[2].as_int().unwrap_or(0),
+            comment: text(&row[3]),
+        })
+    }
+}
+
+/// Rows equal value for value, reals by their bits (`Value`'s own `==`
+/// takes `-0.0` for `0.0`).
+fn same_row(a: &Row, b: &Row) -> bool {
+    let bits = |v: &Value| match v {
+        Value::Real(x) => Value::Int(x.to_bits() as i64),
+        v => v.clone(),
+    };
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+}
+
+/// The durable store: a mirror of the service's alert, group and silence
+/// maps. All mutation goes through the relstore WAL, so a crash between
+/// ticks replays to the state of the last commit.
 pub struct AlertStore {
     db: Db,
 }
 
-const T_ALERTS: &str = "alert_state";
-const T_GROUPS: &str = "alert_groups";
-const T_SILENCES: &str = "alert_silences";
-
 impl AlertStore {
     /// Opens (or creates) the store under `dir`.
     pub fn open(dir: &Path) -> Result<AlertStore, String> {
-        let mut db = Db::open(dir).map_err(|e| format!("alert store: {e}"))?;
-        db.create_table(
-            T_ALERTS,
-            Schema::new(
+        use Column as C;
+        use ColumnType::{Int, Real, Text};
+        let err = |e: &dyn std::fmt::Display| format!("alert store: {e}");
+        let mut db = Db::open(dir).map_err(|e| err(&e))?;
+        let tables = [
+            (
+                AlertInstance::TABLE,
                 vec![
-                    Column::required("fingerprint", ColumnType::Text),
-                    Column::required("rule", ColumnType::Text),
-                    Column::required("labels", ColumnType::Text),
-                    Column::required("state", ColumnType::Text),
-                    Column::required("active_since_ms", ColumnType::Int),
-                    Column::nullable("firing_since_ms", ColumnType::Int),
-                    Column::nullable("resolved_at_ms", ColumnType::Int),
-                    Column::required("value", ColumnType::Real),
+                    C::required("fingerprint", Text),
+                    C::required("rule", Text),
+                    C::required("labels", Text),
+                    C::required("state", Text),
+                    C::required("active_since_ms", Int),
+                    C::nullable("firing_since_ms", Int),
+                    C::nullable("resolved_at_ms", Int),
+                    C::required("value", Real),
                 ],
-                "fingerprint",
-                &["rule"],
-            )
-            .map_err(|e| format!("alert store schema: {e}"))?,
-        )
-        .map_err(|e| format!("alert store: {e}"))?;
-        db.create_table(
-            T_GROUPS,
-            Schema::new(
+                &["rule"][..],
+            ),
+            (
+                GroupState::TABLE,
                 vec![
-                    Column::required("key", ColumnType::Text),
-                    Column::required("sink", ColumnType::Text),
-                    Column::required("first_active_ms", ColumnType::Int),
-                    Column::nullable("last_notified_ms", ColumnType::Int),
-                    Column::nullable("next_attempt_ms", ColumnType::Int),
-                    Column::required("last_hash", ColumnType::Text),
+                    C::required("key", Text),
+                    C::required("sink", Text),
+                    C::required("first_active_ms", Int),
+                    C::nullable("last_notified_ms", Int),
+                    C::nullable("next_attempt_ms", Int),
+                    C::required("last_hash", Text),
                 ],
-                "key",
                 &[],
-            )
-            .map_err(|e| format!("alert store schema: {e}"))?,
-        )
-        .map_err(|e| format!("alert store: {e}"))?;
-        db.create_table(
-            T_SILENCES,
-            Schema::new(
+            ),
+            (
+                Silence::TABLE,
                 vec![
-                    Column::required("id", ColumnType::Text),
-                    Column::required("matchers", ColumnType::Text),
-                    Column::required("ends_ms", ColumnType::Int),
-                    Column::required("comment", ColumnType::Text),
+                    C::required("id", Text),
+                    C::required("matchers", Text),
+                    C::required("ends_ms", Int),
+                    C::required("comment", Text),
                 ],
-                "id",
                 &[],
-            )
-            .map_err(|e| format!("alert store schema: {e}"))?,
-        )
-        .map_err(|e| format!("alert store: {e}"))?;
+            ),
+        ];
+        for (table, columns, indexed) in tables {
+            let pk = columns[0].name.clone();
+            let schema = Schema::new(columns, &pk, indexed).map_err(|e| err(&e))?;
+            db.create_table(table, schema).map_err(|e| err(&e))?;
+        }
         Ok(AlertStore { db })
+    }
+
+    fn load<T: Stored>(&self) -> BTreeMap<String, T> {
+        let rows = self.table::<T>().scan();
+        rows.filter_map(|row| Some((text(&row[0]), T::from_row(row)?)))
+            .collect()
     }
 
     /// All persisted alerts, keyed by fingerprint.
     pub fn load_alerts(&self) -> BTreeMap<String, AlertInstance> {
-        let mut out = BTreeMap::new();
-        let Ok(rows) = self.db.query(T_ALERTS, &Query::all()) else {
-            return out;
-        };
-        for row in rows {
-            let fingerprint = row[0].as_text().unwrap_or("").to_string();
-            let Some(state) = AlertState::parse(row[3].as_text().unwrap_or("")) else {
-                continue;
-            };
-            out.insert(
-                fingerprint.clone(),
-                AlertInstance {
-                    fingerprint,
-                    rule: row[1].as_text().unwrap_or("").to_string(),
-                    labels: labels_from_json(row[2].as_text().unwrap_or("")),
-                    state,
-                    active_since_ms: row[4].as_int().unwrap_or(0),
-                    firing_since_ms: row[5].as_int(),
-                    resolved_at_ms: row[6].as_int(),
-                    value: row[7].as_real().unwrap_or(0.0),
-                },
-            );
-        }
-        out
-    }
-
-    /// Upserts one alert.
-    pub fn save_alert(&mut self, a: &AlertInstance) -> Result<(), String> {
-        self.db
-            .upsert(
-                T_ALERTS,
-                vec![
-                    Value::Text(a.fingerprint.clone()),
-                    Value::Text(a.rule.clone()),
-                    Value::Text(labels_to_json(&a.labels)),
-                    Value::Text(a.state.as_str().to_string()),
-                    Value::Int(a.active_since_ms),
-                    a.firing_since_ms.map_or(Value::Null, Value::Int),
-                    a.resolved_at_ms.map_or(Value::Null, Value::Int),
-                    Value::Real(a.value),
-                ],
-            )
-            .map_err(|e| format!("alert store: {e}"))
-    }
-
-    /// Deletes an alert (post-resolution GC).
-    pub fn delete_alert(&mut self, fingerprint: &str) {
-        let _ = self.db.delete(T_ALERTS, &Value::Text(fingerprint.into()));
+        self.load()
     }
 
     /// All persisted group states, keyed by group key.
     pub fn load_groups(&self) -> BTreeMap<String, GroupState> {
-        let mut out = BTreeMap::new();
-        let Ok(rows) = self.db.query(T_GROUPS, &Query::all()) else {
-            return out;
-        };
-        for row in rows {
-            let key = row[0].as_text().unwrap_or("").to_string();
-            out.insert(
-                key.clone(),
-                GroupState {
-                    key,
-                    sink: row[1].as_text().unwrap_or("").to_string(),
-                    first_active_ms: row[2].as_int().unwrap_or(0),
-                    last_notified_ms: row[3].as_int(),
-                    next_attempt_ms: row[4].as_int(),
-                    last_hash: row[5].as_text().unwrap_or("").to_string(),
-                },
-            );
-        }
-        out
-    }
-
-    /// Upserts one group state.
-    pub fn save_group(&mut self, g: &GroupState) -> Result<(), String> {
-        self.db
-            .upsert(
-                T_GROUPS,
-                vec![
-                    Value::Text(g.key.clone()),
-                    Value::Text(g.sink.clone()),
-                    Value::Int(g.first_active_ms),
-                    g.last_notified_ms.map_or(Value::Null, Value::Int),
-                    g.next_attempt_ms.map_or(Value::Null, Value::Int),
-                    Value::Text(g.last_hash.clone()),
-                ],
-            )
-            .map_err(|e| format!("alert store: {e}"))
-    }
-
-    /// Deletes a group state.
-    pub fn delete_group(&mut self, key: &str) {
-        let _ = self.db.delete(T_GROUPS, &Value::Text(key.into()));
+        self.load()
     }
 
     /// All persisted silences, keyed by id.
     pub fn load_silences(&self) -> BTreeMap<String, Silence> {
-        let mut out = BTreeMap::new();
-        let Ok(rows) = self.db.query(T_SILENCES, &Query::all()) else {
-            return out;
-        };
-        for row in rows {
-            let id = row[0].as_text().unwrap_or("").to_string();
-            out.insert(
-                id.clone(),
-                Silence {
-                    id,
-                    matchers: matchers_from_json(row[1].as_text().unwrap_or("")),
-                    ends_ms: row[2].as_int().unwrap_or(0),
-                    comment: row[3].as_text().unwrap_or("").to_string(),
-                },
-            );
-        }
-        out
+        self.load()
     }
 
-    /// Upserts one silence.
-    pub fn save_silence(&mut self, s: &Silence) -> Result<(), String> {
+    /// Makes the store hold exactly these maps, as one commit: a row is
+    /// written where it differs from the stored one, and a stored key the
+    /// maps no longer hold is deleted. When nothing changed, nothing is
+    /// written. A failed commit leaves the store as it was, so the next
+    /// `save` writes the same difference again.
+    pub fn save(
+        &mut self,
+        alerts: &BTreeMap<String, AlertInstance>,
+        groups: &BTreeMap<String, GroupState>,
+        silences: &BTreeMap<String, Silence>,
+    ) -> Result<(), String> {
+        let mut upserts = Vec::new();
+        let mut deletes = Vec::new();
+        self.diff(alerts, &mut upserts, &mut deletes);
+        self.diff(groups, &mut upserts, &mut deletes);
+        self.diff(silences, &mut upserts, &mut deletes);
         self.db
-            .upsert(
-                T_SILENCES,
-                vec![
-                    Value::Text(s.id.clone()),
-                    Value::Text(matchers_to_json(&s.matchers)),
-                    Value::Int(s.ends_ms),
-                    Value::Text(s.comment.clone()),
-                ],
-            )
+            .commit(upserts, deletes)
             .map_err(|e| format!("alert store: {e}"))
     }
 
-    /// Deletes a silence.
-    pub fn delete_silence(&mut self, id: &str) -> bool {
+    fn diff<T: Stored>(
+        &self,
+        map: &BTreeMap<String, T>,
+        upserts: &mut Vec<(&'static str, Row)>,
+        deletes: &mut Vec<(&'static str, Value)>,
+    ) {
+        let stored = self.table::<T>();
+        let rows = map.values().map(T::to_row);
+        let changed = rows.filter(|row| !stored.get(&row[0]).is_some_and(|old| same_row(old, row)));
+        upserts.extend(changed.map(|row| (T::TABLE, row)));
+        let gone = stored
+            .scan()
+            .filter(|row| !map.contains_key(row[0].as_text().unwrap_or("")));
+        deletes.extend(gone.map(|row| (T::TABLE, row[0].clone())));
+    }
+
+    fn table<T: Stored>(&self) -> &Table {
+        self.db.table(T::TABLE).expect("created at open")
+    }
+
+    /// Upserts one group state: the save after each delivery attempt.
+    pub fn save_group(&mut self, g: &GroupState) -> Result<(), String> {
         self.db
-            .delete(T_SILENCES, &Value::Text(id.into()))
-            .unwrap_or(false)
+            .upsert(GroupState::TABLE, g.to_row())
+            .map_err(|e| format!("alert store: {e}"))
     }
 
     /// Compacts the WAL into a snapshot.
@@ -392,7 +405,10 @@ mod tests {
         };
         {
             let mut store = AlertStore::open(&dir).unwrap();
-            store.save_alert(&a).unwrap();
+            let alerts = BTreeMap::from([(a.fingerprint.clone(), a.clone())]);
+            store
+                .save(&alerts, &BTreeMap::new(), &BTreeMap::new())
+                .unwrap();
         }
         let store = AlertStore::open(&dir).unwrap();
         let loaded = store.load_alerts();
@@ -407,42 +423,63 @@ mod tests {
     #[test]
     fn groups_and_silences_round_trip() {
         let dir = tempdir();
+        let group = GroupState {
+            key: "default:{alertname=\"X\"}".into(),
+            sink: "webhook".into(),
+            first_active_ms: 5,
+            last_notified_ms: Some(100),
+            next_attempt_ms: None,
+            last_hash: "abc".into(),
+        };
+        let silence = Silence {
+            id: "s1".into(),
+            matchers: vec![LabelMatcher::eq("alertname", "X")],
+            ends_ms: 10_000,
+            comment: "maintenance".into(),
+        };
         {
             let mut store = AlertStore::open(&dir).unwrap();
-            store
-                .save_group(&GroupState {
-                    key: "default:{alertname=\"X\"}".into(),
-                    sink: "webhook".into(),
-                    first_active_ms: 5,
-                    last_notified_ms: Some(100),
-                    next_attempt_ms: None,
-                    last_hash: "abc".into(),
-                })
-                .unwrap();
-            store
-                .save_silence(&Silence {
-                    id: "s1".into(),
-                    matchers: vec![LabelMatcher::eq("alertname", "X")],
-                    ends_ms: 10_000,
-                    comment: "maintenance".into(),
-                })
-                .unwrap();
+            let groups = BTreeMap::from([(group.key.clone(), group)]);
+            let silences = BTreeMap::from([(silence.id.clone(), silence)]);
+            store.save(&BTreeMap::new(), &groups, &silences).unwrap();
         }
         let mut store = AlertStore::open(&dir).unwrap();
         let groups = store.load_groups();
         assert_eq!(groups.len(), 1);
-        assert_eq!(
-            groups.values().next().unwrap().last_notified_ms,
-            Some(100)
-        );
+        assert_eq!(groups.values().next().unwrap().last_notified_ms, Some(100));
         let silences = store.load_silences();
         let s = &silences["s1"];
         assert!(s.matches(&labels! {"alertname" => "X"}, 9_999));
         assert!(!s.matches(&labels! {"alertname" => "X"}, 10_000), "expired");
         assert!(!s.matches(&labels! {"alertname" => "Y"}, 0));
-        assert!(store.delete_silence("s1"));
-        assert!(!store.delete_silence("s1"));
+        store
+            .save(&BTreeMap::new(), &groups, &BTreeMap::new())
+            .unwrap();
+        assert!(store.load_silences().is_empty());
+        assert_eq!(AlertStore::open(&dir).unwrap().load_groups().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn matchers_read_back_as_the_silences_api_writes_them() {
+        let m = LabelMatcher::new("instance", MatchOp::Re, "n[0-9]").unwrap();
+        let back = matcher_from_json(&matcher_json(&m)).unwrap();
+        assert_eq!(
+            (back.name, back.op.as_str(), back.value),
+            ("instance".into(), "=~", m.value)
+        );
+        let parse = |v: serde_json::Value| matcher_from_json(&v);
+        let eq = parse(serde_json::json!({"name": "a", "value": "b"})).unwrap();
+        assert_eq!(eq.op.as_str(), "=", "op defaults to =");
+        let err = |v| parse(v).unwrap_err();
+        assert_eq!(
+            err(serde_json::json!({"name": "a"})),
+            "matcher needs name and value"
+        );
+        let bad_op = serde_json::json!({"name": "a", "value": "b", "op": "~"});
+        assert_eq!(err(bad_op), "unknown matcher op \"~\"");
+        let bad_re = serde_json::json!({"name": "a", "value": "(", "op": "=~"});
+        assert!(err(bad_re).starts_with("bad matcher: "));
     }
 
     fn tempdir() -> std::path::PathBuf {

@@ -14,7 +14,7 @@ use ceems_http::resilience::RetryPolicy;
 use ceems_metrics::labels::LabelSet;
 use ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS;
 use ceems_tsdb::promql::{parse_expr, PreparedQuery, Value};
-use ceems_tsdb::{Tsdb, TsdbClient};
+use ceems_tsdb::{Tsdb, TsdbClient, WriteRouter};
 
 /// An instant-query interface.
 pub trait MetricSource: Send + Sync {
@@ -50,14 +50,30 @@ impl TsdbLocalSource {
 
 impl MetricSource for TsdbLocalSource {
     fn instant(&self, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)> {
-        let Ok(expr) = parse_expr(query) else {
-            return Vec::new();
-        };
-        match plan.instant(self.db.as_ref(), &expr, t_ms, DEFAULT_LOOKBACK_MS) {
-            Ok(Value::Vector(v)) => v,
-            Ok(Value::Scalar(s)) => vec![(LabelSet::empty(), s)],
-            _ => Vec::new(),
+        instant_on(&self.db, query, t_ms, plan)
+    }
+}
+
+/// With failover on (S24), the updater follows the write route: each query
+/// reads the current leader's database. While leaderless there is no data,
+/// as over HTTP while the TSDB is down.
+impl MetricSource for WriteRouter {
+    fn instant(&self, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)> {
+        match self.leader_db() {
+            Some(db) => instant_on(&db, query, t_ms, plan),
+            None => Vec::new(),
         }
+    }
+}
+
+fn instant_on(db: &Tsdb, query: &str, t_ms: i64, plan: &mut PreparedQuery) -> Vec<(LabelSet, f64)> {
+    let Ok(expr) = parse_expr(query) else {
+        return Vec::new();
+    };
+    match plan.instant(db, &expr, t_ms, DEFAULT_LOOKBACK_MS) {
+        Ok(Value::Vector(v)) => v,
+        Ok(Value::Scalar(s)) => vec![(LabelSet::empty(), s)],
+        _ => Vec::new(),
     }
 }
 

@@ -28,7 +28,7 @@ use ceems_metrics::labels::LabelSet;
 use ceems_metrics::Histogram;
 use ceems_relstore::{Db, DbError, Row, Value};
 use ceems_tsdb::promql::PreparedQuery;
-use ceems_tsdb::{Tsdb, TsdbClient};
+use ceems_tsdb::{Tsdb, TsdbClient, WriteRouter};
 
 use crate::metrics_source::MetricSource;
 use crate::rm::{ResourceManagerClient, UnitInfo};
@@ -53,6 +53,13 @@ impl TsdbAdmin for Arc<Tsdb> {
     fn delete_unit_series(&self, uuid: &str) -> usize {
         let m = ceems_metrics::matcher::LabelMatcher::eq("uuid", uuid);
         self.delete_series(&[m])
+    }
+}
+
+/// Deletes on the current leader; nothing while leaderless.
+impl TsdbAdmin for WriteRouter {
+    fn delete_unit_series(&self, uuid: &str) -> usize {
+        self.leader_db().map_or(0, |db| db.delete_unit_series(uuid))
     }
 }
 
@@ -327,8 +334,10 @@ impl Updater {
         };
         let upserted = unit_rows.len() as u64;
         let writes = unit_rows.into_iter().map(|row| (UNITS_TABLE, row));
-        self.db
-            .upsert_all(writes.chain(usage.into_iter().map(|row| (USAGE_TABLE, row))))?;
+        self.db.commit(
+            writes.chain(usage.into_iter().map(|row| (USAGE_TABLE, row))),
+            [],
+        )?;
         self.stats.units_upserted += upserted;
         for u in &units {
             self.maybe_cleanup(u);

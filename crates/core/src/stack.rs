@@ -16,8 +16,9 @@ use ceems_alertsrv::{
     packs, AlertConfig, AlertRule, AlertService, LocalQuerySource, LogSink, NotificationSink,
     QuerySource, RoutingTree, RuleSet, WebhookSink,
 };
-use ceems_apiserver::metrics_source::TsdbLocalSource;
+use ceems_apiserver::metrics_source::{MetricSource, TsdbLocalSource};
 use ceems_apiserver::rm::SlurmRmClient;
+use ceems_apiserver::updater::TsdbAdmin;
 use ceems_apiserver::updater::{Updater, UpdaterConfig};
 use ceems_emissions::emaps::{EMapsProvider, EMapsService};
 use ceems_emissions::owid::OwidStatic;
@@ -431,8 +432,15 @@ impl CeemsStack {
         };
 
         let rm = Arc::new(SlurmRmClient::new(scheduler.clone()));
-        let metrics = Arc::new(TsdbLocalSource::new(tsdb.clone()));
-        let admin: Arc<dyn ceems_apiserver::updater::TsdbAdmin> = Arc::new(tsdb.clone());
+        // With failover on, the updater follows the write route like ingest,
+        // rules and alerts do.
+        let (metrics, admin): (Arc<dyn MetricSource>, Arc<dyn TsdbAdmin>) = match &replication {
+            Some(f) => (Arc::new(f.router.clone()), Arc::new(f.router.clone())),
+            None => (
+                Arc::new(TsdbLocalSource::new(tsdb.clone())),
+                Arc::new(tsdb.clone()),
+            ),
+        };
         let updater = Updater::new(
             Db::open(db_dir).map_err(|e| e.to_string())?,
             rm,
@@ -1353,6 +1361,59 @@ mod tests {
         let text = reg.render();
         assert!(text.contains("ceems_tsdb_epoch 2"), "{text}");
         assert!(text.contains("ceems_tsdb_failovers_total 1"), "{text}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The updater follows the write route too: once a new leader is
+    /// elected, a running job's stored energy and emissions keep growing.
+    #[test]
+    fn failover_keeps_billing_current() {
+        use ceems_apiserver::schema::{unit_cols, UNITS_TABLE};
+        let dir = std::env::temp_dir().join(format!(
+            "ceems-fobill-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let cfg = CeemsConfig {
+            wal_dir: Some(dir.join("wal").to_string_lossy().into_owned()),
+            failover: crate::config::FailoverSettings {
+                enabled: true,
+                replicas: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut stack = CeemsStack::build(cfg, &dir.join("db")).unwrap();
+        stack.submit(cpu_job("alice", 16)).unwrap();
+        stack.run_for(300.0, 15.0);
+        let billed = |stack: &CeemsStack| {
+            let upd = stack.updater.lock();
+            let row = upd
+                .db()
+                .get(UNITS_TABLE, &"slurm-1".into())
+                .unwrap()
+                .unwrap();
+            let real = |c: usize| row[c].as_real().unwrap_or(0.0);
+            (real(unit_cols::ENERGY_KWH), real(unit_cols::EMISSIONS_G))
+        };
+        stack.replication_group().unwrap().lock().kill("node-0");
+        stack.run_for(300.0, 15.0);
+        assert_eq!(stack.stats().tsdb_failovers, 1);
+
+        let (energy, emissions) = billed(&stack);
+        stack.run_for(300.0, 15.0);
+        let (energy_after, emissions_after) = billed(&stack);
+        assert!(
+            energy_after > energy,
+            "{energy_after} kWh after, {energy} before"
+        );
+        assert!(
+            emissions_after > emissions,
+            "{emissions_after} g after, {emissions} before"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -237,7 +237,7 @@ impl TraceStore {
             Value::Int(bytes as i64),
             Value::Text(json),
         ];
-        if inner.db.upsert(TRACES_TABLE, row).is_ok() {
+        if self.commit(&mut inner, Some(row), bytes, None).is_some() {
             inner.ring.push_back(SpanMeta {
                 seq,
                 ts_ms: now_ms,
@@ -245,44 +245,55 @@ impl TraceStore {
             });
             inner.bytes += bytes;
             self.stored_total.inc();
-            self.evict_over_bytes(&mut inner);
         }
         drop(inner);
         self.sync_gauges();
         report.id.clone()
     }
 
-    fn evict_over_bytes(&self, inner: &mut StoreInner) {
-        while inner.bytes > self.cfg.max_bytes && inner.ring.len() > 1 {
-            let Some(victim) = inner.ring.pop_front() else {
+    /// Stores `row` (of `adding` bytes) and evicts, as one relstore
+    /// commit, the oldest spans: those past the age bound (counted from
+    /// `now_ms`, when given), then oldest-first while the ring is over the
+    /// byte bound. One span always stays: the new one, or the newest.
+    /// Returns how many were evicted, or `None` (the ring untouched) when
+    /// the commit failed.
+    fn commit(
+        &self,
+        inner: &mut StoreInner,
+        row: Option<Vec<Value>>,
+        adding: u64,
+        now_ms: Option<i64>,
+    ) -> Option<usize> {
+        let keep = usize::from(row.is_none());
+        let (mut held, mut aging, mut evict) = (inner.bytes + adding, true, 0);
+        for m in &inner.ring {
+            aging = aging && now_ms.is_some_and(|now| now - m.ts_ms > self.cfg.max_age_ms);
+            if !(aging || held > self.cfg.max_bytes && inner.ring.len() - evict > keep) {
                 break;
-            };
+            }
+            held = held.saturating_sub(m.bytes);
+            evict += 1;
+        }
+        let victims = inner.ring.iter().take(evict);
+        let deletes = victims.map(|m| (TRACES_TABLE, Value::Int(m.seq)));
+        inner.db.commit(row.map(|r| (TRACES_TABLE, r)), deletes).ok()?;
+        for victim in inner.ring.drain(..evict) {
             inner.bytes = inner.bytes.saturating_sub(victim.bytes);
-            let _ = inner.db.delete(TRACES_TABLE, &Value::Int(victim.seq));
             self.evictions_total.inc();
         }
+        Some(evict)
     }
 
-    /// Evicts spans past the age bound and (re-)enforces the byte bound.
-    /// Called from `CeemsStack::advance`; returns the number evicted.
+    /// Evicts spans past the age bound and (re-)enforces the byte bound,
+    /// as one commit. Called from `CeemsStack::advance`; returns the number
+    /// evicted.
     pub fn gc(&self, now_ms: i64) -> u64 {
-        let before = self.evictions_total.get();
         let mut inner = self.inner.lock();
-        if self.cfg.max_age_ms > 0 {
-            while let Some(oldest) = inner.ring.front() {
-                if now_ms - oldest.ts_ms <= self.cfg.max_age_ms {
-                    break;
-                }
-                let victim = inner.ring.pop_front().expect("front just checked");
-                inner.bytes = inner.bytes.saturating_sub(victim.bytes);
-                let _ = inner.db.delete(TRACES_TABLE, &Value::Int(victim.seq));
-                self.evictions_total.inc();
-            }
-        }
-        self.evict_over_bytes(&mut inner);
+        let aged = (self.cfg.max_age_ms > 0).then_some(now_ms);
+        let evicted = self.commit(&mut inner, None, 0, aged).unwrap_or(0);
         drop(inner);
         self.sync_gauges();
-        (self.evictions_total.get() - before) as u64
+        evicted as u64
     }
 
     /// All stored spans for a trace ID, grouped as one JSON document, or

@@ -143,49 +143,55 @@ impl Db {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Inserts or replaces a row (WAL first, then apply).
+    /// Inserts or replaces a row: a [`Db::commit`] of one.
     pub fn upsert(&mut self, table: &str, row: Row) -> Result<(), DbError> {
-        self.upsert_all([(table, row)])
+        self.commit([(table, row)], [])
     }
 
-    /// Inserts or replaces rows, in any tables, as one commit: every row is
-    /// validated, then all are logged with one write, then applied in
-    /// order. A bad row or an unknown table fails the commit before
-    /// anything is logged, so the WAL never contains bad rows.
-    pub fn upsert_all<'t>(
+    /// Deletes by primary key, a [`Db::commit`] of one; returns true if a
+    /// row was removed.
+    pub fn delete(&mut self, table: &str, pk: &Value) -> Result<bool, DbError> {
+        let held = self.table(table)?.get(pk).is_some();
+        self.commit([], [(table, pk.clone())])?;
+        Ok(held)
+    }
+
+    /// Applies upserts and deletes, in any tables, as one commit: every row
+    /// is validated, then all records are logged with one write, then
+    /// applied, the deletes first (a key in both lists ends up upserted).
+    /// A bad row or an unknown table fails the commit before anything is
+    /// logged, so the WAL never contains bad rows; a delete of a key the
+    /// table does not hold logs nothing.
+    pub fn commit<'t>(
         &mut self,
-        rows: impl IntoIterator<Item = (&'t str, Row)>,
+        upserts: impl IntoIterator<Item = (&'t str, Row)>,
+        deletes: impl IntoIterator<Item = (&'t str, Value)>,
     ) -> Result<(), DbError> {
-        let records = rows
-            .into_iter()
-            .map(|(table, row)| {
-                let schema = self.table(table)?.schema();
-                let row = schema
-                    .validate(row)
-                    .map_err(|e| DbError::Schema(e.to_string()))?;
-                Ok(WalRecord::Upsert {
+        let mut records = Vec::new();
+        for (table, pk) in deletes {
+            if self.table(table)?.get(&pk).is_some() {
+                records.push(WalRecord::Delete {
                     table: table.to_string(),
-                    row,
-                })
-            })
-            .collect::<Result<Vec<_>, DbError>>()?;
+                    pk,
+                });
+            }
+        }
+        for (table, row) in upserts {
+            let row = self
+                .table(table)?
+                .schema()
+                .validate(row)
+                .map_err(|e| DbError::Schema(e.to_string()))?;
+            records.push(WalRecord::Upsert {
+                table: table.to_string(),
+                row,
+            });
+        }
         self.wal.append_all(&records)?;
         for rec in records {
             apply(&mut self.tables, rec)?;
         }
         Ok(())
-    }
-
-    /// Deletes by primary key; returns true if a row was removed.
-    pub fn delete(&mut self, table: &str, pk: &Value) -> Result<bool, DbError> {
-        if !self.tables.contains_key(table) {
-            return Err(DbError::NoSuchTable(table.to_string()));
-        }
-        self.wal.append(&WalRecord::Delete {
-            table: table.to_string(),
-            pk: pk.clone(),
-        })?;
-        Ok(self.tables.get_mut(table).unwrap().delete(pk).is_some())
     }
 
     /// Point lookup.

@@ -122,3 +122,78 @@ proptest! {
         std::fs::remove_dir_all(dir).ok();
     }
 }
+
+/// Write system calls this thread has made, where the kernel reports them.
+fn thread_writes() -> Option<u64> {
+    let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+    let line = io.lines().find(|l| l.starts_with("syscw:"))?;
+    line["syscw:".len()..].trim().parse().ok()
+}
+
+fn wal_bytes(dir: &std::path::Path) -> u64 {
+    let segments = std::fs::read_dir(dir.join("wal")).unwrap();
+    segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A commit mixing upserts and deletes is one `write` (none when it
+    /// changes nothing: a delete of an absent key logs nothing), leaves the
+    /// tables a model applying its deletes then its upserts would, and
+    /// replays to the same tables after a reopen.
+    #[test]
+    fn a_mixed_commit_is_one_write_and_replays_to_the_same_tables(
+        commits in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..16, any::<i64>(), 0u8..4), 0..6),
+                proptest::collection::vec(0u8..16, 0..6),
+            ),
+            1..20,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let dir = tmpdir(seed);
+        let mut db = Db::open(&dir).unwrap();
+        db.create_table("t", schema()).unwrap();
+        let mut model: BTreeMap<i64, (i64, String)> = BTreeMap::new();
+
+        for (upserts, deletes) in &commits {
+            let logs = !upserts.is_empty()
+                || deletes.iter().any(|k| model.contains_key(&(*k as i64)));
+            for k in deletes {
+                model.remove(&(*k as i64));
+            }
+            for (k, payload, user) in upserts {
+                model.insert(*k as i64, (*payload, format!("user{user}")));
+            }
+            let rows = upserts.iter().map(|(k, payload, user)| {
+                let row = vec![Value::Int(*k as i64), Value::Int(*payload), format!("user{user}").into()];
+                ("t", row)
+            });
+            let keys = deletes.iter().map(|k| ("t", Value::Int(*k as i64)));
+
+            let (bytes, writes) = (wal_bytes(&dir), thread_writes());
+            db.commit(rows, keys).unwrap();
+            if let (Some(before), Some(after)) = (writes, thread_writes()) {
+                prop_assert_eq!(after - before, u64::from(logs));
+            }
+            prop_assert_eq!(wal_bytes(&dir) > bytes, logs);
+
+            let held = |db: &Db| -> BTreeMap<i64, (i64, String)> {
+                let rows = db.query("t", &Query::all()).unwrap();
+                rows.iter()
+                    .map(|r| {
+                        let user = r[2].as_text().unwrap().to_string();
+                        (r[0].as_int().unwrap(), (r[1].as_int().unwrap(), user))
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(held(&db), model.clone());
+            drop(db);
+            db = Db::open(&dir).unwrap();
+            prop_assert_eq!(held(&db), model.clone());
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
