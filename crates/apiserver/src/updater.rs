@@ -1256,7 +1256,7 @@ mod tests {
             }
             let rows = upd.db().query(UNITS_TABLE, &Query::all()).unwrap();
             let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
-            let wal: Vec<Vec<u8>> = ceems_relstore::wal::list_segments(&dir.join("wal"))
+            let wal: Vec<Vec<u8>> = ceems_relstore::log::list_segments(&dir.join("wal"))
                 .unwrap()
                 .into_iter()
                 .map(|(_, path)| std::fs::read(path).unwrap())

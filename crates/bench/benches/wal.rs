@@ -2,13 +2,16 @@
 //! the WAL off vs on under each fsync policy, plus crash-recovery replay
 //! speed and what one checkpoint costs in time and bytes. The acceptance
 //! bar is WAL-on (group commit, `batch` fsync) staying within ~2× of the
-//! in-memory append path.
+//! in-memory append path. The `relstore_commit` rows are the relational
+//! store's side of the same log (S6): one commit of about 1 KiB under
+//! `always` (what `Db::open` uses, a sync a commit) and `batch`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ceems_bench::report::{time_iters, write_bench_json, LatencySummary};
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
+use ceems_relstore::{Column, ColumnType, Db, Row, Schema, Value};
 use ceems_tsdb::wal::{FsyncMode, WalOptions};
 use ceems_tsdb::{Tsdb, TsdbConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -158,6 +161,57 @@ fn bench_wal_checkpoint(c: &mut Criterion) {
     }
 }
 
+/// A relational database with one table, its log synced per `fsync`.
+fn relstore_db(fsync: FsyncMode, dirs: &mut Vec<PathBuf>) -> Db {
+    let dir = temp_dir();
+    dirs.push(dir.clone());
+    let mut db = Db::open_with(&dir, fsync).unwrap();
+    let schema = Schema::new(
+        vec![
+            Column::required("uuid", ColumnType::Int),
+            Column::required("user", ColumnType::Text),
+            Column::required("energy_kwh", ColumnType::Real),
+        ],
+        "uuid",
+        &[],
+    )
+    .unwrap();
+    db.create_table("units", schema).unwrap();
+    db
+}
+
+/// Eight rows, about 1 KiB of log as one commit.
+fn relstore_rows(step: u32) -> impl Iterator<Item = (&'static str, Row)> {
+    (0..8).map(move |i| {
+        let user = Value::Text(format!("user-{i:0>96}"));
+        let energy = Value::Real(f64::from(step) * 0.5);
+        ("units", vec![Value::Int(i), user, energy])
+    })
+}
+
+const RELSTORE_FSYNC: [(&str, FsyncMode); 2] =
+    [("always", FsyncMode::Always), ("batch", FsyncMode::Batch)];
+
+/// One relational commit per fsync policy: what `always` adds is the sync.
+fn bench_relstore_commit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relstore_commit");
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    for (label, fsync) in RELSTORE_FSYNC {
+        let mut db = relstore_db(fsync, &mut dirs);
+        let mut step = 0;
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                step += 1;
+                db.commit(relstore_rows(step), []).unwrap();
+            });
+        });
+    }
+    group.finish();
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Machine-readable artifact: a short measured pass per fsync policy plus
 /// a replay run (the criterion groups remain the careful numbers).
 fn emit_wal_json(_c: &mut Criterion) {
@@ -239,6 +293,19 @@ fn emit_wal_json(_c: &mut Criterion) {
         );
     }
     scenarios.insert("checkpoint_write".into(), row);
+
+    for (label, fsync) in RELSTORE_FSYNC {
+        let mut db = relstore_db(fsync, &mut dirs);
+        let mut step = 0;
+        let mut lat = time_iters(64, || {
+            step += 1;
+            db.commit(relstore_rows(step), []).unwrap();
+        });
+        scenarios.insert(
+            format!("relstore_commit_{label}"),
+            LatencySummary::from_samples(&mut lat).to_json(),
+        );
+    }
     for dir in dirs {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -258,6 +325,7 @@ criterion_group!(
     bench_wal_ingest,
     bench_wal_recovery,
     bench_wal_checkpoint,
+    bench_relstore_commit,
     emit_wal_json
 );
 criterion_main!(benches);

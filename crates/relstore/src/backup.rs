@@ -3,7 +3,7 @@
 //! Litestream tails SQLite's WAL and ships segments to object storage,
 //! organised into *generations* (a new generation starts whenever the WAL
 //! lineage is broken, e.g. after a checkpoint). [`Replicator`] does the same
-//! against [`crate::wal`] segments on a local "remote" directory: call
+//! against [`crate::log`] segments on a local "remote" directory: call
 //! [`Replicator::sync`] on an interval and every finished WAL segment plus
 //! the latest snapshot is mirrored; [`restore`] rebuilds a database
 //! directory from a generation.
@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::db::{copy_dir, Db, DbError};
-use crate::wal::list_segments;
+use crate::log::list_segments;
 
 /// Continuously mirrors a database directory into a backup directory.
 pub struct Replicator {

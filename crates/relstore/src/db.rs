@@ -1,22 +1,29 @@
-//! The database: durable tables behind a WAL, with snapshot + replay
+//! The database: durable tables behind a log, with snapshot + replay
 //! recovery.
 //!
 //! Write access is `&mut self`: the type system enforces the single-writer
 //! discipline the paper uses to justify SQLite ("only one go routine writes
 //! to DB at a configured interval"). Concurrent readers share snapshots via
 //! cloned tables or wrap the `Db` in a lock at a higher layer.
+//!
+//! A commit is one frame of the segmented log ([`crate::log`]), synced
+//! before [`Db::commit`] returns under [`FsyncMode::Always`] (what
+//! [`Db::open`] uses, like SQLite's `synchronous=FULL`): it survives a crash
+//! whole once it returned, and a torn one replays as nothing.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::log::{self, DiskFaults, FsyncMode, Log, WalOptions};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::{Wal, WalError, WalRecord};
+use crate::wal::{self, Commit, WalRecord};
 
 /// Database error.
 #[derive(Debug)]
@@ -41,12 +48,6 @@ impl std::fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-impl From<WalError> for DbError {
-    fn from(e: WalError) -> Self {
-        DbError::Storage(e.to_string())
-    }
-}
-
 impl From<std::io::Error> for DbError {
     fn from(e: std::io::Error) -> Self {
         DbError::Storage(e.to_string())
@@ -62,7 +63,7 @@ struct Snapshot {
 pub struct Db {
     dir: PathBuf,
     tables: BTreeMap<String, Table>,
-    wal: Wal,
+    log: Log,
 }
 
 const SNAPSHOT_FILE: &str = "snapshot.json";
@@ -71,42 +72,61 @@ const WAL_DIR: &str = "wal";
 
 impl Db {
     /// Opens (creating if needed) a database in `dir`, recovering state from
-    /// the latest snapshot plus WAL replay.
+    /// the latest snapshot plus log replay. Every commit is synced before it
+    /// returns ([`FsyncMode::Always`]).
     pub fn open(dir: &Path) -> Result<Db, DbError> {
-        fs::create_dir_all(dir)?;
-        let mut tables: BTreeMap<String, Table> = BTreeMap::new();
+        Db::open_with(dir, FsyncMode::Always)
+    }
 
+    /// [`Db::open`] with the log's fsync policy: under [`FsyncMode::Batch`]
+    /// a commit is synced only at segment rotation, so a crash can lose the
+    /// latest commits (whole ones), for a store that can afford it.
+    pub fn open_with(dir: &Path, fsync: FsyncMode) -> Result<Db, DbError> {
+        fs::create_dir_all(dir)?;
         // 1. Snapshot, if present.
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        if snap_path.exists() {
-            let data = fs::read_to_string(&snap_path)?;
-            let snap: Snapshot =
-                serde_json::from_str(&data).map_err(|e| DbError::Storage(e.to_string()))?;
-            tables = snap.tables;
-        }
+        let snap: Option<Snapshot> = read_json(&dir.join(SNAPSHOT_FILE))?;
+        let mut tables = snap.map_or_else(BTreeMap::new, |snap| snap.tables);
 
         // 2. Schemas created after the snapshot.
-        let meta_path = dir.join(META_FILE);
-        if meta_path.exists() {
-            let data = fs::read_to_string(&meta_path)?;
-            let schemas: BTreeMap<String, Schema> =
-                serde_json::from_str(&data).map_err(|e| DbError::Storage(e.to_string()))?;
-            for (name, schema) in schemas {
-                tables.entry(name).or_insert_with(|| Table::new(schema));
-            }
+        let schemas: Option<BTreeMap<String, Schema>> = read_json(&dir.join(META_FILE))?;
+        for (name, schema) in schemas.into_iter().flatten() {
+            tables.entry(name).or_insert_with(|| Table::new(schema));
         }
 
-        // 3. WAL replay (upserts/deletes are idempotent, so replaying
-        //    records already covered by the snapshot is harmless).
-        let (wal, records) = Wal::recover(&dir.join(WAL_DIR), 4 << 20)?;
-        for rec in records {
+        // 3. Log replay (upserts/deletes are idempotent, so replaying
+        //    records already covered by the snapshot is harmless): the lines
+        //    an older build logged, then the frames.
+        let wal_dir = dir.join(WAL_DIR);
+        fs::create_dir_all(&wal_dir)?;
+        let (lines, line_files) = wal::read_lines(&wal_dir)?;
+        let opts = WalOptions {
+            fsync,
+            ..WalOptions::default()
+        };
+        let (log, records) = wal::recover(&wal_dir, opts)?;
+        for rec in lines.into_iter().chain(records) {
             apply(&mut tables, rec)?;
         }
-        Ok(Db {
+        let mut db = Db {
             dir: dir.to_path_buf(),
             tables,
-            wal,
-        })
+            log,
+        };
+        // The lines go into a snapshot and are not read again.
+        if !line_files.is_empty() {
+            db.snapshot()?;
+            for path in line_files {
+                fs::remove_file(path)?;
+            }
+            log::sync_dir(&wal_dir);
+        }
+        Ok(db)
+    }
+
+    /// Installs a disk-fault injector under the log and the snapshot writes
+    /// (crash-point testing).
+    pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
+        self.log.set_disk_faults(faults);
     }
 
     /// The database directory.
@@ -126,8 +146,14 @@ impl Db {
     fn persist_meta(&self) -> Result<(), DbError> {
         let schemas: BTreeMap<&String, &Schema> =
             self.tables.iter().map(|(n, t)| (n, t.schema())).collect();
-        let json = serde_json::to_string(&schemas).map_err(|e| DbError::Storage(e.to_string()))?;
-        write_atomic(&self.dir.join(META_FILE), json.as_bytes())?;
+        self.write_durable(META_FILE, &schemas)
+    }
+
+    /// Writes `value` as JSON to the file `name` durably
+    /// ([`log::write_durable`]).
+    fn write_durable(&self, name: &str, value: &impl Serialize) -> Result<(), DbError> {
+        let json = serde_json::to_vec(value).map_err(|e| DbError::Storage(e.to_string()))?;
+        log::write_durable(&self.dir.join(name), &json, self.log.disk_faults())?;
         Ok(())
     }
 
@@ -157,11 +183,12 @@ impl Db {
     }
 
     /// Applies upserts and deletes, in any tables, as one commit: every row
-    /// is validated, then all records are logged with one write, then
-    /// applied, the deletes first (a key in both lists ends up upserted).
-    /// A bad row or an unknown table fails the commit before anything is
-    /// logged, so the WAL never contains bad rows; a delete of a key the
-    /// table does not hold logs nothing.
+    /// is validated, then all records are logged as one frame with one
+    /// write (and synced, per the fsync policy), then applied, the deletes
+    /// first (a key in both lists ends up upserted). A bad row, an unknown
+    /// table or a failed write fails the commit with nothing applied or
+    /// left in the log; a commit that changes nothing (a delete of a key
+    /// the table does not hold) writes and syncs nothing.
     pub fn commit<'t>(
         &mut self,
         upserts: impl IntoIterator<Item = (&'t str, Row)>,
@@ -187,7 +214,10 @@ impl Db {
                 row,
             });
         }
-        self.wal.append_all(&records)?;
+        if records.is_empty() {
+            return Ok(());
+        }
+        self.log.log(&[Commit(&records)])?;
         for rec in records {
             apply(&mut self.tables, rec)?;
         }
@@ -204,15 +234,16 @@ impl Db {
         Ok(q.run(self.table(table)?))
     }
 
-    /// Writes a snapshot, checkpoints the WAL and drops old segments.
+    /// Writes a snapshot durably, then starts a new log segment and drops
+    /// the older ones, which the snapshot covers. A failed snapshot leaves
+    /// every segment in place.
     pub fn snapshot(&mut self) -> Result<(), DbError> {
         let snap = Snapshot {
             tables: self.tables.clone(),
         };
-        let json = serde_json::to_string(&snap).map_err(|e| DbError::Storage(e.to_string()))?;
-        write_atomic(&self.dir.join(SNAPSHOT_FILE), json.as_bytes())?;
-        let seq = self.wal.append(&WalRecord::Checkpoint)?;
-        self.wal.truncate_before(seq)?;
+        self.write_durable(SNAPSHOT_FILE, &snap)?;
+        let seq = self.log.rotate()?;
+        log::truncate_before(&self.dir.join(WAL_DIR), seq)?;
         Ok(())
     }
 
@@ -244,6 +275,16 @@ fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbE
     Ok(())
 }
 
+/// The JSON in the file at `path`, if there is one.
+fn read_json<T: Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    let data = fs::read(path)?;
+    let value = serde_json::from_slice(&data).map_err(|e| DbError::Storage(e.to_string()))?;
+    Ok(Some(value))
+}
+
 /// Recursively copies a directory.
 pub(crate) fn copy_dir(src: &Path, dest: &Path) -> std::io::Result<()> {
     fs::create_dir_all(dest)?;
@@ -257,12 +298,6 @@ pub(crate) fn copy_dir(src: &Path, dest: &Path) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-fn write_atomic(path: &Path, data: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, data)?;
-    fs::rename(tmp, path)
 }
 
 #[cfg(test)]
@@ -306,7 +341,10 @@ mod tests {
             .unwrap();
         db.upsert("jobs", vec!["j2".into(), "bob".into(), 7.0.into()])
             .unwrap();
-        assert_eq!(db.get("jobs", &"j1".into()).unwrap().unwrap()[1], Value::Text("alice".into()));
+        assert_eq!(
+            db.get("jobs", &"j1".into()).unwrap().unwrap()[1],
+            Value::Text("alice".into())
+        );
         assert!(db.delete("jobs", &"j1".into()).unwrap());
         assert!(!db.delete("jobs", &"j1".into()).unwrap());
         let rows = db.query("jobs", &Query::all()).unwrap();
@@ -392,6 +430,141 @@ mod tests {
         }
         let db = Db::open(&dir).unwrap();
         assert_eq!(db.table_names(), vec!["jobs".to_string()]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    fn jobs(db: &Db) -> Vec<Row> {
+        db.query("jobs", &Query::all()).unwrap()
+    }
+
+    fn job(i: usize) -> Row {
+        vec![format!("j{i}").into(), "alice".into(), (i as f64).into()]
+    }
+
+    /// The only segment of the log in `dir`, as bytes.
+    fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        let segments = log::list_segments(&dir.join(WAL_DIR)).unwrap();
+        segments
+            .into_iter()
+            .map(|(seq, path)| (seq, fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// A directory the line-format log wrote opens with the same tables,
+    /// loses its `.log` files to a snapshot, and takes commits that replay.
+    #[test]
+    fn old_line_format_directories_still_open() {
+        let dir = tmpdir("lines");
+        let mut db = Db::open(&dir).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        drop(db);
+        fs::remove_dir_all(dir.join(WAL_DIR)).unwrap();
+        fs::create_dir_all(dir.join(WAL_DIR)).unwrap();
+        let records: Vec<WalRecord> = (0..5)
+            .map(|i| WalRecord::Upsert {
+                table: "jobs".into(),
+                row: job(i),
+            })
+            .chain([
+                WalRecord::Checkpoint,
+                WalRecord::Delete {
+                    table: "jobs".into(),
+                    pk: "j1".into(),
+                },
+            ])
+            .collect();
+        for (seq, part) in [(0, &records[..4]), (1, &records[4..])] {
+            let mut text = String::new();
+            for record in part {
+                let json = serde_json::to_string(record).unwrap();
+                text += &format!("{:08x} {json}\n", log::crc32(json.as_bytes()));
+            }
+            fs::write(dir.join(WAL_DIR).join(format!("wal-{seq:012}.log")), text).unwrap();
+        }
+        let mut want = BTreeMap::new();
+        want.insert("jobs".to_string(), Table::new(jobs_schema()));
+        for record in records {
+            apply(&mut want, record).unwrap();
+        }
+        let want = want["jobs"].scan().cloned().collect::<Vec<_>>();
+        assert_eq!(want.len(), 4);
+
+        let mut db = Db::open(&dir).unwrap();
+        assert_eq!(jobs(&db), want);
+        assert!(wal::read_lines(&dir.join(WAL_DIR)).unwrap().1.is_empty());
+        db.upsert("jobs", job(9)).unwrap();
+        drop(db);
+        let db = Db::open(&dir).unwrap();
+        assert_eq!(jobs(&db).len(), 5);
+        assert_eq!(jobs(&db)[..4], want[..4]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A crash can cut a commit's frame at any byte: it replays whole
+    /// (only when all of it is there) or not at all.
+    #[test]
+    fn a_torn_commit_replays_all_or_nothing() {
+        let dir = tmpdir("torn-commit");
+        let mut db = Db::open(&dir).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        db.commit((0..3).map(|i| ("jobs", job(i))), []).unwrap();
+        drop(db);
+        let [(seq, bytes)] = &segment_bytes(&dir)[..] else {
+            panic!("one segment expected");
+        };
+        let path = dir.join(WAL_DIR).join(log::segment_file_name(*seq));
+        for cut in 0..=bytes.len() {
+            fs::write(&path, &bytes[..cut]).unwrap();
+            let rows = jobs(&Db::open(&dir).unwrap()).len();
+            let whole = cut == bytes.len();
+            assert_eq!(
+                rows,
+                if whole { 3 } else { 0 },
+                "cut at {cut} of {}",
+                bytes.len()
+            );
+        }
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A snapshot whose fsync fails returns the error before a segment is
+    /// dropped, and the database still reopens to every commit. (Under
+    /// `never` the log itself does not sync, so the one fsync the fault can
+    /// fail is the snapshot file's.)
+    #[test]
+    fn a_failed_snapshot_keeps_every_segment() {
+        let dir = tmpdir("snap-fsync");
+        let mut db = Db::open_with(&dir, FsyncMode::Never).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        db.upsert("jobs", job(1)).unwrap();
+        db.snapshot().unwrap();
+        db.upsert("jobs", job(2)).unwrap();
+        let before = segment_bytes(&dir);
+        let snapshot = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        db.set_disk_faults(Arc::new(
+            log::ScriptedDiskFaults::new().with_fsync_failures(1),
+        ));
+        assert!(db.snapshot().is_err());
+        assert_eq!(segment_bytes(&dir), before);
+        assert_eq!(fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot);
+        drop(db);
+        assert_eq!(jobs(&Db::open(&dir).unwrap()).len(), 2);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A commit that changes nothing leaves the log as it was.
+    #[test]
+    fn an_empty_commit_writes_nothing() {
+        let dir = tmpdir("empty-commit");
+        let mut db = Db::open(&dir).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        db.upsert("jobs", job(1)).unwrap();
+        let (at, syncs) = (db.log.position(), db.log.sync_stats().0);
+        db.commit([], [("jobs", "absent".into())]).unwrap();
+        assert!(!db.delete("jobs", &"absent".into()).unwrap());
+        assert_eq!((db.log.position(), db.log.sync_stats().0), (at, syncs));
+        db.upsert("jobs", job(2)).unwrap();
+        assert_eq!(db.log.sync_stats().0, syncs + 1, "a commit is synced");
         fs::remove_dir_all(dir).unwrap();
     }
 }

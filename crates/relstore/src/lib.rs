@@ -8,15 +8,19 @@
 //! * [`table`] — in-memory tables with a primary-key BTree and optional
 //!   secondary indices.
 //! * [`query`] — filter/sort/limit queries (the listings behind Fig. 2b).
-//! * [`wal`] — a JSON-lines write-ahead log with CRC-protected records and
-//!   segment rotation.
+//! * [`log`] — the segmented log under this store and the TSDB: CRC32
+//!   frames in size-rotated segments, recovery up to the first bad frame,
+//!   fsync policy, durable file writes and disk-fault hooks.
+//! * [`wal`] — this store's log payloads: a commit's records as JSON, one
+//!   frame a commit; plus the reader of the older line format.
 //! * [`db`] — the database: single-writer discipline (the paper's stated
-//!   reason SQLite suffices), snapshot + WAL recovery.
+//!   reason SQLite suffices), durable commits, snapshot + log recovery.
 //! * [`backup`] — Litestream-style continuous WAL shipping into backup
 //!   generations, plus the API server's punctual snapshot backups.
 
 pub mod backup;
 pub mod db;
+pub mod log;
 pub mod query;
 pub mod schema;
 pub mod table;
@@ -24,6 +28,7 @@ pub mod value;
 pub mod wal;
 
 pub use db::{Db, DbError};
+pub use log::FsyncMode;
 pub use query::{Filter, Order, Query};
 pub use schema::{Column, ColumnType, Schema};
 pub use table::Table;

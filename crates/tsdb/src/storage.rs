@@ -311,8 +311,8 @@ impl Tsdb {
         }
 
         // Replay the segments after it. A torn or corrupt frame ends the
-        // log: its segment is cut there and later segments are deleted, so
-        // the writer resumes on a clean frame boundary.
+        // log: the writer cuts its segment there and deletes later segments,
+        // so it resumes on a clean frame boundary.
         let end = wal::walk_log(dir, start, |at, rec| {
             // Epoch bumps replay with their exact log position so the
             // restored history matches what the leader wrote.
@@ -322,11 +322,7 @@ impl Tsdb {
                 db.apply_record(&rec);
             }
         })?;
-        if end.torn {
-            wal::cut_log(dir, end.at)?;
-        }
-
-        let writer = Wal::open_at(dir, opts, end.at.seq, end.at.offset, end.at.records)?;
+        let writer = Wal::open_at(dir, opts, end.at)?;
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),

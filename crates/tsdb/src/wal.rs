@@ -5,11 +5,13 @@
 //!
 //! * **Records** ([`WalRecord`]) — series creations, sample batches,
 //!   tombstones, retention cutoffs — encoded compactly (varints, zigzag
-//!   deltas) and framed with a length + CRC32 header so a torn tail is
-//!   detected, never misread.
-//! * **Segments** — append-only `wal-<seq>.seg` files rotated by size. A
-//!   scrape batch is logged as *one* record through a group-commit buffer:
-//!   one lock, one `write`, at most one fsync per batch.
+//!   deltas), each one frame of the segmented log both stores share
+//!   ([`ceems_relstore::log`]: length + CRC32 header, so a torn tail is
+//!   detected, never misread).
+//! * **Segments** — append-only `wal-<seq>.seg` files rotated by size,
+//!   written by the shared [`Wal`] writer. A scrape batch is logged as
+//!   *one* record through a group-commit buffer: one lock, one `write`, at
+//!   most one fsync per batch.
 //! * **Checkpoints** — `checkpoint-<seq>.ckpt` files holding all live
 //!   series at a rotation boundary, each series' chunks byte for byte as
 //!   the head holds them, written tmp+rename. Recovery loads the newest
@@ -20,145 +22,23 @@
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
+use ceems_relstore::log::{self, numbered, write_durable, LogEnd, Record};
 
 use crate::head::SeriesStore;
 use crate::types::{Sample, SeriesId};
 
-/// The CRC32 both write-ahead logs frame with: the relational store's.
-pub use ceems_relstore::wal::crc32;
-
-// ---------------------------------------------------------------------------
-// Disk fault injection
-// ---------------------------------------------------------------------------
-
-/// Injectable disk faults behind the WAL's file operations, used by the
-/// chaos harness to model short writes, `fsync` EIO and torn tails without
-/// touching a real flaky disk. The default implementation of every hook is
-/// "no fault", and a `Wal` without an injector pays one `Option` check per
-/// group commit.
-pub trait DiskFaults: Send + Sync {
-    /// Called before a group-commit write of `len` bytes. Return `Some(n)`
-    /// to write only the first `n` bytes and fail with `EIO`.
-    fn before_write(&self, len: usize) -> Option<usize> {
-        let _ = len;
-        None
-    }
-
-    /// Return true to fail the next `fsync` with `EIO`.
-    fn fail_fsync(&self) -> bool {
-        false
-    }
-
-    /// After an injected short write: return true (the default) to repair
-    /// the tail (truncate back to the last commit boundary, as the writer
-    /// does on a real write error), or false to leave the torn bytes on
-    /// disk so recovery has to truncate them.
-    fn repair_after_short_write(&self) -> bool {
-        true
-    }
-}
-
-/// A scripted [`DiskFaults`] implementation: pop-from-front schedules of
-/// short writes and fsync failures, deterministic by construction.
-#[derive(Debug)]
-pub struct ScriptedDiskFaults {
-    short_writes: parking_lot::Mutex<Vec<ScriptedShortWrite>>,
-    fsync_failures: std::sync::atomic::AtomicU64,
-    repair: std::sync::atomic::AtomicBool,
-}
-
-impl Default for ScriptedDiskFaults {
-    fn default() -> Self {
-        ScriptedDiskFaults::new()
-    }
-}
-
-/// One scheduled short write.
-#[derive(Debug, Clone, Copy)]
-pub struct ScriptedShortWrite {
-    /// Group commits to let through before this fault fires.
-    pub after_writes: u64,
-    /// Fraction of the buffer to write before failing, in `[0, 1)`.
-    pub keep_fraction: f64,
-}
-
-impl ScriptedDiskFaults {
-    /// No faults scheduled; add some with the builder methods.
-    pub fn new() -> ScriptedDiskFaults {
-        ScriptedDiskFaults {
-            short_writes: parking_lot::Mutex::new(Vec::new()),
-            fsync_failures: std::sync::atomic::AtomicU64::new(0),
-            repair: std::sync::atomic::AtomicBool::new(true),
-        }
-    }
-
-    /// Schedules a short write after `after_writes` successful commits.
-    pub fn with_short_write(self, after_writes: u64, keep_fraction: f64) -> ScriptedDiskFaults {
-        self.short_writes.lock().push(ScriptedShortWrite {
-            after_writes,
-            keep_fraction: keep_fraction.clamp(0.0, 0.999),
-        });
-        self
-    }
-
-    /// Makes the next `n` fsyncs fail with `EIO`.
-    pub fn with_fsync_failures(self, n: u64) -> ScriptedDiskFaults {
-        self.fsync_failures
-            .store(n, std::sync::atomic::Ordering::Relaxed);
-        self
-    }
-
-    /// Leaves torn bytes on disk after short writes (models a crash before
-    /// the writer could repair the tail).
-    pub fn leaving_torn_tails(self) -> ScriptedDiskFaults {
-        self.repair.store(false, std::sync::atomic::Ordering::Relaxed);
-        self
-    }
-}
-
-impl DiskFaults for ScriptedDiskFaults {
-    fn before_write(&self, len: usize) -> Option<usize> {
-        let mut sw = self.short_writes.lock();
-        if let Some(first) = sw.first_mut() {
-            if first.after_writes == 0 {
-                let keep = (len as f64 * first.keep_fraction) as usize;
-                sw.remove(0);
-                return Some(keep.min(len.saturating_sub(1)));
-            }
-            first.after_writes -= 1;
-        }
-        None
-    }
-
-    fn fail_fsync(&self) -> bool {
-        let n = self.fsync_failures.load(std::sync::atomic::Ordering::Relaxed);
-        if n > 0 {
-            self.fsync_failures
-                .store(n - 1, std::sync::atomic::Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn repair_after_short_write(&self) -> bool {
-        self.repair.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-fn injected_eio(what: &str) -> io::Error {
-    io::Error::other(format!("injected disk fault: {what}"))
-}
-
-/// Largest frame payload [`decode_frames`] accepts; anything bigger is
-/// treated as corruption (a real record is a few MB at most).
-const MAX_FRAME_LEN: u32 = 1 << 30;
+/// The shared log's pieces the TSDB's WAL is made of: the CRC32 both logs
+/// frame with, the segment writer, positions, options and disk faults.
+pub use ceems_relstore::log::{
+    crc32, list_segments, segment_file_name, DiskFaults, FsyncMode, Log as Wal, ScriptedDiskFaults,
+    ScriptedShortWrite, WalOptions, WalPosition,
+};
 
 /// Samples per synthetic `Samples` record when a checkpoint is converted
 /// into a record stream for follower bootstrap.
@@ -298,57 +178,59 @@ pub enum WalRecord {
     },
 }
 
-/// Appends one length+CRC framed record to `out`.
+/// Appends one length+CRC framed record to `out` ([`log::put_frame`]).
 ///
 /// Frame layout: `[payload len: u32 LE][crc32(payload): u32 LE][payload]`.
 pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
-    let mut payload = Vec::with_capacity(64);
-    match rec {
-        WalRecord::SeriesCreate { id, labels } => {
-            payload.push(TAG_SERIES_CREATE);
-            put_uvarint(&mut payload, *id);
-            put_uvarint(&mut payload, labels.len() as u64);
-            for (k, v) in labels.iter() {
-                put_bytes(&mut payload, k.as_bytes());
-                put_bytes(&mut payload, v.as_bytes());
+    log::put_frame(out, rec);
+}
+
+impl Record for WalRecord {
+    fn put_payload(&self, payload: &mut Vec<u8>) {
+        match self {
+            WalRecord::SeriesCreate { id, labels } => {
+                payload.push(TAG_SERIES_CREATE);
+                put_uvarint(payload, *id);
+                put_uvarint(payload, labels.len() as u64);
+                for (k, v) in labels.iter() {
+                    put_bytes(payload, k.as_bytes());
+                    put_bytes(payload, v.as_bytes());
+                }
             }
-        }
-        WalRecord::Samples(samples) => {
-            payload.push(TAG_SAMPLES);
-            put_uvarint(&mut payload, samples.len() as u64);
-            // Ids and timestamps are delta-encoded against the previous
-            // sample: a scrape batch shares one timestamp and ascends in
-            // id, so both deltas are tiny.
-            let (mut prev_id, mut prev_t) = (0i64, 0i64);
-            for &(id, t, v) in samples {
-                put_ivarint(&mut payload, id as i64 - prev_id);
-                put_ivarint(&mut payload, t - prev_t);
-                payload.extend_from_slice(&v.to_le_bytes());
-                prev_id = id as i64;
-                prev_t = t;
+            WalRecord::Samples(samples) => {
+                payload.push(TAG_SAMPLES);
+                put_uvarint(payload, samples.len() as u64);
+                // Ids and timestamps are delta-encoded against the previous
+                // sample: a scrape batch shares one timestamp and ascends in
+                // id, so both deltas are tiny.
+                let (mut prev_id, mut prev_t) = (0i64, 0i64);
+                for &(id, t, v) in samples {
+                    put_ivarint(payload, id as i64 - prev_id);
+                    put_ivarint(payload, t - prev_t);
+                    payload.extend_from_slice(&v.to_le_bytes());
+                    prev_id = id as i64;
+                    prev_t = t;
+                }
             }
-        }
-        WalRecord::Tombstone(ids) => {
-            payload.push(TAG_TOMBSTONE);
-            put_uvarint(&mut payload, ids.len() as u64);
-            let mut prev = 0i64;
-            for &id in ids {
-                put_ivarint(&mut payload, id as i64 - prev);
-                prev = id as i64;
+            WalRecord::Tombstone(ids) => {
+                payload.push(TAG_TOMBSTONE);
+                put_uvarint(payload, ids.len() as u64);
+                let mut prev = 0i64;
+                for &id in ids {
+                    put_ivarint(payload, id as i64 - prev);
+                    prev = id as i64;
+                }
             }
-        }
-        WalRecord::Retention { cutoff_ms } => {
-            payload.push(TAG_RETENTION);
-            put_ivarint(&mut payload, *cutoff_ms);
-        }
-        WalRecord::EpochBump { epoch } => {
-            payload.push(TAG_EPOCH_BUMP);
-            put_uvarint(&mut payload, *epoch);
+            WalRecord::Retention { cutoff_ms } => {
+                payload.push(TAG_RETENTION);
+                put_ivarint(payload, *cutoff_ms);
+            }
+            WalRecord::EpochBump { epoch } => {
+                payload.push(TAG_EPOCH_BUMP);
+                put_uvarint(payload, *epoch);
+            }
         }
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
 }
 
 /// Decodes one record's payload. A count read from it reserves no more
@@ -413,108 +295,22 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     r.done().then_some(rec)
 }
 
-/// Decodes the frame at the start of `buf`: its record and its length,
-/// header included. `None` when the frame is incomplete, longer than
-/// [`MAX_FRAME_LEN`], fails its CRC or does not decode.
-fn next_frame(buf: &[u8]) -> Option<(WalRecord, usize)> {
-    let len = u32::from_le_bytes(buf.get(..4)?.try_into().unwrap());
-    let crc = u32::from_le_bytes(buf.get(4..8)?.try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return None;
-    }
-    let payload = buf.get(8..8 + len as usize)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((decode_payload(payload)?, 8 + len as usize))
-}
-
 /// Decodes consecutive frames from `buf`, stopping at the first incomplete
-/// or corrupt frame (the torn tail a crash leaves). Returns the decoded
-/// records and how many bytes of `buf` they cleanly consumed — the caller
-/// truncates (recovery) or retries from there (a follower racing the
-/// leader's writer).
+/// or corrupt frame (the torn tail a crash leaves) or one whose payload
+/// does not decode. Returns the decoded records and how many bytes of
+/// `buf` they cleanly consumed — the caller truncates (recovery) or
+/// retries from there (a follower racing the leader's writer).
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut out = Vec::new();
     let mut pos = 0usize;
-    while let Some((rec, len)) = next_frame(&buf[pos..]) {
+    while let Some((payload, len)) = log::next_frame(&buf[pos..]) {
+        let Some(rec) = decode_payload(payload) else {
+            break;
+        };
         out.push(rec);
         pos += len;
     }
     (out, pos)
-}
-
-// ---------------------------------------------------------------------------
-// Positions, options
-// ---------------------------------------------------------------------------
-
-/// A durable position in the log: segment sequence number, byte offset
-/// within that segment, and the monotone count of records written so far.
-/// `records` is what the load balancer compares across replicas — it is
-/// comparable even when a follower's segment layout differs from the
-/// leader's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WalPosition {
-    /// Segment sequence number.
-    pub seq: u64,
-    /// Byte offset within the segment.
-    pub offset: u64,
-    /// Total records logged since the log was created.
-    pub records: u64,
-}
-
-/// When the WAL writer calls `fsync`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncMode {
-    /// Sync after every group commit. Maximum durability, pays a sync per
-    /// scrape batch.
-    Always,
-    /// Sync at segment rotation and checkpoint boundaries only; a crash can
-    /// lose the OS-buffered tail of the current segment but never corrupts
-    /// what recovery reads (frames are CRC-checked).
-    #[default]
-    Batch,
-    /// Never sync explicitly (tests / throwaway stores).
-    Never,
-}
-
-impl FsyncMode {
-    /// Parses the YAML `wal_fsync` value.
-    pub fn parse(s: &str) -> Option<FsyncMode> {
-        match s {
-            "always" => Some(FsyncMode::Always),
-            "batch" => Some(FsyncMode::Batch),
-            "never" => Some(FsyncMode::Never),
-            _ => None,
-        }
-    }
-}
-
-/// WAL tuning knobs (the YAML `tsdb:` keys).
-#[derive(Debug, Clone, Copy)]
-pub struct WalOptions {
-    /// Rotate the active segment once it exceeds this many bytes.
-    pub segment_bytes: u64,
-    /// Fsync policy.
-    pub fsync: FsyncMode,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions {
-            segment_bytes: 4 << 20,
-            fsync: FsyncMode::Batch,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment files
-// ---------------------------------------------------------------------------
-
-/// File name of segment `seq`.
-pub fn segment_file_name(seq: u64) -> String {
-    format!("wal-{seq:012}.seg")
 }
 
 /// File name of the checkpoint covering segments `< seq`.
@@ -522,199 +318,9 @@ pub fn checkpoint_file_name(seq: u64) -> String {
     format!("checkpoint-{seq:012}.ckpt")
 }
 
-fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(num) = name
-            .strip_prefix(prefix)
-            .and_then(|r| r.strip_suffix(suffix))
-        {
-            if let Ok(seq) = num.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(out)
-}
-
-/// Segment files in `dir`, sorted by sequence number.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    numbered(dir, "wal-", ".seg")
-}
-
 /// Checkpoint files in `dir`, sorted by covered sequence number.
 pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     numbered(dir, "checkpoint-", ".ckpt")
-}
-
-/// Best-effort directory sync so renames/creates survive a crash.
-fn sync_dir(dir: &Path) {
-    if let Ok(f) = File::open(dir) {
-        let _ = f.sync_all();
-    }
-}
-
-/// The segmented log writer. Callers serialize access (the TSDB wraps it in
-/// a mutex); one [`Wal::log`] call is one group commit.
-pub struct Wal {
-    dir: PathBuf,
-    opts: WalOptions,
-    seq: u64,
-    file: File,
-    offset: u64,
-    records: u64,
-    /// Fsync telemetry: calls and cumulative nanoseconds across log/rotate/
-    /// sync, read by the TSDB metrics collector under the writer mutex.
-    syncs: u64,
-    sync_ns: u64,
-    /// Injected disk faults (chaos testing); `None` in production.
-    faults: Option<Arc<dyn DiskFaults>>,
-}
-
-impl Wal {
-    /// Opens the writer positioned at `(seq, offset)` with `records` already
-    /// logged (recovery passes the replay end; a fresh directory passes
-    /// zeros). Bytes past `offset` in the segment — a torn tail — are
-    /// truncated away so new appends start on a clean frame boundary.
-    pub fn open_at(
-        dir: &Path,
-        opts: WalOptions,
-        seq: u64,
-        offset: u64,
-        records: u64,
-    ) -> io::Result<Wal> {
-        let path = dir.join(segment_file_name(seq));
-        // Keep existing bytes: the valid prefix up to `offset` is replayed
-        // history; only the torn tail past it is cut below.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        let offset = offset.min(len);
-        if len > offset {
-            file.set_len(offset)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        sync_dir(dir);
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            opts,
-            seq,
-            file,
-            offset,
-            records,
-            syncs: 0,
-            sync_ns: 0,
-            faults: None,
-        })
-    }
-
-    /// Installs a disk-fault injector (chaos testing).
-    pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
-        self.faults = Some(faults);
-    }
-
-    /// Current position.
-    pub fn position(&self) -> WalPosition {
-        WalPosition {
-            seq: self.seq,
-            offset: self.offset,
-            records: self.records,
-        }
-    }
-
-    /// Fsync telemetry since open: `(calls, cumulative_nanoseconds)`.
-    pub fn sync_stats(&self) -> (u64, u64) {
-        (self.syncs, self.sync_ns)
-    }
-
-    /// Syncs the active segment's data, accounting the call.
-    fn timed_sync_data(&mut self) -> io::Result<()> {
-        if let Some(f) = &self.faults {
-            if f.fail_fsync() {
-                self.syncs += 1;
-                return Err(injected_eio("fsync EIO"));
-            }
-        }
-        let start = std::time::Instant::now();
-        let res = self.file.sync_data();
-        self.syncs += 1;
-        self.sync_ns += start.elapsed().as_nanos() as u64;
-        res
-    }
-
-    /// Group commit: encodes all `recs` into one buffer and writes it with
-    /// one syscall (plus at most one fsync, per [`FsyncMode`]). Rotates
-    /// first when the segment would exceed its size budget.
-    pub fn log(&mut self, recs: &[WalRecord]) -> io::Result<()> {
-        if recs.is_empty() {
-            return Ok(());
-        }
-        let mut buf = Vec::with_capacity(256);
-        for r in recs {
-            encode_record(&mut buf, r);
-        }
-        if self.offset > 0 && self.offset + buf.len() as u64 > self.opts.segment_bytes {
-            self.rotate()?;
-        }
-        if let Some(faults) = self.faults.clone() {
-            if let Some(keep) = faults.before_write(buf.len()) {
-                // Short write: part of the commit lands on disk, then EIO.
-                let keep = keep.min(buf.len());
-                self.file.write_all(&buf[..keep])?;
-                if faults.repair_after_short_write() {
-                    // What a real writer does on a write error: truncate the
-                    // torn bytes back to the last commit boundary so the next
-                    // append starts on a clean frame.
-                    self.file.set_len(self.offset)?;
-                    self.file.seek(SeekFrom::End(0))?;
-                } else {
-                    // Leave the torn tail for recovery to cut away.
-                    let _ = self.file.flush();
-                }
-                return Err(injected_eio("short write"));
-            }
-        }
-        self.file.write_all(&buf)?;
-        self.offset += buf.len() as u64;
-        self.records += recs.len() as u64;
-        if self.opts.fsync == FsyncMode::Always {
-            self.timed_sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// Seals the active segment (syncing it unless `fsync = never`) and
-    /// starts the next one. Returns the new segment's sequence number.
-    pub fn rotate(&mut self) -> io::Result<u64> {
-        if self.opts.fsync != FsyncMode::Never {
-            self.timed_sync_data()?;
-        }
-        self.seq += 1;
-        self.offset = 0;
-        self.file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.dir.join(segment_file_name(self.seq)))?;
-        sync_dir(&self.dir);
-        Ok(self.seq)
-    }
-
-    /// Forces the active segment to disk (unless `fsync = never`).
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.opts.fsync != FsyncMode::Never {
-            self.timed_sync_data()?;
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -938,16 +544,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
 /// Writes a checkpoint durably: temp file, fsync, atomic rename, directory
 /// sync. A crash at any point leaves either the old state or the new one.
 pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
-    let bytes = encode_checkpoint(ckpt);
-    let tmp = dir.join(format!("{}.tmp", checkpoint_file_name(ckpt.covers_seq)));
     let path = dir.join(checkpoint_file_name(ckpt.covers_seq));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, &path)?;
-    sync_dir(dir);
+    write_durable(&path, &encode_checkpoint(ckpt), None)?;
     Ok(path)
 }
 
@@ -975,65 +573,18 @@ pub(crate) fn log_start(dir: &Path) -> io::Result<WalPosition> {
     )
 }
 
-/// Where a [`walk_log`] ended.
-pub(crate) struct LogEnd {
-    /// Just past the last valid frame.
-    pub at: WalPosition,
-    /// Bytes that are no valid frame follow `at` in its segment (a torn
-    /// write or corruption). Nothing from there on is part of the log,
-    /// later segments included.
-    pub torn: bool,
-}
-
-/// Walks the log in `dir` as recovery reads it: every segment from
-/// `start.seq` on (see [`log_start`]), frame by frame, each frame's CRC and
-/// payload checked, counting records on from `start.records`. The log ends
-/// at the first frame that fails. `visit` sees each record with the
-/// position its frame starts at.
+/// Walks the log in `dir` as recovery reads it ([`log::walk`]): every
+/// segment from `start.seq` on (see [`log_start`]), each frame's CRC and
+/// payload checked. The log ends at the first frame that fails. `visit`
+/// sees each record with the position its frame starts at.
 pub(crate) fn walk_log(
     dir: &Path,
     start: WalPosition,
     mut visit: impl FnMut(WalPosition, WalRecord),
 ) -> io::Result<LogEnd> {
-    let mut at = start;
-    for (seq, path) in list_segments(dir)? {
-        if seq < start.seq {
-            continue;
-        }
-        let data = fs::read(&path)?;
-        at = WalPosition {
-            seq,
-            offset: 0,
-            records: at.records,
-        };
-        while let Some((rec, len)) = next_frame(&data[at.offset as usize..]) {
-            visit(at, rec);
-            at.offset += len as u64;
-            at.records += 1;
-        }
-        if (at.offset as usize) < data.len() {
-            return Ok(LogEnd { at, torn: true });
-        }
-    }
-    Ok(LogEnd { at, torn: false })
-}
-
-/// Cuts the log in `dir` at `at`: segment `at.seq` keeps its first
-/// `at.offset` bytes and every later segment is deleted.
-pub(crate) fn cut_log(dir: &Path, at: WalPosition) -> io::Result<()> {
-    for (seq, path) in list_segments(dir)? {
-        if seq > at.seq {
-            fs::remove_file(&path)?;
-        } else if seq == at.seq {
-            let f = OpenOptions::new().write(true).open(&path)?;
-            if f.metadata()?.len() > at.offset {
-                f.set_len(at.offset)?;
-                f.sync_data()?;
-            }
-        }
-    }
-    sync_dir(dir);
-    Ok(())
+    log::walk(dir, start, |at, payload| {
+        decode_payload(payload).map(|rec| visit(at, rec)).is_some()
+    })
 }
 
 /// Outcome of [`truncate_to_records`].
@@ -1071,7 +622,7 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
     if end.at.records < target {
         return Ok(TruncateOutcome::AlreadyShort);
     }
-    cut_log(dir, cut.unwrap_or(end.at))?;
+    log::cut(dir, cut.unwrap_or(end.at))?;
     Ok(match end.at.records - target {
         0 => TruncateOutcome::AlreadyShort,
         dropped_records => TruncateOutcome::Truncated { dropped_records },
@@ -1082,13 +633,7 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
 /// `seq < covers_seq`, older checkpoints, and stray `.tmp` files. Returns
 /// how many files were removed.
 pub fn gc_covered(dir: &Path, covers_seq: u64) -> io::Result<usize> {
-    let mut removed = 0;
-    for (seq, path) in list_segments(dir)? {
-        if seq < covers_seq {
-            fs::remove_file(&path)?;
-            removed += 1;
-        }
-    }
+    let mut removed = log::truncate_before(dir, covers_seq)?;
     for (seq, path) in list_checkpoints(dir)? {
         if seq < covers_seq {
             fs::remove_file(&path)?;
@@ -1102,7 +647,7 @@ pub fn gc_covered(dir: &Path, covers_seq: u64) -> io::Result<usize> {
             removed += 1;
         }
     }
-    sync_dir(dir);
+    log::sync_dir(dir);
     Ok(removed)
 }
 
@@ -1163,7 +708,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ceems-wal-shortw-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open_at(&dir, WalOptions::default(), 0, 0, 0).unwrap();
+        let mut wal = Wal::open_at(&dir, WalOptions::default(), WalPosition::default()).unwrap();
         wal.set_disk_faults(Arc::new(
             ScriptedDiskFaults::new().with_short_write(1, 0.5),
         ));
@@ -1195,7 +740,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ceems-wal-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open_at(&dir, WalOptions::default(), 0, 0, 0).unwrap();
+        let mut wal = Wal::open_at(&dir, WalOptions::default(), WalPosition::default()).unwrap();
         wal.set_disk_faults(Arc::new(
             ScriptedDiskFaults::new()
                 .with_short_write(1, 0.5)
@@ -1215,8 +760,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(consumed as u64, pos.offset);
         // ...and re-opening at the valid prefix truncates the tail away.
-        let wal = Wal::open_at(&dir, WalOptions::default(), pos.seq, pos.offset, pos.records)
-            .unwrap();
+        let wal = Wal::open_at(&dir, WalOptions::default(), pos).unwrap();
         assert_eq!(fs::metadata(&path).unwrap().len(), pos.offset);
         assert_eq!(wal.position(), pos);
         let _ = fs::remove_dir_all(&dir);
@@ -1231,7 +775,7 @@ mod tests {
             segment_bytes: 4 << 20,
             fsync: FsyncMode::Always,
         };
-        let mut wal = Wal::open_at(&dir, opts, 0, 0, 0).unwrap();
+        let mut wal = Wal::open_at(&dir, opts, WalPosition::default()).unwrap();
         wal.set_disk_faults(Arc::new(ScriptedDiskFaults::new().with_fsync_failures(1)));
         // Write succeeds, fsync fails: the record is on disk but not durable,
         // and the error reaches the caller to count.
@@ -1253,7 +797,7 @@ mod tests {
             segment_bytes: 256,
             fsync: FsyncMode::Never,
         };
-        let mut wal = Wal::open_at(&dir, opts, 0, 0, 0).unwrap();
+        let mut wal = Wal::open_at(&dir, opts, WalPosition::default()).unwrap();
         for i in 0..100 {
             wal.log(&[WalRecord::Samples(vec![(i, i as i64 * 1000, 1.0)])])
                 .unwrap();
