@@ -341,10 +341,7 @@ mod tests {
             .unwrap();
         db.upsert("jobs", vec!["j2".into(), "bob".into(), 7.0.into()])
             .unwrap();
-        assert_eq!(
-            db.get("jobs", &"j1".into()).unwrap().unwrap()[1],
-            Value::Text("alice".into())
-        );
+        assert_eq!(db.get("jobs", &"j1".into()).unwrap().unwrap()[1], Value::Text("alice".into()));
         assert!(db.delete("jobs", &"j1".into()).unwrap());
         assert!(!db.delete("jobs", &"j1".into()).unwrap());
         let rows = db.query("jobs", &Query::all()).unwrap();
@@ -441,7 +438,7 @@ mod tests {
         vec![format!("j{i}").into(), "alice".into(), (i as f64).into()]
     }
 
-    /// The only segment of the log in `dir`, as bytes.
+    /// The log's segments in `dir`, with their bytes.
     fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
         let segments = log::list_segments(&dir.join(WAL_DIR)).unwrap();
         segments

@@ -500,7 +500,7 @@ impl Log {
     }
 
     /// The installed disk-fault injector, if any.
-    pub fn disk_faults(&self) -> Option<&dyn DiskFaults> {
+    pub(crate) fn disk_faults(&self) -> Option<&dyn DiskFaults> {
         self.faults.as_deref()
     }
 
