@@ -3,16 +3,19 @@
 //! speed and what one checkpoint costs in time and bytes. The acceptance
 //! bar is WAL-on (group commit, `batch` fsync) staying within ~2× of the
 //! in-memory append path. The `relstore_commit` rows are the relational
-//! store's side of the same log (S6): one commit of about 1 KiB under
-//! `always` (what `Db::open` uses, a sync a commit) and `batch`.
+//! store's side of the same log (S6): one `Db::commit` of about 1 KiB
+//! (`always`, a sync a commit) and the same records framed through the log
+//! under `batch` (no sync).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ceems_bench::report::{time_iters, write_bench_json, LatencySummary};
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
+use ceems_relstore::log::Log;
+use ceems_relstore::wal::{Commit, WalRecord};
 use ceems_relstore::{Column, ColumnType, Db, Row, Schema, Value};
-use ceems_tsdb::wal::{FsyncMode, WalOptions};
+use ceems_tsdb::wal::{FsyncMode, WalOptions, WalPosition};
 use ceems_tsdb::{Tsdb, TsdbConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -161,25 +164,6 @@ fn bench_wal_checkpoint(c: &mut Criterion) {
     }
 }
 
-/// A relational database with one table, its log synced per `fsync`.
-fn relstore_db(fsync: FsyncMode, dirs: &mut Vec<PathBuf>) -> Db {
-    let dir = temp_dir();
-    dirs.push(dir.clone());
-    let mut db = Db::open_with(&dir, fsync).unwrap();
-    let schema = Schema::new(
-        vec![
-            Column::required("uuid", ColumnType::Int),
-            Column::required("user", ColumnType::Text),
-            Column::required("energy_kwh", ColumnType::Real),
-        ],
-        "uuid",
-        &[],
-    )
-    .unwrap();
-    db.create_table("units", schema).unwrap();
-    db
-}
-
 /// Eight rows, about 1 KiB of log as one commit.
 fn relstore_rows(step: u32) -> impl Iterator<Item = (&'static str, Row)> {
     (0..8).map(move |i| {
@@ -189,20 +173,59 @@ fn relstore_rows(step: u32) -> impl Iterator<Item = (&'static str, Row)> {
     })
 }
 
-const RELSTORE_FSYNC: [(&str, FsyncMode); 2] =
-    [("always", FsyncMode::Always), ("batch", FsyncMode::Batch)];
+const RELSTORE_FSYNC: [&str; 2] = ["always", "batch"];
+
+/// Commits `relstore_rows(step)` for each `step` it is called with.
+/// `always` is `Db::commit` on a one-table database, which syncs before it
+/// returns; `batch` writes the same records as one frame through a log
+/// under `FsyncMode::Batch`. The gap between them is the sync (plus the row
+/// checks and the apply `Db::commit` does around it).
+fn relstore_committer(label: &str, dirs: &mut Vec<PathBuf>) -> Box<dyn FnMut(u32)> {
+    let dir = temp_dir();
+    dirs.push(dir.clone());
+    if label == "always" {
+        let mut db = Db::open(&dir).unwrap();
+        let schema = Schema::new(
+            vec![
+                Column::required("uuid", ColumnType::Int),
+                Column::required("user", ColumnType::Text),
+                Column::required("energy_kwh", ColumnType::Real),
+            ],
+            "uuid",
+            &[],
+        )
+        .unwrap();
+        db.create_table("units", schema).unwrap();
+        return Box::new(move |step| db.commit(relstore_rows(step), []).unwrap());
+    }
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = WalOptions {
+        fsync: FsyncMode::Batch,
+        ..WalOptions::default()
+    };
+    let mut log = Log::open_at(&dir, opts, WalPosition::default()).unwrap();
+    Box::new(move |step| {
+        let records: Vec<WalRecord> = relstore_rows(step)
+            .map(|(table, row)| WalRecord::Upsert {
+                table: table.to_string(),
+                row,
+            })
+            .collect();
+        log.commit(&Commit(&records)).unwrap();
+    })
+}
 
 /// One relational commit per fsync policy: what `always` adds is the sync.
 fn bench_relstore_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("relstore_commit");
     let mut dirs: Vec<PathBuf> = Vec::new();
-    for (label, fsync) in RELSTORE_FSYNC {
-        let mut db = relstore_db(fsync, &mut dirs);
+    for label in RELSTORE_FSYNC {
+        let mut commit = relstore_committer(label, &mut dirs);
         let mut step = 0;
         group.bench_function(label, |b| {
             b.iter(|| {
                 step += 1;
-                db.commit(relstore_rows(step), []).unwrap();
+                commit(step);
             });
         });
     }
@@ -294,12 +317,12 @@ fn emit_wal_json(_c: &mut Criterion) {
     }
     scenarios.insert("checkpoint_write".into(), row);
 
-    for (label, fsync) in RELSTORE_FSYNC {
-        let mut db = relstore_db(fsync, &mut dirs);
+    for label in RELSTORE_FSYNC {
+        let mut commit = relstore_committer(label, &mut dirs);
         let mut step = 0;
         let mut lat = time_iters(64, || {
             step += 1;
-            db.commit(relstore_rows(step), []).unwrap();
+            commit(step);
         });
         scenarios.insert(
             format!("relstore_commit_{label}"),

@@ -27,7 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ceems_metrics::{Counter, Gauge, MetricType, Registry, Sink};
-use ceems_relstore::{Column, ColumnType, Db, Filter, FsyncMode, Order, Query, Schema, Value};
+use ceems_relstore::{Column, ColumnType, Db, Filter, Order, Query, Schema, Value};
 use parking_lot::Mutex;
 
 use crate::trace::TraceReport;
@@ -137,10 +137,7 @@ struct StoreInner {
 }
 
 /// A byte-bounded, age-bounded ring buffer of finished trace spans persisted
-/// in `ceems-relstore` (log-first writes, so stored traces survive a
-/// restart). It commits on request threads under its mutex, and a
-/// diagnostic ring can lose its last spans to a crash, so its log syncs at
-/// segment rotation only ([`FsyncMode::Batch`]), not once a commit.
+/// in `ceems-relstore` (WAL-first writes, so stored traces survive a crash).
 pub struct TraceStore {
     cfg: TraceStoreConfig,
     inner: Mutex<StoreInner>,
@@ -173,8 +170,7 @@ impl TraceStore {
     /// Opens (or creates) the store under `dir`, replaying any spans a
     /// previous process persisted so the ring accounting matches the disk.
     pub fn open(dir: &Path, cfg: TraceStoreConfig) -> Result<TraceStore, String> {
-        let mut db =
-            Db::open_with(dir, FsyncMode::Batch).map_err(|e| format!("trace store open: {e}"))?;
+        let mut db = Db::open(dir).map_err(|e| format!("trace store open: {e}"))?;
         db.create_table(TRACES_TABLE, traces_schema())
             .map_err(|e| format!("trace store schema: {e}"))?;
         let mut ring: Vec<SpanMeta> = Vec::new();

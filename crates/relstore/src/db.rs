@@ -7,9 +7,9 @@
 //! cloned tables or wrap the `Db` in a lock at a higher layer.
 //!
 //! A commit is one frame of the segmented log ([`crate::log`]), synced
-//! before [`Db::commit`] returns under [`FsyncMode::Always`] (what
-//! [`Db::open`] uses, like SQLite's `synchronous=FULL`): it survives a crash
-//! whole once it returned, and a torn one replays as nothing.
+//! before [`Db::commit`] returns ([`FsyncMode::Always`], like SQLite's
+//! `synchronous=FULL`): it survives a crash whole once it returned, and a
+//! torn one replays as nothing.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -75,13 +75,6 @@ impl Db {
     /// the latest snapshot plus log replay. Every commit is synced before it
     /// returns ([`FsyncMode::Always`]).
     pub fn open(dir: &Path) -> Result<Db, DbError> {
-        Db::open_with(dir, FsyncMode::Always)
-    }
-
-    /// [`Db::open`] with the log's fsync policy: under [`FsyncMode::Batch`]
-    /// a commit is synced only at segment rotation, so a crash can lose the
-    /// latest commits (whole ones), for a store that can afford it.
-    pub fn open_with(dir: &Path, fsync: FsyncMode) -> Result<Db, DbError> {
         fs::create_dir_all(dir)?;
         // 1. Snapshot, if present.
         let snap: Option<Snapshot> = read_json(&dir.join(SNAPSHOT_FILE))?;
@@ -100,7 +93,7 @@ impl Db {
         fs::create_dir_all(&wal_dir)?;
         let (lines, line_files) = wal::read_lines(&wal_dir)?;
         let opts = WalOptions {
-            fsync,
+            fsync: FsyncMode::Always,
             ..WalOptions::default()
         };
         let (log, records) = wal::recover(&wal_dir, opts)?;
@@ -184,10 +177,10 @@ impl Db {
 
     /// Applies upserts and deletes, in any tables, as one commit: every row
     /// is validated, then all records are logged as one frame with one
-    /// write (and synced, per the fsync policy), then applied, the deletes
-    /// first (a key in both lists ends up upserted). A bad row, an unknown
-    /// table or a failed write fails the commit with nothing applied or
-    /// left in the log; a commit that changes nothing (a delete of a key
+    /// write and one sync, then applied, the deletes first (a key in both
+    /// lists ends up upserted). A bad row, an unknown table or a failed
+    /// write or sync fails the commit with nothing applied or left in the
+    /// log ([`Log::commit`]); a commit that changes nothing (a delete of a key
     /// the table does not hold) writes and syncs nothing.
     pub fn commit<'t>(
         &mut self,
@@ -217,7 +210,7 @@ impl Db {
         if records.is_empty() {
             return Ok(());
         }
-        self.log.log(&[Commit(&records)])?;
+        self.log.commit(&Commit(&records))?;
         for rec in records {
             apply(&mut self.tables, rec)?;
         }
@@ -525,13 +518,13 @@ mod tests {
     }
 
     /// A snapshot whose fsync fails returns the error before a segment is
-    /// dropped, and the database still reopens to every commit. (Under
-    /// `never` the log itself does not sync, so the one fsync the fault can
-    /// fail is the snapshot file's.)
+    /// dropped, and the database still reopens to every commit. (The
+    /// snapshot file is synced before the log rotates, so the fsync the
+    /// fault fails is the snapshot file's.)
     #[test]
     fn a_failed_snapshot_keeps_every_segment() {
         let dir = tmpdir("snap-fsync");
-        let mut db = Db::open_with(&dir, FsyncMode::Never).unwrap();
+        let mut db = Db::open(&dir).unwrap();
         db.create_table("jobs", jobs_schema()).unwrap();
         db.upsert("jobs", job(1)).unwrap();
         db.snapshot().unwrap();
@@ -546,6 +539,39 @@ mod tests {
         assert_eq!(fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot);
         drop(db);
         assert_eq!(jobs(&Db::open(&dir).unwrap()).len(), 2);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// What a failed commit leaves past the log's end when its cut-back
+    /// fails (a torn tail the writer did not repair) is overwritten by the
+    /// next commit, and cut before its segment is sealed: it never replays
+    /// and never hides a later commit.
+    #[test]
+    fn a_failed_cut_back_is_overwritten_by_the_next_commit() {
+        let dir = tmpdir("cut-back");
+        let mut db = Db::open(&dir).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        db.upsert("jobs", job(1)).unwrap();
+        let at = db.log.position();
+        db.set_disk_faults(Arc::new(
+            log::ScriptedDiskFaults::new()
+                .with_short_write(0, 0.9)
+                .leaving_torn_tails(),
+        ));
+        let failed = [("jobs", job(2)), ("jobs", job(5)), ("jobs", job(6))];
+        assert!(db.commit(failed, []).is_err());
+        assert_eq!(db.log.position(), at);
+        db.upsert("jobs", job(3)).unwrap();
+        let end = db.log.position().offset;
+        let seg0 = || segment_bytes(&dir)[0].1.len() as u64;
+        assert!(seg0() > end, "the failed commit's tail is still on disk");
+        assert_eq!(jobs(&db), vec![job(1), job(3)]);
+        db.log.rotate().unwrap();
+        assert_eq!(seg0(), end);
+        db.upsert("jobs", job(4)).unwrap();
+        drop(db);
+        let reopened = Db::open(&dir).unwrap();
+        assert_eq!(jobs(&reopened), vec![job(1), job(3), job(4)]);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -8,9 +8,10 @@
 //!   around it, [`next_frame`] checks it.
 //! * **Segments** — append-only `wal-<seq:012>.seg` files rotated by size.
 //!   One [`Log::log`] call is one group commit: its frames go out with one
-//!   `write` and at most one `fsync` (per [`FsyncMode`]). A commit that
-//!   fails is cut back off, so the log never holds what its writer reported
-//!   as failed.
+//!   `write` and at most one `fsync` (per [`FsyncMode`]). A commit whose
+//!   write fails is cut back off. [`Log::commit`] is all or nothing: a
+//!   failed fsync cuts it back off too, so the relational log never holds a
+//!   commit its writer reported as failed.
 //! * **Recovery** — [`walk`] hands out the frames up to the first that is
 //!   incomplete, fails its CRC or is refused by the reader: that frame ends
 //!   the log, later segments included, and [`cut`] drops it so the writer
@@ -22,6 +23,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,7 +196,7 @@ impl ScriptedDiskFaults {
     }
 
     /// Leaves torn bytes on disk after short writes (models a crash before
-    /// the writer could repair the tail).
+    /// the writer could repair the tail, or a repair that failed).
     pub fn leaving_torn_tails(self) -> ScriptedDiskFaults {
         self.leave_torn.store(true, Ordering::Relaxed);
         self
@@ -534,12 +536,26 @@ impl Log {
     }
 
     /// Group commit: frames every record into one buffer and writes it with
-    /// one syscall, plus one fsync under [`FsyncMode::Always`]. Rotates
-    /// first when the segment would exceed its size budget. A failed write
-    /// or fsync cuts the commit's bytes back off and leaves the position
-    /// where it was (unless a [`DiskFaults`] hook leaves a torn tail, as a
-    /// crash would). Nothing is written for no records.
+    /// one syscall at the log's end, plus one fsync under
+    /// [`FsyncMode::Always`]. Rotates first when the segment would exceed
+    /// its size budget. A failed write cuts the commit's bytes back off (a
+    /// [`DiskFaults`] hook can leave them, as a crash would) and leaves the
+    /// position where it was. A failed fsync returns its error but leaves
+    /// the commit in the segment and counted: the TSDB has already put it
+    /// into its index and head, and recovery and followers must see what
+    /// they saw. Nothing is written for no records.
     pub fn log<R: Record>(&mut self, recs: &[R]) -> io::Result<()> {
+        self.append(recs, false)
+    }
+
+    /// One all-or-nothing commit of one frame: [`Log::log`], except that a
+    /// failed fsync cuts the frame back off too, so the log never holds a
+    /// commit its writer reported as failed.
+    pub fn commit<R: Record>(&mut self, rec: &R) -> io::Result<()> {
+        self.append(std::slice::from_ref(rec), true)
+    }
+
+    fn append<R: Record>(&mut self, recs: &[R], cut_unsynced: bool) -> io::Result<()> {
         if recs.is_empty() {
             return Ok(());
         }
@@ -548,53 +564,52 @@ impl Log {
         for r in recs {
             put_frame(&mut buf, r);
         }
-        let written = self.write(&buf);
+        let written = self.write(&buf, recs.len() as u64, cut_unsynced);
         self.buf = buf;
-        written?;
-        self.records += recs.len() as u64;
-        Ok(())
+        written
     }
 
-    fn write(&mut self, frames: &[u8]) -> io::Result<()> {
+    /// Writes one commit, `records` frames, at `offset`: what a failed
+    /// cut-back left there is overwritten, never written after.
+    fn write(&mut self, frames: &[u8], records: u64, cut_unsynced: bool) -> io::Result<()> {
         if self.offset > 0 && self.offset + frames.len() as u64 > self.opts.segment_bytes {
             self.rotate()?;
         }
         if let Some(faults) = self.faults.clone() {
             if let Some(keep) = faults.before_write(frames.len()) {
                 // Short write: part of the commit lands on disk, then EIO.
-                self.file.write_all(&frames[..keep.min(frames.len())])?;
+                let torn = &frames[..keep.min(frames.len())];
+                self.file.write_all_at(torn, self.offset)?;
                 if faults.repair_after_short_write() {
-                    self.cut_back()?;
-                } else {
-                    // Leave the torn tail for recovery to cut away.
-                    let _ = self.file.flush();
+                    self.file.set_len(self.offset)?;
                 }
                 return Err(injected_eio("short write"));
             }
         }
-        let mut written = self.file.write_all(frames);
-        if written.is_ok() && self.opts.fsync == FsyncMode::Always {
-            written = self.timed_sync_data();
-        }
-        if let Err(e) = written {
-            let _ = self.cut_back();
+        // A cut-back below is best effort: what a failed one leaves is
+        // overwritten by the next commit or cut by `rotate`.
+        if let Err(e) = self.file.write_all_at(frames, self.offset) {
+            let _ = self.file.set_len(self.offset);
             return Err(e);
         }
+        let synced = match self.opts.fsync {
+            FsyncMode::Always => self.timed_sync_data(),
+            FsyncMode::Batch | FsyncMode::Never => Ok(()),
+        };
+        if synced.is_err() && cut_unsynced {
+            let _ = self.file.set_len(self.offset);
+            return synced;
+        }
         self.offset += frames.len() as u64;
-        Ok(())
-    }
-
-    /// Truncates what a failed commit left back to the last commit
-    /// boundary, so the next commit starts on a clean frame.
-    fn cut_back(&mut self) -> io::Result<()> {
-        self.file.set_len(self.offset)?;
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        Ok(())
+        self.records += records;
+        synced
     }
 
     /// Seals the active segment (syncing it unless `fsync = never`) and
     /// starts the next one. Returns the new segment's sequence number.
     pub fn rotate(&mut self) -> io::Result<u64> {
+        // Nothing past the last commit is sealed into the segment.
+        self.file.set_len(self.offset)?;
         if self.opts.fsync != FsyncMode::Never {
             self.timed_sync_data()?;
         }

@@ -1695,6 +1695,41 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_failed_fsync_under_a_series_create_keeps_the_series_for_replay() {
+        let dir = temp_dir("fsync-create");
+        let always = WalOptions {
+            segment_bytes: 64 << 20,
+            fsync: wal::FsyncMode::Always,
+        };
+        let ls = labels! {"__name__" => "power", "instance" => "n1"};
+        let leader = Tsdb::open(&dir, always, ckpt_config()).unwrap();
+        // The first fsync is the one after the series' create record; the
+        // index has the series by then, so the record must stay in the log.
+        leader.set_wal_disk_faults(Arc::new(wal::ScriptedDiskFaults::new().with_fsync_failures(1)));
+        leader.append(&ls, 1_000, 1.0);
+        leader.append(&ls, 2_000, 2.0);
+        assert_eq!(leader.wal_errors(), 1);
+        assert_eq!(leader.wal_position().unwrap().records, 3);
+        let want = bits(leader.select(&[], i64::MIN, i64::MAX));
+        assert_eq!(want.len(), 2);
+
+        // A follower catching up from the segment applies all three records.
+        let bytes = leader.read_wal_segment(0, 0).unwrap().unwrap();
+        let (records, _) = wal::decode_frames(&bytes);
+        assert_eq!(records.len(), 3);
+        let follower = Tsdb::new(ckpt_config());
+        follower.apply_wal_records(&records);
+        assert_eq!(bits(follower.select(&[], i64::MIN, i64::MAX)), want);
+
+        // So does a restart.
+        drop(leader);
+        let reopened = Tsdb::open(&dir, always, ckpt_config()).unwrap();
+        assert_eq!(bits(reopened.select(&[], i64::MIN, i64::MAX)), want);
+        assert_eq!(reopened.wal_position().unwrap().records, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     // -- One checked walk over the log --------------------------------------
 
     /// `(seq, offset)` of every frame in `dir`'s segments, read from the
