@@ -6,15 +6,23 @@
 //! the ISSUE acceptance bar is a ≥5× latency reduction), and split vs
 //! unsplit with the cache disabled (the cost/benefit of fanning one range
 //! out over interval-aligned sub-queries).
+//!
+//! `promapi_codec` times the query answer codec every read passes through
+//! three times (TSDB encode, frontend decode and encode, the LB's body
+//! check): one panel's answer (1 series × 81 steps, a 20-minute range at
+//! 15 s) and one fleet answer (10 series × 81 steps).
 
 use std::sync::Arc;
 
 use ceems_bench::report::{time_iters, write_bench_json, LatencySummary};
 use ceems_bench::small_stack_with_job;
 use ceems_http::{Method, Request, Status};
+use ceems_metrics::labels::LabelSet;
 use ceems_qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems_tsdb::httpapi::api_router;
-use criterion::{criterion_group, criterion_main, Criterion};
+use ceems_tsdb::promapi::{self, QueryData};
+use ceems_tsdb::{Sample, SeriesData};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// The Fig. 2c panel expressions (see `ceems_core::dashboards`).
 fn panel_queries(uuid: &str) -> Vec<String> {
@@ -36,6 +44,29 @@ fn range_request(query: &str, end_s: i64) -> Request {
         ),
     )
     .with_header("x-grafana-user", "bench")
+}
+
+/// A range answer of `series` series × 81 steps of full-precision values:
+/// a `sum(..)` panel has no labels, a fleet series one `uuid`.
+fn range_answer(series: usize) -> QueryData {
+    let start_ms = 1_700_000_000_000i64;
+    QueryData::Matrix(
+        (0..series)
+            .map(|s| {
+                let labels = match series {
+                    1 => LabelSet::empty(),
+                    _ => LabelSet::from_pairs([("uuid", format!("slurm-{s}"))]),
+                };
+                let samples = (0..81)
+                    .map(|i| {
+                        let v = 250.0 + 40.0 * ((i * (s + 1)) as f64 * 0.37).sin();
+                        Sample::new(start_ms + 15_000 * i as i64, v)
+                    })
+                    .collect();
+                SeriesData::new(labels, samples)
+            })
+            .collect(),
+    )
 }
 
 fn bench_qfe(c: &mut Criterion) {
@@ -101,6 +132,29 @@ fn bench_qfe(c: &mut Criterion) {
 
     group.finish();
 
+    let panel = range_answer(1);
+    let fleet = range_answer(10);
+    let panel_body = promapi::answer(&panel, None, &[]).body;
+    let codec: [(&str, &dyn Fn()); 4] = [
+        ("answer_panel", &|| {
+            drop(black_box(promapi::answer(&panel, None, &[])))
+        }),
+        ("answer_fleet", &|| {
+            drop(black_box(promapi::answer(&fleet, None, &[])))
+        }),
+        ("decode_panel", &|| {
+            drop(black_box(promapi::decode_matrix(&panel_body)))
+        }),
+        ("check_panel", &|| {
+            assert!(promapi::is_json(black_box(&panel_body)))
+        }),
+    ];
+    let mut group = c.benchmark_group("promapi_codec");
+    for (name, run) in &codec {
+        group.bench_function(*name, |b| b.iter(run));
+    }
+    group.finish();
+
     // Machine-readable artifact: a short measured pass per scenario (the
     // criterion runs above remain the statistically careful numbers).
     let iters = 20;
@@ -113,6 +167,14 @@ fn bench_qfe(c: &mut Criterion) {
     let mut unsplit_s = time_iters(iters, || render(&unsplit));
     let cold = LatencySummary::from_samples(&mut cold);
     let warm_sum = LatencySummary::from_samples(&mut warm_s);
+    let codec: serde_json::Map<String, serde_json::Value> = codec
+        .iter()
+        .map(|(name, run)| {
+            let mut samples = time_iters(1000, run);
+            let summary = LatencySummary::from_samples(&mut samples).to_json();
+            (name.to_string(), summary)
+        })
+        .collect();
     write_bench_json(
         "qfe_cache",
         &serde_json::json!({
@@ -123,6 +185,8 @@ fn bench_qfe(c: &mut Criterion) {
             "split_nocache_render": LatencySummary::from_samples(&mut split_s).to_json(),
             "unsplit_nocache_render": LatencySummary::from_samples(&mut unsplit_s).to_json(),
             "warm_speedup_p50": cold.p50_us / warm_sum.p50_us.max(1e-9),
+            "promapi_codec": codec,
+            "promapi_codec_bytes": {"panel": panel_body.len()},
         }),
     );
 }

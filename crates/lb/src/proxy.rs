@@ -19,6 +19,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+#[cfg(test)]
 use serde_json::Value as Json;
 
 use ceems_http::{Client, HttpServer, Request, Response, Router, ServerConfig, Status};
@@ -128,13 +129,7 @@ struct Flight<'a> {
 fn outcome_of<E>(result: &Result<Response, E>, expect_json: bool) -> &'static str {
     match result {
         Err(_) => "error",
-        Ok(r)
-            if expect_json
-                && r.status.is_success()
-                && serde_json::from_slice::<Json>(&r.body).is_err() =>
-        {
-            "corrupt"
-        }
+        Ok(r) if expect_json && r.status.is_success() && !promapi::is_json(&r.body) => "corrupt",
         Ok(r) if r.status.0 >= 500 => "5xx",
         Ok(r) if r.status.0 == 409 => "fenced",
         Ok(_) => "ok",

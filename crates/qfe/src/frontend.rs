@@ -579,25 +579,27 @@ impl QueryFrontend {
         // Stages are recorded for explicit `?trace=1` requests AND whenever
         // a trace sink is wired (always-on sampling) — the sink then decides
         // whether this trace is stored (head sample or slow-query tail).
+        // One report serves both the `?trace=1` body and the sink.
         let traced = promapi::trace_requested(req);
-        if traced || self.cfg.trace_sink.is_some() {
+        let report = (traced || self.cfg.trace_sink.is_some()).then(|| {
             qtrace.record_stage_ms("qfe_cache", lookup_ms + merge_ms);
             qtrace.record_stage_ms("qfe_split", fetch_ms);
             qtrace.add_count("subqueries", missing.len() as u64);
             qtrace.add_count("cachedSteps", cached_steps as u64);
             qtrace.add_count("fetchedSteps", fetched_steps as u64);
-        }
-        let report = traced.then(|| qtrace.report());
-        let resp = promapi::answer(&data, report.as_ref(), &[])
+            qtrace.report()
+        });
+        let resp = promapi::answer(&data, report.as_ref().filter(|_| traced), &[])
             .with_header("x-ceems-qfe-cache", outcome)
             .with_header("x-ceems-qfe-cached-steps", cached_steps.to_string())
             .with_header("x-ceems-qfe-fetched-steps", fetched_steps.to_string());
-        let stored = self.cfg.trace_sink.as_ref().and_then(|sink| {
+        let sink = self.cfg.trace_sink.as_ref().zip(report.as_ref());
+        let stored = sink.and_then(|(sink, report)| {
             sink.offer_at_rate(
                 "qfe",
                 "/api/v1/query_range",
                 tenant,
-                &qtrace.report(),
+                report,
                 self.effective_sample_rate(tenant),
             )
         });

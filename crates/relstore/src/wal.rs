@@ -117,7 +117,7 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
 
 /// A JSON string as `serde_json` prints it: quote, backslash and control
 /// characters escaped, everything else (non-ASCII included) as it is.
-fn write_str(out: &mut Vec<u8>, s: &str) {
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
     let bytes = s.as_bytes();
     let mut from = 0;

@@ -6,23 +6,41 @@
 //! TSDB's handlers parse the parameters and encode answers, `TsdbClient`
 //! decodes instant answers, the query frontend decodes its sub-queries into
 //! typed series and encodes the merged answer, and the LB and the frontend
-//! add their stages to a traced answer with [`add_hop`].
+//! add their stages to a traced answer with [`add_hop`]. The LB's check
+//! that a 2xx body is JSON at all is [`is_json`].
 //!
-//! Answers are written by `serde_json`'s printer (sorted keys, floats in
-//! shortest round-trip form): a timestamp as its seconds, a value as the
-//! `f64`'s `Display`, which parses back to the same value. So decoding an
-//! encoded answer gives back the same typed data, and encoding that again
-//! gives back the same bytes: a frontend that decodes each extent and
-//! encodes the merge writes what the TSDB writes for the unsplit range.
+//! Query answers are written and read as bytes, never as a
+//! `serde_json::Value`. [`answer`] writes the bytes `serde_json`'s printer
+//! writes for the same answer (sorted keys, its string escaping): a
+//! timestamp as its seconds in shortest round-trip form (`{:?}` of
+//! `t_ms / 1000`), a value as the `f64`'s `Display`, which parses back to
+//! the same value. The decoders read the bytes in place with one
+//! recursive-descent reader, which takes exactly the JSON `serde_json`
+//! takes, keys in any order. So decoding an encoded answer gives back the
+//! same typed data, and encoding that again gives back the same bytes: a
+//! frontend that decodes each extent and encodes the merge writes what the
+//! TSDB writes for the unsplit range. The small envelopes ([`ok`],
+//! [`error`]) and [`add_hop`], which only traced answers reach, still go
+//! through `serde_json`'s tree.
+
+use std::borrow::Cow;
+use std::io::Write;
 
 use serde_json::{json, Value as Json};
 
 use ceems_http::{Request, Response, Status};
-use ceems_metrics::labels::LabelSet;
+use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
 use ceems_obs::trace::TraceReport;
+use ceems_relstore::wal::write_str;
 
 use crate::promql::Value;
 use crate::types::{Sample, SeriesData};
+
+#[cfg(test)]
+mod oracle;
+mod read;
+pub use read::is_json;
+use read::{Reader, Step};
 
 /// Where a query request evaluates its expression.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,66 +150,6 @@ impl QueryData {
             Value::Matrix(series) => QueryData::Matrix(series),
         }
     }
-
-    fn to_json(&self) -> Json {
-        let series = |labels: &LabelSet, key: &str, values: Json| {
-            let mut entry = serde_json::Map::new();
-            entry.insert("metric".to_string(), labels_json(labels));
-            entry.insert(key.to_string(), values);
-            Json::Object(entry)
-        };
-        let (kind, result) = match self {
-            QueryData::Scalar(s) => ("scalar", pair_json(s)),
-            QueryData::Vector(samples) => (
-                "vector",
-                Json::Array(
-                    samples
-                        .iter()
-                        .map(|(l, s)| series(l, "value", pair_json(s)))
-                        .collect(),
-                ),
-            ),
-            QueryData::Matrix(matrix) => (
-                "matrix",
-                Json::Array(
-                    matrix
-                        .iter()
-                        .map(|s| {
-                            let values = s.samples.iter().map(pair_json).collect();
-                            series(&s.labels, "values", Json::Array(values))
-                        })
-                        .collect(),
-                ),
-            ),
-        };
-        json!({"resultType": kind, "result": result})
-    }
-
-    fn from_json(data: &Json) -> Result<QueryData, String> {
-        let result = &data["result"];
-        let items = || result.as_array().ok_or("query result is not an array");
-        match data["resultType"].as_str() {
-            Some("scalar") => pair(result).map(QueryData::Scalar),
-            Some("vector") => items()?
-                .iter()
-                .map(|item| Ok((labels(&item["metric"])?, pair(&item["value"])?)))
-                .collect::<Result<_, String>>()
-                .map(QueryData::Vector),
-            Some("matrix") => items()?
-                .iter()
-                .map(|item| {
-                    let values = item["values"].as_array().ok_or("series without values")?;
-                    let mut samples = Vec::with_capacity(values.len());
-                    for value in values {
-                        samples.push(pair(value)?);
-                    }
-                    Ok(SeriesData::new(labels(&item["metric"])?, samples))
-                })
-                .collect::<Result<_, String>>()
-                .map(QueryData::Matrix),
-            other => Err(format!("unsupported resultType {other:?}")),
-        }
-    }
 }
 
 /// A label set as the API writes it: an object of strings.
@@ -204,45 +162,88 @@ pub(crate) fn labels_json(labels: &LabelSet) -> Json {
     )
 }
 
-fn labels(metric: &Json) -> Result<LabelSet, String> {
-    let metric = metric.as_object().ok_or("series without a metric object")?;
-    let mut pairs = Vec::with_capacity(metric.len());
-    for (name, value) in metric {
-        pairs.push((name, value.as_str().ok_or("a label value is not a string")?));
-    }
-    Ok(LabelSet::from_pairs(pairs))
-}
-
-fn pair_json(s: &Sample) -> Json {
-    json!([s.t_ms as f64 / 1000.0, format!("{}", s.v)])
-}
-
-fn pair(pair: &Json) -> Result<Sample, String> {
-    match pair.as_array().map(Vec::as_slice) {
-        Some([t, v]) => {
-            let secs = t.as_f64().ok_or("sample time is not a number")?;
-            let v = v.as_str().and_then(|v| v.parse().ok());
-            Ok(Sample::new(
-                (secs * 1000.0).round() as i64,
-                v.ok_or("sample value is not a number string")?,
-            ))
-        }
-        _ => Err("sample is not a [time, value] pair".into()),
-    }
-}
-
 /// A query answer: `data` typed, the report under `data.trace` when one is
-/// given, and a root-level `warnings` array when there are any.
+/// given, and a root-level `warnings` array when there are any. Written
+/// straight into the body, key by key in sorted order.
 pub fn answer(data: &QueryData, trace: Option<&TraceReport>, warnings: &[String]) -> Response {
-    let mut data = data.to_json();
-    if let (Some(report), Json::Object(map)) = (trace, &mut data) {
-        map.insert("trace".to_string(), report.to_json());
+    let samples = match data {
+        QueryData::Scalar(_) => 1,
+        QueryData::Vector(samples) => samples.len(),
+        QueryData::Matrix(series) => series.iter().map(|s| s.samples.len() + 1).sum(),
+    };
+    let mut out = Vec::with_capacity(64 + 32 * samples);
+    out.extend_from_slice(b"{\"data\":{\"result\":");
+    let kind = match data {
+        QueryData::Scalar(s) => {
+            write_pair(&mut out, s);
+            "scalar"
+        }
+        QueryData::Vector(samples) => {
+            write_list(&mut out, samples, |out, (labels, s)| {
+                write_series(out, labels, "value", |out| write_pair(out, s))
+            });
+            "vector"
+        }
+        QueryData::Matrix(series) => {
+            write_list(&mut out, series, |out, s| {
+                write_series(out, &s.labels, "values", |out| {
+                    write_list(out, &s.samples, write_pair)
+                })
+            });
+            "matrix"
+        }
+    };
+    out.extend_from_slice(b",\"resultType\":\"");
+    out.extend_from_slice(kind.as_bytes());
+    out.push(b'"');
+    if let Some(report) = trace {
+        out.extend_from_slice(b",\"trace\":");
+        out.extend(serde_json::to_vec(&report.to_json()).expect("a JSON value prints"));
     }
-    let mut body = json!({"status": "success", "data": data});
-    if let (false, Json::Object(map)) = (warnings.is_empty(), &mut body) {
-        map.insert("warnings".to_string(), json!(warnings));
+    out.extend_from_slice(b"},\"status\":\"success\"");
+    if !warnings.is_empty() {
+        out.extend_from_slice(b",\"warnings\":");
+        write_list(&mut out, warnings, |out, w| write_str(out, w));
     }
-    Response::json(serde_json::to_vec(&body).expect("a JSON value prints"))
+    out.push(b'}');
+    Response::json(out)
+}
+
+/// `[a,b,..]`, each item written by `write`.
+fn write_list<T>(out: &mut Vec<u8>, items: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write(out, item);
+    }
+    out.push(b']');
+}
+
+/// `{"metric":{..},"<key>":..}`, the labels in the set's (sorted) order.
+fn write_series(out: &mut Vec<u8>, labels: &LabelSet, key: &str, value: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(b"{\"metric\":{");
+    for (i, (name, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_str(out, name);
+        out.push(b':');
+        write_str(out, v);
+    }
+    out.extend_from_slice(b"},\"");
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b"\":");
+    value(out);
+    out.push(b'}');
+}
+
+/// `[<seconds>,"<value>"]`: the time as `serde_json` prints an `f64`, the
+/// value as its `Display`.
+fn write_pair(out: &mut Vec<u8>, s: &Sample) {
+    write!(out, "[{:?},\"{}\"]", s.t_ms as f64 / 1000.0, s.v)
+        .expect("writing to a Vec cannot fail");
 }
 
 /// The success envelope around any other `data` (label names, series,
@@ -260,16 +261,186 @@ pub fn error(status: Status, error: impl Into<String>) -> Response {
     resp
 }
 
+const NOT_A_PAIR: &str = "sample is not a [time, value] pair";
+
 /// Decodes a query answer: the data of a success envelope, or the error
-/// an error envelope carries.
+/// an error envelope carries. One pass checks the whole body and notes
+/// `status`, `error`, `data.resultType` and where `data.result` starts,
+/// in whatever order they come (the encoder sorts `result` first); a
+/// second reads `result` by its type. Keys it does not know are checked
+/// and stepped over; a repeated envelope key counts as its last
+/// occurrence, as in a parsed tree.
 fn decode(body: &[u8]) -> Result<QueryData, String> {
-    let v: Json =
-        serde_json::from_slice(body).map_err(|e| format!("bad query response JSON: {e}"))?;
-    if v["status"] != "success" {
-        let error = v["error"].as_str().unwrap_or("unknown error");
+    let mut success = false;
+    let mut error = None;
+    let (mut result, mut kind) = (None, None);
+    let mut r = Reader::new(body, 0);
+    let envelope = r.document(|r| {
+        if r.peek() != Some(b'{') {
+            return r.skip(0);
+        }
+        r.object(0, |r, key, depth| {
+            if key.is("status") {
+                success = string_or_skip(r, depth)?.is_some_and(|s| s == "success");
+                return Ok(());
+            }
+            if key.is("error") {
+                error = string_or_skip(r, depth)?;
+                return Ok(());
+            }
+            if !key.is("data") {
+                return r.skip(depth);
+            }
+            (result, kind) = (None, None);
+            if r.peek() != Some(b'{') {
+                return r.skip(depth);
+            }
+            r.object(depth, |r, key, depth| {
+                if key.is("result") {
+                    result = Some(r.at);
+                } else if key.is("resultType") {
+                    kind = string_or_skip(r, depth)?;
+                    return Ok(());
+                }
+                r.skip(depth)
+            })
+        })
+    });
+    if let Err(e) = envelope {
+        return Err(format!("bad query response JSON: {e} at byte {}", r.at));
+    }
+    if !success {
+        let error = error.as_deref().unwrap_or("unknown error");
         return Err(format!("query failed: {error}"));
     }
-    QueryData::from_json(&v["data"])
+    // The body is well-formed: what is left to find is a wrong type.
+    let mut r = Reader::new(body, result.unwrap_or(body.len()));
+    let data = match kind.as_deref() {
+        Some("scalar") => pair(&mut r).map(QueryData::Scalar),
+        Some("vector") => items(&mut r, |r, depth| {
+            item(r, depth, "value", NOT_A_PAIR, |r, _| pair(r))
+        })
+        .map(QueryData::Vector),
+        Some("matrix") => items(&mut r, |r, depth| {
+            let (labels, values) = item(r, depth, "values", "series without values", samples)?;
+            Ok(SeriesData::new(labels, values))
+        })
+        .map(QueryData::Matrix),
+        other => return Err(format!("unsupported resultType {other:?}")),
+    };
+    data.map_err(String::from)
+}
+
+/// The string at the reader, or `None` after stepping over a value of
+/// another type.
+fn string_or_skip<'a>(r: &mut Reader<'a>, depth: usize) -> Step<Option<Cow<'a, str>>> {
+    if r.peek() != Some(b'"') {
+        return r.skip(depth).map(|()| None);
+    }
+    r.string().map(|s| Some(s.text()))
+}
+
+/// The items of `data.result` (nested 2 deep), each read by `item`.
+fn items<T>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>, usize) -> Step<T>,
+) -> Step<Vec<T>> {
+    if r.peek() != Some(b'[') {
+        return Err("query result is not an array");
+    }
+    let mut out = Vec::new();
+    r.array(2, |r, depth| {
+        out.push(item(r, depth)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// One item of a result, `{"metric":{..},"<key>":..}`, its `key` read
+/// by `read`; `missing` when there is no such key.
+fn item<'a, T>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    key: &str,
+    missing: &'static str,
+    read: impl Fn(&mut Reader<'a>, usize) -> Step<T>,
+) -> Step<(LabelSet, T)> {
+    if r.peek() != Some(b'{') {
+        return Err(missing);
+    }
+    let (mut metric, mut value) = (None, None);
+    r.object(depth, |r, name, depth| {
+        if name.is("metric") {
+            metric = Some(labels(r, depth)?);
+        } else if name.is(key) {
+            value = Some(read(r, depth)?);
+        } else {
+            r.skip(depth)?;
+        }
+        Ok(())
+    })?;
+    let value = value.ok_or(missing)?;
+    Ok((metric.ok_or("series without a metric object")?, value))
+}
+
+/// A `metric` object.
+fn labels(r: &mut Reader<'_>, depth: usize) -> Step<LabelSet> {
+    if r.peek() != Some(b'{') {
+        return Err("series without a metric object");
+    }
+    let mut labels = LabelSetBuilder::new();
+    r.object(depth, |r, name, _| {
+        if r.peek() != Some(b'"') {
+            return Err("a label value is not a string");
+        }
+        let value = r.string()?;
+        labels = std::mem::take(&mut labels).label(name.text(), value.text());
+        Ok(())
+    })?;
+    Ok(labels.build())
+}
+
+/// A `values` array of pairs.
+fn samples(r: &mut Reader<'_>, depth: usize) -> Step<Vec<Sample>> {
+    if r.peek() != Some(b'[') {
+        return Err("series without values");
+    }
+    let mut out = Vec::new();
+    r.array(depth, |r, _| {
+        out.push(pair(r)?);
+        Ok(())
+    })?;
+    // Kept as long as the frontend caches the extent: no spare capacity.
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// `[<seconds>,"<value>"]`, the time read back to the millisecond.
+fn pair(r: &mut Reader<'_>) -> Step<Sample> {
+    if !r.eat(b'[') {
+        return Err(NOT_A_PAIR);
+    }
+    r.ws();
+    if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+        return Err("sample time is not a number");
+    }
+    let secs = r.number()?;
+    if !r.eat(b',') {
+        return Err(NOT_A_PAIR);
+    }
+    r.ws();
+    if r.peek() != Some(b'"') {
+        return Err("sample value is not a number string");
+    }
+    let v = r
+        .string()?
+        .text()
+        .parse()
+        .map_err(|_| "sample value is not a number string")?;
+    if !r.eat(b']') {
+        return Err(NOT_A_PAIR);
+    }
+    Ok(Sample::new((secs * 1000.0).round() as i64, v))
 }
 
 /// Decodes an instant query's answer: a vector, or a scalar as one sample
