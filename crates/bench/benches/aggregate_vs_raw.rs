@@ -9,7 +9,8 @@
 //! 50 jobs) and compares answering "total energy of user X last year" by
 //! (a) a raw TSDB range sweep and (b) the API server's pre-aggregated
 //! usage table. The paper's architectural claim is the orders-of-magnitude
-//! gap between the two.
+//! gap between the two; the bench fails if the two answers differ by more
+//! than 0.1 %.
 
 use std::sync::Arc;
 
@@ -102,9 +103,17 @@ fn bench_year_span(c: &mut Criterion) {
     let agg_kwh = rel.query(USAGE_TABLE, &q).unwrap()[0][usage_cols::ENERGY_KWH]
         .as_real()
         .unwrap();
+    let deviation = agg_kwh / raw_kwh - 1.0;
     eprintln!(
-        "[E8] year energy: raw sweep {raw_kwh:.0} kWh vs rollup {agg_kwh:.0} kWh ({:+.1}%)",
-        (agg_kwh / raw_kwh - 1.0) * 100.0
+        "[E8] year energy: raw sweep {raw_kwh:.0} kWh vs rollup {agg_kwh:.0} kWh ({:+.3}%)",
+        deviation * 100.0
+    );
+    // The stack has no cold tier (DESIGN S4): a year-long question is
+    // answered from the usage row, so it must give the sweep's energy.
+    assert!(
+        deviation.abs() <= 1e-3,
+        "the rollup is {:+.3}% off the raw sweep",
+        deviation * 100.0
     );
 }
 

@@ -4,7 +4,8 @@
 //! mappings by indentation, block sequences (`- item`), scalars (strings,
 //! quoted strings, integers, floats, booleans, null), inline comments and
 //! blank lines. No anchors, no flow collections, no multi-document streams
-//! — operators' monitoring configs do not use them.
+//! — operators' monitoring configs do not use them. Blocks nest at most
+//! 64 levels deep (`MAX_DEPTH`); a deeper document is an error.
 
 use std::collections::BTreeMap;
 
@@ -104,6 +105,10 @@ impl std::fmt::Display for YamlError {
 
 impl std::error::Error for YamlError {}
 
+/// Blocks nested deeper than this are an error: the parser recurses once
+/// per level, and a configuration needs a handful.
+const MAX_DEPTH: usize = 64;
+
 struct Line {
     number: usize,
     indent: usize,
@@ -141,7 +146,7 @@ pub fn parse(input: &str) -> Result<Yaml, YamlError> {
         return Ok(Yaml::Null);
     }
     let mut pos = 0;
-    let doc = parse_block(&lines, &mut pos, lines[0].indent)?;
+    let doc = parse_block(&lines, &mut pos, lines[0].indent, 0)?;
     if pos != lines.len() {
         return Err(YamlError {
             line: lines[pos].number,
@@ -178,16 +183,32 @@ fn strip_comment(raw: &str) -> String {
     out
 }
 
-fn parse_block(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_block(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let first = &lines[*pos];
+    if depth > MAX_DEPTH {
+        return Err(YamlError {
+            line: first.number,
+            message: format!("blocks nested deeper than {MAX_DEPTH} levels"),
+        });
+    }
     if first.content.starts_with("- ") || first.content == "-" {
-        parse_seq(lines, pos, indent)
+        parse_seq(lines, pos, indent, depth)
     } else {
-        parse_map(lines, pos, indent)
+        parse_map(lines, pos, indent, depth)
     }
 }
 
-fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_seq(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut items = Vec::new();
     while *pos < lines.len() {
         let line = &lines[*pos];
@@ -209,7 +230,7 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
             // Nested block under the dash.
             if *pos < lines.len() && lines[*pos].indent > indent {
                 let child_indent = lines[*pos].indent;
-                items.push(parse_block(lines, pos, child_indent)?);
+                items.push(parse_block(lines, pos, child_indent, depth + 1)?);
             } else {
                 items.push(Yaml::Null);
             }
@@ -217,7 +238,7 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
             // "- key: value" starts an inline mapping item; subsequent more-
             // indented lines belong to it.
             let mut map = BTreeMap::new();
-            insert_entry(&mut map, key, value, lines, pos, line, indent + 2)?;
+            insert_entry(&mut map, (key, value), lines, pos, line, indent + 2, depth)?;
             while *pos < lines.len() && lines[*pos].indent > indent {
                 let child = &lines[*pos];
                 let Some((k, v)) = split_mapping(&child.content) else {
@@ -228,7 +249,7 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
                 };
                 let child_indent = child.indent;
                 *pos += 1;
-                insert_entry(&mut map, k, v, lines, pos, child, child_indent)?;
+                insert_entry(&mut map, (k, v), lines, pos, child, child_indent, depth)?;
             }
             items.push(Yaml::Map(map));
         } else {
@@ -238,7 +259,12 @@ fn parse_seq(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
     Ok(Yaml::Seq(items))
 }
 
-fn parse_map(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, YamlError> {
+fn parse_map(
+    lines: &[Line],
+    pos: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Yaml, YamlError> {
     let mut map = BTreeMap::new();
     while *pos < lines.len() {
         let line = &lines[*pos];
@@ -261,19 +287,19 @@ fn parse_map(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Yaml, Yam
             });
         };
         *pos += 1;
-        insert_entry(&mut map, key, value, lines, pos, line, indent)?;
+        insert_entry(&mut map, (key, value), lines, pos, line, indent, depth)?;
     }
     Ok(Yaml::Map(map))
 }
 
 fn insert_entry(
     map: &mut BTreeMap<String, Yaml>,
-    key: String,
-    value: String,
+    (key, value): (String, String),
     lines: &[Line],
     pos: &mut usize,
     at: &Line,
     indent: usize,
+    depth: usize,
 ) -> Result<(), YamlError> {
     if map.contains_key(&key) {
         return Err(YamlError {
@@ -285,7 +311,7 @@ fn insert_entry(
         // Block value (or null).
         if *pos < lines.len() && lines[*pos].indent > indent {
             let child_indent = lines[*pos].indent;
-            parse_block(lines, pos, child_indent)?
+            parse_block(lines, pos, child_indent, depth + 1)?
         } else {
             Yaml::Null
         }

@@ -1,17 +1,18 @@
 #![warn(missing_docs)]
-//! Time series database (S2–S4 in `DESIGN.md`).
+//! Time series database (S2–S3 in `DESIGN.md`).
 //!
 //! CEEMS stores every metric in Prometheus and derives per-job power with
-//! recording rules; Thanos provides long-term storage. This crate is the
-//! from-scratch stand-in:
+//! recording rules. This crate is the from-scratch stand-in. It has no
+//! cold tier: answers over long durations come from the API server's
+//! per-unit aggregates (S4).
+//!
 //!
 //! * [`chunk`] — Gorilla-style compressed chunks (delta-of-delta
 //!   timestamps, XOR values), the storage hot path.
 //! * [`index`] — inverted label index with posting-list intersection.
 //! * [`head`] — the in-memory write head (striped for concurrent appends).
-//! * [`block`] — sealed immutable blocks + compaction from the head.
-//! * [`storage`] — [`storage::Tsdb`]: appends, parallel sharded selects,
-//!   tombstone deletes (the cardinality cleanup of §II.C), retention.
+//! * [`storage`] — [`storage::Tsdb`]: appends, selects on the calling
+//!   thread, tombstone deletes (the cardinality cleanup of §II.C), retention.
 //! * [`cache`] — generation-checked LRU cache of matcher resolutions for
 //!   scan-heavy (regex/negative) selectors.
 //! * [`promql`] — a PromQL-subset engine: selectors, `rate`/`increase` with
@@ -20,8 +21,6 @@
 //! * [`rules`] — recording-rule groups that materialise derived series.
 //! * [`scrape`] — the scrape manager pulling exporters (HTTP or in-process)
 //!   into the TSDB.
-//! * [`longterm`] — Thanos-like: replication into a cold store, 5-minute
-//!   downsampling, fan-in queries across hot+cold.
 //! * [`httpapi`] — the Prometheus HTTP API subset Grafana / the LB speak.
 //! * [`promapi`] — that API's query parameters, envelopes, typed answers
 //!   and trace hops: the one codec every hop that speaks it shares.
@@ -37,7 +36,6 @@
 //! * [`fan_out`] — the scoped workers an ingest pass and a rule tick spread
 //!   their sources and groups over, one shared cursor between them.
 
-pub mod block;
 pub mod cache;
 pub mod chunk;
 pub mod client;
@@ -45,7 +43,6 @@ pub mod election;
 pub mod head;
 pub mod httpapi;
 pub mod index;
-pub mod longterm;
 mod par;
 pub mod promapi;
 pub mod promql;

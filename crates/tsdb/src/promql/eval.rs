@@ -28,8 +28,8 @@ use crate::types::{Sample, SeriesData};
 use super::plan::{LabelId, Labels, PreparedQuery, PreparedRead, Refresh};
 use super::{AggOp, BinOp, CmpOp, Expr, Grouping, VectorSelector};
 
-/// Anything the engine can read series from (the hot TSDB, or the fan-in
-/// view over hot + long-term storage).
+/// Anything the engine can read series from: the TSDB, or a test double
+/// standing in for it.
 pub trait Queryable: Send + Sync {
     /// Series matching `matchers` with samples in `[tmin, tmax]`, series
     /// without one omitted. Narrowing the window must only drop samples and
@@ -1876,7 +1876,6 @@ mod quantile_tests {
 #[cfg(test)]
 mod range_tests {
     use super::*;
-    use crate::longterm::{FanInQuerier, LongTermStore};
     use crate::promql::parse_expr;
     use crate::storage::Tsdb;
     use ceems_metrics::labels;
@@ -2291,66 +2290,6 @@ mod range_tests {
                 (selects, instants),
                 "{q}"
             );
-        }
-    }
-
-    #[test]
-    fn fan_in_select_instant_is_the_last_sample_of_select_across_the_horizon() {
-        let hot = Arc::new(Tsdb::default());
-        for i in 0..160i64 {
-            for (instance, from) in [("old", 0), ("young", 90)] {
-                if i >= from {
-                    hot.append(
-                        &labels! {"__name__" => "power_watts", "instance" => instance},
-                        i * 15_000,
-                        100.0 + i as f64,
-                    );
-                }
-            }
-        }
-        let horizon = 15 * 60_000;
-        let cold = Arc::new(LongTermStore::new());
-        cold.replicate(&hot, 0, horizon - 1);
-        let fan = FanInQuerier::new(hot, cold, horizon);
-        for (tmin, tmax) in instant_windows(40 * 60_000) {
-            assert_instant_is_last_of_select(&fan, &[], tmin, tmax);
-        }
-    }
-
-    /// Hot + cold fan-in. Cold-then-hot merging would hand a straddling
-    /// window `old` first and a hot-only window the hot index order
-    /// (`young`, `mid`, `old`); a three-term float sum shows the difference.
-    #[test]
-    fn fan_in_range_query_matches_stepwise() {
-        let hot = Arc::new(Tsdb::default());
-        let series = |instance: &str| labels! {"__name__" => "power_watts", "instance" => instance};
-        // `young` and `mid` come first in the hot index but only start
-        // after the horizon; `old` spans it.
-        hot.append(&series("young"), 20 * 60_000, 0.1);
-        hot.append(&series("mid"), 18 * 60_000, 1e-3);
-        for i in 0..160i64 {
-            hot.append(&series("old"), i * 15_000, 100.0 + (i % 7) as f64 / 3.0);
-            if i > 80 {
-                hot.append(&series("young"), i * 15_000, 0.1 * i as f64);
-                hot.append(&series("mid"), i * 15_000, 1e-3 * (i as f64).sqrt());
-            }
-        }
-        let horizon = 15 * 60_000;
-        let cold = Arc::new(LongTermStore::new());
-        cold.replicate(&hot, 0, horizon - 1);
-        let fan = FanInQuerier::new(hot, cold, horizon);
-
-        for q in [
-            "power_watts",
-            "sum(power_watts)",
-            "rate(power_watts[3m])",
-            "avg_over_time(power_watts[10m]) / on (instance) power_watts",
-            "topk(1, power_watts)",
-        ] {
-            for (start, end, step) in [(0, 40 * 60_000, 15_000), (14 * 60_000, 22 * 60_000, 60_000)]
-            {
-                assert_same(&fan, q, start, end, step);
-            }
         }
     }
 }

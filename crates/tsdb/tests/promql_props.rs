@@ -1,9 +1,6 @@
 //! Property tests of the PromQL engine against closed-form expectations.
 
-use std::sync::Arc;
-
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
-use ceems_tsdb::longterm::{FanInQuerier, LongTermStore};
 use ceems_tsdb::promql::{instant_query, parse_expr, range_query, reference, EvalError, Queryable, Value};
 use ceems_tsdb::{SeriesData, Tsdb};
 use proptest::prelude::*;
@@ -214,39 +211,6 @@ proptest! {
             format!("(d / on () d) + rate(m[{window_s}s])"),
         ] {
             same_as_stepwise(&db, &q, start_ms, start_ms + span_ms, step_ms);
-        }
-    }
-
-    /// The same identity through the fan-in view of hot + cold storage,
-    /// whose series order is its own (by label set).
-    #[test]
-    fn fan_in_range_query_is_stepwise_instant(
-        series in proptest::collection::vec(
-            (0usize..30, proptest::collection::vec(0.0f64..1000.0, 1..60)),
-            1..4,
-        ),
-        horizon in 1i64..90,
-        start in -20i64..120,
-        span in 0i64..240,
-        step in 1i64..140,
-    ) {
-        let hot = Arc::new(Tsdb::default());
-        for (n, (lead, values)) in series.iter().enumerate() {
-            let labels = LabelSetBuilder::new()
-                .label("__name__", "m")
-                .label("instance", format!("n{n}"))
-                .build();
-            for (i, v) in values.iter().enumerate() {
-                hot.append(&labels, (lead + i) as i64 * 15_000, *v);
-            }
-        }
-        let horizon_ms = horizon * 15_000;
-        let cold = Arc::new(LongTermStore::new());
-        cold.replicate(&hot, 0, horizon_ms - 1);
-        let fan = FanInQuerier::new(hot, cold, horizon_ms);
-        let (start_ms, end_ms, step_ms) = (start * 5_000, (start + span) * 5_000, step * 5_000);
-        for q in ["m", "sum(m)", "rate(m[1m])", "topk(1, m)", "m / on (instance) m"] {
-            same_as_stepwise(&fan, q, start_ms, end_ms, step_ms);
         }
     }
 

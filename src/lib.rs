@@ -4,8 +4,9 @@
 //! A from-scratch reproduction of *"CEEMS: A Resource Manager Agnostic
 //! Energy and Emissions Monitoring Stack"* (Paipuri, SC-W 2024): real-time
 //! per-workload energy and CO₂e reporting for HPC/cloud platforms, plus
-//! every substrate the original delegates to Prometheus, Thanos, SQLite,
-//! Litestream, SLURM and the node hardware.
+//! the substrates the original delegates to Prometheus, SQLite, Litestream,
+//! SLURM and the node hardware. Thanos's long-term role is played by the
+//! API server's per-unit aggregates (§II.B.b).
 //!
 //! ## Crate map
 //!
@@ -18,7 +19,7 @@
 //! | [`ceems_simnode`] | simulated nodes: RAPL, IPMI-DCMI, cgroups, GPUs |
 //! | [`ceems_slurm`] | batch scheduler + accounting (slurmdbd) simulation |
 //! | [`ceems_emissions`] | OWID / RTE / Electricity Maps emission factors |
-//! | [`ceems_tsdb`] | Gorilla-compressed TSDB, PromQL subset, recording rules, Thanos-like long-term store |
+//! | [`ceems_tsdb`] | Gorilla-compressed TSDB, PromQL subset, recording rules (no cold tier: long-term answers come from the API server) |
 //! | [`ceems_exporter`] | the per-node CEEMS exporter and its collectors |
 //! | [`ceems_apiserver`] | the CEEMS API server: unit DB, rollups, ownership |
 //! | [`ceems_lb`] | the access-controlled load balancer |

@@ -1,13 +1,12 @@
-//! Long-term storage (Thanos role) and continuous backup (Litestream role)
-//! integrated with live stack data — the right-hand side of Fig. 1.
+//! The long-term record (the API server's aggregates) and continuous
+//! backup (Litestream role) integrated with live stack data — the
+//! right-hand side of Fig. 1.
 
-use std::sync::Arc;
-
+use ceems::apiserver::schema::{unit_cols, usage_cols, UNITS_TABLE, USAGE_TABLE};
 use ceems::metrics::matcher::LabelMatcher;
 use ceems::prelude::*;
 use ceems::relstore::backup::{restore, Replicator};
-use ceems::tsdb::longterm::{FanInQuerier, LongTermStore};
-use ceems::tsdb::promql::{instant_query, parse_expr, Queryable, Value};
+use ceems::relstore::Value;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -20,78 +19,89 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// A row with its reals as bits: `Value` equality is numeric.
+fn bits(row: &[Value]) -> Vec<String> {
+    row.iter()
+        .map(|v| match v {
+            Value::Real(x) => format!("real:{:016x}", x.to_bits()),
+            v => format!("{v:?}"),
+        })
+        .collect()
+}
+
+/// The stack keeps no cold copy of the TSDB: a finished job's `units` row
+/// and its user's `usage` row are the long-term record (§II.B.b). Once the
+/// updater has folded the job's whole life, deleting its raw series — what
+/// retention does to an old job — changes neither row.
 #[test]
-fn hot_to_cold_replication_preserves_queries() {
+fn aggregates_outlive_the_raw_series() {
     let mut stack = CeemsStack::build_default();
-    stack
+    let id = stack
         .submit(JobRequest {
-            user: "u".into(),
-            account: "p".into(),
+            user: "archivist".into(),
+            account: "records".into(),
             partition: "cpu-intel".into(),
             nodes: 1,
-            cores_per_node: 16,
-            memory_per_node: 32 << 30,
+            cores_per_node: 8,
+            memory_per_node: 16 << 30,
             gpus_per_node: 0,
-            walltime_s: 7200,
-            workload: WorkloadProfile::CpuBound { intensity: 0.9 },
+            walltime_s: 1200,
+            workload: WorkloadProfile::CpuBound { intensity: 0.8 },
         })
         .unwrap();
-    stack.run_for(1200.0, 15.0);
-    let now = stack.clock.now_ms();
+    let uuid = format!("slurm-{id}");
+    let interval_s = stack.config().updater_interval_s;
+    let get = |stack: &CeemsStack, table: &str, key: &str| {
+        stack.updater.lock().db().get(table, &key.into()).unwrap()
+    };
 
-    // Replicate the first half into the cold store (as the hot TSDB's
-    // sidecar would), then pretend hot retention dropped it.
-    let cold = Arc::new(LongTermStore::new());
-    let horizon = now / 2;
-    let replicated = cold.replicate(&stack.tsdb, 0, horizon - 1);
-    assert!(replicated > 10, "replicated {replicated} series");
-    assert!(cold.block_count() == 1);
-    assert!(cold.byte_len() > 0);
-
-    let fan = FanInQuerier::new(stack.tsdb.clone(), cold.clone(), horizon);
-
-    // A range query spanning the horizon returns a continuous series.
-    let matcher = [
-        LabelMatcher::eq("__name__", "ceems_compute_unit_cpu_user_seconds_total"),
-        LabelMatcher::eq("uuid", "slurm-1"),
-    ];
-    let spanning = fan.select(&matcher, 0, now);
-    assert_eq!(spanning.len(), 1);
-    let hot_only = stack.tsdb.select(&matcher, horizon, now);
-    assert!(spanning[0].samples.len() > hot_only[0].samples.len());
-    assert!(spanning[0].samples.windows(2).all(|w| w[0].t_ms < w[1].t_ms));
-
-    // PromQL evaluates against the fan-in view inside the cold window.
-    let v = instant_query(
-        &fan,
-        &parse_expr("rate(ceems_compute_unit_cpu_user_seconds_total{uuid=\"slurm-1\"}[2m])")
-            .unwrap(),
-        horizon - 60_000,
-    )
-    .unwrap();
-    let Value::Vector(v) = v else { panic!("not a vector") };
-    assert_eq!(v.len(), 1);
-    assert!(v[0].1 > 5.0, "cpu rate {}", v[0].1); // ~14 busy cores
-
-    // Downsampled data exists at 5-minute resolution.
-    let ds = cold.select_downsampled(
-        &[LabelMatcher::eq("__name__", "ceems_ipmi_dcmi_power_current_watts")],
-        "avg",
-        0,
-        i64::MAX,
-    );
-    assert!(!ds.is_empty());
-    let raw = cold.select_raw(
-        &[LabelMatcher::eq("__name__", "ceems_ipmi_dcmi_power_current_watts")],
-        0,
-        i64::MAX,
-    );
-    let raw_n: usize = raw.iter().map(|s| s.samples.len()).sum();
-    let ds_n: usize = ds.iter().map(|s| s.samples.len()).sum();
+    // Run until the job is over and the updater has polled three times past
+    // its end: the poll overlap can report a finished job twice, not thrice.
+    let interval_ms = (interval_s * 1000.0) as i64;
+    let unit = loop {
+        stack.run_for(interval_s, 15.0);
+        let now = stack.clock.now_ms();
+        assert!(now < 3 * 3_600_000, "{uuid} never finished");
+        if let Some(row) = get(&stack, UNITS_TABLE, &uuid) {
+            if row[unit_cols::ENDED_AT]
+                .as_int()
+                .is_some_and(|end| now > end + 3 * interval_ms)
+            {
+                break row;
+            }
+        }
+    };
+    let usage_key = "archivist|records";
+    let usage = get(&stack, USAGE_TABLE, usage_key).expect("usage row");
     assert!(
-        ds_n * 10 < raw_n,
-        "downsampling should shrink sample count (raw={raw_n} ds={ds_n})"
+        unit[unit_cols::ENERGY_KWH].as_real() > Some(0.0),
+        "{unit:?}"
     );
+    assert!(
+        unit[unit_cols::EMISSIONS_G].as_real() > Some(0.0),
+        "{unit:?}"
+    );
+    assert_eq!(usage[usage_cols::NUM_UNITS].as_int(), Some(1));
+
+    let uuid_series = [LabelMatcher::eq("uuid", &uuid)];
+    assert!(stack.tsdb.delete_series(&uuid_series) > 0);
+    assert!(stack.tsdb.select_latest(&uuid_series).is_empty());
+
+    let polls = stack.stats().updater_polls;
+    stack.run_for(5.0 * interval_s, 15.0);
+    assert!(stack.stats().updater_polls >= polls + 5);
+
+    let unit_after = get(&stack, UNITS_TABLE, &uuid).expect("units row");
+    assert_eq!(bits(&unit_after), bits(&unit));
+    // Every poll rewrites the usage rollups and stamps them; the stamp
+    // moves, the rollup is recomputed from the units rows alone.
+    let usage_after = get(&stack, USAGE_TABLE, usage_key).expect("usage row");
+    assert!(usage_after[usage_cols::UPDATED_AT].as_int() > usage[usage_cols::UPDATED_AT].as_int());
+    assert_eq!(
+        bits(&usage_after[..usage_cols::UPDATED_AT]),
+        bits(&usage[..usage_cols::UPDATED_AT])
+    );
+    assert!(stack.tsdb.select_latest(&uuid_series).is_empty());
 }
 
 #[test]
