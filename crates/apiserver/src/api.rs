@@ -209,7 +209,7 @@ impl ApiServer {
     }
 
     /// Serves with explicit server tuning (connection caps, idle timeout,
-    /// reactor threads — e.g. from the `http:` config section).
+    /// backlog — e.g. from the `http:` config section).
     pub fn serve_with(self: &Arc<Self>, config: ServerConfig) -> std::io::Result<HttpServer> {
         HttpServer::serve(config, self.router())
     }

@@ -94,7 +94,8 @@ pub struct HttpSettings {
     pub max_connections: usize,
     /// Keep-alive connections idle for longer than this are closed (s).
     pub idle_timeout_s: f64,
-    /// Epoll event-loop threads per server.
+    /// Not read: a server runs its `workers` threads and no event loops
+    /// besides (S20). The YAML key is still accepted.
     pub reactor_threads: usize,
     /// Idle keep-alive connections a client pools per host; 0 disables
     /// client-side connection reuse.
@@ -109,7 +110,7 @@ impl Default for HttpSettings {
         HttpSettings {
             max_connections: sc.max_connections,
             idle_timeout_s: sc.idle_timeout.as_secs_f64(),
-            reactor_threads: sc.reactor_threads,
+            reactor_threads: 2,
             pool_per_host: ceems_http::pool::DEFAULT_POOL_PER_HOST,
             backlog: sc.backlog,
         }
@@ -125,7 +126,6 @@ impl HttpSettings {
             .with_idle_timeout(std::time::Duration::from_secs_f64(
                 self.idle_timeout_s.max(0.001),
             ))
-            .with_reactor_threads(self.reactor_threads)
             .with_backlog(self.backlog)
     }
 
@@ -1018,7 +1018,6 @@ http:
         let sc = c.http.server_config();
         assert_eq!(sc.max_connections, 20_000);
         assert_eq!(sc.idle_timeout, std::time::Duration::from_secs(15));
-        assert_eq!(sc.reactor_threads, 4);
         assert_eq!(sc.backlog, 2048);
     }
 
@@ -1027,7 +1026,7 @@ http:
         let c = CeemsConfig::from_yaml("").unwrap();
         let sc = ceems_http::ServerConfig::default();
         assert_eq!(c.http.max_connections, sc.max_connections);
-        assert_eq!(c.http.reactor_threads, sc.reactor_threads);
+        assert_eq!(c.http.reactor_threads, 2);
         assert_eq!(c.http.backlog, sc.backlog);
         assert_eq!(c.http.pool_per_host, ceems_http::pool::DEFAULT_POOL_PER_HOST);
 

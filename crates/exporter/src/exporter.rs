@@ -144,7 +144,7 @@ impl CeemsExporter {
     }
 
     /// Serves `/metrics` with explicit server tuning (connection caps, idle
-    /// timeout, reactor threads — e.g. from the `http:` config section).
+    /// timeout, backlog — e.g. from the `http:` config section).
     /// Basic auth from the exporter's own config still takes precedence.
     pub fn serve_with(self: Arc<Self>, mut cfg: ServerConfig) -> std::io::Result<HttpServer> {
         cfg.basic_auth = self.config.basic_auth.clone();

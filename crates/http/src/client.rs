@@ -3,11 +3,17 @@
 //! Requests reuse idle per-host connections from a shared [`Pool`]
 //! (clones of a `Client` share one pool, so long-lived components — LB,
 //! query frontend, WAL follower, updater, scraper — amortise connection
-//! setup across every hop). A pooled connection is revalidated at checkout
-//! (age + non-blocking peek) and a request that fails on a *reused*
-//! connection is retried once on a fresh one — the reuse race where the
-//! server closed the socket just after checkout is indistinguishable from
-//! a dead pooled connection, and no response bytes have been committed yet.
+//! setup across every hop). A connection's timeouts and `TCP_NODELAY` are
+//! set once, when it is opened. A pooled connection is revalidated at
+//! checkout (age + one non-blocking peek) and a request that fails on a
+//! *reused* connection is retried once on a fresh one — the reuse race
+//! where the server closed the socket just after checkout is
+//! indistinguishable from a dead pooled connection, and no response bytes
+//! have been committed yet.
+//!
+//! A response's body is read as it arrives: a `content-length` or chunk
+//! size claims nothing up front, so memory follows the bytes that actually
+//! come, and a body cut short is [`ClientError::BadResponse`].
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -119,9 +125,12 @@ impl Client {
         self
     }
 
-    /// Overrides the socket timeout.
+    /// Overrides the socket timeout. A connection carries the timeout it
+    /// was opened with, so the client gets a pool of its own (of the same
+    /// size) for connections opened with this one.
     pub fn with_timeout(mut self, timeout: Duration) -> Client {
         self.timeout = Some(timeout);
+        self.pool = Arc::new(Pool::new(self.pool.max_per_host()));
         self
     }
 
@@ -161,10 +170,7 @@ impl Client {
     /// long-lived subscriptions.
     pub fn get_stream(&self, url: &str) -> Result<StreamingResponse, ClientError> {
         let url = Url::parse(url)?;
-        let stream = TcpStream::connect(&url.authority)?;
-        stream.set_read_timeout(self.timeout)?;
-        stream.set_write_timeout(self.timeout)?;
-        stream.set_nodelay(true)?;
+        let stream = self.connect(&url)?;
 
         let mut head = format!(
             "GET {} HTTP/1.1\r\nhost: {}\r\nconnection: close\r\n",
@@ -182,21 +188,7 @@ impl Client {
 
         let mut reader = BufReader::new(stream);
         let (status, headers) = read_head(&mut reader)?;
-        let mode = if headers
-            .get("transfer-encoding")
-            .map(|v| v.eq_ignore_ascii_case("chunked"))
-            .unwrap_or(false)
-        {
-            BodyMode::Chunked
-        } else {
-            match headers.get("content-length") {
-                Some(cl) => BodyMode::Length(
-                    cl.parse()
-                        .map_err(|_| ClientError::BadResponse("bad content-length".into()))?,
-                ),
-                None => BodyMode::ToEof,
-            }
-        };
+        let mode = body_mode(&headers)?;
         Ok(StreamingResponse {
             status,
             headers,
@@ -294,8 +286,18 @@ impl Client {
         content_type: Option<&str>,
     ) -> Result<Response, ClientError> {
         self.pool.note_fresh();
-        let stream = TcpStream::connect(&url.authority)?;
+        let stream = self.connect(url)?;
         self.exchange(stream, method, url, body, content_type)
+    }
+
+    /// Opens a connection with the client's timeouts and `TCP_NODELAY`,
+    /// which it keeps for its whole life, pooled or not.
+    fn connect(&self, url: &Url) -> Result<TcpStream, ClientError> {
+        let stream = TcpStream::connect(&url.authority)?;
+        stream.set_read_timeout(self.timeout)?;
+        stream.set_write_timeout(self.timeout)?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
     }
 
     /// One request/response on one connection; returns the socket to the
@@ -308,10 +310,6 @@ impl Client {
         body: &[u8],
         content_type: Option<&str>,
     ) -> Result<Response, ClientError> {
-        stream.set_read_timeout(self.timeout)?;
-        stream.set_write_timeout(self.timeout)?;
-        stream.set_nodelay(true)?;
-
         let keep_alive = self.pool.max_per_host() > 0;
         let mut head = format!(
             "{} {} HTTP/1.1\r\nhost: {}\r\nconnection: {}\r\ncontent-length: {}\r\n",
@@ -388,42 +386,7 @@ impl StreamingResponse {
     /// Non-chunked bodies (an error response shed with `content-length`,
     /// say) come back as a single chunk followed by `None`.
     pub fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.mode {
-            BodyMode::Done => Ok(None),
-            BodyMode::Chunked => {
-                let mut line = String::new();
-                if self.reader.read_line(&mut line)? == 0 {
-                    return Err(ClientError::BadResponse("eof mid-stream".into()));
-                }
-                let size_str = line.trim().split(';').next().unwrap_or("").trim();
-                let size = usize::from_str_radix(size_str, 16)
-                    .map_err(|_| ClientError::BadResponse(format!("bad chunk size {line:?}")))?;
-                if size == 0 {
-                    // Terminating chunk; consume the trailing CRLF.
-                    let mut end = String::new();
-                    let _ = self.reader.read_line(&mut end);
-                    self.mode = BodyMode::Done;
-                    return Ok(None);
-                }
-                let mut buf = vec![0u8; size];
-                self.reader.read_exact(&mut buf)?;
-                let mut crlf = [0u8; 2];
-                self.reader.read_exact(&mut crlf)?;
-                Ok(Some(buf))
-            }
-            BodyMode::Length(n) => {
-                let mut buf = vec![0u8; n];
-                self.reader.read_exact(&mut buf)?;
-                self.mode = BodyMode::Done;
-                Ok(Some(buf))
-            }
-            BodyMode::ToEof => {
-                let mut buf = Vec::new();
-                self.reader.read_to_end(&mut buf)?;
-                self.mode = BodyMode::Done;
-                Ok(if buf.is_empty() { None } else { Some(buf) })
-            }
-        }
+        next_chunk(&mut self.reader, &mut self.mode)
     }
 
     /// Overrides the per-chunk read deadline (e.g. a live subscription
@@ -469,9 +432,28 @@ fn read_head<R: BufRead>(
     Ok((Status(code), headers))
 }
 
+/// Reads a body of `n` bytes through `take(n)`: memory follows the bytes
+/// that arrive, not the length the peer claims (the buffer starts at what
+/// the reader already holds), and fewer than `n` before EOF is a
+/// [`ClientError::BadResponse`].
+fn read_body<R: BufRead>(reader: &mut R, n: usize) -> Result<Vec<u8>, ClientError> {
+    if n == 0 {
+        return Ok(Vec::new()); // nothing to wait for
+    }
+    let mut buf = Vec::with_capacity(n.min(reader.fill_buf()?.len()));
+    reader.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() < n {
+        return Err(ClientError::BadResponse(format!(
+            "body cut short: {} of {n} bytes",
+            buf.len()
+        )));
+    }
+    Ok(buf)
+}
+
 /// Reads one response. The `bool` is true when the body was framed by
 /// `content-length` (a read-to-EOF body consumes the connection).
-fn read_response<R: BufRead>(reader: &mut R) -> Result<(Response, bool), ClientError> {
+pub fn read_response<R: BufRead>(reader: &mut R) -> Result<(Response, bool), ClientError> {
     let (status, headers) = read_head(reader)?;
 
     let (body, framed) = match headers.get("content-length") {
@@ -479,9 +461,7 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<(Response, bool), ClientE
             let n: usize = cl
                 .parse()
                 .map_err(|_| ClientError::BadResponse("bad content-length".into()))?;
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            (buf, true)
+            (read_body(reader, n)?, true)
         }
         None => {
             let mut buf = Vec::new();
@@ -499,6 +479,77 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<(Response, bool), ClientE
         },
         framed,
     ))
+}
+
+/// Reads a streaming response as [`Client::get_stream`] and
+/// [`StreamingResponse::next_chunk`] do: the head, then chunks until the
+/// end of the stream.
+pub fn read_stream<R: BufRead>(reader: &mut R) -> Result<Vec<Vec<u8>>, ClientError> {
+    let (_, headers) = read_head(reader)?;
+    let mut mode = body_mode(&headers)?;
+    let mut chunks = Vec::new();
+    while let Some(chunk) = next_chunk(reader, &mut mode)? {
+        chunks.push(chunk);
+    }
+    Ok(chunks)
+}
+
+/// How a streaming response's body is framed, from its head.
+fn body_mode(headers: &BTreeMap<String, String>) -> Result<BodyMode, ClientError> {
+    let chunked = headers
+        .get("transfer-encoding")
+        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
+    if chunked {
+        return Ok(BodyMode::Chunked);
+    }
+    match headers.get("content-length") {
+        Some(cl) => cl
+            .parse()
+            .map(BodyMode::Length)
+            .map_err(|_| ClientError::BadResponse("bad content-length".into())),
+        None => Ok(BodyMode::ToEof),
+    }
+}
+
+/// [`StreamingResponse::next_chunk`] over any reader.
+fn next_chunk<R: BufRead>(
+    reader: &mut R,
+    mode: &mut BodyMode,
+) -> Result<Option<Vec<u8>>, ClientError> {
+    match *mode {
+        BodyMode::Done => Ok(None),
+        BodyMode::Chunked => {
+            let mut line = String::new();
+            if reader.read_line(&mut line)? == 0 {
+                return Err(ClientError::BadResponse("eof mid-stream".into()));
+            }
+            let size_str = line.trim().split(';').next().unwrap_or("").trim();
+            let size = usize::from_str_radix(size_str, 16)
+                .map_err(|_| ClientError::BadResponse(format!("bad chunk size {line:?}")))?;
+            if size == 0 {
+                // Terminating chunk; consume the trailing CRLF.
+                let mut end = String::new();
+                let _ = reader.read_line(&mut end);
+                *mode = BodyMode::Done;
+                return Ok(None);
+            }
+            let buf = read_body(reader, size)?;
+            let mut crlf = [0u8; 2];
+            reader.read_exact(&mut crlf)?;
+            Ok(Some(buf))
+        }
+        BodyMode::Length(n) => {
+            let buf = read_body(reader, n)?;
+            *mode = BodyMode::Done;
+            Ok(Some(buf))
+        }
+        BodyMode::ToEof => {
+            let mut buf = Vec::new();
+            reader.read_to_end(&mut buf)?;
+            *mode = BodyMode::Done;
+            Ok(if buf.is_empty() { None } else { Some(buf) })
+        }
+    }
 }
 
 #[cfg(test)]

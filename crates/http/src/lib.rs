@@ -2,20 +2,20 @@
 //! Event-driven HTTP/1.1 substrate for CEEMS (S5 + S20 in `DESIGN.md`).
 //!
 //! The Go CEEMS stack leans on `net/http`; this crate provides the subset
-//! the stack needs, built on `std::net` plus a hand-rolled epoll reactor
-//! (raw syscalls, no external async runtime):
+//! the stack needs, built on `std::net` plus a hand-rolled epoll server
+//! pool (raw syscalls, no external async runtime):
 //!
 //! * [`types`] — request/response representations and status codes.
 //! * [`url`] — percent-coding and query-string parsing.
 //! * [`auth`] — HTTP Basic authentication (with an in-repo base64 codec).
 //! * [`router`] — path routing with `:param` captures.
-//! * [`server`] — a keep-alive HTTP/1.1 server: a fixed set of epoll
-//!   reactor threads multiplexes every connection (edge-triggered,
-//!   non-blocking, write backpressure, idle timeouts), while handlers run
-//!   on a bounded worker pool, so thread count stays constant no matter
-//!   how many sockets are open.
-//! * [`sys`] — the raw Linux FFI the reactor stands on (`epoll`,
-//!   `eventfd`, listener backlog, `RLIMIT_NOFILE`).
+//! * [`server`] — a keep-alive HTTP/1.1 server: a fixed pool of threads
+//!   waits on one epoll instance holding every connection (non-blocking,
+//!   one-shot, write backpressure, idle timeouts), and the thread that
+//!   reads a request runs its handler and writes the response, so thread
+//!   count stays constant no matter how many sockets are open.
+//! * [`sys`] — the raw Linux FFI the server stands on (`epoll`,
+//!   `eventfd`, listener backlog, a non-blocking peek, `RLIMIT_NOFILE`).
 //! * [`stream`] — streaming response bodies over chunked transfer-encoding
 //!   (live query subscriptions and the S23 sample bus hold responses open
 //!   through these).
@@ -44,6 +44,14 @@ pub mod stream;
 pub mod sys;
 pub mod types;
 pub mod url;
+
+/// The server's request parser and the client's response readers over
+/// plain bytes, for tests that feed them hostile input. Not a stable API.
+#[doc(hidden)]
+pub mod wire {
+    pub use crate::client::{read_response, read_stream};
+    pub use crate::reactor::{parse_request, Parse};
+}
 
 pub use client::{Client, ClientError, StreamingResponse};
 pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};

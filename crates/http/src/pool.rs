@@ -2,17 +2,20 @@
 //!
 //! Every [`crate::Client`] owns (and its clones share) a per-host pool of
 //! idle keep-alive connections. A checkout revalidates the socket before
-//! reuse — age against the idle TTL, then a non-blocking peek: a pooled
+//! reuse — age against the idle TTL, then one non-blocking peek: a pooled
 //! connection with pending bytes or EOF was closed (or corrupted) by the
 //! server and is discarded instead of carrying a request. The pool is
 //! bounded per host; overflow check-ins just close the socket.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+use crate::sys;
 
 /// Idle connections a pool retains per `host:port` authority.
 pub const DEFAULT_POOL_PER_HOST: usize = 8;
@@ -98,7 +101,10 @@ impl Pool {
                 }
                 idle?
             };
-            if idle.since.elapsed() <= self.idle_ttl && revalidate(&idle.stream) {
+            // Still usable when a non-blocking peek sees *nothing*:
+            // readable zero bytes is EOF, readable data is protocol junk
+            // from a connection that carried no outstanding request.
+            if idle.since.elapsed() <= self.idle_ttl && sys::is_quiet(idle.stream.as_raw_fd()) {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 return Some(idle.stream);
             }
@@ -141,21 +147,6 @@ impl Pool {
             discarded: self.discarded.load(Ordering::Relaxed),
         }
     }
-}
-
-/// True when the idle socket is still usable: a non-blocking peek must see
-/// *nothing* — readable zero bytes is EOF, readable data is protocol junk
-/// from a connection that carried no outstanding request.
-fn revalidate(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let alive = matches!(
-        stream.peek(&mut probe),
-        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock
-    );
-    alive && stream.set_nonblocking(false).is_ok()
 }
 
 #[cfg(test)]

@@ -1,35 +1,48 @@
-//! The epoll reactor behind [`crate::server::HttpServer`] (S20).
+//! The leader/follower pool behind [`crate::server::HttpServer`] (S20).
 //!
-//! Thread model: one blocking acceptor distributes accepted sockets
-//! round-robin over `reactor_threads` event loops; each reactor owns its
-//! connections outright (no cross-reactor locking on the hot path) and
-//! drives them through a non-blocking per-connection state machine —
-//! incremental HTTP/1.1 parsing, pipelined keep-alive, write backpressure
-//! via `EPOLLOUT`, idle/slowloris timeouts. Handlers may block (the LB
-//! proxies synchronously, the qfe queues under its scheduler), so parsed
-//! requests are executed on a fixed pool of `workers` handler threads and
-//! the finished responses posted back to the owning reactor through a
-//! completion queue + eventfd wake-up. Thread count is fixed at
-//! `1 + reactor_threads + workers` regardless of connection count.
+//! Thread model: `workers` threads wait in `epoll_wait` on one epoll
+//! instance holding the listening socket, every connection and one
+//! eventfd, and each takes one event at a time. Connections are registered
+//! level-triggered and `EPOLLONESHOT`, so an event hands a connection to
+//! exactly one thread. That thread takes the connection out of the table,
+//! reads, parses, runs fault injection, auth and the handler, and writes
+//! the response itself; a short write arms `EPOLLOUT`. It then serves any
+//! pipelined request already buffered, puts the connection back and
+//! re-arms it. The thread that reads a request answers it: a hop wakes one
+//! server thread, then the caller. Handlers may block (the LB proxies
+//! synchronously, the qfe queues under its scheduler); the other threads
+//! go on serving. The thread count is `workers`, whatever the connection
+//! count.
 //!
-//! Correctness guards: a per-connection generation stamps every job so a
-//! completion for a closed (and fd-reused) connection is dropped instead of
-//! answering the wrong peer; a `max_connections` gate sheds accepts before
-//! fd exhaustion; shutdown drains in-flight requests (bounded by
-//! [`DRAIN_DEADLINE`]) before closing.
+//! The listening socket is one-shot too: the thread it wakes accepts a
+//! batch and re-arms it. The eventfd wakes a thread to pump streaming
+//! bodies whose writers queued chunks, and at shutdown to drain (each
+//! thread that leaves posts it for the next). Timeouts are swept by
+//! whichever thread finds the sweep due when its `epoll_wait` returns, a
+//! timeout included.
+//!
+//! Correctness guards: a connection's epoll token is its fd and a
+//! generation, and the table is keyed by the token, so an event for a
+//! closed (and fd-reused) connection finds nothing; a connection out of
+//! the table is worked by one thread, and nothing else (sweep, pump,
+//! drain) touches it; it goes back into the table and is re-armed under
+//! the table's lock, so no thread sees it armed and absent; a
+//! `max_connections` gate sheds accepts before fd exhaustion; shutdown
+//! drains in-flight requests (bounded by [`DRAIN_DEADLINE`]) before
+//! closing.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::server::ServerConfig;
+use crate::stream::BodyStream;
 use crate::sys::{self, Epoll, EventFd};
 use crate::types::{Method, Request, Response, Status};
 use crate::url::{decode_component, parse_query};
@@ -46,18 +59,24 @@ const MAX_HEAD_BYTES: usize = 64 << 10;
 /// the writer-side queue cap in [`crate::stream`].
 const STREAM_OUT_CAP: usize = 4 << 20;
 
-/// Epoll token reserved for the reactor's wake eventfd.
-const WAKE_TOKEN: u64 = u64::MAX;
+/// Epoll token of the listening socket.
+const LISTENER: u64 = u64::MAX;
+/// Epoll token of the wake eventfd. A connection's token is its
+/// generation over its fd, and a fd never reaches these low words.
+const WAKE: u64 = u64::MAX - 1;
 
-/// A parsed request handed to the worker pool.
-pub(crate) struct Job {
-    reactor: usize,
-    fd: RawFd,
-    gen: u64,
-    req: Request,
-}
+/// How often the connection table is swept for timeouts.
+const SWEEP_EVERY_MS: u64 = 100;
 
-/// What the worker decided; applied to the connection by its reactor.
+/// Connections accepted per listener wake-up before it is re-armed.
+const ACCEPT_BATCH: usize = 64;
+
+/// Bytes read off a socket per `read` call.
+const READ_CHUNK: usize = 16 << 10;
+
+type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
+
+/// What the handler side decided for one request.
 enum Action {
     /// Write this response; keep or close per `keep_alive`.
     Respond { resp: Response, keep_alive: bool },
@@ -70,57 +89,9 @@ enum Action {
     Truncate { resp: Response },
 }
 
-struct Completion {
-    fd: RawFd,
-    gen: u64,
-    action: Action,
-}
-
-/// The cross-thread face of one reactor: the acceptor pushes new sockets
-/// into `inbox`, workers push finished responses into `completions`, and
-/// both ring `wake` to pop the reactor out of `epoll_wait`.
-pub(crate) struct ReactorShared {
-    inbox: Mutex<Vec<TcpStream>>,
-    completions: Mutex<Vec<Completion>>,
-    wake: EventFd,
-}
-
-impl ReactorShared {
-    pub(crate) fn new() -> std::io::Result<Arc<ReactorShared>> {
-        Ok(Arc::new(ReactorShared {
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-        }))
-    }
-
-    /// Hands a freshly accepted socket to this reactor.
-    pub(crate) fn adopt(&self, stream: TcpStream) {
-        self.inbox.lock().push(stream);
-        self.wake.notify();
-    }
-
-    /// Wakes the reactor with nothing queued (used at shutdown).
-    pub(crate) fn kick(&self) {
-        self.wake.notify();
-    }
-}
-
-enum ConnState {
-    /// Reading / waiting for request bytes.
-    Idle,
-    /// A request is running on a worker; `gen` guards the completion.
-    Busy,
-    /// A chunked streaming response is open (S23): the reactor drains the
-    /// connection's [`crate::stream::BodyStream`] until the producer closes
-    /// it, then closes the connection.
-    Streaming,
-}
-
 struct Conn {
     stream: TcpStream,
-    gen: u64,
-    state: ConnState,
+    token: u64,
     /// Unparsed inbound bytes.
     buf: Vec<u8>,
     /// How far `buf` has been scanned for the head terminator.
@@ -128,527 +99,520 @@ struct Conn {
     /// Outbound bytes not yet accepted by the kernel.
     out: Vec<u8>,
     out_pos: usize,
-    /// `EPOLLOUT` currently armed.
-    want_write: bool,
     /// Close once `out` drains.
     close_after_flush: bool,
     /// Read side saw EOF; serve what is buffered, then close.
     peer_closed: bool,
-    /// Requests dispatched on this connection.
+    /// Requests served on this connection.
     served: usize,
     /// Last byte of progress in either direction.
     last_activity: Instant,
+    /// Last read that brought bytes: a request's `received_at`.
+    last_read: Instant,
     /// When the first byte of the current partial request arrived; bounds
     /// total header+body receive time (slowloris guard).
     req_started: Option<Instant>,
-    /// The open streaming body while in [`ConnState::Streaming`].
-    body_stream: Option<crate::stream::BodyStream>,
+    /// An open chunked streaming response (S23): its queued chunks are
+    /// written until the producer closes it, then the connection closes.
+    body_stream: Option<BodyStream>,
 }
 
 impl Conn {
+    fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+
+    fn pending_out(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    /// What to wait for next: room to write while output is pending (a
+    /// hang-up is reported either way), else the next bytes or EOF.
     fn interest(&self) -> u32 {
-        let mut m = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLET;
-        if self.want_write {
-            m |= sys::EPOLLOUT;
-        }
-        m
-    }
-}
-
-/// One event loop.
-pub(crate) struct Reactor {
-    idx: usize,
-    epoll: Epoll,
-    shared: Arc<ReactorShared>,
-    config: Arc<ServerConfig>,
-    jobs: Sender<Job>,
-    active: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-    conns: HashMap<RawFd, Conn>,
-    next_gen: u64,
-    drain_deadline: Option<Instant>,
-}
-
-impl Reactor {
-    pub(crate) fn new(
-        idx: usize,
-        shared: Arc<ReactorShared>,
-        config: Arc<ServerConfig>,
-        jobs: Sender<Job>,
-        active: Arc<AtomicUsize>,
-        stop: Arc<AtomicBool>,
-    ) -> std::io::Result<Reactor> {
-        let epoll = Epoll::new()?;
-        epoll.add(shared.wake.fd(), sys::EPOLLIN, WAKE_TOKEN)?;
-        Ok(Reactor {
-            idx,
-            epoll,
-            shared,
-            config,
-            jobs,
-            active,
-            stop,
-            conns: HashMap::new(),
-            next_gen: 0,
-            drain_deadline: None,
-        })
-    }
-
-    pub(crate) fn run(mut self) {
-        let mut events = [sys::epoll_event { events: 0, u64: 0 }; 256];
-        loop {
-            let n = self.epoll.wait(&mut events, 100).unwrap_or_default();
-            for ev in events.iter().take(n) {
-                if ev.u64 == WAKE_TOKEN {
-                    self.shared.wake.drain();
-                    continue;
-                }
-                let fd = ev.u64 as RawFd;
-                let bits = ev.events;
-                if bits & sys::EPOLLERR != 0 {
-                    self.close(fd);
-                    continue;
-                }
-                if bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0 {
-                    self.readable(fd);
-                }
-                if bits & sys::EPOLLOUT != 0 {
-                    self.writable(fd);
-                }
-            }
-            self.drain_inbox();
-            self.drain_completions();
-            self.pump_streams();
-            self.sweep_timeouts();
-            if self.stop.load(Ordering::Relaxed) && self.drain_for_stop() {
-                break;
-            }
-        }
-        // Force-close what remains (drain deadline expired or all drained).
-        let fds: Vec<RawFd> = self.conns.keys().copied().collect();
-        for fd in fds {
-            self.close(fd);
-        }
-    }
-
-    /// At stop: closes idle connections immediately, keeps busy/flushing
-    /// ones until they finish or the drain deadline expires. Returns true
-    /// when the loop should exit.
-    fn drain_for_stop(&mut self) -> bool {
-        let deadline = *self
-            .drain_deadline
-            .get_or_insert_with(|| Instant::now() + DRAIN_DEADLINE);
-        let idle: Vec<RawFd> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                // Streams are unbounded; shutdown aborts them immediately
-                // (the producer sees the abort) instead of waiting them out.
-                matches!(c.state, ConnState::Streaming)
-                    || (matches!(c.state, ConnState::Idle) && c.out_pos >= c.out.len())
-            })
-            .map(|(fd, _)| *fd)
-            .collect();
-        for fd in idle {
-            self.close(fd);
-        }
-        self.conns.is_empty() || Instant::now() >= deadline
-    }
-
-    fn drain_inbox(&mut self) {
-        loop {
-            let Some(stream) = self.shared.inbox.lock().pop() else {
-                break;
-            };
-            if self.stop.load(Ordering::Relaxed) {
-                self.active.fetch_sub(1, Ordering::Relaxed);
-                continue; // dropped: shutting down
-            }
-            let fd = stream.as_raw_fd();
-            self.next_gen += 1;
-            let conn = Conn {
-                stream,
-                gen: self.next_gen,
-                state: ConnState::Idle,
-                buf: Vec::new(),
-                scanned: 0,
-                out: Vec::new(),
-                out_pos: 0,
-                want_write: false,
-                close_after_flush: false,
-                peer_closed: false,
-                served: 0,
-                last_activity: Instant::now(),
-                req_started: None,
-                body_stream: None,
-            };
-            if self.epoll.add(fd, conn.interest(), fd as u64).is_err() {
-                self.active.fetch_sub(1, Ordering::Relaxed);
-                continue; // stream drops, fd closes
-            }
-            self.conns.insert(fd, conn);
-            // A pipelined client may have sent bytes before registration;
-            // edge-triggered epoll would stay silent about them.
-            self.readable(fd);
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        let batch: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
-        for c in batch {
-            let Some(conn) = self.conns.get_mut(&c.fd) else {
-                continue;
-            };
-            if conn.gen != c.gen {
-                continue; // connection closed and fd reused since dispatch
-            }
-            match c.action {
-                Action::Respond { resp, keep_alive } => {
-                    if let Some(body) = resp.stream.clone() {
-                        // Streaming response: chunked head now, body drained
-                        // by pump_stream until the producer closes. The
-                        // connection always closes at stream end, so
-                        // keep_alive is moot.
-                        serialize_stream_head(&mut conn.out, &resp);
-                        conn.state = ConnState::Streaming;
-                        conn.last_activity = Instant::now();
-                        let shared = self.shared.clone();
-                        body.set_waker(Arc::new(move || shared.kick()));
-                        conn.body_stream = Some(body);
-                        self.flush_and_continue(c.fd);
-                        self.pump_stream(c.fd);
-                    } else {
-                        serialize_response(&mut conn.out, &resp, keep_alive);
-                        conn.state = ConnState::Idle;
-                        conn.last_activity = Instant::now();
-                        if !keep_alive || conn.served >= self.config.max_requests_per_conn {
-                            conn.close_after_flush = true;
-                        }
-                        self.flush_and_continue(c.fd);
-                    }
-                }
-                Action::Close => {
-                    self.close(c.fd);
-                }
-                #[cfg(feature = "fault")]
-                Action::Truncate { resp } => {
-                    serialize_truncated(&mut conn.out, &resp);
-                    conn.state = ConnState::Idle;
-                    conn.close_after_flush = true;
-                    self.flush_and_continue(c.fd);
-                }
-            }
-        }
-    }
-
-    /// Drains every open streaming body into its connection. Runs each loop
-    /// pass: a writer's `send` kicks the eventfd for immediacy, and the
-    /// 100 ms epoll timeout bounds latency even without a waker.
-    fn pump_streams(&mut self) {
-        let fds: Vec<RawFd> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| matches!(c.state, ConnState::Streaming))
-            .map(|(fd, _)| *fd)
-            .collect();
-        for fd in fds {
-            self.pump_stream(fd);
-        }
-    }
-
-    /// Moves queued chunks of one streaming connection into its outbound
-    /// buffer (chunk-encoded) and flushes. Sheds the consumer when the
-    /// unflushed backlog passes [`STREAM_OUT_CAP`]; ends the connection with
-    /// the terminating chunk once the producer closes.
-    fn pump_stream(&mut self, fd: RawFd) {
-        let Some(conn) = self.conns.get_mut(&fd) else {
-            return;
+        let want = if self.pending_out() > 0 {
+            sys::EPOLLOUT
+        } else {
+            sys::EPOLLIN | sys::EPOLLRDHUP
         };
-        if !matches!(conn.state, ConnState::Streaming) {
-            return;
-        }
-        let Some(stream) = conn.body_stream.clone() else {
-            self.close(fd);
-            return;
-        };
-        if conn.out.len() - conn.out_pos > STREAM_OUT_CAP {
-            // Consumer can't keep up with the producer: shed it.
-            self.close(fd);
-            return;
-        }
-        let (chunks, closed) = stream.take_chunks();
-        for chunk in &chunks {
-            if !chunk.is_empty() {
-                encode_chunk(&mut conn.out, chunk);
-            }
-        }
-        if closed {
-            conn.out.extend_from_slice(b"0\r\n\r\n");
-            conn.state = ConnState::Idle;
-            conn.close_after_flush = true;
-            conn.body_stream = None;
-        }
-        if !chunks.is_empty() || closed {
-            conn.last_activity = Instant::now();
-            self.flush_and_continue(fd);
-        }
+        want | sys::EPOLLONESHOT
     }
 
-    fn readable(&mut self, fd: RawFd) {
-        let Some(conn) = self.conns.get_mut(&fd) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 << 10];
+    /// Reads what the socket holds. `Err` means the connection is over
+    /// (a socket error, or more buffered than one request may be).
+    fn read_in(&mut self, chunk: &mut [u8], max_body: usize) -> Result<(), ()> {
         loop {
-            match (&conn.stream).read(&mut chunk) {
+            match (&self.stream).read(chunk) {
                 Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
+                    self.peer_closed = true;
+                    return Ok(());
                 }
                 Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    let now = Instant::now();
+                    self.last_activity = now;
+                    self.last_read = now;
+                    self.req_started.get_or_insert(now);
                     // Don't buffer unboundedly ahead of parsing: the cap is
                     // one head + one max body + one read chunk.
-                    conn.buf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                    if conn.req_started.is_none() {
-                        conn.req_started = Some(conn.last_activity);
+                    if self.buf.len() > MAX_HEAD_BYTES + max_body + chunk.len() {
+                        return Err(());
                     }
-                    if conn.buf.len() > MAX_HEAD_BYTES + self.config.max_body_bytes + chunk.len() {
-                        self.close(fd);
-                        return;
+                    if n < chunk.len() {
+                        // Drained; level-triggered re-arming reports more.
+                        return Ok(());
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(fd);
-                    return;
-                }
-            }
-        }
-        self.try_dispatch(fd);
-        if let Some(conn) = self.conns.get_mut(&fd) {
-            // A subscriber that closed its read side is done consuming the
-            // stream; tear the connection down so the producer sees it.
-            if conn.peer_closed && matches!(conn.state, ConnState::Streaming) {
-                self.close(fd);
-                return;
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&fd) {
-            // EOF with nothing runnable: a clean close or an abandoned
-            // partial request — either way the conversation is over.
-            if conn.peer_closed
-                && matches!(conn.state, ConnState::Idle)
-                && conn.out_pos >= conn.out.len()
-                && !conn.close_after_flush
-            {
-                self.close(fd);
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(()),
             }
         }
     }
 
-    fn writable(&mut self, fd: RawFd) {
-        self.flush_and_continue(fd);
-    }
-
-    /// Pushes pending output to the kernel; arms/disarms `EPOLLOUT`; closes
-    /// or parses the next pipelined request when the buffer drains.
-    fn flush_and_continue(&mut self, fd: RawFd) {
-        let Some(conn) = self.conns.get_mut(&fd) else {
-            return;
-        };
-        while conn.out_pos < conn.out.len() {
-            match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    self.close(fd);
-                    return;
-                }
+    /// Pushes pending output to the kernel: `Ok(true)` once it drained,
+    /// `Ok(false)` when the socket is full (backpressure).
+    fn flush(&mut self) -> std::io::Result<bool> {
+        while self.out_pos < self.out.len() {
+            match (&self.stream).write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity = Instant::now();
+                    self.out_pos += n;
+                    self.last_activity = Instant::now();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let interest = conn.interest();
-                        if self.epoll.modify(fd, interest, fd as u64).is_err() {
-                            self.close(fd);
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(true)
+    }
+
+    /// Moves what the producer queued into `out`, chunk-encoded, ending
+    /// with the terminating chunk once the producer closed. True when the
+    /// unflushed backlog passed [`STREAM_OUT_CAP`]: the consumer can't keep
+    /// up and is shed.
+    fn pump(&mut self) -> bool {
+        let Some(stream) = &self.body_stream else {
+            return false;
+        };
+        let (chunks, closed) = stream.take_chunks();
+        for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+            encode_chunk(&mut self.out, chunk);
+        }
+        if closed {
+            self.out.extend_from_slice(b"0\r\n\r\n");
+            self.body_stream = None;
+            self.close_after_flush = true;
+        }
+        if !chunks.is_empty() || closed {
+            self.last_activity = Instant::now();
+        }
+        self.pending_out() > STREAM_OUT_CAP
+    }
+
+    /// Past a deadline: a stalled response write (the consumer stopped
+    /// reading) or, outside a stream, a request trickling in for longer
+    /// than `read` or a keep-alive quiet for longer than `idle`. A quiet
+    /// stream is legitimate (live queries idle between deltas).
+    fn expired(&self, now: Instant, read: Duration, idle: Duration) -> bool {
+        let quiet = now.duration_since(self.last_activity);
+        let stalled_write = self.pending_out() > 0 && quiet > read;
+        if self.body_stream.is_some() {
+            return stalled_write;
+        }
+        let slow_request = self
+            .req_started
+            .is_some_and(|t| now.duration_since(t) > read);
+        stalled_write || slow_request || quiet > idle
+    }
+}
+
+/// One server's shared state: the epoll instance every thread waits on,
+/// and the connections not being worked.
+pub(crate) struct Pool {
+    epoll: Epoll,
+    listener: TcpListener,
+    wake: EventFd,
+    config: ServerConfig,
+    handler: Handler,
+    conns: Mutex<HashMap<u64, Conn>>,
+    /// Tokens of streaming connections whose producers queued since the
+    /// last pump.
+    ready: Mutex<Vec<u64>>,
+    active: AtomicUsize,
+    next_gen: AtomicU32,
+    stop: AtomicBool,
+    started: Instant,
+    /// Milliseconds after `started` when the next sweep is due.
+    next_sweep_ms: AtomicU64,
+    drain_deadline: OnceLock<Instant>,
+}
+
+impl Pool {
+    pub(crate) fn new(
+        listener: TcpListener,
+        config: ServerConfig,
+        handler: Handler,
+    ) -> std::io::Result<Arc<Pool>> {
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        let wake = EventFd::new()?;
+        epoll.add(wake.fd(), sys::EPOLLIN | sys::EPOLLONESHOT, WAKE)?;
+        epoll.add(
+            listener.as_raw_fd(),
+            sys::EPOLLIN | sys::EPOLLONESHOT,
+            LISTENER,
+        )?;
+        Ok(Arc::new(Pool {
+            epoll,
+            listener,
+            wake,
+            config,
+            handler,
+            conns: Mutex::new(HashMap::new()),
+            ready: Mutex::new(Vec::new()),
+            active: AtomicUsize::new(0),
+            next_gen: AtomicU32::new(0),
+            stop: AtomicBool::new(false),
+            started: Instant::now(),
+            next_sweep_ms: AtomicU64::new(SWEEP_EVERY_MS),
+            drain_deadline: OnceLock::new(),
+        }))
+    }
+
+    pub(crate) fn active(&self) -> usize {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// Stops accepting and wakes a thread to drain.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.epoll.delete(self.listener.as_raw_fd());
+        self.wake.notify();
+    }
+
+    /// One server thread: waits for one event at a time and works it,
+    /// until shutdown has drained.
+    pub(crate) fn run(self: Arc<Pool>) {
+        let mut events = [sys::epoll_event { events: 0, u64: 0 }; 1];
+        let mut chunk = vec![0u8; READ_CHUNK];
+        loop {
+            let timeout = if self.stop.load(Ordering::Acquire) {
+                10
+            } else {
+                SWEEP_EVERY_MS as i32
+            };
+            if self.epoll.wait(&mut events, timeout).unwrap_or(0) == 1 {
+                let ev = events[0];
+                match ev.u64 {
+                    LISTENER => self.accept(),
+                    WAKE => self.pump_ready(),
+                    token => {
+                        let conn = self.conns.lock().remove(&token);
+                        if let Some(conn) = conn {
+                            self.work(conn, ev.events, &mut chunk);
                         }
                     }
-                    return; // backpressure: wait for EPOLLOUT
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(fd);
-                    return;
                 }
             }
-        }
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.want_write {
-            conn.want_write = false;
-            let interest = conn.interest();
-            if self.epoll.modify(fd, interest, fd as u64).is_err() {
-                self.close(fd);
+            self.sweep_if_due();
+            if self.stop.load(Ordering::Acquire) && self.drain() {
+                self.wake.notify(); // the next thread leaves too
                 return;
             }
         }
-        if conn.close_after_flush {
-            self.close(fd);
-            return;
-        }
-        self.try_dispatch(fd);
-        if let Some(conn) = self.conns.get(&fd) {
-            if conn.peer_closed
-                && matches!(conn.state, ConnState::Idle)
-                && conn.out_pos >= conn.out.len()
-                && !conn.close_after_flush
-            {
-                self.close(fd);
-            }
-        }
     }
 
-    /// Parses and dispatches the next buffered request, if the connection
-    /// is idle and one is complete. Malformed input queues a 400 and a
-    /// close, mirroring the blocking server's behavior.
-    fn try_dispatch(&mut self, fd: RawFd) {
-        let Some(conn) = self.conns.get_mut(&fd) else {
-            return;
-        };
-        if !matches!(conn.state, ConnState::Idle) || conn.close_after_flush {
-            return;
-        }
-        match parse_request(&mut conn.buf, &mut conn.scanned, self.config.max_body_bytes) {
-            Parse::Incomplete => {
-                if conn.buf.is_empty() {
-                    conn.req_started = None;
-                }
+    /// Accepts a batch of connections, then re-arms the listener.
+    fn accept(self: &Arc<Pool>) {
+        for _ in 0..ACCEPT_BATCH {
+            if self.stop.load(Ordering::Acquire) {
+                return;
             }
-            Parse::Bad(msg) => {
-                let resp = Response::error(Status::BAD_REQUEST, format!("bad request: {msg}"));
-                serialize_response(&mut conn.out, &resp, false);
-                conn.close_after_flush = true;
-                self.flush_and_continue(fd);
-            }
-            Parse::Done(req) => {
-                conn.served += 1;
-                conn.state = ConnState::Busy;
-                conn.req_started = None;
-                conn.last_activity = Instant::now();
-                let job = Job {
-                    reactor: self.idx,
-                    fd,
-                    gen: conn.gen,
-                    req,
-                };
-                if self.jobs.send(job).is_err() {
-                    self.close(fd);
-                }
+            match self.listener.accept() {
+                Ok((stream, _)) => self.adopt(stream),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
         }
+        let _ = self.epoll.modify(
+            self.listener.as_raw_fd(),
+            sys::EPOLLIN | sys::EPOLLONESHOT,
+            LISTENER,
+        );
     }
 
-    /// Closes idle connections past `idle_timeout` and kills requests whose
-    /// bytes have been trickling in for longer than `read_timeout` total
-    /// (slowloris) or whose response write has stalled.
-    fn sweep_timeouts(&mut self) {
-        let now = Instant::now();
-        let idle = self.config.idle_timeout;
-        let read = self.config.read_timeout;
-        let expired: Vec<RawFd> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| match c.state {
-                ConnState::Busy => false, // handler running; not the conn's fault
-                // A quiet stream is legitimate (live queries idle between
-                // deltas); only a stalled response write — the consumer has
-                // stopped reading — kills a streaming connection.
-                ConnState::Streaming => {
-                    c.out_pos < c.out.len() && now.duration_since(c.last_activity) > read
-                }
-                ConnState::Idle => {
-                    let stalled_write = c.out_pos < c.out.len()
-                        && now.duration_since(c.last_activity) > read;
-                    let slow_request = c
-                        .req_started
-                        .map(|t| now.duration_since(t) > read)
-                        .unwrap_or(false);
-                    let idle_gap = now.duration_since(c.last_activity) > idle;
-                    stalled_write || slow_request || idle_gap
-                }
-            })
-            .map(|(fd, _)| *fd)
-            .collect();
-        for fd in expired {
-            self.close(fd);
-        }
-    }
-
-    fn close(&mut self, fd: RawFd) {
-        if let Some(conn) = self.conns.remove(&fd) {
-            if let Some(stream) = &conn.body_stream {
-                stream.abort(); // producer observes the disconnect
-            }
-            self.epoll.delete(fd);
-            drop(conn); // closes the socket
-            self.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The blocking acceptor: guards `max_connections`, sets up the socket
-/// (non-blocking + `TCP_NODELAY`), and deals it to a reactor.
-pub(crate) fn acceptor_loop(
-    listener: TcpListener,
-    reactors: Vec<Arc<ReactorShared>>,
-    active: Arc<AtomicUsize>,
-    max_connections: usize,
-    stop: Arc<AtomicBool>,
-) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if active.load(Ordering::Relaxed) >= max_connections {
-            drop(stream); // shed before fd exhaustion
-            continue;
+    /// Guards `max_connections`, sets the socket up (non-blocking +
+    /// `TCP_NODELAY`) and registers it.
+    fn adopt(&self, stream: TcpStream) {
+        if self.active.load(Ordering::Relaxed) >= self.config.max_connections {
+            return; // shed before fd exhaustion
         }
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            continue;
+            return;
         }
-        active.fetch_add(1, Ordering::Relaxed);
-        reactors[next].adopt(stream);
-        next = (next + 1) % reactors.len();
+        let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
+        let fd = stream.as_raw_fd();
+        let token = (u64::from(gen) << 32) | u64::from(fd as u32);
+        let now = Instant::now();
+        let conn = Conn {
+            stream,
+            token,
+            buf: Vec::new(),
+            scanned: 0,
+            out: Vec::new(),
+            out_pos: 0,
+            close_after_flush: false,
+            peer_closed: false,
+            served: 0,
+            last_activity: now,
+            last_read: now,
+            req_started: None,
+            body_stream: None,
+        };
+        self.active.fetch_add(1, Ordering::Relaxed);
+        let interest = conn.interest();
+        let mut conns = self.conns.lock();
+        conns.insert(token, conn);
+        if self.epoll.add(fd, interest, token).is_err() {
+            let conn = conns.remove(&token);
+            drop(conns);
+            if let Some(conn) = conn {
+                self.close(conn);
+            }
+        }
+    }
+
+    /// Works one connection an event handed to this thread.
+    fn work(self: &Arc<Pool>, mut conn: Conn, bits: u32, chunk: &mut [u8]) {
+        if bits & sys::EPOLLERR != 0 {
+            return self.close(conn);
+        }
+        if bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0
+            && conn.read_in(chunk, self.config.max_body_bytes).is_err()
+        {
+            return self.close(conn);
+        }
+        self.serve(conn);
+    }
+
+    /// Writes what is pending, then answers buffered requests one after
+    /// another until one is incomplete or the socket is full; puts the
+    /// connection back unless it is done.
+    fn serve(self: &Arc<Pool>, mut conn: Conn) {
+        loop {
+            if conn.body_stream.is_some() {
+                // A subscriber that closed its read side is done consuming
+                // the stream; tear the connection down so the producer
+                // sees it.
+                if conn.peer_closed || conn.pump() {
+                    return self.close(conn);
+                }
+            }
+            match conn.flush() {
+                Ok(true) => {}
+                Ok(false) => break, // backpressure: wait for EPOLLOUT
+                Err(_) => return self.close(conn),
+            }
+            if conn.close_after_flush {
+                return self.close(conn);
+            }
+            if conn.body_stream.is_some() || self.stop.load(Ordering::Acquire) {
+                break;
+            }
+            match parse_request(&mut conn.buf, &mut conn.scanned, self.config.max_body_bytes) {
+                Parse::Incomplete => {
+                    if conn.buf.is_empty() {
+                        conn.req_started = None;
+                    }
+                    if conn.peer_closed {
+                        // EOF with nothing runnable: a clean close or an
+                        // abandoned partial request.
+                        return self.close(conn);
+                    }
+                    break;
+                }
+                Parse::Bad(msg) => {
+                    let resp = Response::error(Status::BAD_REQUEST, format!("bad request: {msg}"));
+                    serialize_response(&mut conn.out, &resp, false);
+                    conn.close_after_flush = true;
+                }
+                Parse::Done(mut req) => {
+                    req.received_at = Some(conn.last_read);
+                    conn.served += 1;
+                    conn.req_started = (!conn.buf.is_empty()).then(Instant::now);
+                    let action = run_request(req, &self.config, self.handler.as_ref());
+                    conn.last_activity = Instant::now();
+                    if !self.apply(&mut conn, action) {
+                        return self.close(conn);
+                    }
+                }
+            }
+        }
+        self.release(conn);
+    }
+
+    /// Queues the handler's outcome on the connection; false when the
+    /// connection is to be dropped without a byte.
+    fn apply(self: &Arc<Pool>, conn: &mut Conn, action: Action) -> bool {
+        match action {
+            Action::Respond { resp, keep_alive } => match &resp.stream {
+                Some(body) => {
+                    // Chunked head now; the body follows as the producer
+                    // queues it. The connection closes at stream end, so
+                    // keep_alive is moot.
+                    serialize_stream_head(&mut conn.out, &resp);
+                    let pool = Arc::downgrade(self);
+                    let token = conn.token;
+                    body.set_waker(Arc::new(move || {
+                        if let Some(pool) = Weak::upgrade(&pool) {
+                            pool.mark_ready(token);
+                        }
+                    }));
+                    conn.body_stream = Some(body.clone());
+                }
+                None => {
+                    serialize_response(&mut conn.out, &resp, keep_alive);
+                    if !keep_alive || conn.served >= self.config.max_requests_per_conn {
+                        conn.close_after_flush = true;
+                    }
+                }
+            },
+            Action::Close => return false,
+            #[cfg(feature = "fault")]
+            Action::Truncate { resp } => {
+                serialize_truncated(&mut conn.out, &resp);
+                conn.close_after_flush = true;
+            }
+        }
+        true
+    }
+
+    /// Puts a worked connection back and re-arms it, both under the
+    /// table's lock. A stream whose producer queued while it was out of
+    /// the table is marked ready: its wake found nothing to pump.
+    fn release(&self, conn: Conn) {
+        if self.stop.load(Ordering::Acquire)
+            && (conn.body_stream.is_some() || conn.pending_out() == 0)
+        {
+            return self.close(conn);
+        }
+        let (fd, token, interest) = (conn.fd(), conn.token, conn.interest());
+        let body = conn.body_stream.clone();
+        let mut conns = self.conns.lock();
+        conns.insert(token, conn);
+        if self.epoll.modify(fd, interest, token).is_err() {
+            let conn = conns.remove(&token);
+            drop(conns);
+            if let Some(conn) = conn {
+                self.close(conn);
+            }
+            return;
+        }
+        drop(conns);
+        if body.is_some_and(|b| b.has_pending()) {
+            self.mark_ready(token);
+        }
+    }
+
+    /// A producer queued on the streaming connection `token`: one post
+    /// wakes a thread to pump, however many queue before it runs.
+    fn mark_ready(&self, token: u64) {
+        let mut ready = self.ready.lock();
+        ready.push(token);
+        if ready.len() == 1 {
+            self.wake.notify();
+        }
+    }
+
+    /// Drains and re-arms the eventfd, then pumps every ready stream
+    /// still in the table; one out of it is pumped when its worker
+    /// releases it. The eventfd is one-shot like everything else in the
+    /// set: a level-triggered one would wake waiter after waiter until
+    /// its counter is read.
+    fn pump_ready(self: &Arc<Pool>) {
+        self.wake.drain();
+        let _ = self
+            .epoll
+            .modify(self.wake.fd(), sys::EPOLLIN | sys::EPOLLONESHOT, WAKE);
+        let mut tokens = std::mem::take(&mut *self.ready.lock());
+        tokens.sort_unstable();
+        tokens.dedup();
+        for token in tokens {
+            let conn = self.conns.lock().remove(&token);
+            if let Some(conn) = conn {
+                self.serve(conn);
+            }
+        }
+    }
+
+    /// Closes connections past their deadlines, when a sweep is due.
+    fn sweep_if_due(&self) {
+        let now_ms = self.started.elapsed().as_millis() as u64;
+        let due = self.next_sweep_ms.load(Ordering::Relaxed);
+        if now_ms < due
+            || self
+                .next_sweep_ms
+                .compare_exchange(
+                    due,
+                    now_ms + SWEEP_EVERY_MS,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_err()
+        {
+            return;
+        }
+        let now = Instant::now();
+        let (read, idle) = (self.config.read_timeout, self.config.idle_timeout);
+        self.close_where(|c| c.expired(now, read, idle));
+    }
+
+    /// At stop: closes idle and streaming connections at once (streams are
+    /// unbounded; the producer sees the abort), keeps ones still flushing
+    /// until they finish or the drain deadline passes. True when this
+    /// thread may exit: nothing is left open, or the deadline passed.
+    fn drain(&self) -> bool {
+        let deadline = *self
+            .drain_deadline
+            .get_or_init(|| Instant::now() + DRAIN_DEADLINE);
+        let past = Instant::now() >= deadline;
+        self.close_where(|c| past || c.body_stream.is_some() || c.pending_out() == 0);
+        past || self.active() == 0
+    }
+
+    /// Closes every connection in the table that `doomed` picks.
+    fn close_where(&self, doomed: impl Fn(&Conn) -> bool) {
+        let closing: Vec<Conn> = {
+            let mut conns = self.conns.lock();
+            let tokens: Vec<u64> = conns
+                .iter()
+                .filter(|(_, c)| doomed(c))
+                .map(|(t, _)| *t)
+                .collect();
+            tokens.iter().filter_map(|t| conns.remove(t)).collect()
+        };
+        for conn in closing {
+            self.close(conn);
+        }
+    }
+
+    /// Closes an owned connection. Closing the socket takes it out of the
+    /// epoll set: its fd is never duplicated.
+    fn close(&self, conn: Conn) {
+        if let Some(stream) = &conn.body_stream {
+            stream.abort(); // producer observes the disconnect
+        }
+        drop(conn);
+        self.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// One handler worker: runs fault injection, auth and the handler for each
-/// parsed request, then posts the outcome back to the owning reactor.
-pub(crate) fn worker_loop(
-    rx: Receiver<Job>,
-    reactors: Vec<Arc<ReactorShared>>,
-    config: Arc<ServerConfig>,
-    handler: Arc<dyn Fn(Request) -> Response + Send + Sync>,
-) {
-    while let Ok(job) = rx.recv() {
-        let action = run_request(job.req, &config, handler.as_ref());
-        let shared = &reactors[job.reactor];
-        shared.completions.lock().push(Completion {
-            fd: job.fd,
-            gen: job.gen,
-            action,
-        });
-        shared.wake.notify();
-    }
-}
-
-/// Fault injection → auth → handler, in the same order as the blocking
-/// server, so chaos schedules replay identically on the reactor.
+/// Fault injection → auth → handler. Seeded chaos schedules were written
+/// against this order (a fault is decided before auth), so they replay
+/// the same fault trace.
 fn run_request(
     req: Request,
     config: &ServerConfig,
@@ -705,9 +669,12 @@ fn run_request(
 }
 
 /// Incremental parse outcome.
-enum Parse {
+pub enum Parse {
+    /// More bytes are needed.
     Incomplete,
+    /// One request, its bytes consumed.
     Done(Request),
+    /// Malformed: the server answers 400 and closes.
     Bad(&'static str),
 }
 
@@ -737,7 +704,7 @@ fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
 /// Parses one request off the front of `buf`, consuming its bytes when
 /// complete. Semantics mirror the blocking server's `read_request`: same
 /// tolerated forms, same error strings.
-fn parse_request(buf: &mut Vec<u8>, scanned: &mut usize, max_body: usize) -> Parse {
+pub fn parse_request(buf: &mut Vec<u8>, scanned: &mut usize, max_body: usize) -> Parse {
     let Some(head_end) = find_head_end(buf, scanned) else {
         if buf.len() > MAX_HEAD_BYTES {
             return Parse::Bad("request head too large");

@@ -1,25 +1,23 @@
-//! Event-driven HTTP/1.1 server on a hand-rolled epoll reactor (S20).
+//! Event-driven HTTP/1.1 server on a leader/follower epoll pool (S20).
 //!
-//! One acceptor thread deals accepted sockets to `reactor_threads` epoll
-//! event loops (edge-triggered, non-blocking); parsed requests execute on a
-//! fixed pool of `workers` handler threads. The thread count is fixed —
-//! `1 + reactor_threads + workers` — no matter how many connections are
-//! open, which is what lets the stack hold 10k+ concurrent keep-alive
-//! dashboard connections (see `crates/bench/benches/connstorm.rs`). The
-//! public surface (`ServerConfig`, `HttpServer::serve`/`serve_fn`, auth,
-//! fault injection) is unchanged from the blocking thread-per-connection
+//! `workers` threads wait on one epoll instance holding the listening
+//! socket and every connection; the thread an event wakes reads the
+//! request, runs the handler and writes the response itself (see
+//! `reactor.rs`). The thread count is fixed at `workers` no matter how
+//! many connections are open, which is what lets the stack hold 10k+
+//! concurrent keep-alive dashboard connections (see
+//! `crates/bench/benches/connstorm.rs`). The public surface
+//! (`ServerConfig`, `HttpServer::serve`/`serve_fn`, auth, fault
+//! injection) is unchanged from the blocking thread-per-connection
 //! substrate it replaces, so every component migrates behind the same API.
 
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
-
 use crate::auth::BasicAuth;
-use crate::reactor::{acceptor_loop, worker_loop, Reactor, ReactorShared};
+use crate::reactor::Pool;
 use crate::router::Router;
 use crate::sys;
 use crate::types::{Request, Response};
@@ -29,8 +27,9 @@ use crate::types::{Request, Response};
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// Handler worker thread count (bounds handler concurrency; handlers
-    /// may block, e.g. the LB proxying or the qfe queueing).
+    /// Server thread count: each waits for connection events and runs the
+    /// handlers of the requests it reads (bounds handler concurrency;
+    /// handlers may block, e.g. the LB proxying or the qfe queueing).
     pub workers: usize,
     /// Optional basic-auth guard applied to every route.
     pub basic_auth: Option<BasicAuth>,
@@ -50,8 +49,6 @@ pub struct ServerConfig {
     /// Keep-alive connections quiet for longer than this are closed, so
     /// abandoned dashboards can't pin fds forever.
     pub idle_timeout: Duration,
-    /// Event-loop thread count.
-    pub reactor_threads: usize,
     /// Fault-injection schedule applied to every request (chaos testing).
     #[cfg(feature = "fault")]
     pub fault: Option<Arc<crate::fault::FaultPlan>>,
@@ -69,7 +66,6 @@ impl Default for ServerConfig {
             backlog: 1024,
             max_connections: 16_384,
             idle_timeout: Duration::from_secs(60),
-            reactor_threads: 2,
             #[cfg(feature = "fault")]
             fault: None,
         }
@@ -112,12 +108,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the reactor (event-loop) thread count.
-    pub fn with_reactor_threads(mut self, n: usize) -> Self {
-        self.reactor_threads = n.max(1);
-        self
-    }
-
     /// Sets the per-request receive deadline.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
@@ -135,14 +125,8 @@ impl ServerConfig {
 /// A running HTTP server. Dropping the handle shuts the server down.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    reactor_shared: Vec<Arc<ReactorShared>>,
-    acceptor: Option<JoinHandle<()>>,
-    reactors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    job_tx: Option<crossbeam::channel::Sender<crate::reactor::Job>>,
-    thread_count: usize,
+    pool: Arc<Pool>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl HttpServer {
@@ -160,69 +144,22 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = sys::listen_with_backlog(&config.addr, config.backlog)?;
         let addr = listener.local_addr()?;
-        let config = Arc::new(config);
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let (job_tx, job_rx) = unbounded();
-
-        let n_reactors = config.reactor_threads.max(1);
-        let mut reactor_shared = Vec::with_capacity(n_reactors);
-        for _ in 0..n_reactors {
-            reactor_shared.push(ReactorShared::new()?);
-        }
-
-        let mut reactors = Vec::with_capacity(n_reactors);
-        for (i, shared) in reactor_shared.iter().enumerate() {
-            let reactor = Reactor::new(
-                i,
-                shared.clone(),
-                config.clone(),
-                job_tx.clone(),
-                active.clone(),
-                stop.clone(),
-            )?;
-            reactors.push(
-                std::thread::Builder::new()
-                    .name(format!("http-reactor-{i}"))
-                    .spawn(move || reactor.run())?,
-            );
-        }
-
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let rx = job_rx.clone();
-            let shared = reactor_shared.clone();
-            let config = config.clone();
-            let handler = handler.clone();
-            workers.push(
+        let workers = config.workers.max(1);
+        let pool = Pool::new(listener, config, handler)?;
+        let mut server = HttpServer {
+            addr,
+            pool,
+            threads: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let pool = server.pool.clone();
+            server.threads.push(
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
-                    .spawn(move || worker_loop(rx, shared, config, handler))?,
+                    .spawn(move || pool.run())?,
             );
         }
-
-        let acceptor = {
-            let reactors = reactor_shared.clone();
-            let active = active.clone();
-            let stop = stop.clone();
-            let max_connections = config.max_connections;
-            std::thread::Builder::new()
-                .name("http-acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, reactors, active, max_connections, stop))?
-        };
-
-        let thread_count = 1 + reactors.len() + workers.len();
-        Ok(HttpServer {
-            addr,
-            stop,
-            active,
-            reactor_shared,
-            acceptor: Some(acceptor),
-            reactors,
-            workers,
-            job_tx: Some(job_tx),
-            thread_count,
-        })
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -235,15 +172,15 @@ impl HttpServer {
         format!("http://{}", self.addr)
     }
 
-    /// Currently open connections across all reactors.
+    /// Currently open connections.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.pool.active()
     }
 
-    /// Total server threads (acceptor + reactors + workers). Fixed for the
-    /// server's lifetime regardless of connection count.
+    /// Total server threads (`workers`). Fixed for the server's lifetime
+    /// regardless of connection count.
     pub fn thread_count(&self) -> usize {
-        self.thread_count
+        self.threads.len()
     }
 
     /// Requests shutdown and joins the threads. In-flight requests drain
@@ -254,23 +191,9 @@ impl HttpServer {
     }
 
     fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the acceptor with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for shared in &self.reactor_shared {
-            shared.kick();
-        }
-        for r in self.reactors.drain(..) {
-            let _ = r.join();
-        }
-        // Reactors have dropped their job senders; dropping ours closes the
-        // channel and the workers exit.
-        self.job_tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        self.pool.stop();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -287,6 +210,7 @@ mod tests {
     use crate::client::Client;
     use crate::types::Status;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn test_router() -> Router {
         let mut r = Router::new();
@@ -393,20 +317,15 @@ mod tests {
 
     #[test]
     fn thread_count_is_fixed_and_reported() {
-        let server = HttpServer::serve(
-            ServerConfig::ephemeral()
-                .with_workers(3)
-                .with_reactor_threads(2),
-            test_router(),
-        )
-        .unwrap();
-        assert_eq!(server.thread_count(), 1 + 2 + 3);
+        let server =
+            HttpServer::serve(ServerConfig::ephemeral().with_workers(3), test_router()).unwrap();
+        assert_eq!(server.thread_count(), 3);
         let client = Client::new();
         for _ in 0..8 {
             let resp = client.get(&format!("{}/ping", server.base_url())).unwrap();
             assert_eq!(resp.status, Status::OK);
         }
-        assert_eq!(server.thread_count(), 6, "threads never grow");
+        assert_eq!(server.thread_count(), 3, "threads never grow");
         server.shutdown();
     }
 

@@ -3,15 +3,15 @@
 //! A handler that wants to hold a response open — a live query
 //! subscription, a stream-bus subscribe — calls
 //! [`crate::types::Response::streaming`] and gets back a [`StreamWriter`].
-//! The response carries the consumer half ([`BodyStream`]); when the
-//! reactor applies the completion it serializes a chunked head, parks the
-//! connection in a `Streaming` state, and from then on drains whatever the
-//! writer queues into the socket (chunk-encoded) on every loop pass plus an
-//! eventfd wake per `send`. The connection always closes at stream end:
-//! chunked responses never re-enter keep-alive rotation.
+//! The response carries the consumer half ([`BodyStream`]); the server
+//! thread that ran the handler writes a chunked head and installs a waker,
+//! and from then on a `send` marks the connection ready and wakes a server
+//! thread through the pool's eventfd to write what is queued
+//! (chunk-encoded). The connection always closes at stream end: chunked
+//! responses never re-enter keep-alive rotation.
 //!
-//! Backpressure and shedding (S19): the queue between writer and reactor is
-//! byte-bounded. A consumer that stops reading fills the reactor's outbound
+//! Backpressure and shedding (S19): the queue between writer and server is
+//! byte-bounded. A consumer that stops reading fills the server's outbound
 //! buffer, the queue backs up past its cap, and the stream is marked
 //! aborted — the producer observes this as `send` returning `false` and
 //! drops the subscriber instead of buffering without bound. Likewise a
@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// Default cap on bytes queued between a writer and the reactor before the
-/// stream sheds its consumer (4 MiB, matching the reactor's own outbound
+/// Default cap on bytes queued between a writer and the server before the
+/// stream sheds its consumer (4 MiB, matching the server's own outbound
 /// backlog cap for streaming connections).
 pub const DEFAULT_STREAM_BUFFER: usize = 4 << 20;
 
@@ -40,8 +40,8 @@ struct Inner {
 /// Shared state between one [`StreamWriter`] and one [`BodyStream`].
 pub(crate) struct StreamCore {
     inner: Mutex<Inner>,
-    /// Installed by the owning reactor so `send` can pop it out of
-    /// `epoll_wait` immediately instead of waiting for the next tick.
+    /// Installed by the server so `send` wakes a thread to write the
+    /// chunk out.
     waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
     max_buffered: usize,
 }
@@ -102,14 +102,14 @@ impl StreamWriter {
         self.core.inner.lock().aborted
     }
 
-    /// Bytes queued and not yet taken by the reactor (consumer lag).
+    /// Bytes queued and not yet taken by the server (consumer lag).
     pub fn queued_bytes(&self) -> usize {
         self.core.inner.lock().queued_bytes
     }
 }
 
 /// Consumer half of a streaming response body, carried by
-/// [`crate::types::Response`] and drained by the reactor.
+/// [`crate::types::Response`] and drained by the server.
 #[derive(Clone)]
 pub struct BodyStream {
     core: Arc<StreamCore>,
@@ -130,7 +130,7 @@ impl BodyStream {
     /// Takes every queued chunk. The `bool` is true when the producer has
     /// closed the stream and nothing more will arrive. Public so in-process
     /// consumers (the simulated stack, tests) can drain a stream without a
-    /// socket; over HTTP the reactor is the only caller.
+    /// socket; over HTTP the server is the only caller.
     pub fn take_chunks(&self) -> (Vec<Vec<u8>>, bool) {
         let mut inner = self.core.inner.lock();
         let chunks: Vec<Vec<u8>> = inner.chunks.drain(..).collect();
@@ -138,7 +138,13 @@ impl BodyStream {
         (chunks, inner.closed)
     }
 
-    /// Installs the reactor's wake callback.
+    /// True when chunks or the producer's close wait to be taken.
+    pub(crate) fn has_pending(&self) -> bool {
+        let inner = self.core.inner.lock();
+        !inner.chunks.is_empty() || (inner.closed && !inner.aborted)
+    }
+
+    /// Installs the server's wake callback.
     pub(crate) fn set_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
         *self.core.waker.lock() = Some(waker);
     }

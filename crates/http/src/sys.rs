@@ -1,9 +1,10 @@
-//! Thin raw-libc bindings for the epoll reactor (Linux).
+//! Thin raw-libc bindings for the epoll server pool (Linux).
 //!
 //! The substrate stays zero-heavy-deps: instead of pulling in `libc`/`mio`,
-//! this module declares exactly the handful of syscall wrappers the reactor
-//! needs — epoll, eventfd, a listener with a configurable backlog, and
-//! `RLIMIT_NOFILE` introspection for the connection-storm bench. `std`
+//! this module declares exactly the handful of syscall wrappers the server
+//! and the client pool need — epoll, eventfd, a listener with a
+//! configurable backlog, a non-blocking peek, and `RLIMIT_NOFILE`
+//! introspection for the connection-storm bench. `std`
 //! already links the platform libc, so plain `extern "C"` declarations
 //! resolve without any new dependency.
 
@@ -27,6 +28,8 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered delivery.
 pub const EPOLLET: u32 = 1 << 31;
+/// Disarm after one event until re-armed with `EPOLL_CTL_MOD`.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -35,6 +38,9 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
+
+const MSG_PEEK: c_int = 0x2;
+const MSG_DONTWAIT: c_int = 0x40;
 
 const AF_INET: c_int = 2;
 const SOCK_STREAM: c_int = 1;
@@ -51,7 +57,7 @@ const RLIMIT_NOFILE: c_int = 7;
 pub struct epoll_event {
     /// Ready/interest mask (`EPOLL*` bits).
     pub events: u32,
-    /// User data: the reactor stores the connection fd here.
+    /// User data: the server stores a connection's token here.
     pub u64: u64,
 }
 
@@ -78,6 +84,7 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn setsockopt(
         fd: c_int,
@@ -171,8 +178,8 @@ impl Drop for Epoll {
     }
 }
 
-/// An eventfd used to wake a reactor from `epoll_wait` (new connections
-/// handed over by the acceptor, handler completions posted by workers).
+/// An eventfd used to wake a server thread from `epoll_wait` (streaming
+/// bodies to pump, shutdown).
 pub struct EventFd {
     fd: RawFd,
 }
@@ -190,8 +197,8 @@ impl EventFd {
     }
 
     /// Posts one wake-up. Lossy by design: the counter saturating or the
-    /// write racing a close are both fine — the reactor drains everything
-    /// pending whenever it wakes.
+    /// write racing a close are both fine — the woken thread takes
+    /// everything pending.
     pub fn notify(&self) {
         let one: u64 = 1;
         unsafe {
@@ -219,6 +226,19 @@ impl Drop for EventFd {
 // An eventfd is just a counter fd; notify/drain are thread-safe.
 unsafe impl Send for EventFd {}
 unsafe impl Sync for EventFd {}
+
+/// True when a connected socket has nothing to read and is not at EOF: one
+/// `recv(MSG_PEEK | MSG_DONTWAIT)`, which leaves the socket's blocking mode
+/// alone.
+pub fn is_quiet(fd: RawFd) -> bool {
+    let mut probe = 0u8;
+    let flags = MSG_PEEK | MSG_DONTWAIT;
+    // SAFETY: `probe` is a live one-byte buffer for the whole call, and
+    // `recv` writes at most `len` = 1 byte into it; a bad `fd` is an error
+    // return, not undefined behaviour.
+    let n = unsafe { recv(fd, &mut probe as *mut u8 as *mut c_void, 1, flags) };
+    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+}
 
 /// Binds a TCP listener with an explicit accept backlog (std hardcodes
 /// 128, which a connection storm overflows: SYNs beyond the backlog see
@@ -357,6 +377,24 @@ mod tests {
         let token = { events[0].u64 };
         assert_eq!(token, 42);
         assert_ne!(events[0].events & EPOLLIN, 0);
+    }
+
+    #[test]
+    fn quiet_peek_sees_data_and_eof_without_consuming() {
+        let listener = listen_with_backlog("127.0.0.1:0", 16).unwrap();
+        let mut c = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        assert!(is_quiet(s.as_raw_fd()), "nothing sent yet");
+        c.write_all(b"x").unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!is_quiet(s.as_raw_fd()), "a byte is waiting");
+        let mut buf = [0u8; 1];
+        s.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"x", "the peek left the byte");
+        assert!(is_quiet(s.as_raw_fd()));
+        drop(c);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!is_quiet(s.as_raw_fd()), "EOF is not quiet");
     }
 
     #[test]

@@ -119,11 +119,12 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Path parameters captured by the router (filled in at dispatch).
     pub path_params: BTreeMap<String, String>,
-    /// When the server finished parsing the request off the socket. On a
-    /// pipelined keep-alive connection this can be well before a worker picks
-    /// the request up, so latency instruments and trace stage clocks anchor at
-    /// handler dispatch and surface the gap separately as queue delay —
-    /// otherwise `sum(stages)` could exceed a total measured from dispatch.
+    /// When the server read the request's bytes off the socket. On a
+    /// pipelined keep-alive connection this can be well before its handler
+    /// runs (the requests ahead of it run first), so latency instruments and
+    /// trace stage clocks anchor at handler dispatch and surface the gap
+    /// separately as queue delay — otherwise `sum(stages)` could exceed a
+    /// total measured from dispatch.
     pub received_at: Option<std::time::Instant>,
 }
 

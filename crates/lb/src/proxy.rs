@@ -553,7 +553,7 @@ impl CeemsLb {
     }
 
     /// Serves the LB with explicit server tuning (connection caps, idle
-    /// timeout, reactor threads — e.g. from the `http:` config section).
+    /// timeout, backlog — e.g. from the `http:` config section).
     pub fn serve_with(self: &Arc<Self>, config: ServerConfig) -> std::io::Result<HttpServer> {
         HttpServer::serve_fn(config, self.http.wrap(self.router()))
     }

@@ -6,13 +6,13 @@
 //! `ceems_<component>_http_requests_total` / `..._http_request_duration_seconds`
 //! pair from the same registry its `/metrics` endpoint serves.
 //!
-//! Two clocks matter under the epoll reactor: the latency histogram (and any
-//! trace stage clock) starts at **handler dispatch**, while the reactor stamps
-//! `Request::received_at` at **parse completion**. On a pipelined keep-alive
-//! connection a request can sit parsed-but-queued behind its predecessors;
-//! that gap is surfaced separately as `..._http_queue_delay_seconds` instead
-//! of being folded into handler time, which keeps `sum(stages) ≤ totalMs` for
-//! traces. When a handler stores the request's trace (sampled or slow), it
+//! Two clocks matter under the epoll server: the latency histogram (and any
+//! trace stage clock) starts at **handler dispatch**, while the server stamps
+//! `Request::received_at` with the **read that brought the request's bytes**.
+//! On a pipelined keep-alive connection a request can sit read-but-queued
+//! behind its predecessors; that gap is surfaced separately as
+//! `..._http_queue_delay_seconds` instead of being folded into handler time,
+//! which keeps `sum(stages) ≤ totalMs` for traces. When a handler stores the request's trace (sampled or slow), it
 //! sets [`TRACE_STORED_HEADER`] on the response and the duration histogram
 //! records the trace ID as an OpenMetrics exemplar on the landing bucket.
 

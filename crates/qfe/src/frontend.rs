@@ -756,8 +756,8 @@ impl QueryFrontend {
 
     /// Serves the frontend with explicit server tuning. The worker count is
     /// still derived from the scheduler caps (overriding it risks queued
-    /// queries starving the reactor's handler pool), but connection caps,
-    /// idle timeout and reactor threads come from `config`.
+    /// queries starving the server's threads), but connection caps, idle
+    /// timeout and backlog come from `config`.
     pub fn serve_with(self: &Arc<Self>, config: ServerConfig) -> std::io::Result<HttpServer> {
         let workers = self.cfg.scheduler.max_concurrency + self.cfg.scheduler.tenant_queue_depth + 4;
         HttpServer::serve_fn(config.with_workers(workers), self.http.wrap(self.router()))

@@ -7,7 +7,7 @@
 //! /api/v1/stream/push` body, one per chunk on the subscribe stream.
 //!
 //! Why length-prefixed records inside ordinary keep-alive POSTs rather than
-//! one long-lived chunked *request*? Chunked request bodies pin a reactor
+//! one long-lived chunked *request*? Chunked request bodies pin a server
 //! connection in a half-open state for the publisher's lifetime and make
 //! retry semantics murky (how much of an infinite body was "received"?).
 //! Batched POSTs reuse the pooled keep-alive connection (S20), give the
