@@ -3,15 +3,21 @@
 //! S17 budgets instrumentation at < 5% of the operation it wraps. The trace
 //! pipeline adds three things per query on top of that: minting/accepting a
 //! trace ID, the head-sampling hash, and — for kept traces — serialising the
-//! report into the relstore-backed trace store. This bench runs the same
-//! PromQL instant query under three policies and emits `BENCH_trace.json`
-//! with the measured overhead of the default 10% head rate against the 5%
-//! budget:
+//! report into the trace store's ring. The store's flusher commits the held
+//! spans as one synced frame when `TraceStore::gc` wakes it, which the bench
+//! calls every `GC_EVERY` queries, as `CeemsStack::advance` does between
+//! dashboards. This bench runs the same PromQL instant query under three
+//! policies and emits `BENCH_trace.json` with the measured overhead of the
+//! default 10% head rate against the 5% budget:
 //!
 //! * `off`       — no sink; the bare eval the S17 budget is relative to.
 //! * `sampled`   — `TraceSink` at the default `obs.trace_sample_rate` 0.1.
 //! * `always_on` — rate 1.0, every trace persisted (worst case, for scale).
+//!
+//! After the run each store is dropped and reopened, and the bench fails if
+//! the reopened store lacks a span the ring held: the flusher path, checked.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,6 +34,8 @@ const SAMPLES_PER_SERIES: i64 = 30;
 const STEP_MS: i64 = 15_000;
 const ITERS: usize = 600;
 const BUDGET_PCT: f64 = 5.0;
+/// Queries between two `TraceStore::gc` calls.
+const GC_EVERY: usize = 64;
 
 fn fleet_db() -> Tsdb {
     let db = Tsdb::default();
@@ -44,7 +52,7 @@ fn fleet_db() -> Tsdb {
     db
 }
 
-fn open_sink(tag: &str, rate: f64) -> TraceSink {
+fn open_sink(tag: &str, rate: f64) -> (TraceSink, PathBuf) {
     let dir = std::env::temp_dir().join(format!(
         "ceems-bench-trace-{tag}-{}",
         std::process::id()
@@ -53,7 +61,26 @@ fn open_sink(tag: &str, rate: f64) -> TraceSink {
     let store = Arc::new(
         TraceStore::open(&dir, TraceStoreConfig::default()).expect("trace store opens"),
     );
-    TraceSink::new(TraceSampler::new(rate, 0.0), store)
+    (TraceSink::new(TraceSampler::new(rate, 0.0), store), dir)
+}
+
+/// Drops the sink, whose store commits what it still holds, reopens the
+/// store from `dir` and panics unless it holds exactly the spans the ring
+/// held.
+fn check_reopen(sink: TraceSink, dir: &Path) {
+    let held = sink.store().list(None, None, None, usize::MAX);
+    drop(sink);
+    let store = TraceStore::open(dir, TraceStoreConfig::default()).expect("trace store reopens");
+    let back = store.list(None, None, None, usize::MAX);
+    assert!(
+        back == held,
+        "reopened trace store at {} holds {} spans, the ring held {}",
+        dir.display(),
+        back.len(),
+        held.len()
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One traced query, exactly the shape of the tsdb HTTP handler: mint an ID,
@@ -104,7 +131,12 @@ fn measure_interleaved(
             traced_query(db, expr, now, sink);
         }
     }
-    for _ in 0..ITERS {
+    for round in 0..ITERS {
+        if round % GC_EVERY == GC_EVERY - 1 {
+            for sink in sinks.into_iter().flatten() {
+                sink.store().gc(now);
+            }
+        }
         for (i, sink) in sinks.into_iter().enumerate() {
             let mut kept = false;
             let mut t = time_iters(1, || kept = traced_query(db, expr, now, sink));
@@ -123,18 +155,27 @@ fn bench_trace_overhead(c: &mut Criterion) {
         parse_expr("sum(rate(ceems_ipmi_dcmi_current_watts[60s]))").expect("bench expr parses");
     let now = (SAMPLES_PER_SERIES - 1) * STEP_MS;
 
-    let sampled = open_sink("sampled", 0.1);
-    let always = open_sink("always", 1.0);
+    let (sampled, sampled_dir) = open_sink("sampled", 0.1);
+    let (always, always_dir) = open_sink("always", 1.0);
 
     c.bench_function("trace_overhead/query_untraced", |b| {
         b.iter(|| traced_query(&db, &expr, now, None))
     });
-    c.bench_function("trace_overhead/query_sampled_10pct", |b| {
-        b.iter(|| traced_query(&db, &expr, now, Some(&sampled)))
-    });
-    c.bench_function("trace_overhead/query_always_stored", |b| {
-        b.iter(|| traced_query(&db, &expr, now, Some(&always)))
-    });
+    for (name, sink) in [
+        ("trace_overhead/query_sampled_10pct", &sampled),
+        ("trace_overhead/query_always_stored", &always),
+    ] {
+        let mut queries = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                queries += 1;
+                if queries % GC_EVERY == 0 {
+                    sink.store().gc(now);
+                }
+                traced_query(&db, &expr, now, Some(sink))
+            })
+        });
+    }
 
     let ([mut off, mut rate10, mut rate100], [_, stored10, stored100]) =
         measure_interleaved(&db, &expr, [None, Some(&sampled), Some(&always)]);
@@ -163,8 +204,11 @@ fn bench_trace_overhead(c: &mut Criterion) {
             "within_budget": overhead_pct < BUDGET_PCT,
             "stored_at_default_rate": stored10,
             "stored_at_full_rate": stored100,
+            "gc_every_queries": GC_EVERY,
         }),
     );
+    check_reopen(sampled, &sampled_dir);
+    check_reopen(always, &always_dir);
 }
 
 criterion_group!(benches, bench_trace_overhead);

@@ -938,7 +938,9 @@ impl CeemsStack {
             }
         }
         // Trace-store GC every step: the age sweep stops at the first young
-        // span and the byte re-check is O(1) when nothing is over bound.
+        // span and the byte re-check is O(1) when nothing is over bound. It
+        // wakes the store's flusher, which commits the step's spans as one
+        // synced frame on its own thread.
         self.stats.traces_evicted += self.trace_sink.store().gc(now);
     }
 

@@ -10,6 +10,9 @@
 //! - [`TraceStore`] is a byte-bounded ring buffer of finished
 //!   [`TraceReport`]s persisted in a [`ceems_relstore::Db`], so stored traces
 //!   survive restarts and are servable from `GET /api/v1/traces/{id}`.
+//!   Storing a span is an in-memory append, readable at once; the store's
+//!   flusher thread commits each step's spans as one synced frame after
+//!   [`TraceStore::gc`], off the request path.
 //! - [`TraceSink`] bundles the two behind the single call components make
 //!   when a traced request finishes ([`TraceSink::offer`]).
 //!
@@ -24,10 +27,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use ceems_metrics::{Counter, Gauge, MetricType, Registry, Sink};
-use ceems_relstore::{Column, ColumnType, Db, Filter, Order, Query, Schema, Value};
+use ceems_relstore::{Column, ColumnType, Db, Filter, Order, Query, Row, Schema, Table, Value};
 use parking_lot::Mutex;
 
 use crate::trace::TraceReport;
@@ -129,22 +134,72 @@ struct SpanMeta {
     bytes: u64,
 }
 
-struct StoreInner {
-    db: Db,
+/// The spans in memory: the ring and what the next flush commits.
+struct State {
+    /// Every held span, committed or pending, oldest first.
     ring: VecDeque<SpanMeta>,
+    /// Spans stored since the last flush, as rows of the traces schema.
+    /// Each is newer than every committed span.
+    pending: Table,
+    /// Committed spans the ring evicted, for the next flush to delete.
+    /// Reads hide them already: they stop at the ring's oldest span.
+    deletes: Vec<i64>,
     next_seq: i64,
     bytes: u64,
 }
 
-/// A byte-bounded, age-bounded ring buffer of finished trace spans persisted
-/// in `ceems-relstore` (WAL-first writes, so stored traces survive a crash).
-pub struct TraceStore {
+impl State {
+    /// The oldest seq still held: rows below it are evicted.
+    fn live_from(&self) -> i64 {
+        self.ring.front().map_or(i64::MAX, |m| m.seq)
+    }
+}
+
+/// The database and the log segment its last snapshot started.
+struct Disk {
+    db: Db,
+    snapshot_seq: u64,
+}
+
+impl Disk {
+    /// Snapshots the database, which truncates its log.
+    fn snapshot(&mut self) -> Result<(), String> {
+        self.db
+            .snapshot()
+            .map_err(|e| format!("trace store snapshot: {e}"))?;
+        self.snapshot_seq = self.db.log_position().seq;
+        Ok(())
+    }
+}
+
+/// What the store and its flusher thread share.
+struct Shared {
     cfg: TraceStoreConfig,
-    inner: Mutex<StoreInner>,
+    /// Held by a flush for its whole commit and by reads, always before
+    /// `state`: a read sees each span once, pending or committed.
+    disk: Mutex<Disk>,
+    state: Mutex<State>,
+    /// Set (`Release`) by `Drop` before it wakes the flusher, which exits
+    /// when it reads it set (`Acquire`).
+    stop: AtomicBool,
     bytes_gauge: Gauge,
     spans_gauge: Gauge,
     stored_total: Counter,
     evictions_total: Counter,
+    flush_failures_total: Counter,
+}
+
+/// A byte-bounded, age-bounded ring buffer of finished trace spans persisted
+/// in `ceems-relstore`.
+///
+/// [`TraceStore::store`] is an in-memory append: a span is readable at once.
+/// [`TraceStore::gc`] wakes the store's flusher thread, which commits every
+/// span stored since the last flush, and every eviction since, as one synced
+/// `Db::commit`. A span is durable by the flush after the next `gc`; a crash
+/// loses at most the spans of one step.
+pub struct TraceStore {
+    shared: Arc<Shared>,
+    flusher: Option<JoinHandle<()>>,
 }
 
 fn traces_schema() -> Schema {
@@ -166,53 +221,76 @@ fn traces_schema() -> Schema {
     .expect("trace store schema is valid")
 }
 
+fn row_seq(row: &[Value]) -> i64 {
+    row[0].as_int().unwrap_or(0)
+}
+
 impl TraceStore {
     /// Opens (or creates) the store under `dir`, replaying any spans a
-    /// previous process persisted so the ring accounting matches the disk.
+    /// previous process persisted so the ring accounting matches the disk,
+    /// and starts its flusher thread.
     pub fn open(dir: &Path, cfg: TraceStoreConfig) -> Result<TraceStore, String> {
         let mut db = Db::open(dir).map_err(|e| format!("trace store open: {e}"))?;
         db.create_table(TRACES_TABLE, traces_schema())
             .map_err(|e| format!("trace store schema: {e}"))?;
-        let mut ring: Vec<SpanMeta> = Vec::new();
         let rows = db
-            .query(TRACES_TABLE, &Query::all())
+            .query(TRACES_TABLE, &Query::all().order_by("seq", Order::Asc))
             .map_err(|e| format!("trace store replay: {e}"))?;
-        for row in rows {
-            ring.push(SpanMeta {
-                seq: row[0].as_int().unwrap_or(0),
+        let ring: VecDeque<SpanMeta> = rows
+            .iter()
+            .map(|row| SpanMeta {
+                seq: row_seq(row),
                 ts_ms: row[5].as_int().unwrap_or(0),
                 bytes: row[7].as_int().unwrap_or(0) as u64,
-            });
-        }
-        ring.sort_by_key(|m| m.seq);
-        let bytes: u64 = ring.iter().map(|m| m.bytes).sum();
-        let next_seq = ring.last().map(|m| m.seq + 1).unwrap_or(0);
-        let store = TraceStore {
+            })
+            .collect();
+        let state = State {
+            bytes: ring.iter().map(|m| m.bytes).sum(),
+            next_seq: ring.back().map_or(0, |m| m.seq + 1),
+            ring,
+            pending: Table::new(traces_schema()),
+            deletes: Vec::new(),
+        };
+        let shared = Arc::new(Shared {
             cfg,
-            inner: Mutex::new(StoreInner {
+            disk: Mutex::new(Disk {
+                snapshot_seq: db.log_position().seq,
                 db,
-                ring: ring.into(),
-                next_seq,
-                bytes,
             }),
+            state: Mutex::new(state),
+            stop: AtomicBool::new(false),
             bytes_gauge: Gauge::new(),
             spans_gauge: Gauge::new(),
             stored_total: Counter::new(),
             evictions_total: Counter::new(),
+            flush_failures_total: Counter::new(),
+        });
+        shared.publish(&shared.state.lock());
+        let flusher = {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("ceems-trace-flush".into())
+                .spawn(move || loop {
+                    std::thread::park();
+                    if shared.stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    // A failure is counted and its batch kept for the next.
+                    let _ = shared.flush();
+                })
+                .map_err(|e| format!("trace store flusher: {e}"))?
         };
-        store.sync_gauges();
-        Ok(store)
+        Ok(TraceStore {
+            shared,
+            flusher: Some(flusher),
+        })
     }
 
-    fn sync_gauges(&self) {
-        let inner = self.inner.lock();
-        self.bytes_gauge.set(inner.bytes as f64);
-        self.spans_gauge.set(inner.ring.len() as f64);
-    }
-
-    /// Persists one finished span and returns the store key (the trace ID —
-    /// what `/api/v1/traces/{id}` takes). Evicts oldest-first if the write
-    /// pushes the ring past its byte bound.
+    /// Holds one finished span and returns the store key (the trace ID —
+    /// what `/api/v1/traces/{id}` takes), readable from this call on.
+    /// Evicts oldest-first if the span pushes the ring past its byte bound.
+    /// Nothing is written here: the flush after the next
+    /// [`TraceStore::gc`] commits the span.
     pub fn store(
         &self,
         component: &str,
@@ -223,9 +301,10 @@ impl TraceStore {
     ) -> String {
         let json = report.to_json().to_string();
         let bytes = json.len() as u64;
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        let s = &*self.shared;
+        let mut st = s.state.lock();
+        let seq = st.next_seq;
+        st.next_seq += 1;
         let row: Vec<Value> = vec![
             Value::Int(seq),
             Value::Text(report.id.clone()),
@@ -237,86 +316,52 @@ impl TraceStore {
             Value::Int(bytes as i64),
             Value::Text(json),
         ];
-        if self.commit(&mut inner, Some(row), bytes, None).is_some() {
-            inner.ring.push_back(SpanMeta {
-                seq,
-                ts_ms: now_ms,
-                bytes,
-            });
-            inner.bytes += bytes;
-            self.stored_total.inc();
-        }
-        drop(inner);
-        self.sync_gauges();
+        st.pending
+            .upsert(row)
+            .expect("a span row fits the traces schema");
+        st.ring.push_back(SpanMeta {
+            seq,
+            ts_ms: now_ms,
+            bytes,
+        });
+        st.bytes += bytes;
+        s.stored_total.inc();
+        s.evict(&mut st, None);
+        s.publish(&st);
         report.id.clone()
     }
 
-    /// Stores `row` (of `adding` bytes) and evicts, as one relstore
-    /// commit, the oldest spans: those past the age bound (counted from
-    /// `now_ms`, when given), then oldest-first while the ring is over the
-    /// byte bound. One span always stays: the new one, or the newest.
-    /// Returns how many were evicted, or `None` (the ring untouched) when
-    /// the commit failed.
-    fn commit(
-        &self,
-        inner: &mut StoreInner,
-        row: Option<Vec<Value>>,
-        adding: u64,
-        now_ms: Option<i64>,
-    ) -> Option<usize> {
-        let keep = usize::from(row.is_none());
-        let (mut held, mut aging, mut evict) = (inner.bytes + adding, true, 0);
-        for m in &inner.ring {
-            aging = aging && now_ms.is_some_and(|now| now - m.ts_ms > self.cfg.max_age_ms);
-            if !(aging || held > self.cfg.max_bytes && inner.ring.len() - evict > keep) {
-                break;
-            }
-            held = held.saturating_sub(m.bytes);
-            evict += 1;
-        }
-        let victims = inner.ring.iter().take(evict);
-        let deletes = victims.map(|m| (TRACES_TABLE, Value::Int(m.seq)));
-        inner.db.commit(row.map(|r| (TRACES_TABLE, r)), deletes).ok()?;
-        for victim in inner.ring.drain(..evict) {
-            inner.bytes = inner.bytes.saturating_sub(victim.bytes);
-            self.evictions_total.inc();
-        }
-        Some(evict)
-    }
-
-    /// Evicts spans past the age bound and (re-)enforces the byte bound,
-    /// as one commit. Called from `CeemsStack::advance`; returns the number
+    /// Evicts spans past the age bound and (re-)enforces the byte bound in
+    /// memory, then wakes the flusher if there is anything to commit.
+    /// Called from `CeemsStack::advance` every step; returns the number
     /// evicted.
     pub fn gc(&self, now_ms: i64) -> u64 {
-        let mut inner = self.inner.lock();
-        let aged = (self.cfg.max_age_ms > 0).then_some(now_ms);
-        let evicted = self.commit(&mut inner, None, 0, aged).unwrap_or(0);
-        drop(inner);
-        self.sync_gauges();
-        evicted as u64
+        let s = &*self.shared;
+        let mut st = s.state.lock();
+        let aged = (s.cfg.max_age_ms > 0).then_some(now_ms);
+        let evicted = s.evict(&mut st, aged);
+        s.publish(&st);
+        let dirty = !st.pending.is_empty() || !st.deletes.is_empty();
+        drop(st);
+        if let Some(flusher) = self.flusher.as_ref().filter(|_| dirty) {
+            flusher.thread().unpark();
+        }
+        evicted
     }
 
-    /// All stored spans for a trace ID, grouped as one JSON document, or
+    /// All held spans for a trace ID, grouped as one JSON document, or
     /// `None` if the ID is unknown (sampled out or evicted).
     pub fn get(&self, id: &str) -> Option<serde_json::Value> {
-        let inner = self.inner.lock();
-        let rows = inner
-            .db
-            .query(
-                TRACES_TABLE,
-                &Query::all().filter(Filter::Eq("id".to_string(), Value::Text(id.to_string()))),
-            )
-            .ok()?;
+        let filter = Filter::Eq("id".to_string(), Value::Text(id.to_string()));
+        let rows = self.shared.newest(filter, usize::MAX);
         if rows.is_empty() {
             return None;
         }
-        let mut rows = rows;
-        rows.sort_by_key(|r| r[0].as_int().unwrap_or(0));
-        let spans: Vec<serde_json::Value> = rows.iter().map(|r| span_json(r)).collect();
+        let spans: Vec<serde_json::Value> = rows.iter().rev().map(|r| span_json(r)).collect();
         Some(serde_json::json!({ "traceId": id, "spans": spans }))
     }
 
-    /// Stored span summaries, newest first, optionally filtered by endpoint,
+    /// Held span summaries, newest first, optionally filtered by endpoint,
     /// minimum duration and tenant.
     pub fn list(
         &self,
@@ -335,47 +380,44 @@ impl TraceStore {
         if let Some(t) = tenant {
             filters.push(Filter::Eq("tenant".to_string(), Value::Text(t.to_string())));
         }
-        let q = Query::all()
-            .filter(Filter::And(filters))
-            .order_by("seq", Order::Desc)
-            .limit(limit);
-        let inner = self.inner.lock();
-        let rows = inner.db.query(TRACES_TABLE, &q).unwrap_or_default();
+        let rows = self.shared.newest(Filter::And(filters), limit);
         rows.iter().map(|r| summary_json(r)).collect()
     }
 
     /// Bytes of report JSON currently held.
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().bytes
+        self.shared.state.lock().bytes
     }
 
-    /// Number of stored spans.
+    /// Number of held spans.
     pub fn span_count(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.shared.state.lock().ring.len()
     }
 
     /// Lifetime eviction count.
     pub fn evictions(&self) -> u64 {
-        self.evictions_total.get() as u64
+        self.shared.evictions_total.get() as u64
     }
 
-    /// Checkpoints the backing store (truncates its WAL).
+    /// Commits what is pending, then checkpoints the backing store
+    /// (truncates its log).
     pub fn snapshot(&self) -> Result<(), String> {
-        self.inner
-            .lock()
-            .db
-            .snapshot()
-            .map_err(|e| format!("trace store snapshot: {e}"))
+        let mut disk = self.shared.disk.lock();
+        self.shared.flush_into(&mut disk)?;
+        disk.snapshot()
     }
 
     /// Registers the store's health metrics (`ceems_trace_store_bytes`,
-    /// `ceems_trace_store_spans`, stored/eviction counters) on a registry.
+    /// `ceems_trace_store_spans`, stored/eviction/flush-failure counters)
+    /// on a registry.
     pub fn register_metrics(&self, registry: &Registry) {
-        let (b, s, st, ev) = (
-            self.bytes_gauge.clone(),
-            self.spans_gauge.clone(),
-            self.stored_total.clone(),
-            self.evictions_total.clone(),
+        let s = &*self.shared;
+        let (b, sp, st, ev, ff) = (
+            s.bytes_gauge.clone(),
+            s.spans_gauge.clone(),
+            s.stored_total.clone(),
+            s.evictions_total.clone(),
+            s.flush_failures_total.clone(),
         );
         registry.register(
             "ceems_trace_store",
@@ -391,7 +433,7 @@ impl TraceStore {
                         "ceems_trace_store_spans",
                         "Trace spans currently stored",
                         MetricType::Gauge,
-                        s.get(),
+                        sp.get(),
                     ),
                     (
                         "ceems_trace_store_stored_total",
@@ -405,12 +447,122 @@ impl TraceStore {
                         MetricType::Counter,
                         ev.get(),
                     ),
+                    (
+                        "ceems_trace_store_flush_failures_total",
+                        "Trace store flushes whose commit failed (the spans stay pending)",
+                        MetricType::Counter,
+                        ff.get(),
+                    ),
                 ] {
                     out.family(name, help, metric_type);
                     out.sample("", &[], v);
                 }
             }),
         );
+    }
+}
+
+impl Drop for TraceStore {
+    /// Stops and joins the flusher, then commits what is left.
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(flusher) = self.flusher.take() {
+            flusher.thread().unpark();
+            let _ = flusher.join();
+        }
+        let _ = self.shared.flush();
+    }
+}
+
+impl Shared {
+    fn publish(&self, st: &State) {
+        self.bytes_gauge.set(st.bytes as f64);
+        self.spans_gauge.set(st.ring.len() as f64);
+    }
+
+    /// Evicts the oldest spans: those past the age bound (counted from
+    /// `now_ms`, when given), then oldest-first while the ring is over the
+    /// byte bound, keeping the newest. An evicted pending span is dropped,
+    /// an evicted committed one queued for deletion. Returns how many were
+    /// evicted.
+    fn evict(&self, st: &mut State, now_ms: Option<i64>) -> u64 {
+        let (mut aging, mut evicted) = (true, 0u64);
+        while let Some(m) = st.ring.front() {
+            aging = aging && now_ms.is_some_and(|now| now - m.ts_ms > self.cfg.max_age_ms);
+            if !(aging || st.bytes > self.cfg.max_bytes && st.ring.len() > 1) {
+                break;
+            }
+            let (seq, bytes) = (m.seq, m.bytes);
+            st.ring.pop_front();
+            st.bytes = st.bytes.saturating_sub(bytes);
+            if st.pending.delete(&Value::Int(seq)).is_none() {
+                st.deletes.push(seq);
+            }
+            evicted += 1;
+        }
+        self.evictions_total.add(evicted as f64);
+        evicted
+    }
+
+    /// The held rows `filter` matches, newest first, at most `limit`:
+    /// the pending ones, then the committed ones the ring still holds.
+    fn newest(&self, filter: Filter, limit: usize) -> Vec<Row> {
+        let disk = self.disk.lock();
+        let st = self.state.lock();
+        let query = |f| {
+            Query::all()
+                .filter(f)
+                .order_by("seq", Order::Desc)
+                .limit(limit)
+        };
+        let mut rows = query(filter.clone()).run(&st.pending);
+        let held = Filter::Ge("seq".to_string(), Value::Int(st.live_from()));
+        let committed = query(Filter::And(vec![filter, held]));
+        rows.extend(disk.db.query(TRACES_TABLE, &committed).unwrap_or_default());
+        rows.truncate(limit);
+        rows
+    }
+
+    fn flush(&self) -> Result<(), String> {
+        self.flush_into(&mut self.disk.lock())
+    }
+
+    /// Commits the pending spans and queued deletes as one `Db::commit`
+    /// (one synced frame), then snapshots once the log has grown by more
+    /// than `max_bytes` (or a segment) since the last snapshot, so the log
+    /// never holds more than about one ring's worth. A failed commit puts
+    /// its batch back, less what the ring evicted meanwhile, for the next
+    /// flush, and counts in `ceems_trace_store_flush_failures_total`.
+    fn flush_into(&self, disk: &mut Disk) -> Result<(), String> {
+        let (batch, deletes) = {
+            let mut st = self.state.lock();
+            if st.pending.is_empty() && st.deletes.is_empty() {
+                return Ok(());
+            }
+            let fresh = Table::new(st.pending.schema().clone());
+            let batch = std::mem::replace(&mut st.pending, fresh);
+            (batch, std::mem::take(&mut st.deletes))
+        };
+        let upserts = batch.scan().map(|r| (TRACES_TABLE, r.clone()));
+        let dels = deletes.iter().map(|&seq| (TRACES_TABLE, Value::Int(seq)));
+        if let Err(e) = disk.db.commit(upserts, dels) {
+            let mut st = self.state.lock();
+            let live_from = st.live_from();
+            for row in batch.scan().filter(|r| row_seq(r) >= live_from) {
+                st.pending
+                    .upsert(row.clone())
+                    .expect("a span row fits the traces schema");
+            }
+            st.deletes.extend(deletes);
+            self.flush_failures_total.inc();
+            return Err(format!("trace store flush: {e}"));
+        }
+        let at = disk.db.log_position();
+        if at.seq != disk.snapshot_seq || at.offset > self.cfg.max_bytes {
+            // A failed snapshot keeps the log; the next flush tries again.
+            let _ = disk.snapshot();
+        }
+        Ok(())
     }
 }
 
@@ -664,5 +816,336 @@ mod tests {
         );
         let doc = store.get("slow").unwrap();
         assert_eq!(doc["spans"][0]["tsMs"], 42);
+    }
+
+    use std::collections::HashSet;
+    use std::time::{Duration, Instant};
+
+    use ceems_relstore::log::{self, ScriptedDiskFaults, WalPosition};
+
+    /// Frames in the store's log.
+    fn frames(dir: &Path) -> u64 {
+        log::walk(&dir.join("wal"), WalPosition::default(), |_, _| true)
+            .unwrap()
+            .at
+            .records
+    }
+
+    /// Waits up to ten seconds for the flusher to make `done` true.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// True once no span or delete waits for a flush, nor is being
+    /// committed (the disk lock is free).
+    fn flushed(store: &TraceStore) -> bool {
+        let _disk = store.shared.disk.lock();
+        let st = store.shared.state.lock();
+        st.pending.is_empty() && st.deletes.is_empty()
+    }
+
+    fn all(store: &TraceStore) -> Vec<serde_json::Value> {
+        store.list(None, None, None, usize::MAX)
+    }
+
+    #[test]
+    fn a_span_is_readable_before_any_gc() {
+        let dir = tmpdir("pending");
+        let store = TraceStore::open(&dir, TraceStoreConfig::default()).unwrap();
+        store.store(
+            "tsdb",
+            "/api/v1/query",
+            "alice",
+            &report_with("cc01", 12.0),
+            1000,
+        );
+        store.store(
+            "lb",
+            "/api/v1/query_range",
+            "bob",
+            &report_with("cc02", 300.0),
+            1001,
+        );
+        assert_eq!(frames(&dir), 0, "store wrote to the log");
+
+        assert_eq!(store.get("cc01").unwrap()["spans"][0]["component"], "tsdb");
+        assert_eq!(store.get("cc02").unwrap()["spans"][0]["tenant"], "bob");
+        let ids = |rows: Vec<serde_json::Value>| -> Vec<String> {
+            rows.iter()
+                .map(|r| r["traceId"].as_str().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(ids(all(&store)), ["cc02", "cc01"]);
+        assert_eq!(
+            ids(store.list(Some("/api/v1/query"), None, None, 10)),
+            ["cc01"]
+        );
+        assert_eq!(ids(store.list(None, Some(100.0), None, 10)), ["cc02"]);
+        assert_eq!(ids(store.list(None, None, Some("alice"), 10)), ["cc01"]);
+        assert_eq!(ids(store.list(None, None, None, 1)), ["cc02"]);
+
+        // Half committed, half pending: still each span once, newest first.
+        store.snapshot().unwrap();
+        store.store(
+            "qfe",
+            "/api/v1/query",
+            "alice",
+            &report_with("cc01", 13.0),
+            1002,
+        );
+        assert_eq!(ids(all(&store)), ["cc01", "cc02", "cc01"]);
+        assert_eq!(
+            ids(store.list(None, None, Some("alice"), 10)),
+            ["cc01", "cc01"]
+        );
+        let doc = store.get("cc01").unwrap();
+        let spans = doc["spans"].as_array().unwrap();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(
+            (&spans[0]["component"], &spans[1]["component"]),
+            (&"tsdb".into(), &"qfe".into())
+        );
+    }
+
+    #[test]
+    fn an_evicted_committed_span_is_hidden_before_its_delete_is_flushed() {
+        let dir = tmpdir("hidden");
+        let cfg = TraceStoreConfig {
+            max_bytes: 1_000,
+            max_age_ms: 0,
+        };
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        let ids: Vec<String> = (0..20).map(|i| format!("ff{i:02}")).collect();
+        store.store("tsdb", "/q", "t", &report_with(&ids[0], 1.0), 0);
+        store.snapshot().unwrap();
+        assert!(store.get(&ids[0]).is_some());
+        // `store` evicts the committed span and wakes nothing.
+        for (i, id) in ids.iter().enumerate().skip(1) {
+            store.store("tsdb", "/q", "t", &report_with(id, 1.0), i as i64);
+        }
+        assert!(store.get(&ids[0]).is_none());
+        let held = all(&store);
+        assert_eq!(held.len(), store.span_count());
+        assert!(held.iter().all(|r| r["traceId"] != ids[0].as_str()));
+        drop(store);
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!(all(&store), held);
+    }
+
+    #[test]
+    fn gc_writes_one_frame_for_what_is_pending_and_none_for_nothing() {
+        let dir = tmpdir("frames");
+        let store = TraceStore::open(&dir, TraceStoreConfig::default()).unwrap();
+        store.gc(0);
+        for i in 0..5 {
+            store.store(
+                "tsdb",
+                "/q",
+                "t",
+                &report_with(&format!("dd{i:02}"), 1.0),
+                i,
+            );
+        }
+        assert_eq!(frames(&dir), 0);
+        store.gc(10);
+        wait_for("the flush", || flushed(&store));
+        assert_eq!(frames(&dir), 1);
+        store.gc(20);
+        // Dropping joins the flusher and flushes what is left: nothing.
+        drop(store);
+        assert_eq!(frames(&dir), 1, "a gc or drop with nothing pending wrote");
+        let store = TraceStore::open(&dir, TraceStoreConfig::default()).unwrap();
+        assert_eq!(store.span_count(), 5);
+    }
+
+    #[test]
+    fn a_failed_flush_keeps_its_spans_and_retries_at_the_next_gc() {
+        let dir = tmpdir("flushfail");
+        let cfg = TraceStoreConfig {
+            max_bytes: 1_000,
+            max_age_ms: 0,
+        };
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        let faults = ScriptedDiskFaults::new().with_fsync_failures(1);
+        store
+            .shared
+            .disk
+            .lock()
+            .db
+            .set_disk_faults(Arc::new(faults));
+        let ids: Vec<String> = (0..8).map(|i| format!("ee{i:02}")).collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(
+                &store.store("tsdb", "/q", "t", &report_with(id, 1.0), i as i64),
+                id
+            );
+        }
+        store.gc(10);
+        let failures = || store.shared.flush_failures_total.get();
+        wait_for("the failed flush", || failures() == 1.0);
+        assert_eq!(frames(&dir), 0);
+        for id in &ids {
+            assert!(store.get(id).is_some(), "{id} lost by a failed flush");
+        }
+        // More spans than the bound holds: the kept batch obeys it too.
+        for i in 8..20 {
+            store.store(
+                "tsdb",
+                "/q",
+                "t",
+                &report_with(&format!("ee{i:02}"), 1.0),
+                i,
+            );
+        }
+        assert!(store.bytes() <= cfg.max_bytes, "bytes={}", store.bytes());
+        let held = all(&store);
+        assert!(held.len() < 20 && store.get("ee00").is_none());
+
+        store
+            .shared
+            .disk
+            .lock()
+            .db
+            .set_disk_faults(Arc::new(ScriptedDiskFaults::new()));
+        store.gc(30);
+        wait_for("the retried flush", || flushed(&store));
+        assert_eq!(failures(), 1.0);
+        drop(store);
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!(all(&store), held);
+    }
+
+    /// Directory size in bytes, recursively.
+    fn du(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let meta = e.metadata().unwrap();
+                if meta.is_dir() {
+                    du(&e.path())
+                } else {
+                    meta.len()
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn the_log_is_compacted_as_spans_flow_through() {
+        let dir = tmpdir("compact");
+        let cfg = TraceStoreConfig {
+            max_bytes: 16 << 10,
+            max_age_ms: 0,
+        };
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        // Ten rings' worth of reports, a `gc` after every twenty.
+        let (mut stored, mut i) = (0, 0);
+        while stored < 10 * cfg.max_bytes {
+            let report = report_with(&format!("{i:08x}"), 1.0);
+            stored += report.to_json().to_string().len() as u64;
+            store.store("tsdb", "/q", "t", &report, i);
+            if i % 20 == 19 {
+                store.gc(i);
+                wait_for("the flush", || flushed(&store));
+            }
+            i += 1;
+        }
+        let held = all(&store);
+        drop(store);
+        let size = du(&dir);
+        assert!(
+            size < 6 * cfg.max_bytes,
+            "{size} bytes on disk for a {} byte ring",
+            cfg.max_bytes
+        );
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!(all(&store), held);
+    }
+
+    /// Four threads store 500 spans each while others run `gc`, `get` and
+    /// `list`; `readable` asserts each key reads back at once (only when the
+    /// bound evicts nothing).
+    fn stress(max_bytes: u64, readable: bool) {
+        let dir = tmpdir("stress");
+        let cfg = TraceStoreConfig {
+            max_bytes,
+            max_age_ms: 0,
+        };
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    let store = &store;
+                    s.spawn(move || {
+                        for i in 0..500 {
+                            let id = format!("{t}-{i:03}");
+                            let key = store.store("tsdb", "/q", "t", &report_with(&id, 1.0), i);
+                            assert_eq!(key, id);
+                            if readable {
+                                assert!(store.get(&key).is_some(), "{key} unreadable");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let mut now = 0;
+                while writing.load(Ordering::Relaxed) {
+                    store.gc(now);
+                    now += 1;
+                    std::thread::yield_now();
+                }
+            });
+            s.spawn(|| {
+                while writing.load(Ordering::Relaxed) {
+                    let rows = all(&store);
+                    let ids: HashSet<&str> = rows
+                        .iter()
+                        .map(|r| r["traceId"].as_str().unwrap())
+                        .collect();
+                    assert_eq!(ids.len(), rows.len(), "a span listed twice");
+                    if let Some(newest) = rows.first().filter(|_| readable) {
+                        assert!(store.get(newest["traceId"].as_str().unwrap()).is_some());
+                    }
+                }
+            });
+            // Stop the gc and read loops even when a writer failed.
+            let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            writing.store(false, Ordering::Relaxed);
+            for result in joined {
+                if let Err(panic) = result {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+        assert_eq!(store.shared.stored_total.get(), 2000.0);
+        let (held, count, bytes) = (all(&store), store.span_count(), store.bytes());
+        assert_eq!(held.len(), count);
+        if readable {
+            assert_eq!(count, 2000);
+        }
+        drop(store);
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!((store.span_count(), store.bytes()), (count, bytes));
+        assert_eq!(all(&store), held);
+    }
+
+    #[test]
+    fn concurrent_stores_reads_and_gc_see_each_span_once() {
+        stress(TraceStoreConfig::default().max_bytes, true);
+    }
+
+    #[test]
+    fn concurrent_stores_under_eviction_reopen_as_the_ring() {
+        stress(16 << 10, false);
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::log::{self, DiskFaults, FsyncMode, Log, WalOptions};
+use crate::log::{self, DiskFaults, FsyncMode, Log, WalOptions, WalPosition};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
@@ -120,6 +120,13 @@ impl Db {
     /// (crash-point testing).
     pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
         self.log.set_disk_faults(faults);
+    }
+
+    /// Where the next commit goes in the log. [`Db::snapshot`] starts a
+    /// new segment, so the offset is what the log holds past the snapshot
+    /// for as long as the segment number stays the one it started.
+    pub fn log_position(&self) -> WalPosition {
+        self.log.position()
     }
 
     /// The database directory.
