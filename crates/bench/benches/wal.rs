@@ -5,7 +5,8 @@
 //! in-memory append path. The `relstore_commit` rows are the relational
 //! store's side of the same log (S6): one `Db::commit` of about 1 KiB
 //! (`always`, a sync a commit) and the same records framed through the log
-//! under `batch` (no sync).
+//! under `batch` (no sync). The `recovery_fixture` row reopens a database
+//! of the end-to-end fixture's shape and splits the open into its phases.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +16,7 @@ use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
 use ceems_relstore::log::Log;
 use ceems_relstore::wal::{Commit, WalRecord};
 use ceems_relstore::{Column, ColumnType, Db, Row, Schema, Value};
-use ceems_tsdb::wal::{FsyncMode, WalOptions, WalPosition};
+use ceems_tsdb::wal::{self, FsyncMode, WalOptions, WalPosition};
 use ceems_tsdb::{Tsdb, TsdbConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -164,6 +165,125 @@ fn bench_wal_checkpoint(c: &mut Criterion) {
     }
 }
 
+/// Series of the `recovery_fixture` database: the end-to-end fixture's
+/// 87-node fleet ended with about 10 k series.
+const FIXTURE_SERIES: usize = 10_240;
+
+/// Scrapes before its checkpoint, and after it (two minutes at 15 s).
+const FIXTURE_SCRAPES: (i64, i64) = (48, 8);
+
+/// Series `i` of the fixture: one of eight metrics of one job (`uuid`) on
+/// one of 87 nodes.
+fn fixture_labels(i: usize) -> LabelSet {
+    const METRICS: [&str; 8] = [
+        "ceems_compute_unit_cpu_user_seconds_total",
+        "ceems_compute_unit_cpu_system_seconds_total",
+        "ceems_compute_unit_memory_used_bytes",
+        "ceems_compute_unit_memory_total_bytes",
+        "ceems_rapl_package_joules_total",
+        "ceems_ipmi_dcmi_current_watts",
+        "uuid:ceems_power:watts",
+        "instance:ceems_cpufrac:ratio",
+    ];
+    let node = i / 118;
+    LabelSetBuilder::new()
+        .label("__name__", METRICS[i % METRICS.len()])
+        .label("instance", format!("jz-node-{node:04}:9010"))
+        .label("job", "ceems")
+        .label(
+            "nodegroup",
+            ["intel", "amd", "v100", "a100", "h100"][node % 5],
+        )
+        .label("uuid", format!("slurm-{}", 100_000 + i / METRICS.len()))
+        .build()
+}
+
+/// One scrape of series `from..to` at `step`: counters and gauges that move
+/// by a different amount each scrape, as the head sees them.
+fn fixture_scrape(from: usize, to: usize, step: i64) -> Vec<(LabelSet, i64, f64)> {
+    (from..to)
+        .map(|i| {
+            let jitter = ((i as i64 * 7_919 + step * 104_729) % 1_000) as f64 / 8.0;
+            let v = (i % 977) as f64 * 1e3 + step as f64 * (10.0 + (i % 13) as f64) + jitter;
+            (fixture_labels(i), step * 15_000, v)
+        })
+        .collect()
+}
+
+/// The fixture in two directories: `checkpointed` holds a checkpoint after
+/// the first scrapes and no log after it; `with_log` is the same database
+/// after two more minutes of scrapes, which add the last 4 % of the series.
+fn fixture_dirs(dirs: &mut Vec<PathBuf>) -> (PathBuf, PathBuf) {
+    let (before, after) = FIXTURE_SCRAPES;
+    let old = FIXTURE_SERIES * 24 / 25;
+    let checkpointed = temp_dir();
+    let db = Tsdb::open(&checkpointed, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+    for step in 0..before {
+        db.append_batch(&fixture_scrape(0, old, step));
+    }
+    db.checkpoint().unwrap();
+    drop(db);
+    let with_log = temp_dir();
+    std::fs::create_dir_all(&with_log).unwrap();
+    for entry in std::fs::read_dir(&checkpointed).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, with_log.join(path.file_name().unwrap())).unwrap();
+    }
+    let db = Tsdb::open(&with_log, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+    for step in before..before + after {
+        db.append_batch(&fixture_scrape(0, FIXTURE_SERIES, step));
+    }
+    drop(db);
+    dirs.extend([checkpointed.clone(), with_log.clone()]);
+    (checkpointed, with_log)
+}
+
+/// Reopens the fixture and times the open's three phases apart:
+/// `checkpoint_decode` is `wal::decode_checkpoint` of its bytes,
+/// `install` what opening the checkpoint alone takes beyond that (index
+/// and head), and `log_replay` what the two minutes of log add to it.
+fn recovery_fixture_row(iters: usize, dirs: &mut Vec<PathBuf>) -> serde_json::Value {
+    let (checkpointed, with_log) = fixture_dirs(dirs);
+    let (_, bytes) = Tsdb::open(&checkpointed, RECOVERY_OPTS, TsdbConfig::default())
+        .unwrap()
+        .wal_checkpoint_bytes()
+        .unwrap()
+        .unwrap();
+    let log_bytes: u64 = wal::list_segments(&with_log)
+        .unwrap()
+        .iter()
+        .map(|(_, path)| std::fs::metadata(path).unwrap().len())
+        .sum();
+    let open = |dir: &PathBuf| Tsdb::open(dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+    let (series, samples) = {
+        let db = open(&with_log);
+        (db.series_count(), db.samples_appended())
+    };
+    // Alternated, so a slow patch of the host lands on every phase alike.
+    let (mut decode, mut checkpoint_only, mut whole) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..iters {
+        decode.extend(time_iters(1, || {
+            drop(wal::decode_checkpoint(&bytes).unwrap())
+        }));
+        checkpoint_only.extend(time_iters(1, || drop(open(&checkpointed))));
+        whole.extend(time_iters(1, || drop(open(&with_log))));
+    }
+    let [decode, checkpoint_only, whole] =
+        [decode, checkpoint_only, whole].map(|mut lat| LatencySummary::from_samples(&mut lat));
+    serde_json::json!({
+        "series": series,
+        "samples": samples,
+        "checkpoint_bytes": bytes.len(),
+        "log_bytes": log_bytes,
+        "checkpoint_decode_p50_us": decode.p50_us,
+        "install_p50_us": checkpoint_only.p50_us - decode.p50_us,
+        "log_replay_p50_us": whole.p50_us - checkpoint_only.p50_us,
+        "decode": decode.to_json(),
+        "open_checkpoint_only": checkpoint_only.to_json(),
+        "open": whole.to_json(),
+    })
+}
+
 /// Eight rows, about 1 KiB of log as one commit.
 fn relstore_rows(step: u32) -> impl Iterator<Item = (&'static str, Row)> {
     (0..8).map(move |i| {
@@ -294,6 +414,10 @@ fn emit_wal_json(_c: &mut Criterion) {
         });
         scenarios.insert(label.into(), LatencySummary::from_samples(&mut lat).to_json());
     }
+    scenarios.insert(
+        "recovery_fixture".into(),
+        recovery_fixture_row(15, &mut dirs),
+    );
 
     // One checkpoint of the whole database: wall time and file size.
     let mut checkpoint_bytes = 0;

@@ -3,9 +3,13 @@
 //! Benches that feed CI or the paper tables write one `BENCH_<name>.json`
 //! next to the workspace root (override the directory with
 //! `CEEMS_BENCH_DIR`), so runs can be diffed and plotted without scraping
-//! criterion's human output.
+//! criterion's human output. Each run also appends itself as one line to
+//! `BENCH_<name>.history.jsonl` beside it, and both carry where the run came
+//! from: the commit, the host's thread count and the command line.
 
+use std::io::Write;
 use std::path::PathBuf;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// Directory bench JSON lands in: `$CEEMS_BENCH_DIR` or the workspace root.
@@ -16,12 +20,74 @@ pub fn bench_dir() -> PathBuf {
     }
 }
 
-/// Writes `BENCH_<name>.json` (pretty-printed) and returns its path.
+/// The commit checked out at the workspace root, `unknown` outside a git
+/// checkout (or without `git`).
+pub fn git_sha() -> String {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(root)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|sha| sha.trim().to_string())
+        .filter(|sha| !sha.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Where a run came from: `git_sha`, `available_parallelism` and the
+/// `command` line it was started with.
+pub fn provenance() -> serde_json::Value {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    // The program by its file name: where the build tree is says nothing.
+    let mut command: Vec<String> = std::env::args().collect();
+    if let Some(program) = command.first_mut() {
+        if let Some(name) = std::path::Path::new(program).file_name() {
+            *program = name.to_string_lossy().into_owned();
+        }
+    }
+    serde_json::json!({
+        "git_sha": git_sha(),
+        "available_parallelism": cores,
+        "command": command.join(" "),
+    })
+}
+
+/// Writes `BENCH_<name>.json` (pretty-printed) with the run's
+/// [`provenance`] added under `"provenance"`, appends the same object as
+/// one line to `BENCH_<name>.history.jsonl`, and returns the snapshot's
+/// path. `value` is an object; anything else is kept under `"result"`.
 pub fn write_bench_json(name: &str, value: &serde_json::Value) -> PathBuf {
+    let mut run = match value {
+        serde_json::Value::Object(map) => map.clone(),
+        other => serde_json::Map::from([("result".to_string(), other.clone())]),
+    };
+    let provenance = provenance();
+    eprintln!(
+        "bench {name}: git {} on {} cores",
+        provenance["git_sha"].as_str().unwrap_or("unknown"),
+        provenance["available_parallelism"]
+    );
+    run.insert("provenance".to_string(), provenance);
+    let run = serde_json::Value::Object(run);
+
     let path = bench_dir().join(format!("BENCH_{name}.json"));
-    let text = serde_json::to_string_pretty(value).expect("bench json serializes");
+    let text = serde_json::to_string_pretty(&run).expect("bench json serializes");
     std::fs::write(&path, text + "\n").expect("bench json writes");
-    eprintln!("wrote {}", path.display());
+    let history = bench_dir().join(format!("BENCH_{name}.history.jsonl"));
+    let row = serde_json::to_string(&run).expect("bench json serializes");
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&history)
+        .and_then(|mut file| file.write_all((row + "\n").as_bytes()))
+        .expect("bench history appends");
+    eprintln!(
+        "wrote {} and a row of {}",
+        path.display(),
+        history.display()
+    );
     path
 }
 
@@ -160,9 +226,32 @@ mod tests {
         let dir = crate::tmpdir("report");
         std::env::set_var("CEEMS_BENCH_DIR", &dir);
         let path = write_bench_json("selftest", &serde_json::json!({"ok": true}));
+        write_bench_json("selftest", &serde_json::json!({"ok": false}));
         std::env::remove_var("CEEMS_BENCH_DIR");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"ok\""));
+        // The snapshot is the latest run, with where it came from.
+        let latest: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(latest["ok"], false);
+        let sha = latest["provenance"]["git_sha"].as_str().unwrap();
+        assert!(sha == "unknown" || sha.len() == 40, "{sha}");
+        assert!(
+            latest["provenance"]["available_parallelism"]
+                .as_u64()
+                .unwrap()
+                >= 1
+        );
+        assert!(!latest["provenance"]["command"].as_str().unwrap().is_empty());
+        // The history keeps both runs, oldest first.
+        let history = std::fs::read_to_string(dir.join("BENCH_selftest.history.jsonl")).unwrap();
+        let rows: Vec<serde_json::Value> = history
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(
+            (&rows[0]["ok"], &rows[1]),
+            (&serde_json::json!(true), &latest)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

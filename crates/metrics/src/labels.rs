@@ -47,6 +47,22 @@ impl LabelSet {
         b.build()
     }
 
+    /// [`Self::from_pairs`] over strings the caller already shares: no
+    /// string is copied, so a decoder that hands out one `Arc` per distinct
+    /// name or value builds every set from the same allocations.
+    pub fn from_shared(mut pairs: Vec<(Arc<str>, Arc<str>)>) -> Self {
+        // Stable, so of equal names the later one is last: it wins.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        LabelSet { pairs }
+    }
+
     /// Returns the value for `name`, treating empty values as absent.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.pairs
@@ -249,6 +265,37 @@ mod tests {
             .build();
         let pairs: Vec<_> = ls.iter().collect();
         assert_eq!(pairs, vec![("alpha", "2"), ("zeta", "3")]);
+    }
+
+    #[test]
+    fn shared_strings_build_the_set_text_builds() {
+        let raw = [
+            ("zeta", "1"),
+            ("alpha", "2"),
+            ("zeta", "3"),
+            ("mu", ""),
+            ("zeta", "4"),
+        ];
+        for n in 0..=raw.len() {
+            let shared = raw[..n]
+                .iter()
+                .map(|(k, v)| (Arc::from(*k), Arc::from(*v)))
+                .collect();
+            let ls = LabelSet::from_shared(shared);
+            assert_eq!(
+                ls,
+                LabelSet::from_pairs(raw[..n].iter().copied()),
+                "first {n}"
+            );
+            assert_eq!(
+                ls.fingerprint(),
+                LabelSet::from_pairs(raw[..n].iter().copied()).fingerprint()
+            );
+        }
+        // The set keeps the caller's allocations.
+        let name: Arc<str> = Arc::from("__name__");
+        let ls = LabelSet::from_shared(vec![(Arc::clone(&name), Arc::from("up"))]);
+        assert!(Arc::ptr_eq(&ls.pairs[0].0, &name));
     }
 
     #[test]

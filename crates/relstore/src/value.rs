@@ -1,11 +1,18 @@
 //! Typed values and rows.
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A dynamically typed cell value (the SQLite storage classes we need).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// As JSON (log payloads, snapshots) a value is `"Null"`, `{"Int":n}`,
+/// `{"Real":x}` or `{"Text":"s"}`. JSON has no number for a real that is
+/// not finite, so one is a string (`"+Inf"`, `"-Inf"`, `"NaN"`, or
+/// `"NaN:"` and the bits in hex) and reads back bit for bit; a
+/// `{"Real":null}`, what such a real was written as before, still reads as
+/// NaN.
+#[derive(Clone, Debug)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -94,6 +101,70 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
         (true, false) => Ordering::Less,
         (false, true) => Ordering::Greater,
         _ => a.partial_cmp(&b).unwrap(),
+    }
+}
+
+impl Serialize for Value {
+    fn serialize(&self) -> Content {
+        let (variant, payload) = match self {
+            Value::Null => return Content::Str("Null".to_string()),
+            Value::Int(i) => ("Int", i.serialize()),
+            Value::Real(x) => match non_finite_text(*x) {
+                Some(text) => ("Real", Content::Str(text)),
+                None => ("Real", x.serialize()),
+            },
+            Value::Text(s) => ("Text", s.serialize()),
+        };
+        Content::Map(vec![(variant.to_string(), payload)])
+    }
+}
+
+impl Deserialize for Value {
+    fn deserialize(content: &Content) -> Result<Self, DeError> {
+        let unknown = |what: &str| DeError::new(format!("not a value: {what}"));
+        match content {
+            Content::Str(s) if s == "Null" => Ok(Value::Null),
+            Content::Map(entries) if entries.len() == 1 => {
+                let (variant, payload) = &entries[0];
+                match (variant.as_str(), payload) {
+                    ("Int", payload) => Ok(Value::Int(i64::deserialize(payload)?)),
+                    ("Real", Content::Str(text)) => non_finite_real(text)
+                        .map(Value::Real)
+                        .ok_or_else(|| unknown(text)),
+                    ("Real", payload) => Ok(Value::Real(f64::deserialize(payload)?)),
+                    ("Text", payload) => Ok(Value::Text(String::deserialize(payload)?)),
+                    (other, _) => Err(unknown(other)),
+                }
+            }
+            other => Err(unknown(other.kind())),
+        }
+    }
+}
+
+/// How a real that is not finite is written: `+Inf`, `-Inf`, `NaN` for the
+/// NaN [`f64::NAN`] is, and `NaN:` and the bits in hex for any other NaN.
+/// `None` for a finite real, which is a JSON number.
+pub(crate) fn non_finite_text(x: f64) -> Option<String> {
+    Some(match x {
+        f64::INFINITY => "+Inf".to_string(),
+        f64::NEG_INFINITY => "-Inf".to_string(),
+        x if x.to_bits() == f64::NAN.to_bits() => "NaN".to_string(),
+        x if x.is_nan() => format!("NaN:{:016x}", x.to_bits()),
+        _ => return None,
+    })
+}
+
+/// The real [`non_finite_text`] wrote `text` for.
+fn non_finite_real(text: &str) -> Option<f64> {
+    match text {
+        "+Inf" => Some(f64::INFINITY),
+        "-Inf" => Some(f64::NEG_INFINITY),
+        "NaN" => Some(f64::NAN),
+        _ => {
+            let bits = text.strip_prefix("NaN:").filter(|hex| hex.len() == 16)?;
+            let x = f64::from_bits(u64::from_str_radix(bits, 16).ok()?);
+            x.is_nan().then_some(x)
+        }
     }
 }
 
@@ -194,5 +265,38 @@ mod tests {
         let json = serde_json::to_string(&vals).unwrap();
         let back: Vec<Value> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, vals);
+    }
+
+    #[test]
+    fn a_real_that_is_not_finite_comes_back_bit_for_bit() {
+        let reals = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            -0.0,
+            f64::MAX,
+        ];
+        let vals: Vec<Value> = reals.iter().map(|x| Value::Real(*x)).collect();
+        let json = serde_json::to_string(&vals).unwrap();
+        assert_eq!(
+            json,
+            r#"[{"Real":"+Inf"},{"Real":"-Inf"},{"Real":"NaN"},{"Real":"NaN:fff8000000000000"},{"Real":"NaN:7ff0000000000001"},{"Real":-0.0},{"Real":1.7976931348623157e308}]"#
+        );
+        let back: Vec<Value> = serde_json::from_str(&json).unwrap();
+        for (x, v) in reals.iter().zip(&back) {
+            assert_eq!(v.as_real().unwrap().to_bits(), x.to_bits(), "{json}");
+        }
+        // What an older build wrote for any of them.
+        let old: Value = serde_json::from_str(r#"{"Real":null}"#).unwrap();
+        assert!(old.as_real().unwrap().is_nan());
+        for bad in [
+            r#"{"Real":"inf"}"#,
+            r#"{"Real":"NaN:0000000000000001"}"#,
+            r#"{"Real":"NaN:7ff8"}"#,
+        ] {
+            assert!(serde_json::from_str::<Value>(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::log::{self, crc32, Log, LogEnd, WalOptions, WalPosition};
-use crate::value::{Row, Value};
+use crate::value::{non_finite_text, Row, Value};
 
 /// One logical WAL record.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -92,7 +92,7 @@ fn write_record(out: &mut Vec<u8>, record: &WalRecord) {
 }
 
 /// A value as `serde_json` prints it: a finite real in Rust's shortest
-/// round-trip form, a NaN or an infinity as `null`.
+/// round-trip form, any other as its string ([`non_finite_text`]).
 fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.extend_from_slice(b"\"Null\""),
@@ -101,12 +101,14 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
             write!(out, "{i}").expect("writing to a Vec cannot fail");
             out.push(b'}');
         }
-        Value::Real(x) if x.is_finite() => {
+        Value::Real(x) => {
             out.extend_from_slice(b"{\"Real\":");
-            write!(out, "{x:?}").expect("writing to a Vec cannot fail");
+            match non_finite_text(*x) {
+                Some(text) => write_str(out, &text),
+                None => write!(out, "{x:?}").expect("writing to a Vec cannot fail"),
+            }
             out.push(b'}');
         }
-        Value::Real(_) => out.extend_from_slice(b"{\"Real\":null}"),
         Value::Text(s) => {
             out.extend_from_slice(b"{\"Text\":");
             write_str(out, s);

@@ -12,22 +12,41 @@ use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Upsert { key: u8, payload: i64, user: u8 },
-    Delete { key: u8 },
+    Upsert {
+        key: u8,
+        payload: i64,
+        user: u8,
+        energy: f64,
+    },
+    Delete {
+        key: u8,
+    },
     Snapshot,
     Reopen,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (any::<u8>(), any::<i64>(), 0u8..4).prop_map(|(key, payload, user)| Op::Upsert {
-            key,
-            payload,
-            user
+        6 => (any::<u8>(), any::<i64>(), 0u8..4, real()).prop_map(|(key, payload, user, energy)| {
+            Op::Upsert { key, payload, user, energy }
         }),
         2 => any::<u8>().prop_map(|key| Op::Delete { key }),
         1 => Just(Op::Snapshot),
         1 => Just(Op::Reopen),
+    ]
+}
+
+/// Reals a reopen must give back bit for bit: the infinities and NaNs
+/// JSON has no number for among them.
+fn real() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::from_bits(0x7ff0_0000_0000_0001)),
+        Just(-0.0),
+        proptest::num::f64::ANY,
     ]
 }
 
@@ -37,6 +56,7 @@ fn schema() -> Schema {
             Column::required("key", ColumnType::Int),
             Column::required("payload", ColumnType::Int),
             Column::required("user", ColumnType::Text),
+            Column::nullable("energy", ColumnType::Real),
         ],
         "key",
         &["user"],
@@ -64,11 +84,11 @@ proptest! {
         let dir = tmpdir(seed);
         let mut db = Db::open(&dir).unwrap();
         db.create_table("t", schema()).unwrap();
-        let mut model: BTreeMap<i64, (i64, String)> = BTreeMap::new();
+        let mut model: BTreeMap<i64, (i64, String, u64)> = BTreeMap::new();
 
         for op in &ops {
             match op {
-                Op::Upsert { key, payload, user } => {
+                Op::Upsert { key, payload, user, energy } => {
                     let user = format!("user{user}");
                     db.upsert(
                         "t",
@@ -76,10 +96,11 @@ proptest! {
                             Value::Int(*key as i64),
                             Value::Int(*payload),
                             user.clone().into(),
+                            Value::Real(*energy),
                         ],
                     )
                     .unwrap();
-                    model.insert(*key as i64, (*payload, user));
+                    model.insert(*key as i64, (*payload, user, energy.to_bits()));
                 }
                 Op::Delete { key } => {
                     let existed_db = db.delete("t", &Value::Int(*key as i64)).unwrap();
@@ -98,9 +119,10 @@ proptest! {
             prop_assert_eq!(rows.len(), model.len());
             for row in &rows {
                 let k = row[0].as_int().unwrap();
-                let (payload, user) = model.get(&k).expect("row not in model");
+                let (payload, user, energy) = model.get(&k).expect("row not in model");
                 prop_assert_eq!(row[1].as_int().unwrap(), *payload);
                 prop_assert_eq!(row[2].as_text().unwrap(), user.as_str());
+                prop_assert_eq!(row[3].as_real().unwrap().to_bits(), *energy);
             }
         }
 
@@ -113,7 +135,7 @@ proptest! {
                     &Query::all().filter(Filter::Eq("user".into(), user.as_str().into())),
                 )
                 .unwrap();
-            let via_model = model.values().filter(|(_, u)| *u == user).count();
+            let via_model = model.values().filter(|(_, u, _)| *u == user).count();
             prop_assert_eq!(via_index.len(), via_model, "user {}", user);
         }
 
@@ -156,6 +178,7 @@ fn commit(db: &mut Db, (upserts, deletes): &CommitOps) -> Result<(), ceems_relst
             Value::Int(*k as i64),
             Value::Int(*payload),
             format!("user{user}").into(),
+            Value::Null,
         ];
         ("t", row)
     });

@@ -103,6 +103,12 @@ fn json_piece() -> impl Strategy<Value = &'static str> {
         Just("{\"Int\":7}"),
         Just("{\"Real\":0.5}"),
         Just("{\"Real\":null}"),
+        Just("{\"Real\":\"+Inf\"}"),
+        Just("{\"Real\":\"-Inf\"}"),
+        Just("{\"Real\":\"NaN\"}"),
+        Just("{\"Real\":\"NaN:fff8000000000000\"}"),
+        Just("{\"Real\":\"NaN:7ff0\"}"),
+        Just("\"NaN:\""),
         Just("{\"Text\":\"x\"}"),
         Just("{\"Upsert\":{\"row\":[{\"Int\":1},\"Null\",\"Null\"],\"table\":\"t\"}}"),
         Just("{\"Delete\":{\"pk\":{\"Int\":1},\"table\":\"t\"}}"),
@@ -116,16 +122,17 @@ fn json() -> impl Strategy<Value = String> {
     proptest::collection::vec(json_piece(), 0..24).prop_map(|pieces| pieces.concat())
 }
 
+/// The reals [`real_segment`]'s rows hold, one after another.
+const REALS: [f64; 4] = [0.5, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+
 /// The segment bytes of real commits: one upsert, then two, then three.
 fn real_segment() -> Vec<u8> {
     let dir = dir_with(b"", b"");
     let mut db = Db::open(&dir).unwrap();
     for n in 1..=3i64 {
         let rows = (0..n).map(|i| {
-            (
-                "t",
-                vec![Value::Int(10 * n + i), Value::Real(0.5), "x".into()],
-            )
+            let real = REALS[(10 * n + i) as usize % REALS.len()];
+            ("t", vec![Value::Int(10 * n + i), Value::Real(real), "x".into()])
         });
         db.commit(rows, []).unwrap();
     }
@@ -149,6 +156,18 @@ fn real_commits_open_within_the_bounds() {
     .concat();
     assert_eq!(open_within_bounds(b"", lines.as_bytes()), Some(2));
     assert_eq!(open_within_bounds(&seg, lines.as_bytes()), Some(8));
+}
+
+#[test]
+fn reals_that_are_not_finite_reopen_bit_for_bit() {
+    let dir = dir_with(&real_segment(), b"");
+    let db = Db::open(&dir).unwrap();
+    for row in db.query("t", &ceems_relstore::Query::all()).unwrap() {
+        let key = row[0].as_int().unwrap();
+        let want = REALS[key as usize % REALS.len()];
+        assert_eq!(row[1].as_real().unwrap().to_bits(), want.to_bits(), "row {key}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {

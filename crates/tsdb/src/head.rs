@@ -12,7 +12,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::chunk::{CodecState, OutOfOrder, XorChunk};
 use crate::types::{Sample, SeriesId};
@@ -243,7 +243,7 @@ fn take(c: &XorChunk, state: &mut CodecState, tmin: i64, tmax: i64, out: &mut Ve
 
 /// Lock stripes of a [`Head`]: 4 to 64 measured the same under eight
 /// concurrent writers.
-const STRIPES: usize = 16;
+pub(crate) const STRIPES: usize = 16;
 
 /// Hashes a [`SeriesId`] with one multiplication. Ids are minted by the
 /// database or read from its leader's log, never chosen by whoever sends
@@ -290,6 +290,40 @@ impl Default for Head {
 impl Head {
     fn shard(&self, id: SeriesId) -> &Mutex<Stripe> {
         &self.shards[(id as usize) % self.shards.len()]
+    }
+
+    /// Appends those of `samples` whose stripe is worker `owner`'s of
+    /// `owners` (each worker holds a run of neighbouring stripes), each
+    /// series' samples in the order given. A series' samples go in one
+    /// after another, while its store is in cache. Returns how many samples
+    /// were the worker's, and how many of those were in order and appended.
+    pub(crate) fn append_owned(
+        &self,
+        owner: usize,
+        owners: usize,
+        samples: &[(SeriesId, i64, f64)],
+    ) -> (u64, u64) {
+        let mine = |stripe: usize| stripe * owners / STRIPES == owner;
+        let mut samples: Vec<_> = samples
+            .iter()
+            .filter(|s| mine(s.0 as usize % STRIPES))
+            .collect();
+        // Stable: a series' samples stay in the order given.
+        samples.sort_by_key(|s| s.0);
+        let mut stripes: [Option<MutexGuard<'_, Stripe>>; STRIPES] =
+            std::array::from_fn(|s| mine(s).then(|| self.shards[s].lock()));
+        let mut appended = 0;
+        for series in samples.chunk_by(|a, b| a.0 == b.0) {
+            let id = series[0].0;
+            let stripe = stripes[id as usize % STRIPES]
+                .as_mut()
+                .expect("an owned stripe");
+            let store = stripe.entry(id).or_default();
+            for &&(_, t_ms, v) in series {
+                appended += u64::from(store.append(Sample::new(t_ms, v)).is_ok());
+            }
+        }
+        (samples.len() as u64, appended)
     }
 
     /// Appends to a series (creating it on first touch).

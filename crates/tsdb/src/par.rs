@@ -1,6 +1,11 @@
-//! Work spread over scoped workers: ingest passes and rule ticks.
+//! Work spread over scoped workers: ingest passes, rule ticks and a restart.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Threads the host runs at once: how many workers a restart uses.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 /// Folds `items` on at most `threads` scoped workers (the calling thread is
 /// one of them). Each worker takes the next item off one shared cursor and
@@ -13,7 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// accumulator. A worker's panic reaches the caller.
 ///
 /// An ingest pass (a scrape pass, a push pass) spreads its sources this
-/// way, and a rule tick the due groups of one level.
+/// way, a rule tick the due groups of one level, and `Tsdb::open` a
+/// checkpoint's parts and the replayed samples' stripe owners.
 pub fn fan_out<T: Sync, A: Send>(
     items: &[T],
     threads: usize,

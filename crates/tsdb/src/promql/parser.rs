@@ -1,4 +1,8 @@
 //! Recursive-descent / Pratt parser for the PromQL subset.
+//!
+//! Queries come from outside the process, so their nesting is bounded
+//! ([`MAX_DEPTH`]): the parser recurses once per level, and so does every
+//! walk over the tree it returns (evaluation, planning, splitting, drop).
 
 use ceems_metrics::labels::METRIC_NAME_LABEL;
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
@@ -24,11 +28,22 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep a query may nest: parentheses, unary signs, function and
+/// aggregation arguments and operands each count a level, and so does
+/// every node between the root of the parsed tree and its deepest leaf.
+/// Deeper is a parse error. The deepest tree allowed evaluates and drops
+/// within a 2 MiB thread stack, what an HTTP worker gets, in a debug build.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a query string into an expression.
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.parse_binary(0)?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
+    let (expr, _) = p.parse_binary(0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError(format!(
             "trailing tokens starting at {:?}",
@@ -41,6 +56,24 @@ pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of recursion the parser is in.
+    depth: usize,
+}
+
+/// A parsed expression and its height: nodes on the longest path from it
+/// down to a leaf.
+type Node = (Expr, usize);
+
+fn too_deep() -> ParseError {
+    ParseError(format!("expression nests deeper than {MAX_DEPTH} levels"))
+}
+
+/// The height of a node over children at most `below` high.
+fn above(below: usize) -> Result<usize, ParseError> {
+    match below + 1 {
+        height if height > MAX_DEPTH => Err(too_deep()),
+        height => Ok(height),
+    }
 }
 
 fn agg_op(name: &str) -> Option<AggOp> {
@@ -92,6 +125,15 @@ impl Parser {
         t
     }
 
+    /// Goes one level down; an error past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        match self.depth > MAX_DEPTH {
+            true => Err(too_deep()),
+            false => Ok(()),
+        }
+    }
+
     fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
         match self.bump() {
             Some(got) if &got == t => Ok(()),
@@ -99,10 +141,11 @@ impl Parser {
         }
     }
 
-    fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn parse_binary(&mut self, min_prec: u8) -> Result<Node, ParseError> {
+        self.descend()?;
         // Comparisons bind loosest (precedence 1), so `a + b > c * d`
         // parses as `(a + b) > (c * d)` like Prometheus.
-        let mut lhs = self.parse_unary()?;
+        let (mut lhs, mut height) = self.parse_unary()?;
         loop {
             enum Op {
                 Arith(BinOp),
@@ -129,7 +172,8 @@ impl Parser {
                 Op::Arith(op) => {
                     // Optional on(...)/ignoring(...) vector matching.
                     let matching = self.parse_matching_modifier()?;
-                    let rhs = self.parse_binary(prec + 1)?;
+                    let (rhs, rhs_height) = self.parse_binary(prec + 1)?;
+                    height = above(height.max(rhs_height))?;
                     lhs = Expr::Binary {
                         op,
                         lhs: Box::new(lhs),
@@ -145,7 +189,8 @@ impl Parser {
                             bool_mode = true;
                         }
                     }
-                    let rhs = self.parse_binary(prec + 1)?;
+                    let (rhs, rhs_height) = self.parse_binary(prec + 1)?;
+                    height = above(height.max(rhs_height))?;
                     lhs = Expr::Compare {
                         op,
                         bool_mode,
@@ -155,7 +200,8 @@ impl Parser {
                 }
             }
         }
-        Ok(lhs)
+        self.depth -= 1;
+        Ok((lhs, height))
     }
 
     fn parse_matching_modifier(&mut self) -> Result<Grouping, ParseError> {
@@ -175,21 +221,25 @@ impl Parser {
         Ok(Grouping::None)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.peek() == Some(&Token::Minus) {
-            self.bump();
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+    fn parse_unary(&mut self) -> Result<Node, ParseError> {
+        let sign = match self.peek() {
+            Some(Token::Minus) => Token::Minus,
+            Some(Token::Plus) => Token::Plus,
+            _ => return self.parse_primary(),
+        };
+        self.bump();
+        self.descend()?;
+        let (operand, height) = self.parse_unary()?;
+        self.depth -= 1;
+        match sign {
+            Token::Minus => Ok((Expr::Neg(Box::new(operand)), above(height)?)),
+            _ => Ok((operand, height)),
         }
-        if self.peek() == Some(&Token::Plus) {
-            self.bump();
-            return self.parse_unary();
-        }
-        self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<Node, ParseError> {
         match self.bump() {
-            Some(Token::Number(v)) => Ok(Expr::Number(v)),
+            Some(Token::Number(v)) => Ok((Expr::Number(v), 1)),
             Some(Token::LParen) => {
                 let inner = self.parse_binary(0)?;
                 self.expect(&Token::RParen)?;
@@ -211,9 +261,12 @@ impl Parser {
                 if self.peek() == Some(&Token::LParen) && FUNCTIONS.contains(&name.as_str()) {
                     self.bump();
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if self.peek() != Some(&Token::RParen) {
                         loop {
-                            args.push(self.parse_binary(0)?);
+                            let (arg, arg_height) = self.parse_binary(0)?;
+                            args.push(arg);
+                            height = height.max(arg_height);
                             if self.peek() == Some(&Token::Comma) {
                                 self.bump();
                             } else {
@@ -222,7 +275,7 @@ impl Parser {
                         }
                     }
                     self.expect(&Token::RParen)?;
-                    return Ok(Expr::Func { name, args });
+                    return Ok((Expr::Func { name, args }, above(height)?));
                 }
                 // Metric selector.
                 let mut matchers =
@@ -238,7 +291,7 @@ impl Parser {
     }
 
     /// Parses `[range]` and `offset` suffixes after a selector.
-    fn finish_selector(&mut self, matchers: Vec<LabelMatcher>) -> Result<Expr, ParseError> {
+    fn finish_selector(&mut self, matchers: Vec<LabelMatcher>) -> Result<Node, ParseError> {
         let mut range_ms = None;
         if self.peek() == Some(&Token::LBracket) {
             self.bump();
@@ -262,11 +315,12 @@ impl Parser {
                 }
             }
         }
-        Ok(Expr::Selector(VectorSelector {
+        let selector = VectorSelector {
             matchers: matchers.into(),
             range_ms,
             offset_ms,
-        }))
+        };
+        Ok((Expr::Selector(selector), 1))
     }
 
     fn parse_matchers_body(&mut self) -> Result<Vec<LabelMatcher>, ParseError> {
@@ -306,14 +360,17 @@ impl Parser {
         Ok(matchers)
     }
 
-    fn parse_agg(&mut self, op: AggOp) -> Result<Expr, ParseError> {
+    fn parse_agg(&mut self, op: AggOp) -> Result<Node, ParseError> {
         // Grouping may appear before or after the parens:
         //   sum by (a) (expr)   or   sum(expr) by (a)
         let mut grouping = self.parse_grouping_clause()?;
         self.expect(&Token::LParen)?;
         let mut args = Vec::new();
+        let mut height = 0;
         loop {
-            args.push(self.parse_binary(0)?);
+            let (arg, arg_height) = self.parse_binary(0)?;
+            args.push(arg);
+            height = height.max(arg_height);
             if self.peek() == Some(&Token::Comma) {
                 self.bump();
             } else {
@@ -335,12 +392,13 @@ impl Parser {
             (_, 1) => (None, Box::new(args.into_iter().next().unwrap())),
             (_, n) => return Err(ParseError(format!("aggregation needs 1 arg, got {n}"))),
         };
-        Ok(Expr::Agg {
+        let agg = Expr::Agg {
             op,
             grouping,
             param,
             expr,
-        })
+        };
+        Ok((agg, above(height)?))
     }
 
     fn parse_grouping_clause(&mut self) -> Result<Grouping, ParseError> {
@@ -502,5 +560,85 @@ mod tests {
         let e = parse_expr("up{}").unwrap();
         let Expr::Selector(sel) = e else { panic!() };
         assert_eq!(sel.matchers.len(), 1);
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack an HTTP worker has.
+    fn on_a_worker_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| {
+            let worker = std::thread::Builder::new().stack_size(2 << 20);
+            worker.spawn_scoped(s, f).unwrap().join().unwrap()
+        })
+    }
+
+    /// Each recursive form, `n` levels of it around `up`.
+    fn nests(n: usize) -> [(&'static str, String); 7] {
+        [
+            ("parens", format!("{}up{}", "(".repeat(n), ")".repeat(n))),
+            ("unary minus", format!("{}up", "-".repeat(n))),
+            ("unary plus", format!("{}up", "+".repeat(n))),
+            (
+                "function calls",
+                format!("{}up{}", "abs(".repeat(n), ")".repeat(n)),
+            ),
+            (
+                "aggregations",
+                format!("{}up{}", "sum(".repeat(n), ")".repeat(n)),
+            ),
+            ("a chain of operators", format!("up{}", " - up".repeat(n))),
+            (
+                "nested operands",
+                format!("{}up{}", "up / (".repeat(n), ")".repeat(n)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_an_abort() {
+        on_a_worker_stack(|| {
+            // 4 000 levels aborted the process before the bound.
+            for n in [MAX_DEPTH + 1, 4_000, 100_000] {
+                for (form, query) in nests(n) {
+                    let err = parse_expr(&query).unwrap_err();
+                    assert!(
+                        err.0.contains("nests deeper than 128"),
+                        "{form} x{n}: {err}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn the_deepest_tree_accepted_evaluates_and_drops_on_a_worker_stack() {
+        use crate::promql::{instant_query, normalize, range_query, split_safety};
+        use crate::Tsdb;
+        use ceems_metrics::labels;
+
+        let db = Tsdb::default();
+        for t in 0..20 {
+            db.append(
+                &labels! {"__name__" => "up", "job" => "ceems"},
+                t * 15_000,
+                1.0,
+            );
+        }
+        on_a_worker_stack(|| {
+            for (form, _) in nests(0) {
+                let query = |n: usize| nests(n).into_iter().find(|f| f.0 == form).unwrap().1;
+                // A nested operand is two levels: the operand and its parens.
+                let n = (0..=MAX_DEPTH)
+                    .rev()
+                    .find(|n| parse_expr(&query(*n)).is_ok())
+                    .unwrap();
+                assert!(n >= MAX_DEPTH / 2 - 1, "{form}: only {n} levels parse");
+                let deepest = parse_expr(&query(n)).unwrap();
+                assert!(!normalize(&deepest).is_empty());
+                let _ = split_safety(&deepest);
+                assert!(!deepest.selectors().is_empty());
+                instant_query(&db, &deepest, 285_000).unwrap();
+                range_query(&db, &deepest, 0, 285_000, 15_000).unwrap();
+                drop(deepest);
+            }
+        });
     }
 }

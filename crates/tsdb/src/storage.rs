@@ -24,11 +24,15 @@ use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
 use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
-use crate::head::{Head, SeriesStore};
+use crate::head::{Head, SeriesStore, STRIPES};
 use crate::index::LabelIndex;
+use crate::par::{cores, fan_out};
 use crate::promql::plan::{Basis, Followed, PreparedRead, Refresh, Window};
 use crate::types::{Sample, SeriesData, SeriesId};
-use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalRecord};
+use crate::wal::{
+    self, Check, Checkpoint, CheckpointView, EpochSpan, Interner, Wal, WalOptions, WalPosition,
+    WalRecord,
+};
 
 /// TSDB configuration.
 #[derive(Clone, Debug)]
@@ -198,6 +202,11 @@ pub enum RefError {
     Fenced(StaleEpoch),
 }
 
+/// Replayed samples applied at a time: a series' samples in one batch go
+/// into its store one after another, and the batch, at 24 bytes a sample,
+/// stays within a few times a segment's size.
+const REPLAY_BATCH: usize = 1 << 18;
+
 /// Distinguishes the databases of one process in a [`RefToken`].
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
@@ -276,59 +285,173 @@ impl Tsdb {
     /// or after the sequence it covers, truncates a torn tail if the last
     /// write was interrupted, and attaches the writer at the replay end —
     /// head, index (including ids, generation, and tombstone effects), and
-    /// counters come back exactly as they were.
+    /// counters come back exactly as they were. It runs on
+    /// `available_parallelism` threads, and all of it is done on return.
     pub fn open(dir: impl AsRef<Path>, opts: WalOptions, config: TsdbConfig) -> io::Result<Tsdb> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut db = Tsdb::new(config);
+        Self::open_on(dir.as_ref(), opts, config, cores())
+    }
 
-        let mut start = WalPosition::default();
-        if let Some(ckpt) = wal::load_latest_checkpoint(dir)? {
-            start = WalPosition {
-                seq: ckpt.covers_seq,
-                offset: 0,
-                records: ckpt.records,
+    /// [`Self::open`] on at most `workers` threads; with one, everything
+    /// runs on the calling thread. Each label string is decoded once, for
+    /// the checkpoint and the log alike.
+    fn open_on(
+        dir: &Path,
+        opts: WalOptions,
+        config: TsdbConfig,
+        workers: usize,
+    ) -> io::Result<Tsdb> {
+        fs::create_dir_all(dir)?;
+        let mut names = Interner::default();
+        let mut restored = None;
+        for (_, path) in wal::list_checkpoints(dir)?.into_iter().rev() {
+            let bytes = fs::read(&path)?;
+            let Some(view) = CheckpointView::parse(&bytes, &mut names) else {
+                continue;
             };
-            let mut idx = db.index.write();
-            // The chunks go into the head as they are: decoding the
-            // checkpoint checked every one of them.
-            for (id, labels, store) in ckpt.series {
-                idx.insert_replayed(id, labels);
-                if store.sample_count() > 0 {
-                    db.head.install(id, store);
-                }
-            }
-            idx.set_next_id(ckpt.next_id);
-            idx.set_generation(ckpt.generation);
-            drop(idx);
-            db.appended.store(ckpt.appended, Ordering::Relaxed);
-            db.out_of_order.store(ckpt.out_of_order, Ordering::Relaxed);
-            let mut es = db.epoch_state.lock();
-            es.epoch = ckpt.epoch;
-            if !ckpt.epoch_history.is_empty() {
-                es.history = ckpt.epoch_history;
+            // A checkpoint that fails a check leaves part of itself behind:
+            // the next one goes into a database of its own.
+            let db = Tsdb::new(config.clone());
+            if db.restore(&view, workers) {
+                let start = WalPosition {
+                    seq: view.header.covers_seq,
+                    offset: 0,
+                    records: view.header.records,
+                };
+                restored = Some((db, start));
+                break;
             }
         }
+        let (mut db, start) =
+            restored.unwrap_or_else(|| (Tsdb::new(config), WalPosition::default()));
 
         // Replay the segments after it. A torn or corrupt frame ends the
         // log: the writer cuts its segment there and deletes later segments,
         // so it resumes on a clean frame boundary.
-        let end = wal::walk_log(dir, start, |at, rec| {
-            // Epoch bumps replay with their exact log position so the
-            // restored history matches what the leader wrote.
-            if let WalRecord::EpochBump { epoch } = rec {
-                db.observe_epoch(epoch, at.records);
-            } else {
-                db.apply_record(&rec);
-            }
-        })?;
-        let writer = Wal::open_at(dir, opts, end.at)?;
+        let end = db.replay(dir, start, workers, &mut names)?;
+        let writer = Wal::open_at(dir, opts, end)?;
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),
             errors: AtomicU64::new(0),
         });
         Ok(db)
+    }
+
+    /// Puts a checkpoint into this new database on at most `workers`
+    /// threads. One registers the series in the index, in id order; the
+    /// others (and it, once done) check the CRC and decode ranges of series
+    /// straight into the head. `false` when a check failed: the database
+    /// then holds part of the checkpoint and is to be dropped.
+    fn restore(&self, view: &CheckpointView<'_>, workers: usize) -> bool {
+        enum Part {
+            Index,
+            Check(Check),
+        }
+        let checks = view.checks().into_iter().map(Part::Check);
+        let parts: Vec<Part> = std::iter::once(Part::Index).chain(checks).collect();
+        let passed = fan_out(
+            &parts,
+            workers,
+            || true,
+            |passed, part| {
+                *passed &= match part {
+                    Part::Index => {
+                        let mut idx = self.index.write();
+                        for (id, labels) in &view.series {
+                            idx.insert_replayed(*id, Arc::clone(labels));
+                        }
+                        idx.set_next_id(view.header.next_id);
+                        idx.set_generation(view.header.generation);
+                        true
+                    }
+                    Part::Check(Check::Crc) => view.crc_ok(),
+                    Part::Check(Check::Series(range)) => range.clone().all(|i| {
+                        let Some(store) = view.store(i) else {
+                            return false;
+                        };
+                        if store.sample_count() > 0 {
+                            self.head.install(view.series[i].0, store);
+                        }
+                        true
+                    }),
+                }
+            },
+        );
+        if !passed.into_iter().all(|passed| passed) {
+            return false;
+        }
+        let header = &view.header;
+        self.appended.store(header.appended, Ordering::Relaxed);
+        self.out_of_order
+            .store(header.out_of_order, Ordering::Relaxed);
+        let mut es = self.epoch_state.lock();
+        es.epoch = header.epoch;
+        if !header.epoch_history.is_empty() {
+            es.history = header.epoch_history.clone();
+        }
+        true
+    }
+
+    /// Replays the log in `dir` from `start` on at most `workers` threads
+    /// and returns where it ends. The calling thread reads and checks each
+    /// frame, and applies in log order the series creations (to the index)
+    /// and the epoch bumps. Samples gather until a tombstone or a retention
+    /// cut, the end of the log or [`REPLAY_BATCH`] of them; then each worker
+    /// applies those in the head stripes it owns, series by series, before
+    /// the removal is applied.
+    fn replay(
+        &self,
+        dir: &Path,
+        start: WalPosition,
+        workers: usize,
+        names: &mut Interner,
+    ) -> io::Result<WalPosition> {
+        let mut idx = self.index.write();
+        let mut samples = Vec::new();
+        let end = wal::walk_log(dir, start, names, |at, rec| match rec {
+            WalRecord::SeriesCreate { id, labels } => idx.insert_replayed(id, Arc::new(labels)),
+            // Epoch bumps replay with their exact log position so the
+            // restored history matches what the leader wrote.
+            WalRecord::EpochBump { epoch } => self.observe_epoch(epoch, at.records),
+            WalRecord::Samples(batch) => {
+                samples.extend(batch);
+                if samples.len() >= REPLAY_BATCH {
+                    self.apply_replayed(&mut samples, workers);
+                }
+            }
+            rec @ (WalRecord::Tombstone(_) | WalRecord::Retention { .. }) => {
+                self.apply_replayed(&mut samples, workers);
+                self.apply_removal(&mut idx, &rec);
+            }
+        })?;
+        self.apply_replayed(&mut samples, workers);
+        Ok(end.at)
+    }
+
+    /// Applies replayed samples on at most `workers` threads, each owning a
+    /// fixed run of head stripes ([`Head::append_owned`]), and empties
+    /// `samples`.
+    fn apply_replayed(&self, samples: &mut Vec<(SeriesId, i64, f64)>, workers: usize) {
+        if samples.is_empty() {
+            return;
+        }
+        let owners: Vec<usize> = (0..workers.clamp(1, STRIPES)).collect();
+        let counts = fan_out(
+            &owners,
+            owners.len(),
+            || (0, 0),
+            |counts, &owner| {
+                let (owned, appended) = self.head.append_owned(owner, owners.len(), samples);
+                *counts = (counts.0 + owned, counts.1 + appended);
+            },
+        );
+        let (owned, appended) = counts
+            .into_iter()
+            .fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
+        self.appended.fetch_add(appended, Ordering::Relaxed);
+        self.out_of_order
+            .fetch_add(owned - appended, Ordering::Relaxed);
+        samples.clear();
     }
 
     /// Logs records to the WAL if one is attached. Write errors are counted
@@ -537,9 +660,24 @@ impl Tsdb {
                     .insert_replayed(*id, Arc::new(labels.clone()));
             }
             WalRecord::Samples(samples) => self.apply_samples(samples),
+            WalRecord::Tombstone(_) | WalRecord::Retention { .. } => {
+                self.apply_removal(&mut self.index.write(), rec)
+            }
+            WalRecord::EpochBump { epoch } => {
+                // Streamed from a leader: adopt the epoch at the position
+                // this follower has applied up to (leader record units).
+                let at = self.reported_wal_position().records;
+                self.observe_epoch(*epoch, at);
+            }
+        }
+    }
+
+    /// Applies a replayed or streamed tombstone or retention cut under the
+    /// index lock the caller holds. Other records remove nothing.
+    fn apply_removal(&self, idx: &mut LabelIndex, rec: &WalRecord) {
+        match rec {
             WalRecord::Tombstone(ids) => {
                 self.note_removal();
-                let mut idx = self.index.write();
                 for &id in ids {
                     self.head.remove(id);
                     idx.remove(id);
@@ -550,17 +688,11 @@ impl Tsdb {
                 if !emptied.is_empty() {
                     self.note_removal();
                 }
-                let mut idx = self.index.write();
                 for &id in &emptied {
                     idx.remove(id);
                 }
             }
-            WalRecord::EpochBump { epoch } => {
-                // Streamed from a leader: adopt the epoch at the position
-                // this follower has applied up to (leader record units).
-                let at = self.reported_wal_position().records;
-                self.observe_epoch(*epoch, at);
-            }
+            _ => {}
         }
     }
 
@@ -985,7 +1117,7 @@ impl Tsdb {
             return Ok(None);
         }
         let mut found = None;
-        let end = wal::walk_log(&ws.dir, start, |at, _| {
+        let end = wal::walk_log(&ws.dir, start, &mut Interner::default(), |at, _| {
             if at.records == target {
                 found = Some(at);
             }
@@ -1221,6 +1353,9 @@ impl Tsdb {
         })
     }
 }
+
+#[cfg(test)]
+mod recovery_props;
 
 #[cfg(test)]
 mod tests {

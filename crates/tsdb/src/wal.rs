@@ -22,8 +22,10 @@
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -31,6 +33,7 @@ use ceems_metrics::labels::LabelSet;
 use ceems_relstore::log::{self, numbered, write_durable, LogEnd, Record};
 
 use crate::head::SeriesStore;
+use crate::par::{cores, fan_out};
 use crate::types::{Sample, SeriesId};
 
 /// The shared log's pieces the TSDB's WAL is made of: the CRC32 both logs
@@ -120,9 +123,21 @@ impl<'a> Reader<'a> {
         Some(b)
     }
 
-    /// Borrowed: a label string is copied once, into its label set.
     fn string(&mut self) -> Option<&'a str> {
         std::str::from_utf8(self.bytes()?).ok()
+    }
+
+    /// A label count and that many name/value pairs, each string shared
+    /// through `names`.
+    fn label_set(&mut self, names: &mut Interner) -> Option<LabelSet> {
+        let n = self.uvarint()? as usize;
+        // A pair is at least two bytes.
+        let mut pairs = Vec::with_capacity(n.min(self.remaining() / 2));
+        for _ in 0..n {
+            let k = names.get(self.string()?);
+            pairs.push((k, names.get(self.string()?)));
+        }
+        Some(LabelSet::from_shared(pairs))
     }
 
     fn done(&self) -> bool {
@@ -132,6 +147,23 @@ impl<'a> Reader<'a> {
     /// Bytes not yet read: the most any count still to come can stand for.
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+}
+
+/// One shared copy of every label name and value a decode has met: a
+/// restart reads `__name__` or a node's `instance` once per series, and
+/// keeps one allocation of it.
+#[derive(Default)]
+pub(crate) struct Interner(HashSet<Arc<str>>);
+
+impl Interner {
+    fn get(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        shared
     }
 }
 
@@ -238,23 +270,14 @@ impl Record for WalRecord {
 /// (a label pair: two length bytes; a sample: two varint bytes and an
 /// `f64`; a tombstone: one varint byte), so a frame that passes its CRC
 /// cannot make the decoder reserve more than a fixed multiple of its size.
-fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+/// Label strings come from `names`.
+fn decode_payload(payload: &[u8], names: &mut Interner) -> Option<WalRecord> {
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
-        TAG_SERIES_CREATE => {
-            let id = r.uvarint()?;
-            let n = r.uvarint()? as usize;
-            let mut pairs = Vec::with_capacity(n.min(r.remaining() / 2));
-            for _ in 0..n {
-                let k = r.string()?;
-                let v = r.string()?;
-                pairs.push((k, v));
-            }
-            WalRecord::SeriesCreate {
-                id,
-                labels: LabelSet::from_pairs(pairs),
-            }
-        }
+        TAG_SERIES_CREATE => WalRecord::SeriesCreate {
+            id: r.uvarint()?,
+            labels: r.label_set(names)?,
+        },
         TAG_SAMPLES => {
             let n = r.uvarint()? as usize;
             let mut samples = Vec::with_capacity(n.min(r.remaining() / 10));
@@ -303,8 +326,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut out = Vec::new();
     let mut pos = 0usize;
+    let mut names = Interner::default();
     while let Some((payload, len)) = log::next_frame(&buf[pos..]) {
-        let Some(rec) = decode_payload(payload) else {
+        let Some(rec) = decode_payload(payload, &mut names) else {
             break;
         };
         out.push(rec);
@@ -470,6 +494,15 @@ fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
     Some(store)
 }
 
+/// Steps over a series' chunks as `CKPT2` holds them, decoding none.
+fn skip_chunks(r: &mut Reader<'_>) -> Option<()> {
+    for _ in 0..r.uvarint()? {
+        r.uvarint()?;
+        r.bytes()?;
+    }
+    Some(())
+}
+
 /// A series' samples as `CKPT1` holds them, appended into chunks.
 fn read_samples_v1(r: &mut Reader<'_>) -> Option<SeriesStore> {
     let mut store = SeriesStore::default();
@@ -482,62 +515,189 @@ fn read_samples_v1(r: &mut Reader<'_>) -> Option<SeriesStore> {
     Some(store)
 }
 
+/// Steps over a series' samples as `CKPT1` holds them.
+fn skip_samples_v1(r: &mut Reader<'_>) -> Option<()> {
+    for _ in 0..r.uvarint()? {
+        r.ivarint()?;
+        r.f64()?;
+    }
+    Some(())
+}
+
+/// How a checkpoint format holds a series' samples: stepped over to find
+/// the next series, read by whichever worker checks them.
+struct SampleFormat {
+    skip: fn(&mut Reader<'_>) -> Option<()>,
+    read: fn(&mut Reader<'_>) -> Option<SeriesStore>,
+}
+
+const CKPT2_SAMPLES: SampleFormat = SampleFormat {
+    skip: skip_chunks,
+    read: read_chunks,
+};
+
+const CKPT1_SAMPLES: SampleFormat = SampleFormat {
+    skip: skip_samples_v1,
+    read: read_samples_v1,
+};
+
+/// Bytes of samples a worker checks at a time. Taking a range costs nothing
+/// next to decoding it, and with many of them a worker that finishes early
+/// takes the next one instead of waiting for the others.
+const RANGE_BYTES: usize = 16 << 10;
+
+/// A checkpoint taken apart for workers: the header and every series' id
+/// and labels decoded, each series' samples found but not decoded. Nothing
+/// in it holds before [`Self::crc_ok`] and every [`Self::store`] say so.
+pub(crate) struct CheckpointView<'a> {
+    /// The checkpoint's fields; its `series` is empty.
+    pub header: Checkpoint,
+    /// Each series' id and labels, ids ascending.
+    pub series: Vec<(SeriesId, Arc<LabelSet>)>,
+    /// Each series' samples as the file holds them.
+    samples: Vec<&'a [u8]>,
+    format: &'static SampleFormat,
+    /// The bytes the trailing CRC covers, and the CRC.
+    body: &'a [u8],
+    crc: u32,
+}
+
+/// One worker's share of checking a [`CheckpointView`].
+pub(crate) enum Check {
+    /// The file's CRC.
+    Crc,
+    /// The samples of these series.
+    Series(Range<usize>),
+}
+
+impl<'a> CheckpointView<'a> {
+    /// Reads checkpoint bytes of either format up to each series' samples,
+    /// label strings through `names`. `None` when what it reads is not a
+    /// checkpoint. A count read from the bytes reserves no more than the
+    /// bytes left could hold (a span is at least two bytes, a series
+    /// three). Every writer of either format put the series in ascending id
+    /// order (`Tsdb::checkpoint` over the index's sorted series); a file
+    /// with an id out of that order is corrupt.
+    pub(crate) fn parse(bytes: &'a [u8], names: &mut Interner) -> Option<CheckpointView<'a>> {
+        let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
+        let format = match body.get(..CKPT_MAGIC.len())? {
+            magic if magic == CKPT_MAGIC => &CKPT2_SAMPLES,
+            magic if magic == CKPT1_MAGIC => &CKPT1_SAMPLES,
+            _ => return None,
+        };
+        let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
+        let covers_seq = r.uvarint()?;
+        let generation = r.uvarint()?;
+        let next_id = r.uvarint()?;
+        let appended = r.uvarint()?;
+        let out_of_order = r.uvarint()?;
+        let records = r.uvarint()?;
+        let epoch = r.uvarint()?;
+        let n_spans = r.uvarint()? as usize;
+        let mut epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
+        for _ in 0..n_spans {
+            epoch_history.push(EpochSpan {
+                epoch: r.uvarint()?,
+                start_records: r.uvarint()?,
+            });
+        }
+        let n_series = r.uvarint()? as usize;
+        let mut series: Vec<(SeriesId, Arc<LabelSet>)> =
+            Vec::with_capacity(n_series.min(r.remaining() / 3));
+        let mut samples = Vec::with_capacity(series.capacity());
+        for _ in 0..n_series {
+            let id = r.uvarint()?;
+            if series.last().is_some_and(|(before, _)| *before >= id) {
+                return None;
+            }
+            series.push((id, Arc::new(r.label_set(names)?)));
+            let start = r.pos;
+            (format.skip)(&mut r)?;
+            samples.push(&r.buf[start..r.pos]);
+        }
+        let header = Checkpoint {
+            covers_seq,
+            generation,
+            next_id,
+            appended,
+            out_of_order,
+            records,
+            epoch,
+            epoch_history,
+            series: Vec::new(),
+        };
+        r.done().then_some(CheckpointView {
+            header,
+            series,
+            samples,
+            format,
+            body,
+            crc: u32::from_le_bytes(tail.try_into().ok()?),
+        })
+    }
+
+    /// Whether the trailing CRC is that of the bytes before it.
+    pub(crate) fn crc_ok(&self) -> bool {
+        crc32(self.body) == self.crc
+    }
+
+    /// Series `i`'s samples through the checked decode.
+    pub(crate) fn store(&self, i: usize) -> Option<SeriesStore> {
+        let mut r = Reader::new(self.samples[i]);
+        let store = (self.format.read)(&mut r)?;
+        r.done().then_some(store)
+    }
+
+    /// What must pass before the checkpoint is believed: the CRC, then the
+    /// series in ranges of about [`RANGE_BYTES`] of samples, in order.
+    pub(crate) fn checks(&self) -> Vec<Check> {
+        let mut checks = vec![Check::Crc];
+        let (mut start, mut bytes) = (0, 0);
+        for (i, samples) in self.samples.iter().enumerate() {
+            bytes += samples.len();
+            if bytes >= RANGE_BYTES || i + 1 == self.samples.len() {
+                checks.push(Check::Series(start..i + 1));
+                (start, bytes) = (i + 1, 0);
+            }
+        }
+        checks
+    }
+}
+
 /// Parses checkpoint bytes of either format, validating magic, CRC and
 /// every chunk. `None` means the file is corrupt or truncated (the loader
-/// falls back to an older checkpoint). A count read from the bytes reserves
-/// no more than the bytes left could hold.
+/// falls back to an older checkpoint). The chunks are checked on up to
+/// `available_parallelism` threads.
 pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
-    let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
-    let read_samples = match body.get(..CKPT_MAGIC.len())? {
-        magic if magic == CKPT_MAGIC => read_chunks,
-        magic if magic == CKPT1_MAGIC => read_samples_v1,
-        _ => return None,
-    };
-    let stored = u32::from_le_bytes(tail.try_into().ok()?);
-    if crc32(body) != stored {
-        return None;
-    }
-    let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
-    let covers_seq = r.uvarint()?;
-    let generation = r.uvarint()?;
-    let next_id = r.uvarint()?;
-    let appended = r.uvarint()?;
-    let out_of_order = r.uvarint()?;
-    let records = r.uvarint()?;
-    let epoch = r.uvarint()?;
-    // A span is at least two bytes, a series three, a label pair two.
-    let n_spans = r.uvarint()? as usize;
-    let mut epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
-    for _ in 0..n_spans {
-        epoch_history.push(EpochSpan {
-            epoch: r.uvarint()?,
-            start_records: r.uvarint()?,
-        });
-    }
-    let n_series = r.uvarint()? as usize;
-    let mut series = Vec::with_capacity(n_series.min(r.remaining() / 3));
-    for _ in 0..n_series {
-        let id = r.uvarint()?;
-        let n_labels = r.uvarint()? as usize;
-        let mut pairs = Vec::with_capacity(n_labels.min(r.remaining() / 2));
-        for _ in 0..n_labels {
-            let k = r.string()?;
-            let v = r.string()?;
-            pairs.push((k, v));
-        }
-        let labels = Arc::new(LabelSet::from_pairs(pairs));
-        series.push((id, labels, read_samples(&mut r)?));
-    }
-    r.done().then_some(Checkpoint {
-        covers_seq,
-        generation,
-        next_id,
-        appended,
-        out_of_order,
-        records,
-        epoch,
-        epoch_history,
-        series,
+    decode_checkpoint_on(bytes, cores())
+}
+
+/// [`decode_checkpoint`] on at most `workers` threads: the CRC beside the
+/// ranges of series. A checkpoint of one range decodes on the calling
+/// thread.
+fn decode_checkpoint_on(bytes: &[u8], workers: usize) -> Option<Checkpoint> {
+    let view = CheckpointView::parse(bytes, &mut Interner::default())?;
+    let checks = view.checks();
+    // Each check's stores by the first series it covers; the CRC's are none.
+    let workers = workers.min(checks.len() - 1);
+    let mut parts = fan_out(&checks, workers, Vec::new, |parts, check| {
+        parts.push(match check {
+            Check::Crc => (0, view.crc_ok().then(Vec::new)),
+            Check::Series(range) => (range.start, range.clone().map(|i| view.store(i)).collect()),
+        })
+    })
+    .concat();
+    parts.sort_unstable_by_key(|(start, _)| *start);
+    let stores: Vec<Vec<SeriesStore>> = parts
+        .into_iter()
+        .map(|(_, stores)| stores)
+        .collect::<Option<_>>()?;
+    let series = view.series.into_iter().zip(stores.into_iter().flatten());
+    Some(Checkpoint {
+        series: series
+            .map(|((id, labels), store)| (id, labels, store))
+            .collect(),
+        ..view.header
     })
 }
 
@@ -576,14 +736,18 @@ pub(crate) fn log_start(dir: &Path) -> io::Result<WalPosition> {
 /// Walks the log in `dir` as recovery reads it ([`log::walk`]): every
 /// segment from `start.seq` on (see [`log_start`]), each frame's CRC and
 /// payload checked. The log ends at the first frame that fails. `visit`
-/// sees each record with the position its frame starts at.
+/// sees each record with the position its frame starts at; label strings
+/// come from `names`.
 pub(crate) fn walk_log(
     dir: &Path,
     start: WalPosition,
+    names: &mut Interner,
     mut visit: impl FnMut(WalPosition, WalRecord),
 ) -> io::Result<LogEnd> {
     log::walk(dir, start, |at, payload| {
-        decode_payload(payload).map(|rec| visit(at, rec)).is_some()
+        decode_payload(payload, names)
+            .map(|rec| visit(at, rec))
+            .is_some()
     })
 }
 
@@ -614,7 +778,7 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
         return Ok(TruncateOutcome::NeedsResync);
     }
     let mut cut = None;
-    let end = walk_log(dir, start, |at, _| {
+    let end = walk_log(dir, start, &mut Interner::default(), |at, _| {
         if at.records == target {
             cut = Some(at);
         }
@@ -906,6 +1070,102 @@ mod tests {
         bad[at - 2] = 60;
         fix_crc(&mut bad);
         assert_eq!(decode_checkpoint(&bad).unwrap(), ckpt);
+    }
+
+    #[test]
+    fn a_checkpoint_decodes_the_same_on_any_number_of_workers() {
+        let long: Vec<Sample> = (0..300)
+            .map(|i| Sample::new(i * 15_000, (i * i) as f64 / 7.0))
+            .collect();
+        let mut ckpt = sample_checkpoint();
+        ckpt.series = (0..400)
+            .map(|id| {
+                let labels = labels! {"__name__" => "energy", "instance" => format!("n{id}")};
+                (
+                    id * 3,
+                    Arc::new(labels),
+                    store_of(&long[..(id as usize * 7) % 300]),
+                )
+            })
+            .collect();
+        let bytes = encode_checkpoint(&ckpt);
+        let view = CheckpointView::parse(&bytes, &mut Interner::default()).unwrap();
+        assert!(view.checks().len() > 8, "{} checks", view.checks().len());
+        for workers in 1..=3 {
+            assert_eq!(
+                decode_checkpoint_on(&bytes, workers).as_ref(),
+                Some(&ckpt),
+                "{workers}"
+            );
+        }
+        // A bad chunk in the last range, the CRC made to agree; a bad CRC.
+        let last = ckpt
+            .series
+            .last()
+            .unwrap()
+            .2
+            .chunks()
+            .last()
+            .unwrap()
+            .as_bytes();
+        let at = bytes.windows(last.len()).rposition(|w| w == last).unwrap();
+        let mut bad_chunk = bytes.clone();
+        bad_chunk[at + 24] ^= 0x80;
+        fix_crc(&mut bad_chunk);
+        let mut bad_crc = bytes.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        for workers in 1..=3 {
+            assert_eq!(decode_checkpoint_on(&bad_chunk, workers), None, "{workers}");
+            assert_eq!(decode_checkpoint_on(&bad_crc, workers), None, "{workers}");
+        }
+    }
+
+    #[test]
+    fn series_out_of_id_order_are_a_corrupt_checkpoint() {
+        for ids in [[3, 2], [2, 2]] {
+            let mut ckpt = sample_checkpoint();
+            ckpt.series.truncate(2);
+            ckpt.series[0].0 = ids[0];
+            ckpt.series[1].0 = ids[1];
+            assert_eq!(
+                decode_checkpoint(&encode_checkpoint(&ckpt)),
+                None,
+                "{ids:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_decode_shares_each_label_string() {
+        let ckpt = sample_checkpoint();
+        let decoded = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
+        let names: Vec<&str> = decoded
+            .series
+            .iter()
+            .flat_map(|(_, l, _)| l.iter().map(|(k, _)| k))
+            .collect();
+        assert!(
+            names
+                .windows(2)
+                .all(|w| w[0] != w[1] || std::ptr::eq(w[0], w[1])),
+            "{names:?}"
+        );
+        let (records, _) = decode_frames(&{
+            let mut buf = Vec::new();
+            for rec in sample_records().iter().chain(&sample_records()) {
+                encode_record(&mut buf, rec);
+            }
+            buf
+        });
+        let creates: Vec<&LabelSet> = records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::SeriesCreate { labels, .. } => Some(labels),
+                _ => None,
+            })
+            .collect();
+        let value = |l: &LabelSet| l.get("instance").unwrap().as_ptr();
+        assert_eq!((creates.len(), value(creates[0])), (2, value(creates[1])));
     }
 
     #[test]

@@ -101,6 +101,24 @@ fn full_stack_over_http() {
     let (code, _) = q("bob", "uuid:ceems_power:watts{uuid=\"slurm-1\"}");
     assert_eq!(code, 403);
 
+    // A query nested past the PromQL parser's bound is refused, whether the
+    // LB parses it (a user's) or only the TSDB does (an admin's), and the
+    // workers that read it serve the next panel.
+    let deep = format!(
+        "{}uuid:ceems_power:watts{{uuid=\"slurm-1\"}}{}",
+        "(".repeat(5_000),
+        ")".repeat(5_000)
+    );
+    for user in ["alice", "op"] {
+        let (code, _) = q(user, &deep);
+        assert!((400..500).contains(&code), "{user}: {code}");
+    }
+    for user in ["alice", "op"] {
+        let (code, body) = q(user, "sum(uuid:ceems_power:watts{uuid=\"slurm-1\"})");
+        assert_eq!(code, 200, "{user}");
+        assert_eq!(body["data"]["result"].as_array().unwrap().len(), 1);
+    }
+
     // 5. The API server over HTTP, sharing the updater.
     let api_server = Arc::new(ceems::apiserver::ApiServer::new(
         stack.updater.clone(),
