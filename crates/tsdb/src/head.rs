@@ -12,7 +12,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::chunk::{CodecState, OutOfOrder, XorChunk};
 use crate::types::{Sample, SeriesId};
@@ -293,37 +293,28 @@ impl Head {
     }
 
     /// Appends those of `samples` whose stripe is worker `owner`'s of
-    /// `owners` (each worker holds a run of neighbouring stripes), each
-    /// series' samples in the order given. A series' samples go in one
-    /// after another, while its store is in cache. Returns how many samples
-    /// were the worker's, and how many of those were in order and appended.
+    /// `owners` (each worker holds a run of neighbouring stripes), in the
+    /// order given. It goes through them once per stripe, holding that
+    /// stripe's lock, so the stripe's series are in cache while its samples
+    /// go in. Returns how many samples were the worker's, and how many of
+    /// those were in order and appended.
     pub(crate) fn append_owned(
         &self,
         owner: usize,
         owners: usize,
         samples: &[(SeriesId, i64, f64)],
     ) -> (u64, u64) {
-        let mine = |stripe: usize| stripe * owners / STRIPES == owner;
-        let mut samples: Vec<_> = samples
-            .iter()
-            .filter(|s| mine(s.0 as usize % STRIPES))
-            .collect();
-        // Stable: a series' samples stay in the order given.
-        samples.sort_by_key(|s| s.0);
-        let mut stripes: [Option<MutexGuard<'_, Stripe>>; STRIPES] =
-            std::array::from_fn(|s| mine(s).then(|| self.shards[s].lock()));
-        let mut appended = 0;
-        for series in samples.chunk_by(|a, b| a.0 == b.0) {
-            let id = series[0].0;
-            let stripe = stripes[id as usize % STRIPES]
-                .as_mut()
-                .expect("an owned stripe");
-            let store = stripe.entry(id).or_default();
-            for &&(_, t_ms, v) in series {
+        let (mut owned, mut appended) = (0, 0);
+        for stripe in (0..STRIPES).filter(|s| s * owners / STRIPES == owner) {
+            let mut series = self.shards[stripe].lock();
+            let in_stripe = samples.iter().filter(|s| s.0 as usize % STRIPES == stripe);
+            for &(id, t_ms, v) in in_stripe {
+                owned += 1;
+                let store = series.entry(id).or_default();
                 appended += u64::from(store.append(Sample::new(t_ms, v)).is_ok());
             }
         }
-        (samples.len() as u64, appended)
+        (owned, appended)
     }
 
     /// Appends to a series (creating it on first touch).

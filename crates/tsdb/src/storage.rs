@@ -202,10 +202,15 @@ pub enum RefError {
     Fenced(StaleEpoch),
 }
 
-/// Replayed samples applied at a time: a series' samples in one batch go
-/// into its store one after another, and the batch, at 24 bytes a sample,
+/// Replayed samples applied at a time: the batch, at 24 bytes a sample,
 /// stays within a few times a segment's size.
 const REPLAY_BATCH: usize = 1 << 18;
+
+/// Replayed samples a thread is started for. Fewer take less time to
+/// append than starting a thread costs (≈ 0.5 ms on the 2-vCPU container);
+/// the owners' shares are then appended one after another on the calling
+/// thread.
+const REPLAY_THREAD_SAMPLES: usize = 1 << 14;
 
 /// Distinguishes the databases of one process in a [`RefToken`].
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
@@ -347,11 +352,16 @@ impl Tsdb {
             Index,
             Check(Check),
         }
-        let checks = view.checks().into_iter().map(Part::Check);
+        let checks = view.checks();
+        // As `decode_checkpoint`: a checkpoint of one range is restored on
+        // the calling thread, where starting another costs more than it
+        // saves.
+        let threads = workers.min(checks.len() - 1);
+        let checks = checks.into_iter().map(Part::Check);
         let parts: Vec<Part> = std::iter::once(Part::Index).chain(checks).collect();
         let passed = fan_out(
             &parts,
-            workers,
+            threads,
             || true,
             |passed, part| {
                 *passed &= match part {
@@ -397,7 +407,7 @@ impl Tsdb {
     /// frame, and applies in log order the series creations (to the index)
     /// and the epoch bumps. Samples gather until a tombstone or a retention
     /// cut, the end of the log or [`REPLAY_BATCH`] of them; then each worker
-    /// applies those in the head stripes it owns, series by series, before
+    /// applies those in the head stripes it owns, stripe by stripe, before
     /// the removal is applied.
     fn replay(
         &self,
@@ -428,17 +438,18 @@ impl Tsdb {
         Ok(end.at)
     }
 
-    /// Applies replayed samples on at most `workers` threads, each owning a
-    /// fixed run of head stripes ([`Head::append_owned`]), and empties
-    /// `samples`.
+    /// Applies replayed samples for `workers` owners, each of a fixed run of
+    /// head stripes ([`Head::append_owned`]), on as many threads as there
+    /// are [`REPLAY_THREAD_SAMPLES`] to go round, and empties `samples`.
     fn apply_replayed(&self, samples: &mut Vec<(SeriesId, i64, f64)>, workers: usize) {
         if samples.is_empty() {
             return;
         }
         let owners: Vec<usize> = (0..workers.clamp(1, STRIPES)).collect();
+        let threads = owners.len().min(samples.len() / REPLAY_THREAD_SAMPLES);
         let counts = fan_out(
             &owners,
-            owners.len(),
+            threads,
             || (0, 0),
             |counts, &owner| {
                 let (owned, appended) = self.head.append_owned(owner, owners.len(), samples);

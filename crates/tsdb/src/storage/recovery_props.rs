@@ -132,9 +132,10 @@ fn state(db: &Tsdb) -> State {
 /// dropped.
 fn write(dir: &Path, steps: &[Step], checkpoint_at: usize) -> State {
     let db = Tsdb::open_on(dir, options(), config(), 1).unwrap();
-    // A bulk of long series first, so a checkpoint spans several ranges.
+    // A bulk of long series first, so a checkpoint spans several ranges
+    // and a log without one replays on more than one thread.
     for t in 0..60 {
-        let bulk: Vec<_> = (0..300)
+        let bulk: Vec<_> = (0..600)
             .map(|i| {
                 (
                     labels! {"__name__" => "bulk", "i" => format!("{i}")},
