@@ -2,6 +2,8 @@
 //! (§II.D: "All the CEEMS components can be configured in a single YAML
 //! file where each component will read its relevant configuration").
 
+use std::collections::BTreeMap;
+
 use ceems_simnode::ClusterSpec;
 use ceems_tsdb::promql::lexer::{lex, Token};
 
@@ -20,9 +22,7 @@ pub struct QfeSettings {
     pub tenant_queue_depth: usize,
     /// Concurrent queries allowed per tenant.
     pub max_tenant_concurrency: usize,
-    /// Staleness bound (seconds) for degraded stale-cache serves: a cached
-    /// answer older than this is a 502, not a silently ancient "success".
-    /// 0 (the default) keeps the bound off — any cached extent may serve.
+    /// Oldest cached answer (s) served while every replica is down; 0 (the default): any.
     pub max_stale_s: f64,
 }
 
@@ -39,10 +39,8 @@ impl Default for QfeSettings {
     }
 }
 
-/// The `failover:` YAML section (S24): automatic leader failover for the
-/// TSDB replication group. Presence of the section enables it; the stack
-/// then runs `replicas` TSDB nodes under a [`ceems_tsdb::ReplicationGroup`]
-/// with epoch-fenced writes and deterministic elections.
+/// The `failover:` YAML section (S24): `replicas` TSDB nodes under a
+/// [`ceems_tsdb::ReplicationGroup`], epoch-fenced writes, deterministic elections.
 #[derive(Clone, Debug)]
 pub struct FailoverSettings {
     /// Master switch; presence of the `failover:` section enables it.
@@ -51,13 +49,9 @@ pub struct FailoverSettings {
     pub replicas: usize,
     /// Leader liveness probe interval (seconds).
     pub probe_interval_s: f64,
-    /// Missed-probe window before the leader is deposed and an election
-    /// runs (seconds).
+    /// Missed-probe window (seconds) before the leader is deposed and an election runs.
     pub election_timeout_s: f64,
-    /// Catch-up gate: a follower lagging the dead leader's last known
-    /// position by more than this many WAL records is not promotable.
-    /// `u64::MAX` (the default) promotes the most-caught-up candidate
-    /// unconditionally.
+    /// Most WAL records a winner may lag the dead leader; `u64::MAX` (the default): any.
     pub min_catchup_records: u64,
 }
 
@@ -89,16 +83,13 @@ impl FailoverSettings {
 /// (S20) — every served component and every pooled client reads these.
 #[derive(Clone, Debug)]
 pub struct HttpSettings {
-    /// Open-connection cap per server; accepts beyond it are shed so the
-    /// process never exhausts its fd table.
+    /// Open-connection cap per server; accepts beyond it are shed.
     pub max_connections: usize,
     /// Keep-alive connections idle for longer than this are closed (s).
     pub idle_timeout_s: f64,
-    /// Not read: a server runs its `workers` threads and no event loops
-    /// besides (S20). The YAML key is still accepted.
+    /// Not read: a server runs only its `workers` threads (S20). The YAML key is still accepted.
     pub reactor_threads: usize,
-    /// Idle keep-alive connections a client pools per host; 0 disables
-    /// client-side connection reuse.
+    /// Idle keep-alive connections a client pools per host; 0 disables reuse.
     pub pool_per_host: usize,
     /// Listen backlog for the accept queue.
     pub backlog: i32,
@@ -135,9 +126,8 @@ impl HttpSettings {
     }
 }
 
-/// The `alerting:` YAML section (`ceems-alertsrv`): evaluation cadence,
-/// Alertmanager-style group timers, delivery target, and thresholds for
-/// the built-in rule packs (a non-positive threshold disables its pack).
+/// The `alerting:` YAML section (`ceems-alertsrv`): evaluation cadence, group
+/// timers, delivery target and the rule packs' thresholds (≤ 0 turns a pack off).
 #[derive(Clone, Debug)]
 pub struct AlertingSettings {
     /// Master switch; the stack only builds an alerting service when true.
@@ -158,8 +148,7 @@ pub struct AlertingSettings {
     pub energy_budget_watts: f64,
     /// `for:` hold of the energy-budget pack (seconds).
     pub energy_budget_for_s: f64,
-    /// Emission-factor staleness bound (seconds) before the
-    /// factor-source-down pack fires.
+    /// Emission-factor age bound (seconds) of the factor-source-down pack.
     pub factor_max_age_s: f64,
     /// Per-node power bound (W) for the node-anomaly pack.
     pub node_power_max_watts: f64,
@@ -190,22 +179,15 @@ impl Default for AlertingSettings {
 /// trace store every component ships finished `TraceReport`s to.
 #[derive(Clone, Debug)]
 pub struct ObsSettings {
-    /// Head-sampling probability for finished traces, in `[0, 1]`. The
-    /// decision hashes the trace ID, so every hop of a request reaches the
-    /// same verdict. 0 disables head sampling (tail capture still applies).
+    /// Head-sampling probability in `[0, 1]`, decided on the trace ID's hash; 0 disables.
     pub trace_sample_rate: f64,
-    /// Per-tenant overrides of `trace_sample_rate`, each in `[0, 1]`. The
-    /// query frontend resolves the effective rate and propagates it
-    /// downstream; the reserved `__ceems_meta__` tenant is always pinned
-    /// to 1.0 regardless of this map.
+    /// Per-tenant overrides of `trace_sample_rate` (`__ceems_meta__` is pinned to 1.0).
     pub tenant_sample_rates: std::collections::BTreeMap<String, f64>,
-    /// Tail-capture threshold (ms): every trace slower than this is stored
-    /// regardless of the head decision. Non-positive disables tail capture.
+    /// Tail capture: traces slower than this (ms) are stored; non-positive disables.
     pub trace_slow_ms: f64,
     /// Byte bound of the trace ring buffer; oldest spans are evicted first.
     pub trace_store_max_bytes: u64,
-    /// Age bound (seconds) for stored spans, enforced by GC on
-    /// `CeemsStack::advance`. Non-positive disables age eviction.
+    /// Age bound (seconds) of stored spans, swept on `advance`; non-positive disables.
     pub trace_store_max_age_s: f64,
 }
 
@@ -221,18 +203,15 @@ impl Default for ObsSettings {
     }
 }
 
-/// The `stream:` YAML section (S23): push-mode sample ingest over the
-/// streaming bus plus live query push. Presence of the section enables it;
-/// exporters then publish renders instead of being scraped, recording rules
-/// re-evaluate incrementally, and `query_live` subscriptions are served.
+/// The `stream:` YAML section (S23): exporters push renders over the streaming
+/// bus, rules re-evaluate incrementally, and `query_live` is served.
 #[derive(Clone, Debug)]
 pub struct StreamSettings {
     /// Master switch; presence of the `stream:` section enables it.
     pub enabled: bool,
     /// Topic exporter renders are published on.
     pub topic: String,
-    /// Replay-ring capacity per (tenant, topic); subscribers resuming from
-    /// an offset older than the ring receive a gap record.
+    /// Replay-ring capacity per (tenant, topic); an older resume gets a gap record.
     pub ring_capacity: usize,
     /// Raw-frame subscriber cap per tenant on `/api/v1/stream/subscribe`.
     pub max_subscribers_per_tenant: usize,
@@ -252,9 +231,8 @@ impl Default for StreamSettings {
     }
 }
 
-/// The `meta:` YAML section (S22): self-scrape meta-monitoring — the stack
-/// scrapes every component's own `/metrics` into the reserved
-/// `__ceems_meta__` tenant of its own TSDB.
+/// The `meta:` YAML section (S22): the stack scrapes its components' own
+/// `/metrics` into the reserved `__ceems_meta__` tenant of its TSDB.
 #[derive(Clone, Debug)]
 pub struct MetaSettings {
     /// Master switch; presence of the `meta:` section enables it.
@@ -289,6 +267,12 @@ pub struct ChurnSettings {
     pub arrivals_per_hour: f64,
 }
 
+impl Default for ChurnSettings {
+    fn default() -> Self {
+        ChurnSettings { users: 20, projects: 5, arrivals_per_hour: 100.0 }
+    }
+}
+
 /// Full stack configuration.
 #[derive(Clone, Debug)]
 pub struct CeemsConfig {
@@ -304,13 +288,11 @@ pub struct CeemsConfig {
     pub rule_interval_s: f64,
     /// API-server updater poll interval (seconds).
     pub updater_interval_s: f64,
-    /// §II.C cleanup: purge TSDB series of units shorter than this
-    /// (seconds); 0 disables.
+    /// §II.C cleanup: purge series of units shorter than this (seconds); 0 disables.
     pub cleanup_cutoff_s: f64,
     /// Country/zone for emission factors.
     pub zone: String,
-    /// Emission providers to enable, in priority order
-    /// (`rte`, `emaps`, `owid`).
+    /// Emission providers in priority order (`rte`, `emaps`, `owid`).
     pub emission_providers: Vec<String>,
     /// Operators allowed unscoped queries.
     pub admin_users: Vec<String>,
@@ -318,18 +300,13 @@ pub struct CeemsConfig {
     pub lb_strategy: String,
     /// Churn generation; `None` means jobs are submitted manually.
     pub churn: Option<ChurnSettings>,
-    /// Worker threads for stepping the simulated nodes and for an ingest
-    /// pass: a scrape pass in pull mode, a push pass in stream mode. The
-    /// pass's workers take the sources one at a time (`ceems_tsdb::fan_out`).
+    /// Workers that step the nodes and run an ingest pass (`ceems_tsdb::fan_out`).
     pub threads: usize,
-    /// Worker threads for rule groups evaluated side by side; each group's
-    /// rules still run in order (1 = the groups in order on the calling
-    /// thread).
+    /// Workers for rule groups evaluated side by side (1: in order on the calling thread).
     pub query_threads: usize,
     /// Capacity of the TSDB matcher-result posting cache; 0 disables it.
     pub posting_cache_size: usize,
-    /// WAL directory for the hot TSDB; `None` (default) keeps the head
-    /// purely in memory with no durability.
+    /// WAL directory of the hot TSDB; `None` (the default) keeps the head in memory only.
     pub wal_dir: Option<String>,
     /// WAL segment rotation size in bytes.
     pub wal_segment_bytes: u64,
@@ -337,15 +314,13 @@ pub struct CeemsConfig {
     pub wal_checkpoint_interval_s: f64,
     /// WAL fsync policy: `always`, `batch`, or `never`.
     pub wal_fsync: String,
-    /// Slow-query log threshold in milliseconds; queries slower than this
-    /// emit one structured log line. Non-positive (the default) disables.
+    /// Slow-query log threshold (ms); non-positive (the default) disables the log.
     pub slow_query_ms: f64,
     /// Sustained `/api/v1/wal/fetch` rate allowed per follower (req/s).
     pub wal_fetch_rate_per_s: f64,
     /// Token-bucket burst for `/api/v1/wal/fetch`.
     pub wal_fetch_burst: f64,
-    /// Query-frontend settings (always present; the stack only runs a
-    /// frontend when one is served explicitly).
+    /// Query-frontend settings (a frontend runs only when one is served explicitly).
     pub qfe: QfeSettings,
     /// HTTP substrate tuning shared by every server and client.
     pub http: HttpSettings,
@@ -397,322 +372,371 @@ impl Default for CeemsConfig {
     }
 }
 
+/// One configuration key: where it sits in the YAML, the field it sets,
+/// what its value must satisfy, and what it does.
+struct Key {
+    path: &'static str,
+    slot: Slot,
+    check: Check,
+    doc: &'static str,
+}
+
+/// Rows of [`KEYS`]: `"section.key" => Kind(field), check, "doc";`, where
+/// `field` is a place in the config `c` and `Kind` a [`Slot`] variant.
+macro_rules! keys {
+    ($c:ident; $($path:literal => $kind:ident($field:expr), $check:expr, $doc:literal;)*) => {
+        &[$(Key { path: $path, slot: Slot::$kind(|$c| &mut $field), check: $check, doc: $doc }),*]
+    };
+}
+
+/// Every key the configuration file may hold, in the order the example
+/// prints them. Defaults live in the `Default` impls and are read from there.
+#[rustfmt::skip]
+static KEYS: &[Key] = {
+    use Check::*;
+    keys![c;
+    "threads" => Count(c.threads), Floor(1.0), "workers that step the nodes and run an ingest pass";
+    "cluster.preset" => Preset(c.cluster), OneOf(&["jean-zay"]), "a named fleet instead of the node counts";
+    "cluster.intel_nodes" => Count(c.cluster.intel_nodes), AtLeast(0.0), "Intel CPU-only nodes";
+    "cluster.amd_nodes" => Count(c.cluster.amd_nodes), AtLeast(0.0), "AMD CPU-only nodes";
+    "cluster.v100_nodes" => Count(c.cluster.v100_nodes), AtLeast(0.0), "4×V100 nodes (IPMI includes GPU power)";
+    "cluster.a100_nodes" => Count(c.cluster.a100_nodes), AtLeast(0.0), "8×A100 nodes (IPMI excludes GPU power)";
+    "cluster.h100_nodes" => Count(c.cluster.h100_nodes), AtLeast(0.0), "4×H100 nodes (IPMI includes GPU power)";
+    "cluster.seed" => U64(c.seed), AtLeast(0.0), "RNG seed of the whole simulation";
+    "tsdb.scrape_interval_s" => Num(c.scrape_interval_s), Positive, "exporter scrape interval (s)";
+    "tsdb.rule_window" => Str(c.rule_window), Duration, "`rate()` window of the Eq. (1) recording rules";
+    "tsdb.rule_interval_s" => Num(c.rule_interval_s), Positive, "recording-rule evaluation interval (s)";
+    "tsdb.query_threads" => Count(c.query_threads), Floor(1.0), "workers for rule groups evaluated side by side";
+    "tsdb.posting_cache_size" => Count(c.posting_cache_size), Floor(0.0), "matcher-result posting cache entries; 0 disables it";
+    "tsdb.wal_dir" => OptStr(c.wal_dir), Any, "write-ahead log directory; unset keeps the head in memory only";
+    "tsdb.wal_segment_bytes" => U64(c.wal_segment_bytes), Floor(1.0), "WAL segment rotation size (bytes)";
+    "tsdb.wal_checkpoint_interval_s" => Num(c.wal_checkpoint_interval_s), Positive, "interval between WAL checkpoints (s)";
+    "tsdb.wal_fsync" => Str(c.wal_fsync), OneOf(&["always", "batch", "never"]), "when the WAL syncs to disk";
+    "tsdb.wal_fetch_rate_per_s" => Num(c.wal_fetch_rate_per_s), Floor(0.001), "`/api/v1/wal/fetch` requests/s allowed per follower";
+    "tsdb.wal_fetch_burst" => Num(c.wal_fetch_burst), Floor(1.0), "token-bucket burst of the same limiter";
+    "tsdb.slow_query_ms" => Num(c.slow_query_ms), Any, "slow-query log threshold (ms); ≤ 0 disables the log";
+    "api_server.update_interval_s" => Num(c.updater_interval_s), Positive, "updater poll interval (s)";
+    "api_server.cleanup_cutoff_s" => Num(c.cleanup_cutoff_s), Any, "purge TSDB series of units shorter than this (s); 0 disables";
+    "api_server.admin_users" => List(c.admin_users), Any, "users allowed unscoped queries";
+    "emissions.zone" => Str(c.zone), Any, "country or zone of the emission factors";
+    "emissions.providers" => List(c.emission_providers), OneOf(&["rte", "emaps", "owid"]), "emission providers, in priority order";
+    "lb.strategy" => Str(c.lb_strategy), OneOf(&["round_robin", "least_connection"]), "how the load balancer picks a backend";
+    "churn.users" => Count(c.churn.get_or_insert_with(Default::default).users), AtLeast(0.0), "distinct users submitting jobs";
+    "churn.projects" => Count(c.churn.get_or_insert_with(Default::default).projects), AtLeast(0.0), "projects the jobs are charged to";
+    "churn.arrivals_per_hour" => Num(c.churn.get_or_insert_with(Default::default).arrivals_per_hour), AtLeast(0.0), "mean job arrivals per simulated hour";
+    "qfe.split_interval_s" => Num(c.qfe.split_interval_s), Positive, "range-splitting window (s)";
+    "qfe.cache_bytes" => Count(c.qfe.cache_bytes), Floor(0.0), "results-cache budget (bytes); 0 disables caching";
+    "qfe.recent_window_s" => Num(c.qfe.recent_window_s), Floor(0.0), "window before now that is never cached (s)";
+    "qfe.tenant_queue_depth" => Count(c.qfe.tenant_queue_depth), Floor(1.0), "queries a tenant may queue before a 429";
+    "qfe.max_tenant_concurrency" => Count(c.qfe.max_tenant_concurrency), Floor(1.0), "concurrent downstream queries per tenant";
+    "qfe.max_stale_s" => Num(c.qfe.max_stale_s), AtLeast(0.0), "oldest cached answer served with every replica down (s); 0: any";
+    "http.max_connections" => Count(c.http.max_connections), Floor(1.0), "open-connection cap per server";
+    "http.idle_timeout_s" => Num(c.http.idle_timeout_s), Positive, "idle keep-alive connections close after this (s)";
+    "http.reactor_threads" => Count(c.http.reactor_threads), Floor(1.0), "accepted so older files load: a server runs only its `workers` threads";
+    "http.pool_per_host" => Count(c.http.pool_per_host), Floor(0.0), "idle keep-alive connections a client pools per host; 0 disables";
+    "http.backlog" => I32(c.http.backlog), Floor(1.0), "listen(2) accept-queue depth";
+    "alerting.enabled" => Bool(c.alerting.enabled), Any, "true when the section is present; false parses but disables";
+    "alerting.eval_interval_s" => Num(c.alerting.eval_interval_s), Positive, "rule-evaluation interval (s)";
+    "alerting.group_wait_s" => Num(c.alerting.group_wait_s), Floor(0.0), "delay before a new group's first notification (s)";
+    "alerting.group_interval_s" => Num(c.alerting.group_interval_s), Floor(0.0), "minimum spacing of a changed group's notifications (s)";
+    "alerting.repeat_interval_s" => Num(c.alerting.repeat_interval_s), Floor(0.0), "re-notification interval of an unchanged firing group (s)";
+    "alerting.resolved_retention_s" => Num(c.alerting.resolved_retention_s), Floor(0.0), "how long resolved alerts are kept (s)";
+    "alerting.webhook_url" => OptStr(c.alerting.webhook_url), Any, "webhook receiver; unset delivers to the log sink only";
+    "alerting.energy_budget_watts" => Num(c.alerting.energy_budget_watts), Any, "ProjectEnergyBudgetExceeded: power bound per `uuid` (W); ≤ 0: off";
+    "alerting.energy_budget_for_s" => Num(c.alerting.energy_budget_for_s), Floor(0.0), "`for:` hold of the energy-budget pack (s)";
+    "alerting.factor_max_age_s" => Num(c.alerting.factor_max_age_s), Any, "EmissionFactorSourceDown: factor age bound (s); ≤ 0: off";
+    "alerting.node_power_max_watts" => Num(c.alerting.node_power_max_watts), Any, "NodePowerAnomaly: power bound per node (W); ≤ 0: off";
+    "alerting.wal_lag_max_records" => Num(c.alerting.wal_lag_max_records), Any, "ReplicaWalLagHigh: WAL lag bound (records); ≤ 0: off";
+    "obs.trace_sample_rate" => Num(c.obs.trace_sample_rate), Unit, "head-sampling probability of a finished trace";
+    "obs.tenant_sample_rates" => Rates(c.obs.tenant_sample_rates), Unit, "per-tenant overrides of that rate, `tenant: rate`";
+    "obs.trace_slow_ms" => Num(c.obs.trace_slow_ms), Any, "traces slower than this are kept (ms); ≤ 0 disables";
+    "obs.trace_store_max_bytes" => U64(c.obs.trace_store_max_bytes), Floor(1.0), "trace-store size bound; the oldest spans go first";
+    "obs.trace_store_max_age_s" => Num(c.obs.trace_store_max_age_s), Any, "age bound of stored spans (s); ≤ 0 disables";
+    "meta.enabled" => Bool(c.meta.enabled), Any, "true when the section is present; false parses but disables";
+    "meta.scrape_interval_s" => Num(c.meta.scrape_interval_s), Positive, "self-scrape interval (s)";
+    "meta.stale_after_s" => Num(c.meta.stale_after_s), Floor(0.0), "MetaScrapeStale threshold (s); 0: off";
+    "meta.breaker_storm_opens" => Num(c.meta.breaker_storm_opens), Floor(0.0), "BreakerOpenStorm threshold (opens in 5 min); 0: off";
+    "stream.enabled" => Bool(c.stream.enabled), Any, "true when the section is present; false parses but disables";
+    "stream.topic" => Str(c.stream.topic), NonEmpty, "topic exporters publish to";
+    "stream.ring_capacity" => Count(c.stream.ring_capacity), Positive, "frames kept per topic for resuming subscribers";
+    "stream.max_subscribers_per_tenant" => Count(c.stream.max_subscribers_per_tenant), Floor(0.0), "raw-frame subscribers per tenant";
+    "stream.max_live_per_tenant" => Count(c.stream.max_live_per_tenant), Floor(0.0), "`query_live` subscriptions per tenant";
+    "failover.enabled" => Bool(c.failover.enabled), Any, "true when the section is present; false parses but disables";
+    "failover.replicas" => Count(c.failover.replicas), AtLeast(2.0), "TSDB nodes in the replication group";
+    "failover.probe_interval_s" => Num(c.failover.probe_interval_s), Positive, "leader liveness probe interval (s)";
+    "failover.election_timeout_s" => Num(c.failover.election_timeout_s), Positive, "missed-probe window before an election (s); ≥ probe_interval_s";
+    "failover.min_catchup_records" => U64(c.failover.min_catchup_records), Floor(0.0), "most WAL records a winner may lag the dead leader";
+    ]
+};
+
+type Enable = fn(&mut CeemsConfig);
+
+/// Sections whose presence turns their feature on (`enabled: false` turns it off).
+const ENABLED_BY_PRESENCE: &[(&str, Enable)] = &[
+    ("alerting", |c| c.alerting.enabled = true),
+    ("meta", |c| c.meta.enabled = true),
+    ("stream", |c| c.stream.enabled = true),
+    ("failover", |c| c.failover.enabled = true),
+    ("churn", |c| _ = c.churn.get_or_insert_with(Default::default)),
+];
+
+/// Keys still accepted, so older files load, that nothing reads.
+const NO_EFFECT: &[&str] = &["http.reactor_threads"];
+
+/// A typed accessor: the field of a config a key sets.
+#[derive(Clone, Copy)]
+enum Slot {
+    Num(fn(&mut CeemsConfig) -> &mut f64),
+    Count(fn(&mut CeemsConfig) -> &mut usize),
+    U64(fn(&mut CeemsConfig) -> &mut u64),
+    I32(fn(&mut CeemsConfig) -> &mut i32),
+    Bool(fn(&mut CeemsConfig) -> &mut bool),
+    Str(fn(&mut CeemsConfig) -> &mut String),
+    OptStr(fn(&mut CeemsConfig) -> &mut Option<String>),
+    List(fn(&mut CeemsConfig) -> &mut Vec<String>),
+    /// A free-form mapping of names to numbers; each number is checked.
+    Rates(fn(&mut CeemsConfig) -> &mut BTreeMap<String, f64>),
+    /// `cluster.preset`: a named fleet replaces the node counts.
+    Preset(fn(&mut CeemsConfig) -> &mut ClusterSpec),
+}
+
+/// A value as the example and the reference print it (a block: the YAML lines under its key).
+enum Shown {
+    Unset,
+    Scalar(String),
+    Block(Vec<String>),
+}
+
+impl Slot {
+    /// Sets the field from `y`, or says what is wrong with `y`.
+    fn set(self, c: &mut CeemsConfig, y: &Yaml, check: Check) -> Result<(), String> {
+        match self {
+            Slot::Num(f) => *f(c) = check.number(number(y)?)?,
+            Slot::Count(f) => *f(c) = count(y, check)?.try_into().unwrap_or(usize::MAX),
+            Slot::U64(f) => *f(c) = count(y, check)?.try_into().unwrap_or(u64::MAX),
+            Slot::I32(f) => *f(c) = count(y, check)?.try_into().unwrap_or(i32::MAX),
+            Slot::Bool(f) => *f(c) = y.as_bool().ok_or_else(|| expected("true or false", y))?,
+            Slot::Str(f) => *f(c) = string(y, check)?,
+            Slot::OptStr(f) => *f(c) = (*y != Yaml::Null).then(|| string(y, check)).transpose()?,
+            Slot::List(f) => {
+                let none = *y == Yaml::Null;
+                let items = if none { &[] } else { y.as_seq().ok_or_else(|| expected("a list", y))? };
+                *f(c) = items.iter().map(|item| string(item, check)).collect::<Result<_, _>>()?;
+            }
+            Slot::Rates(f) => {
+                let rate = |(name, v): (&String, &Yaml)| match number(v).and_then(|v| check.number(v)) {
+                    Ok(rate) => Ok((name.clone(), rate)),
+                    Err(e) => Err(format!("{name} {e}")),
+                };
+                *f(c) = mapping(y, "")?.into_iter().flatten().map(rate).collect::<Result<_, _>>()?;
+            }
+            Slot::Preset(f) => *f(c) = string(y, check).map(|_| ClusterSpec::jean_zay())?,
+        }
+        Ok(())
+    }
+
+    /// The field's value in `c`.
+    fn show(self, c: &mut CeemsConfig) -> Shown {
+        match self {
+            Slot::Num(f) => Shown::Scalar(f(c).to_string()),
+            Slot::Count(f) => Shown::Scalar(f(c).to_string()),
+            Slot::U64(f) => Shown::Scalar(f(c).to_string()),
+            Slot::I32(f) => Shown::Scalar(f(c).to_string()),
+            Slot::Bool(f) => Shown::Scalar(f(c).to_string()),
+            Slot::Str(f) => Shown::Scalar(f(c).clone()),
+            Slot::OptStr(f) => f(c).clone().map_or(Shown::Unset, Shown::Scalar),
+            Slot::List(f) => Shown::Block(f(c).iter().map(|s| format!("- {s}")).collect()),
+            Slot::Rates(f) => Shown::Block(f(c).iter().map(|(k, v)| format!("{k}: {v}")).collect()),
+            Slot::Preset(_) => Shown::Unset,
+        }
+    }
+}
+
+/// What a key's value must satisfy. A floor moves a number into range;
+/// every other rule refuses a value outside it.
+#[derive(Clone, Copy)]
+enum Check {
+    Any,
+    Positive,
+    Unit,
+    AtLeast(f64),
+    Floor(f64),
+    OneOf(&'static [&'static str]),
+    NonEmpty,
+    /// A positive PromQL duration (it lands inside `rate(…[window])`).
+    Duration,
+}
+
+impl Check {
+    /// `v` moved into range, or refused.
+    fn number(self, v: f64) -> Result<f64, String> {
+        let ok = match self {
+            Check::Positive => v > 0.0,
+            Check::Unit => (0.0..=1.0).contains(&v),
+            Check::AtLeast(min) => v >= min,
+            Check::Floor(min) => return Ok(v.max(min)),
+            _ => true,
+        };
+        ok.then_some(v).ok_or_else(|| format!("must be {}, got {v}", self.rule()))
+    }
+
+    /// `s`, or why it is refused.
+    fn text(self, s: &str) -> Result<String, String> {
+        let ok = match self {
+            Check::OneOf(options) => options.contains(&s),
+            Check::NonEmpty => !s.is_empty(),
+            Check::Duration => matches!(lex(s).as_deref(), Ok([Token::Duration(ms)]) if *ms > 0),
+            _ => true,
+        };
+        ok.then(|| s.to_string()).ok_or_else(|| format!("must be {}, got {s:?}", self.rule()))
+    }
+
+    /// The rule in words, for errors and the printed references.
+    fn rule(self) -> String {
+        match self {
+            Check::Any => String::new(),
+            Check::Positive => "> 0".into(),
+            Check::Unit => "in [0, 1]".into(),
+            Check::AtLeast(min) => format!("≥ {min}"),
+            Check::Floor(min) => format!("floor {min}"),
+            Check::OneOf(options) => format!("one of {}", options.join(", ")),
+            Check::NonEmpty => "non-empty".into(),
+            Check::Duration => "a PromQL duration > 0".into(),
+        }
+    }
+}
+
+fn expected(what: &str, y: &Yaml) -> String {
+    let got = if let Yaml::Map(_) | Yaml::Seq(_) = y { "a block".into() } else { format!("{y:?}") };
+    format!("expected {what}, got {got}")
+}
+
+fn number(y: &Yaml) -> Result<f64, String> {
+    y.as_f64().filter(|v| v.is_finite()).ok_or_else(|| expected("a number", y))
+}
+
+fn string(y: &Yaml, check: Check) -> Result<String, String> {
+    check.text(y.as_str().ok_or_else(|| expected("a string", y))?)
+}
+
+/// A count, checked as a signed number and then raised to 0, so a negative
+/// count never wraps; one too large for its field saturates.
+fn count(y: &Yaml, check: Check) -> Result<i128, String> {
+    let n = match *y {
+        Yaml::Int(i) => i as i128,
+        Yaml::Float(f) if f.fract() == 0.0 => f as i128,
+        _ => return Err(expected("a whole number", y)),
+    };
+    let checked = check.number(n as f64)?;
+    Ok(if checked == n as f64 { n } else { checked as i128 }.max(0))
+}
+
+/// A mapping, or `None` for an empty value; `at` prefixes the error.
+fn mapping<'y>(y: &'y Yaml, at: &str) -> Result<Option<&'y BTreeMap<String, Yaml>>, String> {
+    match y {
+        Yaml::Map(map) => Ok(Some(map)),
+        Yaml::Null => Ok(None),
+        _ => Err(format!("{at}{}", expected("a mapping", y))),
+    }
+}
+
+/// `path` split into its section (`""` at the top) and its name.
+fn split(path: &str) -> (&str, &str) {
+    path.rsplit_once('.').unwrap_or(("", path))
+}
+
+/// Sets every key of the mapping `node` at `prefix`. A name the table does
+/// not hold is an error, at any depth.
+fn set_keys(c: &mut CeemsConfig, node: &Yaml, prefix: &str) -> Result<(), String> {
+    for (name, value) in mapping(node, &format!("{prefix}: "))?.into_iter().flatten() {
+        let path = if prefix.is_empty() { name.clone() } else { format!("{prefix}.{name}") };
+        if let Some(key) = KEYS.iter().find(|k| k.path == path) {
+            key.slot.set(c, value, key.check).map_err(|e| format!("{path}: {e}"))?;
+        } else if KEYS.iter().any(|k| split(k.path).0 == path) {
+            set_keys(c, value, &path)?;
+        } else {
+            return Err(format!("unknown key {path}"));
+        }
+    }
+    Ok(())
+}
+
 impl CeemsConfig {
-    /// Parses the single-file YAML configuration; unset keys keep defaults.
+    /// Parses the single-file YAML configuration; unset keys keep their
+    /// defaults. An unknown key, a value of the wrong type and one its rule
+    /// refuses are errors that name the key's dotted path.
     pub fn from_yaml(text: &str) -> Result<CeemsConfig, String> {
         let doc = parse(text).map_err(|e| e.to_string())?;
         let mut cfg = CeemsConfig::default();
-
-        if let Some(c) = doc.get("cluster") {
-            let mut spec = ClusterSpec::small();
-            let get = |k: &str, default: usize| -> usize {
-                c.get(k).and_then(Yaml::as_i64).map(|v| v as usize).unwrap_or(default)
-            };
-            spec.intel_nodes = get("intel_nodes", spec.intel_nodes);
-            spec.amd_nodes = get("amd_nodes", spec.amd_nodes);
-            spec.v100_nodes = get("v100_nodes", spec.v100_nodes);
-            spec.a100_nodes = get("a100_nodes", spec.a100_nodes);
-            spec.h100_nodes = get("h100_nodes", spec.h100_nodes);
-            if c.get("preset").and_then(Yaml::as_str) == Some("jean-zay") {
-                spec = ClusterSpec::jean_zay();
-            }
-            cfg.cluster = spec;
-            if let Some(seed) = c.get("seed").and_then(Yaml::as_i64) {
-                cfg.seed = seed as u64;
+        for (_, enable) in ENABLED_BY_PRESENCE.iter().filter(|(s, _)| doc.get(s).is_some()) {
+            enable(&mut cfg);
+        }
+        set_keys(&mut cfg, &doc, "")?;
+        if let Some(Yaml::Map(c)) = doc.get("cluster") {
+            if c.contains_key("preset") && c.keys().any(|k| k.ends_with("_nodes")) {
+                return Err("cluster.preset replaces the node counts: give one or the other".into());
             }
         }
-        if let Some(t) = doc.get("tsdb") {
-            if let Some(v) = t.get("scrape_interval_s").and_then(Yaml::as_f64) {
-                cfg.scrape_interval_s = v;
-            }
-            if let Some(v) = t.get("rule_window") {
-                // The window lands inside every `rate(…[window])`.
-                let positive =
-                    |w: &&str| matches!(lex(w).as_deref(), Ok([Token::Duration(ms)]) if *ms > 0);
-                let Some(w) = v.as_str().filter(positive) else {
-                    return Err(format!(
-                        "bad tsdb.rule_window value {v:?} (expected a positive PromQL duration, e.g. 2m)"
-                    ));
-                };
-                cfg.rule_window = w.to_string();
-            }
-            if let Some(v) = t.get("rule_interval_s").and_then(Yaml::as_f64) {
-                cfg.rule_interval_s = v;
-            }
-            if let Some(v) = t.get("query_threads").and_then(Yaml::as_i64) {
-                cfg.query_threads = (v as usize).max(1);
-            }
-            if let Some(v) = t.get("posting_cache_size").and_then(Yaml::as_i64) {
-                cfg.posting_cache_size = (v.max(0)) as usize;
-            }
-            if let Some(v) = t.get("wal_dir").and_then(Yaml::as_str) {
-                cfg.wal_dir = Some(v.to_string());
-            }
-            if let Some(v) = t.get("wal_segment_bytes").and_then(Yaml::as_i64) {
-                cfg.wal_segment_bytes = v.max(1) as u64;
-            }
-            if let Some(v) = t.get("wal_checkpoint_interval_s").and_then(Yaml::as_f64) {
-                cfg.wal_checkpoint_interval_s = v;
-            }
-            if let Some(v) = t.get("slow_query_ms").and_then(Yaml::as_f64) {
-                cfg.slow_query_ms = v;
-            }
-            if let Some(v) = t.get("wal_fsync").and_then(Yaml::as_str) {
-                if ceems_tsdb::FsyncMode::parse(v).is_none() {
-                    return Err(format!(
-                        "bad tsdb.wal_fsync value {v:?} (expected always|batch|never)"
-                    ));
-                }
-                cfg.wal_fsync = v.to_string();
-            }
-            if let Some(v) = t.get("wal_fetch_rate_per_s").and_then(Yaml::as_f64) {
-                cfg.wal_fetch_rate_per_s = v.max(0.001);
-            }
-            if let Some(v) = t.get("wal_fetch_burst").and_then(Yaml::as_f64) {
-                cfg.wal_fetch_burst = v.max(1.0);
-            }
-        }
-        if let Some(q) = doc.get("qfe") {
-            if let Some(v) = q.get("split_interval_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!("qfe.split_interval_s must be positive, got {v}"));
-                }
-                cfg.qfe.split_interval_s = v;
-            }
-            if let Some(v) = q.get("cache_bytes").and_then(Yaml::as_i64) {
-                cfg.qfe.cache_bytes = v.max(0) as usize;
-            }
-            if let Some(v) = q.get("recent_window_s").and_then(Yaml::as_f64) {
-                cfg.qfe.recent_window_s = v.max(0.0);
-            }
-            if let Some(v) = q.get("tenant_queue_depth").and_then(Yaml::as_i64) {
-                cfg.qfe.tenant_queue_depth = (v as usize).max(1);
-            }
-            if let Some(v) = q.get("max_tenant_concurrency").and_then(Yaml::as_i64) {
-                cfg.qfe.max_tenant_concurrency = (v as usize).max(1);
-            }
-            if let Some(v) = q.get("max_stale_s").and_then(Yaml::as_f64) {
-                if v < 0.0 {
-                    return Err(format!("qfe.max_stale_s must be non-negative, got {v}"));
-                }
-                cfg.qfe.max_stale_s = v;
-            }
-        }
-        if let Some(a) = doc.get("api_server") {
-            if let Some(v) = a.get("update_interval_s").and_then(Yaml::as_f64) {
-                cfg.updater_interval_s = v;
-            }
-            if let Some(v) = a.get("cleanup_cutoff_s").and_then(Yaml::as_f64) {
-                cfg.cleanup_cutoff_s = v;
-            }
-            if let Some(admins) = a.get("admin_users").and_then(Yaml::as_seq) {
-                cfg.admin_users = admins
-                    .iter()
-                    .filter_map(|y| y.as_str().map(str::to_string))
-                    .collect();
-            }
-        }
-        if let Some(e) = doc.get("emissions") {
-            if let Some(v) = e.get("zone").and_then(Yaml::as_str) {
-                cfg.zone = v.to_string();
-            }
-            if let Some(ps) = e.get("providers").and_then(Yaml::as_seq) {
-                cfg.emission_providers = ps
-                    .iter()
-                    .filter_map(|y| y.as_str().map(str::to_string))
-                    .collect();
-            }
-        }
-        if let Some(l) = doc.get("lb") {
-            if let Some(v) = l.get("strategy").and_then(Yaml::as_str) {
-                match v {
-                    "round_robin" | "least_connection" => cfg.lb_strategy = v.to_string(),
-                    other => return Err(format!("unknown lb strategy {other:?}")),
-                }
-            }
-        }
-        if let Some(c) = doc.get("churn") {
-            cfg.churn = Some(ChurnSettings {
-                users: c.get("users").and_then(Yaml::as_i64).unwrap_or(20) as usize,
-                projects: c.get("projects").and_then(Yaml::as_i64).unwrap_or(5) as usize,
-                arrivals_per_hour: c
-                    .get("arrivals_per_hour")
-                    .and_then(Yaml::as_f64)
-                    .unwrap_or(100.0),
-            });
-        }
-        if let Some(h) = doc.get("http") {
-            if let Some(v) = h.get("max_connections").and_then(Yaml::as_i64) {
-                cfg.http.max_connections = (v as usize).max(1);
-            }
-            if let Some(v) = h.get("idle_timeout_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!("http.idle_timeout_s must be positive, got {v}"));
-                }
-                cfg.http.idle_timeout_s = v;
-            }
-            if let Some(v) = h.get("reactor_threads").and_then(Yaml::as_i64) {
-                cfg.http.reactor_threads = (v as usize).clamp(1, 64);
-            }
-            if let Some(v) = h.get("pool_per_host").and_then(Yaml::as_i64) {
-                cfg.http.pool_per_host = v.max(0) as usize;
-            }
-            if let Some(v) = h.get("backlog").and_then(Yaml::as_i64) {
-                cfg.http.backlog = (v as i32).max(1);
-            }
-        }
-        if let Some(a) = doc.get("alerting") {
-            cfg.alerting.enabled = a.get("enabled").and_then(Yaml::as_bool).unwrap_or(true);
-            if let Some(v) = a.get("eval_interval_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!(
-                        "alerting.eval_interval_s must be positive, got {v}"
-                    ));
-                }
-                cfg.alerting.eval_interval_s = v;
-            }
-            if let Some(v) = a.get("group_wait_s").and_then(Yaml::as_f64) {
-                cfg.alerting.group_wait_s = v.max(0.0);
-            }
-            if let Some(v) = a.get("group_interval_s").and_then(Yaml::as_f64) {
-                cfg.alerting.group_interval_s = v.max(0.0);
-            }
-            if let Some(v) = a.get("repeat_interval_s").and_then(Yaml::as_f64) {
-                cfg.alerting.repeat_interval_s = v.max(0.0);
-            }
-            if let Some(v) = a.get("resolved_retention_s").and_then(Yaml::as_f64) {
-                cfg.alerting.resolved_retention_s = v.max(0.0);
-            }
-            if let Some(v) = a.get("webhook_url").and_then(Yaml::as_str) {
-                cfg.alerting.webhook_url = Some(v.to_string());
-            }
-            if let Some(v) = a.get("energy_budget_watts").and_then(Yaml::as_f64) {
-                cfg.alerting.energy_budget_watts = v;
-            }
-            if let Some(v) = a.get("energy_budget_for_s").and_then(Yaml::as_f64) {
-                cfg.alerting.energy_budget_for_s = v.max(0.0);
-            }
-            if let Some(v) = a.get("factor_max_age_s").and_then(Yaml::as_f64) {
-                cfg.alerting.factor_max_age_s = v;
-            }
-            if let Some(v) = a.get("node_power_max_watts").and_then(Yaml::as_f64) {
-                cfg.alerting.node_power_max_watts = v;
-            }
-            if let Some(v) = a.get("wal_lag_max_records").and_then(Yaml::as_f64) {
-                cfg.alerting.wal_lag_max_records = v;
-            }
-        }
-        if let Some(o) = doc.get("obs") {
-            if let Some(v) = o.get("trace_sample_rate").and_then(Yaml::as_f64) {
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!(
-                        "obs.trace_sample_rate must be in [0, 1], got {v}"
-                    ));
-                }
-                cfg.obs.trace_sample_rate = v;
-            }
-            if let Some(Yaml::Map(rates)) = o.get("tenant_sample_rates") {
-                for (tenant, rate) in rates {
-                    let v = rate.as_f64().ok_or_else(|| {
-                        format!("obs.tenant_sample_rates.{tenant} must be a number")
-                    })?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!(
-                            "obs.tenant_sample_rates.{tenant} must be in [0, 1], got {v}"
-                        ));
-                    }
-                    cfg.obs.tenant_sample_rates.insert(tenant.clone(), v);
-                }
-            }
-            if let Some(v) = o.get("trace_slow_ms").and_then(Yaml::as_f64) {
-                cfg.obs.trace_slow_ms = v;
-            }
-            if let Some(v) = o.get("trace_store_max_bytes").and_then(Yaml::as_i64) {
-                cfg.obs.trace_store_max_bytes = v.max(1) as u64;
-            }
-            if let Some(v) = o.get("trace_store_max_age_s").and_then(Yaml::as_f64) {
-                cfg.obs.trace_store_max_age_s = v;
-            }
-        }
-        if let Some(m) = doc.get("meta") {
-            cfg.meta.enabled = m.get("enabled").and_then(Yaml::as_bool).unwrap_or(true);
-            if let Some(v) = m.get("scrape_interval_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!(
-                        "meta.scrape_interval_s must be positive, got {v}"
-                    ));
-                }
-                cfg.meta.scrape_interval_s = v;
-            }
-            if let Some(v) = m.get("stale_after_s").and_then(Yaml::as_f64) {
-                cfg.meta.stale_after_s = v.max(0.0);
-            }
-            if let Some(v) = m.get("breaker_storm_opens").and_then(Yaml::as_f64) {
-                cfg.meta.breaker_storm_opens = v.max(0.0);
-            }
-        }
-        if let Some(s) = doc.get("stream") {
-            cfg.stream.enabled = s.get("enabled").and_then(Yaml::as_bool).unwrap_or(true);
-            if let Some(v) = s.get("topic").and_then(Yaml::as_str) {
-                if v.is_empty() {
-                    return Err("stream.topic must be non-empty".to_string());
-                }
-                cfg.stream.topic = v.to_string();
-            }
-            if let Some(v) = s.get("ring_capacity").and_then(Yaml::as_i64) {
-                if v <= 0 {
-                    return Err(format!("stream.ring_capacity must be positive, got {v}"));
-                }
-                cfg.stream.ring_capacity = v as usize;
-            }
-            if let Some(v) = s.get("max_subscribers_per_tenant").and_then(Yaml::as_i64) {
-                cfg.stream.max_subscribers_per_tenant = v.max(0) as usize;
-            }
-            if let Some(v) = s.get("max_live_per_tenant").and_then(Yaml::as_i64) {
-                cfg.stream.max_live_per_tenant = v.max(0) as usize;
-            }
-        }
-        if let Some(f) = doc.get("failover") {
-            cfg.failover.enabled = f.get("enabled").and_then(Yaml::as_bool).unwrap_or(true);
-            if let Some(v) = f.get("replicas").and_then(Yaml::as_i64) {
-                if v < 2 {
-                    return Err(format!(
-                        "failover.replicas must be at least 2, got {v}"
-                    ));
-                }
-                cfg.failover.replicas = v as usize;
-            }
-            if let Some(v) = f.get("probe_interval_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!(
-                        "failover.probe_interval_s must be positive, got {v}"
-                    ));
-                }
-                cfg.failover.probe_interval_s = v;
-            }
-            if let Some(v) = f.get("election_timeout_s").and_then(Yaml::as_f64) {
-                if v <= 0.0 {
-                    return Err(format!(
-                        "failover.election_timeout_s must be positive, got {v}"
-                    ));
-                }
-                cfg.failover.election_timeout_s = v;
-            }
-            if cfg.failover.election_timeout_s < cfg.failover.probe_interval_s {
-                return Err(format!(
-                    "failover.election_timeout_s ({}) must be at least probe_interval_s ({})",
-                    cfg.failover.election_timeout_s, cfg.failover.probe_interval_s
-                ));
-            }
-            if let Some(v) = f.get("min_catchup_records").and_then(Yaml::as_i64) {
-                cfg.failover.min_catchup_records = v.max(0) as u64;
-            }
-        }
-        if let Some(v) = doc.get("threads").and_then(Yaml::as_i64) {
-            cfg.threads = (v as usize).max(1);
+        if cfg.failover.election_timeout_s < cfg.failover.probe_interval_s {
+            return Err("failover.election_timeout_s must be ≥ failover.probe_interval_s".into());
         }
         Ok(cfg)
     }
+}
+
+/// Each key with its default, read through the key's accessor.
+fn with_defaults() -> impl Iterator<Item = (&'static Key, Shown)> {
+    let mut defaults = CeemsConfig::default();
+    KEYS.iter().map(move |key| (key, key.slot.show(&mut defaults)))
+}
+
+/// The file `ceems config-example` prints: every key at its default, with
+/// its doc and rule. A key unset by default or of no effect is commented
+/// out, and so is a section whose presence alone would turn a feature on.
+pub fn example() -> String {
+    let mut out = String::from("# CEEMS configuration (§II.D): every key at its default.\n");
+    let mut section = "";
+    for (key, shown) in with_defaults() {
+        let (head, name) = split(key.path);
+        let switch = format!("{head}.enabled");
+        let off = ENABLED_BY_PRESENCE.iter().any(|(s, _)| *s == head)
+            && !KEYS.iter().any(|k| k.path == switch);
+        if head != section {
+            section = head;
+            out += &format!("{}{head}:\n", if off { "# " } else { "" });
+        }
+        let unset = matches!(shown, Shown::Unset) || NO_EFFECT.contains(&key.path);
+        let hash = if off || unset { "# " } else { "" };
+        let indent = if head.is_empty() { "" } else { "  " };
+        let value = if let Shown::Scalar(v) = &shown { format!(" {v}") } else { String::new() };
+        let rule = Some(key.check.rule()).filter(|r| !r.is_empty()).map(|r| format!(" ({r})"));
+        let line = format!("{indent}{hash}{name}:{value}");
+        out += &format!("{line:<40} # {}{}\n", key.doc, rule.unwrap_or_default());
+        if let Shown::Block(lines) = shown {
+            lines.iter().for_each(|l| out += &format!("{indent}  {hash}{l}\n"));
+        }
+    }
+    out
+}
+
+/// The Markdown table of one section's keys (`""`: the top-level keys), as
+/// README prints it.
+pub fn reference(section: &str) -> String {
+    let mut out = String::from("| key | default | rule | meaning |\n| --- | --- | --- | --- |\n");
+    for (key, shown) in with_defaults().filter(|(k, _)| split(k.path).0 == section) {
+        let default = match shown {
+            Shown::Unset => "unset".to_string(),
+            Shown::Scalar(v) => format!("`{v}`"),
+            Shown::Block(lines) if lines.is_empty() => "empty".to_string(),
+            Shown::Block(lines) => {
+                let items = lines.iter().map(|l| format!("`{}`", l.trim_start_matches("- ")));
+                items.collect::<Vec<_>>().join(", ")
+            }
+        };
+        let rule = if NO_EFFECT.contains(&key.path) { "no effect".into() } else { key.check.rule() };
+        out += &format!("| `{}` | {default} | {rule} | {} |\n", split(key.path).1, key.doc);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1066,5 +1090,93 @@ http:
     fn empty_config_is_default() {
         let c = CeemsConfig::from_yaml("").unwrap();
         assert_eq!(c.scrape_interval_s, CeemsConfig::default().scrape_interval_s);
+    }
+
+    #[test]
+    fn typos_wrong_types_and_bad_periods_are_errors_naming_the_key() {
+        let err = |text: &str| CeemsConfig::from_yaml(text).unwrap_err();
+        assert!(err("tsbd:\n").contains("tsbd"));
+        assert!(err("tsdb:\n  scrape_intervall_s: 5\n").contains("tsdb.scrape_intervall_s"));
+        assert!(err("tsdb:\n  scrape_interval_s: fifteen\n").contains("tsdb.scrape_interval_s"));
+        assert!(err("tsdb:\n  wal:\n    dir: x\n").contains("tsdb.wal"));
+        assert!(err("tsdb: 15\n").contains("tsdb"));
+        for (section, key) in [
+            ("tsdb", "scrape_interval_s"),
+            ("tsdb", "rule_interval_s"),
+            ("tsdb", "wal_checkpoint_interval_s"),
+            ("api_server", "update_interval_s"),
+        ] {
+            for bad in ["0", "-5", "NaN", "inf"] {
+                let e = err(&format!("{section}:\n  {key}: {bad}\n"));
+                assert!(e.contains(&format!("{section}.{key}")), "{key}: {bad}: {e}");
+            }
+        }
+        assert!(err("cluster:\n  intel_nodes: -3\n").contains("cluster.intel_nodes"));
+        assert!(err("threads: 2.5\n").contains("threads"));
+        assert!(err("alerting:\n  enabled: yes\n").contains("alerting.enabled"));
+        assert!(err("emissions:\n  providers:\n    - rtee\n").contains("emissions.providers"));
+        assert!(err("obs:\n  tenant_sample_rates: 0.5\n").contains("obs.tenant_sample_rates"));
+    }
+
+    #[test]
+    fn a_negative_count_is_floored_not_wrapped() {
+        assert_eq!(CeemsConfig::from_yaml("threads: -1\n").unwrap().threads, 1);
+        let c = CeemsConfig::from_yaml("obs:\n  trace_store_max_bytes: -7\n").unwrap();
+        assert_eq!(c.obs.trace_store_max_bytes, 1);
+        let c = CeemsConfig::from_yaml("failover:\n  min_catchup_records: 1e30\n").unwrap();
+        assert_eq!(c.failover.min_catchup_records, u64::MAX);
+    }
+
+    #[test]
+    fn a_preset_with_node_counts_is_an_error() {
+        let e = CeemsConfig::from_yaml("cluster:\n  preset: jean-zay\n  intel_nodes: 2\n");
+        assert!(e.unwrap_err().contains("cluster.preset"));
+        assert!(CeemsConfig::from_yaml("cluster:\n  preset: jean-zey\n").is_err());
+        let c = CeemsConfig::from_yaml("cluster:\n  preset: jean-zay\n  seed: 3\n").unwrap();
+        assert_eq!((c.cluster.total_nodes(), c.seed), (1400, 3));
+    }
+
+    #[test]
+    fn the_example_loads_as_the_defaults_and_holds_every_key() {
+        let loaded = CeemsConfig::from_yaml(&example()).unwrap();
+        assert_eq!(format!("{loaded:?}"), format!("{:?}", CeemsConfig::default()));
+        // With its commented-out keys and sections back in, the example
+        // names every key of the table.
+        let uncommented: String = example()
+            .lines()
+            .skip(1)
+            .map(|l| l.rsplit_once(" # ").map_or(l, |(kept, _)| kept).replacen("# ", "", 1) + "\n")
+            .collect();
+        let doc = parse(&uncommented).unwrap();
+        for key in KEYS {
+            assert!(doc.path(key.path).is_some(), "{} is not in the example", key.path);
+        }
+    }
+
+    const README: &str = include_str!("../../../README.md");
+
+    #[test]
+    fn every_yaml_block_in_readme_loads() {
+        let blocks: Vec<&str> = README
+            .split("```yaml\n")
+            .skip(1)
+            .map(|rest| rest.split("```").next().unwrap())
+            .collect();
+        assert!(blocks.len() >= 5);
+        for block in blocks {
+            if let Err(e) = CeemsConfig::from_yaml(block) {
+                panic!("{e}:\n{block}");
+            }
+        }
+    }
+
+    #[test]
+    fn readme_key_tables_are_the_generated_ones() {
+        let mut sections: Vec<&str> = KEYS.iter().map(|k| split(k.path).0).collect();
+        sections.dedup();
+        for section in sections {
+            let table = reference(section);
+            assert!(README.contains(&table), "README lacks the `{section}` table:\n{table}");
+        }
     }
 }

@@ -451,6 +451,23 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_key_is_an_error_naming_the_key_and_its_line() {
+        for (text, key, line) in [
+            ("a: 1\nb: 2\na: 3\n", "a", 3),
+            (
+                "tsdb:\n  scrape_interval_s: 15\n  rule_window: 2m\n  scrape_interval_s: 30\n",
+                "scrape_interval_s",
+                4,
+            ),
+            ("jobs:\n  - name: a\n    user: x\n    name: b\n", "name", 4),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert!(e.to_string().contains(&format!("duplicate key {key:?}")), "{e}");
+        }
+    }
+
+    #[test]
     fn deep_nesting() {
         let doc = parse(
             "lb:\n  strategy: round_robin\n  backends:\n    - id: a\n      url: http://a\n    - id: b\n      url: http://b\n  acl:\n    mode: direct\n",

@@ -204,22 +204,23 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                     }
                     if ch == '\\' {
                         i += 1;
-                        match bytes.get(i).map(|&b| b as char) {
-                            Some('n') => s.push('\n'),
-                            Some('\\') => s.push('\\'),
-                            Some(q) if q == quote => s.push(q),
-                            Some(other) => {
+                        // The escaped character is whole, however many bytes it takes.
+                        let Some(escaped) = input[i..].chars().next() else {
+                            return Err(LexError {
+                                at: i,
+                                message: "dangling escape".into(),
+                            });
+                        };
+                        match escaped {
+                            'n' => s.push('\n'),
+                            '\\' => s.push('\\'),
+                            q if q == quote => s.push(q),
+                            other => {
                                 s.push('\\');
                                 s.push(other);
                             }
-                            None => {
-                                return Err(LexError {
-                                    at: i,
-                                    message: "dangling escape".into(),
-                                })
-                            }
                         }
-                        i += 1;
+                        i += escaped.len_utf8();
                     } else {
                         // Consume a full UTF-8 character.
                         let rest = &input[i..];
@@ -293,6 +294,15 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A backslash before a multi-byte character once split it and panicked.
+    #[test]
+    fn an_escaped_multibyte_character_stays_whole() {
+        let toks = lex("up{a=\"\\é\", b='\\\u{1F600}'}").unwrap();
+        assert_eq!(toks[4], Token::Str("\\é".into()));
+        assert_eq!(toks[8], Token::Str("\\\u{1F600}".into()));
+        assert!(lex("\"\\").is_err());
+    }
 
     #[test]
     fn basic_selector() {

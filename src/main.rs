@@ -9,45 +9,57 @@
 //! ceems help
 //! ```
 
-
 use ceems::core::attribution::{rules_for_group, NodeGroup};
+use ceems::core::config;
 use ceems::prelude::*;
+
+const USAGE: &str = "ceems — Compute Energy & Emissions Monitoring Stack (simulated)\n\n\
+     USAGE:\n  ceems simulate [--config FILE] [--minutes N]\n  \
+     ceems rules [--group intel-dram|amd-nodram|gpu-typea|gpu-typeb]\n  \
+     ceems config-example\n";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    match cmd {
-        "simulate" => simulate(flag("--config"), flag("--minutes")),
-        "rules" => rules(flag("--group")),
-        "config-example" => print!("{}", SAMPLE_CONFIG),
-        _ => help(),
+    if let Err(e) = run(&args) {
+        eprintln!("ceems: {e}\n\n{USAGE}");
+        std::process::exit(2);
     }
 }
 
-fn help() {
-    println!(
-        "ceems — Compute Energy & Emissions Monitoring Stack (simulated)\n\n\
-         USAGE:\n  ceems simulate [--config FILE] [--minutes N]\n  \
-         ceems rules [--group intel-dram|amd-nodram|gpu-typea|gpu-typeb]\n  \
-         ceems config-example\n"
-    );
+/// Runs the subcommand `args` name; a usage error is returned.
+fn run(args: &[String]) -> Result<(), String> {
+    let (cmd, rest) = args.split_first().map_or(("help", &[][..]), |(c, rest)| (c.as_str(), rest));
+    match cmd {
+        "simulate" => {
+            let flag = flags(rest, &["--config", "--minutes"])?;
+            let minutes = match flag("--minutes") {
+                None => 15.0,
+                Some(m) => m.parse().ok().filter(|m: &f64| *m > 0.0 && m.is_finite()).ok_or(
+                    format!("--minutes takes a positive number, got {m:?}"),
+                )?,
+            };
+            simulate(flag("--config"), minutes);
+        }
+        "rules" => rules(flags(rest, &["--group"])?("--group")),
+        "config-example" => flags(rest, &[]).map(|_| print!("{}", config::example()))?,
+        "help" | "--help" | "-h" => print!("{USAGE}"),
+        other => return Err(format!("unknown command {other:?}")),
+    }
+    Ok(())
+}
+
+/// The `--name value` pairs after a subcommand; an unknown name or a missing value is an error.
+fn flags<'a>(args: &'a [String], known: &[&str]) -> Result<impl Fn(&str) -> Option<String> + 'a, String> {
+    if let Some(bad) = args.chunks(2).find(|p| p.len() < 2 || !known.contains(&p[0].as_str())) {
+        return Err(format!("unknown option, or one without a value: {:?}", bad[0]));
+    }
+    Ok(|name: &str| args.chunks(2).find(|pair| pair[0] == name).map(|pair| pair[1].clone()))
 }
 
 fn load_config(path: Option<String>) -> CeemsConfig {
     match path {
         None => CeemsConfig {
-            churn: Some(ChurnSettings {
-                users: 12,
-                projects: 4,
-                arrivals_per_hour: 180.0,
-            }),
+            churn: Some(ChurnSettings { users: 12, projects: 4, arrivals_per_hour: 180.0 }),
             ..CeemsConfig::default()
         },
         Some(p) => {
@@ -63,8 +75,7 @@ fn load_config(path: Option<String>) -> CeemsConfig {
     }
 }
 
-fn simulate(config_path: Option<String>, minutes: Option<String>) {
-    let minutes: f64 = minutes.and_then(|m| m.parse().ok()).unwrap_or(15.0);
+fn simulate(config_path: Option<String>, minutes: f64) {
     let cfg = load_config(config_path);
     let dir = std::env::temp_dir().join(format!("ceems-cli-{}", std::process::id()));
     println!(
@@ -84,11 +95,13 @@ fn simulate(config_path: Option<String>, minutes: Option<String>) {
         stack.advance(step);
         if (i + 1) % 20 == 0 || i + 1 == steps {
             let st = stack.stats();
+            // Its own statement: `total_attributed_power` takes the scheduler lock too.
+            let running = stack.scheduler.lock().running_count();
             println!(
                 "t={:>6.0}s jobs={:<5} running={:<4} series={:<7} samples={:<9} power={:.1} kW",
                 stack.clock.now_secs(),
                 st.jobs_submitted,
-                stack.scheduler.lock().running_count(),
+                running,
                 stack.tsdb.series_count(),
                 st.samples_scraped,
                 stack.total_attributed_power() / 1000.0,
@@ -161,41 +174,3 @@ fn rules(group: Option<String>) {
         println!();
     }
 }
-
-const SAMPLE_CONFIG: &str = r#"# CEEMS simulated deployment — single-file configuration (see §II.D).
-cluster:
-  # preset: jean-zay        # uncomment for the full 1,400-node fleet
-  intel_nodes: 4
-  amd_nodes: 2
-  v100_nodes: 1
-  a100_nodes: 1
-  h100_nodes: 0
-  seed: 42
-tsdb:
-  scrape_interval_s: 15
-  rule_window: 2m
-  rule_interval_s: 30
-  query_threads: 4            # rule-eval fan-out; 1 = serial rule ticks
-  posting_cache_size: 128     # cached regex/negative matcher resolutions; 0 = off
-  # wal_dir: /var/lib/ceems/wal   # uncomment for a durable head (crash recovery)
-  # wal_segment_bytes: 4194304
-  # wal_checkpoint_interval_s: 300
-  # wal_fsync: batch            # always | batch | never
-api_server:
-  update_interval_s: 60
-  cleanup_cutoff_s: 120       # purge TSDB series of units shorter than this
-  admin_users:
-    - root
-emissions:
-  zone: FR
-  providers:
-    - rte
-    - owid
-lb:
-  strategy: round_robin       # or least_connection
-churn:
-  users: 12
-  projects: 4
-  arrivals_per_hour: 180
-threads: 4
-"#;
