@@ -108,11 +108,6 @@ impl MetaMonitor {
         self.targets.push(t);
     }
 
-    /// Target count.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Scrapes every target once at simulated time `now_ms`.
     ///
     /// The handful of stack components doesn't warrant a thread fan-out the

@@ -983,8 +983,8 @@ impl CeemsStack {
                 s.t_ms >= horizon
                     && l.get("uuid").is_some_and(|u| running.contains(u))
             })
-            .map(|(_, s)| s.v)
-            .sum()
+            // Float `Sum` starts at -0.0: an idle cluster would print `-0.0 kW`.
+            .fold(0.0, |sum, (_, s)| sum + s.v)
     }
 }
 
@@ -1450,6 +1450,65 @@ mod tests {
         assert!(n_units > 50, "units {n_units}");
         drop(upd);
         assert!(stack.total_attributed_power() > 0.0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn an_idle_cluster_attributes_positive_zero_power() {
+        let mut stack = CeemsStack::build_default();
+        stack.run_for(120.0, 15.0);
+        let power = stack.total_attributed_power();
+        assert!(power == 0.0 && power.is_sign_positive(), "{power} W");
+    }
+
+    #[test]
+    fn a_trace_dir_the_relational_store_wrote_opens_empty() {
+        use ceems_relstore::{Column, ColumnType, Db, Schema, Value};
+        let dir = std::env::temp_dir().join(format!(
+            "ceems-oldtraces-{}-{}",
+            std::process::id(),
+            ceems_obs::trace::mint_id()
+        ));
+        {
+            // The layout the trace store kept in a relational `Db`.
+            let mut db = Db::open(&dir.join("traces")).unwrap();
+            let text = |name| Column::required(name, ColumnType::Text);
+            let columns = vec![
+                Column::required("seq", ColumnType::Int),
+                text("id"),
+                text("component"),
+                text("endpoint"),
+                text("tenant"),
+                Column::required("ts_ms", ColumnType::Int),
+                Column::required("total_ms", ColumnType::Real),
+                Column::required("bytes", ColumnType::Int),
+                text("report"),
+            ];
+            let schema = Schema::new(columns, "seq", &["id"]).unwrap();
+            db.create_table("traces", schema).unwrap();
+            for seq in 0..4 {
+                let row = vec![
+                    Value::Int(seq),
+                    Value::Text(format!("old{seq}")),
+                    Value::Text("tsdb".into()),
+                    Value::Text("/api/v1/query".into()),
+                    Value::Text("alice".into()),
+                    Value::Int(seq),
+                    Value::Real(1.0),
+                    Value::Int(2),
+                    Value::Text("{}".into()),
+                ];
+                db.upsert("traces", row).unwrap();
+                if seq == 1 {
+                    db.snapshot().unwrap();
+                }
+            }
+        }
+        let stack = CeemsStack::build(CeemsConfig::default(), &dir).unwrap();
+        let traces = stack.trace_store();
+        assert_eq!(traces.span_count(), 0);
+        assert!(traces.get("old3").is_none());
+        drop((traces, stack));
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -703,171 +703,3 @@ mod tests {
         cv.with_label_values(&["only-one"]);
     }
 }
-
-/// A sliding-window quantile summary (the fourth exposition metric type).
-///
-/// Keeps the most recent `window` observations in a ring buffer and renders
-/// configured quantiles plus `_sum`/`_count`, matching how client libraries
-/// implement summaries (exact within the window, unlike the bucketed
-/// approximation of a histogram).
-#[derive(Clone)]
-pub struct Summary {
-    inner: Arc<parking_lot::Mutex<SummaryCore>>,
-}
-
-struct SummaryCore {
-    quantiles: Vec<f64>,
-    window: usize,
-    ring: Vec<f64>,
-    next: usize,
-    filled: bool,
-    sum: f64,
-    count: u64,
-}
-
-impl Summary {
-    /// Creates a summary tracking the given quantiles over a window of the
-    /// most recent `window` observations.
-    pub fn new(quantiles: Vec<f64>, window: usize) -> Summary {
-        assert!(window > 0, "summary window must be non-empty");
-        assert!(
-            quantiles.iter().all(|q| (0.0..=1.0).contains(q)),
-            "quantiles must be in [0, 1]"
-        );
-        Summary {
-            inner: Arc::new(parking_lot::Mutex::new(SummaryCore {
-                quantiles,
-                window,
-                ring: Vec::with_capacity(window),
-                next: 0,
-                filled: false,
-                sum: 0.0,
-                count: 0,
-            })),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: f64) {
-        let mut core = self.inner.lock();
-        if core.ring.len() < core.window && !core.filled {
-            core.ring.push(v);
-            if core.ring.len() == core.window {
-                core.filled = true;
-            }
-        } else {
-            let at = core.next;
-            core.ring[at] = v;
-        }
-        core.next = (core.next + 1) % core.window;
-        core.sum += v;
-        core.count += 1;
-    }
-
-    /// Total observations ever recorded.
-    pub fn count(&self) -> u64 {
-        self.inner.lock().count
-    }
-
-    /// Current value of a quantile over the window (`None` when empty).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let core = self.inner.lock();
-        if core.ring.is_empty() {
-            return None;
-        }
-        let mut sorted = core.ring.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64))
-    }
-
-    /// Renders quantile series plus `_sum`/`_count` with the base labels.
-    pub fn render(&self, base: &LabelSet) -> Vec<Metric> {
-        let core = self.inner.lock();
-        let mut out = Vec::with_capacity(core.quantiles.len() + 2);
-        drop(core);
-        let quantiles = self.inner.lock().quantiles.clone();
-        for q in quantiles {
-            if let Some(v) = self.quantile(q) {
-                out.push(Metric::new(
-                    base.with("quantile", format!("{q}")),
-                    Sample::now(v),
-                ));
-            }
-        }
-        let core = self.inner.lock();
-        out.push(Metric::suffixed(base.clone(), Sample::now(core.sum), "_sum"));
-        out.push(Metric::suffixed(
-            base.clone(),
-            Sample::now(core.count as f64),
-            "_count",
-        ));
-        out
-    }
-}
-
-#[cfg(test)]
-mod summary_tests {
-    use super::*;
-    use crate::labels;
-
-    #[test]
-    fn quantiles_over_window() {
-        let s = Summary::new(vec![0.5, 0.9], 100);
-        for i in 1..=100 {
-            s.observe(i as f64);
-        }
-        assert_eq!(s.count(), 100);
-        let p50 = s.quantile(0.5).unwrap();
-        assert!((p50 - 50.5).abs() < 1.0, "p50={p50}");
-        let p90 = s.quantile(0.9).unwrap();
-        assert!((p90 - 90.1).abs() < 1.0, "p90={p90}");
-        assert_eq!(s.quantile(0.0).unwrap(), 1.0);
-        assert_eq!(s.quantile(1.0).unwrap(), 100.0);
-    }
-
-    #[test]
-    fn window_slides() {
-        let s = Summary::new(vec![0.5], 10);
-        for _ in 0..10 {
-            s.observe(1.0);
-        }
-        assert_eq!(s.quantile(0.5).unwrap(), 1.0);
-        // Overwrite the whole window with a new regime.
-        for _ in 0..10 {
-            s.observe(100.0);
-        }
-        assert_eq!(s.quantile(0.5).unwrap(), 100.0);
-        assert_eq!(s.count(), 20); // count is lifetime, not window
-    }
-
-    #[test]
-    fn render_shape() {
-        let s = Summary::new(vec![0.5, 0.99], 10);
-        s.observe(2.0);
-        s.observe(4.0);
-        let out = s.render(&labels! {"handler" => "/metrics"});
-        // 2 quantiles + sum + count.
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0].labels.get("quantile"), Some("0.5"));
-        assert_eq!(out[2].name_suffix, "_sum");
-        assert_eq!(out[2].sample.value, 6.0);
-        assert_eq!(out[3].sample.value, 2.0);
-    }
-
-    #[test]
-    fn empty_summary() {
-        let s = Summary::new(vec![0.5], 4);
-        assert!(s.quantile(0.5).is_none());
-        let out = s.render(&labels! {});
-        assert_eq!(out.len(), 2); // just sum + count
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be non-empty")]
-    fn zero_window_panics() {
-        Summary::new(vec![0.5], 0);
-    }
-}

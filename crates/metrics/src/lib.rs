@@ -33,7 +33,7 @@ pub mod sink;
 
 pub use encode::encode_families;
 pub use instruments::{
-    Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramTimer, HistogramVec, Summary,
+    Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramTimer, HistogramVec,
     DEFAULT_EXEMPLAR_WINDOW_MS,
 };
 pub use labels::{LabelSet, LabelSetBuilder};

@@ -5,34 +5,35 @@
 //! gone. This module makes tracing always-on and durable:
 //!
 //! - [`TraceSampler`] decides *which* finished traces to keep: head-based
-//!   probabilistic sampling (a deterministic hash of the trace ID against
+//!   probabilistic sampling (a stable hash of the trace ID against
 //!   `obs.trace_sample_rate`) plus tail capture of every slow query.
 //! - [`TraceStore`] is a byte-bounded ring buffer of finished
-//!   [`TraceReport`]s persisted in a [`ceems_relstore::Db`], so stored traces
-//!   survive restarts and are servable from `GET /api/v1/traces/{id}`.
-//!   Storing a span is an in-memory append, readable at once; the store's
-//!   flusher thread commits each step's spans as one synced frame after
-//!   [`TraceStore::gc`], off the request path.
+//!   [`TraceReport`]s over the shared segmented log
+//!   ([`ceems_relstore::log`]), so stored traces survive restarts and are
+//!   servable from `GET /api/v1/traces/{id}`. Storing a span is an
+//!   in-memory append, readable at once; the store's flusher thread appends
+//!   each step's spans as one synced frame after [`TraceStore::gc`], off
+//!   the request path.
 //! - [`TraceSink`] bundles the two behind the single call components make
 //!   when a traced request finishes ([`TraceSink::offer`]).
 //!
 //! A trace ID can produce several stored spans — the LB, the qfe and the
 //! TSDB each ship their own `TraceReport` for the same request — so the
-//! store keys rows by an internal sequence number and groups by trace ID on
+//! store keys spans by an internal sequence number and groups by trace ID on
 //! read. Head sampling hashes only the ID, which every hop shares via the
 //! `x-ceems-trace-id` header, so a request is either sampled at *every* hop
 //! or at none: stored traces are always complete.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ceems_metrics::{Counter, Gauge, MetricType, Registry, Sink};
-use ceems_relstore::{Column, ColumnType, Db, Filter, Order, Query, Row, Schema, Table, Value};
+use ceems_http::resilience::{fnv1a, splitmix64};
+use ceems_metrics::{Counter, MetricType, Registry, Sink};
+use ceems_relstore::log::{self, FsyncMode, Log, WalOptions, WalPosition};
 use parking_lot::Mutex;
 
 use crate::trace::TraceReport;
@@ -87,6 +88,10 @@ impl TraceSampler {
     /// Head decision against an explicit rate — the per-tenant override
     /// path (`obs.tenant_sample_rates`). Same hash, so a tenant pinned to
     /// the global rate decides identically to [`TraceSampler::head_sample`].
+    ///
+    /// The hash, FNV-1a 64 of the ID mixed by SplitMix64, is fixed by its
+    /// definition, so builds by different toolchains agree on every trace
+    /// (FNV-1a's top bits alone barely move for IDs that differ at the end).
     pub fn head_sample_at(&self, trace_id: &str, rate: f64) -> bool {
         let rate = rate.clamp(0.0, 1.0);
         if rate >= 1.0 {
@@ -95,9 +100,7 @@ impl TraceSampler {
         if rate <= 0.0 {
             return false;
         }
-        let mut h = DefaultHasher::new();
-        trace_id.hash(&mut h);
-        (h.finish() as f64 / u64::MAX as f64) < rate
+        (splitmix64(fnv1a(trace_id.as_bytes())) as f64 / u64::MAX as f64) < rate
     }
 
     /// Tail decision: keep every slow trace.
@@ -126,162 +129,225 @@ impl Default for TraceStoreConfig {
     }
 }
 
-const TRACES_TABLE: &str = "traces";
-
-struct SpanMeta {
-    seq: i64,
+/// One held span.
+#[derive(Clone)]
+struct Span {
+    seq: u64,
+    id: String,
+    component: String,
+    endpoint: String,
+    tenant: String,
     ts_ms: i64,
-    bytes: u64,
+    total_ms: f64,
+    /// The report as JSON; its length is what the byte bound counts.
+    report: String,
 }
 
-/// The spans in memory: the ring and what the next flush commits.
+impl Span {
+    fn json(&self) -> serde_json::Value {
+        let report: serde_json::Value = serde_json::from_str(&self.report).unwrap_or_default();
+        serde_json::json!({
+            "component": self.component,
+            "endpoint": self.endpoint,
+            "tenant": self.tenant,
+            "tsMs": self.ts_ms,
+            "report": report,
+        })
+    }
+
+    fn summary_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "traceId": self.id,
+            "component": self.component,
+            "endpoint": self.endpoint,
+            "tenant": self.tenant,
+            "tsMs": self.ts_ms,
+            "totalMs": self.total_ms,
+        })
+    }
+}
+
+/// Starts every frame of the store's log. The relational store of older
+/// builds wrote JSON arrays there, which never decode as frames.
+const FRAME_TAG: &[u8; 4] = b"spn1";
+
+/// One flush: the spans stored since the last, stamped with the ring's
+/// oldest held seq, the watermark every older span is evicted below.
+struct Frame {
+    watermark: u64,
+    spans: Vec<Arc<Span>>,
+}
+
+impl log::Record for Frame {
+    fn put_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(FRAME_TAG);
+        out.extend_from_slice(&self.watermark.to_le_bytes());
+        for s in &self.spans {
+            for word in [s.seq, s.ts_ms as u64, s.total_ms.to_bits()] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            for text in [&s.id, &s.component, &s.endpoint, &s.tenant, &s.report] {
+                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                out.extend_from_slice(text.as_bytes());
+            }
+        }
+    }
+}
+
+/// A frame's watermark and spans, or `None` when it is no frame of ours.
+fn decode(payload: &[u8]) -> Option<(u64, Vec<Span>)> {
+    fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+        let (head, rest) = buf.split_first_chunk()?;
+        *buf = rest;
+        Some(*head)
+    }
+    fn text(buf: &mut &[u8]) -> Option<String> {
+        let len = u32::from_le_bytes(take(buf)?) as usize;
+        let (text, rest) = buf.split_at_checked(len)?;
+        *buf = rest;
+        String::from_utf8(text.to_vec()).ok()
+    }
+    let mut buf = payload.strip_prefix(FRAME_TAG)?;
+    let watermark = u64::from_le_bytes(take(&mut buf)?);
+    let mut spans = Vec::new();
+    while !buf.is_empty() {
+        spans.push(Span {
+            seq: u64::from_le_bytes(take(&mut buf)?),
+            ts_ms: i64::from_le_bytes(take(&mut buf)?),
+            total_ms: f64::from_le_bytes(take(&mut buf)?),
+            id: text(&mut buf)?,
+            component: text(&mut buf)?,
+            endpoint: text(&mut buf)?,
+            tenant: text(&mut buf)?,
+            report: text(&mut buf)?,
+        });
+    }
+    Some((watermark, spans))
+}
+
+/// The spans in memory.
+#[derive(Default)]
 struct State {
-    /// Every held span, committed or pending, oldest first.
-    ring: VecDeque<SpanMeta>,
-    /// Spans stored since the last flush, as rows of the traces schema.
-    /// Each is newer than every committed span.
-    pending: Table,
-    /// Committed spans the ring evicted, for the next flush to delete.
-    /// Reads hide them already: they stop at the ring's oldest span.
-    deletes: Vec<i64>,
-    next_seq: i64,
+    /// Every held span, oldest first.
+    ring: VecDeque<Arc<Span>>,
+    next_seq: u64,
     bytes: u64,
+    /// Spans from this seq on are not in the log yet.
+    flushed_to: u64,
+    /// The watermark of the last frame in the log.
+    logged_watermark: u64,
 }
 
 impl State {
-    /// The oldest seq still held: rows below it are evicted.
-    fn live_from(&self) -> i64 {
-        self.ring.front().map_or(i64::MAX, |m| m.seq)
+    /// The oldest held seq, or the next one when nothing is held.
+    fn watermark(&self) -> u64 {
+        self.ring.front().map_or(self.next_seq, |s| s.seq)
+    }
+
+    /// True when there are spans to log or the watermark moved.
+    fn dirty(&self) -> bool {
+        self.ring.back().is_some_and(|s| s.seq >= self.flushed_to)
+            || self.watermark() != self.logged_watermark
     }
 }
 
-/// The database and the log segment its last snapshot started.
-struct Disk {
-    db: Db,
-    snapshot_seq: u64,
-}
-
-impl Disk {
-    /// Snapshots the database, which truncates its log.
-    fn snapshot(&mut self) -> Result<(), String> {
-        self.db
-            .snapshot()
-            .map_err(|e| format!("trace store snapshot: {e}"))?;
-        self.snapshot_seq = self.db.log_position().seq;
-        Ok(())
-    }
+/// The log and the segments it holds.
+struct Writer {
+    log: Log,
+    dir: PathBuf,
+    /// Segments, oldest first, each with a seq above all it holds.
+    segments: VecDeque<(u64, u64)>,
 }
 
 /// What the store and its flusher thread share.
 struct Shared {
     cfg: TraceStoreConfig,
-    /// Held by a flush for its whole commit and by reads, always before
-    /// `state`: a read sees each span once, pending or committed.
-    disk: Mutex<Disk>,
+    /// Taken by a flush only. `store`, `get` and `list` take `state`
+    /// alone, so none waits on a flush's fsync.
+    writer: Mutex<Writer>,
     state: Mutex<State>,
-    /// Set (`Release`) by `Drop` before it wakes the flusher, which exits
-    /// when it reads it set (`Acquire`).
-    stop: AtomicBool,
-    bytes_gauge: Gauge,
-    spans_gauge: Gauge,
     stored_total: Counter,
     evictions_total: Counter,
     flush_failures_total: Counter,
 }
 
-/// A byte-bounded, age-bounded ring buffer of finished trace spans persisted
-/// in `ceems-relstore`.
+/// A byte-bounded, age-bounded ring buffer of finished trace spans over the
+/// shared segmented log.
 ///
 /// [`TraceStore::store`] is an in-memory append: a span is readable at once.
-/// [`TraceStore::gc`] wakes the store's flusher thread, which commits every
-/// span stored since the last flush, and every eviction since, as one synced
-/// `Db::commit`. A span is durable by the flush after the next `gc`; a crash
-/// loses at most the spans of one step.
+/// [`TraceStore::gc`] wakes the store's flusher thread, which appends every
+/// span stored since the last flush as one synced frame, stamped with the
+/// ring's oldest held seq. A span is durable by the flush after the next
+/// `gc`; a crash loses at most the spans of one step. Nothing in the log is
+/// rewritten: segments whose spans all lie below the watermark are deleted.
 pub struct TraceStore {
     shared: Arc<Shared>,
+    /// Wakes the flusher; dropping it stops the flusher.
+    wake: Option<SyncSender<()>>,
     flusher: Option<JoinHandle<()>>,
 }
 
-fn traces_schema() -> Schema {
-    Schema::new(
-        vec![
-            Column::required("seq", ColumnType::Int),
-            Column::required("id", ColumnType::Text),
-            Column::required("component", ColumnType::Text),
-            Column::required("endpoint", ColumnType::Text),
-            Column::required("tenant", ColumnType::Text),
-            Column::required("ts_ms", ColumnType::Int),
-            Column::required("total_ms", ColumnType::Real),
-            Column::required("bytes", ColumnType::Int),
-            Column::required("report", ColumnType::Text),
-        ],
-        "seq",
-        &["id"],
-    )
-    .expect("trace store schema is valid")
-}
-
-fn row_seq(row: &[Value]) -> i64 {
-    row[0].as_int().unwrap_or(0)
-}
-
 impl TraceStore {
-    /// Opens (or creates) the store under `dir`, replaying any spans a
-    /// previous process persisted so the ring accounting matches the disk,
-    /// and starts its flusher thread.
+    /// Opens (or creates) the store under `dir`, replaying the spans a
+    /// previous process logged, and starts its flusher thread. The log
+    /// ends at its first torn frame or the first that is not this store's
+    /// (what the relational store of older builds wrote): that frame and
+    /// all after it are cut, so such a directory opens empty.
     pub fn open(dir: &Path, cfg: TraceStoreConfig) -> Result<TraceStore, String> {
-        let mut db = Db::open(dir).map_err(|e| format!("trace store open: {e}"))?;
-        db.create_table(TRACES_TABLE, traces_schema())
-            .map_err(|e| format!("trace store schema: {e}"))?;
-        let rows = db
-            .query(TRACES_TABLE, &Query::all().order_by("seq", Order::Asc))
-            .map_err(|e| format!("trace store replay: {e}"))?;
-        let ring: VecDeque<SpanMeta> = rows
-            .iter()
-            .map(|row| SpanMeta {
-                seq: row_seq(row),
-                ts_ms: row[5].as_int().unwrap_or(0),
-                bytes: row[7].as_int().unwrap_or(0) as u64,
-            })
-            .collect();
-        let state = State {
-            bytes: ring.iter().map(|m| m.bytes).sum(),
-            next_seq: ring.back().map_or(0, |m| m.seq + 1),
-            ring,
-            pending: Table::new(traces_schema()),
-            deletes: Vec::new(),
+        let err = |e: io::Error| format!("trace store open: {e}");
+        let wal = dir.join("wal");
+        std::fs::create_dir_all(&wal).map_err(err)?;
+        let mut st = State::default();
+        let end = log::walk(&wal, WalPosition::default(), |_, payload| {
+            let Some((watermark, spans)) = decode(payload) else {
+                return false;
+            };
+            st.ring.extend(spans.into_iter().map(Arc::new));
+            let evicted = st.ring.partition_point(|s| s.seq < watermark);
+            st.ring.drain(..evicted);
+            st.logged_watermark = watermark;
+            true
+        })
+        .map_err(err)?;
+        st.bytes = st.ring.iter().map(|s| s.report.len() as u64).sum();
+        st.next_seq = st.ring.back().map_or(0, |s| s.seq + 1);
+        st.next_seq = st.next_seq.max(st.logged_watermark);
+        st.flushed_to = st.next_seq;
+        // Quarter-ring segments: about that much of the log at most holds
+        // evicted spans.
+        let opts = WalOptions {
+            segment_bytes: (cfg.max_bytes / 4).max(4 << 10),
+            fsync: FsyncMode::Always,
         };
+        let log = Log::open_at(&wal, opts, end.at).map_err(err)?;
+        let segments = log::list_segments(&wal).map_err(err)?;
+        let segments = segments.into_iter().map(|(seg, _)| (seg, st.next_seq));
         let shared = Arc::new(Shared {
             cfg,
-            disk: Mutex::new(Disk {
-                snapshot_seq: db.log_position().seq,
-                db,
+            writer: Mutex::new(Writer {
+                log,
+                dir: wal,
+                segments: segments.collect(),
             }),
-            state: Mutex::new(state),
-            stop: AtomicBool::new(false),
-            bytes_gauge: Gauge::new(),
-            spans_gauge: Gauge::new(),
+            state: Mutex::new(st),
             stored_total: Counter::new(),
             evictions_total: Counter::new(),
             flush_failures_total: Counter::new(),
         });
-        shared.publish(&shared.state.lock());
+        // The log may have been written under a larger byte bound.
+        shared.evict(&mut shared.state.lock(), None);
+        let (wake, woken) = mpsc::sync_channel(1);
         let flusher = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("ceems-trace-flush".into())
-                .spawn(move || loop {
-                    std::thread::park();
-                    if shared.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // A failure is counted and its batch kept for the next.
-                    let _ = shared.flush();
-                })
+                // A failure is counted and its spans kept for the next.
+                .spawn(move || woken.iter().for_each(|()| drop(shared.flush())))
                 .map_err(|e| format!("trace store flusher: {e}"))?
         };
         Ok(TraceStore {
             shared,
+            wake: Some(wake),
             flusher: Some(flusher),
         })
     }
@@ -290,7 +356,7 @@ impl TraceStore {
     /// what `/api/v1/traces/{id}` takes), readable from this call on.
     /// Evicts oldest-first if the span pushes the ring past its byte bound.
     /// Nothing is written here: the flush after the next
-    /// [`TraceStore::gc`] commits the span.
+    /// [`TraceStore::gc`] logs the span.
     pub fn store(
         &self,
         component: &str,
@@ -300,39 +366,28 @@ impl TraceStore {
         now_ms: i64,
     ) -> String {
         let json = report.to_json().to_string();
-        let bytes = json.len() as u64;
         let s = &*self.shared;
         let mut st = s.state.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let row: Vec<Value> = vec![
-            Value::Int(seq),
-            Value::Text(report.id.clone()),
-            Value::Text(component.to_string()),
-            Value::Text(endpoint.to_string()),
-            Value::Text(tenant.to_string()),
-            Value::Int(now_ms),
-            Value::Real(report.total_ms),
-            Value::Int(bytes as i64),
-            Value::Text(json),
-        ];
-        st.pending
-            .upsert(row)
-            .expect("a span row fits the traces schema");
-        st.ring.push_back(SpanMeta {
-            seq,
+        let span = Span {
+            seq: st.next_seq,
+            id: report.id.clone(),
+            component: component.to_string(),
+            endpoint: endpoint.to_string(),
+            tenant: tenant.to_string(),
             ts_ms: now_ms,
-            bytes,
-        });
-        st.bytes += bytes;
+            total_ms: report.total_ms,
+            report: json,
+        };
+        st.next_seq += 1;
+        st.bytes += span.report.len() as u64;
+        st.ring.push_back(Arc::new(span));
         s.stored_total.inc();
         s.evict(&mut st, None);
-        s.publish(&st);
         report.id.clone()
     }
 
     /// Evicts spans past the age bound and (re-)enforces the byte bound in
-    /// memory, then wakes the flusher if there is anything to commit.
+    /// memory, then wakes the flusher if there is anything to log.
     /// Called from `CeemsStack::advance` every step; returns the number
     /// evicted.
     pub fn gc(&self, now_ms: i64) -> u64 {
@@ -340,11 +395,9 @@ impl TraceStore {
         let mut st = s.state.lock();
         let aged = (s.cfg.max_age_ms > 0).then_some(now_ms);
         let evicted = s.evict(&mut st, aged);
-        s.publish(&st);
-        let dirty = !st.pending.is_empty() || !st.deletes.is_empty();
-        drop(st);
-        if let Some(flusher) = self.flusher.as_ref().filter(|_| dirty) {
-            flusher.thread().unpark();
+        if let Some(wake) = self.wake.as_ref().filter(|_| st.dirty()) {
+            // A full channel already holds a wake-up.
+            let _ = wake.try_send(());
         }
         evicted
     }
@@ -352,13 +405,12 @@ impl TraceStore {
     /// All held spans for a trace ID, grouped as one JSON document, or
     /// `None` if the ID is unknown (sampled out or evicted).
     pub fn get(&self, id: &str) -> Option<serde_json::Value> {
-        let filter = Filter::Eq("id".to_string(), Value::Text(id.to_string()));
-        let rows = self.shared.newest(filter, usize::MAX);
-        if rows.is_empty() {
-            return None;
-        }
-        let spans: Vec<serde_json::Value> = rows.iter().rev().map(|r| span_json(r)).collect();
-        Some(serde_json::json!({ "traceId": id, "spans": spans }))
+        let held: Vec<Arc<Span>> = {
+            let st = self.shared.state.lock();
+            st.ring.iter().filter(|s| s.id == id).cloned().collect()
+        };
+        let spans: Vec<serde_json::Value> = held.iter().map(|s| s.json()).collect();
+        (!spans.is_empty()).then(|| serde_json::json!({ "traceId": id, "spans": spans }))
     }
 
     /// Held span summaries, newest first, optionally filtered by endpoint,
@@ -370,18 +422,17 @@ impl TraceStore {
         tenant: Option<&str>,
         limit: usize,
     ) -> Vec<serde_json::Value> {
-        let mut filters = vec![Filter::True];
-        if let Some(e) = endpoint {
-            filters.push(Filter::Eq("endpoint".to_string(), Value::Text(e.to_string())));
-        }
-        if let Some(m) = min_ms {
-            filters.push(Filter::Ge("total_ms".to_string(), Value::Real(m)));
-        }
-        if let Some(t) = tenant {
-            filters.push(Filter::Eq("tenant".to_string(), Value::Text(t.to_string())));
-        }
-        let rows = self.shared.newest(Filter::And(filters), limit);
-        rows.iter().map(|r| summary_json(r)).collect()
+        let wanted = |s: &Span| {
+            endpoint.is_none_or(|e| s.endpoint == e)
+                && min_ms.is_none_or(|m| s.total_ms >= m)
+                && tenant.is_none_or(|t| s.tenant == t)
+        };
+        let held: Vec<Arc<Span>> = {
+            let st = self.shared.state.lock();
+            let newest = st.ring.iter().rev();
+            newest.filter(|s| wanted(s)).take(limit).cloned().collect()
+        };
+        held.iter().map(|s| s.summary_json()).collect()
     }
 
     /// Bytes of report JSON currently held.
@@ -399,59 +450,48 @@ impl TraceStore {
         self.shared.evictions_total.get() as u64
     }
 
-    /// Commits what is pending, then checkpoints the backing store
-    /// (truncates its log).
-    pub fn snapshot(&self) -> Result<(), String> {
-        let mut disk = self.shared.disk.lock();
-        self.shared.flush_into(&mut disk)?;
-        disk.snapshot()
-    }
-
     /// Registers the store's health metrics (`ceems_trace_store_bytes`,
     /// `ceems_trace_store_spans`, stored/eviction/flush-failure counters)
     /// on a registry.
     pub fn register_metrics(&self, registry: &Registry) {
-        let s = &*self.shared;
-        let (b, sp, st, ev, ff) = (
-            s.bytes_gauge.clone(),
-            s.spans_gauge.clone(),
-            s.stored_total.clone(),
-            s.evictions_total.clone(),
-            s.flush_failures_total.clone(),
-        );
+        let s = self.shared.clone();
         registry.register(
             "ceems_trace_store",
             Arc::new(move |out: &mut dyn Sink| {
+                let (bytes, spans) = {
+                    let st = s.state.lock();
+                    (st.bytes as f64, st.ring.len() as f64)
+                };
                 for (name, help, metric_type, v) in [
                     (
                         "ceems_trace_store_bytes",
                         "Bytes of trace report JSON currently stored",
                         MetricType::Gauge,
-                        b.get(),
+                        bytes,
                     ),
                     (
                         "ceems_trace_store_spans",
                         "Trace spans currently stored",
                         MetricType::Gauge,
-                        sp.get(),
+                        spans,
                     ),
                     (
                         "ceems_trace_store_stored_total",
                         "Trace spans persisted since process start",
                         MetricType::Counter,
-                        st.get(),
+                        s.stored_total.get(),
                     ),
                     (
                         "ceems_trace_store_evictions_total",
                         "Trace spans evicted by the byte/age bounds",
                         MetricType::Counter,
-                        ev.get(),
+                        s.evictions_total.get(),
                     ),
                     (
                         "ceems_trace_store_flush_failures_total",
                         "Trace store flushes whose commit failed (the spans stay pending)",
                         MetricType::Counter,
-                        ff.get(),
+                        s.flush_failures_total.get(),
                     ),
                 ] {
                     out.family(name, help, metric_type);
@@ -463,11 +503,10 @@ impl TraceStore {
 }
 
 impl Drop for TraceStore {
-    /// Stops and joins the flusher, then commits what is left.
+    /// Stops and joins the flusher, then logs what is left.
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        drop(self.wake.take());
         if let Some(flusher) = self.flusher.take() {
-            flusher.thread().unpark();
             let _ = flusher.join();
         }
         let _ = self.shared.flush();
@@ -475,118 +514,76 @@ impl Drop for TraceStore {
 }
 
 impl Shared {
-    fn publish(&self, st: &State) {
-        self.bytes_gauge.set(st.bytes as f64);
-        self.spans_gauge.set(st.ring.len() as f64);
-    }
-
     /// Evicts the oldest spans: those past the age bound (counted from
     /// `now_ms`, when given), then oldest-first while the ring is over the
-    /// byte bound, keeping the newest. An evicted pending span is dropped,
-    /// an evicted committed one queued for deletion. Returns how many were
-    /// evicted.
+    /// byte bound, keeping the newest. Returns how many were evicted.
     fn evict(&self, st: &mut State, now_ms: Option<i64>) -> u64 {
         let (mut aging, mut evicted) = (true, 0u64);
-        while let Some(m) = st.ring.front() {
-            aging = aging && now_ms.is_some_and(|now| now - m.ts_ms > self.cfg.max_age_ms);
+        while let Some(oldest) = st.ring.front() {
+            aging = aging && now_ms.is_some_and(|now| now - oldest.ts_ms > self.cfg.max_age_ms);
             if !(aging || st.bytes > self.cfg.max_bytes && st.ring.len() > 1) {
                 break;
             }
-            let (seq, bytes) = (m.seq, m.bytes);
+            st.bytes -= oldest.report.len() as u64;
             st.ring.pop_front();
-            st.bytes = st.bytes.saturating_sub(bytes);
-            if st.pending.delete(&Value::Int(seq)).is_none() {
-                st.deletes.push(seq);
-            }
             evicted += 1;
         }
         self.evictions_total.add(evicted as f64);
         evicted
     }
 
-    /// The held rows `filter` matches, newest first, at most `limit`:
-    /// the pending ones, then the committed ones the ring still holds.
-    fn newest(&self, filter: Filter, limit: usize) -> Vec<Row> {
-        let disk = self.disk.lock();
-        let st = self.state.lock();
-        let query = |f| {
-            Query::all()
-                .filter(f)
-                .order_by("seq", Order::Desc)
-                .limit(limit)
-        };
-        let mut rows = query(filter.clone()).run(&st.pending);
-        let held = Filter::Ge("seq".to_string(), Value::Int(st.live_from()));
-        let committed = query(Filter::And(vec![filter, held]));
-        rows.extend(disk.db.query(TRACES_TABLE, &committed).unwrap_or_default());
-        rows.truncate(limit);
-        rows
-    }
-
+    /// Appends the spans stored since the last flush as one synced frame,
+    /// if any wait or the watermark moved, then deletes the segments whose
+    /// spans all lie below the watermark. A failed append counts in
+    /// `ceems_trace_store_flush_failures_total` and leaves its spans
+    /// pending for the next flush.
     fn flush(&self) -> Result<(), String> {
-        self.flush_into(&mut self.disk.lock())
-    }
-
-    /// Commits the pending spans and queued deletes as one `Db::commit`
-    /// (one synced frame), then snapshots once the log has grown by more
-    /// than `max_bytes` (or a segment) since the last snapshot, so the log
-    /// never holds more than about one ring's worth. A failed commit puts
-    /// its batch back, less what the ring evicted meanwhile, for the next
-    /// flush, and counts in `ceems_trace_store_flush_failures_total`.
-    fn flush_into(&self, disk: &mut Disk) -> Result<(), String> {
-        let (batch, deletes) = {
-            let mut st = self.state.lock();
-            if st.pending.is_empty() && st.deletes.is_empty() {
+        let mut writer = self.writer.lock();
+        let frame = {
+            let st = self.state.lock();
+            if !st.dirty() {
                 return Ok(());
             }
-            let fresh = Table::new(st.pending.schema().clone());
-            let batch = std::mem::replace(&mut st.pending, fresh);
-            (batch, std::mem::take(&mut st.deletes))
-        };
-        let upserts = batch.scan().map(|r| (TRACES_TABLE, r.clone()));
-        let dels = deletes.iter().map(|&seq| (TRACES_TABLE, Value::Int(seq)));
-        if let Err(e) = disk.db.commit(upserts, dels) {
-            let mut st = self.state.lock();
-            let live_from = st.live_from();
-            for row in batch.scan().filter(|r| row_seq(r) >= live_from) {
-                st.pending
-                    .upsert(row.clone())
-                    .expect("a span row fits the traces schema");
+            let from = st.ring.partition_point(|s| s.seq < st.flushed_to);
+            Frame {
+                watermark: st.watermark(),
+                spans: st.ring.range(from..).cloned().collect(),
             }
-            st.deletes.extend(deletes);
+        };
+        if let Err(e) = writer.log.commit(&frame) {
             self.flush_failures_total.inc();
             return Err(format!("trace store flush: {e}"));
         }
-        let at = disk.db.log_position();
-        if at.seq != disk.snapshot_seq || at.offset > self.cfg.max_bytes {
-            // A failed snapshot keeps the log; the next flush tries again.
-            let _ = disk.snapshot();
+        let end = {
+            let mut st = self.state.lock();
+            st.logged_watermark = frame.watermark;
+            let end = frame.spans.last().map_or(st.flushed_to, |s| s.seq + 1);
+            st.flushed_to = end;
+            // The ring keeps copies made here: a request thread's own spans,
+            // held there for the ring's life, slowed its queries (EXPERIMENTS E29).
+            let first = frame.spans.first().map_or(end, |s| s.seq);
+            let from = st.ring.partition_point(|s| s.seq < first);
+            for held in st.ring.range_mut(from..).take_while(|s| s.seq < end) {
+                *held = Arc::new(Span::clone(held));
+            }
+            end
+        };
+        let Writer { log, dir, segments } = &mut *writer;
+        let active = log.position().seq;
+        if segments.back().is_some_and(|last| last.0 == active) {
+            segments.pop_back();
+        }
+        segments.push_back((active, end));
+        let older = segments.range(..segments.len() - 1);
+        let dead = older.take_while(|s| s.1 <= frame.watermark).count();
+        if dead > 0 {
+            // What a failed removal leaves, a later flush removes.
+            log::truncate_before(dir, segments[dead].0)
+                .map_err(|e| format!("trace store compaction: {e}"))?;
+            segments.drain(..dead);
         }
         Ok(())
     }
-}
-
-fn span_json(row: &[Value]) -> serde_json::Value {
-    let report: serde_json::Value =
-        serde_json::from_str(row[8].as_text().unwrap_or("")).unwrap_or(serde_json::Value::Null);
-    serde_json::json!({
-        "component": row[2].as_text().unwrap_or(""),
-        "endpoint": row[3].as_text().unwrap_or(""),
-        "tenant": row[4].as_text().unwrap_or(""),
-        "tsMs": row[5].as_int().unwrap_or(0),
-        "report": report,
-    })
-}
-
-fn summary_json(row: &[Value]) -> serde_json::Value {
-    serde_json::json!({
-        "traceId": row[1].as_text().unwrap_or(""),
-        "component": row[2].as_text().unwrap_or(""),
-        "endpoint": row[3].as_text().unwrap_or(""),
-        "tenant": row[4].as_text().unwrap_or(""),
-        "tsMs": row[5].as_int().unwrap_or(0),
-        "totalMs": row[6].as_real().unwrap_or(0.0),
-    })
 }
 
 /// The single object components hold: sampling policy + store + clock.
@@ -803,6 +800,22 @@ mod tests {
     }
 
     #[test]
+    fn head_sampling_verdicts_are_pinned() {
+        // FNV-1a 64 mixed by SplitMix64: the same verdicts on any toolchain.
+        let s = TraceSampler::new(0.5, 0.0);
+        for (id, kept) in [
+            ("a", true),
+            ("deadbeef", true),
+            ("4bf92f3577b34da6", true),
+            ("0000000000000000", false),
+            ("ff00", false),
+            ("fedcba9876543210", false),
+        ] {
+            assert_eq!(s.head_sample(id), kept, "{id}");
+        }
+    }
+
+    #[test]
     fn sink_offers_by_head_or_tail() {
         let dir = tmpdir("sink");
         let store = Arc::new(TraceStore::open(&dir, TraceStoreConfig::default()).unwrap());
@@ -819,6 +832,7 @@ mod tests {
     }
 
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
     use ceems_relstore::log::{self, ScriptedDiskFaults, WalPosition};
@@ -843,12 +857,11 @@ mod tests {
         }
     }
 
-    /// True once no span or delete waits for a flush, nor is being
-    /// committed (the disk lock is free).
+    /// True once no span or watermark waits for a flush, nor is being
+    /// logged (the writer is free).
     fn flushed(store: &TraceStore) -> bool {
-        let _disk = store.shared.disk.lock();
-        let st = store.shared.state.lock();
-        st.pending.is_empty() && st.deletes.is_empty()
+        let _writer = store.shared.writer.lock();
+        !store.shared.state.lock().dirty()
     }
 
     fn all(store: &TraceStore) -> Vec<serde_json::Value> {
@@ -891,8 +904,9 @@ mod tests {
         assert_eq!(ids(store.list(None, None, Some("alice"), 10)), ["cc01"]);
         assert_eq!(ids(store.list(None, None, None, 1)), ["cc02"]);
 
-        // Half committed, half pending: still each span once, newest first.
-        store.snapshot().unwrap();
+        // Half logged, half pending: still each span once, newest first.
+        store.gc(1001);
+        wait_for("the flush", || flushed(&store));
         store.store(
             "qfe",
             "/api/v1/query",
@@ -924,7 +938,8 @@ mod tests {
         let store = TraceStore::open(&dir, cfg).unwrap();
         let ids: Vec<String> = (0..20).map(|i| format!("ff{i:02}")).collect();
         store.store("tsdb", "/q", "t", &report_with(&ids[0], 1.0), 0);
-        store.snapshot().unwrap();
+        store.gc(0);
+        wait_for("the flush", || flushed(&store));
         assert!(store.get(&ids[0]).is_some());
         // `store` evicts the committed span and wakes nothing.
         for (i, id) in ids.iter().enumerate().skip(1) {
@@ -976,9 +991,9 @@ mod tests {
         let faults = ScriptedDiskFaults::new().with_fsync_failures(1);
         store
             .shared
-            .disk
+            .writer
             .lock()
-            .db
+            .log
             .set_disk_faults(Arc::new(faults));
         let ids: Vec<String> = (0..8).map(|i| format!("ee{i:02}")).collect();
         for (i, id) in ids.iter().enumerate() {
@@ -1010,9 +1025,9 @@ mod tests {
 
         store
             .shared
-            .disk
+            .writer
             .lock()
-            .db
+            .log
             .set_disk_faults(Arc::new(ScriptedDiskFaults::new()));
         store.gc(30);
         wait_for("the retried flush", || flushed(&store));
@@ -1068,6 +1083,40 @@ mod tests {
         );
         let store = TraceStore::open(&dir, cfg).unwrap();
         assert_eq!(all(&store), held);
+    }
+
+    #[test]
+    fn a_torn_final_frame_loses_only_its_flush() {
+        let dir = tmpdir("torn");
+        let cfg = TraceStoreConfig::default();
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        let store_ids = |store: &TraceStore, prefix: &str| {
+            for i in 0..3 {
+                let report = report_with(&format!("{prefix}{i}"), 1.0);
+                store.store("tsdb", "/q", "t", &report, i);
+            }
+        };
+        store_ids(&store, "a");
+        store.gc(10);
+        wait_for("the flush", || flushed(&store));
+        let held = all(&store);
+        store_ids(&store, "b");
+        // Dropping logs the `b` spans as a second frame.
+        drop(store);
+        assert_eq!(frames(&dir), 2);
+        let (_, last) = log::list_segments(&dir.join("wal")).unwrap().pop().unwrap();
+        let seg = std::fs::OpenOptions::new().write(true).open(&last).unwrap();
+        seg.set_len(seg.metadata().unwrap().len() - 5).unwrap();
+
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!(all(&store), held);
+        assert_eq!(frames(&dir), 1, "the torn frame was not cut");
+        // Appends go on from the cut.
+        store_ids(&store, "c");
+        drop(store);
+        let store = TraceStore::open(&dir, cfg).unwrap();
+        assert_eq!(store.span_count(), 6);
+        assert!(store.get("c0").is_some() && store.get("b0").is_none());
     }
 
     /// Four threads store 500 spans each while others run `gc`, `get` and

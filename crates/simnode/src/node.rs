@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cgroup::{job_cgroup_dir, CgroupStats, SLURM_CGROUP_ROOT};
+use crate::cgroup::{CgroupStats, SLURM_CGROUP_ROOT};
 use crate::perf::{PerfCounters, PerfProfile};
 use crate::gpu::GpuDevice;
 use crate::ipmi::IpmiDcmi;
@@ -433,14 +433,10 @@ fn cgroup_relative(path: &str) -> Option<&str> {
     path.strip_prefix(SLURM_CGROUP_ROOT)?.strip_prefix('/')
 }
 
-/// Returns the cgroup directory path for a job on any node.
-pub fn cgroup_path(job_id: u64) -> String {
-    job_cgroup_dir(job_id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cgroup::job_cgroup_dir;
 
     fn gpu_node() -> SimNode {
         SimNode::new(

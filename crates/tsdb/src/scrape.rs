@@ -81,11 +81,6 @@ impl ScrapeManager {
         }
     }
 
-    /// Target count.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Adds a target.
     pub fn add_target(&mut self, t: ScrapeTarget) {
         self.targets.push((t, Mutex::default()));
