@@ -5,9 +5,9 @@
 //! unit together — what happened since the previous poll and folds that
 //! interval into the aggregates each unit's row already holds, (3)
 //! recomputes per-user/project usage rollups over the units as they will
-//! be, (4) commits the unit and usage rows as one write, and (5) applies the
-//! §II.C cardinality cleanup: units that lived shorter than the cutoff get
-//! their TSDB series deleted.
+//! be, (4) commits the unit rows that changed and the usage rows as one
+//! write, and (5) applies the §II.C cardinality cleanup: units that lived
+//! shorter than the cutoff get their TSDB series deleted.
 //!
 //! The five aggregate queries are standing queries: the updater keeps a
 //! [`PreparedQuery`] for each, so an in-process source reads only the
@@ -96,7 +96,8 @@ impl Default for UpdaterConfig {
 /// Poll statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdaterStats {
-    /// Units upserted across all polls.
+    /// Unit rows written across all polls. A row that would change nothing
+    /// but its `updated_at_ms` is not written.
     pub units_upserted: u64,
     /// Instant queries sent to the TSDB across all polls.
     pub tsdb_queries: u64,
@@ -229,6 +230,20 @@ fn fold_interval(row: &mut [Value], u: &UnitInfo, span: &Unfolded, interval: &In
     }
 }
 
+/// Whether writing `row` over `stored` changes a column other than
+/// `updated_at_ms`, a real to the bit.
+fn changes(stored: Option<&Row>, row: &Row) -> bool {
+    let same = |(a, b): (&Value, &Value)| match (a, b) {
+        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
+        (Value::Real(_), _) | (_, Value::Real(_)) => false,
+        _ => a == b,
+    };
+    stored.is_none_or(|stored| {
+        let mut cells = stored.iter().zip(row).enumerate();
+        !cells.all(|(col, cells)| col == unit_cols::UPDATED_AT || same(cells))
+    })
+}
+
 /// The updater.
 pub struct Updater {
     db: Db,
@@ -273,7 +288,7 @@ impl Updater {
         &self.db
     }
 
-    /// Mutable DB access (snapshotting, backups).
+    /// Mutable DB access (compacting the log now, tests).
     pub fn db_mut(&mut self) -> &mut Db {
         &mut self.db
     }
@@ -324,6 +339,11 @@ impl Updater {
             }
             unit_rows.push(row);
         }
+        // Pending units and finished ones reported again come out as
+        // stored but for the stamp, which only the fold of a unit whose
+        // `elapsed_s` moves reads: they stay as stored.
+        let table = self.db.table(UNITS_TABLE)?;
+        unit_rows.retain(|row| changes(table.get(&row[unit_cols::UUID]), row));
         let usage = {
             // A unit reported twice in one poll: its last row is the one
             // that stays.
@@ -688,6 +708,65 @@ mod tests {
         let rows = upd.db().query(UNITS_TABLE, &Query::all()).unwrap();
         assert!(rows[0][unit_cols::AVG_CPU_USAGE].is_null());
         assert!(rows[0][unit_cols::ENERGY_KWH].is_null());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A resource manager reporting every unit on every poll.
+    struct EveryPollRm(Vec<UnitInfo>);
+
+    impl ResourceManagerClient for EveryPollRm {
+        fn name(&self) -> &'static str {
+            "every-poll"
+        }
+        fn units_since(&self, _since_ms: i64) -> Vec<UnitInfo> {
+            self.0.clone()
+        }
+    }
+
+    /// A pending backlog and a finished unit, reported on every poll, are
+    /// written once: later polls would change only their `updated_at_ms`.
+    #[test]
+    fn rows_that_would_change_only_their_stamp_are_written_once() {
+        let tsdb = tsdb_with_unit_metrics("slurm-7");
+        let mut units = vec![unit("slurm-7", "alice", 0, Some(600_000))];
+        for i in 0..5 {
+            let mut u = unit(&format!("slurm-{}", 100 + i), "bob", 0, None);
+            (u.started_at_ms, u.state) = (None, "PENDING".into());
+            units.push(u);
+        }
+        let dir = tmpdir("once");
+        let mut upd = Updater::new(
+            Db::open(&dir).unwrap(),
+            Arc::new(EveryPollRm(units)),
+            Arc::new(TsdbLocalSource::new(tsdb)),
+            None,
+            UpdaterConfig::default(),
+        )
+        .unwrap();
+        for now_ms in [660_000, 720_000, 780_000] {
+            upd.poll(now_ms).unwrap();
+        }
+        assert_eq!(upd.stats().units_upserted, 6);
+        let mut logged = BTreeMap::<String, usize>::new();
+        ceems_relstore::wal::replay(&dir.join("wal"), |commit, _| {
+            for rec in commit {
+                if let ceems_relstore::wal::WalRecord::Upsert { table, row } = rec {
+                    if table == UNITS_TABLE {
+                        *logged.entry(row[unit_cols::UUID].to_string()).or_default() += 1;
+                    }
+                }
+            }
+            true
+        })
+        .unwrap();
+        assert_eq!(logged.len(), 6);
+        assert!(logged.values().all(|&n| n == 1), "{logged:?}");
+        let kwh = stored(&upd, "slurm-7")[unit_cols::ENERGY_KWH]
+            .as_real()
+            .unwrap();
+        assert!((kwh - 0.06).abs() < 1e-6, "kwh={kwh}");
+        let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
+        assert_eq!(usage[0][usage_cols::UPDATED_AT], Value::Int(780_000));
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -3,11 +3,12 @@
 //! end-to-end benchmark's `ingest_pull` window.
 //!
 //! Each poll asks the TSDB its five aggregate queries, folds the minute into
-//! every running unit's row, rolls up usage and writes the rows to the
-//! relational store. Pending units are reported on every poll, as the
-//! resource manager reports them, and get a row but no aggregates. Only the
-//! poll is timed; the scrapes between polls are not. Emits
-//! `BENCH_updater.json` with the p50 of the polls.
+//! every running unit's row, rolls up usage and writes the rows that
+//! changed to the relational store. Pending and finished units are reported
+//! on every poll, as the resource manager reports them; their rows are
+//! written once. Only the poll is timed; the scrapes between polls are not.
+//! Emits `BENCH_updater.json` with the p50 of the polls and the bytes the
+//! store's log grew by a poll.
 //!
 //! Uses only the public `Updater` API, so the file builds unchanged at
 //! earlier commits and both sides of a comparison poll the same rows.
@@ -213,12 +214,27 @@ fn bench_updater_poll(c: &mut Criterion) {
     drop(f);
 
     let mut f = Fixture::new();
-    let mut samples: Vec<Duration> = (0..POLLS).map(|_| f.next_poll()).collect();
+    let log_bytes = |dir: &std::path::Path| -> u64 {
+        let segments = std::fs::read_dir(dir.join("wal")).unwrap();
+        segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
+    };
+    let mut grown = Vec::new();
+    let mut samples: Vec<Duration> = (0..POLLS)
+        .map(|_| {
+            let before = log_bytes(&f.dir);
+            let poll = f.next_poll();
+            // A poll after which the store compacted its log has no growth
+            // to count.
+            grown.extend(log_bytes(&f.dir).checked_sub(before));
+            poll
+        })
+        .collect();
+    let log_bytes_per_poll = grown.iter().sum::<u64>() as f64 / grown.len() as f64;
     let stats = f.updater.stats();
     assert_eq!(
         stats.units_upserted,
-        ((POLLS + 1) * f.units.len()) as u64,
-        "every unit is written on every poll"
+        ((POLLS + 1) * RUNNING + PENDING + ENDED) as u64,
+        "running units are written on every poll, the others once"
     );
     let summary = LatencySummary::from_samples(&mut samples);
     write_bench_json(
@@ -233,6 +249,7 @@ fn bench_updater_poll(c: &mut Criterion) {
             "polls": POLLS,
             "poll": summary.to_json(),
             "tsdb_queries_per_poll": stats.tsdb_queries as f64 / (POLLS + 1) as f64,
+            "log_bytes_per_poll": log_bytes_per_poll,
         }),
     );
 }

@@ -2,16 +2,17 @@
 //!
 //! Litestream tails SQLite's WAL and ships segments to object storage,
 //! organised into *generations* (a new generation starts whenever the WAL
-//! lineage is broken, e.g. after a checkpoint). [`Replicator`] does the same
-//! against [`crate::log`] segments on a local "remote" directory: call
-//! [`Replicator::sync`] on an interval and every finished WAL segment plus
-//! the latest snapshot is mirrored; [`restore`] rebuilds a database
-//! directory from a generation.
+//! lineage is broken). [`Replicator`] does the same against [`crate::log`]
+//! segments on a local "remote" directory: call [`Replicator::sync`] on an
+//! interval and every new or grown segment is mirrored; [`restore`]
+//! rebuilds a database directory from a generation's segments. A
+//! generation is segments only: it keeps the segments a snapshot let the
+//! database delete, which replay harmlessly before the snapshot's frame.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::db::{copy_dir, Db, DbError};
+use crate::db::{Db, DbError};
 use crate::log::list_segments;
 
 /// Continuously mirrors a database directory into a backup directory.
@@ -50,36 +51,14 @@ impl Replicator {
         self.backup_dir.join(format!("generation-{:04}", self.generation))
     }
 
-    /// One replication pass: copies new/changed WAL segments, the snapshot
-    /// and the schema meta file. Returns the number of files copied.
+    /// One replication pass: copies new or changed log segments. Returns
+    /// the number of files copied.
     pub fn sync(&mut self) -> std::io::Result<usize> {
         self.syncs += 1;
-        let gen_dir = self.gen_dir();
-        fs::create_dir_all(gen_dir.join("wal"))?;
-        let mut copied = 0;
-
-        for file in ["snapshot.json", "schemas.json"] {
-            let src = self.db_dir.join(file);
-            if src.exists() {
-                let dest = gen_dir.join(file);
-                if file_changed(&src, &dest)? {
-                    fs::copy(&src, &dest)?;
-                    copied += 1;
-                }
-            }
-        }
-
-        for (_, seg) in list_segments(&self.db_dir.join("wal"))? {
-            let dest = gen_dir.join("wal").join(seg.file_name().unwrap());
-            if file_changed(&seg, &dest)? {
-                fs::copy(&seg, &dest)?;
-                copied += 1;
-            }
-        }
-        Ok(copied)
+        copy_segments(&self.db_dir, &self.gen_dir())
     }
 
-    /// Starts a new generation (after a checkpoint breaks WAL lineage).
+    /// Starts a new generation.
     pub fn new_generation(&mut self) -> std::io::Result<()> {
         self.generation += 1;
         fs::create_dir_all(self.gen_dir())?;
@@ -87,12 +66,23 @@ impl Replicator {
     }
 }
 
-fn file_changed(src: &Path, dest: &Path) -> std::io::Result<bool> {
-    if !dest.exists() {
-        return Ok(true);
+/// Copies the log segments of the database in `from` that `to` lacks or
+/// holds at another length. Returns how many were copied.
+fn copy_segments(from: &Path, to: &Path) -> std::io::Result<usize> {
+    fs::create_dir_all(to.join("wal"))?;
+    let mut copied = 0;
+    for (_, seg) in list_segments(&from.join("wal"))? {
+        let dest = to.join("wal").join(seg.file_name().expect("a listed segment has a name"));
+        let changed = match fs::metadata(&dest) {
+            Ok(held) => held.len() != fs::metadata(&seg)?.len(),
+            Err(_) => true,
+        };
+        if changed {
+            fs::copy(&seg, &dest)?;
+            copied += 1;
+        }
     }
-    let (s, d) = (fs::metadata(src)?, fs::metadata(dest)?);
-    Ok(s.len() != d.len())
+    Ok(copied)
 }
 
 /// Lists generation numbers present in a backup directory.
@@ -124,7 +114,7 @@ pub fn restore(backup_dir: &Path, target_dir: &Path) -> Result<Db, DbError> {
         .last()
         .ok_or_else(|| DbError::Storage("no generations in backup".to_string()))?;
     let gen_dir = backup_dir.join(format!("generation-{:04}", latest));
-    copy_dir(&gen_dir, target_dir)?;
+    copy_segments(&gen_dir, target_dir)?;
     Db::open(target_dir)
 }
 

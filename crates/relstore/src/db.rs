@@ -1,5 +1,5 @@
-//! The database: durable tables behind a log, with snapshot + replay
-//! recovery.
+//! The database: tables behind one segmented log, which is all it keeps
+//! on disk.
 //!
 //! Write access is `&mut self`: the type system enforces the single-writer
 //! discipline the paper uses to justify SQLite ("only one go routine writes
@@ -9,21 +9,25 @@
 //! A commit is one frame of the segmented log ([`crate::log`]), synced
 //! before [`Db::commit`] returns ([`FsyncMode::Always`], like SQLite's
 //! `synchronous=FULL`): it survives a crash whole once it returned, and a
-//! torn one replays as nothing.
+//! torn one replays as nothing. A table's creation is a commit too. A
+//! snapshot is one more: every table and row, at the start of a segment,
+//! after which the older segments go. The database takes one by itself
+//! whenever the log has grown past the last one and a segment, so the log
+//! stays within about twice the live tables, as SQLite checkpoints its own
+//! WAL.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use crate::log::{self, DiskFaults, FsyncMode, Log, WalOptions, WalPosition};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::{self, Commit, WalRecord};
+use crate::wal::{self, Commit, Snapshot, WalRecord};
 
 /// Database error.
 #[derive(Debug)]
@@ -54,77 +58,82 @@ impl From<std::io::Error> for DbError {
     }
 }
 
-#[derive(Serialize, Deserialize)]
-struct Snapshot {
-    tables: BTreeMap<String, Table>,
-}
-
 /// An embedded relational database rooted at a directory.
 pub struct Db {
     dir: PathBuf,
     tables: BTreeMap<String, Table>,
     log: Log,
+    /// The log's segment size: with the last snapshot frame, how far the
+    /// log grows before the database snapshots itself.
+    segment_bytes: u64,
+    /// Bytes of the last snapshot frame. After an open, of the log's first
+    /// frame, which is the last snapshot once one was taken.
+    snapshot_bytes: u64,
+    /// Bytes logged after that frame.
+    since_snapshot: u64,
 }
 
-const SNAPSHOT_FILE: &str = "snapshot.json";
-const META_FILE: &str = "schemas.json";
 const WAL_DIR: &str = "wal";
 
 impl Db {
-    /// Opens (creating if needed) a database in `dir`, recovering state from
-    /// the latest snapshot plus log replay. Every commit is synced before it
-    /// returns ([`FsyncMode::Always`]).
+    /// Opens (creating if needed) a database in `dir`, recovering its
+    /// tables by replaying the log. Every commit is synced before it
+    /// returns ([`FsyncMode::Always`]). A directory holding a file an older
+    /// build wrote (`snapshot.json`, `schemas.json`, `wal/wal-*.log`) is
+    /// refused with an error naming it: this build does not read them.
     pub fn open(dir: &Path) -> Result<Db, DbError> {
-        fs::create_dir_all(dir)?;
-        // 1. Snapshot, if present.
-        let snap: Option<Snapshot> = read_json(&dir.join(SNAPSHOT_FILE))?;
-        let mut tables = snap.map_or_else(BTreeMap::new, |snap| snap.tables);
-
-        // 2. Schemas created after the snapshot.
-        let schemas: Option<BTreeMap<String, Schema>> = read_json(&dir.join(META_FILE))?;
-        for (name, schema) in schemas.into_iter().flatten() {
-            tables.entry(name).or_insert_with(|| Table::new(schema));
-        }
-
-        // 3. Log replay (upserts/deletes are idempotent, so replaying
-        //    records already covered by the snapshot is harmless): the lines
-        //    an older build logged, then the frames.
-        let wal_dir = dir.join(WAL_DIR);
-        fs::create_dir_all(&wal_dir)?;
-        let (lines, line_files) = wal::read_lines(&wal_dir)?;
         let opts = WalOptions {
             fsync: FsyncMode::Always,
             ..WalOptions::default()
         };
-        let (log, records) = wal::recover(&wal_dir, opts)?;
-        for rec in lines.into_iter().chain(records) {
-            apply(&mut tables, rec)?;
-        }
-        let mut db = Db {
-            dir: dir.to_path_buf(),
-            tables,
-            log,
-        };
-        // The lines go into a snapshot and are not read again.
-        if !line_files.is_empty() {
-            db.snapshot()?;
-            for path in line_files {
-                fs::remove_file(path)?;
-            }
-            log::sync_dir(&wal_dir);
-        }
-        Ok(db)
+        Db::open_with(dir, opts)
     }
 
-    /// Installs a disk-fault injector under the log and the snapshot writes
-    /// (crash-point testing).
+    fn open_with(dir: &Path, opts: WalOptions) -> Result<Db, DbError> {
+        let wal_dir = dir.join(WAL_DIR);
+        fs::create_dir_all(&wal_dir)?;
+        let older = ["snapshot.json", "schemas.json"].map(|name| dir.join(name));
+        let lines = log::numbered(&wal_dir, "wal-", ".log")?;
+        let lines = lines.into_iter().map(|(_, path)| path);
+        if let Some(path) = older.into_iter().chain(lines).find(|p| p.exists()) {
+            let path = path.display();
+            return Err(DbError::Storage(format!(
+                "{path} is an older build's file, which this build does not read"
+            )));
+        }
+
+        // Upserts and deletes are idempotent and a snapshot frame re-states
+        // every row, so frames left before one replay harmlessly.
+        let mut tables = BTreeMap::new();
+        let (mut first_frame, mut logged, mut applied) = (None, 0, Ok(()));
+        let end = wal::replay(&wal_dir, |records, frame| {
+            first_frame.get_or_insert(frame);
+            logged += frame;
+            applied = records
+                .into_iter()
+                .try_for_each(|rec| apply(&mut tables, rec));
+            applied.is_ok()
+        })?;
+        applied?;
+        let snapshot_bytes = first_frame.unwrap_or(0);
+        Ok(Db {
+            dir: dir.to_path_buf(),
+            tables,
+            log: Log::open_at(&wal_dir, opts, end.at)?,
+            segment_bytes: opts.segment_bytes,
+            snapshot_bytes,
+            since_snapshot: logged - snapshot_bytes,
+        })
+    }
+
+    /// Installs a disk-fault injector under the log (crash-point testing).
     pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
         self.log.set_disk_faults(faults);
     }
 
-    /// Where the next commit goes in the log. [`Db::snapshot`] starts a
-    /// new segment, so the offset is what the log holds past the snapshot
-    /// for as long as the segment number stays the one it started.
+    /// Where the next commit goes in the log. A snapshot starts a new
+    /// segment, so the offset is what the log holds past the snapshot for
+    /// as long as the segment number stays the one it started.
     pub fn log_position(&self) -> WalPosition {
         self.log.position()
     }
@@ -134,27 +143,16 @@ impl Db {
         &self.dir
     }
 
-    /// Creates a table if it does not already exist.
+    /// Creates a table if it does not already exist: a commit of its
+    /// `Create` record.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
         if self.tables.contains_key(name) {
             return Ok(());
         }
-        self.tables.insert(name.to_string(), Table::new(schema));
-        self.persist_meta()
-    }
-
-    fn persist_meta(&self) -> Result<(), DbError> {
-        let schemas: BTreeMap<&String, &Schema> =
-            self.tables.iter().map(|(n, t)| (n, t.schema())).collect();
-        self.write_durable(META_FILE, &schemas)
-    }
-
-    /// Writes `value` as JSON to the file `name` durably
-    /// ([`log::write_durable`]).
-    fn write_durable(&self, name: &str, value: &impl Serialize) -> Result<(), DbError> {
-        let json = serde_json::to_vec(value).map_err(|e| DbError::Storage(e.to_string()))?;
-        log::write_durable(&self.dir.join(name), &json, self.log.disk_faults())?;
-        Ok(())
+        self.write(vec![WalRecord::Create {
+            table: name.to_string(),
+            schema,
+        }])
     }
 
     /// Table names.
@@ -217,9 +215,29 @@ impl Db {
         if records.is_empty() {
             return Ok(());
         }
+        self.write(records)
+    }
+
+    /// Logs `records` as one commit and applies them. Then, once the log
+    /// has grown past both the last snapshot frame and a segment since that
+    /// frame, snapshots: a failed snapshot keeps every segment, does not
+    /// fail the commit, and is tried again after the next one.
+    fn write(&mut self, records: Vec<WalRecord>) -> Result<(), DbError> {
+        let before = self.log.position();
         self.log.commit(&Commit(&records))?;
+        let after = self.log.position();
+        // A commit that rotated the log starts its new segment.
+        self.since_snapshot += after.offset
+            - if after.seq == before.seq {
+                before.offset
+            } else {
+                0
+            };
         for rec in records {
             apply(&mut self.tables, rec)?;
+        }
+        if self.since_snapshot > self.snapshot_bytes.max(self.segment_bytes) {
+            let _ = self.snapshot();
         }
         Ok(())
     }
@@ -234,30 +252,22 @@ impl Db {
         Ok(q.run(self.table(table)?))
     }
 
-    /// Writes a snapshot durably, then starts a new log segment and drops
-    /// the older ones, which the snapshot covers. A failed snapshot leaves
-    /// every segment in place.
+    /// Compacts the log: starts a new segment, commits every table and row
+    /// to it as one frame ([`Snapshot`]), then deletes the segments before
+    /// it. A failed snapshot leaves every segment in place; a crash before
+    /// the deletes leaves segments that replay harmlessly before the frame.
     pub fn snapshot(&mut self) -> Result<(), DbError> {
-        let snap = Snapshot {
-            tables: self.tables.clone(),
-        };
-        self.write_durable(SNAPSHOT_FILE, &snap)?;
         let seq = self.log.rotate()?;
+        self.log.commit(&Snapshot(&self.tables))?;
         log::truncate_before(&self.dir.join(WAL_DIR), seq)?;
-        Ok(())
-    }
-
-    /// Punctual backup: copies the whole database directory (snapshot first
-    /// so the copy is current). This is the API server's built-in backup.
-    pub fn backup_to(&mut self, dest: &Path) -> Result<(), DbError> {
-        self.snapshot()?;
-        copy_dir(&self.dir, dest)?;
+        self.snapshot_bytes = self.log.position().offset;
+        self.since_snapshot = 0;
         Ok(())
     }
 }
 
-/// Applies one logged record; a record for a table that does not exist
-/// (any more) is skipped.
+/// Applies one logged record: a record for a table that does not exist is
+/// skipped, as is the creation of one that does.
 fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbError> {
     match rec {
         WalRecord::Upsert { table, row } => {
@@ -270,31 +280,13 @@ fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbE
                 t.delete(&pk);
             }
         }
-        WalRecord::Checkpoint => {}
-    }
-    Ok(())
-}
-
-/// The JSON in the file at `path`, if there is one.
-fn read_json<T: Deserialize>(path: &Path) -> Result<Option<T>, DbError> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    let data = fs::read(path)?;
-    let value = serde_json::from_slice(&data).map_err(|e| DbError::Storage(e.to_string()))?;
-    Ok(Some(value))
-}
-
-/// Recursively copies a directory.
-pub(crate) fn copy_dir(src: &Path, dest: &Path) -> std::io::Result<()> {
-    fs::create_dir_all(dest)?;
-    for entry in fs::read_dir(src)? {
-        let entry = entry?;
-        let target = dest.join(entry.file_name());
-        if entry.file_type()?.is_dir() {
-            copy_dir(&entry.path(), &target)?;
-        } else {
-            fs::copy(entry.path(), target)?;
+        WalRecord::Create { table, schema } => {
+            if let Entry::Vacant(slot) = tables.entry(table) {
+                let schema = schema
+                    .checked()
+                    .map_err(|e| DbError::Schema(e.to_string()))?;
+                slot.insert(Table::new(schema));
+            }
         }
     }
     Ok(())
@@ -341,7 +333,10 @@ mod tests {
             .unwrap();
         db.upsert("jobs", vec!["j2".into(), "bob".into(), 7.0.into()])
             .unwrap();
-        assert_eq!(db.get("jobs", &"j1".into()).unwrap().unwrap()[1], Value::Text("alice".into()));
+        assert_eq!(
+            db.get("jobs", &"j1".into()).unwrap().unwrap()[1],
+            Value::Text("alice".into())
+        );
         assert!(db.delete("jobs", &"j1".into()).unwrap());
         assert!(!db.delete("jobs", &"j1".into()).unwrap());
         let rows = db.query("jobs", &Query::all()).unwrap();
@@ -401,23 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn punctual_backup_restores() {
-        let dir = tmpdir("bak");
-        let bdir = tmpdir("bak-dest");
-        {
-            let mut db = Db::open(&dir).unwrap();
-            db.create_table("jobs", jobs_schema()).unwrap();
-            db.upsert("jobs", vec!["j1".into(), "a".into(), 1.0.into()])
-                .unwrap();
-            db.backup_to(&bdir).unwrap();
-        }
-        let restored = Db::open(&bdir).unwrap();
-        assert_eq!(restored.table("jobs").unwrap().len(), 1);
-        fs::remove_dir_all(dir).unwrap();
-        fs::remove_dir_all(bdir).unwrap();
-    }
-
-    #[test]
     fn create_table_is_idempotent_and_survives_restart() {
         let dir = tmpdir("meta");
         {
@@ -447,53 +425,63 @@ mod tests {
             .collect()
     }
 
-    /// A directory the line-format log wrote opens with the same tables,
-    /// loses its `.log` files to a snapshot, and takes commits that replay.
+    /// Each file an older build kept beside or in the log makes the open
+    /// fail with an error naming it, and nothing is replayed or cut.
     #[test]
-    fn old_line_format_directories_still_open() {
-        let dir = tmpdir("lines");
+    fn older_files_are_refused_by_name() {
+        for older in ["snapshot.json", "schemas.json", "wal/wal-000000000003.log"] {
+            let dir = tmpdir("older");
+            let mut db = Db::open(&dir).unwrap();
+            db.create_table("jobs", jobs_schema()).unwrap();
+            db.upsert("jobs", job(1)).unwrap();
+            drop(db);
+            let segments = segment_bytes(&dir);
+            fs::write(dir.join(older), b"{}").unwrap();
+            let Err(DbError::Storage(e)) = Db::open(&dir) else {
+                panic!("{older} was not refused");
+            };
+            assert!(e.contains(&dir.join(older).display().to_string()), "{e}");
+            assert_eq!(segment_bytes(&dir), segments);
+            fs::remove_file(dir.join(older)).unwrap();
+            assert_eq!(jobs(&Db::open(&dir).unwrap()), vec![job(1)]);
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// The directory's only entry is `wal/`, and that holds only segments,
+    /// after tables, commits and snapshots.
+    #[test]
+    fn a_database_writes_nothing_but_segments() {
+        let dir = tmpdir("only-segments");
         let mut db = Db::open(&dir).unwrap();
         db.create_table("jobs", jobs_schema()).unwrap();
-        drop(db);
-        fs::remove_dir_all(dir.join(WAL_DIR)).unwrap();
-        fs::create_dir_all(dir.join(WAL_DIR)).unwrap();
-        let records: Vec<WalRecord> = (0..5)
-            .map(|i| WalRecord::Upsert {
-                table: "jobs".into(),
-                row: job(i),
-            })
-            .chain([
-                WalRecord::Checkpoint,
-                WalRecord::Delete {
-                    table: "jobs".into(),
-                    pk: "j1".into(),
-                },
-            ])
-            .collect();
-        for (seq, part) in [(0, &records[..4]), (1, &records[4..])] {
-            let mut text = String::new();
-            for record in part {
-                let json = serde_json::to_string(record).unwrap();
-                text += &format!("{:08x} {json}\n", log::crc32(json.as_bytes()));
-            }
-            fs::write(dir.join(WAL_DIR).join(format!("wal-{seq:012}.log")), text).unwrap();
-        }
-        let mut want = BTreeMap::new();
-        want.insert("jobs".to_string(), Table::new(jobs_schema()));
-        for record in records {
-            apply(&mut want, record).unwrap();
-        }
-        let want = want["jobs"].scan().cloned().collect::<Vec<_>>();
-        assert_eq!(want.len(), 4);
-
-        let mut db = Db::open(&dir).unwrap();
-        assert_eq!(jobs(&db), want);
-        assert!(wal::read_lines(&dir.join(WAL_DIR)).unwrap().1.is_empty());
-        db.upsert("jobs", job(9)).unwrap();
+        db.upsert("jobs", job(1)).unwrap();
+        db.snapshot().unwrap();
+        db.create_table("more", jobs_schema()).unwrap();
+        db.upsert("more", job(2)).unwrap();
+        let names = |dir: &Path| -> Vec<String> {
+            let entries = fs::read_dir(dir).unwrap();
+            let mut names: Vec<String> = entries
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&dir), ["wal"]);
+        let segments = names(&dir.join(WAL_DIR));
+        assert!(
+            segments
+                .iter()
+                .all(|n| n.starts_with("wal-") && n.ends_with(".seg")),
+            "{segments:?}"
+        );
         drop(db);
         let db = Db::open(&dir).unwrap();
-        assert_eq!(jobs(&db).len(), 5);
-        assert_eq!(jobs(&db)[..4], want[..4]);
+        assert_eq!(db.table_names(), ["jobs", "more"]);
+        assert_eq!(
+            (jobs(&db), db.query("more", &Query::all()).unwrap()),
+            (vec![job(1)], vec![job(2)])
+        );
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -504,13 +492,14 @@ mod tests {
         let dir = tmpdir("torn-commit");
         let mut db = Db::open(&dir).unwrap();
         db.create_table("jobs", jobs_schema()).unwrap();
+        let created = db.log_position().offset as usize;
         db.commit((0..3).map(|i| ("jobs", job(i))), []).unwrap();
         drop(db);
         let [(seq, bytes)] = &segment_bytes(&dir)[..] else {
             panic!("one segment expected");
         };
         let path = dir.join(WAL_DIR).join(log::segment_file_name(*seq));
-        for cut in 0..=bytes.len() {
+        for cut in created..=bytes.len() {
             fs::write(&path, &bytes[..cut]).unwrap();
             let rows = jobs(&Db::open(&dir).unwrap()).len();
             let whole = cut == bytes.len();
@@ -524,28 +513,151 @@ mod tests {
         fs::remove_dir_all(dir).unwrap();
     }
 
-    /// A snapshot whose fsync fails returns the error before a segment is
-    /// dropped, and the database still reopens to every commit. (The
-    /// snapshot file is synced before the log rotates, so the fsync the
-    /// fault fails is the snapshot file's.)
+    /// A snapshot that fails, sealing the segment (its fsync) or writing
+    /// its frame, returns the error before a segment is dropped, and the
+    /// database still reopens to every commit.
     #[test]
     fn a_failed_snapshot_keeps_every_segment() {
-        let dir = tmpdir("snap-fsync");
-        let mut db = Db::open(&dir).unwrap();
-        db.create_table("jobs", jobs_schema()).unwrap();
-        db.upsert("jobs", job(1)).unwrap();
-        db.snapshot().unwrap();
-        db.upsert("jobs", job(2)).unwrap();
-        let before = segment_bytes(&dir);
-        let snapshot = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
-        db.set_disk_faults(Arc::new(
+        let faults = [
             log::ScriptedDiskFaults::new().with_fsync_failures(1),
-        ));
-        assert!(db.snapshot().is_err());
-        assert_eq!(segment_bytes(&dir), before);
-        assert_eq!(fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot);
+            log::ScriptedDiskFaults::new().with_short_write(0, 0.5),
+        ];
+        for fault in faults {
+            let dir = tmpdir("snap-fault");
+            let mut db = Db::open(&dir).unwrap();
+            db.create_table("jobs", jobs_schema()).unwrap();
+            db.upsert("jobs", job(1)).unwrap();
+            db.snapshot().unwrap();
+            db.upsert("jobs", job(2)).unwrap();
+            let before = segment_bytes(&dir);
+            db.set_disk_faults(Arc::new(fault));
+            assert!(db.snapshot().is_err());
+            let after = segment_bytes(&dir);
+            assert!(
+                before.iter().all(|seg| after.contains(seg)),
+                "{before:?} {after:?}"
+            );
+            drop(db);
+            assert_eq!(jobs(&Db::open(&dir).unwrap()), vec![job(1), job(2)]);
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// A database over small segments, its table `jobs` filled with
+    /// `live` rows.
+    fn small(name: &str, live: usize) -> (PathBuf, Db) {
+        let dir = tmpdir(name);
+        let opts = WalOptions {
+            segment_bytes: 4 << 10,
+            fsync: FsyncMode::Never,
+        };
+        let mut db = Db::open_with(&dir, opts).unwrap();
+        db.create_table("jobs", jobs_schema()).unwrap();
+        db.commit((0..live).map(|i| ("jobs", job(i))), []).unwrap();
+        (dir, db)
+    }
+
+    fn log_bytes(dir: &Path) -> u64 {
+        segment_bytes(dir).iter().map(|(_, b)| b.len() as u64).sum()
+    }
+
+    /// Commits rewriting the live rows twenty times over leave the log
+    /// within twice the larger of the last snapshot frame and a segment,
+    /// plus one commit, and it reopens to the live tables.
+    #[test]
+    fn the_log_stays_within_twice_a_snapshot_or_segment() {
+        let live = 200;
+        let (dir, mut db) = small("bound", live);
+        let one_commit = |db: &Db| db.log_position().offset;
+        let (mut largest_commit, mut commits) = (0, 0);
+        for round in 0..22 {
+            for i in round..live {
+                let row = vec![
+                    format!("j{i}").into(),
+                    "bob".into(),
+                    ((round * i) as f64).into(),
+                ];
+                let at = one_commit(&db);
+                db.upsert("jobs", row).unwrap();
+                commits += 1;
+                largest_commit = largest_commit.max(one_commit(&db).saturating_sub(at));
+                let bound = 2 * db.snapshot_bytes.max(db.segment_bytes) + largest_commit;
+                assert!(log_bytes(&dir) <= bound, "{} > {bound}", log_bytes(&dir));
+            }
+            db.delete("jobs", &format!("j{round}").into()).unwrap();
+        }
+        assert!(commits >= 20 * (live - 22), "{commits} commits");
+        assert!(
+            db.snapshot_bytes > db.segment_bytes,
+            "the live rows outgrow a segment"
+        );
+        let want = jobs(&db);
+        assert_eq!(want.len(), live - 22);
         drop(db);
-        assert_eq!(jobs(&Db::open(&dir).unwrap()).len(), 2);
+        assert_eq!(jobs(&Db::open(&dir).unwrap()), want);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A crash after the snapshot frame is synced, before the segments it
+    /// covers are deleted: they replay before the frame, to the same tables.
+    #[test]
+    fn a_crash_before_the_old_segments_go_reopens_to_the_same_tables() {
+        let (dir, mut db) = small("snap-crash", 100);
+        for i in 0..40 {
+            db.delete("jobs", &format!("j{i}").into()).unwrap();
+            db.upsert("jobs", job(i + 1000)).unwrap();
+        }
+        let older = segment_bytes(&dir);
+        assert!(older.len() > 1);
+        db.snapshot().unwrap();
+        db.upsert("jobs", job(7)).unwrap();
+        let want = jobs(&db);
+        drop(db);
+        for (seq, bytes) in &older {
+            fs::write(dir.join(WAL_DIR).join(log::segment_file_name(*seq)), bytes).unwrap();
+        }
+        assert_eq!(jobs(&Db::open(&dir).unwrap()), want);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A snapshot the database takes by itself that fails does not fail
+    /// the commit behind it; the next commit takes it.
+    #[test]
+    fn a_failed_compaction_is_retried_after_the_next_commit() {
+        let (dir, mut db) = small("retry", 10);
+        // Commits of one length, up to the last before the one that
+        // outgrows a segment.
+        let mut i = 10;
+        loop {
+            let before = db.since_snapshot;
+            db.upsert("jobs", job(i)).unwrap();
+            i += 1;
+            let commit = db.since_snapshot - before;
+            if db.since_snapshot + commit > db.snapshot_bytes.max(db.segment_bytes) {
+                break;
+            }
+        }
+        let segments = segment_bytes(&dir);
+        // `Never` syncs nothing: the short write is the snapshot frame's.
+        db.set_disk_faults(Arc::new(
+            log::ScriptedDiskFaults::new().with_short_write(1, 0.5),
+        ));
+        db.upsert("jobs", job(i)).unwrap();
+        let after = segment_bytes(&dir);
+        assert_eq!(after[0].0, segments[0].0, "no segment was deleted");
+        assert!(
+            after.len() > segments.len(),
+            "the snapshot's segment was started"
+        );
+        assert!(db.since_snapshot > db.segment_bytes);
+        db.upsert("jobs", job(i + 1)).unwrap();
+        assert_eq!(db.since_snapshot, 0);
+        assert_eq!(segment_bytes(&dir).len(), 1);
+        let want = jobs(&db);
+        assert_eq!(want.len(), i + 2);
+        assert!(i < 100, "job rows of one length");
+        drop(db);
+        assert_eq!(jobs(&Db::open(&dir).unwrap()), want);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -12,11 +12,13 @@
 //!   frames in size-rotated segments, recovery up to the first bad frame,
 //!   fsync policy, durable file writes and disk-fault hooks.
 //! * [`wal`] — this store's log payloads: a commit's records as JSON, one
-//!   frame a commit; plus the reader of the older line format.
+//!   frame a commit, and a whole database as one such frame.
 //! * [`db`] — the database: single-writer discipline (the paper's stated
-//!   reason SQLite suffices), durable commits, snapshot + log recovery.
-//! * [`backup`] — Litestream-style continuous WAL shipping into backup
-//!   generations, plus the API server's punctual snapshot backups.
+//!   reason SQLite suffices), durable commits, recovery by replaying the
+//!   log, which is the only thing it keeps on disk and which it compacts
+//!   by itself with snapshot frames.
+//! * [`backup`] — Litestream-style continuous shipping of the log's
+//!   segments into backup generations.
 
 pub mod backup;
 pub mod db;

@@ -100,16 +100,19 @@ pub trait Record {
     fn put_payload(&self, out: &mut Vec<u8>);
 }
 
+/// Bytes of a frame's header: the payload's length and CRC.
+const HEADER: usize = 8;
+
 /// Appends `rec` to `out` as one frame. The payload is written in place
 /// and the header filled in after it.
 pub fn put_frame(out: &mut Vec<u8>, rec: &(impl Record + ?Sized)) {
     let start = out.len();
-    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&[0; HEADER]);
     rec.put_payload(out);
-    let payload = &out[start + 8..];
+    let payload = &out[start + HEADER..];
     let (len, crc) = (payload.len() as u32, crc32(payload));
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The frame at the start of `buf`: its payload and its length, header
@@ -117,12 +120,17 @@ pub fn put_frame(out: &mut Vec<u8>, rec: &(impl Record + ?Sized)) {
 /// [`MAX_FRAME_LEN`] or fails its CRC.
 pub fn next_frame(buf: &[u8]) -> Option<(&[u8], usize)> {
     let len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
-    let crc = u32::from_le_bytes(buf.get(4..8)?.try_into().ok()?);
+    let crc = u32::from_le_bytes(buf.get(4..HEADER)?.try_into().ok()?);
     if len > MAX_FRAME_LEN {
         return None;
     }
-    let payload = buf.get(8..8 + len as usize)?;
-    (crc32(payload) == crc).then_some((payload, 8 + len as usize))
+    let payload = buf.get(HEADER..HEADER + len as usize)?;
+    (crc32(payload) == crc).then_some((payload, frame_len(payload) as usize))
+}
+
+/// Bytes of the frame around `payload`.
+pub(crate) fn frame_len(payload: &[u8]) -> u64 {
+    (HEADER + payload.len()) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +338,8 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     numbered(dir, "wal-", ".seg")
 }
 
-/// Removes every segment older than `keep_from`: what a snapshot or a
-/// checkpoint covers. Returns how many were removed.
+/// Removes every segment older than `keep_from`: what a snapshot frame or
+/// a checkpoint covers. Returns how many were removed.
 pub fn truncate_before(dir: &Path, keep_from: u64) -> io::Result<usize> {
     let mut removed = 0;
     for (seq, path) in list_segments(dir)? {
@@ -352,17 +360,13 @@ pub fn sync_dir(dir: &Path) {
 
 /// Writes `bytes` to `path` durably: a `.tmp` file beside it, fsync,
 /// atomic rename, directory sync. A crash at any point leaves the old file
-/// or the new one; an error leaves the old one. `faults` can fail the
-/// fsync.
-pub fn write_durable(path: &Path, bytes: &[u8], faults: Option<&dyn DiskFaults>) -> io::Result<()> {
+/// or the new one; an error leaves the old one.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let written = File::create(&tmp).and_then(|mut f| {
         f.write_all(bytes)?;
-        if faults.is_some_and(|f| f.fail_fsync()) {
-            return Err(injected_eio("fsync EIO"));
-        }
         f.sync_data()
     });
     if let Err(e) = written {
@@ -464,7 +468,8 @@ pub struct Log {
     sync_ns: u64,
     /// Injected disk faults (chaos testing); `None` in production.
     faults: Option<Arc<dyn DiskFaults>>,
-    /// The frames of the commit being written, kept for its capacity.
+    /// The frames of the commit being written, kept for its capacity up to
+    /// a segment.
     buf: Vec<u8>,
 }
 
@@ -499,11 +504,6 @@ impl Log {
     /// Installs a disk-fault injector (chaos testing).
     pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
         self.faults = Some(faults);
-    }
-
-    /// The installed disk-fault injector, if any.
-    pub(crate) fn disk_faults(&self) -> Option<&dyn DiskFaults> {
-        self.faults.as_deref()
     }
 
     /// Current position.
@@ -561,11 +561,25 @@ impl Log {
         }
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
+        let mut too_long = false;
         for r in recs {
+            let start = buf.len();
             put_frame(&mut buf, r);
+            too_long |= buf.len() - start > HEADER + MAX_FRAME_LEN as usize;
         }
-        let written = self.write(&buf, recs.len() as u64, cut_unsynced);
-        self.buf = buf;
+        let written = if too_long {
+            // Recovery would take it for corruption and end the log there.
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame longer than MAX_FRAME_LEN",
+            ))
+        } else {
+            self.write(&buf, recs.len() as u64, cut_unsynced)
+        };
+        // A snapshot's frame can be the size of a whole database.
+        if buf.capacity() as u64 <= self.opts.segment_bytes {
+            self.buf = buf;
+        }
         written
     }
 

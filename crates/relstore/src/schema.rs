@@ -90,31 +90,38 @@ impl Schema {
         primary_key: &str,
         indexed: &[&str],
     ) -> Result<Schema, SchemaError> {
-        if columns.is_empty() {
-            return Err(SchemaError("schema has no columns".into()));
+        let pk = columns
+            .iter()
+            .position(|c| c.name == primary_key)
+            .ok_or_else(|| SchemaError(format!("primary key {primary_key:?} not a column")))?;
+        Schema {
+            columns,
+            primary_key: pk,
+            indexed: indexed.iter().map(|s| s.to_string()).collect(),
         }
+        .checked()
+    }
+
+    /// The schema, if [`Schema::new`] could have built it: a replayed
+    /// `Create` record is input the process did not write itself.
+    pub(crate) fn checked(self) -> Result<Schema, SchemaError> {
+        let columns = &self.columns;
         for (i, c) in columns.iter().enumerate() {
             if columns[..i].iter().any(|o| o.name == c.name) {
                 return Err(SchemaError(format!("duplicate column {:?}", c.name)));
             }
         }
-        let pk = columns
-            .iter()
-            .position(|c| c.name == primary_key)
-            .ok_or_else(|| SchemaError(format!("primary key {primary_key:?} not a column")))?;
-        if columns[pk].nullable {
-            return Err(SchemaError("primary key must be non-nullable".into()));
-        }
-        for idx in indexed {
-            if !columns.iter().any(|c| c.name == *idx) {
-                return Err(SchemaError(format!("indexed column {idx:?} not a column")));
+        match columns.get(self.primary_key) {
+            None => return Err(SchemaError("primary key not a column".into())),
+            Some(pk) if pk.nullable => {
+                return Err(SchemaError("primary key must be non-nullable".into()))
             }
+            Some(_) => {}
         }
-        Ok(Schema {
-            columns,
-            primary_key: pk,
-            indexed: indexed.iter().map(|s| s.to_string()).collect(),
-        })
+        if let Some(idx) = self.indexed.iter().find(|idx| self.col(idx).is_none()) {
+            return Err(SchemaError(format!("indexed column {idx:?} not a column")));
+        }
+        Ok(self)
     }
 
     /// Index of a column by name.

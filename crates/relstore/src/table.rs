@@ -3,49 +3,16 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::{Schema, SchemaError};
 use crate::value::{Row, Value};
 
 /// A table: rows keyed by primary key, plus secondary indices mapping an
 /// indexed column value to the set of primary keys carrying it.
-///
-/// Serialisation stores only the schema and rows (JSON object keys must be
-/// strings, and indices are derived data anyway); indices are rebuilt on
-/// deserialisation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(from = "TableData", into = "TableData")]
+#[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,
     rows: BTreeMap<Value, Row>,
     indices: BTreeMap<String, BTreeMap<Value, BTreeSet<Value>>>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct TableData {
-    schema: Schema,
-    rows: Vec<Row>,
-}
-
-impl From<Table> for TableData {
-    fn from(t: Table) -> TableData {
-        TableData {
-            schema: t.schema,
-            rows: t.rows.into_values().collect(),
-        }
-    }
-}
-
-impl From<TableData> for Table {
-    fn from(d: TableData) -> Table {
-        let mut t = Table::new(d.schema);
-        for row in d.rows {
-            // Rows were validated before they were stored.
-            let _ = t.upsert(row);
-        }
-        t
-    }
 }
 
 impl Table {
@@ -236,15 +203,5 @@ mod tests {
             .map(|r| r[0].as_text().unwrap().to_string())
             .collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_indices() {
-        let mut t = table();
-        t.upsert(row("j1", "alice", 1.0)).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Table = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.index_lookup("user", &"alice".into()).unwrap().len(), 1);
     }
 }

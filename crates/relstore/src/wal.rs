@@ -3,20 +3,18 @@
 //! A commit is one frame of the shared segmented log ([`crate::log`]), so
 //! it replays all or nothing. Its payload is the JSON array of its
 //! [`WalRecord`]s, byte for byte what `serde_json` prints, written directly
-//! without building a JSON tree ([`Commit`]) and read back with
-//! `serde_json` ([`replay`]).
-//!
-//! Directories an older build wrote hold `wal-<seq>.log` files instead, a
-//! record a line: `<crc32-hex> <json>\n`. [`read_lines`] reads them up to
-//! the first bad line so [`crate::Db::open`] can fold them into a snapshot.
+//! without building a JSON tree ([`Commit`], and [`Snapshot`] for a whole
+//! database) and read back with `serde_json` ([`replay`]).
 
-use std::fs;
+use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::log::{self, crc32, Log, LogEnd, WalOptions, WalPosition};
+use crate::log::{self, LogEnd, WalPosition};
+use crate::schema::Schema;
+use crate::table::Table;
 use crate::value::{non_finite_text, Row, Value};
 
 /// One logical WAL record.
@@ -36,9 +34,13 @@ pub enum WalRecord {
         /// Primary key value.
         pk: Value,
     },
-    /// Marked a snapshot in the line-format log; read there, no longer
-    /// written.
-    Checkpoint,
+    /// Create a table, unless one of that name exists.
+    Create {
+        /// Table name.
+        table: String,
+        /// Its schema.
+        schema: Schema,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -56,39 +58,68 @@ impl log::Record for Commit<'_> {
             if i > 0 {
                 out.push(b',');
             }
-            write_record(out, record);
+            match record {
+                WalRecord::Upsert { table, row } => write_upsert(out, table, row),
+                WalRecord::Delete { table, pk } => write_delete(out, table, pk),
+                WalRecord::Create { table, schema } => write_create(out, table, schema),
+            }
         }
         out.push(b']');
     }
 }
 
-const HEX: &[u8; 16] = b"0123456789abcdef";
+/// Every table of a database as one commit: each table's `Create`, then an
+/// `Upsert` of each of its rows. Replayed over any earlier part of the log
+/// it leaves the tables as they were when it was written.
+pub struct Snapshot<'a>(pub &'a BTreeMap<String, Table>);
 
-/// A record as `serde_json` prints it: a unit variant as its name, a struct
-/// variant as `{"Name":{..}}` with the fields' keys sorted.
-fn write_record(out: &mut Vec<u8>, record: &WalRecord) {
-    match record {
-        WalRecord::Upsert { table, row } => {
-            out.extend_from_slice(b"{\"Upsert\":{\"row\":[");
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                write_value(out, v);
+impl log::Record for Snapshot<'_> {
+    fn put_payload(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, (name, table)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
             }
-            out.extend_from_slice(b"],\"table\":");
-            write_str(out, table);
-            out.extend_from_slice(b"}}");
+            write_create(out, name, table.schema());
+            for row in table.scan() {
+                out.push(b',');
+                write_upsert(out, name, row);
+            }
         }
-        WalRecord::Delete { table, pk } => {
-            out.extend_from_slice(b"{\"Delete\":{\"pk\":");
-            write_value(out, pk);
-            out.extend_from_slice(b",\"table\":");
-            write_str(out, table);
-            out.extend_from_slice(b"}}");
-        }
-        WalRecord::Checkpoint => out.extend_from_slice(b"\"Checkpoint\""),
+        out.push(b']');
     }
+}
+
+/// A record as `serde_json` prints it: a struct variant as `{"Name":{..}}`
+/// with the fields' keys sorted.
+fn write_upsert(out: &mut Vec<u8>, table: &str, row: &[Value]) {
+    out.extend_from_slice(b"{\"Upsert\":{\"row\":[");
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_value(out, v);
+    }
+    out.extend_from_slice(b"],\"table\":");
+    write_str(out, table);
+    out.extend_from_slice(b"}}");
+}
+
+fn write_delete(out: &mut Vec<u8>, table: &str, pk: &Value) {
+    out.extend_from_slice(b"{\"Delete\":{\"pk\":");
+    write_value(out, pk);
+    out.extend_from_slice(b",\"table\":");
+    write_str(out, table);
+    out.extend_from_slice(b"}}");
+}
+
+/// A table's creation is rare, so its schema goes through `serde_json`.
+fn write_create(out: &mut Vec<u8>, table: &str, schema: &Schema) {
+    out.extend_from_slice(b"{\"Create\":{\"schema\":");
+    out.extend_from_slice(&serde_json::to_vec(schema).expect("a schema prints as JSON"));
+    out.extend_from_slice(b",\"table\":");
+    write_str(out, table);
+    out.extend_from_slice(b"}}");
 }
 
 /// A value as `serde_json` prints it: a finite real in Rust's shortest
@@ -116,6 +147,8 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
         }
     }
 }
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// A JSON string as `serde_json` prints it: quote, backslash and control
 /// characters escaped, everything else (non-ASCII included) as it is.
@@ -149,65 +182,29 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Replays the commits of the log in `dir` up to its first bad frame (a
-/// torn write), which ends the log. Returns their records in order and
-/// where the log ended.
-pub fn replay(dir: &Path) -> io::Result<(Vec<WalRecord>, LogEnd)> {
-    let mut records = Vec::new();
-    let end = log::walk(dir, WalPosition::default(), |_, payload| {
+/// torn write), which ends the log: `visit` sees each commit's records and
+/// the length of its frame, and returns whether to go on. Returns where the
+/// replay ended.
+pub fn replay(
+    dir: &Path,
+    mut visit: impl FnMut(Vec<WalRecord>, u64) -> bool,
+) -> io::Result<LogEnd> {
+    log::walk(dir, WalPosition::default(), |_, payload| {
         serde_json::from_slice::<Vec<WalRecord>>(payload)
-            .map(|commit| records.extend(commit))
-            .is_ok()
-    })?;
-    Ok((records, end))
-}
-
-/// Replays the log in `dir` and opens it for appending after the last
-/// good frame ([`Log::open_at`] cuts what follows it).
-pub fn recover(dir: &Path, opts: WalOptions) -> io::Result<(Log, Vec<WalRecord>)> {
-    let (records, end) = replay(dir)?;
-    Ok((Log::open_at(dir, opts, end.at)?, records))
-}
-
-// ---------------------------------------------------------------------------
-// The line-format log
-// ---------------------------------------------------------------------------
-
-/// The records of the line-format log in `dir` up to its first bad line
-/// (one that fails its CRC, does not parse or lacks its newline), and the
-/// `wal-<seq>.log` files they came from.
-pub fn read_lines(dir: &Path) -> io::Result<(Vec<WalRecord>, Vec<PathBuf>)> {
-    let files: Vec<PathBuf> = log::numbered(dir, "wal-", ".log")?
-        .into_iter()
-        .map(|(_, path)| path)
-        .collect();
-    let mut records = Vec::new();
-    'files: for path in &files {
-        for line in fs::read(path)?.split_inclusive(|&b| b == b'\n') {
-            let Some(record) = parse_line(line) else {
-                break 'files;
-            };
-            records.push(record);
-        }
-    }
-    Ok((records, files))
-}
-
-/// The record on one line, newline included; `None` for a bad line.
-fn parse_line(line: &[u8]) -> Option<WalRecord> {
-    let line = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
-    let (crc_hex, json) = line.split_once(' ')?;
-    let expect = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != expect {
-        return None;
-    }
-    serde_json::from_str(json).ok()
+            .is_ok_and(|commit| visit(commit, log::frame_len(payload)))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{list_segments, next_frame, put_frame, segment_file_name, FsyncMode};
-    use std::fs::OpenOptions;
+    use crate::log::{
+        crc32, list_segments, next_frame, put_frame, segment_file_name, FsyncMode, Log, Record,
+        WalOptions,
+    };
+    use crate::schema::{Column, ColumnType};
+    use std::fs::{self, OpenOptions};
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -230,12 +227,28 @@ mod tests {
         }
     }
 
+    fn schema() -> Schema {
+        let columns = vec![
+            Column::required("id", ColumnType::Int),
+            Column::nullable("name", ColumnType::Text),
+        ];
+        Schema::new(columns, "id", &["name"]).unwrap()
+    }
+
+    fn create(table: &str) -> WalRecord {
+        WalRecord::Create {
+            table: table.into(),
+            schema: schema(),
+        }
+    }
+
     fn open(dir: &Path, segment_bytes: u64) -> Log {
         let opts = WalOptions {
             segment_bytes,
             fsync: FsyncMode::Never,
         };
-        recover(dir, opts).unwrap().0
+        let end = replay(dir, |_, _| true).unwrap();
+        Log::open_at(dir, opts, end.at).unwrap()
     }
 
     /// Logs `records` as one commit.
@@ -245,7 +258,12 @@ mod tests {
 
     /// The records the log in `dir` replays, and whether a bad frame ended it.
     fn records(dir: &Path) -> (Vec<WalRecord>, bool) {
-        let (records, end) = replay(dir).unwrap();
+        let mut records = Vec::new();
+        let end = replay(dir, |commit, _| {
+            records.extend(commit);
+            true
+        })
+        .unwrap();
         (records, end.torn)
     }
 
@@ -273,14 +291,14 @@ mod tests {
         for i in 0..10 {
             append(&mut wal, &[rec(i)]);
         }
-        append(&mut wal, &[WalRecord::Checkpoint]);
+        append(&mut wal, &[create("jobs")]);
         drop(wal);
 
         let (records, torn) = records(&dir);
         assert!(!torn);
         assert_eq!(records.len(), 11);
         assert_eq!(records[3], rec(3));
-        assert_eq!(records[10], WalRecord::Checkpoint);
+        assert_eq!(records[10], create("jobs"));
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -373,8 +391,7 @@ mod tests {
 
         let (replayed, torn) = records(&dir);
         assert_eq!((replayed.len(), torn), (kept, true));
-        let (mut wal, recovered) = recover(&dir, WalOptions::default()).unwrap();
-        assert_eq!(recovered, replayed);
+        let mut wal = open(&dir, 256);
         assert_eq!(list_segments(&dir).unwrap().len(), 2);
         append(&mut wal, &[rec(99)]);
         drop(wal);
@@ -470,7 +487,10 @@ mod tests {
                 (text(), proptest::collection::vec(value(), 0..6))
                     .prop_map(|(table, row)| WalRecord::Upsert { table, row }),
                 (text(), value()).prop_map(|(table, pk)| WalRecord::Delete { table, pk }),
-                Just(WalRecord::Checkpoint),
+                text().prop_map(|table| WalRecord::Create {
+                    table,
+                    schema: schema()
+                }),
             ]
         }
 
@@ -491,6 +511,41 @@ mod tests {
                 want.extend_from_slice(json.as_bytes());
                 prop_assert_eq!(&frame[6..], &want[..]);
             }
+        }
+    }
+
+    /// A snapshot's payload is the commit of each table's `Create` and an
+    /// `Upsert` of each of its rows, in name and key order.
+    #[test]
+    fn a_snapshot_is_the_commit_of_its_tables() {
+        let mut tables = BTreeMap::new();
+        let mut want = Vec::new();
+        for (name, rows) in [("b", 3), ("a", 0), ("c", 2)] {
+            let mut table = Table::new(schema());
+            for i in (0..rows).rev() {
+                table
+                    .upsert(vec![Value::Int(i), format!("\"{i}\\").into()])
+                    .unwrap();
+            }
+            tables.insert(name.to_string(), table);
+        }
+        for (name, table) in &tables {
+            want.push(create(name));
+            want.extend(table.scan().map(|row| WalRecord::Upsert {
+                table: name.clone(),
+                row: row.clone(),
+            }));
+        }
+        for tables in [tables, BTreeMap::new()] {
+            let mut payload = b"prefix".to_vec();
+            Snapshot(&tables).put_payload(&mut payload);
+            payload.drain(..6);
+            let want = if tables.is_empty() {
+                &[][..]
+            } else {
+                &want[..]
+            };
+            assert_eq!(payload, serde_json::to_vec(want).unwrap());
         }
     }
 

@@ -21,6 +21,7 @@ enum Op {
     Delete {
         key: u8,
     },
+    /// Compact the log now (`Db::snapshot`).
     Snapshot,
     Reopen,
 }

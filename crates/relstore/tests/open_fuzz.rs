@@ -1,10 +1,11 @@
 //! A database directory is input the process did not write itself — a
 //! restored backup, a disk that flipped bits — so `Db::open` over whatever
 //! log bytes it finds returns: it does not panic, and it requests no more
-//! memory than a fixed multiple of those bytes. Both formats are covered:
-//! frames in `.seg` segments and the older line format's `.log` files. Its
-//! own test binary: the measuring allocator is process-wide (the tallies
-//! are per thread, so the tests may run side by side).
+//! memory than a fixed multiple of those bytes. Frames in `.seg` segments
+//! are replayed; a `.log` file in the older line format, whatever it holds,
+//! makes the open fail with an error naming it. Its own test binary: the
+//! measuring allocator is process-wide (the tallies are per thread, so the
+//! tests may run side by side).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,8 +21,12 @@ use measuring::requested_by;
 
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
-/// A database with an empty table `t`, its log replaced by `seg` (the
-/// first segment) and, when not empty, `lines` (a line-format file).
+/// The line-format file [`dir_with`] writes.
+const LINES: &str = "wal-000000000000.log";
+
+/// A database with an empty table `t`, whose creation is the first frame
+/// of its log, `seg` written after that frame and, when not empty, `lines`
+/// in a line-format file beside it.
 fn dir_with(seg: &[u8], lines: &[u8]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "ceems-relfuzz-{}-{}",
@@ -40,15 +45,19 @@ fn dir_with(seg: &[u8], lines: &[u8]) -> PathBuf {
     )
     .unwrap();
     Db::open(&dir).unwrap().create_table("t", schema).unwrap();
-    fs::write(dir.join("wal").join(segment_file_name(0)), seg).unwrap();
+    let path = dir.join("wal").join(segment_file_name(0));
+    let mut bytes = fs::read(&path).unwrap();
+    bytes.extend_from_slice(seg);
+    fs::write(&path, bytes).unwrap();
     if !lines.is_empty() {
-        fs::write(dir.join("wal").join("wal-000000000000.log"), lines).unwrap();
+        fs::write(dir.join("wal").join(LINES), lines).unwrap();
     }
     dir
 }
 
 /// Opens the database over `seg` and `lines` and holds the open to its
-/// memory bound; returns how many rows it came up with, if it opened.
+/// memory bound, and a directory with `lines` to its refusal; returns how
+/// many rows it came up with, if it opened.
 fn open_within_bounds(seg: &[u8], lines: &[u8]) -> Option<usize> {
     let dir = dir_with(seg, lines);
     let input = seg.len() + lines.len();
@@ -61,6 +70,12 @@ fn open_within_bounds(seg: &[u8], lines: &[u8]) -> Option<usize> {
         total <= 256 * input + (64 << 10),
         "{total} bytes requested for {input} of input"
     );
+    if !lines.is_empty() {
+        let Err(e) = &db else {
+            panic!("a line-format file was replayed");
+        };
+        assert!(e.to_string().contains(LINES), "{e}");
+    }
     let rows = db.ok().map(|db| db.table("t").unwrap().len());
     fs::remove_dir_all(&dir).unwrap();
     rows
@@ -95,6 +110,14 @@ fn json_piece() -> impl Strategy<Value = &'static str> {
         Just("\"Upsert\""),
         Just("\"Delete\""),
         Just("\"Checkpoint\""),
+        Just("\"Create\""),
+        Just("\"schema\""),
+        Just("\"columns\""),
+        Just("\"primary_key\""),
+        Just("{\"name\":\"id\",\"nullable\":false,\"ty\":\"Int\"}"),
+        Just("{\"Create\":{\"schema\":{\"columns\":[{\"name\":\"id\",\"nullable\":false,\"ty\":\"Int\"}],\"indexed\":[],\"primary_key\":0},\"table\":\"u\"}}"),
+        Just("{\"Create\":{\"schema\":{\"columns\":[{\"name\":\"id\",\"nullable\":true,\"ty\":\"Int\"}],\"indexed\":[\"x\"],\"primary_key\":9},\"table\":\"u\"}}"),
+        Just("{\"Upsert\":{\"row\":[{\"Int\":1}],\"table\":\"u\"}}"),
         Just("\"row\""),
         Just("\"table\""),
         Just("\"pk\""),
@@ -125,10 +148,12 @@ fn json() -> impl Strategy<Value = String> {
 /// The reals [`real_segment`]'s rows hold, one after another.
 const REALS: [f64; 4] = [0.5, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
 
-/// The segment bytes of real commits: one upsert, then two, then three.
+/// The bytes real commits add to the segment after the table's creation:
+/// one upsert, then two, then three.
 fn real_segment() -> Vec<u8> {
     let dir = dir_with(b"", b"");
     let mut db = Db::open(&dir).unwrap();
+    let created = db.log_position().offset as usize;
     for n in 1..=3i64 {
         let rows = (0..n).map(|i| {
             let real = REALS[(10 * n + i) as usize % REALS.len()];
@@ -140,7 +165,7 @@ fn real_segment() -> Vec<u8> {
     assert_eq!(check(&dir), 6);
     let bytes = fs::read(dir.join("wal").join(segment_file_name(0))).unwrap();
     fs::remove_dir_all(&dir).unwrap();
-    bytes
+    bytes[created..].to_vec()
 }
 
 #[test]
@@ -154,8 +179,8 @@ fn real_commits_open_within_the_bounds() {
     ]
     .map(line)
     .concat();
-    assert_eq!(open_within_bounds(b"", lines.as_bytes()), Some(2));
-    assert_eq!(open_within_bounds(&seg, lines.as_bytes()), Some(8));
+    assert_eq!(open_within_bounds(b"", lines.as_bytes()), None);
+    assert_eq!(open_within_bounds(&seg, lines.as_bytes()), None);
 }
 
 #[test]
@@ -181,8 +206,9 @@ proptest! {
         open_within_bounds(&seg, &lines);
     }
 
-    /// Payloads and lines put together from JSON pieces get past the CRC,
-    /// so the JSON reader and the replay behind it see them.
+    /// Payloads put together from JSON pieces get past the CRC, so the
+    /// JSON reader and the replay behind it see them; lines put together
+    /// the same way are refused unread.
     #[test]
     fn json_pieces_behind_a_matching_crc(
         payloads in proptest::collection::vec(json(), 0..4),

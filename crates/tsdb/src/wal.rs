@@ -705,7 +705,7 @@ fn decode_checkpoint_on(bytes: &[u8], workers: usize) -> Option<Checkpoint> {
 /// sync. A crash at any point leaves either the old state or the new one.
 pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
     let path = dir.join(checkpoint_file_name(ckpt.covers_seq));
-    write_durable(&path, &encode_checkpoint(ckpt), None)?;
+    write_durable(&path, &encode_checkpoint(ckpt))?;
     Ok(path)
 }
 

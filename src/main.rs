@@ -137,6 +137,14 @@ fn simulate(config_path: Option<String>, minutes: f64) {
             ceems::apiserver::updater::usage_row_values(r);
         println!("{user:<10} {project:<10} {n:>6} {cpu_h:>12.2} {kwh:>12.4} {em:>14.1}");
     }
+    let segments = ceems::relstore::log::list_segments(&upd.db().dir().join("wal"))
+        .unwrap_or_default();
+    let bytes: u64 = segments
+        .iter()
+        .filter_map(|(_, path)| std::fs::metadata(path).ok())
+        .map(|m| m.len())
+        .sum();
+    println!("\napi db log: {} segments, {bytes} bytes", segments.len());
     drop(upd);
     std::fs::remove_dir_all(dir).ok();
 }

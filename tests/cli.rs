@@ -47,7 +47,8 @@ fn help_exits_zero() {
     }
 }
 
-/// The printed example is the defaults, and `simulate` runs from it.
+/// The printed example is the defaults, and `simulate` runs from it and
+/// reports the size of the API server's log.
 #[test]
 fn the_printed_example_runs() {
     let out = ceems(&["config-example"]);
@@ -70,5 +71,8 @@ fn the_printed_example_runs() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("building stack: 8 nodes"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("building stack: 8 nodes"));
+    let log_line = |l: &str| l.starts_with("api db log: ") && l.ends_with(" bytes");
+    assert!(stdout.lines().any(log_line), "{stdout}");
 }

@@ -121,28 +121,32 @@ fn api_db_continuous_backup_survives_crash() {
     let mut stack = CeemsStack::build(cfg, &db_dir).unwrap();
     let mut replicator = Replicator::new(&db_dir, &bk_dir).unwrap();
 
-    // Run with periodic replication, like the litestream sidecar.
-    for _ in 0..6 {
+    // Run with periodic replication, like the litestream sidecar. Halfway
+    // the database compacts its log: the generation goes on over the
+    // snapshot's segment and keeps the segments the database deleted.
+    let first_segment = || {
+        let segments = ceems::relstore::log::list_segments(&db_dir.join("wal")).unwrap();
+        segments[0].0
+    };
+    for round in 0..6 {
         stack.run_for(300.0, 15.0);
+        if round == 3 {
+            stack.updater.lock().db_mut().snapshot().unwrap();
+            assert!(first_segment() > 0, "the compaction deleted segments");
+        }
         replicator.sync().unwrap();
     }
-    let live_units = stack
-        .updater
-        .lock()
-        .db()
-        .table(ceems::apiserver::schema::UNITS_TABLE)
-        .unwrap()
-        .len();
-    assert!(live_units > 5, "only {live_units} units");
+    let all_units = |db: &ceems::relstore::Db| {
+        let rows = db.query(UNITS_TABLE, &ceems::relstore::Query::all()).unwrap();
+        rows.iter().map(|r| bits(r)).collect::<Vec<_>>()
+    };
+    let live_units = all_units(stack.updater.lock().db());
+    assert!(live_units.len() > 5, "only {} units", live_units.len());
 
     // "Crash": drop the stack, restore from the backup alone.
     drop(stack);
     let restored = restore(&bk_dir, &rs_dir).unwrap();
-    let restored_units = restored
-        .table(ceems::apiserver::schema::UNITS_TABLE)
-        .unwrap()
-        .len();
-    assert_eq!(restored_units, live_units);
+    assert_eq!(all_units(&restored), live_units);
 
     // Ownership checks still work on the restored database.
     let some_row = restored
