@@ -16,7 +16,6 @@
 //! stays within about twice the live tables, as SQLite checkpoints its own
 //! WAL.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -102,8 +101,8 @@ impl Db {
             )));
         }
 
-        // Upserts and deletes are idempotent and a snapshot frame re-states
-        // every row, so frames left before one replay harmlessly.
+        // A snapshot frame starts every table over and re-states its rows,
+        // so whatever frames were left before one replay harmlessly.
         let mut tables = BTreeMap::new();
         let (mut first_frame, mut logged, mut applied) = (None, 0, Ok(()));
         let end = wal::replay(&wal_dir, |records, frame| {
@@ -267,7 +266,7 @@ impl Db {
 }
 
 /// Applies one logged record: a record for a table that does not exist is
-/// skipped, as is the creation of one that does.
+/// skipped, and a `Create` starts its table over, empty.
 fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbError> {
     match rec {
         WalRecord::Upsert { table, row } => {
@@ -281,12 +280,10 @@ fn apply(tables: &mut BTreeMap<String, Table>, rec: WalRecord) -> Result<(), DbE
             }
         }
         WalRecord::Create { table, schema } => {
-            if let Entry::Vacant(slot) = tables.entry(table) {
-                let schema = schema
-                    .checked()
-                    .map_err(|e| DbError::Schema(e.to_string()))?;
-                slot.insert(Table::new(schema));
-            }
+            let schema = schema
+                .checked()
+                .map_err(|e| DbError::Schema(e.to_string()))?;
+            tables.insert(table, Table::new(schema));
         }
     }
     Ok(())
@@ -599,7 +596,8 @@ mod tests {
     }
 
     /// A crash after the snapshot frame is synced, before the segments it
-    /// covers are deleted: they replay before the frame, to the same tables.
+    /// covers are deleted: they replay before the frame, to the same tables,
+    /// all of them or any of them (the ones holding the deletes missing).
     #[test]
     fn a_crash_before_the_old_segments_go_reopens_to_the_same_tables() {
         let (dir, mut db) = small("snap-crash", 100);
@@ -608,15 +606,23 @@ mod tests {
             db.upsert("jobs", job(i + 1000)).unwrap();
         }
         let older = segment_bytes(&dir);
-        assert!(older.len() > 1);
+        assert!(older.len() > 2);
         db.snapshot().unwrap();
         db.upsert("jobs", job(7)).unwrap();
         let want = jobs(&db);
         drop(db);
-        for (seq, bytes) in &older {
-            fs::write(dir.join(WAL_DIR).join(log::segment_file_name(*seq)), bytes).unwrap();
+        let path = |seq: u64| dir.join(WAL_DIR).join(log::segment_file_name(seq));
+        let some: [fn(usize) -> bool; 3] = [|_| true, |i| i < 2, |i| i % 2 == 1];
+        for left in some {
+            let left: Vec<_> = older.iter().enumerate().filter(|(i, _)| left(*i)).collect();
+            for (_, (seq, bytes)) in &left {
+                fs::write(path(*seq), bytes).unwrap();
+            }
+            assert_eq!(jobs(&Db::open(&dir).unwrap()), want);
+            for (_, (seq, _)) in &left {
+                fs::remove_file(path(*seq)).unwrap();
+            }
         }
-        assert_eq!(jobs(&Db::open(&dir).unwrap()), want);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -34,7 +34,7 @@ pub enum WalRecord {
         /// Primary key value.
         pk: Value,
     },
-    /// Create a table, unless one of that name exists.
+    /// Create a table, empty, in place of any of that name.
     Create {
         /// Table name.
         table: String,
@@ -69,8 +69,8 @@ impl log::Record for Commit<'_> {
 }
 
 /// Every table of a database as one commit: each table's `Create`, then an
-/// `Upsert` of each of its rows. Replayed over any earlier part of the log
-/// it leaves the tables as they were when it was written.
+/// `Upsert` of each of its rows. Replayed after any part of the log that
+/// came before it, it leaves the tables as they were when it was written.
 pub struct Snapshot<'a>(pub &'a BTreeMap<String, Table>);
 
 impl log::Record for Snapshot<'_> {
