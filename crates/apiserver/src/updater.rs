@@ -230,9 +230,9 @@ fn fold_interval(row: &mut [Value], u: &UnitInfo, span: &Unfolded, interval: &In
     }
 }
 
-/// Whether writing `row` over `stored` changes a column other than
-/// `updated_at_ms`, a real to the bit.
-fn changes(stored: Option<&Row>, row: &Row) -> bool {
+/// Whether writing `row` over `stored` changes a column other than the
+/// `updated_at_ms` stamp in column `stamp`, a real to the bit.
+fn changes(stored: Option<&Row>, row: &Row, stamp: usize) -> bool {
     let same = |(a, b): (&Value, &Value)| match (a, b) {
         (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
         (Value::Real(_), _) | (_, Value::Real(_)) => false,
@@ -240,7 +240,7 @@ fn changes(stored: Option<&Row>, row: &Row) -> bool {
     };
     stored.is_none_or(|stored| {
         let mut cells = stored.iter().zip(row).enumerate();
-        !cells.all(|(col, cells)| col == unit_cols::UPDATED_AT || same(cells))
+        !cells.all(|(col, cells)| col == stamp || same(cells))
     })
 }
 
@@ -343,8 +343,9 @@ impl Updater {
         // stored but for the stamp, which only the fold of a unit whose
         // `elapsed_s` moves reads: they stay as stored.
         let table = self.db.table(UNITS_TABLE)?;
-        unit_rows.retain(|row| changes(table.get(&row[unit_cols::UUID]), row));
-        let usage = {
+        unit_rows
+            .retain(|row| changes(table.get(&row[unit_cols::UUID]), row, unit_cols::UPDATED_AT));
+        let mut usage = {
             // A unit reported twice in one poll: its last row is the one
             // that stays.
             let fresh: BTreeMap<&Value, &Row> =
@@ -352,6 +353,15 @@ impl Updater {
             let stored = self.db.table(UNITS_TABLE)?.scan();
             usage_rows(overlay(stored, &fresh), now_ms)
         };
+        // So does a usage row: its stamp is when it last changed.
+        let table = self.db.table(USAGE_TABLE)?;
+        usage.retain(|row| {
+            changes(
+                table.get(&row[usage_cols::KEY]),
+                row,
+                usage_cols::UPDATED_AT,
+            )
+        });
         let upserted = unit_rows.len() as u64;
         let writes = unit_rows.into_iter().map(|row| (UNITS_TABLE, row));
         self.db.commit(
@@ -724,7 +734,8 @@ mod tests {
     }
 
     /// A pending backlog and a finished unit, reported on every poll, are
-    /// written once: later polls would change only their `updated_at_ms`.
+    /// written once, and so are their usage rows: later polls would change
+    /// only their `updated_at_ms`.
     #[test]
     fn rows_that_would_change_only_their_stamp_are_written_once() {
         let tsdb = tsdb_with_unit_metrics("slurm-7");
@@ -747,26 +758,32 @@ mod tests {
             upd.poll(now_ms).unwrap();
         }
         assert_eq!(upd.stats().units_upserted, 6);
-        let mut logged = BTreeMap::<String, usize>::new();
+        let mut logged = BTreeMap::<(String, String), usize>::new();
         ceems_relstore::wal::replay(&dir.join("wal"), |commit, _| {
             for rec in commit {
                 if let ceems_relstore::wal::WalRecord::Upsert { table, row } = rec {
-                    if table == UNITS_TABLE {
-                        *logged.entry(row[unit_cols::UUID].to_string()).or_default() += 1;
-                    }
+                    // Both tables' keys are their first column.
+                    *logged
+                        .entry((table.clone(), row[0].to_string()))
+                        .or_default() += 1;
                 }
             }
             true
         })
         .unwrap();
-        assert_eq!(logged.len(), 6);
+        let tables: Vec<&str> = logged.keys().map(|(table, _)| table.as_str()).collect();
+        assert_eq!(
+            tables,
+            [[UNITS_TABLE; 6].as_slice(), &[USAGE_TABLE; 2]].concat()
+        );
         assert!(logged.values().all(|&n| n == 1), "{logged:?}");
         let kwh = stored(&upd, "slurm-7")[unit_cols::ENERGY_KWH]
             .as_real()
             .unwrap();
         assert!((kwh - 0.06).abs() < 1e-6, "kwh={kwh}");
         let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();
-        assert_eq!(usage[0][usage_cols::UPDATED_AT], Value::Int(780_000));
+        // Stamped by the first poll, the one that last changed it.
+        assert_eq!(usage[0][usage_cols::UPDATED_AT], Value::Int(660_000));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1537,8 +1554,15 @@ mod tests {
                         write(upd.db_mut(), w, now_ms);
                     }
                     poll_at(&mut upd, &rm, now_ms);
+                    // A row that would change only its stamp stays as it was.
                     for row in reference(upd.db(), now_ms) {
-                        expected.insert(row[usage_cols::KEY].clone(), row);
+                        let key = row[usage_cols::KEY].clone();
+                        let unstamped =
+                            |r: &Vec<Value>| bits(&[r[..usage_cols::UPDATED_AT].to_vec()]);
+                        let kept = expected.get(&key);
+                        if kept.is_none_or(|kept| unstamped(kept) != unstamped(&row)) {
+                            expected.insert(key, row);
+                        }
                     }
                     let expected: Vec<Vec<Value>> = expected.values().cloned().collect();
                     let usage = upd.db().query(USAGE_TABLE, &Query::all()).unwrap();

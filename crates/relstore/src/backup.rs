@@ -6,14 +6,15 @@
 //! segments on a local "remote" directory: call [`Replicator::sync`] on an
 //! interval and every new or grown segment is mirrored; [`restore`]
 //! rebuilds a database directory from a generation's segments. A
-//! generation is segments only: it keeps the segments a snapshot let the
-//! database delete, which replay harmlessly before the snapshot's frame.
+//! generation is segments only, the database's own: once a sync has copied
+//! them all, it deletes the ones the database compacted away, whose rows
+//! the snapshot frame at the start of the oldest segment restates.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::db::{Db, DbError};
-use crate::log::list_segments;
+use crate::log::{list_segments, truncate_before};
 
 /// Continuously mirrors a database directory into a backup directory.
 pub struct Replicator {
@@ -51,11 +52,17 @@ impl Replicator {
         self.backup_dir.join(format!("generation-{:04}", self.generation))
     }
 
-    /// One replication pass: copies new or changed log segments. Returns
-    /// the number of files copied.
+    /// One replication pass: copies new or changed log segments, then, all
+    /// of them copied, deletes the generation's segments older than the
+    /// database's oldest. Returns the number of files copied.
     pub fn sync(&mut self) -> std::io::Result<usize> {
         self.syncs += 1;
-        copy_segments(&self.db_dir, &self.gen_dir())
+        let to = self.gen_dir();
+        let (copied, oldest) = copy_segments(&self.db_dir, &to)?;
+        if let Some(oldest) = oldest {
+            truncate_before(&to.join("wal"), oldest)?;
+        }
+        Ok(copied)
     }
 
     /// Starts a new generation.
@@ -67,22 +74,24 @@ impl Replicator {
 }
 
 /// Copies the log segments of the database in `from` that `to` lacks or
-/// holds at another length. Returns how many were copied.
-fn copy_segments(from: &Path, to: &Path) -> std::io::Result<usize> {
+/// holds at another length. Returns how many were copied, and the number of
+/// the oldest segment `from` holds.
+fn copy_segments(from: &Path, to: &Path) -> std::io::Result<(usize, Option<u64>)> {
     fs::create_dir_all(to.join("wal"))?;
+    let segments = list_segments(&from.join("wal"))?;
     let mut copied = 0;
-    for (_, seg) in list_segments(&from.join("wal"))? {
+    for (_, seg) in &segments {
         let dest = to.join("wal").join(seg.file_name().expect("a listed segment has a name"));
         let changed = match fs::metadata(&dest) {
-            Ok(held) => held.len() != fs::metadata(&seg)?.len(),
+            Ok(held) => held.len() != fs::metadata(seg)?.len(),
             Err(_) => true,
         };
         if changed {
-            fs::copy(&seg, &dest)?;
+            fs::copy(seg, &dest)?;
             copied += 1;
         }
     }
-    Ok(copied)
+    Ok((copied, segments.first().map(|(seq, _)| *seq)))
 }
 
 /// Lists generation numbers present in a backup directory.
@@ -121,6 +130,7 @@ pub fn restore(backup_dir: &Path, target_dir: &Path) -> Result<Db, DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::segment_file_name;
     use crate::schema::{Column, ColumnType, Schema};
     use crate::value::Value;
 
@@ -203,6 +213,46 @@ mod tests {
 
         fs::remove_dir_all(db_dir).unwrap();
         fs::remove_dir_all(bk_dir).unwrap();
+    }
+
+    #[test]
+    fn a_generation_drops_the_segments_its_database_compacted_away() {
+        let db_dir = tmpdir("prune");
+        let bk_dir = tmpdir("prune-bk");
+        let rs_dir = tmpdir("prune-rs");
+        let mut db = Db::open(&db_dir).unwrap();
+        db.create_table("t", schema()).unwrap();
+        let mut repl = Replicator::new(&db_dir, &bk_dir).unwrap();
+        for i in 0..4 {
+            db.upsert("t", vec![Value::Int(i), Value::Real(i as f64)])
+                .unwrap();
+        }
+        repl.sync().unwrap();
+        db.delete("t", &Value::Int(0)).unwrap();
+        db.snapshot().unwrap();
+        db.upsert("t", vec![Value::Int(9), Value::Real(9.0)]).unwrap();
+        // A failed copy prunes nothing.
+        let blocked = repl.gen_dir().join("wal").join(segment_file_name(1));
+        fs::create_dir_all(blocked.join("x")).unwrap();
+        assert!(repl.sync().is_err());
+        assert!(repl.gen_dir().join("wal").join(segment_file_name(0)).exists());
+        fs::remove_dir_all(&blocked).unwrap();
+        repl.sync().unwrap();
+
+        // The snapshot started a segment and deleted the ones before it.
+        let seqs = |dir: &Path| -> Vec<u64> {
+            let segments = list_segments(&dir.join("wal")).unwrap();
+            segments.into_iter().map(|(seq, _)| seq).collect()
+        };
+        assert_eq!(seqs(&db_dir), [1]);
+        assert_eq!(seqs(&repl.gen_dir()), seqs(&db_dir));
+        let restored = restore(&bk_dir, &rs_dir).unwrap();
+        let rows = |db: &Db| db.table("t").unwrap().scan().cloned().collect::<Vec<_>>();
+        assert_eq!(rows(&restored), rows(&db));
+        assert_eq!(rows(&db).len(), 4);
+        for d in [db_dir, bk_dir, rs_dir] {
+            fs::remove_dir_all(d).unwrap();
+        }
     }
 
     #[test]

@@ -1795,9 +1795,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_ckpt1_directory_opens_to_the_same_state() {
-        let dir = temp_dir("ckpt1");
+    /// A directory whose newest checkpoint an older writer wrote opens to
+    /// the same database, and its next checkpoint is `CKPT3`.
+    fn an_older_checkpoint_opens_to_the_same_state(
+        name: &str,
+        magic: &[u8],
+        encode: fn(&wal::Checkpoint) -> Vec<u8>,
+    ) {
+        let dir = temp_dir(name);
         let reference = Tsdb::new(ckpt_config());
         {
             let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
@@ -1807,20 +1812,31 @@ mod tests {
             history(&db, 2);
         }
         (0..3).for_each(|part| history(&reference, part));
-        // The file the parent of this format would have written.
+        // The file an older build would have written.
         let (_, path) = wal::list_checkpoints(&dir).unwrap().pop().unwrap();
         let ckpt = wal::decode_checkpoint(&fs::read(&path).unwrap()).unwrap();
-        let v1 = wal::encode_checkpoint_v1(&ckpt);
-        assert!(v1.starts_with(b"CKPT1"));
-        fs::write(&path, v1).unwrap();
+        let older = encode(&ckpt);
+        assert!(older.starts_with(magic));
+        fs::write(&path, older).unwrap();
 
         let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
-        assert_same_database(&db, &reference, "opened from CKPT1");
+        let what = format!("opened from {}", String::from_utf8_lossy(magic));
+        assert_same_database(&db, &reference, &what);
         // The next checkpoint is written in the current format.
         db.checkpoint().unwrap();
         let (_, path) = wal::list_checkpoints(&dir).unwrap().pop().unwrap();
-        assert!(fs::read(&path).unwrap().starts_with(b"CKPT2"));
+        assert!(fs::read(&path).unwrap().starts_with(b"CKPT3"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ckpt1_directory_opens_to_the_same_state() {
+        an_older_checkpoint_opens_to_the_same_state("ckpt1", b"CKPT1", wal::encode_checkpoint_v1);
+    }
+
+    #[test]
+    fn a_ckpt2_directory_opens_to_the_same_state() {
+        an_older_checkpoint_opens_to_the_same_state("ckpt2", b"CKPT2", wal::encode_checkpoint_v2);
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!   *one* record through a group-commit buffer: one lock, one `write`, at
 //!   most one fsync per batch.
 //! * **Checkpoints** — `checkpoint-<seq>.ckpt` files holding all live
-//!   series at a rotation boundary, each series' chunks byte for byte as
-//!   the head holds them, written tmp+rename. Recovery loads the newest
-//!   checkpoint whose CRC and chunks all check out and replays only the
-//!   segments after it; covered segments and older checkpoints are
-//!   garbage-collected.
+//!   series at a rotation boundary: a symbol table with each distinct label
+//!   string once, then per series its label pairs as indices into it and
+//!   its chunks byte for byte as the head holds them, written tmp+rename.
+//!   Recovery loads the newest checkpoint whose CRC, symbol indices and
+//!   chunks all check out and replays only the segments after it; covered
+//!   segments and older checkpoints are garbage-collected.
 //! * **Positions** ([`WalPosition`]) — `(segment, byte offset, record
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -138,6 +139,35 @@ impl<'a> Reader<'a> {
             pairs.push((k, names.get(self.string()?)));
         }
         Some(LabelSet::from_shared(pairs))
+    }
+
+    /// A symbol count and that many strings, each shared through `names`.
+    fn symbols(&mut self, names: &mut Interner) -> Option<Vec<Arc<str>>> {
+        let n = self.uvarint()? as usize;
+        // A symbol is at least one byte.
+        let mut symbols = Vec::with_capacity(n.min(self.remaining()));
+        for _ in 0..n {
+            symbols.push(names.get(self.string()?));
+        }
+        Some(symbols)
+    }
+
+    /// A label count and that many name/value pairs, each an index into
+    /// `symbols`; `None` for an index past them.
+    fn label_set_of(&mut self, symbols: &[Arc<str>]) -> Option<LabelSet> {
+        let n = self.uvarint()? as usize;
+        // A pair is at least two bytes.
+        let mut pairs = Vec::with_capacity(n.min(self.remaining() / 2));
+        for _ in 0..n {
+            let k = self.symbol(symbols)?;
+            pairs.push((k, self.symbol(symbols)?));
+        }
+        Some(LabelSet::from_shared(pairs))
+    }
+
+    fn symbol(&mut self, symbols: &[Arc<str>]) -> Option<Arc<str>> {
+        let i = usize::try_from(self.uvarint()?).ok()?;
+        symbols.get(i).cloned()
     }
 
     fn done(&self) -> bool {
@@ -351,12 +381,16 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// What [`encode_checkpoint`] writes: each series' chunks as the head holds
-/// them.
-const CKPT_MAGIC: &[u8; 5] = b"CKPT2";
+/// What [`encode_checkpoint`] writes: each distinct label string once, in
+/// a symbol table, and each series' chunks as the head holds them.
+const CKPT_MAGIC: &[u8; 5] = b"CKPT3";
 
-/// The format before it: each sample as a varint time delta and a raw
-/// `f64`. Read, so a directory an older build wrote still opens; not written.
+/// The format before it: the same chunks, every series' label strings in
+/// full. Read, so a directory an older build wrote still opens; not written.
+const CKPT2_MAGIC: &[u8; 5] = b"CKPT2";
+
+/// The format before that: each sample as a varint time delta and a raw
+/// `f64`. Read; not written.
 const CKPT1_MAGIC: &[u8; 5] = b"CKPT1";
 
 /// One entry of the leadership-epoch history (S24): `epoch` began once
@@ -405,23 +439,34 @@ pub struct Checkpoint {
     pub series: Vec<(SeriesId, Arc<LabelSet>, SeriesStore)>,
 }
 
-/// Serializes a checkpoint: magic, varint-packed header + series, and a
-/// trailing CRC32 over everything before it.
+/// Serializes a checkpoint: magic, varint-packed header, the symbol table
+/// (a count, then each distinct label string length-prefixed, in first-use
+/// order), the series (id, label count, a name and a value index per pair,
+/// chunks), and a trailing CRC32 over everything before it.
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    encode_checkpoint_as(ckpt, CKPT_MAGIC, |out, store| {
-        let chunks = store.chunks();
-        put_uvarint(out, chunks.len() as u64);
-        for chunk in chunks {
-            put_uvarint(out, chunk.len() as u64);
-            put_bytes(out, chunk.as_bytes());
-        }
-    })
+    encode_checkpoint_as(ckpt, CKPT_MAGIC, true, put_chunks)
+}
+
+/// A series' chunks: their count, then each one's sample count and bytes.
+fn put_chunks(out: &mut Vec<u8>, store: &SeriesStore) {
+    let chunks = store.chunks();
+    put_uvarint(out, chunks.len() as u64);
+    for chunk in chunks {
+        put_uvarint(out, chunk.len() as u64);
+        put_bytes(out, chunk.as_bytes());
+    }
+}
+
+/// The `CKPT2` writer as it was, for tests that `CKPT2` files still open.
+#[cfg(test)]
+pub(crate) fn encode_checkpoint_v2(ckpt: &Checkpoint) -> Vec<u8> {
+    encode_checkpoint_as(ckpt, CKPT2_MAGIC, false, put_chunks)
 }
 
 /// The `CKPT1` writer as it was, for tests that `CKPT1` files still open.
 #[cfg(test)]
 pub(crate) fn encode_checkpoint_v1(ckpt: &Checkpoint) -> Vec<u8> {
-    encode_checkpoint_as(ckpt, CKPT1_MAGIC, |out, store| {
+    encode_checkpoint_as(ckpt, CKPT1_MAGIC, false, |out, store| {
         put_uvarint(out, store.sample_count());
         let mut prev_t = 0i64;
         for s in store.iter() {
@@ -441,20 +486,79 @@ pub(crate) fn fix_crc(bytes: &mut [u8]) {
     bytes[body..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The checkpoint layout both formats share; `put_samples` writes what
-/// follows a series' labels.
+/// Every distinct label string of a checkpoint's series in first-use
+/// order, and each label pair as two indices into them.
+struct Symbols<'a> {
+    strings: Vec<&'a str>,
+    /// A name and a value index per pair, series after series.
+    indices: Vec<u32>,
+}
+
+impl<'a> Symbols<'a> {
+    /// At most one map lookup per label string: a series mostly shares its
+    /// target's labels with the one before it (ids are handed out a payload
+    /// at a time), so a pair is first compared with that series' pair in
+    /// the same place, and its index taken from there when they agree.
+    fn of(series: &'a [(SeriesId, Arc<LabelSet>, SeriesStore)]) -> Symbols<'a> {
+        let pairs: usize = series.iter().map(|(_, labels, _)| labels.len()).sum();
+        let mut numbered = HashMap::<&str, u32>::new();
+        let mut strings = Vec::new();
+        let mut index = |s: &'a str| {
+            let next = strings.len() as u32;
+            *numbered.entry(s).or_insert_with(|| {
+                strings.push(s);
+                next
+            })
+        };
+        let mut indices = Vec::with_capacity(2 * pairs);
+        // The previous series' pairs and their indices, and this one's.
+        let (mut before, mut this) = (Vec::new(), Vec::new());
+        for (_, labels, _) in series {
+            this.clear();
+            for (at, (k, v)) in labels.iter().enumerate() {
+                let same = before.get(at);
+                let k_at = match same {
+                    Some(&(name, _, i, _)) if name == k => i,
+                    _ => index(k),
+                };
+                let v_at = match same {
+                    Some(&(_, value, _, i)) if value == v => i,
+                    _ => index(v),
+                };
+                indices.extend([k_at, v_at]);
+                this.push((k, v, k_at, v_at));
+            }
+            std::mem::swap(&mut before, &mut this);
+        }
+        Symbols { strings, indices }
+    }
+}
+
+/// The checkpoint layout the formats share; with `symbols`, label strings
+/// go in a table after the header and the series hold indices into it, else
+/// each series holds its own. `put_samples` writes what follows a series'
+/// labels.
 fn encode_checkpoint_as(
     ckpt: &Checkpoint,
     magic: &[u8; 5],
+    symbols: bool,
     put_samples: impl Fn(&mut Vec<u8>, &SeriesStore),
 ) -> Vec<u8> {
+    let symbols = symbols.then(|| Symbols::of(&ckpt.series));
     // Sized up front: growing a multi-megabyte buffer by doubling copies it
-    // several times over and holds twice its size at the peak.
-    let series_bytes = |(_, labels, store): &(SeriesId, Arc<LabelSet>, SeriesStore)| {
-        let labels: usize = labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
-        32 + labels + store.byte_len() + 8 * store.chunks().len()
+    // several times over and holds twice its size at the peak. An index
+    // takes at most three bytes below 2^21 strings.
+    let labels = |labels: &LabelSet| match symbols {
+        Some(_) => 6 * labels.len(),
+        None => labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum(),
     };
-    let size = 128 + ckpt.series.iter().map(series_bytes).sum::<usize>();
+    let series_bytes = |(_, l, store): &(SeriesId, Arc<LabelSet>, SeriesStore)| {
+        32 + labels(l) + store.byte_len() + 8 * store.chunks().len()
+    };
+    let table_bytes = symbols
+        .as_ref()
+        .map_or(0, |t| t.strings.iter().map(|s| s.len() + 2).sum());
+    let size = 128 + table_bytes + ckpt.series.iter().map(series_bytes).sum::<usize>();
     let mut out = Vec::with_capacity(size);
     out.extend_from_slice(magic);
     put_uvarint(&mut out, ckpt.covers_seq);
@@ -469,13 +573,29 @@ fn encode_checkpoint_as(
         put_uvarint(&mut out, span.epoch);
         put_uvarint(&mut out, span.start_records);
     }
+    if let Some(table) = &symbols {
+        put_uvarint(&mut out, table.strings.len() as u64);
+        for s in &table.strings {
+            put_bytes(&mut out, s.as_bytes());
+        }
+    }
+    let mut indices = symbols.as_ref().map(|t| t.indices.iter());
     put_uvarint(&mut out, ckpt.series.len() as u64);
     for (id, labels, store) in &ckpt.series {
         put_uvarint(&mut out, *id);
         put_uvarint(&mut out, labels.len() as u64);
-        for (k, v) in labels.iter() {
-            put_bytes(&mut out, k.as_bytes());
-            put_bytes(&mut out, v.as_bytes());
+        match &mut indices {
+            Some(indices) => {
+                for &i in indices.by_ref().take(2 * labels.len()) {
+                    put_uvarint(&mut out, u64::from(i));
+                }
+            }
+            None => {
+                for (k, v) in labels.iter() {
+                    put_bytes(&mut out, k.as_bytes());
+                    put_bytes(&mut out, v.as_bytes());
+                }
+            }
         }
         put_samples(&mut out, store);
     }
@@ -484,7 +604,8 @@ fn encode_checkpoint_as(
     out
 }
 
-/// A series' chunks as `CKPT2` holds them, each through the checked decode.
+/// A series' chunks as `CKPT3` and `CKPT2` hold them, each through the
+/// checked decode.
 fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
     let mut store = SeriesStore::default();
     for _ in 0..r.uvarint()? {
@@ -494,7 +615,8 @@ fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
     Some(store)
 }
 
-/// Steps over a series' chunks as `CKPT2` holds them, decoding none.
+/// Steps over a series' chunks as `CKPT3` and `CKPT2` hold them, decoding
+/// none.
 fn skip_chunks(r: &mut Reader<'_>) -> Option<()> {
     for _ in 0..r.uvarint()? {
         r.uvarint()?;
@@ -531,7 +653,7 @@ struct SampleFormat {
     read: fn(&mut Reader<'_>) -> Option<SeriesStore>,
 }
 
-const CKPT2_SAMPLES: SampleFormat = SampleFormat {
+const CHUNK_SAMPLES: SampleFormat = SampleFormat {
     skip: skip_chunks,
     read: read_chunks,
 };
@@ -547,8 +669,10 @@ const CKPT1_SAMPLES: SampleFormat = SampleFormat {
 const RANGE_BYTES: usize = 16 << 10;
 
 /// A checkpoint taken apart for workers: the header and every series' id
-/// and labels decoded, each series' samples found but not decoded. Nothing
-/// in it holds before [`Self::crc_ok`] and every [`Self::store`] say so.
+/// and labels decoded (a `CKPT3` file's label sets built from its symbol
+/// table, no string hashed but the table's), each series' samples found but
+/// not decoded. Nothing in it holds before [`Self::crc_ok`] and every
+/// [`Self::store`] say so.
 pub(crate) struct CheckpointView<'a> {
     /// The checkpoint's fields; its `series` is empty.
     pub header: Checkpoint,
@@ -571,18 +695,21 @@ pub(crate) enum Check {
 }
 
 impl<'a> CheckpointView<'a> {
-    /// Reads checkpoint bytes of either format up to each series' samples,
-    /// label strings through `names`. `None` when what it reads is not a
-    /// checkpoint. A count read from the bytes reserves no more than the
-    /// bytes left could hold (a span is at least two bytes, a series
-    /// three). Every writer of either format put the series in ascending id
-    /// order (`Tsdb::checkpoint` over the index's sorted series); a file
-    /// with an id out of that order is corrupt.
+    /// Reads checkpoint bytes of any format up to each series' samples,
+    /// label strings (a `CKPT3` file's symbol table) through `names`. `None`
+    /// when what it reads is not a checkpoint: among others, a symbol that
+    /// is not UTF-8 or an index past the table. A count read from the bytes
+    /// reserves no more than the bytes left could hold (a symbol is at least
+    /// one byte, a span or a label pair two, a series three). Every writer
+    /// of every format put the series in ascending id order
+    /// (`Tsdb::checkpoint` over the index's sorted series); a file with an
+    /// id out of that order is corrupt.
     pub(crate) fn parse(bytes: &'a [u8], names: &mut Interner) -> Option<CheckpointView<'a>> {
         let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
-        let format = match body.get(..CKPT_MAGIC.len())? {
-            magic if magic == CKPT_MAGIC => &CKPT2_SAMPLES,
-            magic if magic == CKPT1_MAGIC => &CKPT1_SAMPLES,
+        let (format, has_symbols) = match body.get(..CKPT_MAGIC.len())? {
+            magic if magic == CKPT_MAGIC => (&CHUNK_SAMPLES, true),
+            magic if magic == CKPT2_MAGIC => (&CHUNK_SAMPLES, false),
+            magic if magic == CKPT1_MAGIC => (&CKPT1_SAMPLES, false),
             _ => return None,
         };
         let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
@@ -601,6 +728,11 @@ impl<'a> CheckpointView<'a> {
                 start_records: r.uvarint()?,
             });
         }
+        let symbols = if has_symbols {
+            Some(r.symbols(names)?)
+        } else {
+            None
+        };
         let n_series = r.uvarint()? as usize;
         let mut series: Vec<(SeriesId, Arc<LabelSet>)> =
             Vec::with_capacity(n_series.min(r.remaining() / 3));
@@ -610,7 +742,11 @@ impl<'a> CheckpointView<'a> {
             if series.last().is_some_and(|(before, _)| *before >= id) {
                 return None;
             }
-            series.push((id, Arc::new(r.label_set(names)?)));
+            let labels = match &symbols {
+                Some(symbols) => r.label_set_of(symbols)?,
+                None => r.label_set(names)?,
+            };
+            series.push((id, Arc::new(labels)));
             let start = r.pos;
             (format.skip)(&mut r)?;
             samples.push(&r.buf[start..r.pos]);
@@ -664,7 +800,7 @@ impl<'a> CheckpointView<'a> {
     }
 }
 
-/// Parses checkpoint bytes of either format, validating magic, CRC and
+/// Parses checkpoint bytes of any format, validating magic, CRC and
 /// every chunk. `None` means the file is corrupt or truncated (the loader
 /// falls back to an older checkpoint). The chunks are checked on up to
 /// `available_parallelism` threads.
@@ -1021,7 +1157,7 @@ mod tests {
     fn checkpoint_roundtrip_and_corruption() {
         let ckpt = sample_checkpoint();
         let bytes = encode_checkpoint(&ckpt);
-        assert!(bytes.starts_with(b"CKPT2"));
+        assert!(bytes.starts_with(b"CKPT3"));
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
         // Any flipped byte must fail the CRC.
         for i in [0, bytes.len() / 2, bytes.len() - 1] {
@@ -1166,6 +1302,52 @@ mod tests {
             .collect();
         let value = |l: &LabelSet| l.get("instance").unwrap().as_ptr();
         assert_eq!((creates.len(), value(creates[0])), (2, value(creates[1])));
+    }
+
+    #[test]
+    fn each_label_string_is_written_once() {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint(&ckpt);
+        let count = |s: &[u8]| bytes.windows(s.len()).filter(|w| w == &s).count();
+        // `__name__` names a label of all three series, `instance` one.
+        assert_eq!((count(b"__name__"), count(b"instance")), (1, 1));
+        let v2 = encode_checkpoint_v2(&ckpt);
+        assert_eq!(v2.windows(8).filter(|w| w == b"__name__").count(), 3);
+        assert!(bytes.len() < v2.len(), "{} against {}", bytes.len(), v2.len());
+    }
+
+    /// A `CKPT3` file of one series, `{a="b"}` as indices `name`, `value`
+    /// into the table `["a", "b"]`, and no chunks.
+    fn one_series_ckpt3(table: [&[u8]; 2], name: u8, value: u8) -> Vec<u8> {
+        let mut bytes = b"CKPT3".to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        bytes.push(2);
+        for s in table {
+            put_bytes(&mut bytes, s);
+        }
+        bytes.extend_from_slice(&[1, 0, 1, name, value, 0]);
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_bad_symbol_or_index_is_a_corrupt_checkpoint() {
+        let ckpt = decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 0, 1)).unwrap();
+        assert_eq!(*ckpt.series[0].1, labels! {"a" => "b"});
+        assert_eq!(decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 0, 2)), None);
+        assert_eq!(decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 9, 1)), None);
+        assert_eq!(decode_checkpoint(&one_series_ckpt3([b"a", b"\xff"], 0, 1)), None);
+    }
+
+    #[test]
+    fn ckpt2_files_still_decode() {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint_v2(&ckpt);
+        assert!(bytes.starts_with(b"CKPT2"));
+        assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
+        for workers in 1..=3 {
+            assert_eq!(decode_checkpoint_on(&bytes, workers).as_ref(), Some(&ckpt));
+        }
     }
 
     #[test]

@@ -76,16 +76,60 @@ fn a_real_checkpoint_decodes_within_the_bounds() {
     assert_eq!(decode_within_bounds(&bytes), Some(ckpt));
 }
 
+/// 2^60 as a varint.
+const HUGE: [u8; 9] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f];
+
 #[test]
 fn a_count_of_2_to_the_60_reserves_what_the_input_could_hold() {
-    for magic in [b"CKPT1", b"CKPT2"] {
+    // `CKPT3` holds an empty symbol table before the series count.
+    for (magic, symbols) in [(b"CKPT1", &[][..]), (b"CKPT2", &[]), (b"CKPT3", &[0])] {
         // Seven header fields, no epoch spans, then the series count.
         let mut body = magic.to_vec();
         body.extend_from_slice(&[0; 8]);
-        body.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f]);
+        body.extend_from_slice(symbols);
+        body.extend_from_slice(&HUGE);
         body.extend_from_slice(&[0; 30]);
         assert_eq!(decode_within_bounds(&with_crc(body)), None);
     }
+}
+
+#[test]
+fn a_symbol_count_of_2_to_the_60_reserves_what_the_input_could_hold() {
+    let mut body = b"CKPT3".to_vec();
+    body.extend_from_slice(&[0; 8]);
+    body.extend_from_slice(&HUGE);
+    // Thirty empty strings, then nothing.
+    body.extend_from_slice(&[0; 30]);
+    assert_eq!(decode_within_bounds(&with_crc(body)), None);
+}
+
+#[test]
+fn an_index_past_the_symbol_table_is_refused() {
+    // The table ["up"], one series with one pair of indices and no chunks.
+    let series = |name: u8, value: u8| {
+        let mut body = b"CKPT3".to_vec();
+        body.extend_from_slice(&[0; 8]);
+        body.extend_from_slice(&[1, 2, b'u', b'p']);
+        body.extend_from_slice(&[1, 5, 1, name, value, 0]);
+        with_crc(body)
+    };
+    let ckpt = decode_within_bounds(&series(0, 0)).unwrap();
+    assert_eq!(*ckpt.series[0].1, labels! {"up" => "up"});
+    assert_eq!(decode_within_bounds(&series(0, 1)), None);
+    assert_eq!(decode_within_bounds(&series(1, 0)), None);
+    // An index of 2^60, and a label count of 2^60 over the same table.
+    let mut body = b"CKPT3".to_vec();
+    body.extend_from_slice(&[0; 8]);
+    body.extend_from_slice(&[1, 2, b'u', b'p', 1, 5, 1]);
+    body.extend_from_slice(&HUGE);
+    body.extend_from_slice(&[0; 30]);
+    assert_eq!(decode_within_bounds(&with_crc(body)), None);
+    let mut body = b"CKPT3".to_vec();
+    body.extend_from_slice(&[0; 8]);
+    body.extend_from_slice(&[1, 2, b'u', b'p', 1, 5]);
+    body.extend_from_slice(&HUGE);
+    body.extend_from_slice(&[0; 30]);
+    assert_eq!(decode_within_bounds(&with_crc(body)), None);
 }
 
 proptest! {
@@ -93,10 +137,10 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_behind_a_magic_and_a_matching_crc(
-        v2 in any::<bool>(),
+        magic in prop_oneof![Just(b"CKPT1"), Just(b"CKPT2"), Just(b"CKPT3")],
         body in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
-        let mut bytes = if v2 { b"CKPT2".to_vec() } else { b"CKPT1".to_vec() };
+        let mut bytes = magic.to_vec();
         bytes.extend_from_slice(&body);
         decode_within_bounds(&with_crc(bytes));
     }
