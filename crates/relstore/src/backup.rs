@@ -7,14 +7,16 @@
 //! interval and every new or grown segment is mirrored; [`restore`]
 //! rebuilds a database directory from a generation's segments. A
 //! generation is segments only, the database's own: once a sync has copied
-//! them all, it deletes the ones the database compacted away, whose rows
-//! the snapshot frame at the start of the oldest segment restates.
+//! them all and synced the ones it keeps to disk, it deletes the ones the
+//! database compacted away, whose rows the snapshot frame at the start of
+//! the oldest segment restates.
 
-use std::fs;
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::db::{Db, DbError};
-use crate::log::{list_segments, truncate_before};
+use crate::log::{list_segments, sync_dir, truncate_before, DiskFaults};
 
 /// Continuously mirrors a database directory into a backup directory.
 pub struct Replicator {
@@ -22,6 +24,7 @@ pub struct Replicator {
     backup_dir: PathBuf,
     generation: u64,
     syncs: u64,
+    faults: Option<Arc<dyn DiskFaults>>,
 }
 
 impl Replicator {
@@ -35,7 +38,14 @@ impl Replicator {
             backup_dir: backup_dir.to_path_buf(),
             generation,
             syncs: 0,
+            faults: None,
         })
+    }
+
+    /// Installs a disk-fault injector under the fsyncs that come before a
+    /// prune (crash-point testing).
+    pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
+        self.faults = Some(faults);
     }
 
     /// Current generation number.
@@ -60,9 +70,31 @@ impl Replicator {
         let to = self.gen_dir();
         let (copied, oldest) = copy_segments(&self.db_dir, &to)?;
         if let Some(oldest) = oldest {
-            truncate_before(&to.join("wal"), oldest)?;
+            self.prune(&to.join("wal"), oldest)?;
         }
         Ok(copied)
+    }
+
+    /// Deletes the segments in `wal` numbered below `oldest`, once the ones
+    /// it keeps and their directory entries are on disk: a copy does not
+    /// sync, and a crash between an unsynced copy and the delete would lose
+    /// rows the deleted segments held durably. A failed sync deletes
+    /// nothing.
+    fn prune(&self, wal: &Path, oldest: u64) -> std::io::Result<()> {
+        let held = list_segments(wal)?;
+        if held.first().is_none_or(|(seq, _)| *seq >= oldest) {
+            return Ok(());
+        }
+        for (_, seg) in held.iter().filter(|(seq, _)| *seq >= oldest) {
+            if self.faults.as_ref().is_some_and(|f| f.fail_fsync()) {
+                return Err(std::io::Error::other("injected disk fault: fsync EIO"));
+            }
+            File::open(seg)?.sync_all()?;
+        }
+        sync_dir(wal);
+        truncate_before(wal, oldest)?;
+        sync_dir(wal);
+        Ok(())
     }
 
     /// Starts a new generation.
@@ -130,7 +162,7 @@ pub fn restore(backup_dir: &Path, target_dir: &Path) -> Result<Db, DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::segment_file_name;
+    use crate::log::{segment_file_name, ScriptedDiskFaults};
     use crate::schema::{Column, ColumnType, Schema};
     use crate::value::Value;
 
@@ -237,6 +269,11 @@ mod tests {
         assert!(repl.sync().is_err());
         assert!(repl.gen_dir().join("wal").join(segment_file_name(0)).exists());
         fs::remove_dir_all(&blocked).unwrap();
+        // Nor does a failed sync of the segments it keeps: they reach the
+        // disk before the ones they restate leave it.
+        repl.set_disk_faults(Arc::new(ScriptedDiskFaults::new().with_fsync_failures(1)));
+        assert!(repl.sync().is_err());
+        assert!(repl.gen_dir().join("wal").join(segment_file_name(0)).exists());
         repl.sync().unwrap();
 
         // The snapshot started a segment and deleted the ones before it.

@@ -178,26 +178,6 @@ impl<'a> BitReader<'a> {
         }
         v
     }
-
-    /// The next 8 bits without moving, zero past the end of the stream.
-    fn peek8(&self) -> u8 {
-        let at = self.pos / 8;
-        let byte = |i: usize| self.bytes.get(i).copied().unwrap_or(0);
-        let pair = u16::from_be_bytes([byte(at), byte(at + 1)]);
-        (pair << (self.pos % 8) >> 8) as u8
-    }
-
-    /// Moves over `n` bits a peek has read; `None` (and the reader left at
-    /// end of stream) when fewer than `n` remain.
-    fn skip(&mut self, n: usize) -> Option<()> {
-        let end = self.pos + n;
-        if end > self.bytes.len() * 8 {
-            self.pos = self.bytes.len() * 8;
-            return None;
-        }
-        self.pos = end;
-        Some(())
-    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -533,29 +513,22 @@ fn decode_next(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
         1 => {
             let delta = unzigzag(read_varbits(r)?);
             step_time(st, delta)?;
-            read_value(r, st, r.peek8())?;
+            read_value(r, st)?;
         }
         _ => {
-            // The delta-of-delta's prefix code, and after a `0` (the same
-            // delta, the common case) the value's two control bits, from
-            // one peek. A code read into the zero padding past the end runs
-            // out when it is skipped, as a bit at a time would.
-            let head = r.peek8();
-            let (code, width) = match head.leading_ones() {
-                0 => (1, 0),
-                1 => (2, 14),
-                2 => (3, 17),
-                3 => (4, 20),
-                _ => (4, 64),
-            };
-            r.skip(code)?;
-            let dod = match width {
-                0 => 0,
-                width => unzigzag(r.read_bits(width)?),
+            let dod = if !r.read_bit()? {
+                0
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(14)?)
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(17)?)
+            } else if !r.read_bit()? {
+                unzigzag(r.read_bits(20)?)
+            } else {
+                unzigzag(r.read_bits(64)?)
             };
             step_time(st, st.delta.wrapping_add(dod))?;
-            let control = if width == 0 { head << 1 } else { r.peek8() };
-            read_value(r, st, control)?;
+            read_value(r, st)?;
         }
     }
     st.n += 1;
@@ -573,27 +546,20 @@ fn step_time(st: &mut CodecState, delta: i64) -> Option<()> {
     Some(())
 }
 
-/// Reads a value whose two control bits lead `control` (a peek at the
-/// cursor): `0` unchanged, `10` the XOR window in force, `11` a new window.
-fn read_value(r: &mut BitReader<'_>, st: &mut CodecState, control: u8) -> Option<()> {
-    if control & 0x80 == 0 {
-        return r.skip(1); // unchanged
+fn read_value(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
+    if !r.read_bit()? {
+        return Some(()); // unchanged
     }
-    if control & 0x40 != 0 {
-        // The control bits, 5 of leading zeros and 6 of significant bits.
-        let window = r.read_bits(13)?;
-        let leading = ((window >> 6) & 31) as u8;
-        let sig = match (window & 63) as u8 {
+    if r.read_bit()? {
+        let leading = r.read_bits(5)? as u8;
+        let sig = match r.read_bits(6)? as u8 {
             0 => 64,
             sig => sig,
         };
         st.trailing = 64u8.checked_sub(leading + sig)?;
         st.leading = leading;
-    } else {
-        r.skip(2)?;
-        if st.leading == NO_WINDOW {
-            return None;
-        }
+    } else if st.leading == NO_WINDOW {
+        return None;
     }
     let sig = 64 - st.leading - st.trailing;
     let bits = r.read_bits(sig)?;
@@ -918,8 +884,6 @@ mod rebuild_tests {
 /// a bounds check each. Kept as the layout's definition for the tests.
 #[cfg(test)]
 mod per_bit {
-    use super::{step_time, unzigzag, CodecState, NO_WINDOW};
-
     #[derive(Default)]
     pub struct BitWriter {
         pub bytes: Vec<u8>,
@@ -966,67 +930,6 @@ mod per_bit {
             }
             Some(v)
         }
-    }
-
-    /// The decode of one sample as it was: every prefix and control bit
-    /// read on its own.
-    pub fn decode_next(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
-        match st.n {
-            0 => {
-                st.t = unzigzag(r.read_bits(64)?);
-                st.v = r.read_bits(64)?;
-                st.leading = NO_WINDOW;
-                st.trailing = 0;
-            }
-            1 => {
-                let z = if r.read_bit()? {
-                    r.read_bits(64)?
-                } else {
-                    r.read_bits(14)?
-                };
-                step_time(st, unzigzag(z))?;
-                read_value(r, st)?;
-            }
-            _ => {
-                let dod = if !r.read_bit()? {
-                    0
-                } else if !r.read_bit()? {
-                    unzigzag(r.read_bits(14)?)
-                } else if !r.read_bit()? {
-                    unzigzag(r.read_bits(17)?)
-                } else if !r.read_bit()? {
-                    unzigzag(r.read_bits(20)?)
-                } else {
-                    unzigzag(r.read_bits(64)?)
-                };
-                step_time(st, st.delta.wrapping_add(dod))?;
-                read_value(r, st)?;
-            }
-        }
-        st.n += 1;
-        st.bits = r.pos;
-        Some(())
-    }
-
-    fn read_value(r: &mut BitReader<'_>, st: &mut CodecState) -> Option<()> {
-        if !r.read_bit()? {
-            return Some(());
-        }
-        if r.read_bit()? {
-            let leading = r.read_bits(5)? as u8;
-            let sig = match r.read_bits(6)? as u8 {
-                0 => 64,
-                sig => sig,
-            };
-            st.trailing = 64u8.checked_sub(leading + sig)?;
-            st.leading = leading;
-        } else if st.leading == NO_WINDOW {
-            return None;
-        }
-        let sig = 64 - st.leading - st.trailing;
-        let bits = r.read_bits(sig)?;
-        st.v ^= bits << st.trailing;
-        Some(())
     }
 }
 
@@ -1108,53 +1011,6 @@ mod proptests {
                 prop_assert_eq!(r.pos, reference.pos);
                 prop_assert_eq!(r.read_bit(), reference.read_bit());
                 prop_assert_eq!(r.pos, reference.pos);
-            }
-        }
-
-        /// Samples decoded from any bytes, or from a real chunk with bits
-        /// flipped, are the per-bit decode's: the same samples, the same
-        /// `None` and the same position after it.
-        #[test]
-        fn sample_decodes_match_the_per_bit_decode(
-            random in proptest::collection::vec(any::<u8>(), 0..201),
-            deltas in proptest::collection::vec(
-                prop_oneof![Just(15_000i64), Just(0), 0i64..1 << 21, any::<i64>()],
-                0..150,
-            ),
-            values in proptest::collection::vec(
-                prop_oneof![Just(1.0f64), Just(250.5), proptest::num::f64::ANY],
-                150,
-            ),
-            flips in proptest::collection::vec(any::<usize>(), 0..3),
-            use_random in any::<bool>(),
-        ) {
-            let bytes = if use_random {
-                random
-            } else {
-                let mut c = XorChunk::new();
-                let mut t = 0i64;
-                for (d, v) in deltas.iter().zip(&values) {
-                    t = t.saturating_add(d.rem_euclid(1 << 40));
-                    c.append(Sample::new(t, *v)).unwrap();
-                }
-                let mut bytes = c.as_bytes().to_vec();
-                let len = bytes.len() * 8;
-                for bit in flips.iter().filter(|_| len > 0).map(|flip| flip % len) {
-                    bytes[bit / 8] ^= 1 << (bit % 8);
-                }
-                bytes
-            };
-            let mut r = BitReader::new(&bytes);
-            let mut reference = per_bit::BitReader { bytes: &bytes, pos: 0 };
-            let (mut st, mut reference_st) = (CodecState::default(), CodecState::default());
-            loop {
-                let got = decode_next(&mut r, &mut st);
-                prop_assert_eq!(got, per_bit::decode_next(&mut reference, &mut reference_st));
-                prop_assert_eq!(r.pos, reference.pos);
-                prop_assert_eq!(st, reference_st);
-                if got.is_none() {
-                    break;
-                }
             }
         }
 
