@@ -3,6 +3,9 @@
 //! PromQL evaluation. Prints the achieved compression ratio (the reason a
 //! single host can hold a 1,400-node fleet's metrics).
 //!
+//! `chunk/iterate_1k_samples` and `chunk/iterate_1k_samples_wide` decode a
+//! chunk of few-bit and of full-precision values.
+//!
 //! E14 rows (EXPERIMENTS.md): what a read near the head costs at three
 //! chunk fills (`head_tail_read`), what deriving one label set from another
 //! costs (`labelset`), and one tick of the fixture's recording rules on one
@@ -57,6 +60,23 @@ fn bench_chunk(c: &mut Criterion) {
     );
     group.bench_function("iterate_1k_samples", |b| {
         b.iter(|| chunk.iter().map(|s| s.v).sum::<f64>())
+    });
+    // The same decode over values that fill their mantissa, as a counter
+    // of joules does: each sample's XOR spans most of the 64 bits, where
+    // `100 + i % 7` leaves a few.
+    let mut wide = XorChunk::new();
+    let mut joules = 1.0e6;
+    for i in 0..1000i64 {
+        joules += 215.0 + (i * 7_919 % 1_000) as f64 / 997.0;
+        wide.append(Sample::new(i * 15_000, joules)).unwrap();
+    }
+    eprintln!(
+        "[tsdb] chunk (wide values): 1000 samples in {} bytes ({:.2} bytes/sample)",
+        wide.byte_len(),
+        wide.byte_len() as f64 / 1000.0
+    );
+    group.bench_function("iterate_1k_samples_wide", |b| {
+        b.iter(|| wide.iter().map(|s| s.v).sum::<f64>())
     });
     group.finish();
 }

@@ -6,7 +6,10 @@
 //! every running unit's row, rolls up usage and writes the rows that
 //! changed to the relational store. Pending and finished units are reported
 //! on every poll, as the resource manager reports them; their rows are
-//! written once. Only the poll is timed; the scrapes between polls are not.
+//! written once. Three (user, project) groups hold only a finished and a
+//! pending unit, as a queue's idle users do, so their usage rows do not
+//! change from poll to poll. Only the poll is timed; the scrapes between
+//! polls are not.
 //! Emits `BENCH_updater.json` with the p50 of the polls and the bytes the
 //! store's log grew by a poll.
 //!
@@ -30,6 +33,9 @@ const RUNNING: usize = 180;
 const PENDING: usize = 30;
 /// Finished units, reported again on every poll.
 const ENDED: usize = 20;
+/// Users of running units. Finished and pending units have three more, each
+/// of whom has one of each in one project and nothing running.
+const USERS: usize = 17;
 const SCRAPE_MS: i64 = 15_000;
 const POLL_MS: i64 = 60_000;
 /// History in the TSDB before the first poll.
@@ -56,7 +62,7 @@ fn units() -> Vec<UnitInfo> {
     let unit = |i: usize, started: Option<i64>, ended: Option<i64>, state: &str| UnitInfo {
         uuid: format!("slurm-{i}"),
         resource_manager: "slurm".into(),
-        user: format!("user{}", i % 17),
+        user: format!("user{}", i % if state == "RUNNING" { USERS } else { USERS + 3 }),
         project: format!("proj{}", i % 5),
         partition: "cpu".into(),
         state: state.into(),

@@ -3,22 +3,85 @@
 //! Maps label `name → value → posting list` (sorted series ids). Selectors
 //! with exact matchers intersect posting lists; regex/negative matchers
 //! scan the value space of the label, which is how Prometheus' index works
-//! and why high label cardinality (§II.C of the paper) hurts.
+//! and why high label cardinality (§II.C of the paper) hurts. The index
+//! owns the label strings: one table numbers each name and value once, and
+//! postings, series and checkpoints ([`LabelIndex::checkpoint`]) hold the
+//! numbers.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 
+use crate::head::SeriesStore;
 use crate::types::SeriesId;
+use crate::wal::{Checkpoint, CheckpointView};
+
+/// Every label name and value of the live series once, numbered in the
+/// order first registered. An entry counts the label pairs that use it;
+/// the last to go frees its number for the next new string.
+#[derive(Debug, Default)]
+struct SymbolTable {
+    numbers: HashMap<Arc<str>, u32>,
+    /// Each number's string and uses; a free number's are empty and 0.
+    entries: Vec<(Arc<str>, u32)>,
+    free: Vec<u32>,
+}
+
+impl SymbolTable {
+    fn number(&self, s: &str) -> Option<u32> {
+        self.numbers.get(s).copied()
+    }
+
+    fn text(&self, n: u32) -> &Arc<str> {
+        &self.entries[n as usize].0
+    }
+
+    /// One more use of `s`, numbered if it is new.
+    fn acquire(&mut self, s: &str) -> u32 {
+        if let Some(n) = self.number(s) {
+            self.entries[n as usize].1 += 1;
+            return n;
+        }
+        let text: Arc<str> = Arc::from(s);
+        let n = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(Default::default());
+            u32::try_from(self.entries.len() - 1).expect("2^32 label strings")
+        });
+        self.entries[n as usize] = (Arc::clone(&text), 1);
+        self.numbers.insert(text, n);
+        n
+    }
+
+    /// One use of `n` fewer.
+    fn release(&mut self, n: u32) {
+        let (text, uses) = &mut self.entries[n as usize];
+        *uses -= 1;
+        if *uses == 0 {
+            self.numbers.remove(&**text);
+            *text = Arc::default();
+            self.free.push(n);
+        }
+    }
+}
+
+/// A registered series: its labels, made of the table's strings, and its
+/// pairs' name and value numbers in the same order.
+#[derive(Debug)]
+struct Series {
+    labels: Arc<LabelSet>,
+    pairs: Box<[u32]>,
+}
 
 /// The index plus the series registry.
 #[derive(Debug, Default)]
 pub struct LabelIndex {
-    postings: BTreeMap<String, BTreeMap<String, Vec<SeriesId>>>,
-    series: HashMap<SeriesId, Arc<LabelSet>>,
+    symbols: SymbolTable,
+    /// Name number → value number → posting list.
+    postings: HashMap<u32, HashMap<u32, Vec<SeriesId>>>,
+    series: HashMap<SeriesId, Series>,
     by_fingerprint: HashMap<u64, Vec<SeriesId>>,
     next_id: SeriesId,
     /// Bumped on every series creation or removal. Posting-list caches tag
@@ -48,65 +111,57 @@ impl LabelIndex {
         self.generation
     }
 
-    /// Looks up an existing series id for exactly these labels.
-    pub fn lookup(&self, labels: &LabelSet) -> Option<SeriesId> {
-        self.lookup_with_fingerprint(labels, labels.fingerprint())
-    }
-
-    /// [`Self::lookup`] with a precomputed fingerprint, so the append path
-    /// hashes a label set once across its lookup + create phases.
-    pub fn lookup_with_fingerprint(&self, labels: &LabelSet, fp: u64) -> Option<SeriesId> {
+    /// The series id of exactly these labels; `fp` is their fingerprint,
+    /// so the append path hashes a label set once across lookup and create.
+    pub fn lookup(&self, labels: &LabelSet, fp: u64) -> Option<SeriesId> {
         self.by_fingerprint
             .get(&fp)?
             .iter()
             .copied()
-            .find(|id| self.series[id].as_ref() == labels)
+            .find(|id| *self.series[id].labels == *labels)
     }
 
-    /// Gets an existing id or registers a new series.
-    pub fn get_or_create(&mut self, labels: &LabelSet) -> SeriesId {
-        self.get_or_create_with_fingerprint(labels, labels.fingerprint())
-    }
-
-    /// [`Self::get_or_create`] with a precomputed fingerprint.
-    pub fn get_or_create_with_fingerprint(&mut self, labels: &LabelSet, fp: u64) -> SeriesId {
-        if let Some(id) = self.lookup_with_fingerprint(labels, fp) {
-            return id;
-        }
+    /// Registers labels [`Self::lookup`] did not find under the next id.
+    pub fn create(&mut self, labels: &LabelSet, fp: u64) -> SeriesId {
         let id = self.next_id;
-        self.register(id, Arc::new(labels.clone()), fp);
+        self.register(id, labels, fp);
         id
     }
 
     /// Registers a series under a fixed id during WAL or checkpoint replay,
     /// so recovered ids match what logged `Samples` records reference.
-    /// No-op when the id already exists. Unlike [`Self::get_or_create`],
-    /// ids may arrive in any order (a follower bootstraps from a checkpoint
-    /// sorted by id, then replays creates in log order).
-    pub fn insert_replayed(&mut self, id: SeriesId, labels: Arc<LabelSet>) {
+    /// No-op when the id already exists. Unlike [`Self::create`], ids may
+    /// arrive in any order (a follower bootstraps from a checkpoint sorted
+    /// by id, then replays creates in log order).
+    pub fn insert_replayed(&mut self, id: SeriesId, labels: &LabelSet) {
         if !self.series.contains_key(&id) {
-            let fp = labels.fingerprint();
-            self.register(id, labels, fp);
+            self.register(id, labels, labels.fingerprint());
         }
     }
 
-    /// Enters a series the registry does not hold yet.
-    fn register(&mut self, id: SeriesId, labels: Arc<LabelSet>, fp: u64) {
+    /// Enters a series the registry does not hold yet, numbering its
+    /// strings; its label set is made of the table's.
+    fn register(&mut self, id: SeriesId, labels: &LabelSet, fp: u64) {
+        let pairs: Box<[u32]> = labels
+            .iter()
+            .flat_map(|(k, v)| [k, v])
+            .map(|s| self.symbols.acquire(s))
+            .collect();
+        let text = |n: u32| Arc::clone(self.symbols.text(n));
+        let shared = pairs.chunks_exact(2).map(|p| (text(p[0]), text(p[1])));
+        let labels = Arc::new(LabelSet::from_shared(shared.collect()));
+        self.enter(id, labels, pairs, fp);
+    }
+
+    /// Enters a series whose strings the table already counts.
+    fn enter(&mut self, id: SeriesId, labels: Arc<LabelSet>, pairs: Box<[u32]>, fp: u64) {
         self.generation += 1;
         self.backfills += u64::from(id < self.next_id);
         self.next_id = self.next_id.max(id + 1);
         self.by_fingerprint.entry(fp).or_default().push(id);
-        for (k, v) in labels.iter() {
-            // Looked up by `&str`: only a name or a value the index has not
-            // seen is copied into a key.
-            let values = match self.postings.get_mut(k) {
-                Some(values) => values,
-                None => self.postings.entry(k.to_string()).or_default(),
-            };
-            let list = match values.get_mut(v) {
-                Some(list) => list,
-                None => values.entry(v.to_string()).or_default(),
-            };
+        for pair in pairs.chunks_exact(2) {
+            let values = self.postings.entry(pair[0]).or_default();
+            let list = values.entry(pair[1]).or_default();
             // Ids mostly arrive in increasing order (always, outside
             // replay), which keeps a list sorted by pushing.
             match list.last() {
@@ -118,13 +173,44 @@ impl LabelIndex {
                 _ => list.push(id),
             }
         }
-        self.series.insert(id, labels);
+        self.series.insert(id, Series { labels, pairs });
     }
 
-    /// Forces the generation counter (checkpoint restore: recovered caches
-    /// must invalidate against the same clock the pre-crash index used).
-    pub fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
+    /// Takes a checkpoint's series into this empty index, and its clocks
+    /// (recovered caches invalidate against the pre-crash generation;
+    /// tombstoned series may have held ids above every live one). A `CKPT3`
+    /// file's table is taken as it stands, a number no pair uses free, and
+    /// each series by its pairs' numbers: no string is looked up but to
+    /// index the table. An older file's strings are numbered as they come.
+    pub(crate) fn restore(&mut self, view: &CheckpointView<'_>) {
+        assert!(self.series.is_empty(), "restored into an empty index");
+        let ckpt = &view.header;
+        let table = &mut self.symbols;
+        table.entries = ckpt.symbols.iter().map(|s| (Arc::clone(s), 0)).collect();
+        // The parse held each number to the table, and each used string to
+        // one number.
+        for &n in &ckpt.pairs {
+            table.entries[n as usize].1 += 1;
+        }
+        for (n, (text, uses)) in table.entries.iter_mut().enumerate() {
+            if *uses == 0 {
+                *text = Arc::default();
+                table.free.push(n as u32);
+            } else {
+                table.numbers.insert(Arc::clone(text), n as u32);
+            }
+        }
+        let mut pairs = ckpt.pairs.iter().copied();
+        for (id, labels) in &view.series {
+            if ckpt.symbols.is_empty() {
+                self.insert_replayed(*id, labels);
+            } else {
+                let pairs = pairs.by_ref().take(2 * labels.len()).collect();
+                self.enter(*id, Arc::clone(labels), pairs, labels.fingerprint());
+            }
+        }
+        self.next_id = self.next_id.max(ckpt.next_id);
+        self.generation = ckpt.generation;
     }
 
     /// The id the next created series would get.
@@ -135,6 +221,18 @@ impl LabelIndex {
     /// Series registered with an id below the `next_id` of the moment.
     pub fn backfills(&self) -> u64 {
         self.backfills
+    }
+
+    /// The values of label `name`, each with its posting list.
+    fn values_of(&self, name: &str) -> Option<&HashMap<u32, Vec<SeriesId>>> {
+        self.postings.get(&self.symbols.number(name)?)
+    }
+
+    /// The posting list of `name="value"`; empty when no series has it.
+    fn posting(&self, name: &str, value: &str) -> &[SeriesId] {
+        let value = self.symbols.number(value);
+        let list = value.and_then(|v| self.values_of(name)?.get(&v));
+        list.map_or(&[], Vec::as_slice)
     }
 
     /// The series with id `>= from` that `matchers` select, ascending, read
@@ -148,84 +246,94 @@ impl LabelIndex {
         matchers: &[LabelMatcher],
         from: SeriesId,
     ) -> Vec<SeriesId> {
-        let Some(list) = self
-            .postings
-            .get(METRIC_NAME_LABEL)
-            .and_then(|v| v.get(name))
-        else {
-            return Vec::new();
-        };
+        let list = self.posting(METRIC_NAME_LABEL, name);
         list[list.partition_point(|&id| id < from)..]
             .iter()
             .copied()
             .filter(|id| {
-                let labels = &self.series[id];
+                let labels = &self.series[id].labels;
                 matchers.iter().all(|m| m.matches(labels))
             })
             .collect()
     }
 
-    /// Forces the next-id counter (checkpoint restore: tombstoned series may
-    /// have held ids above every live one).
-    pub fn set_next_id(&mut self, next_id: SeriesId) {
-        self.next_id = self.next_id.max(next_id);
+    /// A checkpoint of the index with no samples: its clocks, its table as
+    /// it stands (a free number's string empty) and every live series by
+    /// id, with its pairs' numbers; the rest of the header zero.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let mut live: Vec<(&SeriesId, &Series)> = self.series.iter().collect();
+        live.sort_unstable_by_key(|(id, _)| **id);
+        let symbols = self.symbols.entries.iter().map(|(s, _)| Arc::clone(s));
+        let pairs = live.iter().flat_map(|(_, s)| s.pairs.iter().copied());
+        Checkpoint {
+            generation: self.generation,
+            next_id: self.next_id,
+            symbols: symbols.collect(),
+            pairs: pairs.collect(),
+            series: live
+                .into_iter()
+                .map(|(&id, s)| (id, Arc::clone(&s.labels), SeriesStore::default()))
+                .collect(),
+            ..Checkpoint::default()
+        }
     }
 
-    /// Every live series as `(id, labels)`, sorted by id (checkpoint
-    /// snapshots iterate this).
-    pub fn all_series(&self) -> Vec<(SeriesId, Arc<LabelSet>)> {
-        let mut out: Vec<(SeriesId, Arc<LabelSet>)> = self
-            .series
-            .iter()
-            .map(|(&id, labels)| (id, Arc::clone(labels)))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
+    /// Every live series as `(id, labels)`, sorted by id.
+    #[cfg(test)]
+    pub(crate) fn all_series(&self) -> Vec<(SeriesId, Arc<LabelSet>)> {
+        let series = self.checkpoint().series.into_iter();
+        series.map(|(id, labels, _)| (id, labels)).collect()
     }
 
     /// Removes a series entirely (tombstone purge).
     pub fn remove(&mut self, id: SeriesId) {
-        let Some(labels) = self.series.remove(&id) else {
+        let Some(series) = self.series.remove(&id) else {
             return;
         };
         self.generation += 1;
-        if let Some(v) = self.by_fingerprint.get_mut(&labels.fingerprint()) {
+        let fp = series.labels.fingerprint();
+        if let Some(v) = self.by_fingerprint.get_mut(&fp) {
             v.retain(|&x| x != id);
             if v.is_empty() {
-                self.by_fingerprint.remove(&labels.fingerprint());
+                self.by_fingerprint.remove(&fp);
             }
         }
-        for (k, val) in labels.iter() {
-            if let Some(values) = self.postings.get_mut(k) {
-                if let Some(list) = values.get_mut(val) {
-                    list.retain(|&x| x != id);
-                    if list.is_empty() {
-                        values.remove(val);
-                    }
-                }
+        for pair in series.pairs.chunks_exact(2) {
+            let values = self.postings.get_mut(&pair[0]).expect("a posted name");
+            let list = values.get_mut(&pair[1]).expect("a posted value");
+            list.retain(|&x| x != id);
+            if list.is_empty() {
+                values.remove(&pair[1]);
                 if values.is_empty() {
-                    self.postings.remove(k);
+                    self.postings.remove(&pair[0]);
                 }
             }
+            self.symbols.release(pair[0]);
+            self.symbols.release(pair[1]);
         }
     }
 
     /// Labels of a series, shared with the registry (cheap to clone).
     pub fn labels(&self, id: SeriesId) -> Option<&Arc<LabelSet>> {
-        self.series.get(&id)
+        self.series.get(&id).map(|s| &s.labels)
     }
 
-    /// All label names present.
+    /// The strings of these numbers, sorted.
+    fn sorted_texts<'a>(&self, numbers: impl Iterator<Item = &'a u32>) -> Vec<String> {
+        let mut out: Vec<String> = numbers.map(|&n| self.symbols.text(n).to_string()).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// All label names present, sorted.
     pub fn label_names(&self) -> Vec<String> {
-        self.postings.keys().cloned().collect()
+        self.sorted_texts(self.postings.keys())
     }
 
-    /// All values of a label name.
+    /// All values of a label name, sorted.
     pub fn label_values(&self, name: &str) -> Vec<String> {
-        self.postings
-            .get(name)
-            .map(|m| m.keys().cloned().collect())
-            .unwrap_or_default()
+        self.values_of(name)
+            .map_or_else(Vec::new, |values| self.sorted_texts(values.keys()))
     }
 
     /// Resolves matchers to the sorted set of matching series ids.
@@ -246,18 +354,16 @@ impl LabelIndex {
         let mut lists: Vec<Cow<'_, [SeriesId]>> = Vec::new();
         let mut unchecked: Vec<&LabelMatcher> = Vec::new();
         for m in matchers {
-            let values = self.postings.get(&m.name);
             match m.op {
-                MatchOp::Eq if m.is_exact() => lists.push(Cow::Borrowed(
-                    values
-                        .and_then(|values| values.get(&m.value))
-                        .map_or(&[][..], Vec::as_slice),
-                )),
+                MatchOp::Eq if m.is_exact() => {
+                    lists.push(Cow::Borrowed(self.posting(&m.name, &m.value)))
+                }
                 MatchOp::Re if !m.matches_value("") => {
-                    let mut union: Vec<SeriesId> = values
+                    let mut union: Vec<SeriesId> = self
+                        .values_of(&m.name)
                         .into_iter()
                         .flatten()
-                        .filter(|(v, _)| m.matches_value(v))
+                        .filter(|(&v, _)| m.matches_value(self.symbols.text(v)))
                         .flat_map(|(_, ids)| ids.iter().copied())
                         .collect();
                     union.sort_unstable();
@@ -288,7 +394,7 @@ impl LabelIndex {
         base.iter()
             .copied()
             .filter(|id| {
-                let labels = &self.series[id];
+                let labels = &self.series[id].labels;
                 unchecked.iter().all(|m| m.matches(labels))
             })
             .collect()
@@ -335,7 +441,16 @@ pub fn intersect_sorted(a: &[SeriesId], b: &[SeriesId]) -> Vec<SeriesId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::encode_checkpoint;
     use ceems_metrics::labels;
+
+    impl LabelIndex {
+        fn get_or_create(&mut self, labels: &LabelSet) -> SeriesId {
+            let fp = labels.fingerprint();
+            self.lookup(labels, fp)
+                .unwrap_or_else(|| self.create(labels, fp))
+        }
+    }
 
     fn sample_index() -> LabelIndex {
         let mut idx = LabelIndex::new();
@@ -424,7 +539,7 @@ mod tests {
                 let mut ids: Vec<SeriesId> = idx
                     .series
                     .iter()
-                    .filter(|(_, labels)| matchers.iter().all(|m| m.matches(labels)))
+                    .filter(|(_, s)| matchers.iter().all(|m| m.matches(&s.labels)))
                     .map(|(id, _)| *id)
                     .collect();
                 ids.sort_unstable();
@@ -451,8 +566,34 @@ mod tests {
         check_every_triple(&idx);
     }
 
-    /// Replayed ids arrive in any order and may repeat; posting lists stay
-    /// sorted and the index answers as one built in id order does.
+    type Answers = (
+        Vec<Option<SeriesId>>,
+        Vec<Vec<SeriesId>>,
+        Vec<String>,
+        Vec<Vec<String>>,
+    );
+
+    /// What an index answers: each label set's id, each matcher's
+    /// selection, its label names and each name's values.
+    fn answers(idx: &LabelIndex, sets: &[LabelSet], matchers: &[LabelMatcher]) -> Answers {
+        let names = idx.label_names();
+        let values = names.iter().map(|n| idx.label_values(n)).collect();
+        (
+            sets.iter()
+                .map(|ls| idx.lookup(ls, ls.fingerprint()))
+                .collect(),
+            matchers
+                .iter()
+                .map(|m| idx.select(std::slice::from_ref(m)))
+                .collect(),
+            names,
+            values,
+        )
+    }
+
+    /// Replayed ids arrive in any order and may repeat; the index answers
+    /// as one built in id order does (its strings may be numbered in
+    /// another order).
     #[test]
     fn replayed_series_in_any_order_index_as_created_ones() {
         let sets: Vec<LabelSet> = (0..30)
@@ -464,14 +605,65 @@ mod tests {
         }
         let mut replayed = LabelIndex::new();
         for i in (0..30).rev().chain([7, 3]).chain(0..30) {
-            replayed.insert_replayed(i as SeriesId, Arc::new(sets[i].clone()));
+            replayed.insert_replayed(i as SeriesId, &sets[i]);
         }
-        assert_eq!(replayed.postings, created.postings);
+        let m = |name: &str, op, value: &str| LabelMatcher::new(name, op, value).unwrap();
+        let matchers = [
+            m("__name__", MatchOp::Eq, "m"),
+            m("instance", MatchOp::Eq, "n2"),
+            m("instance", MatchOp::Re, "n[13]"),
+            m("i", MatchOp::Re, "1.*"),
+            m("i", MatchOp::Nre, "2.*"),
+        ];
+        let got = answers(&replayed, &sets, &matchers);
+        assert_eq!(got, answers(&created, &sets, &matchers));
+        assert!(got.1.iter().all(|ids| ids.windows(2).all(|w| w[0] < w[1])));
         assert_eq!(replayed.next_id(), created.next_id());
         assert_eq!(replayed.generation(), created.generation());
         assert_eq!(replayed.series_count(), 30);
-        for ls in &sets {
-            assert_eq!(replayed.lookup(ls), created.lookup(ls));
+    }
+
+    /// The table as it stands: each live string under one number, counted
+    /// once per pair place it fills, a free number empty and unused; every
+    /// series' numbers read back its labels, from the table's own copies.
+    fn check_table(idx: &LabelIndex) {
+        let table = &idx.symbols;
+        let mut uses: HashMap<&str, u32> = HashMap::new();
+        for s in idx.series.values() {
+            assert_eq!(s.pairs.len(), 2 * s.labels.len());
+            for (p, (k, v)) in s.pairs.chunks_exact(2).zip(s.labels.iter()) {
+                assert!(
+                    std::ptr::eq(k, &**table.text(p[0])),
+                    "{k} is not number {}",
+                    p[0]
+                );
+                assert!(
+                    std::ptr::eq(v, &**table.text(p[1])),
+                    "{v} is not number {}",
+                    p[1]
+                );
+            }
+            for &n in s.pairs.iter() {
+                *uses.entry(table.text(n)).or_default() += 1;
+            }
+        }
+        let used: Vec<(&str, u32)> = table
+            .entries
+            .iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(s, n)| (&**s, *n))
+            .collect();
+        let mut want: Vec<(&str, u32)> = uses.into_iter().collect();
+        let mut got = used.clone();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "each live string once, counted by its uses");
+        assert_eq!(table.numbers.len(), used.len());
+        for (n, (s, uses)) in table.entries.iter().enumerate() {
+            let free = table.free.contains(&(n as u32));
+            assert_eq!(free, *uses == 0, "number {n}");
+            assert!(!free || s.is_empty(), "a free number holds no string");
+            assert!(free || table.numbers[s] == n as u32);
         }
     }
 
@@ -572,5 +764,81 @@ mod tests {
         // instance="" matches series without the label.
         let ids = idx.select(&[LabelMatcher::eq("instance", "")]);
         assert_eq!(ids.len(), 1);
+    }
+
+    proptest::proptest! {
+        /// Under any sequence of registrations, removals and registrations
+        /// again, the table holds each live string once, counted by its
+        /// uses, and every series' numbers read back its labels; `select`
+        /// answers what a full scan does; and the index a checkpoint of it
+        /// opens to answers the same, before and after more registrations.
+        #[test]
+        fn the_table_under_churn(
+            pool in proptest::collection::vec(
+                proptest::collection::btree_map(0u8..4, 0u8..5, 0..4),
+                1..12,
+            ),
+            ops in proptest::collection::vec((0u8..5, 0usize..64), 0..60),
+        ) {
+            // A value may be a name's string, or empty.
+            let sets: Vec<LabelSet> = pool
+                .iter()
+                .map(|set| {
+                    LabelSet::from_pairs(set.iter().map(|(&k, &v)| {
+                        (format!("k{k}"), ["v0", "v1", "k0", "k1", ""][usize::from(v)])
+                    }))
+                })
+                .collect();
+            let mut idx = LabelIndex::new();
+            // Three registrations to two removals.
+            for &(op, n) in &ops {
+                if op < 3 {
+                    idx.get_or_create(&sets[n % sets.len()]);
+                } else {
+                    let live = idx.select(&[]);
+                    if !live.is_empty() {
+                        idx.remove(live[n % live.len()]);
+                    }
+                }
+                check_table(&idx);
+            }
+
+            let m = |name: &str, op, value: &str| LabelMatcher::new(name, op, value).unwrap();
+            let matchers = [
+                m("k0", MatchOp::Eq, "v0"),
+                m("k1", MatchOp::Eq, "k1"),
+                m("k2", MatchOp::Eq, ""),
+                m("k3", MatchOp::Ne, "v1"),
+                m("k0", MatchOp::Re, "k.*"),
+                m("k1", MatchOp::Re, "v0|"),
+                m("k2", MatchOp::Nre, "v.+"),
+                m("k9", MatchOp::Re, ".+"),
+            ];
+            for a in &matchers {
+                for b in &matchers {
+                    let pair = [a.clone(), b.clone()];
+                    let mut scan: Vec<SeriesId> = idx
+                        .series
+                        .iter()
+                        .filter(|(_, s)| pair.iter().all(|m| m.matches(&s.labels)))
+                        .map(|(id, _)| *id)
+                        .collect();
+                    scan.sort_unstable();
+                    proptest::prop_assert_eq!(idx.select(&pair), scan, "{:?}", pair);
+                }
+            }
+
+            let bytes = encode_checkpoint(&idx.checkpoint());
+            let mut opened = LabelIndex::new();
+            opened.restore(&CheckpointView::parse(&bytes).unwrap());
+            check_table(&opened);
+            proptest::prop_assert_eq!(answers(&opened, &sets, &matchers), answers(&idx, &sets, &matchers));
+            for ls in &sets {
+                idx.get_or_create(ls);
+                opened.get_or_create(ls);
+            }
+            check_table(&opened);
+            proptest::prop_assert_eq!(answers(&opened, &sets, &matchers), answers(&idx, &sets, &matchers));
+        }
     }
 }

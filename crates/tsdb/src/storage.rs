@@ -24,14 +24,13 @@ use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
 use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
-use crate::head::{Head, SeriesStore, STRIPES};
+use crate::head::{Head, STRIPES};
 use crate::index::LabelIndex;
 use crate::par::{cores, fan_out};
 use crate::promql::plan::{Basis, Followed, PreparedRead, Refresh, Window};
 use crate::types::{Sample, SeriesData, SeriesId};
 use crate::wal::{
-    self, Check, Checkpoint, CheckpointView, EpochSpan, Interner, Wal, WalOptions, WalPosition,
-    WalRecord,
+    self, Check, Checkpoint, CheckpointView, EpochSpan, Wal, WalOptions, WalPosition, WalRecord,
 };
 
 /// TSDB configuration.
@@ -297,8 +296,7 @@ impl Tsdb {
     }
 
     /// [`Self::open`] on at most `workers` threads; with one, everything
-    /// runs on the calling thread. Each label string is decoded once, for
-    /// the checkpoint and the log alike.
+    /// runs on the calling thread.
     fn open_on(
         dir: &Path,
         opts: WalOptions,
@@ -306,11 +304,10 @@ impl Tsdb {
         workers: usize,
     ) -> io::Result<Tsdb> {
         fs::create_dir_all(dir)?;
-        let mut names = Interner::default();
         let mut restored = None;
         for (_, path) in wal::list_checkpoints(dir)?.into_iter().rev() {
             let bytes = fs::read(&path)?;
-            let Some(view) = CheckpointView::parse(&bytes, &mut names) else {
+            let Some(view) = CheckpointView::parse(&bytes) else {
                 continue;
             };
             // A checkpoint that fails a check leaves part of itself behind:
@@ -332,7 +329,7 @@ impl Tsdb {
         // Replay the segments after it. A torn or corrupt frame ends the
         // log: the writer cuts its segment there and deletes later segments,
         // so it resumes on a clean frame boundary.
-        let end = db.replay(dir, start, workers, &mut names)?;
+        let end = db.replay(dir, start, workers)?;
         let writer = Wal::open_at(dir, opts, end)?;
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
@@ -343,10 +340,11 @@ impl Tsdb {
     }
 
     /// Puts a checkpoint into this new database on at most `workers`
-    /// threads. One registers the series in the index, in id order; the
-    /// others (and it, once done) check the CRC and decode ranges of series
-    /// straight into the head. `false` when a check failed: the database
-    /// then holds part of the checkpoint and is to be dropped.
+    /// threads. One registers the series in the index
+    /// ([`LabelIndex::restore`]); the others (and it, once done) check the
+    /// CRC and decode ranges of series straight into the head. `false` when
+    /// a check failed: the database then holds part of the checkpoint and
+    /// is to be dropped.
     fn restore(&self, view: &CheckpointView<'_>, workers: usize) -> bool {
         enum Part {
             Index,
@@ -366,12 +364,7 @@ impl Tsdb {
             |passed, part| {
                 *passed &= match part {
                     Part::Index => {
-                        let mut idx = self.index.write();
-                        for (id, labels) in &view.series {
-                            idx.insert_replayed(*id, Arc::clone(labels));
-                        }
-                        idx.set_next_id(view.header.next_id);
-                        idx.set_generation(view.header.generation);
+                        self.index.write().restore(view);
                         true
                     }
                     Part::Check(Check::Crc) => view.crc_ok(),
@@ -409,17 +402,11 @@ impl Tsdb {
     /// cut, the end of the log or [`REPLAY_BATCH`] of them; then each worker
     /// applies those in the head stripes it owns, stripe by stripe, before
     /// the removal is applied.
-    fn replay(
-        &self,
-        dir: &Path,
-        start: WalPosition,
-        workers: usize,
-        names: &mut Interner,
-    ) -> io::Result<WalPosition> {
+    fn replay(&self, dir: &Path, start: WalPosition, workers: usize) -> io::Result<WalPosition> {
         let mut idx = self.index.write();
         let mut samples = Vec::new();
-        let end = wal::walk_log(dir, start, names, |at, rec| match rec {
-            WalRecord::SeriesCreate { id, labels } => idx.insert_replayed(id, Arc::new(labels)),
+        let end = wal::walk_log(dir, start, |at, rec| match rec {
+            WalRecord::SeriesCreate { id, labels } => idx.insert_replayed(id, &labels),
             // Epoch bumps replay with their exact log position so the
             // restored history matches what the leader wrote.
             WalRecord::EpochBump { epoch } => self.observe_epoch(epoch, at.records),
@@ -488,14 +475,14 @@ impl Tsdb {
         // Hash the label set once; both the read-path lookup and the
         // slow-path create reuse the fingerprint.
         let fp = labels.fingerprint();
-        if let Some(id) = self.index.read().lookup_with_fingerprint(labels, fp) {
+        if let Some(id) = self.index.read().lookup(labels, fp) {
             return id;
         }
         let mut idx = self.index.write();
-        if let Some(id) = idx.lookup_with_fingerprint(labels, fp) {
+        if let Some(id) = idx.lookup(labels, fp) {
             return id; // lost the create race; the winner logged it
         }
-        let id = idx.get_or_create_with_fingerprint(labels, fp);
+        let id = idx.create(labels, fp);
         self.log_wal(&[WalRecord::SeriesCreate {
             id,
             labels: labels.clone(),
@@ -666,9 +653,7 @@ impl Tsdb {
     fn apply_record(&self, rec: &WalRecord) {
         match rec {
             WalRecord::SeriesCreate { id, labels } => {
-                self.index
-                    .write()
-                    .insert_replayed(*id, Arc::new(labels.clone()));
+                self.index.write().insert_replayed(*id, labels)
             }
             WalRecord::Samples(samples) => self.apply_samples(samples),
             WalRecord::Tombstone(_) | WalRecord::Retention { .. } => {
@@ -1118,17 +1103,14 @@ impl Tsdb {
     /// when the count predates the newest checkpoint (segments GC'd — the
     /// rejoiner must re-bootstrap) or lies past the log end.
     pub fn locate_records(&self, target: u64) -> io::Result<Option<WalPosition>> {
-        let ws = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
+        let ws = self.wal_state()?;
         let _gate = self.gate.write();
         let start = wal::log_start(&ws.dir)?;
         if start.records > target {
             return Ok(None);
         }
         let mut found = None;
-        let end = wal::walk_log(&ws.dir, start, &mut Interner::default(), |at, _| {
+        let end = wal::walk_log(&ws.dir, start, |at, _| {
             if at.records == target {
                 found = Some(at);
             }
@@ -1137,6 +1119,12 @@ impl Tsdb {
     }
 
     // -- WAL / durability ---------------------------------------------------
+
+    /// The attached WAL; an `Unsupported` error without one.
+    fn wal_state(&self) -> io::Result<&WalState> {
+        let missing = || io::Error::new(io::ErrorKind::Unsupported, "no WAL attached");
+        self.wal.as_ref().ok_or_else(missing)
+    }
 
     /// Whether a WAL is attached.
     pub fn wal_enabled(&self) -> bool {
@@ -1177,7 +1165,7 @@ impl Tsdb {
     pub fn clear_for_resync(&self) -> usize {
         let _gate = self.gate.write();
         let mut idx = self.index.write();
-        let ids: Vec<SeriesId> = idx.all_series().into_iter().map(|(id, _)| id).collect();
+        let ids = idx.select(&[]);
         if ids.is_empty() {
             return 0;
         }
@@ -1225,9 +1213,7 @@ impl Tsdb {
     /// writes the checkpoint durably, and garbage-collects covered segments
     /// and older checkpoints. Returns the covered sequence number.
     pub fn checkpoint(&self) -> io::Result<u64> {
-        let ws = self.wal.as_ref().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::Unsupported, "checkpoint requires a WAL")
-        })?;
+        let ws = self.wal_state()?;
         let _timer = self.instruments.checkpoint_seconds.start_timer();
         let _gate = self.gate.write();
         let (covers_seq, records) = {
@@ -1235,38 +1221,30 @@ impl Tsdb {
             (w.rotate()?, w.position().records)
         };
 
-        let idx = self.index.read();
-        let mut stores = self.head.snapshot().into_iter().peekable();
         // Drive off the index: a registered series with no head store yet
         // still checkpoints (with no samples), and orphan head entries for
         // unregistered ids are skipped — queries can't see either state
         // differently, and the restored index matches exactly. Both sides
         // are sorted by id.
-        let series: Vec<(SeriesId, Arc<LabelSet>, SeriesStore)> = idx
-            .all_series()
-            .into_iter()
-            .map(|(id, labels)| {
-                while stores.next_if(|(head_id, _)| *head_id < id).is_some() {}
-                let store = stores.next_if(|(head_id, _)| *head_id == id);
-                (id, labels, store.map(|(_, s)| s).unwrap_or_default())
-            })
-            .collect();
-        let (epoch, epoch_history) = {
-            let es = self.epoch_state.lock();
-            (es.epoch, es.history.clone())
-        };
+        let mut ckpt = self.index.read().checkpoint();
+        let mut stores = self.head.snapshot().into_iter().peekable();
+        for (id, _, store) in &mut ckpt.series {
+            while stores.next_if(|(head_id, _)| head_id < id).is_some() {}
+            if let Some((_, head)) = stores.next_if(|(head_id, _)| head_id == id) {
+                *store = head;
+            }
+        }
+        let es = self.epoch_state.lock();
         let ckpt = Checkpoint {
             covers_seq,
-            generation: idx.generation(),
-            next_id: idx.next_id(),
             appended: self.appended.load(Ordering::Relaxed),
             out_of_order: self.out_of_order.load(Ordering::Relaxed),
             records,
-            epoch,
-            epoch_history,
-            series,
+            epoch: es.epoch,
+            epoch_history: es.history.clone(),
+            ..ckpt
         };
-        drop(idx);
+        drop(es);
 
         wal::write_checkpoint(&ws.dir, &ckpt)?;
         wal::gc_covered(&ws.dir, covers_seq)?;
@@ -1275,10 +1253,7 @@ impl Tsdb {
 
     /// On-disk WAL segments as `(seq, bytes)`, oldest first.
     pub fn wal_segments(&self) -> io::Result<Vec<(u64, u64)>> {
-        let ws = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
+        let ws = self.wal_state()?;
         let mut out = Vec::new();
         for (seq, path) in wal::list_segments(&ws.dir)? {
             out.push((seq, fs::metadata(&path)?.len()));
@@ -1292,10 +1267,7 @@ impl Tsdb {
     /// end mid-frame if the writer is racing; [`wal::decode_frames`]
     /// handles that.
     pub fn read_wal_segment(&self, seq: u64, offset: u64) -> io::Result<Option<Vec<u8>>> {
-        let ws = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
+        let ws = self.wal_state()?;
         let path = ws.dir.join(wal::segment_file_name(seq));
         let data = match fs::read(&path) {
             Ok(d) => d,
@@ -1310,17 +1282,9 @@ impl Tsdb {
     /// The newest checkpoint file as raw bytes plus the sequence it covers
     /// (follower bootstrap payload). `Ok(None)` when none was taken yet.
     pub fn wal_checkpoint_bytes(&self) -> io::Result<Option<(u64, Vec<u8>)>> {
-        let ws = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::Unsupported, "no WAL attached"))?;
-        for (seq, path) in wal::list_checkpoints(&ws.dir)?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if wal::decode_checkpoint(&bytes).is_some() {
-                return Ok(Some((seq, bytes)));
-            }
-        }
-        Ok(None)
+        let ws = self.wal_state()?;
+        let newest = wal::load_latest_checkpoint(&ws.dir)?;
+        Ok(newest.map(|(bytes, ckpt)| (ckpt.covers_seq, bytes)))
     }
 
     /// Loads a leader's checkpoint into this (empty) database by converting
@@ -1832,6 +1796,63 @@ mod tests {
     #[test]
     fn a_ckpt1_directory_opens_to_the_same_state() {
         an_older_checkpoint_opens_to_the_same_state("ckpt1", b"CKPT1", wal::encode_checkpoint_v1);
+    }
+
+    /// The newest checkpoint's length and CRC32 after a fixed ingest of
+    /// `part`: four nodes' counters and `up`, and a job per node that
+    /// starts later on each, 300 scrapes (two chunks a series) in part 0
+    /// and 100 more with a fifth node in part 1.
+    fn golden_part(db: &Tsdb, dir: &Path, part: i64) -> (usize, u32) {
+        for step in part * 300..part * 300 + [300, 100][part as usize] {
+            let t = 1_700_000_000_000 + step * 15_000;
+            let mut batch = Vec::new();
+            for node in 0..4 + part {
+                let instance = format!("node-{node}");
+                let energy = (step * 1_000 + node) as f64 * 1.000_001;
+                let usage = (step * step) as f64 / 7.0;
+                batch.push((
+                    labels! {"__name__" => "ceems_rapl_joules_total", "instance" => instance.clone(), "job" => "ceems"},
+                    t,
+                    energy,
+                ));
+                batch.push((
+                    labels! {"__name__" => "up", "instance" => instance.clone(), "job" => "ceems"},
+                    t,
+                    1.0,
+                ));
+                if step >= 30 * node {
+                    batch.push((
+                        labels! {"__name__" => "ceems_cpu_usage", "instance" => instance, "job" => "ceems", "uuid" => format!("slurm-{}", node * 7)},
+                        t,
+                        usage,
+                    ));
+                }
+            }
+            db.append_batch(&batch);
+        }
+        db.checkpoint().unwrap();
+        let (_, path) = wal::list_checkpoints(dir).unwrap().pop().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        (bytes.len(), wal::crc32(&bytes[..bytes.len() - 4]))
+    }
+
+    /// A database with no removals checkpoints to the bytes the writer
+    /// wrote when each checkpoint numbered its strings itself, in first-use
+    /// order over the series sorted by id: from a live index, and from one
+    /// that adopted the first checkpoint's table and then met new strings.
+    #[test]
+    fn a_fixed_database_checkpoints_to_the_same_bytes() {
+        let dir = temp_dir("golden");
+        let db = Tsdb::open(&dir, big_segments(), TsdbConfig::default()).unwrap();
+        let first = golden_part(&db, &dir, 0);
+        drop(db);
+        let db = Tsdb::open(&dir, big_segments(), TsdbConfig::default()).unwrap();
+        let second = golden_part(&db, &dir, 1);
+        assert_eq!(
+            [first, second],
+            [(17_577, 4_056_422_445), (24_674, 3_305_349_639)]
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   *one* record through a group-commit buffer: one lock, one `write`, at
 //!   most one fsync per batch.
 //! * **Checkpoints** — `checkpoint-<seq>.ckpt` files holding all live
-//!   series at a rotation boundary: a symbol table with each distinct label
-//!   string once, then per series its label pairs as indices into it and
+//!   series at a rotation boundary: the label index's string table as it
+//!   stands, then per series its label pairs as the index numbers them and
 //!   its chunks byte for byte as the head holds them, written tmp+rename.
 //!   Recovery loads the newest checkpoint whose CRC, symbol indices and
 //!   chunks all check out and replays only the segments after it; covered
@@ -23,7 +23,7 @@
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -128,46 +128,40 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).ok()
     }
 
-    /// A label count and that many name/value pairs, each string shared
-    /// through `names`.
-    fn label_set(&mut self, names: &mut Interner) -> Option<LabelSet> {
+    /// A label count and that many name/value pairs.
+    fn label_set(&mut self) -> Option<LabelSet> {
         let n = self.uvarint()? as usize;
         // A pair is at least two bytes.
         let mut pairs = Vec::with_capacity(n.min(self.remaining() / 2));
         for _ in 0..n {
-            let k = names.get(self.string()?);
-            pairs.push((k, names.get(self.string()?)));
+            let k = Arc::from(self.string()?);
+            pairs.push((k, Arc::from(self.string()?)));
         }
         Some(LabelSet::from_shared(pairs))
     }
 
-    /// A symbol count and that many strings, each shared through `names`.
-    fn symbols(&mut self, names: &mut Interner) -> Option<Vec<Arc<str>>> {
-        let n = self.uvarint()? as usize;
-        // A symbol is at least one byte.
-        let mut symbols = Vec::with_capacity(n.min(self.remaining()));
-        for _ in 0..n {
-            symbols.push(names.get(self.string()?));
-        }
-        Some(symbols)
-    }
-
-    /// A label count and that many name/value pairs, each an index into
-    /// `symbols`; `None` for an index past them.
-    fn label_set_of(&mut self, symbols: &[Arc<str>]) -> Option<LabelSet> {
+    /// A label count and that many name/value pairs, each a number in
+    /// `symbols`, appended to `numbers`; `None` for a number past them or
+    /// names out of their order.
+    fn label_set_of(&mut self, symbols: &[Arc<str>], numbers: &mut Vec<u32>) -> Option<LabelSet> {
         let n = self.uvarint()? as usize;
         // A pair is at least two bytes.
-        let mut pairs = Vec::with_capacity(n.min(self.remaining() / 2));
+        let mut pairs: Vec<(Arc<str>, Arc<str>)> = Vec::with_capacity(n.min(self.remaining() / 2));
         for _ in 0..n {
-            let k = self.symbol(symbols)?;
-            pairs.push((k, self.symbol(symbols)?));
+            let k = self.symbol(symbols, numbers)?;
+            if pairs.last().is_some_and(|(before, _)| *before >= k) {
+                return None;
+            }
+            pairs.push((k, self.symbol(symbols, numbers)?));
         }
         Some(LabelSet::from_shared(pairs))
     }
 
-    fn symbol(&mut self, symbols: &[Arc<str>]) -> Option<Arc<str>> {
-        let i = usize::try_from(self.uvarint()?).ok()?;
-        symbols.get(i).cloned()
+    fn symbol(&mut self, symbols: &[Arc<str>], numbers: &mut Vec<u32>) -> Option<Arc<str>> {
+        let n = u32::try_from(self.uvarint()?).ok()?;
+        let s = symbols.get(n as usize)?;
+        numbers.push(n);
+        Some(Arc::clone(s))
     }
 
     fn done(&self) -> bool {
@@ -177,23 +171,6 @@ impl<'a> Reader<'a> {
     /// Bytes not yet read: the most any count still to come can stand for.
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-}
-
-/// One shared copy of every label name and value a decode has met: a
-/// restart reads `__name__` or a node's `instance` once per series, and
-/// keeps one allocation of it.
-#[derive(Default)]
-pub(crate) struct Interner(HashSet<Arc<str>>);
-
-impl Interner {
-    fn get(&mut self, s: &str) -> Arc<str> {
-        if let Some(shared) = self.0.get(s) {
-            return Arc::clone(shared);
-        }
-        let shared: Arc<str> = Arc::from(s);
-        self.0.insert(Arc::clone(&shared));
-        shared
     }
 }
 
@@ -300,13 +277,12 @@ impl Record for WalRecord {
 /// (a label pair: two length bytes; a sample: two varint bytes and an
 /// `f64`; a tombstone: one varint byte), so a frame that passes its CRC
 /// cannot make the decoder reserve more than a fixed multiple of its size.
-/// Label strings come from `names`.
-fn decode_payload(payload: &[u8], names: &mut Interner) -> Option<WalRecord> {
+fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
         TAG_SERIES_CREATE => WalRecord::SeriesCreate {
             id: r.uvarint()?,
-            labels: r.label_set(names)?,
+            labels: r.label_set()?,
         },
         TAG_SAMPLES => {
             let n = r.uvarint()? as usize;
@@ -356,9 +332,8 @@ fn decode_payload(payload: &[u8], names: &mut Interner) -> Option<WalRecord> {
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut out = Vec::new();
     let mut pos = 0usize;
-    let mut names = Interner::default();
     while let Some((payload, len)) = log::next_frame(&buf[pos..]) {
-        let Some(rec) = decode_payload(payload, &mut names) else {
+        let Some(rec) = decode_payload(payload) else {
             break;
         };
         out.push(rec);
@@ -381,8 +356,9 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// What [`encode_checkpoint`] writes: each distinct label string once, in
-/// a symbol table, and each series' chunks as the head holds them.
+/// What [`encode_checkpoint`] writes: the label index's string table, each
+/// series' label pairs as numbers in it, and its chunks as the head holds
+/// them.
 const CKPT_MAGIC: &[u8; 5] = b"CKPT3";
 
 /// The format before it: the same chunks, every series' label strings in
@@ -409,7 +385,7 @@ pub struct EpochSpan {
 
 /// A full summary of the live database at a segment rotation boundary.
 /// Recovery = load newest checkpoint + replay segments `>= covers_seq`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// Segments with `seq < covers_seq` are fully contained in this
     /// checkpoint and can be garbage-collected.
@@ -432,6 +408,12 @@ pub struct Checkpoint {
     /// Epoch history up to the snapshot; survives segment GC so rejoin
     /// divergence checks work long after the bump records are collected.
     pub epoch_history: Vec<EpochSpan>,
+    /// The label index's strings by number, a free number's empty
+    /// ([`crate::index::LabelIndex::checkpoint`]); none in a decoded
+    /// `CKPT2` or `CKPT1` file.
+    pub symbols: Vec<Arc<str>>,
+    /// Every series' pairs as a name and a value number each, in turn.
+    pub pairs: Vec<u32>,
     /// Every live series: id, labels, and its chunks as the head holds
     /// them. On disk a chunk is its sample count and its encoded bytes; a
     /// decoded checkpoint's chunks have all passed
@@ -440,15 +422,14 @@ pub struct Checkpoint {
 }
 
 /// Serializes a checkpoint: magic, varint-packed header, the symbol table
-/// (a count, then each distinct label string length-prefixed, in first-use
-/// order), the series (id, label count, a name and a value index per pair,
-/// chunks), and a trailing CRC32 over everything before it.
+/// (a count, then each string of `symbols` length-prefixed), the series
+/// (id, label count, a name and a value number per pair, chunks), and a
+/// trailing CRC32 over everything before it.
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let symbols = Symbols::of(&ckpt.series);
     // Sized up front: growing a multi-megabyte buffer by doubling copies it
-    // several times over and holds twice its size at the peak. An index
+    // several times over and holds twice its size at the peak. A number
     // takes at most three bytes below 2^21 strings.
-    let table_bytes: usize = symbols.strings.iter().map(|s| s.len() + 2).sum();
+    let table_bytes: usize = ckpt.symbols.iter().map(|s| s.len() + 2).sum();
     let series_bytes: usize = ckpt
         .series
         .iter()
@@ -458,17 +439,17 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
         .sum();
     let mut out = Vec::with_capacity(128 + table_bytes + series_bytes);
     put_header(&mut out, CKPT_MAGIC, ckpt);
-    put_uvarint(&mut out, symbols.strings.len() as u64);
-    for s in &symbols.strings {
+    put_uvarint(&mut out, ckpt.symbols.len() as u64);
+    for s in &ckpt.symbols {
         put_bytes(&mut out, s.as_bytes());
     }
-    let mut indices = symbols.indices.iter();
+    let mut pairs = ckpt.pairs.iter();
     put_uvarint(&mut out, ckpt.series.len() as u64);
     for (id, labels, store) in &ckpt.series {
         put_uvarint(&mut out, *id);
         put_uvarint(&mut out, labels.len() as u64);
-        for &i in indices.by_ref().take(2 * labels.len()) {
-            put_uvarint(&mut out, u64::from(i));
+        for &n in pairs.by_ref().take(2 * labels.len()) {
+            put_uvarint(&mut out, u64::from(n));
         }
         put_chunks(&mut out, store);
     }
@@ -562,57 +543,6 @@ pub(crate) fn fix_crc(bytes: &mut [u8]) {
     bytes[body..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Every distinct label string of a checkpoint's series in first-use
-/// order, and each label pair as two indices into them.
-struct Symbols<'a> {
-    strings: Vec<&'a str>,
-    /// A name and a value index per pair, series after series.
-    indices: Vec<u32>,
-}
-
-impl<'a> Symbols<'a> {
-    /// At most one map lookup per label string: a series mostly shares its
-    /// target's labels with the one before it (ids are handed out a payload
-    /// at a time), so a pair is first compared with that series' pair in
-    /// the same place, and its index taken from there when they agree. On
-    /// the end-to-end benchmark's workloads that settles three strings in
-    /// four, and the pass takes 55–70 % of the time a lookup of every
-    /// string does.
-    fn of(series: &'a [(SeriesId, Arc<LabelSet>, SeriesStore)]) -> Symbols<'a> {
-        let pairs: usize = series.iter().map(|(_, labels, _)| labels.len()).sum();
-        let mut numbered = HashMap::<&str, u32>::new();
-        let mut strings = Vec::new();
-        let mut index = |s: &'a str| {
-            let next = strings.len() as u32;
-            *numbered.entry(s).or_insert_with(|| {
-                strings.push(s);
-                next
-            })
-        };
-        let mut indices = Vec::with_capacity(2 * pairs);
-        // The previous series' pairs and their indices, and this one's.
-        let (mut before, mut this) = (Vec::new(), Vec::new());
-        for (_, labels, _) in series {
-            this.clear();
-            for (at, (k, v)) in labels.iter().enumerate() {
-                let same = before.get(at);
-                let k_at = match same {
-                    Some(&(name, _, i, _)) if name == k => i,
-                    _ => index(k),
-                };
-                let v_at = match same {
-                    Some(&(_, value, _, i)) if value == v => i,
-                    _ => index(v),
-                };
-                indices.extend([k_at, v_at]);
-                this.push((k, v, k_at, v_at));
-            }
-            std::mem::swap(&mut before, &mut this);
-        }
-        Symbols { strings, indices }
-    }
-}
-
 /// A series' chunks as `CKPT3` and `CKPT2` hold them, each through the
 /// checked decode.
 fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
@@ -679,11 +609,11 @@ const RANGE_BYTES: usize = 16 << 10;
 
 /// A checkpoint taken apart for workers: the header and every series' id
 /// and labels decoded (a `CKPT3` file's label sets built from its symbol
-/// table, no string hashed but the table's), each series' samples found but
-/// not decoded. Nothing in it holds before [`Self::crc_ok`] and every
-/// [`Self::store`] say so.
+/// table), each series' samples found but not decoded.
+/// Nothing in it holds before [`Self::crc_ok`] and every [`Self::store`]
+/// say so.
 pub(crate) struct CheckpointView<'a> {
-    /// The checkpoint's fields; its `series` is empty.
+    /// The checkpoint's fields, its table and pairs; its `series` is empty.
     pub header: Checkpoint,
     /// Each series' id and labels, ids ascending.
     pub series: Vec<(SeriesId, Arc<LabelSet>)>,
@@ -704,16 +634,16 @@ pub(crate) enum Check {
 }
 
 impl<'a> CheckpointView<'a> {
-    /// Reads checkpoint bytes of any format up to each series' samples,
-    /// label strings (a `CKPT3` file's symbol table) through `names`. `None`
-    /// when what it reads is not a checkpoint: among others, a symbol that
-    /// is not UTF-8 or an index past the table. A count read from the bytes
+    /// Reads checkpoint bytes of any format up to each series' samples.
+    /// `None` when what it reads is not a checkpoint: among others, a symbol
+    /// that is not UTF-8, a number past the table, a series' label names
+    /// out of their order, or a used string under two numbers. A count read from the bytes
     /// reserves no more than the bytes left could hold (a symbol is at least
     /// one byte, a span or a label pair two, a series three). Every writer
     /// of every format put the series in ascending id order
     /// (`Tsdb::checkpoint` over the index's sorted series); a file with an
     /// id out of that order is corrupt.
-    pub(crate) fn parse(bytes: &'a [u8], names: &mut Interner) -> Option<CheckpointView<'a>> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Option<CheckpointView<'a>> {
         let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
         let (format, has_symbols) = match body.get(..CKPT_MAGIC.len())? {
             magic if magic == CKPT_MAGIC => (&CHUNK_SAMPLES, true),
@@ -722,26 +652,33 @@ impl<'a> CheckpointView<'a> {
             _ => return None,
         };
         let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
-        let covers_seq = r.uvarint()?;
-        let generation = r.uvarint()?;
-        let next_id = r.uvarint()?;
-        let appended = r.uvarint()?;
-        let out_of_order = r.uvarint()?;
-        let records = r.uvarint()?;
-        let epoch = r.uvarint()?;
+        // Fields are read in the order they are written.
+        let mut header = Checkpoint {
+            covers_seq: r.uvarint()?,
+            generation: r.uvarint()?,
+            next_id: r.uvarint()?,
+            appended: r.uvarint()?,
+            out_of_order: r.uvarint()?,
+            records: r.uvarint()?,
+            epoch: r.uvarint()?,
+            ..Checkpoint::default()
+        };
         let n_spans = r.uvarint()? as usize;
-        let mut epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
+        header.epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
         for _ in 0..n_spans {
-            epoch_history.push(EpochSpan {
+            header.epoch_history.push(EpochSpan {
                 epoch: r.uvarint()?,
                 start_records: r.uvarint()?,
             });
         }
-        let symbols = if has_symbols {
-            Some(r.symbols(names)?)
-        } else {
-            None
-        };
+        if has_symbols {
+            // A number is a `u32`; a symbol is at least one byte.
+            let n = u32::try_from(r.uvarint()?).ok()? as usize;
+            header.symbols.reserve(n.min(r.remaining()));
+            for _ in 0..n {
+                header.symbols.push(Arc::from(r.string()?));
+            }
+        }
         let n_series = r.uvarint()? as usize;
         let mut series: Vec<(SeriesId, Arc<LabelSet>)> =
             Vec::with_capacity(n_series.min(r.remaining() / 3));
@@ -751,27 +688,23 @@ impl<'a> CheckpointView<'a> {
             if series.last().is_some_and(|(before, _)| *before >= id) {
                 return None;
             }
-            let labels = match &symbols {
-                Some(symbols) => r.label_set_of(symbols)?,
-                None => r.label_set(names)?,
+            let labels = match has_symbols {
+                true => r.label_set_of(&header.symbols, &mut header.pairs)?,
+                false => r.label_set()?,
             };
             series.push((id, Arc::new(labels)));
             let start = r.pos;
             (format.skip)(&mut r)?;
             samples.push(&r.buf[start..r.pos]);
         }
-        let header = Checkpoint {
-            covers_seq,
-            generation,
-            next_id,
-            appended,
-            out_of_order,
-            records,
-            epoch,
-            epoch_history,
-            series: Vec::new(),
-        };
-        r.done().then_some(CheckpointView {
+        // A used string under two numbers would split its postings; a free
+        // number is the empty string, which may repeat.
+        let mut used = vec![false; header.symbols.len()];
+        header.pairs.iter().for_each(|&n| used[n as usize] = true);
+        let mut seen = HashSet::new();
+        let mut used = header.symbols.iter().zip(used).filter(|(_, used)| *used);
+        let once = used.all(|(s, _)| seen.insert(&**s));
+        (once && r.done()).then_some(CheckpointView {
             header,
             series,
             samples,
@@ -821,7 +754,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
 /// ranges of series. A checkpoint of one range decodes on the calling
 /// thread.
 fn decode_checkpoint_on(bytes: &[u8], workers: usize) -> Option<Checkpoint> {
-    let view = CheckpointView::parse(bytes, &mut Interner::default())?;
+    let view = CheckpointView::parse(bytes)?;
     let checks = view.checks();
     // Each check's stores by the first series it covers; the CRC's are none.
     let workers = workers.min(checks.len() - 1);
@@ -854,13 +787,15 @@ pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Loads the newest checkpoint that validates, skipping corrupt or
-/// truncated ones (a crash mid-checkpoint leaves a `.tmp` that is never
-/// considered, but defense in depth costs nothing).
-pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<Checkpoint>> {
+/// The newest checkpoint in `dir` that validates, as its bytes and
+/// decoded, skipping corrupt or truncated ones (a crash mid-checkpoint
+/// leaves a `.tmp` that is never considered, but defense in depth costs
+/// nothing).
+pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<(Vec<u8>, Checkpoint)>> {
     for (_, path) in list_checkpoints(dir)?.into_iter().rev() {
-        if let Some(ckpt) = decode_checkpoint(&fs::read(&path)?) {
-            return Ok(Some(ckpt));
+        let bytes = fs::read(&path)?;
+        if let Some(ckpt) = decode_checkpoint(&bytes) {
+            return Ok(Some((bytes, ckpt)));
         }
     }
     Ok(None)
@@ -869,28 +804,26 @@ pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<Checkpoint>> {
 /// Where the log in `dir` starts: the segment the newest valid checkpoint
 /// covers up to, with the records it holds; the very beginning without one.
 pub(crate) fn log_start(dir: &Path) -> io::Result<WalPosition> {
-    Ok(
-        load_latest_checkpoint(dir)?.map_or_else(WalPosition::default, |c| WalPosition {
-            seq: c.covers_seq,
-            offset: 0,
-            records: c.records,
-        }),
-    )
+    let newest = load_latest_checkpoint(dir)?.map(|(_, c)| (c.covers_seq, c.records));
+    let (seq, records) = newest.unwrap_or_default();
+    Ok(WalPosition {
+        seq,
+        offset: 0,
+        records,
+    })
 }
 
 /// Walks the log in `dir` as recovery reads it ([`log::walk`]): every
 /// segment from `start.seq` on (see [`log_start`]), each frame's CRC and
 /// payload checked. The log ends at the first frame that fails. `visit`
-/// sees each record with the position its frame starts at; label strings
-/// come from `names`.
+/// sees each record with the position its frame starts at.
 pub(crate) fn walk_log(
     dir: &Path,
     start: WalPosition,
-    names: &mut Interner,
     mut visit: impl FnMut(WalPosition, WalRecord),
 ) -> io::Result<LogEnd> {
     log::walk(dir, start, |at, payload| {
-        decode_payload(payload, names)
+        decode_payload(payload)
             .map(|rec| visit(at, rec))
             .is_some()
     })
@@ -923,7 +856,7 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
         return Ok(TruncateOutcome::NeedsResync);
     }
     let mut cut = None;
-    let end = walk_log(dir, start, &mut Interner::default(), |at, _| {
+    let end = walk_log(dir, start, |at, _| {
         if at.records == target {
             cut = Some(at);
         }
@@ -963,6 +896,7 @@ pub fn gc_covered(dir: &Path, covers_seq: u64) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::LabelIndex;
     use ceems_metrics::labels;
 
     fn sample_records() -> Vec<WalRecord> {
@@ -1137,6 +1071,20 @@ mod tests {
         store
     }
 
+    /// A checkpoint of these series, numbered by a [`LabelIndex`] as
+    /// `Tsdb::checkpoint` numbers them.
+    fn checkpoint_of(series: Vec<(SeriesId, LabelSet, SeriesStore)>) -> Checkpoint {
+        let mut idx = LabelIndex::new();
+        for (id, labels, _) in &series {
+            idx.insert_replayed(*id, labels);
+        }
+        let mut ckpt = idx.checkpoint();
+        for ((_, _, store), (_, _, want)) in ckpt.series.iter_mut().zip(series) {
+            *store = want;
+        }
+        ckpt
+    }
+
     fn sample_checkpoint() -> Checkpoint {
         // Long enough to hold a closed chunk and an open one.
         let long: Vec<Sample> = (0..300)
@@ -1160,23 +1108,29 @@ mod tests {
                     start_records: 40,
                 },
             ],
-            series: vec![
+            ..checkpoint_of(vec![
                 (
                     0,
-                    Arc::new(labels! {"__name__" => "power"}),
+                    labels! {"__name__" => "power"},
                     store_of(&[Sample::new(0, 1.0), Sample::new(15_000, 2.5)]),
                 ),
-                (
-                    2,
-                    Arc::new(labels! {"__name__" => "up"}),
-                    SeriesStore::default(),
-                ),
+                (2, labels! {"__name__" => "up"}, SeriesStore::default()),
                 (
                     3,
-                    Arc::new(labels! {"__name__" => "energy", "instance" => "n1"}),
+                    labels! {"__name__" => "energy", "instance" => "n1"},
                     store_of(&long),
                 ),
-            ],
+            ])
+        }
+    }
+
+    /// `ckpt` as a file without a symbol table decodes: the same series and
+    /// header, no table and no pairs.
+    fn without_symbols(ckpt: &Checkpoint) -> Checkpoint {
+        Checkpoint {
+            symbols: Vec::new(),
+            pairs: Vec::new(),
+            ..ckpt.clone()
         }
     }
 
@@ -1245,19 +1199,16 @@ mod tests {
         let long: Vec<Sample> = (0..300)
             .map(|i| Sample::new(i * 15_000, (i * i) as f64 / 7.0))
             .collect();
-        let mut ckpt = sample_checkpoint();
-        ckpt.series = (0..400)
-            .map(|id| {
-                let labels = labels! {"__name__" => "energy", "instance" => format!("n{id}")};
-                (
-                    id * 3,
-                    Arc::new(labels),
-                    store_of(&long[..(id as usize * 7) % 300]),
-                )
-            })
-            .collect();
+        let ckpt = checkpoint_of(
+            (0..400)
+                .map(|id| {
+                    let labels = labels! {"__name__" => "energy", "instance" => format!("n{id}")};
+                    (id * 3, labels, store_of(&long[..(id as usize * 7) % 300]))
+                })
+                .collect(),
+        );
         let bytes = encode_checkpoint(&ckpt);
-        let view = CheckpointView::parse(&bytes, &mut Interner::default()).unwrap();
+        let view = CheckpointView::parse(&bytes).unwrap();
         assert!(view.checks().len() > 8, "{} checks", view.checks().len());
         for workers in 1..=3 {
             assert_eq!(
@@ -1303,6 +1254,9 @@ mod tests {
         }
     }
 
+    /// A decoded checkpoint builds its label sets from the table's strings,
+    /// one allocation each; the creates a log holds share theirs once the
+    /// index registers them.
     #[test]
     fn a_decode_shares_each_label_string() {
         let ckpt = sample_checkpoint();
@@ -1318,22 +1272,19 @@ mod tests {
                 .all(|w| w[0] != w[1] || std::ptr::eq(w[0], w[1])),
             "{names:?}"
         );
-        let (records, _) = decode_frames(&{
-            let mut buf = Vec::new();
-            for rec in sample_records().iter().chain(&sample_records()) {
-                encode_record(&mut buf, rec);
+        let mut idx = LabelIndex::new();
+        let mut buf = Vec::new();
+        for rec in [&sample_records()[0], &sample_records()[0]] {
+            encode_record(&mut buf, rec);
+        }
+        let (records, _) = decode_frames(&buf);
+        for (id, rec) in records.iter().enumerate() {
+            if let WalRecord::SeriesCreate { labels, .. } = rec {
+                idx.insert_replayed(id as SeriesId, labels);
             }
-            buf
-        });
-        let creates: Vec<&LabelSet> = records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::SeriesCreate { labels, .. } => Some(labels),
-                _ => None,
-            })
-            .collect();
-        let value = |l: &LabelSet| l.get("instance").unwrap().as_ptr();
-        assert_eq!((creates.len(), value(creates[0])), (2, value(creates[1])));
+        }
+        let value = |id| idx.labels(id).unwrap().get("instance").unwrap().as_ptr();
+        assert_eq!((idx.series_count(), value(0)), (2, value(1)));
     }
 
     #[test]
@@ -1353,69 +1304,46 @@ mod tests {
         );
     }
 
-    proptest::proptest! {
-        /// Whatever labels neighbours share, and in whichever places, the
-        /// symbol pass holds each string once and its indices give back
-        /// every pair: the neighbour comparison agrees with a lookup.
-        #[test]
-        fn the_symbol_table_holds_each_string_once_and_gives_back_every_pair(
-            sets in proptest::collection::vec(
-                proptest::collection::btree_map(0u8..6, 0u8..4, 0..5),
-                0..40,
-            ),
-        ) {
-            let series: Vec<_> = sets
-                .iter()
-                .enumerate()
-                .map(|(id, set)| {
-                    let pairs = set.iter().map(|(k, v)| (format!("k{k}"), format!("v{v}")));
-                    (id as SeriesId, Arc::new(LabelSet::from_pairs(pairs)), SeriesStore::default())
-                })
-                .collect();
-            let symbols = Symbols::of(&series);
-            let distinct: HashSet<&str> = symbols.strings.iter().copied().collect();
-            proptest::prop_assert_eq!(distinct.len(), symbols.strings.len());
-            let mut indices = symbols.indices.iter().map(|&i| symbols.strings[i as usize]);
-            for (_, labels, _) in &series {
-                for (k, v) in labels.iter() {
-                    proptest::prop_assert_eq!(indices.next(), Some(k));
-                    proptest::prop_assert_eq!(indices.next(), Some(v));
-                }
-            }
-            proptest::prop_assert_eq!(indices.next(), None);
-        }
-    }
-
-    /// A `CKPT3` file of one series, `{a="b"}` as indices `name`, `value`
-    /// into the table `["a", "b"]`, and no chunks.
-    fn one_series_ckpt3(table: [&[u8]; 2], name: u8, value: u8) -> Vec<u8> {
+    /// A `CKPT3` file of one series, its label pairs as these numbers into
+    /// the table `table`, and no chunks.
+    fn one_series_ckpt3(table: [&[u8]; 2], pairs: &[(u8, u8)]) -> Vec<u8> {
         let mut bytes = b"CKPT3".to_vec();
         bytes.extend_from_slice(&[0; 8]);
         bytes.push(2);
         for s in table {
             put_bytes(&mut bytes, s);
         }
-        bytes.extend_from_slice(&[1, 0, 1, name, value, 0]);
+        bytes.extend_from_slice(&[1, 0, pairs.len() as u8]);
+        for &(name, value) in pairs {
+            bytes.extend_from_slice(&[name, value]);
+        }
+        bytes.push(0);
         bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
         bytes
     }
 
     #[test]
     fn a_bad_symbol_or_index_is_a_corrupt_checkpoint() {
-        let ckpt = decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 0, 1)).unwrap();
+        let ckpt = decode_checkpoint(&one_series_ckpt3([b"a", b"b"], &[(0, 1)])).unwrap();
         assert_eq!(*ckpt.series[0].1, labels! {"a" => "b"});
-        assert_eq!(
-            decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 0, 2)),
-            None
-        );
-        assert_eq!(
-            decode_checkpoint(&one_series_ckpt3([b"a", b"b"], 9, 1)),
-            None
-        );
-        assert_eq!(
-            decode_checkpoint(&one_series_ckpt3([b"a", b"\xff"], 0, 1)),
-            None
-        );
+        assert_eq!(ckpt.pairs, [0, 1]);
+        let ckpt = decode_checkpoint(&one_series_ckpt3([b"a", b"b"], &[(0, 1), (1, 1)])).unwrap();
+        assert_eq!(*ckpt.series[0].1, labels! {"a" => "b", "b" => "b"});
+        for bad in [
+            one_series_ckpt3([b"a", b"b"], &[(0, 2)]),
+            one_series_ckpt3([b"a", b"b"], &[(9, 1)]),
+            one_series_ckpt3([b"a", b"\xff"], &[(0, 1)]),
+            // Names out of their order, and one name twice.
+            one_series_ckpt3([b"a", b"b"], &[(1, 1), (0, 1)]),
+            one_series_ckpt3([b"a", b"b"], &[(0, 1), (0, 0)]),
+            // One used string under two numbers.
+            one_series_ckpt3([b"a", b"a"], &[(0, 1)]),
+        ] {
+            assert_eq!(decode_checkpoint(&bad), None);
+        }
+        // A number no pair uses is free, whatever it holds.
+        let ckpt = decode_checkpoint(&one_series_ckpt3([b"a", b"a"], &[(0, 0)])).unwrap();
+        assert_eq!(*ckpt.series[0].1, labels! {"a" => "a"});
     }
 
     #[test]
@@ -1423,6 +1351,7 @@ mod tests {
         let ckpt = sample_checkpoint();
         let bytes = encode_checkpoint_v2(&ckpt);
         assert!(bytes.starts_with(b"CKPT2"));
+        let ckpt = without_symbols(&ckpt);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
         for workers in 1..=3 {
             assert_eq!(decode_checkpoint_on(&bytes, workers).as_ref(), Some(&ckpt));
@@ -1434,7 +1363,7 @@ mod tests {
         let ckpt = sample_checkpoint();
         let bytes = encode_checkpoint_v1(&ckpt);
         assert!(bytes.starts_with(b"CKPT1"));
-        assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
+        assert_eq!(decode_checkpoint(&bytes).unwrap(), without_symbols(&ckpt));
         assert!(bytes.len() > 2 * encode_checkpoint(&ckpt).len());
         // Samples out of time order are no series: the first series' second
         // delta, ivarint(15 000) = b0 ea 01, with zigzag's sign bit set.

@@ -5,10 +5,9 @@
 //! process-wide (the tallies are per thread, so the tests may run side by
 //! side).
 
-use std::sync::Arc;
-
 use ceems_metrics::labels;
 use ceems_tsdb::head::SeriesStore;
+use ceems_tsdb::index::LabelIndex;
 use ceems_tsdb::wal::{crc32, decode_checkpoint, encode_checkpoint, Checkpoint, EpochSpan};
 use ceems_tsdb::Sample;
 use proptest::prelude::*;
@@ -49,7 +48,12 @@ fn real_checkpoint() -> Checkpoint {
         }
         s
     };
-    Checkpoint {
+    // Numbered as `Tsdb::checkpoint` numbers them: by a label index.
+    let mut index = LabelIndex::new();
+    index.insert_replayed(1, &labels! {"__name__" => "power", "instance" => "n1"});
+    index.insert_replayed(4, &labels! {"__name__" => "up"});
+    index.insert_replayed(11, &labels! {"__name__" => "energy", "uuid" => "slurm-7"});
+    let mut ckpt = Checkpoint {
         covers_seq: 3,
         generation: 9,
         next_id: 12,
@@ -61,12 +65,11 @@ fn real_checkpoint() -> Checkpoint {
             EpochSpan { epoch: 0, start_records: 0 },
             EpochSpan { epoch: 2, start_records: 30 },
         ],
-        series: vec![
-            (1, Arc::new(labels! {"__name__" => "power", "instance" => "n1"}), store(300, 15_000)),
-            (4, Arc::new(labels! {"__name__" => "up"}), SeriesStore::default()),
-            (11, Arc::new(labels! {"__name__" => "energy", "uuid" => "slurm-7"}), store(40, 1)),
-        ],
-    }
+        ..index.checkpoint()
+    };
+    ckpt.series[0].2 = store(300, 15_000);
+    ckpt.series[2].2 = store(40, 1);
+    ckpt
 }
 
 #[test]
