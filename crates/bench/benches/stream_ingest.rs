@@ -83,13 +83,10 @@ fn bench_labels() -> Vec<(String, String)> {
 
 /// A bus over the stack's sink: one `SeriesCache::ingest` per publisher,
 /// the map lock held only to find the publisher's cache.
-fn ingesting_bus(db: Arc<Tsdb>, ring: usize) -> Arc<StreamBus> {
+fn ingesting_bus(db: Arc<Tsdb>) -> Arc<StreamBus> {
     let caches: Mutex<HashMap<String, Arc<Mutex<SeriesCache>>>> = Mutex::default();
     Arc::new(StreamBus::new(
-        StreamBusConfig {
-            ring_capacity: ring,
-            ..Default::default()
-        },
+        StreamBusConfig::default(),
         Arc::new(move |f: &SampleFrame| {
             let cache = Arc::clone(caches.lock().entry(f.publisher.clone()).or_default());
             let stamp = Stamp {
@@ -256,7 +253,7 @@ fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
     let fleets = [1, 2].map(|threads| Fleet {
         exporters: &exporters,
         threads,
-        bus: ingesting_bus(Arc::new(Tsdb::default()), 4),
+        bus: ingesting_bus(Arc::new(Tsdb::default())),
         seq: 0,
     });
     fleet_rows(c, "fleet_push", fleets)
@@ -468,7 +465,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
     // Push mode: the exporter's render is published over the bus.
     let push_db = Arc::new(Tsdb::default());
     let now = Arc::new(AtomicI64::new(0));
-    let bus = ingesting_bus(Arc::clone(&push_db), 4);
+    let bus = ingesting_bus(Arc::clone(&push_db));
     let bus_srv = serve_bus(Arc::clone(&bus), Arc::clone(&now));
     let mut publisher = StreamPublisher::new(
         &bus_srv.base_url(),
@@ -526,7 +523,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
     // fully received by a live SSE subscriber.
     let live_db = Arc::new(Tsdb::default());
     let live_now = Arc::new(AtomicI64::new(0));
-    let live_bus = ingesting_bus(Arc::clone(&live_db), 4);
+    let live_bus = ingesting_bus(Arc::clone(&live_db));
     let live_srv = serve_bus(Arc::clone(&live_bus), Arc::clone(&live_now));
     let mut live_pub =
         StreamPublisher::new(&live_srv.base_url(), "bench", "n0", "n0:9100", "ceems", vec![]);

@@ -211,9 +211,9 @@ pub struct StreamSettings {
     pub enabled: bool,
     /// Topic exporter renders are published on.
     pub topic: String,
-    /// Replay-ring capacity per (tenant, topic); an older resume gets a gap record.
+    /// Not read: the bus keeps no replay ring (S23). The YAML key is still accepted.
     pub ring_capacity: usize,
-    /// Raw-frame subscriber cap per tenant on `/api/v1/stream/subscribe`.
+    /// Not read: the bus serves no raw-frame subscribers (S23). The YAML key is still accepted.
     pub max_subscribers_per_tenant: usize,
     /// Live `query_live` subscription cap per tenant at the frontend.
     pub max_live_per_tenant: usize,
@@ -458,8 +458,8 @@ static KEYS: &[Key] = {
     "meta.breaker_storm_opens" => Num(c.meta.breaker_storm_opens), Floor(0.0), "BreakerOpenStorm threshold (opens in 5 min); 0: off";
     "stream.enabled" => Bool(c.stream.enabled), Any, "true when the section is present; false parses but disables";
     "stream.topic" => Str(c.stream.topic), NonEmpty, "topic exporters publish to";
-    "stream.ring_capacity" => Count(c.stream.ring_capacity), Positive, "frames kept per topic for resuming subscribers";
-    "stream.max_subscribers_per_tenant" => Count(c.stream.max_subscribers_per_tenant), Floor(0.0), "raw-frame subscribers per tenant";
+    "stream.ring_capacity" => Count(c.stream.ring_capacity), Positive, "accepted so older files load: the bus keeps no replay ring";
+    "stream.max_subscribers_per_tenant" => Count(c.stream.max_subscribers_per_tenant), Floor(0.0), "accepted so older files load: the bus serves no raw-frame subscribers";
     "stream.max_live_per_tenant" => Count(c.stream.max_live_per_tenant), Floor(0.0), "`query_live` subscriptions per tenant";
     "failover.enabled" => Bool(c.failover.enabled), Any, "true when the section is present; false parses but disables";
     "failover.replicas" => Count(c.failover.replicas), AtLeast(2.0), "TSDB nodes in the replication group";
@@ -481,7 +481,11 @@ const ENABLED_BY_PRESENCE: &[(&str, Enable)] = &[
 ];
 
 /// Keys still accepted, so older files load, that nothing reads.
-const NO_EFFECT: &[&str] = &["http.reactor_threads"];
+const NO_EFFECT: &[&str] = &[
+    "http.reactor_threads",
+    "stream.ring_capacity",
+    "stream.max_subscribers_per_tenant",
+];
 
 /// A typed accessor: the field of a config a key sets.
 #[derive(Clone, Copy)]

@@ -581,9 +581,9 @@ impl CeemsStack {
                     exporter.render_fn(),
                 ));
             }
-            // The stream bus's health gauges (ring occupancy, publisher
-            // lag, subscriber counts) join the meta tenant when streaming
-            // is on.
+            // The stream bus's health instruments (published and duplicate
+            // frames, publisher lag) join the meta tenant when streaming is
+            // on.
             if let Some(bus) = &stream_bus {
                 let reg = ceems_metrics::registry::Registry::new();
                 bus.register_metrics(&reg);
@@ -797,7 +797,7 @@ impl CeemsStack {
 
     /// The streaming ingest bus (`None` unless `stream:` is enabled).
     /// Mount its HTTP surface with [`ceems_stream::http::mount`] to accept
-    /// out-of-process publishers and raw-frame subscribers.
+    /// out-of-process publishers.
     pub fn stream_bus(&self) -> Option<Arc<StreamBus>> {
         self.stream_bus.clone()
     }

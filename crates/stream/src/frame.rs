@@ -3,8 +3,8 @@
 //! A *frame* is one exporter render: exposition text plus the target labels
 //! a scrape pass would have stamped (`instance`, `job`, extra group labels)
 //! and a per-publisher monotonic sequence number. Frames ride HTTP bodies as
-//! `[u32 big-endian length][JSON]` records — several per `POST
-//! /api/v1/stream/push` body, one per chunk on the subscribe stream.
+//! `[u32 big-endian length][JSON]` records, several per `POST
+//! /api/v1/stream/push` body.
 //!
 //! Why length-prefixed records inside ordinary keep-alive POSTs rather than
 //! one long-lived chunked *request*? Chunked request bodies pin a server
@@ -12,9 +12,9 @@
 //! retry semantics murky (how much of an infinite body was "received"?).
 //! Batched POSTs reuse the pooled keep-alive connection (S20), give the
 //! publisher a crisp ack unit to resume from, and let the server treat one
-//! push body as one WAL group commit. Server→client paths (subscribe, live
-//! queries) *do* use true chunked streaming — there the server controls the
-//! framing and a dropped consumer is just shed.
+//! push body as one WAL group commit. The server→client path (live
+//! queries) *does* use true chunked streaming — there the server controls
+//! the framing and a dropped consumer is just shed.
 
 use serde_json::{json, Value};
 
@@ -45,10 +45,9 @@ pub struct SampleFrame {
 }
 
 impl SampleFrame {
-    /// JSON value for the wire. `offset` is the bus-assigned topic offset,
-    /// present only on the subscribe stream (publishers don't know it).
-    pub fn to_json(&self, offset: Option<u64>) -> Value {
-        let mut v = json!({
+    /// JSON value for the wire.
+    pub fn to_json(&self) -> Value {
+        json!({
             "topic": self.topic,
             "publisher": self.publisher,
             "seq": self.seq,
@@ -59,16 +58,10 @@ impl SampleFrame {
                 .collect::<Vec<_>>(),
             "body": self.body,
             "produced_ms": self.produced_ms,
-        });
-        if let Some(off) = offset {
-            if let Value::Object(m) = &mut v {
-                m.insert("offset".to_string(), json!(off));
-            }
-        }
-        v
+        })
     }
 
-    /// Parses a wire JSON object back into a frame (ignores `offset`).
+    /// Parses a wire JSON object back into a frame (unknown fields are ignored).
     pub fn from_json(v: &Value) -> Result<SampleFrame, String> {
         let s = |key: &str| -> Result<String, String> {
             v.get(key)
@@ -101,75 +94,11 @@ impl SampleFrame {
         })
     }
 
-    /// Appends this frame as a length-prefixed record.
-    pub fn encode_into(&self, out: &mut Vec<u8>, offset: Option<u64>) {
-        encode_record(out, &self.to_json(offset));
-    }
-}
-
-/// Appends one `[u32 BE length][JSON]` record.
-pub fn encode_record(out: &mut Vec<u8>, v: &Value) {
-    let bytes = v.to_string().into_bytes();
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(&bytes);
-}
-
-/// A control record on the subscribe stream: the ring no longer holds the
-/// offset the subscriber asked to resume from, so a gap exists.
-pub fn gap_record(requested_from: u64, oldest_available: u64) -> Value {
-    json!({
-        "control": "gap",
-        "requested_from": requested_from,
-        "oldest_available": oldest_available,
-    })
-}
-
-/// Incremental decoder over length-prefixed records; tolerates records
-/// arriving split across arbitrary chunk boundaries (the subscribe stream
-/// re-chunks at the transport layer).
-#[derive(Debug, Default)]
-pub struct RecordDecoder {
-    buf: Vec<u8>,
-}
-
-impl RecordDecoder {
-    /// Empty decoder.
-    pub fn new() -> RecordDecoder {
-        RecordDecoder::default()
-    }
-
-    /// Feeds bytes; returns every complete record now available. The
-    /// records are walked with a read offset and the consumed bytes dropped
-    /// once, so a body of many small records costs its length, not its
-    /// length times its record count.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Value>, String> {
-        self.buf.extend_from_slice(data);
-        let mut out = Vec::new();
-        let mut at = 0;
-        let walked = loop {
-            let Some(&[a, b, c, d]) = self.buf.get(at..at + 4) else {
-                break Ok(());
-            };
-            let len = u32::from_be_bytes([a, b, c, d]) as usize;
-            if len > MAX_RECORD_BYTES {
-                break Err(format!("record length {len} exceeds cap"));
-            }
-            let Some(record) = self.buf.get(at + 4..at + 4 + len) else {
-                break Ok(());
-            };
-            match serde_json::from_slice(record) {
-                Ok(v) => out.push(v),
-                Err(e) => break Err(format!("bad record JSON: {e}")),
-            }
-            at += 4 + len;
-        };
-        self.buf.drain(..at);
-        walked.map(|()| out)
-    }
-
-    /// Bytes buffered awaiting a record's remainder.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+    /// Appends this frame as one `[u32 BE length][JSON]` record.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let bytes = self.to_json().to_string().into_bytes();
+        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(&bytes);
     }
 }
 
@@ -178,15 +107,26 @@ impl RecordDecoder {
 /// a bigger buffer.
 pub const MAX_RECORD_BYTES: usize = 8 << 20;
 
-/// Decodes a complete buffer of records (push bodies arrive whole).
+/// Decodes a complete buffer of records (push bodies arrive whole). The
+/// records are walked with a read offset, so a body of many small records
+/// costs its length, not its length times its record count.
 pub fn decode_records(body: &[u8]) -> Result<Vec<Value>, String> {
-    let mut dec = RecordDecoder::new();
-    let out = dec.feed(body)?;
-    if dec.pending_bytes() > 0 {
-        return Err(format!(
-            "trailing {} bytes after last complete record",
-            dec.pending_bytes()
-        ));
+    let trailing = |at: usize| format!("{} trailing bytes after the last record", body.len() - at);
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < body.len() {
+        let Some(&[a, b, c, d]) = body.get(at..at + 4) else {
+            return Err(trailing(at));
+        };
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
+        if len > MAX_RECORD_BYTES {
+            return Err(format!("record length {len} exceeds cap"));
+        }
+        let record = body.get(at + 4..at + 4 + len).ok_or_else(|| trailing(at))?;
+        let value = serde_json::from_slice(record)
+            .map_err(|e| format!("bad record JSON at byte {at}: {e}"))?;
+        out.push(value);
+        at += 4 + len;
     }
     Ok(out)
 }
@@ -212,34 +152,18 @@ mod tests {
     fn frame_roundtrips_through_wire_encoding() {
         let f = frame(7);
         let mut buf = Vec::new();
-        f.encode_into(&mut buf, Some(42));
-        frame(8).encode_into(&mut buf, None);
+        f.encode_into(&mut buf);
+        frame(8).encode_into(&mut buf);
         let records = decode_records(&buf).unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].get("offset").and_then(|v| v.as_u64()), Some(42));
         assert_eq!(SampleFrame::from_json(&records[0]).unwrap(), f);
         assert_eq!(SampleFrame::from_json(&records[1]).unwrap(), frame(8));
     }
 
     #[test]
-    fn decoder_handles_split_chunk_boundaries() {
-        let mut buf = Vec::new();
-        frame(1).encode_into(&mut buf, Some(1));
-        frame(2).encode_into(&mut buf, Some(2));
-        let mut dec = RecordDecoder::new();
-        let mut got = Vec::new();
-        // Feed one byte at a time — worst-case re-chunking.
-        for b in &buf {
-            got.extend(dec.feed(std::slice::from_ref(b)).unwrap());
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(dec.pending_bytes(), 0);
-    }
-
-    #[test]
     fn truncated_body_is_rejected() {
         let mut buf = Vec::new();
-        frame(1).encode_into(&mut buf, None);
+        frame(1).encode_into(&mut buf);
         buf.truncate(buf.len() - 3);
         assert!(decode_records(&buf).is_err());
     }
@@ -260,20 +184,21 @@ mod tests {
         assert!(took < std::time::Duration::from_secs(30), "{took:?}");
     }
 
+    /// The walk gets past the good record and names where the bad one starts.
     #[test]
     fn a_bad_record_is_reported_and_the_records_before_it_are_consumed() {
         let mut buf = Vec::new();
-        frame(1).encode_into(&mut buf, None);
+        frame(1).encode_into(&mut buf);
+        let bad_at = buf.len();
         buf.extend_from_slice(&[0, 0, 0, 2, b'{', b'x']);
-        let mut dec = RecordDecoder::new();
-        assert!(dec.feed(&buf).is_err());
-        assert_eq!(dec.pending_bytes(), 6, "the bad record stays buffered");
+        let err = decode_records(&buf).unwrap_err();
+        assert!(err.contains(&format!("at byte {bad_at}:")), "{err}");
     }
 
     #[test]
     fn oversized_record_is_rejected() {
         let mut buf = ((MAX_RECORD_BYTES + 1) as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(b"xx");
-        assert!(RecordDecoder::new().feed(&buf).is_err());
+        assert!(decode_records(&buf).is_err());
     }
 }

@@ -1,13 +1,10 @@
-//! HTTP surface of the bus: `POST /api/v1/stream/push` and
-//! `GET /api/v1/stream/subscribe`.
+//! HTTP surface of the bus: `POST /api/v1/stream/push`.
 //!
 //! Tenancy follows the rest of the stack: the `x-grafana-user` header names
 //! the tenant, absent means `anonymous`. A push body carries one or more
 //! length-prefixed frames (usually one publisher, several renders after a
 //! reconnect); the ack maps each publisher to its highest acknowledged
-//! sequence so the client can drop its buffered prefix. The subscribe
-//! endpoint holds a chunked response open and relays frames as the bus
-//! ingests them.
+//! sequence so the client can drop its buffered prefix.
 
 use std::sync::Arc;
 
@@ -17,7 +14,7 @@ use ceems_obs::trace::QueryTrace;
 use ceems_obs::TraceSink;
 use serde_json::json;
 
-use crate::bus::{PublishOutcome, StreamBus, SubscribeError};
+use crate::bus::{PublishOutcome, StreamBus};
 use crate::frame::{decode_records, SampleFrame};
 
 /// Clock used to stamp ingest time (simulated in tests, wall elsewhere).
@@ -27,22 +24,15 @@ fn tenant_of(req: &Request) -> String {
     req.header("x-grafana-user").unwrap_or("anonymous").to_string()
 }
 
-/// Mounts the stream endpoints on a router.
+/// Mounts the push endpoint on a router.
 pub fn mount(
     router: &mut Router,
     bus: Arc<StreamBus>,
     now: NowFn,
     trace_sink: Option<Arc<TraceSink>>,
 ) {
-    let push_bus = Arc::clone(&bus);
-    let push_now = Arc::clone(&now);
-    let push_sink = trace_sink.clone();
     router.post("/api/v1/stream/push", move |req| {
-        handle_push(&push_bus, &push_now, push_sink.as_deref(), req)
-    });
-
-    router.get("/api/v1/stream/subscribe", move |req| {
-        handle_subscribe(&bus, req)
+        handle_push(&bus, &now, trace_sink.as_deref(), req)
     });
 }
 
@@ -121,33 +111,10 @@ fn handle_push(
     resp
 }
 
-fn handle_subscribe(bus: &StreamBus, req: &Request) -> Response {
-    let tenant = tenant_of(req);
-    let topic = match req.query_param("topic") {
-        Some(t) if !t.is_empty() => t.to_string(),
-        _ => return Response::error(Status::BAD_REQUEST, "missing topic parameter"),
-    };
-    let from_offset = req
-        .query_param("from_offset")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-
-    let (resp, writer) = Response::streaming(Status::OK);
-    match bus.subscribe(&tenant, &topic, from_offset, writer) {
-        Ok(_replayed) => resp.with_header("content-type", "application/x-ceems-frames"),
-        Err(SubscribeError::AtCapacity { cap }) => Response::error(
-            Status::TOO_MANY_REQUESTS,
-            format!("tenant at live-subscriber cap ({cap})"),
-        )
-        .with_retry_after(1.0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::{SinkReceipt, StreamBusConfig};
-    use crate::frame::RecordDecoder;
     use crate::publisher::StreamPublisher;
     use ceems_http::{HttpServer, ServerConfig};
 
@@ -191,105 +158,6 @@ mod tests {
         let report = publisher.flush().unwrap();
         assert_eq!(report.acked_seq, 2);
         assert_eq!(bus.stats().published, 2);
-        server.shutdown();
-    }
-
-    #[test]
-    fn subscribe_receives_pushed_frames_live() {
-        let bus = counting_bus(StreamBusConfig::default());
-        let server = serve(Arc::clone(&bus));
-        let client = ceems_http::Client::new();
-        let mut sub = client
-            .get_stream(&format!(
-                "{}/api/v1/stream/subscribe?topic=node-metrics",
-                server.base_url()
-            ))
-            .unwrap();
-        assert_eq!(sub.status.0, 200);
-
-        let mut publisher = StreamPublisher::new(
-            &server.base_url(),
-            "node-metrics",
-            "n1",
-            "n1:9100",
-            "ceems",
-            vec![],
-        );
-        publisher.publish("a 1\n".into(), 1_000).unwrap();
-
-        let mut dec = RecordDecoder::new();
-        let mut records = Vec::new();
-        while records.is_empty() {
-            match sub.next_chunk().unwrap() {
-                Some(chunk) => records.extend(dec.feed(&chunk).unwrap()),
-                None => panic!("stream ended before frame arrived"),
-            }
-        }
-        let frame = SampleFrame::from_json(&records[0]).unwrap();
-        assert_eq!(frame.publisher, "n1");
-        assert_eq!(frame.body, "a 1\n");
-        assert_eq!(records[0].get("offset").and_then(|v| v.as_u64()), Some(1));
-        server.shutdown();
-    }
-
-    /// `from_offset` is whatever the query string says; the largest u64
-    /// resumes past everything retained: no gap record, no replay, and the
-    /// next frame still arrives live.
-    #[test]
-    fn subscribe_from_the_largest_offset_gets_the_next_frame_only() {
-        let bus = counting_bus(StreamBusConfig::default());
-        let server = serve(Arc::clone(&bus));
-        let mut publisher = StreamPublisher::new(
-            &server.base_url(),
-            "node-metrics",
-            "n1",
-            "n1:9100",
-            "ceems",
-            vec![],
-        );
-        publisher.publish("a 1\n".into(), 1_000).unwrap();
-
-        let client = ceems_http::Client::new();
-        let mut sub = client
-            .get_stream(&format!(
-                "{}/api/v1/stream/subscribe?topic=node-metrics&from_offset={}",
-                server.base_url(),
-                u64::MAX
-            ))
-            .unwrap();
-        assert_eq!(sub.status.0, 200);
-        publisher.publish("a 2\n".into(), 2_000).unwrap();
-
-        let mut dec = RecordDecoder::new();
-        let mut records = Vec::new();
-        while records.is_empty() {
-            match sub.next_chunk().unwrap() {
-                Some(chunk) => records.extend(dec.feed(&chunk).unwrap()),
-                None => panic!("stream ended before frame arrived"),
-            }
-        }
-        assert_eq!(records[0].get("control"), None, "{:?}", records[0]);
-        assert_eq!(records[0].get("offset").and_then(|v| v.as_u64()), Some(2));
-        assert_eq!(SampleFrame::from_json(&records[0]).unwrap().body, "a 2\n");
-        server.shutdown();
-    }
-
-    #[test]
-    fn subscriber_cap_returns_429_with_retry_after() {
-        let bus = counting_bus(StreamBusConfig {
-            max_subscribers_per_tenant: 0,
-            ..Default::default()
-        });
-        let server = serve(bus);
-        let client = ceems_http::Client::new();
-        let resp = client
-            .get(&format!(
-                "{}/api/v1/stream/subscribe?topic=t",
-                server.base_url()
-            ))
-            .unwrap();
-        assert_eq!(resp.status.0, 429);
-        assert!(resp.headers.contains_key("retry-after"));
         server.shutdown();
     }
 

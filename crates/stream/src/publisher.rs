@@ -235,7 +235,7 @@ impl StreamPublisher {
         let mut body = Vec::new();
         let sent_frames = self.unacked.len();
         for f in &self.unacked {
-            f.encode_into(&mut body, None);
+            f.encode_into(&mut body);
         }
         let resp = self
             .client

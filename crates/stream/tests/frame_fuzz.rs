@@ -8,7 +8,7 @@
 //! measuring allocator is process-wide (the tallies are per thread, so the
 //! tests may run side by side).
 
-use ceems_stream::frame::{decode_records, RecordDecoder};
+use ceems_stream::frame::decode_records;
 use ceems_stream::SampleFrame;
 use proptest::prelude::*;
 
@@ -17,9 +17,8 @@ mod measuring;
 use measuring::requested_by;
 
 /// Decodes a body and every record of it as a frame, and holds both to the
-/// memory bound: the buffer's copy of the body, and at worst an object
-/// node of a few hundred bytes for a record of seven (`{"":0}` behind its
-/// length).
+/// memory bound: at worst an object node of a few hundred bytes for a
+/// record of seven (`{"":0}` behind its length).
 fn decode_within_bounds(body: &[u8]) -> Option<Vec<SampleFrame>> {
     let (frames, total, largest) = requested_by(|| {
         let records = decode_records(body).ok()?;
@@ -67,7 +66,7 @@ fn push_body() -> Vec<u8> {
     let mut body = Vec::new();
     let renders = [RENDER, "", "x{path=\"a\\\"b\"} 1e-3\n\tü\n"];
     for (seq, render) in renders.into_iter().enumerate() {
-        frame(seq as u64 + 1, render).encode_into(&mut body, None);
+        frame(seq as u64 + 1, render).encode_into(&mut body);
     }
     body
 }
@@ -87,21 +86,6 @@ fn a_deeply_nested_record_is_rejected_without_exhausting_the_stack() {
         let mut body = (json.len() as u32).to_be_bytes().to_vec();
         body.extend_from_slice(&json);
         assert!(decode_within_bounds(&body).is_none());
-    }
-}
-
-#[test]
-fn a_body_fed_in_pieces_decodes_as_a_whole() {
-    let body = push_body();
-    let whole = decode_records(&body).unwrap();
-    for piece in [1, 3, 7, 64] {
-        let mut dec = RecordDecoder::new();
-        let mut got = Vec::new();
-        for chunk in body.chunks(piece) {
-            got.extend(dec.feed(chunk).unwrap());
-        }
-        assert_eq!(got, whole, "pieces of {piece}");
-        assert_eq!(dec.pending_bytes(), 0);
     }
 }
 

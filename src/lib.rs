@@ -25,7 +25,7 @@
 //! | [`ceems_lb`] | the access-controlled load balancer |
 //! | [`ceems_qfe`] | query frontend: range splitting, results cache, tenant QoS |
 //! | [`ceems_alertsrv`] | alerting: PromQL rules, alert DAGs, dedup/silence/routing, durable state |
-//! | [`ceems_stream`] | streaming ingest bus: push frames, ack/resume, replay rings, live fan-out |
+//! | [`ceems_stream`] | streaming ingest bus: push frames, per-publisher ack/dedup and resume |
 //! | [`ceems_core`] | Eq. (1) attribution rules, YAML config, stack wiring, dashboards |
 //!
 //! ## Quickstart

@@ -2,24 +2,23 @@
 //! over the bus's HTTP surface, the recording-rule engine re-evaluates only
 //! the sub-DAG whose inputs arrived, and a live `query_live` subscriber
 //! receives per-step deltas that assemble to the byte-identical series a
-//! poll-mode range query returns. A second test kills the stream
-//! mid-subscription under seeded fault injection and proves resume from the
-//! last acked offset replays with no gaps and no duplicates.
+//! poll-mode range query returns. A second test resets pushes under seeded
+//! fault injection and proves the publisher's re-flush lands every sample in
+//! the TSDB exactly once, at its own timestamp.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use ceems::exporter::{CeemsExporter, ExporterConfig};
 use ceems::http::fault::{FaultKind, FaultPlan, FaultRule};
 use ceems::http::{Client, HttpServer, Router, ServerConfig};
+use ceems::metrics::matcher::LabelMatcher;
 use ceems::prelude::*;
 use ceems::qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems::simnode::cluster::NodeHandle;
 use ceems::simnode::node::{HardwareProfile, NodeSpec, SimNode, TaskSpec};
-use ceems::stream::{
-    RecordDecoder, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
-};
+use ceems::stream::{SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher};
 use ceems::tsdb::httpapi::api_router;
 use ceems::tsdb::rules::{RecordingRule, RuleEngine, RuleGroup};
 use parking_lot::Mutex;
@@ -288,53 +287,41 @@ fn push_ingest_incremental_rules_and_live_delta_match_poll_mode() {
 }
 
 #[test]
-fn resume_after_faulted_stream_replays_without_gaps_or_duplicates() {
+fn faulted_pushes_resume_and_ingest_each_sample_once() {
     let db = Arc::new(Tsdb::default());
     let arrived = Arc::new(Mutex::new(HashSet::new()));
     let now = Arc::new(AtomicI64::new(0));
-    let bus = ingesting_bus(db, arrived, StreamBusConfig::default());
+    let bus = ingesting_bus(db.clone(), arrived, StreamBusConfig::default());
 
     // Seeded faults, per-endpoint request index: the third push (#2) is
     // reset mid-flight — and so is the pooled client's automatic
     // fresh-connection retry (#3) — so the publisher must buffer and
-    // re-flush. The first *re*-subscribe attempt (#1 — #0 is the initial
-    // subscription) is reset so the consumer must retry before it resumes.
+    // re-flush.
     let plan = FaultPlan::new(4242)
         .with_rule(FaultRule::new("/api/v1/stream/push", FaultKind::ConnReset, 1.0).between(2, 4))
-        .with_rule(
-            FaultRule::new("/api/v1/stream/subscribe", FaultKind::ConnReset, 1.0).between(1, 2),
-        )
         .shared();
     let server = HttpServer::serve(
         ServerConfig::ephemeral().with_fault_plan(plan),
         stream_router(bus.clone(), now),
     )
     .unwrap();
-    let sub_url = |from: u64| {
-        format!(
-            "{}/api/v1/stream/subscribe?topic=t&from_offset={from}",
-            server.base_url()
-        )
-    };
-    let client = Client::new();
 
-    // Ground truth: every exposition body we will publish, in order. The
-    // streamed copy must assemble to exactly this, byte for byte.
-    let truth: Vec<String> = (1..=6).map(|i| format!("m {i}\n")).collect();
+    // Ground truth: six bodies, each produced at its own timestamp.
+    let truth: Vec<(i64, f64)> = (1..=6).map(|i| (i * 15_000, i as f64)).collect();
+    let frames: Vec<(String, i64)> = truth
+        .iter()
+        .map(|(t, v)| (format!("m {v}\n"), *t))
+        .collect();
     let mut publisher =
         StreamPublisher::new(&server.base_url(), "t", "p1", "p1:9100", "ceems", vec![]);
 
-    // Live subscription (request #0, clean).
-    let mut sub = client.get_stream(&sub_url(0)).unwrap();
-    assert_eq!(sub.status.0, 200);
-
     // Frames 1-3 pushed one request each; request #2 is reset before the
     // handler runs, so frame 3 stays buffered and the next flush resumes.
-    for body in &truth[..2] {
-        publisher.publish(body.clone(), 1_000).unwrap();
+    for (body, t) in &frames[..2] {
+        publisher.publish(body.clone(), *t).unwrap();
     }
     assert!(
-        publisher.publish(truth[2].clone(), 1_000).is_err(),
+        publisher.publish(frames[2].0.clone(), frames[2].1).is_err(),
         "the faulted push must surface as a transport error"
     );
     assert_eq!(publisher.pending(), 1);
@@ -365,88 +352,19 @@ fn resume_after_faulted_stream_replays_without_gaps_or_duplicates() {
     }
     assert!(text.contains("publisher=\"p1\""));
 
-    // Collect what arrived live, then kill the stream mid-subscription.
-    let mut got: BTreeMap<u64, String> = BTreeMap::new();
-    let mut dec = RecordDecoder::new();
-    fn ingest(records: Vec<serde_json::Value>, got: &mut BTreeMap<u64, String>) {
-        for record in records {
-            assert!(
-                record.get("control").is_none(),
-                "unexpected control record (gap?): {record}"
-            );
-            let offset = record.get("offset").and_then(|v| v.as_u64()).unwrap();
-            let frame = SampleFrame::from_json(&record).unwrap();
-            assert!(
-                got.insert(offset, frame.body).is_none(),
-                "offset {offset} delivered twice"
-            );
-        }
-    }
-    while got.len() < 3 {
-        let chunk = sub
-            .next_chunk()
-            .unwrap()
-            .expect("stream ended before the first three frames");
-        ingest(dec.feed(&chunk).unwrap(), &mut got);
-    }
-    drop(sub); // the consumer dies mid-subscription
-
-    // Frames 4-5 flow while nobody is listening; the replay ring keeps them.
-    for body in &truth[3..5] {
-        publisher.publish(body.clone(), 2_000).unwrap();
+    for (body, t) in &frames[3..] {
+        publisher.publish(body.clone(), *t).unwrap();
     }
 
-    // Resume from the last offset we saw. The first attempt lands in the
-    // fault window and is reset; the retry must replay 4-5 with no gap and
-    // no repeat of 1-3.
-    let last_seen = *got.keys().next_back().unwrap();
-    assert_eq!(last_seen, 3);
-    let mut attempts = 0;
-    let mut sub = loop {
-        attempts += 1;
-        assert!(
-            attempts <= 5,
-            "resume subscribe kept failing past the fault window"
-        );
-        match client.get_stream(&sub_url(last_seen)) {
-            Ok(s) if s.status.0 == 200 => break s,
-            _ => continue,
-        }
-    };
-    assert!(
-        attempts >= 2,
-        "the seeded fault should reset the first resume attempt"
-    );
-    let mut dec = RecordDecoder::new();
-    while got.len() < 5 {
-        let chunk = sub
-            .next_chunk()
-            .unwrap()
-            .expect("resumed stream ended before replay finished");
-        ingest(dec.feed(&chunk).unwrap(), &mut got);
-    }
-
-    // One live frame after the resume proves the subscription is current.
-    publisher.publish(truth[5].clone(), 3_000).unwrap();
-    while got.len() < 6 {
-        let chunk = sub
-            .next_chunk()
-            .unwrap()
-            .expect("stream ended before the live frame");
-        ingest(dec.feed(&chunk).unwrap(), &mut got);
-    }
-
-    // No gaps, no duplicates: offsets are exactly 1..=6 and the assembled
-    // payload byte-equals the unsubscribed ground truth.
-    let offsets: Vec<u64> = got.keys().copied().collect();
-    assert_eq!(offsets, (1..=6).collect::<Vec<u64>>());
-    let assembled: String = got.values().cloned().collect();
-    assert_eq!(assembled, truth.concat());
+    // The TSDB holds each body's sample once, at its own timestamp.
+    let got = db.select(&[LabelMatcher::eq("__name__", "m")], 0, i64::MAX);
+    assert_eq!(got.len(), 1, "{got:?}");
+    let samples: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t_ms, s.v)).collect();
+    assert_eq!(samples, truth);
 
     let stats = bus.stats();
     assert_eq!(stats.published, 6);
     assert_eq!(stats.duplicates, 0, "the faulted push died before ingest");
-    assert_eq!(stats.resumed, 1, "exactly the successful resume is counted");
 
     server.shutdown();
 }
