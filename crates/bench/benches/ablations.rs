@@ -1,13 +1,13 @@
 //! Ablation benches for the design choices called out in `DESIGN.md` §6:
-//! scrape fan-out parallelism, in-process vs HTTP scrape targets, and the
-//! posting cache.
+//! scrape fan-out parallelism and in-process vs HTTP scrape targets, beside
+//! the wide select S17's instrumentation budget is held against.
 
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSetBuilder;
-use ceems_metrics::matcher::{LabelMatcher, MatchOp};
+use ceems_metrics::matcher::LabelMatcher;
 use ceems_tsdb::scrape::{ScrapeManager, ScrapeTarget, TargetSource};
-use ceems_tsdb::{Tsdb, TsdbConfig};
+use ceems_tsdb::Tsdb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn text_body() -> String {
@@ -104,13 +104,9 @@ fn bench_scrape_transport(c: &mut Criterion) {
     server.shutdown();
 }
 
-/// A TSDB holding `series` series of 20 samples each, with a posting cache
-/// of the given size.
-fn wide_tsdb(series: usize, posting_cache_size: usize) -> Tsdb {
-    let db = Tsdb::new(TsdbConfig {
-        posting_cache_size,
-        ..Default::default()
-    });
+/// A TSDB holding `series` series of 20 samples each.
+fn wide_tsdb(series: usize) -> Tsdb {
+    let db = Tsdb::default();
     for i in 0..series {
         let l = LabelSetBuilder::new()
             .label("__name__", "wide")
@@ -129,7 +125,7 @@ fn bench_select_wide(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_wide");
     group.sample_size(10);
     for series in [10_000usize, 100_000] {
-        let db = wide_tsdb(series, 0);
+        let db = wide_tsdb(series);
         let m = [LabelMatcher::eq("__name__", "wide")];
         group.bench_function(BenchmarkId::new("series", series), |b| {
             b.iter(|| db.select(&m, 0, i64::MAX))
@@ -138,32 +134,10 @@ fn bench_select_wide(c: &mut Criterion) {
     group.finish();
 }
 
-/// Repeat regex-matcher selects with the posting cache off vs on: the
-/// cached path skips the full value-space scan on every query after the
-/// first. The selector matches 10 of `series` series so resolution cost —
-/// not materialization — dominates.
-fn bench_postings_cache_on_off(c: &mut Criterion) {
-    let mut group = c.benchmark_group("postings_cache_on_off");
-    group.sample_size(10);
-    for series in [10_000usize, 100_000] {
-        for (label, cache) in [("off", 0usize), ("on", 128)] {
-            let db = wide_tsdb(series, cache);
-            let re = LabelMatcher::new("instance", MatchOp::Re, "n00001[0-9]").unwrap();
-            let m = [LabelMatcher::eq("__name__", "wide"), re];
-            group.bench_function(
-                BenchmarkId::new(format!("series_{series}_cache"), label),
-                |b| b.iter(|| db.select(&m, 0, i64::MAX)),
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_scrape_threads,
     bench_scrape_transport,
-    bench_select_wide,
-    bench_postings_cache_on_off
+    bench_select_wide
 );
 criterion_main!(benches);

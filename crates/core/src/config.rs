@@ -304,7 +304,7 @@ pub struct CeemsConfig {
     pub threads: usize,
     /// Workers for rule groups evaluated side by side (1: in order on the calling thread).
     pub query_threads: usize,
-    /// Capacity of the TSDB matcher-result posting cache; 0 disables it.
+    /// Not read: a select resolves on the TSDB's live index every time. The YAML key is still accepted.
     pub posting_cache_size: usize,
     /// WAL directory of the hot TSDB; `None` (the default) keeps the head in memory only.
     pub wal_dir: Option<String>,
@@ -407,7 +407,7 @@ static KEYS: &[Key] = {
     "tsdb.rule_window" => Str(c.rule_window), Duration, "`rate()` window of the Eq. (1) recording rules";
     "tsdb.rule_interval_s" => Num(c.rule_interval_s), Positive, "recording-rule evaluation interval (s)";
     "tsdb.query_threads" => Count(c.query_threads), Floor(1.0), "workers for rule groups evaluated side by side";
-    "tsdb.posting_cache_size" => Count(c.posting_cache_size), Floor(0.0), "matcher-result posting cache entries; 0 disables it";
+    "tsdb.posting_cache_size" => Count(c.posting_cache_size), Floor(0.0), "accepted so older files load: selects resolve on the index every time";
     "tsdb.wal_dir" => OptStr(c.wal_dir), Any, "write-ahead log directory; unset keeps the head in memory only";
     "tsdb.wal_segment_bytes" => U64(c.wal_segment_bytes), Floor(1.0), "WAL segment rotation size (bytes)";
     "tsdb.wal_checkpoint_interval_s" => Num(c.wal_checkpoint_interval_s), Positive, "interval between WAL checkpoints (s)";
@@ -482,6 +482,7 @@ const ENABLED_BY_PRESENCE: &[(&str, Enable)] = &[
 
 /// Keys still accepted, so older files load, that nothing reads.
 const NO_EFFECT: &[&str] = &[
+    "tsdb.posting_cache_size",
     "http.reactor_threads",
     "stream.ring_capacity",
     "stream.max_subscribers_per_tenant",

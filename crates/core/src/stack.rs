@@ -310,7 +310,6 @@ impl CeemsStack {
 
         let tsdb_config = TsdbConfig {
             query_threads: config.query_threads,
-            posting_cache_size: config.posting_cache_size,
             ..TsdbConfig::default()
         };
         // Durable sampled trace store (S22): one store + sampling policy

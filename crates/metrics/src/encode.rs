@@ -39,20 +39,20 @@ pub fn escape_help(v: &str) -> String {
 /// Appends a sample value the way Prometheus writes it: `NaN`, `+Inf`,
 /// `-Inf`, otherwise what `Display for f64` prints: the shortest decimal
 /// that reads back to the same bits, with no exponent and no trailing `.0`.
-pub fn write_value(out: &mut String, v: f64) {
-    if v.is_nan() {
-        out.push_str("NaN");
+pub fn write_value(out: &mut impl std::fmt::Write, v: f64) {
+    let _ = if v.is_nan() {
+        out.write_str("NaN")
     } else if v == f64::INFINITY {
-        out.push_str("+Inf");
+        out.write_str("+Inf")
     } else if v == f64::NEG_INFINITY {
-        out.push_str("-Inf");
+        out.write_str("-Inf")
     } else if v.fract() == 0.0 && v.abs() < 9e15 && v.to_bits() != (-0.0f64).to_bits() {
         // A whole number below 2^53 prints the same digits as an integer
         // (only `-0` differs), without the shortest-digits search.
-        let _ = write!(out, "{}", v as i64);
+        write!(out, "{}", v as i64)
     } else {
-        let _ = write!(out, "{v}");
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// [`write_value`] into a fresh `String`.

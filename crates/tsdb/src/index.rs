@@ -84,9 +84,9 @@ pub struct LabelIndex {
     series: HashMap<SeriesId, Series>,
     by_fingerprint: HashMap<u64, Vec<SeriesId>>,
     next_id: SeriesId,
-    /// Bumped on every series creation or removal. Posting-list caches tag
-    /// entries with the generation they were computed at and discard them
-    /// when it moves, so a cache can never serve ids across a membership
+    /// Bumped on every series creation or removal. The labels cache tags
+    /// its results with the generation they were computed at and discards
+    /// them when it moves, so it never serves names across a membership
     /// change.
     generation: u64,
     /// Series registered below `next_id` (replay in another order, a

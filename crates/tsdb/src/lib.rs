@@ -13,8 +13,6 @@
 //! * [`head`] — the in-memory write head (striped for concurrent appends).
 //! * [`storage`] — [`storage::Tsdb`]: appends, selects on the calling
 //!   thread, tombstone deletes (the cardinality cleanup of §II.C), retention.
-//! * [`cache`] — generation-checked LRU cache of matcher resolutions for
-//!   scan-heavy (regex/negative) selectors.
 //! * [`promql`] — a PromQL-subset engine: selectors, `rate`/`increase` with
 //!   counter-reset handling, arithmetic, aggregations — enough to express
 //!   Eq. (1) exactly as the paper's recording rules do.
@@ -36,7 +34,6 @@
 //! * [`fan_out`] — the scoped workers an ingest pass and a rule tick spread
 //!   their sources and groups over, one shared cursor between them.
 
-pub mod cache;
 pub mod chunk;
 pub mod client;
 pub mod election;

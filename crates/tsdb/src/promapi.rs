@@ -13,15 +13,17 @@
 //! `serde_json::Value`. [`answer`] writes the bytes `serde_json`'s printer
 //! writes for the same answer (sorted keys, its string escaping): a
 //! timestamp as its seconds in shortest round-trip form (`{:?}` of
-//! `t_ms / 1000`), a value as the `f64`'s `Display`, which parses back to
-//! the same value. The decoders read the bytes in place with one
-//! recursive-descent reader, which takes exactly the JSON `serde_json`
-//! takes, keys in any order. So decoding an encoded answer gives back the
-//! same typed data, and encoding that again gives back the same bytes: a
-//! frontend that decodes each extent and encodes the merge writes what the
-//! TSDB writes for the unsplit range. The small envelopes ([`ok`],
-//! [`error`]) and [`add_hop`], which only traced answers reach, still go
-//! through `serde_json`'s tree.
+//! `t_ms / 1000`), a value as Prometheus writes it: `+Inf`, `-Inf`, `NaN`,
+//! otherwise the `f64`'s `Display` (`ceems_metrics::encode::write_value`,
+//! the exposition format's printer), which parses back to the same value.
+//! The decoders read the bytes in place with one recursive-descent reader,
+//! which takes exactly the JSON `serde_json` takes, keys in any order. So
+//! decoding an encoded answer gives back the same typed data, and encoding
+//! that again gives back the same bytes: a frontend that decodes each
+//! extent and encodes the merge writes what the TSDB writes for the
+//! unsplit range. The small envelopes ([`ok`], [`error`]) and
+//! [`add_hop`], which only traced answers reach, still go through
+//! `serde_json`'s tree.
 
 use std::borrow::Cow;
 use std::io::Write;
@@ -29,6 +31,7 @@ use std::io::Write;
 use serde_json::{json, Value as Json};
 
 use ceems_http::{Request, Response, Status};
+use ceems_metrics::encode::write_value;
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
 use ceems_obs::trace::TraceReport;
 use ceems_relstore::wal::write_str;
@@ -240,10 +243,21 @@ fn write_series(out: &mut Vec<u8>, labels: &LabelSet, key: &str, value: impl FnO
 }
 
 /// `[<seconds>,"<value>"]`: the time as `serde_json` prints an `f64`, the
-/// value as its `Display`.
+/// value as the exposition format prints it (`+Inf`, not `inf`).
 fn write_pair(out: &mut Vec<u8>, s: &Sample) {
-    write!(out, "[{:?},\"{}\"]", s.t_ms as f64 / 1000.0, s.v)
-        .expect("writing to a Vec cannot fail");
+    write!(out, "[{:?},\"", s.t_ms as f64 / 1000.0).expect("writing to a Vec cannot fail");
+    write_value(&mut Utf8(out), s.v);
+    out.extend_from_slice(b"\"]");
+}
+
+/// A byte buffer written as text, for [`write_value`].
+struct Utf8<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Utf8<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The success envelope around any other `data` (label names, series,
@@ -572,6 +586,24 @@ mod tests {
             assert_eq!(format!("{back:?}"), format!("{data:?}"));
             assert_eq!(answer(&back, None, &[]).body, body);
         }
+    }
+
+    /// An infinity is written `+Inf` / `-Inf`, as Prometheus writes it and
+    /// Grafana's Prometheus datasource reads it, and decodes back to itself.
+    #[test]
+    fn infinities_print_as_prometheus_does_and_decode_back() {
+        let series = SeriesData::new(
+            labels! {"__name__" => "power"},
+            vec![
+                Sample::new(1_000, f64::INFINITY),
+                Sample::new(2_000, f64::NEG_INFINITY),
+                Sample::new(3_000, 1.5),
+            ],
+        );
+        let body = answer(&QueryData::Matrix(vec![series.clone()]), None, &[]).body;
+        let text = std::str::from_utf8(&body).unwrap();
+        assert!(text.contains(r#""values":[[1.0,"+Inf"],[2.0,"-Inf"],[3.0,"1.5"]]"#), "{text}");
+        assert_eq!(decode_matrix(&body).unwrap(), vec![series]);
     }
 
     #[test]

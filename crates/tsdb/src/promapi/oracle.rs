@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
 
+use ceems_metrics::encode::format_value;
 use ceems_metrics::labels::LabelSet;
 use ceems_obs::trace::{StageReport, TraceReport};
 
@@ -29,7 +30,7 @@ fn tree_answer(data: &QueryData, trace: Option<&TraceReport>, warnings: &[String
                 .collect(),
         )
     };
-    let pair = |s: &Sample| json!([s.t_ms as f64 / 1000.0, format!("{}", s.v)]);
+    let pair = |s: &Sample| json!([s.t_ms as f64 / 1000.0, format_value(s.v)]);
     let (kind, result) = match data {
         QueryData::Scalar(s) => ("scalar", pair(s)),
         QueryData::Vector(samples) => (
@@ -380,7 +381,7 @@ proptest! {
 }
 
 #[test]
-fn whole_seconds_and_infinities_print_as_they_always_have() {
+fn whole_seconds_keep_their_form_and_infinities_print_as_prometheus_does() {
     let data = QueryData::Matrix(vec![SeriesData::new(
         LabelSet::empty(),
         vec![
@@ -398,7 +399,7 @@ fn whole_seconds_and_infinities_print_as_they_always_have() {
     let body = answer(&data, Some(&trace), &["w".into()]).body;
     assert_eq!(
         String::from_utf8(body).unwrap(),
-        r#"{"data":{"result":[{"metric":{},"values":[[1700000000.0,"inf"],[1700000015.5,"-inf"]]}],"resultType":"matrix","trace":{"counts":{"series":1},"stages":[],"totalMs":1.5,"traceId":"t"}},"status":"success","warnings":["w"]}"#
+        r#"{"data":{"result":[{"metric":{},"values":[[1700000000.0,"+Inf"],[1700000015.5,"-Inf"]]}],"resultType":"matrix","trace":{"counts":{"series":1},"stages":[],"totalMs":1.5,"traceId":"t"}},"status":"success","warnings":["w"]}"#
     );
 }
 

@@ -1,7 +1,6 @@
-//! TSDB self-monitoring collector: the database's own counters, cache
-//! statistics, WAL state, and latency histograms as metric families, rendered
-//! through the stack's own exposition encoder so a CEEMS instance can scrape
-//! its CEEMS TSDB.
+//! TSDB self-monitoring collector: the database's own counters, WAL state
+//! and latency histograms as metric families, rendered through the stack's
+//! own exposition encoder so a CEEMS instance can scrape its CEEMS TSDB.
 
 use std::sync::Arc;
 
@@ -25,7 +24,6 @@ impl TsdbCollector {
 impl Collector for TsdbCollector {
     fn collect(&self, out: &mut dyn Sink) {
         let db = &self.db;
-        let cache = db.posting_cache_stats();
         let ins = db.instruments();
         let (wal_syncs, wal_sync_secs) = db.wal_sync_stats();
         let wal_records = db.wal_position().map_or(0, |p| p.records);
@@ -53,24 +51,6 @@ impl Collector for TsdbCollector {
                 "Out-of-order samples dropped at ingest.",
                 Counter,
                 db.out_of_order_dropped() as f64,
-            ),
-            (
-                "ceems_tsdb_posting_cache_hits_total",
-                "Posting-cache lookups served from cache.",
-                Counter,
-                cache.hits as f64,
-            ),
-            (
-                "ceems_tsdb_posting_cache_misses_total",
-                "Posting-cache lookups that fell through to the index.",
-                Counter,
-                cache.misses as f64,
-            ),
-            (
-                "ceems_tsdb_posting_cache_entries",
-                "Posting-cache entries currently resident.",
-                Gauge,
-                cache.len as f64,
             ),
             (
                 "ceems_tsdb_wal_enabled",

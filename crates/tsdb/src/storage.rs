@@ -2,9 +2,8 @@
 //!
 //! The read path is two-phase. **Resolve** runs under the index read lock
 //! just long enough to turn matchers into `(SeriesId, Arc<LabelSet>)` pairs
-//! (consulting the generation-checked posting cache for scan-heavy matcher
-//! shapes). **Materialize** then reads chunk data without any index lock,
-//! on the calling thread. A query plan's read (`Tsdb::select_prepared`)
+//! by posting-list intersection on the live index. **Materialize** then
+//! reads chunk data without any index lock, on the calling thread. A query plan's read (`Tsdb::select_prepared`)
 //! carries both over: resolution while no series is removed, each series'
 //! window from a decode cursor.
 
@@ -23,7 +22,6 @@ use ceems_metrics::matcher::LabelMatcher;
 use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
-use crate::cache::{cache_key, CacheStats, ShardedPostingCache};
 use crate::head::{Head, STRIPES};
 use crate::index::LabelIndex;
 use crate::par::{cores, fan_out};
@@ -43,8 +41,8 @@ pub struct TsdbConfig {
     /// size [`crate::rules::RuleEngine::with_eval_threads`] from the same
     /// configured value.
     pub query_threads: usize,
-    /// Capacity of the matcher-result posting cache (entries). `0` disables
-    /// caching entirely.
+    /// Not read by the TSDB: a select resolves on the live index every
+    /// time. Kept so configurations that set it still build.
     pub posting_cache_size: usize,
 }
 
@@ -56,6 +54,16 @@ impl Default for TsdbConfig {
             posting_cache_size: 128,
         }
     }
+}
+
+/// What [`Tsdb::posting_cache_stats`] returns: zeros, since there is no
+/// posting cache.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from a cache.
+    pub hits: u64,
+    /// Lookups that fell through to the index.
+    pub misses: u64,
 }
 
 /// Generation-invalidated cache of label-introspection results, so hot
@@ -90,7 +98,7 @@ pub struct TsdbInstruments {
     pub ingest_seconds: Histogram,
     /// Whole two-phase select wall time (resolve + materialize).
     pub select_seconds: Histogram,
-    /// Phase-1 resolve wall time (index lock + posting cache).
+    /// Phase-1 resolve wall time (index lock + posting-list intersection).
     pub select_resolve_seconds: Histogram,
     /// One WAL group commit (`Wal::log`: encode + write + fsync policy).
     pub wal_append_seconds: Histogram,
@@ -229,7 +237,6 @@ pub struct Tsdb {
     index: RwLock<LabelIndex>,
     head: Head,
     config: TsdbConfig,
-    posting_cache: ShardedPostingCache,
     labels_cache: RwLock<LabelsCache>,
     appended: AtomicU64,
     out_of_order: AtomicU64,
@@ -264,7 +271,6 @@ impl Tsdb {
             removals: AtomicU64::new(0),
             index: RwLock::new(LabelIndex::new()),
             head: Head::default(),
-            posting_cache: ShardedPostingCache::new(config.posting_cache_size),
             labels_cache: RwLock::new(LabelsCache::default()),
             config,
             appended: AtomicU64::new(0),
@@ -736,25 +742,9 @@ impl Tsdb {
         idx: &LabelIndex,
         matchers: &[LabelMatcher],
     ) -> Vec<(SeriesId, Arc<LabelSet>)> {
-        let ids: Arc<Vec<SeriesId>> = match cache_key(matchers) {
-            Some(key) if self.config.posting_cache_size > 0 => {
-                // The generation is read under the same index read lock the
-                // ids are resolved under, so a cached entry is exactly the
-                // resolution the live index would produce.
-                let generation = idx.generation();
-                match self.posting_cache.get(&key, generation) {
-                    Some(ids) => ids,
-                    None => {
-                        let ids = Arc::new(idx.select(matchers));
-                        self.posting_cache.insert(key, generation, Arc::clone(&ids));
-                        ids
-                    }
-                }
-            }
-            _ => Arc::new(idx.select(matchers)),
-        };
-        ids.iter()
-            .filter_map(|&id| idx.labels(id).map(|l| (id, Arc::clone(l))))
+        idx.select(matchers)
+            .into_iter()
+            .filter_map(|id| idx.labels(id).map(|l| (id, Arc::clone(l))))
             .collect()
     }
 
@@ -1013,9 +1003,11 @@ impl Tsdb {
         head.iter().filter(|(id, _)| idx.labels(*id).is_none()).count()
     }
 
-    /// Posting-cache hit/miss counters (aggregated over shards).
+    /// Always zero: a select resolves on the live index, with no posting
+    /// cache in front of it. Kept so callers that report a hit ratio
+    /// still build; they read 0 of 0.
     pub fn posting_cache_stats(&self) -> CacheStats {
-        self.posting_cache.stats()
+        CacheStats::default()
     }
 
     /// Approximate compressed bytes held in the head.
@@ -1336,7 +1328,6 @@ mod recovery_props;
 mod tests {
     use super::*;
     use ceems_metrics::labels;
-    use ceems_metrics::matcher::MatchOp;
 
     fn db_with_data() -> Tsdb {
         let db = Tsdb::default();
@@ -1459,54 +1450,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &db.label_values("instance")));
     }
 
-    fn wide_db(series: usize) -> Tsdb {
-        let db = Tsdb::default();
-        for i in 0..series {
-            let ls = labels! {"__name__" => "wide", "instance" => format!("n{i:04}")};
-            for t in 0..20i64 {
-                db.append(&ls, t * 1000, (i as f64) + t as f64);
-            }
-        }
-        db
-    }
-
-    #[test]
-    fn posting_cache_serves_and_invalidates() {
-        let db = wide_db(50);
-        let re = LabelMatcher::new("instance", MatchOp::Re, "n00.*").unwrap();
-        let m = [LabelMatcher::eq("__name__", "wide"), re];
-
-        let first = db.select(&m, 0, i64::MAX);
-        let miss_stats = db.posting_cache_stats();
-        assert_eq!(miss_stats.hits, 0);
-        assert!(miss_stats.misses >= 1);
-
-        let second = db.select(&m, 0, i64::MAX);
-        assert_eq!(first, second);
-        assert!(db.posting_cache_stats().hits >= 1, "repeat query must hit");
-
-        // A new series matching the selector must appear despite the cache.
-        let ls = labels! {"__name__" => "wide", "instance" => "n0099"};
-        db.append(&ls, 0, 7.0);
-        let third = db.select(&m, 0, i64::MAX);
-        assert_eq!(third.len(), first.len() + 1);
-
-        // Deletion must propagate too.
-        db.delete_series(&[LabelMatcher::eq("instance", "n0001")]);
-        let fourth = db.select(&m, 0, i64::MAX);
-        assert_eq!(fourth.len(), first.len());
-        assert!(fourth.iter().all(|s| s.labels.get("instance") != Some("n0001")));
-    }
-
-    #[test]
-    fn exact_selectors_bypass_posting_cache() {
-        let db = wide_db(10);
-        db.select(&[LabelMatcher::eq("__name__", "wide")], 0, i64::MAX);
-        db.select(&[LabelMatcher::eq("__name__", "wide")], 0, i64::MAX);
-        let stats = db.posting_cache_stats();
-        assert_eq!(stats.hits + stats.misses, 0, "exact-only sets never touch the cache");
-    }
-
     #[test]
     fn append_refs_is_append_batch_with_remembered_ids() {
         let db = Tsdb::default();
@@ -1554,19 +1497,6 @@ mod tests {
         assert!(matches!(err, RefError::Fenced(StaleEpoch { write_epoch: 7, current_epoch: 0 })));
         assert_eq!(db.fenced_writes(), 1);
         assert_eq!(db.samples_appended(), 1);
-    }
-
-    #[test]
-    fn zero_cache_size_disables_posting_cache() {
-        let db = Tsdb::new(TsdbConfig {
-            posting_cache_size: 0,
-            ..TsdbConfig::default()
-        });
-        db.append(&labels! {"__name__" => "m", "x" => "1"}, 0, 1.0);
-        let re = LabelMatcher::new("x", MatchOp::Re, ".+").unwrap();
-        db.select(std::slice::from_ref(&re), 0, i64::MAX);
-        db.select(&[re], 0, i64::MAX);
-        assert_eq!(db.posting_cache_stats().hits, 0);
     }
 
     // -- Checkpoints carry the head's chunks --------------------------------

@@ -390,8 +390,10 @@ pub struct Checkpoint {
     /// Segments with `seq < covers_seq` are fully contained in this
     /// checkpoint and can be garbage-collected.
     pub covers_seq: u64,
-    /// Index generation at snapshot time, restored exactly so posting-cache
-    /// invalidation survives a restart.
+    /// Index generation at snapshot time. The labels cache
+    /// ([`crate::storage::Tsdb::label_names`]) checks it to see membership
+    /// move; restoring it keeps the clock running on across a restart
+    /// rather than starting at 0 again.
     pub generation: u64,
     /// Next series id the index would assign (ids of tombstoned series must
     /// not be reused differently after recovery).
