@@ -5,12 +5,15 @@
 //! TSDB), warm (every extent served from the step-aligned results cache;
 //! the ISSUE acceptance bar is a ≥5× latency reduction), and split vs
 //! unsplit with the cache disabled (the cost/benefit of fanning one range
-//! out over interval-aligned sub-queries).
+//! out over interval-aligned sub-queries). Unsplit and uncached, every
+//! panel is one fetched extent, which the frontend relays unread.
 //!
-//! `promapi_codec` times the query answer codec every read passes through
-//! three times (TSDB encode, frontend decode and encode, the LB's body
-//! check): one panel's answer (1 series × 81 steps, a 20-minute range at
-//! 15 s) and one fleet answer (10 series × 81 steps).
+//! `promapi_codec` times the query answer codec a read passes through: a
+//! merged answer four times (TSDB encode, frontend decode and encode, the
+//! LB's body check), a relayed one-extent answer three (TSDB encode, the
+//! frontend's and the LB's body checks). Its rows are one panel's answer
+//! (1 series × 81 steps, a 20-minute range at 15 s) and one fleet answer
+//! (10 series × 81 steps).
 
 use std::sync::Arc;
 

@@ -4,16 +4,20 @@
 //! `query_range` requests whose expression is split-safe are decomposed
 //! into `split_interval`-aligned extents ([`crate::split`]); settled
 //! extents are served from the results cache ([`crate::cache`]) and only
-//! the uncovered remainder is fetched from the TSDB, in parallel. Anything
-//! else — instant queries, label/series lookups, split-unsafe expressions
-//! (`topk`, `offset`, …), malformed parameters — passes through to the
-//! downstream verbatim, so error bodies and edge-case semantics stay
-//! byte-identical to an unfronted deployment.
+//! the uncovered remainder is fetched from the TSDB, in parallel. An
+//! untraced answer that is one fetched extent is the TSDB's body, relayed
+//! as it stands; only answers that combine extents, use a cached one or
+//! carry the frontend's trace stages are decoded, merged and encoded
+//! again. Anything else — instant queries, label/series lookups,
+//! split-unsafe expressions (`topk`, `offset`, …), malformed parameters —
+//! passes through to the downstream verbatim, so error bodies and
+//! edge-case semantics stay byte-identical to an unfronted deployment.
 //!
 //! Every query first takes a slot from the [`FairScheduler`]; tenants that
 //! overflow their queue get `429 Too Many Requests` with a `Retry-After`
 //! the shared `ceems-http` client knows how to honor.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -492,23 +496,39 @@ impl QueryFrontend {
 
         let qtrace = QueryTrace::begin(req.header(TRACE_HEADER));
         let extents = split_grid(grid, self.cfg.split_interval_ms);
-        let norm = normalize(&expr);
         let phase_ms = start_ms.rem_euclid(step_ms);
         let tenant = tenant_of(req);
+        let traced = promapi::trace_requested(req);
+        // An extent is stored once its last step is at or before the
+        // horizon, and the horizon only moves forward: an extent past it,
+        // or any with the cache off, was never stored, so it is neither
+        // looked up nor keyed.
         let horizon_ms = (self.cfg.now)() - self.cfg.recent_window_ms;
+        let cacheable = |e: &Extent| self.cfg.cache_bytes > 0 && e.last_step_ms <= horizon_ms;
+        let norm = OnceCell::new();
+        let key = |e: &Extent| {
+            let norm = norm.get_or_init(|| normalize(&expr));
+            extent_key(tenant, norm, step_ms, phase_ms, e)
+        };
 
         // Cache lookup.
         let lookup_started = Instant::now();
         let mut slots: Vec<Option<Arc<ExtentData>>> = Vec::with_capacity(extents.len());
         let mut cached_steps = 0usize;
         for e in &extents {
-            let hit = self.cache.get(&extent_key(tenant, &norm, step_ms, phase_ms, e));
+            let hit = cacheable(e).then(|| self.cache.get(&key(e))).flatten();
             if hit.is_some() {
                 cached_steps += e.step_count();
             }
             slots.push(hit);
         }
         let lookup_ms = lookup_started.elapsed().as_secs_f64() * 1e3;
+
+        // An answer that is one fetched extent, untraced, is the
+        // downstream's body as it stands: it is relayed, and read only if
+        // the extent is going into the cache. Anything else is merged from
+        // read extents and encoded again.
+        let relay = extents.len() == 1 && slots[0].is_none() && !traced;
 
         // Fetch the misses on at most `max_fanout` workers, the calling
         // thread one of them. No worker runs under the caller's trace, so
@@ -520,14 +540,19 @@ impl QueryFrontend {
         let fetched = {
             let _untraced = ceems_obs::trace::enter(None);
             ceems_tsdb::fan_out(&missing, self.cfg.max_fanout, Vec::new, |got, &i| {
-                got.push((i, self.fetch_extent(req, &extents[i])))
+                let read = !relay || cacheable(&extents[i]);
+                got.push((i, self.fetch_extent(req, &extents[i], read)))
             })
         };
         let fetch_ms = fetch_started.elapsed().as_secs_f64() * 1e3;
         let mut failed = false;
-        for (slot, data) in fetched.into_iter().flatten() {
-            match data {
-                Some(d) => slots[slot] = Some(d),
+        let mut relayed = None;
+        for (slot, fetched) in fetched.into_iter().flatten() {
+            match fetched {
+                Some(Fetched { body, data }) => {
+                    slots[slot] = data;
+                    relayed = relay.then_some(body);
+                }
                 None => failed = true,
             }
         }
@@ -548,18 +573,18 @@ impl QueryFrontend {
         }
 
         // Store settled extents for the next request.
-        for (i, e) in extents.iter().enumerate() {
-            if missing.contains(&i) && e.last_step_ms <= horizon_ms {
-                self.cache.put(
-                    extent_key(tenant, &norm, step_ms, phase_ms, e),
-                    slots[i].clone().unwrap(),
-                );
+        for &i in &missing {
+            if let (true, Some(data)) = (cacheable(&extents[i]), &slots[i]) {
+                self.cache.put(key(&extents[i]), data.clone());
             }
         }
 
         // Merge back into the unsplit answer.
         let merge_started = Instant::now();
-        let data = QueryData::Matrix(merge_extents(slots.iter().flatten().map(|d| &**d)));
+        let merged = match relayed {
+            Some(_) => Vec::new(),
+            None => merge_extents(slots.iter().flatten().map(|d| &**d)),
+        };
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1e3;
 
         let outcome = if missing.is_empty() {
@@ -580,7 +605,6 @@ impl QueryFrontend {
         // a trace sink is wired (always-on sampling) — the sink then decides
         // whether this trace is stored (head sample or slow-query tail).
         // One report serves both the `?trace=1` body and the sink.
-        let traced = promapi::trace_requested(req);
         let report = (traced || self.cfg.trace_sink.is_some()).then(|| {
             qtrace.record_stage_ms("qfe_cache", lookup_ms + merge_ms);
             qtrace.record_stage_ms("qfe_split", fetch_ms);
@@ -589,7 +613,15 @@ impl QueryFrontend {
             qtrace.add_count("fetchedSteps", fetched_steps as u64);
             qtrace.report()
         });
-        let resp = promapi::answer(&data, report.as_ref().filter(|_| traced), &[])
+        let resp = match relayed {
+            Some(body) => Response::json(body),
+            None => promapi::answer(
+                &QueryData::Matrix(merged),
+                report.as_ref().filter(|_| traced),
+                &[],
+            ),
+        };
+        let resp = resp
             .with_header("x-ceems-qfe-cache", outcome)
             .with_header("x-ceems-qfe-cached-steps", cached_steps.to_string())
             .with_header("x-ceems-qfe-fetched-steps", fetched_steps.to_string());
@@ -665,18 +697,25 @@ impl QueryFrontend {
             .with_header("x-ceems-qfe-cached-steps", cached_steps.to_string())
     }
 
-    /// One extent's sub-query; `None` when it fails.
-    fn fetch_extent(&self, req: &Request, extent: &Extent) -> Option<Arc<ExtentData>> {
+    /// One extent's sub-query, its answer `read` into series or only
+    /// checked to be JSON; `None` when it fails.
+    fn fetch_extent(&self, req: &Request, extent: &Extent, read: bool) -> Option<Fetched> {
         let mut sub = sub_request(req, extent);
         if let Some(rate) = self.effective_sample_rate(tenant_of(req)) {
             sub = sub.with_header(SAMPLE_RATE_HEADER, format!("{rate}"));
         }
-        match self.downstream.forward(&sub) {
-            Ok(resp) if resp.status.is_success() => {
-                promapi::decode_matrix(&resp.body).ok().map(Arc::new)
-            }
-            _ => None,
+        let body = match self.downstream.forward(&sub) {
+            Ok(resp) if resp.status.is_success() => resp.body,
+            _ => return None,
+        };
+        if !read {
+            return promapi::is_json(&body).then_some(Fetched { body, data: None });
         }
+        let data = promapi::decode_matrix(&body).ok()?;
+        Some(Fetched {
+            body,
+            data: Some(Arc::new(data)),
+        })
     }
 
     /// Forwards the request verbatim. When this replaces a traced query,
@@ -762,6 +801,12 @@ impl QueryFrontend {
         let workers = self.cfg.scheduler.max_concurrency + self.cfg.scheduler.tenant_queue_depth + 4;
         HttpServer::serve_fn(config.with_workers(workers), self.http.wrap(self.router()))
     }
+}
+
+/// A sub-query's success answer: its body, and its series when read.
+struct Fetched {
+    body: Vec<u8>,
+    data: Option<Arc<ExtentData>>,
 }
 
 /// Tenant identity: the LB forwards the authenticated user in
@@ -873,6 +918,11 @@ mod tests {
             Method::Get,
             &format!("/api/v1/query_range?query={query}&start={start_s}&end={end_s}&step={step_s}"),
         )
+    }
+
+    fn traced_req(query: &str, start_s: i64, end_s: i64, step_s: i64) -> Request {
+        let req = range_req(query, start_s, end_s, step_s);
+        Request::new(Method::Get, &format!("{}&trace=1", req.path_and_query()))
     }
 
     #[test]
@@ -1079,6 +1129,112 @@ mod tests {
             .sum();
         assert!(sum <= trace["totalMs"].as_f64().unwrap() + 1e-6);
         assert_eq!(trace["counts"]["subqueries"], 3);
+    }
+
+    /// Today's answer for one fetched extent: its body read into series,
+    /// merged and encoded again.
+    fn reencoded(body: &[u8]) -> Vec<u8> {
+        let series = promapi::decode_matrix(body).unwrap();
+        promapi::answer(&QueryData::Matrix(merge_extents([&series])), None, &[]).body
+    }
+
+    /// A one-extent miss is the downstream's body, byte for byte, which
+    /// is also what reading it and encoding it again writes; it carries
+    /// the headers and moves the counters the encoded answer does.
+    #[test]
+    fn a_one_extent_miss_relays_the_downstream_body() {
+        // now = 30 s with no recent window: 0..45 ends past the horizon,
+        // so the extent is relayed and never read.
+        let (fe, ds) = frontend(false, 30_000);
+        let req = range_req("m", 0, 59, 15);
+        let resp = fe.handle(&req);
+        assert_eq!(resp.status, Status::OK);
+        let downstream = ds.forward(&req).unwrap().body;
+        assert_eq!(resp.body, downstream);
+        assert_eq!(resp.body, reencoded(&downstream));
+        assert!(fe.cache().is_empty());
+
+        // A traced request takes the encoding path; a fresh frontend
+        // answers it with the same headers.
+        let (traced_fe, _) = frontend(false, 30_000);
+        let traced = traced_fe.handle(&traced_req("m", 0, 59, 15));
+        assert_eq!(resp.headers, traced.headers);
+        assert_eq!(resp.header("content-type"), Some("application/json"));
+        assert_eq!(resp.header("x-ceems-qfe-cache"), Some("miss"));
+        assert_eq!(resp.header("x-ceems-qfe-cached-steps"), Some("0"));
+        assert_eq!(resp.header("x-ceems-qfe-fetched-steps"), Some("4"));
+
+        let misses = fe.ins.cache_requests.with_label_values(&["miss"]);
+        assert_eq!((misses.get(), fe.ins.fetched_steps.get()), (1.0, 4.0));
+        fe.handle(&req);
+        assert_eq!((misses.get(), fe.ins.fetched_steps.get()), (2.0, 8.0));
+        assert_eq!(fe.ins.cached_steps.get(), 0.0);
+    }
+
+    /// A settled single extent is read on its way into the cache, still
+    /// relayed, and the next request for it is a hit with the same bytes.
+    #[test]
+    fn a_settled_one_extent_miss_is_stored_and_then_hit() {
+        let (fe, ds) = frontend(false, 10_000_000);
+        let req = range_req("m", 0, 59, 15);
+        let first = fe.handle(&req);
+        assert_eq!(first.header("x-ceems-qfe-cache"), Some("miss"));
+        assert_eq!(first.body, ds.forward(&req).unwrap().body);
+        assert_eq!(fe.cache().len(), 1);
+        let calls = ds.calls.lock().unwrap().len();
+
+        let second = fe.handle(&req);
+        assert_eq!(second.header("x-ceems-qfe-cache"), Some("hit"));
+        assert_eq!(ds.calls.lock().unwrap().len(), calls);
+        assert_eq!(second.body, first.body);
+        assert_eq!(fe.ins.cached_steps.get(), 4.0);
+    }
+
+    /// A 2xx sub-answer that is not JSON is not relayed: the query is
+    /// re-proxied whole, settled or not.
+    #[test]
+    fn a_non_json_success_falls_back_whether_relayed_or_read() {
+        struct Garbled;
+        impl Downstream for Garbled {
+            fn forward(&self, _req: &Request) -> Result<Response, String> {
+                Ok(Response::json(&b"{\"status\":\"success\","[..]))
+            }
+        }
+        for now_ms in [30_000, 10_000_000] {
+            let cfg = QfeConfig {
+                split_interval_ms: 60_000,
+                recent_window_ms: 0,
+                now: Arc::new(move || now_ms),
+                ..QfeConfig::default()
+            };
+            let fe = QueryFrontend::new(Arc::new(Garbled), cfg);
+            let resp = fe.handle(&range_req("m", 0, 59, 15));
+            let outcome = resp.header("x-ceems-qfe-cache");
+            assert_eq!(outcome, Some("fallback"), "{now_ms}");
+            assert_eq!(fe.ins.fallbacks.get(), 1.0);
+            assert!(fe.cache().is_empty());
+        }
+    }
+
+    /// `?trace=1` on one extent still carries the frontend's stages.
+    #[test]
+    fn a_traced_one_extent_answer_carries_the_qfe_stages() {
+        for now_ms in [30_000, 10_000_000] {
+            let (fe, _ds) = frontend(false, now_ms);
+            let resp = fe.handle(&traced_req("m", 0, 59, 15));
+            assert_eq!(resp.header("x-ceems-qfe-cache"), Some("miss"));
+            let v: Json = serde_json::from_slice(&resp.body).unwrap();
+            let stages: Vec<&str> = v["data"]["trace"]["stages"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|s| s["name"].as_str().unwrap())
+                .collect();
+            assert_eq!(stages, ["qfe_cache", "qfe_split"], "{now_ms}");
+            assert_eq!(v["data"]["trace"]["counts"]["subqueries"], 1);
+            let values = v["data"]["result"][0]["values"].as_array().unwrap();
+            assert_eq!(values.len(), 4);
+        }
     }
 
     fn sse_events(chunks: &[Vec<u8>]) -> Vec<(String, Json)> {

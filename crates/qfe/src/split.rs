@@ -15,7 +15,10 @@
 //! typed series decoded by `ceems_tsdb::promapi`, whose encoder is the
 //! TSDB's own and for which decode∘encode is the identity, and series order
 //! is rebuilt by the first-seen rule the unsplit evaluator uses (see
-//! [`merge_extents`]).
+//! [`merge_extents`]). The merge of a single fetched extent would write
+//! the bytes the TSDB sent, so the frontend does not run it: an untraced
+//! one-extent miss is relayed as the TSDB wrote it, and decoded only when
+//! the extent goes into the cache.
 
 use std::collections::hash_map::{Entry, HashMap};
 

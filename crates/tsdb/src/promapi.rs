@@ -4,24 +4,27 @@
 //! `/api/v1/query` and `/api/v1/query_range`, behind the LB and the query
 //! frontend. Every hop that reads or writes that API does it here: the
 //! TSDB's handlers parse the parameters and encode answers, `TsdbClient`
-//! decodes instant answers, the query frontend decodes its sub-queries into
-//! typed series and encodes the merged answer, and the LB and the frontend
-//! add their stages to a traced answer with [`add_hop`]. The LB's check
-//! that a 2xx body is JSON at all is [`is_json`].
+//! decodes instant answers, the query frontend decodes the sub-queries it
+//! merges or caches into typed series and encodes the merged answer, and
+//! the LB and the frontend add their stages to a traced answer with
+//! [`add_hop`]. The check that a 2xx body is JSON at all, which the LB runs
+//! and the frontend runs on a body it relays, is [`is_json`].
 //!
 //! Query answers are written and read as bytes, never as a
 //! `serde_json::Value`. [`answer`] writes the bytes `serde_json`'s printer
 //! writes for the same answer (sorted keys, its string escaping): a
 //! timestamp as its seconds in shortest round-trip form (`{:?}` of
-//! `t_ms / 1000`), a value as Prometheus writes it: `+Inf`, `-Inf`, `NaN`,
-//! otherwise the `f64`'s `Display` (`ceems_metrics::encode::write_value`,
-//! the exposition format's printer), which parses back to the same value.
+//! `t_ms / 1000`, printed from the integer below 10^15 ms), a value as
+//! Prometheus writes it: `+Inf`, `-Inf`, `NaN`, otherwise the `f64`'s
+//! `Display` (`ceems_metrics::encode::write_value`, the exposition
+//! format's printer), which parses back to the same value.
 //! The decoders read the bytes in place with one recursive-descent reader,
 //! which takes exactly the JSON `serde_json` takes, keys in any order. So
 //! decoding an encoded answer gives back the same typed data, and encoding
 //! that again gives back the same bytes: a frontend that decodes each
 //! extent and encodes the merge writes what the TSDB writes for the
-//! unsplit range. The small envelopes ([`ok`], [`error`]) and
+//! unsplit range, and one that relays a single extent's body unread
+//! writes the same. The small envelopes ([`ok`], [`error`]) and
 //! [`add_hop`], which only traced answers reach, still go through
 //! `serde_json`'s tree.
 
@@ -43,7 +46,7 @@ use crate::types::{Sample, SeriesData};
 mod oracle;
 mod read;
 pub use read::is_json;
-use read::{Reader, Step};
+use read::{parse_number, Reader, Step};
 
 /// Where a query request evaluates its expression.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,9 +248,60 @@ fn write_series(out: &mut Vec<u8>, labels: &LabelSet, key: &str, value: impl FnO
 /// `[<seconds>,"<value>"]`: the time as `serde_json` prints an `f64`, the
 /// value as the exposition format prints it (`+Inf`, not `inf`).
 fn write_pair(out: &mut Vec<u8>, s: &Sample) {
-    write!(out, "[{:?},\"", s.t_ms as f64 / 1000.0).expect("writing to a Vec cannot fail");
+    out.push(b'[');
+    write_secs(out, s.t_ms);
+    out.extend_from_slice(b",\"");
     write_value(&mut Utf8(out), s.v);
     out.extend_from_slice(b"\"]");
+}
+
+/// Below this many milliseconds a time's seconds have at most 15
+/// significant digits, which an `f64` holds exactly in decimal.
+const EXACT_MS: u64 = 1_000_000_000_000_000;
+
+/// `t_ms` in seconds, as `{:?}` prints `t_ms as f64 / 1000.0`. Below
+/// [`EXACT_MS`] that quotient is the `f64` nearest the exact decimal
+/// `t_ms / 1000`, and a decimal of at most 15 significant digits is the
+/// shortest form that reads back as its nearest `f64`: so the digits of
+/// the integer, with the fraction's trailing zeros dropped (`.0` for a
+/// whole second), are what the float printer writes. Above it, the float
+/// printer writes them.
+fn write_secs(out: &mut Vec<u8>, t_ms: i64) {
+    let ms = t_ms.unsigned_abs();
+    if ms >= EXACT_MS {
+        write!(out, "{:?}", t_ms as f64 / 1000.0).expect("writing to a Vec cannot fail");
+        return;
+    }
+    if t_ms < 0 {
+        out.push(b'-');
+    }
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut secs = ms / 1000;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (secs % 10) as u8;
+        secs /= 10;
+        if secs == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+    let frac = (ms % 1000) as u16;
+    let fraction = [
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ];
+    let kept = if frac.is_multiple_of(100) {
+        2
+    } else if frac.is_multiple_of(10) {
+        3
+    } else {
+        4
+    };
+    out.extend_from_slice(&fraction[..kept]);
 }
 
 /// A byte buffer written as text, for [`write_value`].
@@ -438,7 +492,11 @@ fn pair(r: &mut Reader<'_>) -> Step<Sample> {
     if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
         return Err("sample time is not a number");
     }
-    let secs = r.number()?;
+    let secs = r.number_text();
+    let t_ms = match exact_millis(secs) {
+        Some(t_ms) => t_ms,
+        None => (parse_number(secs)? * 1000.0).round() as i64,
+    };
     if !r.eat(b',') {
         return Err(NOT_A_PAIR);
     }
@@ -454,7 +512,37 @@ fn pair(r: &mut Reader<'_>) -> Step<Sample> {
     if !r.eat(b']') {
         return Err(NOT_A_PAIR);
     }
-    Ok(Sample::new((secs * 1000.0).round() as i64, v))
+    Ok(Sample::new(t_ms, v))
+}
+
+/// The milliseconds of a sample time written `-? digits (. digits)?` with
+/// at most three fraction digits, below [`EXACT_MS`]: read from the
+/// digits, they are what `(secs * 1000.0).round()` gives, since the
+/// parsed `secs` is within a relative 2^-53 of the decimal and the
+/// product lands within `t_ms · 2^-52 < 0.25` of it. `None` for any other
+/// form, which the float path reads.
+fn exact_millis(text: &[u8]) -> Option<i64> {
+    let (negative, unsigned) = match text {
+        [b'-', rest @ ..] => (true, rest),
+        _ => (false, text),
+    };
+    let (whole, fraction) = match unsigned.iter().position(|&c| c == b'.') {
+        Some(dot) => (&unsigned[..dot], &unsigned[dot + 1..]),
+        None => (unsigned, &[][..]),
+    };
+    if whole.is_empty() || whole.len() > 15 || fraction.len() > 3 {
+        return None;
+    }
+    let mut ms = 0u64;
+    for &c in whole.iter().chain(fraction) {
+        if !c.is_ascii_digit() {
+            return None;
+        }
+        ms = ms * 10 + u64::from(c - b'0');
+    }
+    ms *= [1000, 100, 10, 1][fraction.len()];
+    let ms = i64::try_from(ms).ok().filter(|_| ms < EXACT_MS)?;
+    Some(if negative { -ms } else { ms })
 }
 
 /// Decodes an instant query's answer: a vector, or a scalar as one sample

@@ -17,7 +17,7 @@ use ceems_metrics::encode::format_value;
 use ceems_metrics::labels::LabelSet;
 use ceems_obs::trace::{StageReport, TraceReport};
 
-use super::{answer, decode, QueryData};
+use super::{answer, decode, write_pair, QueryData, EXACT_MS};
 use crate::types::{Sample, SeriesData};
 
 /// The answer as a tree, as the encoder built it before it wrote bytes.
@@ -377,6 +377,101 @@ proptest! {
         for body in three_forms(serde_json::to_vec(&tree).unwrap()) {
             agree(&body);
         }
+    }
+}
+
+/// The time `write_pair` writes for `t_ms`.
+fn written_time(t_ms: i64) -> String {
+    let mut out = Vec::new();
+    write_pair(&mut out, &Sample::new(t_ms, 1.0));
+    let pair = String::from_utf8(out).unwrap();
+    pair[1..pair.find(',').unwrap()].to_string()
+}
+
+/// The milliseconds `decode` reads from a sample time written `secs`.
+fn decoded_ms(secs: &str) -> i64 {
+    let body =
+        format!(r#"{{"status":"success","data":{{"resultType":"scalar","result":[{secs},"1"]}}}}"#);
+    match decode(body.as_bytes()) {
+        Ok(QueryData::Scalar(s)) => s.t_ms,
+        other => panic!("{secs}: {other:?}"),
+    }
+}
+
+/// What the decoder read from every time before it read digits: the
+/// `f64` the text parses to, scaled and rounded.
+fn float_ms(secs: &str) -> i64 {
+    (secs.parse::<f64>().unwrap() * 1000.0).round() as i64
+}
+
+/// A time prints as the float printer prints it and reads back as the
+/// float path reads it, which below `EXACT_MS` is the time itself.
+fn time_round_trips(t_ms: i64) {
+    let written = written_time(t_ms);
+    assert_eq!(written, format!("{:?}", t_ms as f64 / 1000.0), "{t_ms}");
+    let back = decoded_ms(&written);
+    assert_eq!(back, float_ms(&written), "{written}");
+    if t_ms.unsigned_abs() < EXACT_MS {
+        assert_eq!(back, t_ms, "{written}");
+    }
+}
+
+fn exact_or_beyond_ms() -> impl Strategy<Value = i64> {
+    let exact = EXACT_MS as i64;
+    prop_oneof![
+        4 => -(exact - 1)..exact,
+        1 => -3_000i64..=3_000,
+        1 => exact..=i64::MAX,
+        1 => i64::MIN..=-exact,
+        1 => Just(i64::MIN),
+        1 => Just(i64::MAX),
+    ]
+}
+
+const FOREIGN: [&str; 12] = [
+    "1e3",
+    "1.2345",
+    "-0.5",
+    "01",
+    "1.",
+    "-.5",
+    "-0",
+    "0.0005",
+    "1E3",
+    "-1.5e-3",
+    "999999999999.999",
+    "1000000000000.000",
+];
+
+/// Times another writer may have written: more fraction digits, no
+/// fraction, an exponent, leading zeros, a bare point.
+fn foreign_time() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "-?[0-9]{1,17}[.]?[0-9]{0,6}",
+        "-?[0-9]{1,4}[.]?[0-9]{0,4}[eE][-+]?[0-9]{1,2}",
+        (proptest::num::f64::NORMAL).prop_map(|x| format!("{x:e}")),
+        (proptest::num::f64::NORMAL).prop_map(|x| format!("{x}")),
+        (0..FOREIGN.len()).prop_map(|i| FOREIGN[i].to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn sample_times_print_and_read_as_the_float_path_does(
+        t_ms in exact_or_beyond_ms(),
+        foreign in foreign_time(),
+    ) {
+        time_round_trips(t_ms);
+        prop_assert_eq!(decoded_ms(&foreign), float_ms(&foreign), "{}", foreign);
+    }
+}
+
+#[test]
+fn every_millisecond_within_three_seconds_round_trips() {
+    for t_ms in (-3_000..=3_000).chain([i64::MIN, i64::MAX]) {
+        time_round_trips(t_ms);
     }
 }
 

@@ -277,6 +277,13 @@ impl<'a> Reader<'a> {
 
     /// Reads the number at the reader.
     pub(super) fn number(&mut self) -> Step<f64> {
+        parse_number(self.number_text())
+    }
+
+    /// Steps over the longest run of
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?` at the reader; its
+    /// text, which [`parse_number`] checks.
+    pub(super) fn number_text(&mut self) -> &'a [u8] {
         let start = self.at;
         self.at += usize::from(self.peek() == Some(b'-'));
         self.digits();
@@ -291,10 +298,7 @@ impl<'a> Reader<'a> {
             }
             self.digits();
         }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|text| text.parse().ok())
-            .ok_or("invalid number")
+        &self.bytes[start..self.at]
     }
 
     fn digits(&mut self) {
@@ -310,6 +314,14 @@ impl<'a> Reader<'a> {
         self.at += word.len();
         Ok(())
     }
+}
+
+/// The number `text` spells, if `str::parse::<f64>` takes it.
+pub(super) fn parse_number(text: &[u8]) -> Step<f64> {
+    std::str::from_utf8(text)
+        .ok()
+        .and_then(|text| text.parse().ok())
+        .ok_or("invalid number")
 }
 
 /// Whether `bytes` is one JSON value, as `serde_json::from_slice` would

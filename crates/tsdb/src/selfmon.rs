@@ -118,7 +118,7 @@ impl Collector for TsdbCollector {
             ),
             (
                 "ceems_tsdb_select_resolve_duration_seconds",
-                "Select phase-1 resolve wall time (index lock + posting cache).",
+                "Select phase-1 resolve wall time (index lock).",
                 &ins.select_resolve_seconds,
             ),
             (
