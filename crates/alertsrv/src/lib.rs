@@ -13,9 +13,9 @@
 //!   annotation templates. Rules run in the order they are written, as
 //!   one Prometheus rule group: a meta-alert over the synthetic `ALERTS`
 //!   series sees what earlier rules wrote in this evaluation.
-//! * [`query`] — rule expressions evaluate either in-process against the
-//!   hot TSDB or over HTTP against the qfe/replica read path, behind the
-//!   S19 retry/circuit-breaker discipline.
+//! * [`query`] — rule expressions evaluate through a [`QuerySource`]: in
+//!   process, through the failover write route, or over HTTP against the
+//!   qfe/replica read path behind the S19 retry/circuit-breaker discipline.
 //! * [`state`] — alert lifecycle (pending → firing → resolved) persisted
 //!   in `ceems-relstore`, so a restart mid-incident neither re-fires nor
 //!   forgets active alerts.

@@ -19,7 +19,7 @@ use ceems_tsdb::{Tsdb, TsdbConfig};
 use parking_lot::Mutex;
 
 use crate::pipeline::RoutingTree;
-use crate::query::{value_to_vector, QuerySource};
+use crate::query::QuerySource;
 use crate::rules::{render_template, RuleSet, ALERTS_METRIC};
 use crate::sink::{Notification, NotificationAlert, NotificationSink};
 use crate::state::{
@@ -79,8 +79,9 @@ struct Inner {
     groups: BTreeMap<String, GroupState>,
     silences: BTreeMap<String, Silence>,
     /// In-memory `ALERTS` series store for meta-rules, holding only what
-    /// a meta-rule can still read (see [`AlertService::new`]).
-    alerts_db: Tsdb,
+    /// a meta-rule can still read (see [`AlertService::new`]); `None` when
+    /// no rule reads `ALERTS`.
+    alerts_db: Option<Tsdb>,
     /// One plan per rule, in rule order, kept from tick to tick: a rule's
     /// evaluation reads only what arrived since the last one.
     plans: Vec<PreparedQuery>,
@@ -112,10 +113,12 @@ impl AlertService {
     /// from the store, so an alert firing before a restart does not
     /// re-notify after it.
     ///
-    /// The `ALERTS` samples meta-rules read are kept as far back as the
+    /// Rules evaluate through `source` with `cfg.lookback_ms`, meta-rules
+    /// over the service's own `ALERTS` store. That store exists only when
+    /// some rule reads `ALERTS`, and keeps samples as far back as the
     /// farthest meta-rule selector reaches (`offset` plus its range, or the
-    /// lookback for an instant selector) and dropped after that, so alerts
-    /// that come and go under job churn do not pile up series.
+    /// lookback for an instant selector) and drops them after that, so
+    /// alerts that come and go under job churn do not pile up series.
     pub fn new(
         rules: RuleSet,
         source: Arc<dyn QuerySource>,
@@ -133,9 +136,11 @@ impl AlertService {
             .flat_map(|i| rules.rules[i].expr.selectors())
             .map(|sel| sel.offset_ms + sel.range_ms.unwrap_or(cfg.lookback_ms))
             .max();
-        let alerts_db = Tsdb::new(TsdbConfig {
-            retention_ms: reach.unwrap_or(0),
-            ..TsdbConfig::default()
+        let alerts_db = reach.map(|retention_ms| {
+            Tsdb::new(TsdbConfig {
+                retention_ms,
+                ..TsdbConfig::default()
+            })
         });
         let registry = Registry::new();
         let eval_hist = registry.histogram(
@@ -210,20 +215,25 @@ impl AlertService {
 
         // Expired silences drop out before evaluation.
         inner.silences.retain(|_, s| s.ends_ms > now_ms);
-        inner.alerts_db.enforce_retention(now_ms);
+        if let Some(db) = &inner.alerts_db {
+            db.enforce_retention(now_ms);
+        }
 
         for (ri, rule) in self.rules.rules.iter().enumerate() {
             stats.rules_evaluated += 1;
             let stage = qtrace.stage("alert_eval");
             let t0 = Instant::now();
-            let plan = &mut inner.plans[ri];
-            let result = if self.rules.is_meta(ri) {
-                plan.instant(&inner.alerts_db, &rule.expr, now_ms, self.cfg.lookback_ms)
-                    .map_err(|e| e.to_string())
-                    .and_then(value_to_vector)
-            } else {
-                self.source.query(&rule.expr_src, &rule.expr, now_ms, plan)
+            let source: &dyn QuerySource = match &inner.alerts_db {
+                Some(db) if self.rules.is_meta(ri) => db,
+                _ => &*self.source,
             };
+            let result = source.instant(
+                &rule.expr_src,
+                &rule.expr,
+                now_ms,
+                self.cfg.lookback_ms,
+                &mut inner.plans[ri],
+            );
             self.eval_hist.observe(t0.elapsed().as_secs_f64());
             stage.finish();
 
@@ -302,11 +312,13 @@ impl AlertService {
                     a.resolved_at_ms = Some(now_ms);
                     continue;
                 }
-                let ls = LabelSetBuilder::from(a.labels.clone())
-                    .label(METRIC_NAME_LABEL, ALERTS_METRIC)
-                    .label("alertstate", a.state.as_str())
-                    .build();
-                inner.alerts_db.append(&ls, now_ms, 1.0);
+                if let Some(db) = &inner.alerts_db {
+                    let ls = LabelSetBuilder::from(a.labels.clone())
+                        .label(METRIC_NAME_LABEL, ALERTS_METRIC)
+                        .label("alertstate", a.state.as_str())
+                        .build();
+                    db.append(&ls, now_ms, 1.0);
+                }
             }
         }
 
@@ -654,7 +666,6 @@ impl AlertService {
 mod tests {
     use super::*;
     use crate::packs;
-    use crate::query::LocalQuerySource;
     use crate::rules::AlertRule;
     use crate::sink::LogSink;
     use ceems_metrics::labels;
@@ -694,7 +705,7 @@ mod tests {
         let sink = LogSink::new();
         let svc = AlertService::new(
             RuleSet::compile(rules),
-            Arc::new(LocalQuerySource::new(db.clone(), 15_000)),
+            db.clone(),
             vec![sink.clone()],
             RoutingTree::new("log"),
             test_cfg(),
@@ -805,7 +816,7 @@ mod tests {
             let sink = LogSink::new();
             let svc = AlertService::new(
                 RuleSet::compile(vec![power_rule(0)]),
-                Arc::new(LocalQuerySource::new(db.clone(), 15_000)),
+                db.clone(),
                 vec![sink.clone()],
                 RoutingTree::new("log"),
                 AlertConfig {
@@ -935,7 +946,7 @@ mod tests {
                     power_rule(hold_s * 10_000),
                     AlertRule::new("WarmNode", "power > 20", 0).unwrap(),
                 ]),
-                Arc::new(LocalQuerySource::new(db.clone(), 15_000)),
+                db.clone(),
                 vec![sink.clone()],
                 routing,
                 test_cfg(),
@@ -1021,6 +1032,51 @@ mod tests {
     }
 
     #[test]
+    fn without_a_meta_rule_no_alerts_series_are_kept_and_notifications_match() {
+        let db = Arc::new(Tsdb::default());
+        let plain = || {
+            vec![
+                power_rule(15_000),
+                AlertRule::new("WarmNode", "power > 20", 0).unwrap(),
+            ]
+        };
+        let (lean, lean_sink) = service_over(&db, plain(), &tempdir("no-meta"));
+        // The same rules beside a meta-rule that never fires, which keeps
+        // the store.
+        let mut rules = plain();
+        rules.push(AlertRule::new("Never", "count(ALERTS) > 1e9", 0).unwrap());
+        let (kept, kept_sink) = service_over(&db, rules, &tempdir("never-meta"));
+        let mut kept_series = 0;
+        for tick in 0..40i64 {
+            let now = 15_000 * (tick + 1);
+            for i in 0..3i64 {
+                let w = if (tick / 8 + i) % 2 == 0 { 100.0 } else { 30.0 };
+                db.append(
+                    &labels! {"__name__" => "power", "instance" => format!("n{i}")},
+                    now,
+                    w,
+                );
+            }
+            let (a, b) = (lean.tick(now), kept.tick(now));
+            assert!(a.firing > 0, "tick {tick}");
+            assert_eq!(
+                (a.pending, a.firing, a.notifications_sent, a.eval_errors),
+                (b.pending, b.firing, b.notifications_sent, b.eval_errors)
+            );
+            assert!(lean.inner.lock().alerts_db.is_none());
+            kept_series =
+                kept_series.max(kept.inner.lock().alerts_db.as_ref().unwrap().series_count());
+        }
+        assert!(kept_series > 0);
+        assert!(lean_sink.delivered().len() > 2);
+        assert_eq!(lean.notification_trace(), kept.notification_trace());
+        assert_eq!(
+            format!("{:?}", lean_sink.delivered()),
+            format!("{:?}", kept_sink.delivered())
+        );
+    }
+
+    #[test]
     fn alerts_store_stays_bounded_under_churn_and_meta_rules_read_the_same() {
         let db = Arc::new(Tsdb::default());
         let rules = || {
@@ -1038,8 +1094,10 @@ mod tests {
         let (bounded, _) = service_over(&db, rules(), &tempdir("churn-bounded"));
         let (unbounded, _) = service_over(&db, rules(), &tempdir("churn-unbounded"));
         // The default 30-day retention: nothing ever ages out.
-        unbounded.inner.lock().alerts_db = Tsdb::default();
+        unbounded.inner.lock().alerts_db = Some(Tsdb::default());
         let view = |svc: &AlertService| format!("{:?}", svc.alerts());
+        let stored =
+            |svc: &AlertService| svc.inner.lock().alerts_db.as_ref().unwrap().series_count();
         let mut most = 0;
         for tick in 0..200i64 {
             let now = 15_000 * (tick + 1);
@@ -1054,11 +1112,11 @@ mod tests {
                 (u.pending, u.firing, u.eval_errors)
             );
             assert_eq!(view(&bounded), view(&unbounded), "tick {tick}");
-            most = most.max(bounded.inner.lock().alerts_db.series_count());
+            most = most.max(stored(&bounded));
         }
         assert!(view(&bounded).contains("HotLately") && view(&bounded).contains("ManyHot"));
         assert_eq!(bounded.notification_trace(), unbounded.notification_trace());
-        assert!(unbounded.inner.lock().alerts_db.series_count() >= 200);
+        assert!(stored(&unbounded) >= 200);
         // 90 s of reach at one job per 15 s tick, plus the meta alerts.
         assert!(most <= 16, "the ALERTS store grew to {most} series");
     }

@@ -384,7 +384,6 @@ impl ApiServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics_source::TsdbLocalSource;
     use crate::rm::{ResourceManagerClient, UnitInfo};
     use crate::updater::UpdaterConfig;
     use ceems_http::Client;
@@ -443,7 +442,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             Arc::new(FakeRm),
-            Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+            Arc::new(Tsdb::default()),
             None,
             UpdaterConfig::default(),
         )
@@ -625,7 +624,6 @@ mod more_tests {
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
-    use crate::metrics_source::TsdbLocalSource;
     use crate::rm::{ResourceManagerClient, UnitInfo};
     use crate::updater::{Updater, UpdaterConfig};
     use ceems_relstore::Db;
@@ -681,7 +679,7 @@ pub(crate) mod tests_support {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             std::sync::Arc::new(TwoUserRm),
-            std::sync::Arc::new(TsdbLocalSource::new(std::sync::Arc::new(Tsdb::default()))),
+            std::sync::Arc::new(Tsdb::default()),
             None,
             UpdaterConfig::default(),
         )

@@ -238,7 +238,6 @@ impl ResourceManagerClient for Arc<OpenStackSim> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics_source::TsdbLocalSource;
     use crate::schema::{unit_cols, UNITS_TABLE};
     use crate::updater::{Updater, UpdaterConfig};
     use ceems_relstore::{Db, Query};
@@ -294,7 +293,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             Arc::new(os.clone()),
-            Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+            Arc::new(Tsdb::default()),
             None,
             UpdaterConfig::default(),
         )

@@ -25,12 +25,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
+use ceems_metrics::matcher::LabelMatcher;
 use ceems_metrics::Histogram;
 use ceems_relstore::{Db, DbError, Row, Value};
-use ceems_tsdb::promql::PreparedQuery;
-use ceems_tsdb::{Tsdb, TsdbClient, WriteRouter};
+use ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS;
+use ceems_tsdb::promql::{parse_expr, PreparedQuery};
+use ceems_tsdb::QuerySource;
 
-use crate::metrics_source::MetricSource;
 use crate::rm::{ResourceManagerClient, UnitInfo};
 use crate::schema::{create_tables, unit_cols, usage_cols, UNITS_TABLE, USAGE_TABLE};
 
@@ -43,29 +44,32 @@ const MIN_ELAPSED_S: f64 = 30.0;
 /// the means of the wider window stand in for the interval's.
 const MIN_WINDOW_MS: i64 = 60_000;
 
-/// Admin access to the TSDB (series deletion).
-pub trait TsdbAdmin: Send + Sync {
-    /// Deletes all series carrying `uuid="<uuid>"`. Returns series deleted.
-    fn delete_unit_series(&self, uuid: &str) -> usize;
+/// A second name for [`QuerySource`], which code such as `e2ebench`'s
+/// pipeline still spells for the cleanup's TSDB.
+pub use ceems_tsdb::QuerySource as TsdbAdmin;
+
+/// The instant vector of `query` at `t_ms` under Prometheus's 5 m lookback.
+/// An error — a query that does not parse, a TSDB that does not answer —
+/// is no data, which the next poll asks for again.
+pub(crate) fn instant(
+    source: &dyn QuerySource,
+    query: &str,
+    t_ms: i64,
+    plan: &mut PreparedQuery,
+) -> Vec<(LabelSet, f64)> {
+    let Ok(expr) = parse_expr(query) else {
+        return Vec::new();
+    };
+    source
+        .instant(query, &expr, t_ms, DEFAULT_LOOKBACK_MS, plan)
+        .unwrap_or_default()
 }
 
-impl TsdbAdmin for Arc<Tsdb> {
-    fn delete_unit_series(&self, uuid: &str) -> usize {
-        let m = ceems_metrics::matcher::LabelMatcher::eq("uuid", uuid);
-        self.delete_series(&[m])
-    }
-}
-
-/// Deletes on the current leader; nothing while leaderless.
-impl TsdbAdmin for WriteRouter {
-    fn delete_unit_series(&self, uuid: &str) -> usize {
-        self.leader_db().map_or(0, |db| db.delete_unit_series(uuid))
-    }
-}
-
-impl TsdbAdmin for TsdbClient {
-    fn delete_unit_series(&self, uuid: &str) -> usize {
-        self.delete_series(&format!("{{uuid=\"{uuid}\"}}"))
+/// The one value of a vector of one sample.
+pub(crate) fn scalar(v: &[(LabelSet, f64)]) -> Option<f64> {
+    match v {
+        [(_, x)] => Some(*x),
+        _ => None,
     }
 }
 
@@ -248,8 +252,8 @@ fn changes(stored: Option<&Row>, row: &Row, stamp: usize) -> bool {
 pub struct Updater {
     db: Db,
     rm: Arc<dyn ResourceManagerClient>,
-    metrics: Arc<dyn MetricSource>,
-    tsdb_admin: Option<Arc<dyn TsdbAdmin>>,
+    source: Arc<dyn QuerySource>,
+    cleanup: Option<Arc<dyn QuerySource>>,
     config: UpdaterConfig,
     /// One plan per aggregate query, in [`Updater::query_interval`]'s order.
     plans: [PreparedQuery; 5],
@@ -260,20 +264,22 @@ pub struct Updater {
 }
 
 impl Updater {
-    /// Creates an updater owning the relational DB.
+    /// Creates an updater owning the relational DB. It reads its aggregates
+    /// from `source` and deletes short units' series through `cleanup`
+    /// (no cleanup when `None`).
     pub fn new(
         mut db: Db,
         rm: Arc<dyn ResourceManagerClient>,
-        metrics: Arc<dyn MetricSource>,
-        tsdb_admin: Option<Arc<dyn TsdbAdmin>>,
+        source: Arc<dyn QuerySource>,
+        cleanup: Option<Arc<dyn QuerySource>>,
         config: UpdaterConfig,
     ) -> Result<Updater, DbError> {
         create_tables(&mut db)?;
         Ok(Updater {
             db,
             rm,
-            metrics,
-            tsdb_admin,
+            source,
+            cleanup,
             config,
             plans: Default::default(),
             last_poll_ms: 0,
@@ -379,9 +385,9 @@ impl Updater {
     /// Asks the TSDB what every unit did over `[now − window, now]`: one
     /// instant query per aggregate, whatever the number of units.
     fn query_interval(&mut self, window_ms: i64, now_ms: i64) -> IntervalAggregates {
-        let metrics = &self.metrics;
+        let source = &*self.source;
         let vector = |query: String, plan: &mut PreparedQuery| {
-            by_uuid(metrics.instant(&query, now_ms, plan))
+            by_uuid(instant(source, &query, now_ms, plan))
         };
         let [cpu, mem, gpu, power, factor] = &mut self.plans;
         // Range selectors are closed at both ends. A slope wants both
@@ -414,7 +420,12 @@ impl Updater {
                 ),
                 power,
             ),
-            emission_factor: metrics.scalar(&self.config.emission_factor_query, now_ms, factor),
+            emission_factor: scalar(&instant(
+                source,
+                &self.config.emission_factor_query,
+                now_ms,
+                factor,
+            )),
         };
         // One per field above.
         self.stats.tsdb_queries += 5;
@@ -425,7 +436,7 @@ impl Updater {
         if self.config.cleanup_cutoff_s <= 0.0 {
             return;
         }
-        let Some(admin) = &self.tsdb_admin else {
+        let Some(cleanup) = &self.cleanup else {
             return;
         };
         let terminal = matches!(
@@ -440,7 +451,7 @@ impl Updater {
             _ => return,
         };
         if elapsed_s < self.config.cleanup_cutoff_s {
-            let n = admin.delete_unit_series(&u.uuid);
+            let n = cleanup.delete_series(&[LabelMatcher::eq("uuid", u.uuid.as_str())]);
             self.stats.series_deleted += n as u64;
             self.stats.units_purged += 1;
             self.purged.insert(u.uuid.clone());
@@ -541,9 +552,9 @@ pub fn usage_row_values(row: &[Value]) -> (String, String, i64, f64, f64, f64, f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics_source::TsdbLocalSource;
     use ceems_metrics::labels;
     use ceems_relstore::Query;
+    use ceems_tsdb::Tsdb;
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
     struct FakeRm {
@@ -615,7 +626,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             rm,
-            Arc::new(TsdbLocalSource::new(tsdb)),
+            tsdb,
             None,
             UpdaterConfig::default(),
         )
@@ -655,6 +666,35 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A TSDB that does not answer is no data: the poll still commits the
+    /// unit's row, with no aggregates, and deletes nothing.
+    #[test]
+    fn an_unreachable_tsdb_reads_as_no_data() {
+        let short = UnitInfo {
+            state: "COMPLETED".into(),
+            ..unit("slurm-3", "bob", 0, Some(40_000))
+        };
+        let rm = Arc::new(FakeRm { units: vec![short] });
+        let dir = tmpdir("dead");
+        let dead: Arc<dyn QuerySource> =
+            Arc::new(ceems_tsdb::TsdbClient::new("http://127.0.0.1:1"));
+        let mut upd = Updater::new(
+            Db::open(&dir).unwrap(),
+            rm,
+            dead.clone(),
+            Some(dead),
+            UpdaterConfig {
+                cleanup_cutoff_s: 60.0,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        upd.poll(60_000).unwrap();
+        assert_eq!(aggregates(&stored(&upd, "slurm-3")), [None; 5]);
+        assert_eq!(upd.stats().series_deleted, 0);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn cleanup_purges_short_units() {
         let tsdb = tsdb_with_unit_metrics("slurm-9");
@@ -665,11 +705,11 @@ mod tests {
         };
         let rm = Arc::new(FakeRm { units: vec![short] });
         let dir = tmpdir("clean");
-        let admin: Arc<dyn TsdbAdmin> = Arc::new(tsdb.clone());
+        let admin: Arc<dyn QuerySource> = tsdb.clone();
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             rm,
-            Arc::new(TsdbLocalSource::new(tsdb.clone())),
+            tsdb.clone(),
             Some(admin),
             UpdaterConfig {
                 cleanup_cutoff_s: 60.0,
@@ -709,7 +749,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             rm,
-            Arc::new(TsdbLocalSource::new(tsdb)),
+            tsdb,
             None,
             UpdaterConfig::default(),
         )
@@ -749,7 +789,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             Arc::new(EveryPollRm(units)),
-            Arc::new(TsdbLocalSource::new(tsdb)),
+            tsdb,
             None,
             UpdaterConfig::default(),
         )
@@ -831,19 +871,25 @@ mod tests {
 
     /// Counts the instant queries that reach the wrapped source.
     struct Counting {
-        inner: TsdbLocalSource,
+        inner: Arc<Tsdb>,
         queries: AtomicU64,
     }
 
-    impl MetricSource for Counting {
+    impl QuerySource for Counting {
         fn instant(
             &self,
-            query: &str,
+            src: &str,
+            expr: &ceems_tsdb::promql::Expr,
             t_ms: i64,
+            lookback_ms: i64,
             plan: &mut PreparedQuery,
-        ) -> Vec<(LabelSet, f64)> {
+        ) -> Result<Vec<(LabelSet, f64)>, String> {
             self.queries.fetch_add(1, Ordering::SeqCst);
-            self.inner.instant(query, t_ms, plan)
+            self.inner.instant(src, expr, t_ms, lookback_ms, plan)
+        }
+
+        fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+            self.inner.delete_series(matchers)
         }
     }
 
@@ -903,7 +949,7 @@ mod tests {
     fn open_updater(
         dir: &std::path::Path,
         rm: Arc<ClockRm>,
-        source: Arc<dyn MetricSource>,
+        source: Arc<dyn QuerySource>,
     ) -> Updater {
         Updater::new(
             Db::open(dir).unwrap(),
@@ -940,30 +986,31 @@ mod tests {
     /// life at its end — the per-unit expressions `poll` used to send for
     /// every running unit on every poll, kept as the reference the fold is
     /// checked against.
-    fn one_shot(src: &dyn MetricSource, u: &UnitInfo, now_ms: i64) -> [Option<f64>; 5] {
+    fn one_shot(src: &dyn QuerySource, u: &UnitInfo, now_ms: i64) -> [Option<f64>; 5] {
         let cfg = UpdaterConfig::default();
         let end_ms = u.ended_at_ms.unwrap_or(now_ms);
         let elapsed_s = (end_ms - u.started_at_ms.unwrap()) as f64 / 1000.0;
         let window_s = (elapsed_s as i64).max(60);
         let uuid = &u.uuid;
-        let scalar = |query: &str| src.scalar(query, end_ms, &mut PreparedQuery::default());
-        let cpu = scalar(&format!(
+        let value =
+            |query: &str| scalar(&instant(src, query, end_ms, &mut PreparedQuery::default()));
+        let cpu = value(&format!(
                     "sum(increase(ceems_compute_unit_cpu_user_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s])) + sum(increase(ceems_compute_unit_cpu_system_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s]))"
                 ))
             .map(|cpu_s| (cpu_s / (elapsed_s * u.ncpus.max(1) as f64) * 100.0).clamp(0.0, 100.0));
-        let mem = scalar(&format!(
+        let mem = value(&format!(
                 "sum(avg_over_time(ceems_compute_unit_memory_used_bytes{{uuid=\"{uuid}\"}}[{window_s}s]))"
             ));
-        let gpu = scalar(&format!(
+        let gpu = value(&format!(
             "avg(avg_over_time(uuid:ceems_gpu_util:pct{{uuid=\"{uuid}\"}}[{window_s}s]))"
         ))
         .map(|g| g.clamp(0.0, 100.0));
-        let kwh = scalar(&format!(
+        let kwh = value(&format!(
             "sum(avg_over_time({}{{uuid=\"{uuid}\"}}[{window_s}s]))",
             cfg.power_metric
         ))
         .map(|avg_w| (avg_w * elapsed_s / 3.6e6).max(0.0));
-        let g = kwh.and_then(|kwh| Some(kwh * scalar(&cfg.emission_factor_query)?));
+        let g = kwh.and_then(|kwh| Some(kwh * value(&cfg.emission_factor_query)?));
         [cpu, mem, gpu, kwh, g]
     }
 
@@ -983,7 +1030,7 @@ mod tests {
             }
             append_factor(&tsdb, 180_000, |_| 50.0);
             let source = Arc::new(Counting {
-                inner: TsdbLocalSource::new(tsdb),
+                inner: tsdb,
                 queries: AtomicU64::new(0),
             });
             let rm = ClockRm::new(units);
@@ -1042,7 +1089,7 @@ mod tests {
                 ..unit(uuid, "alice", 0, Some(end_ms))
             })
             .collect();
-        let source = Arc::new(TsdbLocalSource::new(tsdb));
+        let source = tsdb;
         let rm = ClockRm::new(units.clone());
         let dir = tmpdir("oneshot");
         let mut upd = open_updater(&dir, rm.clone(), source.clone());
@@ -1084,7 +1131,7 @@ mod tests {
         append_factor(&tsdb, 600_000, |t| if t <= 300_000 { 50.0 } else { 100.0 });
         let rm = ClockRm::new(vec![unit("slurm-1", "alice", 0, Some(600_000))]);
         let dir = tmpdir("factor");
-        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        let mut upd = open_updater(&dir, rm.clone(), tsdb);
         poll_at(&mut upd, &rm, 300_000);
         poll_at(&mut upd, &rm, 600_000);
         let row = stored(&upd, "slurm-1");
@@ -1107,7 +1154,7 @@ mod tests {
             unit("slurm-2", "alice", 0, Some(120_000)),
         ]);
         let dir = tmpdir("idem");
-        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        let mut upd = open_updater(&dir, rm.clone(), tsdb);
         poll_at(&mut upd, &rm, 60_000);
         poll_at(&mut upd, &rm, 180_000);
         let running = stored(&upd, "slurm-1");
@@ -1148,7 +1195,7 @@ mod tests {
             unit("slurm-1", "alice", 0, Some(600_000)),
             unit("slurm-2", "bob", 100_000, Some(400_000)),
         ];
-        let source: Arc<dyn MetricSource> = Arc::new(TsdbLocalSource::new(tsdb));
+        let source: Arc<dyn QuerySource> = tsdb;
         let polls = [60_000, 130_000, 250_000, 310_000, 455_000, 660_000];
 
         let run = |tag: &str, restart_before: Option<usize>| {
@@ -1183,7 +1230,7 @@ mod tests {
         append_factor(&tsdb, 180_000, |_| 50.0);
         let short = unit("slurm-2", "bob", 65_000, Some(110_000));
         let rm = ClockRm::new(vec![unit("slurm-1", "alice", 0, None), short.clone()]);
-        let source = Arc::new(TsdbLocalSource::new(tsdb));
+        let source = tsdb;
         let dir = tmpdir("between");
         let mut upd = open_updater(&dir, rm.clone(), source.clone());
         poll_at(&mut upd, &rm, 60_000);
@@ -1212,7 +1259,7 @@ mod tests {
         append_factor(&tsdb, 180_000, |_| 50.0);
         let rm = ClockRm::new(vec![unit("slurm-1", "alice", 40_000, None)]);
         let dir = tmpdir("young");
-        let mut upd = open_updater(&dir, rm.clone(), Arc::new(TsdbLocalSource::new(tsdb)));
+        let mut upd = open_updater(&dir, rm.clone(), tsdb);
         // 20 s old: a row, no aggregates, nothing folded.
         poll_at(&mut upd, &rm, 60_000);
         let row = stored(&upd, "slurm-1");
@@ -1232,16 +1279,23 @@ mod tests {
 
     /// A source that evaluates every query with a fresh plan, whatever plan
     /// the updater hands it: the one-shot reference for kept plans.
-    struct FreshPlans(TsdbLocalSource);
+    struct FreshPlans(Arc<Tsdb>);
 
-    impl MetricSource for FreshPlans {
+    impl QuerySource for FreshPlans {
         fn instant(
             &self,
-            query: &str,
+            src: &str,
+            expr: &ceems_tsdb::promql::Expr,
             t_ms: i64,
+            lookback_ms: i64,
             _plan: &mut PreparedQuery,
-        ) -> Vec<(LabelSet, f64)> {
-            self.0.instant(query, t_ms, &mut PreparedQuery::default())
+        ) -> Result<Vec<(LabelSet, f64)>, String> {
+            self.0
+                .instant(src, expr, t_ms, lookback_ms, &mut PreparedQuery::default())
+        }
+
+        fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+            self.0.delete_series(matchers)
         }
     }
 
@@ -1324,10 +1378,9 @@ mod tests {
         };
         let run = |tag: &str, kept: bool| {
             let tsdb = Arc::new(Tsdb::default());
-            let local = TsdbLocalSource::new(tsdb.clone());
-            let source: Arc<dyn MetricSource> = match kept {
-                true => Arc::new(local),
-                false => Arc::new(FreshPlans(local)),
+            let source: Arc<dyn QuerySource> = match kept {
+                true => tsdb.clone(),
+                false => Arc::new(FreshPlans(tsdb.clone())),
             };
             let rm = ClockRm::new(units.clone());
             let dir = tmpdir(tag);
@@ -1542,7 +1595,7 @@ mod tests {
                 let mut upd = open_updater(
                     &dir,
                     rm.clone(),
-                    Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+                    Arc::new(Tsdb::default()),
                 );
                 // Usage rows are upserted, never deleted: a group whose units
                 // all moved away keeps its last rollup.
@@ -1576,11 +1629,7 @@ mod tests {
         fn an_all_null_group_stores_negative_zero() {
             let rm = ClockRm::new(Vec::new());
             let dir = tmpdir("rollup-null");
-            let mut upd = open_updater(
-                &dir,
-                rm.clone(),
-                Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
-            );
+            let mut upd = open_updater(&dir, rm.clone(), Arc::new(Tsdb::default()));
             let w = Written {
                 slot: 0,
                 group: (USERS.len(), 0),

@@ -13,12 +13,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ceems_alertsrv::{
-    packs, AlertConfig, AlertRule, AlertService, LocalQuerySource, LogSink, NotificationSink,
-    QuerySource, RoutingTree, RuleSet, WebhookSink,
+    packs, AlertConfig, AlertRule, AlertService, LogSink, NotificationSink, RoutingTree, RuleSet,
+    WebhookSink,
 };
-use ceems_apiserver::metrics_source::{MetricSource, TsdbLocalSource};
 use ceems_apiserver::rm::SlurmRmClient;
-use ceems_apiserver::updater::TsdbAdmin;
 use ceems_apiserver::updater::{Updater, UpdaterConfig};
 use ceems_emissions::emaps::{EMapsProvider, EMapsService};
 use ceems_emissions::owid::OwidStatic;
@@ -35,7 +33,7 @@ use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::scrape::{
     ScrapeManager, ScrapeStats, ScrapeTarget, SeriesCache, Stamp, TargetSource,
 };
-use ceems_tsdb::{fan_out, ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
+use ceems_tsdb::{fan_out, QuerySource, ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
 
 use crate::attribution::{all_rule_groups, NodeGroup};
 use crate::config::CeemsConfig;
@@ -182,35 +180,6 @@ struct PushTally {
 struct FailoverState {
     group: Arc<Mutex<ReplicationGroup>>,
     router: WriteRouter,
-}
-
-/// Alert evaluation that follows the write route: each query resolves the
-/// current leader's database, so rule evaluation re-targets within one
-/// probe interval of a failover instead of pinning the original leader.
-struct RoutedQuerySource {
-    router: WriteRouter,
-    fallback: Arc<Tsdb>,
-    lookback_ms: i64,
-}
-
-impl QuerySource for RoutedQuerySource {
-    fn name(&self) -> &'static str {
-        "routed-local"
-    }
-
-    fn query(
-        &self,
-        expr_src: &str,
-        expr: &ceems_tsdb::promql::Expr,
-        now_ms: i64,
-        plan: &mut ceems_tsdb::promql::PreparedQuery,
-    ) -> Result<Vec<(ceems_metrics::labels::LabelSet, f64)>, String> {
-        let db = self
-            .router
-            .leader_db()
-            .unwrap_or_else(|| self.fallback.clone());
-        LocalQuerySource::new(db, self.lookback_ms).query(expr_src, expr, now_ms, plan)
-    }
 }
 
 fn build_providers(cfg: &CeemsConfig) -> Vec<Arc<dyn EmissionProvider>> {
@@ -431,20 +400,17 @@ impl CeemsStack {
         };
 
         let rm = Arc::new(SlurmRmClient::new(scheduler.clone()));
-        // With failover on, the updater follows the write route like ingest,
-        // rules and alerts do.
-        let (metrics, admin): (Arc<dyn MetricSource>, Arc<dyn TsdbAdmin>) = match &replication {
-            Some(f) => (Arc::new(f.router.clone()), Arc::new(f.router.clone())),
-            None => (
-                Arc::new(TsdbLocalSource::new(tsdb.clone())),
-                Arc::new(tsdb.clone()),
-            ),
+        // What the updater and the alert rules read: with failover on, the
+        // write route, so both follow the leader like ingest and rules do.
+        let source: Arc<dyn QuerySource> = match &replication {
+            Some(f) => Arc::new(f.router.clone()),
+            None => tsdb.clone(),
         };
         let updater = Updater::new(
             Db::open(db_dir).map_err(|e| e.to_string())?,
             rm,
-            metrics,
-            Some(admin),
+            source.clone(),
+            Some(source.clone()),
             UpdaterConfig {
                 cleanup_cutoff_s: config.cleanup_cutoff_s,
                 ..Default::default()
@@ -514,14 +480,6 @@ impl CeemsStack {
             // interval plus a scrape, so a fresh tick still sees data.
             let lookback_ms =
                 ((config.rule_interval_s + config.scrape_interval_s) * 2.0 * 1000.0) as i64;
-            let source: Arc<dyn QuerySource> = match &replication {
-                Some(f) => Arc::new(RoutedQuerySource {
-                    router: f.router.clone(),
-                    fallback: tsdb.clone(),
-                    lookback_ms,
-                }),
-                None => Arc::new(LocalQuerySource::new(tsdb.clone(), lookback_ms)),
-            };
             let svc = AlertService::new(
                 RuleSet::compile(rules),
                 source,
@@ -1297,6 +1255,62 @@ mod tests {
                 assert_eq!((a, sa), (b, sb), "stream {stream}");
             }
         }
+    }
+
+    /// Two stacks built from one default configuration and one seed, on
+    /// one worker thread, fed the same jobs: every series holds the same
+    /// samples bit for bit, and the updater writes the same unit rows. Only
+    /// the exporter's own render timings, and the payload sizes that follow
+    /// them, are wall clock.
+    #[test]
+    fn one_seed_gives_one_simulation() {
+        use ceems_apiserver::schema::UNITS_TABLE;
+        const WALL_CLOCK: [&str; 3] = [
+            "ceems_exporter_render_seconds_total",
+            "ceems_exporter_render_duration_seconds",
+            "ceems_exporter_payload_bytes",
+        ];
+        let run = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!("ceems-seed-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = CeemsConfig {
+                threads: 1,
+                ..Default::default()
+            };
+            let mut stack = CeemsStack::build(cfg, &dir).unwrap();
+            stack.submit(cpu_job("alice", 16)).unwrap();
+            stack.submit(cpu_job("bob", 4)).unwrap();
+            stack.run_for(120.0, 15.0);
+            stack.submit(cpu_job("carol", 8)).unwrap();
+            stack.run_for(240.0, 15.0);
+            let every = LabelMatcher::new("__name__", MatchOp::Re, ".+").unwrap();
+            let mut series = std::collections::BTreeMap::new();
+            for s in stack.tsdb.select(&[every], 0, i64::MAX) {
+                let name = s.labels.get("__name__").unwrap_or_default();
+                if WALL_CLOCK.iter().any(|f| name.starts_with(f)) {
+                    continue;
+                }
+                let samples: Vec<(i64, u64)> =
+                    s.samples.iter().map(|p| (p.t_ms, p.v.to_bits())).collect();
+                series.insert(s.labels.to_string(), samples);
+            }
+            let units = format!("{:?}", stack.updater.lock().db().table(UNITS_TABLE).unwrap().scan().collect::<Vec<_>>());
+            drop(stack);
+            std::fs::remove_dir_all(dir).ok();
+            (series, units)
+        };
+        let (a, units_a) = run("a");
+        let (b, units_b) = run("b");
+        assert!(a.len() > 100, "{} series", a.len());
+        assert!(units_a.contains("carol"), "{units_a}");
+        let names = |m: &std::collections::BTreeMap<String, Vec<(i64, u64)>>| {
+            m.keys().cloned().collect::<Vec<_>>()
+        };
+        assert_eq!(names(&a), names(&b));
+        for (labels, samples) in &a {
+            assert_eq!(Some(samples), b.get(labels), "{labels}");
+        }
+        assert_eq!(units_a, units_b);
     }
 
     #[test]

@@ -568,7 +568,6 @@ mod tests {
     use ceems_tsdb::Tsdb;
     use parking_lot::Mutex;
 
-    use ceems_apiserver::metrics_source::TsdbLocalSource;
     use ceems_apiserver::rm::{ResourceManagerClient, UnitInfo};
     use ceems_apiserver::updater::{Updater, UpdaterConfig};
     use ceems_relstore::Db;
@@ -609,7 +608,7 @@ mod tests {
         let mut upd = Updater::new(
             Db::open(&dir).unwrap(),
             Arc::new(OneUnitRm),
-            Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+            Arc::new(Tsdb::default()),
             None,
             UpdaterConfig::default(),
         )

@@ -1,4 +1,4 @@
-//! The TSDB HTTP API from the caller's side.
+//! The TSDB from the caller's side.
 //!
 //! Every component that talks to a TSDB (or to anything speaking its
 //! Prometheus-compatible API: the LB, the query frontend) over a socket goes
@@ -9,9 +9,16 @@
 //! the parser of the WAL position report; instant answers are decoded by
 //! [`crate::promapi`]. What differs per hop (how often to retry, whether a
 //! breaker guards it) is passed in where the client is built.
+//!
+//! A component that reads a TSDB it does not own — the alerting service's
+//! rules, the API-server updater's aggregates and its cardinality cleanup —
+//! holds a [`QuerySource`]: the database in process ([`Tsdb`]), the
+//! failover write route ([`WriteRouter`]: whichever node leads now) or
+//! HTTP ([`TsdbClient`]). The three give one answer.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,11 +26,131 @@ use ceems_http::resilience::{CircuitBreaker, RetryPolicy};
 use ceems_http::url::encode_component;
 use ceems_http::{Client, Method, Request, Response};
 use ceems_metrics::labels::LabelSet;
+use ceems_metrics::matcher::LabelMatcher;
 use ceems_obs::{trace, TRACE_HEADER};
 
-use crate::election::NodeRole;
+use crate::election::{NodeRole, WriteRouter};
 use crate::promapi;
+use crate::promql::{Expr, PreparedQuery, Value};
+use crate::storage::Tsdb;
 use crate::wal::WalPosition;
+
+/// A TSDB read, and cleaned up, by a component that does not own it.
+pub trait QuerySource: Send + Sync {
+    /// Evaluates `expr` (parsed from `src`) at `t_ms` as an instant query:
+    /// a vector, or a scalar as one sample with empty labels; a range
+    /// vector is an error. In process, instant selectors look back
+    /// `lookback_ms` and `plan` carries the reads from one evaluation to
+    /// the next (keep one per standing query); over HTTP the query is
+    /// one-shot and the server's lookback applies.
+    fn instant(
+        &self,
+        src: &str,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+        plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String>;
+
+    /// Deletes every series matching all of `matchers`. Returns the number
+    /// of series deleted, 0 when the call failed.
+    fn delete_series(&self, matchers: &[LabelMatcher]) -> usize;
+}
+
+impl QuerySource for Tsdb {
+    fn instant(
+        &self,
+        _src: &str,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+        plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String> {
+        match plan.instant(self, expr, t_ms, lookback_ms) {
+            Ok(Value::Vector(v)) => Ok(v),
+            Ok(Value::Scalar(x)) => Ok(vec![(LabelSet::empty(), x)]),
+            Ok(Value::Matrix(_)) => Err("an instant query returned a range vector; \
+                 wrap it in a *_over_time or rate function"
+                .into()),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+        Tsdb::delete_series(self, matchers)
+    }
+}
+
+/// Reads and deletes on the current leader. While leaderless a query is an
+/// error and a delete removes nothing.
+impl QuerySource for WriteRouter {
+    fn instant(
+        &self,
+        src: &str,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+        plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String> {
+        let db = self.leader_db().ok_or("no leader elected")?;
+        db.instant(src, expr, t_ms, lookback_ms, plan)
+    }
+
+    fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+        self.leader_db()
+            .map_or(0, |db| Tsdb::delete_series(&db, matchers))
+    }
+}
+
+/// Through `/api/v1/query` and the admin API's `delete_series`.
+impl QuerySource for TsdbClient {
+    fn instant(
+        &self,
+        src: &str,
+        _expr: &Expr,
+        t_ms: i64,
+        _lookback_ms: i64,
+        _plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String> {
+        TsdbClient::instant(self, src, t_ms)
+    }
+
+    fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+        let selector: Vec<String> = matchers.iter().map(ToString::to_string).collect();
+        let path = format!(
+            "/api/v1/admin/tsdb/delete_series?match[]={}",
+            encode_component(&format!("{{{}}}", selector.join(",")))
+        );
+        self.call(Method::Post, &path)
+            .ok()
+            .and_then(|r| serde_json::from_slice::<serde_json::Value>(&r.body).ok())
+            .and_then(|v| v["data"]["deletedSeries"].as_u64())
+            .unwrap_or(0) as usize
+    }
+}
+
+/// A pointer answers as what it points to: `Arc<Tsdb>` and
+/// `Arc<dyn QuerySource>` are sources too.
+impl<P> QuerySource for P
+where
+    P: Deref + Send + Sync,
+    P::Target: QuerySource,
+{
+    fn instant(
+        &self,
+        src: &str,
+        expr: &Expr,
+        t_ms: i64,
+        lookback_ms: i64,
+        plan: &mut PreparedQuery,
+    ) -> Result<Vec<(LabelSet, f64)>, String> {
+        (**self).instant(src, expr, t_ms, lookback_ms, plan)
+    }
+
+    fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+        (**self).delete_series(matchers)
+    }
+}
 
 /// Resolves the endpoint per call — e.g. following a failover routing table
 /// so callers re-target the new leader without rebuilding the client.
@@ -159,21 +286,6 @@ impl TsdbClient {
         promapi::decode_instant(&resp.body)
     }
 
-    /// Deletes every series matching `selector` (e.g. `{uuid="slurm-1"}`)
-    /// via the admin API. Returns the number of series deleted, 0 when the
-    /// call failed.
-    pub fn delete_series(&self, selector: &str) -> usize {
-        let path = format!(
-            "/api/v1/admin/tsdb/delete_series?match[]={}",
-            encode_component(selector)
-        );
-        self.call(Method::Post, &path)
-            .ok()
-            .and_then(|r| serde_json::from_slice::<serde_json::Value>(&r.body).ok())
-            .and_then(|v| v["data"]["deletedSeries"].as_u64())
-            .unwrap_or(0) as usize
-    }
-
     /// Asks the node for its role, epoch and WAL position.
     pub fn wal_position(&self) -> Result<PositionReport, CallError> {
         let resp = self.call(Method::Get, "/api/v1/wal/position")?;
@@ -288,11 +400,15 @@ fn parse_position(body: &[u8]) -> Result<PositionReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::election::{FailoverConfig, ReplicationGroup};
     use crate::httpapi::api_router;
+    use crate::promql::eval::DEFAULT_LOOKBACK_MS;
+    use crate::promql::parse_expr;
     use crate::storage::{Tsdb, TsdbConfig};
     use crate::wal::WalOptions;
     use ceems_http::{HttpServer, Router, ServerConfig};
     use ceems_metrics::labels;
+    use ceems_metrics::matcher::MatchOp;
     use ceems_obs::trace::QueryTrace;
     use parking_lot::Mutex;
 
@@ -336,9 +452,110 @@ mod tests {
         let err = api.instant("rate(watts)", 150_000).unwrap_err();
         assert!(err.starts_with("/api/v1/query returned 4"), "{err}");
 
-        assert_eq!(api.delete_series("{uuid=\"slurm-1\"}"), 1);
+        assert_eq!(api.delete_series(&[LabelMatcher::eq("uuid", "slurm-1")]), 1);
         assert!(api.instant("watts", 150_000).unwrap().is_empty());
         server.shutdown();
+    }
+
+    /// The in-process database, the write route of a two-node group, and
+    /// HTTP against the leader's API: one database, one answer; and the two
+    /// routes that can lose their TSDB fail once it is gone.
+    #[test]
+    fn every_route_gives_one_answer() {
+        let dir = std::env::temp_dir().join(format!("ceems-client-routes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = Arc::new(std::sync::atomic::AtomicI64::new(150_000));
+        let c = clock.clone();
+        let failover = FailoverConfig {
+            probe_interval_ms: 100,
+            election_timeout_ms: 300,
+            ..FailoverConfig::default()
+        };
+        let mut group = ReplicationGroup::new(
+            &dir,
+            2,
+            WalOptions::default(),
+            TsdbConfig::default(),
+            failover,
+            Arc::new(move || c.load(Ordering::Relaxed)),
+        )
+        .unwrap();
+        let router = group.write_router();
+        for u in 0..3i64 {
+            for (name, v) in [("watts", 100.0 * (u + 1) as f64), ("joules", 1e3)] {
+                let series = labels! {"__name__" => name, "uuid" => format!("u{u}")};
+                let batch: Vec<_> = (0..10).map(|i| (series.clone(), i * 15_000, v)).collect();
+                router.append_batch(&batch).unwrap();
+            }
+        }
+        let db = router.leader_db().unwrap();
+        let routes: [(&str, Box<dyn QuerySource>); 3] = [
+            ("in process", Box::new(db.clone())),
+            ("write route", Box::new(router.clone())),
+            ("http", Box::new(TsdbClient::new(router.route().leader_url))),
+        ];
+        let ask = |src: &dyn QuerySource, q: &str| {
+            let expr = parse_expr(q).unwrap();
+            src.instant(
+                q,
+                &expr,
+                150_000,
+                DEFAULT_LOOKBACK_MS,
+                &mut PreparedQuery::default(),
+            )
+        };
+
+        for q in [
+            "watts > 150",
+            "scalar(sum(watts))",
+            "sum by (uuid) (watts + joules)",
+        ] {
+            let want = ask(&db, q).unwrap();
+            assert!(!want.is_empty(), "{q}");
+            for (name, src) in &routes {
+                assert_eq!(ask(src.as_ref(), q).unwrap(), want, "{name}: {q}");
+            }
+        }
+        for (name, src) in &routes {
+            assert!(ask(src.as_ref(), "watts[1m]").is_err(), "{name}");
+        }
+
+        // Each route deletes one unit's two series, named by an equality and
+        // a regex matcher.
+        let labels_of = |m: &[LabelMatcher]| -> Vec<String> {
+            db.select(m, 0, i64::MAX)
+                .iter()
+                .map(|s| s.labels.to_string())
+                .collect()
+        };
+        for (u, (name, src)) in routes.iter().enumerate() {
+            let unit = [
+                LabelMatcher::eq("uuid", format!("u{u}")),
+                LabelMatcher::new("__name__", MatchOp::Re, "watts|joules").unwrap(),
+            ];
+            assert_eq!(labels_of(&unit).len(), 2, "{name}");
+            assert_eq!(src.delete_series(&unit), 2, "{name}");
+            assert!(labels_of(&unit).is_empty(), "{name}");
+            let left = labels_of(&[LabelMatcher::new("uuid", MatchOp::Re, ".+").unwrap()]);
+            assert_eq!(left.len(), 2 * (2 - u), "{name}");
+        }
+
+        // Both nodes die: once the probe timeout deposes the leader with no
+        // candidate left, the group is leaderless and its server is gone.
+        group.kill("node-1");
+        group.kill("node-0");
+        for _ in 0..6 {
+            let now = clock.fetch_add(100, Ordering::Relaxed) + 100;
+            group.tick(now);
+        }
+        assert!(group.leader_id().is_none(), "{:?}", group.events());
+        for (name, src) in &routes[1..] {
+            assert!(ask(src.as_ref(), "watts").is_err(), "{name}");
+            let unit = [LabelMatcher::eq("uuid", "u2")];
+            assert_eq!(src.delete_series(&unit), 0, "{name}");
+        }
+        drop(group);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -346,7 +563,7 @@ mod tests {
         let api = TsdbClient::new("http://127.0.0.1:1");
         assert!(api.instant("up", 0).is_err());
         assert!(matches!(api.wal_position(), Err(CallError::Transport(_))));
-        assert_eq!(api.delete_series("{uuid=\"x\"}"), 0);
+        assert_eq!(api.delete_series(&[LabelMatcher::eq("uuid", "x")]), 0);
     }
 
     #[test]

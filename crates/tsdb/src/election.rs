@@ -389,6 +389,16 @@ impl ReplicationGroup {
                     self.leader = None;
                     self.event(now_ms, format!("depose leader={id}"));
                     self.elect(now_ms);
+                    if self.leader.is_none() {
+                        // Deferred: until a candidate qualifies the route
+                        // names no leader, so nothing lands on the deposed one.
+                        self.router.swap(Route {
+                            epoch: self.epoch,
+                            leader_id: String::new(),
+                            leader_url: String::new(),
+                            db: None,
+                        });
+                    }
                 }
             }
         }

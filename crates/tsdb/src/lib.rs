@@ -23,7 +23,9 @@
 //! * [`promapi`] — that API's query parameters, envelopes, typed answers
 //!   and trace hops: the one codec every hop that speaks it shares.
 //! * [`client`] — that API from the caller's side: the one [`TsdbClient`]
-//!   every TSDB-over-HTTP hop in the stack goes through.
+//!   every TSDB-over-HTTP hop in the stack goes through, and the one
+//!   [`QuerySource`] trait alert rules and the API-server updater read a
+//!   TSDB they do not own through (in process, the write route, HTTP).
 //! * [`wal`] — segmented write-ahead log + checkpoints: crash recovery via
 //!   [`storage::Tsdb::open`] (S16).
 //! * [`replica`] — follower catch-up: stream a leader's WAL over HTTP into
@@ -51,7 +53,7 @@ pub mod storage;
 pub mod types;
 pub mod wal;
 
-pub use client::TsdbClient;
+pub use client::{QuerySource, TsdbClient};
 pub use election::{FailoverConfig, NodeRole, ReplicationGroup, WriteRouter};
 pub use par::fan_out;
 pub use storage::{RefError, RefToken, SeriesRef, StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ceems::apiserver::metrics_source::TsdbLocalSource;
 use ceems::apiserver::openstack::OpenStackSim;
 use ceems::apiserver::schema::{unit_cols, UNITS_TABLE};
 use ceems::apiserver::updater::{Updater, UpdaterConfig};
@@ -34,7 +33,7 @@ fn main() {
     let mut updater = Updater::new(
         Db::open(&dir).unwrap(),
         Arc::new(cloud.clone()),
-        Arc::new(TsdbLocalSource::new(Arc::new(Tsdb::default()))),
+        Arc::new(Tsdb::default()),
         None,
         UpdaterConfig::default(),
     )

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ceems::alertsrv::{
-    packs, AlertConfig, AlertService, AlertState, LocalQuerySource, LogSink, NotificationSink,
-    RoutingTree, RuleSet, WebhookSink,
+    packs, AlertConfig, AlertService, AlertState, LogSink, NotificationSink, RoutingTree, RuleSet,
+    WebhookSink,
 };
 use ceems::http::fault::{FaultKind, FaultPlan, FaultRule};
 use ceems::http::router::Router;
@@ -205,7 +205,7 @@ fn service_with_sink(
     let default_sink = sink.name().to_string();
     AlertService::new(
         RuleSet::compile(vec![packs::node_power_anomaly(50.0, 0)]),
-        Arc::new(LocalQuerySource::new(db.clone(), 30_000)),
+        db.clone(),
         vec![sink],
         RoutingTree::new(default_sink),
         AlertConfig {

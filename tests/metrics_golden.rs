@@ -13,9 +13,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ceems::alertsrv::{
-    AlertConfig, AlertRule, AlertService, LocalQuerySource, LogSink, RoutingTree, RuleSet,
-};
+use ceems::alertsrv::{AlertConfig, AlertRule, AlertService, LogSink, RoutingTree, RuleSet};
 use ceems::core::config::FailoverSettings;
 use ceems::http::{HttpServer, Method, Request, Response, Router, ServerConfig, Status};
 use ceems::lb::acl::Authorizer;
@@ -169,7 +167,7 @@ fn alertsrv_page() {
             AlertRule::new("HotNode", "power > 50", 0).unwrap(),
             AlertRule::new("AnyHot", "count(ALERTS) > 0", 30_000).unwrap(),
         ]),
-        Arc::new(LocalQuerySource::new(db, 15_000)),
+        db,
         vec![LogSink::new()],
         RoutingTree::new("log"),
         AlertConfig {
