@@ -37,7 +37,7 @@ pub mod sink;
 pub mod state;
 
 pub use pipeline::{Route, RoutingTree};
-pub use query::{http_source, LocalQuerySource, QuerySource};
+pub use query::{LocalQuerySource, QuerySource};
 pub use rules::{AlertRule, RuleSet, ALERTS_METRIC};
 pub use service::{AlertConfig, AlertService, TickStats};
 pub use sink::{LogSink, Notification, NotificationSink, SinkError, WebhookSink};

@@ -1,13 +1,13 @@
 //! Where alert-rule expressions get their data: any [`QuerySource`] — the
-//! TSDB in process, the failover write route, or HTTP ([`http_source`]).
+//! TSDB in process, the failover write route, or HTTP
+//! ([`ceems_tsdb::TsdbClient`]).
 //! The service keeps a [`ceems_tsdb::promql::PreparedQuery`] per rule and
 //! hands it to every evaluation.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
-use ceems_http::resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
-use ceems_tsdb::{Tsdb, TsdbClient};
+use ceems_tsdb::Tsdb;
 
 pub use ceems_tsdb::QuerySource;
 
@@ -30,18 +30,6 @@ impl Deref for LocalQuerySource {
     fn deref(&self) -> &Tsdb {
         &self.0
     }
-}
-
-/// The alerting service's HTTP read path: a [`TsdbClient`] against a
-/// Prometheus-compatible `/api/v1/query` endpoint (the TSDB API, the LB, or
-/// the query frontend) with this hop's resilience — 2 attempts and a
-/// default breaker, so a dead read path degrades to evaluation errors
-/// instead of a stalled tick. Follow a failover routing table with
-/// [`TsdbClient::with_resolver`].
-pub fn http_source(base_url: impl Into<String>) -> TsdbClient {
-    TsdbClient::new(base_url)
-        .with_retry(RetryPolicy::new(2))
-        .with_breaker(CircuitBreaker::new(BreakerConfig::default()))
 }
 
 #[cfg(test)]
@@ -77,46 +65,5 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].0.get("instance"), Some("n2"));
         assert_eq!(v[0].1, 900.0);
-    }
-
-    #[test]
-    fn http_source_evaluates_over_the_real_api() {
-        use ceems_http::{HttpServer, ServerConfig};
-        use ceems_tsdb::httpapi::api_router;
-
-        let db = Arc::new(Tsdb::default());
-        db.append(
-            &labels! {"__name__" => "watts", "instance" => "n2"},
-            1_000,
-            900.0,
-        );
-        let server = HttpServer::serve(
-            ServerConfig::ephemeral(),
-            api_router(db, Arc::new(|| 2_000)),
-        )
-        .unwrap();
-        let src: Arc<dyn QuerySource> = Arc::new(http_source(server.base_url()));
-        let expr = parse_expr("watts > 500").unwrap();
-        let v = src
-            .instant(
-                "watts > 500",
-                &expr,
-                2_000,
-                60_000,
-                &mut PreparedQuery::default(),
-            )
-            .unwrap();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0.get("instance"), Some("n2"));
-        assert!(src
-            .instant(
-                "watts >",
-                &expr,
-                2_000,
-                60_000,
-                &mut PreparedQuery::default()
-            )
-            .is_err());
-        server.shutdown();
     }
 }

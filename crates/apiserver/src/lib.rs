@@ -11,9 +11,9 @@
 //!   over the simulated `slurmdbd`.
 //! * [`openstack`] — a Nova-backed client (the paper's §IV future work),
 //!   proving the unified schema is genuinely resource-manager agnostic.
-//! * [`metrics_source`] — the updater's HTTP path to the TSDB; in process
-//!   or through the failover write route it reads the database itself,
-//!   both through [`ceems_tsdb::QuerySource`].
+//! * [`metrics_source`] — how the updater reaches the TSDB: any
+//!   [`ceems_tsdb::QuerySource`] (in process, the failover write route, or
+//!   HTTP).
 //! * [`updater`] — the single-writer poll loop: fetch changed units, ask
 //!   the TSDB once per aggregate what every unit did since the previous
 //!   poll and fold that into the stored rows, roll up usage, and run the
@@ -29,6 +29,6 @@ pub mod schema;
 pub mod updater;
 
 pub use api::ApiServer;
-pub use metrics_source::{http_source, TsdbLocalSource};
+pub use metrics_source::TsdbLocalSource;
 pub use rm::{ResourceManagerClient, SlurmRmClient, UnitInfo};
 pub use updater::{Updater, UpdaterConfig};

@@ -18,7 +18,11 @@
 //! updated_at)]`, and nothing younger than that frontier has been folded.
 //! The frontier is read back from the row on every poll, so a restarted
 //! updater over the same `Db` continues where the last one stopped, and a
-//! unit reported twice over the same interval folds nothing twice.
+//! unit reported twice over the same interval folds nothing twice. A poll
+//! in which the TSDB fails to answer one of the five queries folds nothing:
+//! every frontier stays where it was, the resource manager is asked again
+//! from the same point and no series is cleaned up, so the next poll that
+//! is answered folds the whole gap.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -48,21 +52,19 @@ const MIN_WINDOW_MS: i64 = 60_000;
 /// pipeline still spells for the cleanup's TSDB.
 pub use ceems_tsdb::QuerySource as TsdbAdmin;
 
-/// The instant vector of `query` at `t_ms` under Prometheus's 5 m lookback.
-/// An error — a query that does not parse, a TSDB that does not answer —
-/// is no data, which the next poll asks for again.
+/// The instant vector of `query` at `t_ms` under Prometheus's 5 m lookback,
+/// or the source's error. A query that does not parse is no data: asking
+/// again would not change it.
 pub(crate) fn instant(
     source: &dyn QuerySource,
     query: &str,
     t_ms: i64,
     plan: &mut PreparedQuery,
-) -> Vec<(LabelSet, f64)> {
+) -> Result<Vec<(LabelSet, f64)>, String> {
     let Ok(expr) = parse_expr(query) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    source
-        .instant(query, &expr, t_ms, DEFAULT_LOOKBACK_MS, plan)
-        .unwrap_or_default()
+    source.instant(query, &expr, t_ms, DEFAULT_LOOKBACK_MS, plan)
 }
 
 /// The one value of a vector of one sample.
@@ -334,14 +336,19 @@ impl Updater {
             .min();
         let interval = match oldest {
             Some(from_ms) => self.query_interval((now_ms - from_ms).max(MIN_WINDOW_MS), now_ms),
-            None => IntervalAggregates::default(),
+            None => Ok(IntervalAggregates::default()),
         };
 
         let mut unit_rows = Vec::with_capacity(units.len());
         for (u, (mut row, span)) in units.iter().zip(rows) {
-            if let Some(span) = span {
-                fold_interval(&mut row, u, &span, &interval);
-                self.stats.units_folded += 1;
+            match (span, &interval) {
+                (Some(span), Ok(interval)) => {
+                    fold_interval(&mut row, u, &span, interval);
+                    self.stats.units_folded += 1;
+                }
+                // Nothing folded: the frontier stays for the next poll.
+                (Some(span), Err(_)) => row[unit_cols::UPDATED_AT] = Value::Int(span.from_ms),
+                (None, _) => {}
             }
             unit_rows.push(row);
         }
@@ -375,19 +382,30 @@ impl Updater {
             [],
         )?;
         self.stats.units_upserted += upserted;
-        for u in &units {
-            self.maybe_cleanup(u);
+        // After a failed query a short unit's series wait for the poll that
+        // bills them, and the units that changed are asked for again.
+        if interval.is_ok() {
+            for u in &units {
+                self.maybe_cleanup(u);
+            }
+            self.last_poll_ms = now_ms;
         }
-        self.last_poll_ms = now_ms;
         Ok(())
     }
 
     /// Asks the TSDB what every unit did over `[now − window, now]`: one
-    /// instant query per aggregate, whatever the number of units.
-    fn query_interval(&mut self, window_ms: i64, now_ms: i64) -> IntervalAggregates {
+    /// instant query per aggregate, whatever the number of units. Stops at
+    /// the first query the source fails to answer.
+    fn query_interval(
+        &mut self,
+        window_ms: i64,
+        now_ms: i64,
+    ) -> Result<IntervalAggregates, String> {
         let source = &*self.source;
-        let vector = |query: String, plan: &mut PreparedQuery| {
-            by_uuid(instant(source, &query, now_ms, plan))
+        let sent = &mut self.stats.tsdb_queries;
+        let mut ask = |query: &str, plan: &mut PreparedQuery| {
+            *sent += 1;
+            instant(source, query, now_ms, plan)
         };
         let [cpu, mem, gpu, power, factor] = &mut self.plans;
         // Range selectors are closed at both ends. A slope wants both
@@ -395,41 +413,33 @@ impl Updater {
         // previous poll to the fold that already counted it.
         let closed = format!("[{window_ms}ms]");
         let w = format!("[{}ms]", window_ms - 1);
-        let interval = IntervalAggregates {
-            cpu_cores: vector(
-                format!(
+        Ok(IntervalAggregates {
+            cpu_cores: by_uuid(ask(
+                &format!(
                     "sum by (uuid) (rate(ceems_compute_unit_cpu_user_seconds_total{closed})) \
                      + sum by (uuid) (rate(ceems_compute_unit_cpu_system_seconds_total{closed}))"
                 ),
                 cpu,
-            ),
-            mem_bytes: vector(
-                format!("sum by (uuid) (avg_over_time(ceems_compute_unit_memory_used_bytes{w}))"),
+            )?),
+            mem_bytes: by_uuid(ask(
+                &format!("sum by (uuid) (avg_over_time(ceems_compute_unit_memory_used_bytes{w}))"),
                 mem,
-            ),
+            )?),
             // Via the recording rule joining the GPU map with DCGM
             // utilisation; units without GPUs have no such series.
-            gpu_pct: vector(
-                format!("avg by (uuid) (avg_over_time(uuid:ceems_gpu_util:pct{w}))"),
+            gpu_pct: by_uuid(ask(
+                &format!("avg by (uuid) (avg_over_time(uuid:ceems_gpu_util:pct{w}))"),
                 gpu,
-            ),
-            power_w: vector(
-                format!(
+            )?),
+            power_w: by_uuid(ask(
+                &format!(
                     "sum by (uuid) (avg_over_time({}{w}))",
                     self.config.power_metric
                 ),
                 power,
-            ),
-            emission_factor: scalar(&instant(
-                source,
-                &self.config.emission_factor_query,
-                now_ms,
-                factor,
-            )),
-        };
-        // One per field above.
-        self.stats.tsdb_queries += 5;
-        interval
+            )?),
+            emission_factor: scalar(&ask(&self.config.emission_factor_query, factor)?),
+        })
     }
 
     fn maybe_cleanup(&mut self, u: &UnitInfo) {
@@ -555,7 +565,7 @@ mod tests {
     use ceems_metrics::labels;
     use ceems_relstore::Query;
     use ceems_tsdb::Tsdb;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
     struct FakeRm {
         units: Vec<UnitInfo>,
@@ -666,8 +676,8 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// A TSDB that does not answer is no data: the poll still commits the
-    /// unit's row, with no aggregates, and deletes nothing.
+    /// A TSDB that does not answer folds nothing: the poll still commits
+    /// the unit's row, with no aggregates, and deletes nothing.
     #[test]
     fn an_unreachable_tsdb_reads_as_no_data() {
         let short = UnitInfo {
@@ -992,8 +1002,9 @@ mod tests {
         let elapsed_s = (end_ms - u.started_at_ms.unwrap()) as f64 / 1000.0;
         let window_s = (elapsed_s as i64).max(60);
         let uuid = &u.uuid;
-        let value =
-            |query: &str| scalar(&instant(src, query, end_ms, &mut PreparedQuery::default()));
+        let value = |query: &str| {
+            scalar(&instant(src, query, end_ms, &mut PreparedQuery::default()).unwrap())
+        };
         let cpu = value(&format!(
                     "sum(increase(ceems_compute_unit_cpu_user_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s])) + sum(increase(ceems_compute_unit_cpu_system_seconds_total{{uuid=\"{uuid}\"}}[{window_s}s]))"
                 ))
@@ -1219,6 +1230,115 @@ mod tests {
         // Restarts while both run, and after one of them ended unseen.
         assert_eq!(run("restart-a", Some(3)), uninterrupted);
         assert_eq!(run("restart-b", Some(5)), uninterrupted);
+    }
+
+    /// Answers as the TSDB it wraps unless it is down, as a TSDB that
+    /// restarts or a write route with no leader answers.
+    struct Flaky {
+        inner: Arc<Tsdb>,
+        down: AtomicBool,
+    }
+
+    impl QuerySource for Flaky {
+        fn instant(
+            &self,
+            src: &str,
+            expr: &ceems_tsdb::promql::Expr,
+            t_ms: i64,
+            lookback_ms: i64,
+            plan: &mut PreparedQuery,
+        ) -> Result<Vec<(LabelSet, f64)>, String> {
+            if self.down.load(Ordering::SeqCst) {
+                return Err("connection refused".into());
+            }
+            self.inner.instant(src, expr, t_ms, lookback_ms, plan)
+        }
+
+        fn delete_series(&self, matchers: &[LabelMatcher]) -> usize {
+            if self.down.load(Ordering::SeqCst) {
+                return 0;
+            }
+            self.inner.delete_series(matchers)
+        }
+    }
+
+    /// Reports what changed since `since_ms`, as slurmdbd does: every unit
+    /// not finished yet, and the finished ones that ended since.
+    struct ChangedSince(Arc<ClockRm>);
+
+    impl ResourceManagerClient for ChangedSince {
+        fn name(&self) -> &'static str {
+            "changed-since"
+        }
+        fn units_since(&self, since_ms: i64) -> Vec<UnitInfo> {
+            let units = self.0.units_since(since_ms).into_iter();
+            units
+                .filter(|u| u.ended_at_ms.is_none_or(|end| end >= since_ms))
+                .collect()
+        }
+    }
+
+    /// One unit at 360 W from 0 s to `end_ms`, priced at 50 g/kWh, polled
+    /// every 120 s up to 720 s; the polls at 240 s and 360 s find the TSDB
+    /// down. Units shorter than 900 s are cleaned up. Returns the unit's
+    /// billed kWh and grams and the updater's stats.
+    fn billed_across_failed_polls(tag: &str, end_ms: i64) -> (f64, f64, UpdaterStats) {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, end_ms, |_| STEADY);
+        append_factor(&tsdb, 720_000, |_| 50.0);
+        let source = Arc::new(Flaky {
+            inner: tsdb,
+            down: AtomicBool::new(false),
+        });
+        let clock = ClockRm::new(vec![unit("slurm-1", "alice", 0, Some(end_ms))]);
+        let dir = tmpdir(tag);
+        let mut upd = Updater::new(
+            Db::open(&dir).unwrap(),
+            Arc::new(ChangedSince(clock.clone())),
+            source.clone(),
+            Some(source.clone()),
+            UpdaterConfig {
+                cleanup_cutoff_s: 900.0,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for now_ms in (120_000..=720_000).step_by(120_000) {
+            let down = now_ms == 240_000 || now_ms == 360_000;
+            source.down.store(down, Ordering::SeqCst);
+            poll_at(&mut upd, &clock, now_ms);
+        }
+        let [.., kwh, g] = aggregates(&stored(&upd, "slurm-1"));
+        std::fs::remove_dir_all(dir).unwrap();
+        (kwh.unwrap(), g.unwrap(), upd.stats())
+    }
+
+    fn assert_close(got: f64, want: f64) {
+        assert!((got / want - 1.0).abs() < 1e-9, "got {got}, want {want}");
+    }
+
+    /// Two failed polls leave their four minutes to the next poll that is
+    /// answered: the unit is billed its whole life. Moving the frontier
+    /// on a failed poll billed 0.036 kWh and 1.8 g.
+    #[test]
+    fn failed_polls_leave_their_window_to_the_next() {
+        let (kwh, g, stats) = billed_across_failed_polls("failed-polls", 600_000);
+        assert_close(kwh, 0.06);
+        assert_close(g, 3.0);
+        assert_eq!(stats.units_purged, 1);
+    }
+
+    /// A unit that ends between two failed polls is reported again and
+    /// billed by the next poll that is answered, and only then are its
+    /// series cleaned up.
+    #[test]
+    fn a_unit_ending_in_a_failed_window_is_billed_before_cleanup() {
+        let (kwh, g, stats) = billed_across_failed_polls("ends-in-gap", 300_000);
+        // 360 W for 300 s at 50 g/kWh.
+        assert_close(kwh, 0.03);
+        assert_close(g, 1.5);
+        assert_eq!(stats.units_purged, 1);
+        assert!(stats.series_deleted > 0);
     }
 
     #[test]

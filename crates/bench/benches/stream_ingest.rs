@@ -1,18 +1,19 @@
 //! S23 — streaming ingest bus vs pull-mode scraping.
 //!
-//! Two claims ride on the stream subsystem: (1) pushing exporter renders
-//! over the bus ingests at least as fast as the scrape path it replaces
-//! (both traverse one HTTP hop and ingest through `SeriesCache::ingest`,
-//! one cache per source, as the stack does), and (2) a live `query_live`
-//! subscriber sees a pushed sample as a rendered delta quickly — the
-//! end-to-end freshness win over poll-mode dashboards. A third row,
-//! `fleet_push/{1,2}`, is one push pass of a 16-exporter fleet through one
-//! bus from one and from two workers: the bus ingests different publishers'
-//! frames concurrently, so the second should take less wall time. A fourth,
-//! `fleet_scrape/{1,2}`, is one scrape pass over a mixed fleet in the order
-//! `CeemsStack::build` lists it, eight CPU nodes and then eight line-heavier
-//! GPU nodes: the workers take the targets one at a time, so the two of
-//! them should finish together rather than one waiting on the GPU half.
+//! `fleet_push/{1,2}` is one push pass of a 16-exporter fleet through one
+//! bus from one and from two workers, as `CeemsStack::push_pass` publishes:
+//! the bus ingests different publishers' frames concurrently, so the second
+//! should take less wall time. `fleet_scrape/{1,2}` is one scrape pass over
+//! a mixed fleet in the order `CeemsStack::build` lists it, eight CPU nodes
+//! and then eight line-heavier GPU nodes: the workers take the targets one
+//! at a time, so the two of them should finish together rather than one
+//! waiting on the GPU half. The two pairs are the push-versus-pull
+//! comparison; both ingest through `SeriesCache::ingest`, one cache per
+//! source, as the stack does. `scrape_pull` is one scrape of one exporter
+//! over its HTTP `/metrics`. `sample_to_live_delta` publishes one sample on
+//! the bus in process and waits until a live `query_live` subscriber has
+//! read its rendered delta: the freshness a pushed sample reaches a
+//! dashboard with.
 //! Unit rows look under a pass. `warm_ingest/*` is one ingest of sixteen
 //! pre-rendered bodies, each through its own warm `SeriesCache`: no render
 //! and no HTTP, in ns a line. `fleet` sends the same bodies every pass, as
@@ -20,11 +21,12 @@
 //! cache that follows the line order gains nothing on. `head_append/
 //! tsdb_append_refs` appends one sample to each of 10 000 series through
 //! `Tsdb::append_refs` by id, in ns a sample.
-//! Emits `BENCH_stream.json` with per-path ingest throughput, the fleet
-//! pass rows, the unit rows and the sample→live-delta latency
-//! distribution.
+//! Emits `BENCH_stream.json` with these rows. Its `noise_pct` is the
+//! largest gap between the p50s of the first and second half of one row's
+//! timed passes, over that row's p50 (`half_gap_pct` holds each row's):
+//! what a loop reads when nothing differs.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,14 +34,12 @@ use std::time::{Duration, Instant};
 use ceems_bench::busy_node;
 use ceems_bench::report::{write_bench_json, LatencySummary};
 use ceems_exporter::{CeemsExporter, ExporterConfig};
-use ceems_http::{Client, HttpServer, Router, ServerConfig};
+use ceems_http::Client;
 use ceems_metrics::labels::LabelSetBuilder;
 use ceems_metrics::parse::sample_lines;
 use ceems_qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems_simnode::SimClock;
-use ceems_stream::{
-    PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher,
-};
+use ceems_stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems_tsdb::httpapi::api_router;
 use ceems_tsdb::scrape::{
     exposition_to_batch, ScrapeManager, ScrapeTarget, SeriesCache, Stamp, TargetSource,
@@ -103,17 +103,6 @@ fn ingesting_bus(db: Arc<Tsdb>) -> Arc<StreamBus> {
     ))
 }
 
-fn serve_bus(bus: Arc<StreamBus>, now: Arc<AtomicI64>) -> HttpServer {
-    let mut router = Router::new();
-    ceems_stream::http::mount(
-        &mut router,
-        bus,
-        Arc::new(move || now.load(Ordering::SeqCst)),
-        None,
-    );
-    HttpServer::serve(ServerConfig::ephemeral(), router).unwrap()
-}
-
 /// One pull-mode ingest pass: GET `/metrics`, then the target's
 /// `SeriesCache::ingest` with its `up`, as `ScrapeManager` does.
 fn scrape_once(client: &Client, url: &str, db: &Tsdb, cache: &mut SeriesCache, t: i64) -> u64 {
@@ -132,6 +121,30 @@ fn scrape_once(client: &Client, url: &str, db: &Tsdb, cache: &mut SeriesCache, t
 
 fn samples_per_sec(samples_per_iter: u64, s: &LatencySummary) -> f64 {
     samples_per_iter as f64 / (s.p50_us / 1e6)
+}
+
+fn p50_us(samples: &[Duration]) -> f64 {
+    LatencySummary::from_samples(&mut samples.to_vec()).p50_us
+}
+
+/// Each timed row's half gap by row name: the p50s of the first and second
+/// half of its passes, in timing order, apart by this percentage of the
+/// row's p50.
+#[derive(Default)]
+struct Noise(BTreeMap<String, f64>);
+
+impl Noise {
+    /// Records the half gap of `samples`, timed in this order, as `row`'s.
+    fn record(&mut self, row: String, samples: &[Duration]) {
+        let (first, second) = samples.split_at(samples.len() / 2);
+        let gap = (p50_us(first) - p50_us(second)).abs() / p50_us(samples) * 100.0;
+        self.0.insert(row, gap);
+    }
+
+    /// The largest half gap of any row.
+    fn pct(&self) -> f64 {
+        self.0.values().copied().fold(0.0, f64::max)
+    }
 }
 
 /// One ingest pass over a fleet from a number of workers.
@@ -208,6 +221,7 @@ impl FleetPass for ScrapeFleet {
 /// passes interleaved for the JSON artifact, as the ingest paths are.
 fn fleet_rows<const N: usize>(
     c: &mut Criterion,
+    noise: &mut Noise,
     row: &str,
     mut fleets: [impl FleetPass; N],
 ) -> serde_json::Value {
@@ -227,6 +241,7 @@ fn fleet_rows<const N: usize>(
     }
     let mut rows = serde_json::Map::new();
     for (i, fleet) in fleets.iter().enumerate() {
+        noise.record(format!("{row}/{}", fleet.label()), &lat[i]);
         let sum = LatencySummary::from_samples(&mut lat[i]);
         rows.insert(
             fleet.label(),
@@ -247,7 +262,7 @@ fn fleet_rows<const N: usize>(
 
 /// `stream_ingest/fleet_push/{1,2}`: a pass of [`FLEET`] exporters, each
 /// publishing as its own node.
-fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
+fn bench_fleet_push(c: &mut Criterion, noise: &mut Noise) -> serde_json::Value {
     let exporters: Vec<(String, Arc<CeemsExporter>)> =
         (0..FLEET).map(|i| (format!("n{i}"), exporter())).collect();
     let fleets = [1, 2].map(|threads| Fleet {
@@ -256,13 +271,13 @@ fn bench_fleet_push(c: &mut Criterion) -> serde_json::Value {
         bus: ingesting_bus(Arc::new(Tsdb::default())),
         seq: 0,
     });
-    fleet_rows(c, "fleet_push", fleets)
+    fleet_rows(c, noise, "fleet_push", fleets)
 }
 
 /// `stream_ingest/fleet_scrape/{1,2}`: a pass over [`FLEET`]
 /// targets, the CPU half first and the GPU half after it, each with its
 /// node group's label.
-fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
+fn bench_fleet_scrape(c: &mut Criterion, noise: &mut Noise) -> serde_json::Value {
     let targets: Vec<ScrapeTarget> = (0..FLEET)
         .map(|i| {
             let (group, gpus_per_job) = if i < FLEET / 2 {
@@ -284,7 +299,7 @@ fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
         threads,
         t: 0,
     });
-    let mut rows = fleet_rows(c, "fleet_scrape", fleets);
+    let mut rows = fleet_rows(c, noise, "fleet_scrape", fleets);
     if let serde_json::Value::Object(m) = &mut rows {
         m.insert("cpu_nodes".into(), serde_json::json!(FLEET / 2));
         m.insert("gpu_nodes".into(), serde_json::json!(FLEET - FLEET / 2));
@@ -297,6 +312,7 @@ fn bench_fleet_scrape(c: &mut Criterion) -> serde_json::Value {
 /// in ns per item of the `items` one pass handles.
 fn unit_rows(
     c: &mut Criterion,
+    noise: &mut Noise,
     row: &str,
     items: usize,
     passes: &mut [(&str, &mut dyn FnMut())],
@@ -314,11 +330,11 @@ fn unit_rows(
             lat.push(started.elapsed());
         }
     }
-    let ns = passes.iter().zip(&mut lat).map(|((name, _), lat)| {
-        let p50_us = LatencySummary::from_samples(lat).p50_us;
+    let ns = passes.iter().zip(&lat).map(|((name, _), lat)| {
+        noise.record(format!("{row}/{name}"), lat);
         (
             name.to_string(),
-            serde_json::json!(p50_us * 1e3 / items as f64),
+            serde_json::json!(p50_us(lat) * 1e3 / items as f64),
         )
     });
     serde_json::Value::Object(ns.collect())
@@ -331,7 +347,7 @@ fn unit_rows(
 /// `all_new` sends one of three copies under disjoint label sets, the next
 /// one each pass: the cache has evicted the copy by then, so every line is
 /// parsed and resolved by label set, as on a cold cache.
-fn bench_warm_ingest(c: &mut Criterion) -> serde_json::Value {
+fn bench_warm_ingest(c: &mut Criterion, noise: &mut Noise) -> serde_json::Value {
     let bodies: Vec<String> = (0..FLEET).map(|i| exporter_of(i % 2).render()).collect();
     let lines: usize = bodies.iter().map(|b| sample_lines(b).count()).sum();
     let mut rng = StdRng::seed_from_u64(7);
@@ -348,6 +364,7 @@ fn bench_warm_ingest(c: &mut Criterion) -> serde_json::Value {
         (warm_pass(fleet), warm_pass(shuffled), warm_pass(all_new));
     let ns_per_line = unit_rows(
         c,
+        noise,
         "warm_ingest",
         lines,
         &mut [
@@ -418,7 +435,7 @@ fn relabel(body: &str, copy: usize) -> String {
 
 /// `stream_ingest/head_append/tsdb_append_refs`: one sample for each of
 /// [`HEAD_SERIES`] series through `Tsdb::append_refs` by id.
-fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
+fn bench_head_append(c: &mut Criterion, noise: &mut Noise) -> serde_json::Value {
     let db = Tsdb::default();
     let token = db.ref_token();
     let labelled: Vec<(SeriesRef, i64, f64)> = (0..HEAD_SERIES)
@@ -445,6 +462,7 @@ fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
     };
     let ns_per_sample = unit_rows(
         c,
+        noise,
         "head_append",
         HEAD_SERIES,
         &mut [("tsdb_append_refs", &mut by_id)],
@@ -454,6 +472,7 @@ fn bench_head_append(c: &mut Criterion) -> serde_json::Value {
 
 fn bench_ingest_paths(c: &mut Criterion) {
     let exp = exporter();
+    let mut noise = Noise::default();
 
     // Pull mode: the exporter serves /metrics, we scrape-parse-append.
     let scrape_db = Tsdb::default();
@@ -461,20 +480,6 @@ fn bench_ingest_paths(c: &mut Criterion) {
     let exp_srv = Arc::clone(&exp).serve().unwrap();
     let metrics_url = format!("{}/metrics", exp_srv.base_url());
     let scrape_client = Client::new();
-
-    // Push mode: the exporter's render is published over the bus.
-    let push_db = Arc::new(Tsdb::default());
-    let now = Arc::new(AtomicI64::new(0));
-    let bus = ingesting_bus(Arc::clone(&push_db));
-    let bus_srv = serve_bus(Arc::clone(&bus), Arc::clone(&now));
-    let mut publisher = StreamPublisher::new(
-        &bus_srv.base_url(),
-        "node-metrics",
-        "n0",
-        "n0:9100",
-        "ceems",
-        bench_labels(),
-    );
 
     let probe = exposition_to_batch(&exp.render_for_push(), "n0:9100", "ceems", &[], 0)
         .expect("probe parses");
@@ -491,42 +496,40 @@ fn bench_ingest_paths(c: &mut Criterion) {
             scrape_once(&scrape_client, &metrics_url, &scrape_db, &mut scrape_cache, t)
         })
     });
-    c.bench_function("stream_ingest/stream_push", |b| {
-        b.iter(|| {
+    let mut scrape_lat: Vec<Duration> = (0..INGEST_ITERS)
+        .map(|_| {
             t += STEP_MS;
-            publisher
-                .publish(exp.render_for_push(), t)
-                .expect("push succeeds")
+            let started = Instant::now();
+            scrape_once(&scrape_client, &metrics_url, &scrape_db, &mut scrape_cache, t);
+            started.elapsed()
         })
-    });
-
-    // Interleaved measurement for the JSON artifact: alternate paths so
-    // warm-up and scheduler noise land on both equally.
-    let mut scrape_lat: Vec<Duration> = Vec::with_capacity(INGEST_ITERS);
-    let mut push_lat: Vec<Duration> = Vec::with_capacity(INGEST_ITERS);
-    for _ in 0..INGEST_ITERS {
-        t += STEP_MS;
-        let started = Instant::now();
-        scrape_once(&scrape_client, &metrics_url, &scrape_db, &mut scrape_cache, t);
-        scrape_lat.push(started.elapsed());
-
-        t += STEP_MS;
-        let render = exp.render_for_push();
-        let started = Instant::now();
-        publisher.publish(render, t).expect("push succeeds");
-        push_lat.push(started.elapsed());
-    }
+        .collect();
+    noise.record("scrape_pull".into(), &scrape_lat);
     let scrape_sum = LatencySummary::from_samples(&mut scrape_lat);
-    let push_sum = LatencySummary::from_samples(&mut push_lat);
 
-    // End-to-end freshness: one pushed sample until its rendered delta is
-    // fully received by a live SSE subscriber.
+    // End-to-end freshness: one sample published on the bus in process
+    // until its rendered delta is fully received by a live SSE subscriber.
     let live_db = Arc::new(Tsdb::default());
     let live_now = Arc::new(AtomicI64::new(0));
     let live_bus = ingesting_bus(Arc::clone(&live_db));
-    let live_srv = serve_bus(Arc::clone(&live_bus), Arc::clone(&live_now));
-    let mut live_pub =
-        StreamPublisher::new(&live_srv.base_url(), "bench", "n0", "n0:9100", "ceems", vec![]);
+    let mut live_seq = 0;
+    let mut live_publish = |body: String, lt: i64| {
+        live_seq += 1;
+        let frame = SampleFrame {
+            topic: "bench".into(),
+            publisher: "n0".into(),
+            seq: live_seq,
+            instance: "n0:9100".into(),
+            job: "ceems".into(),
+            extra_labels: vec![],
+            body,
+            produced_ms: lt,
+        };
+        match live_bus.publish("anonymous", frame, lt).expect("live push") {
+            PublishOutcome::Ingested { .. } => {}
+            dup => panic!("seq {live_seq}: {dup:?}"),
+        }
+    };
 
     let qnow = Arc::clone(&live_now);
     let rnow = Arc::clone(&live_now);
@@ -543,15 +546,10 @@ fn bench_ingest_paths(c: &mut Criterion) {
     let fe_srv = fe.serve().unwrap();
 
     let mut lt = 0i64;
-    let mut seed_step = |lt: i64, v: i64| {
-        live_now.store(lt, Ordering::SeqCst);
-        live_pub
-            .publish(format!("stream_bench_watts {v}\n"), lt)
-            .expect("seed push");
-    };
     for k in 1..=4 {
-        seed_step(k * STEP_MS, 200 + k);
         lt = k * STEP_MS;
+        live_now.store(lt, Ordering::SeqCst);
+        live_publish(format!("stream_bench_watts {}\n", 200 + k), lt);
     }
     let sub_client = Client::new();
     let mut sub = sub_client
@@ -585,16 +583,17 @@ fn bench_ingest_paths(c: &mut Criterion) {
         let body = format!("stream_bench_watts {}\n", 200 + (i as i64 % 17));
         let started = Instant::now();
         live_now.store(lt, Ordering::SeqCst);
-        live_pub.publish(body, lt).expect("live push");
+        live_publish(body, lt);
         fe.push_live(lt + 500);
         read_event(&mut buf, &mut sub);
         delta_lat.push(started.elapsed());
     }
+    noise.record("sample_to_live_delta".into(), &delta_lat);
     let delta_sum = LatencySummary::from_samples(&mut delta_lat);
-    let fleet_push = bench_fleet_push(c);
-    let fleet_scrape = bench_fleet_scrape(c);
-    let warm_ingest = bench_warm_ingest(c);
-    let head_append = bench_head_append(c);
+    let fleet_push = bench_fleet_push(c, &mut noise);
+    let fleet_scrape = bench_fleet_scrape(c, &mut noise);
+    let warm_ingest = bench_warm_ingest(c, &mut noise);
+    let head_append = bench_head_append(c, &mut noise);
 
     write_bench_json(
         "stream",
@@ -607,24 +606,19 @@ fn bench_ingest_paths(c: &mut Criterion) {
                 "latency": scrape_sum.to_json(),
                 "samples_per_sec": samples_per_sec(samples_per_iter, &scrape_sum),
             },
-            "stream_push": {
-                "latency": push_sum.to_json(),
-                "samples_per_sec": samples_per_sec(samples_per_iter, &push_sum),
-            },
-            "push_over_scrape_throughput": scrape_sum.p50_us / push_sum.p50_us,
+            "noise_pct": noise.pct(),
+            "half_gap_pct": noise.0,
             "fleet_push": fleet_push,
             "fleet_scrape": fleet_scrape,
             "warm_ingest": warm_ingest,
             "head_append": head_append,
             "live_delta_iters": LATENCY_ITERS,
             "sample_to_live_delta": delta_sum.to_json(),
-            "bus_frames_published": live_bus.stats().published + bus.stats().published,
+            "bus_frames_published": live_bus.stats().published,
         }),
     );
 
     fe_srv.shutdown();
-    live_srv.shutdown();
-    bus_srv.shutdown();
     exp_srv.shutdown();
 }
 

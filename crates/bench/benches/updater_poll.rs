@@ -11,7 +11,15 @@
 //! change from poll to poll. Only the poll is timed; the scrapes between
 //! polls are not.
 //! Emits `BENCH_updater.json` with the p50 of the polls and the bytes the
-//! store's log grew by a poll.
+//! store's log grew by a poll. The timed polls run on two arms of the same
+//! build, two fixtures polled in turn, each round starting at the next arm,
+//! so warm-up and host drift land on both alike. `noise_pct` is the larger
+//! gap between the p50s of the first and second half of one arm's polls,
+//! over that arm's p50: what the loop reads when nothing differs. A change
+//! to the poll is resolved when two builds' `poll` p50s differ by more than
+//! both runs' `noise_pct`. `arms_resolved` is true when the two arms read
+//! apart by more than the noise, which for one build says the floor is too
+//! low.
 //!
 //! Uses only the public `Updater` API, so the file builds unchanged at
 //! earlier commits and both sides of a comparison poll the same rows.
@@ -40,8 +48,11 @@ const SCRAPE_MS: i64 = 15_000;
 const POLL_MS: i64 = 60_000;
 /// History in the TSDB before the first poll.
 const HISTORY_MS: i64 = 30 * 60_000;
-/// Timed polls for the JSON artifact.
-const POLLS: usize = 40;
+/// Untimed polls of each arm before the timed ones.
+const WARM_POLLS: usize = 20;
+/// Timed polls of each arm for the JSON artifact, in two halves whose p50
+/// gap is the noise.
+const POLLS: usize = 120;
 
 /// Reports every unit on every poll, as it looks at the current time.
 struct FixtureRm {
@@ -219,42 +230,75 @@ fn bench_updater_poll(c: &mut Criterion) {
     group.finish();
     drop(f);
 
-    let mut f = Fixture::new();
+    let mut arms = [Fixture::new(), Fixture::new()];
     let log_bytes = |dir: &std::path::Path| -> u64 {
         let segments = std::fs::read_dir(dir.join("wal")).unwrap();
         segments.map(|e| e.unwrap().metadata().unwrap().len()).sum()
     };
     let mut grown = Vec::new();
-    let mut samples: Vec<Duration> = (0..POLLS)
-        .map(|_| {
+    let mut samples: [Vec<Duration>; 2] = Default::default();
+    for round in 0..WARM_POLLS + POLLS {
+        for k in 0..arms.len() {
+            let i = (round + k) % arms.len();
+            let f = &mut arms[i];
             let before = log_bytes(&f.dir);
             let poll = f.next_poll();
-            // A poll after which the store compacted its log has no growth
-            // to count.
-            grown.extend(log_bytes(&f.dir).checked_sub(before));
-            poll
+            if round >= WARM_POLLS {
+                samples[i].push(poll);
+                // A poll after which the store compacted its log has no
+                // growth to count.
+                grown.extend(log_bytes(&f.dir).checked_sub(before));
+            }
+        }
+    }
+    let log_bytes_per_poll = grown.iter().sum::<u64>() as f64 / grown.len() as f64;
+    let polls = (WARM_POLLS + POLLS + 1) as u64;
+    for f in &arms {
+        assert_eq!(
+            f.updater.stats().units_upserted,
+            polls * RUNNING as u64 + (PENDING + ENDED) as u64,
+            "running units are written on every poll, the others once"
+        );
+    }
+    let p50 = |samples: &[Duration]| LatencySummary::from_samples(&mut samples.to_vec()).p50_us;
+    let halves = |samples: &[Duration]| {
+        let (first, second) = samples.split_at(samples.len() / 2);
+        [p50(first), p50(second)]
+    };
+    let half_gap_pct = |samples: &[Duration]| {
+        let [first, second] = halves(samples);
+        (first - second).abs() / p50(samples) * 100.0
+    };
+    let noise_pct = samples.iter().map(|s| half_gap_pct(s)).fold(0.0, f64::max);
+    let arms_pct = (p50(&samples[1]) / p50(&samples[0]) - 1.0) * 100.0;
+    let arm_rows: Vec<serde_json::Value> = samples
+        .iter()
+        .map(|s| {
+            serde_json::json!({
+                "poll": LatencySummary::from_samples(&mut s.clone()).to_json(),
+                "halves_p50_us": halves(s).to_vec(),
+            })
         })
         .collect();
-    let log_bytes_per_poll = grown.iter().sum::<u64>() as f64 / grown.len() as f64;
-    let stats = f.updater.stats();
-    assert_eq!(
-        stats.units_upserted,
-        ((POLLS + 1) * RUNNING + PENDING + ENDED) as u64,
-        "running units are written on every poll, the others once"
-    );
-    let summary = LatencySummary::from_samples(&mut samples);
+    let summary = LatencySummary::from_samples(&mut samples.concat());
+    let stats = arms[0].updater.stats();
     write_bench_json(
         "updater",
         &serde_json::json!({
             "bench": "updater_poll",
-            "units": f.units.len(),
+            "units": arms[0].units.len(),
             "running": RUNNING,
             "ended": ENDED,
             "pending": PENDING,
             "poll_interval_ms": POLL_MS,
             "polls": POLLS,
+            "warm_polls": WARM_POLLS,
             "poll": summary.to_json(),
-            "tsdb_queries_per_poll": stats.tsdb_queries as f64 / (POLLS + 1) as f64,
+            "noise_pct": noise_pct,
+            "arms": arm_rows,
+            "arms_pct": arms_pct,
+            "arms_resolved": arms_pct.abs() > noise_pct,
+            "tsdb_queries_per_poll": stats.tsdb_queries as f64 / polls as f64,
             "log_bytes_per_poll": log_bytes_per_poll,
         }),
     );

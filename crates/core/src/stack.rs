@@ -753,8 +753,8 @@ impl CeemsStack {
     }
 
     /// The streaming ingest bus (`None` unless `stream:` is enabled).
-    /// Mount its HTTP surface with [`ceems_stream::http::mount`] to accept
-    /// out-of-process publishers.
+    /// `CeemsStack::push_pass` publishes every exporter's render on it;
+    /// push is in process only.
     pub fn stream_bus(&self) -> Option<Arc<StreamBus>> {
         self.stream_bus.clone()
     }

@@ -100,7 +100,7 @@ fn real_requests() -> Vec<Vec<u8>> {
     let query = b"GET /api/v1/query_range?query=sum%20by%20(uuid)%20(uuid%3Aceems_power%3Awatts)&start=0&end=1200&step=15 HTTP/1.1\r\n\
 host: 127.0.0.1:9090\r\nconnection: keep-alive\r\ncontent-length: 0\r\nx-grafana-user: alice\r\n\r\n";
     let post =
-        b"POST /api/v1/stream/push HTTP/1.1\r\nhost: 127.0.0.1:9091\r\nconnection: keep-alive\r\n\
+        b"POST /api/v1/write HTTP/1.1\r\nhost: 127.0.0.1:9090\r\nconnection: keep-alive\r\n\
 content-length: 11\r\ncontent-type: application/octet-stream\r\n\r\nhello world";
     let mut pipelined = query.to_vec();
     pipelined.extend_from_slice(post);

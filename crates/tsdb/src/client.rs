@@ -5,10 +5,10 @@
 //! through [`TsdbClient`]: alert evaluation, the API-server updater, the
 //! query frontend's downstream, WAL followers, and the health probes of the
 //! LB and the election coordinator. It owns what those hops share — URL
-//! shapes, header propagation, endpoint resolution, retry and breaker — and
-//! the parser of the WAL position report; instant answers are decoded by
-//! [`crate::promapi`]. What differs per hop (how often to retry, whether a
-//! breaker guards it) is passed in where the client is built.
+//! shapes, header propagation, replica rotation and retry — and the parser
+//! of the WAL position report; instant answers are decoded by
+//! [`crate::promapi`]. What differs per hop (how often to retry) is passed
+//! in where the client is built.
 //!
 //! A component that reads a TSDB it does not own — the alerting service's
 //! rules, the API-server updater's aggregates and its cardinality cleanup —
@@ -20,9 +20,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use ceems_http::resilience::{CircuitBreaker, RetryPolicy};
+use ceems_http::resilience::RetryPolicy;
 use ceems_http::url::encode_component;
 use ceems_http::{Client, Method, Request, Response};
 use ceems_metrics::labels::LabelSet;
@@ -152,16 +151,10 @@ where
     }
 }
 
-/// Resolves the endpoint per call — e.g. following a failover routing table
-/// so callers re-target the new leader without rebuilding the client.
-/// `None` means "no endpoint known right now" and falls back to the
-/// configured endpoints.
-pub type UrlResolver = Arc<dyn Fn() -> Option<String> + Send + Sync>;
-
 /// Why a call failed.
 #[derive(Debug)]
 pub enum CallError {
-    /// No HTTP response: refused, reset, timed out, or the breaker is open.
+    /// No HTTP response: refused, reset or timed out.
     Transport(String),
     /// The endpoint answered, but unusably: a non-2xx status or a body that
     /// is not the payload the call expects.
@@ -196,16 +189,14 @@ const HOP_HEADERS: [&str; 4] = ["connection", "content-length", "content-type", 
 /// A client of one TSDB, or of a set of interchangeable replicas.
 pub struct TsdbClient {
     endpoints: Vec<String>,
-    resolver: Option<UrlResolver>,
     next: AtomicUsize,
     client: Client,
     retry: RetryPolicy,
-    breaker: Option<CircuitBreaker>,
 }
 
 impl TsdbClient {
     /// A client pinned to `base_url` (e.g. `http://127.0.0.1:9090`, no
-    /// trailing slash): one attempt per call, no breaker.
+    /// trailing slash): one attempt per call.
     pub fn new(base_url: impl Into<String>) -> TsdbClient {
         TsdbClient::rotating(vec![base_url.into()])
     }
@@ -217,18 +208,10 @@ impl TsdbClient {
         assert!(!replicas.is_empty(), "need at least one replica URL");
         TsdbClient {
             endpoints: replicas,
-            resolver: None,
             next: AtomicUsize::new(0),
             client: Client::new(),
             retry: RetryPolicy::disabled(),
-            breaker: None,
         }
-    }
-
-    /// Resolves the endpoint per call instead of using the configured ones.
-    pub fn with_resolver(mut self, resolver: UrlResolver) -> TsdbClient {
-        self.resolver = Some(resolver);
-        self
     }
 
     /// Replaces the HTTP client (pool size, timeout, identity headers, fault
@@ -242,13 +225,6 @@ impl TsdbClient {
     /// retried; the typed calls also retry 5xx answers.
     pub fn with_retry(mut self, retry: RetryPolicy) -> TsdbClient {
         self.retry = retry;
-        self
-    }
-
-    /// Guards every call with `breaker`: calls that exhaust their retries
-    /// feed it, and while it is open calls fail without touching the wire.
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> TsdbClient {
-        self.breaker = Some(breaker);
         self
     }
 
@@ -313,18 +289,13 @@ impl TsdbClient {
         }
     }
 
-    /// Runs `op` under the breaker and the retry policy, handing it the
-    /// HTTP client decorated with `headers` and the current trace id.
+    /// Runs `op` under the retry policy, handing it the HTTP client
+    /// decorated with `headers` and the current trace id.
     fn guarded(
         &self,
         headers: &BTreeMap<String, String>,
         mut op: impl FnMut(&Client) -> Result<Response, CallError>,
     ) -> Result<Response, CallError> {
-        if self.breaker.as_ref().is_some_and(|b| !b.try_acquire()) {
-            return Err(CallError::Transport(
-                "TSDB client circuit breaker is open".into(),
-            ));
-        }
         let mut client = self.client.clone();
         for (name, value) in headers {
             if !HOP_HEADERS.contains(&name.as_str()) {
@@ -336,14 +307,7 @@ impl TsdbClient {
                 client = client.with_header(TRACE_HEADER, t.id());
             }
         }
-        let result = self.retry.run(|_attempt| op(&client));
-        if let Some(b) = &self.breaker {
-            match &result {
-                Ok(_) => b.on_success(),
-                Err(_) => b.on_failure(),
-            }
-        }
-        result
+        self.retry.run(|_attempt| op(&client))
     }
 
     /// One pass over the endpoints, starting one past where the previous
@@ -356,10 +320,7 @@ impl TsdbClient {
         body: &[u8],
         content_type: Option<&str>,
     ) -> Result<Response, CallError> {
-        let resolved = self.resolver.as_ref().and_then(|r| r());
-        let bases = resolved
-            .as_ref()
-            .map_or(&self.endpoints[..], std::slice::from_ref);
+        let bases = &self.endpoints;
         let start = self.next.fetch_add(1, Ordering::Relaxed);
         let mut last_err = String::new();
         for i in 0..bases.len() {
@@ -410,7 +371,7 @@ mod tests {
     use ceems_metrics::labels;
     use ceems_metrics::matcher::MatchOp;
     use ceems_obs::trace::QueryTrace;
-    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     fn serve(db: Arc<Tsdb>, now_ms: i64) -> HttpServer {
         HttpServer::serve(
@@ -567,40 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn follows_a_url_resolver() {
-        let old_leader = serve(watts_db(100.0), 150_000);
-        let new_leader = serve(watts_db(200.0), 150_000);
-
-        let target = Arc::new(Mutex::new(old_leader.base_url()));
-        let t = target.clone();
-        let api = TsdbClient::new("http://127.0.0.1:1")
-            .with_resolver(Arc::new(move || Some(t.lock().clone())));
-        assert_eq!(api.instant("watts", 150_000).unwrap()[0].1, 100.0);
-
-        // Failover: the routing table now points at the new leader; the
-        // same client follows it without being rebuilt.
-        *target.lock() = new_leader.base_url();
-        assert_eq!(api.instant("watts", 150_000).unwrap()[0].1, 200.0);
-        old_leader.shutdown();
-        new_leader.shutdown();
-    }
-
-    #[test]
-    fn rotation_skips_a_dead_replica_and_breaker_stops_a_dead_set() {
+    fn rotation_skips_a_dead_replica() {
         let live = serve(watts_db(100.0), 150_000);
         let api = TsdbClient::rotating(vec!["http://127.0.0.1:1".into(), live.base_url()]);
         for _ in 0..3 {
             assert_eq!(api.instant("watts", 150_000).unwrap().len(), 1);
         }
         live.shutdown();
-
-        let breaker = CircuitBreaker::new(Default::default());
-        let dead = TsdbClient::new("http://127.0.0.1:1").with_breaker(breaker);
-        for _ in 0..3 {
-            assert!(dead.get("/api/v1/labels").is_err());
-        }
-        let err = dead.get("/api/v1/labels").unwrap_err();
-        assert!(err.to_string().contains("circuit breaker is open"), "{err}");
     }
 
     #[test]

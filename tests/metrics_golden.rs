@@ -25,10 +25,7 @@ use ceems::obs::trace::QueryTrace;
 use ceems::obs::{TraceSampler, TraceSink, TraceStore, TraceStoreConfig};
 use ceems::prelude::*;
 use ceems::qfe::{QfeConfig, QueryFrontend, RouterDownstream};
-use ceems::stream::{
-    register_publisher_metrics, PublisherStats, SampleFrame, SinkReceipt, StreamBus,
-    StreamBusConfig,
-};
+use ceems::stream::{SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems::tsdb::httpapi::{api_router, api_router_with, ApiOptions, WalFetchLimiter};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -246,7 +243,6 @@ fn stream_bus_page() {
     }
     let registry = Registry::new();
     bus.register_metrics(&registry);
-    register_publisher_metrics(&registry, "exp-1", Arc::new(PublisherStats::default()));
     ceems::obs::register_build_info(&registry, "stream");
     assert_page(&registry, include_str!("golden/stream.txt"));
 }

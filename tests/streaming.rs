@@ -1,24 +1,20 @@
-//! Streaming ingest end-to-end (S23): an exporter pushes sample batches
-//! over the bus's HTTP surface, the recording-rule engine re-evaluates only
-//! the sub-DAG whose inputs arrived, and a live `query_live` subscriber
-//! receives per-step deltas that assemble to the byte-identical series a
-//! poll-mode range query returns. A second test resets pushes under seeded
-//! fault injection and proves the publisher's re-flush lands every sample in
-//! the TSDB exactly once, at its own timestamp.
+//! Streaming ingest end-to-end (S23): an exporter publishes sample batches
+//! on the in-process bus, the recording-rule engine re-evaluates only the
+//! sub-DAG whose inputs arrived, and a live `query_live` subscriber receives
+//! per-step deltas that assemble to the byte-identical series a poll-mode
+//! range query returns.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use ceems::exporter::{CeemsExporter, ExporterConfig};
-use ceems::http::fault::{FaultKind, FaultPlan, FaultRule};
-use ceems::http::{Client, HttpServer, Router, ServerConfig};
-use ceems::metrics::matcher::LabelMatcher;
+use ceems::http::Client;
 use ceems::prelude::*;
 use ceems::qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems::simnode::cluster::NodeHandle;
 use ceems::simnode::node::{HardwareProfile, NodeSpec, SimNode, TaskSpec};
-use ceems::stream::{SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher};
+use ceems::stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems::tsdb::httpapi::api_router;
 use ceems::tsdb::rules::{RecordingRule, RuleEngine, RuleGroup};
 use parking_lot::Mutex;
@@ -47,13 +43,9 @@ fn busy_intel_node(seed: u64) -> NodeHandle {
 
 /// A bus whose sink ingests frames into `db` through the scrape-identical
 /// label-stamping path, recording which metric names arrived.
-fn ingesting_bus(
-    db: Arc<Tsdb>,
-    arrived: Arc<Mutex<HashSet<String>>>,
-    cfg: StreamBusConfig,
-) -> Arc<StreamBus> {
+fn ingesting_bus(db: Arc<Tsdb>, arrived: Arc<Mutex<HashSet<String>>>) -> Arc<StreamBus> {
     Arc::new(StreamBus::new(
-        cfg,
+        StreamBusConfig::default(),
         Arc::new(move |f: &SampleFrame| {
             let batch = ceems::tsdb::scrape::exposition_to_batch(
                 &f.body,
@@ -74,17 +66,6 @@ fn ingesting_bus(
             Ok(SinkReceipt { samples, names })
         }),
     ))
-}
-
-fn stream_router(bus: Arc<StreamBus>, now: Arc<AtomicI64>) -> Router {
-    let mut router = Router::new();
-    ceems::stream::http::mount(
-        &mut router,
-        bus,
-        Arc::new(move || now.load(Ordering::SeqCst)),
-        None,
-    );
-    router
 }
 
 /// Splits accumulated SSE bytes into complete `(event, data)` pairs,
@@ -121,12 +102,13 @@ fn values_of(body: &serde_json::Value) -> Vec<serde_json::Value> {
         .unwrap_or_default()
 }
 
-/// One exporter render pushed over HTTP, ingested, and fed to the
+/// One exporter render published on the bus, ingested, and fed to the
 /// incremental rule engine — the streaming replacement for a scrape pass.
 struct PushHarness {
     node: NodeHandle,
     exporter: Arc<CeemsExporter>,
-    publisher: StreamPublisher,
+    bus: Arc<StreamBus>,
+    seq: u64,
     engine: RuleEngine,
     db: Arc<Tsdb>,
     arrived: Arc<Mutex<HashSet<String>>>,
@@ -137,9 +119,21 @@ impl PushHarness {
     fn push_step(&mut self, t: i64) {
         self.node.lock().step(t, 15.0);
         self.now.store(t, Ordering::SeqCst);
-        self.publisher
-            .publish(self.exporter.render_for_push(), t)
-            .unwrap_or_else(|e| panic!("push at {t} failed: {e}"));
+        self.seq += 1;
+        let frame = SampleFrame {
+            topic: "node-metrics".into(),
+            publisher: "n7".into(),
+            seq: self.seq,
+            instance: "n7:9100".into(),
+            job: "ceems".into(),
+            extra_labels: vec![("nodegroup".to_string(), "intel-dram".to_string())],
+            body: self.exporter.render_for_push(),
+            produced_ms: t,
+        };
+        match self.bus.publish("anonymous", frame, t) {
+            Ok(PublishOutcome::Ingested { .. }) => {}
+            other => panic!("push at {t} was not ingested: {other:?}"),
+        }
         let names: HashSet<String> = self.arrived.lock().drain().collect();
         assert!(
             names.contains("ceems_rapl_package_joules_total"),
@@ -154,12 +148,7 @@ fn push_ingest_incremental_rules_and_live_delta_match_poll_mode() {
     let db = Arc::new(Tsdb::default());
     let arrived = Arc::new(Mutex::new(HashSet::new()));
     let now = Arc::new(AtomicI64::new(0));
-    let bus = ingesting_bus(db.clone(), arrived.clone(), StreamBusConfig::default());
-    let server = HttpServer::serve(
-        ServerConfig::ephemeral(),
-        stream_router(bus.clone(), now.clone()),
-    )
-    .unwrap();
+    let bus = ingesting_bus(db.clone(), arrived.clone());
 
     // A real exporter publishes its renders; rules re-evaluate on arrival.
     // `r_cold` reads a metric that never arrives, so incremental evaluation
@@ -172,14 +161,8 @@ fn push_ingest_incremental_rules_and_live_delta_match_poll_mode() {
             ExporterConfig::default(),
         )),
         node,
-        publisher: StreamPublisher::new(
-            &server.base_url(),
-            "node-metrics",
-            "n7",
-            "n7:9100",
-            "ceems",
-            vec![("nodegroup".to_string(), "intel-dram".to_string())],
-        ),
+        bus,
+        seq: 0,
         engine: RuleEngine::new(vec![RuleGroup {
             name: "g".into(),
             interval_ms: 15_000,
@@ -283,88 +266,4 @@ fn push_ingest_incremental_rules_and_live_delta_match_poll_mode() {
     );
 
     fe_srv.shutdown();
-    server.shutdown();
-}
-
-#[test]
-fn faulted_pushes_resume_and_ingest_each_sample_once() {
-    let db = Arc::new(Tsdb::default());
-    let arrived = Arc::new(Mutex::new(HashSet::new()));
-    let now = Arc::new(AtomicI64::new(0));
-    let bus = ingesting_bus(db.clone(), arrived, StreamBusConfig::default());
-
-    // Seeded faults, per-endpoint request index: the third push (#2) is
-    // reset mid-flight — and so is the pooled client's automatic
-    // fresh-connection retry (#3) — so the publisher must buffer and
-    // re-flush.
-    let plan = FaultPlan::new(4242)
-        .with_rule(FaultRule::new("/api/v1/stream/push", FaultKind::ConnReset, 1.0).between(2, 4))
-        .shared();
-    let server = HttpServer::serve(
-        ServerConfig::ephemeral().with_fault_plan(plan),
-        stream_router(bus.clone(), now),
-    )
-    .unwrap();
-
-    // Ground truth: six bodies, each produced at its own timestamp.
-    let truth: Vec<(i64, f64)> = (1..=6).map(|i| (i * 15_000, i as f64)).collect();
-    let frames: Vec<(String, i64)> = truth
-        .iter()
-        .map(|(t, v)| (format!("m {v}\n"), *t))
-        .collect();
-    let mut publisher =
-        StreamPublisher::new(&server.base_url(), "t", "p1", "p1:9100", "ceems", vec![]);
-
-    // Frames 1-3 pushed one request each; request #2 is reset before the
-    // handler runs, so frame 3 stays buffered and the next flush resumes.
-    for (body, t) in &frames[..2] {
-        publisher.publish(body.clone(), *t).unwrap();
-    }
-    assert!(
-        publisher.publish(frames[2].0.clone(), frames[2].1).is_err(),
-        "the faulted push must surface as a transport error"
-    );
-    assert_eq!(publisher.pending(), 1);
-    let report = publisher.flush().unwrap();
-    assert_eq!(report.acked_seq, 3);
-    assert_eq!(publisher.pending(), 0);
-    assert!(
-        publisher.resumed_flushes() >= 1,
-        "re-flush must count as a resume"
-    );
-    assert_eq!(publisher.dropped_frames(), 0);
-    assert!(
-        publisher.stats().unacked_high_watermark() >= 1,
-        "buffered frames must register in the high watermark"
-    );
-
-    // Delivery stats render on a registry as the exporter's /metrics would.
-    let registry = ceems_metrics::Registry::new();
-    ceems_stream::register_publisher_metrics(&registry, "p1", publisher.stats());
-    let text = ceems_metrics::encode_families(&registry.gather());
-    for metric in [
-        "ceems_stream_publisher_unacked_frames",
-        "ceems_stream_publisher_unacked_high_watermark",
-        "ceems_stream_publisher_dropped_frames_total",
-        "ceems_stream_publisher_resumed_flushes_total",
-    ] {
-        assert!(text.contains(metric), "missing {metric} in:\n{text}");
-    }
-    assert!(text.contains("publisher=\"p1\""));
-
-    for (body, t) in &frames[3..] {
-        publisher.publish(body.clone(), *t).unwrap();
-    }
-
-    // The TSDB holds each body's sample once, at its own timestamp.
-    let got = db.select(&[LabelMatcher::eq("__name__", "m")], 0, i64::MAX);
-    assert_eq!(got.len(), 1, "{got:?}");
-    let samples: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t_ms, s.v)).collect();
-    assert_eq!(samples, truth);
-
-    let stats = bus.stats();
-    assert_eq!(stats.published, 6);
-    assert_eq!(stats.duplicates, 0, "the faulted push died before ingest");
-
-    server.shutdown();
 }
