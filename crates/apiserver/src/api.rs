@@ -101,6 +101,12 @@ impl ApiServer {
                     );
                     out.sample("", &[], stats.units_folded as f64);
                     out.family(
+                        "ceems_api_updater_failed_polls_total",
+                        "Updater polls in which a TSDB query failed; they folded nothing.",
+                        MetricType::Counter,
+                    );
+                    out.sample("", &[], stats.failed_polls as f64);
+                    out.family(
                         "ceems_api_updater_poll_duration_seconds",
                         "Wall time of one updater poll.",
                         MetricType::Histogram,
@@ -538,6 +544,7 @@ mod tests {
             "ceems_api_updater_poll_duration_seconds_count 1",
             "ceems_api_updater_tsdb_queries_total 0",
             "ceems_api_updater_units_folded_total 0",
+            "ceems_api_updater_failed_polls_total 0",
         ] {
             assert!(
                 text.lines().any(|l| l == line),

@@ -113,6 +113,9 @@ pub struct UpdaterStats {
     pub series_deleted: u64,
     /// Units purged (their short life fell under the cutoff).
     pub units_purged: u64,
+    /// Polls in which a TSDB query failed: they folded nothing and left
+    /// every frontier for the next poll.
+    pub failed_polls: u64,
 }
 
 /// What every unit did over one query window, keyed by `uuid`.
@@ -389,6 +392,8 @@ impl Updater {
                 self.maybe_cleanup(u);
             }
             self.last_poll_ms = now_ms;
+        } else {
+            self.stats.failed_polls += 1;
         }
         Ok(())
     }
@@ -1326,6 +1331,7 @@ mod tests {
         assert_close(kwh, 0.06);
         assert_close(g, 3.0);
         assert_eq!(stats.units_purged, 1);
+        assert_eq!(stats.failed_polls, 2);
     }
 
     /// A unit that ends between two failed polls is reported again and

@@ -24,15 +24,18 @@
 //! Emits `BENCH_stream.json` with these rows. Its `noise_pct` is the
 //! largest gap between the p50s of the first and second half of one row's
 //! timed passes, over that row's p50 (`half_gap_pct` holds each row's):
-//! what a loop reads when nothing differs.
+//! what a loop reads when nothing differs. Each worker pair is held to its
+//! own floor instead, the larger half gap of its two rows (`floor_pct`):
+//! `workers_resolved` is true when `/2`'s p50 differs from `/1`'s
+//! (`two_vs_one_pct`) by more than that.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceems_bench::busy_node;
-use ceems_bench::report::{write_bench_json, LatencySummary};
+use ceems_bench::report::{write_bench_json, LatencySummary, Noise};
 use ceems_exporter::{CeemsExporter, ExporterConfig};
 use ceems_http::Client;
 use ceems_metrics::labels::LabelSetBuilder;
@@ -125,26 +128,6 @@ fn samples_per_sec(samples_per_iter: u64, s: &LatencySummary) -> f64 {
 
 fn p50_us(samples: &[Duration]) -> f64 {
     LatencySummary::from_samples(&mut samples.to_vec()).p50_us
-}
-
-/// Each timed row's half gap by row name: the p50s of the first and second
-/// half of its passes, in timing order, apart by this percentage of the
-/// row's p50.
-#[derive(Default)]
-struct Noise(BTreeMap<String, f64>);
-
-impl Noise {
-    /// Records the half gap of `samples`, timed in this order, as `row`'s.
-    fn record(&mut self, row: String, samples: &[Duration]) {
-        let (first, second) = samples.split_at(samples.len() / 2);
-        let gap = (p50_us(first) - p50_us(second)).abs() / p50_us(samples) * 100.0;
-        self.0.insert(row, gap);
-    }
-
-    /// The largest half gap of any row.
-    fn pct(&self) -> f64 {
-        self.0.values().copied().fold(0.0, f64::max)
-    }
 }
 
 /// One ingest pass over a fleet from a number of workers.
@@ -240,9 +223,13 @@ fn fleet_rows<const N: usize>(
         }
     }
     let mut rows = serde_json::Map::new();
+    let (mut floor_pct, mut p50s) = (0.0, Vec::new());
     for (i, fleet) in fleets.iter().enumerate() {
-        noise.record(format!("{row}/{}", fleet.label()), &lat[i]);
+        let name = format!("{row}/{}", fleet.label());
+        noise.record(name.clone(), &lat[i]);
+        floor_pct = f64::max(floor_pct, noise.0[&name]);
         let sum = LatencySummary::from_samples(&mut lat[i]);
+        p50s.push(sum.p50_us);
         rows.insert(
             fleet.label(),
             serde_json::json!({
@@ -252,11 +239,16 @@ fn fleet_rows<const N: usize>(
             }),
         );
     }
+    // The pair's own floor: its noisier row's half gap.
+    let last_vs_first_pct = (p50s[p50s.len() - 1] / p50s[0] - 1.0) * 100.0;
     serde_json::json!({
         "exporters": FLEET,
         "iters": FLEET_ITERS,
         "available_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "workers": serde_json::Value::Object(rows),
+        "floor_pct": floor_pct,
+        "two_vs_one_pct": last_vs_first_pct,
+        "workers_resolved": last_vs_first_pct.abs() > floor_pct,
     })
 }
 
@@ -504,7 +496,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
             started.elapsed()
         })
         .collect();
-    noise.record("scrape_pull".into(), &scrape_lat);
+    noise.record("scrape_pull", &scrape_lat);
     let scrape_sum = LatencySummary::from_samples(&mut scrape_lat);
 
     // End-to-end freshness: one sample published on the bus in process
@@ -588,7 +580,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
         read_event(&mut buf, &mut sub);
         delta_lat.push(started.elapsed());
     }
-    noise.record("sample_to_live_delta".into(), &delta_lat);
+    noise.record("sample_to_live_delta", &delta_lat);
     let delta_sum = LatencySummary::from_samples(&mut delta_lat);
     let fleet_push = bench_fleet_push(c, &mut noise);
     let fleet_scrape = bench_fleet_scrape(c, &mut noise);

@@ -7,11 +7,22 @@
 //! (`always`, a sync a commit) and the same records framed through the log
 //! under `batch` (no sync). The `recovery_fixture` row reopens a database
 //! of the end-to-end fixture's shape and splits the open into its phases.
+//! The `checkpoint_cut` row checkpoints that database while a thread
+//! appends to it: each checkpoint's wall time, and the longest
+//! `append_batch` that overlapped it, beside the longest one of a window as
+//! long with no checkpoint: what a checkpoint costs a writer.
+//!
+//! `noise_pct` is the largest gap between the p50s of the first and second
+//! half of one row's timed runs, over that row's p50 (`half_gap_pct` holds
+//! each row's): what a loop reads when nothing differs, as `alert_eval`
+//! computes it. `checkpoint_cut.stall_resolved` is true when the stall
+//! during checkpoints differs from the quiet one by more than that.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use ceems_bench::report::{time_iters, write_bench_json, LatencySummary};
+use ceems_bench::report::{time_iters, write_bench_json, LatencySummary, Noise};
 use ceems_metrics::labels::{LabelSet, LabelSetBuilder};
 use ceems_relstore::log::Log;
 use ceems_relstore::wal::{Commit, WalRecord};
@@ -242,7 +253,11 @@ fn fixture_dirs(dirs: &mut Vec<PathBuf>) -> (PathBuf, PathBuf) {
 /// `checkpoint_decode` is `wal::decode_checkpoint` of its bytes,
 /// `install` what opening the checkpoint alone takes beyond that (index
 /// and head), and `log_replay` what the two minutes of log add to it.
-fn recovery_fixture_row(iters: usize, dirs: &mut Vec<PathBuf>) -> serde_json::Value {
+fn recovery_fixture_row(
+    iters: usize,
+    dirs: &mut Vec<PathBuf>,
+    noise: &mut Noise,
+) -> serde_json::Value {
     let (checkpointed, with_log) = fixture_dirs(dirs);
     let (_, bytes) = Tsdb::open(&checkpointed, RECOVERY_OPTS, TsdbConfig::default())
         .unwrap()
@@ -268,6 +283,9 @@ fn recovery_fixture_row(iters: usize, dirs: &mut Vec<PathBuf>) -> serde_json::Va
         checkpoint_only.extend(time_iters(1, || drop(open(&checkpointed))));
         whole.extend(time_iters(1, || drop(open(&with_log))));
     }
+    noise.record("recovery_fixture/decode", &decode);
+    noise.record("recovery_fixture/open_checkpoint_only", &checkpoint_only);
+    noise.record("recovery_fixture/open", &whole);
     let [decode, checkpoint_only, whole] =
         [decode, checkpoint_only, whole].map(|mut lat| LatencySummary::from_samples(&mut lat));
     serde_json::json!({
@@ -281,6 +299,94 @@ fn recovery_fixture_row(iters: usize, dirs: &mut Vec<PathBuf>) -> serde_json::Va
         "decode": decode.to_json(),
         "open_checkpoint_only": checkpoint_only.to_json(),
         "open": whole.to_json(),
+    })
+}
+
+/// One node's series: an appender's batch.
+const NODE_SERIES: usize = 118;
+
+/// Between a checkpoint and the quiet window after it.
+const SETTLE: Duration = Duration::from_millis(2);
+
+/// Checkpoints the fixture's database (every series, the scrapes before
+/// its checkpoint) `rounds` times while a thread appends to it, one node's
+/// series a batch, node after node. Each round is a checkpoint, then after
+/// [`SETTLE`] a window as long with none; a round's stall is the longest
+/// `append_batch` that overlapped its checkpoint, its quiet stall the
+/// longest one that overlapped its window.
+fn checkpoint_cut_row(
+    rounds: usize,
+    dirs: &mut Vec<PathBuf>,
+    noise: &mut Noise,
+) -> serde_json::Value {
+    let dir = temp_dir();
+    dirs.push(dir.clone());
+    let db = Tsdb::open(&dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
+    for step in 0..FIXTURE_SCRAPES.0 {
+        db.append_batch(&fixture_scrape(0, FIXTURE_SERIES, step));
+    }
+    let labels: Vec<LabelSet> = (0..FIXTURE_SERIES).map(fixture_labels).collect();
+    let stop = AtomicBool::new(false);
+    let mut windows = Vec::with_capacity(rounds);
+    let appends: Vec<(Instant, Duration)> = std::thread::scope(|scope| {
+        let appender = scope.spawn(|| {
+            let mut appends = Vec::new();
+            let mut step = FIXTURE_SCRAPES.0;
+            while !stop.load(Ordering::Relaxed) {
+                for node in labels.chunks(NODE_SERIES) {
+                    let batch: Vec<(LabelSet, i64, f64)> = node
+                        .iter()
+                        .map(|l| (l.clone(), step * 15_000, step as f64))
+                        .collect();
+                    let started = Instant::now();
+                    db.append_batch(&batch);
+                    appends.push((started, started.elapsed()));
+                }
+                step += 1;
+            }
+            appends
+        });
+        // One untimed round first: the appender warms up.
+        db.checkpoint().unwrap();
+        for _ in 0..rounds {
+            let started = Instant::now();
+            db.checkpoint().unwrap();
+            let checkpoint = (started, Instant::now());
+            // An append the checkpoint held up ends just after it.
+            std::thread::sleep(SETTLE);
+            let quiet = Instant::now();
+            std::thread::sleep(checkpoint.1 - checkpoint.0);
+            windows.push((checkpoint, (quiet, Instant::now())));
+        }
+        stop.store(true, Ordering::Relaxed);
+        appender.join().unwrap()
+    });
+    let longest = |(from, to): (Instant, Instant)| {
+        let overlapping = appends
+            .iter()
+            .filter(|(at, took)| *at < to && *at + *took > from);
+        overlapping.map(|(_, took)| *took).max().unwrap_or_default()
+    };
+    let checkpoint: Vec<Duration> = windows.iter().map(|(c, _)| c.1 - c.0).collect();
+    let during: Vec<Duration> = windows.iter().map(|(c, _)| longest(*c)).collect();
+    let quiet: Vec<Duration> = windows.iter().map(|(_, q)| longest(*q)).collect();
+    noise.record("checkpoint_cut/checkpoint", &checkpoint);
+    noise.record("checkpoint_cut/stall", &during);
+    noise.record("checkpoint_cut/quiet_stall", &quiet);
+    let [checkpoint, during, quiet] =
+        [checkpoint, during, quiet].map(|mut lat| LatencySummary::from_samples(&mut lat));
+    serde_json::json!({
+        "series": db.series_count(),
+        "rounds": rounds,
+        "appends": appends.len(),
+        "batch_series": NODE_SERIES,
+        "checkpoint_p50_us": checkpoint.p50_us,
+        "stall_p50_us": during.p50_us,
+        "quiet_stall_p50_us": quiet.p50_us,
+        "stall_vs_quiet_pct": (during.p50_us / quiet.p50_us - 1.0) * 100.0,
+        "checkpoint": checkpoint.to_json(),
+        "stall": during.to_json(),
+        "quiet_stall": quiet.to_json(),
     })
 }
 
@@ -362,6 +468,7 @@ fn emit_wal_json(_c: &mut Criterion) {
     let samples = 256 * 40;
     let iters = 8;
     let mut scenarios = serde_json::Map::new();
+    let mut noise = Noise::default();
     for (label, fsync) in [
         ("off", None),
         ("on_never", Some(FsyncMode::Never)),
@@ -386,6 +493,7 @@ fn emit_wal_json(_c: &mut Criterion) {
                 db.append_batch(batch);
             }
         });
+        noise.record(format!("ingest_{label}"), &lat);
         let s = LatencySummary::from_samples(&mut lat);
         let mut obj = s.to_json();
         if let serde_json::Value::Object(ref mut map) = obj {
@@ -412,11 +520,16 @@ fn emit_wal_json(_c: &mut Criterion) {
         let mut lat = time_iters(iters, || {
             Tsdb::open(&dir, RECOVERY_OPTS, TsdbConfig::default()).unwrap();
         });
+        noise.record(label, &lat);
         scenarios.insert(label.into(), LatencySummary::from_samples(&mut lat).to_json());
     }
     scenarios.insert(
         "recovery_fixture".into(),
-        recovery_fixture_row(15, &mut dirs),
+        recovery_fixture_row(15, &mut dirs, &mut noise),
+    );
+    scenarios.insert(
+        "checkpoint_cut".into(),
+        checkpoint_cut_row(24, &mut dirs, &mut noise),
     );
 
     // One checkpoint of the whole database: wall time and file size.
@@ -431,6 +544,7 @@ fn emit_wal_json(_c: &mut Criterion) {
             elapsed
         })
         .collect();
+    noise.record("checkpoint_write", &lat);
     let mut row = LatencySummary::from_samples(&mut lat).to_json();
     if let serde_json::Value::Object(ref mut map) = row {
         map.insert("bytes".into(), serde_json::json!(checkpoint_bytes));
@@ -448,6 +562,7 @@ fn emit_wal_json(_c: &mut Criterion) {
             step += 1;
             commit(step);
         });
+        noise.record(format!("relstore_commit_{label}"), &lat);
         scenarios.insert(
             format!("relstore_commit_{label}"),
             LatencySummary::from_samples(&mut lat).to_json(),
@@ -457,11 +572,18 @@ fn emit_wal_json(_c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    let noise_pct = noise.pct();
+    if let Some(serde_json::Value::Object(row)) = scenarios.get_mut("checkpoint_cut") {
+        let apart = row["stall_vs_quiet_pct"].as_f64().unwrap_or(0.0).abs();
+        row.insert("stall_resolved".into(), serde_json::json!(apart > noise_pct));
+    }
     write_bench_json(
         "wal",
         &serde_json::json!({
             "bench": "wal",
             "samples_per_run": samples,
+            "noise_pct": noise_pct,
+            "half_gap_pct": noise.0,
             "scenarios": serde_json::Value::Object(scenarios),
         }),
     );

@@ -7,6 +7,7 @@
 //! `BENCH_<name>.history.jsonl` beside it, and both carry where the run came
 //! from: the commit, the host's thread count and the command line.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
@@ -178,6 +179,27 @@ pub fn process_thread_count() -> usize {
         })
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
+}
+
+/// Each timed row's half gap by row name: the p50s of the first and second
+/// half of its runs, in timing order, apart by this percentage of the row's
+/// p50. What a loop reads when nothing differs.
+#[derive(Default)]
+pub struct Noise(pub BTreeMap<String, f64>);
+
+impl Noise {
+    /// Records the half gap of `samples`, timed in this order, as `row`'s.
+    pub fn record(&mut self, row: impl Into<String>, samples: &[Duration]) {
+        let p50 = |lat: &[Duration]| LatencySummary::from_samples(&mut lat.to_vec()).p50_us;
+        let (first, second) = samples.split_at(samples.len() / 2);
+        let gap = (p50(first) - p50(second)).abs() / p50(samples) * 100.0;
+        self.0.insert(row.into(), gap);
+    }
+
+    /// The largest half gap of any row.
+    pub fn pct(&self) -> f64 {
+        self.0.values().copied().fold(0.0, f64::max)
+    }
 }
 
 #[cfg(test)]

@@ -65,8 +65,15 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE 802.3) of a byte slice, eight bytes at a step.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// The CRC32 of bytes whose CRC32 so far is `crc`, with `data` after them:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, and `crc32_update(0, a)`
+/// is `crc32(a)`. A writer that streams a file folds it in piece by piece.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = !crc;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -362,11 +369,20 @@ pub fn sync_dir(dir: &Path) {
 /// atomic rename, directory sync. A crash at any point leaves the old file
 /// or the new one; an error leaves the old one.
 pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_durable_with(path, |f| f.write_all(bytes))
+}
+
+/// [`write_durable`] of what `write` writes into the `.tmp` file: the file
+/// is synced once `write` returns, then renamed.
+pub fn write_durable_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let written = File::create(&tmp).and_then(|mut f| {
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_data()
     });
     if let Err(e) = written {

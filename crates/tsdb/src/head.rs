@@ -62,6 +62,11 @@ pub struct TailCursor {
 impl SeriesStore {
     /// Appends a sample, cutting a new chunk when the open one is full.
     pub fn append(&mut self, s: Sample) -> Result<(), OutOfOrder> {
+        self.append_grown(s).map(drop)
+    }
+
+    /// [`Self::append`], and the bytes the series grew by.
+    fn append_grown(&mut self, s: Sample) -> Result<usize, OutOfOrder> {
         // Reject samples older than the series head (cheap global check).
         if let Some(last) = self.chunks.back() {
             if !last.is_empty() && s.t_ms < last.max_time() {
@@ -83,11 +88,12 @@ impl SeriesStore {
             .chunks
             .back_mut()
             .expect("an open chunk was just ensured");
+        let before = open.byte_len();
         open.append(s)?;
         if open.len().is_multiple_of(RESUME_STRIDE) {
             self.resume = [self.resume[1], open.state()];
         }
-        Ok(())
+        Ok(open.byte_len() - before)
     }
 
     /// Adds, after the chunks already here, the chunk that holds `n` samples
@@ -191,15 +197,7 @@ impl SeriesStore {
     /// Drops whole chunks that end before `cutoff`; returns true when the
     /// series is left empty.
     pub fn drop_before(&mut self, cutoff: i64) -> bool {
-        while let Some(front) = self.chunks.front() {
-            if !front.is_empty() && front.max_time() < cutoff {
-                self.chunks.pop_front();
-                self.dropped += 1;
-            } else {
-                break;
-            }
-        }
-        self.chunks.is_empty()
+        self.drop_counted(cutoff).0
     }
 
     /// Total stored samples.
@@ -216,6 +214,49 @@ impl SeriesStore {
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
+
+    /// What a checkpoint taken now needs of the series to write it later,
+    /// while samples go on being appended: how many chunks it has, and how
+    /// far the open one is filled.
+    pub(crate) fn mark(&self) -> StoreMark {
+        let open = self.chunks.back();
+        let bytes = open.map_or(&[][..], XorChunk::as_bytes);
+        StoreMark {
+            chunks: self.chunks.len() as u32,
+            samples: open.map_or(0, XorChunk::len),
+            bytes: bytes.len() as u32,
+            last: bytes.last().copied().unwrap_or(0),
+        }
+    }
+
+    /// [`Self::drop_before`], and the bytes it dropped.
+    fn drop_counted(&mut self, cutoff: i64) -> (bool, usize) {
+        let mut dropped = 0;
+        while let Some(front) = self.chunks.front() {
+            if !front.is_empty() && front.max_time() < cutoff {
+                dropped += front.byte_len();
+                self.chunks.pop_front();
+                self.dropped += 1;
+            } else {
+                break;
+            }
+        }
+        (self.chunks.is_empty(), dropped)
+    }
+}
+
+/// A series as a checkpoint cut it ([`SeriesStore::mark`]): its chunk
+/// count, and the open chunk's sample count, byte length and last byte.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct StoreMark {
+    /// Chunks the series had.
+    pub(crate) chunks: u32,
+    /// Samples of the last of them.
+    pub(crate) samples: u32,
+    /// Bytes of the last of them.
+    pub(crate) bytes: u32,
+    /// The last of those bytes: later appends OR bits into it.
+    pub(crate) last: u8,
 }
 
 /// Reads `c` on from `state`: samples at or after `tmin` into `out`, `state`
@@ -271,8 +312,26 @@ impl Hasher for IdHasher {
     }
 }
 
-/// One stripe's series.
-type Stripe = HashMap<SeriesId, SeriesStore, BuildHasherDefault<IdHasher>>;
+/// One stripe's series, and their chunk bytes, kept as they change so a
+/// scrape of the head's size reads sixteen numbers.
+#[derive(Default)]
+struct Stripe {
+    series: HashMap<SeriesId, SeriesStore, BuildHasherDefault<IdHasher>>,
+    bytes: usize,
+}
+
+impl Stripe {
+    fn append(&mut self, id: SeriesId, s: Sample) -> Result<(), OutOfOrder> {
+        self.bytes += self.series.entry(id).or_default().append_grown(s)?;
+        Ok(())
+    }
+
+    fn remove(&mut self, id: SeriesId) {
+        if let Some(store) = self.series.remove(&id) {
+            self.bytes -= store.byte_len();
+        }
+    }
+}
 
 /// Striped series storage.
 pub struct Head {
@@ -310,8 +369,7 @@ impl Head {
             let in_stripe = samples.iter().filter(|s| s.0 as usize % STRIPES == stripe);
             for &(id, t_ms, v) in in_stripe {
                 owned += 1;
-                let store = series.entry(id).or_default();
-                appended += u64::from(store.append(Sample::new(t_ms, v)).is_ok());
+                appended += u64::from(series.append(id, Sample::new(t_ms, v)).is_ok());
             }
         }
         (owned, appended)
@@ -319,16 +377,22 @@ impl Head {
 
     /// Appends to a series (creating it on first touch).
     pub fn append(&self, id: SeriesId, s: Sample) -> Result<(), OutOfOrder> {
-        self.shard(id).lock().entry(id).or_default().append(s)
+        self.shard(id).lock().append(id, s)
+    }
+
+    /// Runs `f` on a series' store under its stripe's lock; on an empty
+    /// store when the series has none.
+    pub(crate) fn with_store<R>(&self, id: SeriesId, f: impl FnOnce(&SeriesStore) -> R) -> R {
+        let stripe = self.shard(id).lock();
+        match stripe.series.get(&id) {
+            Some(store) => f(store),
+            None => f(&SeriesStore::default()),
+        }
     }
 
     /// Reads a series' samples in a range.
     pub fn read(&self, id: SeriesId, tmin: i64, tmax: i64) -> Vec<Sample> {
-        self.shard(id)
-            .lock()
-            .get(&id)
-            .map(|s| s.samples_in(tmin, tmax))
-            .unwrap_or_default()
+        self.with_store(id, |s| s.samples_in(tmin, tmax))
     }
 
     /// [`SeriesStore::read_window`] of a series; `None` (nothing read) when
@@ -341,7 +405,7 @@ impl Head {
         out: &mut Vec<Sample>,
     ) -> Option<TailCursor> {
         let shard = self.shard(id).lock();
-        Some(shard.get(&id)?.read_window(tmin, tmax, out))
+        Some(shard.series.get(&id)?.read_window(tmin, tmax, out))
     }
 
     /// [`SeriesStore::read_on`] of a series; `false` also when it is gone.
@@ -353,25 +417,22 @@ impl Head {
         out: &mut Vec<Sample>,
     ) -> bool {
         let shard = self.shard(id).lock();
-        shard.get(&id).is_some_and(|s| s.read_on(cursor, tmax, out))
+        shard.series.get(&id).is_some_and(|s| s.read_on(cursor, tmax, out))
     }
 
     /// Latest sample of a series.
     pub fn last_sample(&self, id: SeriesId) -> Option<Sample> {
-        self.shard(id).lock().get(&id).and_then(|s| s.last_sample())
+        self.with_store(id, SeriesStore::last_sample)
     }
 
     /// Last sample of a series in `[tmin, tmax]`; see [`SeriesStore::last_in`].
     pub fn last_in(&self, id: SeriesId, tmin: i64, tmax: i64) -> Option<Sample> {
-        self.shard(id)
-            .lock()
-            .get(&id)
-            .and_then(|s| s.last_in(tmin, tmax))
+        self.with_store(id, |s| s.last_in(tmin, tmax))
     }
 
     /// Removes a series entirely.
     pub fn remove(&self, id: SeriesId) {
-        self.shard(id).lock().remove(&id);
+        self.shard(id).lock().remove(id);
     }
 
     /// Applies retention: drops chunks ending before `cutoff`, returning the
@@ -379,13 +440,20 @@ impl Head {
     pub fn drop_before(&self, cutoff: i64) -> Vec<SeriesId> {
         let mut emptied = Vec::new();
         for shard in &self.shards {
-            let mut map = shard.lock();
-            let empty_ids: Vec<SeriesId> = map
+            let stripe = &mut *shard.lock();
+            let mut dropped = 0;
+            let empty_ids: Vec<SeriesId> = stripe
+                .series
                 .iter_mut()
-                .filter_map(|(&id, s)| s.drop_before(cutoff).then_some(id))
+                .filter_map(|(&id, s)| {
+                    let (empty, bytes) = s.drop_counted(cutoff);
+                    dropped += bytes;
+                    empty.then_some(id)
+                })
                 .collect();
-            for id in &empty_ids {
-                map.remove(id);
+            stripe.bytes -= dropped;
+            for &id in &empty_ids {
+                stripe.remove(id);
             }
             emptied.extend(empty_ids);
         }
@@ -393,13 +461,13 @@ impl Head {
     }
 
     /// A copy of every series as it is stored, chunk bytes and all, sorted
-    /// by id. Nothing is decoded. The checkpoint writer runs this with
-    /// appenders gated out, so the result is a consistent cut.
+    /// by id: what tests compare two heads by.
+    #[cfg(test)]
     pub fn snapshot(&self) -> Vec<(SeriesId, SeriesStore)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let map = shard.lock();
-            out.extend(map.iter().map(|(&id, s)| (id, s.clone())));
+            let stripe = shard.lock();
+            out.extend(stripe.series.iter().map(|(&id, s)| (id, s.clone())));
         }
         out.sort_unstable_by_key(|(id, _)| *id);
         out
@@ -408,23 +476,33 @@ impl Head {
     /// Puts a whole series in place (a checkpoint's), replacing what the id
     /// held.
     pub fn install(&self, id: SeriesId, store: SeriesStore) {
-        self.shard(id).lock().insert(id, store);
+        let mut stripe = self.shard(id).lock();
+        stripe.remove(id);
+        stripe.bytes += store.byte_len();
+        stripe.series.insert(id, store);
     }
 
     /// Total samples held.
     pub fn sample_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|v| v.sample_count()).sum::<u64>())
-            .sum()
+        let stripe_samples = |s: &Mutex<Stripe>| -> u64 {
+            s.lock().series.values().map(SeriesStore::sample_count).sum()
+        };
+        self.shards.iter().map(stripe_samples).sum()
     }
 
-    /// Approximate compressed bytes held.
+    /// Approximate compressed bytes held: each stripe's kept total.
     pub fn byte_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|v| v.byte_len()).sum::<usize>())
-            .sum()
+        self.shards.iter().map(|s| s.lock().bytes).sum()
+    }
+
+    /// [`Self::byte_len`] by a walk over every chunk, for tests to hold the
+    /// kept totals to.
+    #[cfg(test)]
+    pub(crate) fn walked_byte_len(&self) -> usize {
+        let stripe_bytes = |s: &Mutex<Stripe>| -> usize {
+            s.lock().series.values().map(SeriesStore::byte_len).sum()
+        };
+        self.shards.iter().map(stripe_bytes).sum()
     }
 }
 

@@ -257,24 +257,41 @@ impl LabelIndex {
             .collect()
     }
 
-    /// A checkpoint of the index with no samples: its clocks, its table as
-    /// it stands (a free number's string empty) and every live series by
-    /// id, with its pairs' numbers; the rest of the header zero.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let mut live: Vec<(&SeriesId, &Series)> = self.series.iter().collect();
-        live.sort_unstable_by_key(|(id, _)| **id);
-        let symbols = self.symbols.entries.iter().map(|(s, _)| Arc::clone(s));
-        let pairs = live.iter().flat_map(|(_, s)| s.pairs.iter().copied());
-        Checkpoint {
+    /// What a checkpoint needs of the index at the moment it is taken: a
+    /// header with its clocks, its table as it stands (the entries shared, a
+    /// free number's string empty) and every live series' pairs' numbers in
+    /// id order; and those series' ids with their label counts. No label
+    /// set is copied.
+    pub(crate) fn cut(&self) -> (Checkpoint, Vec<(SeriesId, u32)>) {
+        let mut live: Vec<(SeriesId, u32)> = self
+            .series
+            .iter()
+            .map(|(&id, s)| (id, (s.pairs.len() / 2) as u32))
+            .collect();
+        live.sort_unstable_by_key(|(id, _)| *id);
+        let mut pairs = Vec::with_capacity(live.iter().map(|(_, n)| 2 * *n as usize).sum());
+        pairs.extend(live.iter().flat_map(|(id, _)| self.series[id].pairs.iter().copied()));
+        let header = Checkpoint {
             generation: self.generation,
             next_id: self.next_id,
-            symbols: symbols.collect(),
-            pairs: pairs.collect(),
-            series: live
-                .into_iter()
-                .map(|(&id, s)| (id, Arc::clone(&s.labels), SeriesStore::default()))
-                .collect(),
+            symbols: self.symbols.entries.iter().map(|(s, _)| Arc::clone(s)).collect(),
+            pairs,
             ..Checkpoint::default()
+        };
+        (header, live)
+    }
+
+    /// A checkpoint of the index with no samples: `Self::cut` with each
+    /// series' labels, the rest of the header zero.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let (header, live) = self.cut();
+        let series = live.into_iter().map(|(id, _)| {
+            let labels = Arc::clone(&self.series[&id].labels);
+            (id, labels, SeriesStore::default())
+        });
+        Checkpoint {
+            series: series.collect(),
+            ..header
         }
     }
 

@@ -128,7 +128,7 @@ impl Collector for TsdbCollector {
             ),
             (
                 "ceems_tsdb_checkpoint_duration_seconds",
-                "Stop-the-world checkpoint wall time.",
+                "Checkpoint wall time: the cut, the encode and the durable write.",
                 &ins.checkpoint_seconds,
             ),
         ] {

@@ -15,14 +15,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use ceems_metrics::labels::LabelSet;
 use ceems_metrics::matcher::LabelMatcher;
 use ceems_metrics::{Counter, Histogram};
 use ceems_obs::trace;
 
-use crate::head::{Head, STRIPES};
+use crate::head::{Head, SeriesStore, StoreMark, STRIPES};
 use crate::index::LabelIndex;
 use crate::par::{cores, fan_out};
 use crate::promql::plan::{Basis, Followed, PreparedRead, Refresh, Window};
@@ -102,7 +102,7 @@ pub struct TsdbInstruments {
     pub select_resolve_seconds: Histogram,
     /// One WAL group commit (`Wal::log`: encode + write + fsync policy).
     pub wal_append_seconds: Histogram,
-    /// Stop-the-world checkpoint wall time.
+    /// Checkpoint wall time: the cut, the encode and the durable write.
     pub checkpoint_seconds: Histogram,
     /// Samples [`Tsdb::append_refs`] was handed by series id (a source's
     /// cache knew the line).
@@ -139,6 +139,10 @@ struct WalState {
     /// WAL write failures (the database keeps serving; durability is
     /// degraded and the counter surfaces it).
     errors: AtomicU64,
+    /// Held by a checkpoint from its cut to its collection of what it
+    /// covers, and by [`Tsdb::locate_records`] for its walk of the files:
+    /// taken before the gate.
+    checkpointing: Mutex<()>,
 }
 
 /// Leadership-epoch state (S24): the current epoch plus the history of
@@ -224,11 +228,13 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
 /// The time series database.
 pub struct Tsdb {
-    /// Appenders hold `read` across (log record → apply to head); the
-    /// checkpointer and every series removal hold `write`. So a checkpoint
-    /// never snapshots a record logged but not yet applied, WAL log order
-    /// equals head apply order, and `removals` cannot move while an
-    /// appender that compared it is still writing.
+    /// Appenders hold `read` across (log record → apply to head); every
+    /// series removal holds `write`, and so does a checkpoint's cut, which
+    /// it then downgrades to `read` for its encode. So a cut never takes a
+    /// record logged but not yet applied, WAL log order equals head apply
+    /// order, no chunk a cut names goes before its encode ends, and
+    /// `removals` cannot move while an appender that compared it is still
+    /// writing.
     gate: RwLock<()>,
     instance: u64,
     /// Times series were removed (delete, retention, resync, replayed
@@ -341,6 +347,7 @@ impl Tsdb {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),
             errors: AtomicU64::new(0),
+            checkpointing: Mutex::new(()),
         });
         Ok(db)
     }
@@ -1096,6 +1103,7 @@ impl Tsdb {
     /// rejoiner must re-bootstrap) or lies past the log end.
     pub fn locate_records(&self, target: u64) -> io::Result<Option<WalPosition>> {
         let ws = self.wal_state()?;
+        let _files = ws.checkpointing.lock();
         let _gate = self.gate.write();
         let start = wal::log_start(&ws.dir)?;
         if start.records > target {
@@ -1200,45 +1208,68 @@ impl Tsdb {
         self.wal_position().unwrap_or_default()
     }
 
-    /// Takes a checkpoint: rotates the log, snapshots every live series
-    /// plus the index clocks under the gate (no append can be mid-flight),
-    /// writes the checkpoint durably, and garbage-collects covered segments
-    /// and older checkpoints. Returns the covered sequence number.
+    /// Takes a checkpoint and returns the sequence number it covers. It is
+    /// a cut of the live database, then a streamed write:
+    ///
+    /// * **The cut**, under the gate's write side (no append is between its
+    ///   log record and the head): the log rotates, and the checkpoint's
+    ///   header, the index's table and every live series' label numbers
+    ///   (`LabelIndex::cut`) and chunk marks (`SeriesStore::mark`) are
+    ///   recorded. No chunk byte and no label string is copied.
+    /// * **The encode**, under the gate's read side: appends (to known
+    ///   series and new ones) and plan reads go on; series removals and
+    ///   epoch bumps wait, so every chunk the cut names stays in place.
+    ///   Each series is written from the live head as the cut left it, a
+    ///   copy of its chunks at a time under its stripe's lock, into the
+    ///   `.tmp` file through a buffer (`wal::CheckpointWriter`).
+    /// * **The write**, outside the gate: fsync, rename, directory sync and
+    ///   the collection of covered segments and older checkpoints.
+    ///
+    /// A checkpoint lock keeps two from overlapping. A failed write leaves
+    /// the older checkpoint and every segment it needs.
     pub fn checkpoint(&self) -> io::Result<u64> {
         let ws = self.wal_state()?;
         let _timer = self.instruments.checkpoint_seconds.start_timer();
-        let _gate = self.gate.write();
+        let _alone = ws.checkpointing.lock();
+        let gate = self.gate.write();
         let (covers_seq, records) = {
             let mut w = ws.wal.lock();
             (w.rotate()?, w.position().records)
         };
-
         // Drive off the index: a registered series with no head store yet
         // still checkpoints (with no samples), and orphan head entries for
         // unregistered ids are skipped — queries can't see either state
-        // differently, and the restored index matches exactly. Both sides
-        // are sorted by id.
-        let mut ckpt = self.index.read().checkpoint();
-        let mut stores = self.head.snapshot().into_iter().peekable();
-        for (id, _, store) in &mut ckpt.series {
-            while stores.next_if(|(head_id, _)| head_id < id).is_some() {}
-            if let Some((_, head)) = stores.next_if(|(head_id, _)| head_id == id) {
-                *store = head;
-            }
-        }
+        // differently, and the restored index matches exactly.
+        let (header, series) = self.index.read().cut();
+        let marks: Vec<StoreMark> = series
+            .iter()
+            .map(|&(id, _)| self.head.with_store(id, SeriesStore::mark))
+            .collect();
         let es = self.epoch_state.lock();
-        let ckpt = Checkpoint {
+        let header = Checkpoint {
             covers_seq,
             appended: self.appended.load(Ordering::Relaxed),
             out_of_order: self.out_of_order.load(Ordering::Relaxed),
             records,
             epoch: es.epoch,
             epoch_history: es.history.clone(),
-            ..ckpt
+            ..header
         };
         drop(es);
 
-        wal::write_checkpoint(&ws.dir, &ckpt)?;
+        let gate = RwLockWriteGuard::downgrade(gate);
+        wal::write_checkpoint_with(&ws.dir, covers_seq, move |out| {
+            let mut w = wal::CheckpointWriter::start(out, &header, series.len())?;
+            for (&(id, labels), &mark) in series.iter().zip(&marks) {
+                w.series(id, labels as usize, |piece| {
+                    self.head
+                        .with_store(id, |store| wal::put_chunks_at(piece, store, mark))
+                })?;
+            }
+            w.finish()?;
+            drop(gate);
+            Ok(())
+        })?;
         wal::gc_covered(&ws.dir, covers_seq)?;
         Ok(covers_seq)
     }
@@ -1275,8 +1306,8 @@ impl Tsdb {
     /// (follower bootstrap payload). `Ok(None)` when none was taken yet.
     pub fn wal_checkpoint_bytes(&self) -> io::Result<Option<(u64, Vec<u8>)>> {
         let ws = self.wal_state()?;
-        let newest = wal::load_latest_checkpoint(&ws.dir)?;
-        Ok(newest.map(|(bytes, ckpt)| (ckpt.covers_seq, bytes)))
+        let newest = wal::newest_checkpoint(&ws.dir)?;
+        Ok(newest.map(|(bytes, header)| (header.covers_seq, bytes)))
     }
 
     /// Loads a leader's checkpoint into this (empty) database by converting
@@ -1323,6 +1354,9 @@ impl Tsdb {
 
 #[cfg(test)]
 mod recovery_props;
+
+#[cfg(test)]
+mod checkpoint_props;
 
 #[cfg(test)]
 mod tests {
@@ -1687,6 +1721,53 @@ mod tests {
             let _ = fs::remove_dir_all(&dir);
             let _ = fs::remove_dir_all(&kept);
         }
+    }
+
+    /// A newest checkpoint whose CRC agrees with a chunk that does not
+    /// decode is passed over alike by the open, by the start of the log a
+    /// rejoin walks from, and by the bytes a follower bootstraps from: each
+    /// takes the older checkpoint, and the newer one once it is whole.
+    #[test]
+    fn a_bad_chunk_under_a_good_crc_is_skipped_by_open_log_start_and_bootstrap() {
+        let dir = temp_dir("badchunk-alike");
+        let older = temp_dir("badchunk-alike-older");
+        let reference = Tsdb::new(ckpt_config());
+        let (first, second) = {
+            let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+            history(&db, 0);
+            let first = db.checkpoint().unwrap();
+            history(&db, 1);
+            // The second checkpoint collects the first and the segment
+            // after it: an operator's copy keeps them.
+            copy_dir(&dir, &older);
+            (first, db.checkpoint().unwrap())
+        };
+        (0..2).for_each(|part| history(&reference, part));
+        let path = |seq| dir.join(wal::checkpoint_file_name(seq));
+        let whole = fs::read(path(second)).unwrap();
+        for entry in fs::read_dir(&older).unwrap() {
+            let from = entry.unwrap().path();
+            fs::copy(&from, dir.join(from.file_name().unwrap())).unwrap();
+        }
+        let (_, header) = wal::newest_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(header.covers_seq, second);
+
+        damage_newest_checkpoint(&dir, true);
+        let (bytes, header) = wal::newest_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!((header.covers_seq, bytes), (first, fs::read(path(first)).unwrap()));
+        let start = wal::log_start(&dir).unwrap();
+        assert_eq!((start.seq, start.records), (first, header.records));
+        let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        assert_same_database(&db, &reference, "opened past the damaged checkpoint");
+        assert_eq!(db.wal_checkpoint_bytes().unwrap().map(|(seq, _)| seq), Some(first));
+        drop(db);
+
+        fs::write(path(second), &whole).unwrap();
+        assert_eq!(wal::log_start(&dir).unwrap().seq, second);
+        let db = Tsdb::open(&dir, big_segments(), ckpt_config()).unwrap();
+        assert_eq!(db.wal_checkpoint_bytes().unwrap(), Some((second, whole)));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&older);
     }
 
     /// A directory whose newest checkpoint an older writer wrote opens to

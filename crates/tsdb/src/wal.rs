@@ -23,17 +23,16 @@
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
-use std::collections::HashSet;
 use std::fs;
-use std::io;
-use std::ops::Range;
+use std::io::{self, BufWriter, Write};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
-use ceems_relstore::log::{self, numbered, write_durable, LogEnd, Record};
+use ceems_relstore::log::{self, crc32_update, numbered, LogEnd, Record};
 
-use crate::head::SeriesStore;
+use crate::head::{SeriesStore, StoreMark};
 use crate::par::{cores, fan_out};
 use crate::types::{Sample, SeriesId};
 
@@ -143,25 +142,33 @@ impl<'a> Reader<'a> {
     /// A label count and that many name/value pairs, each a number in
     /// `symbols`, appended to `numbers`; `None` for a number past them or
     /// names out of their order.
-    fn label_set_of(&mut self, symbols: &[Arc<str>], numbers: &mut Vec<u32>) -> Option<LabelSet> {
+    fn numbered_pairs<S: Deref<Target = str>>(
+        &mut self,
+        symbols: &[S],
+        numbers: &mut Vec<u32>,
+    ) -> Option<()> {
         let n = self.uvarint()? as usize;
-        // A pair is at least two bytes.
-        let mut pairs: Vec<(Arc<str>, Arc<str>)> = Vec::with_capacity(n.min(self.remaining() / 2));
+        let mut before: Option<&str> = None;
         for _ in 0..n {
-            let k = self.symbol(symbols, numbers)?;
-            if pairs.last().is_some_and(|(before, _)| *before >= k) {
+            let name = self.symbol(symbols, numbers)?;
+            if before.is_some_and(|before| before >= name) {
                 return None;
             }
-            pairs.push((k, self.symbol(symbols, numbers)?));
+            before = Some(name);
+            self.symbol(symbols, numbers)?;
         }
-        Some(LabelSet::from_shared(pairs))
+        Some(())
     }
 
-    fn symbol(&mut self, symbols: &[Arc<str>], numbers: &mut Vec<u32>) -> Option<Arc<str>> {
+    fn symbol<'s, S: Deref<Target = str>>(
+        &mut self,
+        symbols: &'s [S],
+        numbers: &mut Vec<u32>,
+    ) -> Option<&'s str> {
         let n = u32::try_from(self.uvarint()?).ok()?;
         let s = symbols.get(n as usize)?;
         numbers.push(n);
-        Some(Arc::clone(s))
+        Some(s)
     }
 
     fn done(&self) -> bool {
@@ -426,7 +433,8 @@ pub struct Checkpoint {
 /// Serializes a checkpoint: magic, varint-packed header, the symbol table
 /// (a count, then each string of `symbols` length-prefixed), the series
 /// (id, label count, a name and a value number per pair, chunks), and a
-/// trailing CRC32 over everything before it.
+/// trailing CRC32 over everything before it. It goes through the
+/// `CheckpointWriter` that `Tsdb::checkpoint` streams a file with.
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     // Sized up front: growing a multi-megabyte buffer by doubling copies it
     // several times over and holds twice its size at the peak. A number
@@ -439,25 +447,88 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
             32 + 6 * labels.len() + store.byte_len() + 8 * store.chunks().len()
         })
         .sum();
-    let mut out = Vec::with_capacity(128 + table_bytes + series_bytes);
-    put_header(&mut out, CKPT_MAGIC, ckpt);
-    put_uvarint(&mut out, ckpt.symbols.len() as u64);
-    for s in &ckpt.symbols {
-        put_bytes(&mut out, s.as_bytes());
-    }
-    let mut pairs = ckpt.pairs.iter();
-    put_uvarint(&mut out, ckpt.series.len() as u64);
-    for (id, labels, store) in &ckpt.series {
-        put_uvarint(&mut out, *id);
-        put_uvarint(&mut out, labels.len() as u64);
-        for &n in pairs.by_ref().take(2 * labels.len()) {
-            put_uvarint(&mut out, u64::from(n));
+    let out = Vec::with_capacity(128 + table_bytes + series_bytes);
+    let written = CheckpointWriter::start(out, ckpt, ckpt.series.len()).and_then(|mut w| {
+        for (id, labels, store) in &ckpt.series {
+            w.series(*id, labels.len(), |out| put_chunks(out, store))?;
         }
-        put_chunks(&mut out, store);
-    }
-    put_crc(&mut out);
-    out
+        w.finish()
+    });
+    written.expect("a Vec takes every write")
 }
+
+/// Writes a `CKPT3` file to `out` a piece at a time: the header and the
+/// table, then one series per [`Self::series`], then the CRC, which it
+/// folds in as the pieces go ([`crc32_update`]). Each piece is put
+/// together in a buffer of its own and written whole, so what a series'
+/// chunks are read under is held for a copy, never for a write.
+pub(crate) struct CheckpointWriter<'h, W: Write> {
+    out: W,
+    crc: u32,
+    piece: Vec<u8>,
+    /// The header's pairs the series to come have.
+    pairs: &'h [u32],
+}
+
+impl<'h, W: Write> CheckpointWriter<'h, W> {
+    /// Writes the magic, `header`'s fields, its symbol table and the count
+    /// of series to follow; `header.series` is not read.
+    pub(crate) fn start(out: W, header: &'h Checkpoint, series: usize) -> io::Result<Self> {
+        let mut w = CheckpointWriter {
+            out,
+            crc: 0,
+            piece: Vec::new(),
+            pairs: &header.pairs,
+        };
+        put_header(&mut w.piece, CKPT_MAGIC, header);
+        put_uvarint(&mut w.piece, header.symbols.len() as u64);
+        for s in &header.symbols {
+            put_bytes(&mut w.piece, s.as_bytes());
+            if w.piece.len() >= PIECE_BYTES {
+                w.emit()?;
+            }
+        }
+        put_uvarint(&mut w.piece, series as u64);
+        w.emit()?;
+        Ok(w)
+    }
+
+    /// Writes the next series: its id, its label count and the header's
+    /// next `labels` pairs (a name and a value number each), then what
+    /// `put_chunks` puts.
+    pub(crate) fn series(
+        &mut self,
+        id: SeriesId,
+        labels: usize,
+        put_chunks: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        put_uvarint(&mut self.piece, id);
+        put_uvarint(&mut self.piece, labels as u64);
+        let (pairs, rest) = self.pairs.split_at((2 * labels).min(self.pairs.len()));
+        self.pairs = rest;
+        for &n in pairs {
+            put_uvarint(&mut self.piece, u64::from(n));
+        }
+        put_chunks(&mut self.piece);
+        self.emit()
+    }
+
+    /// Writes the CRC of everything before it and hands `out` back.
+    pub(crate) fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(&self.crc.to_le_bytes())?;
+        Ok(self.out)
+    }
+
+    fn emit(&mut self) -> io::Result<()> {
+        self.crc = crc32_update(self.crc, &self.piece);
+        self.out.write_all(&self.piece)?;
+        self.piece.clear();
+        Ok(())
+    }
+}
+
+/// Bytes of symbol table the writer puts together before it writes them.
+const PIECE_BYTES: usize = 16 << 10;
 
 /// The magic and the header fields every format starts with.
 fn put_header(out: &mut Vec<u8>, magic: &[u8; 5], ckpt: &Checkpoint) {
@@ -477,6 +548,7 @@ fn put_header(out: &mut Vec<u8>, magic: &[u8; 5], ckpt: &Checkpoint) {
 }
 
 /// Appends the CRC32 of everything before it.
+#[cfg(test)]
 fn put_crc(out: &mut Vec<u8>) {
     let crc = crc32(out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -484,11 +556,27 @@ fn put_crc(out: &mut Vec<u8>) {
 
 /// A series' chunks: their count, then each one's sample count and bytes.
 fn put_chunks(out: &mut Vec<u8>, store: &SeriesStore) {
-    let chunks = store.chunks();
-    put_uvarint(out, chunks.len() as u64);
-    for chunk in chunks {
+    put_chunks_at(out, store, store.mark());
+}
+
+/// [`put_chunks`] of the series as it stood at `mark`: the chunks sealed
+/// then whole, the one open then as the bytes and samples it had, its last
+/// byte as it was (appends since have OR-ed bits into it and pushed bytes
+/// after it). Valid while no chunk was dropped from the series since.
+pub(crate) fn put_chunks_at(out: &mut Vec<u8>, store: &SeriesStore, mark: StoreMark) {
+    put_uvarint(out, u64::from(mark.chunks));
+    let mut chunks = store.chunks().take(mark.chunks as usize);
+    for chunk in chunks.by_ref().take(mark.chunks.saturating_sub(1) as usize) {
         put_uvarint(out, chunk.len() as u64);
         put_bytes(out, chunk.as_bytes());
+    }
+    if let Some(open) = chunks.next() {
+        put_uvarint(out, u64::from(mark.samples));
+        put_uvarint(out, u64::from(mark.bytes));
+        if let Some((_, body)) = open.as_bytes()[..mark.bytes as usize].split_last() {
+            out.extend_from_slice(body);
+            out.push(mark.last);
+        }
     }
 }
 
@@ -609,6 +697,148 @@ const CKPT1_SAMPLES: SampleFormat = SampleFormat {
 /// takes the next one instead of waiting for the others.
 const RANGE_BYTES: usize = 16 << 10;
 
+/// A checkpoint read series by series, each handed out as it comes: the
+/// header and the symbol table are read on opening. `S` is how the table
+/// holds its strings: shared, for a reader whose label sets are built from
+/// them, or borrowed from the bytes, for one that builds none.
+struct CheckpointReader<'a, S> {
+    r: Reader<'a>,
+    /// The checkpoint's fields; its table, pairs and series are empty.
+    header: Checkpoint,
+    symbols: Vec<S>,
+    /// Whether a pair of some series uses each number.
+    used: Vec<bool>,
+    /// `CKPT3` (label pairs as numbers) or not (label strings in full).
+    numbered: bool,
+    format: &'static SampleFormat,
+    series_left: usize,
+    last_id: Option<SeriesId>,
+    /// The bytes the trailing CRC covers, and the CRC.
+    body: &'a [u8],
+    crc: u32,
+}
+
+/// A series' id, its label set in an older format, and its samples as the
+/// file holds them.
+type ReadSeries<'a> = (SeriesId, Option<LabelSet>, &'a [u8]);
+
+impl<'a, S: Deref<Target = str> + From<&'a str>> CheckpointReader<'a, S> {
+    /// Reads checkpoint bytes of any format up to its first series. `None`
+    /// when they are no checkpoint so far: an unknown magic, a field cut
+    /// short, a symbol that is not UTF-8. A count read from the bytes
+    /// reserves no more than the bytes left could hold (a symbol is at
+    /// least one byte, a span two).
+    fn open(bytes: &'a [u8]) -> Option<Self> {
+        let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
+        let (format, numbered) = match body.get(..CKPT_MAGIC.len())? {
+            magic if magic == CKPT_MAGIC => (&CHUNK_SAMPLES, true),
+            magic if magic == CKPT2_MAGIC => (&CHUNK_SAMPLES, false),
+            magic if magic == CKPT1_MAGIC => (&CKPT1_SAMPLES, false),
+            _ => return None,
+        };
+        let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
+        // Fields are read in the order they are written.
+        let mut header = Checkpoint {
+            covers_seq: r.uvarint()?,
+            generation: r.uvarint()?,
+            next_id: r.uvarint()?,
+            appended: r.uvarint()?,
+            out_of_order: r.uvarint()?,
+            records: r.uvarint()?,
+            epoch: r.uvarint()?,
+            ..Checkpoint::default()
+        };
+        let n_spans = r.uvarint()? as usize;
+        header.epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
+        for _ in 0..n_spans {
+            header.epoch_history.push(EpochSpan {
+                epoch: r.uvarint()?,
+                start_records: r.uvarint()?,
+            });
+        }
+        let mut symbols = Vec::new();
+        if numbered {
+            // A number is a `u32`; a symbol is at least one byte.
+            let n = u32::try_from(r.uvarint()?).ok()? as usize;
+            symbols.reserve(n.min(r.remaining()));
+            for _ in 0..n {
+                symbols.push(S::from(r.string()?));
+            }
+        }
+        Some(CheckpointReader {
+            series_left: r.uvarint()? as usize,
+            r,
+            header,
+            used: vec![false; symbols.len()],
+            symbols,
+            numbered,
+            format,
+            last_id: None,
+            body,
+            crc: u32::from_le_bytes(tail.try_into().ok()?),
+        })
+    }
+
+    /// The count of series the file says follow: at most one per three
+    /// bytes left, the least a series takes.
+    fn series_hint(&self) -> usize {
+        self.series_left.min(self.r.remaining() / 3)
+    }
+
+    /// The next series' id, its label set in an older format (a `CKPT3`
+    /// series' pairs' numbers go into `numbers`, emptied first) and its
+    /// samples as the file holds them; `Some(None)` after the last. `None`
+    /// when what it reads is no series: among others, a number past the
+    /// table, label names out of their order, or an id not above the one
+    /// before. Every writer of every format put the series in ascending id
+    /// order (`Tsdb::checkpoint` over the index's sorted series).
+    fn next_series(&mut self, numbers: &mut Vec<u32>) -> Option<Option<ReadSeries<'a>>> {
+        if self.series_left == 0 {
+            return Some(None);
+        }
+        self.series_left -= 1;
+        let r = &mut self.r;
+        let id = r.uvarint()?;
+        if self.last_id.is_some_and(|before| before >= id) {
+            return None;
+        }
+        self.last_id = Some(id);
+        numbers.clear();
+        let inline = match self.numbered {
+            true => {
+                r.numbered_pairs(&self.symbols, numbers)?;
+                numbers.iter().for_each(|&n| self.used[n as usize] = true);
+                None
+            }
+            false => Some(r.label_set()?),
+        };
+        let start = r.pos;
+        (self.format.skip)(r)?;
+        Some(Some((id, inline, &r.buf[start..r.pos])))
+    }
+
+    /// After the last series: the header, when the bytes ended there and
+    /// no used string is under two numbers (that would split its postings;
+    /// a free number is the empty string, which may repeat).
+    fn finish(&mut self) -> Option<Checkpoint> {
+        let text = |n: &u32| &*self.symbols[*n as usize];
+        let mut used: Vec<u32> = (0..self.used.len() as u32)
+            .filter(|&n| self.used[n as usize])
+            .collect();
+        used.sort_unstable_by(|a, b| text(a).cmp(text(b)));
+        let once = used.windows(2).all(|w| text(&w[0]) != text(&w[1]));
+        let done = once && self.series_left == 0 && self.r.done();
+        done.then(|| std::mem::take(&mut self.header))
+    }
+}
+
+/// Series `samples` in `format` through the checked decode.
+fn read_store(format: &SampleFormat, samples: &[u8]) -> Option<SeriesStore> {
+    let mut r = Reader::new(samples);
+    let store = (format.read)(&mut r)?;
+    r.done().then_some(store)
+}
+
 /// A checkpoint taken apart for workers: the header and every series' id
 /// and labels decoded (a `CKPT3` file's label sets built from its symbol
 /// table), each series' samples found but not decoded.
@@ -636,83 +866,36 @@ pub(crate) enum Check {
 }
 
 impl<'a> CheckpointView<'a> {
-    /// Reads checkpoint bytes of any format up to each series' samples.
-    /// `None` when what it reads is not a checkpoint: among others, a symbol
-    /// that is not UTF-8, a number past the table, a series' label names
-    /// out of their order, or a used string under two numbers. A count read from the bytes
-    /// reserves no more than the bytes left could hold (a symbol is at least
-    /// one byte, a span or a label pair two, a series three). Every writer
-    /// of every format put the series in ascending id order
-    /// (`Tsdb::checkpoint` over the index's sorted series); a file with an
-    /// id out of that order is corrupt.
+    /// Reads checkpoint bytes of any format up to each series' samples
+    /// ([`CheckpointReader`]); `None` when what it reads is not a
+    /// checkpoint.
     pub(crate) fn parse(bytes: &'a [u8]) -> Option<CheckpointView<'a>> {
-        let (body, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
-        let (format, has_symbols) = match body.get(..CKPT_MAGIC.len())? {
-            magic if magic == CKPT_MAGIC => (&CHUNK_SAMPLES, true),
-            magic if magic == CKPT2_MAGIC => (&CHUNK_SAMPLES, false),
-            magic if magic == CKPT1_MAGIC => (&CKPT1_SAMPLES, false),
-            _ => return None,
-        };
-        let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
-        // Fields are read in the order they are written.
-        let mut header = Checkpoint {
-            covers_seq: r.uvarint()?,
-            generation: r.uvarint()?,
-            next_id: r.uvarint()?,
-            appended: r.uvarint()?,
-            out_of_order: r.uvarint()?,
-            records: r.uvarint()?,
-            epoch: r.uvarint()?,
-            ..Checkpoint::default()
-        };
-        let n_spans = r.uvarint()? as usize;
-        header.epoch_history = Vec::with_capacity(n_spans.min(r.remaining() / 2));
-        for _ in 0..n_spans {
-            header.epoch_history.push(EpochSpan {
-                epoch: r.uvarint()?,
-                start_records: r.uvarint()?,
-            });
-        }
-        if has_symbols {
-            // A number is a `u32`; a symbol is at least one byte.
-            let n = u32::try_from(r.uvarint()?).ok()? as usize;
-            header.symbols.reserve(n.min(r.remaining()));
-            for _ in 0..n {
-                header.symbols.push(Arc::from(r.string()?));
-            }
-        }
-        let n_series = r.uvarint()? as usize;
-        let mut series: Vec<(SeriesId, Arc<LabelSet>)> =
-            Vec::with_capacity(n_series.min(r.remaining() / 3));
+        let mut reader = CheckpointReader::<Arc<str>>::open(bytes)?;
+        let mut series: Vec<(SeriesId, Arc<LabelSet>)> = Vec::with_capacity(reader.series_hint());
         let mut samples = Vec::with_capacity(series.capacity());
-        for _ in 0..n_series {
-            let id = r.uvarint()?;
-            if series.last().is_some_and(|(before, _)| *before >= id) {
-                return None;
-            }
-            let labels = match has_symbols {
-                true => r.label_set_of(&header.symbols, &mut header.pairs)?,
-                false => r.label_set()?,
-            };
+        let (mut numbers, mut pairs) = (Vec::new(), Vec::new());
+        while let Some((id, inline, stored)) = reader.next_series(&mut numbers)? {
+            let labels = inline.unwrap_or_else(|| {
+                let text = |n: u32| Arc::clone(&reader.symbols[n as usize]);
+                let shared = numbers.chunks_exact(2).map(|p| (text(p[0]), text(p[1])));
+                LabelSet::from_shared(shared.collect())
+            });
+            pairs.extend_from_slice(&numbers);
             series.push((id, Arc::new(labels)));
-            let start = r.pos;
-            (format.skip)(&mut r)?;
-            samples.push(&r.buf[start..r.pos]);
+            samples.push(stored);
         }
-        // A used string under two numbers would split its postings; a free
-        // number is the empty string, which may repeat.
-        let mut used = vec![false; header.symbols.len()];
-        header.pairs.iter().for_each(|&n| used[n as usize] = true);
-        let mut seen = HashSet::new();
-        let mut used = header.symbols.iter().zip(used).filter(|(_, used)| *used);
-        let once = used.all(|(s, _)| seen.insert(&**s));
-        (once && r.done()).then_some(CheckpointView {
-            header,
+        let header = reader.finish()?;
+        Some(CheckpointView {
+            header: Checkpoint {
+                symbols: reader.symbols,
+                pairs,
+                ..header
+            },
             series,
             samples,
-            format,
-            body,
-            crc: u32::from_le_bytes(tail.try_into().ok()?),
+            format: reader.format,
+            body: reader.body,
+            crc: reader.crc,
         })
     }
 
@@ -723,9 +906,7 @@ impl<'a> CheckpointView<'a> {
 
     /// Series `i`'s samples through the checked decode.
     pub(crate) fn store(&self, i: usize) -> Option<SeriesStore> {
-        let mut r = Reader::new(self.samples[i]);
-        let store = (self.format.read)(&mut r)?;
-        r.done().then_some(store)
+        read_store(self.format, self.samples[i])
     }
 
     /// What must pass before the checkpoint is believed: the CRC, then the
@@ -742,6 +923,23 @@ impl<'a> CheckpointView<'a> {
         }
         checks
     }
+}
+
+/// The header of `bytes` when they are a checkpoint that
+/// [`CheckpointView::parse`], its CRC and every series' checked decode
+/// accept, as [`Tsdb::open`](crate::Tsdb::open) requires before it restores
+/// one. The series go through the decode one at a time and none is kept;
+/// the table is read as slices of `bytes`.
+fn check_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+    let mut reader = CheckpointReader::<&str>::open(bytes)?;
+    if crc32(reader.body) != reader.crc {
+        return None;
+    }
+    let mut numbers = Vec::new();
+    while let Some((_, _, samples)) = reader.next_series(&mut numbers)? {
+        read_store(reader.format, samples)?;
+    }
+    reader.finish()
 }
 
 /// Parses checkpoint bytes of any format, validating magic, CRC and
@@ -781,23 +979,38 @@ fn decode_checkpoint_on(bytes: &[u8], workers: usize) -> Option<Checkpoint> {
     })
 }
 
-/// Writes a checkpoint durably: temp file, fsync, atomic rename, directory
-/// sync. A crash at any point leaves either the old state or the new one.
-pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
-    let path = dir.join(checkpoint_file_name(ckpt.covers_seq));
-    write_durable(&path, &encode_checkpoint(ckpt))?;
-    Ok(path)
+/// Writes the checkpoint covering `covers_seq` into `dir` durably
+/// ([`log::write_durable_with`]): `write` streams its bytes into the `.tmp`
+/// file beside its name through a buffer, which is flushed after `write`
+/// returns; then fsync, atomic rename and directory sync. A crash at any
+/// point leaves either the old state or the new one, and an error the old
+/// one.
+pub(crate) fn write_checkpoint_with(
+    dir: &Path,
+    covers_seq: u64,
+    write: impl FnOnce(&mut BufWriter<&mut fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let path = dir.join(checkpoint_file_name(covers_seq));
+    log::write_durable_with(&path, |file| {
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, file);
+        write(&mut out)?;
+        out.flush()
+    })
 }
 
-/// The newest checkpoint in `dir` that validates, as its bytes and
-/// decoded, skipping corrupt or truncated ones (a crash mid-checkpoint
-/// leaves a `.tmp` that is never considered, but defense in depth costs
-/// nothing).
-pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<(Vec<u8>, Checkpoint)>> {
+/// The buffer a checkpoint file is written through.
+const WRITE_BUFFER: usize = 64 << 10;
+
+/// The newest checkpoint in `dir` that `Tsdb::open` would restore, as its
+/// bytes and its header (no table, pairs or series): each one's CRC and
+/// every series' checked decode pass, one series at a time, none kept.
+/// Corrupt or truncated ones are skipped (a crash mid-checkpoint leaves a
+/// `.tmp` that is never considered, but defense in depth costs nothing).
+pub fn newest_checkpoint(dir: &Path) -> io::Result<Option<(Vec<u8>, Checkpoint)>> {
     for (_, path) in list_checkpoints(dir)?.into_iter().rev() {
         let bytes = fs::read(&path)?;
-        if let Some(ckpt) = decode_checkpoint(&bytes) {
-            return Ok(Some((bytes, ckpt)));
+        if let Some(header) = check_checkpoint(&bytes) {
+            return Ok(Some((bytes, header)));
         }
     }
     Ok(None)
@@ -806,7 +1019,7 @@ pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<(Vec<u8>, Checkpo
 /// Where the log in `dir` starts: the segment the newest valid checkpoint
 /// covers up to, with the records it holds; the very beginning without one.
 pub(crate) fn log_start(dir: &Path) -> io::Result<WalPosition> {
-    let newest = load_latest_checkpoint(dir)?.map(|(_, c)| (c.covers_seq, c.records));
+    let newest = newest_checkpoint(dir)?.map(|(_, c)| (c.covers_seq, c.records));
     let (seq, records) = newest.unwrap_or_default();
     Ok(WalPosition {
         seq,
@@ -1152,6 +1365,32 @@ mod tests {
         assert!(decode_checkpoint(b"CKPT").is_none());
     }
 
+    /// What a checkpoint writes of a series from its mark is what it would
+    /// have written then, whatever was appended since: at every fill of the
+    /// open chunk, with appends that OR bits into its last byte, push bytes
+    /// after it and cut new chunks.
+    #[test]
+    fn a_series_written_at_its_mark_is_the_series_as_it_was() {
+        let sample = |i: i64| Sample::new(i * 15_000 + i % 3, (i * i) as f64 / 7.0);
+        let mut store = SeriesStore::default();
+        for i in 0..(2 * 240 + 30) {
+            store.append(sample(i)).unwrap();
+            let mark = store.mark();
+            let mut then = Vec::new();
+            put_chunks(&mut then, &store);
+            let mut later = store.clone();
+            for j in 1..=40 {
+                later.append(sample(i + j)).unwrap();
+            }
+            let mut at_mark = Vec::new();
+            put_chunks_at(&mut at_mark, &later, mark);
+            assert_eq!(at_mark, then, "fill {i}");
+        }
+        let mut empty = Vec::new();
+        put_chunks_at(&mut empty, &store, SeriesStore::default().mark());
+        assert_eq!(empty, [0]);
+    }
+
     #[test]
     fn a_checkpoint_holds_chunk_bytes_not_samples() {
         let ckpt = sample_checkpoint();
@@ -1423,6 +1662,12 @@ mod tests {
                 crc32_bytewise(&data[..len]),
                 "len {len}"
             );
+        }
+        // Folded in piece by piece, at every cut of a stretch that crosses
+        // the eight-byte step: the CRC of the whole.
+        for cut in 0..=40 {
+            let (a, b) = data[..40].split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&data[..40]), "cut {cut}");
         }
     }
 

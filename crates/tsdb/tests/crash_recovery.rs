@@ -8,7 +8,8 @@
 //! full series dumps, instant and range PromQL, label introspection, and
 //! the ingest counters. Crash points cover mid-trace, mid-segment-rotation
 //! (tiny segments force rotations constantly), and mid-checkpoint (stray
-//! `.tmp` and corrupt checkpoint files).
+//! `.tmp` and corrupt checkpoint files, a complete `.tmp` not yet renamed,
+//! a renamed checkpoint whose covered files are not yet collected).
 
 use std::fs;
 use std::path::PathBuf;
@@ -306,6 +307,75 @@ fn checkpoint_gc_leaves_recoverable_state() {
     let recovered = Tsdb::open(&dir, tiny_segments(), test_config()).unwrap();
     assert_identical(&recovered, &reference, "post-GC recovery");
     let _ = fs::remove_dir_all(&dir);
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// A checkpoint writes its `.tmp` whole, syncs it, renames it and only
+/// then collects what it covers. A crash between the file being complete
+/// and its rename, or between the rename and the collection, leaves the
+/// older checkpoint with every segment it needs beside the segments the
+/// rotation started: each reopens to every sample acked, those appended
+/// after the checkpoint included, and the next checkpoint removes the
+/// stray `.tmp`.
+#[test]
+fn a_crash_before_the_rename_or_the_collection_loses_no_acked_sample() {
+    let ops = op_trace();
+    // After the trace's first checkpoint, so there is an older one.
+    let first = ops.iter().position(|op| matches!(op, Op::Checkpoint)).unwrap();
+    let (head, tail) = ops.split_at(first + 3);
+    let dir = temp_dir("cut");
+    let before = temp_dir("cut-before");
+    let reference = Tsdb::new(test_config());
+    let covers = {
+        let durable = Tsdb::open(&dir, tiny_segments(), test_config()).unwrap();
+        for op in head {
+            apply(&durable, op);
+            apply(&reference, op);
+        }
+        // What the directory holds when the checkpoint starts.
+        copy_dir(&dir, &before);
+        let covers = durable.checkpoint().unwrap();
+        for op in tail.iter().filter(|op| !matches!(op, Op::Checkpoint)) {
+            apply(&durable, op);
+            apply(&reference, op);
+        }
+        covers
+    };
+    let name = wal::checkpoint_file_name(covers);
+    for renamed in [false, true] {
+        let crashed = temp_dir("cut-crashed");
+        copy_dir(&before, &crashed);
+        // The new checkpoint, and the segments from the rotation on.
+        copy_dir(&dir, &crashed);
+        if !renamed {
+            fs::rename(crashed.join(&name), crashed.join(format!("{name}.tmp"))).unwrap();
+        }
+        let segments = wal::list_segments(&crashed).unwrap();
+        assert!(segments[0].0 < covers, "the covered segments are still there");
+        let recovered = Tsdb::open(&crashed, tiny_segments(), test_config()).unwrap();
+        let context = if renamed { "crash before the collection" } else { "crash before the rename" };
+        assert_identical(&recovered, &reference, context);
+        recovered.checkpoint().unwrap();
+        let left: Vec<String> = fs::read_dir(&crashed)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(left.is_empty(), "{context}: {left:?} left");
+        drop(recovered);
+        let again = Tsdb::open(&crashed, tiny_segments(), test_config()).unwrap();
+        assert_identical(&again, &reference, &format!("{context}, checkpointed again"));
+        let _ = fs::remove_dir_all(&crashed);
+    }
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&before);
 }
 
 // ---------------------------------------------------------------------------
