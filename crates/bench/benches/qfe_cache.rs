@@ -14,10 +14,15 @@
 //! frontend's and the LB's body checks). Its rows are one panel's answer
 //! (1 series × 81 steps, a 20-minute range at 15 s) and one fleet answer
 //! (10 series × 81 steps).
+//!
+//! `noise_pct` is the largest gap between the p50s of the first and second
+//! half of one row's timed runs, over that row's p50 (`half_gap_pct` holds
+//! each row's): what a loop reads when nothing differs, as the `wal` and
+//! `stream` benches report it. A row moved by less says nothing.
 
 use std::sync::Arc;
 
-use ceems_bench::report::{time_iters, write_bench_json, LatencySummary};
+use ceems_bench::report::{time_iters, write_bench_json, LatencySummary, Noise};
 use ceems_bench::small_stack_with_job;
 use ceems_http::{Method, Request, Status};
 use ceems_metrics::labels::LabelSet;
@@ -168,12 +173,19 @@ fn bench_qfe(c: &mut Criterion) {
     let mut warm_s = time_iters(iters, || render(&warm));
     let mut split_s = time_iters(iters, || render(&split));
     let mut unsplit_s = time_iters(iters, || render(&unsplit));
+    // Each row's half gap, while its samples are in timing order.
+    let mut noise = Noise::default();
+    noise.record("cold_render", &cold);
+    noise.record("warm_render", &warm_s);
+    noise.record("split_nocache_render", &split_s);
+    noise.record("unsplit_nocache_render", &unsplit_s);
     let cold = LatencySummary::from_samples(&mut cold);
     let warm_sum = LatencySummary::from_samples(&mut warm_s);
     let codec: serde_json::Map<String, serde_json::Value> = codec
         .iter()
         .map(|(name, run)| {
             let mut samples = time_iters(1000, run);
+            noise.record(format!("promapi_codec/{name}"), &samples);
             let summary = LatencySummary::from_samples(&mut samples).to_json();
             (name.to_string(), summary)
         })
@@ -190,6 +202,8 @@ fn bench_qfe(c: &mut Criterion) {
             "warm_speedup_p50": cold.p50_us / warm_sum.p50_us.max(1e-9),
             "promapi_codec": codec,
             "promapi_codec_bytes": {"panel": panel_body.len()},
+            "noise_pct": noise.pct(),
+            "half_gap_pct": noise.0,
         }),
     );
 }

@@ -209,6 +209,14 @@ fn build_providers(cfg: &CeemsConfig) -> Vec<Arc<dyn EmissionProvider>> {
     providers
 }
 
+/// What the updater bills emissions at: the resilient chain's factor for
+/// the configured zone ([`build_providers`]), whichever provider answers
+/// it, where RTE's answers France only.
+fn emission_factor_query(zone: &str) -> String {
+    let zone = ceems_metrics::encode::escape_label_value(zone);
+    format!("avg(ceems_emissions_gCo2_kWh{{provider=\"last_known_good\",country_code=\"{zone}\"}})")
+}
+
 impl CeemsStack {
     /// Builds the full stack from a configuration. `db_dir` hosts the API
     /// server's relational store.
@@ -412,6 +420,7 @@ impl CeemsStack {
             source.clone(),
             Some(source.clone()),
             UpdaterConfig {
+                emission_factor_query: emission_factor_query(&config.zone),
                 cleanup_cutoff_s: config.cleanup_cutoff_s,
                 ..Default::default()
             },
@@ -1429,6 +1438,47 @@ mod tests {
             emissions_after > emissions,
             "{emissions_after} g after, {emissions} before"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Outside France RTE answers nothing and the chain falls through to
+    /// OWID: a job is billed at OWID's German factor, not left NULL.
+    #[test]
+    fn a_german_stack_bills_emissions_at_owids_factor() {
+        use ceems_apiserver::schema::{unit_cols, UNITS_TABLE};
+        let dir = std::env::temp_dir().join(format!(
+            "ceems-debill-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let cfg = CeemsConfig {
+            zone: "DE".into(),
+            ..Default::default()
+        };
+        let mut stack = CeemsStack::build(cfg, &dir).unwrap();
+        stack.submit(cpu_job("alice", 16)).unwrap();
+        stack.run_for(300.0, 15.0);
+        let row = stack
+            .updater
+            .lock()
+            .db()
+            .get(UNITS_TABLE, &"slurm-1".into())
+            .unwrap()
+            .unwrap();
+        let kwh = row[unit_cols::ENERGY_KWH].as_real().expect("energy billed");
+        let grams = row[unit_cols::EMISSIONS_G]
+            .as_real()
+            .expect("emissions billed");
+        let owid_de = OwidStatic.factor("DE", 0).unwrap();
+        assert!(kwh > 0.0);
+        assert!(
+            (grams / kwh - owid_de).abs() < 1e-9 * owid_de,
+            "{grams} g for {kwh} kWh, not {owid_de} g/kWh"
+        );
+        drop(stack);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -81,6 +81,9 @@ impl SeriesStore {
             Some(c) => c.len() >= CHUNK_SAMPLES,
         };
         if need_new {
+            // Exactly one more slot: a deque's first push reserves four,
+            // and a series in a window holds one chunk.
+            self.chunks.reserve_exact(1);
             self.chunks.push_back(XorChunk::new());
             self.resume = Default::default();
         }
@@ -108,6 +111,7 @@ impl SeriesStore {
         if chunk.is_empty() || chunk.min_time() < after {
             return None;
         }
+        self.chunks.reserve_exact(1);
         self.chunks.push_back(chunk);
         self.resume = resume;
         Some(())

@@ -10,12 +10,13 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
 use ceems_metrics::matcher::{LabelMatcher, MatchOp};
 
-use crate::head::SeriesStore;
+use crate::head::{IdHasher, SeriesStore};
 use crate::types::SeriesId;
 use crate::wal::{Checkpoint, CheckpointView};
 
@@ -75,14 +76,33 @@ struct Series {
     pairs: Box<[u32]>,
 }
 
+/// How the index fingerprints a label set it is handed without one (a
+/// replayed series, a removed one): [`LabelSet::fingerprint`], what the
+/// append path hands [`LabelIndex::lookup`] and [`LabelIndex::create`].
+#[derive(Clone, Copy, Debug)]
+struct Fingerprint(fn(&LabelSet) -> u64);
+
+impl Default for Fingerprint {
+    fn default() -> Fingerprint {
+        Fingerprint(LabelSet::fingerprint)
+    }
+}
+
 /// The index plus the series registry.
 #[derive(Debug, Default)]
 pub struct LabelIndex {
     symbols: SymbolTable,
     /// Name number → value number → posting list.
     postings: HashMap<u32, HashMap<u32, Vec<SeriesId>>>,
-    series: HashMap<SeriesId, Series>,
-    by_fingerprint: HashMap<u64, Vec<SeriesId>>,
+    /// Ids are minted here or read from the leader's log, so the registry
+    /// hashes them as the head's stripes do.
+    series: HashMap<SeriesId, Series, BuildHasherDefault<IdHasher>>,
+    /// Fingerprint → the series filed under it first, of those live.
+    by_fingerprint: HashMap<u64, SeriesId>,
+    /// Fingerprint → the other live series filed under it, oldest first:
+    /// label sets whose fingerprints collide, empty but for those.
+    collided: HashMap<u64, Vec<SeriesId>>,
+    fingerprint: Fingerprint,
     next_id: SeriesId,
     /// Bumped on every series creation or removal. The labels cache tags
     /// its results with the generation they were computed at and discards
@@ -114,11 +134,12 @@ impl LabelIndex {
     /// The series id of exactly these labels; `fp` is their fingerprint,
     /// so the append path hashes a label set once across lookup and create.
     pub fn lookup(&self, labels: &LabelSet, fp: u64) -> Option<SeriesId> {
-        self.by_fingerprint
-            .get(&fp)?
-            .iter()
-            .copied()
-            .find(|id| *self.series[id].labels == *labels)
+        let is = |id: &SeriesId| *self.series[id].labels == *labels;
+        let first = *self.by_fingerprint.get(&fp)?;
+        if is(&first) {
+            return Some(first);
+        }
+        self.collided.get(&fp)?.iter().copied().find(is)
     }
 
     /// Registers labels [`Self::lookup`] did not find under the next id.
@@ -135,7 +156,7 @@ impl LabelIndex {
     /// by id, then replays creates in log order).
     pub fn insert_replayed(&mut self, id: SeriesId, labels: &LabelSet) {
         if !self.series.contains_key(&id) {
-            self.register(id, labels, labels.fingerprint());
+            self.register(id, labels, (self.fingerprint.0)(labels));
         }
     }
 
@@ -158,7 +179,12 @@ impl LabelIndex {
         self.generation += 1;
         self.backfills += u64::from(id < self.next_id);
         self.next_id = self.next_id.max(id + 1);
-        self.by_fingerprint.entry(fp).or_default().push(id);
+        if let Some(&first) = self.by_fingerprint.get(&fp) {
+            debug_assert_ne!(first, id, "a registered id");
+            self.collided.entry(fp).or_default().push(id);
+        } else {
+            self.by_fingerprint.insert(fp, id);
+        }
         for pair in pairs.chunks_exact(2) {
             let values = self.postings.entry(pair[0]).or_default();
             let list = values.entry(pair[1]).or_default();
@@ -206,7 +232,8 @@ impl LabelIndex {
                 self.insert_replayed(*id, labels);
             } else {
                 let pairs = pairs.by_ref().take(2 * labels.len()).collect();
-                self.enter(*id, Arc::clone(labels), pairs, labels.fingerprint());
+                let fp = (self.fingerprint.0)(labels);
+                self.enter(*id, Arc::clone(labels), pairs, fp);
             }
         }
         self.next_id = self.next_id.max(ckpt.next_id);
@@ -263,14 +290,12 @@ impl LabelIndex {
     /// id order; and those series' ids with their label counts. No label
     /// set is copied.
     pub(crate) fn cut(&self) -> (Checkpoint, Vec<(SeriesId, u32)>) {
-        let mut live: Vec<(SeriesId, u32)> = self
-            .series
-            .iter()
-            .map(|(&id, s)| (id, (s.pairs.len() / 2) as u32))
-            .collect();
+        let mut live: Vec<(SeriesId, &Series)> =
+            self.series.iter().map(|(&id, s)| (id, s)).collect();
         live.sort_unstable_by_key(|(id, _)| *id);
-        let mut pairs = Vec::with_capacity(live.iter().map(|(_, n)| 2 * *n as usize).sum());
-        pairs.extend(live.iter().flat_map(|(id, _)| self.series[id].pairs.iter().copied()));
+        let mut pairs = Vec::with_capacity(live.iter().map(|(_, s)| s.pairs.len()).sum());
+        pairs.extend(live.iter().flat_map(|(_, s)| s.pairs.iter().copied()));
+        let counts = live.iter().map(|&(id, s)| (id, (s.pairs.len() / 2) as u32));
         let header = Checkpoint {
             generation: self.generation,
             next_id: self.next_id,
@@ -278,7 +303,7 @@ impl LabelIndex {
             pairs,
             ..Checkpoint::default()
         };
-        (header, live)
+        (header, counts.collect())
     }
 
     /// A checkpoint of the index with no samples: `Self::cut` with each
@@ -308,11 +333,24 @@ impl LabelIndex {
             return;
         };
         self.generation += 1;
-        let fp = series.labels.fingerprint();
-        if let Some(v) = self.by_fingerprint.get_mut(&fp) {
-            v.retain(|&x| x != id);
-            if v.is_empty() {
+        let fp = (self.fingerprint.0)(&series.labels);
+        match self.collided.get_mut(&fp) {
+            None => {
                 self.by_fingerprint.remove(&fp);
+            }
+            Some(others) => {
+                match others.iter().position(|&x| x == id) {
+                    Some(i) => {
+                        others.remove(i);
+                    }
+                    // The oldest of the others moves up when the first goes.
+                    None => {
+                        self.by_fingerprint.insert(fp, others.remove(0));
+                    }
+                }
+                if others.is_empty() {
+                    self.collided.remove(&fp);
+                }
             }
         }
         for pair in series.pairs.chunks_exact(2) {
@@ -638,6 +676,53 @@ mod tests {
         assert_eq!(replayed.next_id(), created.next_id());
         assert_eq!(replayed.generation(), created.generation());
         assert_eq!(replayed.series_count(), 30);
+    }
+
+    /// Three label sets filed under one fingerprint, the only way into the
+    /// side map: each is found; with the first, the middle or the last
+    /// removed the other two are, and the removed one comes back under a
+    /// new id; replayed in another order they are found the same.
+    #[test]
+    fn label_sets_whose_fingerprints_collide() {
+        const FP: u64 = 7;
+        let colliding = || LabelIndex {
+            fingerprint: Fingerprint(|_| FP),
+            ..LabelIndex::default()
+        };
+        let sets: Vec<LabelSet> = (0..3)
+            .map(|i| labels! {"__name__" => "m", "i" => format!("{i}")})
+            .collect();
+        let found = |idx: &LabelIndex| -> Vec<Option<SeriesId>> {
+            sets.iter().map(|ls| idx.lookup(ls, FP)).collect()
+        };
+        for gone in 0..3 {
+            let mut idx = colliding();
+            let mut want: Vec<Option<SeriesId>> =
+                sets.iter().map(|ls| Some(idx.create(ls, FP))).collect();
+            let ids = want.clone();
+            assert_eq!(found(&idx), want);
+            idx.remove(ids[gone].unwrap());
+            want[gone] = None;
+            assert_eq!(found(&idx), want, "{gone} removed");
+            let again = idx.create(&sets[gone], FP);
+            assert!(!ids.contains(&Some(again)));
+            want[gone] = Some(again);
+            assert_eq!(found(&idx), want, "{gone} created again");
+
+            let mut replayed = colliding();
+            for (ls, id) in sets.iter().zip(&want).rev() {
+                replayed.insert_replayed(id.unwrap(), ls);
+            }
+            assert_eq!(found(&replayed), want, "{gone} replayed");
+            assert_eq!(replayed.series_count(), 3);
+
+            // The last of them to go takes the fingerprint with it.
+            for id in want {
+                idx.remove(id.unwrap());
+            }
+            assert_eq!(found(&idx), [None; 3]);
+            assert!(idx.by_fingerprint.is_empty() && idx.collided.is_empty());
+        }
     }
 
     /// The table as it stands: each live string under one number, counted
