@@ -8,12 +8,6 @@
 
 use crate::types::Sample;
 
-/// Bytes a full [`BitWriter`] grows by at least: an open chunk holds no
-/// more spare room than this, where doubling would leave it up to half
-/// empty. Past 256 bytes it grows by an eighth of its length, so a chunk
-/// of poorly compressing samples is not copied over and over.
-const GROW_STEP: usize = 32;
-
 /// Append-only bit writer.
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
@@ -62,7 +56,6 @@ impl BitWriter {
         #[cfg(test)]
         self.written.push((bit as u64, 1));
         if self.used == 0 || self.used == 8 {
-            self.room_for(1);
             self.bytes.push(0);
             self.used = 0;
         }
@@ -100,18 +93,8 @@ impl BitWriter {
             // are shifted out.
             let word = (v << (64 - left)).to_be_bytes();
             let whole = left.div_ceil(8);
-            self.room_for(whole as usize);
             self.bytes.extend_from_slice(&word[..whole as usize]);
             self.used = left - (whole - 1) * 8;
-        }
-    }
-
-    /// Makes room for `more` bytes (at most 8): [`GROW_STEP`] or an eighth
-    /// of the length more, whichever is larger, when the buffer is full.
-    fn room_for(&mut self, more: usize) {
-        if self.bytes.capacity() - self.bytes.len() < more {
-            self.bytes
-                .reserve_exact(GROW_STEP.max(self.bytes.len() / 8));
         }
     }
 
@@ -618,21 +601,6 @@ mod tests {
         assert_eq!(r.read_bits(4), Some(0b1011));
         assert_eq!(r.read_bits(64), Some(u64::MAX));
         assert_eq!(r.read_bits(3), Some(0));
-    }
-
-    /// A buffer holds at most one step past its bytes: 32, or an eighth of
-    /// its length once that is more.
-    #[test]
-    fn a_buffer_grows_by_a_step_past_its_bytes() {
-        let mut w = BitWriter::new();
-        for i in 0..4_000u64 {
-            match i % 3 {
-                0 => w.write_bit(i % 2 == 0),
-                _ => w.write_bits(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), (i % 64 + 1) as u8),
-            }
-            let (len, cap) = (w.bytes.len(), w.bytes.capacity());
-            assert!(cap - len <= GROW_STEP.max(len / 8), "{cap} for {len} bytes");
-        }
     }
 
     #[test]

@@ -81,10 +81,7 @@ impl SeriesStore {
             Some(c) => c.len() >= CHUNK_SAMPLES,
         };
         if need_new {
-            // Exactly one more slot: a deque's first push reserves four,
-            // and a series in a window holds one chunk.
-            self.chunks.reserve_exact(1);
-            self.chunks.push_back(XorChunk::new());
+            self.push_chunk(XorChunk::new());
             self.resume = Default::default();
         }
         let open = self
@@ -111,10 +108,29 @@ impl SeriesStore {
         if chunk.is_empty() || chunk.min_time() < after {
             return None;
         }
-        self.chunks.reserve_exact(1);
-        self.chunks.push_back(chunk);
+        self.push_chunk(chunk);
         self.resume = resume;
         Some(())
+    }
+
+    /// A store with room for `n` chunks, for a checkpoint that says how
+    /// many it holds.
+    pub(crate) fn with_chunk_slots(n: usize) -> SeriesStore {
+        SeriesStore {
+            chunks: VecDeque::with_capacity(n),
+            ..SeriesStore::default()
+        }
+    }
+
+    /// Adds a chunk at the back. The first slot is reserved alone, where a
+    /// deque's first push reserves four 88-byte chunks and most series
+    /// never cut a second; later slots grow as the deque grows them, so a
+    /// series of many chunks is not copied once per chunk.
+    fn push_chunk(&mut self, chunk: XorChunk) {
+        if self.chunks.capacity() == 0 {
+            self.chunks.reserve_exact(1);
+        }
+        self.chunks.push_back(chunk);
     }
 
     /// The chunks, oldest first; the last one is open.
@@ -217,6 +233,12 @@ impl SeriesStore {
     /// Chunk count (for tests).
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Chunks the store has room for without growing.
+    #[cfg(test)]
+    pub(crate) fn chunk_slots(&self) -> usize {
+        self.chunks.capacity()
     }
 
     /// What a checkpoint taken now needs of the series to write it later,
@@ -630,6 +652,37 @@ mod tests {
         assert_eq!(restored.chunk_count(), 4);
         assert!(restored.append(Sample::new(0, 0.0)).is_err());
         assert_eq!(restored.iter().count() as u64, restored.sample_count());
+    }
+
+    /// A series' first chunk gets one slot; after it the slots grow as a
+    /// deque grows them, appended or rebuilt from a checkpoint's chunks, so
+    /// a series of many chunks moves a handful of times, not once a chunk.
+    #[test]
+    fn chunk_slots_grow_by_doubling_past_the_first() {
+        const CHUNKS: usize = 48;
+        let mut s = SeriesStore::default();
+        let mut moves = 0;
+        for i in 0..(CHUNK_SAMPLES as i64 * CHUNKS as i64) {
+            let slots = s.chunk_slots();
+            s.append(Sample::new(i * 15_000, (i % 7) as f64)).unwrap();
+            moves += usize::from(s.chunk_slots() != slots);
+            if i == 0 {
+                assert_eq!(s.chunk_slots(), 1);
+            }
+        }
+        assert_eq!(s.chunk_count(), CHUNKS);
+        let most = 2 + CHUNKS.ilog2() as usize;
+        assert!(moves <= most, "{moves} moves for {CHUNKS} chunks appended");
+
+        let mut restored = SeriesStore::default();
+        let mut moves = 0;
+        for c in s.chunks() {
+            let slots = restored.chunk_slots();
+            restored.push_encoded(c.as_bytes().to_vec(), c.len()).unwrap();
+            moves += usize::from(restored.chunk_slots() != slots);
+        }
+        assert_eq!(restored, s);
+        assert!(moves <= most, "{moves} moves for {CHUNKS} chunks pushed");
     }
 
     #[test]

@@ -636,8 +636,10 @@ pub(crate) fn fix_crc(bytes: &mut [u8]) {
 /// A series' chunks as `CKPT3` and `CKPT2` hold them, each through the
 /// checked decode.
 fn read_chunks(r: &mut Reader<'_>) -> Option<SeriesStore> {
-    let mut store = SeriesStore::default();
-    for _ in 0..r.uvarint()? {
+    let n = r.uvarint()? as usize;
+    // A chunk is at least two bytes.
+    let mut store = SeriesStore::with_chunk_slots(n.min(r.remaining() / 2));
+    for _ in 0..n {
         let n = u32::try_from(r.uvarint()?).ok()?;
         store.push_encoded(r.bytes()?.to_vec(), n)?;
     }
@@ -1389,6 +1391,26 @@ mod tests {
         let mut empty = Vec::new();
         put_chunks_at(&mut empty, &store, SeriesStore::default().mark());
         assert_eq!(empty, [0]);
+    }
+
+    /// A series comes back from a checkpoint with one slot a chunk; a
+    /// count its bytes cannot hold reserves no more than they could.
+    #[test]
+    fn a_restored_series_has_a_slot_a_chunk() {
+        let samples: Vec<Sample> = (0..5 * 240 + 7)
+            .map(|i| Sample::new(i * 15_000, (i % 11) as f64))
+            .collect();
+        let store = store_of(&samples);
+        let mut bytes = Vec::new();
+        put_chunks(&mut bytes, &store);
+        let restored = read_chunks(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!((restored.chunk_count(), restored.chunk_slots()), (6, 6));
+        assert_eq!(restored, store);
+
+        let mut damaged = Vec::new();
+        put_uvarint(&mut damaged, u64::MAX >> 2);
+        damaged.extend_from_slice(&bytes[1..]);
+        assert!(read_chunks(&mut Reader::new(&damaged)).is_none());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! scrapes each, about 216 chunk bytes a series. The bytes the database
 //! holds beyond `storage_bytes()` are its bookkeeping: the index, the
 //! registry, each series' store and what its chunk buffers hold unused.
-//! The bound fails if a series carries four chunk slots, a doubled chunk
-//! buffer or a list of its own per fingerprint: any one of them puts it
-//! at 745–980 bytes after the appends, all three at 1,067.
+//! It reads 745 bytes after the appends and 688 after a reopen. The bound
+//! fails after the appends if a series' first chunk push reserves four
+//! chunk slots (1,009 bytes) or its fingerprint gets a list of its own
+//! (803); with both, as before the slots and the fingerprint map were
+//! trimmed, 1,067. It does not hold chunk buffers to their bytes: an open
+//! chunk's buffer grows by doubling, and the 745 include that slack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
