@@ -107,6 +107,12 @@ impl ApiServer {
                     );
                     out.sample("", &[], stats.failed_polls as f64);
                     out.family(
+                        "ceems_api_unpriced_intervals_total",
+                        "Unit intervals whose energy was folded with no emission factor.",
+                        MetricType::Counter,
+                    );
+                    out.sample("", &[], stats.unpriced_intervals as f64);
+                    out.family(
                         "ceems_api_updater_poll_duration_seconds",
                         "Wall time of one updater poll.",
                         MetricType::Histogram,

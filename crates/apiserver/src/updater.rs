@@ -116,6 +116,10 @@ pub struct UpdaterStats {
     /// Polls in which a TSDB query failed: they folded nothing and left
     /// every frontier for the next poll.
     pub failed_polls: u64,
+    /// Unit intervals whose energy was folded with no emissions, because
+    /// the emission factor query answered nothing: the unit's emissions
+    /// miss that energy.
+    pub unpriced_intervals: u64,
 }
 
 /// What every unit did over one query window, keyed by `uuid`.
@@ -211,7 +215,13 @@ fn unit_row(u: &UnitInfo, stored: Option<&[Value]>, now_ms: i64) -> Vec<Value> {
 
 /// Adds one interval to the aggregates in `row`: energy and emissions
 /// accumulate, the averages stay time-weighted means over the unit's life.
-fn fold_interval(row: &mut [Value], u: &UnitInfo, span: &Unfolded, interval: &IntervalAggregates) {
+/// Returns whether energy went in with no factor to price it.
+fn fold_interval(
+    row: &mut [Value],
+    u: &UnitInfo,
+    span: &Unfolded,
+    interval: &IntervalAggregates,
+) -> bool {
     let uuid = u.uuid.as_str();
     let mut mean = |col: usize, v: f64| fold_mean(&mut row[col], v, span.before_s, span.covered_s);
     if let Some(cores) = interval.cpu_cores.get(uuid) {
@@ -233,10 +243,12 @@ fn fold_interval(row: &mut [Value], u: &UnitInfo, span: &Unfolded, interval: &In
         };
         add(unit_cols::ENERGY_KWH, kwh);
         // Each interval is priced at the factor of its own time.
-        if let Some(factor) = interval.emission_factor {
-            add(unit_cols::EMISSIONS_G, kwh * factor);
+        match interval.emission_factor {
+            Some(factor) => add(unit_cols::EMISSIONS_G, kwh * factor),
+            None => return true,
         }
     }
+    false
 }
 
 /// Whether writing `row` over `stored` changes a column other than the
@@ -346,7 +358,8 @@ impl Updater {
         for (u, (mut row, span)) in units.iter().zip(rows) {
             match (span, &interval) {
                 (Some(span), Ok(interval)) => {
-                    fold_interval(&mut row, u, &span, interval);
+                    let unpriced = fold_interval(&mut row, u, &span, interval);
+                    self.stats.unpriced_intervals += u64::from(unpriced);
                     self.stats.units_folded += 1;
                 }
                 // Nothing folded: the frontier stays for the next poll.
@@ -1345,6 +1358,40 @@ mod tests {
         assert_close(g, 1.5);
         assert_eq!(stats.units_purged, 1);
         assert!(stats.series_deleted > 0);
+    }
+
+    /// A source that answers energy but no emission factor: the energy is
+    /// billed, the interval unpriced, and each such interval counted; once
+    /// the factor is there the intervals are priced and the count stays.
+    #[test]
+    fn an_interval_without_a_factor_is_counted_unpriced() {
+        let tsdb = Arc::new(Tsdb::default());
+        append_unit(&tsdb, "slurm-1", 0, 480_000, |_| STEADY);
+        let rm = ClockRm::new(vec![unit("slurm-1", "alice", 0, None)]);
+        let dir = tmpdir("unpriced");
+        let mut upd = open_updater(&dir, rm.clone(), tsdb.clone());
+        poll_at(&mut upd, &rm, 120_000);
+        poll_at(&mut upd, &rm, 240_000);
+        let [.., kwh, g] = aggregates(&stored(&upd, "slurm-1"));
+        // 360 W for 240 s, and no grams at all.
+        assert_close(kwh.unwrap(), 0.024);
+        assert_eq!(g, None);
+        assert_eq!(
+            (upd.stats().unpriced_intervals, upd.stats().units_folded),
+            (2, 2)
+        );
+        append_factor(&tsdb, 480_000, |_| 50.0);
+        poll_at(&mut upd, &rm, 360_000);
+        poll_at(&mut upd, &rm, 480_000);
+        let [.., kwh, g] = aggregates(&stored(&upd, "slurm-1"));
+        assert_close(kwh.unwrap(), 0.048);
+        // Only the last 240 s were priced.
+        assert_close(g.unwrap(), 0.024 * 50.0);
+        assert_eq!(
+            (upd.stats().unpriced_intervals, upd.stats().units_folded),
+            (2, 4)
+        );
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

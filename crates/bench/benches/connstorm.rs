@@ -19,7 +19,9 @@
 //! iterations.
 //!
 //! Env knobs: `CONNSTORM_CONNS` (default 10000), `CONNSTORM_ROUNDS`
-//! (default 3), `CONNSTORM_DRIVERS` (default 8).
+//! (default 3), `CONNSTORM_DRIVERS` (default 8). A run with fewer than
+//! 10000 connections (CI's smoke holds 512 for 2 rounds) writes
+//! `"reduced": true` beside the counts it used.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -34,6 +36,9 @@ use ceems_lb::acl::Authorizer;
 use ceems_lb::proxy::LbConfig;
 use ceems_lb::{Backend, BackendPool, CeemsLb, Strategy};
 use ceems_tsdb::httpapi::api_router;
+
+/// Connections the full run holds open.
+const FULL_CONNS: usize = 10_000;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -130,7 +135,7 @@ fn main() {
         driver_main(&target);
     }
 
-    let conns = env_usize("CONNSTORM_CONNS", 10_000);
+    let conns = env_usize("CONNSTORM_CONNS", FULL_CONNS);
     let rounds = env_usize("CONNSTORM_ROUNDS", 3);
     let drivers = env_usize("CONNSTORM_DRIVERS", 8).max(1);
 
@@ -287,6 +292,7 @@ fn main() {
         "connstorm",
         &serde_json::json!({
             "bench": "connstorm",
+            "reduced": conns < FULL_CONNS,
             "connections": conns,
             "rounds": rounds,
             "drivers": drivers,

@@ -13,7 +13,7 @@
 //! LB's body check), a relayed one-extent answer three (TSDB encode, the
 //! frontend's and the LB's body checks). Its rows are one panel's answer
 //! (1 series × 81 steps, a 20-minute range at 15 s) and one fleet answer
-//! (10 series × 81 steps).
+//! (10 series × 81 steps); the body check runs on both.
 //!
 //! `noise_pct` is the largest gap between the p50s of the first and second
 //! half of one row's timed runs, over that row's p50 (`half_gap_pct` holds
@@ -143,7 +143,8 @@ fn bench_qfe(c: &mut Criterion) {
     let panel = range_answer(1);
     let fleet = range_answer(10);
     let panel_body = promapi::answer(&panel, None, &[]).body;
-    let codec: [(&str, &dyn Fn()); 4] = [
+    let fleet_body = promapi::answer(&fleet, None, &[]).body;
+    let codec: [(&str, &dyn Fn()); 5] = [
         ("answer_panel", &|| {
             drop(black_box(promapi::answer(&panel, None, &[])))
         }),
@@ -155,6 +156,9 @@ fn bench_qfe(c: &mut Criterion) {
         }),
         ("check_panel", &|| {
             assert!(promapi::is_json(black_box(&panel_body)))
+        }),
+        ("check_fleet", &|| {
+            assert!(promapi::is_json(black_box(&fleet_body)))
         }),
     ];
     let mut group = c.benchmark_group("promapi_codec");
@@ -201,7 +205,7 @@ fn bench_qfe(c: &mut Criterion) {
             "unsplit_nocache_render": LatencySummary::from_samples(&mut unsplit_s).to_json(),
             "warm_speedup_p50": cold.p50_us / warm_sum.p50_us.max(1e-9),
             "promapi_codec": codec,
-            "promapi_codec_bytes": {"panel": panel_body.len()},
+            "promapi_codec_bytes": {"panel": panel_body.len(), "fleet": fleet_body.len()},
             "noise_pct": noise.pct(),
             "half_gap_pct": noise.0,
         }),

@@ -16,12 +16,17 @@
 //!
 //! E16 rows: the benchmark's three fleet queries as range queries over the
 //! fixture on the dashboards' grid (`fleet_range/*`), each beside the one
-//! select it reads (`*/select_only`). Before timing, each row checks that its
-//! output is bit for bit one instant evaluation per step.
+//! select it reads (`*/select_only`), and the `topk` query over ≈ 250
+//! `uuid` series, the end-to-end benchmark's scale (E40). Before timing,
+//! each row checks that its output is bit for bit one instant evaluation
+//! per step. The `fleet_range` rows are timed again on their own and
+//! written to `BENCH_tsdb_engine.json` with each row's `half_gap_pct` and
+//! the largest, `noise_pct`.
 
 use std::cell::{OnceCell, RefCell};
 use std::time::Instant;
 
+use ceems_bench::report::{time_iters, write_bench_json, LatencySummary, Noise};
 use ceems_bench::{loaded_tsdb, tmpdir};
 use ceems_core::attribution::all_rule_groups;
 use ceems_core::{CeemsConfig, CeemsStack};
@@ -35,7 +40,7 @@ use ceems_tsdb::promql::{instant_query, parse_expr, range_query, reference};
 use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::types::{Sample, SeriesData};
 use ceems_tsdb::Tsdb;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, IntoBenchmarkLabel};
 
 fn bench_chunk(c: &mut Criterion) {
     let mut group = c.benchmark_group("chunk");
@@ -496,32 +501,123 @@ fn bits(m: &[SeriesData]) -> Vec<(LabelSet, Vec<(i64, u64)>)> {
         .collect()
 }
 
+/// `uuid:ceems_power:watts` as the end-to-end benchmark's window holds it
+/// at the dashboards' grid: ≈ 250 series of 230 jobs (every tenth on two
+/// nodes) written every 30 s over the 25 minutes up to `end`, jobs
+/// starting in the first ten minutes and a third of them ending early.
+fn e2e_scale_power(end: i64) -> Tsdb {
+    let db = Tsdb::default();
+    let from = end - 25 * 60_000;
+    for job in 0..230i64 {
+        let start = from + (job * 37 % 20) * 30_000;
+        let stop = match job % 3 {
+            0 => end - (job * 53 % 16) * 30_000,
+            _ => end,
+        };
+        for node in 0..1 + i64::from(job % 10 == 0) {
+            let labels = LabelSetBuilder::new()
+                .label("__name__", "uuid:ceems_power:watts")
+                .label("uuid", format!("slurm-{job}"))
+                .label("instance", format!("node-{}:9010", (job + node * 41) % 87))
+                .label("nodegroup", format!("g{}", job % 4))
+                .build();
+            for t in (start..=stop).step_by(30_000) {
+                let v = 100.0 + (job * 13 % 300) as f64 + 20.0 * ((t / 30_000 + job) as f64).sin();
+                db.append(&labels, t, v);
+            }
+        }
+    }
+    db
+}
+
+/// Timed runs of each `fleet_range` row for `BENCH_tsdb_engine.json`.
+const FLEET_ITERS: usize = 200;
+
 /// Each fleet query as one range query, and beside it the select that query
-/// makes (its one selector's window over the grid).
+/// makes (its one selector's window over the grid); then `topk_by_uuid` at
+/// the end-to-end benchmark's scale (`topk_by_uuid_e2e_scale`). Every row is
+/// then timed again on its own for `BENCH_tsdb_engine.json`: each row's p50
+/// and `half_gap_pct` (the p50s of the first and second half of its runs,
+/// apart by this share of its p50), and `noise_pct`, the largest.
 fn bench_fleet_range(c: &mut Criterion) {
     let dir = tmpdir("fleet");
-    let stack = OnceCell::new();
-    let mut group = c.benchmark_group("fleet_range");
-    for (name, q) in FLEET_QUERIES {
+    let stack = fleet_stack(&dir);
+    let db = stack.tsdb.as_ref();
+    let end = stack.clock.now_ms();
+    let (start, step) = (end - 20 * 60_000, 15_000);
+    let scale = e2e_scale_power(end);
+    let mut rows: Vec<(String, Box<dyn Fn() + '_>)> = Vec::new();
+    let mut series: serde_json::Map<String, serde_json::Value> = serde_json::Map::new();
+    let checked = |db: &Tsdb, name: &str, q: &str| {
         let expr = parse_expr(q).unwrap();
-        let stack: &CeemsStack = stack.get_or_init(|| fleet_stack(&dir));
-        let db = stack.tsdb.as_ref();
-        let end = stack.clock.now_ms();
-        let (start, step) = (end - 20 * 60_000, 15_000);
         let got = range_query(db, &expr, start, end, step).unwrap();
         let want = reference::range_query(db, &expr, start, end, step).unwrap();
         assert!(!got.is_empty(), "{q}: no series");
-        assert_eq!(bits(&got), bits(&want), "{q}: range ≠ one instant query per step");
-        group.bench_function(name, |b| {
-            b.iter(|| range_query(db, &expr, start, end, step).unwrap())
-        });
-        let sel = expr.selectors()[0];
-        let back = sel.range_ms.unwrap_or(ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS);
-        group.bench_function(BenchmarkId::new(name, "select_only"), |b| {
-            b.iter(|| db.select(&sel.matchers, start - back, end))
-        });
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{q}: range ≠ one instant query per step"
+        );
+        let sel = expr.selectors()[0].clone();
+        let back = sel
+            .range_ms
+            .unwrap_or(ceems_tsdb::promql::eval::DEFAULT_LOOKBACK_MS);
+        let read = db.select(&sel.matchers, start - back, end).len();
+        eprintln!(
+            "[E16] fleet_range/{name}: reads {read} series, answers {}",
+            got.len()
+        );
+        (expr, sel, back, read)
+    };
+    for (name, q) in FLEET_QUERIES {
+        let (expr, sel, back, read) = checked(db, name, q);
+        series.insert(name.to_string(), read.into());
+        rows.push((
+            name.to_string(),
+            Box::new(move || drop(range_query(db, &expr, start, end, step).unwrap())),
+        ));
+        rows.push((
+            BenchmarkId::new(name, "select_only").into_label(),
+            Box::new(move || drop(db.select(&sel.matchers, start - back, end))),
+        ));
+    }
+    let (name, q) = ("topk_by_uuid_e2e_scale", FLEET_QUERIES[0].1);
+    let (expr, _, _, read) = checked(&scale, name, q);
+    series.insert(name.to_string(), read.into());
+    let scale = &scale;
+    rows.push((
+        name.to_string(),
+        Box::new(move || drop(range_query(scale, &expr, start, end, step).unwrap())),
+    ));
+
+    let mut group = c.benchmark_group("fleet_range");
+    for (name, run) in &rows {
+        group.bench_function(name.as_str(), |b| b.iter(run));
     }
     group.finish();
+
+    let mut noise = Noise::default();
+    let timed: serde_json::Map<String, serde_json::Value> = rows
+        .iter()
+        .map(|(name, run)| {
+            let mut samples = time_iters(FLEET_ITERS, run);
+            noise.record(format!("fleet_range/{name}"), &samples);
+            let summary = LatencySummary::from_samples(&mut samples).to_json();
+            (name.clone(), summary)
+        })
+        .collect();
+    write_bench_json(
+        "tsdb_engine",
+        &serde_json::json!({
+            "bench": "tsdb_engine",
+            "grid": {"minutes": 20, "step_s": step / 1000},
+            "fleet_range": timed,
+            "fleet_range_series_read": series,
+            "noise_pct": noise.pct(),
+            "half_gap_pct": noise.0,
+        }),
+    );
+    drop(rows);
     drop(stack);
     let _ = std::fs::remove_dir_all(&dir);
 }

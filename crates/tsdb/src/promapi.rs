@@ -492,7 +492,7 @@ fn pair(r: &mut Reader<'_>) -> Step<Sample> {
     if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
         return Err("sample time is not a number");
     }
-    let secs = r.number_text();
+    let secs = r.number_text()?;
     let t_ms = match exact_millis(secs) {
         Some(t_ms) => t_ms,
         None => (parse_number(secs)? * 1000.0).round() as i64,

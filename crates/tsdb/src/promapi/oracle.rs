@@ -17,7 +17,7 @@ use ceems_metrics::encode::format_value;
 use ceems_metrics::labels::LabelSet;
 use ceems_obs::trace::{StageReport, TraceReport};
 
-use super::{answer, decode, write_pair, QueryData, EXACT_MS};
+use super::{answer, decode, is_json, parse_number, write_pair, QueryData, Reader, EXACT_MS};
 use crate::types::{Sample, SeriesData};
 
 /// The answer as a tree, as the encoder built it before it wrote bytes.
@@ -376,6 +376,53 @@ proptest! {
     fn envelopes_of_any_shape_decode_as_the_tree_decodes_them(tree in envelope_like()) {
         for body in three_forms(serde_json::to_vec(&tree).unwrap()) {
             agree(&body);
+        }
+    }
+}
+
+/// The body check reads numbers by their grammar: at every place a number
+/// can start, the run it steps over passes exactly when `str::parse::<f64>`
+/// takes it, which is what the check took when it parsed each number, and
+/// its verdict on the whole body is the parser's.
+fn numbers_check_as_they_parse(body: &[u8]) {
+    for (i, &b) in body.iter().enumerate() {
+        if matches!(b, b'-' | b'0'..=b'9') {
+            let mut r = Reader::new(body, i);
+            let checked = r.number_text().is_ok();
+            let run = &body[i..r.at];
+            let parsed = parse_number(run).is_ok();
+            assert_eq!(checked, parsed, "{:?}", String::from_utf8_lossy(run));
+        }
+    }
+    let parses = serde_json::from_slice::<Json>(body).is_ok();
+    assert_eq!(is_json(body), parses, "{}", String::from_utf8_lossy(body));
+}
+
+/// Bytes a number is made of, and some it is not.
+fn number_piece() -> impl Strategy<Value = &'static [u8]> {
+    let pieces: [&'static [u8]; 12] = [
+        b"-", b"+", b"0", b"7", b"12", b".", b"e", b"E", b"e-", b"1e999", b",", b" ",
+    ];
+    (0..pieces.len()).prop_map(move |i| pieces[i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_body_check_reads_numbers_as_they_parse(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        pieces in proptest::collection::vec(number_piece(), 0..24),
+        data in query_data(),
+        cut in any::<usize>(),
+    ) {
+        numbers_check_as_they_parse(&bytes);
+        let number = pieces.concat();
+        numbers_check_as_they_parse(&number);
+        numbers_check_as_they_parse(&[b"[", &number[..], b"]"].concat());
+        for body in three_forms(answer(&data, None, &[]).body) {
+            numbers_check_as_they_parse(&body);
+            numbers_check_as_they_parse(&body[..cut % (body.len() + 1)]);
         }
     }
 }

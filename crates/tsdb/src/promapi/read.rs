@@ -10,8 +10,10 @@
 //! surrogate must be followed by `\u` and a low one and a lone low one is
 //! refused, and a number is the longest run of
 //! `-? digits (. digits)? ([eE] [+-]? digits)?` that `str::parse::<f64>`
-//! accepts (so `01`, `1.` and `-.5` are numbers, `1e` and `-` are not).
-//! [`Reader::skip`] checks one value of any shape and allocates nothing.
+//! accepts: one with a digit in its mantissa and one after any `e` (so
+//! `01`, `1.` and `-.5` are numbers, `1e` and `-` are not).
+//! [`Reader::skip`] checks one value of any shape, numbers by that grammar
+//! without converting them, and allocates nothing.
 
 use std::borrow::Cow;
 
@@ -138,7 +140,7 @@ impl<'a> Reader<'a> {
             Some(b'{') => self.object(depth, |r, _, depth| r.skip(depth)),
             Some(b'[') => self.array(depth, |r, depth| r.skip(depth)),
             Some(b'"') => self.string().map(drop),
-            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number_text().map(drop),
             Some(b'n') => self.literal("null"),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
@@ -275,36 +277,41 @@ impl<'a> Reader<'a> {
             .ok_or("invalid unicode escape")
     }
 
-    /// Reads the number at the reader.
-    pub(super) fn number(&mut self) -> Step<f64> {
-        parse_number(self.number_text())
-    }
-
     /// Steps over the longest run of
-    /// `-? digits (. digits)? ([eE] [+-]? digits)?` at the reader; its
-    /// text, which [`parse_number`] checks.
-    pub(super) fn number_text(&mut self) -> &'a [u8] {
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?` at the reader, and
+    /// returns its text if it is a number: a digit in the mantissa and one
+    /// after any `e`, which is exactly the runs [`parse_number`] takes. It
+    /// steps over the run whether or not it is one.
+    pub(super) fn number_text(&mut self) -> Step<&'a [u8]> {
         let start = self.at;
         self.at += usize::from(self.peek() == Some(b'-'));
-        self.digits();
+        let mut mantissa = self.digits();
         if self.peek() == Some(b'.') {
             self.at += 1;
-            self.digits();
+            mantissa |= self.digits();
         }
+        let mut exponent = true;
         if let Some(b'e' | b'E') = self.peek() {
             self.at += 1;
             if let Some(b'+' | b'-') = self.peek() {
                 self.at += 1;
             }
-            self.digits();
+            exponent = self.digits();
         }
-        &self.bytes[start..self.at]
+        if mantissa && exponent {
+            Ok(&self.bytes[start..self.at])
+        } else {
+            Err("invalid number")
+        }
     }
 
-    fn digits(&mut self) {
+    /// Steps over a run of digits; whether there was one.
+    fn digits(&mut self) -> bool {
+        let start = self.at;
         while let Some(b'0'..=b'9') = self.peek() {
             self.at += 1;
         }
+        self.at > start
     }
 
     fn literal(&mut self, word: &str) -> Step<()> {

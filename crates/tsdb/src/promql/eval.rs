@@ -17,7 +17,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
@@ -225,7 +225,7 @@ impl PreparedQuery {
         };
         eval.eval(expr).map_err(|f| f.err).map(|v| match v {
             Operand::Scalar(v) => Evaluated::Scalar(v[0]),
-            Operand::Vector(v) => {
+            Operand::Vector(Vector::Runs(v)) => {
                 // One point per series on a one-point grid.
                 let mut rows: Vec<(u32, LabelId, f64)> = v
                     .series
@@ -235,6 +235,12 @@ impl PreparedQuery {
                 rows.sort_unstable_by_key(|r| r.0);
                 Evaluated::Vector(rows.into_iter().map(|(_, labels, x)| (labels, x)).collect())
             }
+            Operand::Vector(Vector::Steps(v)) => Evaluated::Vector(
+                v.at(0)
+                    .iter()
+                    .map(|&(series, _, x)| (v.labels[series as usize], x))
+                    .collect(),
+            ),
             Operand::Range(sel) => Evaluated::Matrix(eval.read(sel).matrix()),
         })
     }
@@ -416,6 +422,49 @@ impl Grid {
     /// A vector as series in first-seen order: elements with equal label
     /// sets become one series, their samples in step and then element order.
     fn merge(&self, v: Vector, labels: &Labels) -> Vec<SeriesData> {
+        match v {
+            Vector::Runs(v) => self.merge_runs(v, labels),
+            Vector::Steps(v) => self.merge_steps(v, labels),
+        }
+    }
+
+    /// [`Self::merge`] of a step-major vector: walked in step and then
+    /// element order, it meets each output series where it is first seen,
+    /// and then its samples in order.
+    fn merge_steps(&self, v: Steps, labels: &Labels) -> Vec<SeriesData> {
+        let sets: Vec<Arc<LabelSet>> = v.labels.iter().map(|&id| labels.get(id)).collect();
+        let mut slot_of: HashMap<&LabelSet, u32> = HashMap::with_capacity(sets.len());
+        // Each series' output slot, and per slot a series of it and its
+        // sample count.
+        let mut slot = vec![u32::MAX; sets.len()];
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for &(series, _, _) in &v.items {
+            let s = series as usize;
+            if slot[s] == u32::MAX {
+                slot[s] = *slot_of.entry(&*sets[s]).or_insert_with(|| {
+                    slots.push((s, 0));
+                    slots.len() as u32 - 1
+                });
+            }
+            slots[slot[s] as usize].1 += 1;
+        }
+        let mut out: Vec<SeriesData> = slots
+            .iter()
+            .map(|&(s, n)| SeriesData::new(sets[s].clone(), Vec::with_capacity(n)))
+            .collect();
+        for k in 0..v.steps() {
+            let t = self.t(k);
+            for &(series, _, x) in v.at(k) {
+                out[slot[series as usize] as usize]
+                    .samples
+                    .push(Sample::new(t, x));
+            }
+        }
+        out
+    }
+
+    /// [`Self::merge`] of a series-major vector.
+    fn merge_runs(&self, v: Runs, labels: &Labels) -> Vec<SeriesData> {
         let sets: Vec<Arc<LabelSet>> = v.series.iter().map(|s| labels.get(s.labels)).collect();
         let mut slot_of: HashMap<&LabelSet, usize> = HashMap::with_capacity(v.series.len());
         // Per output series: the (step, key) it is first seen at.
@@ -472,7 +521,7 @@ struct Point {
     v: f64,
 }
 
-/// One series of a [`Vector`]: its labels and its points
+/// One series of a [`Runs`]: its labels and its points
 /// `points[lo..hi]`, in step order, at most one per step.
 struct Series {
     labels: LabelId,
@@ -480,29 +529,166 @@ struct Series {
     hi: usize,
 }
 
-/// An instant vector over the grid: series with at least one point, whose
-/// point runs follow each other in `points`. Memory follows the points
-/// produced, not series × steps.
+/// An instant vector over the grid series by series: series with at least
+/// one point, whose point runs follow each other in `points`. Memory
+/// follows the points produced, not series × steps.
 #[derive(Default)]
-struct Vector {
+struct Runs {
     series: Vec<Series>,
     points: Vec<Point>,
 }
 
-/// A vector's elements step by step: `items[at[k]..at[k + 1]]` are step
-/// `k`'s `(series, key, value)` in key order.
+/// An instant vector over the grid step by step: `items[at[k]..at[k + 1]]`
+/// are step `k`'s `(series, key, value)` in key order, `labels[series]` a
+/// series' labels (a series may have no element at all).
 struct Steps {
+    labels: Vec<LabelId>,
     at: Vec<usize>,
     items: Vec<(u32, u32, f64)>,
 }
 
-impl Steps {
-    fn at(&self, k: usize) -> &[(u32, u32, f64)] {
-        &self.items[self.at[k]..self.at[k + 1]]
-    }
+/// An instant vector in the layout of the operator that produced it:
+/// selectors, range functions and vector matching work series by series,
+/// aggregations and rankings step by step. A consumer that needs the other
+/// layout converts it; element-wise operators work on either.
+enum Vector {
+    Runs(Runs),
+    Steps(Steps),
 }
 
 impl Vector {
+    /// The vector series by series.
+    fn into_runs(self) -> Runs {
+        match self {
+            Vector::Runs(v) => v,
+            Vector::Steps(v) => v.into_runs(),
+        }
+    }
+
+    /// The vector step by step, over a grid of `points` steps.
+    fn into_steps(self, points: usize) -> Steps {
+        match self {
+            Vector::Runs(v) => v.into_steps(points),
+            Vector::Steps(v) => v,
+        }
+    }
+
+    /// Every element mapped (`None` drops it) in place, in either layout; a
+    /// series that keeps any gets its labels through `labels`, once.
+    fn map(
+        self,
+        labels: impl FnMut(LabelId) -> LabelId,
+        f: impl FnMut(&Point) -> Option<f64>,
+    ) -> Vector {
+        match self {
+            Vector::Runs(v) => Vector::Runs(v.map(labels, f)),
+            Vector::Steps(v) => Vector::Steps(v.map(labels, f)),
+        }
+    }
+}
+
+impl Steps {
+    fn steps(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    fn at(&self, k: usize) -> &[(u32, u32, f64)] {
+        &self.items[self.at[k]..self.at[k + 1]]
+    }
+
+    /// Rewrites the elements in place, step by step: `step(k, lo..hi, w)`
+    /// reads step `k`'s elements `items[lo..hi]` and writes its output from
+    /// `items[w]` on (`w ≤ lo`, so once it has read what it needs),
+    /// returning how many it wrote.
+    fn rewrite(
+        &mut self,
+        mut step: impl FnMut(usize, Range<usize>, usize, &mut [(u32, u32, f64)]) -> usize,
+    ) {
+        let mut w = 0;
+        for k in 0..self.steps() {
+            let (lo, hi) = (self.at[k], self.at[k + 1]);
+            self.at[k] = w;
+            w += step(k, lo..hi, w, &mut self.items);
+        }
+        let last = self.steps();
+        self.at[last] = w;
+        self.items.truncate(w);
+    }
+
+    /// The vector series by series: each series' elements in step order.
+    fn into_runs(self) -> Runs {
+        let mut at = vec![0usize; self.labels.len() + 1];
+        for &(series, _, _) in &self.items {
+            at[series as usize + 1] += 1;
+        }
+        for i in 1..at.len() {
+            at[i] += at[i - 1];
+        }
+        let mut fill = at.clone();
+        let mut points = vec![
+            Point {
+                step: 0,
+                key: 0,
+                v: 0.0
+            };
+            self.items.len()
+        ];
+        for k in 0..self.steps() {
+            for &(series, key, v) in self.at(k) {
+                let step = k as u32;
+                points[fill[series as usize]] = Point { step, key, v };
+                fill[series as usize] += 1;
+            }
+        }
+        let series = self
+            .labels
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| at[i] < at[i + 1])
+            .map(|(i, labels)| Series {
+                labels,
+                lo: at[i],
+                hi: at[i + 1],
+            })
+            .collect();
+        Runs { series, points }
+    }
+
+    /// [`Runs::map`] step by step.
+    fn map(
+        mut self,
+        mut labels: impl FnMut(LabelId) -> LabelId,
+        mut f: impl FnMut(&Point) -> Option<f64>,
+    ) -> Steps {
+        let mut ids = std::mem::take(&mut self.labels);
+        let mut named = vec![false; ids.len()];
+        self.rewrite(|k, step, mut w, items| {
+            let start = w;
+            for r in step {
+                let (series, key, v) = items[r];
+                let Some(v) = f(&Point {
+                    step: k as u32,
+                    key,
+                    v,
+                }) else {
+                    continue;
+                };
+                let s = series as usize;
+                if !named[s] {
+                    named[s] = true;
+                    ids[s] = labels(ids[s]);
+                }
+                items[w] = (series, key, v);
+                w += 1;
+            }
+            w - start
+        });
+        self.labels = ids;
+        self
+    }
+}
+
+impl Runs {
     fn points_of(&self, s: &Series) -> &[Point] {
         &self.points[s.lo..s.hi]
     }
@@ -521,7 +707,7 @@ impl Vector {
 
     /// A scalar as a vector argument: one element with no labels (`empty`)
     /// per step.
-    fn from_scalar(s: &[f64], empty: LabelId) -> Vector {
+    fn from_scalar(s: &[f64], empty: LabelId) -> Runs {
         let points: Vec<Point> = s
             .iter()
             .enumerate()
@@ -531,7 +717,7 @@ impl Vector {
                 v,
             })
             .collect();
-        Vector {
+        Runs {
             series: vec![Series {
                 labels: empty,
                 lo: 0,
@@ -541,50 +727,14 @@ impl Vector {
         }
     }
 
-    /// A vector from points produced step by step, each tagged with its
-    /// series' index in `labels`.
-    fn from_tagged(labels: Vec<LabelId>, tagged: Vec<(u32, Point)>) -> Vector {
-        let mut at = vec![0usize; labels.len() + 1];
-        for &(tag, _) in &tagged {
-            at[tag as usize + 1] += 1;
-        }
-        for i in 1..at.len() {
-            at[i] += at[i - 1];
-        }
-        let mut fill = at.clone();
-        let mut points = vec![
-            Point {
-                step: 0,
-                key: 0,
-                v: 0.0
-            };
-            tagged.len()
-        ];
-        for (tag, p) in tagged {
-            points[fill[tag as usize]] = p;
-            fill[tag as usize] += 1;
-        }
-        let series = labels
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| at[i] < at[i + 1])
-            .map(|(i, labels)| Series {
-                labels,
-                lo: at[i],
-                hi: at[i + 1],
-            })
-            .collect();
-        Vector { series, points }
-    }
-
     /// Every element mapped (`None` drops it) in place; a series that keeps
     /// any gets its labels through `labels`, once.
     fn map(
         self,
         mut labels: impl FnMut(LabelId) -> LabelId,
         mut f: impl FnMut(&Point) -> Option<f64>,
-    ) -> Vector {
-        let Vector { series, mut points } = self;
+    ) -> Runs {
+        let Runs { series, mut points } = self;
         let mut out = Vec::with_capacity(series.len());
         let mut w = 0;
         for s in series {
@@ -605,14 +755,15 @@ impl Vector {
             }
         }
         points.truncate(w);
-        Vector {
+        Runs {
             series: out,
             points,
         }
     }
 
-    /// The elements step by step, each step's in key order.
-    fn by_step(&self, points: usize) -> Steps {
+    /// The vector step by step, over a grid of `points` steps, each step's
+    /// elements in key order.
+    fn into_steps(self, points: usize) -> Steps {
         let mut at = vec![0usize; points + 1];
         for p in &self.points {
             at[p.step as usize + 1] += 1;
@@ -635,7 +786,8 @@ impl Vector {
                 step.sort_unstable_by_key(|x| x.1);
             }
         }
-        Steps { at, items }
+        let labels = self.series.into_iter().map(|s| s.labels).collect();
+        Steps { labels, at, items }
     }
 }
 
@@ -735,7 +887,7 @@ impl<'w> Eval<'w> {
                 Operand::Range(_) => Err(fail("cannot negate a range vector")),
             },
             Expr::Selector(sel) => Ok(match sel.range_ms {
-                None => Operand::Vector(self.instant(sel)),
+                None => Operand::Vector(Vector::Runs(self.instant(sel))),
                 Some(_) => Operand::Range(sel),
             }),
             Expr::Func { name, args } => self.func(name, args),
@@ -775,19 +927,23 @@ impl<'w> Eval<'w> {
                     },
                     None => None,
                 };
-                if matches!(op, AggOp::Topk | AggOp::Bottomk) {
-                    let k = k.ok_or_else(|| fail("topk/bottomk need k"))?;
-                    return Ok(Operand::Vector(self.rank(v, &k, *op == AggOp::Bottomk)));
-                }
-                Ok(Operand::Vector(self.aggregate(*op, grouping, v)))
+                let v = v.into_steps(self.grid.points);
+                Ok(Operand::Vector(Vector::Steps(
+                    if matches!(op, AggOp::Topk | AggOp::Bottomk) {
+                        let k = k.ok_or_else(|| fail("topk/bottomk need k"))?;
+                        self.rank(v, &k, *op == AggOp::Bottomk)
+                    } else {
+                        self.aggregate(*op, grouping, v)
+                    },
+                )))
             }
         }
     }
 
     /// An instant selector: per series, the last sample within the lookback
     /// of each step, found with one forward cursor.
-    fn instant(&self, sel: &VectorSelector) -> Vector {
-        let mut out = Vector::default();
+    fn instant(&self, sel: &VectorSelector) -> Runs {
+        let mut out = Runs::default();
         let read = self.read(sel);
         if read.latest {
             for (i, (f, last)) in read.lasts().enumerate() {
@@ -842,7 +998,7 @@ impl<'w> Eval<'w> {
         debug_assert!(!read.latest, "range selectors are read with select");
         let unnamed = self.drop_name();
         let (offset, range) = (sel.offset_ms, sel.range_ms.unwrap_or(0));
-        let mut out = Vector::default();
+        let mut out = Runs::default();
         for (i, (series, samples)) in read.windows().enumerate() {
             let (first, last) = (samples[0], samples[samples.len() - 1]);
             let Some(steps) = self
@@ -874,7 +1030,7 @@ impl<'w> Eval<'w> {
             }
             out.close(lo_point, || unnamed(self.labels.id_of(series)));
         }
-        out
+        Vector::Runs(out)
     }
 
     fn arg<'e>(&self, name: &str, args: &'e [Expr], i: usize) -> Result<Operand<'e>, Fail> {
@@ -887,7 +1043,7 @@ impl<'w> Eval<'w> {
     fn vector_arg(&self, name: &str, args: &[Expr], i: usize) -> Result<Vector, Fail> {
         match self.arg(name, args, i)? {
             Operand::Vector(v) => Ok(v),
-            Operand::Scalar(s) => Ok(Vector::from_scalar(&s, self.labels.empty())),
+            Operand::Scalar(s) => Ok(Vector::Runs(Runs::from_scalar(&s, self.labels.empty()))),
             Operand::Range(_) => Err(fail(format!("{name} expects an instant vector"))),
         }
     }
@@ -928,15 +1084,13 @@ impl<'w> Eval<'w> {
                 }))
             }
             "scalar" => {
-                let v = self.vector_arg(name, args, 0)?;
-                let mut seen = vec![(0u32, f64::NAN); self.grid.points];
-                for p in &v.points {
-                    let at = &mut seen[p.step as usize];
-                    *at = (at.0 + 1, p.v);
-                }
+                let v = self.vector_arg(name, args, 0)?.into_steps(self.grid.points);
                 Operand::Scalar(
-                    seen.into_iter()
-                        .map(|(n, v)| if n == 1 { v } else { f64::NAN })
+                    (0..v.steps())
+                        .map(|k| match v.at(k) {
+                            [(_, _, x)] => *x,
+                            _ => f64::NAN,
+                        })
                         .collect(),
                 )
             }
@@ -951,7 +1105,9 @@ impl<'w> Eval<'w> {
             }
             "histogram_quantile" => {
                 let q = self.scalar_arg(name, args, 0)?;
-                Operand::Vector(self.histogram_quantile(&q, self.vector_arg(name, args, 1)?))
+                let v = self.vector_arg(name, args, 1)?;
+                let v = self.histogram_quantile(&q, v.into_steps(self.grid.points));
+                Operand::Vector(Vector::Steps(v))
             }
             other => return Err(fail(format!("unknown function {other:?}"))),
         })
@@ -977,11 +1133,14 @@ impl<'w> Eval<'w> {
             (Operand::Scalar(s), Operand::Vector(v)) => {
                 v.map(drop_name, |p| Some(op.apply(s[p.step as usize], p.v)))
             }
-            (Operand::Vector(lv), Operand::Vector(rv)) => {
-                self.matched(lv, &rv, matching, DUP_MATCHING, drop_name, |l, r| {
-                    Some(op.apply(l, r))
-                })?
-            }
+            (Operand::Vector(lv), Operand::Vector(rv)) => Vector::Runs(self.matched(
+                lv.into_runs(),
+                &rv.into_runs(),
+                matching,
+                DUP_MATCHING,
+                drop_name,
+                |l, r| Some(op.apply(l, r)),
+            )?),
             _ => return Err(fail("binary operators are not defined on range vectors")),
         }))
     }
@@ -1027,11 +1186,14 @@ impl<'w> Eval<'w> {
             (Operand::Scalar(s), Operand::Vector(v)) => {
                 v.map(labels, |p| pick(p.v, op.apply(s[p.step as usize], p.v)))
             }
-            (Operand::Vector(lv), Operand::Vector(rv)) => {
-                self.matched(lv, &rv, &Grouping::None, DUP_COMPARE, labels, |l, r| {
-                    pick(l, op.apply(l, r))
-                })?
-            }
+            (Operand::Vector(lv), Operand::Vector(rv)) => Vector::Runs(self.matched(
+                lv.into_runs(),
+                &rv.into_runs(),
+                &Grouping::None,
+                DUP_COMPARE,
+                labels,
+                |l, r| pick(l, op.apply(l, r)),
+            )?),
             _ => return Err(fail("comparisons are not defined on range vectors")),
         }))
     }
@@ -1045,13 +1207,13 @@ impl<'w> Eval<'w> {
     /// where it is not fails with `dup`.
     fn matched(
         &self,
-        lv: Vector,
-        rv: &Vector,
+        lv: Runs,
+        rv: &Runs,
         grouping: &Grouping,
         dup: &str,
         mut labels: impl FnMut(LabelId) -> LabelId,
         mut f: impl FnMut(f64, f64) -> Option<f64>,
-    ) -> Result<Vector, Fail> {
+    ) -> Result<Runs, Fail> {
         // Signatures numbered in order of first appearance on the right.
         let signature = self.derive(grouping);
         let (call, mut sigs) = (self.labels.call(), 0);
@@ -1098,9 +1260,9 @@ impl<'w> Eval<'w> {
             });
         }
 
-        let mut out = Vector::default();
+        let mut out = Runs::default();
         let mut cursors: Vec<usize> = Vec::new();
-        let Vector { series, points } = lv;
+        let Runs { series, points } = lv;
         for s in series {
             let Some(g) = self.labels.numbered(call, signature(s.labels)) else {
                 continue;
@@ -1157,89 +1319,99 @@ impl<'w> Eval<'w> {
     }
 
     /// `sum`, `avg`, … : groups are assigned once per series; each step
-    /// combines its members' values in the step's element order, and the
-    /// groups of a step come in the order their first member does.
-    fn aggregate(&self, op: AggOp, grouping: &Grouping, v: Vector) -> Vector {
+    /// adds its members into their groups' slots in the step's element
+    /// order (`stddev` and `stdvar` gather them and [`combine`] each
+    /// group's), and the groups of a step come in the order their first
+    /// member does. The output is written over the input.
+    fn aggregate(&self, op: AggOp, grouping: &Grouping, mut v: Steps) -> Steps {
         let (group, labels) = match grouping {
             // One group, with no labels: nothing to derive.
-            Grouping::None => (vec![0; v.series.len()], vec![self.labels.empty()]),
-            by => self.groups(v.series.iter().map(|s| Some(s.labels)), by),
+            Grouping::None => (vec![0; v.labels.len()], vec![self.labels.empty()]),
+            by => self.groups(v.labels.iter().map(|&s| Some(s)), by),
         };
-        let steps = v.by_step(self.grid.points);
-        // A step's values by group, each group's in element order:
-        // `values[at[g]..at[g] + n[g]]`.
-        let (mut at, mut n) = (vec![0usize; labels.len()], vec![0usize; labels.len()]);
-        let mut values: Vec<f64> = Vec::new();
         let mut touched: Vec<(u32, u32)> = Vec::new();
-        let mut tagged: Vec<(u32, Point)> = Vec::new();
-        for k in 0..self.grid.points {
-            let items = steps.at(k);
-            for &(series, key, _) in items {
-                let g = group[series as usize];
-                if n[g as usize] == 0 {
-                    touched.push((g, key));
+        if matches!(op, AggOp::Stddev | AggOp::Stdvar) {
+            // A step's values by group, each group's in element order:
+            // `values[at[g]..at[g] + n[g]]`.
+            let (mut at, mut n) = (vec![0usize; labels.len()], vec![0usize; labels.len()]);
+            let mut values: Vec<f64> = Vec::new();
+            v.rewrite(|_, step, w, items| {
+                for &(series, key, _) in &items[step.clone()] {
+                    let g = group[series as usize];
+                    if n[g as usize] == 0 {
+                        touched.push((g, key));
+                    }
+                    n[g as usize] += 1;
                 }
-                n[g as usize] += 1;
-            }
-            let mut end = 0;
-            for &(g, _) in &touched {
-                let g = g as usize;
-                (at[g], end, n[g]) = (end, end + n[g], 0);
-            }
-            values.resize(end, 0.0);
-            for &(series, _, x) in items {
-                let g = group[series as usize] as usize;
-                values[at[g] + n[g]] = x;
-                n[g] += 1;
-            }
-            for (g, key) in touched.drain(..) {
-                let g_at = g as usize;
-                let v = combine(op, &values[at[g_at]..at[g_at] + n[g_at]]);
-                n[g_at] = 0;
-                tagged.push((
-                    g,
-                    Point {
-                        step: k as u32,
-                        key,
-                        v,
-                    },
-                ));
-            }
+                let mut end = 0;
+                for &(g, _) in &touched {
+                    let g = g as usize;
+                    (at[g], end, n[g]) = (end, end + n[g], 0);
+                }
+                values.resize(end, 0.0);
+                for &(series, _, x) in &items[step] {
+                    let g = group[series as usize] as usize;
+                    values[at[g] + n[g]] = x;
+                    n[g] += 1;
+                }
+                let out = touched.len();
+                for (i, (g, key)) in touched.drain(..).enumerate() {
+                    let g_at = g as usize;
+                    let x = combine(op, &values[at[g_at]..at[g_at] + n[g_at]]);
+                    items[w + i] = (g, key, x);
+                    n[g_at] = 0;
+                }
+                out
+            });
+        } else {
+            let mut slots = vec![Acc::new(op); labels.len()];
+            v.rewrite(|_, step, w, items| {
+                for r in step {
+                    let (series, key, x) = items[r];
+                    let g = group[series as usize];
+                    let slot = &mut slots[g as usize];
+                    if slot.n == 0 {
+                        touched.push((g, key));
+                    }
+                    slot.add(op, x);
+                }
+                let out = touched.len();
+                for (i, (g, key)) in touched.drain(..).enumerate() {
+                    items[w + i] = (g, key, slots[g as usize].take(op));
+                }
+                out
+            });
         }
-        Vector::from_tagged(labels, tagged)
+        v.labels = labels;
+        v
     }
 
     /// `topk` / `bottomk`: each step's elements ranked as one instant
-    /// evaluation ranks them; the survivors keep their labels.
-    fn rank(&self, v: Vector, k: &[f64], bottom: bool) -> Vector {
-        let steps = v.by_step(self.grid.points);
-        let mut tagged: Vec<(u32, Point)> = Vec::new();
-        let mut items: Vec<(u32, f64)> = Vec::new();
-        for (step, &k) in k.iter().enumerate() {
-            items.clear();
-            items.extend(steps.at(step).iter().map(|&(series, _, x)| (series, x)));
-            rank(&mut items, |x| x.1, bottom, k as usize);
-            for (key, &(series, v)) in items.iter().enumerate() {
-                let (step, key) = (step as u32, key as u32);
-                tagged.push((series, Point { step, key, v }));
+    /// evaluation ranks them ([`select`]); the survivors keep their labels
+    /// and are written over the input in rank order.
+    fn rank(&self, mut v: Steps, k: &[f64], bottom: bool) -> Steps {
+        v.rewrite(|step, elements, w, items| {
+            let lo = elements.start;
+            let n = select(&mut items[elements], k[step] as usize, bottom);
+            items.copy_within(lo..lo + n, w);
+            for (key, item) in items[w..w + n].iter_mut().enumerate() {
+                item.1 = key as u32;
             }
-        }
-        Vector::from_tagged(v.series.into_iter().map(|s| s.labels).collect(), tagged)
+            n
+        });
+        v
     }
 
     /// Prometheus `histogram_quantile`: `_bucket` elements grouped by their
     /// non-`le` labels (once per series), each group interpolated per step.
-    fn histogram_quantile(&self, q: &[f64], v: Vector) -> Vector {
+    fn histogram_quantile(&self, q: &[f64], mut v: Steps) -> Steps {
         let les: Vec<Option<f64>> = v
-            .series
+            .labels
             .iter()
-            .map(|s| le_bound(&self.labels.get(s.labels)))
+            .map(|&s| le_bound(&self.labels.get(s)))
             .collect();
         let (group, labels) = self.groups(
-            v.series
-                .iter()
-                .zip(&les)
-                .map(|(s, le)| le.and(Some(s.labels))),
+            v.labels.iter().zip(&les).map(|(&s, le)| le.and(Some(s))),
             &Grouping::Without(vec!["le".to_string()]),
         );
         let buckets: Vec<Option<(u32, f64)>> = group
@@ -1247,12 +1419,10 @@ impl<'w> Eval<'w> {
             .zip(les)
             .map(|(&g, le)| Some((g, le?)))
             .collect();
-        let steps = v.by_step(self.grid.points);
         let mut bs: Vec<Vec<(f64, f64)>> = vec![Vec::new(); labels.len()];
         let mut touched: Vec<(u32, u32)> = Vec::new();
-        let mut tagged: Vec<(u32, Point)> = Vec::new();
-        for (k, &q) in q.iter().enumerate() {
-            for &(series, key, count) in steps.at(k) {
+        v.rewrite(|k, step, w, items| {
+            for &(series, key, count) in &items[step] {
                 let Some((g, le)) = buckets[series as usize] else {
                     continue;
                 };
@@ -1261,21 +1431,96 @@ impl<'w> Eval<'w> {
                 }
                 bs[g as usize].push((le, count));
             }
-            for (g, key) in touched.drain(..) {
-                let v = bucket_quantile(q, &mut bs[g as usize]);
+            let out = touched.len();
+            for (i, (g, key)) in touched.drain(..).enumerate() {
+                items[w + i] = (g, key, bucket_quantile(q[k], &mut bs[g as usize]));
                 bs[g as usize].clear();
-                tagged.push((
-                    g,
-                    Point {
-                        step: k as u32,
-                        key,
-                        v,
-                    },
-                ));
             }
-        }
-        Vector::from_tagged(labels, tagged)
+            out
+        });
+        v.labels = labels;
+        v
     }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregating and ranking in place
+// ---------------------------------------------------------------------------
+
+/// One group's running value of `sum`, `avg`, `min`, `max` or `count`:
+/// its members added one at a time in element order, by the operations
+/// [`combine`] applies to them in the same order, so to the same bits.
+#[derive(Clone, Copy)]
+struct Acc {
+    v: f64,
+    n: usize,
+}
+
+impl Acc {
+    /// An empty group: `combine`'s starting value (−0.0 for a sum, as
+    /// `Iterator::sum` starts).
+    fn new(op: AggOp) -> Acc {
+        let v = match op {
+            AggOp::Min => f64::INFINITY,
+            AggOp::Max => f64::NEG_INFINITY,
+            _ => -0.0,
+        };
+        Acc { v, n: 0 }
+    }
+
+    fn add(&mut self, op: AggOp, x: f64) {
+        self.v = match op {
+            AggOp::Sum | AggOp::Avg => self.v + x,
+            AggOp::Min => min(self.v, x),
+            AggOp::Max => max(self.v, x),
+            AggOp::Count => self.v,
+            _ => unreachable!("gathered and combined"),
+        };
+        self.n += 1;
+    }
+
+    /// The group's value; the group is empty again.
+    fn take(&mut self, op: AggOp) -> f64 {
+        let v = match op {
+            AggOp::Avg => self.v / self.n as f64,
+            AggOp::Count => self.n as f64,
+            _ => self.v,
+        };
+        *self = Acc::new(op);
+        v
+    }
+}
+
+/// The `topk` (`bottom`: `bottomk`) of one step's elements, given in key
+/// order: the first `k` of the stable sort by value, largest first and NaN
+/// below every number, ties in element order, all reversed for `bottomk`
+/// (`super::reference`'s `rank`), moved to the front in that order. Only
+/// those are sorted: the rest is partitioned behind them. Returns how many.
+fn select(items: &mut [(u32, u32, f64)], k: usize, bottom: bool) -> usize {
+    let n = k.min(items.len());
+    if n == 0 {
+        return 0;
+    }
+    // The stable sort's order made total by the key (unique in a step).
+    let top = |a: &(u32, u32, f64), b: &(u32, u32, f64)| {
+        let by_value = match (a.2.is_nan(), b.2.is_nan()) {
+            (false, false) => b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
+        };
+        by_value.then(a.1.cmp(&b.1))
+    };
+    let order = |a: &(u32, u32, f64), b: &(u32, u32, f64)| {
+        if bottom {
+            top(b, a)
+        } else {
+            top(a, b)
+        }
+    };
+    if n < items.len() {
+        items.select_nth_unstable_by(n - 1, order);
+    }
+    items[..n].sort_unstable_by(order);
+    n
 }
 
 // ---------------------------------------------------------------------------
@@ -1298,8 +1543,8 @@ pub(super) fn combine(op: AggOp, vals: &[f64]) -> f64 {
     match op {
         AggOp::Sum => vals.iter().sum(),
         AggOp::Avg => vals.iter().sum::<f64>() / vals.len() as f64,
-        AggOp::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-        AggOp::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        AggOp::Min => vals.iter().copied().fold(f64::INFINITY, min),
+        AggOp::Max => vals.iter().copied().fold(f64::NEG_INFINITY, max),
         AggOp::Count => vals.len() as f64,
         AggOp::Stddev | AggOp::Stdvar => {
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
@@ -1314,22 +1559,24 @@ pub(super) fn combine(op: AggOp, vals: &[f64]) -> f64 {
     }
 }
 
-/// `topk` (`bottom`: `bottomk`) of `v` by `value`: a stable sort, largest
-/// first and NaN below every number, reversed for `bottomk`. The order is
-/// total, so ties keep element order (reversed for `bottomk`) and the result
-/// does not depend on the element type the sort moves.
-pub(super) fn rank<T>(v: &mut Vec<T>, value: impl Fn(&T) -> f64, bottom: bool, k: usize) {
-    v.sort_by(|a, b| {
-        let (a, b) = (value(a), value(b));
-        match (a.is_nan(), b.is_nan()) {
-            (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
-            (a_nan, b_nan) => a_nan.cmp(&b_nan),
-        }
-    });
-    if bottom {
-        v.reverse();
+/// `f64::min` with its ties pinned: NaN gives way to a number, and of two
+/// equal values (`0.0` and `-0.0`) the first stays. `f64::min` may return
+/// either zero, and does differently where the compiler reorders a fold.
+fn min(a: f64, b: f64) -> f64 {
+    if b < a || a.is_nan() {
+        b
+    } else {
+        a
     }
-    v.truncate(k);
+}
+
+/// `f64::max` with its ties pinned as [`min`]'s are.
+fn max(a: f64, b: f64) -> f64 {
+    if b > a || a.is_nan() {
+        b
+    } else {
+        a
+    }
 }
 
 /// Counter-reset-adjusted increase over a window of samples.
@@ -1870,6 +2117,91 @@ mod quantile_tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].0, labels! {"g" => "a"});
         assert!(v[0].1.is_nan());
+    }
+}
+
+/// The in-place operators against the gather-and-sort forms the reference
+/// evaluator keeps, bit for bit.
+#[cfg(test)]
+mod in_place_tests {
+    use super::*;
+    use crate::promql::reference::rank;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Values that tie, NaN, both zeros, both infinities, and any `f64`.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u8..4).prop_map(f64::from),
+            Just(f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            proptest::num::f64::ANY,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One step's `topk`/`bottomk` by selection is the stable sort cut
+        /// to `k`: the same elements in the same order, at every `k` a query
+        /// can give (`k as usize` of NaN and negatives is 0, of huge values
+        /// `usize::MAX`).
+        #[test]
+        fn selection_is_the_stable_sort_cut_to_k(
+            step in vec((value(), 1u32..4), 0..40),
+            bottom in any::<bool>(),
+            other_k in proptest::num::f64::ANY,
+        ) {
+            // Keys ascend with gaps, as a selector's read order does.
+            let keyed: Vec<(u32, f64)> = step
+                .iter()
+                .scan(0u32, |key, &(v, gap)| {
+                    *key += gap;
+                    Some((*key, v))
+                })
+                .collect();
+            let n = keyed.len() as f64;
+            for k in [0.0, 1.0, n - 1.0, n, n + 1.0, f64::NAN, usize::MAX as f64, -1.0, other_k] {
+                let mut want = keyed.clone();
+                rank(&mut want, |x| x.1, bottom, k as usize);
+                let mut items: Vec<(u32, u32, f64)> =
+                    keyed.iter().map(|&(key, v)| (9, key, v)).collect();
+                let m = select(&mut items, k as usize, bottom);
+                let got: Vec<(u32, u64)> =
+                    items[..m].iter().map(|&(_, key, v)| (key, v.to_bits())).collect();
+                let want: Vec<(u32, u64)> =
+                    want.iter().map(|&(key, v)| (key, v.to_bits())).collect();
+                prop_assert_eq!(got, want, "k = {}, bottom = {}", k, bottom);
+            }
+        }
+
+        /// A group's members added in place give the bits `combine` gives
+        /// over them gathered, for every operation that accumulates, and a
+        /// taken slot starts over empty. Two NaNs count as equal: where a
+        /// NaN meets another (`∞ − ∞` then a NaN sample), Rust leaves the
+        /// sign and payload of the result to the code generator, and in a
+        /// debug build `Iterator::sum` and a plain loop return different
+        /// NaNs there.
+        #[test]
+        fn accumulation_in_place_is_gather_and_combine(vals in vec(value(), 1..40)) {
+            for op in [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max, AggOp::Count] {
+                let want = combine(op, &vals);
+                let mut acc = Acc::new(op);
+                for _ in 0..2 {
+                    for &x in &vals {
+                        acc.add(op, x);
+                    }
+                    let got = acc.take(op);
+                    prop_assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{:?} of {:?}: {} against {}", op, vals, got, want
+                    );
+                }
+            }
+        }
     }
 }
 

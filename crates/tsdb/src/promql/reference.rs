@@ -3,6 +3,7 @@
 //! its selectors from the source, merged into series in first-seen order.
 //! Nothing in production calls it.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
@@ -10,8 +11,8 @@ use ceems_metrics::labels::{LabelSet, METRIC_NAME_LABEL};
 use crate::types::{Sample, SeriesData};
 
 use super::eval::{
-    arity, bucket_quantile, combine, le_bound, range_fn, rank, signature, EvalError, Queryable,
-    Value, DEFAULT_LOOKBACK_MS,
+    arity, bucket_quantile, combine, le_bound, range_fn, signature, EvalError, Queryable, Value,
+    DEFAULT_LOOKBACK_MS,
 };
 use super::{AggOp, BinOp, CmpOp, Expr, Grouping};
 
@@ -163,6 +164,24 @@ fn aggregate(
         .into_iter()
         .map(|(key, vals)| (key, combine(op, &vals)))
         .collect())
+}
+
+/// `topk` (`bottom`: `bottomk`) of `v` by `value`: a stable sort, largest
+/// first and NaN below every number, reversed for `bottomk`. The order is
+/// total, so ties keep element order (reversed for `bottomk`) and the result
+/// does not depend on the element type the sort moves.
+pub(super) fn rank<T>(v: &mut Vec<T>, value: impl Fn(&T) -> f64, bottom: bool, k: usize) {
+    v.sort_by(|a, b| {
+        let (a, b) = (value(a), value(b));
+        match (a.is_nan(), b.is_nan()) {
+            (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
+        }
+    });
+    if bottom {
+        v.reverse();
+    }
+    v.truncate(k);
 }
 
 /// Vector matching: the right side must be unique per signature; the left
