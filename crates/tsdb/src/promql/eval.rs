@@ -1,13 +1,16 @@
 //! Expression evaluation.
 //!
 //! One evaluator serves instant and range queries: it runs each operator
-//! over the whole step grid (an instant query is the one-point grid), series
-//! by series with the steps in the inner loop. Every label set an operator
-//! derives — `__name__` dropped, a matching signature, a group key — is
-//! computed once per input series per query, and each element carries its
-//! place among its step's elements, so operators whose result depends on
-//! that order (aggregations, `topk`, `histogram_quantile`, the output merge)
-//! see exactly what one instant evaluation per step would have shown them.
+//! over the whole step grid (an instant query is the one-point grid).
+//! Selectors, functions and vector matching work series by series with the
+//! steps in the inner loop; aggregations and rankings work step by step,
+//! and a vector stays in the layout its operator produced it in until a
+//! consumer needs the other. Every label set an operator derives —
+//! `__name__` dropped, a matching signature, a group key — is computed once
+//! per input series per query, and each element carries its place among its
+//! step's elements, so operators whose result depends on that order
+//! (aggregations, `topk`, `histogram_quantile`, the output merge) see
+//! exactly what one instant evaluation per step would have shown them.
 //! [`super::reference`] keeps that step-at-a-time evaluator for the tests.
 //!
 //! Reads and label sets live in a plan ([`PreparedQuery`]): a one-shot
@@ -2365,6 +2368,41 @@ mod range_tests {
             "topk(5, sum by (n) (w))",
             "sum(topk(30, w))",
             "bottomk(4, w > bool 1)",
+        ] {
+            assert_same(&db, q, 0, 600_000, 15_000);
+            assert_same(&db, q, 300_000, 300_000, 15_000);
+        }
+    }
+
+    /// A ranking or aggregation matched against a selector comes back
+    /// series by series with its keys out of series order (a series ranks
+    /// first at one step and last at the next); a step-wise operator over
+    /// it reads each step in key order all the same.
+    #[test]
+    fn step_wise_operators_over_a_matched_ranking_match_stepwise() {
+        let db = Tsdb::default();
+        for i in 0..40i64 {
+            for n in 0..12i64 {
+                // Rankings reshuffle every step; a third of the series
+                // start late, a third stop early.
+                let v = ((n * 5 + i * 7) % 13) as f64 - 4.0;
+                if (n % 3 != 1 || i >= 9) && (n % 3 != 2 || i < 31) {
+                    db.append(
+                        &labels! {"__name__" => "w", "n" => format!("{n:02}"), "le" => ["1", "2", "+Inf"][n as usize % 3]},
+                        i * 15_000,
+                        if (n + i) % 17 == 0 { f64::NAN } else { v },
+                    );
+                }
+            }
+        }
+        for q in [
+            "sum(topk(5, w) * on (n) w)",
+            "sum by (le) (bottomk(7, w) - on (n) w)",
+            "topk(3, topk(6, w) + on (n) w)",
+            "stddev(topk(6, w) / on (n) w)",
+            "scalar(topk(1, w) * on (n) w)",
+            "histogram_quantile(0.5, topk(8, w) * on (n) w)",
+            "count(sum by (n, le) (w) > w)",
         ] {
             assert_same(&db, q, 0, 600_000, 15_000);
             assert_same(&db, q, 300_000, 300_000, 15_000);
