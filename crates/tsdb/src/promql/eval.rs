@@ -1369,14 +1369,23 @@ impl<'w> Eval<'w> {
         } else {
             let mut slots = vec![Acc::new(op); labels.len()];
             v.rewrite(|_, step, w, items| {
-                for r in step {
+                let mut r = step.start;
+                while r < step.end {
                     let (series, key, x) = items[r];
                     let g = group[series as usize];
-                    let slot = &mut slots[g as usize];
-                    if slot.n == 0 {
+                    if slots[g as usize].n == 0 {
                         touched.push((g, key));
                     }
+                    // The group's run of neighbouring members adds up in a
+                    // register: the same additions in the same order.
+                    let mut slot = slots[g as usize];
                     slot.add(op, x);
+                    r += 1;
+                    while r < step.end && group[items[r].0 as usize] == g {
+                        slot.add(op, items[r].2);
+                        r += 1;
+                    }
+                    slots[g as usize] = slot;
                 }
                 let out = touched.len();
                 for (i, (g, key)) in touched.drain(..).enumerate() {
